@@ -1,24 +1,27 @@
-//! One PEM trading window as a poll-able fabric task.
+//! One PEM trading window as a poll-able stage machine — the only
+//! implementation of Protocol 1's window body.
 //!
-//! [`WindowTask`] runs Protocol 1's window body — market evaluation,
-//! pricing, distribution — over its own [`EventTransport`], advancing by
-//! **one protocol message per poll** where the phase is a state machine
-//! ([`MaskedAggMachine`], [`PricingMachine`]) and inline at phase
-//! transitions where the sub-protocol is a strict two-party
-//! request/response (the garbled-circuit comparison) or pure local
-//! compute (Protocol 4's per-pair arithmetic, the randomizer-pool
-//! refill). Thousands of windows can therefore share one executor
-//! thread, each owning its RNG stream, fabric and virtual clock — so the
-//! outcome is bit-identical to [`Pem::run_window`], at any interleaving.
+//! `Window` sequences market evaluation, pricing and distribution over
+//! any [`Transport`], advancing by **one protocol message per poll**
+//! where the phase is a state machine ([`MaskedAggMachine`],
+//! [`PricingMachine`]) and inline at phase transitions where the
+//! sub-protocol is a strict two-party request/response (the
+//! garbled-circuit comparison) or pure local compute (Protocol 4's
+//! per-pair arithmetic, the randomizer-pool refill). Both ways of
+//! running a window are adapters over it: [`Pem::run_window_on`] polls
+//! it to completion on the caller's transport, and [`WindowTask`] pairs
+//! it with its own queue fabric so thousands of windows can share one
+//! executor thread, each owning its RNG stream, fabric and virtual
+//! clock — the outcome is bit-identical at any interleaving.
 //!
-//! [`Pem::run_window`]: crate::Pem::run_window
+//! [`Pem::run_window_on`]: crate::Pem::run_window_on
 
 use std::time::Instant;
 
 use pem_crypto::drbg::HashDrbg;
-use pem_fabric::{kickoff, step, EventTransport, FabricTask, Poll, ProtocolStateMachine};
+use pem_fabric::{kickoff, step, FabricTask, Poll, ProtocolStateMachine};
 use pem_market::{AgentWindow, MarketKind, Role};
-use pem_net::{FaultPlan, NetError, Transport};
+use pem_net::{NetError, PartyId, SimNetwork, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
@@ -39,7 +42,7 @@ struct PhaseStart {
     messages: u64,
     bytes: u64,
     /// The open `window/<phase>` driver span.
-    span: Option<Span>,
+    span: Span,
 }
 
 /// Where the window currently stands.
@@ -51,12 +54,12 @@ enum Stage<'a> {
     /// Demand ring in flight.
     EvalDemand {
         machine: MaskedAggMachine<'a>,
-        agg_span: Option<Span>,
+        agg_span: Span,
     },
     /// Supply ring in flight.
     EvalSupply {
         machine: MaskedAggMachine<'a>,
-        agg_span: Option<Span>,
+        agg_span: Span,
     },
     /// Garbled-circuit comparison plus the result broadcast (inline).
     EvalFinish,
@@ -66,25 +69,23 @@ enum Stage<'a> {
     Price { machine: PricingMachine<'a> },
     /// Protocol 4 and the pool refill (inline), assembling the outcome.
     Dist,
-    /// The outcome has been reported; the task must not be polled again.
+    /// The outcome has been reported; the window must not be polled again.
     Done,
 }
 
-/// One trading window, poll-able: the unit an [`Executor`] multiplexes.
+/// One trading window's body, transport-free: every poll is handed the
+/// fabric the window runs on.
 ///
 /// Borrows its market's long-lived state (keys, RNG, randomizer pool)
 /// mutably for the window's whole life, which is exactly what makes the
 /// RNG stream sequential per market — construction and every poll draw
-/// in the same order the blocking driver would, so outputs are
-/// bit-identical regardless of how tasks interleave on the executor.
-///
-/// [`Executor`]: pem_fabric::Executor
-pub struct WindowTask<'a> {
+/// in one fixed order, so outputs are bit-identical regardless of who
+/// polls or how windows interleave.
+pub(crate) struct Window<'a> {
     cfg: &'a PemConfig,
     keys: &'a KeyDirectory,
     rng: &'a mut HashDrbg,
     pool: &'a mut Option<RandomizerPool>,
-    net: EventTransport,
     agents: Vec<AgentCtx>,
     sellers: Vec<usize>,
     buyers: Vec<usize>,
@@ -100,42 +101,42 @@ pub struct WindowTask<'a> {
     general_market: bool,
     price: f64,
     stage: Stage<'a>,
-    /// Remaining polls before the task gives up with a timeout
-    /// (`None` = unbounded). A wedged machine — e.g. one whose expected
-    /// message was stalled in flight — must not hold an executor slot
-    /// forever.
-    poll_budget: Option<u64>,
 }
 
-impl<'a> WindowTask<'a> {
-    /// Prepares the window: builds the event fabric, quantizes every
-    /// agent's data and forms the coalitions — the same local step, in
-    /// the same RNG order, as the blocking driver.
+impl<'a> Window<'a> {
+    /// Prepares the window on `net` (fresh, sized to the population):
+    /// quantizes every agent's data and forms the coalitions.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `window_data.len()` differs from the population size.
-    pub(crate) fn new(
+    /// [`PemError::Config`] if `window_data` does not cover the
+    /// population, [`PemError::Protocol`] if the transport's party count
+    /// differs from it; data validation and quantization failures.
+    pub(crate) fn new<T: Transport>(
         cfg: &'a PemConfig,
         keys: &'a KeyDirectory,
         rng: &'a mut HashDrbg,
         pool: &'a mut Option<RandomizerPool>,
-        n_agents: usize,
         window_data: &[AgentWindow],
-        faults: Option<FaultPlan>,
-    ) -> Result<WindowTask<'a>, PemError> {
-        assert_eq!(
-            window_data.len(),
-            n_agents,
-            "window data must cover the whole population"
-        );
-        let mut net = EventTransport::with_latency(n_agents, cfg.latency);
-        if let Some(plan) = faults {
-            net = net.with_faults(plan);
+        net: &T,
+    ) -> Result<Window<'a>, PemError> {
+        let n_agents = keys.len();
+        if window_data.len() != n_agents {
+            return Err(PemError::Config(format!(
+                "window data covers {} agents, the population has {n_agents}",
+                window_data.len()
+            )));
+        }
+        if net.party_count() != n_agents {
+            return Err(PemError::Protocol(
+                "transport party count must match the population",
+            ));
         }
         let quantizer = cfg.quantizer();
         let window_span = Some(Span::enter_at("window", "driver", net.now_us()));
 
+        // Local step: every agent quantizes its data, draws this window's
+        // nonce and claims a role (coalition formation).
         let mut agents = Vec::with_capacity(n_agents);
         let mut sellers = Vec::new();
         let mut buyers = Vec::new();
@@ -150,17 +151,18 @@ impl<'a> WindowTask<'a> {
             agents.push(ctx);
         }
 
+        // One-sided windows: everyone falls back to the grid (Protocol 1
+        // handles `E_s = 0` this way; symmetric for no buyers).
         let stage = if sellers.is_empty() || buyers.is_empty() {
             Stage::NoMarket
         } else {
             Stage::EvalStart
         };
-        Ok(WindowTask {
+        Ok(Window {
             cfg,
             keys,
             rng,
             pool,
-            net,
             agents,
             sellers,
             buyers,
@@ -174,40 +176,26 @@ impl<'a> WindowTask<'a> {
             general_market: false,
             price: cfg.band.grid_retail,
             stage,
-            poll_budget: None,
         })
-    }
-
-    /// Caps the task at `polls` polls (builder style): exhausting the
-    /// budget surfaces [`NetError::Timeout`] instead of letting a wedged
-    /// machine occupy its executor slot indefinitely. Healthy windows
-    /// complete in a few polls per protocol message, so any generous cap
-    /// leaves normal runs untouched.
-    #[must_use]
-    pub fn with_poll_budget(mut self, polls: u64) -> WindowTask<'a> {
-        self.poll_budget = Some(polls);
-        self
     }
 
     /// Opens a driver phase: samples the wall clock and traffic counters
     /// and enters the `window/<phase>` span on the virtual clock.
-    fn phase_open(&mut self, name: &'static str) {
-        let (messages, bytes) = self.net.traffic_totals();
+    fn phase_open<T: Transport>(&mut self, net: &T, name: &'static str) {
+        let (messages, bytes) = net.traffic_totals();
         self.phase = Some(PhaseStart {
             wall: Instant::now(),
             messages,
             bytes,
-            span: Some(Span::enter_at(name, "driver", self.net.now_us())),
+            span: Span::enter_at(name, "driver", net.now_us()),
         });
     }
 
     /// Closes the open phase, returning its metrics.
-    fn phase_close(&mut self) -> PhaseMetrics {
+    fn phase_close<T: Transport>(&mut self, net: &T) -> PhaseMetrics {
         let start = self.phase.take().expect("a phase is open");
-        if let Some(span) = start.span {
-            span.finish_at(self.net.now_us());
-        }
-        let (messages, bytes) = self.net.traffic_totals();
+        start.span.finish_at(net.now_us());
+        let (messages, bytes) = net.traffic_totals();
         PhaseMetrics {
             elapsed: start.wall.elapsed(),
             bytes: bytes - start.bytes,
@@ -215,10 +203,15 @@ impl<'a> WindowTask<'a> {
         }
     }
 
-    /// Assembles the window outcome (the task's terminal step).
-    fn finish(&mut self, kind: MarketKind, trades: Vec<pem_market::Trade>) -> PemWindowOutcome {
+    /// Assembles the window outcome (the terminal step).
+    fn finish<T: Transport>(
+        &mut self,
+        net: &T,
+        kind: MarketKind,
+        trades: Vec<pem_market::Trade>,
+    ) -> PemWindowOutcome {
         if let Some(span) = self.window_span.take() {
-            span.finish_at(self.net.now_us());
+            span.finish_at(net.now_us());
         }
         PemWindowOutcome {
             kind,
@@ -228,46 +221,44 @@ impl<'a> WindowTask<'a> {
             buyer_count: self.buyers.len(),
             metrics: std::mem::take(&mut self.metrics),
             revealed: std::mem::take(&mut self.revealed),
-            net: Transport::stats(&self.net),
+            net: net.stats(),
         }
     }
-}
 
-impl FabricTask for WindowTask<'_> {
-    type Output = PemWindowOutcome;
-    type Error = PemError;
-
-    fn poll(&mut self) -> Result<Poll<PemWindowOutcome>, PemError> {
-        if let Some(budget) = self.poll_budget.as_mut() {
-            if *budget == 0 {
-                let (party, expected) = match &self.stage {
-                    Stage::EvalDemand { machine, .. } | Stage::EvalSupply { machine, .. } => {
-                        machine.expecting()
-                    }
-                    Stage::Price { machine } => machine.expecting(),
-                    _ => None,
-                }
-                .map_or((0, "window"), |(to, label)| (to.0, label));
-                return Err(PemError::Net(NetError::Timeout {
-                    party,
-                    expected,
-                    deadline_us: self.net.now_us(),
-                }));
+    /// The `(recipient, label)` the next poll will receive, or `None`
+    /// when it computes locally (or the window is done).
+    fn expecting(&self) -> Option<(PartyId, &'static str)> {
+        match &self.stage {
+            Stage::EvalDemand { machine, .. } | Stage::EvalSupply { machine, .. } => {
+                machine.expecting()
             }
-            *budget -= 1;
+            Stage::Price { machine } => machine.expecting(),
+            _ => None,
         }
+    }
+
+    /// Advances the window by one step on `net`.
+    ///
+    /// # Errors
+    ///
+    /// Crypto, codec and network failures; a receive whose message has
+    /// not arrived surfaces the transport's typed error, never a block.
+    pub(crate) fn poll<T: Transport>(
+        &mut self,
+        net: &mut T,
+    ) -> Result<Poll<PemWindowOutcome>, PemError> {
         match std::mem::replace(&mut self.stage, Stage::Done) {
-            Stage::NoMarket => Ok(Poll::Ready(self.finish(MarketKind::NoMarket, Vec::new()))),
+            Stage::NoMarket => Ok(Poll::Ready(self.finish(
+                net,
+                MarketKind::NoMarket,
+                Vec::new(),
+            ))),
 
             Stage::EvalStart => {
-                self.phase_open("window/eval");
+                self.phase_open(net, "window/eval");
                 self.hr1 = self.sellers[self.rng.gen_range(0..self.sellers.len())];
                 self.hr2 = self.buyers[self.rng.gen_range(0..self.buyers.len())];
-                let agg_span = Some(Span::enter_at(
-                    "eval/demand-agg",
-                    "protocol",
-                    self.net.now_us(),
-                ));
+                let agg_span = Span::enter_at("eval/demand-agg", "protocol", net.now_us());
                 let mut machine = MaskedAggMachine::new(
                     self.keys,
                     &self.agents,
@@ -279,7 +270,7 @@ impl FabricTask for WindowTask<'_> {
                     self.pool,
                     self.rng,
                 )?;
-                kickoff(&mut self.net, &mut machine)?;
+                kickoff(net, &mut machine)?;
                 self.stage = Stage::EvalDemand { machine, agg_span };
                 Ok(Poll::Pending)
             }
@@ -288,18 +279,12 @@ impl FabricTask for WindowTask<'_> {
                 mut machine,
                 agg_span,
             } => {
-                match step(&mut self.net, &mut machine)? {
+                match step(net, &mut machine)? {
                     None => self.stage = Stage::EvalDemand { machine, agg_span },
                     Some(total) => {
-                        if let Some(span) = agg_span {
-                            span.finish_at(self.net.now_us());
-                        }
+                        agg_span.finish_at(net.now_us());
                         self.masked.0 = total;
-                        let agg_span = Some(Span::enter_at(
-                            "eval/supply-agg",
-                            "protocol",
-                            self.net.now_us(),
-                        ));
+                        let agg_span = Span::enter_at("eval/supply-agg", "protocol", net.now_us());
                         let mut machine = MaskedAggMachine::new(
                             self.keys,
                             &self.agents,
@@ -311,7 +296,7 @@ impl FabricTask for WindowTask<'_> {
                             self.pool,
                             self.rng,
                         )?;
-                        kickoff(&mut self.net, &mut machine)?;
+                        kickoff(net, &mut machine)?;
                         self.stage = Stage::EvalSupply { machine, agg_span };
                     }
                 }
@@ -322,12 +307,10 @@ impl FabricTask for WindowTask<'_> {
                 mut machine,
                 agg_span,
             } => {
-                match step(&mut self.net, &mut machine)? {
+                match step(net, &mut machine)? {
                     None => self.stage = Stage::EvalSupply { machine, agg_span },
                     Some(total) => {
-                        if let Some(span) = agg_span {
-                            span.finish_at(self.net.now_us());
-                        }
+                        agg_span.finish_at(net.now_us());
                         self.masked.1 = total;
                         self.stage = Stage::EvalFinish;
                     }
@@ -339,7 +322,7 @@ impl FabricTask for WindowTask<'_> {
                 // Two-party lock-step request/response: running it inline
                 // costs the executor at most one GC comparison per poll.
                 self.general_market = protocol2::run_compare(
-                    &mut self.net,
+                    net,
                     self.cfg,
                     self.hr1,
                     self.hr2,
@@ -347,13 +330,8 @@ impl FabricTask for WindowTask<'_> {
                     self.masked.1,
                     self.rng,
                 )?;
-                protocol2::broadcast_result(
-                    &mut self.net,
-                    self.hr1,
-                    self.agents.len(),
-                    self.general_market,
-                )?;
-                self.metrics.market_evaluation = self.phase_close();
+                protocol2::broadcast_result(net, self.hr1, self.agents.len(), self.general_market)?;
+                self.metrics.market_evaluation = self.phase_close(net);
                 self.revealed.masked_demand = Some(self.masked.0);
                 self.revealed.masked_supply = Some(self.masked.1);
                 self.stage = Stage::PriceStart;
@@ -362,8 +340,7 @@ impl FabricTask for WindowTask<'_> {
 
             Stage::PriceStart => {
                 if self.general_market {
-                    self.phase_open("window/price");
-                    let start_vts = self.net.now_us();
+                    self.phase_open(net, "window/price");
                     let mut machine = PricingMachine::new(
                         self.keys,
                         &self.agents,
@@ -373,9 +350,9 @@ impl FabricTask for WindowTask<'_> {
                         self.cfg.topology,
                         self.pool,
                         self.rng,
-                        start_vts,
+                        net.now_us(),
                     )?;
-                    kickoff(&mut self.net, &mut machine)?;
+                    kickoff(net, &mut machine)?;
                     self.stage = Stage::Price { machine };
                 } else {
                     self.price = self.cfg.band.floor;
@@ -385,10 +362,10 @@ impl FabricTask for WindowTask<'_> {
             }
 
             Stage::Price { mut machine } => {
-                match step(&mut self.net, &mut machine)? {
+                match step(net, &mut machine)? {
                     None => self.stage = Stage::Price { machine },
                     Some(pricing) => {
-                        self.metrics.pricing = self.phase_close();
+                        self.metrics.pricing = self.phase_close(net);
                         self.revealed.seller_preference_sum = Some(pricing.k_sum);
                         self.revealed.seller_denominator_sum = Some(pricing.denominator_sum);
                         self.price = pricing.price;
@@ -399,9 +376,9 @@ impl FabricTask for WindowTask<'_> {
             }
 
             Stage::Dist => {
-                self.phase_open("window/dist");
+                self.phase_open(net, "window/dist");
                 let dist = protocol4::run(
-                    &mut self.net,
+                    net,
                     self.keys,
                     &self.agents,
                     &self.sellers,
@@ -412,11 +389,13 @@ impl FabricTask for WindowTask<'_> {
                     self.pool,
                     self.rng,
                 )?;
-                self.metrics.distribution = self.phase_close();
+                self.metrics.distribution = self.phase_close(net);
                 self.revealed.allocation_ratios = dist.ratios.clone();
 
-                // Off-critical-path: top the pool back up after the phase
-                // timers, exactly like the blocking driver.
+                // Off-critical-path step: top the randomizer pool back up
+                // so the next window's encryptions are all pre-amortized.
+                // Runs after the phase timers, so it never pollutes the
+                // hot-path metrics.
                 if let Some(pool) = self.pool.as_mut() {
                     let refill_span = Span::enter("window/pool-refill", "driver");
                     if self.cfg.adaptive_pool {
@@ -432,25 +411,79 @@ impl FabricTask for WindowTask<'_> {
                 } else {
                     MarketKind::Extreme
                 };
-                Ok(Poll::Ready(self.finish(kind, dist.trades)))
+                Ok(Poll::Ready(self.finish(net, kind, dist.trades)))
             }
 
-            Stage::Done => panic!("polled a completed window task"),
+            Stage::Done => panic!("polled a completed window"),
         }
+    }
+}
+
+/// One trading window with its own queue fabric: the unit an
+/// [`Executor`] multiplexes.
+///
+/// [`Executor`]: pem_fabric::Executor
+pub struct WindowTask<'a> {
+    window: Window<'a>,
+    net: SimNetwork,
+    /// Remaining polls before the task gives up with a timeout
+    /// (`None` = unbounded). A wedged machine — e.g. one whose expected
+    /// message was stalled in flight — must not hold an executor slot
+    /// forever.
+    poll_budget: Option<u64>,
+}
+
+impl<'a> WindowTask<'a> {
+    pub(crate) fn new(window: Window<'a>, net: SimNetwork) -> WindowTask<'a> {
+        WindowTask {
+            window,
+            net,
+            poll_budget: None,
+        }
+    }
+
+    /// Caps the task at `polls` polls (builder style): exhausting the
+    /// budget surfaces [`NetError::Timeout`] instead of letting a wedged
+    /// machine occupy its executor slot indefinitely. Healthy windows
+    /// complete in a few polls per protocol message, so any generous cap
+    /// leaves normal runs untouched.
+    #[must_use]
+    pub fn with_poll_budget(mut self, polls: u64) -> WindowTask<'a> {
+        self.poll_budget = Some(polls);
+        self
+    }
+}
+
+impl FabricTask for WindowTask<'_> {
+    type Output = PemWindowOutcome;
+    type Error = PemError;
+
+    fn poll(&mut self) -> Result<Poll<PemWindowOutcome>, PemError> {
+        if let Some(budget) = self.poll_budget.as_mut() {
+            if *budget == 0 {
+                let (party, expected) = self
+                    .window
+                    .expecting()
+                    .map_or((0, "window"), |(to, label)| (to.0, label));
+                return Err(PemError::Net(NetError::Timeout {
+                    party,
+                    expected,
+                    deadline_us: self.net.now_us(),
+                }));
+            }
+            *budget -= 1;
+        }
+        self.window.poll(&mut self.net)
     }
 
     fn is_ready(&self) -> bool {
         // A poll makes progress unless it would receive a message that
         // has not arrived. Phases that compute locally are always ready.
-        let waiting_on = match &self.stage {
-            Stage::EvalDemand { machine, .. } | Stage::EvalSupply { machine, .. } => {
-                machine.expecting()
-            }
-            Stage::Price { machine } => machine.expecting(),
-            Stage::Done => return false,
-            _ => None,
-        };
-        waiting_on.is_none_or(|(to, _)| self.net.has_message(to))
+        !matches!(self.window.stage, Stage::Done)
+            && self
+                .window
+                .expecting()
+                .is_none_or(|(to, _)| self.net.has_message(to))
     }
 }
 

@@ -55,7 +55,6 @@ pub mod protocol3v;
 pub mod protocol4;
 mod quantize;
 pub mod randpool;
-pub mod threaded;
 
 pub use agents::AgentCtx;
 pub use config::{OtProfile, PemConfig};

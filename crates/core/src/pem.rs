@@ -1,28 +1,24 @@
 //! **Protocol 1 — the PEM driver.**
 //!
-//! Orchestrates a trading window end to end: key setup (once), coalition
-//! formation, Private Market Evaluation, Private Pricing (general market)
-//! or the floor price (extreme market), and Private Distribution — while
-//! timing each phase and metering every byte for the Fig. 5 / Table I
-//! reproductions.
-
-use std::time::Instant;
+//! Owns a market's long-lived state — keys (set up once), the driver
+//! DRBG, the randomizer pool, the window counter — and runs trading
+//! windows over it. The window body itself (coalition formation, Private
+//! Market Evaluation, Private Pricing or the floor price, Private
+//! Distribution, with per-phase timing and byte metering for the Fig. 5 /
+//! Table I reproductions) lives in [`crate::fabric_window`]; every entry
+//! point here builds that one body and polls it to completion.
 
 use pem_crypto::drbg::HashDrbg;
-use pem_market::{MarketKind, Role, Trade};
+use pem_fabric::Poll;
+use pem_market::{MarketKind, Trade};
 use pem_net::{FaultPlan, NetStats, SimNetwork, Transport};
-use pem_telemetry::Span;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
+use crate::fabric_window::Window;
 use crate::keys::KeyDirectory;
-use crate::metrics::{PhaseMetrics, WindowMetrics};
-use crate::protocol2;
-use crate::protocol3;
-use crate::protocol4;
+use crate::metrics::WindowMetrics;
 
 /// What the designated parties learned during a window — the complete
 /// Lemma 2–4 disclosure surface, exposed for auditing and the examples.
@@ -220,10 +216,6 @@ impl Pem {
     /// # Errors
     ///
     /// The first window failure aborts the day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any window's population size differs from the market's.
     pub fn run_day(
         &mut self,
         day: &[Vec<pem_market::AgentWindow>],
@@ -243,17 +235,14 @@ impl Pem {
     ///
     /// # Errors
     ///
-    /// Data validation, quantization, crypto or network failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_data.len()` differs from the population size.
+    /// [`PemError::Config`] if `window_data.len()` differs from the
+    /// population size; data validation, quantization, crypto or network
+    /// failures.
     pub fn run_window(
         &mut self,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<PemWindowOutcome, PemError> {
-        let mut net = SimNetwork::with_latency(self.n_agents, self.cfg.latency);
-        self.run_window_on(&mut net, window_data)
+        self.run_window_with_faults(window_data, FaultPlan::new())
     }
 
     /// [`run_window`](Pem::run_window) over a fault-injecting fabric:
@@ -264,16 +253,12 @@ impl Pem {
     ///
     /// As [`run_window`](Pem::run_window) — faults surface as typed
     /// errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_data.len()` differs from the population size.
     pub fn run_window_with_faults(
         &mut self,
         window_data: &[pem_market::AgentWindow],
         faults: FaultPlan,
     ) -> Result<PemWindowOutcome, PemError> {
-        let mut net = SimNetwork::with_latency(self.n_agents, self.cfg.latency).with_faults(faults);
+        let mut net = self.fresh_net(faults);
         self.run_window_on(&mut net, window_data)
     }
 
@@ -291,10 +276,6 @@ impl Pem {
     /// # Errors
     ///
     /// As [`run_window`](Pem::run_window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_data.len()` differs from the population size.
     pub fn retry_window(
         &mut self,
         window_data: &[pem_market::AgentWindow],
@@ -308,11 +289,7 @@ impl Pem {
         label.extend_from_slice(&u64::from(attempt).to_be_bytes());
         let salted = HashDrbg::from_seed_label(&label, self.cfg.seed);
         let primary = std::mem::replace(&mut self.rng, salted);
-        let mut net = SimNetwork::with_latency(self.n_agents, self.cfg.latency);
-        if let Some(plan) = faults {
-            net = net.with_faults(plan);
-        }
-        let result = self.run_window_on(&mut net, window_data);
+        let result = self.run_window_with_faults(window_data, faults.unwrap_or_default());
         // The side stream dies with the attempt; the primary stream is
         // untouched either way.
         self.rng = primary;
@@ -323,15 +300,12 @@ impl Pem {
     /// [`WindowTask`](crate::fabric_window::WindowTask) for a fabric
     /// executor, instead of running it to completion here. The task
     /// borrows this market mutably until it completes; its outcome is
-    /// bit-identical to [`run_window`](Pem::run_window).
+    /// bit-identical to [`run_window`](Pem::run_window), which polls the
+    /// same window body.
     ///
     /// # Errors
     ///
-    /// Data validation and quantization failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_data.len()` differs from the population size.
+    /// As [`fabric_window_with_faults`](Pem::fabric_window_with_faults).
     pub fn fabric_window(
         &mut self,
         window_data: &[pem_market::AgentWindow],
@@ -340,31 +314,21 @@ impl Pem {
     }
 
     /// [`fabric_window`](Pem::fabric_window) with an optional fault
-    /// plan attached to the task's event fabric — the chaos entry point
+    /// plan attached to the task's queue fabric — the chaos entry point
     /// for executor-driven windows.
     ///
     /// # Errors
     ///
-    /// Data validation and quantization failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_data.len()` differs from the population size.
+    /// [`PemError::Config`] if `window_data.len()` differs from the
+    /// population size; data validation and quantization failures.
     pub fn fabric_window_with_faults(
         &mut self,
         window_data: &[pem_market::AgentWindow],
         faults: Option<FaultPlan>,
     ) -> Result<crate::fabric_window::WindowTask<'_>, PemError> {
-        self.window_index += 1;
-        crate::fabric_window::WindowTask::new(
-            &self.cfg,
-            &self.keys,
-            &mut self.rng,
-            &mut self.pool,
-            self.n_agents,
-            window_data,
-            faults,
-        )
+        let net = self.fresh_net(faults.unwrap_or_default());
+        let window = self.window(&net, window_data)?;
+        Ok(crate::fabric_window::WindowTask::new(window, net))
     }
 
     /// Runs one trading window on a caller-provided transport — any
@@ -378,170 +342,42 @@ impl Pem {
     /// As [`run_window`](Pem::run_window), plus
     /// [`PemError::Protocol`] if the transport's party count differs
     /// from the population size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_data.len()` differs from the population size.
     pub fn run_window_on<T: Transport>(
         &mut self,
         net: &mut T,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<PemWindowOutcome, PemError> {
-        assert_eq!(
-            window_data.len(),
-            self.n_agents,
-            "window data must cover the whole population"
-        );
-        if net.party_count() != self.n_agents {
-            return Err(PemError::Protocol(
-                "transport party count must match the population",
-            ));
+        let mut window = self.window(net, window_data)?;
+        loop {
+            if let Poll::Ready(outcome) = window.poll(net)? {
+                return Ok(outcome);
+            }
         }
-        let quantizer = self.cfg.quantizer();
+    }
+
+    /// The default per-window fabric: a fresh [`SimNetwork`] carrying
+    /// the configured latency model and the given fault plan.
+    fn fresh_net(&self, faults: FaultPlan) -> SimNetwork {
+        SimNetwork::with_latency(self.n_agents, self.cfg.latency).with_faults(faults)
+    }
+
+    /// Opens the next trading window on `net` — the one place a window
+    /// body is built, whoever ends up polling it.
+    fn window<T: Transport>(
+        &mut self,
+        net: &T,
+        window_data: &[pem_market::AgentWindow],
+    ) -> Result<Window<'_>, PemError> {
+        let window = Window::new(
+            &self.cfg,
+            &self.keys,
+            &mut self.rng,
+            &mut self.pool,
+            window_data,
+            net,
+        )?;
         self.window_index += 1;
-        let window_span = Span::enter_at("window", "driver", net.now_us());
-
-        // Local step: every agent quantizes its data, draws this window's
-        // nonce and claims a role (coalition formation).
-        let mut agents = Vec::with_capacity(self.n_agents);
-        let mut sellers = Vec::new();
-        let mut buyers = Vec::new();
-        for (i, data) in window_data.iter().enumerate() {
-            let nonce = self.rng.gen::<u64>() >> (64 - self.cfg.nonce_bits);
-            let ctx = AgentCtx::prepare(i, *data, &quantizer, nonce)?;
-            match ctx.role {
-                Role::Seller => sellers.push(i),
-                Role::Buyer => buyers.push(i),
-                Role::OffMarket => {}
-            }
-            agents.push(ctx);
-        }
-
-        let mut metrics = WindowMetrics::default();
-        let mut revealed = RevealedInfo::default();
-
-        // One-sided windows: everyone falls back to the grid (Protocol 1
-        // handles `E_s = 0` this way; symmetric for no buyers).
-        if sellers.is_empty() || buyers.is_empty() {
-            return Ok(PemWindowOutcome {
-                kind: MarketKind::NoMarket,
-                price: self.cfg.band.grid_retail,
-                trades: Vec::new(),
-                seller_count: sellers.len(),
-                buyer_count: buyers.len(),
-                metrics,
-                revealed,
-                net: net.stats(),
-            });
-        }
-
-        // --- Protocol 2: market evaluation. ----------------------------
-        let phase_start = Instant::now();
-        let (msgs_before, bytes_before) = net.traffic_totals();
-        let phase_span = Span::enter_at("window/eval", "driver", net.now_us());
-        let eval = protocol2::run(
-            net,
-            &self.keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &self.cfg,
-            &mut self.pool,
-            &mut self.rng,
-        )?;
-        phase_span.finish_at(net.now_us());
-        let (msgs_after, bytes_after) = net.traffic_totals();
-        metrics.market_evaluation = PhaseMetrics {
-            elapsed: phase_start.elapsed(),
-            bytes: bytes_after - bytes_before,
-            messages: msgs_after - msgs_before,
-        };
-        revealed.masked_demand = Some(eval.masked_demand);
-        revealed.masked_supply = Some(eval.masked_supply);
-
-        // --- Protocol 3 or the extreme-market floor price. -------------
-        let price = if eval.general_market {
-            let phase_start = Instant::now();
-            let (msgs_before, bytes_before) = net.traffic_totals();
-            let phase_span = Span::enter_at("window/price", "driver", net.now_us());
-            let pricing = protocol3::run_with_topology(
-                net,
-                &self.keys,
-                &agents,
-                &sellers,
-                &buyers,
-                &self.cfg,
-                self.cfg.topology,
-                &mut self.pool,
-                &mut self.rng,
-            )?;
-            phase_span.finish_at(net.now_us());
-            let (msgs_after, bytes_after) = net.traffic_totals();
-            metrics.pricing = PhaseMetrics {
-                elapsed: phase_start.elapsed(),
-                bytes: bytes_after - bytes_before,
-                messages: msgs_after - msgs_before,
-            };
-            revealed.seller_preference_sum = Some(pricing.k_sum);
-            revealed.seller_denominator_sum = Some(pricing.denominator_sum);
-            pricing.price
-        } else {
-            self.cfg.band.floor
-        };
-
-        // --- Protocol 4: distribution. ----------------------------------
-        let phase_start = Instant::now();
-        let (msgs_before, bytes_before) = net.traffic_totals();
-        let phase_span = Span::enter_at("window/dist", "driver", net.now_us());
-        let dist = protocol4::run(
-            net,
-            &self.keys,
-            &agents,
-            &sellers,
-            &buyers,
-            price,
-            eval.general_market,
-            &self.cfg,
-            &mut self.pool,
-            &mut self.rng,
-        )?;
-        phase_span.finish_at(net.now_us());
-        let (msgs_after, bytes_after) = net.traffic_totals();
-        metrics.distribution = PhaseMetrics {
-            elapsed: phase_start.elapsed(),
-            bytes: bytes_after - bytes_before,
-            messages: msgs_after - msgs_before,
-        };
-        revealed.allocation_ratios = dist.ratios.clone();
-
-        // Off-critical-path step: top the randomizer pool back up so the
-        // next window's encryptions are all pre-amortized. Runs after the
-        // phase timers, so it never pollutes the hot-path metrics.
-        if let Some(pool) = self.pool.as_mut() {
-            let refill_span = Span::enter("window/pool-refill", "driver");
-            if self.cfg.adaptive_pool {
-                pool.refill_adaptive(&self.keys);
-            } else {
-                pool.refill(&self.keys);
-            }
-            refill_span.finish();
-        }
-
-        window_span.finish_at(net.now_us());
-        Ok(PemWindowOutcome {
-            kind: if eval.general_market {
-                MarketKind::General
-            } else {
-                MarketKind::Extreme
-            },
-            price,
-            trades: dist.trades,
-            seller_count: sellers.len(),
-            buyer_count: buyers.len(),
-            metrics,
-            revealed,
-            net: net.stats(),
-        })
+        Ok(window)
     }
 }
 
@@ -875,12 +711,17 @@ mod tests {
     }
 
     #[test]
-    fn wrong_population_size_panics() {
+    fn wrong_population_size_is_a_config_error() {
         let mut pem = Pem::new(PemConfig::fast_test(), 3).expect("setup");
         let pop = population(&[1.0]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = pem.run_window(&pop);
-        }));
-        assert!(result.is_err());
+        let err = pem
+            .run_window(&pop)
+            .expect_err("one agent's data for three");
+        assert!(matches!(err, PemError::Config(_)), "got {err:?}");
+        assert!(!err.is_retryable(), "re-running reproduces it exactly");
+        assert!(matches!(
+            pem.fabric_window(&pop).map(|_| ()),
+            Err(PemError::Config(_))
+        ));
     }
 }

@@ -59,7 +59,7 @@ pub trait FabricTask {
     ///
     /// # Errors
     ///
-    /// Task-specific failures; the executor aborts the run on the first.
+    /// Task-specific failures; the executor evicts the task.
     fn poll(&mut self) -> Result<Poll<Self::Output>, Self::Error>;
 
     /// Whether a poll can make progress right now.
@@ -101,109 +101,36 @@ impl Executor {
     }
 
     /// Runs every task to completion, returning outputs in input order
-    /// plus the run's scheduling counters.
+    /// plus the run's scheduling counters — [`run_collect`] for callers
+    /// that treat any task failure as fatal.
+    ///
+    /// # Errors
+    ///
+    /// The first task error, by input index.
+    ///
+    /// [`run_collect`]: Executor::run_collect
+    pub fn run<T: FabricTask>(
+        &self,
+        tasks: Vec<T>,
+    ) -> Result<(Vec<T::Output>, ExecutorReport), T::Error> {
+        let (results, report) = self.run_collect(tasks);
+        Ok((results.into_iter().collect::<Result<_, _>>()?, report))
+    }
+
+    /// Runs every task until it completes or fails, returning one
+    /// `Result` per task in input order plus the run's scheduling
+    /// counters. Failures are isolated: a task error evicts *that task
+    /// only*, recorded as `Err` at its input index, while every other
+    /// task runs to completion.
     ///
     /// Tasks are admitted in index order; each scheduling round visits
     /// resident tasks in admission order and polls the ready ones. When
     /// a whole round finds nothing ready, the oldest resident task is
     /// force-polled so its error surfaces (per the [`FabricTask`]
     /// contract a non-ready poll must not block) instead of the
-    /// executor spinning forever.
-    ///
-    /// # Errors
-    ///
-    /// The first task error aborts the run.
-    pub fn run<T: FabricTask>(
-        &self,
-        tasks: Vec<T>,
-    ) -> Result<(Vec<T::Output>, ExecutorReport), T::Error> {
-        register_fabric_metrics();
-        let n = tasks.len();
-        let batch = if self.batch == 0 {
-            n.max(1)
-        } else {
-            self.batch
-        };
-        let mut waiting = tasks.into_iter().enumerate();
-        let mut active: Vec<(usize, T)> = Vec::new();
-        let mut outputs: Vec<Option<T::Output>> = (0..n).map(|_| None).collect();
-        let mut report = ExecutorReport::default();
-
-        loop {
-            while active.len() < batch {
-                match waiting.next() {
-                    Some(slot) => active.push(slot),
-                    None => break,
-                }
-            }
-            report.peak_resident = report.peak_resident.max(active.len());
-            if active.is_empty() {
-                break;
-            }
-
-            let ready = active.iter().filter(|(_, t)| t.is_ready()).count();
-            READY_DEPTH.record(ready as u64);
-            report.peak_ready = report.peak_ready.max(ready);
-
-            let mut progressed = false;
-            let mut i = 0;
-            while i < active.len() {
-                if !active[i].1.is_ready() {
-                    STALLS.incr();
-                    report.stalls += 1;
-                    i += 1;
-                    continue;
-                }
-                progressed = true;
-                POLLS.incr();
-                report.polls += 1;
-                match active[i].1.poll()? {
-                    Poll::Pending => i += 1,
-                    Poll::Ready(out) => {
-                        let (idx, _) = active.remove(i);
-                        outputs[idx] = Some(out);
-                        report.completed += 1;
-                        // The freed slot admits the next waiting task at
-                        // the top of the next round.
-                    }
-                }
-            }
-
-            if !progressed {
-                // Nothing ready: force-poll the oldest resident task so
-                // a lost message surfaces as its typed receive error.
-                POLLS.incr();
-                report.polls += 1;
-                match active[0].1.poll()? {
-                    Poll::Pending => {}
-                    Poll::Ready(out) => {
-                        let (idx, _) = active.remove(0);
-                        outputs[idx] = Some(out);
-                        report.completed += 1;
-                    }
-                }
-            }
-        }
-
-        Ok((
-            outputs
-                .into_iter()
-                .map(|slot| slot.expect("every task completed"))
-                .collect(),
-            report,
-        ))
-    }
-
-    /// Like [`run`](Executor::run) but fault-isolating: a task error
-    /// evicts *that task only*, recorded as `Err` at its input index,
-    /// while every other task runs to completion. Scheduling order is
-    /// identical to `run` up to the first failure, so fault-free runs
-    /// produce bit-identical outputs and counters.
-    ///
-    /// A wedged task (never ready, e.g. waiting on a stalled message)
-    /// is force-polled once nothing else is ready, surfaces its typed
-    /// receive error, and frees its slot — one faulty coalition cannot
-    /// stall the rest of the fleet.
+    /// executor spinning forever — a wedged task (e.g. waiting on a
+    /// stalled message) thus frees its slot, and one faulty coalition
+    /// cannot stall the rest of the fleet.
     pub fn run_collect<T: FabricTask>(&self, tasks: Vec<T>) -> Collected<T::Output, T::Error> {
         register_fabric_metrics();
         let n = tasks.len();
@@ -251,6 +178,8 @@ impl Executor {
                         let (idx, _) = active.remove(i);
                         results[idx] = Some(Ok(out));
                         report.completed += 1;
+                        // The freed slot admits the next waiting task at
+                        // the top of the next round.
                     }
                     Err(e) => {
                         let (idx, _) = active.remove(i);
@@ -260,6 +189,8 @@ impl Executor {
             }
 
             if !progressed {
+                // Nothing ready: force-poll the oldest resident task so
+                // a lost message surfaces as its typed receive error.
                 POLLS.incr();
                 report.polls += 1;
                 match active[0].1.poll() {

@@ -10,13 +10,14 @@
 //!   messages-out shape: a protocol holds explicit state instead of a
 //!   blocked stack, so thousands of instances cost thousands of structs,
 //!   not thousands of threads. [`drive`] polls any machine to completion
-//!   on a blocking [`Transport`], which is how the classic drivers in
-//!   `pem-core` stay bit-identical thin adapters.
-//! * [`EventTransport`] — a [`Transport`] implementation with the same
-//!   virtual-clock semantics as `SimNetwork`/`MeshTransport` (arrival
-//!   formula, ingress serialization, per-link latency, fault hooks) but
-//!   organized as an inspectable event queue: `recv` never blocks, and
-//!   [`EventTransport::pop_earliest`] delivers in global arrival order.
+//!   on a blocking [`Transport`](pem_net::Transport), which is how the
+//!   classic drivers in `pem-core` stay bit-identical thin adapters.
+//! * [`EventTransport`] — the name this crate gives `pem-net`'s
+//!   [`SimNetwork`](pem_net::SimNetwork), the deterministic queue fabric,
+//!   where it is used as an inspectable event queue: `recv` never
+//!   blocks, [`has_message`](pem_net::SimNetwork::has_message) probes
+//!   readiness and [`pop_earliest`](pem_net::SimNetwork::pop_earliest)
+//!   delivers in global arrival order. One type, one send pipeline.
 //! * [`Executor`] — a deterministic single-thread scheduler over
 //!   [`FabricTask`]s: seeded, poll-order-stable, bit-identical output at
 //!   any admission batch size. Ready-queue depth, poll and stall
@@ -27,7 +28,7 @@
 //!
 //! ```
 //! use pem_fabric::{EventTransport, Executor, FabricTask, Poll};
-//! use pem_net::{PartyId, Transport};
+//! use pem_net::PartyId;
 //!
 //! // A trivial task: relay one message, then finish.
 //! struct Relay(EventTransport);
@@ -53,10 +54,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event;
 mod executor;
 mod machine;
 
-pub use event::EventTransport;
 pub use executor::{Collected, Executor, ExecutorReport, FabricTask, Poll};
 pub use machine::{drive, kickoff, step, Outbound, ProtocolStateMachine, Transition};
+/// The queue fabric as poll-driven tasks see it: `pem-net`'s
+/// deterministic [`SimNetwork`](pem_net::SimNetwork) under the name the
+/// executor-side code has always used.
+pub use pem_net::SimNetwork as EventTransport;

@@ -1,14 +1,13 @@
 //! Fault injection for protocol robustness testing.
 //!
 //! A [`FaultPlan`] attached to a transport — the deterministic
-//! [`SimNetwork`](crate::SimNetwork), the channel-backed
-//! [`MeshTransport`](crate::MeshTransport) or the poll-oriented
-//! `EventTransport` of `pem-fabric` — drops, duplicates, corrupts,
-//! delays or stalls selected messages as they are sent
-//! ([`FaultPlan::process`] is the transport-agnostic hook). The PEM
-//! protocols must turn every such fault into a *typed error* — never
-//! into a wrong trade — which `pem-core`'s failure-injection tests
-//! assert against all three transports.
+//! [`SimNetwork`](crate::SimNetwork) or the channel-backed
+//! [`MeshTransport`](crate::MeshTransport) — drops, duplicates,
+//! corrupts, delays or stalls selected messages as they are sent
+//! ([`FaultPlan::process`] is the hook the shared send pipeline calls).
+//! The PEM protocols must turn every such fault into a *typed error* —
+//! never into a wrong trade — which `pem-core`'s failure-injection tests
+//! assert against both transports.
 //!
 //! Every applied fault is counted on the `fault/*` telemetry counters
 //! (`fault/drops`, `fault/duplicates`, `fault/corruptions`,
@@ -120,11 +119,11 @@ impl FaultPlan {
 
     /// Consults and applies the plan to one outgoing message — the whole
     /// fault pipeline as a single call, usable by *any*
-    /// [`Transport`](crate::Transport) implementation (all built-in
-    /// fabrics route their sends through it). Returns [`Delivery::Lost`]
-    /// when the message is withheld (dropped or stalled); otherwise the
-    /// (possibly mangled) payload plus the duplicate flag and any extra
-    /// arrival delay.
+    /// [`Transport`](crate::Transport) implementation (the built-in
+    /// fabrics reach it through their shared send pipeline). Returns
+    /// [`Delivery::Lost`] when the message is withheld (dropped or
+    /// stalled); otherwise the (possibly mangled) payload plus the
+    /// duplicate flag and any extra arrival delay.
     pub fn process(&mut self, label: &'static str, payload: Vec<u8>) -> Delivery {
         match self.action(label) {
             None => Delivery::Deliver {

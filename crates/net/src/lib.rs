@@ -13,11 +13,12 @@
 //!   are generic over: send/recv/broadcast, stats, and a critical-path
 //!   virtual clock,
 //! * [`SimNetwork`] — the deterministic, single-threaded reference
-//!   implementation with per-party mailboxes, per-label byte/message
-//!   counters and an optional latency model,
-//! * [`MeshTransport`] — a crossbeam-channel mesh with **per-link**
-//!   latency models and the same fault hooks, drivable sequentially or
-//!   split into per-party endpoints,
+//!   implementation: per-party mailboxes that also drain as one
+//!   arrival-ordered event queue, per-label byte/message counters and
+//!   (per-link) latency models,
+//! * [`MeshTransport`] — a crossbeam-channel mesh over the same send
+//!   pipeline (accounting, clocks, fault hooks), drivable sequentially
+//!   or split into per-party endpoints,
 //! * [`runtime`] — the one-OS-thread-per-agent harness over mesh
 //!   endpoints (the closest in-process analogue of the paper's
 //!   per-agent containers).
@@ -40,6 +41,7 @@
 mod error;
 pub mod fault;
 pub mod mesh;
+mod pipeline;
 pub mod runtime;
 mod sim;
 mod stats;
@@ -48,7 +50,7 @@ pub mod wire;
 
 pub use error::NetError;
 pub use fault::{Delivery, FaultKind, FaultPlan};
-pub use mesh::{MeshEndpoint, MeshTransport};
+pub use mesh::{MeshEndpoint, MeshHandle, MeshTransport};
 pub use sim::{Envelope, LatencyModel, PartyId, SimNetwork};
 pub use stats::{LabelStats, NetStats};
-pub use transport::{next_fabric_id, Transport};
+pub use transport::Transport;

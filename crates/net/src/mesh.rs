@@ -2,8 +2,9 @@
 //!
 //! [`MeshTransport`] is the second [`Transport`](crate::Transport)
 //! implementation: messages genuinely flow through crossbeam channels
-//! (one per recipient), statistics live behind a shared `parking_lot`
-//! mutex, and every ordered link `(from, to)` can carry its own
+//! (one per recipient), while accounting, clocks and faults are the
+//! same send pipeline `SimNetwork` runs, behind one shared `parking_lot`
+//! mutex. Every ordered link `(from, to)` can carry its own
 //! [`LatencyModel`] — the substrate for network-aware market studies
 //! where feeder-local links are fast and cross-feeder links are not.
 //!
@@ -15,12 +16,11 @@
 //! * **threaded** — [`MeshTransport::into_endpoints`] splits the fabric
 //!   into per-party [`MeshEndpoint`]s, each owning its receiver, for
 //!   one-OS-thread-per-agent runs (the in-process analogue of the
-//!   paper's per-agent Docker containers). The shared stats, fault plan
-//!   and virtual clock keep the measurement surface identical to the
-//!   sequential mode.
+//!   paper's per-agent Docker containers). The shared pipeline keeps
+//!   the measurement surface identical to the sequential mode.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 
 use crate::error::NetError;
 use crate::fault::FaultPlan;
+use crate::pipeline::Pipeline;
 use crate::sim::{Envelope, LatencyModel, PartyId};
 use crate::stats::NetStats;
 use crate::transport::Transport;
@@ -36,41 +37,31 @@ use crate::transport::Transport;
 #[derive(Debug)]
 struct MeshShared {
     parties: usize,
-    stats: Arc<Mutex<NetStats>>,
-    faults: Mutex<FaultPlan>,
-    /// Skips the fault-plan lock on the send hot path while no plan is
-    /// installed (the production case).
-    has_faults: AtomicBool,
-    default_latency: LatencyModel,
-    /// `(from, to)` → model overriding the default on that link.
-    link_latency: Mutex<BTreeMap<(usize, usize), LatencyModel>>,
-    /// Skips the override-map lock while no per-link override exists.
-    has_link_overrides: AtomicBool,
-    /// Per-party local clocks (µs), advanced by receives.
-    local_time_us: Vec<AtomicU64>,
-    /// Per-party ingress-link free time (µs): fan-in bytes serialize.
-    ingress_free_us: Vec<AtomicU64>,
-    /// Critical-path watermark: latest scheduled arrival (µs).
-    critical_us: AtomicU64,
-    /// Total latency charged across all messages (µs).
-    clock_sum_us: AtomicU64,
+    /// The send pipeline, behind the one lock a send or a consumed
+    /// receive takes.
+    pipe: Mutex<Pipeline>,
     /// Messages sent but not yet pulled off a channel.
     in_flight: AtomicU64,
     /// Process-unique id for telemetry message attribution.
     fabric: u64,
 }
 
-impl MeshShared {
-    fn link_model(&self, from: usize, to: usize) -> LatencyModel {
-        if self.has_link_overrides.load(Ordering::Relaxed) {
-            *self
-                .link_latency
-                .lock()
-                .get(&(from, to))
-                .unwrap_or(&self.default_latency)
-        } else {
-            self.default_latency
-        }
+/// Read-only view of a split mesh's shared measurement surface — what
+/// [`MeshTransport::into_endpoints`] leaves the caller holding once the
+/// endpoints have moved onto their threads.
+#[derive(Debug, Clone)]
+pub struct MeshHandle(Arc<MeshShared>);
+
+impl MeshHandle {
+    /// Snapshot of the accumulated traffic statistics.
+    pub fn stats(&self) -> NetStats {
+        self.0.pipe.lock().stats.clone()
+    }
+
+    /// The virtual clock: critical-path latency (µs) of the traffic so
+    /// far (see [`Transport::now_us`]).
+    pub fn now_us(&self) -> u64 {
+        self.0.pipe.lock().critical_us
     }
 }
 
@@ -101,95 +92,26 @@ impl MeshEndpoint {
     /// [`NetError::UnknownParty`], [`NetError::SelfSend`], or
     /// [`NetError::Disconnected`] if the recipient hung up.
     pub fn send(&self, to: PartyId, label: &'static str, payload: Vec<u8>) -> Result<(), NetError> {
-        if to.0 >= self.senders.len() {
-            return Err(NetError::UnknownParty {
-                party: to.0,
-                parties: self.senders.len(),
-            });
-        }
-        if to == self.id {
-            return Err(NetError::SelfSend { party: to.0 });
-        }
-        // The sender is charged bytes and wire time even if the fault
-        // plan then drops the message (matching `SimNetwork`).
-        self.shared
-            .stats
-            .lock()
-            .record(self.id.0, to.0, label, payload.len());
-        let model = self.shared.link_model(self.id.0, to.0);
-        self.shared
-            .clock_sum_us
-            .fetch_add(model.charge_us(payload.len()), Ordering::Relaxed);
-        // Same virtual-clock formula as `SimNetwork` (shared via
-        // `LatencyModel::arrival_us`): propagation overlaps, bytes
-        // serialize on the recipient's ingress link.
-        let local_us = self.shared.local_time_us[self.id.0].load(Ordering::Relaxed);
-        let len = payload.len();
-        let mut arrival_us = 0;
-        self.shared.ingress_free_us[to.0]
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
-                arrival_us = model.arrival_us(local_us, free, len);
-                Some(arrival_us)
-            })
-            .expect("fetch_update closure always returns Some");
-        self.shared
-            .critical_us
-            .fetch_max(arrival_us, Ordering::Relaxed);
-        // Telemetry sees the message as sent (before fault processing,
-        // matching the stats charge above); no-op unless a collector is
-        // installed.
-        pem_telemetry::record_msg(
-            self.shared.fabric,
-            self.id.0,
-            to.0,
-            label,
-            len as u64,
-            local_us,
-            arrival_us,
-        );
-        let (payload, duplicate, delay_us) = if self.shared.has_faults.load(Ordering::Relaxed) {
-            match self.shared.faults.lock().process(label, payload) {
-                crate::fault::Delivery::Deliver {
-                    payload,
-                    duplicate,
-                    delay_us,
-                } => (payload, duplicate, delay_us),
-                crate::fault::Delivery::Lost => return Ok(()), // dropped or stalled in flight
-            }
-        } else {
-            (payload, false, 0)
-        };
-        // An injected delay pushes the arrival back *after* journaling
-        // (same semantics as `SimNetwork`).
-        let arrival_us = arrival_us + delay_us;
-        if delay_us > 0 {
-            self.shared.ingress_free_us[to.0].fetch_max(arrival_us, Ordering::Relaxed);
-            self.shared
-                .critical_us
-                .fetch_max(arrival_us, Ordering::Relaxed);
-        }
-        let env = Envelope {
-            from: self.id,
-            to,
-            label,
-            payload,
-            arrival_us,
+        let admitted = self.shared.pipe.lock().admit(self.id, to, label, payload)?;
+        let Some((env, duplicate)) = admitted else {
+            return Ok(()); // dropped or stalled in flight
         };
         if duplicate {
-            self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-            self.senders[to.0]
-                .send(env.clone())
-                .map_err(|_| NetError::Disconnected)?;
+            self.enqueue(env.clone())?;
         }
+        self.enqueue(env)
+    }
+
+    fn enqueue(&self, env: Envelope) -> Result<(), NetError> {
         self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.senders[to.0]
+        self.senders[env.to.0]
             .send(env)
             .map_err(|_| NetError::Disconnected)
     }
 
     /// Folds a *consumed* delivery into the endpoint's local clock.
     fn observe(&self, env: Envelope) -> Envelope {
-        self.shared.local_time_us[self.id.0].fetch_max(env.arrival_us, Ordering::Relaxed);
+        self.shared.pipe.lock().observe(&env);
         env
     }
 
@@ -301,20 +223,12 @@ impl MeshTransport {
     /// Creates a mesh whose links all carry `default` latency (override
     /// individual links with [`set_link_latency`](Self::set_link_latency)).
     pub fn with_latency(parties: usize, default: LatencyModel) -> MeshTransport {
+        let pipe = Pipeline::new(parties, default);
         let shared = Arc::new(MeshShared {
             parties,
-            stats: Arc::new(Mutex::new(NetStats::new(parties))),
-            faults: Mutex::new(FaultPlan::new()),
-            has_faults: AtomicBool::new(false),
-            default_latency: default,
-            link_latency: Mutex::new(BTreeMap::new()),
-            has_link_overrides: AtomicBool::new(false),
-            local_time_us: (0..parties).map(|_| AtomicU64::new(0)).collect(),
-            ingress_free_us: (0..parties).map(|_| AtomicU64::new(0)).collect(),
-            critical_us: AtomicU64::new(0),
-            clock_sum_us: AtomicU64::new(0),
+            fabric: pipe.fabric,
+            pipe: Mutex::new(pipe),
             in_flight: AtomicU64::new(0),
-            fabric: crate::transport::next_fabric_id(),
         });
         let mut senders = Vec::with_capacity(parties);
         let mut receivers = Vec::with_capacity(parties);
@@ -351,36 +265,32 @@ impl MeshTransport {
     /// test suites drive the sequential mode.
     #[must_use]
     pub fn with_faults(self, faults: FaultPlan) -> MeshTransport {
-        *self.shared.faults.lock() = faults;
-        self.shared.has_faults.store(true, Ordering::Relaxed);
+        self.shared.pipe.lock().faults = faults;
         self
     }
 
     /// Overrides the latency model of the ordered link `from → to`.
     pub fn set_link_latency(&mut self, from: PartyId, to: PartyId, model: LatencyModel) {
         self.shared
-            .link_latency
+            .pipe
             .lock()
+            .link_latency
             .insert((from.0, to.0), model);
-        self.shared
-            .has_link_overrides
-            .store(true, Ordering::Relaxed);
     }
 
     /// Total latency charged across all messages (µs) — the volume
     /// figure, as opposed to the critical path of
     /// [`Transport::now_us`].
     pub fn simulated_latency_us(&self) -> u64 {
-        self.shared.clock_sum_us.load(Ordering::Relaxed)
+        self.shared.pipe.lock().clock_sum_us
     }
 
     /// Splits the mesh into per-party endpoints for threaded runs,
-    /// returning them with the shared statistics handle. Messages left
-    /// in the sequential stash are discarded (split before driving, or
-    /// after draining).
-    pub fn into_endpoints(self) -> (Vec<MeshEndpoint>, Arc<Mutex<NetStats>>) {
-        let stats = Arc::clone(&self.shared.stats);
-        (self.endpoints, stats)
+    /// returning them with a handle onto the shared statistics and
+    /// clock. Messages left in the sequential stash are discarded (split
+    /// before driving, or after draining).
+    pub fn into_endpoints(self) -> (Vec<MeshEndpoint>, MeshHandle) {
+        (self.endpoints, MeshHandle(self.shared))
     }
 
     /// Ensures the head of `to`'s stash is populated if a message is
@@ -478,16 +388,16 @@ impl Transport for MeshTransport {
     }
 
     fn stats(&self) -> NetStats {
-        self.shared.stats.lock().clone()
+        self.shared.pipe.lock().stats.clone()
     }
 
     fn traffic_totals(&self) -> (u64, u64) {
-        let s = self.shared.stats.lock();
-        (s.total_messages, s.total_bytes)
+        let pipe = self.shared.pipe.lock();
+        (pipe.stats.total_messages, pipe.stats.total_bytes)
     }
 
     fn now_us(&self) -> u64 {
-        self.shared.critical_us.load(Ordering::Relaxed)
+        self.shared.pipe.lock().critical_us
     }
 
     fn fabric_id(&self) -> u64 {
@@ -648,9 +558,7 @@ mod tests {
         // A two-hop relay across threads: the critical path must be the
         // sum of both hops even though each hop ran on its own thread.
         let model = LatencyModel::lan();
-        let mesh = MeshTransport::with_latency(3, model);
-        let shared_now = Arc::clone(&mesh.shared);
-        let (endpoints, stats) = mesh.into_endpoints();
+        let (endpoints, handle) = MeshTransport::with_latency(3, model).into_endpoints();
         let results = crate::runtime::run_parties(endpoints, move |ep| match ep.id().0 {
             0 => {
                 ep.send(PartyId(1), "hop", vec![0; 8]).expect("send");
@@ -667,12 +575,8 @@ mod tests {
             }
         });
         assert_eq!(results, vec![0, 1, 2]);
-        assert_eq!(stats.lock().total_messages, 2);
+        assert_eq!(handle.stats().total_messages, 2);
         let hop = model.charge_us(8);
-        assert_eq!(
-            shared_now.critical_us.load(Ordering::Relaxed),
-            2 * hop,
-            "relay serializes the two hops"
-        );
+        assert_eq!(handle.now_us(), 2 * hop, "relay serializes the two hops");
     }
 }

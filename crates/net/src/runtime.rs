@@ -5,23 +5,20 @@
 //! Since the `Transport` redesign this module is a thin veneer over
 //! [`MeshTransport`](crate::MeshTransport): [`build_fabric`] splits a
 //! zero-latency mesh into per-party endpoints, and [`run_parties`] drives
-//! any endpoint type on one thread each. Statistics are recorded through
-//! a shared [`NetStats`] behind a `parking_lot` mutex, so the measurement
-//! surface matches the sequential fabrics exactly.
+//! any endpoint type on one thread each. Every send runs the mesh's
+//! shared pipeline, so the measurement surface matches the sequential
+//! fabrics exactly.
 
 use std::sync::Arc;
 use std::thread;
 
-use parking_lot::Mutex;
-
-use crate::mesh::MeshTransport;
-use crate::stats::NetStats;
+use crate::mesh::{MeshHandle, MeshTransport};
 
 /// A party's handle onto the threaded fabric (the mesh endpoint type).
 pub type Endpoint = crate::mesh::MeshEndpoint;
 
 /// Builds a fabric of `parties` endpoints plus the shared stats handle.
-pub fn build_fabric(parties: usize) -> (Vec<Endpoint>, Arc<Mutex<NetStats>>) {
+pub fn build_fabric(parties: usize) -> (Vec<Endpoint>, MeshHandle) {
     MeshTransport::new(parties).into_endpoints()
 }
 
@@ -90,7 +87,7 @@ mod tests {
         });
         // Token incremented once per hop: party 0 sees n.
         assert_eq!(results[0], n as u8);
-        let s = stats.lock();
+        let s = stats.stats();
         assert_eq!(s.total_messages, n as u64);
         assert_eq!(s.total_bytes, n as u64);
     }
@@ -114,7 +111,7 @@ mod tests {
             }
         });
         assert_eq!(results[0], (1..8).sum::<u64>());
-        assert_eq!(stats.lock().total_messages, 7);
+        assert_eq!(stats.stats().total_messages, 7);
     }
 
     #[test]
@@ -152,6 +149,6 @@ mod tests {
         sim.recv(PartyId(1)).expect("deliver");
         sim.recv(PartyId(2)).expect("deliver");
 
-        assert_eq!(&*stats.lock(), sim.stats());
+        assert_eq!(&stats.stats(), sim.stats());
     }
 }

@@ -1,10 +1,12 @@
-//! The deterministic single-threaded network fabric.
+//! The deterministic single-threaded network fabric: mailboxes that can
+//! be drained per recipient or as one arrival-ordered event queue.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
+use crate::pipeline::Pipeline;
 use crate::stats::NetStats;
 
 /// Index of a party on the fabric (an agent, in PEM terms).
@@ -95,24 +97,23 @@ impl LatencyModel {
     }
 }
 
-/// Deterministic in-memory network: per-party FIFO mailboxes, byte
-/// accounting, simulated latency clock, optional fault injection.
+/// Deterministic in-memory network: per-party FIFO mailboxes behind an
+/// arrival-ordered event view, over the shared send pipeline (byte
+/// accounting, virtual clock, per-link latency, fault injection).
+///
+/// Nothing ever blocks: queued messages can be probed
+/// ([`has_message`](SimNetwork::has_message)), popped per recipient with
+/// the FIFO `recv`/`recv_expect`, or delivered in global arrival order
+/// with [`pop_earliest`](SimNetwork::pop_earliest) — the event-loop
+/// shape a poll-driven executor needs.
 #[derive(Debug)]
 pub struct SimNetwork {
-    mailboxes: Vec<VecDeque<Envelope>>,
-    stats: NetStats,
-    latency: LatencyModel,
-    clock_us: u64,
-    /// Per-party local clocks (advanced by receiving messages).
-    local_time_us: Vec<u64>,
-    /// Per-party ingress-link free time: bytes addressed to one party
-    /// serialize on its link, so fan-in costs transmit time.
-    ingress_free_us: Vec<u64>,
-    /// Critical-path watermark: the latest arrival scheduled so far.
-    critical_us: u64,
-    faults: crate::fault::FaultPlan,
-    /// Process-unique id for telemetry message attribution.
-    fabric: u64,
+    /// Per-party mailboxes; each entry carries a global send sequence
+    /// number so arrival-order delivery breaks ties deterministically.
+    mailboxes: Vec<VecDeque<(u64, Envelope)>>,
+    /// Next global send sequence number.
+    seq: u64,
+    pipe: Pipeline,
 }
 
 impl SimNetwork {
@@ -121,25 +122,27 @@ impl SimNetwork {
         SimNetwork::with_latency(parties, LatencyModel::zero())
     }
 
-    /// Creates a fabric with a latency model.
-    pub fn with_latency(parties: usize, latency: LatencyModel) -> SimNetwork {
+    /// Creates a fabric whose links all carry `default` latency
+    /// (override individual links with
+    /// [`set_link_latency`](Self::set_link_latency)).
+    pub fn with_latency(parties: usize, default: LatencyModel) -> SimNetwork {
         SimNetwork {
             mailboxes: (0..parties).map(|_| VecDeque::new()).collect(),
-            stats: NetStats::new(parties),
-            latency,
-            clock_us: 0,
-            local_time_us: vec![0; parties],
-            ingress_free_us: vec![0; parties],
-            critical_us: 0,
-            faults: crate::fault::FaultPlan::new(),
-            fabric: crate::transport::next_fabric_id(),
+            seq: 0,
+            pipe: Pipeline::new(parties, default),
         }
     }
 
     /// Attaches a fault-injection plan (builder style).
+    #[must_use]
     pub fn with_faults(mut self, faults: crate::fault::FaultPlan) -> SimNetwork {
-        self.faults = faults;
+        self.pipe.faults = faults;
         self
+    }
+
+    /// Overrides the latency model of the ordered link `from → to`.
+    pub fn set_link_latency(&mut self, from: PartyId, to: PartyId, model: LatencyModel) {
+        self.pipe.link_latency.insert((from.0, to.0), model);
     }
 
     /// Number of parties.
@@ -149,14 +152,14 @@ impl SimNetwork {
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.pipe.stats
     }
 
     /// Simulated network time spent so far (µs), *summed over every
     /// message* — the total-volume figure. For the parallelism-aware
     /// clock see [`critical_path_us`](SimNetwork::critical_path_us).
     pub fn simulated_latency_us(&self) -> u64 {
-        self.clock_us
+        self.pipe.clock_sum_us
     }
 
     /// Critical-path latency (µs): the virtual-clock instant by which
@@ -164,24 +167,24 @@ impl SimNetwork {
     /// links charged in parallel (this is what
     /// [`Transport::now_us`](crate::Transport::now_us) reports).
     pub fn critical_path_us(&self) -> u64 {
-        self.critical_us
+        self.pipe.critical_us
     }
 
     /// Process-unique fabric id (see
     /// [`Transport::fabric_id`](crate::Transport::fabric_id)).
     pub fn fabric_id(&self) -> u64 {
-        self.fabric
+        self.pipe.fabric
     }
 
-    fn check(&self, p: PartyId) -> Result<(), NetError> {
-        if p.0 >= self.mailboxes.len() {
-            Err(NetError::UnknownParty {
-                party: p.0,
-                parties: self.mailboxes.len(),
-            })
-        } else {
-            Ok(())
-        }
+    /// Whether any message is queued for `to` — the readiness probe a
+    /// poll-driven task uses before committing to a receive.
+    pub fn has_message(&self, to: PartyId) -> bool {
+        self.mailboxes.get(to.0).is_some_and(|m| !m.is_empty())
+    }
+
+    fn enqueue(&mut self, env: Envelope) {
+        self.seq += 1;
+        self.mailboxes[env.to.0].push_back((self.seq, env));
     }
 
     /// Sends `payload` from `from` to `to` under a phase label.
@@ -196,70 +199,12 @@ impl SimNetwork {
         label: &'static str,
         payload: Vec<u8>,
     ) -> Result<(), NetError> {
-        self.check(from)?;
-        self.check(to)?;
-        if from == to {
-            return Err(NetError::SelfSend { party: from.0 });
+        if let Some((env, duplicate)) = self.pipe.admit(from, to, label, payload)? {
+            if duplicate {
+                self.enqueue(env.clone());
+            }
+            self.enqueue(env);
         }
-        // The sender is charged for the bytes it put on the wire even if
-        // the fabric then drops or mangles them (as a real NIC would be).
-        self.stats.record(from.0, to.0, label, payload.len());
-        self.clock_us += self.latency.charge_us(payload.len());
-        // Virtual clock: propagation (base) overlaps across messages,
-        // but the bytes serialize on the recipient's ingress link — a
-        // k-message fan-in costs base + k·transmit, so topology fan-in
-        // bounds are measurable, not free.
-        let arrival_us = self.latency.arrival_us(
-            self.local_time_us[from.0],
-            self.ingress_free_us[to.0],
-            payload.len(),
-        );
-        self.ingress_free_us[to.0] = arrival_us;
-        self.critical_us = self.critical_us.max(arrival_us);
-        // Telemetry sees the message as sent (before fault processing,
-        // matching the stats semantics above); no-op unless a collector
-        // is installed.
-        pem_telemetry::record_msg(
-            self.fabric,
-            from.0,
-            to.0,
-            label,
-            payload.len() as u64,
-            self.local_time_us[from.0],
-            arrival_us,
-        );
-        let (payload, duplicate, delay_us) = match self.faults.process(label, payload) {
-            crate::fault::Delivery::Deliver {
-                payload,
-                duplicate,
-                delay_us,
-            } => (payload, duplicate, delay_us),
-            crate::fault::Delivery::Lost => return Ok(()), // dropped or stalled in flight
-        };
-        // An injected delay pushes the arrival back *after* journaling:
-        // the wire log records the modeled send, the clocks record the
-        // fault's effect.
-        let arrival_us = arrival_us + delay_us;
-        if delay_us > 0 {
-            self.ingress_free_us[to.0] = self.ingress_free_us[to.0].max(arrival_us);
-            self.critical_us = self.critical_us.max(arrival_us);
-        }
-        if duplicate {
-            self.mailboxes[to.0].push_back(Envelope {
-                from,
-                to,
-                label,
-                payload: payload.clone(),
-                arrival_us,
-            });
-        }
-        self.mailboxes[to.0].push_back(Envelope {
-            from,
-            to,
-            label,
-            payload,
-            arrival_us,
-        });
         Ok(())
     }
 
@@ -276,7 +221,7 @@ impl SimNetwork {
         label: &'static str,
         payload: &[u8],
     ) -> Result<(), NetError> {
-        self.check(from)?;
+        self.pipe.check(from)?;
         for to in 0..self.mailboxes.len() {
             if to != from.0 {
                 self.send(from, PartyId(to), label, payload.to_vec())?;
@@ -288,8 +233,8 @@ impl SimNetwork {
     /// Pops the next message for `to`, if any. Receiving fast-forwards
     /// `to`'s local clock to the message's arrival time.
     pub fn recv(&mut self, to: PartyId) -> Option<Envelope> {
-        let env = self.mailboxes.get_mut(to.0)?.pop_front()?;
-        self.local_time_us[to.0] = self.local_time_us[to.0].max(env.arrival_us);
+        let (_, env) = self.mailboxes.get_mut(to.0)?.pop_front()?;
+        self.pipe.observe(&env);
         Some(env)
     }
 
@@ -298,10 +243,11 @@ impl SimNetwork {
     /// # Errors
     ///
     /// [`NetError::Empty`] or [`NetError::UnexpectedLabel`]; the message
-    /// is *not* consumed on a label mismatch.
+    /// is *not* consumed (and the clock not advanced) on a label
+    /// mismatch.
     pub fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
-        self.check(to)?;
-        let head = self.mailboxes[to.0].front().ok_or(NetError::Empty {
+        self.pipe.check(to)?;
+        let (_, head) = self.mailboxes[to.0].front().ok_or(NetError::Empty {
             party: to.0,
             expected: label,
         })?;
@@ -311,9 +257,7 @@ impl SimNetwork {
                 got: head.label.to_string(),
             });
         }
-        let env = self.mailboxes[to.0].pop_front().expect("head exists");
-        self.local_time_us[to.0] = self.local_time_us[to.0].max(env.arrival_us);
-        Ok(env)
+        Ok(self.recv(to).expect("head exists"))
     }
 
     /// Deadline-aware receive on the fabric's virtual clock: a message
@@ -332,14 +276,14 @@ impl SimNetwork {
         label: &'static str,
         deadline_us: u64,
     ) -> Result<Envelope, NetError> {
-        self.check(to)?;
+        self.pipe.check(to)?;
         match self.mailboxes[to.0].front() {
             None => Err(NetError::Timeout {
                 party: to.0,
                 expected: label,
                 deadline_us,
             }),
-            Some(head) if head.label == label && head.arrival_us > deadline_us => {
+            Some((_, head)) if head.label == label && head.arrival_us > deadline_us => {
                 Err(NetError::Timeout {
                     party: to.0,
                     expected: label,
@@ -348,6 +292,21 @@ impl SimNetwork {
             }
             Some(_) => self.recv_expect(to, label),
         }
+    }
+
+    /// Pops the queued message with the earliest arrival time across
+    /// *all* parties (ties broken by send order) — global event-loop
+    /// delivery, for drivers that react to whatever lands next rather
+    /// than waiting on one party.
+    pub fn pop_earliest(&mut self) -> Option<Envelope> {
+        let party = self
+            .mailboxes
+            .iter()
+            .enumerate()
+            .filter_map(|(p, m)| m.front().map(|(seq, env)| (env.arrival_us, *seq, p)))
+            .min()?
+            .2;
+        self.recv(PartyId(party))
     }
 
     /// Number of undelivered messages across all mailboxes.
@@ -400,19 +359,19 @@ impl crate::Transport for SimNetwork {
     }
 
     fn stats(&self) -> NetStats {
-        self.stats.clone()
+        self.pipe.stats.clone()
     }
 
     fn traffic_totals(&self) -> (u64, u64) {
-        (self.stats.total_messages, self.stats.total_bytes)
+        (self.pipe.stats.total_messages, self.pipe.stats.total_bytes)
     }
 
     fn now_us(&self) -> u64 {
-        self.critical_us
+        self.pipe.critical_us
     }
 
     fn fabric_id(&self) -> u64 {
-        self.fabric
+        self.pipe.fabric
     }
 
     fn pending(&self) -> usize {
@@ -508,5 +467,62 @@ mod tests {
         assert_eq!(s.per_label["pricing"].bytes, 100);
         assert_eq!(s.per_label["pricing"].messages, 2);
         assert_eq!(s.per_label["distribution"].bytes, 8);
+    }
+
+    #[test]
+    fn pop_earliest_delivers_in_arrival_order() {
+        let mut net = SimNetwork::with_latency(3, LatencyModel::lan());
+        // Slow link 0→2: its message departs first but arrives last.
+        net.set_link_latency(PartyId(0), PartyId(2), LatencyModel::wan());
+        net.send(PartyId(0), PartyId(2), "slow", vec![0; 8])
+            .unwrap();
+        net.send(PartyId(0), PartyId(1), "fast", vec![0; 8])
+            .unwrap();
+        net.send(PartyId(1), PartyId(0), "fast", vec![0; 8])
+            .unwrap();
+        let order: Vec<&str> = std::iter::from_fn(|| net.pop_earliest())
+            .map(|env| env.label)
+            .collect();
+        assert_eq!(order, vec!["fast", "fast", "slow"]);
+        assert_eq!(net.pending(), 0);
+    }
+
+    #[test]
+    fn pop_earliest_breaks_ties_by_send_order() {
+        // Zero latency: every arrival is at 0 — delivery must follow
+        // global send order, not party index.
+        let mut net = SimNetwork::new(3);
+        net.send(PartyId(0), PartyId(2), "first", vec![1]).unwrap();
+        net.send(PartyId(0), PartyId(1), "second", vec![2]).unwrap();
+        net.send(PartyId(1), PartyId(2), "third", vec![3]).unwrap();
+        let order: Vec<&str> = std::iter::from_fn(|| net.pop_earliest())
+            .map(|env| env.label)
+            .collect();
+        assert_eq!(order, vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    fn per_link_latency_overrides_default() {
+        let mut net = SimNetwork::with_latency(3, LatencyModel::lan());
+        net.set_link_latency(PartyId(0), PartyId(2), LatencyModel::wan());
+        net.send(PartyId(0), PartyId(1), "x", vec![0; 100]).unwrap();
+        let lan_arrival = net.recv(PartyId(1)).expect("delivered").arrival_us;
+        assert_eq!(lan_arrival, LatencyModel::lan().charge_us(100));
+        net.send(PartyId(0), PartyId(2), "x", vec![0; 100]).unwrap();
+        let wan_arrival = net.recv(PartyId(2)).expect("delivered").arrival_us;
+        assert_eq!(wan_arrival, LatencyModel::wan().charge_us(100));
+        assert_eq!(net.critical_path_us(), wan_arrival);
+    }
+
+    #[test]
+    fn has_message_probes_without_consuming() {
+        let mut net = SimNetwork::new(2);
+        assert!(!net.has_message(PartyId(1)));
+        net.send(PartyId(0), PartyId(1), "x", vec![1]).unwrap();
+        assert!(net.has_message(PartyId(1)));
+        assert!(!net.has_message(PartyId(0)));
+        assert_eq!(net.pending(), 1, "probe must not consume");
+        net.recv(PartyId(1)).unwrap();
+        assert!(!net.has_message(PartyId(1)));
     }
 }

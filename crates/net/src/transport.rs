@@ -6,15 +6,17 @@
 //! byte/message accounting and a *virtual clock* that tracks the
 //! critical-path latency of the message pattern actually executed.
 //!
-//! Two implementations ship with the crate:
+//! Two implementations ship with the crate, both thin queues over one
+//! shared send pipeline (accounting, per-link latency, virtual clocks,
+//! fault hooks):
 //!
 //! * [`SimNetwork`](crate::SimNetwork) — the deterministic in-memory
-//!   reference fabric (per-party FIFO mailboxes, one global latency
-//!   model),
-//! * [`MeshTransport`](crate::MeshTransport) — crossbeam-channel links
-//!   with **per-link** latency models, usable both sequentially (through
-//!   this trait) and split into per-party endpoints for one-thread-per-
-//!   agent deployments.
+//!   reference fabric: per-party FIFO mailboxes that a poll-driven
+//!   executor can also probe and drain in global arrival order
+//!   (`pem-fabric` re-exports it as `EventTransport`),
+//! * [`MeshTransport`](crate::MeshTransport) — crossbeam-channel links,
+//!   usable both sequentially (through this trait) and split into
+//!   per-party endpoints for one-thread-per-agent deployments.
 //!
 //! Drivers written against `T: Transport` run unchanged on either — and
 //! on any future fabric (an async runtime, a real socket mesh) that
@@ -30,13 +32,10 @@ use crate::stats::NetStats;
 /// starts at 1.
 static NEXT_FABRIC: AtomicU64 = AtomicU64::new(1);
 
-/// Allocates a process-unique fabric id for a new transport instance.
-///
-/// Public so out-of-crate [`Transport`] implementations (e.g. the
-/// event-queue fabric in `pem-fabric`) draw from the same id space as
-/// the built-in fabrics — telemetry message attribution relies on ids
-/// never colliding within a process.
-pub fn next_fabric_id() -> u64 {
+/// Allocates a process-unique fabric id for a new transport instance —
+/// telemetry message attribution relies on ids never colliding within
+/// a process.
+pub(crate) fn next_fabric_id() -> u64 {
     NEXT_FABRIC.fetch_add(1, Ordering::Relaxed)
 }
 

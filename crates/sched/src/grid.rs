@@ -222,10 +222,11 @@ fn shard_seed(master: u64, shard: usize, epoch: u64) -> u64 {
 type ShardRun = (Option<PemWindowOutcome>, CoalitionStatus);
 
 /// Retries a failed attempt 0 under the policy. Every attempt restores
-/// the pre-window checkpoint and replays via the blocking driver on a
-/// `(window, attempt)`-salted stream — the retry path is identical (and
-/// bit-reproducible) whichever engine ran the first attempt. Fatal
-/// (non-retryable) errors quarantine immediately.
+/// the pre-window checkpoint and replays the window
+/// ([`Pem::retry_window`]) on a `(window, attempt)`-salted stream — one
+/// retry path over the one window body, bit-reproducible whichever
+/// engine ran the first attempt. Fatal (non-retryable) errors quarantine
+/// immediately.
 #[allow(clippy::too_many_arguments)] // the recovery context, spelled out
 fn retry_shard(
     pem: &mut Pem,
@@ -302,9 +303,9 @@ fn settle_attempt(
     }
 }
 
-/// Runs one coalition window under the recovery policy on the blocking
-/// driver (the thread engine's job; also the shared retry path).
-fn run_shard_blocking(
+/// Runs one coalition window to completion under the recovery policy
+/// (the thread engine's job).
+fn run_shard_window(
     pem: &mut Pem,
     data: &[AgentWindow],
     specs: &[ChaosSpec],
@@ -611,7 +612,7 @@ impl GridOrchestrator {
                     self.cfg.workers,
                     jobs,
                     move |_, (idx, probe, mut shard, data)| {
-                        let run = run_shard_blocking(
+                        let run = run_shard_window(
                             &mut shard.pem,
                             &data,
                             &chaos,
@@ -631,8 +632,8 @@ impl GridOrchestrator {
                 // failures per task (a wedged coalition is force-polled
                 // into its typed error and evicted). Results come back
                 // in shard order, so the fold below is identical to the
-                // thread engine's; retries run on the shared blocking
-                // path, which the fabric driver is bit-equivalent to.
+                // thread engine's; retries replay the same window body
+                // through `settle_attempt`.
                 let mut jobs = jobs;
                 let checkpoints: Vec<PemCheckpoint> = jobs
                     .iter()

@@ -16,9 +16,9 @@
 //! | [`circuit`] | `pem-circuit` | boolean circuits, Yao garbling, 2PC secure comparison |
 //! | [`market`] | `pem-market` | the Stackelberg trading model (Eqs. 1–15), allocation, baseline |
 //! | [`data`] | `pem-data` | synthetic smart-home traces (UMass Smart* substitute) |
-//! | [`net`] | `pem-net` | `Transport` trait, byte-metered fabrics (`SimNetwork`, `MeshTransport`), wire codec, threaded runtime |
+//! | [`net`] | `pem-net` | `Transport` trait, two byte-metered fabrics over one send pipeline (`SimNetwork`, `MeshTransport`), wire codec, threaded runtime |
 //! | [`core`] | `pem-core` | Protocols 1–4: the Private Energy Market itself |
-//! | [`fabric`] | `pem-fabric` | poll-able protocol state machines, event-queue transport, deterministic single-thread executor |
+//! | [`fabric`] | `pem-fabric` | poll-able protocol state machines, deterministic single-thread executor (`EventTransport` = `SimNetwork`) |
 //! | [`ledger`] | `pem-ledger` | hash-chained settlement ledger (§VI blockchain extension) |
 //! | [`sched`] | `pem-sched` | sharded multi-coalition grid orchestrator (bounded coalitions, worker pool, batched crypto) |
 //! | [`coupling`] | `pem-coupling` | privacy-preserving cross-shard market coupling + dispersion-driven re-partitioning |
