@@ -61,7 +61,6 @@ fn day(population: usize, windows: usize) -> Vec<Vec<AgentWindow>> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sweep(
     population: usize,
     coalition: usize,
@@ -70,15 +69,11 @@ fn sweep(
     pool: usize,
     topology: Topology,
     key_bits: usize,
-    pool_workers: usize,
-    owner_crt: bool,
 ) -> Row {
     let data = day(population, windows);
     let mut pem = PemConfig::fast_test()
         .with_randomizer_pool(pool)
-        .with_topology(topology)
-        .with_pool_workers(pool_workers)
-        .with_owner_crt_pool(owner_crt);
+        .with_topology(topology);
     pem.key_bits = key_bits;
     let mut grid = GridOrchestrator::new(GridConfig {
         pem,
@@ -161,10 +156,6 @@ fn main() {
     let windows = args.get_usize("windows", 2);
     let pool = args.get_usize("pool", 48);
     let key_bits = args.get_usize("key-bits", 128);
-    let pool_workers = args.get_usize("pool-workers", 0);
-    // --owner-crt 0 forces the classic full-width precompute lane (the
-    // pre-engine baseline); randomizers are bit-identical either way.
-    let owner_crt = args.get_usize("owner-crt", 1) != 0;
     let topologies: Vec<Topology> = args
         .get_str("topologies", "ring")
         .split(',')
@@ -176,17 +167,7 @@ fn main() {
         for &coalition in &coalitions {
             for &w in &workers {
                 for &t in &topologies {
-                    rows.push(sweep(
-                        population,
-                        coalition,
-                        w,
-                        windows,
-                        pool,
-                        t,
-                        key_bits,
-                        pool_workers,
-                        owner_crt,
-                    ));
+                    rows.push(sweep(population, coalition, w, windows, pool, t, key_bits));
                 }
             }
         }

@@ -105,7 +105,7 @@ impl ExpDigits {
         }
     }
 
-    /// Recodes `exp` with the width [`ExpDigits::window_bits`] picks for
+    /// Recodes `exp` with the width `ExpDigits::window_bits` picks for
     /// its bit length — exactly the windows [`Montgomery::modpow`] uses.
     pub fn recode(exp: &BigUint) -> ExpDigits {
         let bits = exp.bit_length();

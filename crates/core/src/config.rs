@@ -59,24 +59,6 @@ pub struct PemConfig {
     /// and consumed by the protocols, amortizing the encryption hot path;
     /// see [`crate::randpool`].
     pub randomizer_pool: usize,
-    /// When `true`, the between-window pool refill scales each key's
-    /// batch to its observed draw rate
-    /// ([`crate::randpool::RandomizerPool::refill_adaptive`]) instead of
-    /// topping up to the static `randomizer_pool` size. Market outcomes
-    /// are unaffected either way; only the precompute schedule moves.
-    pub adaptive_pool: bool,
-    /// Worker threads for randomizer-pool precompute (0 = the legacy
-    /// sequential per-key streams). Any value ≥ 1 switches the pool to
-    /// per-slot DRBG streams, whose output is bit-identical at every
-    /// worker count (a different — equally uniform — randomizer
-    /// sequence than the sequential mode).
-    pub pool_workers: usize,
-    /// Precompute pool randomizers on the key owner's CRT fast lane
-    /// (`r^n` as two half-width exponentiations mod `p²`/`q²` — the
-    /// directory holds every key's factors). Bit-identical randomizers
-    /// either way; `false` forces the classic full-width public-key
-    /// path, the A/B baseline for `sched_scaling`/`crypto_kernels`.
-    pub owner_crt_pool: bool,
     /// Protocol 3 aggregation topology: the paper's sequential ring,
     /// the depth-1 star fan-in, or an f-ary aggregation tree (same byte
     /// volume in all three; the critical path is what moves — the
@@ -103,9 +85,6 @@ impl PemConfig {
             ratio_precision_bits: 48,
             seed: 2020,
             randomizer_pool: 0,
-            adaptive_pool: false,
-            pool_workers: 0,
-            owner_crt_pool: true,
             topology: Topology::Ring,
             latency: LatencyModel::zero(),
         }
@@ -124,9 +103,6 @@ impl PemConfig {
             ratio_precision_bits: 48,
             seed: 7,
             randomizer_pool: 0,
-            adaptive_pool: false,
-            pool_workers: 0,
-            owner_crt_pool: true,
             topology: Topology::Ring,
             latency: LatencyModel::zero(),
         }
@@ -136,32 +112,6 @@ impl PemConfig {
     #[must_use]
     pub fn with_randomizer_pool(mut self, batch: usize) -> PemConfig {
         self.randomizer_pool = batch;
-        self
-    }
-
-    /// Switches the between-window refill to demand-adaptive per-key
-    /// batch sizing (no effect while the pool is disabled).
-    #[must_use]
-    pub fn with_adaptive_pool(mut self) -> PemConfig {
-        self.adaptive_pool = true;
-        self
-    }
-
-    /// Splits randomizer-pool precompute over `workers` threads with
-    /// per-slot DRBG streams (bit-identical pools at any worker count;
-    /// no effect while the pool is disabled).
-    #[must_use]
-    pub fn with_pool_workers(mut self, workers: usize) -> PemConfig {
-        self.pool_workers = workers;
-        self
-    }
-
-    /// Selects the randomizer-precompute lane: `false` forces the
-    /// classic full-width public-key path (the measurement baseline).
-    /// Market outcomes and every ciphertext bit are unaffected.
-    #[must_use]
-    pub fn with_owner_crt_pool(mut self, owner_crt: bool) -> PemConfig {
-        self.owner_crt_pool = owner_crt;
         self
     }
 

@@ -398,11 +398,7 @@ impl<'a> Window<'a> {
                 // hot-path metrics.
                 if let Some(pool) = self.pool.as_mut() {
                     let refill_span = Span::enter("window/pool-refill", "driver");
-                    if self.cfg.adaptive_pool {
-                        pool.refill_adaptive(self.keys);
-                    } else {
-                        pool.refill(self.keys);
-                    }
+                    pool.refill(self.keys);
                     refill_span.finish();
                 }
 
@@ -636,7 +632,7 @@ mod tests {
         let mut healthy_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Stall);
         let stalled = stalled_pem
-            .fabric_window_with_faults(&stalled_pop, Some(plan))
+            .fabric_window_with_faults(&stalled_pop, plan)
             .expect("task")
             .with_poll_budget(50_000);
         let healthy = healthy_pem.fabric_window(&healthy_pop).expect("task");

@@ -64,9 +64,9 @@ impl KeyDirectory {
 
     /// Precomputes `count` randomizers under key `i` on the fastest
     /// correct lane: the key owner's CRT path (`r^n` as two half-width
-    /// exponentiations mod `p²`/`q²`) when the directory holds the
-    /// factors — which it always does for generated keys — falling back
-    /// to the public-key path otherwise. Both lanes draw `r` from `rng`
+    /// exponentiations mod `p²`/`q²`) when the key holds its factors —
+    /// which it always does for generated keys — falling back to the
+    /// public-key path otherwise. Both lanes draw `r` from `rng`
     /// identically, so the output is bit-identical either way.
     ///
     /// # Panics
@@ -77,32 +77,13 @@ impl KeyDirectory {
         i: usize,
         count: usize,
         rng: &mut HashDrbg,
-        owner_crt: bool,
     ) -> Vec<pem_crypto::paillier::Randomizer> {
         let kp = &self.keypairs[i];
-        if owner_crt && kp.private().has_crt() {
+        if kp.private().has_crt() {
             kp.private().precompute_randomizers_crt(count, rng)
         } else {
             kp.public().precompute_randomizers(count, rng)
         }
-    }
-
-    /// Builds a precomputed-randomizer pool of `batch` entries per key —
-    /// the off-critical-path half of encryption (see [`crate::randpool`]).
-    pub fn randomizer_pool(&self, batch: usize, seed: u64) -> crate::randpool::RandomizerPool {
-        crate::randpool::RandomizerPool::generate(self, batch, seed)
-    }
-
-    /// Like [`KeyDirectory::randomizer_pool`], but with per-slot DRBG
-    /// streams and the precompute batch split over `workers` threads —
-    /// bit-identical pools at any worker count.
-    pub fn randomizer_pool_parallel(
-        &self,
-        batch: usize,
-        seed: u64,
-        workers: usize,
-    ) -> crate::randpool::RandomizerPool {
-        crate::randpool::RandomizerPool::generate_parallel(self, batch, seed, workers)
     }
 }
 

@@ -136,28 +136,9 @@ impl Pem {
         cfg.validate(n_agents)?;
         let keys = KeyDirectory::generate(n_agents, cfg.key_bits, cfg.seed)?;
         let rng = HashDrbg::from_seed_label(b"pem-driver", cfg.seed);
-        // The lane only moves precompute cost; the randomizers (and
-        // every ciphertext they produce) are bit-identical.
-        let pool = if cfg.randomizer_pool > 0 {
-            Some(if cfg.pool_workers > 0 {
-                crate::randpool::RandomizerPool::generate_parallel_with_lane(
-                    &keys,
-                    cfg.randomizer_pool,
-                    cfg.seed,
-                    cfg.pool_workers,
-                    cfg.owner_crt_pool,
-                )
-            } else {
-                crate::randpool::RandomizerPool::generate_with_lane(
-                    &keys,
-                    cfg.randomizer_pool,
-                    cfg.seed,
-                    cfg.owner_crt_pool,
-                )
-            })
-        } else {
-            None
-        };
+        let pool = (cfg.randomizer_pool > 0).then(|| {
+            crate::randpool::RandomizerPool::generate(&keys, cfg.randomizer_pool, cfg.seed)
+        });
         Ok(Pem {
             cfg,
             keys,
@@ -280,7 +261,7 @@ impl Pem {
         &mut self,
         window_data: &[pem_market::AgentWindow],
         attempt: u32,
-        faults: Option<FaultPlan>,
+        faults: FaultPlan,
     ) -> Result<PemWindowOutcome, PemError> {
         let window = self.window_index + 1;
         let mut label = Vec::with_capacity(25);
@@ -289,7 +270,7 @@ impl Pem {
         label.extend_from_slice(&u64::from(attempt).to_be_bytes());
         let salted = HashDrbg::from_seed_label(&label, self.cfg.seed);
         let primary = std::mem::replace(&mut self.rng, salted);
-        let result = self.run_window_with_faults(window_data, faults.unwrap_or_default());
+        let result = self.run_window_with_faults(window_data, faults);
         // The side stream dies with the attempt; the primary stream is
         // untouched either way.
         self.rng = primary;
@@ -310,12 +291,12 @@ impl Pem {
         &mut self,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<crate::fabric_window::WindowTask<'_>, PemError> {
-        self.fabric_window_with_faults(window_data, None)
+        self.fabric_window_with_faults(window_data, FaultPlan::new())
     }
 
-    /// [`fabric_window`](Pem::fabric_window) with an optional fault
-    /// plan attached to the task's queue fabric — the chaos entry point
-    /// for executor-driven windows.
+    /// [`fabric_window`](Pem::fabric_window) with a fault plan attached
+    /// to the task's queue fabric — the chaos entry point for
+    /// executor-driven windows.
     ///
     /// # Errors
     ///
@@ -324,9 +305,9 @@ impl Pem {
     pub fn fabric_window_with_faults(
         &mut self,
         window_data: &[pem_market::AgentWindow],
-        faults: Option<FaultPlan>,
+        faults: FaultPlan,
     ) -> Result<crate::fabric_window::WindowTask<'_>, PemError> {
-        let net = self.fresh_net(faults.unwrap_or_default());
+        let net = self.fresh_net(faults);
         let window = self.window(&net, window_data)?;
         Ok(crate::fabric_window::WindowTask::new(window, net))
     }
@@ -563,70 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_refill_preserves_outcomes() {
-        let pop = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
-        let run = |adaptive: bool| {
-            let mut cfg = PemConfig::fast_test().with_randomizer_pool(4);
-            if adaptive {
-                cfg = cfg.with_adaptive_pool();
-            }
-            let mut pem = Pem::new(cfg, 5).expect("setup");
-            let o1 = pem.run_window(&pop).expect("w1");
-            let o2 = pem.run_window(&pop).expect("w2");
-            (o1, o2, pem.pool_stats().expect("pool enabled"))
-        };
-        let (s1, s2, s_stats) = run(false);
-        let (a1, a2, a_stats) = run(true);
-        // Window 1 is identical (refill policy only acts *between*
-        // windows, and wall-clock timings are the only field exempt);
-        // window 2 keeps every market outcome.
-        assert_eq!(s1.trades, a1.trades);
-        assert_eq!(s1.revealed, a1.revealed);
-        assert_eq!(s1.net, a1.net);
-        assert_eq!(s2.kind, a2.kind);
-        assert_eq!(s2.price.to_bits(), a2.price.to_bits());
-        assert_eq!(s2.trades, a2.trades);
-        assert_eq!(s2.net.total_messages, a2.net.total_messages);
-        // The adaptive refill sizes to demand, not the static batch.
-        assert_ne!(s_stats.generated, a_stats.generated);
-    }
-
-    #[test]
-    fn parallel_pool_preserves_outcomes_at_any_worker_count() {
-        // The per-slot pool changes *which* randomizers serve the
-        // encryptions (vs the sequential pool), never the market; and
-        // across worker counts it must not change a single bit.
-        let pop = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
-        let run = |workers: usize| {
-            let cfg = PemConfig::fast_test()
-                .with_randomizer_pool(8)
-                .with_pool_workers(workers);
-            let mut pem = Pem::new(cfg, 5).expect("setup");
-            let o1 = pem.run_window(&pop).expect("w1");
-            let o2 = pem.run_window(&pop).expect("w2");
-            (o1, o2, pem.pool_stats().expect("pool enabled"))
-        };
-        let (a1, a2, a_stats) = run(1);
-        for workers in [2usize, 4] {
-            let (b1, b2, b_stats) = run(workers);
-            for (x, y) in [(&a1, &b1), (&a2, &b2)] {
-                assert_eq!(x.kind, y.kind);
-                assert_eq!(x.price.to_bits(), y.price.to_bits());
-                assert_eq!(x.trades, y.trades);
-                assert_eq!(x.net, y.net, "traffic bits at {workers} workers");
-                assert_eq!(x.revealed, y.revealed);
-            }
-            assert_eq!(a_stats, b_stats, "pool counters at {workers} workers");
-        }
-        // Market outcomes also agree with the sequential-pool run.
-        let mut seq = Pem::new(PemConfig::fast_test().with_randomizer_pool(8), 5).expect("setup");
-        let s1 = seq.run_window(&pop).expect("w1");
-        assert_eq!(s1.kind, a1.kind);
-        assert!((s1.price - a1.price).abs() < 1e-12);
-        assert_eq!(s1.trades, a1.trades);
-    }
-
-    #[test]
     fn star_topology_window_matches_ring_market() {
         use crate::protocol3::Topology;
         let pop = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
@@ -662,9 +579,13 @@ mod tests {
         let pop = population(&[2.0, 1.0, -3.0, -2.0]);
         let mut pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let cp = pem.checkpoint();
-        let r1 = pem.retry_window(&pop, 1, None).expect("attempt 1");
+        let r1 = pem
+            .retry_window(&pop, 1, FaultPlan::new())
+            .expect("attempt 1");
         pem.restore(cp.clone());
-        let r1b = pem.retry_window(&pop, 1, None).expect("attempt 1 replay");
+        let r1b = pem
+            .retry_window(&pop, 1, FaultPlan::new())
+            .expect("attempt 1 replay");
         // Same (window, attempt) salt → the same bits, every time.
         assert_eq!(r1.price.to_bits(), r1b.price.to_bits());
         assert_eq!(r1.trades, r1b.trades);
@@ -673,7 +594,9 @@ mod tests {
         // A different attempt salts a different stream; the market
         // outcome (a function of the inputs) is unchanged regardless.
         pem.restore(cp.clone());
-        let r2 = pem.retry_window(&pop, 2, None).expect("attempt 2");
+        let r2 = pem
+            .retry_window(&pop, 2, FaultPlan::new())
+            .expect("attempt 2");
         assert_eq!(r1.kind, r2.kind);
         assert_eq!(r1.price.to_bits(), r2.price.to_bits());
         assert_eq!(r1.trades, r2.trades);
@@ -704,7 +627,9 @@ mod tests {
             .expect_err("dropped aggregation message aborts the window");
         assert!(err.is_retryable(), "transport fault must be retryable");
         pem.restore(cp);
-        let out = pem.retry_window(&pop, 1, None).expect("retry clears");
+        let out = pem
+            .retry_window(&pop, 1, FaultPlan::new())
+            .expect("retry clears");
         assert_eq!(out.kind, clean.kind);
         assert_eq!(out.price.to_bits(), clean.price.to_bits());
         assert_eq!(out.trades, clean.trades);

@@ -9,9 +9,11 @@
 //!
 //! The pool keeps one queue *per key in the directory* (a randomizer is
 //! bound to the modulus it was computed under), each fed by its own
-//! deterministic DRBG stream. Draw order under a given key is fixed by
-//! protocol order, so runs with the same seed *and the same
-//! configuration* (batch size included) are bit-identical — the
+//! sequential DRBG stream (label `pem-randpool`, seed `seed ^ (i << 24)`
+//! for key `i`): randomizer `j` under a key is draw `j` of that key's
+//! stream, whatever happens under the other keys. Draw order under a
+//! given key is fixed by protocol order, so runs with the same seed *and
+//! the same configuration* (batch size included) are bit-identical — the
 //! worker-count determinism the grid builds on. The batch size itself is
 //! part of that equivalence class: when the pool runs dry mid-window,
 //! [`encrypt_under`] falls back to on-line randomizer generation from
@@ -25,17 +27,28 @@
 //! per target key, mirroring how `KeyDirectory` centralizes key material
 //! to keep information flow explicit.
 //!
-//! Because the directory holds each key's factors, precompute takes the
-//! **owner's CRT fast lane** by default: every `r^n mod n²` runs as two
-//! half-width exponentiations mod `p²`/`q²` with Garner recombination
+//! Precompute has one lane,
+//! [`KeyDirectory::precompute_randomizers_for`]: because the directory
+//! holds each key's factors, every `r^n mod n²` runs as two half-width
+//! exponentiations mod `p²`/`q²` with Garner recombination
 //! ([`pem_crypto::paillier::PrivateKey::precompute_randomizers_crt`]) —
-//! bit-identical randomizers to the classic public-key path under the
-//! same DRBG stream, at roughly twice the throughput. This mirrors the
-//! deployment reality that the busiest pool is the one an agent keeps
-//! for *its own* key (every aggregation encrypts under the collector's
-//! key, and the collector precomputes for itself).
-//! [`RandomizerPool::with_owner_crt`] switches lanes for A/B
-//! measurement; outputs do not change.
+//! bit-identical randomizers to the public-key reference
+//! ([`PublicKey::precompute_randomizers`]) under the same DRBG stream,
+//! at roughly twice the throughput. This mirrors the deployment reality
+//! that the busiest pool is the one an agent keeps for *its own* key
+//! (every aggregation encrypts under the collector's key, and the
+//! collector precomputes for itself). A key without its factors takes
+//! the reference path; which one ran is observed from the key, never
+//! configured.
+//!
+//! Two refill policies, one caller each: [`RandomizerPool::refill`] tops
+//! every queue back up to the static batch and is what a
+//! [`Pem`](crate::Pem) window runs after Protocol 4;
+//! [`RandomizerPool::refill_adaptive`] scales each key's target to the
+//! demand observed since the last refill and is what the cross-shard
+//! coupling coordinator runs after each round (the draw rate under its
+//! single grid key grows with the shard count, which its configured
+//! batch does not know).
 
 use std::collections::VecDeque;
 
@@ -85,38 +98,14 @@ impl PoolStats {
     }
 }
 
-/// How a pool derives the DRBG randomness behind each precomputed
-/// randomizer.
-#[derive(Debug, Clone)]
-enum Streams {
-    /// One sequential DRBG per key: randomizer `j` under a key depends
-    /// on every earlier draw from that key's stream. The original mode —
-    /// kept as the default because existing seeds reproduce bit-for-bit.
-    Sequential(Vec<HashDrbg>),
-    /// One derived DRBG per *(key, slot)*: randomizer `j` under key `k`
-    /// is a pure function of `(seed, k, j)`, so batches can be split
-    /// across any number of worker threads and still come out
-    /// bit-identical (a different — equally uniform — sequence than
-    /// `Sequential`).
-    PerSlot {
-        seed: u64,
-        /// Next slot index to derive, per key (never reused).
-        next_slot: Vec<u64>,
-        /// Worker threads for batch precompute (1 = inline).
-        workers: usize,
-    },
-}
-
 /// A per-key pool of precomputed Paillier randomizers.
 #[derive(Debug, Clone)]
 pub struct RandomizerPool {
     queues: Vec<VecDeque<Randomizer>>,
-    streams: Streams,
+    /// One sequential DRBG per key: randomizer `j` under a key is draw
+    /// `j` of that key's stream.
+    streams: Vec<HashDrbg>,
     batch: usize,
-    /// Precompute `r^n` through the key owner's half-width CRT legs
-    /// (default) or the classic full-width public-key path — same bits
-    /// either way, ~2× apart in cost.
-    owner_crt: bool,
     stats: PoolStats,
     /// Draws attempted per key since the last refill (hits + misses) —
     /// the observed per-key demand the adaptive refill scales to.
@@ -126,67 +115,11 @@ pub struct RandomizerPool {
     dry: Vec<u64>,
 }
 
-/// Derives the independent DRBG stream of pool slot `(key, slot)`.
-fn slot_stream(seed: u64, key: usize, slot: u64) -> HashDrbg {
-    let mut label = Vec::with_capacity(33);
-    label.extend_from_slice(b"pem-randpool-slot");
-    label.extend_from_slice(&(key as u64).to_be_bytes());
-    label.extend_from_slice(&slot.to_be_bytes());
-    HashDrbg::from_seed_label(&label, seed)
-}
-
-/// Computes the randomizers for `jobs = [(key, slot), …]`, split over
-/// `workers` threads in contiguous chunks. Output order equals job
-/// order and every randomizer depends only on `(seed, key, slot)`, so
-/// the result is bit-identical at any worker count.
-fn precompute_slots(
-    keys: &KeyDirectory,
-    jobs: &[(usize, u64)],
-    seed: u64,
-    workers: usize,
-    owner_crt: bool,
-) -> Vec<Randomizer> {
-    let one = |&(key, slot): &(usize, u64)| {
-        let mut stream = slot_stream(seed, key, slot);
-        keys.precompute_randomizers_for(key, 1, &mut stream, owner_crt)
-            .pop()
-            .expect("one randomizer requested")
-    };
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(one).collect();
-    }
-    let chunk = jobs.len().div_ceil(workers.min(jobs.len()));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(one).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pool precompute worker panicked"))
-            .collect()
-    })
-}
-
 impl RandomizerPool {
     /// Builds a pool holding `batch` randomizers per directory key,
     /// deterministically derived from `seed` (independent of the
-    /// protocol RNG streams), using the sequential per-key streams.
+    /// protocol RNG streams).
     pub fn generate(keys: &KeyDirectory, batch: usize, seed: u64) -> RandomizerPool {
-        RandomizerPool::generate_with_lane(keys, batch, seed, true)
-    }
-
-    /// [`RandomizerPool::generate`] with an explicit precompute lane:
-    /// `true` rides the key owner's CRT fast path, `false` the classic
-    /// full-width public-key path — for the *whole* pool lifetime,
-    /// initial batch included. Pure cost dial; the randomizers are
-    /// bit-identical either way.
-    pub fn generate_with_lane(
-        keys: &KeyDirectory,
-        batch: usize,
-        seed: u64,
-        owner_crt: bool,
-    ) -> RandomizerPool {
         register_pool_counters();
         let n = keys.len();
         let streams = (0..n)
@@ -194,62 +127,8 @@ impl RandomizerPool {
             .collect();
         let mut pool = RandomizerPool {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
-            streams: Streams::Sequential(streams),
+            streams,
             batch,
-            owner_crt,
-            stats: PoolStats::default(),
-            draws: vec![0; n],
-            dry: vec![0; n],
-        };
-        pool.refill(keys);
-        pool
-    }
-
-    /// Selects the precompute lane for every *subsequent* refill (the
-    /// constructors fix the lane of the initial batch — use
-    /// [`RandomizerPool::generate_with_lane`] /
-    /// [`RandomizerPool::generate_parallel_with_lane`] to choose it end
-    /// to end). Pure cost dial — the randomizers are bit-identical.
-    #[must_use]
-    pub fn with_owner_crt(mut self, owner_crt: bool) -> RandomizerPool {
-        self.owner_crt = owner_crt;
-        self
-    }
-
-    /// Builds a pool whose precompute (initial batch and every refill)
-    /// is split over `workers` threads using per-slot DRBG streams: the
-    /// pooled randomizers — and hence every ciphertext they produce —
-    /// are bit-identical at any worker count.
-    pub fn generate_parallel(
-        keys: &KeyDirectory,
-        batch: usize,
-        seed: u64,
-        workers: usize,
-    ) -> RandomizerPool {
-        RandomizerPool::generate_parallel_with_lane(keys, batch, seed, workers, true)
-    }
-
-    /// [`RandomizerPool::generate_parallel`] with an explicit
-    /// precompute lane, applied from the initial batch onward (see
-    /// [`RandomizerPool::generate_with_lane`]).
-    pub fn generate_parallel_with_lane(
-        keys: &KeyDirectory,
-        batch: usize,
-        seed: u64,
-        workers: usize,
-        owner_crt: bool,
-    ) -> RandomizerPool {
-        register_pool_counters();
-        let n = keys.len();
-        let mut pool = RandomizerPool {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            streams: Streams::PerSlot {
-                seed,
-                next_slot: vec![0; n],
-                workers: workers.max(1),
-            },
-            batch,
-            owner_crt,
             stats: PoolStats::default(),
             draws: vec![0; n],
             dry: vec![0; n],
@@ -309,43 +188,12 @@ impl RandomizerPool {
         assert_eq!(keys.len(), self.queues.len(), "key directory size changed");
         let refill_span = pem_telemetry::Span::enter("pool/refill", "pool");
         let mut generated = 0;
-        match &mut self.streams {
-            Streams::Sequential(streams) => {
-                for (i, queue) in self.queues.iter_mut().enumerate() {
-                    let missing = targets[i].saturating_sub(queue.len());
-                    if missing > 0 {
-                        let fresh = keys.precompute_randomizers_for(
-                            i,
-                            missing,
-                            &mut streams[i],
-                            self.owner_crt,
-                        );
-                        generated += fresh.len();
-                        queue.extend(fresh);
-                    }
-                }
-            }
-            Streams::PerSlot {
-                seed,
-                next_slot,
-                workers,
-            } => {
-                // Assign each missing entry its (key, slot) coordinate up
-                // front; the precompute itself can then land on any
-                // thread without affecting a single output bit.
-                let mut jobs = Vec::new();
-                for (i, queue) in self.queues.iter().enumerate() {
-                    let missing = targets[i].saturating_sub(queue.len());
-                    for _ in 0..missing {
-                        jobs.push((i, next_slot[i]));
-                        next_slot[i] += 1;
-                    }
-                }
-                let fresh = precompute_slots(keys, &jobs, *seed, *workers, self.owner_crt);
-                generated = fresh.len();
-                for ((key, _), r) in jobs.iter().zip(fresh) {
-                    self.queues[*key].push_back(r);
-                }
+        for (i, queue) in self.queues.iter_mut().enumerate() {
+            let missing = targets[i].saturating_sub(queue.len());
+            if missing > 0 {
+                let fresh = keys.precompute_randomizers_for(i, missing, &mut self.streams[i]);
+                generated += fresh.len();
+                queue.extend(fresh);
             }
         }
         for i in 0..self.queues.len() {
@@ -527,90 +375,35 @@ mod tests {
     }
 
     #[test]
-    fn owner_crt_lane_is_bit_identical_to_classic() {
-        // Same seed, owner-CRT fast lane vs classic public-key lane:
-        // every randomizer ever drawn must be identical, across the
-        // initial batch and refills, on both stream modes.
+    fn pool_matches_the_public_key_reference_lane() {
+        // The pool's one lane (owner CRT, since generated keys hold
+        // their factors) must hand out exactly what the public-key
+        // reference computes on the same per-key stream — across the
+        // initial batch and a refill.
         let keys = directory();
-        let mut fast = RandomizerPool::generate_with_lane(&keys, 2, 7, true);
-        let mut slow = RandomizerPool::generate_with_lane(&keys, 2, 7, false);
+        let (batch, seed) = (2usize, 7u64);
+        let mut pool = RandomizerPool::generate(&keys, batch, seed);
+        let mut reference: Vec<HashDrbg> = (0..keys.len())
+            .map(|i| HashDrbg::from_seed_label(b"pem-randpool", seed ^ ((i as u64) << 24)))
+            .collect();
         for round in 0..2 {
-            for key in 0..keys.len() {
-                for draw in 0..2 {
+            for (key, stream) in reference.iter_mut().enumerate() {
+                assert!(keys.keypair(key).private().has_crt());
+                for (draw, expected) in keys
+                    .public(key)
+                    .precompute_randomizers(batch, stream)
+                    .into_iter()
+                    .enumerate()
+                {
                     assert_eq!(
-                        fast.take(key),
-                        slow.take(key),
+                        pool.take(key),
+                        Some(expected),
                         "round {round} key {key} draw {draw}"
                     );
                 }
             }
-            assert_eq!(fast.refill(&keys), slow.refill(&keys));
+            assert_eq!(pool.refill(&keys), batch * keys.len());
         }
-        let mut fast = RandomizerPool::generate_parallel_with_lane(&keys, 2, 7, 2, true);
-        let mut slow = RandomizerPool::generate_parallel_with_lane(&keys, 2, 7, 2, false);
-        for key in 0..keys.len() {
-            let _ = (fast.take(key), slow.take(key));
-        }
-        assert_eq!(fast.refill(&keys), slow.refill(&keys));
-        for key in 0..keys.len() {
-            for _ in 0..2 {
-                assert_eq!(fast.take(key), slow.take(key), "per-slot key {key}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_pool_is_worker_count_invariant() {
-        // Same seed, 1 vs 4 workers: every queue must hold bit-identical
-        // randomizers, through generation, draws and adaptive refills.
-        let keys = directory();
-        let mut a = RandomizerPool::generate_parallel(&keys, 3, 21, 1);
-        let mut b = RandomizerPool::generate_parallel(&keys, 3, 21, 4);
-        for key in 0..keys.len() {
-            assert_eq!(a.available(key), 3);
-            for _ in 0..3 {
-                assert_eq!(a.take(key), b.take(key), "key {key}");
-            }
-        }
-        // Refill (all queues dry) and compare the next generation too.
-        assert_eq!(a.refill(&keys), b.refill(&keys));
-        for key in 0..keys.len() {
-            assert_eq!(a.take(key), b.take(key), "post-refill key {key}");
-        }
-        // Adaptive refill sees identical demand counters → same targets.
-        assert_eq!(a.refill_adaptive(&keys), b.refill_adaptive(&keys));
-        for key in 0..keys.len() {
-            assert_eq!(a.available(key), b.available(key));
-            assert_eq!(a.take(key), b.take(key), "post-adaptive key {key}");
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn parallel_pool_slots_never_repeat() {
-        // Consecutive refills must keep advancing the slot counters:
-        // no randomizer (and hence no `r`) is ever handed out twice.
-        let keys = directory();
-        let mut pool = RandomizerPool::generate_parallel(&keys, 2, 5, 2);
-        let mut seen = Vec::new();
-        for _ in 0..3 {
-            while let Some(r) = pool.take(0) {
-                assert!(!seen.contains(&r), "randomizer reuse");
-                seen.push(r);
-            }
-            pool.refill(&keys);
-        }
-        assert_eq!(seen.len(), 6);
-    }
-
-    #[test]
-    fn parallel_pooled_ciphertexts_decrypt() {
-        let keys = directory();
-        let mut pool = Some(RandomizerPool::generate_parallel(&keys, 2, 9, 4));
-        let mut rng = HashDrbg::new(b"par-fallback");
-        let m = BigUint::from(4321u64);
-        let c = encrypt_under(keys.public(2), 2, &m, &mut pool, &mut rng).expect("pooled");
-        assert_eq!(keys.keypair(2).private().decrypt(&c), m);
     }
 
     #[test]

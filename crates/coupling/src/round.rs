@@ -193,14 +193,8 @@ impl CouplingCoordinator {
         cfg.validate()?;
         let grid_seed = seed ^ 0xC0_0B_11_46_0C_0A_57_A1;
         let keys = KeyDirectory::generate(1, cfg.key_bits, grid_seed)?;
-        // The coordinator owns the grid key, so pool precompute rides
-        // the owner-CRT fast lane (half-width `r^n` legs; bit-identical
-        // randomizers) — the directory wires it up by default.
-        let pool = if cfg.randomizer_pool > 0 {
-            Some(keys.randomizer_pool(cfg.randomizer_pool, grid_seed))
-        } else {
-            None
-        };
+        let pool = (cfg.randomizer_pool > 0)
+            .then(|| RandomizerPool::generate(&keys, cfg.randomizer_pool, grid_seed));
         let rng = HashDrbg::from_seed_label(b"pem-coupling", seed);
         Ok(CouplingCoordinator {
             cfg,

@@ -112,11 +112,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan schedules any fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Consults and applies the plan to one outgoing message — the whole
     /// fault pipeline as a single call, usable by *any*
     /// [`Transport`](crate::Transport) implementation (the built-in

@@ -1,6 +1,6 @@
 //! Channel-backed mesh fabric with per-link latency models.
 //!
-//! [`MeshTransport`] is the second [`Transport`](crate::Transport)
+//! [`MeshTransport`] is the second [`Transport`]
 //! implementation: messages genuinely flow through crossbeam channels
 //! (one per recipient), while accounting, clocks and faults are the
 //! same send pipeline `SimNetwork` runs, behind one shared `parking_lot`

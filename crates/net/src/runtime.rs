@@ -3,7 +3,7 @@
 //! Docker containers.
 //!
 //! Since the `Transport` redesign this module is a thin veneer over
-//! [`MeshTransport`](crate::MeshTransport): [`build_fabric`] splits a
+//! [`MeshTransport`]: [`build_fabric`] splits a
 //! zero-latency mesh into per-party endpoints, and [`run_parties`] drives
 //! any endpoint type on one thread each. Every send runs the mesh's
 //! shared pipeline, so the measurement surface matches the sequential

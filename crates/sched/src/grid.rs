@@ -98,17 +98,11 @@ pub struct RetryPolicy {
     /// Re-executions after the initial attempt (`0` = quarantine on the
     /// first failure).
     pub max_attempts: u32,
-    /// Wall-clock pause between attempts, in milliseconds. Never
-    /// touches the virtual clocks, so fingerprints are unaffected.
-    pub backoff_ms: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_ms: 0,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -133,8 +127,9 @@ pub struct ChaosSpec {
     pub window: Option<u64>,
 }
 
-/// The fault plan a shard's `attempt` of grid `window` runs under.
-fn chaos_plan(specs: &[ChaosSpec], shard: usize, window: u64, attempt: u32) -> Option<FaultPlan> {
+/// The fault plan a shard's `attempt` of grid `window` runs under
+/// (empty when no spec matches).
+fn chaos_plan(specs: &[ChaosSpec], shard: usize, window: u64, attempt: u32) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for spec in specs {
         if spec.shard == shard
@@ -144,7 +139,7 @@ fn chaos_plan(specs: &[ChaosSpec], shard: usize, window: u64, attempt: u32) -> O
             plan = plan.inject(spec.label, spec.nth, spec.kind);
         }
     }
-    (!plan.is_empty()).then_some(plan)
+    plan
 }
 
 /// Configuration of a sharded grid.
@@ -158,9 +153,10 @@ pub struct GridConfig {
     /// tens to low hundreds; protocol cost grows superlinearly).
     pub coalition_size: usize,
     /// Worker threads running coalition windows (and key generation).
-    /// Under [`Engine::Fabric`] the protocol phase runs on one thread;
-    /// `workers` still parallelizes key generation and randomizer-pool
-    /// precompute.
+    /// Under [`Engine::Fabric`] the protocol phase — between-window
+    /// pool refills included — runs on one thread; `workers` still
+    /// parallelizes shard setup (key generation and each coalition's
+    /// initial randomizer batch, one coalition per job).
     pub workers: usize,
     /// Execution engine for the window's coalition jobs.
     pub engine: Engine,
@@ -244,9 +240,6 @@ fn retry_shard(
             break;
         }
         pem.restore(cp.clone());
-        if retry.backoff_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(retry.backoff_ms));
-        }
         RETRIES.incr();
         let span = Span::enter("grid/retry", "fault");
         let result = pem.retry_window(data, attempt, chaos_plan(specs, shard, window, attempt));
@@ -315,10 +308,7 @@ fn run_shard_window(
     probe: bool,
 ) -> ShardRun {
     let cp = pem.checkpoint();
-    let first = match chaos_plan(specs, shard, window, 0) {
-        Some(plan) => pem.run_window_with_faults(data, plan),
-        None => pem.run_window(data),
-    };
+    let first = pem.run_window_with_faults(data, chaos_plan(specs, shard, window, 0));
     settle_attempt(pem, data, cp, first, specs, shard, window, retry, probe)
 }
 
@@ -556,25 +546,23 @@ impl GridOrchestrator {
     ///
     /// # Errors
     ///
-    /// Settlement-contract violations or orchestrator-state faults
-    /// (coalition *protocol* failures surface as
+    /// [`SchedError::Config`] if `population` length changes between
+    /// windows (coalition membership and keys are fixed after the first
+    /// window); settlement-contract violations or orchestrator-state
+    /// faults (coalition *protocol* failures surface as
     /// [`CoalitionStatus::Quarantined`] instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `population` length changes between windows (coalition
-    /// membership and keys are fixed after the first window).
     pub fn run_window(&mut self, population: &[AgentWindow]) -> Result<GridReport, SchedError> {
         register_fault_metrics();
         self.form_shards(population)?;
         let expected = self
             .population
             .ok_or(SchedError::State("population recorded by form_shards"))?;
-        assert_eq!(
-            population.len(),
-            expected,
-            "population size changed between windows"
-        );
+        if population.len() != expected {
+            return Err(SchedError::Config(format!(
+                "population size changed between windows: {} agents, expected {expected}",
+                population.len()
+            )));
+        }
         // Persistent-imbalance feedback: re-carve chronically lopsided
         // coalitions before dispatching the window.
         let repartitioned = self.maybe_repartition(population)?;
@@ -1145,10 +1133,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "population size changed")]
-    fn population_resize_panics() {
+    fn population_resize_is_a_config_error() {
         let mut grid = GridOrchestrator::new(config(1)).expect("grid");
         grid.run_window(&population(8)).expect("w1");
-        let _ = grid.run_window(&population(10));
+        let err = grid
+            .run_window(&population(10))
+            .expect_err("ten agents for eight");
+        assert!(matches!(err, SchedError::Config(_)), "got {err:?}");
+        // The rejected call left the orchestrator intact: a correctly
+        // sized window still runs and settles.
+        let report = grid.run_window(&population(8)).expect("w2");
+        assert_eq!(report.agents, 8);
+        assert!(grid.ledger().validate().is_ok());
     }
 }

@@ -24,10 +24,7 @@ fn grid_config(engine: Engine, workers: usize) -> GridConfig {
         engine,
         strategy: PartitionStrategy::SurplusBalanced,
         coupling: None,
-        retry: RetryPolicy {
-            max_attempts: 1,
-            backoff_ms: 0,
-        },
+        retry: RetryPolicy { max_attempts: 1 },
     }
 }
 

@@ -116,25 +116,6 @@ fn different_seeds_change_the_fingerprint() {
 }
 
 #[test]
-fn parallel_pool_reports_identical_at_any_worker_count() {
-    // The per-slot randomizer pool precomputes on its own worker pool;
-    // neither those workers nor the grid's shard workers may change a
-    // report bit.
-    let data = day(1, 30);
-    let run = |grid_workers: usize, pool_workers: usize| {
-        let mut cfg = grid_config(grid_workers, PartitionStrategy::SurplusBalanced);
-        cfg.pem = cfg.pem.with_pool_workers(pool_workers);
-        let mut grid = GridOrchestrator::new(cfg).expect("grid");
-        grid.run_window(&data[0]).expect("window")
-    };
-    let base = run(1, 1);
-    for (gw, pw) in [(1usize, 4usize), (4, 1), (4, 4), (8, 2)] {
-        let other = run(gw, pw);
-        assert_reports_identical(&base, &other, &format!("grid={gw} pool={pw}"));
-    }
-}
-
-#[test]
 fn pool_disabled_changes_crypto_but_not_market_outcomes() {
     // The randomizer pool amortizes encryption; prices, trades and
     // message counts must be unchanged by it.

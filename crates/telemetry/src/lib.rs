@@ -94,7 +94,7 @@ pub struct Event {
 /// modelled delivery time after propagation and ingress serialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MsgEvent {
-    /// Transport-instance id ([`Transport::fabric_id`] in `pem-net`):
+    /// Transport-instance id (`Transport::fabric_id` in `pem-net`):
     /// scopes events when several fabrics record concurrently into the
     /// one process-global buffer. `0` means unattributed.
     pub fabric: u64,

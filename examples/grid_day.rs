@@ -149,7 +149,6 @@ fn main() {
         coupling,
         retry: RetryPolicy {
             max_attempts: retries,
-            backoff_ms: 0,
         },
     })
     .expect("grid configuration");
