@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pem_bignum::BigUint;
+use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::{run_local_ot, DhGroup};
+use pem_crypto::ot::run_local_ot;
 use pem_crypto::paillier::Keypair;
 use pem_crypto::sha256;
 
@@ -52,13 +53,17 @@ fn keygen(c: &mut Criterion) {
 
 fn oblivious_transfer(c: &mut Criterion) {
     let mut group = c.benchmark_group("ot");
-    for (name, g) in [
-        ("test192", DhGroup::test_192()),
-        ("modp1024", DhGroup::modp_1024()),
+    // The group comes from the profile per call, as `run_compare`
+    // obtains it.
+    for (name, profile) in [
+        ("test192", OtProfile::Test192),
+        ("modp1024", OtProfile::Modp1024),
     ] {
         let mut rng = HashDrbg::from_seed_label(b"bench-ot", 0);
         group.bench_function(name, |b| {
-            b.iter(|| run_local_ot(&g, &[0u8; 16], &[1u8; 16], true, &mut rng).expect("ot"))
+            b.iter(|| {
+                run_local_ot(&profile.group(), &[0u8; 16], &[1u8; 16], true, &mut rng).expect("ot")
+            })
         });
     }
     group.finish();

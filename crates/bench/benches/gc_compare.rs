@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pem_circuit::compare::secure_less_than_local;
 use pem_circuit::garble::{eval_garbled, garble, select_input_labels};
 use pem_circuit::{comparator_circuit, u128_to_bits};
+use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::DhGroup;
 
 fn garbling_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("garble_comparator");
@@ -41,11 +41,16 @@ fn evaluation_cost(c: &mut Criterion) {
 fn full_comparison_with_ot(c: &mut Criterion) {
     let mut group = c.benchmark_group("secure_compare_2pc");
     group.sample_size(10);
-    let dh = DhGroup::test_192();
+    // The group comes from the profile per comparison, as `run_compare`
+    // obtains it.
+    let profile = OtProfile::Test192;
     for &width in &[16usize, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, &width| {
             let mut rng = HashDrbg::from_seed_label(b"bench-2pc", width as u64);
-            b.iter(|| secure_less_than_local(1000, 2000, width, &dh, &mut rng).expect("compare"))
+            b.iter(|| {
+                secure_less_than_local(1000, 2000, width, &profile.group(), &mut rng)
+                    .expect("compare")
+            })
         });
     }
     group.finish();

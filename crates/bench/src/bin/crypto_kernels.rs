@@ -8,7 +8,12 @@
 //! against its unfused `mul_plain` + `add_plain` chain and the
 //! power-of-two squaring path), raw vs comb fixed-base exponentiation,
 //! and decryption on both the CRT fast path and the classic full-width
-//! path (the pre-overhaul kernel, kept as the speedup baseline).
+//! path (the pre-overhaul kernel, kept as the speedup baseline). After
+//! the key-size entries come the comparison rows, one entry per OT group
+//! (`test192`, `modp1024`): `ot_single` (one 1-of-2 OT) and `compare_64`
+//! (Protocol 2's whole 64-bit garbled comparison), each on a group
+//! obtained the way `run_compare` obtains it — `OtProfile::group()` per
+//! call.
 //!
 //! ```text
 //! cargo run --release -p pem-bench --bin crypto_kernels -- \
@@ -16,7 +21,8 @@
 //! ```
 //!
 //! Output: one JSON *trajectory run* (`{"run": …, "entries": […]}`, an
-//! entry per key size) followed by a human-readable table. CI runs a
+//! entry per key size, then one per OT group) followed by a
+//! human-readable table. CI runs a
 //! reduced smoke sweep and uploads the JSON; `BENCH_crypto.json` at the
 //! repo root pins the committed trajectory — an array of such runs, one
 //! per engine generation.
@@ -25,7 +31,10 @@ use std::time::Instant;
 
 use pem_bench::Args;
 use pem_bignum::{BigUint, Montgomery};
+use pem_circuit::compare::secure_less_than_local;
+use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
+use pem_crypto::ot::run_local_ot;
 use pem_crypto::paillier::{Ciphertext, Keypair, PrivateKey, PublicKey, Randomizer};
 
 /// One measured kernel: mean latency and throughput.
@@ -301,29 +310,68 @@ fn bench_size(bits: usize, min_time_ms: u64) -> SizeReport {
     }
 }
 
-fn json(label: &str, reports: &[SizeReport]) -> String {
-    let mut out = format!("{{\"run\": \"{label}\", \"entries\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"key_bits\": {}, \"keygen_ms\": {:.1}, ",
-            r.key_bits, r.keygen_ms
-        ));
-        for k in &r.kernels {
-            out.push_str(&format!(
-                "\"{}_ops_per_s\": {:.1}, \"{}_mean_us\": {:.1}, ",
+/// The comparison rows at one OT group.
+struct GroupReport {
+    group: &'static str,
+    kernels: Vec<Kernel>,
+}
+
+fn bench_group(group: &'static str, profile: OtProfile, min_time_ms: u64) -> GroupReport {
+    let mut rng = HashDrbg::from_seed_label(b"crypto-kernels-ot", profile as u64);
+    let mut kernels = Vec::new();
+    kernels.push(measure("ot_single", min_time_ms, |i| {
+        let _ = run_local_ot(
+            &profile.group(),
+            &[0u8; 16],
+            &[1u8; 16],
+            i % 2 == 0,
+            &mut rng,
+        )
+        .expect("ot");
+    }));
+    kernels.push(measure("compare_64", min_time_ms, |i| {
+        let (a, b) = (1_000 + i as u128, 2_000);
+        let _ = secure_less_than_local(a, b, 64, &profile.group(), &mut rng).expect("compare");
+    }));
+    GroupReport { group, kernels }
+}
+
+fn kernel_fields(kernels: &[Kernel]) -> Vec<String> {
+    kernels
+        .iter()
+        .map(|k| {
+            format!(
+                "\"{}_ops_per_s\": {:.1}, \"{}_mean_us\": {:.1}",
                 k.name, k.ops_per_s, k.name, k.mean_us
-            ));
-        }
-        let tail: Vec<String> = r
-            .speedups
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v:.2}"))
-            .collect();
-        out.push_str(&tail.join(", "));
-        out.push_str(if i + 1 < reports.len() { "},\n" } else { "}\n" });
+            )
+        })
+        .collect()
+}
+
+fn json(label: &str, reports: &[SizeReport], groups: &[GroupReport]) -> String {
+    let mut entries = Vec::new();
+    for r in reports {
+        let mut fields = vec![
+            format!("\"key_bits\": {}", r.key_bits),
+            format!("\"keygen_ms\": {:.1}", r.keygen_ms),
+        ];
+        fields.extend(kernel_fields(&r.kernels));
+        fields.extend(
+            r.speedups
+                .iter()
+                .map(|(name, v)| format!("\"{name}\": {v:.2}")),
+        );
+        entries.push(format!("  {{{}}}", fields.join(", ")));
     }
-    out.push_str("]}");
-    out
+    for g in groups {
+        let mut fields = vec![format!("\"ot_group\": \"{}\"", g.group)];
+        fields.extend(kernel_fields(&g.kernels));
+        entries.push(format!("  {{{}}}", fields.join(", ")));
+    }
+    format!(
+        "{{\"run\": \"{label}\", \"entries\": [\n{}\n]}}",
+        entries.join(",\n")
+    )
 }
 
 fn main() {
@@ -333,8 +381,12 @@ fn main() {
     let label = args.get_str("run-label", "dev");
 
     let reports: Vec<SizeReport> = bits.iter().map(|&b| bench_size(b, min_time_ms)).collect();
+    let groups = [
+        bench_group("test192", OtProfile::Test192, min_time_ms),
+        bench_group("modp1024", OtProfile::Modp1024, min_time_ms),
+    ];
 
-    println!("{}", json(&label, &reports));
+    println!("{}", json(&label, &reports, &groups));
     println!();
     println!("key_bits  kernel                  ops/s        mean");
     for r in &reports {
@@ -346,6 +398,14 @@ fn main() {
         }
         for (name, v) in &r.speedups {
             println!("{:>8}  {:<22} {:>10.2}x", r.key_bits, name, v);
+        }
+    }
+    for g in &groups {
+        for k in &g.kernels {
+            println!(
+                "{:>8}  {:<22} {:>10.1}  {:>8.1}µs",
+                g.group, k.name, k.ops_per_s, k.mean_us
+            );
         }
     }
 }

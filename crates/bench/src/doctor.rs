@@ -4,8 +4,9 @@
 //! Three artifact families are watched:
 //!
 //! * **`BENCH_crypto.json`** — labelled trajectory runs of the Paillier
-//!   kernel benchmarks. Two runs are compared metric-by-metric (every
-//!   shared `*_mean_us` / `keygen_ms` figure, matched by `key_bits`;
+//!   kernel benchmarks and the OT/comparison rows. Two runs are compared
+//!   metric-by-metric (every shared `*_mean_us` / `keygen_ms` figure,
+//!   matched by `key_bits` or, for the comparison rows, by `ot_group`;
 //!   lower is better) against a relative threshold.
 //! * **`BENCH_topology.json`** — the aggregation-topology ablation.
 //!   Structural invariants rather than run pairs: the fan-in-bounded
@@ -148,22 +149,34 @@ fn run_entries(run: &Json) -> &[Json] {
     run.get("entries").and_then(Json::as_array).unwrap_or(&[])
 }
 
-/// The entry of `run` at `key_bits`, if any.
-fn entry_at(run: &Json, key_bits: f64) -> Option<&Json> {
+/// What an entry is matched on across runs: its Paillier `key_bits`, or
+/// the `ot_group` name of the OT/comparison rows.
+fn entry_id(entry: &Json) -> Option<String> {
+    match entry.get("key_bits").and_then(Json::as_f64) {
+        Some(bits) => Some(format!("{}", bits as u64)),
+        None => entry
+            .get("ot_group")
+            .and_then(Json::as_str)
+            .map(String::from),
+    }
+}
+
+/// The entry of `run` with identity `id`, if any.
+fn entry_at<'a>(run: &'a Json, id: &str) -> Option<&'a Json> {
     run_entries(run)
         .iter()
-        .find(|e| e.get("key_bits").and_then(Json::as_f64) == Some(key_bits))
+        .find(|e| entry_id(e).as_deref() == Some(id))
 }
 
 /// Metrics two runs can be compared on: shared comparable keys over
-/// shared `key_bits`.
-fn shared_metrics<'a>(a: &'a Json, b: &'a Json) -> Vec<(f64, String)> {
+/// shared entries, as `(entry id, key)`.
+fn shared_metrics(a: &Json, b: &Json) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for ea in run_entries(a) {
-        let Some(bits) = ea.get("key_bits").and_then(Json::as_f64) else {
+        let Some(id) = entry_id(ea) else {
             continue;
         };
-        let Some(eb) = entry_at(b, bits) else {
+        let Some(eb) = entry_at(b, &id) else {
             continue;
         };
         let Some(obj) = ea.as_object() else {
@@ -171,7 +184,7 @@ fn shared_metrics<'a>(a: &'a Json, b: &'a Json) -> Vec<(f64, String)> {
         };
         for key in obj.keys() {
             if comparable(key) && eb.get(key).and_then(Json::as_f64).is_some() {
-                out.push((bits, key.clone()));
+                out.push((id.clone(), key.clone()));
             }
         }
     }
@@ -241,16 +254,16 @@ pub fn crypto_checks(
     }
     let checks = metrics
         .into_iter()
-        .map(|(bits, key)| {
-            let b = entry_at(base, bits)
+        .map(|(id, key)| {
+            let b = entry_at(base, &id)
                 .and_then(|e| e.get(&key))
                 .and_then(Json::as_f64)
                 .expect("shared metric present in baseline");
-            let c = entry_at(cur, bits)
+            let c = entry_at(cur, &id)
                 .and_then(|e| e.get(&key))
                 .and_then(Json::as_f64)
                 .expect("shared metric present in current");
-            Check::compare(format!("crypto/{}/{key}", bits as u64), b, c, threshold)
+            Check::compare(format!("crypto/{id}/{key}"), b, c, threshold)
         })
         .collect();
     Ok((base_label, cur_label, checks))
@@ -632,15 +645,23 @@ mod tests {
         let t = trajectory(
             "[{\"run\":\"a\",\"entries\":[\
                 {\"key_bits\":512,\"x_mean_us\":10,\"keygen_ms\":5,\"x_ops_per_s\":99},\
-                {\"key_bits\":1024,\"x_mean_us\":40}]},\
+                {\"key_bits\":1024,\"x_mean_us\":40},\
+                {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":600}]},\
               {\"run\":\"b\",\"entries\":[\
                 {\"key_bits\":512,\"x_mean_us\":30,\"keygen_ms\":5.1},\
-                {\"key_bits\":1024,\"x_mean_us\":39}]}]",
+                {\"key_bits\":1024,\"x_mean_us\":39},\
+                {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":130},\
+                {\"ot_group\":\"test192\",\"compare_64_mean_us\":7}]}]",
         );
         let (base, cur, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
         assert_eq!((base.as_str(), cur.as_str()), ("a", "b"));
-        // ops_per_s is not a latency metric; three shared figures remain.
-        assert_eq!(checks.len(), 3);
+        // ops_per_s is not a latency metric and `test192` has no
+        // baseline entry; four shared figures remain, the comparison row
+        // matched by its OT group.
+        assert_eq!(checks.len(), 4);
+        assert!(checks
+            .iter()
+            .any(|c| c.name == "crypto/modp1024/compare_64_mean_us" && !c.regressed));
         let x512 = checks
             .iter()
             .find(|c| c.name == "crypto/512/x_mean_us")

@@ -32,6 +32,10 @@ static MODPOW_OPS: Counter = Counter::new();
 static POW_MUL_OPS: Counter = Counter::new();
 static MULTI_MODPOW_OPS: Counter = Counter::new();
 static FIXED_BASE_OPS: Counter = Counter::new();
+/// Comb-table *builds* (each ≈ one ladder plus the table products): a
+/// per-operation build is a regression, so tests pin this at zero for
+/// steady-state windows.
+static FIXED_BASE_BUILDS: Counter = Counter::new();
 
 fn register_kernel_counters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -40,6 +44,7 @@ fn register_kernel_counters() {
         pem_telemetry::register_counter("crypto/pow_mul", &POW_MUL_OPS);
         pem_telemetry::register_counter("crypto/multi_modpow", &MULTI_MODPOW_OPS);
         pem_telemetry::register_counter("crypto/fixed_base_pow", &FIXED_BASE_OPS);
+        pem_telemetry::register_counter("bignum/fixed_base_builds", &FIXED_BASE_BUILDS);
     });
 }
 
@@ -658,6 +663,7 @@ impl Montgomery {
     /// full-width exponentiation plus the table multiplications; every
     /// [`FixedBasePow::pow`] after that skips the square chain entirely.
     pub fn fixed_base_table(&self, base: &BigUint, max_bits: usize) -> FixedBasePow {
+        FIXED_BASE_BUILDS.incr();
         // Width 4 keeps the table compact (15 entries per window) while
         // cutting the per-pow multiplication count to bits/4; going wider
         // pays off only past ~10^4 reuses, which no caller reaches.

@@ -62,7 +62,8 @@ pub struct CompareGarbler {
 
 impl CompareGarbler {
     /// Starts a comparison of `width`-bit values; the garbler contributes
-    /// `value` as the left operand of `a < b`.
+    /// `value` as the left operand of `a < b`. Each of the `width` OT
+    /// senders holds a handle to `group`'s shared context, not a copy.
     ///
     /// # Errors
     ///

@@ -25,7 +25,9 @@ pub enum OtProfile {
 }
 
 impl OtProfile {
-    /// Materializes the group.
+    /// A handle to the profile's process-wide group context: the prime
+    /// is parsed once and the generator's comb table built once per
+    /// process (on the first `g^x`), however often this is called.
     pub fn group(self) -> DhGroup {
         match self {
             OtProfile::Test192 => DhGroup::test_192(),

@@ -318,7 +318,9 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
 
 /// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`
 /// evaluates. Two-party and strictly request/response, so it runs
-/// inline (blocking) even under the fabric engine.
+/// inline (blocking) even under the fabric engine. The OT group is a
+/// handle to the profile's shared context, so all `2 · compare_bits` OT
+/// instances (and every later window) ride one generator table.
 pub(crate) fn run_compare<T: Transport>(
     net: &mut T,
     cfg: &PemConfig,

@@ -1,0 +1,111 @@
+//! Regression guard: the OT group context is built once per process,
+//! not once per OT instance.
+//!
+//! `OtProfile::group()` hands out handles to one shared context per
+//! built-in group, so after the first comparison has paid for the
+//! generator's comb table no later trading window or comparison builds
+//! another one, and each comparison costs exactly two ladders and three
+//! table exponentiations per compared bit.
+//!
+//! Everything lives in ONE `#[test]` because the telemetry collector and
+//! its counters are process global: parallel tests would race on them.
+
+use pem_bignum::BigUint;
+use pem_circuit::compare::secure_less_than_local;
+use pem_core::{OtProfile, Pem, PemConfig};
+use pem_crypto::drbg::HashDrbg;
+use pem_market::AgentWindow;
+use pem_telemetry as telemetry;
+
+fn counter(name: &str) -> u64 {
+    telemetry::counter_snapshot()
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("counter {name} is not registered"))
+}
+
+/// `(modpow, fixed_base_pow, fixed_base_builds)`.
+fn kernel_counts() -> (u64, u64, u64) {
+    (
+        counter("crypto/modpow"),
+        counter("crypto/fixed_base_pow"),
+        counter("bignum/fixed_base_builds"),
+    )
+}
+
+fn window_data() -> Vec<AgentWindow> {
+    vec![
+        AgentWindow::new(0, 3.0, 0.5, 0.0, 0.9, 25.0),
+        AgentWindow::new(1, 2.0, 0.5, 0.0, 0.9, 30.0),
+        AgentWindow::new(2, 0.0, 4.0, 0.0, 0.9, 22.0),
+        AgentWindow::new(3, 0.0, 5.0, 0.0, 0.9, 28.0),
+    ]
+}
+
+#[test]
+fn steady_state_windows_and_comparisons_build_no_tables() {
+    assert!(telemetry::install());
+    for profile in [OtProfile::Test192, OtProfile::Modp1024] {
+        let cfg = PemConfig {
+            ot_profile: profile,
+            ..PemConfig::fast_test()
+        };
+        let width = cfg.compare_bits as u64;
+        let group = profile.group();
+        let mut rng = HashDrbg::new(b"ot-group-context");
+
+        // The first comparison may build the context; the second must
+        // find it warm, through a *fresh* handle.
+        assert!(secure_less_than_local(5, 9, cfg.compare_bits, &group, &mut rng).expect("compare"));
+        let before = kernel_counts();
+        let fresh = profile.group();
+        assert!(
+            !secure_less_than_local(9, 5, cfg.compare_bits, &fresh, &mut rng).expect("compare")
+        );
+        let after = kernel_counts();
+        assert_eq!(
+            after.2, before.2,
+            "{profile:?}: a comparison rebuilt a comb table"
+        );
+        // Per compared bit: the ladders B^a and A^b; the table serves
+        // g^a, g^b and g^(−a²).
+        assert_eq!(
+            after.0 - before.0,
+            2 * width,
+            "{profile:?}: ladders per comparison"
+        );
+        assert_eq!(
+            after.1 - before.1,
+            3 * width,
+            "{profile:?}: table pows per comparison"
+        );
+
+        // A full-width exponent (anything reduced mod p − 1) is served
+        // from the table, not the ladder fallback.
+        let full_width = group.p() - &BigUint::one();
+        assert_eq!(full_width.bit_length(), group.p().bit_length());
+        let before = kernel_counts();
+        assert_eq!(group.pow_g(&full_width), BigUint::one());
+        let after = kernel_counts();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+            (0, 1, 0),
+            "{profile:?}: pow_g fell back to the ladder"
+        );
+
+        // Trading windows: whatever the first one builds, the second
+        // builds nothing.
+        let data = window_data();
+        let mut pem = Pem::new(cfg, data.len()).expect("setup");
+        pem.run_window(&data).expect("first window");
+        let before = kernel_counts();
+        pem.run_window(&data).expect("second window");
+        let after = kernel_counts();
+        assert_eq!(
+            after.2, before.2,
+            "{profile:?}: a trading window rebuilt a comb table"
+        );
+    }
+    telemetry::uninstall();
+}

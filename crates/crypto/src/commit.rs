@@ -66,7 +66,7 @@ impl PedersenParams {
         }
     }
 
-    /// The cached comb table for `h`, sized like the group's `g` table.
+    /// The cached comb table for `h`, sized for subgroup exponents.
     fn h_table(&self) -> &Arc<FixedBasePow> {
         self.h_table
             .get_or_init(|| Arc::new(self.group.fixed_base_table(&self.h)))

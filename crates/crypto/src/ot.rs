@@ -16,6 +16,9 @@
 //! Receiver:          k_c = H(A^b) → m_c = e_c ⊕ KDF(k_c)
 //! ```
 //!
+//! The sender computes `(B/A)^a` as `B^a · g^(−a²)`: one ladder per OT,
+//! every `g^x` off the group's shared comb table.
+//!
 //! Groups: RFC 2409 Oakley Group 2 (1024-bit) and RFC 3526 Group 14
 //! (2048-bit), plus a 192-bit safe-prime group for fast unit tests. All
 //! primes are verified safe primes.
@@ -52,32 +55,54 @@ E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
 const TEST_192_HEX: &str = "B664FE32B4E948E95FD8E69DD893AD839349C3CF7FC02893";
 
 /// A multiplicative group `Z_p*` (safe prime `p`) with fixed generator.
+///
+/// A cheap handle: every clone shares one context, so the Montgomery
+/// constants and the generator's comb table are built once per context
+/// no matter how many OT instances hold the group. The built-in groups
+/// ([`DhGroup::test_192`], [`DhGroup::modp_1024`], [`DhGroup::modp_2048`])
+/// hand out handles to one process-wide context each.
+// With upstream serde, `Arc` fields need its `rc` feature.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DhGroup {
+    ctx: Arc<GroupContext>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct GroupContext {
     p: BigUint,
     g: BigUint,
     /// Subgroup order `q = (p-1)/2`.
     q: BigUint,
     #[serde(skip)]
-    mont: OnceLock<Arc<Montgomery>>,
-    /// Comb table for the generator: every `g^x` (one per OT flow, two
-    /// per Pedersen commitment) costs window-count multiplications
-    /// instead of a full square-and-multiply ladder. Built lazily on
-    /// first use, bit-identical results.
+    mont: OnceLock<Montgomery>,
+    /// Comb table for the generator: every `g^x` (three per OT, two per
+    /// Pedersen commitment) costs window-count multiplications instead
+    /// of a full square-and-multiply ladder. Built on the first `g^x`
+    /// through *any* handle to this context, bit-identical results.
     #[serde(skip)]
-    g_table: OnceLock<Arc<FixedBasePow>>,
+    g_table: OnceLock<FixedBasePow>,
 }
 
 impl PartialEq for DhGroup {
     fn eq(&self, other: &Self) -> bool {
-        self.p == other.p && self.g == other.g
+        self.p() == other.p() && self.g() == other.g()
     }
 }
 
 impl Eq for DhGroup {}
 
+/// A handle to the process-wide context of a built-in group, parsed and
+/// validated on first use.
+fn builtin(cell: &'static OnceLock<DhGroup>, p_hex: &str, g: u64) -> DhGroup {
+    cell.get_or_init(|| {
+        let p = BigUint::from_str_radix(p_hex, 16).expect("const");
+        DhGroup::from_parts(p, BigUint::from(g))
+    })
+    .clone()
+}
+
 impl DhGroup {
-    /// Builds a group from a safe prime and generator.
+    /// Builds a group (a fresh context) from a safe prime and generator.
     ///
     /// # Panics
     ///
@@ -87,30 +112,32 @@ impl DhGroup {
         assert!(g >= BigUint::from(2u64) && g < p, "generator out of range");
         let q = (&p - &BigUint::one()) >> 1;
         DhGroup {
-            p,
-            g,
-            q,
-            mont: OnceLock::new(),
-            g_table: OnceLock::new(),
+            ctx: Arc::new(GroupContext {
+                p,
+                g,
+                q,
+                mont: OnceLock::new(),
+                g_table: OnceLock::new(),
+            }),
         }
     }
 
     /// RFC 2409 Oakley Group 2: 1024-bit MODP, generator 2.
     pub fn modp_1024() -> DhGroup {
-        let p = BigUint::from_str_radix(MODP_1024_HEX, 16).expect("const");
-        DhGroup::from_parts(p, BigUint::from(2u64))
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        builtin(&GROUP, MODP_1024_HEX, 2)
     }
 
     /// RFC 3526 Group 14: 2048-bit MODP, generator 2.
     pub fn modp_2048() -> DhGroup {
-        let p = BigUint::from_str_radix(MODP_2048_HEX, 16).expect("const");
-        DhGroup::from_parts(p, BigUint::from(2u64))
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        builtin(&GROUP, MODP_2048_HEX, 2)
     }
 
     /// Small 192-bit group for unit tests and fast simulation profiles.
     pub fn test_192() -> DhGroup {
-        let p = BigUint::from_str_radix(TEST_192_HEX, 16).expect("const");
-        DhGroup::from_parts(p, BigUint::from(4u64))
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        builtin(&GROUP, TEST_192_HEX, 4)
     }
 
     /// Selects a group whose prime is at least `bits` wide (192 → test
@@ -127,30 +154,34 @@ impl DhGroup {
 
     /// The prime modulus.
     pub fn p(&self) -> &BigUint {
-        &self.p
+        &self.ctx.p
     }
 
     /// The generator.
     pub fn g(&self) -> &BigUint {
-        &self.g
+        &self.ctx.g
     }
 
     /// The subgroup order `q = (p-1)/2`.
     pub fn q(&self) -> &BigUint {
-        &self.q
+        &self.ctx.q
     }
 
-    fn mont(&self) -> &Arc<Montgomery> {
-        self.mont
-            .get_or_init(|| Arc::new(Montgomery::new(self.p.clone()).expect("odd p")))
+    fn mont(&self) -> &Montgomery {
+        self.ctx
+            .mont
+            .get_or_init(|| Montgomery::new(self.ctx.p.clone()).expect("odd p"))
     }
 
-    /// The generator's comb table, sized for subgroup exponents (wider
-    /// exponents fall back to the generic ladder inside
-    /// [`FixedBasePow::pow`]).
-    pub fn g_table(&self) -> &Arc<FixedBasePow> {
-        self.g_table
-            .get_or_init(|| Arc::new(self.mont().fixed_base_table(&self.g, self.q.bit_length())))
+    /// The generator's comb table, shared by every handle to this
+    /// context and sized for exponents up to `p`'s width — any exponent
+    /// reduced mod `p − 1` is served from the table, never from the
+    /// generic ladder [`FixedBasePow::pow`] falls back to.
+    pub fn g_table(&self) -> &FixedBasePow {
+        self.ctx.g_table.get_or_init(|| {
+            self.mont()
+                .fixed_base_table(&self.ctx.g, self.ctx.p.bit_length())
+        })
     }
 
     /// `base^exp mod p`.
@@ -162,11 +193,12 @@ impl DhGroup {
     /// modulus, sized for subgroup exponents (Pedersen's `h` uses this;
     /// the generator's table is cached on the group itself).
     pub fn fixed_base_table(&self, base: &BigUint) -> FixedBasePow {
-        self.mont().fixed_base_table(base, self.q.bit_length())
+        self.mont().fixed_base_table(base, self.ctx.q.bit_length())
     }
 
-    /// `g^exp mod p` off the cached fixed-base table — identical bits
-    /// to `pow(g(), exp)`, at a fraction of the cost.
+    /// `g^exp mod p` off the context's fixed-base table — identical bits
+    /// to `pow(g(), exp)`, at a fraction of the cost once the table
+    /// exists (the first call on a context pays for the build).
     pub fn pow_g(&self, exp: &BigUint) -> BigUint {
         self.g_table().pow(exp)
     }
@@ -176,21 +208,16 @@ impl DhGroup {
         self.mont().mul(a, b)
     }
 
-    /// `a^{-1} mod p`.
-    pub fn inv(&self, a: &BigUint) -> Option<BigUint> {
-        a.mod_inverse(&self.p)
-    }
-
     /// Uniform exponent in `[1, q)`.
     pub fn random_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        let span = &self.q - &BigUint::one();
+        let span = self.q() - &BigUint::one();
         BigUint::random_below(&span, rng) + BigUint::one()
     }
 
     /// Validates a received group element: in `(1, p)` (excludes the
     /// identity and out-of-range encodings).
     pub fn validate_element(&self, e: &BigUint) -> Result<(), CryptoError> {
-        if e <= &BigUint::one() || e >= &self.p {
+        if e <= &BigUint::one() || e >= self.p() {
             Err(CryptoError::InvalidOtMessage("group element out of range"))
         } else {
             Ok(())
@@ -269,22 +296,42 @@ impl OtSender {
             ));
         }
         self.group.validate_element(&reply.big_b)?;
-        let k0_point = self.group.pow(&reply.big_b, &self.a);
-        let a_inv = self
-            .group
-            .inv(&self.big_a)
-            .ok_or(CryptoError::InvalidOtMessage("non-invertible A"))?;
-        let b_over_a = self.group.mul(&reply.big_b, &a_inv);
-        let k1_point = self.group.pow(&b_over_a, &self.a);
+        let (k0_point, k1_point) = self.branch_points(&reply.big_b);
+        Ok(self.seal(&reply.big_b, &k0_point, &k1_point, m0, m1))
+    }
 
-        let k0 = derive_key(&k0_point, &self.big_a, &reply.big_b, 0);
-        let k1 = derive_key(&k1_point, &self.big_a, &reply.big_b, 1);
+    /// The two branch secrets `(B^a, (B/A)^a)`. The second is derived as
+    /// `B^a · g^(−a²)` — the same group element, but one ladder plus one
+    /// comb-table exponentiation instead of an inversion and a second
+    /// ladder.
+    fn branch_points(&self, big_b: &BigUint) -> (BigUint, BigUint) {
+        let g = &self.group;
+        let k0_point = g.pow(big_b, &self.a);
+        // −a² reduced mod p − 1 (a multiple of g's order) into
+        // (0, p − 1], so it fits the table's width.
+        let order = g.q() << 1;
+        let neg_a_sq = &order - &((&self.a * &self.a) % &order);
+        let k1_point = g.mul(&k0_point, &g.pow_g(&neg_a_sq));
+        (k0_point, k1_point)
+    }
+
+    /// Pads both messages with the keys hashed from the branch secrets.
+    fn seal(
+        &self,
+        big_b: &BigUint,
+        k0_point: &BigUint,
+        k1_point: &BigUint,
+        m0: &[u8],
+        m1: &[u8],
+    ) -> OtCiphertexts {
+        let k0 = derive_key(k0_point, &self.big_a, big_b, 0);
+        let k1 = derive_key(k1_point, &self.big_a, big_b, 1);
         let pad0 = kdf(&k0, b"pem-ot-pad", m0.len());
         let pad1 = kdf(&k1, b"pem-ot-pad", m1.len());
-        Ok(OtCiphertexts {
+        OtCiphertexts {
             e0: xor(m0, &pad0),
             e1: xor(m1, &pad1),
-        })
+        }
     }
 }
 
@@ -423,6 +470,96 @@ mod tests {
             g.p().clone(),
         ] {
             assert_eq!(g.pow_g(&e), g.pow(g.g(), &e), "e={e:?}");
+        }
+    }
+
+    #[test]
+    fn generator_table_covers_full_width_exponents() {
+        for g in [DhGroup::test_192(), DhGroup::modp_1024()] {
+            assert!(g.g_table().max_bits() >= g.p().bit_length());
+            let e = g.p() - &BigUint::one();
+            assert_eq!(g.pow_g(&e), g.pow(g.g(), &e));
+        }
+    }
+
+    #[test]
+    fn clones_and_builtin_handles_share_one_context() {
+        let a = DhGroup::modp_1024();
+        let b = DhGroup::modp_1024();
+        assert!(Arc::ptr_eq(&a.ctx, &b.ctx));
+        assert!(Arc::ptr_eq(&a.ctx, &a.clone().ctx));
+        // A table built through one handle is the one every other sees.
+        assert!(std::ptr::eq(a.g_table(), b.clone().g_table()));
+        let custom = DhGroup::from_parts(a.p().clone(), a.g().clone());
+        assert_eq!(custom, a);
+        assert!(!Arc::ptr_eq(&custom.ctx, &a.ctx));
+    }
+
+    /// A sender with a chosen secret exponent (the protocol draws it).
+    fn sender_with(group: &DhGroup, a: BigUint) -> OtSender {
+        OtSender {
+            group: group.clone(),
+            big_a: group.pow_g(&a),
+            a,
+        }
+    }
+
+    /// Reference derivation of the branch secrets, as the formula reads:
+    /// invert `A`, then a second full ladder `(B·A⁻¹)^a`.
+    fn branch_points_reference(s: &OtSender, big_b: &BigUint) -> (BigUint, BigUint) {
+        let k0_point = s.group.pow(big_b, &s.a);
+        let a_inv = s.big_a.mod_inverse(s.group.p()).expect("A is a unit");
+        let k1_point = s.group.pow(&s.group.mul(big_b, &a_inv), &s.a);
+        (k0_point, k1_point)
+    }
+
+    /// Branch secrets and ciphertext bytes of the one-ladder derivation
+    /// against the reference, for one `(a, B)`.
+    fn assert_matches_reference(sender: OtSender, big_b: &BigUint) {
+        let (m0, m1) = ([0x5Au8; 16], [0xA5u8; 16]);
+        let (k0, k1) = branch_points_reference(&sender, big_b);
+        assert_eq!(sender.branch_points(big_b), (k0.clone(), k1.clone()));
+        let expected = sender.seal(big_b, &k0, &k1, &m0, &m1);
+        let reply = OtReceiverReply {
+            big_b: big_b.clone(),
+        };
+        assert_eq!(sender.encrypt(&reply, &m0, &m1).expect("encrypt"), expected);
+    }
+
+    #[test]
+    fn one_ladder_keys_match_reference_when_a_squared_vanishes() {
+        // a² ≡ 0 (mod p − 1) — unreachable from `random_exponent`; the
+        // reduced exponent −a² is then p − 1 itself, the widest the
+        // table serves, and `g^(p−1) = 1`.
+        for group in [DhGroup::test_192(), DhGroup::modp_1024()] {
+            let mut rng = HashDrbg::new(b"ot-edge");
+            let big_b = group.pow_g(&group.random_exponent(&mut rng));
+            for a in [
+                BigUint::zero(),
+                group.p() - &BigUint::one(),
+                group.q().clone(),
+            ] {
+                assert_matches_reference(sender_with(&group, a), &big_b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn one_ladder_keys_match_reference(seed in proptest::arbitrary::any::<u64>()) {
+            let mut rng = HashDrbg::from_seed_label(b"ot-one-ladder", seed);
+            for group in [DhGroup::test_192(), DhGroup::modp_1024(), DhGroup::modp_2048()] {
+                // Any exponent below p — a superset of what the sender draws.
+                let a = BigUint::random_below(group.p(), &mut rng);
+                let setup = OtSenderSetup { big_a: group.pow_g(&a) };
+                for choice in [false, true] {
+                    let (_, reply) = OtReceiver::new(group.clone(), &setup, choice, &mut rng)
+                        .expect("valid A");
+                    assert_matches_reference(sender_with(&group, a.clone()), &reply.big_b);
+                }
+            }
         }
     }
 
