@@ -13,7 +13,10 @@
 //! (`test192`, `modp1024`): `ot_single` (one 1-of-2 OT) and `compare_64`
 //! (Protocol 2's whole 64-bit garbled comparison), each on a group
 //! obtained the way `run_compare` obtains it — `OtProfile::group()` per
-//! call.
+//! call. Last come the Montgomery kernel rows every figure above is a
+//! multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per limb count
+//! (3, 4, 16, 32, 64 — the toy-key and test-group widths, the Modp1024
+//! group and `p²` at 1024-bit keys, `n²` at 1024- and 2048-bit keys).
 //!
 //! ```text
 //! cargo run --release -p pem-bench --bin crypto_kernels -- \
@@ -21,8 +24,8 @@
 //! ```
 //!
 //! Output: one JSON *trajectory run* (`{"run": …, "entries": […]}`, an
-//! entry per key size, then one per OT group) followed by a
-//! human-readable table. CI runs a
+//! entry per key size, one per OT group, one per kernel width) followed
+//! by a human-readable table. CI runs a
 //! reduced smoke sweep and uploads the JSON; `BENCH_crypto.json` at the
 //! repo root pins the committed trajectory — an array of such runs, one
 //! per engine generation.
@@ -336,6 +339,42 @@ fn bench_group(group: &'static str, profile: OtProfile, min_time_ms: u64) -> Gro
     GroupReport { group, kernels }
 }
 
+/// The Montgomery kernel at one limb count.
+struct WidthReport {
+    limbs: usize,
+    mul_ns: f64,
+    sqr_ns: f64,
+}
+
+/// Times the bare multiplication and squaring kernels on a random odd
+/// `limbs`-limb modulus, as chains of `CHAIN` dependent operations
+/// (the shape of a ladder) so the domain conversions disappear.
+fn bench_width(limbs: usize, min_time_ms: u64) -> WidthReport {
+    const CHAIN: usize = 512;
+    let mut rng = HashDrbg::from_seed_label(b"crypto-kernels-width", limbs as u64);
+    let mut n = BigUint::random_bits(64 * limbs, &mut rng);
+    n.set_bit(0, true);
+    n.set_bit(64 * limbs - 1, true);
+    let mont = Montgomery::new(n.clone()).expect("odd modulus");
+    let a = BigUint::random_below(&n, &mut rng);
+    let (mul, sqr) = measure_pair(
+        ("mont_mul", "mont_sqr"),
+        min_time_ms,
+        (CHAIN as f64, CHAIN as f64),
+        |_| {
+            let _ = mont.kernel_chain(&a, CHAIN, 0);
+        },
+        |_| {
+            let _ = mont.kernel_chain(&a, 0, CHAIN);
+        },
+    );
+    WidthReport {
+        limbs,
+        mul_ns: mul.mean_us * 1e3,
+        sqr_ns: sqr.mean_us * 1e3,
+    }
+}
+
 fn kernel_fields(kernels: &[Kernel]) -> Vec<String> {
     kernels
         .iter()
@@ -348,7 +387,12 @@ fn kernel_fields(kernels: &[Kernel]) -> Vec<String> {
         .collect()
 }
 
-fn json(label: &str, reports: &[SizeReport], groups: &[GroupReport]) -> String {
+fn json(
+    label: &str,
+    reports: &[SizeReport],
+    groups: &[GroupReport],
+    widths: &[WidthReport],
+) -> String {
     let mut entries = Vec::new();
     for r in reports {
         let mut fields = vec![
@@ -368,6 +412,12 @@ fn json(label: &str, reports: &[SizeReport], groups: &[GroupReport]) -> String {
         fields.extend(kernel_fields(&g.kernels));
         entries.push(format!("  {{{}}}", fields.join(", ")));
     }
+    for w in widths {
+        entries.push(format!(
+            "  {{\"mont_limbs\": {}, \"mont_mul_ns\": {:.1}, \"mont_sqr_ns\": {:.1}}}",
+            w.limbs, w.mul_ns, w.sqr_ns
+        ));
+    }
     format!(
         "{{\"run\": \"{label}\", \"entries\": [\n{}\n]}}",
         entries.join(",\n")
@@ -386,7 +436,12 @@ fn main() {
         bench_group("modp1024", OtProfile::Modp1024, min_time_ms),
     ];
 
-    println!("{}", json(&label, &reports, &groups));
+    let widths: Vec<WidthReport> = [3, 4, 16, 32, 64]
+        .iter()
+        .map(|&limbs| bench_width(limbs, min_time_ms))
+        .collect();
+
+    println!("{}", json(&label, &reports, &groups, &widths));
     println!();
     println!("key_bits  kernel                  ops/s        mean");
     for r in &reports {
@@ -405,6 +460,17 @@ fn main() {
             println!(
                 "{:>8}  {:<22} {:>10.1}  {:>8.1}µs",
                 g.group, k.name, k.ops_per_s, k.mean_us
+            );
+        }
+    }
+    for w in &widths {
+        for (name, ns) in [("mont_mul", w.mul_ns), ("mont_sqr", w.sqr_ns)] {
+            println!(
+                "{:>2} limbs  {:<22} {:>10.1}  {:>8.1}ns",
+                w.limbs,
+                name,
+                1e9 / ns,
+                ns
             );
         }
     }

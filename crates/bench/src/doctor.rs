@@ -4,10 +4,11 @@
 //! Three artifact families are watched:
 //!
 //! * **`BENCH_crypto.json`** — labelled trajectory runs of the Paillier
-//!   kernel benchmarks and the OT/comparison rows. Two runs are compared
-//!   metric-by-metric (every shared `*_mean_us` / `keygen_ms` figure,
-//!   matched by `key_bits` or, for the comparison rows, by `ot_group`;
-//!   lower is better) against a relative threshold.
+//!   kernel benchmarks, the OT/comparison rows and the Montgomery
+//!   kernel rows. Two runs are compared metric-by-metric (every shared
+//!   `*_mean_us` / `*_ns` / `keygen_ms` figure, matched by `key_bits`,
+//!   by `ot_group` for the comparison rows or by `mont_limbs` for the
+//!   kernel rows; lower is better) against a relative threshold.
 //! * **`BENCH_topology.json`** — the aggregation-topology ablation.
 //!   Structural invariants rather than run pairs: the fan-in-bounded
 //!   tree must beat the ring's critical path from 8 sellers up, the
@@ -138,7 +139,7 @@ fn fmt_json_f64(v: f64) -> String {
 /// Whether a metric key is a lower-is-better latency figure the doctor
 /// compares across runs.
 fn comparable(key: &str) -> bool {
-    key.ends_with("_mean_us") || key == "keygen_ms"
+    key.ends_with("_mean_us") || key.ends_with("_ns") || key == "keygen_ms"
 }
 
 fn run_label(run: &Json) -> Option<&str> {
@@ -149,16 +150,21 @@ fn run_entries(run: &Json) -> &[Json] {
     run.get("entries").and_then(Json::as_array).unwrap_or(&[])
 }
 
-/// What an entry is matched on across runs: its Paillier `key_bits`, or
-/// the `ot_group` name of the OT/comparison rows.
+/// What an entry is matched on across runs: its Paillier `key_bits`,
+/// the `ot_group` name of the OT/comparison rows, or the `mont_limbs`
+/// width of the Montgomery kernel rows (as `mont<limbs>`).
 fn entry_id(entry: &Json) -> Option<String> {
-    match entry.get("key_bits").and_then(Json::as_f64) {
-        Some(bits) => Some(format!("{}", bits as u64)),
-        None => entry
-            .get("ot_group")
-            .and_then(Json::as_str)
-            .map(String::from),
+    let number = |key| entry.get(key).and_then(Json::as_f64).map(|v| v as u64);
+    if let Some(bits) = number("key_bits") {
+        return Some(format!("{bits}"));
     }
+    if let Some(limbs) = number("mont_limbs") {
+        return Some(format!("mont{limbs}"));
+    }
+    entry
+        .get("ot_group")
+        .and_then(Json::as_str)
+        .map(String::from)
 }
 
 /// The entry of `run` with identity `id`, if any.
@@ -646,19 +652,26 @@ mod tests {
             "[{\"run\":\"a\",\"entries\":[\
                 {\"key_bits\":512,\"x_mean_us\":10,\"keygen_ms\":5,\"x_ops_per_s\":99},\
                 {\"key_bits\":1024,\"x_mean_us\":40},\
-                {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":600}]},\
+                {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":600},\
+                {\"mont_limbs\":16,\"mont_mul_ns\":500,\"mont_sqr_ns\":480}]},\
               {\"run\":\"b\",\"entries\":[\
                 {\"key_bits\":512,\"x_mean_us\":30,\"keygen_ms\":5.1},\
                 {\"key_bits\":1024,\"x_mean_us\":39},\
                 {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":130},\
-                {\"ot_group\":\"test192\",\"compare_64_mean_us\":7}]}]",
+                {\"ot_group\":\"test192\",\"compare_64_mean_us\":7},\
+                {\"mont_limbs\":16,\"mont_mul_ns\":300,\"mont_sqr_ns\":290},\
+                {\"mont_limbs\":64,\"mont_mul_ns\":5000}]}]",
         );
         let (base, cur, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
         assert_eq!((base.as_str(), cur.as_str()), ("a", "b"));
-        // ops_per_s is not a latency metric and `test192` has no
-        // baseline entry; four shared figures remain, the comparison row
-        // matched by its OT group.
-        assert_eq!(checks.len(), 4);
+        // ops_per_s is not a latency metric, `test192` and the 64-limb
+        // kernel have no baseline entry; six shared figures remain, the
+        // comparison row matched by its OT group and the kernel rows by
+        // their limb count.
+        assert_eq!(checks.len(), 6);
+        assert!(checks
+            .iter()
+            .any(|c| c.name == "crypto/mont16/mont_sqr_ns" && !c.regressed));
         assert!(checks
             .iter()
             .any(|c| c.name == "crypto/modp1024/compare_64_mean_us" && !c.regressed));

@@ -72,15 +72,18 @@ fn committed_crypto_trajectory_is_clean() {
         crypto_checks(&doc, None, None, DEFAULT_THRESHOLD).expect("committed runs comparable");
     // The picker must land on the latest *kernel* run pair and skip the
     // overhead run (which shares no metric keys).
-    assert_eq!(base, "pr15-per-instance-ot-group");
-    assert_eq!(cur, "pr16-shared-ot-group");
-    // The pair gates the comparison rows per OT group beside the
-    // Paillier rows per key size.
+    assert_eq!(base, "pr18-parent-remeasured");
+    assert_eq!(cur, "pr18-fixed-width-kernels");
+    // The pair gates the comparison rows per OT group and the
+    // Montgomery kernel rows per limb count beside the Paillier rows
+    // per key size.
     for name in [
         "crypto/modp1024/ot_single_mean_us",
         "crypto/modp1024/compare_64_mean_us",
         "crypto/test192/compare_64_mean_us",
         "crypto/1024/encrypt_mean_us",
+        "crypto/mont16/mont_mul_ns",
+        "crypto/mont64/mont_sqr_ns",
     ] {
         assert!(checks.iter().any(|c| c.name == name), "{name} not gated");
     }

@@ -1,11 +1,11 @@
 //! Montgomery-form modular arithmetic for odd moduli.
 //!
 //! A [`Montgomery`] context precomputes the constants needed to multiply in
-//! Montgomery form (CIOS reduction) and exposes the exponentiation engine
-//! the Paillier and OT hot paths bottom out in:
+//! Montgomery form and exposes the exponentiation engine the Paillier and
+//! OT hot paths bottom out in:
 //!
 //! * [`Montgomery::modpow`] — sliding fixed-window exponentiation with the
-//!   window sized to the exponent, a dedicated squaring kernel in the
+//!   window sized to the exponent, the squaring kernel in the
 //!   square chain, and a pure-squaring fast path for power-of-two
 //!   exponents (quantized market scalars hit `2^k` constantly);
 //! * [`ExpDigits`] / [`Montgomery::modpow_recoded`] — the exponent's
@@ -22,6 +22,36 @@
 //!   generators, Pedersen `g`/`h`): after the one-off table build, a full
 //!   exponentiation costs only window-count multiplications — no
 //!   squarings at all.
+//!
+//! # The kernel
+//!
+//! All of the above is `a·b·R⁻¹ mod n` over limb slices, and there is
+//! one multiplication and one squaring body (`mul_limbs`, `sqr_limbs`):
+//! every loop bound is the limb count, the result accumulates in the
+//! output (no scratch), carries live in scalars. The limb count alone
+//! picks the algorithm:
+//!
+//! * below `PRODUCT_SCANNING_LIMBS`, **coarsely integrated operand
+//!   scanning (CIOS)** — per limb of `b`, a multiply row into the
+//!   accumulator and a reduction row that shifts it down a limb.
+//!   Squaring runs the same rows with `b = a`: once the rows unroll, a
+//!   dedicated squaring saves nothing at these widths;
+//! * from it up, **product scanning** — each output column sums into a
+//!   three-word accumulator, so no carry chain runs along a row, and
+//!   squaring computes each cross product once. Operand scanning is
+//!   bound by that chain's latency once a row outgrows the out-of-order
+//!   window: at 64 limbs this is ≈1.4× faster, at 16 limbs ≈10% slower.
+//!
+//! `mont_mul_into` / `mont_sqr_into` instantiate the body at a
+//! compile-time width for the limb counts the protocols produce — `p`,
+//! `p²`, `n²` at 128/512/1024/2048-bit Paillier keys and the `test_192`
+//! / `modp_1024` / `modp_2048` OT groups are {1, 2, 3, 4, 8, 16, 32, 64}
+//! limbs — so rows unroll and bounds checks vanish. Any other width
+//! runs the same body at dynamic width and bumps `bignum/dyn_width_ops`,
+//! which tests pin at zero for trading windows: a key size that falls
+//! off the list fails a test instead of silently losing 1.2–1.7×. The
+//! result is always the canonical residue `< n`, so nothing above the
+//! kernel can observe which arm ran.
 
 use crate::biguint::BigUint;
 use pem_telemetry::Counter;
@@ -36,6 +66,9 @@ static FIXED_BASE_OPS: Counter = Counter::new();
 /// per-operation build is a regression, so tests pin this at zero for
 /// steady-state windows.
 static FIXED_BASE_BUILDS: Counter = Counter::new();
+/// Kernel calls at a limb count without a monomorphised arm (see the
+/// module doc): tests pin this at zero for trading windows.
+static DYN_WIDTH_OPS: Counter = Counter::new();
 
 fn register_kernel_counters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -45,7 +78,205 @@ fn register_kernel_counters() {
         pem_telemetry::register_counter("crypto/multi_modpow", &MULTI_MODPOW_OPS);
         pem_telemetry::register_counter("crypto/fixed_base_pow", &FIXED_BASE_OPS);
         pem_telemetry::register_counter("bignum/fixed_base_builds", &FIXED_BASE_BUILDS);
+        pem_telemetry::register_counter("bignum/dyn_width_ops", &DYN_WIDTH_OPS);
     });
+}
+
+/// `t + a·b + c` as `(low, high)` limbs; `(2^64 − 1)² + 2·(2^64 − 1)`
+/// is `2^128 − 1`, so the sum cannot overflow.
+#[inline(always)]
+fn mac(t: u64, a: u64, b: u64, c: u64) -> (u64, u64) {
+    let s = t as u128 + a as u128 * b as u128 + c as u128;
+    (s as u64, (s >> 64) as u64)
+}
+
+/// One output column of a product-scanning pass: a three-word
+/// accumulator, wide enough for the `2k` double-limb products a column
+/// of a `k`-limb Montgomery product sums.
+#[derive(Clone, Copy, Default)]
+struct Column {
+    low: u128,
+    high: u64,
+}
+
+impl Column {
+    /// `self += a·b`.
+    #[inline(always)]
+    fn add(&mut self, a: u64, b: u64) {
+        let (low, carry) = self.low.overflowing_add(a as u128 * b as u128);
+        self.low = low;
+        self.high += carry as u64;
+    }
+
+    /// `self += 2·other`.
+    #[inline(always)]
+    fn add_doubled(&mut self, other: Column) {
+        let (low, carry) = self.low.overflowing_add(other.low << 1);
+        self.low = low;
+        self.high += carry as u64 + ((other.high << 1) | (other.low >> 127) as u64);
+    }
+
+    /// Pops the finished column's limb; what is left carries into the
+    /// next column.
+    #[inline(always)]
+    fn shift(&mut self) -> u64 {
+        let limb = self.low as u64;
+        self.low = (self.low >> 64) | ((self.high as u128) << 64);
+        self.high = 0;
+        limb
+    }
+}
+
+/// Limb count from which the kernel bodies run product scanning instead
+/// of operand scanning (measured crossover: see the module doc).
+const PRODUCT_SCANNING_LIMBS: usize = 32;
+
+/// CIOS over `k = n.len()`-limb slices: `out + top·2^(64k)` is
+/// `a·b·R⁻¹ mod n`, not yet canonical (`< 2n`); returns `top`.
+#[inline(always)]
+fn operand_scan(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, out: &mut [u64]) -> u64 {
+    let k = n.len();
+    out.fill(0);
+    let mut top = 0u64;
+    for &bi in b {
+        // out += a·bi …
+        let mut carry = 0u64;
+        for j in 0..k {
+            (out[j], carry) = mac(out[j], a[j], bi, carry);
+        }
+        let (high, high_carry) = top.overflowing_add(carry);
+        // … then out = (out + m·n) / 2^64, with m zeroing the low limb.
+        let m = out[0].wrapping_mul(n0_inv);
+        let (_, mut carry) = mac(out[0], m, n[0], 0);
+        for j in 1..k {
+            (out[j - 1], carry) = mac(out[j], m, n[j], carry);
+        }
+        let (high, carry) = high.overflowing_add(carry);
+        out[k - 1] = high;
+        top = high_carry as u64 + carry as u64;
+    }
+    top
+}
+
+/// Product scanning: column `i` of the result sums `column(i)` — the
+/// operand products of weight `2^(64i)` — and the reduction products
+/// `m_j·n_(i−j)`, where `m_i` zeroes column `i`. `out` holds the `m_j`
+/// until column `k + j` replaces each with a result limb. Returns the
+/// overflow word, as [`operand_scan`].
+#[inline(always)]
+fn product_scan(
+    n: &[u64],
+    n0_inv: u64,
+    out: &mut [u64],
+    mut column: impl FnMut(&mut Column, usize),
+) -> u64 {
+    let k = n.len();
+    let mut acc = Column::default();
+    for i in 0..k {
+        column(&mut acc, i);
+        for j in 0..i {
+            acc.add(out[j], n[i - j]);
+        }
+        let m = (acc.low as u64).wrapping_mul(n0_inv);
+        out[i] = m;
+        acc.add(m, n[0]);
+        acc.shift();
+    }
+    for i in k..2 * k {
+        column(&mut acc, i);
+        for j in i - k + 1..k {
+            acc.add(out[j], n[i - j]);
+        }
+        out[i - k] = acc.shift();
+    }
+    acc.low as u64
+}
+
+/// The conditional subtraction both scans end in: `out + top·2^(64k)` is
+/// `< 2n`, so at most one `n` comes off.
+#[inline(always)]
+fn reduce_once(out: &mut [u64], top: u64, n: &[u64]) {
+    let k = n.len();
+    let ge = top != 0
+        || match (0..k).rev().find(|&j| out[j] != n[j]) {
+            Some(j) => out[j] > n[j],
+            None => true,
+        };
+    if ge {
+        let mut borrow = false;
+        for j in 0..k {
+            let (d, b1) = out[j].overflowing_sub(n[j]);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            out[j] = d;
+            borrow = b1 | b2;
+        }
+        debug_assert_eq!(top, borrow as u64);
+    }
+}
+
+/// The multiplication body: `out = a·b·R⁻¹ mod n`, canonical; every
+/// slice is `n.len()` limbs and `a`, `b` are `< n`. `K` is that limb
+/// count as a compile-time constant, or 0 to read it from `n` — the
+/// monomorphised arms and the dynamic arm of `at_width!` instantiate
+/// this one function.
+fn mul_limbs<const K: usize>(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, out: &mut [u64]) {
+    let k = if K == 0 { n.len() } else { K };
+    let (a, b, n, out) = (&a[..k], &b[..k], &n[..k], &mut out[..k]);
+    let top = if k < PRODUCT_SCANNING_LIMBS {
+        operand_scan(a, b, n, n0_inv, out)
+    } else {
+        product_scan(n, n0_inv, out, |acc, i| {
+            for j in (i + 1).saturating_sub(k)..k.min(i + 1) {
+                acc.add(a[j], b[i - j]);
+            }
+        })
+    };
+    reduce_once(out, top, n);
+}
+
+/// The squaring body: [`mul_limbs`] with `b = a`, bit for bit.
+fn sqr_limbs<const K: usize>(a: &[u64], n: &[u64], n0_inv: u64, out: &mut [u64]) {
+    let k = if K == 0 { n.len() } else { K };
+    let (a, n, out) = (&a[..k], &n[..k], &mut out[..k]);
+    let top = if k < PRODUCT_SCANNING_LIMBS {
+        operand_scan(a, a, n, n0_inv, out)
+    } else {
+        product_scan(n, n0_inv, out, |acc, i| {
+            // a_j·a_(i−j) for j < i − j once, doubled; the diagonal on
+            // even columns.
+            let mut cross = Column::default();
+            for j in (i + 1).saturating_sub(k)..i.div_ceil(2) {
+                cross.add(a[j], a[i - j]);
+            }
+            acc.add_doubled(cross);
+            if i % 2 == 0 {
+                acc.add(a[i / 2], a[i / 2]);
+            }
+        })
+    };
+    reduce_once(out, top, n);
+}
+
+/// Instantiates a kernel body at `$k` limbs: at compile-time width when
+/// `$k` is a limb count the protocols produce (the module doc derives
+/// the list), at dynamic width — and counted — otherwise.
+macro_rules! at_width {
+    ($k:expr => $body:ident $args:tt) => {
+        match $k {
+            1 => $body::<1> $args,
+            2 => $body::<2> $args,
+            3 => $body::<3> $args,
+            4 => $body::<4> $args,
+            8 => $body::<8> $args,
+            16 => $body::<16> $args,
+            32 => $body::<32> $args,
+            64 => $body::<64> $args,
+            _ => {
+                DYN_WIDTH_OPS.incr();
+                $body::<0> $args
+            }
+        }
+    };
 }
 
 /// A reusable Montgomery-multiplication context for a fixed odd modulus.
@@ -196,178 +427,33 @@ impl Montgomery {
         &self.n
     }
 
-    /// `true` when the running value `(hi, lo)` is `>= n` — the
-    /// conditional-subtraction test of both reduction kernels, done in
-    /// place (no normalized copy, no allocation).
-    fn ge_n(&self, hi: u64, lo: &[u64]) -> bool {
-        if hi != 0 {
-            return true;
-        }
-        let n = self.n.limbs();
-        for j in (0..self.k).rev() {
-            if lo[j] != n[j] {
-                return lo[j] > n[j];
-            }
-        }
-        true // equal
-    }
-
     /// Montgomery multiplication: returns `a * b * R^{-1} mod n`.
     /// Inputs and output are `k`-limb vectors (values `< n`).
     fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         let mut out = vec![0u64; self.k];
-        let mut t = vec![0u64; 2 * self.k + 1];
-        self.mont_mul_into(a, b, &mut out, &mut t);
+        self.mont_mul_into(a, b, &mut out);
         out
     }
 
-    /// [`Montgomery::mont_mul`] into caller-owned buffers: `out` holds
-    /// `k` limbs, `t` at least `2k + 1` (the double-width accumulator).
-    /// Separated operand scanning (SOS): the full product lands at its
-    /// final offsets and one reduction sweep follows — no per-iteration
-    /// shifting — and the exponentiation ladders reuse the buffers, so
-    /// a group operation allocates nothing.
-    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
-        let k = self.k;
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        debug_assert_eq!(out.len(), k);
-        debug_assert!(t.len() > 2 * k);
-        let t = &mut t[..2 * k + 1];
-        t.fill(0);
-        // 1. Schoolbook product into the double-width accumulator
-        //    (zipped: the hot multiply-accumulate has no bounds checks).
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let mut carry: u128 = 0;
-            let (t_win, t_hi) = t[i..].split_at_mut(k);
-            for (tj, &bj) in t_win.iter_mut().zip(b) {
-                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            // The running sum fits k+1 limbs per row: one carry limb.
-            t_hi[0] = t_hi[0].wrapping_add(carry as u64);
-        }
-        // 2. Montgomery reduction sweep + conditional subtraction.
-        self.mont_reduce(t, out);
+    /// [`Montgomery::mont_mul`] into a caller-owned `k`-limb buffer: the
+    /// kernel accumulates in `out`, so a group operation allocates
+    /// nothing and the exponentiation ladders ping-pong two buffers.
+    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        at_width!(self.k => mul_limbs(a, b, self.n.limbs(), self.n0_inv, out))
     }
 
-    /// The shared tail of both SOS kernels: reduces the double-width
-    /// accumulator `t` (2k+1 limbs) in place and writes the canonical
-    /// `< n` result to `out`.
-    fn mont_reduce(&self, t: &mut [u64], out: &mut [u64]) {
-        let k = self.k;
-        let n = self.n.limbs();
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0_inv);
-            let mut carry: u128 = 0;
-            let (t_win, t_hi) = t[i..].split_at_mut(k);
-            for (tj, &nj) in t_win.iter_mut().zip(n) {
-                let s = *tj as u128 + m as u128 * nj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = 0;
-            while carry > 0 {
-                let s = t_hi[idx] as u128 + carry;
-                t_hi[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-        // The reduced value lives in t[k..=2k] and is < 2n: at most one
-        // subtraction.
-        let ge = self.ge_n(t[2 * k], &t[k..2 * k]);
-        out.copy_from_slice(&t[k..2 * k]);
-        if ge {
-            let mut borrow = 0u64;
-            for (limb, &nj) in out.iter_mut().zip(n) {
-                let (d, b1) = limb.overflowing_sub(nj);
-                let (d, b2) = d.overflowing_sub(borrow);
-                *limb = d;
-                borrow = b1 as u64 + b2 as u64;
-            }
-            debug_assert_eq!(t[2 * k].wrapping_sub(borrow), 0);
-        }
-    }
-
-    /// Dedicated Montgomery squaring: returns `a * a * R^{-1} mod n`.
-    ///
-    /// The square chain of [`Montgomery::modpow`] spends almost all of its
-    /// time here, and squaring needs only half the cross products of a
-    /// general multiplication: `a_i·a_j` terms with `i < j` are computed
-    /// once and doubled, then the diagonal `a_i²` terms are added, and a
-    /// separate reduction sweep (SOS) folds in the modulus.
+    /// Montgomery squaring: returns `a * a * R^{-1} mod n`.
     fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
         let mut out = vec![0u64; self.k];
-        let mut t = vec![0u64; 2 * self.k + 1];
-        self.mont_sqr_into(a, &mut out, &mut t);
+        self.mont_sqr_into(a, &mut out);
         out
     }
 
-    /// [`Montgomery::mont_sqr`] into caller-owned buffers: `out` holds
-    /// `k` limbs, `t` at least `2k + 1` (the double-width accumulator).
-    /// The square chain is where a windowed exponentiation spends ~80%
-    /// of its multiplies — this is the allocation-free form it runs on.
-    fn mont_sqr_into(&self, a: &[u64], out: &mut [u64], t: &mut [u64]) {
-        let k = self.k;
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(out.len(), k);
-        debug_assert!(t.len() > 2 * k);
-        let t = &mut t[..2 * k + 1];
-        t.fill(0);
-        // 1. Cross products `a_i·a_j` (i < j) into a 2k-limb accumulator
-        //    (one slack limb for transient carries).
-        for i in 0..k {
-            let ai = a[i];
-            if ai == 0 {
-                continue;
-            }
-            // t[2i+1 .. i+k] += ai * a[i+1 .. k], zipped (no bounds
-            // checks in the hot multiply-accumulate).
-            let mut carry: u128 = 0;
-            let (t_win, t_hi) = t[2 * i + 1..].split_at_mut(k - i - 1);
-            for (tj, &aj) in t_win.iter_mut().zip(&a[i + 1..k]) {
-                let s = *tj as u128 + ai as u128 * aj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = 0;
-            while carry > 0 {
-                let s = t_hi[idx] as u128 + carry;
-                t_hi[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-        // 2. Double every cross product (shift left one bit) …
-        let mut prev = 0u64;
-        for limb in t.iter_mut() {
-            let cur = *limb;
-            *limb = (cur << 1) | (prev >> 63);
-            prev = cur;
-        }
-        // 3. … and add the diagonal `a_i²` terms.
-        let mut carry = 0u64;
-        for i in 0..k {
-            let d = a[i] as u128 * a[i] as u128;
-            let (s0, c0) = t[2 * i].overflowing_add(d as u64);
-            let (s0, c0b) = s0.overflowing_add(carry);
-            t[2 * i] = s0;
-            let (s1, c1) = t[2 * i + 1].overflowing_add((d >> 64) as u64);
-            let (s1, c1b) = s1.overflowing_add(c0 as u64 + c0b as u64);
-            t[2 * i + 1] = s1;
-            carry = c1 as u64 + c1b as u64;
-        }
-        if carry > 0 {
-            t[2 * k] = t[2 * k].wrapping_add(carry);
-        }
-        // 4. Montgomery reduction of the double-width square — the
-        //    same SOS sweep the multiplication kernel ends in.
-        self.mont_reduce(t, out);
+    /// [`Montgomery::mont_sqr`] into a caller-owned `k`-limb buffer. The
+    /// square chain is where a windowed exponentiation spends ~80% of
+    /// its multiplies.
+    fn mont_sqr_into(&self, a: &[u64], out: &mut [u64]) {
+        at_width!(self.k => sqr_limbs(a, self.n.limbs(), self.n0_inv, out))
     }
 
     /// Converts into Montgomery form (`a * R mod n`).
@@ -391,11 +477,26 @@ impl Montgomery {
         self.from_mont(&self.mont_mul(&am, &bm))
     }
 
-    /// `a² mod n` via the dedicated squaring path (~25% cheaper than
-    /// `mul(a, a)` at Paillier widths).
+    /// `a² mod n` via the squaring kernel (cheaper than `mul(a, a)` from
+    /// 32 limbs up, the same below).
     pub fn sqr(&self, a: &BigUint) -> BigUint {
         let am = self.to_mont(a);
         self.from_mont(&self.mont_sqr(&am))
+    }
+
+    /// Bench hook behind `crypto_kernels`' `mont_mul_ns` / `mont_sqr_ns`
+    /// rows: `muls` chained kernel multiplications by `a`, then `sqrs`
+    /// chained squarings, with the domain conversions paid once.
+    #[doc(hidden)]
+    pub fn kernel_chain(&self, a: &BigUint, muls: usize, sqrs: usize) -> BigUint {
+        let am = self.to_mont(a);
+        let (mut acc, mut tmp) = (am.clone(), vec![0u64; self.k]);
+        for _ in 0..muls {
+            self.mont_mul_into(&acc, &am, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        self.sqr_chain(&mut acc, &mut tmp, sqrs);
+        self.from_mont(&acc)
     }
 
     /// The `1`-result of an empty exponentiation (`BigUint::one()` except
@@ -409,72 +510,71 @@ impl Montgomery {
         }
     }
 
-    /// Builds the odd-power table `table[d] = base^d` (Montgomery form)
-    /// for `d ∈ [0, 2^w)`; `table[0]` is one.
-    fn pow_table(&self, base_m: &[u64], w: usize) -> Vec<Vec<u64>> {
-        let mut table = Vec::with_capacity(1 << w);
-        table.push(self.r1.clone()); // 1 in Montgomery form
-        table.push(base_m.to_vec());
-        for i in 2..(1 << w) {
-            let prev: &Vec<u64> = &table[i - 1];
-            table.push(self.mont_mul(prev, base_m));
+    /// Squares `acc` in place `count` times, ping-ponging through `tmp`.
+    fn sqr_chain(&self, acc: &mut Vec<u64>, tmp: &mut Vec<u64>, count: usize) {
+        for _ in 0..count {
+            self.mont_sqr_into(acc, tmp);
+            std::mem::swap(acc, tmp);
         }
-        table
     }
 
-    /// The windowed ladder over a prebuilt power table: returns
-    /// `base^exp` in Montgomery form (`digits` must not be zero). The
-    /// whole chain ping-pongs between two `k`-limb buffers and one
-    /// shared accumulator — zero allocations per group operation.
-    fn ladder(&self, table: &[Vec<u64>], digits: &ExpDigits) -> Vec<u64> {
+    /// Fills the flat power table `table[d·k..(d+1)·k] = base^d`
+    /// (Montgomery form) for every `d` it has room for; entry 0 is one.
+    fn fill_pow_table(&self, base_m: &[u64], table: &mut [u64]) {
+        let k = self.k;
+        table[..k].copy_from_slice(&self.r1);
+        table[k..2 * k].copy_from_slice(base_m);
+        for i in 2..table.len() / k {
+            let (lo, hi) = table.split_at_mut(i * k);
+            self.mont_mul_into(&lo[(i - 1) * k..], base_m, &mut hi[..k]);
+        }
+    }
+
+    /// The windowed ladder — the only one: leaves `base^exp` (Montgomery
+    /// form, `digits` not zero) in `scratch.acc`. Power-of-two exponents
+    /// (`2^{bits-1}`: quantized tick sizes, `mul_plain` by `2^k`) need no
+    /// table and no window bookkeeping, just the squaring chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` was built for a different context shape
+    /// (window width or limb count).
+    fn ladder(&self, base_m: &[u64], digits: &ExpDigits, scratch: &mut PowScratch) {
         debug_assert!(!digits.is_zero());
-        let mut acc = self.r1.clone();
-        let mut tmp = vec![0u64; self.k];
-        let mut t = vec![0u64; 2 * self.k + 1];
+        let k = self.k;
+        let PowScratch { table, acc, tmp } = scratch;
+        assert_eq!(acc.len(), k, "scratch from another context");
+        if digits.power_of_two {
+            acc.copy_from_slice(base_m);
+            self.sqr_chain(acc, tmp, digits.bits - 1);
+            return;
+        }
+        assert_eq!(
+            table.len(),
+            k << digits.w,
+            "scratch sized for another window width"
+        );
+        self.fill_pow_table(base_m, table);
+        acc.copy_from_slice(&self.r1);
         let mut started = false;
         for &d in &digits.digits {
             if started {
-                for _ in 0..digits.w {
-                    self.mont_sqr_into(&acc, &mut tmp, &mut t);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
+                self.sqr_chain(acc, tmp, digits.w);
             }
             if d != 0 {
-                self.mont_mul_into(&acc, &table[d as usize], &mut tmp, &mut t);
-                std::mem::swap(&mut acc, &mut tmp);
+                let d = d as usize;
+                self.mont_mul_into(acc, &table[d * k..(d + 1) * k], tmp);
+                std::mem::swap(acc, tmp);
                 started = true;
             }
             // A zero window needs nothing beyond the squarings above
             // (or, before the first set bit, nothing at all).
         }
-        acc
-    }
-
-    /// `base^exp` in Montgomery form for a non-zero recoding, dispatching
-    /// between the squaring-only chain (power-of-two exponents) and the
-    /// windowed ladder.
-    fn pow_mont(&self, base_m: Vec<u64>, digits: &ExpDigits) -> Vec<u64> {
-        debug_assert!(!digits.is_zero());
-        if digits.power_of_two {
-            // exp = 2^{bits-1}: no table, no window bookkeeping — just
-            // the squaring chain. Quantized tick sizes (`mul_plain` by
-            // `2^k`) land here constantly.
-            let mut acc = base_m;
-            let mut tmp = vec![0u64; self.k];
-            let mut t = vec![0u64; 2 * self.k + 1];
-            for _ in 0..digits.bits - 1 {
-                self.mont_sqr_into(&acc, &mut tmp, &mut t);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            return acc;
-        }
-        let table = self.pow_table(&base_m, digits.w);
-        self.ladder(&table, digits)
     }
 
     /// `base^exp mod n` using sliding fixed-window exponentiation with
     /// the window (and its `2^w`-entry table) sized to the exponent's
-    /// actual bit length, the dedicated squaring kernel in the square
+    /// actual bit length, the squaring kernel in the square
     /// chain, and a table-free squaring chain when the exponent is a
     /// power of two.
     ///
@@ -495,26 +595,23 @@ impl Montgomery {
     /// instead of once per call.
     pub fn modpow_recoded(&self, base: &BigUint, digits: &ExpDigits) -> BigUint {
         MODPOW_OPS.incr();
-        if digits.is_zero() {
-            return self.one_result();
-        }
-        let base_m = self.to_mont(base);
-        self.from_mont(&self.pow_mont(base_m, digits))
+        self.modpow_scratch(base, digits, &mut self.pow_scratch(digits))
     }
 
     /// Allocates the scratch a batch of [`Montgomery::modpow_scratch`]
-    /// calls shares: the `2^w`-entry window-table storage plus the
-    /// ladder's accumulator and ping-pong buffers, sized for `digits`'
-    /// window width.
+    /// calls shares: the flat `2^w`-entry window table (entry `d` at
+    /// `[d·k, (d+1)·k)`; none for a power-of-two exponent's squaring
+    /// chain) plus the ladder's two ping-pong buffers.
     pub fn pow_scratch(&self, digits: &ExpDigits) -> PowScratch {
+        let entries = if digits.power_of_two {
+            0
+        } else {
+            1 << digits.w
+        };
         PowScratch {
-            // One flat allocation: entry `d` lives at `[d·k, (d+1)·k)`.
-            // Four allocations per scratch total, and the ladder walks
-            // a contiguous table.
-            table: vec![0u64; (1 << digits.w) * self.k],
+            table: vec![0u64; entries * self.k],
             acc: vec![0u64; self.k],
             tmp: vec![0u64; self.k],
-            t: vec![0u64; 2 * self.k + 1],
         }
     }
 
@@ -522,7 +619,7 @@ impl Montgomery {
     /// window table included — reused from `scratch` instead of
     /// reallocated: a fixed-exponent batch (decryption fan-ins,
     /// randomizer precompute) rebuilds the table's *values* per base
-    /// but pays its ~`2^w` allocations exactly once.
+    /// but allocates it exactly once.
     ///
     /// # Panics
     ///
@@ -537,48 +634,8 @@ impl Montgomery {
         if digits.is_zero() {
             return self.one_result();
         }
-        let k = self.k;
-        assert_eq!(scratch.acc.len(), k, "scratch from another context");
-        let PowScratch { table, acc, tmp, t } = scratch;
-        let base_m = self.to_mont(base);
-        if digits.power_of_two {
-            acc.copy_from_slice(&base_m);
-            for _ in 0..digits.bits - 1 {
-                self.mont_sqr_into(acc, tmp, t);
-                std::mem::swap(acc, tmp);
-            }
-            return self.from_mont(acc);
-        }
-        assert_eq!(
-            table.len(),
-            k << digits.w,
-            "scratch sized for another window width"
-        );
-        // Rebuild the power table in place (entry d at [d·k, (d+1)·k)).
-        table[..k].copy_from_slice(&self.r1);
-        table[k..2 * k].copy_from_slice(&base_m);
-        for i in 2..(1usize << digits.w) {
-            let (lo, hi) = table.split_at_mut(i * k);
-            self.mont_mul_into(&lo[(i - 1) * k..], &base_m, &mut hi[..k], t);
-        }
-        // The ladder, on the reused buffers.
-        acc.copy_from_slice(&self.r1);
-        let mut started = false;
-        for &d in &digits.digits {
-            if started {
-                for _ in 0..digits.w {
-                    self.mont_sqr_into(acc, tmp, t);
-                    std::mem::swap(acc, tmp);
-                }
-            }
-            if d != 0 {
-                let d = d as usize;
-                self.mont_mul_into(acc, &table[d * k..(d + 1) * k], tmp, t);
-                std::mem::swap(acc, tmp);
-                started = true;
-            }
-        }
-        self.from_mont(acc)
+        self.ladder(&self.to_mont(base), digits, scratch);
+        self.from_mont(&scratch.acc)
     }
 
     /// Fused `base^exp · factor mod n`: the multiplication happens in the
@@ -594,9 +651,9 @@ impl Montgomery {
         if digits.is_zero() {
             return self.from_mont(&factor_m);
         }
-        let base_m = self.to_mont(base);
-        let pow = self.pow_mont(base_m, &digits);
-        self.from_mont(&self.mont_mul(&pow, &factor_m))
+        let mut scratch = self.pow_scratch(&digits);
+        self.ladder(&self.to_mont(base), &digits, &mut scratch);
+        self.from_mont(&self.mont_mul(&scratch.acc, &factor_m))
     }
 
     /// Simultaneous multi-exponentiation: `Π base_i^exp_i mod n` with a
@@ -618,7 +675,8 @@ impl Montgomery {
         // longest one picks, padded to the same window count.
         let w = ExpDigits::window_bits(max_bits);
         let windows = max_bits.div_ceil(w);
-        let recoded: Vec<(Vec<Vec<u64>>, ExpDigits)> = live
+        let k = self.k;
+        let recoded: Vec<(Vec<u64>, ExpDigits)> = live
             .iter()
             .map(|(b, e)| {
                 let mut d = ExpDigits::recode_with_width(e, w);
@@ -628,25 +686,23 @@ impl Montgomery {
                     padded.extend_from_slice(&d.digits);
                     d.digits = padded;
                 }
-                (self.pow_table(&self.to_mont(b), w), d)
+                let mut table = vec![0u64; k << w];
+                self.fill_pow_table(&self.to_mont(b), &mut table);
+                (table, d)
             })
             .collect();
 
         let mut acc = self.r1.clone();
-        let mut tmp = vec![0u64; self.k];
-        let mut t = vec![0u64; 2 * self.k + 1];
+        let mut tmp = vec![0u64; k];
         let mut started = false;
         for win in 0..windows {
             if started {
-                for _ in 0..w {
-                    self.mont_sqr_into(&acc, &mut tmp, &mut t);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
+                self.sqr_chain(&mut acc, &mut tmp, w);
             }
             for (table, digits) in &recoded {
-                let d = digits.digits[win];
+                let d = digits.digits[win] as usize;
                 if d != 0 {
-                    self.mont_mul_into(&acc, &table[d as usize], &mut tmp, &mut t);
+                    self.mont_mul_into(&acc, &table[d * k..(d + 1) * k], &mut tmp);
                     std::mem::swap(&mut acc, &mut tmp);
                     started = true;
                 }
@@ -707,7 +763,6 @@ pub struct PowScratch {
     table: Vec<u64>,
     acc: Vec<u64>,
     tmp: Vec<u64>,
-    t: Vec<u64>,
 }
 
 /// A comb-precomputed fixed base: `tables[i][d-1] = base^(d·2^{w·i})` in
@@ -750,7 +805,6 @@ impl FixedBasePow {
         }
         let mut acc: Option<Vec<u64>> = None;
         let mut tmp = vec![0u64; self.ctx.k];
-        let mut t = vec![0u64; 2 * self.ctx.k + 1];
         for (i, table) in self.tables.iter().enumerate() {
             let mut d = 0usize;
             for b in (0..self.w).rev() {
@@ -763,7 +817,7 @@ impl FixedBasePow {
                 match acc.as_mut() {
                     None => acc = Some(table[d - 1].clone()),
                     Some(a) => {
-                        self.ctx.mont_mul_into(a, &table[d - 1], &mut tmp, &mut t);
+                        self.ctx.mont_mul_into(a, &table[d - 1], &mut tmp);
                         std::mem::swap(a, &mut tmp);
                     }
                 }
@@ -1087,5 +1141,151 @@ mod tests {
             tg.pow_mul(&wide, &th, &er),
             ctx.mul(&ctx.modpow(&g, &wide), &ctx.modpow(&h, &er))
         );
+    }
+
+    /// Every limb count with a monomorphised kernel arm.
+    const FIXED_WIDTHS: [usize; 8] = [1, 2, 3, 4, 8, 16, 32, 64];
+    /// Off-grid limb counts on both sides of `PRODUCT_SCANNING_LIMBS`:
+    /// the dynamic arm.
+    const DYNAMIC_WIDTHS: [usize; 5] = [5, 7, 17, 33, 65];
+
+    fn all_widths() -> impl Iterator<Item = usize> {
+        FIXED_WIDTHS.into_iter().chain(DYNAMIC_WIDTHS)
+    }
+
+    /// Reference `a·b·R⁻¹ mod n` through plain `BigUint` arithmetic.
+    fn reference_mont_mul(a: &BigUint, b: &BigUint, n: &BigUint) -> BigUint {
+        let r = BigUint::one() << (64 * n.limbs().len());
+        let r_inv = r.mod_inverse(n).expect("R is a power of two, n is odd");
+        (&(a * b) * &r_inv) % n
+    }
+
+    /// Checks the multiplication and the squaring kernel on `a`, `b`
+    /// (any values; reduced mod `n` here) against the reference.
+    fn assert_kernels_match(n: &BigUint, a: &BigUint, b: &BigUint) {
+        let ctx = Montgomery::new(n.clone()).expect("odd modulus");
+        let (a, b) = (a % n, b % n);
+        let (al, bl) = (pad_to(&a, ctx.k), pad_to(&b, ctx.k));
+        let k = ctx.k;
+        assert_eq!(
+            BigUint::from_limbs(ctx.mont_mul(&al, &bl)),
+            reference_mont_mul(&a, &b, n),
+            "mul at {k} limbs: n={n:?} a={a:?} b={b:?}"
+        );
+        assert_eq!(
+            BigUint::from_limbs(ctx.mont_sqr(&al)),
+            reference_mont_mul(&a, &a, n),
+            "sqr at {k} limbs: n={n:?} a={a:?}"
+        );
+    }
+
+    /// An odd `k`-limb modulus from `k` arbitrary limbs.
+    fn modulus_from(limbs: &[u64]) -> BigUint {
+        let mut l = limbs.to_vec();
+        l[0] |= 1;
+        let top = l.last_mut().expect("k >= 1");
+        *top = (*top).max(2); // k limbs exactly, and n > 1 at one limb
+        BigUint::from_limbs(l)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn kernels_match_reference_at_every_width(
+            n in proptest::collection::vec(proptest::prelude::any::<u64>(), 65),
+            a in proptest::collection::vec(proptest::prelude::any::<u64>(), 65),
+            b in proptest::collection::vec(proptest::prelude::any::<u64>(), 65),
+        ) {
+            for k in all_widths() {
+                assert_kernels_match(
+                    &modulus_from(&n[..k]),
+                    &BigUint::from_limbs(a[..k].to_vec()),
+                    &BigUint::from_limbs(b[..k].to_vec()),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_carry_out_of_the_top_limb() {
+        // n = 2^(64k) − c with a = b = n − 1: the unreduced result
+        // (a·b + m·n) / R overflows k limbs, so the conditional
+        // subtraction runs with the extra word set.
+        for k in all_widths() {
+            for c in [1u64, 3, 12345] {
+                let r = BigUint::one() << (64 * k);
+                let n = &r - &BigUint::from(c);
+                let a = &n - &BigUint::one();
+                // The case reaches the path it is here for: with
+                // m = a·b·(−n⁻¹) mod R, (a·b + m·n) / R >= R.
+                let neg_n_inv = &r - &n.mod_inverse(&r).expect("n odd");
+                let ab = &a * &a;
+                let m = (&(&ab % &r) * &neg_n_inv) % &r;
+                let unreduced = (&ab + &(&m * &n)).div_rem(&r).0;
+                assert!(unreduced >= r, "k={k} c={c}: no carry out");
+                assert_kernels_match(&n, &a, &a);
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_on_modp_shaped_moduli() {
+        // The MODP primes have all-ones top and bottom limbs, so
+        // n0_inv = 1 and every reduction multiplier is the low limb itself.
+        let modp_1024 = BigUint::from_str_radix(
+            "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
+             020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
+             4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
+             EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
+            16,
+        )
+        .expect("hex");
+        let mut moduli = vec![modp_1024];
+        for k in all_widths().filter(|&k| k >= 2) {
+            let mut l: Vec<u64> = (0..k as u64)
+                .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            l[0] = u64::MAX;
+            l[k - 1] = u64::MAX;
+            moduli.push(BigUint::from_limbs(l));
+        }
+        for n in moduli {
+            assert_eq!(Montgomery::new(n.clone()).expect("odd").n0_inv, 1);
+            let a = &n - &BigUint::from(2u64);
+            let b = (&n >> 1) + BigUint::from(12345u64);
+            assert_kernels_match(&n, &a, &b);
+            assert_kernels_match(&n, &b, &a);
+        }
+    }
+
+    #[test]
+    fn kernels_on_degenerate_operands() {
+        for k in all_widths() {
+            let n = modulus_from(&vec![0xD1B5_4A32_D192_ED03; k]);
+            let zero = BigUint::zero();
+            let one = BigUint::one();
+            // Interior zero limbs: only the top and bottom limbs set.
+            let mut sparse = vec![0u64; k];
+            sparse[0] = 0xDEAD_BEEF;
+            sparse[k - 1] = 1;
+            let sparse = BigUint::from_limbs(sparse);
+            let dense = &n - &one;
+            for (a, b) in [
+                (&zero, &dense),
+                (&dense, &zero),
+                (&one, &dense),
+                (&dense, &one),
+                (&sparse, &dense),
+                (&sparse, &sparse),
+            ] {
+                assert_kernels_match(&n, a, b);
+            }
+        }
+        // The smallest one-limb moduli.
+        for n in [3u64, 5, u64::MAX] {
+            let n = BigUint::from(n);
+            assert_kernels_match(&n, &BigUint::from(2u64), &(&n - &BigUint::one()));
+        }
     }
 }

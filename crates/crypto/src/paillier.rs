@@ -540,8 +540,20 @@ impl PublicKey {
     }
 
     /// `true` if the ciphertext lies in the valid range `[1, n²)` and is
-    /// invertible mod `n²`.
+    /// invertible mod `n²`. A prime divides `n²` iff it divides `n`, so
+    /// invertibility is `gcd(c mod n, n) = 1`: Euclid at half the width.
     pub fn validate_ciphertext(&self, c: &Ciphertext) -> Result<(), CryptoError> {
+        if c.0.is_zero() || c.0 >= self.n2 || !(&c.0 % &self.n).gcd(&self.n).is_one() {
+            Err(CryptoError::InvalidCiphertext)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The full-width predicate [`PublicKey::validate_ciphertext`]
+    /// replaced, kept as its reference.
+    #[cfg(test)]
+    fn validate_ciphertext_reference(&self, c: &Ciphertext) -> Result<(), CryptoError> {
         if c.0.is_zero() || c.0 >= self.n2 || !c.0.gcd(&self.n2).is_one() {
             Err(CryptoError::InvalidCiphertext)
         } else {
@@ -928,6 +940,66 @@ mod tests {
         assert!(kp.public().validate_ciphertext(&zero).is_err());
         let oob = Ciphertext::from_biguint(kp.public().n_squared().clone());
         assert!(kp.public().validate_ciphertext(&oob).is_err());
+    }
+
+    /// Old and new validation predicates agree on `c`.
+    fn assert_validation_agrees(pk: &PublicKey, c: BigUint) {
+        let c = Ciphertext::from_biguint(c);
+        assert_eq!(
+            pk.validate_ciphertext(&c),
+            pk.validate_ciphertext_reference(&c),
+            "c={c:?}"
+        );
+    }
+
+    #[test]
+    fn half_width_validation_rejects_multiples_of_the_factors() {
+        let kp = keypair(128);
+        let (pk, sk) = (kp.public(), kp.private());
+        let (p, q) = (sk.p.clone().expect("p"), sk.q.clone().expect("q"));
+        let (n, n2) = (pk.n().clone(), pk.n_squared().clone());
+        for c in [
+            p.clone(),
+            q.clone(),
+            &p * &q,
+            n.clone(),
+            (&p * &BigUint::from(0xDEAD_BEEF_1234_5678u64)) % &n2,
+            (&(&q * &n) + &q) % &n2,
+            &n2 - &p,
+            &n2 - &BigUint::one(),
+            BigUint::zero(),
+            n2.clone(),
+            &n2 + &BigUint::one(),
+        ] {
+            assert_validation_agrees(pk, c);
+        }
+        // Every listed non-unit in range is rejected — not merely agreed on.
+        for c in [p.clone(), q, n, &n2 - &p] {
+            assert!(pk
+                .validate_ciphertext(&Ciphertext::from_biguint(c))
+                .is_err());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn half_width_validation_matches_reference(
+            limbs in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..=5),
+            k in proptest::prelude::any::<u64>(),
+        ) {
+            static KP: std::sync::OnceLock<Keypair> = std::sync::OnceLock::new();
+            let kp = KP.get_or_init(|| keypair(128));
+            let pk = kp.public();
+            // Random values on both sides of n² …
+            assert_validation_agrees(pk, BigUint::from_limbs(limbs));
+            // … and random multiples of each factor inside the range.
+            for f in [&kp.private().p, &kp.private().q] {
+                let f = f.as_ref().expect("generated keys keep their factors");
+                assert_validation_agrees(pk, (f * &BigUint::from(k)) % pk.n_squared());
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,48 @@
+//! Regression guard: the Montgomery contexts of a 2048-bit Paillier key
+//! (`n²`, `p²`/`q²`, `p`/`q`) and of the 2048-bit OT group all have a
+//! monomorphised kernel — `bignum/dyn_width_ops` counts calls at any
+//! other limb count and stays at zero. The 128- and 1024-bit shapes are
+//! pinned by a whole trading window in
+//! `crates/core/tests/kernel_width_coverage.rs`.
+//!
+//! ONE `#[test]`: the telemetry collector and its counters are process
+//! global.
+
+use pem_bignum::BigUint;
+use pem_crypto::drbg::HashDrbg;
+use pem_crypto::ot::DhGroup;
+use pem_crypto::paillier::Keypair;
+use pem_telemetry as telemetry;
+
+#[test]
+fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
+    assert!(telemetry::install());
+    let mut rng = HashDrbg::new(b"kernel-width-coverage");
+
+    // Key generation (Miller–Rabin mod p, q), the public lane (mod n²),
+    // the owner's CRT lanes (mod p², q²) and CRT decryption (mod p², q²
+    // and the half-width recombination).
+    let kp = Keypair::generate(2048, &mut rng);
+    let (pk, sk) = (kp.public(), kp.private());
+    let m = BigUint::from(123_456_789u64);
+    let c = pk.encrypt(&m, &mut rng);
+    let owner = sk.precompute_randomizers_crt(1, &mut rng);
+    let c2 = pk.try_encrypt_with(&m, &owner[0]).expect("in range");
+    assert_eq!(sk.decrypt_batch(&[c, c2]), [m.clone(), m]);
+
+    // The OT group: a ladder and a comb-table exponentiation.
+    let group = DhGroup::modp_2048();
+    let x = group.random_exponent(&mut rng);
+    assert_eq!(group.pow(group.g(), &x), group.pow_g(&x));
+
+    let dyn_width_ops = telemetry::counter_snapshot()
+        .iter()
+        .find(|(n, _)| *n == "bignum/dyn_width_ops")
+        .map(|(_, v)| *v)
+        .expect("bignum/dyn_width_ops is registered");
+    assert_eq!(
+        dyn_width_ops, 0,
+        "a modulus fell off the kernel's specialised widths"
+    );
+    telemetry::uninstall();
+}
