@@ -10,13 +10,16 @@
 //! and decryption on both the CRT fast path and the classic full-width
 //! path (the pre-overhaul kernel, kept as the speedup baseline). After
 //! the key-size entries come the comparison rows, one entry per OT group
-//! (`test192`, `modp1024`): `ot_single` (one 1-of-2 OT) and `compare_64`
-//! (Protocol 2's whole 64-bit garbled comparison), each on a group
+//! (`test192`, `modp1024`): `ot_single` (one 1-of-2 OT — a batch of
+//! one) and `compare_64` (Protocol 2's whole 64-bit garbled comparison:
+//! one batch of 32 1-of-4 OTs under one sender key), each on a group
 //! obtained the way `run_compare` obtains it — `OtProfile::group()` per
-//! call. Last come the Montgomery kernel rows every figure above is a
-//! multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per limb count
-//! (3, 4, 16, 32, 64 — the toy-key and test-group widths, the Modp1024
-//! group and `p²` at 1024-bit keys, `n²` at 1024- and 2048-bit keys).
+//! call. `grid_doctor` holds `compare_64` under 0.75 × 64 × `ot_single`
+//! (0.9 at `test192`) within each run. Last come the Montgomery kernel rows every figure
+//! above is a multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per
+//! limb count (3, 4, 16, 32, 64 — the toy-key and test-group widths,
+//! the Modp1024 group and `p²` at 1024-bit keys, `n²` at 1024- and
+//! 2048-bit keys).
 //!
 //! ```text
 //! cargo run --release -p pem-bench --bin crypto_kernels -- \

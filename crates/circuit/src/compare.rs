@@ -3,15 +3,23 @@
 //! Implements the secure-comparison step of PEM's Private Market
 //! Evaluation (Protocol 2, lines 14–18): a *garbler* holding value `a` and
 //! an *evaluator* holding value `b` jointly compute `a < b` and learn
-//! nothing else. Three messages:
+//! nothing else. The evaluator's labels travel in **one OT batch under one
+//! sender key**, [`OT_CHUNK_BITS`] input bits per 1-of-4 transfer (an odd
+//! width ends in a 1-of-2). Three messages:
 //!
 //! 1. **Offer** (garbler → evaluator): garbled comparator, the labels
-//!    encoding the garbler's own bits, and one OT setup per evaluator bit.
-//! 2. **Requests** (evaluator → garbler): one OT reply per input bit,
-//!    blinded by the evaluator's choice bits.
-//! 3. **Transfer** (garbler → evaluator): the OT ciphertexts carrying the
-//!    evaluator's wire labels; the evaluator decrypts its chosen branch,
-//!    evaluates the garbled circuit and learns the output bit.
+//!    encoding the garbler's own bits, and the batch's single OT setup `A`.
+//! 2. **Requests** (evaluator → garbler): one OT reply per chunk of input
+//!    bits, blinded by the chunk's value.
+//! 3. **Transfer** (garbler → evaluator): per chunk, one ciphertext per
+//!    chunk value carrying the labels of that value's bits; the evaluator
+//!    decrypts its chosen branch, evaluates the garbled circuit and learns
+//!    the output bit.
+//!
+//! | `width = 64` | ladders | table pows | table builds | group elements sent |
+//! |---|---|---|---|---|
+//! | one key per bit (before) | 128 | 192 | 0 | 128 |
+//! | one key, 2-bit chunks | 32 | 66 | 1 (`A`) | 33 |
 //!
 //! All messages are `serde`-serializable so `pem-net` can meter them.
 
@@ -19,12 +27,18 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use pem_crypto::ot::{
-    DhGroup, OtCiphertexts, OtReceiver, OtReceiverReply, OtSender, OtSenderSetup,
+    DhGroup, OtBatchReceiver, OtBatchSender, OtCiphertexts, OtReceiverReply, OtSenderSetup,
+    MAX_BRANCHES,
 };
 
 use crate::circuit::{comparator_circuit, u128_to_bits};
 use crate::error::CircuitError;
 use crate::garble::{eval_garbled, garble, GarbledCircuit, Label};
+
+/// Evaluator input bits handed over per OT; bit `pos` of a chunk's value
+/// (and of the OT branch index) is the chunk's `pos`-th wire.
+pub const OT_CHUNK_BITS: usize = 2;
+const _: () = assert!(1 << OT_CHUNK_BITS <= MAX_BRANCHES);
 
 /// Message 1: everything the evaluator needs except its own wire labels.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,35 +49,36 @@ pub struct CompareOffer {
     pub garbled: GarbledCircuit,
     /// Active labels for the garbler's input bits.
     pub garbler_labels: Vec<Label>,
-    /// One OT setup per evaluator input bit.
-    pub ot_setups: Vec<OtSenderSetup>,
+    /// The one OT setup every chunk's transfer runs under.
+    pub ot_setup: OtSenderSetup,
 }
 
-/// Message 2: the evaluator's OT replies (one per input bit).
+/// Message 2: the evaluator's OT replies (one per chunk).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompareOtRequests {
-    /// OT replies in evaluator-bit order.
+    /// OT replies in chunk order.
     pub replies: Vec<OtReceiverReply>,
 }
 
 /// Message 3: the OT ciphertexts carrying the evaluator's labels.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompareLabelCiphertexts {
-    /// OT branch ciphertexts in evaluator-bit order.
+    /// Per chunk, one ciphertext per chunk value: the concatenated
+    /// labels of that value's bits.
     pub cts: Vec<OtCiphertexts>,
 }
 
 /// Garbler-side state machine for one comparison.
 #[derive(Debug)]
 pub struct CompareGarbler {
-    senders: Vec<OtSender>,
+    sender: OtBatchSender,
     evaluator_wire_labels: Vec<(Label, Label)>,
 }
 
 impl CompareGarbler {
     /// Starts a comparison of `width`-bit values; the garbler contributes
-    /// `value` as the left operand of `a < b`. Each of the `width` OT
-    /// senders holds a handle to `group`'s shared context, not a copy.
+    /// `value` as the left operand of `a < b`. The OT sender holds a
+    /// handle to `group`'s shared context, not a copy.
     ///
     /// # Errors
     ///
@@ -81,27 +96,20 @@ impl CompareGarbler {
         let circuit = comparator_circuit(width);
         let (garbled, secrets) = garble(&circuit, rng);
         let garbler_labels = secrets.garbler_labels(&u128_to_bits(value, width));
-
-        let mut senders = Vec::with_capacity(width);
-        let mut ot_setups = Vec::with_capacity(width);
-        let mut evaluator_wire_labels = Vec::with_capacity(width);
-        for i in 0..width {
-            let (sender, setup) = OtSender::new(group.clone(), rng);
-            senders.push(sender);
-            ot_setups.push(setup);
-            evaluator_wire_labels.push(secrets.evaluator_wire_labels(i));
-        }
-
+        let evaluator_wire_labels = (0..width)
+            .map(|i| secrets.evaluator_wire_labels(i))
+            .collect();
+        let (sender, ot_setup) = OtBatchSender::new(group.clone(), rng);
         Ok((
             CompareGarbler {
-                senders,
+                sender,
                 evaluator_wire_labels,
             },
             CompareOffer {
                 width,
                 garbled,
                 garbler_labels,
-                ot_setups,
+                ot_setup,
             },
         ))
     }
@@ -116,17 +124,21 @@ impl CompareGarbler {
         self,
         requests: &CompareOtRequests,
     ) -> Result<CompareLabelCiphertexts, CircuitError> {
-        if requests.replies.len() != self.senders.len() {
+        let chunks = self.evaluator_wire_labels.chunks(OT_CHUNK_BITS);
+        if requests.replies.len() != chunks.len() {
             return Err(CircuitError::MalformedGarbling("OT reply count mismatch"));
         }
-        let mut cts = Vec::with_capacity(self.senders.len());
-        for ((sender, reply), (l0, l1)) in self
-            .senders
-            .into_iter()
-            .zip(requests.replies.iter())
-            .zip(self.evaluator_wire_labels.iter())
-        {
-            cts.push(sender.encrypt(reply, &l0.0, &l1.0)?);
+        let mut cts = Vec::with_capacity(chunks.len());
+        for (index, (wires, reply)) in chunks.zip(&requests.replies).enumerate() {
+            let messages: Vec<Vec<u8>> = (0..1usize << wires.len())
+                .map(|value| {
+                    let bit = |pos: usize| value >> pos & 1 == 1;
+                    (wires.iter().enumerate())
+                        .flat_map(|(pos, (l0, l1))| if bit(pos) { l1.0 } else { l0.0 })
+                        .collect()
+                })
+                .collect();
+            cts.push(self.sender.encrypt(index, reply, &messages)?);
         }
         Ok(CompareLabelCiphertexts { cts })
     }
@@ -135,7 +147,7 @@ impl CompareGarbler {
 /// Evaluator-side state machine for one comparison.
 #[derive(Debug)]
 pub struct CompareEvaluator {
-    receivers: Vec<OtReceiver>,
+    receiver: OtBatchReceiver,
     garbled: GarbledCircuit,
     garbler_labels: Vec<Label>,
 }
@@ -162,23 +174,20 @@ impl CompareEvaluator {
         if offer.garbled.circuit().garbler_inputs() != width
             || offer.garbled.circuit().evaluator_inputs() != width
             || offer.garbler_labels.len() != width
-            || offer.ot_setups.len() != width
         {
             return Err(CircuitError::MalformedGarbling(
                 "offer shape does not match declared width",
             ));
         }
-        let bits = u128_to_bits(value, width);
-        let mut receivers = Vec::with_capacity(width);
-        let mut replies = Vec::with_capacity(width);
-        for (setup, &bit) in offer.ot_setups.iter().zip(bits.iter()) {
-            let (receiver, reply) = OtReceiver::new(group.clone(), setup, bit, rng)?;
-            receivers.push(receiver);
-            replies.push(reply);
-        }
+        let choices: Vec<usize> = u128_to_bits(value, width)
+            .chunks(OT_CHUNK_BITS)
+            .map(|bits| (bits.iter().enumerate()).fold(0, |v, (pos, &b)| v | (b as usize) << pos))
+            .collect();
+        let (receiver, replies) =
+            OtBatchReceiver::new(group.clone(), &offer.ot_setup, &choices, rng)?;
         Ok((
             CompareEvaluator {
-                receivers,
+                receiver,
                 garbled: offer.garbled,
                 garbler_labels: offer.garbler_labels,
             },
@@ -193,18 +202,14 @@ impl CompareEvaluator {
     ///
     /// OT or garbling inconsistencies.
     pub fn finish(self, transfer: &CompareLabelCiphertexts) -> Result<bool, CircuitError> {
-        if transfer.cts.len() != self.receivers.len() {
-            return Err(CircuitError::MalformedGarbling(
-                "OT ciphertext count mismatch",
-            ));
-        }
         let mut labels = self.garbler_labels;
-        for (receiver, ct) in self.receivers.into_iter().zip(transfer.cts.iter()) {
-            let bytes = receiver.decrypt(ct)?;
-            let arr: [u8; 16] = bytes
-                .try_into()
-                .map_err(|_| CircuitError::MalformedGarbling("label must be 16 bytes"))?;
-            labels.push(Label(arr));
+        for chunk in self.receiver.decrypt(&transfer.cts)? {
+            if chunk.len() % 16 != 0 {
+                return Err(CircuitError::MalformedGarbling("label must be 16 bytes"));
+            }
+            for label in chunk.chunks(16) {
+                labels.push(Label(label.try_into().expect("16 bytes")));
+            }
         }
         let out = eval_garbled(&self.garbled, &labels)?;
         Ok(out[0])
@@ -247,6 +252,36 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_over_even_odd_and_single_bit_widths() {
+        // Width 4 is two 1-of-4 chunks, width 5 ends in a 1-of-2 tail
+        // chunk, width 1 is the tail chunk alone.
+        let g = group();
+        let mut rng = HashDrbg::new(b"cmp-exhaustive");
+        for width in [4usize, 5, 1] {
+            for a in 0..1u128 << width {
+                for b in 0..1u128 << width {
+                    let got = secure_less_than_local(a, b, width, &g, &mut rng).expect("compare");
+                    assert_eq!(got, a < b, "width={width} a={a} b={b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_carries_one_ciphertext_per_chunk_value() {
+        let g = group();
+        let mut rng = HashDrbg::new(b"cmp-shape");
+        let (garbler, offer) = CompareGarbler::start(5, 19, &g, &mut rng).expect("start");
+        let (_eval, requests) = CompareEvaluator::respond(offer, 7, &g, &mut rng).expect("respond");
+        assert_eq!(requests.replies.len(), 3);
+        let transfer = garbler.provide_labels(&requests).expect("labels");
+        let shape: Vec<(usize, usize)> = (transfer.cts.iter())
+            .map(|ct| (ct.branches.len(), ct.branches[0].len()))
+            .collect();
+        assert_eq!(shape, [(4, 32), (4, 32), (2, 16)]);
+    }
+
+    #[test]
     fn compares_wide_values() {
         let g = group();
         let mut rng = HashDrbg::new(b"cmp-wide");
@@ -271,7 +306,7 @@ mod tests {
         let g = group();
         let mut rng = HashDrbg::new(b"cmp-malformed");
         let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
-        offer.ot_setups.pop();
+        offer.garbler_labels.pop();
         assert!(matches!(
             CompareEvaluator::respond(offer, 9, &g, &mut rng),
             Err(CircuitError::MalformedGarbling(_))

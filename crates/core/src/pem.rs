@@ -507,8 +507,34 @@ mod tests {
             assert!((x.energy - y.energy).abs() < 1e-12);
         }
         // Identical traffic shape: pooling changes compute, not messages.
+        // Every field is fixed-size except the big integers, which travel
+        // minimal-length: under a different randomness stream one with a
+        // zero leading byte is a byte shorter. So a label's bytes may
+        // differ by at most the number of big integers it carries, and
+        // by nothing where it carries none.
+        let bigints = |label: &str, messages: u64| match label {
+            "eval/gc-offer" => 1,       // the one `A`
+            "eval/gc-ot-request" => 32, // one `B` per 2-bit chunk of 64 bits
+            "price/agg" => 2 * messages,
+            "eval/demand-agg" | "eval/supply-agg" | "dist/total-agg" | "dist/total-bcast"
+            | "dist/ratio-req" => messages,
+            _ => 0,
+        };
         assert_eq!(a.net.total_messages, b.net.total_messages);
-        assert_eq!(a.net.total_bytes, b.net.total_bytes);
+        assert_eq!(
+            a.net.per_label.keys().collect::<Vec<_>>(),
+            b.net.per_label.keys().collect::<Vec<_>>()
+        );
+        for (label, plain) in &a.net.per_label {
+            let pooled = &b.net.per_label[label];
+            assert_eq!(plain.messages, pooled.messages, "{label}");
+            assert!(
+                plain.bytes.abs_diff(pooled.bytes) <= bigints(label, plain.messages),
+                "{label}: {} vs {} bytes",
+                plain.bytes,
+                pooled.bytes
+            );
+        }
         let stats = pooled.pool_stats().expect("pool enabled");
         assert!(stats.hits > 0, "pool must serve the encryptions");
         assert_eq!(stats.misses, 0, "batch of 8 per key must suffice");

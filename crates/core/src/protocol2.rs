@@ -21,6 +21,7 @@
 use pem_bignum::BigUint;
 use pem_circuit::compare::{
     CompareEvaluator, CompareGarbler, CompareLabelCiphertexts, CompareOffer, CompareOtRequests,
+    OT_CHUNK_BITS,
 };
 use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
@@ -319,8 +320,8 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
 /// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`
 /// evaluates. Two-party and strictly request/response, so it runs
 /// inline (blocking) even under the fabric engine. The OT group is a
-/// handle to the profile's shared context, so all `2 · compare_bits` OT
-/// instances (and every later window) ride one generator table.
+/// handle to the profile's shared context, so the comparison's one OT
+/// batch (and every later window) rides one generator table.
 pub(crate) fn run_compare<T: Transport>(
     net: &mut T,
     cfg: &PemConfig,
@@ -331,18 +332,22 @@ pub(crate) fn run_compare<T: Transport>(
     rng: &mut HashDrbg,
 ) -> Result<bool, PemError> {
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
-    let group = cfg.ot_profile.group();
-    let (garbler, offer) = CompareGarbler::start(cfg.compare_bits, masked_supply, &group, rng)?;
-    send_offer(net, PartyId(hr2), PartyId(hr1), &offer)?;
-    let offer = recv_offer(net, PartyId(hr1), cfg.compare_bits)?;
+    let (group, width) = (cfg.ot_profile.group(), cfg.compare_bits);
+    let (garbler_at, evaluator_at) = (PartyId(hr2), PartyId(hr1));
+    let (garbler, offer) = CompareGarbler::start(width, masked_supply, &group, rng)?;
+    let label = "eval/gc-offer";
+    net.send(garbler_at, evaluator_at, label, encode_offer(&offer))?;
+    let offer = decode_offer(&net.recv_expect(evaluator_at, label)?.payload, width)?;
 
     let (evaluator, requests) = CompareEvaluator::respond(offer, masked_demand, &group, rng)?;
-    send_requests(net, PartyId(hr1), PartyId(hr2), &requests)?;
-    let requests = recv_requests(net, PartyId(hr2))?;
+    let label = "eval/gc-ot-request";
+    net.send(evaluator_at, garbler_at, label, encode_requests(&requests))?;
+    let requests = decode_requests(&net.recv_expect(garbler_at, label)?.payload, width)?;
 
     let transfer = garbler.provide_labels(&requests)?;
-    send_transfer(net, PartyId(hr2), PartyId(hr1), &transfer)?;
-    let transfer = recv_transfer(net, PartyId(hr1))?;
+    let label = "eval/gc-ot-transfer";
+    net.send(garbler_at, evaluator_at, label, encode_transfer(&transfer))?;
+    let transfer = decode_transfer(&net.recv_expect(evaluator_at, label)?.payload, width)?;
 
     let general_market = evaluator.finish(&transfer)?;
     compare_span.finish_at(net.now_us());
@@ -369,34 +374,33 @@ pub(crate) fn broadcast_result<T: Transport>(
 }
 
 // --- Wire encodings for the comparison messages ------------------------
+//
+// Every count on the wire is implied by the agreed comparison width, so
+// a decoder checks each against the width *before* allocating for it,
+// and fixed-size fields (labels, branch ciphertexts) carry no length.
 
-fn put_label(w: &mut WireWriter, l: &Label) {
-    for b in l.0 {
-        w.put_u8(b);
+/// Reads a width or count and rejects anything but the agreed one.
+fn expect_varint(
+    r: &mut WireReader<'_>,
+    agreed: usize,
+    what: &'static str,
+) -> Result<(), PemError> {
+    if r.get_varint()? != agreed as u64 {
+        return Err(CircuitError::MalformedGarbling(what).into());
     }
+    Ok(())
 }
 
 fn get_label(r: &mut WireReader<'_>) -> Result<Label, PemError> {
-    let mut out = [0u8; 16];
-    for b in &mut out {
-        *b = r.get_u8()?;
-    }
-    Ok(Label(out))
+    Ok(Label(r.get_raw(16)?.try_into().expect("16 bytes read")))
 }
 
-fn send_offer<T: Transport>(
-    net: &mut T,
-    from: PartyId,
-    to: PartyId,
-    offer: &CompareOffer,
-) -> Result<(), PemError> {
+fn encode_offer(offer: &CompareOffer) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(offer.width as u64);
     w.put_varint(offer.garbled.and_tables().len() as u64);
-    for table in offer.garbled.and_tables() {
-        for row in table {
-            put_label(&mut w, row);
-        }
+    for row in offer.garbled.and_tables().iter().flatten() {
+        w.put_raw(&row.0);
     }
     w.put_varint(offer.garbled.output_decode().len() as u64);
     for &bit in offer.garbled.output_decode() {
@@ -404,121 +408,81 @@ fn send_offer<T: Transport>(
     }
     w.put_varint(offer.garbler_labels.len() as u64);
     for l in &offer.garbler_labels {
-        put_label(&mut w, l);
+        w.put_raw(&l.0);
     }
-    w.put_varint(offer.ot_setups.len() as u64);
-    for s in &offer.ot_setups {
-        w.put_biguint(&s.big_a);
-    }
-    net.send(from, to, "eval/gc-offer", w.finish())?;
-    Ok(())
+    w.put_biguint(&offer.ot_setup.big_a);
+    w.finish()
 }
 
-fn recv_offer<T: Transport>(
-    net: &mut T,
-    at: PartyId,
-    expected_width: usize,
-) -> Result<CompareOffer, PemError> {
-    let env = net.recv_expect(at, "eval/gc-offer")?;
-    let mut r = WireReader::new(&env.payload);
-    let width = r.get_varint()? as usize;
-    if width != expected_width {
-        return Err(PemError::Circuit(CircuitError::MalformedGarbling(
-            "offer width does not match the agreed comparison width",
-        )));
-    }
-    let tables_len = r.get_varint()? as usize;
-    let mut and_tables = Vec::with_capacity(tables_len);
-    for _ in 0..tables_len {
-        let mut table = [Label([0u8; 16]); 4];
-        for row in &mut table {
-            *row = get_label(&mut r)?;
-        }
-        and_tables.push(table);
-    }
-    let decode_len = r.get_varint()? as usize;
-    let mut output_decode = Vec::with_capacity(decode_len);
-    for _ in 0..decode_len {
-        output_decode.push(r.get_bool()?);
-    }
-    let labels_len = r.get_varint()? as usize;
-    let mut garbler_labels = Vec::with_capacity(labels_len);
-    for _ in 0..labels_len {
-        garbler_labels.push(get_label(&mut r)?);
-    }
-    let setups_len = r.get_varint()? as usize;
-    let mut ot_setups = Vec::with_capacity(setups_len);
-    for _ in 0..setups_len {
-        ot_setups.push(OtSenderSetup {
-            big_a: r.get_biguint()?,
-        });
-    }
+fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> {
+    let mut r = WireReader::new(payload);
+    expect_varint(&mut r, width, "offer width is not the agreed width")?;
     // The comparator topology is public: rebuild it locally.
-    let garbled = GarbledCircuit::from_parts(comparator_circuit(width), and_tables, output_decode)?;
+    let circuit = comparator_circuit(width);
+    expect_varint(&mut r, circuit.and_count(), "AND table count mismatch")?;
+    let mut and_tables = vec![[Label([0u8; 16]); 4]; circuit.and_count()];
+    for row in and_tables.iter_mut().flatten() {
+        *row = get_label(&mut r)?;
+    }
+    let outputs = circuit.outputs().len();
+    expect_varint(&mut r, outputs, "output decode count mismatch")?;
+    let output_decode = (0..outputs)
+        .map(|_| r.get_bool())
+        .collect::<Result<_, _>>()?;
+    expect_varint(&mut r, width, "garbler label count mismatch")?;
+    let garbler_labels = (0..width)
+        .map(|_| get_label(&mut r))
+        .collect::<Result<_, _>>()?;
+    let big_a = r.get_biguint()?;
     Ok(CompareOffer {
         width,
-        garbled,
+        garbled: GarbledCircuit::from_parts(circuit, and_tables, output_decode)?,
         garbler_labels,
-        ot_setups,
+        ot_setup: OtSenderSetup { big_a },
     })
 }
 
-fn send_requests<T: Transport>(
-    net: &mut T,
-    from: PartyId,
-    to: PartyId,
-    requests: &CompareOtRequests,
-) -> Result<(), PemError> {
+fn encode_requests(requests: &CompareOtRequests) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(requests.replies.len() as u64);
     for reply in &requests.replies {
         w.put_biguint(&reply.big_b);
     }
-    net.send(from, to, "eval/gc-ot-request", w.finish())?;
-    Ok(())
+    w.finish()
 }
 
-fn recv_requests<T: Transport>(net: &mut T, at: PartyId) -> Result<CompareOtRequests, PemError> {
-    let env = net.recv_expect(at, "eval/gc-ot-request")?;
-    let mut r = WireReader::new(&env.payload);
-    let len = r.get_varint()? as usize;
-    let mut replies = Vec::with_capacity(len);
-    for _ in 0..len {
-        replies.push(OtReceiverReply {
-            big_b: r.get_biguint()?,
-        });
-    }
+fn decode_requests(payload: &[u8], width: usize) -> Result<CompareOtRequests, PemError> {
+    let mut r = WireReader::new(payload);
+    let chunks = width.div_ceil(OT_CHUNK_BITS);
+    expect_varint(&mut r, chunks, "OT reply count mismatch")?;
+    let replies = (0..chunks)
+        .map(|_| r.get_biguint().map(|big_b| OtReceiverReply { big_b }))
+        .collect::<Result<_, _>>()?;
     Ok(CompareOtRequests { replies })
 }
 
-fn send_transfer<T: Transport>(
-    net: &mut T,
-    from: PartyId,
-    to: PartyId,
-    transfer: &CompareLabelCiphertexts,
-) -> Result<(), PemError> {
+fn encode_transfer(transfer: &CompareLabelCiphertexts) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(transfer.cts.len() as u64);
-    for ct in &transfer.cts {
-        w.put_bytes(&ct.e0);
-        w.put_bytes(&ct.e1);
+    for branch in transfer.cts.iter().flat_map(|ct| &ct.branches) {
+        w.put_raw(branch);
     }
-    net.send(from, to, "eval/gc-ot-transfer", w.finish())?;
-    Ok(())
+    w.finish()
 }
 
-fn recv_transfer<T: Transport>(
-    net: &mut T,
-    at: PartyId,
-) -> Result<CompareLabelCiphertexts, PemError> {
-    let env = net.recv_expect(at, "eval/gc-ot-transfer")?;
-    let mut r = WireReader::new(&env.payload);
-    let len = r.get_varint()? as usize;
-    let mut cts = Vec::with_capacity(len);
-    for _ in 0..len {
-        let e0 = r.get_bytes()?.to_vec();
-        let e1 = r.get_bytes()?.to_vec();
-        cts.push(OtCiphertexts { e0, e1 });
+fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertexts, PemError> {
+    let mut r = WireReader::new(payload);
+    let chunks = width.div_ceil(OT_CHUNK_BITS);
+    expect_varint(&mut r, chunks, "OT ciphertext count mismatch")?;
+    let mut cts = Vec::with_capacity(chunks);
+    for chunk in 0..chunks {
+        // One branch per value of the chunk's bits, each carrying one
+        // 16-byte label per bit; an odd width ends in a 1-bit chunk.
+        let bits = OT_CHUNK_BITS.min(width - chunk * OT_CHUNK_BITS);
+        let branches = (0..1 << bits)
+            .map(|_| r.get_raw(16 * bits).map(<[u8]>::to_vec))
+            .collect::<Result<_, _>>()?;
+        cts.push(OtCiphertexts { branches });
     }
     Ok(CompareLabelCiphertexts { cts })
 }

@@ -17,11 +17,16 @@
 //! witness that the trait is a real abstraction, not a rename of the
 //! simulator.
 
+use pem_circuit::CircuitError;
 use pem_core::protocol2;
 use pem_core::{AgentCtx, KeyDirectory, PemConfig, PemError, Quantizer};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
-use pem_net::{FaultKind, FaultPlan, LatencyModel, MeshTransport, SimNetwork, Transport};
+use pem_net::wire::WireWriter;
+use pem_net::{
+    Envelope, FaultKind, FaultPlan, LatencyModel, MeshTransport, NetError, NetStats, PartyId,
+    SimNetwork, Transport,
+};
 use rand::Rng;
 
 /// Two sellers, two buyers: `E_s = 4.0 < E_b = 9.0`, a general market.
@@ -97,6 +102,63 @@ fn run_protocol2_both(plan: FaultPlan) -> Result<protocol2::EvalOutcome, PemErro
     let sim_result = run_protocol2_on(&mut sim);
     let mut mesh = MeshTransport::new(parties).with_faults(plan);
     let mesh_result = run_protocol2_on(&mut mesh);
+    assert_same_ending(&sim_result, &mesh_result);
+    sim_result
+}
+
+/// A fabric that rewrites every payload sent under one label — the
+/// tampering `FaultKind` cannot express (a chosen offset, a hostile
+/// count).
+struct Tamper<T, F> {
+    inner: T,
+    label: &'static str,
+    edit: F,
+}
+
+impl<T: Transport, F: Fn(&mut Vec<u8>)> Transport for Tamper<T, F> {
+    fn party_count(&self) -> usize {
+        self.inner.party_count()
+    }
+    fn send(
+        &mut self,
+        from: PartyId,
+        to: PartyId,
+        label: &'static str,
+        mut payload: Vec<u8>,
+    ) -> Result<(), NetError> {
+        if label == self.label {
+            (self.edit)(&mut payload);
+        }
+        self.inner.send(from, to, label, payload)
+    }
+    fn recv(&mut self, to: PartyId) -> Option<Envelope> {
+        self.inner.recv(to)
+    }
+    fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
+        self.inner.recv_expect(to, label)
+    }
+    fn stats(&self) -> NetStats {
+        self.inner.stats()
+    }
+    fn now_us(&self) -> u64 {
+        self.inner.now_us()
+    }
+    fn pending(&self) -> usize {
+        self.inner.pending()
+    }
+}
+
+/// Runs Protocol 2 with `edit` applied to the `label` message on both
+/// transports and checks they end the same way.
+fn run_protocol2_tampered(
+    label: &'static str,
+    edit: impl Fn(&mut Vec<u8>) + Copy,
+) -> Result<protocol2::EvalOutcome, PemError> {
+    let parties = setup().1.len();
+    let inner = SimNetwork::new(parties);
+    let sim_result = run_protocol2_on(&mut Tamper { inner, label, edit });
+    let inner = MeshTransport::new(parties);
+    let mesh_result = run_protocol2_on(&mut Tamper { inner, label, edit });
     assert_same_ending(&sim_result, &mesh_result);
     sim_result
 }
@@ -212,29 +274,89 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
             "{label}: got {err:?}"
         );
     }
-    // The out-of-threat-model malleability case from the header: the
-    // flipped bit lands in a garbled table row / an OT reply, the
-    // evaluator still decodes *a* label, and the comparison completes
-    // with the market bit flipped. Authenticated channels (§II-B) are
-    // what rules this out in deployment; pinned here so a change in
-    // either direction is noticed.
-    for label in ["eval/gc-offer", "eval/gc-ot-request"] {
+    // Byte layouts at `fast_test()` (width 64, 127 AND tables, 24-byte
+    // group elements, 32 two-bit OT chunks):
+    //
+    // * `eval/gc-offer`, 9182 bytes: the middle byte 4591 is byte 13 of
+    //   row 2 of AND table 71 — a row the evaluator's labels do not
+    //   select (today's seeds), so it is never decrypted.
+    // * `eval/gc-ot-transfer`, 4097 bytes: the middle byte 2048 is the
+    //   last byte of branch 3 of chunk 15; the evaluator chose branch 1
+    //   there (bits 30–31 of its masked total).
+    // * `eval/result`: the one byte is never re-read by the recipients.
+    //
+    // All three complete with the clean outcome.
+    for label in ["eval/gc-offer", "eval/gc-ot-transfer", "eval/result"] {
         let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes today, got {e:?}"));
+        assert_eq!(out, clean, "{label}: outcome unchanged");
+    }
+    // The out-of-threat-model malleability case from the header, twice:
+    //
+    // * `eval/gc-ot-request`, 801 bytes: the middle byte 400 is the low
+    //   byte of chunk 15's `B`, so the garbler seals that chunk's four
+    //   label pairs under keys the evaluator cannot derive;
+    // * a flipped bit inside the single `A` (the offer's last byte),
+    //   which `FaultKind::Corrupt` cannot reach: the two sides then
+    //   disagree on *every* chunk's key.
+    //
+    // Either way the evaluator still decodes *a* label per wire, the
+    // garbage propagates to the output wire, and the comparison completes
+    // on a coin flip: with today's seeds the garbled request flips the
+    // market bit and the garbled `A` happens to land on the clean one.
+    // Authenticated channels (§II-B) are what rules this out in
+    // deployment; pinned here so a change in either direction is noticed.
+    let flipped_a = run_protocol2_tampered("eval/gc-offer", |payload| {
+        *payload.last_mut().expect("A closes the offer") ^= 1;
+    });
+    for (case, result, flips) in [
+        ("eval/gc-ot-request", corrupt("eval/gc-ot-request"), true),
+        ("flipped A", flipped_a, false),
+    ] {
+        let out = result.unwrap_or_else(|e| panic!("{case}: completes today, got {e:?}"));
         assert_eq!(
-            out.general_market, !clean.general_market,
-            "{label}: GC malleability flips the market bit"
+            out.general_market,
+            clean.general_market ^ flips,
+            "{case}: GC malleability decides the market bit"
         );
         assert_eq!(
             (out.masked_demand, out.masked_supply),
             (clean.masked_demand, clean.masked_supply),
-            "{label}: the masked totals are untouched"
+            "{case}: the masked totals are untouched"
         );
     }
-    // The flipped bit lands in the unchosen OT ciphertext / is never
-    // re-read by the recipients: the outcome is the clean one.
-    for label in ["eval/gc-ot-transfer", "eval/result"] {
-        let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes today, got {e:?}"));
-        assert_eq!(out, clean, "{label}: outcome unchanged");
+}
+
+#[test]
+fn hostile_counts_are_rejected_before_allocating() {
+    // Every count in the three comparison messages is implied by the
+    // agreed width. A frame announcing 2^60 of anything must come back
+    // as `MalformedGarbling` — not as a capacity-overflow panic or an
+    // allocation — on both fabrics. Offsets: the offer is
+    // `width | tables | 127·64 B | outputs | 1 B | labels | …`, the
+    // other two messages open with their count.
+    let cases: [(&'static str, usize); 6] = [
+        ("eval/gc-offer", 0),
+        ("eval/gc-offer", 1),
+        ("eval/gc-offer", 2 + 127 * 64),
+        ("eval/gc-offer", 2 + 127 * 64 + 2),
+        ("eval/gc-ot-request", 0),
+        ("eval/gc-ot-transfer", 0),
+    ];
+    for (label, offset) in cases {
+        let err = run_protocol2_tampered(label, move |payload| {
+            assert!(
+                payload[offset] < 0x80,
+                "{label}@{offset}: a one-byte varint"
+            );
+            let mut hostile = WireWriter::new();
+            hostile.put_varint(1 << 60);
+            payload.splice(offset..=offset, hostile.finish());
+        })
+        .expect_err("a hostile count must abort");
+        assert!(
+            matches!(err, PemError::Circuit(CircuitError::MalformedGarbling(_))),
+            "{label}@{offset}: got {err:?}"
+        );
     }
 }
 

@@ -1,23 +1,33 @@
-//! 1-out-of-2 oblivious transfer over `Z_p*`.
+//! Batched 1-out-of-n oblivious transfer over `Z_p*`.
 //!
 //! PEM's Private Market Evaluation (Protocol 2) ends with a garbled-circuit
 //! comparison between two randomly chosen agents; the circuit evaluator
-//! obtains the wire labels for its own input bits via OT. We implement the
-//! Chou–Orlandi ("simplest OT") message flow in a prime-order subgroup of
-//! `Z_p*` with `p` a safe prime, secure against semi-honest adversaries
-//! (the paper's threat model, Section II-B):
+//! obtains the wire labels for its own input bits via OT. We implement
+//! Chou–Orlandi ("simplest OT") as published — **one sender key for the
+//! whole batch, natively 1-of-n** — in the prime-order subgroup of `Z_p*`,
+//! `p` a safe prime, secure against semi-honest adversaries (the paper's
+//! threat model, Section II-B) under CDH in the random-oracle model, with
+//! full-width exponents:
 //!
 //! ```text
-//! Sender:            a ←$ [1, q),  A = g^a
-//! Receiver(c):       b ←$ [1, q),  B = g^b        if c = 0
-//!                                  B = A · g^b    if c = 1
-//! Sender:            k0 = H(B^a), k1 = H((B/A)^a)
-//!                    e_i = m_i ⊕ KDF(k_i)
-//! Receiver:          k_c = H(A^b) → m_c = e_c ⊕ KDF(k_c)
+//! Sender:        a ←$ [1, q),  A = g^a,  T = g^(−a²) = A^(−a)     once per batch
+//! Receiver(cᵢ):  bᵢ ←$ [1, q), Bᵢ = A^cᵢ · g^bᵢ                   per OT i, cᵢ ∈ 0..n
+//! Sender:        kᵢⱼ = H(i, j, (Bᵢ/Aʲ)^a),  eᵢⱼ = mᵢⱼ ⊕ KDF(kᵢⱼ)   for j ∈ 0..n
+//! Receiver:      kᵢ,cᵢ = H(i, cᵢ, A^bᵢ) → mᵢ,cᵢ
 //! ```
 //!
-//! The sender computes `(B/A)^a` as `B^a · g^(−a²)`: one ladder per OT,
-//! every `g^x` off the group's shared comb table.
+//! The sender derives `(Bᵢ/Aʲ)^a` as `Bᵢ^a · Tʲ`: one ladder per OT
+//! whatever `n` is. The receiver's `A^bᵢ` share the base `A`, so a batch
+//! of 8 or more takes them off one comb table built for `A` (the choice
+//! is by batch length alone); every `g^x` comes off the group's shared
+//! table. A batch of `m` OTs costs, against `2m` ladders and `3m` table
+//! exponentiations when every OT had its own key:
+//!
+//! | | ladders | table pows | table builds |
+//! |---|---|---|---|
+//! | sender | `m` (`Bᵢ^a`) | 2 (`g^a`, `T`) | 0 |
+//! | receiver, `m ≥ 8` | 0 | `2m` (`g^bᵢ`, `A^bᵢ`) | 1 (`A`) |
+//! | receiver, `m < 8` | `m` (`A^bᵢ`) | `m` (`g^bᵢ`) | 0 |
 //!
 //! Groups: RFC 2409 Oakley Group 2 (1024-bit) and RFC 3526 Group 14
 //! (2048-bit), plus a 192-bit safe-prime group for fast unit tests. All
@@ -75,10 +85,11 @@ struct GroupContext {
     q: BigUint,
     #[serde(skip)]
     mont: OnceLock<Montgomery>,
-    /// Comb table for the generator: every `g^x` (three per OT, two per
-    /// Pedersen commitment) costs window-count multiplications instead
-    /// of a full square-and-multiply ladder. Built on the first `g^x`
-    /// through *any* handle to this context, bit-identical results.
+    /// Comb table for the generator: every `g^x` (one per OT plus two
+    /// per batch, two per Pedersen commitment) costs window-count
+    /// multiplications instead of a full square-and-multiply ladder.
+    /// Built on the first `g^x` through *any* handle to this context,
+    /// bit-identical results.
     #[serde(skip)]
     g_table: OnceLock<FixedBasePow>,
 }
@@ -214,10 +225,11 @@ impl DhGroup {
         BigUint::random_below(&span, rng) + BigUint::one()
     }
 
-    /// Validates a received group element: in `(1, p)` (excludes the
-    /// identity and out-of-range encodings).
+    /// Validates a received group element: in `(1, p − 1)` (excludes the
+    /// identity, the order-2 element `p − 1` — whose powers are `±1` —
+    /// and out-of-range encodings).
     pub fn validate_element(&self, e: &BigUint) -> Result<(), CryptoError> {
-        if e <= &BigUint::one() || e >= self.p() {
+        if e <= &BigUint::one() || &(e + &BigUint::one()) >= self.p() {
             Err(CryptoError::InvalidOtMessage("group element out of range"))
         } else {
             Ok(())
@@ -225,186 +237,202 @@ impl DhGroup {
     }
 }
 
-/// Hashes a group element (with transcript context) into a symmetric key.
-fn derive_key(shared: &BigUint, big_a: &BigUint, big_b: &BigUint, index: u8) -> [u8; 32] {
+/// Most branches one OT carries (1-of-4: two choice bits per transfer).
+pub const MAX_BRANCHES: usize = 4;
+
+/// Batch length from which the receiver builds a comb table for `A`
+/// instead of running a ladder per `A^b`. Measured break-even: 5 OTs at
+/// Modp1024 (build 1.63 ms, table pow 80 µs, ladder 405 µs) and 12 at
+/// Test192 (35 µs, 1.2 µs, 4.3 µs); 8 sits between the two. The batches
+/// that exist are 1 (`run_local_ot`) and 32 (a 64-bit comparison), far
+/// on either side, so the exact value decides nothing today.
+const A_TABLE_MIN_BATCH: usize = 8;
+
+/// Hashes OT `i`'s branch-`j` secret into a symmetric key, bound to the
+/// transcript (`A`, `B`), the OT's position in its batch and the branch.
+fn derive_key(shared: &BigUint, big_a: &BigUint, big_b: &BigUint, i: usize, j: usize) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"pem-ot-key");
-    h.update(&[index]);
+    h.update(&(i as u64).to_be_bytes());
+    h.update(&[j as u8]);
     h.update(&shared.to_bytes_be());
     h.update(&big_a.to_bytes_be());
     h.update(&big_b.to_bytes_be());
     h.finalize()
 }
 
-/// First OT message (sender → receiver).
+/// `msg ⊕ KDF(key)`.
+fn pad(key: &[u8; 32], msg: &[u8]) -> Vec<u8> {
+    let pad = kdf(key, b"pem-ot-pad", msg.len());
+    msg.iter().zip(pad.iter()).map(|(x, y)| x ^ y).collect()
+}
+
+/// First OT message (sender → receiver), one per batch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtSenderSetup {
     /// `A = g^a`.
     pub big_a: BigUint,
 }
 
-/// Second OT message (receiver → sender).
+/// Second OT message (receiver → sender), one per OT.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtReceiverReply {
-    /// `B = g^b` or `A·g^b` depending on the choice bit.
+    /// `B = A^c · g^b` for choice `c`.
     pub big_b: BigUint,
 }
 
-/// Third OT message (sender → receiver): both branch ciphertexts.
+/// Third OT message (sender → receiver), one per OT.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtCiphertexts {
-    /// `m0 ⊕ KDF(k0)`.
-    pub e0: Vec<u8>,
-    /// `m1 ⊕ KDF(k1)`.
-    pub e1: Vec<u8>,
+    /// `m_j ⊕ KDF(k_j)` per branch `j`, all of one length.
+    pub branches: Vec<Vec<u8>>,
 }
 
-/// Sender side of a single 1-of-2 OT.
+/// Sender side of a batch of 1-of-n OTs under one key.
 #[derive(Debug)]
-pub struct OtSender {
+pub struct OtBatchSender {
     group: DhGroup,
     a: BigUint,
     big_a: BigUint,
+    /// `T = g^(−a²) = A^(−a)`.
+    t: BigUint,
 }
 
-impl OtSender {
-    /// Starts an OT, producing the setup message.
-    pub fn new<R: Rng + ?Sized>(group: DhGroup, rng: &mut R) -> (OtSender, OtSenderSetup) {
+impl OtBatchSender {
+    /// Draws the batch key, producing the setup message.
+    pub fn new<R: Rng + ?Sized>(group: DhGroup, rng: &mut R) -> (OtBatchSender, OtSenderSetup) {
         let a = group.random_exponent(rng);
+        OtBatchSender::with_exponent(group, a)
+    }
+
+    fn with_exponent(group: DhGroup, a: BigUint) -> (OtBatchSender, OtSenderSetup) {
         let big_a = group.pow_g(&a);
-        let setup = OtSenderSetup {
-            big_a: big_a.clone(),
-        };
-        (OtSender { group, a, big_a }, setup)
-    }
-
-    /// Encrypts the two messages against the receiver's reply.
-    ///
-    /// # Errors
-    ///
-    /// * [`CryptoError::InvalidOtMessage`] if `B` is not a valid group
-    ///   element or the messages have different lengths.
-    pub fn encrypt(
-        self,
-        reply: &OtReceiverReply,
-        m0: &[u8],
-        m1: &[u8],
-    ) -> Result<OtCiphertexts, CryptoError> {
-        if m0.len() != m1.len() {
-            return Err(CryptoError::InvalidOtMessage(
-                "branch messages must have equal length",
-            ));
-        }
-        self.group.validate_element(&reply.big_b)?;
-        let (k0_point, k1_point) = self.branch_points(&reply.big_b);
-        Ok(self.seal(&reply.big_b, &k0_point, &k1_point, m0, m1))
-    }
-
-    /// The two branch secrets `(B^a, (B/A)^a)`. The second is derived as
-    /// `B^a · g^(−a²)` — the same group element, but one ladder plus one
-    /// comb-table exponentiation instead of an inversion and a second
-    /// ladder.
-    fn branch_points(&self, big_b: &BigUint) -> (BigUint, BigUint) {
-        let g = &self.group;
-        let k0_point = g.pow(big_b, &self.a);
         // −a² reduced mod p − 1 (a multiple of g's order) into
         // (0, p − 1], so it fits the table's width.
-        let order = g.q() << 1;
-        let neg_a_sq = &order - &((&self.a * &self.a) % &order);
-        let k1_point = g.mul(&k0_point, &g.pow_g(&neg_a_sq));
-        (k0_point, k1_point)
+        let order = group.q() << 1;
+        let t = group.pow_g(&(&order - &((&a * &a) % &order)));
+        let sender = OtBatchSender {
+            group,
+            a,
+            big_a: big_a.clone(),
+            t,
+        };
+        (sender, OtSenderSetup { big_a })
     }
 
-    /// Pads both messages with the keys hashed from the branch secrets.
-    fn seal(
-        &self,
-        big_b: &BigUint,
-        k0_point: &BigUint,
-        k1_point: &BigUint,
-        m0: &[u8],
-        m1: &[u8],
-    ) -> OtCiphertexts {
-        let k0 = derive_key(k0_point, &self.big_a, big_b, 0);
-        let k1 = derive_key(k1_point, &self.big_a, big_b, 1);
-        let pad0 = kdf(&k0, b"pem-ot-pad", m0.len());
-        let pad1 = kdf(&k1, b"pem-ot-pad", m1.len());
-        OtCiphertexts {
-            e0: xor(m0, &pad0),
-            e1: xor(m1, &pad1),
-        }
-    }
-}
-
-/// Receiver side of a single 1-of-2 OT.
-#[derive(Debug)]
-pub struct OtReceiver {
-    group: DhGroup,
-    b: BigUint,
-    choice: bool,
-    big_a: BigUint,
-    big_b: BigUint,
-}
-
-impl OtReceiver {
-    /// Responds to the sender's setup with the blinded key `B`.
+    /// Encrypts the branch messages of the batch's `index`-th OT against
+    /// the receiver's reply.
     ///
     /// # Errors
     ///
-    /// [`CryptoError::InvalidOtMessage`] if `A` is invalid.
+    /// [`CryptoError::InvalidOtMessage`] if `B` is not a valid group
+    /// element, there are neither two nor [`MAX_BRANCHES`] messages (one
+    /// choice bit or two), or their lengths differ.
+    pub fn encrypt(
+        &self,
+        index: usize,
+        reply: &OtReceiverReply,
+        messages: &[Vec<u8>],
+    ) -> Result<OtCiphertexts, CryptoError> {
+        if !matches!(messages.len(), 2 | MAX_BRANCHES)
+            || messages.iter().any(|m| m.len() != messages[0].len())
+        {
+            return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
+        }
+        self.group.validate_element(&reply.big_b)?;
+        let secrets = self.branch_secrets(&reply.big_b, messages.len());
+        let branches = (secrets.iter().zip(messages).enumerate())
+            .map(|(j, (k, m))| pad(&derive_key(k, &self.big_a, &reply.big_b, index, j), m))
+            .collect();
+        Ok(OtCiphertexts { branches })
+    }
+
+    /// The branch secrets `(B/Aʲ)^a` for `j ∈ 0..branches`, derived as
+    /// `B^a · Tʲ` — the same group elements for one ladder and a
+    /// multiplication per further branch, instead of an inversion and a
+    /// ladder each.
+    fn branch_secrets(&self, big_b: &BigUint, branches: usize) -> Vec<BigUint> {
+        let mut secrets = vec![self.group.pow(big_b, &self.a)];
+        for j in 1..branches {
+            secrets.push(self.group.mul(&secrets[j - 1], &self.t));
+        }
+        secrets
+    }
+}
+
+/// Receiver side of a batch of 1-of-n OTs under one sender key.
+#[derive(Debug)]
+pub struct OtBatchReceiver {
+    group: DhGroup,
+    big_a: BigUint,
+    /// Per OT: the choice, the blinding exponent `b` and `B`.
+    ots: Vec<(usize, BigUint, BigUint)>,
+}
+
+impl OtBatchReceiver {
+    /// Responds to the sender's setup with one blinded key `B` per
+    /// choice (each in `0..MAX_BRANCHES`).
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidOtMessage`] if `A` is invalid or a choice is
+    /// out of range.
     pub fn new<R: Rng + ?Sized>(
         group: DhGroup,
         setup: &OtSenderSetup,
-        choice: bool,
+        choices: &[usize],
         rng: &mut R,
-    ) -> Result<(OtReceiver, OtReceiverReply), CryptoError> {
-        group.validate_element(&setup.big_a)?;
-        let b = group.random_exponent(rng);
-        let g_b = group.pow_g(&b);
-        let big_b = if choice {
-            group.mul(&setup.big_a, &g_b)
-        } else {
-            g_b
-        };
-        let reply = OtReceiverReply {
-            big_b: big_b.clone(),
-        };
-        Ok((
-            OtReceiver {
-                group,
-                b,
-                choice,
-                big_a: setup.big_a.clone(),
-                big_b,
-            },
-            reply,
-        ))
+    ) -> Result<(OtBatchReceiver, Vec<OtReceiverReply>), CryptoError> {
+        let big_a = setup.big_a.clone();
+        group.validate_element(&big_a)?;
+        if choices.iter().any(|&c| c >= MAX_BRANCHES) {
+            return Err(CryptoError::InvalidOtMessage("choice out of range"));
+        }
+        let mut ots = Vec::with_capacity(choices.len());
+        let mut replies = Vec::with_capacity(choices.len());
+        for &c in choices {
+            let b = group.random_exponent(rng);
+            let big_b = (0..c).fold(group.pow_g(&b), |x, _| group.mul(&x, &big_a));
+            replies.push(OtReceiverReply {
+                big_b: big_b.clone(),
+            });
+            ots.push((c, b, big_b));
+        }
+        Ok((OtBatchReceiver { group, big_a, ots }, replies))
     }
 
-    /// Decrypts the chosen branch.
+    /// Decrypts the chosen branch of every OT, in batch order.
     ///
     /// # Errors
     ///
-    /// [`CryptoError::InvalidOtMessage`] if the ciphertext lengths differ.
-    pub fn decrypt(self, cts: &OtCiphertexts) -> Result<Vec<u8>, CryptoError> {
-        if cts.e0.len() != cts.e1.len() {
-            return Err(CryptoError::InvalidOtMessage(
-                "branch ciphertexts must have equal length",
-            ));
+    /// [`CryptoError::InvalidOtMessage`] if the ciphertext count is not
+    /// the batch's, a choice has no branch, or an OT's branch lengths
+    /// differ.
+    pub fn decrypt(self, cts: &[OtCiphertexts]) -> Result<Vec<Vec<u8>>, CryptoError> {
+        if cts.len() != self.ots.len() {
+            return Err(CryptoError::InvalidOtMessage("ciphertext count"));
         }
-        let shared = self.group.pow(&self.big_a, &self.b);
-        let k = derive_key(&shared, &self.big_a, &self.big_b, self.choice as u8);
-        let ct = if self.choice { &cts.e1 } else { &cts.e0 };
-        let pad = kdf(&k, b"pem-ot-pad", ct.len());
-        Ok(xor(ct, &pad))
+        let a_table =
+            (cts.len() >= A_TABLE_MIN_BATCH).then(|| self.group.fixed_base_table(&self.big_a));
+        let mut out = Vec::with_capacity(cts.len());
+        for (index, ((c, b, big_b), ct)) in self.ots.iter().zip(cts).enumerate() {
+            let e = &ct.branches;
+            if *c >= e.len() || e.iter().any(|x| x.len() != e[0].len()) {
+                return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
+            }
+            let shared = match &a_table {
+                Some(table) => table.pow(b),
+                None => self.group.pow(&self.big_a, b),
+            };
+            let key = derive_key(&shared, &self.big_a, big_b, index, *c);
+            out.push(pad(&key, &e[*c]));
+        }
+        Ok(out)
     }
 }
 
-fn xor(a: &[u8], b: &[u8]) -> Vec<u8> {
-    a.iter().zip(b.iter()).map(|(x, y)| x ^ y).collect()
-}
-
-/// Runs both sides of an OT in memory (reference flow used by tests and
-/// the single-process simulator).
+/// Runs both sides of a single 1-of-2 OT in memory — a batch of one
+/// (reference flow used by tests and the single-process simulator).
 pub fn run_local_ot<R: Rng + ?Sized>(
     group: &DhGroup,
     m0: &[u8],
@@ -412,10 +440,10 @@ pub fn run_local_ot<R: Rng + ?Sized>(
     choice: bool,
     rng: &mut R,
 ) -> Result<Vec<u8>, CryptoError> {
-    let (sender, setup) = OtSender::new(group.clone(), rng);
-    let (receiver, reply) = OtReceiver::new(group.clone(), &setup, choice, rng)?;
-    let cts = sender.encrypt(&reply, m0, m1)?;
-    receiver.decrypt(&cts)
+    let (sender, setup) = OtBatchSender::new(group.clone(), rng);
+    let (receiver, replies) = OtBatchReceiver::new(group.clone(), &setup, &[choice as usize], rng)?;
+    let cts = sender.encrypt(0, &replies[0], &[m0.to_vec(), m1.to_vec()])?;
+    Ok(receiver.decrypt(&[cts])?.remove(0))
 }
 
 #[cfg(test)]
@@ -495,35 +523,56 @@ mod tests {
         assert!(!Arc::ptr_eq(&custom.ctx, &a.ctx));
     }
 
-    /// A sender with a chosen secret exponent (the protocol draws it).
-    fn sender_with(group: &DhGroup, a: BigUint) -> OtSender {
-        OtSender {
-            group: group.clone(),
-            big_a: group.pow_g(&a),
-            a,
+    #[test]
+    fn validate_element_accepts_exactly_the_open_interval() {
+        for g in [DhGroup::test_192(), DhGroup::modp_1024()] {
+            let one = BigUint::one();
+            let p = g.p();
+            for bad in [BigUint::zero(), one.clone(), p - &one, p.clone(), p + &one] {
+                assert!(g.validate_element(&bad).is_err(), "{bad:?} accepted");
+            }
+            for good in [BigUint::from(2u64), p - &BigUint::from(2u64)] {
+                assert!(g.validate_element(&good).is_ok(), "{good:?} rejected");
+            }
         }
     }
 
     /// Reference derivation of the branch secrets, as the formula reads:
-    /// invert `A`, then a second full ladder `(B·A⁻¹)^a`.
-    fn branch_points_reference(s: &OtSender, big_b: &BigUint) -> (BigUint, BigUint) {
-        let k0_point = s.group.pow(big_b, &s.a);
+    /// invert `Aʲ`, then a full ladder `(B·A⁻ʲ)^a` per branch.
+    fn branch_secrets_reference(s: &OtBatchSender, big_b: &BigUint) -> Vec<BigUint> {
         let a_inv = s.big_a.mod_inverse(s.group.p()).expect("A is a unit");
-        let k1_point = s.group.pow(&s.group.mul(big_b, &a_inv), &s.a);
-        (k0_point, k1_point)
+        let mut base = big_b.clone();
+        (0..MAX_BRANCHES)
+            .map(|_| {
+                let k = s.group.pow(&base, &s.a);
+                base = s.group.mul(&base, &a_inv);
+                k
+            })
+            .collect()
     }
 
     /// Branch secrets and ciphertext bytes of the one-ladder derivation
     /// against the reference, for one `(a, B)`.
-    fn assert_matches_reference(sender: OtSender, big_b: &BigUint) {
-        let (m0, m1) = ([0x5Au8; 16], [0xA5u8; 16]);
-        let (k0, k1) = branch_points_reference(&sender, big_b);
-        assert_eq!(sender.branch_points(big_b), (k0.clone(), k1.clone()));
-        let expected = sender.seal(big_b, &k0, &k1, &m0, &m1);
+    fn assert_matches_reference(group: &DhGroup, a: BigUint, big_b: &BigUint) {
+        let (sender, _) = OtBatchSender::with_exponent(group.clone(), a);
+        let messages: Vec<Vec<u8>> = (0..MAX_BRANCHES)
+            .map(|j| vec![j as u8 ^ 0x5A; 32])
+            .collect();
+        let reference = branch_secrets_reference(&sender, big_b);
+        assert_eq!(sender.branch_secrets(big_b, MAX_BRANCHES), reference);
         let reply = OtReceiverReply {
             big_b: big_b.clone(),
         };
-        assert_eq!(sender.encrypt(&reply, &m0, &m1).expect("encrypt"), expected);
+        for n in [2, MAX_BRANCHES] {
+            let expected: Vec<Vec<u8>> = (0..n)
+                .map(|j| {
+                    let key = derive_key(&reference[j], &sender.big_a, big_b, 7, j);
+                    pad(&key, &messages[j])
+                })
+                .collect();
+            let got = sender.encrypt(7, &reply, &messages[..n]).expect("encrypt");
+            assert_eq!(got.branches, expected, "1-of-{n}");
+        }
     }
 
     #[test]
@@ -539,7 +588,7 @@ mod tests {
                 group.p() - &BigUint::one(),
                 group.q().clone(),
             ] {
-                assert_matches_reference(sender_with(&group, a), &big_b);
+                assert_matches_reference(&group, a, &big_b);
             }
         }
     }
@@ -554,11 +603,11 @@ mod tests {
                 // Any exponent below p — a superset of what the sender draws.
                 let a = BigUint::random_below(group.p(), &mut rng);
                 let setup = OtSenderSetup { big_a: group.pow_g(&a) };
-                for choice in [false, true] {
-                    let (_, reply) = OtReceiver::new(group.clone(), &setup, choice, &mut rng)
-                        .expect("valid A");
-                    assert_matches_reference(sender_with(&group, a.clone()), &reply.big_b);
-                }
+                // Every branch secret is checked whatever the reply's choice.
+                let choice = [(seed % MAX_BRANCHES as u64) as usize];
+                let (_, replies) = OtBatchReceiver::new(group.clone(), &setup, &choice, &mut rng)
+                    .expect("valid A");
+                assert_matches_reference(&group, a, &replies[0].big_b);
             }
         }
     }
@@ -577,46 +626,100 @@ mod tests {
 
     #[test]
     fn receiver_cannot_decrypt_other_branch() {
+        // One batch with every choice, short enough for the ladder lane
+        // (4 OTs) and long enough for the `A` table (12).
         let group = DhGroup::test_192();
-        let mut rng = HashDrbg::new(b"ot-other");
-        let (sender, setup) = OtSender::new(group.clone(), &mut rng);
-        let (receiver, reply) =
-            OtReceiver::new(group.clone(), &setup, false, &mut rng).expect("reply");
-        let m0 = [0u8; 16];
-        let m1 = [0xFFu8; 16];
-        let cts = sender.encrypt(&reply, &m0, &m1).expect("encrypt");
-        // Receiver chose branch 0; XOR-ing e1 with the derived pad for
-        // branch 0 must not yield m1.
-        let got = receiver.decrypt(&cts).expect("decrypt");
-        assert_eq!(got, m0);
-        // The unchosen ciphertext stays unpredictable: it differs from m1
-        // under the receiver's only derivable key.
-        assert_ne!(cts.e1, m1.to_vec());
+        let mut rng = HashDrbg::new(b"ot-batch");
+        let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(x, y)| x ^ y).collect() };
+        for len in [4usize, 12] {
+            let choices: Vec<usize> = (0..len).map(|i| i % MAX_BRANCHES).collect();
+            let message = |i: usize, j: usize| vec![(i * MAX_BRANCHES + j) as u8; 32];
+            let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
+            let (receiver, replies) =
+                OtBatchReceiver::new(group.clone(), &setup, &choices, &mut rng).expect("replies");
+            let cts: Vec<OtCiphertexts> = (replies.iter().enumerate())
+                .map(|(i, reply)| {
+                    let messages: Vec<_> = (0..MAX_BRANCHES).map(|j| message(i, j)).collect();
+                    sender.encrypt(i, reply, &messages).expect("encrypt")
+                })
+                .collect();
+            let got = receiver.decrypt(&cts).expect("decrypt");
+            for (i, &c) in choices.iter().enumerate() {
+                assert_eq!(got[i], message(i, c), "OT {i} delivers branch {c}");
+                // The receiver's one pad for this OT opens no other branch.
+                let pad = xor(&cts[i].branches[c], &got[i]);
+                for j in (0..MAX_BRANCHES).filter(|&j| j != c) {
+                    let opened = xor(&cts[i].branches[j], &pad);
+                    assert_ne!(opened, message(i, j), "OT {i}: branch {j} opened");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_replies_at_two_positions_get_different_pads() {
+        let group = DhGroup::test_192();
+        let mut rng = HashDrbg::new(b"ot-index");
+        let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
+        let (_, replies) = OtBatchReceiver::new(group, &setup, &[2], &mut rng).expect("reply");
+        let zeros = vec![vec![0u8; 32]; MAX_BRANCHES];
+        let at_0 = sender.encrypt(0, &replies[0], &zeros).expect("encrypt");
+        let at_1 = sender.encrypt(1, &replies[0], &zeros).expect("encrypt");
+        for j in 0..MAX_BRANCHES {
+            assert_ne!(at_0.branches[j], at_1.branches[j], "branch {j}");
+            for k in 0..j {
+                assert_ne!(at_0.branches[j], at_0.branches[k], "branches {k}, {j}");
+            }
+        }
     }
 
     #[test]
     fn rejects_invalid_elements() {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-invalid");
-        let (sender, _setup) = OtSender::new(group.clone(), &mut rng);
-        let bad = OtReceiverReply {
-            big_b: BigUint::one(),
-        };
-        assert!(sender.encrypt(&bad, &[0u8; 4], &[1u8; 4]).is_err());
+        let (sender, _setup) = OtBatchSender::new(group.clone(), &mut rng);
+        let messages = [vec![0u8; 4], vec![1u8; 4]];
+        for big_b in [BigUint::one(), group.p() - &BigUint::one()] {
+            let bad = OtReceiverReply { big_b };
+            assert!(sender.encrypt(0, &bad, &messages).is_err());
+        }
 
         let bad_setup = OtSenderSetup {
             big_a: group.p().clone(),
         };
-        assert!(OtReceiver::new(group, &bad_setup, false, &mut rng).is_err());
+        assert!(OtBatchReceiver::new(group.clone(), &bad_setup, &[0], &mut rng).is_err());
+        let (_, setup) = OtBatchSender::new(group.clone(), &mut rng);
+        assert!(OtBatchReceiver::new(group, &setup, &[MAX_BRANCHES], &mut rng).is_err());
     }
 
     #[test]
     fn rejects_mismatched_lengths() {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-len");
-        let (sender, setup) = OtSender::new(group.clone(), &mut rng);
-        let (_receiver, reply) = OtReceiver::new(group, &setup, false, &mut rng).expect("reply");
-        assert!(sender.encrypt(&reply, &[0u8; 4], &[1u8; 5]).is_err());
+        let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
+        let mut receiver =
+            || OtBatchReceiver::new(group.clone(), &setup, &[1], &mut rng).expect("reply");
+        let reply = &receiver().1[0];
+        assert!(sender
+            .encrypt(0, reply, &[vec![0u8; 4], vec![1u8; 5]])
+            .is_err());
+        for branches in [1, 3, MAX_BRANCHES + 1] {
+            assert!(sender
+                .encrypt(0, reply, &vec![vec![0u8; 4]; branches])
+                .is_err());
+        }
+        // Receiver side: wrong count, ragged branches, missing branch.
+        let ct = |lens: &[usize]| OtCiphertexts {
+            branches: lens.iter().map(|&n| vec![0u8; n]).collect(),
+        };
+        for cts in [
+            vec![],
+            vec![ct(&[4, 5])],
+            vec![ct(&[4])],
+            vec![ct(&[4, 4]); 2],
+        ] {
+            assert!(receiver().0.decrypt(&cts).is_err(), "{cts:?}");
+        }
     }
 
     #[test]

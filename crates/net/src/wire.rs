@@ -72,10 +72,16 @@ impl WireWriter {
         self.buf.put_u64(v.to_bits());
     }
 
+    /// Appends raw bytes with no length prefix (a field whose size both
+    /// ends know).
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.put_slice(v);
+    }
+
     /// Appends length-prefixed raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
-        self.buf.put_slice(v);
+        self.put_raw(v);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -197,6 +203,20 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(u64::from_be_bytes(b)))
     }
 
+    /// Reads `len` raw bytes (no length prefix on the wire).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Decode`] on truncation.
+    pub fn get_raw(&mut self, len: usize) -> Result<&'a [u8], NetError> {
+        if len > self.remaining() {
+            return Err(self.fail("bytes"));
+        }
+        let out = &self.data[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(out)
+    }
+
     /// Reads length-prefixed bytes.
     ///
     /// # Errors
@@ -204,12 +224,7 @@ impl<'a> WireReader<'a> {
     /// [`NetError::Decode`] on truncation.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], NetError> {
         let len = self.get_varint()? as usize;
-        if self.pos + len > self.data.len() {
-            return Err(self.fail("bytes"));
-        }
-        let out = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
+        self.get_raw(len)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -329,6 +344,27 @@ mod tests {
         let mut bytes = w.finish();
         bytes.truncate(50);
         let mut r = WireReader::new(&bytes);
+        assert!(matches!(r.get_bytes(), Err(NetError::Decode { .. })));
+    }
+
+    #[test]
+    fn raw_bytes_roundtrip_and_hostile_lengths_are_decode_errors() {
+        let mut w = WireWriter::new();
+        w.put_u8(1);
+        w.put_raw(&[7, 8, 9]);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 4, "no length prefix");
+        let mut r = WireReader::new(&bytes);
+        r.get_u8().expect("u8");
+        assert!(r.get_raw(4).is_err());
+        assert_eq!(r.get_raw(3).expect("raw"), &[7, 8, 9]);
+        // A length prefix of u64::MAX must not overflow the offset sum.
+        let mut w = WireWriter::new();
+        w.put_u8(0);
+        w.put_varint(u64::MAX);
+        let bytes = w.finish();
+        let mut r = WireReader::new(&bytes);
+        r.get_u8().expect("u8");
         assert!(matches!(r.get_bytes(), Err(NetError::Decode { .. })));
     }
 

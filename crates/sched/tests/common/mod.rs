@@ -1,0 +1,110 @@
+//! The one pinned grid scenario and its goldens, shared by
+//! `fingerprint_golden.rs` and `telemetry_determinism.rs`.
+//!
+//! Two goldens, two rules:
+//!
+//! * [`MARKET_GOLDEN`] hashes what the market *decided* — per shard
+//!   `(shard, members, kind, price bits, trades, allocation_ratios)` plus
+//!   the settlement tip — i.e. [`GridReport::fingerprint`] minus the
+//!   nonce-dependent `masked_*` terms and `net.total_*`. None of it
+//!   depends on the RNG stream or the wire format, so **no PR may ever
+//!   re-record it**: a drift here is a changed market outcome.
+//! * [`GOLDEN`] is the full fingerprint, which also folds the masked
+//!   totals and the bytes on the wire. **Only a wire-format PR may
+//!   re-record it**, here and nowhere else, and only while
+//!   `MARKET_GOLDEN` passes unchanged.
+//!
+//! To inspect current values:
+//! `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
+
+use pem_core::PemConfig;
+use pem_crypto::sha256;
+use pem_data::{TraceConfig, TraceGenerator};
+use pem_market::{AgentWindow, MarketKind};
+use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrategy, RetryPolicy};
+
+/// Full fingerprints per window. Recorded on the pre-overhaul kernel
+/// (PR 2 state); re-recorded once by the batched-OT wire change (PR 19:
+/// one sender key and 2-bit chunks per comparison).
+pub const GOLDEN: [&str; 2] = [
+    "c3bf879d15bd33faf7c631321183e9c48b0108bc315136ec7dcc14f8fd3a84fd",
+    "64349c79ec11cfda66c0641d1aa8da434cc68e9f6e177841945909423cc99eb0",
+];
+
+/// Market-outcome digests per window, recorded on the PR 18 tree.
+pub const MARKET_GOLDEN: [&str; 2] = [
+    "426b47a0d0ed57661a8841ec3b353a825b1e0f5e9ca9861ab67d7aecf6d2cbec",
+    "a031c25ed686d1a98b4be86c2875fa232ad78bb75de33fe8c96a3e6d89c4b24d",
+];
+
+fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
+    let trace = TraceGenerator::new(TraceConfig {
+        homes,
+        windows: 96,
+        seed: 40,
+        ..TraceConfig::default()
+    })
+    .generate();
+    (0..windows).map(|w| trace.window_agents(44 + w)).collect()
+}
+
+/// Two coupling-off windows of the 40-home scenario at `workers` workers.
+pub fn run(workers: usize) -> Vec<GridReport> {
+    let mut grid = GridOrchestrator::new(GridConfig {
+        pem: PemConfig::fast_test().with_randomizer_pool(6),
+        coalition_size: 10,
+        workers,
+        engine: Engine::Threads,
+        strategy: PartitionStrategy::SurplusBalanced,
+        coupling: None,
+        retry: RetryPolicy::default(),
+    })
+    .expect("grid");
+    day(2, 40)
+        .iter()
+        .map(|pop| grid.run_window(pop).expect("window"))
+        .collect()
+}
+
+pub fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Full fingerprints of a run, as hex.
+pub fn fingerprints(reports: &[GridReport]) -> Vec<String> {
+    reports.iter().map(|r| hex(&r.fingerprint())).collect()
+}
+
+/// Market-outcome digests of a run, as hex (see [`MARKET_GOLDEN`]).
+pub fn market_fingerprints(reports: &[GridReport]) -> Vec<String> {
+    reports
+        .iter()
+        .map(|r| {
+            let mut buf = b"pem-market-golden-v1".to_vec();
+            let mut put = |v: u64| buf.extend_from_slice(&v.to_be_bytes());
+            for so in &r.shard_outcomes {
+                put(so.shard as u64);
+                put(so.members.len() as u64);
+                so.members.iter().for_each(|&m| put(m as u64));
+                put(match so.outcome.kind {
+                    MarketKind::General => 0,
+                    MarketKind::Extreme => 1,
+                    MarketKind::NoMarket => 2,
+                });
+                put(so.outcome.price.to_bits());
+                put(so.outcome.trades.len() as u64);
+                for t in &so.outcome.trades {
+                    put(t.seller.0 as u64);
+                    put(t.buyer.0 as u64);
+                    put(t.energy.to_bits());
+                    put(t.payment.to_bits());
+                }
+                let ratios = &so.outcome.revealed.allocation_ratios;
+                put(ratios.len() as u64);
+                ratios.iter().for_each(|x| put(x.to_bits()));
+            }
+            buf.extend_from_slice(&r.settlement.tip_hash);
+            hex(&sha256(&buf))
+        })
+        .collect()
+}

@@ -1,70 +1,34 @@
 //! Golden-fingerprint regression: a coupling-off grid run must produce
-//! the exact `GridReport::fingerprint` bytes recorded before the Paillier
-//! kernel overhaul, at every worker count.
+//! the exact market outcomes and `GridReport::fingerprint` bytes on
+//! record (`common::MARKET_GOLDEN`, `common::GOLDEN`), at every worker
+//! count.
 //!
 //! The determinism tests (`determinism.rs`) prove runs agree with *each
-//! other*; this test pins them to the *historical* bits, so a kernel swap
+//! other*; this test pins them to the *recorded* bits, so a kernel swap
 //! (shared Montgomery contexts, CRT decryption, windowed exponentiation)
 //! that silently changed a ciphertext byte or an RNG draw would fail
-//! loudly instead of re-baselining itself.
+//! loudly instead of re-baselining itself. `common/mod.rs` states which
+//! golden may be re-recorded, and by what kind of PR.
 
-use pem_core::PemConfig;
-use pem_data::{TraceConfig, TraceGenerator};
-use pem_market::AgentWindow;
-use pem_sched::{Engine, GridConfig, GridOrchestrator, PartitionStrategy, RetryPolicy};
-
-fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
-    let trace = TraceGenerator::new(TraceConfig {
-        homes,
-        windows: 96,
-        seed: 40,
-        ..TraceConfig::default()
-    })
-    .generate();
-    (0..windows).map(|w| trace.window_agents(44 + w)).collect()
-}
-
-fn fingerprints(workers: usize) -> Vec<String> {
-    let mut grid = GridOrchestrator::new(GridConfig {
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
-        coalition_size: 10,
-        workers,
-        engine: Engine::Threads,
-        strategy: PartitionStrategy::SurplusBalanced,
-        coupling: None,
-        retry: RetryPolicy::default(),
-    })
-    .expect("grid");
-    day(2, 40)
-        .iter()
-        .map(|pop| {
-            let report = grid.run_window(pop).expect("window");
-            report
-                .fingerprint()
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<String>()
-        })
-        .collect()
-}
-
-/// Recorded on the pre-overhaul kernel (PR 2 state). To inspect current
-/// values: `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
-const GOLDEN: [&str; 2] = [
-    "4ee83e434d00ddbf0369d5163500deb5a20f904967684b0b6d715c0a552a4e91",
-    "8ffba214d4af7dabd9e9e5a5ff87d3cd4ba87082b36002a3e0dca90b5458fd11",
-];
+mod common;
 
 #[test]
 fn coupling_off_fingerprints_match_pre_overhaul_goldens() {
     for workers in [1usize, 4, 8] {
-        let got = fingerprints(workers);
-        for (w, fp) in got.iter().enumerate() {
-            println!("workers={workers} window={w} fingerprint={fp}");
+        let reports = common::run(workers);
+        let market = common::market_fingerprints(&reports);
+        let full = common::fingerprints(&reports);
+        for (w, (m, f)) in market.iter().zip(&full).enumerate() {
+            println!("workers={workers} window={w} market={m} fingerprint={f}");
         }
         assert_eq!(
-            got,
-            GOLDEN.to_vec(),
+            market,
+            common::MARKET_GOLDEN.to_vec(),
+            "market outcomes drifted at {workers} workers"
+        );
+        assert_eq!(
+            full,
+            common::GOLDEN.to_vec(),
             "coupling-off fingerprint drifted at {workers} workers"
         );
     }

@@ -2,62 +2,22 @@
 //! what is *recorded*, never what is *computed*. A grid run with the
 //! collector off and an identically-seeded run with it on must produce
 //! bit-identical `GridReport::fingerprint`s — the same goldens the
-//! fingerprint regression pins.
+//! fingerprint regression pins (`common/mod.rs`).
 //!
 //! Both phases live in ONE `#[test]` because the collector is process
 //! global: running them as separate tests would race on install state.
 
-use pem_core::PemConfig;
-use pem_data::{TraceConfig, TraceGenerator};
-use pem_market::AgentWindow;
-use pem_sched::{Engine, GridConfig, GridOrchestrator, PartitionStrategy, RetryPolicy};
+mod common;
+
+use common::{fingerprints, market_fingerprints, run};
 use pem_telemetry as telemetry;
-
-fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
-    let trace = TraceGenerator::new(TraceConfig {
-        homes,
-        windows: 96,
-        seed: 40,
-        ..TraceConfig::default()
-    })
-    .generate();
-    (0..windows).map(|w| trace.window_agents(44 + w)).collect()
-}
-
-fn run(workers: usize) -> Vec<pem_sched::GridReport> {
-    let mut grid = GridOrchestrator::new(GridConfig {
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
-        coalition_size: 10,
-        workers,
-        engine: Engine::Threads,
-        strategy: PartitionStrategy::SurplusBalanced,
-        coupling: None,
-        retry: RetryPolicy::default(),
-    })
-    .expect("grid");
-    day(2, 40)
-        .iter()
-        .map(|pop| grid.run_window(pop).expect("window"))
-        .collect()
-}
-
-/// Same goldens as `fingerprint_golden.rs` — the telemetry-on run must
-/// still hit the pre-telemetry bits.
-const GOLDEN: [&str; 2] = [
-    "4ee83e434d00ddbf0369d5163500deb5a20f904967684b0b6d715c0a552a4e91",
-    "8ffba214d4af7dabd9e9e5a5ff87d3cd4ba87082b36002a3e0dca90b5458fd11",
-];
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[test]
 fn collector_on_and_off_produce_identical_fingerprints() {
     // --- Phase 1: collector off (pristine process state). --------------
     assert!(!telemetry::enabled(), "collector must start uninstalled");
     let off = run(4);
-    let off_fps: Vec<String> = off.iter().map(|r| hex(&r.fingerprint())).collect();
+    let off_fps = fingerprints(&off);
     assert!(
         off.iter().all(|r| r.profile.is_none()),
         "no collector → no profile in the report"
@@ -67,7 +27,7 @@ fn collector_on_and_off_produce_identical_fingerprints() {
     assert!(telemetry::install());
     let on = run(4);
     telemetry::uninstall();
-    let on_fps: Vec<String> = on.iter().map(|r| hex(&r.fingerprint())).collect();
+    let on_fps = fingerprints(&on);
 
     assert_eq!(
         off_fps, on_fps,
@@ -75,8 +35,13 @@ fn collector_on_and_off_produce_identical_fingerprints() {
     );
     assert_eq!(
         off_fps,
-        GOLDEN.to_vec(),
+        common::GOLDEN.to_vec(),
         "telemetry PR drifted the golden fingerprints"
+    );
+    assert_eq!(
+        market_fingerprints(&on),
+        common::MARKET_GOLDEN.to_vec(),
+        "telemetry-on run drifted the market outcomes"
     );
 
     // The collector-on run did actually record: every window carries a
