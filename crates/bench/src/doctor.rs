@@ -9,9 +9,12 @@
 //!   `*_mean_us` / `*_ns` / `keygen_ms` figure, matched by `key_bits`,
 //!   by `ot_group` for the comparison rows or by `mont_limbs` for the
 //!   kernel rows; lower is better) against a relative threshold. The
-//!   current run is also held to a within-run invariant per OT group:
-//!   a 64-bit comparison costs well under 64 single OTs (one batch
-//!   under one sender key).
+//!   current run is also held to two within-run invariants: per OT
+//!   group, a 64-bit comparison costs well under 64 single OTs (one
+//!   batch under one sender key); per key size from 1024 bits, an
+//!   encryption costs under a quarter of a classic `r^n` encryption
+//!   (the randomizer is a short fixed-base exponentiation, not a
+//!   ladder).
 //! * **`BENCH_topology.json`** — the aggregation-topology ablation.
 //!   Structural invariants rather than run pairs: the fan-in-bounded
 //!   tree must beat the ring's critical path from 8 sellers up, the
@@ -275,6 +278,7 @@ pub fn crypto_checks(
             Check::compare(format!("crypto/{id}/{key}"), b, c, threshold)
         })
         .chain(batched_ot_checks(cur))
+        .chain(randomizer_lane_checks(cur))
         .collect();
     Ok((base_label, cur_label, checks))
 }
@@ -311,6 +315,34 @@ fn batched_ot_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
             compare,
             compare < limit,
         ))
+    })
+}
+
+/// An encryption may cost at most this share of a classic `r^n`
+/// encryption under the same key. The `h_s^x` lane is ≈40–56 table
+/// multiplications against ≈1,230–2,460 plus a gcd: 0.04–0.06 measured;
+/// any ladder left on the encryption path is above 0.5.
+const FIXED_BASE_ENCRYPT_SHARE: f64 = 0.25;
+
+/// Within-run structural gate at the paper's key sizes (1024 bits and
+/// up), one check per key-size entry that carries both rows: a
+/// regression of `encrypt` to a full-width ladder fails on any box.
+fn randomizer_lane_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
+    run_entries(run).iter().filter_map(|entry| {
+        let bits = entry.get("key_bits").and_then(Json::as_f64)? as u64;
+        let lane = entry.get("encrypt_mean_us").and_then(Json::as_f64)?;
+        let classic = entry
+            .get("encrypt_classic_mean_us")
+            .and_then(Json::as_f64)?;
+        let limit = FIXED_BASE_ENCRYPT_SHARE * classic;
+        (bits >= 1024).then(|| {
+            Check::invariant(
+                format!("crypto/{bits}/encrypt_off_the_ladder"),
+                limit,
+                lane,
+                lane < limit,
+            )
+        })
     })
 }
 
@@ -751,6 +783,34 @@ mod tests {
         assert!(!gate("modp1024").regressed, "0.37 of 64 OTs");
         assert!(!gate("test192").regressed, "0.82 of 64 OTs, limit 0.9");
         assert!(gate("slowgroup").regressed, "1.04 of 64 OTs");
+        assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
+    }
+
+    #[test]
+    fn an_encryption_back_on_the_ladder_fails_the_within_run_gate() {
+        // 1024: the lane. 2048: `encrypt` is a ladder again. 512 is not
+        // gated, and an entry without the reference row is skipped.
+        let entries = "{\"key_bits\":512,\"encrypt_mean_us\":200,\"encrypt_classic_mean_us\":230},\
+                       {\"key_bits\":1024,\"encrypt_mean_us\":70,\"encrypt_classic_mean_us\":1500},\
+                       {\"key_bits\":2048,\"encrypt_mean_us\":9800,\"encrypt_classic_mean_us\":10100},\
+                       {\"key_bits\":3072,\"encrypt_mean_us\":500}";
+        let t = trajectory(&format!(
+            "[{{\"run\":\"a\",\"entries\":[{entries}]}},\
+              {{\"run\":\"b\",\"entries\":[{entries}]}}]"
+        ));
+        let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
+        let gates: Vec<_> = checks
+            .iter()
+            .filter(|c| c.name.ends_with("/encrypt_off_the_ladder"))
+            .map(|c| (c.name.as_str(), c.regressed))
+            .collect();
+        assert_eq!(
+            gates,
+            [
+                ("crypto/1024/encrypt_off_the_ladder", false),
+                ("crypto/2048/encrypt_off_the_ladder", true)
+            ]
+        );
         assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
     }
 

@@ -224,6 +224,15 @@ pub(crate) fn div_rem_limb(a: &[u64], d: u64) -> (Vec<u64>, u64) {
     (q, rem as u64)
 }
 
+/// Remainder by a single limb, without building the quotient: one
+/// `u128 % u64` per limb and no allocation (the trial-division kernel).
+pub(crate) fn rem_limb(a: &[u64], d: u64) -> u64 {
+    assert!(d != 0, "division by zero");
+    a.iter()
+        .rev()
+        .fold(0u128, |rem, &limb| ((rem << 64) | limb as u128) % d as u128) as u64
+}
+
 /// Knuth Algorithm D long division: returns `(quotient, remainder)`.
 ///
 /// # Panics

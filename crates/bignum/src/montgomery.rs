@@ -10,8 +10,8 @@
 //!   exponents (quantized market scalars hit `2^k` constantly);
 //! * [`ExpDigits`] / [`Montgomery::modpow_recoded`] — the exponent's
 //!   window recoding as a reusable value, so a batch of exponentiations
-//!   under one exponent (every `r^n` of a randomizer pool, every CRT
-//!   decryption leg) recodes once instead of per call;
+//!   under one exponent (every CRT decryption leg of a fan-in) recodes
+//!   once instead of per call;
 //! * [`Montgomery::pow_mul`] — `base^exp · factor` fused in the Montgomery
 //!   domain (one conversion round-trip instead of two);
 //! * [`Montgomery::multi_modpow`] — simultaneous (Shamir/interleaved
@@ -309,8 +309,8 @@ pub struct Montgomery {
 ///
 /// Recoding walks every bit of the exponent once; for a single
 /// exponentiation that cost disappears into the noise, but the protocols
-/// exponentiate *batches* under one exponent (`r^n` per pool slot,
-/// `c^{p-1}` per ciphertext of a decryption fan-in). Recode once, reuse
+/// exponentiate *batches* under one exponent (`c^{p-1}` and `c^{q-1}`
+/// per ciphertext of a decryption fan-in). Recode once, reuse
 /// everywhere: [`Montgomery::modpow_recoded`] accepts the recoding in
 /// place of the raw exponent and produces bit-identical results.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::arith::rem_limb;
 use crate::biguint::BigUint;
 use crate::montgomery::Montgomery;
 
@@ -52,8 +53,9 @@ pub struct MillerRabin {
 }
 
 impl MillerRabin {
-    /// Creates a tester running `random_rounds` random-base rounds on top
-    /// of the deterministic small-base rounds (error < 4^-rounds).
+    /// Creates a tester running `random_rounds` random-base rounds after
+    /// a base-2 round (error < 4^-rounds). Values below 2^81 are settled
+    /// deterministically by the fixed bases 2…41 instead.
     pub fn new(random_rounds: usize) -> Self {
         MillerRabin { random_rounds }
     }
@@ -69,12 +71,15 @@ impl MillerRabin {
         if n.is_even() {
             return false;
         }
+        // Trial division on the limbs: one single-limb remainder per
+        // small prime, no allocation. A multi-limb `n` exceeds every
+        // `p²` here, so only single-limb values can stop early.
+        let small = n.to_u64();
         for &p in small_primes() {
-            let p_big = BigUint::from(p);
-            if &p_big * &p_big > *n {
+            if small.is_some_and(|v| p * p > v) {
                 break;
             }
-            if (n % &p_big).is_zero() {
+            if rem_limb(n.limbs(), p) == 0 {
                 return false;
             }
         }
@@ -111,13 +116,19 @@ impl MillerRabin {
             false
         };
 
-        for &w in &DETERMINISTIC_WITNESSES {
-            if !witness_passes(&BigUint::from(w)) {
-                return false;
-            }
+        // Base 2 is the cheap first filter at every width; the full
+        // fixed set runs only where it is the proof (values below 2^81).
+        // Above that the random rounds alone carry the 4^-rounds bound.
+        let deterministic = n.bit_length() <= 81;
+        let fixed = if deterministic {
+            &DETERMINISTIC_WITNESSES[..]
+        } else {
+            &DETERMINISTIC_WITNESSES[..1]
+        };
+        if !fixed.iter().all(|&w| witness_passes(&BigUint::from(w))) {
+            return false;
         }
-        // Values below 2^81 are settled by the deterministic witnesses.
-        if n.bit_length() <= 81 {
+        if deterministic {
             return true;
         }
         for _ in 0..self.random_rounds {
@@ -163,6 +174,25 @@ pub fn next_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> BigUint {
     }
 }
 
+/// A random (probable) prime of exactly `bits` bits whose `top` leading
+/// bits are all set.
+fn gen_prime_forcing<R: Rng + ?Sized>(bits: usize, top: usize, rng: &mut R) -> BigUint {
+    assert!(bits >= 2, "a prime needs at least 2 bits");
+    let mr = MillerRabin::default();
+    loop {
+        let mut candidate = BigUint::random_bits(bits, rng);
+        for i in 1..=top {
+            candidate.set_bit(bits - i, true);
+        }
+        if bits > 2 {
+            candidate.set_bit(0, true); // odd
+        }
+        if mr.is_probably_prime(&candidate, rng) {
+            return candidate;
+        }
+    }
+}
+
 impl BigUint {
     /// Generates a random (probable) prime with exactly `bits` bits
     /// (the top bit is set).
@@ -179,18 +209,19 @@ impl BigUint {
     /// assert_eq!(p.bit_length(), 64);
     /// ```
     pub fn gen_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
-        assert!(bits >= 2, "a prime needs at least 2 bits");
-        let mr = MillerRabin::default();
-        loop {
-            let mut candidate = BigUint::random_bits(bits, rng);
-            candidate.set_bit(bits - 1, true); // exact bit length
-            if bits > 2 {
-                candidate.set_bit(0, true); // odd
-            }
-            if mr.is_probably_prime(&candidate, rng) {
-                return candidate;
-            }
-        }
+        gen_prime_forcing(bits, 1, rng)
+    }
+
+    /// [`BigUint::gen_prime`] with the top **two** bits set (the RSA
+    /// convention): the product of a `k`-bit and an `l`-bit such prime
+    /// is at least `9/16 · 2^(k+l)`, so it always has exactly `k + l`
+    /// bits and no finished prime is thrown away for width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits < 2`.
+    pub fn gen_rsa_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
+        gen_prime_forcing(bits, 2, rng)
     }
 
     /// Generates a safe prime `p = 2q + 1` (both probable primes) with
@@ -253,6 +284,116 @@ mod tests {
         let mut r = rng();
         for c in [561u64, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265] {
             assert!(!is_prime(&BigUint::from(c), &mut r), "{c} is Carmichael");
+        }
+    }
+
+    /// The tester as it stood before the single-limb trial division and
+    /// the trimmed fixed-base set: `BigUint` trial division, all
+    /// thirteen fixed bases at every width, then the random rounds.
+    fn reference_is_prime(n: &BigUint, rng: &mut StdRng) -> bool {
+        if let Some(small) = n.to_u64() {
+            if small < SMALL_PRIME_BOUND {
+                return small_primes().binary_search(&small).is_ok();
+            }
+        }
+        if n.is_even() {
+            return false;
+        }
+        for &p in small_primes() {
+            let p = BigUint::from(p);
+            if &p * &p > *n {
+                break;
+            }
+            if (n % &p).is_zero() {
+                return false;
+            }
+        }
+        let n_minus_1 = n - &BigUint::one();
+        let s = n_minus_1.trailing_zeros().expect("n > 2");
+        let d = &n_minus_1 >> s;
+        let passes = |a: BigUint| {
+            let mut x = (a % n).modpow(&d, n);
+            if x <= BigUint::one() || x == n_minus_1 {
+                return true;
+            }
+            (1..s).any(|_| {
+                x = x.modpow(&BigUint::from(2u64), n);
+                x == n_minus_1
+            })
+        };
+        let span = n - &BigUint::from(4u64);
+        DETERMINISTIC_WITNESSES
+            .iter()
+            .all(|&w| passes(BigUint::from(w)))
+            && (n.bit_length() <= 81
+                || (0..24).all(|_| passes(BigUint::random_below(&span, rng) + BigUint::from(2u64))))
+    }
+
+    #[test]
+    fn limb_trial_division_matches_biguint_rem() {
+        let mut r = rng();
+        let mut values: Vec<BigUint> = (1..=8)
+            .map(|limbs| BigUint::from_limbs(vec![u64::MAX; limbs]))
+            .collect();
+        values.extend((0..64).map(|i| BigUint::random_bits(64 + 31 * i, &mut r)));
+        for n in &values {
+            for &p in small_primes() {
+                let expected = (n % &BigUint::from(p)).to_u64().expect("below p");
+                assert_eq!(rem_limb(n.limbs(), p), expected, "n={n:?} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn agrees_with_the_reference_tester() {
+        let (mut r, mut r_ref) = (rng(), rng());
+        // Carmichael numbers, strong pseudoprimes to base 2, Mersenne
+        // numbers on both sides of the deterministic 81-bit boundary.
+        let mut values: Vec<BigUint> = [
+            561u64,
+            1105,
+            1729,
+            2465,
+            2821,
+            6601,
+            8911,
+            41041,
+            825265,
+            2047,
+            3_215_031_751,
+            3_825_123_056_546_413_051,
+        ]
+        .into_iter()
+        .map(BigUint::from)
+        .collect();
+        values.extend(
+            [61usize, 67, 89, 107, 127, 131].map(|e| (BigUint::one() << e) - BigUint::one()),
+        );
+        let mut draw = StdRng::seed_from_u64(0xC0FFEE);
+        values.extend((0..200).map(|_| {
+            let mut v = BigUint::random_bits(256, &mut draw);
+            v.set_bit(0, true);
+            v
+        }));
+        values.extend((0..4).map(|_| BigUint::gen_prime(256, &mut draw)));
+        for n in &values {
+            assert_eq!(
+                is_prime(n, &mut r),
+                reference_is_prime(n, &mut r_ref),
+                "n={n:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rsa_primes_multiply_to_full_width() {
+        let mut r = rng();
+        for bits in [2usize, 8, 32, 64] {
+            let p = BigUint::gen_rsa_prime(bits, &mut r);
+            let q = BigUint::gen_rsa_prime(bits + 1, &mut r);
+            assert_eq!(p.bit_length(), bits);
+            assert!(p.bit(bits - 2) && q.bit(bits - 1), "second bit forced");
+            assert_eq!((&p * &q).bit_length(), 2 * bits + 1);
         }
     }
 

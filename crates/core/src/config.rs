@@ -57,9 +57,10 @@ pub struct PemConfig {
     /// Master seed for all protocol randomness.
     pub seed: u64,
     /// Precomputed Paillier randomizers held per key (0 disables the
-    /// pool). Batches of `r^n mod n²` are generated off the critical path
-    /// and consumed by the protocols, amortizing the encryption hot path;
-    /// see [`crate::randpool`].
+    /// pool). Batches of `h_s^x mod n²` are generated off the critical
+    /// path and consumed by the protocols, one multiplication per
+    /// encryption instead of a short table exponentiation; see
+    /// [`crate::randpool`].
     pub randomizer_pool: usize,
     /// Protocol 3 aggregation topology: the paper's sequential ring,
     /// the depth-1 star fan-in, or an f-ary aggregation tree (same byte

@@ -62,12 +62,9 @@ impl KeyDirectory {
         &self.keypairs[i]
     }
 
-    /// Precomputes `count` randomizers under key `i` on the fastest
-    /// correct lane: the key owner's CRT path (`r^n` as two half-width
-    /// exponentiations mod `p²`/`q²`) when the key holds its factors —
-    /// which it always does for generated keys — falling back to the
-    /// public-key path otherwise. Both lanes draw `r` from `rng`
-    /// identically, so the output is bit-identical either way.
+    /// Precomputes `count` randomizers (`h_s^x`) under key `i` — the one
+    /// lane every encryption under that key takes, batched. The first
+    /// call under a key builds its `h_s` table.
     ///
     /// # Panics
     ///
@@ -78,12 +75,7 @@ impl KeyDirectory {
         count: usize,
         rng: &mut HashDrbg,
     ) -> Vec<pem_crypto::paillier::Randomizer> {
-        let kp = &self.keypairs[i];
-        if kp.private().has_crt() {
-            kp.private().precompute_randomizers_crt(count, rng)
-        } else {
-            kp.public().precompute_randomizers(count, rng)
-        }
+        self.keypairs[i].public().precompute_randomizers(count, rng)
     }
 }
 

@@ -1,11 +1,17 @@
-//! Batched Paillier encryption randomizers (`r^n mod n²`).
+//! Batched Paillier encryption randomizers (`h_s^x mod n²`).
 //!
-//! Every Paillier encryption pays one full-width modular exponentiation
-//! for its randomizer; the message factor `1 + m·n` is a single
-//! multiplication. Since the randomizer is message-independent, batches
-//! can be generated **off the critical path** (idle time between trading
-//! windows) and consumed one per encryption during the protocols — the
-//! hot path drops to one modular multiplication per encryption.
+//! Every Paillier encryption pays one fixed-base exponentiation for its
+//! randomizer — ≈40 multiplications off the key's `h_s` table at
+//! 1024-bit keys, ≈56 at 2048 (see `pem_crypto::paillier`) — and the
+//! message factor `1 + m·n` is a single multiplication. Since the
+//! randomizer is message-independent, batches can be generated **off the
+//! critical path** (idle time between trading windows) and consumed one
+//! per encryption during the protocols: what a pooled randomizer still
+//! saves is one multiplication instead of ≈40. That is a far smaller
+//! prize than the full-width ladder the pool was built to hide; whether
+//! it still earns the refill machinery is for the `benchmark` PR to
+//! decide from a pooled-vs-pool-less A/B (ROADMAP, "One pool
+//! discipline"), not this module.
 //!
 //! The pool keeps one queue *per key in the directory* (a randomizer is
 //! bound to the modulus it was computed under), each fed by its own
@@ -28,18 +34,11 @@
 //! to keep information flow explicit.
 //!
 //! Precompute has one lane,
-//! [`KeyDirectory::precompute_randomizers_for`]: because the directory
-//! holds each key's factors, every `r^n mod n²` runs as two half-width
-//! exponentiations mod `p²`/`q²` with Garner recombination
-//! ([`pem_crypto::paillier::PrivateKey::precompute_randomizers_crt`]) —
-//! bit-identical randomizers to the public-key reference
-//! ([`PublicKey::precompute_randomizers`]) under the same DRBG stream,
-//! at roughly twice the throughput. This mirrors the deployment reality
-//! that the busiest pool is the one an agent keeps for *its own* key
-//! (every aggregation encrypts under the collector's key, and the
-//! collector precomputes for itself). A key without its factors takes
-//! the reference path; which one ran is observed from the key, never
-//! configured.
+//! [`KeyDirectory::precompute_randomizers_for`], which is
+//! [`PublicKey::precompute_randomizers`] under the key — the same
+//! `h_s^x` draw an on-line [`PublicKey::try_encrypt`] makes, so pooled
+//! and fallback ciphertexts come from one distribution. Generating the
+//! initial batch is also what first touches each key's `h_s` table.
 //!
 //! Two refill policies, one caller each: [`RandomizerPool::refill`] tops
 //! every queue back up to the static batch and is what a
@@ -376,10 +375,9 @@ mod tests {
 
     #[test]
     fn pool_matches_the_public_key_reference_lane() {
-        // The pool's one lane (owner CRT, since generated keys hold
-        // their factors) must hand out exactly what the public-key
-        // reference computes on the same per-key stream — across the
-        // initial batch and a refill.
+        // The pool must hand out exactly what the public key computes
+        // on the same per-key stream — across the initial batch and a
+        // refill.
         let keys = directory();
         let (batch, seed) = (2usize, 7u64);
         let mut pool = RandomizerPool::generate(&keys, batch, seed);
@@ -388,7 +386,6 @@ mod tests {
             .collect();
         for round in 0..2 {
             for (key, stream) in reference.iter_mut().enumerate() {
-                assert!(keys.keypair(key).private().has_crt());
                 for (draw, expected) in keys
                     .public(key)
                     .precompute_randomizers(batch, stream)

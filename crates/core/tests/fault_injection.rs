@@ -262,8 +262,9 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     let corrupt = |label| run_protocol2_both(FaultPlan::new().inject(label, 0, FaultKind::Corrupt));
     // A flipped ciphertext bit in a ring hop decrypts to garbage far
     // outside the masked-total range: too wide for the comparator
-    // (today's seeds), for 128 bits, or invalid outright — a typed
-    // abort either way.
+    // (today's seeds — re-derived on the fixed-base `h_s^x` ciphertexts:
+    // both labels still end in `ValueTooWide`), for 128 bits, or invalid
+    // outright — a typed abort either way.
     for label in ["eval/demand-agg", "eval/supply-agg"] {
         let err = corrupt(label).expect_err("mangled aggregate must abort");
         assert!(

@@ -9,6 +9,10 @@
 //! exponentiations per chunk plus two per batch, and exactly one table
 //! build — the comb table for that comparison's `A`.
 //!
+//! The same discipline holds for Paillier: a key's `h_s` comb table is
+//! built by the first encryption under it and never again, every
+//! encryption is one table exponentiation, and none is a ladder.
+//!
 //! Everything lives in ONE `#[test]` because the telemetry collector and
 //! its counters are process global: parallel tests would race on them.
 
@@ -100,10 +104,13 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
             "{profile:?}: pow_g fell back to the ladder"
         );
 
-        // Trading windows: whatever the first one builds, the second
-        // builds only its comparison's A table.
+        // Trading windows: touch every key's `h_s` table once, then a
+        // window builds only its comparison's A table.
         let data = window_data();
-        let mut pem = Pem::new(cfg, data.len()).expect("setup");
+        let mut pem = Pem::new(cfg.clone(), data.len()).expect("setup");
+        for i in 0..data.len() {
+            let _ = pem.keys().public(i).encrypt(&BigUint::one(), &mut rng);
+        }
         pem.run_window(&data).expect("first window");
         let before = kernel_counts();
         pem.run_window(&data).expect("second window");
@@ -111,7 +118,31 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
         assert_eq!(
             after.2 - before.2,
             1,
-            "{profile:?}: a trading window rebuilt the generator's comb table"
+            "{profile:?}: a trading window rebuilt a generator's or a key's comb table"
+        );
+        // This window makes 12 encryptions, each one `h_s^x` off its
+        // key's table and none of them a ladder: beside the comparison
+        // that leaves the ten ladders of the CRT decryption legs and the
+        // `mul_plain` scalars (the classic `r^n` lane ran 12 more).
+        let encryptions = 12;
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (chunks + 10, 2 * chunks + 2 + encryptions),
+            "{profile:?}: (ladders, table pows) per trading window"
+        );
+
+        // A whole run from cold keys: at most one table per key somebody
+        // encrypted under, plus one `A` table per window's comparison.
+        let windows = 3;
+        let mut cold = Pem::new(cfg, data.len()).expect("setup");
+        let before = kernel_counts();
+        for _ in 0..windows {
+            cold.run_window(&data).expect("window");
+        }
+        let builds = kernel_counts().2 - before.2;
+        assert!(
+            builds > windows && builds <= data.len() as u64 + windows,
+            "{profile:?}: {builds} table builds over {windows} windows"
         );
     }
     telemetry::uninstall();

@@ -19,62 +19,83 @@
 //! one shared [`Montgomery`] context behind `Arc<OnceLock<…>>`: clones
 //! share it, operations *borrow* it (no per-op allocation), and a key
 //! rebuilt from its serialized fields lazily reconstructs it exactly
-//! once on first use. The same cell pattern caches the window recoding
-//! of the encryption exponent `n` ([`ExpDigits`]), so every `r^n` of a
-//! randomizer batch shares one recode walk. [`PrivateKey`] retains the
-//! prime factors `p`/`q` (when available) and decrypts via two
-//! half-width exponentiations mod `p²`/`q²` with Garner recombination —
-//! ~2.3–3.1× the classic full-width `c^λ mod n²` path at the paper's
-//! key sizes (measured in `BENCH_crypto.json`), bit-identical output.
-//! The owner's knowledge of `p`/`q` also accelerates the *encryption*
-//! side: [`PrivateKey::precompute_randomizers_crt`] computes each pool
-//! randomizer `r^n mod n²` as two half-width exponentiations with the
-//! same Garner recombination — bit-identical to
-//! [`PublicKey::precompute_randomizers`] under the same DRBG stream.
-//! Fused chains (`mul_plain` + `add_plain`) run through
-//! [`PublicKey::affine`], one pass through the Montgomery domain.
+//! once on first use. [`PrivateKey`] retains the prime factors `p`/`q`
+//! (when available) and decrypts via two half-width exponentiations mod
+//! `p²`/`q²` with Garner recombination — ~2.3–3.1× the classic
+//! full-width `c^λ mod n²` path at the paper's key sizes (measured in
+//! `BENCH_crypto.json`), bit-identical output. Fused chains
+//! (`mul_plain` + `add_plain`) run through [`PublicKey::affine`], one
+//! pass through the Montgomery domain.
+//!
+//! **Encryption has one randomizer lane, `h_s^x`.** At key generation
+//! the owner draws `y ∈ Z_n*`, sets `h = −y² mod n` and publishes
+//! `h_s = h^n mod n²` as a serialized field of the public key (computed
+//! once, on the owner's half-width CRT legs). Every randomizer — in
+//! [`PublicKey::try_encrypt`], [`PublicKey::precompute_randomizers`] and
+//! whatever pools them — is `h_s^x = (h^x)^n` for a fresh `x` of
+//! [`short_exponent_bits`] bits, served by a [`FixedBasePow`] comb table
+//! of exactly that width: ≈40 multiplications at 1024-bit keys, ≈56 at
+//! 2048, no squarings, no gcd. The table sits in a third shared cell
+//! beside the Montgomery context and is built **by the first encryption
+//! under the key**, never at key generation (≈154 KB per 1024-bit key,
+//! ≈430 KB per 2048-bit key): only keys somebody encrypts under hold
+//! one, and a key rebuilt from the wire builds it once. `h_s^x` is an
+//! `n`-th residue, so ciphertexts stay textbook Paillier ciphertexts —
+//! decryption, homomorphisms and validation are untouched; what the
+//! lane adds to DCR is short-exponent indistinguishability in the
+//! subgroup generated by `h` (Damgård–Jurik–Nielsen). The classic
+//! uniform `r^n` survives as one reference function,
+//! [`PublicKey::try_encrypt_classic`], which nothing selects at run time.
 
 use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use pem_bignum::{BigUint, ExpDigits, Montgomery, PowScratch};
+use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery, PowScratch};
 
 use crate::error::CryptoError;
 
-/// A Paillier public key (`n`, with cached `n²` and a shared, lazily
-/// (re)built Montgomery context for `Z_{n²}`).
+/// Bit length of the short exponent `x` in a randomizer `h_s^x`, a
+/// function of the key size alone: `min(2λ, n_bits)` for the security
+/// level `λ` the size stands for (≤1024 → 80, ≤2048 → 112, ≤3072 → 128,
+/// above → 192) — 160 bits at 1024-bit keys, 224 at 2048, 128 on toy keys.
+pub fn short_exponent_bits(n_bits: usize) -> usize {
+    let lambda = match n_bits {
+        0..=1024 => 80,
+        1025..=2048 => 112,
+        2049..=3072 => 128,
+        _ => 192,
+    };
+    n_bits.min(2 * lambda)
+}
+
+/// A Paillier public key: `n`, the published randomizer base
+/// `h_s = h^n mod n²`, cached `n²`, and the shared, lazily (re)built
+/// Montgomery context and `h_s` comb table for `Z_{n²}`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PublicKey {
     n: BigUint,
     n2: BigUint,
+    h_s: BigUint,
     /// Shared across clones; skipped by serde and rebuilt exactly once
     /// on first use after a round-trip.
     #[serde(skip)]
     mont_n2: Arc<OnceLock<Montgomery>>,
-    /// Window recoding of the encryption exponent `n` — every `r^n`
-    /// under this key shares it instead of recoding per call. Same
-    /// lifecycle as the Montgomery context.
+    /// Comb table of `h_s` over [`short_exponent_bits`] bits. Same
+    /// sharing as the Montgomery context, but never preloaded: the
+    /// first encryption under the key builds it.
     #[serde(skip)]
-    n_digits: Arc<OnceLock<ExpDigits>>,
+    h_table: Arc<OnceLock<FixedBasePow>>,
 }
 
 impl PartialEq for PublicKey {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n
+        self.n == other.n && self.h_s == other.h_s
     }
 }
 
 impl Eq for PublicKey {}
-
-/// Builds the shared-context cell with the context already present (the
-/// keygen path, where `n²` is at hand anyway).
-fn preloaded(m: Montgomery) -> Arc<OnceLock<Montgomery>> {
-    let cell = OnceLock::new();
-    let _ = cell.set(m);
-    Arc::new(cell)
-}
 
 /// Precomputed constants for CRT decryption under one prime `r`: the
 /// half-width Montgomery context for `r²`, the exponent `r−1` (with its
@@ -125,35 +146,21 @@ impl CrtLeg {
     }
 }
 
-/// The full CRT context: both decryption legs plus Garner constants for
-/// the two recombination levels the key owner uses — `p^{-1} mod q`
-/// (plaintexts, mod `n`) and `p²^{-1} mod q²` (owner-side encryption
-/// randomizers, mod `n²`) — and the recoding of the encryption exponent
-/// `n` shared by both `r^n` legs.
+/// The full CRT context: both decryption legs plus the Garner constant
+/// `p^{-1} mod q` for recombining plaintexts mod `n`.
 #[derive(Debug)]
 struct CrtContext {
     p_leg: CrtLeg,
     q_leg: CrtLeg,
     p_inv_q: BigUint,
-    /// `p²` and `p²^{-1} mod q²`: Garner over the ciphertext space.
-    p2: BigUint,
-    p2_inv_q2: BigUint,
-    /// Window recoding of `n` (modulus-independent: one recode serves
-    /// the `mod p²` and `mod q²` legs alike).
-    n_digits: ExpDigits,
 }
 
 impl CrtContext {
     fn build(p: &BigUint, q: &BigUint, n: &BigUint) -> Option<CrtContext> {
-        let p2 = p * p;
-        let q2 = q * q;
         Some(CrtContext {
             p_leg: CrtLeg::build(p, n)?,
             q_leg: CrtLeg::build(q, n)?,
             p_inv_q: p.mod_inverse(q)?,
-            p2_inv_q2: p2.mod_inverse(&q2)?,
-            p2,
-            n_digits: ExpDigits::recode(n),
         })
     }
 
@@ -179,26 +186,18 @@ impl CrtContext {
         mp + &u * &self.p_leg.prime
     }
 
-    /// Owner-side encryption exponentiation: `r^n mod n²` via two
+    /// The owner's `h^n mod n²` (run once per key, for `h_s`): two
     /// half-width exponentiations mod `p²` / `q²` and Garner
-    /// recombination — the same group element the full-width
-    /// [`Montgomery::modpow`] would produce, at roughly half the cost
-    /// (quarter-cost multiplications, two legs).
-    fn pow_n(&self, r: &BigUint, sp: &mut PowScratch, sq: &mut PowScratch) -> BigUint {
-        let xp = self.p_leg.mont_r2.modpow_scratch(r, &self.n_digits, sp);
-        let xq = self.q_leg.mont_r2.modpow_scratch(r, &self.n_digits, sq);
-        let q2 = self.q_leg.mont_r2.modulus();
-        let xp_mod_q2 = &xp % q2;
-        let u = (&((q2 + &xq) - &xp_mod_q2) * &self.p2_inv_q2) % q2;
-        xp + &u * &self.p2
-    }
-
-    /// Leg scratches sized for the encryption exponent `n`.
-    fn pow_n_scratches(&self) -> (PowScratch, PowScratch) {
-        (
-            self.p_leg.mont_r2.pow_scratch(&self.n_digits),
-            self.q_leg.mont_r2.pow_scratch(&self.n_digits),
-        )
+    /// recombination over the ciphertext space — the same group element
+    /// the full-width [`Montgomery::modpow`] would produce, at roughly
+    /// half the cost. `None` only on degenerate factors (`p = q`).
+    fn pow_n(&self, h: &BigUint, n: &BigUint) -> Option<BigUint> {
+        let (p2, q2) = (self.p_leg.mont_r2.modulus(), self.q_leg.mont_r2.modulus());
+        let digits = ExpDigits::recode(n);
+        let xp = self.p_leg.mont_r2.modpow_recoded(h, &digits);
+        let xq = self.q_leg.mont_r2.modpow_recoded(h, &digits);
+        let u = (&((q2 + &xq) - &(&xp % q2)) * &p2.mod_inverse(q2)?) % q2;
+        Some(xp + &u * p2)
     }
 }
 
@@ -251,23 +250,23 @@ impl Ciphertext {
     }
 }
 
-/// A precomputed encryption randomizer: `r^n mod n²` for a fresh uniform
-/// `r ∈ Z_n*`.
+/// A precomputed encryption randomizer: the `n`-th residue `h_s^x mod n²`
+/// for a fresh short `x`.
 ///
-/// Computing `r^n mod n²` is the dominant cost of a Paillier encryption
-/// (one full-width modular exponentiation); the masked message factor
-/// `1 + m·n` costs a single multiplication. Randomizers therefore can be
-/// batch-generated *off the critical path* and consumed one per
+/// The randomizer is the dominant cost of a Paillier encryption (one
+/// fixed-base exponentiation, ≈40–56 multiplications); the message
+/// factor `1 + m·n` costs a single multiplication. Randomizers therefore
+/// can be batch-generated *off the critical path* and consumed one per
 /// encryption — same ciphertext distribution, amortized hot path. Each
-/// randomizer is bound to the key it was generated under and must be
-/// used **at most once** (reuse links ciphertexts of the same party).
+/// is bound to the key it was generated under and must be used **at most
+/// once** (reuse links ciphertexts of the same party).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Randomizer {
     rn: BigUint,
 }
 
 impl Randomizer {
-    /// The raw precomputed group element `r^n mod n²`.
+    /// The raw precomputed group element `h_s^x mod n²`.
     pub fn as_biguint(&self) -> &BigUint {
         &self.rn
     }
@@ -278,7 +277,11 @@ impl Keypair {
     ///
     /// `n_bits` is the *key size* reported in the paper's evaluation
     /// (512/1024/2048). Primes `p`, `q` are `n_bits/2`-bit random primes
-    /// regenerated until `gcd(pq, (p-1)(q-1)) = 1` and `n` has full width.
+    /// with their top two bits set (so `n` always has full width),
+    /// regenerated until `gcd(pq, (p-1)(q-1)) = 1`. After them the owner
+    /// draws `y ∈ Z_n*` and publishes `h_s = (−y²)^n mod n²`, the base
+    /// of every encryption randomizer under this key (see the module
+    /// docs); the `h_s` comb table is *not* built here.
     ///
     /// # Panics
     ///
@@ -287,15 +290,13 @@ impl Keypair {
     pub fn generate<R: Rng + ?Sized>(n_bits: usize, rng: &mut R) -> Keypair {
         assert!(n_bits >= 16, "paillier keys below 16 bits are unusable");
         loop {
-            let p = BigUint::gen_prime(n_bits / 2, rng);
-            let q = BigUint::gen_prime(n_bits.div_ceil(2), rng);
+            let p = BigUint::gen_rsa_prime(n_bits / 2, rng);
+            let q = BigUint::gen_rsa_prime(n_bits.div_ceil(2), rng);
             if p == q {
                 continue;
             }
             let n = &p * &q;
-            if n.bit_length() != n_bits {
-                continue;
-            }
+            debug_assert_eq!(n.bit_length(), n_bits, "top two bits of p, q are set");
             let one = BigUint::one();
             let p1 = &p - &one;
             let q1 = &q - &one;
@@ -307,16 +308,18 @@ impl Keypair {
                 Some(mu) => mu,
                 None => continue,
             };
-            let n2 = &n * &n;
-            let mont = match Montgomery::new(n2.clone()) {
-                Some(m) => m,
-                None => continue, // unreachable: n² of two odd primes is odd
+            // h = −y² mod n, h_s = h^n mod n² on the CRT legs the owner
+            // decrypts with anyway. A degenerate `h_s` (1, reachable only
+            // on toy widths) is redrawn with the key.
+            let crt = match CrtContext::build(&p, &q, &n) {
+                Some(crt) => crt,
+                None => continue,
             };
-            let public = PublicKey {
-                mont_n2: preloaded(mont),
-                n_digits: Arc::new(OnceLock::new()),
-                n,
-                n2,
+            let y = BigUint::random_coprime(&n, rng);
+            let h = &n - &(&(&y * &y) % &n);
+            let public = match crt.pow_n(&h, &n).map(|h_s| PublicKey::from_parts(n, h_s)) {
+                Some(Ok(public)) => public,
+                _ => continue,
             };
             let private = PrivateKey {
                 lambda,
@@ -324,7 +327,7 @@ impl Keypair {
                 public: public.clone(),
                 p: Some(p),
                 q: Some(q),
-                crt: Arc::new(OnceLock::new()),
+                crt: Arc::new(OnceLock::from(Some(crt))),
             };
             return Keypair { public, private };
         }
@@ -370,32 +373,75 @@ impl PublicKey {
             .get_or_init(|| Montgomery::new(self.n2.clone()).expect("n² is odd"))
     }
 
-    /// The shared window recoding of the encryption exponent `n` —
-    /// computed once per key (per clone family), reused by every
-    /// randomizer exponentiation.
-    fn n_digits(&self) -> &ExpDigits {
-        self.n_digits.get_or_init(|| ExpDigits::recode(&self.n))
+    /// The published randomizer base `h_s = h^n mod n²`.
+    pub fn h_s(&self) -> &BigUint {
+        &self.h_s
     }
 
-    /// Reconstructs a public key from its modulus — exactly what
-    /// deserializing `{n, n²}` produces: the Montgomery context is
-    /// rebuilt lazily on first use.
+    /// The shared comb table of `h_s`, sized to exactly the short
+    /// exponent width — built by the first encryption under the key
+    /// (per clone family), reused by every later one.
+    fn h_table(&self) -> &FixedBasePow {
+        self.h_table.get_or_init(|| {
+            self.mont()
+                .fixed_base_table(&self.h_s, short_exponent_bits(self.bits()))
+        })
+    }
+
+    /// A fresh randomizer `h_s^x mod n²`, `x` uniform in `[1, 2^bits)`
+    /// for `bits =` [`short_exponent_bits`]: a fixed number of draws from
+    /// `rng`, no rejection loop (the `2^-bits` zero draw maps to 1).
+    fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        let table = self.h_table();
+        let mut x = BigUint::random_bits(table.max_bits(), rng);
+        if x.is_zero() {
+            x = BigUint::one();
+        }
+        table.pow(&x)
+    }
+
+    /// Reconstructs a public key from its published parts — exactly what
+    /// deserializing `{n, n², h_s}` produces: the Montgomery context and
+    /// the `h_s` table are rebuilt lazily, once each, on first use.
     ///
     /// # Errors
     ///
-    /// [`CryptoError::KeyMismatch`] if `n` is not an odd value `> 1`
-    /// (every valid Paillier modulus is).
-    pub fn from_modulus(n: BigUint) -> Result<PublicKey, CryptoError> {
-        if n.is_even() || n.is_one() || n.is_zero() {
+    /// [`CryptoError::KeyMismatch`] unless `n` is odd and `> 1`,
+    /// `1 < h_s < n²` and `gcd(h_s mod n, n) = 1` — a key without a
+    /// usable `h_s` is refused here, never encrypted under.
+    pub fn from_parts(n: BigUint, h_s: BigUint) -> Result<PublicKey, CryptoError> {
+        if n.is_even() || n.is_one() {
             return Err(CryptoError::KeyMismatch);
         }
         let n2 = &n * &n;
+        if h_s <= BigUint::one() || h_s >= n2 || !(&h_s % &n).gcd(&n).is_one() {
+            return Err(CryptoError::KeyMismatch);
+        }
         Ok(PublicKey {
             n,
             n2,
+            h_s,
             mont_n2: Arc::new(OnceLock::new()),
-            n_digits: Arc::new(OnceLock::new()),
+            h_table: Arc::new(OnceLock::new()),
         })
+    }
+
+    /// `Ok` iff `m` lies in the message space `[0, n)`.
+    fn check_message(&self, m: &BigUint) -> Result<(), CryptoError> {
+        if m >= &self.n {
+            return Err(CryptoError::MessageTooLarge {
+                message_bits: m.bit_length(),
+                modulus_bits: self.n.bit_length(),
+            });
+        }
+        Ok(())
+    }
+
+    /// `(1 + m·n) · rn mod n²` for a checked message and an `n`-th
+    /// residue `rn`.
+    fn seal(&self, m: &BigUint, rn: &BigUint) -> Ciphertext {
+        let gm = (BigUint::one() + m * &self.n) % &self.n2;
+        Ciphertext(self.mont().mul(&gm, rn))
     }
 
     /// Encrypts `m ∈ [0, n)` with fresh randomness from `rng`.
@@ -408,7 +454,8 @@ impl PublicKey {
         self.try_encrypt(m, rng).expect("message within range")
     }
 
-    /// Encrypts `m ∈ [0, n)`.
+    /// Encrypts `m ∈ [0, n)` as `(1 + m·n) · h_s^x mod n²` for a fresh
+    /// short `x` — the one randomizer lane (see the module docs).
     ///
     /// # Errors
     ///
@@ -418,22 +465,30 @@ impl PublicKey {
         m: &BigUint,
         rng: &mut R,
     ) -> Result<Ciphertext, CryptoError> {
-        if m >= &self.n {
-            return Err(CryptoError::MessageTooLarge {
-                message_bits: m.bit_length(),
-                modulus_bits: self.n.bit_length(),
-            });
-        }
-        let r = BigUint::random_coprime(&self.n, rng);
-        let mont = self.mont();
-        // (1 + m·n) · r^n mod n² — the exponent recoding of `n` is
-        // shared across every encryption under this key.
-        let gm = (BigUint::one() + m * &self.n) % &self.n2;
-        let rn = mont.modpow_recoded(&r, self.n_digits());
-        Ok(Ciphertext(mont.mul(&gm, &rn)))
+        self.check_message(m)?;
+        Ok(self.seal(m, &self.draw_randomizer(rng)))
     }
 
-    /// Precomputes `count` encryption randomizers (`r^n mod n²`).
+    /// The classic encryption `(1 + m·n) · r^n mod n²` for a uniform
+    /// `r ∈ Z_n*`: a gcd walk plus a full-width ladder per ciphertext.
+    /// Kept as the **reference** the fixed-base lane is proptested and
+    /// benchmarked against; no protocol path calls it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::MessageTooLarge`] if `m >= n`.
+    pub fn try_encrypt_classic<R: Rng + ?Sized>(
+        &self,
+        m: &BigUint,
+        rng: &mut R,
+    ) -> Result<Ciphertext, CryptoError> {
+        self.check_message(m)?;
+        let r = BigUint::random_coprime(&self.n, rng);
+        Ok(self.seal(m, &self.mont().modpow(&r, &self.n)))
+    }
+
+    /// Precomputes `count` encryption randomizers (`h_s^x mod n²`),
+    /// drawing exactly as [`PublicKey::try_encrypt`] does.
     ///
     /// This is the batchable, off-critical-path part of encryption; pair
     /// with [`PublicKey::try_encrypt_with`] on the hot path.
@@ -442,15 +497,9 @@ impl PublicKey {
         count: usize,
         rng: &mut R,
     ) -> Vec<Randomizer> {
-        let mont = self.mont();
-        let digits = self.n_digits();
-        let mut scratch = mont.pow_scratch(digits);
         (0..count)
-            .map(|_| {
-                let r = BigUint::random_coprime(&self.n, rng);
-                Randomizer {
-                    rn: mont.modpow_scratch(&r, digits, &mut scratch),
-                }
+            .map(|_| Randomizer {
+                rn: self.draw_randomizer(rng),
             })
             .collect()
     }
@@ -458,8 +507,8 @@ impl PublicKey {
     /// Encrypts `m ∈ [0, n)` consuming a precomputed randomizer.
     ///
     /// Produces exactly the ciphertext [`PublicKey::try_encrypt`] would
-    /// have produced with the randomizer's underlying `r`, at the cost of
-    /// one modular multiplication instead of a modular exponentiation.
+    /// have produced with the randomizer's underlying `x`, at the cost of
+    /// one modular multiplication instead of a table exponentiation.
     ///
     /// # Errors
     ///
@@ -469,14 +518,8 @@ impl PublicKey {
         m: &BigUint,
         randomizer: &Randomizer,
     ) -> Result<Ciphertext, CryptoError> {
-        if m >= &self.n {
-            return Err(CryptoError::MessageTooLarge {
-                message_bits: m.bit_length(),
-                modulus_bits: self.n.bit_length(),
-            });
-        }
-        let gm = (BigUint::one() + m * &self.n) % &self.n2;
-        Ok(Ciphertext(self.mont().mul(&gm, &randomizer.rn)))
+        self.check_message(m)?;
+        Ok(self.seal(m, &randomizer.rn))
     }
 
     /// Homomorphic addition: `Enc(a) ⊞ Enc(b) = Enc(a + b mod n)`.
@@ -621,49 +664,15 @@ impl PrivateKey {
         (&l_function(&x, &pk.n) * &self.mu) % &pk.n
     }
 
-    /// Precomputes `count` encryption randomizers (`r^n mod n²`) on the
-    /// key owner's CRT fast lane: each exponentiation runs as two
-    /// half-width legs mod `p²` / `q²` with Garner recombination.
-    ///
-    /// Draws the underlying `r` values exactly as
-    /// [`PublicKey::precompute_randomizers`] does, so under the same
-    /// DRBG stream the two paths emit **bit-identical** randomizers —
-    /// this is a fast lane, not a different distribution. Factorless
-    /// keys fall back to the public-key path (same output, full-width
-    /// cost).
+    /// [`PublicKey::precompute_randomizers`] under this key's public
+    /// half. The owner has no faster lane than the `h_s` table any more;
+    /// the name is kept for callers that hold the private key.
     pub fn precompute_randomizers_crt<R: Rng + ?Sized>(
         &self,
         count: usize,
         rng: &mut R,
     ) -> Vec<Randomizer> {
-        let crt = match self.crt() {
-            Some(crt) => crt,
-            None => return self.public.precompute_randomizers(count, rng),
-        };
-        let n = &self.public.n;
-        let (p, q) = (&crt.p_leg.prime, &crt.q_leg.prime);
-        let (mut sp, mut sq) = crt.pow_n_scratches();
-        (0..count)
-            .map(|_| {
-                // The owner's coprimality test: for n = p·q,
-                // gcd(r, n) = 1 ⟺ p ∤ r ∧ q ∤ r — the same accept/reject
-                // sequence as `random_coprime` (bit-identical stream
-                // consumption), with two half-width divisions in place
-                // of a full Euclid walk.
-                let r = loop {
-                    let candidate = BigUint::random_below(n, rng);
-                    if !candidate.is_zero()
-                        && !(&candidate % p).is_zero()
-                        && !(&candidate % q).is_zero()
-                    {
-                        break candidate;
-                    }
-                };
-                Randomizer {
-                    rn: crt.pow_n(&r, &mut sp, &mut sq),
-                }
-            })
-            .collect()
+        self.public.precompute_randomizers(count, rng)
     }
 
     /// Decrypts a batch to canonical representatives in `[0, n)`.
@@ -793,6 +802,82 @@ mod tests {
             let kp = keypair(bits);
             assert_eq!(kp.public().bits(), bits);
         }
+    }
+
+    #[test]
+    fn generated_moduli_never_come_out_a_bit_short() {
+        // Top two bits of each prime forced: 64 keys per width, every
+        // one exactly `n_bits` wide with both factors kept (a retry for
+        // width would trip the debug assertion in `generate`).
+        for bits in [128usize, 512] {
+            let mut rng = HashDrbg::from_seed_label(b"paillier-width", bits as u64);
+            for _ in 0..64 {
+                let kp = Keypair::generate(bits, &mut rng);
+                assert_eq!(kp.public().bits(), bits);
+                let (p, q) = (kp.private().p.as_ref(), kp.private().q.as_ref());
+                let (p, q) = (p.expect("p"), q.expect("q"));
+                assert!(p.bit(bits / 2 - 2) && q.bit(bits / 2 - 2));
+            }
+        }
+    }
+
+    #[test]
+    fn short_exponent_width_follows_the_key_size() {
+        for (n_bits, expected) in [
+            (16usize, 16usize),
+            (128, 128),
+            (512, 160),
+            (1024, 160),
+            (1536, 224),
+            (2048, 224),
+            (3072, 256),
+            (4096, 384),
+        ] {
+            assert_eq!(short_exponent_bits(n_bits), expected, "n_bits={n_bits}");
+        }
+        let kp = keypair(128);
+        assert_eq!(kp.public().h_table().max_bits(), 128);
+    }
+
+    #[test]
+    fn randomizers_are_nth_residues_off_the_table() {
+        // h_s^x from the comb table ≡ the ladder, decrypts to 0, and a
+        // ciphertext sealed with it sits in ⟨h_s⟩ · (1 + m·n).
+        let kp = keypair(128);
+        let (pk, sk) = (kp.public(), kp.private());
+        let mut rng = HashDrbg::new(b"residue");
+        for _ in 0..8 {
+            let x = BigUint::random_bits(short_exponent_bits(pk.bits()), &mut rng);
+            let rn = pk.h_table().pow(&x);
+            assert_eq!(rn, pk.mont().modpow(pk.h_s(), &x));
+            assert!(sk.decrypt(&Ciphertext(rn)).is_zero());
+        }
+        // The published base is itself an n-th residue: h_s = h^n.
+        assert!(sk.decrypt(&Ciphertext(pk.h_s().clone())).is_zero());
+        let crt = sk.crt().expect("generated keys keep their factors");
+        let h = BigUint::from(0xBEEFu64);
+        assert_eq!(crt.pow_n(&h, pk.n()), Some(pk.mont().modpow(&h, pk.n())));
+    }
+
+    #[test]
+    fn classic_and_fixed_base_ciphertexts_mix() {
+        let kp = keypair(128);
+        let (pk, sk) = (kp.public(), kp.private());
+        let mut rng = HashDrbg::new(b"mixed-lanes");
+        let a = pk.encrypt(&BigUint::from(1000u64), &mut rng);
+        let b = pk
+            .try_encrypt_classic(&BigUint::from(234u64), &mut rng)
+            .expect("in range");
+        assert!(pk.validate_ciphertext(&b).is_ok());
+        assert_eq!(sk.decrypt(&b), BigUint::from(234u64));
+        assert_eq!(
+            sk.decrypt(&pk.add_ciphertexts(&a, &b)),
+            BigUint::from(1234u64)
+        );
+        assert!(matches!(
+            pk.try_encrypt_classic(pk.n(), &mut rng),
+            Err(CryptoError::MessageTooLarge { .. })
+        ));
     }
 
     #[test]
@@ -1064,11 +1149,11 @@ mod tests {
 
     #[test]
     fn rebuilt_public_key_encrypts_bit_identically() {
-        // from_modulus is exactly what a serde round-trip produces: the
+        // from_parts is exactly what a serde round-trip produces: the
         // same ciphertext bits must come out of the rebuilt key.
         let kp = keypair(128);
         let pk = kp.public();
-        let rebuilt = PublicKey::from_modulus(pk.n().clone()).expect("valid modulus");
+        let rebuilt = PublicKey::from_parts(pk.n().clone(), pk.h_s().clone()).expect("valid key");
         assert_eq!(pk, &rebuilt);
         assert_eq!(pk.n_squared(), rebuilt.n_squared());
         let m = BigUint::from(777u64);
@@ -1084,23 +1169,56 @@ mod tests {
             pk.try_encrypt_with(&m, &r[0]).expect("encrypt"),
             rebuilt.try_encrypt_with(&m, &r[0]).expect("encrypt")
         );
-        assert!(PublicKey::from_modulus(BigUint::from(10u64)).is_err());
-        assert!(PublicKey::from_modulus(BigUint::one()).is_err());
+    }
+
+    #[test]
+    fn public_key_without_a_usable_h_s_is_a_typed_error() {
+        let kp = keypair(128);
+        let (pk, sk) = (kp.public(), kp.private());
+        let (n, h_s) = (pk.n().clone(), pk.h_s().clone());
+        let p = sk.p.clone().expect("p");
+        for (n, h_s) in [
+            (BigUint::from(10u64), h_s.clone()),
+            (BigUint::one(), h_s.clone()),
+            (BigUint::zero(), h_s.clone()),
+            (n.clone(), BigUint::zero()),
+            (n.clone(), BigUint::one()),
+            (n.clone(), pk.n_squared().clone()),
+            (n.clone(), pk.n_squared() + &h_s),
+            (n.clone(), p.clone()),
+            (n.clone(), &n * &BigUint::from(3u64)),
+        ] {
+            assert_eq!(
+                PublicKey::from_parts(n.clone(), h_s.clone()),
+                Err(CryptoError::KeyMismatch),
+                "n={n:?} h_s={h_s:?}"
+            );
+        }
+        assert!(PublicKey::from_parts(n, h_s).is_ok());
     }
 
     #[test]
     fn montgomery_context_is_shared_and_rebuilt_once() {
-        // Clones borrow one context; a rebuilt key materializes its
-        // context exactly once and every later op reuses that pointer.
+        // Clones borrow one context and one h_s table; a rebuilt key
+        // materializes each exactly once and every later op reuses that
+        // pointer. Neither keygen nor a rebuild builds the table early.
         let kp = keypair(96);
         let pk = kp.public();
         let clone = pk.clone();
+        assert!(pk.h_table.get().is_none(), "keygen leaves the table cold");
         assert!(std::ptr::eq(pk.mont(), clone.mont()), "clones share");
-        let rebuilt = PublicKey::from_modulus(pk.n().clone()).expect("valid");
+        assert!(std::ptr::eq(pk.h_table(), clone.h_table()), "clones share");
+        let rebuilt = PublicKey::from_parts(pk.n().clone(), pk.h_s().clone()).expect("valid");
+        assert!(rebuilt.mont_n2.get().is_none() && rebuilt.h_table.get().is_none());
         let first = rebuilt.mont() as *const Montgomery;
         let again = rebuilt.mont() as *const Montgomery;
         assert_eq!(first, again, "lazy rebuild happens once");
         assert!(std::ptr::eq(rebuilt.mont(), rebuilt.clone().mont()));
+        let mut rng = HashDrbg::new(b"rebuilt-table");
+        let _ = rebuilt.encrypt(&BigUint::one(), &mut rng);
+        let table = rebuilt.h_table.get().expect("first encryption builds it") as *const _;
+        let _ = rebuilt.clone().encrypt(&BigUint::one(), &mut rng);
+        assert!(std::ptr::eq(table, rebuilt.h_table()), "and only once");
     }
 
     #[test]
@@ -1164,29 +1282,6 @@ mod tests {
                 "k=2^{t}"
             );
         }
-    }
-
-    #[test]
-    fn owner_crt_randomizers_bit_identical() {
-        // Same DRBG stream through the owner-CRT lane and the classic
-        // public-key lane: identical randomizers, identical ciphertexts.
-        let kp = keypair(128);
-        let mut rng_pk = HashDrbg::new(b"owner-lane");
-        let via_pk = kp.public().precompute_randomizers(5, &mut rng_pk);
-        let mut rng_sk = HashDrbg::new(b"owner-lane");
-        let via_sk = kp.private().precompute_randomizers_crt(5, &mut rng_sk);
-        assert_eq!(via_pk, via_sk);
-        // A factorless key silently falls back to the public path.
-        let mut rng_legacy = HashDrbg::new(b"owner-lane");
-        let via_legacy = kp
-            .private()
-            .without_crt()
-            .precompute_randomizers_crt(5, &mut rng_legacy);
-        assert_eq!(via_pk, via_legacy);
-        // And the randomizers work.
-        let m = BigUint::from(99u64);
-        let c = kp.public().try_encrypt_with(&m, &via_sk[0]).expect("enc");
-        assert_eq!(kp.private().decrypt(&c), m);
     }
 
     #[test]

@@ -19,16 +19,18 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
     assert!(telemetry::install());
     let mut rng = HashDrbg::new(b"kernel-width-coverage");
 
-    // Key generation (Miller–Rabin mod p, q), the public lane (mod n²),
-    // the owner's CRT lanes (mod p², q²) and CRT decryption (mod p², q²
-    // and the half-width recombination).
+    // Key generation (Miller–Rabin mod p, q; `h_s` on the owner's CRT
+    // legs mod p², q²), the randomizer lane (the `h_s` table build and
+    // its pows mod n²), the classic reference ladder (mod n²) and CRT
+    // decryption (mod p², q² and the half-width recombination).
     let kp = Keypair::generate(2048, &mut rng);
     let (pk, sk) = (kp.public(), kp.private());
     let m = BigUint::from(123_456_789u64);
     let c = pk.encrypt(&m, &mut rng);
-    let owner = sk.precompute_randomizers_crt(1, &mut rng);
-    let c2 = pk.try_encrypt_with(&m, &owner[0]).expect("in range");
-    assert_eq!(sk.decrypt_batch(&[c, c2]), [m.clone(), m]);
+    let pooled = pk.precompute_randomizers(1, &mut rng);
+    let c2 = pk.try_encrypt_with(&m, &pooled[0]).expect("in range");
+    let c3 = pk.try_encrypt_classic(&m, &mut rng).expect("in range");
+    assert_eq!(sk.decrypt_batch(&[c, c2, c3]), [m.clone(), m.clone(), m]);
 
     // The OT group: a ladder and a comb-table exponentiation.
     let group = DhGroup::modp_2048();

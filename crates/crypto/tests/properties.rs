@@ -3,7 +3,7 @@
 use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{run_local_ot, DhGroup};
-use pem_crypto::paillier::Keypair;
+use pem_crypto::paillier::{short_exponent_bits, Ciphertext, Keypair, PublicKey};
 use proptest::prelude::*;
 use rand::Rng as _;
 use std::sync::OnceLock;
@@ -14,6 +14,20 @@ fn shared_keypair() -> &'static Keypair {
     KP.get_or_init(|| {
         let mut rng = HashDrbg::new(b"proptest-keypair");
         Keypair::generate(128, &mut rng)
+    })
+}
+
+/// The widths the randomizer-lane properties run at: the toy key, and
+/// the two whose `n²` contexts take the 16- and 32-limb kernels.
+const LANE_KEY_BITS: [usize; 3] = [128, 512, 1024];
+
+/// One shared keypair per entry of [`LANE_KEY_BITS`].
+fn lane_keypair(which: usize) -> &'static Keypair {
+    static KPS: [OnceLock<Keypair>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    KPS[which].get_or_init(|| {
+        let bits = LANE_KEY_BITS[which];
+        let mut rng = HashDrbg::from_seed_label(b"proptest-lane-keypair", bits as u64);
+        Keypair::generate(bits, &mut rng)
     })
 }
 
@@ -125,18 +139,74 @@ proptest! {
     }
 
     #[test]
-    fn owner_crt_randomizers_equal_classic(count in 1usize..5, seed in any::<u64>()) {
-        // The key owner's half-width `r^n` lane must emit bit-identical
-        // randomizers to the classic full-width public-key lane when
-        // both consume the same DRBG stream.
-        let kp = shared_keypair();
-        let mut rng_pk = HashDrbg::from_seed_label(b"owner-crt", seed);
+    fn owner_and_public_precompute_are_one_lane(which in 0usize..3, count in 1usize..5, seed in any::<u64>()) {
+        // Whoever asks — the public key, the owner, or an on-line
+        // encryption — draws the same `h_s^x` from the same stream.
+        let kp = lane_keypair(which);
+        let mut rng_pk = HashDrbg::from_seed_label(b"one-lane", seed);
         let via_pk = kp.public().precompute_randomizers(count, &mut rng_pk);
-        let mut rng_sk = HashDrbg::from_seed_label(b"owner-crt", seed);
+        let mut rng_sk = HashDrbg::from_seed_label(b"one-lane", seed);
         let via_sk = kp.private().precompute_randomizers_crt(count, &mut rng_sk);
         prop_assert_eq!(&via_pk, &via_sk);
-        // And the streams are left in the same state.
         prop_assert_eq!(rng_pk.gen::<u64>(), rng_sk.gen::<u64>());
+        let mut rng_enc = HashDrbg::from_seed_label(b"one-lane", seed);
+        let m = BigUint::from(seed);
+        prop_assert_eq!(
+            kp.public().encrypt(&m, &mut rng_enc),
+            kp.public().try_encrypt_with(&m, &via_pk[0]).expect("in range")
+        );
+    }
+
+    #[test]
+    fn fixed_base_randomizer_is_the_ladders_nth_residue(which in 0usize..3, seed in any::<u64>()) {
+        // Replay the lane's draw: the table's `h_s^x` is the ladder's,
+        // and it decrypts to 0 (an n-th residue hides nothing but m).
+        let kp = lane_keypair(which);
+        let (pk, sk) = (kp.public(), kp.private());
+        let mut rng = HashDrbg::from_seed_label(b"lane-residue", seed);
+        let r = pk.precompute_randomizers(1, &mut rng).remove(0);
+        let mut replay = HashDrbg::from_seed_label(b"lane-residue", seed);
+        let x = BigUint::random_bits(short_exponent_bits(pk.bits()), &mut replay);
+        prop_assert!(x.bit_length() <= short_exponent_bits(LANE_KEY_BITS[which]));
+        let mont = pem_bignum::Montgomery::new(pk.n_squared().clone()).expect("n² is odd");
+        prop_assert_eq!(r.as_biguint(), &mont.modpow(pk.h_s(), &x));
+        prop_assert!(sk.decrypt(&Ciphertext::from_biguint(r.as_biguint().clone())).is_zero());
+    }
+
+    #[test]
+    fn fixed_base_and_classic_ciphertexts_mix_under_one_key(
+        which in 0usize..3,
+        a in -1_000_000_000i64..1_000_000_000,
+        b in -1_000_000_000i64..1_000_000_000,
+        k in 1u32..1_000_000,
+        seed in any::<u64>(),
+    ) {
+        let kp = lane_keypair(which);
+        let (pk, sk) = (kp.public(), kp.private());
+        let mut rng = HashDrbg::from_seed_label(b"lane-mix", seed);
+        let fixed = pk.encrypt(&pk.encode_i128(a as i128), &mut rng);
+        let classic = pk
+            .try_encrypt_classic(&pk.encode_i128(b as i128), &mut rng)
+            .expect("in range");
+        for c in [&fixed, &classic] {
+            prop_assert!(pk.validate_ciphertext(c).is_ok());
+        }
+        prop_assert_eq!(sk.decrypt_i128(&fixed), a as i128);
+        prop_assert_eq!(sk.decrypt_i128(&classic), b as i128);
+        prop_assert_eq!(sk.decrypt_classic(&fixed), pk.encode_i128(a as i128));
+        let sum = pk.add_ciphertexts(&fixed, &classic);
+        prop_assert_eq!(sk.decrypt_i128(&sum), (a + b) as i128);
+        let k_big = BigUint::from(k as u64);
+        prop_assert_eq!(sk.decrypt_i128(&pk.mul_plain(&sum, &k_big)), (a + b) as i128 * k as i128);
+        let offset = pk.encode_i128(b as i128);
+        for c in [&fixed, &classic, &sum] {
+            let fused = pk.affine(c, &k_big, &offset);
+            prop_assert_eq!(&fused, &pk.add_plain(&pk.mul_plain(c, &k_big), &offset));
+            prop_assert_eq!(
+                sk.decrypt_i128(&fused),
+                sk.decrypt_i128(c) * k as i128 + b as i128
+            );
+        }
     }
 
     #[test]
@@ -175,15 +245,16 @@ proptest! {
 
     #[test]
     fn roundtripped_public_key_is_bit_identical(v in any::<u64>(), seed in any::<u64>()) {
-        // `from_modulus` rebuilds exactly the state a serde round-trip
-        // leaves behind (context dropped, lazily rebuilt): fed the same
-        // DRBG stream or the same pooled randomizer, it must emit the
-        // same ciphertext bits, validate them identically, and decrypt
-        // to the same plaintext.
+        // `from_parts` rebuilds exactly the state a serde round-trip of
+        // `{n, n², h_s}` leaves behind (context and table dropped, each
+        // lazily rebuilt once): fed the same DRBG stream or the same
+        // pooled randomizer, it must emit the same ciphertext bits,
+        // validate them identically, and decrypt to the same plaintext.
         let kp = shared_keypair();
         let pk = kp.public();
-        let rebuilt = pem_crypto::paillier::PublicKey::from_modulus(pk.n().clone())
-            .expect("valid modulus");
+        let rebuilt = PublicKey::from_parts(pk.n().clone(), pk.h_s().clone()).expect("valid key");
+        // A key that lost its `h_s` on the wire is refused, not laddered.
+        prop_assert!(PublicKey::from_parts(pk.n().clone(), BigUint::from(v % 2)).is_err());
         let m = BigUint::from(v);
         let mut rng_a = HashDrbg::from_seed_label(b"pk-rt", seed);
         let mut rng_b = HashDrbg::from_seed_label(b"pk-rt", seed);

@@ -10,9 +10,9 @@
 //!   depends on the RNG stream or the wire format, so **no PR may ever
 //!   re-record it**: a drift here is a changed market outcome.
 //! * [`GOLDEN`] is the full fingerprint, which also folds the masked
-//!   totals and the bytes on the wire. **Only a wire-format PR may
-//!   re-record it**, here and nowhere else, and only while
-//!   `MARKET_GOLDEN` passes unchanged.
+//!   totals and the bytes on the wire. **Only a PR that changes the wire
+//!   format or the key/draw stream may re-record it**, here and nowhere
+//!   else, and only while `MARKET_GOLDEN` passes unchanged.
 //!
 //! To inspect current values:
 //! `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
@@ -25,10 +25,16 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 
 /// Full fingerprints per window. Recorded on the pre-overhaul kernel
 /// (PR 2 state); re-recorded once by the batched-OT wire change (PR 19:
-/// one sender key and 2-bit chunks per comparison).
+/// one sender key and 2-bit chunks per comparison) and once by the
+/// fixed-base randomizer lane (PR 22: key generation forces the top two
+/// bits of each prime and draws `y` for `h_s`, and every randomizer is a
+/// short `x` instead of a uniform `r` — so the key moduli, the
+/// minimal-length integers behind `net.total_bytes` and the
+/// draw-dependent `masked_*` terms moved; nothing `MARKET_GOLDEN` covers
+/// did).
 pub const GOLDEN: [&str; 2] = [
-    "c3bf879d15bd33faf7c631321183e9c48b0108bc315136ec7dcc14f8fd3a84fd",
-    "64349c79ec11cfda66c0641d1aa8da434cc68e9f6e177841945909423cc99eb0",
+    "e9c762930f715a08b96fddfbe2820e08e5488d52fb66d8b0a4e704f759afd775",
+    "af82343ddffe17f978297696d0f20332bcfca68ace92d6c974e8f41f2c2518d6",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.

@@ -17,7 +17,7 @@
 //! | [`market`] | `pem-market` | the Stackelberg trading model (Eqs. 1–15), allocation, baseline |
 //! | [`data`] | `pem-data` | synthetic smart-home traces (UMass Smart* substitute) |
 //! | [`net`] | `pem-net` | `Transport` trait, two byte-metered fabrics over one send pipeline (`SimNetwork`, `MeshTransport`), wire codec, threaded runtime |
-//! | [`core`] | `pem-core` | Protocols 1–4: the Private Energy Market itself, plus the precomputed-randomizer pool (one configuration: per-key DRBG streams, owner-CRT precompute) |
+//! | [`core`] | `pem-core` | Protocols 1–4: the Private Energy Market itself, plus the precomputed-randomizer pool (one configuration: per-key DRBG streams over the key's one `h_s^x` lane) |
 //! | [`fabric`] | `pem-fabric` | poll-able protocol state machines, deterministic single-thread executor (`EventTransport` = `SimNetwork`) |
 //! | [`ledger`] | `pem-ledger` | hash-chained settlement ledger (§VI blockchain extension) |
 //! | [`sched`] | `pem-sched` | sharded multi-coalition grid orchestrator (bounded coalitions, worker pool, batched crypto) |
