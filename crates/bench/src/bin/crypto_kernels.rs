@@ -16,8 +16,12 @@
 //! one) and `compare_64` (Protocol 2's whole 64-bit garbled comparison:
 //! one batch of 32 1-of-4 OTs under one sender key), each on a group
 //! obtained the way `run_compare` obtains it — `OtProfile::group()` per
-//! call. `grid_doctor` holds `compare_64` under 0.75 × 64 × `ot_single`
-//! (0.9 at `test192`) within each run. Last come the Montgomery kernel rows every figure
+//! call — and `ot_ladder_full`, one full-width `B^x` in the group,
+//! interleaved with `compare_64`: the ladder a comparison ran 32 of
+//! before its exponents were cut to the group's security level.
+//! `grid_doctor` holds `compare_64` under 0.75 × 64 × `ot_single`
+//! (0.9 at `test192`) and, at `modp1024`, under 0.5 × 32 ×
+//! `ot_ladder_full` within each run. Last come the Montgomery kernel rows every figure
 //! above is a multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per
 //! limb count (3, 4, 16, 32, 64 — the toy-key and test-group widths,
 //! the Modp1024 group and `p²` at 1024-bit keys, `n²` at 1024- and
@@ -356,10 +360,24 @@ fn bench_group(group: &'static str, profile: OtProfile, min_time_ms: u64) -> Gro
         )
         .expect("ot");
     }));
-    kernels.push(measure("compare_64", min_time_ms, |i| {
-        let (a, b) = (1_000 + i as u128, 2_000);
-        let _ = secure_less_than_local(a, b, 64, &profile.group(), &mut rng).expect("compare");
-    }));
+    let dh = profile.group();
+    let base = dh.pow_g(&BigUint::from(0xB5u64));
+    let q_bits = dh.q().bit_length();
+    let mut exponent = BigUint::random_bits(q_bits, &mut rng);
+    exponent.set_bit(q_bits - 1, true);
+    let (compare, ladder) = measure_pair(
+        ("compare_64", "ot_ladder_full"),
+        min_time_ms,
+        (1.0, 1.0),
+        |i| {
+            let (a, b) = (1_000 + i as u128, 2_000);
+            let _ = secure_less_than_local(a, b, 64, &profile.group(), &mut rng).expect("compare");
+        },
+        |_| {
+            let _ = dh.pow(&base, &exponent);
+        },
+    );
+    kernels.extend([compare, ladder]);
     GroupReport { group, kernels }
 }
 

@@ -278,6 +278,7 @@ pub fn crypto_checks(
             Check::compare(format!("crypto/{id}/{key}"), b, c, threshold)
         })
         .chain(batched_ot_checks(cur))
+        .chain(short_exponent_checks(cur))
         .chain(randomizer_lane_checks(cur))
         .collect();
     Ok((base_label, cur_label, checks))
@@ -285,8 +286,8 @@ pub fn crypto_checks(
 
 /// A 64-bit comparison may cost at most this share of 64 single OTs.
 /// One sender key per comparison and two bits per transfer measure
-/// 0.30 (Modp1024) / 0.64–0.69 (Test192); a key per bit is above 1 by
-/// operation count (measured 1.05 / 1.17).
+/// 0.26–0.30 (Modp1024) / 0.64–0.69 (Test192); a key per bit is above 1
+/// by operation count (measured 1.05 / 1.17).
 const BATCHED_COMPARE_SHARE: f64 = 0.75;
 
 /// Test192's limit: its `ot_single` is a ≈20 µs operation that swings
@@ -315,6 +316,34 @@ fn batched_ot_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
             compare,
             compare < limit,
         ))
+    })
+}
+
+/// A 64-bit comparison may cost at most this share of 32 full-width
+/// ladders in its OT group. With every exponent at the group's security
+/// level (160 bits at Modp1024) the whole comparison — garbling and
+/// tables included — measures 0.33 of them; the 32 full-width `Bᵢ^a`
+/// it ran before were 1 by themselves (the whole comparison 1.6).
+const SHORT_EXPONENT_COMPARE_SHARE: f64 = 0.5;
+
+/// Within-run structural gate, one check per OT-group entry that
+/// carries the `ot_ladder_full` row: a comparison that drifts back
+/// onto full-width ladders fails on any box. Not at `test192`, whose
+/// comparison is mostly garbling (≈4.6 × its 32 three-limb ladders).
+fn short_exponent_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
+    run_entries(run).iter().filter_map(|entry| {
+        let group = entry.get("ot_group").and_then(Json::as_str)?;
+        let ladder = entry.get("ot_ladder_full_mean_us").and_then(Json::as_f64)?;
+        let compare = entry.get("compare_64_mean_us").and_then(Json::as_f64)?;
+        let limit = SHORT_EXPONENT_COMPARE_SHARE * 32.0 * ladder;
+        (group != "test192").then(|| {
+            Check::invariant(
+                format!("crypto/{group}/compare_off_the_ladder"),
+                limit,
+                compare,
+                compare < limit,
+            )
+        })
     })
 }
 
@@ -783,6 +812,40 @@ mod tests {
         assert!(!gate("modp1024").regressed, "0.37 of 64 OTs");
         assert!(!gate("test192").regressed, "0.82 of 64 OTs, limit 0.9");
         assert!(gate("slowgroup").regressed, "1.04 of 64 OTs");
+        assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
+    }
+
+    #[test]
+    fn a_comparison_back_on_full_width_ladders_fails_the_within_run_gate() {
+        // modp1024: short exponents. `widegroup`: the comparison costs
+        // its 32 full-width ladders and more again. test192 is not
+        // gated (garbling dominates), nor is an entry without the row.
+        let entries = "{\"ot_group\":\"modp1024\",\"ot_single_mean_us\":204,\
+                        \"compare_64_mean_us\":3380,\"ot_ladder_full_mean_us\":405},\
+                       {\"ot_group\":\"widegroup\",\"ot_single_mean_us\":874,\
+                        \"compare_64_mean_us\":17100,\"ot_ladder_full_mean_us\":405},\
+                       {\"ot_group\":\"test192\",\"ot_single_mean_us\":17,\
+                        \"compare_64_mean_us\":641,\"ot_ladder_full_mean_us\":4.3},\
+                       {\"ot_group\":\"norow\",\"ot_single_mean_us\":874,\
+                        \"compare_64_mean_us\":17100}";
+        let t = trajectory(&format!(
+            "[{{\"run\":\"a\",\"entries\":[{entries}]}},\
+              {{\"run\":\"b\",\"entries\":[{entries}]}}]"
+        ));
+        let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
+        let gates: Vec<_> = checks
+            .iter()
+            .filter(|c| c.name.ends_with("/compare_off_the_ladder"))
+            .map(|c| (c.name.as_str(), c.regressed))
+            .collect();
+        assert_eq!(
+            gates,
+            [
+                ("crypto/modp1024/compare_off_the_ladder", false),
+                ("crypto/widegroup/compare_off_the_ladder", true)
+            ]
+        );
+        // The batching gate cannot see it: 17.1 ms is 0.31 of 64 OTs.
         assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
     }
 

@@ -59,6 +59,10 @@ use pem_telemetry::Counter;
 /// Exponentiation-kernel op counters — no-ops until a telemetry
 /// collector is installed, registered on first context construction.
 static MODPOW_OPS: Counter = Counter::new();
+/// Exponent bits summed over every ladder run (whichever entry point
+/// reached it): the square-chain length a ladder *count* cannot see, so
+/// a short exponent that drifts back to full width shows here.
+static MODPOW_BITS: Counter = Counter::new();
 static POW_MUL_OPS: Counter = Counter::new();
 static MULTI_MODPOW_OPS: Counter = Counter::new();
 static FIXED_BASE_OPS: Counter = Counter::new();
@@ -74,6 +78,7 @@ fn register_kernel_counters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         pem_telemetry::register_counter("crypto/modpow", &MODPOW_OPS);
+        pem_telemetry::register_counter("crypto/modpow_bits", &MODPOW_BITS);
         pem_telemetry::register_counter("crypto/pow_mul", &POW_MUL_OPS);
         pem_telemetry::register_counter("crypto/multi_modpow", &MULTI_MODPOW_OPS);
         pem_telemetry::register_counter("crypto/fixed_base_pow", &FIXED_BASE_OPS);
@@ -541,6 +546,7 @@ impl Montgomery {
     /// (window width or limb count).
     fn ladder(&self, base_m: &[u64], digits: &ExpDigits, scratch: &mut PowScratch) {
         debug_assert!(!digits.is_zero());
+        MODPOW_BITS.add(digits.bits as u64);
         let k = self.k;
         let PowScratch { table, acc, tmp } = scratch;
         assert_eq!(acc.len(), k, "scratch from another context");
@@ -636,6 +642,24 @@ impl Montgomery {
         }
         self.ladder(&self.to_mont(base), digits, scratch);
         self.from_mont(&scratch.acc)
+    }
+
+    /// One ladder per base under a shared exponent recoding, on one
+    /// scratch — `bases.map(|b| modpow_recoded(b, digits))` bit for bit
+    /// (and ladder for ladder in `crypto/modpow`), without recoding or
+    /// allocating the window table per base.
+    pub fn modpow_batch<'a>(
+        &self,
+        bases: impl IntoIterator<Item = &'a BigUint>,
+        digits: &ExpDigits,
+    ) -> Vec<BigUint> {
+        let mut scratch = self.pow_scratch(digits);
+        let out: Vec<BigUint> = bases
+            .into_iter()
+            .map(|base| self.modpow_scratch(base, digits, &mut scratch))
+            .collect();
+        MODPOW_OPS.add(out.len() as u64);
+        out
     }
 
     /// Fused `base^exp · factor mod n`: the multiplication happens in the

@@ -21,6 +21,10 @@
 //! | one key per bit (before) | 128 | 192 | 0 | 128 |
 //! | one key, 2-bit chunks | 32 | 66 | 1 (`A`) | 33 |
 //!
+//! Every exponent in the second row but one (`T`'s, once per
+//! comparison) is `DhGroup::short_exponent_bits` wide — 160 bits at
+//! Modp1024 — see [`pem_crypto::ot`].
+//!
 //! All messages are `serde`-serializable so `pem-net` can meter them.
 
 use rand::Rng;
@@ -128,18 +132,19 @@ impl CompareGarbler {
         if requests.replies.len() != chunks.len() {
             return Err(CircuitError::MalformedGarbling("OT reply count mismatch"));
         }
-        let mut cts = Vec::with_capacity(chunks.len());
-        for (index, (wires, reply)) in chunks.zip(&requests.replies).enumerate() {
-            let messages: Vec<Vec<u8>> = (0..1usize << wires.len())
-                .map(|value| {
-                    let bit = |pos: usize| value >> pos & 1 == 1;
-                    (wires.iter().enumerate())
-                        .flat_map(|(pos, (l0, l1))| if bit(pos) { l1.0 } else { l0.0 })
-                        .collect()
-                })
-                .collect();
-            cts.push(self.sender.encrypt(index, reply, &messages)?);
-        }
+        let messages: Vec<Vec<Vec<u8>>> = chunks
+            .map(|wires| {
+                (0..1usize << wires.len())
+                    .map(|value| {
+                        let bit = |pos: usize| value >> pos & 1 == 1;
+                        (wires.iter().enumerate())
+                            .flat_map(|(pos, (l0, l1))| if bit(pos) { l1.0 } else { l0.0 })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let cts = self.sender.encrypt(&requests.replies, &messages)?;
         Ok(CompareLabelCiphertexts { cts })
     }
 }

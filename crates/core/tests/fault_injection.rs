@@ -291,26 +291,36 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
         let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes today, got {e:?}"));
         assert_eq!(out, clean, "{label}: outcome unchanged");
     }
-    // The out-of-threat-model malleability case from the header, twice:
+    // The out-of-threat-model malleability case from the header, three
+    // times:
     //
-    // * `eval/gc-ot-request`, 801 bytes: the middle byte 400 is the low
+    // * `eval/gc-ot-request`, 801 bytes (a count byte, then 32 × a
+    //   length byte and 24 bytes of `B`): the middle byte 400 is the low
     //   byte of chunk 15's `B`, so the garbler seals that chunk's four
     //   label pairs under keys the evaluator cannot derive;
-    // * a flipped bit inside the single `A` (the offer's last byte),
-    //   which `FaultKind::Corrupt` cannot reach: the two sides then
-    //   disagree on *every* chunk's key.
+    // * the same flip in chunk 0's `B` (byte 25), which
+    //   `FaultKind::Corrupt` cannot reach;
+    // * a flipped bit inside the single `A` (the offer's last byte):
+    //   the two sides then disagree on *every* chunk's key.
     //
     // Either way the evaluator still decodes *a* label per wire, the
     // garbage propagates to the output wire, and the comparison completes
-    // on a coin flip: with today's seeds the garbled request flips the
-    // market bit and the garbled `A` happens to land on the clean one.
+    // on a coin flip per tampered byte. With today's seeds (re-derived
+    // on the short OT exponents and the fixed-width key derivation: the
+    // message sizes and the offsets above did not move, the pads did)
+    // chunk 15 and `A` happen to land on the clean bit and chunk 0 flips
+    // the market; over all 32 chunks' low bytes 14 flip it.
     // Authenticated channels (§II-B) are what rules this out in
     // deployment; pinned here so a change in either direction is noticed.
+    let flipped_chunk_0 = run_protocol2_tampered("eval/gc-ot-request", |payload| {
+        payload[1 + 24] ^= 1;
+    });
     let flipped_a = run_protocol2_tampered("eval/gc-offer", |payload| {
         *payload.last_mut().expect("A closes the offer") ^= 1;
     });
     for (case, result, flips) in [
-        ("eval/gc-ot-request", corrupt("eval/gc-ot-request"), true),
+        ("eval/gc-ot-request", corrupt("eval/gc-ot-request"), false),
+        ("flipped chunk 0", flipped_chunk_0, true),
         ("flipped A", flipped_a, false),
     ] {
         let out = result.unwrap_or_else(|e| panic!("{case}: completes today, got {e:?}"));

@@ -7,7 +7,11 @@
 //! another one. A comparison is one OT batch under one sender key `A`,
 //! two bits per transfer: one ladder per chunk, two table
 //! exponentiations per chunk plus two per batch, and exactly one table
-//! build — the comb table for that comparison's `A`.
+//! build — the comb table for that comparison's `A`. Every secret
+//! exponent in it is `DhGroup::short_exponent_bits` wide, so the ladders
+//! total at most that many bits each, the `A` table is exactly that
+//! wide, and the comparison draws the same number of DRBG bytes whatever
+//! it compares.
 //!
 //! The same discipline holds for Paillier: a key's `h_s` comb table is
 //! built by the first encryption under it and never again, every
@@ -20,8 +24,10 @@ use pem_bignum::BigUint;
 use pem_circuit::compare::secure_less_than_local;
 use pem_core::{OtProfile, Pem, PemConfig};
 use pem_crypto::drbg::HashDrbg;
+use pem_crypto::ot::{OtBatchReceiver, OtBatchSender};
 use pem_market::AgentWindow;
 use pem_telemetry as telemetry;
+use rand::RngCore;
 
 fn counter(name: &str) -> u64 {
     telemetry::counter_snapshot()
@@ -38,6 +44,31 @@ fn kernel_counts() -> (u64, u64, u64) {
         counter("crypto/fixed_base_pow"),
         counter("bignum/fixed_base_builds"),
     )
+}
+
+/// An RNG that counts the bytes drawn from it.
+struct CountingRng {
+    inner: HashDrbg,
+    bytes: u64,
+}
+
+impl RngCore for CountingRng {
+    fn next_u32(&mut self) -> u32 {
+        self.bytes += 4;
+        self.inner.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.bytes += 8;
+        self.inner.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.bytes += dest.len() as u64;
+        self.inner.fill_bytes(dest)
+    }
+    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
+        self.fill_bytes(dest);
+        Ok(())
+    }
 }
 
 fn window_data() -> Vec<AgentWindow> {
@@ -65,11 +96,13 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
         // find it warm, through a *fresh* handle.
         assert!(secure_less_than_local(5, 9, cfg.compare_bits, &group, &mut rng).expect("compare"));
         let before = kernel_counts();
+        let bits_before = counter("crypto/modpow_bits");
         let fresh = profile.group();
         assert!(
             !secure_less_than_local(9, 5, cfg.compare_bits, &fresh, &mut rng).expect("compare")
         );
         let after = kernel_counts();
+        let ladder_bits = counter("crypto/modpow_bits") - bits_before;
         // The one build is the table for this comparison's A; the
         // generator's table is found warm.
         assert_eq!(
@@ -90,6 +123,39 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
             2 * chunks + 2,
             "{profile:?}: table pows per comparison"
         );
+
+        // Same ladders, each no longer than the short width: a full-width
+        // draw would total ≈ chunks · |q| bits here.
+        let w = group.short_exponent_bits();
+        assert!(w < group.q().bit_length());
+        assert!(
+            ladder_bits > 0 && ladder_bits <= chunks * w as u64,
+            "{profile:?}: {ladder_bits} ladder bits per comparison, w = {w}"
+        );
+        // The comparison's batch builds its `A` table at exactly that
+        // width.
+        let choices = vec![1usize; chunks as usize];
+        let (_, setup) = OtBatchSender::new(group.clone(), &mut rng);
+        let (receiver, _) =
+            OtBatchReceiver::new(group.clone(), &setup, &choices, &mut rng).expect("replies");
+        assert_eq!(receiver.a_table().expect("a batch of 32").max_bits(), w);
+        // Fixed draw counts, no rejection loop: neither what is compared
+        // nor the stream it draws from changes how many DRBG bytes the
+        // comparison consumes (a uniform draw below Test192's `q`
+        // rejected 29% of its candidates).
+        let drawn = |a: u128, b: u128| {
+            let mut rng = CountingRng {
+                inner: HashDrbg::from_seed_label(b"ot-draw-count", a as u64),
+                bytes: 0,
+            };
+            let less = secure_less_than_local(a, b, cfg.compare_bits, &group, &mut rng);
+            assert_eq!(less.expect("compare"), a < b);
+            rng.bytes
+        };
+        let bytes = drawn(5, 9);
+        for (a, b) in [(u64::MAX as u128, 0), (9, 5), (1 << 40, 1 << 41)] {
+            assert_eq!(drawn(a, b), bytes, "{profile:?}: comparing {a} with {b}");
+        }
 
         // A full-width exponent (anything reduced mod p − 1) is served
         // from the table, not the ladder fallback.

@@ -68,8 +68,10 @@ impl PedersenParams {
 
     /// The cached comb table for `h`, sized for subgroup exponents.
     fn h_table(&self) -> &Arc<FixedBasePow> {
-        self.h_table
-            .get_or_init(|| Arc::new(self.group.fixed_base_table(&self.h)))
+        self.h_table.get_or_init(|| {
+            let q_bits = self.group.q().bit_length();
+            Arc::new(self.group.fixed_base_table(&self.h, q_bits))
+        })
     }
 
     /// The underlying group.

@@ -45,3 +45,32 @@ pub mod sha256;
 
 pub use error::CryptoError;
 pub use sha256::{sha256, Sha256};
+
+use pem_bignum::BigUint;
+
+/// Bit length of a short secret exponent, a function of the modulus
+/// size alone: `min(2λ, bits)` for the security level `λ` the size
+/// stands for (≤1024 → 80, ≤2048 → 112, ≤3072 → 128, above → 192) — 160
+/// bits at 1024-bit moduli, 224 at 2048, 128 on 128-bit toy keys. The
+/// one width table: Paillier's randomizer exponents (`h_s^x`, over the
+/// key size) and the OT batch's `a`, `bᵢ` (over `p`'s size) both read it.
+pub fn short_exponent_bits(bits: usize) -> usize {
+    let lambda = match bits {
+        0..=1024 => 80,
+        1025..=2048 => 112,
+        2049..=3072 => 128,
+        _ => 192,
+    };
+    bits.min(2 * lambda)
+}
+
+/// A secret exponent uniform in `[1, 2^bits)`: a fixed number of draws
+/// from `rng`, no rejection loop (the `2^-bits` zero draw maps to 1).
+fn short_exponent<R: rand::Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
+    let x = BigUint::random_bits(bits, rng);
+    if x.is_zero() {
+        BigUint::one()
+    } else {
+        x
+    }
+}

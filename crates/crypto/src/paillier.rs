@@ -55,20 +55,7 @@ use serde::{Deserialize, Serialize};
 use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery, PowScratch};
 
 use crate::error::CryptoError;
-
-/// Bit length of the short exponent `x` in a randomizer `h_s^x`, a
-/// function of the key size alone: `min(2λ, n_bits)` for the security
-/// level `λ` the size stands for (≤1024 → 80, ≤2048 → 112, ≤3072 → 128,
-/// above → 192) — 160 bits at 1024-bit keys, 224 at 2048, 128 on toy keys.
-pub fn short_exponent_bits(n_bits: usize) -> usize {
-    let lambda = match n_bits {
-        0..=1024 => 80,
-        1025..=2048 => 112,
-        2049..=3072 => 128,
-        _ => 192,
-    };
-    n_bits.min(2 * lambda)
-}
+use crate::{short_exponent, short_exponent_bits};
 
 /// A Paillier public key: `n`, the published randomizer base
 /// `h_s = h^n mod n²`, cached `n²`, and the shared, lazily (re)built
@@ -393,11 +380,7 @@ impl PublicKey {
     /// `rng`, no rejection loop (the `2^-bits` zero draw maps to 1).
     fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         let table = self.h_table();
-        let mut x = BigUint::random_bits(table.max_bits(), rng);
-        if x.is_zero() {
-            x = BigUint::one();
-        }
-        table.pow(&x)
+        table.pow(&short_exponent(table.max_bits(), rng))
     }
 
     /// Reconstructs a public key from its published parts — exactly what

@@ -34,7 +34,7 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
 
     // The OT group: a ladder and a comb-table exponentiation.
     let group = DhGroup::modp_2048();
-    let x = group.random_exponent(&mut rng);
+    let x = BigUint::random_below(group.q(), &mut rng);
     assert_eq!(group.pow(group.g(), &x), group.pow_g(&x));
 
     let dyn_width_ops = telemetry::counter_snapshot()

@@ -3,7 +3,8 @@
 use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{run_local_ot, DhGroup};
-use pem_crypto::paillier::{short_exponent_bits, Ciphertext, Keypair, PublicKey};
+use pem_crypto::paillier::{Ciphertext, Keypair, PublicKey};
+use pem_crypto::short_exponent_bits;
 use proptest::prelude::*;
 use rand::Rng as _;
 use std::sync::OnceLock;

@@ -31,10 +31,14 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// short `x` instead of a uniform `r` — so the key moduli, the
 /// minimal-length integers behind `net.total_bytes` and the
 /// draw-dependent `masked_*` terms moved; nothing `MARKET_GOLDEN` covers
-/// did).
+/// did) and once by the short OT exponents (PR 23: a comparison draws
+/// 33 short values where it drew 33 uniform ones below `q`, so the
+/// DRBG stream behind it moves — window 1's `masked_*` terms, and
+/// `net.total_bytes` by +1 / +2 bytes of minimal-length integers;
+/// window, agents, message counts, ratios and the ledger tip did not).
 pub const GOLDEN: [&str; 2] = [
-    "e9c762930f715a08b96fddfbe2820e08e5488d52fb66d8b0a4e704f759afd775",
-    "af82343ddffe17f978297696d0f20332bcfca68ace92d6c974e8f41f2c2518d6",
+    "fff4a20c7594f3ba010c8c6ae2d8abbdc96423b8cd0941ffe664ab7dffb628cc",
+    "35984831f1a1b230a8291ab83e53916a8992ada8626cd67e2fe06ac6166acce2",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
