@@ -25,7 +25,8 @@
 //! ```
 
 use pem_bench::Args;
-use pem_core::protocol3::{run_with_topology, Topology};
+use pem_core::fold::Topology;
+use pem_core::protocol3::run_with_topology;
 use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;

@@ -19,7 +19,7 @@
 //!   square chain;
 //! * [`Montgomery::fixed_base_table`] / [`FixedBasePow`] — comb
 //!   precomputation for a base that is exponentiated many times (group
-//!   generators, Pedersen `g`/`h`): after the one-off table build, a full
+//!   generators, Paillier's `h_s`): after the one-off table build, a full
 //!   exponentiation costs only window-count multiplications — no
 //!   squarings at all.
 //!
@@ -859,32 +859,6 @@ impl FixedBasePow {
             None => self.ctx.modpow(&self.base, exp),
         }
     }
-
-    /// Fused two-base fixed-base exponentiation:
-    /// `self.base^exp · other.base^other_exp mod n` in one pass through
-    /// the Montgomery domain — the Pedersen commitment kernel
-    /// (`g^v · h^r`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tables were built over different moduli.
-    pub fn pow_mul(&self, exp: &BigUint, other: &FixedBasePow, other_exp: &BigUint) -> BigUint {
-        FIXED_BASE_OPS.incr();
-        assert_eq!(
-            self.ctx.modulus(),
-            other.ctx.modulus(),
-            "fixed-base tables over different moduli"
-        );
-        match (self.pow_mont(exp), other.pow_mont(other_exp)) {
-            (Some(a), Some(b)) => self.ctx.from_mont(&self.ctx.mont_mul(&a, &b)),
-            // Oversized exponent: fall back to the simultaneous
-            // two-base ladder (one shared square chain) — correctness
-            // first, and still ~40% cheaper than two full ladders.
-            _ => self
-                .ctx
-                .multi_modpow(&[(&self.base, exp), (&other.base, other_exp)]),
-        }
-    }
 }
 
 /// Pads a value's limbs to exactly `k` entries.
@@ -1141,30 +1115,6 @@ mod tests {
         // Exponent wider than the table: falls back, stays correct.
         let wide = BigUint::one() << 200;
         assert_eq!(table.pow(&wide), ctx.modpow(&base, &wide));
-    }
-
-    #[test]
-    fn fixed_base_pow_mul_fuses() {
-        let n = (BigUint::one() << 190) + BigUint::from(12345u64);
-        let ctx = Montgomery::new(n.clone()).expect("odd");
-        let g = BigUint::from(5u64);
-        let h = BigUint::from(1_000_033u64);
-        let tg = ctx.fixed_base_table(&g, 192);
-        let th = ctx.fixed_base_table(&h, 192);
-        let (ev, er) = (
-            BigUint::from(123_456_789u64),
-            (BigUint::one() << 170) + BigUint::from(7u64),
-        );
-        assert_eq!(
-            tg.pow_mul(&ev, &th, &er),
-            ctx.mul(&ctx.modpow(&g, &ev), &ctx.modpow(&h, &er))
-        );
-        // Oversized exponent falls back through the generic path.
-        let wide = BigUint::one() << 300;
-        assert_eq!(
-            tg.pow_mul(&wide, &th, &er),
-            ctx.mul(&ctx.modpow(&g, &wide), &ctx.modpow(&h, &er))
-        );
     }
 
     /// Every limb count with a monomorphised kernel arm.

@@ -7,7 +7,7 @@ use pem_market::PriceBand;
 use pem_net::LatencyModel;
 
 use crate::error::PemError;
-use crate::protocol3::Topology;
+use crate::fold::Topology;
 use crate::quantize::Quantizer;
 
 /// Which Diffie–Hellman group backs the oblivious transfers of the secure

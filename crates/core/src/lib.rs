@@ -11,8 +11,8 @@
 //!   circuit comparison decide `E_s < E_b` without revealing either total.
 //! * **Protocol 3** ([`protocol3`]) — *Private Pricing*: sellers'
 //!   `Σ k_i` and `Σ (g_i + 1 + ε_i b_i − b_i)` are homomorphically
-//!   aggregated to a random buyer who derives and broadcasts the clamped
-//!   equilibrium price `p*` (Eqs. 13–14).
+//!   aggregated (by [`fold`], the walk every protocol shares) to a random
+//!   buyer who derives and broadcasts the clamped price `p*` (Eqs. 13–14).
 //! * **Protocol 4** ([`protocol4`]) — *Private Distribution*: the
 //!   demand-ratio inversion trick (`Enc(E_b)^{K/|sn_j|}`) reveals only the
 //!   allocation ratios; pairwise amounts `e_ij` and payments `m_ji` are
@@ -46,12 +46,12 @@ mod agents;
 mod config;
 mod error;
 pub mod fabric_window;
+pub mod fold;
 mod keys;
 mod metrics;
 mod pem;
 pub mod protocol2;
 pub mod protocol3;
-pub mod protocol3v;
 pub mod protocol4;
 mod quantize;
 pub mod randpool;
@@ -60,9 +60,9 @@ pub use agents::AgentCtx;
 pub use config::{OtProfile, PemConfig};
 pub use error::PemError;
 pub use fabric_window::WindowTask;
+pub use fold::Topology;
 pub use keys::KeyDirectory;
 pub use metrics::{PhaseMetrics, WindowMetrics};
 pub use pem::{DaySummary, Pem, PemCheckpoint, PemWindowOutcome, RevealedInfo};
-pub use protocol3::Topology;
 pub use quantize::Quantizer;
 pub use randpool::{PoolStats, RandomizerPool};

@@ -571,7 +571,7 @@ mod tests {
 
     #[test]
     fn star_topology_window_matches_ring_market() {
-        use crate::protocol3::Topology;
+        use crate::fold::Topology;
         let pop = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
         let mut ring = Pem::new(PemConfig::fast_test(), 5).expect("setup");
         let mut star =

@@ -27,7 +27,6 @@ use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{OtCiphertexts, OtReceiverReply, OtSenderSetup};
-use pem_crypto::paillier::Ciphertext;
 use pem_fabric::{Outbound, ProtocolStateMachine, Transition};
 use pem_market::Role;
 use pem_net::wire::{WireReader, WireWriter};
@@ -38,6 +37,7 @@ use rand::Rng;
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
+use crate::fold::{FoldMachine, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -81,37 +81,20 @@ pub fn run<T: Transport>(
     let hr1 = sellers[rng.gen_range(0..sellers.len())];
     let hr2 = buyers[rng.gen_range(0..buyers.len())];
 
-    // --- Demand round: Σ(|sn_j| + r_j) + Σ r_i under H_r1's key. -------
-    let agg_span = Span::enter_at("eval/demand-agg", "protocol", net.now_us());
-    let masked_demand = masked_ring_aggregate(
-        net,
-        keys,
-        agents,
-        hr1,
-        buyers,
-        sellers,
-        Role::Buyer,
-        "eval/demand-agg",
-        pool,
-        rng,
-    )?;
-    agg_span.finish_at(net.now_us());
-
-    // --- Supply round: Σ(sn_i + r_i) + Σ r_j under H_r2's key. ---------
-    let agg_span = Span::enter_at("eval/supply-agg", "protocol", net.now_us());
-    let masked_supply = masked_ring_aggregate(
-        net,
-        keys,
-        agents,
-        hr2,
-        sellers,
-        buyers,
-        Role::Seller,
-        "eval/supply-agg",
-        pool,
-        rng,
-    )?;
-    agg_span.finish_at(net.now_us());
+    // One nonce-masked ring ending at `collector`, driven to completion.
+    let mut ring = |collector, holders: &[usize], maskers: &[usize], role, label| {
+        let agg_span = Span::enter_at(label, "protocol", net.now_us());
+        let mut machine = MaskedAggMachine::new(
+            keys, agents, collector, holders, maskers, role, label, pool, rng,
+        )?;
+        let total = pem_fabric::drive(net, &mut machine)?;
+        agg_span.finish_at(net.now_us());
+        Ok::<u128, PemError>(total)
+    };
+    // Demand round: Σ(|sn_j| + r_j) + Σ r_i under H_r1's key; supply
+    // round: Σ(sn_i + r_i) + Σ r_j under H_r2's key.
+    let masked_demand = ring(hr1, buyers, sellers, Role::Buyer, "eval/demand-agg")?;
+    let masked_supply = ring(hr2, sellers, buyers, Role::Seller, "eval/supply-agg")?;
 
     let general_market = run_compare(net, cfg, hr1, hr2, masked_demand, masked_supply, rng)?;
     broadcast_result(net, hr1, agents.len(), general_market)?;
@@ -125,42 +108,9 @@ pub fn run<T: Transport>(
     })
 }
 
-/// One nonce-masked ring aggregation ending at `collector` — the thin
-/// blocking adapter over [`MaskedAggMachine`].
-///
-/// `value_holders` contribute `value + nonce` (their `|sn|`), the other
-/// coalition contributes only nonces; the collector folds in its own
-/// nonce and decrypts.
-#[allow(clippy::too_many_arguments)]
-fn masked_ring_aggregate<T: Transport>(
-    net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    collector: usize,
-    value_holders: &[usize],
-    maskers: &[usize],
-    value_role: Role,
-    label: &'static str,
-    pool: &mut Option<RandomizerPool>,
-    rng: &mut HashDrbg,
-) -> Result<u128, PemError> {
-    let mut machine = MaskedAggMachine::new(
-        keys,
-        agents,
-        collector,
-        value_holders,
-        maskers,
-        value_role,
-        label,
-        pool,
-        rng,
-    )?;
-    pem_fabric::drive(net, &mut machine)
-}
-
 /// The nonce-masked ring aggregation of Protocol 2 as a poll-able state
-/// machine: one travelling ciphertext, one hop per message, nothing
-/// blocked between hops.
+/// machine: the [`FoldMachine`] at `K = 1` over the ring, then the
+/// collector adds its own nonce and decrypts.
 ///
 /// Every encryption is performed at construction, in exactly the order
 /// the blocking driver would interleave them with the wire traffic — the
@@ -171,29 +121,21 @@ fn masked_ring_aggregate<T: Transport>(
 pub struct MaskedAggMachine<'a> {
     keys: &'a KeyDirectory,
     collector: usize,
-    label: &'static str,
-    /// The ring: value holders first, then the masking coalition minus
-    /// the collector.
-    chain: Vec<usize>,
-    /// Encrypted contributions, one per chain member, chain order.
-    own: Vec<Ciphertext>,
     /// The collector's locally-added nonce.
     collector_nonce: u64,
-    /// Travelling accumulator (the ciphertext currently on the wire).
-    acc: Ciphertext,
-    /// Next chain index to receive; `chain.len()` is the collector.
-    hop: usize,
-    done: bool,
+    fold: FoldMachine<'a, 1>,
 }
 
 impl<'a> MaskedAggMachine<'a> {
-    /// Builds the machine: forms the chain and encrypts every
+    /// Builds the machine: forms the chain (value holders first, then
+    /// the masking coalition minus the collector) and encrypts every
     /// contribution up front (in chain order — the blocking driver's RNG
-    /// order).
+    /// order). `value_holders` contribute `|sn| + nonce`, `maskers` only
+    /// their nonces.
     ///
     /// # Errors
     ///
-    /// Encryption failures.
+    /// Encryption failures; [`PemError::Protocol`] on an empty chain.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         keys: &'a KeyDirectory,
@@ -217,44 +159,22 @@ impl<'a> MaskedAggMachine<'a> {
         };
         let mut chain: Vec<usize> = value_holders.to_vec();
         chain.extend(maskers.iter().copied().filter(|&m| m != collector));
-        debug_assert!(!chain.is_empty());
         let mut own = Vec::with_capacity(chain.len());
         for &member in &chain {
-            own.push(randpool::encrypt_under(
+            own.push([randpool::encrypt_under(
                 pk,
                 collector,
                 &contribution(member),
                 pool,
                 rng,
-            )?);
+            )?]);
         }
-        let acc = own[0].clone();
         Ok(MaskedAggMachine {
             keys,
             collector,
-            label,
-            chain,
-            own,
             collector_nonce: agents[collector].nonce,
-            acc,
-            hop: 1,
-            done: false,
+            fold: FoldMachine::new(pk, &chain, collector, label, Topology::Ring, own)?,
         })
-    }
-
-    fn pack(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_biguint(self.acc.as_biguint());
-        w.finish()
-    }
-
-    /// The party the travelling ciphertext goes to next.
-    fn next_party(&self) -> PartyId {
-        if self.hop < self.chain.len() {
-            PartyId(self.chain[self.hop])
-        } else {
-            PartyId(self.collector)
-        }
     }
 }
 
@@ -263,56 +183,34 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
     type Error = PemError;
 
     fn initial_messages(&mut self) -> Result<Vec<Outbound>, PemError> {
-        // chain[0] opens the ring with its own encrypted contribution.
-        Ok(vec![Outbound {
-            from: PartyId(self.chain[0]),
-            to: self.next_party(),
-            label: self.label,
-            payload: self.pack(),
-        }])
+        self.fold.initial_messages()
     }
 
     fn expecting(&self) -> Option<(PartyId, &'static str)> {
-        if self.done {
-            None
-        } else {
-            Some((self.next_party(), self.label))
-        }
+        self.fold.expecting()
     }
 
     fn on_message(&mut self, env: Envelope) -> Result<Transition<u128>, PemError> {
-        let pk = self.keys.public(self.collector);
-        let mut r = WireReader::new(&env.payload);
-        let received = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&received)?;
-        if self.hop < self.chain.len() {
-            // A chain member multiplies in its encrypted contribution
-            // and forwards the accumulator.
-            self.acc = pk.add_ciphertexts(&received, &self.own[self.hop]);
-            self.hop += 1;
-            let from = env.to;
-            Ok(Transition::Send(vec![Outbound {
-                from,
-                to: self.next_party(),
-                label: self.label,
-                payload: self.pack(),
-            }]))
-        } else {
-            // The collector contributes its own nonce locally and
-            // decrypts — the k = 1 shape of the fused affine update
-            // (Enc(a) ↦ Enc(a + b)).
-            self.done = true;
-            let own = BigUint::from(self.collector_nonce);
-            let total_ct = pk.affine(&received, &BigUint::one(), &own);
-            let total = self
-                .keys
-                .keypair(self.collector)
-                .private()
-                .decrypt(&total_ct);
-            let total = total
-                .to_u128()
-                .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
-            Ok(Transition::Done(total))
+        match self.fold.on_message(env)? {
+            Transition::Continue => Ok(Transition::Continue),
+            Transition::Send(outs) => Ok(Transition::Send(outs)),
+            Transition::Done(([received], _)) => {
+                // The collector contributes its own nonce locally and
+                // decrypts — the k = 1 shape of the fused affine update
+                // (Enc(a) ↦ Enc(a + b)).
+                let own = BigUint::from(self.collector_nonce);
+                let pk = self.keys.public(self.collector);
+                let total_ct = pk.affine(&received, &BigUint::one(), &own);
+                let total = self
+                    .keys
+                    .keypair(self.collector)
+                    .private()
+                    .decrypt(&total_ct);
+                let total = total
+                    .to_u128()
+                    .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
+                Ok(Transition::Done(total))
+            }
         }
     }
 }

@@ -3,8 +3,9 @@
 //! In a general market, a randomly chosen buyer `H_b` learns only the two
 //! seller-coalition aggregates that Eq. 13 needs (Lemma 3):
 //! `Σ k_i` and `Σ (g_i + 1 + ε_i·b_i − b_i)`. Both are collected by one
-//! ring pass over the sellers, carrying two Paillier ciphertexts under
-//! `H_b`'s key. `H_b` then computes
+//! fold over the sellers ([`crate::fold`]: the paper's ring, or a star
+//! or tree), carrying two Paillier ciphertexts under `H_b`'s key. `H_b`
+//! then computes
 //! `p̂ = sqrt( ps_g · Σk / Σ(…) )`, clamps it into `[p_l, p_h]` (Eq. 14)
 //! and broadcasts `p*`.
 
@@ -15,11 +16,12 @@ use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{Envelope, PartyId, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
+use crate::fold::FoldMachine;
+pub use crate::fold::Topology;
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -38,118 +40,13 @@ pub struct PricingOutcome {
     pub denominator_sum: f64,
 }
 
-/// How the seller coalition aggregates its ciphertexts toward `H_b`.
-///
-/// The paper's Protocol 3 is a **ring** (each seller multiplies into a
-/// travelling ciphertext): `|Φ_s|` sequential hops, one ciphertext pair on
-/// the wire per hop. The **star** alternative has every seller send its
-/// pair directly to `H_b`, who multiplies locally: the same byte volume
-/// but a sequential depth of 1 — at the cost of an `|Φ_s|`-message
-/// fan-in concentrated on one party. The **tree** sits between: sellers
-/// aggregate up an f-ary tree, so the sequential depth is
-/// `O(log_f |Φ_s|)` while no party ever receives more than `f` messages
-/// per hop. All three move the same byte volume; the trade-off is what
-/// the `ablation_topology` bench quantifies and
-/// `sched_scaling --topologies` sweeps end to end. Selected per market
-/// via [`PemConfig::topology`](crate::PemConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Topology {
-    /// Sequential ring through the seller coalition (the paper's flow).
-    #[default]
-    Ring,
-    /// Direct fan-in to the decryptor.
-    Star,
-    /// f-ary aggregation tree: depth `O(log_f n)`, at most `fanin`
-    /// messages received per node per hop (values below 2 are treated
-    /// as 2 — a 1-ary "tree" would degenerate into the ring).
-    Tree {
-        /// Maximum children aggregated per node.
-        fanin: usize,
-    },
-}
-
-impl Topology {
-    /// A binary aggregation tree (the default tree shape).
-    pub fn tree() -> Topology {
-        Topology::Tree { fanin: 2 }
-    }
-}
-
-impl std::fmt::Display for Topology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Through `pad` so callers' width/alignment specifiers apply.
-        match self {
-            Topology::Ring => f.pad("ring"),
-            Topology::Star => f.pad("star"),
-            Topology::Tree { fanin } => f.pad(&format!("tree:{fanin}")),
-        }
-    }
-}
-
-impl std::str::FromStr for Topology {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Topology, String> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "ring" => Ok(Topology::Ring),
-            "star" => Ok(Topology::Star),
-            "tree" => Ok(Topology::tree()),
-            other => {
-                if let Some(fanin) = other.strip_prefix("tree:") {
-                    let fanin: usize = fanin
-                        .parse()
-                        .map_err(|_| format!("bad tree fan-in '{fanin}'"))?;
-                    if fanin < 2 {
-                        return Err("tree fan-in must be at least 2".into());
-                    }
-                    Ok(Topology::Tree { fanin })
-                } else {
-                    Err(format!(
-                        "unknown topology '{other}' (expected ring|star|tree[:fanin])"
-                    ))
-                }
-            }
-        }
-    }
-}
-
-/// Runs Protocol 3 with the paper's ring topology.
-///
-/// # Errors
-///
-/// [`PemError::Protocol`] if either coalition is empty; otherwise
-/// crypto/network failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run<T: Transport>(
-    net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    sellers: &[usize],
-    buyers: &[usize],
-    cfg: &PemConfig,
-    pool: &mut Option<RandomizerPool>,
-    rng: &mut HashDrbg,
-) -> Result<PricingOutcome, PemError> {
-    run_with_topology(
-        net,
-        keys,
-        agents,
-        sellers,
-        buyers,
-        cfg,
-        Topology::Ring,
-        pool,
-        rng,
-    )
-}
-
 /// Runs Protocol 3 with an explicit aggregation topology — the thin
 /// blocking adapter over [`PricingMachine`].
 ///
 /// # Errors
 ///
-/// As [`run`].
+/// [`PemError::Protocol`] if either coalition is empty; otherwise
+/// crypto/network failures.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_topology<T: Transport>(
     net: &mut T,
@@ -170,38 +67,21 @@ pub fn run_with_topology<T: Transport>(
 }
 
 /// Where the pricing protocol currently stands.
-enum PricingState {
-    /// Ring pass: waiting for the travelling pair at `sellers[hop]`
-    /// (the accumulator itself is in flight, inside the message).
-    Ring {
-        hop: usize,
-    },
-    /// Star fan-in: `H_b` folding pairs FIFO; `received` counted so far.
-    Star {
-        received: usize,
-        k_acc: Option<Ciphertext>,
-        d_acc: Option<Ciphertext>,
-    },
-    /// Tree fold: node at position `pos` waiting for `remaining` child
-    /// pairs before forwarding to its parent.
-    Tree {
-        pos: usize,
-        remaining: usize,
-        k_acc: Ciphertext,
-        d_acc: Ciphertext,
-    },
-    /// The aggregated pair is on its way to `H_b`.
-    AwaitFinal,
-    /// Price broadcast out; parties `> next` (skipping `H_b`) still to
-    /// confirm consumption.
+enum PricingState<'a> {
+    /// The sellers' `(k, d)` pairs are folding toward `H_b`.
+    Aggregate(FoldMachine<'a, 2>),
+    /// Price broadcast out; parties from `next` on (skipping `H_b`)
+    /// still to confirm consumption of `outcome.price`.
     Consume {
         next: usize,
+        outcome: PricingOutcome,
     },
     Done,
 }
 
-/// Protocol 3 — Private Pricing — as a poll-able state machine covering
-/// all three aggregation topologies plus the price broadcast.
+/// Protocol 3 — Private Pricing — as a poll-able state machine: the
+/// [`FoldMachine`] at `K = 2` in the configured topology, then `H_b`'s
+/// decryption and the price broadcast.
 ///
 /// All seller-term encryptions are performed at construction, in exactly
 /// the order the blocking driver drew them (ring/star: seller order;
@@ -211,21 +91,14 @@ enum PricingState {
 pub struct PricingMachine<'a> {
     keys: &'a KeyDirectory,
     cfg: &'a PemConfig,
-    /// Seller party ids, coalition order.
-    sellers: Vec<usize>,
     /// Population size (for the broadcast consume loop).
     n: usize,
     hb: usize,
-    fanin: usize,
-    /// Encrypted `(k, d)` terms, indexed by seller *position*.
-    terms: Vec<Option<(Ciphertext, Ciphertext)>>,
-    state: PricingState,
+    state: PricingState<'a>,
     /// Open `price/agg` span (finished when the pair reaches `H_b`).
     agg_span: Option<Span>,
     /// Open `price/broadcast` span (finished on the last consumption).
     bc_span: Option<Span>,
-    /// Filled by the final-aggregation step, reported at `Done`.
-    outcome: Option<PricingOutcome>,
 }
 
 impl<'a> PricingMachine<'a> {
@@ -258,106 +131,44 @@ impl<'a> PricingMachine<'a> {
         let hb = buyers[rng.gen_range(0..buyers.len())];
         let pk = keys.public(hb);
         let quantizer = cfg.quantizer();
-        let m = sellers.len();
 
         // Each seller's two pricing terms, encrypted under H_b's key. The
         // denominator term is signed in principle (deep battery
         // charging), so it uses the balanced encoding.
-        let mut seller_terms = |idx: usize| -> Result<(Ciphertext, Ciphertext), PemError> {
+        let mut seller_terms = |idx: usize| -> Result<[Ciphertext; 2], PemError> {
             let a = &agents[idx];
             let k_q = quantizer.quantize_unsigned(a.data.preference, "preference")?;
             let d_q =
                 quantizer.quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
             let k_ct = randpool::encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), pool, rng)?;
             let d_ct = randpool::encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), pool, rng)?;
-            Ok((k_ct, d_ct))
+            Ok([k_ct, d_ct])
         };
-
-        let mut terms: Vec<Option<(Ciphertext, Ciphertext)>> = (0..m).map(|_| None).collect();
-        let (state, fanin) = match topology {
-            Topology::Ring => {
-                for pos in 0..m {
-                    terms[pos] = Some(seller_terms(sellers[pos])?);
-                }
-                (PricingState::Ring { hop: 1 }, 2)
-            }
-            Topology::Star => {
-                for pos in 0..m {
-                    terms[pos] = Some(seller_terms(sellers[pos])?);
-                }
-                (
-                    PricingState::Star {
-                        received: 0,
-                        k_acc: None,
-                        d_acc: None,
-                    },
-                    2,
-                )
-            }
-            Topology::Tree { fanin } => {
-                let f = fanin.max(2);
-                // The blocking driver walks positions in descending
-                // order, computing each node's terms as it visits it.
-                for pos in (0..m).rev() {
-                    terms[pos] = Some(seller_terms(sellers[pos])?);
-                }
-                // The first (highest) position with children; every
-                // position below it also has children.
-                let state = if m == 1 {
-                    PricingState::AwaitFinal
-                } else {
-                    let pos = (m - 2) / f;
-                    let (k_acc, d_acc) = terms[pos].take().expect("just computed");
-                    PricingState::Tree {
-                        pos,
-                        remaining: tree_children(pos, f, m),
-                        k_acc,
-                        d_acc,
-                    }
-                };
-                (state, f)
-            }
-        };
+        // The tree draws its sellers' randomizers in descending position
+        // (the order its nodes are visited), ring and star ascending.
+        let descending = matches!(topology, Topology::Tree { .. });
+        let mut order: Vec<usize> = sellers.to_vec();
+        if descending {
+            order.reverse();
+        }
+        let mut terms = order
+            .into_iter()
+            .map(&mut seller_terms)
+            .collect::<Result<Vec<_>, _>>()?;
+        if descending {
+            terms.reverse();
+        }
+        let fold = FoldMachine::new(pk, sellers, hb, "price/agg", topology, terms)?;
 
         Ok(PricingMachine {
             keys,
             cfg,
-            sellers: sellers.to_vec(),
             n: agents.len(),
             hb,
-            fanin,
-            terms,
-            state,
+            state: PricingState::Aggregate(fold),
             agg_span: Some(Span::enter_at("price/agg", "protocol", start_vts)),
             bc_span: None,
-            outcome: None,
         })
-    }
-
-    fn pair_payload(k: &Ciphertext, d: &Ciphertext) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_biguint(k.as_biguint());
-        w.put_biguint(d.as_biguint());
-        w.finish()
-    }
-
-    fn pair_out(&self, from: usize, to: usize, k: &Ciphertext, d: &Ciphertext) -> Outbound {
-        Outbound {
-            from: PartyId(from),
-            to: PartyId(to),
-            label: "price/agg",
-            payload: Self::pair_payload(k, d),
-        }
-    }
-
-    /// The parent of seller position `pos` in the f-ary tree (`H_b` for
-    /// the root).
-    fn tree_parent(&self, pos: usize) -> usize {
-        if pos == 0 {
-            self.hb
-        } else {
-            self.sellers[(pos - 1) / self.fanin]
-        }
     }
 
     /// `H_b` holds the final aggregate: decrypt, price, and fan the
@@ -365,25 +176,22 @@ impl<'a> PricingMachine<'a> {
     /// (the end of the aggregation phase on the virtual clock).
     fn finish_aggregation(
         &mut self,
-        k_ct: Ciphertext,
-        d_ct: Ciphertext,
+        k_ct: &Ciphertext,
+        d_ct: &Ciphertext,
         vts: u64,
     ) -> Result<Transition<PricingOutcome>, PemError> {
-        let pk = self.keys.public(self.hb);
         if let Some(span) = self.agg_span.take() {
             span.finish_at(vts);
         }
-        pk.validate_ciphertext(&k_ct)?;
-        pk.validate_ciphertext(&d_ct)?;
 
         // … who decrypts the two aggregates (and nothing else — Lemma 3).
         let quantizer = self.cfg.quantizer();
         let sk = self.keys.keypair(self.hb).private();
         let k_sum_q = sk
-            .decrypt(&k_ct)
+            .decrypt(k_ct)
             .to_u128()
             .ok_or(PemError::Protocol("k aggregate exceeded 128 bits"))?;
-        let d_sum_q = sk.decrypt_i128(&d_ct);
+        let d_sum_q = sk.decrypt_i128(d_ct);
         let k_sum = quantizer.dequantize_u128(k_sum_q);
         let denominator_sum =
             quantizer.dequantize(i64::try_from(d_sum_q).map_err(|_| {
@@ -399,13 +207,6 @@ impl<'a> PricingMachine<'a> {
             (self.cfg.band.grid_retail * k_sum / denominator_sum).sqrt()
         };
         let price = self.cfg.band.clamp(p_hat);
-        self.outcome = Some(PricingOutcome {
-            price,
-            p_hat,
-            hb: self.hb,
-            k_sum,
-            denominator_sum,
-        });
 
         // H_b broadcasts p* to the whole market.
         self.bc_span = Some(Span::enter_at("price/broadcast", "protocol", vts));
@@ -423,33 +224,16 @@ impl<'a> PricingMachine<'a> {
             .collect();
         self.state = PricingState::Consume {
             next: usize::from(self.hb == 0),
+            outcome: PricingOutcome {
+                price,
+                p_hat,
+                hb: self.hb,
+                k_sum,
+                denominator_sum,
+            },
         };
         Ok(Transition::Send(outs))
     }
-}
-
-/// Number of children of tree position `pos` with fan-in `f` over `m`
-/// positions.
-fn tree_children(pos: usize, f: usize, m: usize) -> usize {
-    let child_lo = pos * f + 1;
-    if child_lo >= m {
-        0
-    } else {
-        (m - child_lo).min(f)
-    }
-}
-
-/// Decodes one `price/agg` pair and validates both halves.
-fn decode_pair(
-    pk: &pem_crypto::paillier::PublicKey,
-    payload: &[u8],
-) -> Result<(Ciphertext, Ciphertext), PemError> {
-    let mut r = WireReader::new(payload);
-    let k = Ciphertext::from_biguint(r.get_biguint()?);
-    let d = Ciphertext::from_biguint(r.get_biguint()?);
-    pk.validate_ciphertext(&k)?;
-    pk.validate_ciphertext(&d)?;
-    Ok((k, d))
 }
 
 impl ProtocolStateMachine for PricingMachine<'_> {
@@ -457,186 +241,48 @@ impl ProtocolStateMachine for PricingMachine<'_> {
     type Error = PemError;
 
     fn initial_messages(&mut self) -> Result<Vec<Outbound>, PemError> {
-        /// Which kickoff shape the starting state calls for.
-        enum Kick {
-            Ring,
-            Tree,
-            Star,
-        }
-        let kick = match &self.state {
-            PricingState::Ring { .. } => Kick::Ring,
-            PricingState::Star { .. } => Kick::Star,
-            PricingState::Tree { .. } | PricingState::AwaitFinal => Kick::Tree,
-            _ => unreachable!("kickoff happens exactly once"),
-        };
-        let m = self.sellers.len();
-        match kick {
-            Kick::Ring => {
-                // The first seller opens the ring (straight to H_b when
-                // it is alone).
-                let (k, d) = self.terms[0].take().expect("computed at construction");
-                let to = if m > 1 { self.sellers[1] } else { self.hb };
-                let out = self.pair_out(self.sellers[0], to, &k, &d);
-                if m == 1 {
-                    self.state = PricingState::AwaitFinal;
-                }
-                Ok(vec![out])
-            }
-            Kick::Star => {
-                // Every seller sends its pair straight to H_b, who folds
-                // them together locally: same bytes, sequential depth 1 —
-                // at the cost of an all-sellers fan-in on H_b's ingress
-                // link.
-                let mut outs = Vec::with_capacity(m);
-                for pos in 0..m {
-                    let (k, d) = self.terms[pos].take().expect("computed at construction");
-                    outs.push(self.pair_out(self.sellers[pos], self.hb, &k, &d));
-                }
-                Ok(outs)
-            }
-            Kick::Tree => {
-                // Leaves (the trailing positions) send immediately, in
-                // the blocking driver's descending order; every inner
-                // node waits for its children first.
-                let f = self.fanin;
-                let mut outs = Vec::new();
-                for pos in (0..m).rev() {
-                    if tree_children(pos, f, m) == 0 {
-                        let (k, d) = self.terms[pos].take().expect("computed at construction");
-                        outs.push(self.pair_out(self.sellers[pos], self.tree_parent(pos), &k, &d));
-                    }
-                }
-                Ok(outs)
-            }
+        match &mut self.state {
+            PricingState::Aggregate(fold) => fold.initial_messages(),
+            _ => Ok(Vec::new()),
         }
     }
 
     fn expecting(&self) -> Option<(PartyId, &'static str)> {
         match &self.state {
-            PricingState::Ring { hop, .. } => Some((PartyId(self.sellers[*hop]), "price/agg")),
-            PricingState::Star { .. } | PricingState::AwaitFinal => {
-                Some((PartyId(self.hb), "price/agg"))
-            }
-            PricingState::Tree { pos, .. } => Some((PartyId(self.sellers[*pos]), "price/agg")),
-            PricingState::Consume { next } => Some((PartyId(*next), "price/broadcast")),
+            PricingState::Aggregate(fold) => fold.expecting(),
+            PricingState::Consume { next, .. } => Some((PartyId(*next), "price/broadcast")),
             PricingState::Done => None,
         }
     }
 
     fn on_message(&mut self, env: Envelope) -> Result<Transition<PricingOutcome>, PemError> {
-        let pk = self.keys.public(self.hb);
-        let m = self.sellers.len();
+        if let PricingState::Aggregate(fold) = &mut self.state {
+            return match fold.on_message(env)? {
+                Transition::Continue => Ok(Transition::Continue),
+                Transition::Send(outs) => Ok(Transition::Send(outs)),
+                Transition::Done(([k_ct, d_ct], vts)) => self.finish_aggregation(&k_ct, &d_ct, vts),
+            };
+        }
         match std::mem::replace(&mut self.state, PricingState::Done) {
-            PricingState::Ring { hop } => {
-                // Ring pass over the sellers, accumulating both sums
-                // homomorphically (the paper's Protocol 3 flow).
-                let (k_in, d_in) = decode_pair(pk, &env.payload)?;
-                let (k_own, d_own) = self.terms[hop].take().expect("computed at construction");
-                let k_acc = pk.add_ciphertexts(&k_in, &k_own);
-                let d_acc = pk.add_ciphertexts(&d_in, &d_own);
-                let (to, next_state) = if hop + 1 < m {
-                    (self.sellers[hop + 1], Some(hop + 1))
-                } else {
-                    (self.hb, None)
-                };
-                let out = self.pair_out(self.sellers[hop], to, &k_acc, &d_acc);
-                self.state = match next_state {
-                    Some(hop) => PricingState::Ring { hop },
-                    None => PricingState::AwaitFinal,
-                };
-                Ok(Transition::Send(vec![out]))
-            }
-            PricingState::Star {
-                received,
-                k_acc,
-                d_acc,
-            } => {
-                let (k_in, d_in) = decode_pair(pk, &env.payload)?;
-                let k_acc = match k_acc {
-                    None => k_in,
-                    Some(acc) => pk.add_ciphertexts(&acc, &k_in),
-                };
-                let d_acc = match d_acc {
-                    None => d_in,
-                    Some(acc) => pk.add_ciphertexts(&acc, &d_in),
-                };
-                if received + 1 == m {
-                    self.finish_aggregation(k_acc, d_acc, env.arrival_us)
-                } else {
-                    self.state = PricingState::Star {
-                        received: received + 1,
-                        k_acc: Some(k_acc),
-                        d_acc: Some(d_acc),
-                    };
-                    Ok(Transition::Continue)
-                }
-            }
-            PricingState::Tree {
-                pos,
-                remaining,
-                k_acc,
-                d_acc,
-            } => {
-                let (k_in, d_in) = decode_pair(pk, &env.payload)?;
-                let k_acc = pk.add_ciphertexts(&k_acc, &k_in);
-                let d_acc = pk.add_ciphertexts(&d_acc, &d_in);
-                if remaining > 1 {
-                    self.state = PricingState::Tree {
-                        pos,
-                        remaining: remaining - 1,
-                        k_acc,
-                        d_acc,
-                    };
-                    return Ok(Transition::Continue);
-                }
-                // Node complete: forward to the parent, then move to the
-                // next (lower) position — every one of which is an inner
-                // node, since leaves occupy the trailing positions.
-                let out = self.pair_out(self.sellers[pos], self.tree_parent(pos), &k_acc, &d_acc);
-                self.state = if pos == 0 {
-                    PricingState::AwaitFinal
-                } else {
-                    let pos = pos - 1;
-                    let (k_acc, d_acc) = self.terms[pos].take().expect("computed at construction");
-                    PricingState::Tree {
-                        pos,
-                        remaining: tree_children(pos, self.fanin, m),
-                        k_acc,
-                        d_acc,
-                    }
-                };
-                Ok(Transition::Send(vec![out]))
-            }
-            PricingState::AwaitFinal => {
-                let mut r = WireReader::new(&env.payload);
-                let k_ct = Ciphertext::from_biguint(r.get_biguint()?);
-                let d_ct = Ciphertext::from_biguint(r.get_biguint()?);
-                self.finish_aggregation(k_ct, d_ct, env.arrival_us)
-            }
-            PricingState::Consume { next } => {
+            PricingState::Consume { next, outcome } => {
                 let mut r = WireReader::new(&env.payload);
                 let p = r.get_f64()?;
-                let price = self
-                    .outcome
-                    .as_ref()
-                    .expect("set by finish_aggregation")
-                    .price;
-                debug_assert_eq!(p.to_bits(), price.to_bits());
+                debug_assert_eq!(p.to_bits(), outcome.price.to_bits());
                 let mut next = next + 1;
                 if next == self.hb {
                     next += 1;
                 }
                 if next < self.n {
-                    self.state = PricingState::Consume { next };
+                    self.state = PricingState::Consume { next, outcome };
                     Ok(Transition::Continue)
                 } else {
                     if let Some(span) = self.bc_span.take() {
                         span.finish_at(env.arrival_us);
                     }
-                    Ok(Transition::Done(self.outcome.take().expect("just checked")))
+                    Ok(Transition::Done(outcome))
                 }
             }
-            PricingState::Done => unreachable!("fed a completed pricing machine"),
+            _ => Err(PemError::Protocol("fed a completed pricing machine")),
         }
     }
 }
@@ -697,8 +343,16 @@ mod tests {
             .copied()
             .collect();
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
+        let out = run_with_topology(
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            &cfg,
+            Topology::Ring,
+            &mut None,
+            &mut rng,
         )
         .expect("protocol 3");
         let expected = optimal_price(&seller_rows, &cfg.band);
@@ -715,8 +369,16 @@ mod tests {
     fn reveals_only_the_aggregates() {
         let data = paper_agents();
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
+        let out = run_with_topology(
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            &cfg,
+            Topology::Ring,
+            &mut None,
+            &mut rng,
         )
         .expect("protocol 3");
         // The revealed sums match the Lemma 3 surface …
@@ -738,8 +400,16 @@ mod tests {
             AgentWindow::new(1, 0.0, 2.0, 0.0, 0.9, 20.0),
         ];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
+        let out = run_with_topology(
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            &cfg,
+            Topology::Ring,
+            &mut None,
+            &mut rng,
         )
         .expect("protocol 3");
         assert!(out.p_hat > cfg.band.ceiling);
@@ -753,8 +423,16 @@ mod tests {
             AgentWindow::new(1, 0.0, 5.0, 0.0, 0.9, 25.0),
         ];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
+        let out = run_with_topology(
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            &cfg,
+            Topology::Ring,
+            &mut None,
+            &mut rng,
         )
         .expect("protocol 3");
         assert!(out.price >= cfg.band.floor && out.price <= cfg.band.ceiling);
@@ -766,13 +444,14 @@ mod tests {
         let data = vec![AgentWindow::new(0, 0.0, 5.0, 0.0, 0.9, 25.0)];
         let (mut net, keys, agents, _sellers, buyers, cfg, mut rng) = setup(data);
         assert!(matches!(
-            run(
+            run_with_topology(
                 &mut net,
                 &keys,
                 &agents,
                 &[],
                 &buyers,
                 &cfg,
+                Topology::Ring,
                 &mut None,
                 &mut rng
             ),
@@ -824,8 +503,16 @@ mod tests {
     #[test]
     fn traffic_labelled_for_table1() {
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(paper_agents());
-        run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
+        run_with_topology(
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            &cfg,
+            Topology::Ring,
+            &mut None,
+            &mut rng,
         )
         .expect("protocol 3");
         let s = net.stats();

@@ -29,6 +29,7 @@ use rand::Rng;
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
+use crate::fold::{FoldMachine, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -84,25 +85,27 @@ pub fn run<T: Transport>(
     let k_const = 1u128 << cfg.ratio_precision_bits;
 
     // --- Step 2: ring-aggregate the ratio side's total under pk. -------
+    // The ring ends at its last member, who multiplies in its own
+    // contribution and broadcasts Enc(total) inside the ratio coalition.
     let agg_span = Span::enter_at("dist/total-agg", "protocol", net.now_us());
-    let contribution = |idx: usize| pem_bignum::BigUint::from(agents[idx].sn_abs_q);
-    let mut acc = randpool::encrypt_under(pk, decryptor, &contribution(ratio_side[0]), pool, rng)?;
-    for hop in 1..ratio_side.len() {
-        let prev = ratio_side[hop - 1];
-        let cur = ratio_side[hop];
-        let mut w = WireWriter::new();
-        w.put_biguint(acc.as_biguint());
-        net.send(PartyId(prev), PartyId(cur), "dist/total-agg", w.finish())?;
-        let env = net.recv_expect(PartyId(cur), "dist/total-agg")?;
-        let mut r = WireReader::new(&env.payload);
-        let received = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&received)?;
-        let own = randpool::encrypt_under(pk, decryptor, &contribution(cur), pool, rng)?;
-        acc = pk.add_ciphertexts(&received, &own);
+    let (&last, ring) = ratio_side
+        .split_last()
+        .ok_or(PemError::Protocol("empty ratio coalition"))?;
+    let mut encrypt = |member: usize| {
+        let value = pem_bignum::BigUint::from(agents[member].sn_abs_q);
+        randpool::encrypt_under(pk, decryptor, &value, pool, rng)
+    };
+    let mut own = Vec::with_capacity(ring.len());
+    for &member in ring {
+        own.push([encrypt(member)?]);
+    }
+    let mut acc = encrypt(last)?;
+    if !ring.is_empty() {
+        let fold = FoldMachine::new(pk, ring, last, "dist/total-agg", Topology::Ring, own)?;
+        let ([received], _) = fold.drive(net)?;
+        acc = pk.add_ciphertexts(&received, &acc);
     }
 
-    // The last member broadcasts Enc(total) inside the ratio coalition.
-    let last = *ratio_side.last().expect("non-empty");
     let mut enc_total_per_member: Vec<Ciphertext> = Vec::with_capacity(ratio_side.len());
     {
         let mut w = WireWriter::new();

@@ -54,7 +54,13 @@ impl From<NetError> for CouplingError {
 }
 
 impl From<PemError> for CouplingError {
+    /// A `pem-core` failure, with the fabric and crypto classes the
+    /// shared aggregation fold reports kept in their own variants.
     fn from(e: PemError) -> CouplingError {
-        CouplingError::Pem(e)
+        match e {
+            PemError::Net(e) => CouplingError::Net(e),
+            PemError::Crypto(e) => CouplingError::Crypto(e),
+            e => CouplingError::Pem(e),
+        }
     }
 }

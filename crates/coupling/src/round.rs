@@ -22,6 +22,7 @@
 //!    its transfer legs.
 
 use pem_bignum::BigUint;
+use pem_core::fold::{FoldMachine, Topology};
 use pem_core::randpool::{encrypt_under, RandomizerPool};
 use pem_core::{KeyDirectory, PoolStats};
 use pem_crypto::drbg::HashDrbg;
@@ -274,48 +275,27 @@ impl CouplingCoordinator {
         let pk = self.keys.public(0).clone();
 
         // --- Phase 1: tree aggregation of encrypted positions. ---------
-        // Binary tree over shard indices (children of `i` are `2i+1`,
-        // `2i+2`; the root's parent is the coordinator). Iterating in
-        // descending index order guarantees both children delivered
-        // before their parent folds and forwards.
+        // Binary tree over shard indices under the coordinator; positions
+        // are encrypted in descending index order, as the tree visits them.
         let round_span = Span::enter_at("couple/round", "coupling", net.now_us());
         let up_span = Span::enter_at("couple/up", "coupling", net.now_us());
-        for i in (0..s).rev() {
-            let q = &quantized[i];
-            let mut acc = [
-                encrypt_under(&pk, 0, &BigUint::from(q.pos), &mut self.pool, &mut self.rng)?,
-                encrypt_under(&pk, 0, &BigUint::from(q.neg), &mut self.pool, &mut self.rng)?,
-                encrypt_under(&pk, 0, &BigUint::from(q.vol), &mut self.pool, &mut self.rng)?,
-                encrypt_under(&pk, 0, &BigUint::from(q.pv), &mut self.pool, &mut self.rng)?,
-            ];
-            while let Some(env) = net.recv(PartyId(i)) {
-                debug_assert_eq!(env.label, LABEL_UP);
-                let mut r = WireReader::new(&env.payload);
-                for slot in &mut acc {
-                    let child = Ciphertext::from_biguint(r.get_biguint()?);
-                    *slot = pk.add_ciphertexts(slot, &child);
-                }
-            }
-            let parent = if i == 0 {
-                coordinator
-            } else {
-                PartyId((i - 1) / 2)
-            };
-            let mut w = WireWriter::new();
-            for c in &acc {
-                w.put_biguint(c.as_biguint());
-            }
-            net.send(PartyId(i), parent, LABEL_UP, w.finish())?;
+        let mut own = Vec::with_capacity(s);
+        for q in quantized.iter().rev() {
+            let mut enc = |m: BigUint| encrypt_under(&pk, 0, &m, &mut self.pool, &mut self.rng);
+            own.push([
+                enc(BigUint::from(q.pos))?,
+                enc(BigUint::from(q.neg))?,
+                enc(BigUint::from(q.vol))?,
+                enc(BigUint::from(q.pv))?,
+            ]);
         }
+        own.reverse();
+        let shards: Vec<usize> = (0..s).collect();
+        let fold = FoldMachine::new(&pk, &shards, s, LABEL_UP, Topology::tree(), own)?;
+        let (total_cts, _) = fold.drive(net)?;
 
         // --- Coordinator: decrypt the grid totals (and nothing else yet).
         let sk = self.keys.keypair(0).private();
-        let env = net.recv_expect(coordinator, LABEL_UP)?;
-        let mut r = WireReader::new(&env.payload);
-        let mut total_cts = Vec::with_capacity(4);
-        for _ in 0..4 {
-            total_cts.push(Ciphertext::from_biguint(r.get_biguint()?));
-        }
         let mut totals = [0u128; 4];
         for (t, m) in totals.iter_mut().zip(sk.decrypt_batch(&total_cts)) {
             *t = m.to_u128().ok_or_else(|| {
@@ -713,6 +693,44 @@ mod tests {
         let mut nan = vec![position(0, 95.0, 1.0, 0.5)];
         nan[0].residual_kwh = f64::NAN;
         assert!(c.run_round(&nan).is_err());
+    }
+
+    #[test]
+    fn hostile_up_frames_are_typed_errors_on_both_fabrics() {
+        use pem_crypto::CryptoError;
+        use pem_net::MeshTransport;
+        // A forged frame from shard 1 reaches shard 0 ahead of the
+        // honest ones; the round must abort, not fold it in.
+        fn forged<T: Transport>(mut net: T, frame: &[BigUint]) -> CouplingError {
+            let mut w = WireWriter::new();
+            frame.iter().for_each(|c| w.put_biguint(c));
+            net.send(PartyId(1), PartyId(0), LABEL_UP, w.finish())
+                .expect("send");
+            let positions = [
+                position(0, 92.0, 3.0, 2.0),
+                position(1, 108.0, 2.0, -1.5),
+                position(2, 100.0, 1.0, -0.25),
+            ];
+            coordinator()
+                .run_round_on(&mut net, &positions)
+                .expect_err("a hostile frame must abort the round")
+        }
+        let zeroed = vec![BigUint::zero(); 4];
+        let out_of_range = vec![BigUint::one() << 600; 4];
+        let truncated = vec![BigUint::from(7u64)];
+        for (frame, crypto) in [(zeroed, true), (out_of_range, true), (truncated, false)] {
+            for e in [
+                forged(SimNetwork::new(4), &frame),
+                forged(MeshTransport::new(4), &frame),
+            ] {
+                let typed = match e {
+                    CouplingError::Crypto(CryptoError::InvalidCiphertext) => crypto,
+                    CouplingError::Net(_) => !crypto,
+                    _ => false,
+                };
+                assert!(typed, "{e}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub enum CryptoError {
     KeyMismatch,
     /// An oblivious-transfer message failed validation.
     InvalidOtMessage(&'static str),
-    /// A commitment failed to verify.
-    CommitmentMismatch,
 }
 
 impl fmt::Display for CryptoError {
@@ -39,7 +37,6 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidOtMessage(what) => {
                 write!(f, "invalid oblivious transfer message: {what}")
             }
-            CryptoError::CommitmentMismatch => write!(f, "commitment does not open to value"),
         }
     }
 }

@@ -13,9 +13,7 @@
 //! * [`paillier`] — key generation, encryption, decryption and the
 //!   homomorphic operations (`Enc(a)·Enc(b) = Enc(a+b)`, `Enc(a)^k = Enc(ka)`),
 //! * [`ot`] — 1-out-of-2 oblivious transfer over `Z_p*` (RFC 3526 MODP
-//!   groups; Chou–Orlandi message flow, semi-honest model),
-//! * [`commit`] — Pedersen-style commitments (used by the §VI
-//!   malicious-model extension).
+//!   groups; Chou–Orlandi message flow, semi-honest model).
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod commit;
 pub mod drbg;
 pub mod error;
 pub mod ot;

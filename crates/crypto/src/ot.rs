@@ -130,8 +130,8 @@ struct GroupContext {
     #[serde(skip)]
     mont: OnceLock<Montgomery>,
     /// Comb table for the generator: every `g^x` (one per OT plus two
-    /// per batch, two per Pedersen commitment) costs window-count
-    /// multiplications instead of a full square-and-multiply ladder.
+    /// per batch) costs window-count multiplications instead of a full
+    /// square-and-multiply ladder.
     /// Built on the first `g^x` through *any* handle to this context,
     /// bit-identical results.
     #[serde(skip)]
@@ -245,9 +245,9 @@ impl DhGroup {
     }
 
     /// Builds a comb table for an arbitrary base over this group's
-    /// modulus, serving exponents up to `max_bits` bits (Pedersen's `h`
-    /// at `q`'s width, an OT batch's `A` at the short width; the
-    /// generator's table is cached on the group itself).
+    /// modulus, serving exponents up to `max_bits` bits (an OT
+    /// batch's `A` at the short width; the generator's table is cached
+    /// on the group itself).
     pub fn fixed_base_table(&self, base: &BigUint, max_bits: usize) -> FixedBasePow {
         self.mont().fixed_base_table(base, max_bits)
     }
@@ -262,14 +262,6 @@ impl DhGroup {
     /// `a * b mod p`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         self.mont().mul(a, b)
-    }
-
-    /// Uniform exponent in `[1, q)` — for Pedersen blinding, whose
-    /// perfect hiding needs the full range. The OT batch draws
-    /// [`DhGroup::short_exponent_bits`]-bit exponents instead.
-    pub fn random_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        let span = self.q() - &BigUint::one();
-        BigUint::random_below(&span, rng) + BigUint::one()
     }
 
     /// Bit length `w` of every secret exponent an OT batch draws:

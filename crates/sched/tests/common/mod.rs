@@ -17,10 +17,12 @@
 //! To inspect current values:
 //! `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
 
-use pem_core::PemConfig;
+use pem_core::{PemConfig, Topology};
+use pem_coupling::CouplingConfig;
 use pem_crypto::sha256;
 use pem_data::{TraceConfig, TraceGenerator};
 use pem_market::{AgentWindow, MarketKind};
+use pem_net::LatencyModel;
 use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrategy, RetryPolicy};
 
 /// Full fingerprints per window. Recorded on the pre-overhaul kernel
@@ -47,6 +49,15 @@ pub const MARKET_GOLDEN: [&str; 2] = [
     "a031c25ed686d1a98b4be86c2875fa232ad78bb75de33fe8c96a3e6d89c4b24d",
 ];
 
+/// Tree + coupled pins per window (see [`run_tree_coupled`]), recorded on
+/// the PR 23 tree, before the aggregation walks were merged into
+/// `pem_core::fold`. Same re-record rule as [`GOLDEN`].
+#[allow(dead_code)] // asserted by fingerprint_golden.rs only
+pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
+    "1dfd6b74700f576e96bb08de199c2233ab1f40f13961078d739910782c57e6be:544:432",
+    "fed26c4604de6fab0645c3b04bc8f89d9b2ccc8334934cb677256c70835de507:544:432",
+];
+
 fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
     let trace = TraceGenerator::new(TraceConfig {
         homes,
@@ -58,15 +69,20 @@ fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
     (0..windows).map(|w| trace.window_agents(44 + w)).collect()
 }
 
-/// Two coupling-off windows of the 40-home scenario at `workers` workers.
-pub fn run(workers: usize) -> Vec<GridReport> {
+/// Two windows of the 40-home scenario under `pem` / `coupling`.
+fn run_grid(
+    pem: PemConfig,
+    coupling: Option<CouplingConfig>,
+    workers: usize,
+    engine: Engine,
+) -> Vec<GridReport> {
     let mut grid = GridOrchestrator::new(GridConfig {
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
+        pem,
         coalition_size: 10,
         workers,
-        engine: Engine::Threads,
+        engine,
         strategy: PartitionStrategy::SurplusBalanced,
-        coupling: None,
+        coupling,
         retry: RetryPolicy::default(),
     })
     .expect("grid");
@@ -74,6 +90,42 @@ pub fn run(workers: usize) -> Vec<GridReport> {
         .iter()
         .map(|pop| grid.run_window(pop).expect("window"))
         .collect()
+}
+
+/// Two coupling-off windows of the 40-home scenario at `workers` workers.
+pub fn run(workers: usize) -> Vec<GridReport> {
+    run_grid(
+        PemConfig::fast_test().with_randomizer_pool(6),
+        None,
+        workers,
+        Engine::Threads,
+    )
+}
+
+/// The same two windows on the paths `GOLDEN` does not reach: Protocol 3
+/// over `Topology::tree()` and the coupling round on. One string per
+/// window: the full fingerprint, then the coupling fabric's bytes and
+/// critical path (LAN links, so the tree's virtual clock is pinned, not
+/// a zero).
+#[allow(dead_code)] // asserted by fingerprint_golden.rs only
+pub fn run_tree_coupled(workers: usize, engine: Engine) -> Vec<String> {
+    run_grid(
+        PemConfig::fast_test().with_topology(Topology::tree()),
+        Some(CouplingConfig::fast_test().with_latency(LatencyModel::lan())),
+        workers,
+        engine,
+    )
+    .iter()
+    .map(|r| {
+        let cs = r.coupling.as_ref().expect("coupling on");
+        format!(
+            "{}:{}:{}",
+            hex(&r.fingerprint()),
+            cs.net.total_bytes,
+            cs.critical_path_us
+        )
+    })
+    .collect()
 }
 
 pub fn hex(bytes: &[u8]) -> String {

@@ -33,3 +33,21 @@ fn coupling_off_fingerprints_match_pre_overhaul_goldens() {
         );
     }
 }
+
+#[test]
+fn tree_and_coupled_paths_match_their_pins() {
+    use pem_sched::Engine;
+    for (workers, engine) in [
+        (1usize, Engine::Threads),
+        (4, Engine::Threads),
+        (4, Engine::Fabric { batch: 8 }),
+    ] {
+        let pins = common::run_tree_coupled(workers, engine);
+        println!("workers={workers} engine={engine:?} pins={pins:?}");
+        assert_eq!(
+            pins,
+            common::TREE_COUPLED_GOLDEN.to_vec(),
+            "tree + coupled run drifted at {workers} workers on {engine:?}"
+        );
+    }
+}
