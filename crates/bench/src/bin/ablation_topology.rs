@@ -30,7 +30,7 @@ use pem_core::protocol3::run_with_topology;
 use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;
-use pem_net::{LatencyModel, SimNetwork};
+use pem_net::{LatencyModel, SimNetwork, Transport};
 use rand::Rng;
 
 struct Row {
@@ -86,7 +86,7 @@ fn main() {
             let bytes = net.stats().per_label["price/agg"].bytes;
             // Measured critical path of the aggregation + broadcast on
             // the virtual clock (not a depth × per-hop estimate).
-            (out.price, bytes, net.critical_path_us(), elapsed_us)
+            (out.price, bytes, net.now_us(), elapsed_us)
         };
 
         let mut row = Row {

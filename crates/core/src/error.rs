@@ -38,20 +38,38 @@ pub enum PemError {
 impl PemError {
     /// Whether re-running the window could plausibly succeed.
     ///
-    /// Transport faults (lost, late, mangled or unexpected messages),
-    /// the crypto/circuit decode failures they cascade into, and
-    /// protocol-invariant aborts are all artifacts of *this execution*
-    /// — a retry with fresh nonces over a healthy fabric can clear.
-    /// Configuration, quantization and market-model errors are
-    /// properties of the *inputs*: re-running reproduces them exactly,
-    /// so the scheduler fails fast instead of burning attempts.
+    /// Only a message that was lost, duplicated or withheld is an
+    /// artifact of *this execution*: an empty mailbox
+    /// ([`NetError::Empty`]), a stray message at its head
+    /// ([`NetError::UnexpectedLabel`]) or an exhausted poll budget
+    /// ([`NetError::Timeout`]) can clear on a retry over a healthy
+    /// fabric. Everything else is fatal. A frame that fails to decode, a
+    /// ciphertext or garbling that fails validation and a violated
+    /// protocol invariant mean a peer sent something malformed — a
+    /// retry would burn the budget on the same hostile input —
+    /// and addressing, configuration, quantization and market-model
+    /// errors are properties of the inputs that re-running reproduces
+    /// exactly.
+    ///
+    /// The match names every variant, so a new one must be classified
+    /// here.
     pub fn is_retryable(&self) -> bool {
         match self {
-            PemError::Net(_)
-            | PemError::Crypto(_)
+            PemError::Net(e) => match e {
+                NetError::Empty { .. }
+                | NetError::UnexpectedLabel { .. }
+                | NetError::Timeout { .. } => true,
+                NetError::Decode { .. }
+                | NetError::UnknownParty { .. }
+                | NetError::SelfSend { .. }
+                | NetError::PartyCountMismatch { .. } => false,
+            },
+            PemError::Crypto(_)
             | PemError::Circuit(_)
-            | PemError::Protocol(_) => true,
-            PemError::Config(_) | PemError::Quantization { .. } | PemError::Market(_) => false,
+            | PemError::Protocol(_)
+            | PemError::Config(_)
+            | PemError::Quantization { .. }
+            | PemError::Market(_) => false,
         }
     }
 }
@@ -123,5 +141,71 @@ mod tests {
         };
         assert!(q.source().is_none());
         assert!(q.to_string().contains("net energy"));
+    }
+
+    #[test]
+    fn only_lost_duplicated_or_withheld_messages_retry() {
+        let net = |e: NetError| PemError::Net(e);
+        let table = [
+            (
+                net(NetError::Empty {
+                    party: 1,
+                    expected: "x",
+                }),
+                true,
+            ),
+            (
+                net(NetError::UnexpectedLabel {
+                    expected: "x",
+                    got: "y".into(),
+                }),
+                true,
+            ),
+            (
+                net(NetError::Timeout {
+                    party: 1,
+                    expected: "x",
+                    deadline_us: 0,
+                }),
+                true,
+            ),
+            (
+                net(NetError::Decode {
+                    offset: 0,
+                    what: "ciphertext",
+                }),
+                false,
+            ),
+            (
+                net(NetError::UnknownParty {
+                    party: 9,
+                    parties: 3,
+                }),
+                false,
+            ),
+            (net(NetError::SelfSend { party: 0 }), false),
+            (net(NetError::PartyCountMismatch { have: 3, got: 4 }), false),
+            (CryptoError::InvalidCiphertext.into(), false),
+            (CircuitError::MalformedGarbling("tables").into(), false),
+            (PemError::Protocol("invariant"), false),
+            (PemError::Config("zero agents".into()), false),
+            (
+                PemError::Quantization {
+                    what: "net energy",
+                    value: 1e30,
+                },
+                false,
+            ),
+            (
+                MarketError::InvalidPriceBand {
+                    reason: "p_l > p_h".into(),
+                }
+                .into(),
+                false,
+            ),
+        ];
+        for (err, retryable) in table {
+            assert_eq!(err.is_retryable(), retryable, "{err:?}");
+        }
     }
 }

@@ -243,6 +243,7 @@ impl<'a> Window<'a> {
     ///
     /// Crypto, codec and network failures; a receive whose message has
     /// not arrived surfaces the transport's typed error, never a block.
+    /// [`PemError::Protocol`] once the outcome has been reported.
     pub(crate) fn poll<T: Transport>(
         &mut self,
         net: &mut T,
@@ -410,7 +411,7 @@ impl<'a> Window<'a> {
                 Ok(Poll::Ready(self.finish(net, kind, dist.trades)))
             }
 
-            Stage::Done => panic!("polled a completed window"),
+            Stage::Done => Err(PemError::Protocol("polled a completed window")),
         }
     }
 }
@@ -667,5 +668,19 @@ mod tests {
             assert!(polls < 10_000, "window must terminate");
         }
         assert!(!task.is_ready(), "completed tasks report not-ready");
+    }
+
+    #[test]
+    fn polling_a_completed_task_is_a_typed_error() {
+        let pop = population(&[2.0, -1.0]);
+        let mut pem = Pem::new(PemConfig::fast_test(), 2).expect("setup");
+        let mut task = pem.fabric_window(&pop).expect("task");
+        while let Poll::Pending = task.poll().expect("poll") {}
+        for _ in 0..2 {
+            assert!(
+                matches!(task.poll(), Err(PemError::Protocol(_))),
+                "a completed window stays completed"
+            );
+        }
     }
 }

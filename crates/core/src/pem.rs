@@ -313,8 +313,9 @@ impl Pem {
     }
 
     /// Runs one trading window on a caller-provided transport — any
-    /// [`Transport`] implementation (the mesh, a fault-injecting fabric,
-    /// a future async runtime). The transport must be fresh for the
+    /// [`Transport`] implementation (a [`SimNetwork`] with its own link
+    /// latencies or faults, a test double wrapping one, a future
+    /// socket-backed fabric). The transport must be fresh for the
     /// window and sized to the population: the outcome's traffic
     /// counters snapshot whatever the fabric accumulated.
     ///

@@ -1,14 +1,15 @@
 //! Acceptance: causal critical-path attribution must *tile* the
 //! transport's own virtual clock — the assembled `CriticalPathReport`
-//! total equals the fabric's measured `critical_path_us`, and the
+//! total equals the fabric's measured `Transport::now_us`, and the
 //! per-phase / per-hop / per-link shares sum back to that total
-//! exactly. Checked on a full PEM window over both transports.
+//! exactly. Checked on a full PEM window over a uniform LAN and over a
+//! mesh of mixed LAN/WAN links.
 
 use std::sync::Mutex;
 
 use pem_core::{Pem, PemConfig};
 use pem_market::AgentWindow;
-use pem_net::{LatencyModel, MeshTransport, SimNetwork, Transport};
+use pem_net::{LatencyModel, PartyId, SimNetwork, Transport};
 use pem_telemetry::CriticalPathReport;
 
 /// The telemetry collector is process-global; serialize the tests that
@@ -62,7 +63,7 @@ fn attribution_matches_sim_critical_path() {
 
     let msgs = pem_telemetry::msgs_since(mark);
     let report = CriticalPathReport::for_fabric(&msgs, net.fabric_id());
-    assert_tiles(&report, net.critical_path_us());
+    assert_tiles(&report, net.now_us());
     assert!(report.total_us > 0, "LAN latency accrues virtual time");
     // Every hop on the path belongs to this window's protocol phases.
     for hop in &report.hops {
@@ -77,17 +78,27 @@ fn attribution_matches_sim_critical_path() {
 
 #[test]
 fn attribution_matches_mesh_critical_path() {
+    // Every link out of party 0 is a WAN link: the critical path runs
+    // through whichever hops they carry, and attribution must still tile
+    // it exactly, per link.
     let _guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     pem_telemetry::install();
     let mark = pem_telemetry::msg_count();
 
     let data = window_data();
     let mut pem = Pem::new(PemConfig::fast_test(), data.len()).expect("setup");
-    let mut mesh = MeshTransport::with_latency(data.len(), LatencyModel::lan());
+    let mut mesh = SimNetwork::with_latency(data.len(), LatencyModel::lan());
+    for to in 1..data.len() {
+        mesh.set_link_latency(PartyId(0), PartyId(to), LatencyModel::wan());
+    }
     pem.run_window_on(&mut mesh, &data).expect("window");
 
     let msgs = pem_telemetry::msgs_since(mark);
     let report = CriticalPathReport::for_fabric(&msgs, mesh.fabric_id());
     assert_tiles(&report, mesh.now_us());
+    assert!(
+        report.total_us >= LatencyModel::wan().base_us,
+        "a WAN hop lies on the path"
+    );
     pem_telemetry::uninstall();
 }

@@ -1,5 +1,5 @@
 //! Failure injection: message-level faults must surface as typed errors,
-//! never as silently wrong market outcomes — **on every transport**.
+//! never as silently wrong market outcomes.
 //!
 //! Scope note: the paper assumes authenticated secure channels (§II-B),
 //! so *byte-level tampering* is outside the threat model — Paillier is
@@ -10,12 +10,9 @@
 //! protocols abort with a descriptive error instead of producing trades.
 //! The `Corrupt` sweep pins what tampering does today, case by case.
 //!
-//! The protocols are generic over the fabric, so the same fault plans
-//! run against the deterministic `SimNetwork` and the channel-backed
-//! `MeshTransport`; every case must produce identical protocol outcomes
-//! (same result on success, same error class on abort) — the wire-level
-//! witness that the trait is a real abstraction, not a rename of the
-//! simulator.
+//! Every case runs on `SimNetwork` with a `FaultPlan`, or under the
+//! `Tamper` double below for edits `FaultKind` cannot express; the
+//! protocols only see the `Transport` trait either way.
 
 use pem_circuit::CircuitError;
 use pem_core::protocol2;
@@ -24,8 +21,8 @@ use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
 use pem_net::wire::WireWriter;
 use pem_net::{
-    Envelope, FaultKind, FaultPlan, LatencyModel, MeshTransport, NetError, NetStats, PartyId,
-    SimNetwork, Transport,
+    Envelope, FaultKind, FaultPlan, LatencyModel, NetError, NetStats, PartyId, SimNetwork,
+    Transport,
 };
 use rand::Rng;
 
@@ -68,7 +65,7 @@ fn setup() -> (
 }
 
 /// Runs Protocol 2 on a caller-built transport (same seeds, so the clean
-/// outcome is identical on every fabric).
+/// outcome is identical on every run).
 fn run_protocol2_on<T: Transport>(net: &mut T) -> Result<protocol2::EvalOutcome, PemError> {
     let (keys, agents, sellers, buyers, cfg, mut rng) = setup();
     protocol2::run(
@@ -76,34 +73,10 @@ fn run_protocol2_on<T: Transport>(net: &mut T) -> Result<protocol2::EvalOutcome,
     )
 }
 
-/// Asserts two runs ended the same way: the identical result, or the
-/// same error class.
-fn assert_same_ending<O: PartialEq + std::fmt::Debug>(
-    sim: &Result<O, PemError>,
-    mesh: &Result<O, PemError>,
-) {
-    match (sim, mesh) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "sim vs mesh: outcomes must agree"),
-        (Err(a), Err(b)) => assert_eq!(
-            std::mem::discriminant(a),
-            std::mem::discriminant(b),
-            "sim vs mesh: same error class expected: {a:?} vs {b:?}"
-        ),
-        (a, b) => panic!("transports diverged: sim {a:?} vs mesh {b:?}"),
-    }
-}
-
-/// Runs the same fault plan against both transports and checks the
-/// outcomes agree: both fabrics succeed with the identical result, or
-/// both abort with the same error class.
-fn run_protocol2_both(plan: FaultPlan) -> Result<protocol2::EvalOutcome, PemError> {
+/// Runs Protocol 2 under a fault plan.
+fn run_protocol2_faulted(plan: FaultPlan) -> Result<protocol2::EvalOutcome, PemError> {
     let parties = setup().1.len();
-    let mut sim = SimNetwork::new(parties).with_faults(plan.clone());
-    let sim_result = run_protocol2_on(&mut sim);
-    let mut mesh = MeshTransport::new(parties).with_faults(plan);
-    let mesh_result = run_protocol2_on(&mut mesh);
-    assert_same_ending(&sim_result, &mesh_result);
-    sim_result
+    run_protocol2_on(&mut SimNetwork::new(parties).with_faults(plan))
 }
 
 /// A fabric that rewrites every payload sent under one label — the
@@ -148,37 +121,31 @@ impl<T: Transport, F: Fn(&mut Vec<u8>)> Transport for Tamper<T, F> {
     }
 }
 
-/// Runs Protocol 2 with `edit` applied to the `label` message on both
-/// transports and checks they end the same way.
+/// Runs Protocol 2 with `edit` applied to the `label` message.
 fn run_protocol2_tampered(
     label: &'static str,
-    edit: impl Fn(&mut Vec<u8>) + Copy,
+    edit: impl Fn(&mut Vec<u8>),
 ) -> Result<protocol2::EvalOutcome, PemError> {
-    let parties = setup().1.len();
-    let inner = SimNetwork::new(parties);
-    let sim_result = run_protocol2_on(&mut Tamper { inner, label, edit });
-    let inner = MeshTransport::new(parties);
-    let mesh_result = run_protocol2_on(&mut Tamper { inner, label, edit });
-    assert_same_ending(&sim_result, &mesh_result);
-    sim_result
+    let inner = SimNetwork::new(setup().1.len());
+    run_protocol2_on(&mut Tamper { inner, label, edit })
 }
 
 #[test]
 fn baseline_without_faults_succeeds() {
-    let out = run_protocol2_both(FaultPlan::new()).expect("clean run");
+    let out = run_protocol2_faulted(FaultPlan::new()).expect("clean run");
     assert!(out.general_market); // E_s = 4.0 < E_b = 9.0
 }
 
 #[test]
 fn dropped_aggregation_message_aborts() {
-    let err = run_protocol2_both(FaultPlan::new().inject("eval/demand-agg", 1, FaultKind::Drop))
+    let err = run_protocol2_faulted(FaultPlan::new().inject("eval/demand-agg", 1, FaultKind::Drop))
         .expect_err("must abort");
     assert!(matches!(err, PemError::Net(_)), "got {err:?}");
 }
 
 #[test]
 fn dropped_gc_offer_aborts() {
-    let err = run_protocol2_both(FaultPlan::new().inject("eval/gc-offer", 0, FaultKind::Drop))
+    let err = run_protocol2_faulted(FaultPlan::new().inject("eval/gc-offer", 0, FaultKind::Drop))
         .expect_err("must abort");
     assert!(matches!(err, PemError::Net(_)), "got {err:?}");
 }
@@ -188,7 +155,7 @@ fn duplicated_message_aborts_on_label_mismatch() {
     // The duplicate lingers in the recipient's mailbox; the next
     // recv_expect for a different label trips over it.
     let err =
-        run_protocol2_both(FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Duplicate))
+        run_protocol2_faulted(FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Duplicate))
             .expect_err("must abort");
     assert!(matches!(err, PemError::Net(_)), "got {err:?}");
 }
@@ -196,7 +163,7 @@ fn duplicated_message_aborts_on_label_mismatch() {
 #[test]
 fn truncated_ciphertext_fails_to_decode() {
     let err =
-        run_protocol2_both(FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Truncate))
+        run_protocol2_faulted(FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Truncate))
             .expect_err("must abort");
     assert!(
         matches!(err, PemError::Net(_)),
@@ -206,9 +173,12 @@ fn truncated_ciphertext_fails_to_decode() {
 
 #[test]
 fn truncated_gc_transfer_fails_cleanly() {
-    let err =
-        run_protocol2_both(FaultPlan::new().inject("eval/gc-ot-transfer", 0, FaultKind::Truncate))
-            .expect_err("must abort");
+    let err = run_protocol2_faulted(FaultPlan::new().inject(
+        "eval/gc-ot-transfer",
+        0,
+        FaultKind::Truncate,
+    ))
+    .expect_err("must abort");
     // Truncation surfaces as a decode failure or a malformed-garbling
     // complaint, depending on where the cut lands — both are typed.
     assert!(
@@ -223,9 +193,8 @@ fn truncated_gc_transfer_fails_cleanly() {
 #[test]
 fn faults_never_produce_trades() {
     // Sweep a fault across every protocol-2 label: any completed run must
-    // equal the clean outcome, and any failed run must be a typed error —
-    // with both transports agreeing case by case.
-    let clean = run_protocol2_both(FaultPlan::new()).expect("clean run");
+    // equal the clean outcome, and any failed run must be a typed error.
+    let clean = run_protocol2_faulted(FaultPlan::new()).expect("clean run");
     for label in [
         "eval/demand-agg",
         "eval/supply-agg",
@@ -235,7 +204,7 @@ fn faults_never_produce_trades() {
         "eval/result",
     ] {
         for kind in [FaultKind::Drop, FaultKind::Truncate, FaultKind::Duplicate] {
-            let result = run_protocol2_both(FaultPlan::new().inject(label, 0, kind));
+            let result = run_protocol2_faulted(FaultPlan::new().inject(label, 0, kind));
             match result {
                 Ok(out) => assert_eq!(
                     out.general_market, clean.general_market,
@@ -256,10 +225,10 @@ fn faults_never_produce_trades() {
 #[test]
 fn corrupted_messages_never_panic_and_fabrics_agree() {
     // One flipped bit per label. Every run must *return* (no panic, no
-    // hang) and both fabrics must agree; what it returns is pinned case
-    // by case.
-    let clean = run_protocol2_both(FaultPlan::new()).expect("clean run");
-    let corrupt = |label| run_protocol2_both(FaultPlan::new().inject(label, 0, FaultKind::Corrupt));
+    // hang); what it returns is pinned case by case.
+    let clean = run_protocol2_faulted(FaultPlan::new()).expect("clean run");
+    let corrupt =
+        |label| run_protocol2_faulted(FaultPlan::new().inject(label, 0, FaultKind::Corrupt));
     // A flipped ciphertext bit in a ring hop decrypts to garbage far
     // outside the masked-total range: too wide for the comparator
     // (today's seeds — re-derived on the fixed-base `h_s^x` ciphertexts:
@@ -342,7 +311,7 @@ fn hostile_counts_are_rejected_before_allocating() {
     // Every count in the three comparison messages is implied by the
     // agreed width. A frame announcing 2^60 of anything must come back
     // as `MalformedGarbling` — not as a capacity-overflow panic or an
-    // allocation — on both fabrics. Offsets: the offer is
+    // allocation. Offsets: the offer is
     // `width | tables | 127·64 B | outputs | 1 B | labels | …`, the
     // other two messages open with their count.
     let cases: [(&'static str, usize); 6] = [
@@ -371,167 +340,131 @@ fn hostile_counts_are_rejected_before_allocating() {
     }
 }
 
-#[test]
-fn fault_plans_leave_identical_message_logs() {
-    // With the telemetry collector installed, both transports journal a
-    // `MsgEvent` per send — *before* fault processing, so a dropped
-    // message is still witnessed. Under the same fault plan the two
-    // fabrics must therefore leave byte-identical logs (modulo fabric
-    // id and global sequence number): the wire-level refinement of the
-    // outcome-equivalence checks above.
-    let plan = FaultPlan::new().inject("eval/gc-offer", 0, FaultKind::Drop);
-    pem_telemetry::install();
+type MsgLog = Vec<(usize, usize, &'static str, u64, u64, u64)>;
+
+/// Serialises the tests that install the collector: `uninstall` clears the
+/// global journal, which would empty a concurrent test's log mid-run.
+static COLLECTOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs Protocol 2 under `plan` on a fresh LAN fabric and returns whether it
+/// succeeded, with the fabric's message journal in record order. Concurrent
+/// tests in this binary may record onto other fabrics, so the journal is
+/// scoped by fabric id. The collector must be installed by the caller.
+fn journal(plan: FaultPlan) -> (bool, MsgLog) {
     let mark = pem_telemetry::msg_count();
+    let mut net = SimNetwork::with_latency(setup().1.len(), LatencyModel::lan()).with_faults(plan);
+    let result = run_protocol2_on(&mut net);
+    let log = pem_telemetry::msgs_since(mark)
+        .iter()
+        .filter(|m| m.fabric == net.fabric_id())
+        .map(|m| (m.from, m.to, m.label, m.bytes, m.depart_us, m.arrival_us))
+        .collect();
+    (result.is_ok(), log)
+}
 
-    let parties = setup().1.len();
-    let mut sim = SimNetwork::with_latency(parties, LatencyModel::lan()).with_faults(plan.clone());
-    let sim_result = run_protocol2_on(&mut sim);
-    let mut mesh = MeshTransport::with_latency(parties, LatencyModel::lan()).with_faults(plan);
-    let mesh_result = run_protocol2_on(&mut mesh);
+/// Checks that the faulted send of `label` is journalled with its modelled
+/// LAN latency and that the journal up to and including it is the clean
+/// run's.
+fn assert_journal_matches_clean_up_to(
+    kind: FaultKind,
+    label: &str,
+    faulted: &MsgLog,
+    clean: &MsgLog,
+) {
+    let at = faulted
+        .iter()
+        .position(|m| m.2 == label)
+        .expect("the faulted send is journalled");
+    let (from, to, _, bytes, depart_us, arrival_us) = faulted[at];
     assert!(
-        sim_result.is_err() && mesh_result.is_err(),
-        "plan drops a message"
-    );
-
-    // Concurrent tests in this binary may record onto other fabrics;
-    // scope by fabric id, then erase it (and seq) for the comparison.
-    let msgs = pem_telemetry::msgs_since(mark);
-    let log = |fabric: u64| -> Vec<(usize, usize, &str, u64, u64, u64)> {
-        let mut out: Vec<_> = msgs
-            .iter()
-            .filter(|m| m.fabric == fabric)
-            .map(|m| (m.from, m.to, m.label, m.bytes, m.depart_us, m.arrival_us))
-            .collect();
-        out.sort_unstable();
-        out
-    };
-    let sim_log = log(sim.fabric_id());
-    let mesh_log = log(mesh.fabric_id());
-    assert!(
-        !sim_log.is_empty(),
-        "the run crosses the wire before aborting"
+        arrival_us >= depart_us + LatencyModel::lan().charge_us(bytes as usize),
+        "{kind:?}: P{from}→P{to} carries its modelled LAN latency"
     );
     assert_eq!(
-        sim_log, mesh_log,
-        "same fault plan must leave the same message log on both fabrics"
+        faulted[..=at],
+        clean[..=at],
+        "{kind:?}: the journal up to the faulted send is the clean run's"
     );
+}
+
+#[test]
+fn fault_plans_leave_identical_message_logs() {
+    // With the telemetry collector installed, the send pipeline journals
+    // a `MsgEvent` per send *before* fault processing, so a dropped
+    // message is still witnessed with the departure and arrival its link
+    // modelled. Up to and including the faulted send, a faulted run's
+    // journal is therefore exactly the clean run's.
+    let _collector = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+    pem_telemetry::install();
+    let (clean_ok, clean) = journal(FaultPlan::new());
+    assert!(clean_ok, "clean run");
+    for label in ["eval/supply-agg", "eval/gc-offer"] {
+        let (ok, faulted) = journal(FaultPlan::new().inject(label, 0, FaultKind::Drop));
+        assert!(!ok, "{label}: the dropped message aborts the run");
+        assert_journal_matches_clean_up_to(FaultKind::Drop, label, &faulted, &clean);
+    }
     pem_telemetry::uninstall();
-}
-
-#[test]
-fn delayed_message_is_late_not_lost() {
-    // A Delay fault shifts an envelope's arrival on the virtual clock;
-    // blocking receives still find it, so both fabrics must
-    // complete with the bit-identical clean outcome.
-    let clean = run_protocol2_both(FaultPlan::new()).expect("clean run");
-    for label in ["eval/demand-agg", "eval/gc-offer", "eval/result"] {
-        let out =
-            run_protocol2_both(FaultPlan::new().inject(label, 0, FaultKind::Delay { us: 5_000 }))
-                .unwrap_or_else(|e| panic!("{label}: a delayed message is late, not lost: {e:?}"));
-        assert_eq!(out, clean, "{label}: delay must not change the outcome");
-    }
-}
-
-#[test]
-fn stalled_message_aborts_with_one_error_class() {
-    // A Stall swallows the envelope after it was journalled: every
-    // fabric must abort (run_protocol2_both additionally pins the
-    // error discriminants against each other).
-    for label in ["eval/demand-agg", "eval/supply-agg", "eval/gc-offer"] {
-        let err = run_protocol2_both(FaultPlan::new().inject(label, 0, FaultKind::Stall))
-            .expect_err("a stalled message never arrives");
-        assert!(matches!(err, PemError::Net(_)), "{label}: got {err:?}");
-    }
-}
-
-#[test]
-fn recv_deadline_times_out_on_every_transport() {
-    use pem_net::{NetError, PartyId};
-    // No traffic at all: a deadline-bounded receive must surface
-    // `NetError::Timeout` (not `Empty`, not a hang) on both
-    // fabrics, carrying the party and label it was waiting on.
-    let check = |err: NetError, fabric: &str| match err {
-        NetError::Timeout {
-            party,
-            expected,
-            deadline_us,
-        } => {
-            assert_eq!((party, expected), (1, "eval/result"), "{fabric}");
-            assert_eq!(deadline_us, 10, "{fabric}: virtual-clock deadline echoed");
-        }
-        other => panic!("{fabric}: expected Timeout, got {other:?}"),
-    };
-    let mut sim = SimNetwork::new(2);
-    check(
-        sim.recv_deadline(PartyId(1), "eval/result", 10)
-            .expect_err("empty mailbox"),
-        "sim",
-    );
-    let mut mesh = MeshTransport::new(2);
-    check(
-        Transport::recv_deadline(&mut mesh, PartyId(1), "eval/result", 10)
-            .expect_err("empty mailbox"),
-        "mesh",
-    );
 }
 
 #[test]
 fn delay_and_stall_leave_identical_message_logs() {
-    // `record_msg` runs before fault processing on every transport, so
-    // a delayed *or* stalled envelope is journalled identically across
-    // fabrics — the wire-level witness that the new fault kinds are
-    // transport-agnostic too.
+    // A Stall is a delay that never ends: the envelope is journalled at
+    // its modelled departure and arrival, then withheld. Its journal up
+    // to the stalled send is the clean run's, and two runs under the same
+    // stall plan leave byte-identical journals.
+    let _collector = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     pem_telemetry::install();
-    for plan in [
-        FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Delay { us: 2_000 }),
-        FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Stall),
-    ] {
-        let mark = pem_telemetry::msg_count();
-        let parties = setup().1.len();
-        let mut sim =
-            SimNetwork::with_latency(parties, LatencyModel::lan()).with_faults(plan.clone());
-        let _ = run_protocol2_on(&mut sim);
-        let mut mesh = MeshTransport::with_latency(parties, LatencyModel::lan()).with_faults(plan);
-        let _ = run_protocol2_on(&mut mesh);
-
-        let msgs = pem_telemetry::msgs_since(mark);
-        let log = |fabric: u64| -> Vec<(usize, usize, &str, u64, u64, u64)> {
-            let mut out: Vec<_> = msgs
-                .iter()
-                .filter(|m| m.fabric == fabric)
-                .map(|m| (m.from, m.to, m.label, m.bytes, m.depart_us, m.arrival_us))
-                .collect();
-            out.sort_unstable();
-            out
-        };
-        let sim_log = log(sim.fabric_id());
-        assert!(!sim_log.is_empty(), "the run crosses the wire");
-        assert_eq!(sim_log, log(mesh.fabric_id()), "sim vs mesh journals");
-    }
+    let (clean_ok, clean) = journal(FaultPlan::new());
+    assert!(clean_ok, "clean run");
+    let plan = FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Stall);
+    let (ok, stalled) = journal(plan.clone());
+    assert!(!ok, "the stalled message aborts the run");
+    assert_journal_matches_clean_up_to(FaultKind::Stall, "eval/supply-agg", &stalled, &clean);
+    let (again_ok, again) = journal(plan);
+    assert!(!again_ok, "the stalled message aborts the rerun");
+    assert_eq!(
+        stalled, again,
+        "the same stall plan leaves the same journal"
+    );
     pem_telemetry::uninstall();
 }
 
 #[test]
-fn full_window_runs_on_the_mesh() {
-    // Beyond Protocol 2: a whole PEM window (Protocols 2+3+4) driven over
-    // the mesh transport must reproduce the SimNetwork outcome exactly —
-    // no public protocol entry point is tied to the simulator any more.
+fn stalled_message_aborts_with_one_error_class() {
+    // A Stall swallows the envelope after it was journalled: the
+    // recipient's receive finds an empty mailbox, whichever ring or
+    // comparison message was withheld.
+    for label in ["eval/demand-agg", "eval/supply-agg", "eval/gc-offer"] {
+        let err = run_protocol2_faulted(FaultPlan::new().inject(label, 0, FaultKind::Stall))
+            .expect_err("a stalled message never arrives");
+        assert!(
+            matches!(err, PemError::Net(NetError::Empty { .. })),
+            "{label}: got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn full_window_runs_on_a_caller_built_fabric() {
+    // Beyond Protocol 2: a whole PEM window (Protocols 2+3+4) polled on a
+    // caller-built fabric must reproduce `run_window` exactly — no public
+    // protocol entry point owns its transport.
     let data = population();
-    let mut on_sim = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-    let a = on_sim.run_window(&data).expect("sim window");
-    let mut on_mesh = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-    let mut mesh = MeshTransport::new(4);
-    let b = on_mesh
-        .run_window_on(&mut mesh, &data)
-        .expect("mesh window");
+    let mut own = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
+    let a = own.run_window(&data).expect("default window");
+    let mut caller = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
+    let mut net = SimNetwork::new(4);
+    let b = caller
+        .run_window_on(&mut net, &data)
+        .expect("caller-built window");
     assert_eq!(a.kind, b.kind);
     assert_eq!(a.price.to_bits(), b.price.to_bits());
     assert_eq!(a.trades, b.trades);
     assert_eq!(a.revealed, b.revealed);
-    assert_eq!(a.net, b.net, "identical traffic on both transports");
+    assert_eq!(a.net, b.net, "identical traffic");
 
     // A mismatched fabric is rejected with a typed error.
-    let mut small = MeshTransport::new(3);
+    let mut small = SimNetwork::new(3);
     let mut pem = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
     assert!(matches!(
         pem.run_window_on(&mut small, &data),
@@ -541,18 +474,24 @@ fn full_window_runs_on_the_mesh() {
 
 #[test]
 fn whole_window_faults_end_the_same_on_both_fabrics() {
-    // One dropped message per phase: the caller-provided mesh and the
-    // default fabric poll the same window body, so they must end in the
-    // same error class.
+    // One dropped message per phase: a caller-built faulted fabric and
+    // the one `run_window_with_faults` builds poll the same window body,
+    // so they must end in the same error class.
     let data = population();
     for label in ["eval/demand-agg", "price/agg", "dist/total-agg"] {
         let plan = FaultPlan::new().inject(label, 0, FaultKind::Drop);
-        let mut on_mesh = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let mut mesh = MeshTransport::new(4).with_faults(plan.clone());
-        let mesh_result = on_mesh.run_window_on(&mut mesh, &data);
-        let mut on_sim = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let sim_result = on_sim.run_window_with_faults(&data, plan);
-        assert!(sim_result.is_err(), "{label}: a dropped message aborts");
-        assert_same_ending(&sim_result, &mesh_result);
+        let mut caller = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
+        let mut net = SimNetwork::new(4).with_faults(plan.clone());
+        let caller_result = caller.run_window_on(&mut net, &data);
+        let mut own = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
+        let own_result = own.run_window_with_faults(&data, plan);
+        match (&own_result, &caller_result) {
+            (Err(a), Err(b)) => assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "{label}: same error class expected: {a:?} vs {b:?}"
+            ),
+            (a, b) => panic!("{label}: a dropped message aborts both: {a:?} vs {b:?}"),
+        }
     }
 }

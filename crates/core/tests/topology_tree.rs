@@ -233,7 +233,7 @@ fn tree_critical_path_is_logarithmic() {
             &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, &mut None, &mut rng,
         )
         .expect("pricing");
-        net.critical_path_us()
+        net.now_us()
     };
     let ring = run(Topology::Ring);
     let tree = run(Topology::tree());

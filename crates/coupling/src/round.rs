@@ -696,12 +696,11 @@ mod tests {
     }
 
     #[test]
-    fn hostile_up_frames_are_typed_errors_on_both_fabrics() {
+    fn hostile_up_frames_are_typed_errors() {
         use pem_crypto::CryptoError;
-        use pem_net::MeshTransport;
         // A forged frame from shard 1 reaches shard 0 ahead of the
         // honest ones; the round must abort, not fold it in.
-        fn forged<T: Transport>(mut net: T, frame: &[BigUint]) -> CouplingError {
+        fn forged(mut net: SimNetwork, frame: &[BigUint]) -> CouplingError {
             let mut w = WireWriter::new();
             frame.iter().for_each(|c| w.put_biguint(c));
             net.send(PartyId(1), PartyId(0), LABEL_UP, w.finish())
@@ -719,17 +718,13 @@ mod tests {
         let out_of_range = vec![BigUint::one() << 600; 4];
         let truncated = vec![BigUint::from(7u64)];
         for (frame, crypto) in [(zeroed, true), (out_of_range, true), (truncated, false)] {
-            for e in [
-                forged(SimNetwork::new(4), &frame),
-                forged(MeshTransport::new(4), &frame),
-            ] {
-                let typed = match e {
-                    CouplingError::Crypto(CryptoError::InvalidCiphertext) => crypto,
-                    CouplingError::Net(_) => !crypto,
-                    _ => false,
-                };
-                assert!(typed, "{e}");
-            }
+            let e = forged(SimNetwork::new(4), &frame);
+            let typed = match e {
+                CouplingError::Crypto(CryptoError::InvalidCiphertext) => crypto,
+                CouplingError::Net(_) => !crypto,
+                _ => false,
+            };
+            assert!(typed, "{e}");
         }
     }
 

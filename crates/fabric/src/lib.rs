@@ -1,23 +1,24 @@
 //! Event-driven execution substrate for the PEM protocols.
 //!
-//! The paper's per-agent-container deployment maps naturally onto one OS
-//! thread per party with blocking `recv` — fine for one coalition, fatal
-//! for ten thousand concurrent windows. This crate provides the pieces
-//! that let a *single* thread multiplex arbitrarily many protocol
-//! instances:
+//! The paper deploys one container per agent, each blocked in its own
+//! `recv` — fine for one coalition, fatal for ten thousand concurrent
+//! windows. This crate provides the pieces that let a *single* thread
+//! multiplex arbitrarily many protocol instances:
 //!
 //! * [`ProtocolStateMachine`] — the message-in → transition →
 //!   messages-out shape: a protocol holds explicit state instead of a
 //!   blocked stack, so thousands of instances cost thousands of structs,
 //!   not thousands of threads. [`drive`] polls any machine to completion
-//!   on a blocking [`Transport`](pem_net::Transport), which is how the
-//!   classic drivers in `pem-core` stay bit-identical thin adapters.
-//! * [`EventTransport`] — the name this crate gives `pem-net`'s
-//!   [`SimNetwork`](pem_net::SimNetwork), the deterministic queue fabric,
-//!   where it is used as an inspectable event queue: `recv` never
-//!   blocks, [`has_message`](pem_net::SimNetwork::has_message) probes
-//!   readiness and [`pop_earliest`](pem_net::SimNetwork::pop_earliest)
-//!   delivers in global arrival order. One type, one send pipeline.
+//!   on any [`Transport`](pem_net::Transport), which is how the classic
+//!   drivers in `pem-core` stay bit-identical thin adapters.
+//! * [`EventTransport`] — the name this crate gives `pem-net`'s one
+//!   fabric, [`SimNetwork`](pem_net::SimNetwork), where it is used as an
+//!   inspectable event queue: `recv` never blocks,
+//!   [`has_message`](pem_net::SimNetwork::has_message) probes readiness
+//!   and [`pop_earliest`](pem_net::SimNetwork::pop_earliest) delivers in
+//!   global arrival order. A task whose message never arrives is not
+//!   waited on with a deadline: it stays unready, and the executor's
+//!   stall breaker force-polls it into its typed error.
 //! * [`Executor`] — a deterministic single-thread scheduler over
 //!   [`FabricTask`]s: seeded, poll-order-stable, bit-identical output at
 //!   any admission batch size. Ready-queue depth, poll and stall
@@ -28,7 +29,7 @@
 //!
 //! ```
 //! use pem_fabric::{EventTransport, Executor, FabricTask, Poll};
-//! use pem_net::PartyId;
+//! use pem_net::{PartyId, Transport};
 //!
 //! // A trivial task: relay one message, then finish.
 //! struct Relay(EventTransport);

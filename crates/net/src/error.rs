@@ -4,8 +4,11 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors from sending, receiving or decoding messages.
+///
+/// Exhaustive on purpose: `pem-core` classifies every variant as
+/// retryable or fatal with a wildcard-free match, so a new variant must
+/// be classified where it is added.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum NetError {
     /// Addressed party does not exist.
     UnknownParty {
@@ -40,20 +43,18 @@ pub enum NetError {
         /// What was being decoded.
         what: &'static str,
     },
-    /// A deadline-aware receive gave up: the expected message had not
-    /// arrived by the deadline (transport clock for the deterministic
-    /// fabrics, wall clock for threaded mesh endpoints).
+    /// A poll-driven window gave up waiting: its poll budget ran out
+    /// while the expected message had still not arrived (e.g. stalled in
+    /// flight). Transports never produce it themselves — an absent
+    /// message is [`NetError::Empty`].
     Timeout {
         /// The receiving party.
         party: usize,
         /// Label the caller expected.
         expected: &'static str,
-        /// The deadline that expired, in microseconds on the clock the
-        /// transport uses for deadlines.
+        /// The fabric's virtual clock (µs) when the budget ran out.
         deadline_us: u64,
     },
-    /// The threaded runtime channel closed unexpectedly.
-    Disconnected,
     /// [`crate::NetStats::merge`] over two fabrics of different sizes.
     PartyCountMismatch {
         /// Parties in the stats block being merged into.
@@ -92,7 +93,6 @@ impl fmt::Display for NetError {
                     "party {party} timed out waiting for {expected:?} (deadline {deadline_us}us)"
                 )
             }
-            NetError::Disconnected => write!(f, "runtime channel disconnected"),
             NetError::PartyCountMismatch { have, got } => {
                 write!(f, "cannot merge stats of {got} parties into {have}")
             }

@@ -1,18 +1,17 @@
 //! Fault injection for protocol robustness testing.
 //!
-//! A [`FaultPlan`] attached to a transport — the deterministic
-//! [`SimNetwork`](crate::SimNetwork) or the channel-backed
-//! [`MeshTransport`](crate::MeshTransport) — drops, duplicates,
-//! corrupts, delays or stalls selected messages as they are sent
-//! ([`FaultPlan::process`] is the hook the shared send pipeline calls).
-//! The PEM protocols must turn every such fault into a *typed error* —
-//! never into a wrong trade — which `pem-core`'s failure-injection tests
-//! assert against both transports.
+//! A [`FaultPlan`] attached to a [`SimNetwork`](crate::SimNetwork)
+//! drops, duplicates, corrupts, truncates or stalls selected messages as
+//! they are sent ([`FaultPlan::process`] is the hook the send pipeline
+//! calls, after the message has been accounted and journalled). The PEM
+//! protocols must turn every such fault into a *typed error* — never
+//! into a wrong trade — which `pem-core`'s failure-injection tests
+//! assert.
 //!
 //! Every applied fault is counted on the `fault/*` telemetry counters
 //! (`fault/drops`, `fault/duplicates`, `fault/corruptions`,
-//! `fault/truncations`, `fault/delays`, `fault/stalls`) so chaos runs
-//! leave an auditable trail.
+//! `fault/truncations`, `fault/stalls`) so chaos runs leave an auditable
+//! trail.
 
 use std::collections::BTreeMap;
 
@@ -26,8 +25,6 @@ static DUPLICATES: Counter = Counter::new();
 static CORRUPTIONS: Counter = Counter::new();
 /// Messages truncated to half length.
 static TRUNCATIONS: Counter = Counter::new();
-/// Messages delivered late (arrival time pushed back).
-static DELAYS: Counter = Counter::new();
 /// Messages withheld forever (a hung sender, not a lossy link).
 static STALLS: Counter = Counter::new();
 
@@ -38,7 +35,6 @@ fn register_fault_metrics() {
         pem_telemetry::register_counter("fault/duplicates", &DUPLICATES);
         pem_telemetry::register_counter("fault/corruptions", &CORRUPTIONS);
         pem_telemetry::register_counter("fault/truncations", &TRUNCATIONS);
-        pem_telemetry::register_counter("fault/delays", &DELAYS);
         pem_telemetry::register_counter("fault/stalls", &STALLS);
     });
 }
@@ -54,36 +50,26 @@ pub enum FaultKind {
     Corrupt,
     /// Truncate the payload to half its length.
     Truncate,
-    /// Deliver the message, but this many microseconds later than the
-    /// latency model says: the arrival time (and therefore the ingress
-    /// serialization point and the critical path) is pushed back.
-    Delay {
-        /// Extra in-flight time, in virtual microseconds.
-        us: u64,
-    },
     /// The message never arrives — a hung sender rather than a lossy
     /// link. At the transport level this withholds delivery like
     /// [`FaultKind::Drop`], but it is counted separately
-    /// (`fault/stalls`) and is what deadline-aware receives
-    /// ([`crate::Transport::recv_deadline`]) and poll budgets surface
-    /// as [`crate::NetError::Timeout`].
+    /// (`fault/stalls`). The recipient's receive finds an empty mailbox
+    /// ([`crate::NetError::Empty`]); a poll-driven window that keeps
+    /// waiting on it runs out of poll budget
+    /// ([`crate::NetError::Timeout`]).
     Stall,
 }
 
 /// Outcome of consulting a [`FaultPlan`] for one outgoing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery {
-    /// Deliver the (possibly mangled) payload. `duplicate` asks for a
-    /// second identical copy; `delay_us` is added onto the modeled
-    /// arrival time *after* the message has been journaled, so delayed
-    /// and on-time runs leave the same wire log.
+    /// Deliver the (possibly mangled) payload at its modelled arrival
+    /// time; `duplicate` asks for a second identical copy.
     Deliver {
         /// Payload to deliver (post-fault).
         payload: Vec<u8>,
         /// Whether an identical duplicate copy must also be delivered.
         duplicate: bool,
-        /// Extra microseconds to add to the modeled arrival time.
-        delay_us: u64,
     },
     /// The message is withheld: lost in flight ([`FaultKind::Drop`]) or
     /// stalled forever ([`FaultKind::Stall`]).
@@ -114,17 +100,16 @@ impl FaultPlan {
 
     /// Consults and applies the plan to one outgoing message — the whole
     /// fault pipeline as a single call, usable by *any*
-    /// [`Transport`](crate::Transport) implementation (the built-in
-    /// fabrics reach it through their shared send pipeline). Returns
-    /// [`Delivery::Lost`] when the message is withheld (dropped or
-    /// stalled); otherwise the (possibly mangled) payload plus the
-    /// duplicate flag and any extra arrival delay.
+    /// [`Transport`](crate::Transport) implementation
+    /// ([`SimNetwork`](crate::SimNetwork) reaches it through its send
+    /// pipeline). Returns [`Delivery::Lost`] when the message is withheld
+    /// (dropped or stalled); otherwise the (possibly mangled) payload
+    /// plus the duplicate flag.
     pub fn process(&mut self, label: &'static str, payload: Vec<u8>) -> Delivery {
         match self.action(label) {
             None => Delivery::Deliver {
                 payload,
                 duplicate: false,
-                delay_us: 0,
             },
             Some(kind) => FaultPlan::apply(kind, payload),
         }
@@ -156,7 +141,6 @@ impl FaultPlan {
                 Delivery::Deliver {
                     payload,
                     duplicate: true,
-                    delay_us: 0,
                 }
             }
             FaultKind::Corrupt => {
@@ -168,7 +152,6 @@ impl FaultPlan {
                 Delivery::Deliver {
                     payload,
                     duplicate: false,
-                    delay_us: 0,
                 }
             }
             FaultKind::Truncate => {
@@ -177,15 +160,6 @@ impl FaultPlan {
                 Delivery::Deliver {
                     payload,
                     duplicate: false,
-                    delay_us: 0,
-                }
-            }
-            FaultKind::Delay { us } => {
-                DELAYS.incr();
-                Delivery::Deliver {
-                    payload,
-                    duplicate: false,
-                    delay_us: us,
                 }
             }
             FaultKind::Stall => {
@@ -266,20 +240,5 @@ mod tests {
         net.send(PartyId(0), PartyId(1), "m", vec![4])
             .expect("send");
         assert_eq!(net.recv(PartyId(1)).expect("delivered").payload, vec![4]);
-    }
-
-    #[test]
-    fn delay_pushes_back_arrival_and_critical_path() {
-        let mut net = SimNetwork::new(2).with_faults(FaultPlan::new().inject(
-            "m",
-            0,
-            FaultKind::Delay { us: 5_000 },
-        ));
-        net.send(PartyId(0), PartyId(1), "m", vec![1])
-            .expect("send");
-        let env = net.recv(PartyId(1)).expect("delivered late, but delivered");
-        assert_eq!(env.payload, vec![1]);
-        assert_eq!(env.arrival_us, 5_000, "zero-latency model plus the delay");
-        assert_eq!(net.now_us(), 5_000, "critical path includes the delay");
     }
 }

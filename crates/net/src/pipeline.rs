@@ -1,12 +1,11 @@
-//! The one send pipeline every fabric shares.
+//! The send pipeline under [`SimNetwork`](crate::SimNetwork).
 //!
 //! [`Pipeline`] owns everything a delivery touches before it is queued:
 //! byte accounting, the (per-link) latency model, per-party virtual
 //! clocks, ingress serialization, the critical-path watermark, the
-//! telemetry journal and the fault plan. [`SimNetwork`](crate::SimNetwork)
-//! and [`MeshTransport`](crate::MeshTransport) differ only in *where*
-//! an admitted envelope waits (a mailbox or a channel), never in what it
-//! cost or when it arrives.
+//! telemetry journal and the fault plan. The fabric itself only decides
+//! *where* an admitted envelope waits (a per-party mailbox), never what
+//! it cost or when it arrives.
 
 use std::collections::BTreeMap;
 
@@ -22,9 +21,6 @@ pub(crate) struct Pipeline {
     default_latency: LatencyModel,
     /// `(from, to)` → model overriding the default on that link.
     pub(crate) link_latency: BTreeMap<(usize, usize), LatencyModel>,
-    /// Total latency charged across all messages (µs) — the volume
-    /// figure, as opposed to the critical path.
-    pub(crate) clock_sum_us: u64,
     /// Per-party local clocks (advanced by consuming messages).
     local_time_us: Vec<u64>,
     /// Per-party ingress-link free time: bytes addressed to one party
@@ -43,7 +39,6 @@ impl Pipeline {
             stats: NetStats::new(parties),
             default_latency,
             link_latency: BTreeMap::new(),
-            clock_sum_us: 0,
             local_time_us: vec![0; parties],
             ingress_free_us: vec![0; parties],
             critical_us: 0,
@@ -95,7 +90,6 @@ impl Pipeline {
             .link_latency
             .get(&(from.0, to.0))
             .unwrap_or(&self.default_latency);
-        self.clock_sum_us += model.charge_us(len);
         // Virtual clock: propagation (base) overlaps across messages,
         // but the bytes serialize on the recipient's ingress link — a
         // k-message fan-in costs base + k·transmit, so topology fan-in
@@ -116,22 +110,9 @@ impl Pipeline {
             depart_us,
             arrival_us,
         );
-        let Delivery::Deliver {
-            payload,
-            duplicate,
-            delay_us,
-        } = self.faults.process(label, payload)
-        else {
+        let Delivery::Deliver { payload, duplicate } = self.faults.process(label, payload) else {
             return Ok(None); // dropped or stalled in flight
         };
-        // An injected delay pushes the arrival back *after* journaling:
-        // the wire log records the modeled send, the clocks record the
-        // fault's effect.
-        let arrival_us = arrival_us + delay_us;
-        if delay_us > 0 {
-            self.ingress_free_us[to.0] = arrival_us;
-            self.critical_us = self.critical_us.max(arrival_us);
-        }
         Ok(Some((
             Envelope {
                 from,

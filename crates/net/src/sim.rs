@@ -1,5 +1,6 @@
-//! The deterministic single-threaded network fabric: mailboxes that can
-//! be drained per recipient or as one arrival-ordered event queue.
+//! The deterministic single-threaded network fabric — the one
+//! [`Transport`] implementation: mailboxes that can be drained per
+//! recipient or as one arrival-ordered event queue.
 
 use std::collections::VecDeque;
 
@@ -8,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::NetError;
 use crate::pipeline::Pipeline;
 use crate::stats::NetStats;
+use crate::transport::Transport;
 
 /// Index of a party on the fabric (an agent, in PEM terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -89,23 +91,24 @@ impl LatencyModel {
 
     /// Virtual-clock arrival time of a `len`-byte message that departs
     /// at `sender_local_us` toward a recipient whose ingress link is
-    /// busy until `ingress_free_us` — the single clock formula both
-    /// built-in transports share (propagation overlaps, ingress bytes
-    /// serialize).
+    /// busy until `ingress_free_us` — the fabric's one clock formula
+    /// (propagation overlaps, ingress bytes serialize).
     pub fn arrival_us(&self, sender_local_us: u64, ingress_free_us: u64, len: usize) -> u64 {
         (sender_local_us + self.base_us).max(ingress_free_us) + self.transmit_us(len)
     }
 }
 
 /// Deterministic in-memory network: per-party FIFO mailboxes behind an
-/// arrival-ordered event view, over the shared send pipeline (byte
-/// accounting, virtual clock, per-link latency, fault injection).
+/// arrival-ordered event view, over the send pipeline (byte accounting,
+/// virtual clock, per-link latency, fault injection).
 ///
 /// Nothing ever blocks: queued messages can be probed
 /// ([`has_message`](SimNetwork::has_message)), popped per recipient with
-/// the FIFO `recv`/`recv_expect`, or delivered in global arrival order
-/// with [`pop_earliest`](SimNetwork::pop_earliest) — the event-loop
-/// shape a poll-driven executor needs.
+/// the FIFO [`Transport::recv`]/[`Transport::recv_expect`], or delivered
+/// in global arrival order with [`pop_earliest`](SimNetwork::pop_earliest)
+/// — the event-loop shape a poll-driven executor needs. Everything else
+/// is the [`Transport`] surface; the inherent methods are only what the
+/// trait lacks.
 #[derive(Debug)]
 pub struct SimNetwork {
     /// Per-party mailboxes; each entry carries a global send sequence
@@ -145,153 +148,10 @@ impl SimNetwork {
         self.pipe.link_latency.insert((from.0, to.0), model);
     }
 
-    /// Number of parties.
-    pub fn parties(&self) -> usize {
-        self.mailboxes.len()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.pipe.stats
-    }
-
-    /// Simulated network time spent so far (µs), *summed over every
-    /// message* — the total-volume figure. For the parallelism-aware
-    /// clock see [`critical_path_us`](SimNetwork::critical_path_us).
-    pub fn simulated_latency_us(&self) -> u64 {
-        self.pipe.clock_sum_us
-    }
-
-    /// Critical-path latency (µs): the virtual-clock instant by which
-    /// every message scheduled so far has arrived, with independent
-    /// links charged in parallel (this is what
-    /// [`Transport::now_us`](crate::Transport::now_us) reports).
-    pub fn critical_path_us(&self) -> u64 {
-        self.pipe.critical_us
-    }
-
-    /// Process-unique fabric id (see
-    /// [`Transport::fabric_id`](crate::Transport::fabric_id)).
-    pub fn fabric_id(&self) -> u64 {
-        self.pipe.fabric
-    }
-
     /// Whether any message is queued for `to` — the readiness probe a
     /// poll-driven task uses before committing to a receive.
     pub fn has_message(&self, to: PartyId) -> bool {
         self.mailboxes.get(to.0).is_some_and(|m| !m.is_empty())
-    }
-
-    fn enqueue(&mut self, env: Envelope) {
-        self.seq += 1;
-        self.mailboxes[env.to.0].push_back((self.seq, env));
-    }
-
-    /// Sends `payload` from `from` to `to` under a phase label.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownParty`] / [`NetError::SelfSend`].
-    pub fn send(
-        &mut self,
-        from: PartyId,
-        to: PartyId,
-        label: &'static str,
-        payload: Vec<u8>,
-    ) -> Result<(), NetError> {
-        if let Some((env, duplicate)) = self.pipe.admit(from, to, label, payload)? {
-            if duplicate {
-                self.enqueue(env.clone());
-            }
-            self.enqueue(env);
-        }
-        Ok(())
-    }
-
-    /// Broadcasts to every other party (bytes are charged per recipient —
-    /// the fabric models point-to-point links, as Docker bridge networks
-    /// do).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownParty`] if `from` is invalid.
-    pub fn broadcast(
-        &mut self,
-        from: PartyId,
-        label: &'static str,
-        payload: &[u8],
-    ) -> Result<(), NetError> {
-        self.pipe.check(from)?;
-        for to in 0..self.mailboxes.len() {
-            if to != from.0 {
-                self.send(from, PartyId(to), label, payload.to_vec())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Pops the next message for `to`, if any. Receiving fast-forwards
-    /// `to`'s local clock to the message's arrival time.
-    pub fn recv(&mut self, to: PartyId) -> Option<Envelope> {
-        let (_, env) = self.mailboxes.get_mut(to.0)?.pop_front()?;
-        self.pipe.observe(&env);
-        Some(env)
-    }
-
-    /// Pops the next message for `to`, requiring the given label.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Empty`] or [`NetError::UnexpectedLabel`]; the message
-    /// is *not* consumed (and the clock not advanced) on a label
-    /// mismatch.
-    pub fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
-        self.pipe.check(to)?;
-        let (_, head) = self.mailboxes[to.0].front().ok_or(NetError::Empty {
-            party: to.0,
-            expected: label,
-        })?;
-        if head.label != label {
-            return Err(NetError::UnexpectedLabel {
-                expected: label,
-                got: head.label.to_string(),
-            });
-        }
-        Ok(self.recv(to).expect("head exists"))
-    }
-
-    /// Deadline-aware receive on the fabric's virtual clock: a message
-    /// whose arrival time is past `deadline_us` — or that never arrived
-    /// at all — surfaces as [`NetError::Timeout`]. A late message stays
-    /// queued, so a caller that extends its deadline can still consume
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] (empty mailbox or arrival past the
-    /// deadline) or [`NetError::UnexpectedLabel`].
-    pub fn recv_deadline(
-        &mut self,
-        to: PartyId,
-        label: &'static str,
-        deadline_us: u64,
-    ) -> Result<Envelope, NetError> {
-        self.pipe.check(to)?;
-        match self.mailboxes[to.0].front() {
-            None => Err(NetError::Timeout {
-                party: to.0,
-                expected: label,
-                deadline_us,
-            }),
-            Some((_, head)) if head.label == label && head.arrival_us > deadline_us => {
-                Err(NetError::Timeout {
-                    party: to.0,
-                    expected: label,
-                    deadline_us,
-                })
-            }
-            Some(_) => self.recv_expect(to, label),
-        }
     }
 
     /// Pops the queued message with the earliest arrival time across
@@ -309,17 +169,15 @@ impl SimNetwork {
         self.recv(PartyId(party))
     }
 
-    /// Number of undelivered messages across all mailboxes.
-    pub fn pending(&self) -> usize {
-        self.mailboxes.iter().map(|m| m.len()).sum()
+    fn enqueue(&mut self, env: Envelope) {
+        self.seq += 1;
+        self.mailboxes[env.to.0].push_back((self.seq, env));
     }
 }
 
-/// The reference [`Transport`](crate::Transport) implementation: every
-/// trait method delegates to the inherent one of the same shape.
-impl crate::Transport for SimNetwork {
+impl Transport for SimNetwork {
     fn party_count(&self) -> usize {
-        self.parties()
+        self.mailboxes.len()
     }
 
     fn send(
@@ -329,33 +187,38 @@ impl crate::Transport for SimNetwork {
         label: &'static str,
         payload: Vec<u8>,
     ) -> Result<(), NetError> {
-        SimNetwork::send(self, from, to, label, payload)
+        if let Some((env, duplicate)) = self.pipe.admit(from, to, label, payload)? {
+            if duplicate {
+                self.enqueue(env.clone());
+            }
+            self.enqueue(env);
+        }
+        Ok(())
     }
 
+    /// Pops the next message for `to`, if any. Receiving fast-forwards
+    /// `to`'s local clock to the message's arrival time.
     fn recv(&mut self, to: PartyId) -> Option<Envelope> {
-        SimNetwork::recv(self, to)
+        let (_, env) = self.mailboxes.get_mut(to.0)?.pop_front()?;
+        self.pipe.observe(&env);
+        Some(env)
     }
 
+    /// The message is *not* consumed (and the clock not advanced) on a
+    /// label mismatch.
     fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
-        SimNetwork::recv_expect(self, to, label)
-    }
-
-    fn recv_deadline(
-        &mut self,
-        to: PartyId,
-        label: &'static str,
-        deadline_us: u64,
-    ) -> Result<Envelope, NetError> {
-        SimNetwork::recv_deadline(self, to, label, deadline_us)
-    }
-
-    fn broadcast(
-        &mut self,
-        from: PartyId,
-        label: &'static str,
-        payload: &[u8],
-    ) -> Result<(), NetError> {
-        SimNetwork::broadcast(self, from, label, payload)
+        self.pipe.check(to)?;
+        let (_, head) = self.mailboxes[to.0].front().ok_or(NetError::Empty {
+            party: to.0,
+            expected: label,
+        })?;
+        if head.label != label {
+            return Err(NetError::UnexpectedLabel {
+                expected: label,
+                got: head.label.to_string(),
+            });
+        }
+        Ok(self.recv(to).expect("head exists"))
     }
 
     fn stats(&self) -> NetStats {
@@ -375,7 +238,7 @@ impl crate::Transport for SimNetwork {
     }
 
     fn pending(&self) -> usize {
-        SimNetwork::pending(self)
+        self.mailboxes.iter().map(|m| m.len()).sum()
     }
 }
 
@@ -444,17 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_clock_accumulates() {
-        let mut net = SimNetwork::with_latency(2, LatencyModel::lan());
-        net.send(PartyId(0), PartyId(1), "x", vec![0u8; 2048])
-            .expect("send");
-        // 100 base + 8 * ceil(2048/1024) = 116.
-        assert_eq!(net.simulated_latency_us(), 116);
-        net.send(PartyId(1), PartyId(0), "y", vec![]).expect("send");
-        assert_eq!(net.simulated_latency_us(), 216);
-    }
-
-    #[test]
     fn label_accounting() {
         let mut net = SimNetwork::new(3);
         net.send(PartyId(0), PartyId(1), "pricing", vec![0; 64])
@@ -511,7 +363,7 @@ mod tests {
         net.send(PartyId(0), PartyId(2), "x", vec![0; 100]).unwrap();
         let wan_arrival = net.recv(PartyId(2)).expect("delivered").arrival_us;
         assert_eq!(wan_arrival, LatencyModel::wan().charge_us(100));
-        assert_eq!(net.critical_path_us(), wan_arrival);
+        assert_eq!(net.now_us(), wan_arrival);
     }
 
     #[test]

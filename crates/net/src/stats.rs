@@ -55,8 +55,8 @@ impl NetStats {
     }
 
     /// Merges another stats block into this one (used when a phase runs on
-    /// a separate fabric, e.g. the threaded runtime, or when folding
-    /// per-window stats into a day-level block).
+    /// a separate fabric instance, or when folding per-window stats into
+    /// a day-level block).
     ///
     /// # Errors
     ///

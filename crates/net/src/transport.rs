@@ -6,21 +6,19 @@
 //! byte/message accounting and a *virtual clock* that tracks the
 //! critical-path latency of the message pattern actually executed.
 //!
-//! Two implementations ship with the crate, both thin queues over one
-//! shared send pipeline (accounting, per-link latency, virtual clocks,
-//! fault hooks):
+//! The crate ships one implementation,
+//! [`SimNetwork`](crate::SimNetwork): deterministic in-memory per-party
+//! FIFO mailboxes over the send pipeline (accounting, per-link latency,
+//! virtual clocks, fault hooks) that a poll-driven executor can also
+//! probe and drain in global arrival order (`pem-fabric` re-exports it
+//! as `EventTransport`). Drivers are written against `T: Transport`, so
+//! a fabric that wraps it (a tampering test double) or replaces it (a
+//! socket-backed grid) needs no protocol change.
 //!
-//! * [`SimNetwork`](crate::SimNetwork) — the deterministic in-memory
-//!   reference fabric: per-party FIFO mailboxes that a poll-driven
-//!   executor can also probe and drain in global arrival order
-//!   (`pem-fabric` re-exports it as `EventTransport`),
-//! * [`MeshTransport`](crate::MeshTransport) — crossbeam-channel links,
-//!   usable both sequentially (through this trait) and split into
-//!   per-party endpoints for one-thread-per-agent deployments.
-//!
-//! Drivers written against `T: Transport` run unchanged on either — and
-//! on any future fabric (an async runtime, a real socket mesh) that
-//! implements the trait.
+//! There is one receive path: a receive never blocks and never waits
+//! on a deadline. A message that has not arrived is
+//! [`NetError::Empty`]; poll-driven callers turn a receive that stays
+//! unready into [`NetError::Timeout`] with a poll budget.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -82,39 +80,8 @@ pub trait Transport {
     /// [`NetError::Empty`] or [`NetError::UnexpectedLabel`].
     fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError>;
 
-    /// Deadline-aware receive: like
-    /// [`recv_expect`](Transport::recv_expect), but a message that has
-    /// not arrived by `deadline_us` surfaces as [`NetError::Timeout`].
-    /// The deterministic fabrics measure the deadline on their virtual
-    /// critical-path clock and leave a late message queued (extending
-    /// the deadline can still consume it); threaded mesh endpoints
-    /// measure wall time instead.
-    ///
-    /// The default maps an empty mailbox to a timeout and otherwise
-    /// behaves exactly like `recv_expect` — correct for fabrics whose
-    /// queued messages are always deliverable "now".
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] or [`NetError::UnexpectedLabel`].
-    fn recv_deadline(
-        &mut self,
-        to: PartyId,
-        label: &'static str,
-        deadline_us: u64,
-    ) -> Result<Envelope, NetError> {
-        match self.recv_expect(to, label) {
-            Err(NetError::Empty { party, expected }) => Err(NetError::Timeout {
-                party,
-                expected,
-                deadline_us,
-            }),
-            other => other,
-        }
-    }
-
     /// Broadcasts to every other party. Bytes are charged per recipient
-    /// (the fabrics model point-to-point links), but the virtual clock
+    /// (the fabric models point-to-point links), but the virtual clock
     /// charges the links in parallel: all copies depart at the sender's
     /// local time.
     ///
@@ -187,11 +154,6 @@ mod tests {
     #[test]
     fn sim_network_is_a_transport() {
         generic_roundtrip(&mut SimNetwork::new(3));
-    }
-
-    #[test]
-    fn mesh_transport_is_a_transport() {
-        generic_roundtrip(&mut crate::MeshTransport::new(3));
     }
 
     #[test]

@@ -647,11 +647,13 @@ impl GridOrchestrator {
                 for (pos, out) in task_pos.into_iter().zip(outs) {
                     attempt0[pos] = Some(out);
                 }
-                jobs.into_iter()
+                let settled = jobs
+                    .into_iter()
                     .zip(checkpoints)
                     .zip(attempt0)
                     .map(|(((idx, probe, mut shard, data), cp), first)| {
-                        let first = first.expect("every shard's attempt 0 resolved");
+                        let first =
+                            first.ok_or(SchedError::State("every shard's attempt 0 resolved"))?;
                         let run = settle_attempt(
                             &mut shard.pem,
                             &data,
@@ -663,9 +665,10 @@ impl GridOrchestrator {
                             retry,
                             probe,
                         );
-                        (shard, run)
+                        Ok((shard, run))
                     })
-                    .unzip()
+                    .collect::<Result<Vec<_>, SchedError>>()?;
+                settled.into_iter().unzip()
             }
         };
 

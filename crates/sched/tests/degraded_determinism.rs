@@ -167,6 +167,44 @@ fn engines_agree_on_degraded_outcomes() {
 }
 
 #[test]
+fn malformed_frames_quarantine_on_the_first_attempt() {
+    // Both faults are transient, so any retry would run clean. A dropped
+    // message retries and recovers; a truncated ciphertext is a decode
+    // failure — fatal — so its coalition is quarantined without one.
+    let specs = vec![
+        chaos()[1],
+        ChaosSpec {
+            shard: 2,
+            label: "eval/supply-agg",
+            nth: 0,
+            kind: FaultKind::Truncate,
+            persistent: false,
+            window: None,
+        },
+    ];
+    let data = day(1);
+    for engine in [Engine::Threads, Engine::Fabric { batch: 8 }] {
+        let (reports, q) = run_chaos_day(engine, 2, specs.clone(), &data);
+        let statuses = &reports[0].statuses;
+        assert_eq!(
+            statuses[1],
+            CoalitionStatus::Recovered { attempts: 1 },
+            "{engine:?}: transient drop recovers in one retry"
+        );
+        assert!(
+            matches!(&statuses[2], CoalitionStatus::Quarantined { error } if error.contains("decode")),
+            "{engine:?}: a truncated frame is fatal: {:?}",
+            statuses[2]
+        );
+        assert_eq!(
+            q,
+            vec![2],
+            "{engine:?}: only the malformed coalition is out"
+        );
+    }
+}
+
+#[test]
 fn healthy_coalitions_match_the_fault_free_run() {
     let data = day(1);
     let mut clean_grid = GridOrchestrator::new(grid_config(Engine::Threads, 4)).expect("grid");

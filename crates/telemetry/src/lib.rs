@@ -204,8 +204,9 @@ pub fn events_since(watermark: usize) -> Vec<Event> {
 }
 
 /// Records one message delivery on the virtual clock. Called by
-/// `pem-net` transports on every send; a no-op (one relaxed atomic
-/// load) when no collector is installed.
+/// `pem-net`'s send pipeline on every send (before fault processing, so
+/// a dropped or stalled message is still recorded); a no-op (one relaxed
+/// atomic load) when no collector is installed.
 #[inline]
 pub fn record_msg(
     fabric: u64,

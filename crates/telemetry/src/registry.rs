@@ -117,8 +117,8 @@ pub fn histogram_snapshot() -> Vec<(&'static str, HistogramSnapshot)> {
 }
 
 /// Mirrors one delivered message into the per-label traffic table — a
-/// no-op while the collector is off. Called by the network fabrics'
-/// shared stats recorder, so every transport feeds the same table.
+/// no-op while the collector is off. Called by `pem-net`'s stats
+/// recorder on every send, so every fabric instance feeds the same table.
 pub fn record_traffic(label: &str, bytes: u64) {
     if !enabled() {
         return;

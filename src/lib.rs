@@ -12,11 +12,11 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`bignum`] | `pem-bignum` | arbitrary-precision integers (Montgomery modpow, Miller–Rabin, …) |
-//! | [`crypto`] | `pem-crypto` | Paillier, SHA-256, oblivious transfer, commitments, DRBG |
+//! | [`crypto`] | `pem-crypto` | Paillier, SHA-256, oblivious transfer, DRBG |
 //! | [`circuit`] | `pem-circuit` | boolean circuits, Yao garbling, 2PC secure comparison |
 //! | [`market`] | `pem-market` | the Stackelberg trading model (Eqs. 1–15), allocation, baseline |
 //! | [`data`] | `pem-data` | synthetic smart-home traces (UMass Smart* substitute) |
-//! | [`net`] | `pem-net` | `Transport` trait, two byte-metered fabrics over one send pipeline (`SimNetwork`, `MeshTransport`), wire codec, threaded runtime |
+//! | [`net`] | `pem-net` | `Transport` trait and its one byte-metered fabric (`SimNetwork`: latency models, virtual clock, fault injection), wire codec — per-agent processes would be a socket-backed `Transport` (parked on the ROADMAP) |
 //! | [`core`] | `pem-core` | Protocols 1–4: the Private Energy Market itself, plus the precomputed-randomizer pool (one configuration: per-key DRBG streams over the key's one `h_s^x` lane) |
 //! | [`fabric`] | `pem-fabric` | poll-able protocol state machines, deterministic single-thread executor (`EventTransport` = `SimNetwork`) |
 //! | [`ledger`] | `pem-ledger` | hash-chained settlement ledger (§VI blockchain extension) |
