@@ -16,8 +16,9 @@
 //! `n·(base+transmit)`, star as `base + n·transmit`, tree as
 //! `O(log_f n)` hops of at most `f` transmissions each.
 //!
-//! Output: a JSON array (one element per seller count), mirroring
-//! `sched_scaling`. The committed baseline lives in `BENCH_topology.json`.
+//! Output: a JSON array (one element per seller count). The committed
+//! baseline lives in `BENCH_topology.json`, which `grid_doctor
+//! --topology` gates.
 //!
 //! ```text
 //! cargo run -p pem-bench --release --bin ablation_topology -- \

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! grid_doctor [--crypto BENCH_crypto.json] [--topology BENCH_topology.json]
-//!             [--fabric BENCH_fabric.json] [--grid-day grid_day.json]
-//!             [--chaos chaos_day.json]
+//!             [--grid-day grid_day.json] [--chaos chaos_day.json]
 //!             [--baseline RUN] [--current RUN]
 //!             [--threshold 0.25] [--out verdict.json]
 //! ```
@@ -23,7 +22,7 @@
 use std::process::ExitCode;
 
 use pem_bench::doctor::{
-    chaos_checks, crypto_checks, fabric_checks, grid_day_checks, topology_checks, Check, Verdict,
+    chaos_checks, crypto_checks, grid_day_checks, topology_checks, Check, Verdict,
 };
 use pem_bench::json::Json;
 use pem_bench::Args;
@@ -38,7 +37,6 @@ fn run() -> Result<Verdict, String> {
     let args = Args::from_env();
     let crypto_path = args.get_str("crypto", "BENCH_crypto.json");
     let topology_path = args.get_str("topology", "BENCH_topology.json");
-    let fabric_path = args.get_str("fabric", "BENCH_fabric.json");
     let grid_day_path = args.get_str("grid-day", "");
     let chaos_path = args.get_str("chaos", "");
     let baseline = args.get_str("baseline", "");
@@ -80,16 +78,6 @@ fn run() -> Result<Verdict, String> {
         eprintln!("grid_doctor: skipping topology checks ({topology_path:?} not found)");
     }
 
-    if std::path::Path::new(&fabric_path).exists() {
-        let doc = load(&fabric_path, "fabric scaling run")?;
-        let mut c = fabric_checks(&doc)?;
-        println!("fabric: {} invariants", c.len());
-        checks.append(&mut c);
-        sections += 1;
-    } else {
-        eprintln!("grid_doctor: skipping fabric checks ({fabric_path:?} not found)");
-    }
-
     if !grid_day_path.is_empty() {
         let doc = load(&grid_day_path, "grid_day report")?;
         let mut c = grid_day_checks(&doc)?;
@@ -114,8 +102,7 @@ fn run() -> Result<Verdict, String> {
 
     if sections == 0 {
         return Err(
-            "nothing to check: no input file found (see --crypto / --topology / --fabric / --grid-day)"
-                .into(),
+            "nothing to check: no input file found (see --crypto / --topology / --grid-day)".into(),
         );
     }
 

@@ -3,7 +3,7 @@
 //! *committed* bench trajectories must come back clean at the default
 //! threshold.
 
-use pem_bench::doctor::{crypto_checks, fabric_checks, grid_day_checks, topology_checks, Verdict};
+use pem_bench::doctor::{crypto_checks, grid_day_checks, topology_checks, Verdict};
 use pem_bench::json::Json;
 
 const DEFAULT_THRESHOLD: f64 = 0.25;
@@ -122,27 +122,6 @@ fn committed_topology_ablation_is_clean() {
     assert!(
         verdict.passed(),
         "committed topology ablation regressed: {:?}",
-        verdict.regressions()
-    );
-}
-
-#[test]
-fn committed_fabric_run_is_clean() {
-    let doc = committed("BENCH_fabric.json");
-    let checks = fabric_checks(&doc).expect("committed run well-formed");
-    assert!(
-        checks
-            .iter()
-            .any(|c| c.name == "fabric/stress/completed" && c.current >= 10_000.0),
-        "the committed point of record carries the 10k-window stress"
-    );
-    let verdict = Verdict {
-        checks,
-        threshold: DEFAULT_THRESHOLD,
-    };
-    assert!(
-        verdict.passed(),
-        "committed fabric run regressed: {:?}",
         verdict.regressions()
     );
 }

@@ -191,7 +191,7 @@ impl<'a> PricingMachine<'a> {
             .decrypt(k_ct)
             .to_u128()
             .ok_or(PemError::Protocol("k aggregate exceeded 128 bits"))?;
-        let d_sum_q = sk.decrypt_i128(d_ct);
+        let d_sum_q = sk.decrypt_i128(d_ct)?;
         let k_sum = quantizer.dequantize_u128(k_sum_q);
         let denominator_sum =
             quantizer.dequantize(i64::try_from(d_sum_q).map_err(|_| {
@@ -457,6 +457,41 @@ mod tests {
             ),
             Err(PemError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_denominator_aggregate_is_a_typed_error() {
+        use pem_bignum::BigUint;
+        use pem_crypto::CryptoError;
+        // Seller 1's `d` term is Enc(n/4) under H_b's 256-bit key: a
+        // valid ciphertext whose signed decoding is ±2^254, far outside
+        // i128. It folds into the aggregate H_b decrypts.
+        let (mut net, _, _, sellers, buyers, cfg, mut rng) = setup(paper_agents());
+        let keys = KeyDirectory::generate(net.party_count(), 256, cfg.seed).expect("keys");
+        let hb = buyers[0];
+        let pk = keys.public(hb);
+        let mut enc = |m: &BigUint| pk.encrypt(m, &mut rng);
+        let terms = vec![
+            [enc(&BigUint::from(5u64)), enc(&pk.encode_i128(-3))],
+            [enc(&BigUint::from(7u64)), enc(&(pk.n() >> 2))],
+        ];
+        let fold =
+            FoldMachine::new(pk, &sellers, hb, "price/agg", Topology::Ring, terms).expect("fold");
+        let mut machine = PricingMachine {
+            keys: &keys,
+            cfg: &cfg,
+            n: net.party_count(),
+            hb,
+            state: PricingState::Aggregate(fold),
+            agg_span: None,
+            bc_span: None,
+        };
+        let err = pem_fabric::drive(&mut net, &mut machine)
+            .expect_err("an out-of-range aggregate must abort pricing");
+        assert!(
+            matches!(err, PemError::Crypto(CryptoError::MessageTooLarge { .. })),
+            "{err}"
+        );
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl CouplingCoordinator {
             }
             let mut exporters: Vec<(usize, u64)> = Vec::new();
             let mut importers: Vec<(usize, u64)> = Vec::new();
-            for (&from, res) in claim_from.iter().zip(sk.decrypt_i128_batch(&claim_cts)) {
+            for (&from, res) in claim_from.iter().zip(sk.decrypt_i128_batch(&claim_cts)?) {
                 match res.signum() {
                     1 => exporters.push((from, res as u64)),
                     -1 => importers.push((from, (-res) as u64)),
@@ -726,6 +726,90 @@ mod tests {
             };
             assert!(typed, "{e}");
         }
+    }
+
+    /// A fabric that swaps the payload of the first message sent under
+    /// `label` for a forged one: a peer lying on the wire.
+    struct Forged {
+        inner: SimNetwork,
+        label: &'static str,
+        payload: Option<Vec<u8>>,
+    }
+
+    impl Transport for Forged {
+        fn party_count(&self) -> usize {
+            self.inner.party_count()
+        }
+        fn send(
+            &mut self,
+            from: PartyId,
+            to: PartyId,
+            label: &'static str,
+            payload: Vec<u8>,
+        ) -> Result<(), pem_net::NetError> {
+            let payload = if label == self.label {
+                self.payload.take().unwrap_or(payload)
+            } else {
+                payload
+            };
+            self.inner.send(from, to, label, payload)
+        }
+        fn recv(&mut self, to: PartyId) -> Option<pem_net::Envelope> {
+            self.inner.recv(to)
+        }
+        fn recv_expect(
+            &mut self,
+            to: PartyId,
+            label: &'static str,
+        ) -> Result<pem_net::Envelope, pem_net::NetError> {
+            self.inner.recv_expect(to, label)
+        }
+        fn stats(&self) -> NetStats {
+            self.inner.stats()
+        }
+        fn now_us(&self) -> u64 {
+            self.inner.now_us()
+        }
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+    }
+
+    #[test]
+    fn out_of_range_claim_is_a_typed_error() {
+        use pem_crypto::CryptoError;
+        // Under a 256-bit grid key, shard 0 claims Enc(n/4): a valid
+        // ciphertext whose signed decoding is ±2^254, far outside i128.
+        let cfg = CouplingConfig {
+            key_bits: 256,
+            ..CouplingConfig::fast_test()
+        };
+        let mut c =
+            CouplingCoordinator::new(cfg, PriceBand::paper_defaults(), 11).expect("coordinator");
+        let pk = c.keys.public(0).clone();
+        let mut rng = HashDrbg::new(b"forged-claim");
+        let mut w = WireWriter::new();
+        w.put_biguint(pk.encrypt(&(pk.n() >> 2), &mut rng).as_biguint());
+        let positions = [
+            position(0, 92.0, 3.0, 2.0),
+            position(1, 108.0, 2.0, -1.5),
+            position(2, 100.0, 1.0, -0.25),
+        ];
+        let mut net = Forged {
+            inner: SimNetwork::new(positions.len() + 1),
+            label: LABEL_CLAIM,
+            payload: Some(w.finish()),
+        };
+        let e = c
+            .run_round_on(&mut net, &positions)
+            .expect_err("an out-of-range claim must abort the round");
+        assert!(
+            matches!(
+                e,
+                CouplingError::Crypto(CryptoError::MessageTooLarge { .. })
+            ),
+            "{e}"
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn thousand_home_day_reduces_dispersion_without_leaking_bids() {
             w.window
         );
 
-        // --- The acceptance criterion: dispersion strictly drops. ------
+        // --- What coupling is for: dispersion strictly drops. ----------
         assert!(
             cs.pre_dispersion > 0.0,
             "window {}: no dispersion to close",

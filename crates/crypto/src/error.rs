@@ -7,7 +7,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CryptoError {
-    /// A plaintext did not fit the Paillier message space.
+    /// A plaintext did not fit the Paillier message space, or a decrypted
+    /// one did not fit the signed integer it decodes to.
     MessageTooLarge {
         /// Bit length of the offending message.
         message_bits: usize,
@@ -30,7 +31,8 @@ impl fmt::Display for CryptoError {
                 modulus_bits,
             } => write!(
                 f,
-                "message of {message_bits} bits exceeds paillier modulus of {modulus_bits} bits"
+                "message of {message_bits} bits out of range for paillier modulus of \
+                 {modulus_bits} bits"
             ),
             CryptoError::InvalidCiphertext => write!(f, "ciphertext outside Z_{{n^2}}*"),
             CryptoError::KeyMismatch => write!(f, "operands encrypted under different keys"),

@@ -726,20 +726,22 @@ impl PrivateKey {
     /// Values in `[0, n/2)` are non-negative; values in `(n/2, n)` map to
     /// negatives.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the decoded magnitude exceeds `i128` (indicates protocol
-    /// misuse, not data-dependent behaviour).
-    pub fn decrypt_i128(&self, c: &Ciphertext) -> i128 {
+    /// [`CryptoError::MessageTooLarge`] if the decoded magnitude does not
+    /// fit `i128`. Under any key wider than 128 bits a peer can encrypt
+    /// such a plaintext, so a ciphertext off the wire may carry one.
+    pub fn decrypt_i128(&self, c: &Ciphertext) -> Result<i128, CryptoError> {
         self.decode_i128(self.decrypt(c))
     }
 
     /// Batch variant of [`PrivateKey::decrypt_i128`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// As [`PrivateKey::decrypt_i128`].
-    pub fn decrypt_i128_batch(&self, cts: &[Ciphertext]) -> Vec<i128> {
+    /// As [`PrivateKey::decrypt_i128`], for the first ciphertext whose
+    /// plaintext does not fit.
+    pub fn decrypt_i128_batch(&self, cts: &[Ciphertext]) -> Result<Vec<i128>, CryptoError> {
         self.decrypt_batch(cts)
             .into_iter()
             .map(|m| self.decode_i128(m))
@@ -747,14 +749,21 @@ impl PrivateKey {
     }
 
     /// Decodes the balanced signed encoding of an already-decrypted `m`.
-    fn decode_i128(&self, m: BigUint) -> i128 {
-        let half = &self.public.n >> 1;
-        if m <= half {
-            i128::try_from(m.to_u128().expect("fits i128")).expect("fits i128")
+    fn decode_i128(&self, m: BigUint) -> Result<i128, CryptoError> {
+        let n = &self.public.n;
+        let (negative, mag) = if m <= (n >> 1) {
+            (false, m)
         } else {
-            let mag = &self.public.n - &m;
-            -i128::try_from(mag.to_u128().expect("fits i128")).expect("fits i128")
-        }
+            (true, n - &m)
+        };
+        let v = mag
+            .to_u128()
+            .and_then(|u| i128::try_from(u).ok())
+            .ok_or_else(|| CryptoError::MessageTooLarge {
+                message_bits: mag.bit_length(),
+                modulus_bits: n.bit_length(),
+            })?;
+        Ok(if negative { -v } else { v })
     }
 }
 
@@ -935,8 +944,39 @@ mod tests {
         for v in [0i128, 1, -1, 42_000_000, -42_000_000, i64::MAX as i128] {
             let m = kp.public().encode_i128(v);
             let c = kp.public().encrypt(&m, &mut rng);
-            assert_eq!(kp.private().decrypt_i128(&c), v, "v={v}");
+            assert_eq!(kp.private().decrypt_i128(&c), Ok(v), "v={v}");
         }
+    }
+
+    #[test]
+    fn out_of_range_signed_plaintext_is_an_error_not_a_panic() {
+        // At 256 bits anyone holding the public key can encrypt a value
+        // whose balanced decoding is ±2^254, far outside i128.
+        let kp = keypair(256);
+        let mut rng = HashDrbg::new(b"signed-range");
+        let pk = kp.public();
+        let quarter = pk.n() >> 2;
+        let cts = [
+            pk.encrypt(&quarter, &mut rng),
+            pk.encrypt(&(pk.n() - &quarter), &mut rng),
+        ];
+        for c in &cts {
+            for sk in [kp.private().clone(), kp.private().without_crt()] {
+                assert!(matches!(
+                    sk.decrypt_i128(c),
+                    Err(CryptoError::MessageTooLarge {
+                        modulus_bits: 256,
+                        ..
+                    })
+                ));
+            }
+        }
+        let ok = pk.encrypt(&pk.encode_i128(-7), &mut rng);
+        assert!(kp
+            .private()
+            .decrypt_i128_batch(&[ok.clone(), cts[0].clone()])
+            .is_err());
+        assert_eq!(kp.private().decrypt_i128_batch(&[ok]), Ok(vec![-7]));
     }
 
     #[test]
@@ -947,7 +987,7 @@ mod tests {
         let c1 = pk.encrypt(&pk.encode_i128(100), &mut rng);
         let c2 = pk.encrypt(&pk.encode_i128(-250), &mut rng);
         let sum = pk.add_ciphertexts(&c1, &c2);
-        assert_eq!(kp.private().decrypt_i128(&sum), -150);
+        assert_eq!(kp.private().decrypt_i128(&sum), Ok(-150));
     }
 
     #[test]
@@ -1106,8 +1146,8 @@ mod tests {
         let mut rng = HashDrbg::new(b"crt-signed");
         for v in [i128::from(i64::MAX), -i128::from(i64::MAX), 1, -1, 0] {
             let c = kp.public().encrypt(&kp.public().encode_i128(v), &mut rng);
-            assert_eq!(kp.private().decrypt_i128(&c), v);
-            assert_eq!(kp.private().without_crt().decrypt_i128(&c), v);
+            assert_eq!(kp.private().decrypt_i128(&c), Ok(v));
+            assert_eq!(kp.private().without_crt().decrypt_i128(&c), Ok(v));
         }
     }
 
@@ -1125,7 +1165,7 @@ mod tests {
             .iter()
             .map(|&v| kp.public().encrypt(&kp.public().encode_i128(v), &mut rng))
             .collect();
-        assert_eq!(kp.private().decrypt_i128_batch(&signed), vec![5, -5, 0]);
+        assert_eq!(kp.private().decrypt_i128_batch(&signed), Ok(vec![5, -5, 0]));
         // The factorless path batches too.
         assert_eq!(kp.private().without_crt().decrypt_batch(&cts), ms);
     }

@@ -170,8 +170,8 @@ impl LatencyPercentiles {
     }
 
     /// Canonical JSON rendering — the one latency-percentile shape every
-    /// bench and report emitter shares (key names are schema-pinned by
-    /// `crates/bench/tests/latency_schema.rs`).
+    /// report emitter shares (key names are schema-pinned by
+    /// `json::tests::latency_json_uses_canonical_keys`).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
