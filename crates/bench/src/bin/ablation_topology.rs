@@ -25,6 +25,7 @@
 //!     [--sellers 4,8,16,32,64] [--key 192] [--fanin 2]
 //! ```
 
+use pem_bench::json::Json;
 use pem_bench::Args;
 use pem_core::fold::Topology;
 use pem_core::protocol3::run_with_topology;
@@ -111,31 +112,22 @@ fn main() {
         rows.push(row);
     }
 
-    println!("[");
-    for (i, r) in rows.iter().enumerate() {
-        println!(
-            concat!(
-                "  {{\"sellers\": {}, \"fanin\": {}, ",
-                "\"ring_bytes\": {}, \"star_bytes\": {}, \"tree_bytes\": {}, ",
-                "\"ring_critical_path_us\": {}, \"star_critical_path_us\": {}, ",
-                "\"tree_critical_path_us\": {}, ",
-                "\"ring_cpu_us\": {}, \"star_cpu_us\": {}, \"tree_cpu_us\": {}}}{}"
-            ),
-            r.sellers,
-            fanin,
-            r.bytes[0],
-            r.bytes[1],
-            r.bytes[2],
-            r.critical_us[0],
-            r.critical_us[1],
-            r.critical_us[2],
-            r.cpu_us[0],
-            r.cpu_us[1],
-            r.cpu_us[2],
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    println!("]");
+    let rows: Json = rows
+        .iter()
+        .map(|r| {
+            let mut fields = vec![
+                ("sellers".to_string(), r.sellers as u64),
+                ("fanin".to_string(), fanin as u64),
+            ];
+            for (k, t) in ["ring", "star", "tree"].into_iter().enumerate() {
+                fields.push((format!("{t}_bytes"), r.bytes[k]));
+                fields.push((format!("{t}_critical_path_us"), r.critical_us[k]));
+                fields.push((format!("{t}_cpu_us"), r.cpu_us[k]));
+            }
+            Json::obj(fields.into_iter().map(|(key, v)| (key, Json::from(v))))
+        })
+        .collect();
+    println!("{rows}");
     eprintln!(
         "# shape: bytes equal; ring critical path grows linearly in full \
          hops, star linearly in hub ingress transmissions, tree \

@@ -32,22 +32,24 @@
 //!     --bits 512,1024,2048 --min-time-ms 300 --run-label dev
 //! ```
 //!
-//! Output: one JSON *trajectory run* (`{"run": …, "entries": […]}`, an
-//! entry per key size, one per OT group, one per kernel width) followed
-//! by a human-readable table. CI runs a
+//! Output: one JSON *trajectory run* (`{"entries": […], "run": …}`, an
+//! entry per key size, one per OT group, one per kernel width) on one
+//! line of stdout, and a human-readable table on stderr. CI runs a
 //! reduced smoke sweep and uploads the JSON; `BENCH_crypto.json` at the
 //! repo root pins the committed trajectory — an array of such runs, one
 //! per engine generation.
 
 use std::time::Instant;
 
-use pem_bench::Args;
+use pem_bench::json::Json;
+use pem_bench::{rounded, trajectory_run, Args};
 use pem_bignum::{BigUint, Montgomery};
 use pem_circuit::compare::secure_less_than_local;
 use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::run_local_ot;
 use pem_crypto::paillier::{Ciphertext, Keypair, PrivateKey, PublicKey, Randomizer};
+use pem_telemetry::json_object;
 
 /// One measured kernel: mean latency and throughput.
 struct Kernel {
@@ -417,53 +419,49 @@ fn bench_width(limbs: usize, min_time_ms: u64) -> WidthReport {
     }
 }
 
-fn kernel_fields(kernels: &[Kernel]) -> Vec<String> {
-    kernels
-        .iter()
-        .map(|k| {
-            format!(
-                "\"{}_ops_per_s\": {:.1}, \"{}_mean_us\": {:.1}",
-                k.name, k.ops_per_s, k.name, k.mean_us
-            )
-        })
-        .collect()
+/// `<kernel>_ops_per_s` and `<kernel>_mean_us` for each kernel.
+fn kernel_fields(kernels: &[Kernel]) -> Vec<(String, Json)> {
+    let mut fields = Vec::new();
+    for k in kernels {
+        fields.push((
+            format!("{}_ops_per_s", k.name),
+            rounded(k.ops_per_s, 1).into(),
+        ));
+        fields.push((format!("{}_mean_us", k.name), rounded(k.mean_us, 1).into()));
+    }
+    fields
 }
 
+/// The trajectory run: an entry per key size, per OT group and per
+/// kernel width.
 fn json(
     label: &str,
     reports: &[SizeReport],
     groups: &[GroupReport],
     widths: &[WidthReport],
-) -> String {
+) -> Json {
     let mut entries = Vec::new();
     for r in reports {
-        let mut fields = vec![
-            format!("\"key_bits\": {}", r.key_bits),
-            format!("\"keygen_ms\": {:.1}", r.keygen_ms),
-        ];
-        fields.extend(kernel_fields(&r.kernels));
-        fields.extend(
-            r.speedups
-                .iter()
-                .map(|(name, v)| format!("\"{name}\": {v:.2}")),
-        );
-        entries.push(format!("  {{{}}}", fields.join(", ")));
+        let mut fields = kernel_fields(&r.kernels);
+        fields.push(("key_bits".into(), r.key_bits.into()));
+        fields.push(("keygen_ms".into(), rounded(r.keygen_ms, 1).into()));
+        for &(name, v) in &r.speedups {
+            fields.push((name.into(), rounded(v, 2).into()));
+        }
+        entries.push(Json::obj(fields));
     }
     for g in groups {
-        let mut fields = vec![format!("\"ot_group\": \"{}\"", g.group)];
-        fields.extend(kernel_fields(&g.kernels));
-        entries.push(format!("  {{{}}}", fields.join(", ")));
+        let mut fields = kernel_fields(&g.kernels);
+        fields.push(("ot_group".into(), g.group.into()));
+        entries.push(Json::obj(fields));
     }
     for w in widths {
-        entries.push(format!(
-            "  {{\"mont_limbs\": {}, \"mont_mul_ns\": {:.1}, \"mont_sqr_ns\": {:.1}}}",
-            w.limbs, w.mul_ns, w.sqr_ns
-        ));
+        entries.push(json_object! {
+            "mont_limbs": w.limbs,
+            "mont_mul_ns": rounded(w.mul_ns, 1), "mont_sqr_ns": rounded(w.sqr_ns, 1),
+        });
     }
-    format!(
-        "{{\"run\": \"{label}\", \"entries\": [\n{}\n]}}",
-        entries.join(",\n")
-    )
+    trajectory_run(label, entries)
 }
 
 fn main() {
@@ -483,11 +481,12 @@ fn main() {
         .map(|&limbs| bench_width(limbs, min_time_ms))
         .collect();
 
+    // The JSON run alone on stdout, so a redirect is a valid artifact;
+    // the human table goes to stderr.
     println!("{}", json(&label, &reports, &groups, &widths));
-    println!();
-    println!("key_bits  kernel                  ops/s        mean");
+    eprintln!("key_bits  kernel                  ops/s        mean");
     for r in &reports {
-        println!(
+        eprintln!(
             "{:>8}  {:<22} {:>10.1}  {:>8.1}ms",
             r.key_bits,
             "keygen",
@@ -495,18 +494,18 @@ fn main() {
             r.keygen_ms
         );
         for k in &r.kernels {
-            println!(
+            eprintln!(
                 "{:>8}  {:<22} {:>10.1}  {:>8.1}µs",
                 r.key_bits, k.name, k.ops_per_s, k.mean_us
             );
         }
         for (name, v) in &r.speedups {
-            println!("{:>8}  {:<22} {:>10.2}x", r.key_bits, name, v);
+            eprintln!("{:>8}  {:<22} {:>10.2}x", r.key_bits, name, v);
         }
     }
     for g in &groups {
         for k in &g.kernels {
-            println!(
+            eprintln!(
                 "{:>8}  {:<22} {:>10.1}  {:>8.1}µs",
                 g.group, k.name, k.ops_per_s, k.mean_us
             );
@@ -514,7 +513,7 @@ fn main() {
     }
     for w in &widths {
         for (name, ns) in [("mont_mul", w.mul_ns), ("mont_sqr", w.sqr_ns)] {
-            println!(
+            eprintln!(
                 "{:>2} limbs  {:<22} {:>10.1}  {:>8.1}ns",
                 w.limbs,
                 name,

@@ -123,7 +123,7 @@ fn run() -> Result<Verdict, String> {
     }
 
     if !out_path.is_empty() {
-        std::fs::write(&out_path, verdict.to_json())
+        std::fs::write(&out_path, format!("{}\n", verdict.to_json()))
             .map_err(|e| format!("cannot write verdict to {out_path:?}: {e}"))?;
         println!("\nverdict written to {out_path}");
     }

@@ -15,12 +15,14 @@
 //!     --bits 512 --min-time-ms 200 --run-label dev
 //! ```
 //!
-//! Output: one JSON trajectory run (`{"run": …, "entries": […]}`) in
-//! the `BENCH_crypto.json` shape, followed by a human-readable table.
+//! Output: one JSON trajectory run (`{"entries": […], "run": …}`) in
+//! the `BENCH_crypto.json` shape on stdout, and a human-readable table
+//! on stderr.
 
 use std::time::Instant;
 
-use pem_bench::Args;
+use pem_bench::json::Json;
+use pem_bench::{rounded, trajectory_run, Args};
 use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::{Ciphertext, Keypair, PublicKey, Randomizer};
@@ -129,21 +131,19 @@ fn bench_bits(bits: usize, min_time_ms: u64) -> Vec<Row> {
     ]
 }
 
-fn json(label: &str, bits: usize, rows: &[Row]) -> String {
-    let mut out = format!("{{\"run\": \"{label}\", \"entries\": [\n  {{\"key_bits\": {bits}, ");
-    let fields: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "\"{0}_bare_mean_us\": {1:.2}, \"{0}_instr_mean_us\": {2:.2}, \
-                 \"{0}_overhead_pct\": {3:.2}",
-                r.name, r.bare_mean_us, r.instr_mean_us, r.overhead_pct
-            )
-        })
-        .collect();
-    out.push_str(&fields.join(", "));
-    out.push_str("}\n]}");
-    out
+/// The trajectory run: one entry at `bits` carrying every row.
+fn json(label: &str, bits: usize, rows: &[Row]) -> Json {
+    let mut fields = vec![("key_bits".to_string(), bits.into())];
+    for r in rows {
+        for (figure, v) in [
+            ("bare_mean_us", r.bare_mean_us),
+            ("instr_mean_us", r.instr_mean_us),
+            ("overhead_pct", r.overhead_pct),
+        ] {
+            fields.push((format!("{}_{figure}", r.name), rounded(v, 2).into()));
+        }
+    }
+    trajectory_run(label, vec![Json::obj(fields)])
 }
 
 fn main() {
@@ -158,12 +158,13 @@ fn main() {
     );
     let rows = bench_bits(bits, min_time_ms);
 
+    // The JSON run alone on stdout, so a redirect is a valid artifact;
+    // the human table goes to stderr.
     println!("{}", json(&label, bits, &rows));
-    println!();
-    println!("key_bits  kernel            bare(µs)  instrumented(µs)  overhead");
+    eprintln!("key_bits  kernel            bare(µs)  instrumented(µs)  overhead");
     let mut failed = false;
     for r in &rows {
-        println!(
+        eprintln!(
             "{:>8}  {:<16} {:>9.2}  {:>16.2}  {:>+7.2}%",
             bits, r.name, r.bare_mean_us, r.instr_mean_us, r.overhead_pct
         );
@@ -178,5 +179,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("\nno-op telemetry overhead within the 2% budget on all rows");
+    eprintln!("\nno-op telemetry overhead within the 2% budget on all rows");
 }

@@ -39,6 +39,7 @@
 //! `outputs_land_in_input_order_at_any_batch`).
 
 use crate::json::Json;
+use pem_telemetry::json_object;
 
 /// One comparison the doctor ran.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,37 +112,18 @@ impl Verdict {
         self.checks.iter().filter(|c| c.regressed).collect()
     }
 
-    /// Hand-rolled JSON rendering (the artifact CI uploads).
-    pub fn to_json(&self) -> String {
-        let checks: Vec<String> = self
-            .checks
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"name\":\"{}\",\"baseline\":{},\"current\":{},\
-                     \"change_pct\":{},\"regressed\":{}}}",
-                    c.name,
-                    fmt_json_f64(c.baseline),
-                    fmt_json_f64(c.current),
-                    fmt_json_f64(c.change_pct),
-                    c.regressed
-                )
-            })
-            .collect();
-        format!(
-            "{{\"passed\":{},\"threshold\":{},\"checks\":[{}]}}\n",
-            self.passed(),
-            fmt_json_f64(self.threshold),
-            checks.join(",")
-        )
-    }
-}
-
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+    /// The verdict as JSON (the artifact CI uploads).
+    pub fn to_json(&self) -> Json {
+        let checks = self.checks.iter().map(|c| {
+            json_object! {
+                "name": c.name.as_str(), "baseline": c.baseline, "current": c.current,
+                "change_pct": c.change_pct, "regressed": c.regressed,
+            }
+        });
+        json_object! {
+            "passed": self.passed(), "threshold": self.threshold,
+            "checks": checks.collect::<Json>(),
+        }
     }
 }
 
@@ -643,6 +625,17 @@ mod tests {
         Json::parse(runs).expect("valid test JSON")
     }
 
+    /// Runs `a` and `b` over the same entries (a comma-separated list
+    /// of JSON objects).
+    fn twin_runs(entries: &str) -> Json {
+        let entries = trajectory(&format!("[{entries}]"));
+        let entries = entries.as_array().expect("entry list");
+        ["a", "b"]
+            .into_iter()
+            .map(|label| crate::trajectory_run(label, entries.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn compare_flags_past_threshold_only() {
         let ok = Check::compare("m".into(), 100.0, 110.0, 0.25);
@@ -723,10 +716,7 @@ mod tests {
                         \"compare_64_mean_us\":950},\
                        {\"ot_group\":\"slowgroup\",\"ot_single_mean_us\":18,\
                         \"compare_64_mean_us\":1200}";
-        let t = trajectory(&format!(
-            "[{{\"run\":\"a\",\"entries\":[{entries}]}},\
-              {{\"run\":\"b\",\"entries\":[{entries}]}}]"
-        ));
+        let t = twin_runs(entries);
         let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
         let gate = |group: &str| {
             let name = format!("crypto/{group}/compare_64_batched");
@@ -751,10 +741,7 @@ mod tests {
                         \"compare_64_mean_us\":641,\"ot_ladder_full_mean_us\":4.3},\
                        {\"ot_group\":\"norow\",\"ot_single_mean_us\":874,\
                         \"compare_64_mean_us\":17100}";
-        let t = trajectory(&format!(
-            "[{{\"run\":\"a\",\"entries\":[{entries}]}},\
-              {{\"run\":\"b\",\"entries\":[{entries}]}}]"
-        ));
+        let t = twin_runs(entries);
         let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
         let gates: Vec<_> = checks
             .iter()
@@ -780,10 +767,7 @@ mod tests {
                        {\"key_bits\":1024,\"encrypt_mean_us\":70,\"encrypt_classic_mean_us\":1500},\
                        {\"key_bits\":2048,\"encrypt_mean_us\":9800,\"encrypt_classic_mean_us\":10100},\
                        {\"key_bits\":3072,\"encrypt_mean_us\":500}";
-        let t = trajectory(&format!(
-            "[{{\"run\":\"a\",\"entries\":[{entries}]}},\
-              {{\"run\":\"b\",\"entries\":[{entries}]}}]"
-        ));
+        let t = twin_runs(entries);
         let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
         let gates: Vec<_> = checks
             .iter()
@@ -838,11 +822,15 @@ mod tests {
 
     #[test]
     fn grid_day_sanity() {
-        let fp = "ab".repeat(32);
-        let good = trajectory(&format!(
-            "{{\"ledger_valid\":true,\"cleared_kwh\":12.5,\"total_messages\":420,\
-              \"windows\":[{{\"fingerprint\":\"{fp}\"}}]}}"
-        ));
+        let good = Json::obj([
+            ("ledger_valid", true.into()),
+            ("cleared_kwh", 12.5.into()),
+            ("total_messages", 420u64.into()),
+            (
+                "windows",
+                Json::Arr(vec![Json::obj([("fingerprint", "ab".repeat(32).into())])]),
+            ),
+        ]);
         let checks = grid_day_checks(&good).expect("valid report");
         assert!(checks.iter().all(|c| !c.regressed));
         let bad = trajectory(
@@ -854,36 +842,49 @@ mod tests {
         assert!(grid_day_checks(&Json::Null).is_err());
     }
 
+    /// A one-window day report: its coalition roster and its
+    /// `(shard, fingerprint)` rows, each fingerprint one repeated digit.
+    fn one_window_day(cleared_kwh: f64, statuses: Vec<Json>, rows: &[(usize, char)]) -> Json {
+        let rows = rows.iter().map(|&(shard, digit)| {
+            Json::obj([
+                ("shard", shard.into()),
+                ("fingerprint", digit.to_string().repeat(64).into()),
+            ])
+        });
+        let window = Json::obj([
+            ("statuses", Json::Arr(statuses)),
+            ("shard_fingerprints", rows.collect()),
+        ]);
+        Json::obj([
+            ("ledger_valid", true.into()),
+            ("cleared_kwh", cleared_kwh.into()),
+            ("windows", Json::Arr(vec![window])),
+        ])
+    }
+
     #[test]
     fn chaos_invariants() {
-        let fp = |c: char| c.to_string().repeat(64);
+        let cleared = || Json::obj([("status", "cleared".into())]);
+        let degraded = || {
+            vec![
+                Json::obj([
+                    ("status", "quarantined".into()),
+                    ("error", "timeout".into()),
+                ]),
+                Json::obj([("status", "recovered".into()), ("attempts", 1u32.into())]),
+                cleared(),
+            ]
+        };
         // Clean baseline: three coalitions, all cleared.
-        let clean = trajectory(&format!(
-            "{{\"ledger_valid\":true,\"cleared_kwh\":20.0,\"windows\":[{{\
-              \"statuses\":[{{\"status\":\"cleared\"}},{{\"status\":\"cleared\"}},\
-                            {{\"status\":\"cleared\"}}],\
-              \"shard_fingerprints\":[\
-                {{\"shard\":0,\"fingerprint\":\"{a}\"}},\
-                {{\"shard\":1,\"fingerprint\":\"{b}\"}},\
-                {{\"shard\":2,\"fingerprint\":\"{c}\"}}]}}]}}",
-            a = fp('a'),
-            b = fp('b'),
-            c = fp('c'),
-        ));
+        let clean = one_window_day(
+            20.0,
+            vec![cleared(), cleared(), cleared()],
+            &[(0, 'a'), (1, 'b'), (2, 'c')],
+        );
         // Chaos: shard 0 quarantined (absent from the fingerprints),
         // shard 1 recovered (fingerprint may differ — the retry salts
         // the DRBG), shard 2 healthy and bit-identical.
-        let chaos = trajectory(&format!(
-            "{{\"ledger_valid\":true,\"cleared_kwh\":12.5,\"windows\":[{{\
-              \"statuses\":[{{\"status\":\"quarantined\",\"error\":\"timeout\"}},\
-                            {{\"status\":\"recovered\",\"attempts\":1}},\
-                            {{\"status\":\"cleared\"}}],\
-              \"shard_fingerprints\":[\
-                {{\"shard\":1,\"fingerprint\":\"{d}\"}},\
-                {{\"shard\":2,\"fingerprint\":\"{c}\"}}]}}]}}",
-            d = fp('d'),
-            c = fp('c'),
-        ));
+        let chaos = one_window_day(12.5, degraded(), &[(1, 'd'), (2, 'c')]);
         let checks = chaos_checks(&clean, &chaos).expect("valid reports");
         assert!(
             checks.iter().all(|c| !c.regressed),
@@ -901,17 +902,7 @@ mod tests {
         }
         // A healthy coalition whose bits drifted from the fault-free
         // run must flag — that is the whole quarantine contract.
-        let drifted = trajectory(&format!(
-            "{{\"ledger_valid\":true,\"cleared_kwh\":12.5,\"windows\":[{{\
-              \"statuses\":[{{\"status\":\"quarantined\",\"error\":\"timeout\"}},\
-                            {{\"status\":\"recovered\",\"attempts\":1}},\
-                            {{\"status\":\"cleared\"}}],\
-              \"shard_fingerprints\":[\
-                {{\"shard\":1,\"fingerprint\":\"{d}\"}},\
-                {{\"shard\":2,\"fingerprint\":\"{e}\"}}]}}]}}",
-            d = fp('d'),
-            e = fp('e'),
-        ));
+        let drifted = one_window_day(12.5, degraded(), &[(1, 'd'), (2, 'e')]);
         let checks = chaos_checks(&clean, &drifted).expect("valid reports");
         assert!(checks
             .iter()
@@ -936,19 +927,25 @@ mod tests {
             checks: vec![
                 Check::compare("a".into(), 10.0, 11.0, 0.25),
                 Check::compare("b".into(), 10.0, 20.0, 0.25),
+                // A name built from an `ot_group` string out of the
+                // trajectory file, and a change with no finite value.
+                Check::compare("crypto/\"g\"\n/x_mean_us".into(), 0.0, 1.0, 0.25),
             ],
             threshold: 0.25,
         };
         assert!(!v.passed());
-        assert_eq!(v.regressions().len(), 1);
-        let parsed = Json::parse(&v.to_json()).expect("verdict is valid JSON");
+        assert_eq!(v.regressions().len(), 2);
+        let parsed = Json::parse(&v.to_json().to_string()).expect("verdict is valid JSON");
         assert_eq!(parsed.get("passed").and_then(Json::as_bool), Some(false));
+        let checks = parsed
+            .get("checks")
+            .and_then(Json::as_array)
+            .expect("checks");
+        assert_eq!(checks.len(), 3);
         assert_eq!(
-            parsed
-                .get("checks")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(2)
+            checks[2].get("name").and_then(Json::as_str),
+            Some("crypto/\"g\"\n/x_mean_us")
         );
+        assert_eq!(checks[2].get("change_pct"), Some(&Json::Null));
     }
 }

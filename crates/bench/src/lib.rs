@@ -4,6 +4,11 @@
 //! evaluation section (§VII) and prints it as CSV (machine-readable) with
 //! a trailing human-readable summary of the *shape* the paper reports.
 //! See `EXPERIMENTS.md` at the workspace root for the experiment index.
+//!
+//! The JSON artifacts (`crypto_kernels` and `telemetry_overhead` runs,
+//! `ablation_topology` rows, `grid_doctor`'s verdict) are built and
+//! rendered with [`json::Json`] — [`pem_telemetry::json`], re-exported
+//! here — which is also the parser `grid_doctor` reads them back with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,7 +16,9 @@
 use std::collections::BTreeMap;
 
 pub mod doctor;
-pub mod json;
+pub use pem_telemetry::json;
+
+use json::Json;
 
 /// A minimal `--flag value` / `--flag` parser (no external deps).
 ///
@@ -145,6 +152,20 @@ pub fn fmt_f(v: f64) -> String {
     }
 }
 
+/// `v` rounded to `places` decimals: the precision a trajectory figure
+/// is recorded at.
+pub fn rounded(v: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (v * scale).round() / scale
+}
+
+/// One trajectory run in the `BENCH_crypto.json` shape,
+/// `{"entries": […], "run": label}` — what `crypto_kernels` and
+/// `telemetry_overhead` print.
+pub fn trajectory_run(label: &str, entries: Vec<Json>) -> Json {
+    pem_telemetry::json_object! { "run": label, "entries": Json::Arr(entries) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,5 +207,27 @@ mod tests {
     fn float_formatting() {
         assert_eq!(fmt_f(123.456), "123.46");
         assert_eq!(fmt_f(1.23456), "1.2346");
+        assert_eq!(rounded(123.456, 1), 123.5);
+        assert_eq!(rounded(0.125, 2).to_string(), "0.13");
+    }
+
+    #[test]
+    fn trajectory_runs_render_hostile_labels_and_non_finite_figures() {
+        let label = "ci \"smoke\"\n\\ µ";
+        let entry = Json::obj([
+            ("ot_group", "modp1024".into()),
+            ("x_mean_us", rounded(f64::NAN, 1).into()),
+            ("y_mean_us", rounded(2.25, 1).into()),
+        ]);
+        let text = trajectory_run(label, vec![entry]).to_string();
+        let run = Json::parse(&text).expect("a run always renders valid JSON");
+        assert_eq!(run.get("run").and_then(Json::as_str), Some(label));
+        let entry = &run
+            .get("entries")
+            .and_then(Json::as_array)
+            .expect("entries")[0];
+        assert_eq!(entry.get("x_mean_us"), Some(&Json::Null));
+        assert_eq!(entry.get("y_mean_us").and_then(Json::as_f64), Some(2.3));
+        assert!(text.contains("\"ot_group\":\"modp1024\",\"x_mean_us\":null"));
     }
 }

@@ -1,6 +1,6 @@
 //! The Chrome trace exporter must emit *valid JSON* even for hostile
 //! span/message labels — proven by parsing its output back with the
-//! strict parser in `pem_bench::json` and checking the event shapes
+//! strict parser in `pem_telemetry::json` and checking the event shapes
 //! (X slices, s→f flow pairs) survive the roundtrip.
 
 use pem_bench::json::Json;

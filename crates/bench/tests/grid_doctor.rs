@@ -61,7 +61,7 @@ fn improvements_pass_clean() {
     };
     assert!(verdict.passed(), "improvements must never flag");
     // The verdict artifact reflects that.
-    let parsed = Json::parse(&verdict.to_json()).expect("verdict JSON");
+    let parsed = Json::parse(&verdict.to_json().to_string()).expect("verdict JSON");
     assert_eq!(parsed.get("passed").and_then(Json::as_bool), Some(true));
 }
 

@@ -95,6 +95,23 @@ impl PoolStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// The activity since `mark`, an earlier reading of the same pool.
+    pub fn since(&self, mark: &PoolStats) -> PoolStats {
+        PoolStats {
+            hits: self.hits - mark.hits,
+            misses: self.misses - mark.misses,
+            generated: self.generated - mark.generated,
+        }
+    }
+}
+
+impl std::ops::AddAssign for PoolStats {
+    fn add_assign(&mut self, other: PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.generated += other.generated;
+    }
 }
 
 /// A per-key pool of precomputed Paillier randomizers.

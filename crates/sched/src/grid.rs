@@ -203,6 +203,22 @@ impl GridConfig {
 struct Shard {
     members: Vec<usize>,
     pem: Pem,
+    /// The pool's lifetime counters when the last report read them;
+    /// zero for a coalition built since.
+    pool_mark: PoolStats,
+}
+
+impl Shard {
+    /// Pool activity since the last report (since the coalition was
+    /// built, on its first): the pool counts over its lifetime, a report
+    /// carries one window. A retry restores the pool to the window's
+    /// start, never below the mark.
+    fn pool_window(&mut self) -> Option<PoolStats> {
+        let now = self.pem.pool_stats()?;
+        let window = now.since(&self.pool_mark);
+        self.pool_mark = now;
+        Some(window)
+    }
 }
 
 /// Derives coalition `shard`'s seed from the grid master seed. `epoch`
@@ -481,7 +497,11 @@ impl GridOrchestrator {
                 let mut cfg = base_cfg.clone();
                 cfg.seed = shard_seed(master, idx, epoch);
                 let pem = Pem::new(cfg, members.len())?;
-                Ok(Shard { members, pem })
+                Ok(Shard {
+                    members,
+                    pem,
+                    pool_mark: PoolStats::default(),
+                })
             });
         let mut shards = Vec::with_capacity(built.len());
         for shard in built {
@@ -721,7 +741,7 @@ impl GridOrchestrator {
         let agents = population.len();
         let shards = self
             .shards
-            .as_ref()
+            .as_mut()
             .ok_or(SchedError::State("shards installed by run_window"))?;
         let window = self.window;
         self.window += 1;
@@ -859,14 +879,11 @@ impl GridOrchestrator {
         let latency = phase_latencies(&outcome_refs);
         let pool_stats =
             shards
-                .iter()
-                .filter_map(|s| s.pem.pool_stats())
-                .fold(None::<PoolStats>, |acc, s| {
-                    let mut a = acc.unwrap_or_default();
-                    a.hits += s.hits;
-                    a.misses += s.misses;
-                    a.generated += s.generated;
-                    Some(a)
+                .iter_mut()
+                .filter_map(Shard::pool_window)
+                .reduce(|mut total, window| {
+                    total += window;
+                    total
                 });
 
         let tip_hash = self
@@ -1091,8 +1108,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repartition_rebuilds_lopsided_coalitions() {
+    /// Two one-sided coalitions of 8 with re-partitioning on: the third
+    /// window re-carves them.
+    fn lopsided_grid() -> (GridOrchestrator, Vec<AgentWindow>) {
         // Round-robin over the alternating population makes every shard
         // mixed; force lopsidedness with feeder chunks instead: sellers
         // are even indices, so contiguous chunks alternate surplus.
@@ -1110,7 +1128,81 @@ mod tests {
             pem_coupling::CouplingConfig::fast_test()
                 .with_repartition(pem_coupling::RepartitionConfig::fast_test()),
         );
-        let mut grid = GridOrchestrator::new(cfg).expect("grid");
+        (GridOrchestrator::new(cfg).expect("grid"), surpluses)
+    }
+
+    /// Lifetime pool counters summed over the coalitions formed now.
+    fn lifetime_pool(grid: &GridOrchestrator) -> PoolStats {
+        let mut total = PoolStats::default();
+        for shard in grid.shards.as_ref().expect("formed") {
+            total += shard.pem.pool_stats().expect("pools enabled");
+        }
+        total
+    }
+
+    #[test]
+    fn pool_counters_are_per_window() {
+        let pop = population(12);
+        let mut grid = GridOrchestrator::new(config(2)).expect("grid");
+        let windows: Vec<GridReport> = (0..3)
+            .map(|_| grid.run_window(&pop).expect("window"))
+            .collect();
+        let mut summed = PoolStats::default();
+        for w in &windows {
+            summed += w.pool.expect("pools enabled");
+        }
+        assert_eq!(summed, lifetime_pool(&grid));
+        assert!(
+            windows
+                .iter()
+                .all(|w| w.pool.expect("pool").hits < summed.hits),
+            "each window reports its own draws, not the running total"
+        );
+        let day = GridDayReport::fold(windows, true);
+        assert_eq!(day.pool, Some(summed));
+    }
+
+    #[test]
+    fn pool_counters_stay_per_window_across_a_repartition() {
+        let (mut grid, surpluses) = lopsided_grid();
+        let mut reported = PoolStats::default();
+        // What the coalitions a re-partition rebuilt had done.
+        let mut retired = PoolStats::default();
+        let mut windows = Vec::new();
+        for w in 0..3 {
+            let before: Vec<(Vec<usize>, PoolStats)> =
+                grid.shards.as_ref().map_or_else(Vec::new, |shards| {
+                    shards
+                        .iter()
+                        .map(|s| (s.members.clone(), s.pem.pool_stats().expect("pool")))
+                        .collect()
+                });
+            let report = grid.run_window(&surpluses).expect("window");
+            assert_eq!(report.coupling.as_ref().expect("cs").repartitioned, w == 2);
+            reported += report.pool.expect("pools enabled");
+            for (shard, (members, stats)) in
+                grid.shards.as_ref().expect("formed").iter().zip(&before)
+            {
+                if shard.members != *members {
+                    retired += *stats;
+                }
+            }
+            let mut lifetime = lifetime_pool(&grid);
+            lifetime += retired;
+            assert_eq!(reported, lifetime, "window {w}");
+            windows.push(report);
+        }
+        assert_ne!(
+            retired,
+            PoolStats::default(),
+            "the re-partition rebuilt a coalition"
+        );
+        assert_eq!(GridDayReport::fold(windows, true).pool, Some(reported));
+    }
+
+    #[test]
+    fn repartition_rebuilds_lopsided_coalitions() {
+        let (mut grid, surpluses) = lopsided_grid();
 
         let r1 = grid.run_window(&surpluses).expect("w1");
         let r2 = grid.run_window(&surpluses).expect("w2");

@@ -1,296 +1,213 @@
-//! Hand-rolled JSON rendering of grid reports.
+//! The JSON shape of grid reports, built as [`Json`] values.
 //!
-//! The workspace's serde is an offline stub (derives are markers), so
-//! machine-readable output is emitted directly. The shape is pinned by
-//! tests here and consumed by `examples/grid_day.rs --json` and the CI
-//! bench artifacts; latency percentiles everywhere use the canonical
+//! Rendered by `examples/grid_day.rs --json` and read back by
+//! `grid_doctor`; the tests here pin the shape and parse it back.
+//! Latency percentiles everywhere use the canonical
 //! [`LatencyPercentiles::to_json`] key names.
+//!
+//! [`LatencyPercentiles::to_json`]: crate::LatencyPercentiles::to_json
 
+use pem_core::PoolStats;
+use pem_coupling::CouplingSummary;
 use pem_net::NetStats;
-use pem_telemetry::{CriticalPathReport, ProfileSummary};
+use pem_telemetry::json::Json;
+use pem_telemetry::{json_object, CriticalPathReport, ProfileSummary};
 
 use crate::report::{CoalitionStatus, GridDayReport, GridReport, PriceStats};
 
-/// Escapes a string for a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn hex(bytes: &[u8]) -> Json {
+    Json::Str(bytes.iter().map(|b| format!("{b:02x}")).collect())
+}
+
+fn price_stats_json(p: &PriceStats) -> Json {
+    json_object! {
+        "trading_shards": p.trading_shards,
+        "min": p.min, "max": p.max, "mean": p.mean, "stddev": p.stddev,
+    }
+}
+
+fn net_json(n: &NetStats) -> Json {
+    let per_label = n.per_label.iter().map(|(label, s)| {
+        let traffic = json_object! { "messages": s.messages, "bytes": s.bytes };
+        (label.as_str(), traffic)
+    });
+    json_object! {
+        "total_messages": n.total_messages, "total_bytes": n.total_bytes,
+        "parties": n.sent_bytes.len(), "per_label": Json::obj(per_label),
+    }
+}
+
+fn pool_json(p: &PoolStats) -> Json {
+    json_object! { "hits": p.hits, "misses": p.misses, "generated": p.generated }
+}
+
+fn coupling_json(c: &CouplingSummary) -> Json {
+    json_object! {
+        "engaged": c.engaged, "corridor_price": c.corridor_price,
+        "transfer_count": c.transfer_count, "transferred_kwh": c.transferred_kwh,
+        "welfare_gain_cents": c.welfare_gain_cents, "critical_path_us": c.critical_path_us,
+        "causal": c.critical_path.as_ref().map(CriticalPathReport::to_json),
+    }
+}
+
+fn status_json(s: &CoalitionStatus) -> Json {
+    match s {
+        CoalitionStatus::Cleared => json_object! { "status": "cleared" },
+        CoalitionStatus::Recovered { attempts } => {
+            json_object! { "status": "recovered", "attempts": *attempts }
+        }
+        CoalitionStatus::Quarantined { error } => {
+            json_object! { "status": "quarantined", "error": error.as_str() }
         }
     }
-    out
-}
-
-/// Renders an `f64` so the output is valid JSON even for non-finite
-/// values (NaN marks an aborted price; JSON has no literal for it).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn price_stats_json(p: &PriceStats) -> String {
-    format!(
-        "{{\"trading_shards\":{},\"min\":{},\"max\":{},\"mean\":{},\"stddev\":{}}}",
-        p.trading_shards,
-        json_f64(p.min),
-        json_f64(p.max),
-        json_f64(p.mean),
-        json_f64(p.stddev)
-    )
-}
-
-fn net_json(n: &NetStats) -> String {
-    let labels: Vec<String> = n
-        .per_label
-        .iter()
-        .map(|(label, s)| {
-            format!(
-                "\"{}\":{{\"messages\":{},\"bytes\":{}}}",
-                escape(label),
-                s.messages,
-                s.bytes
-            )
-        })
-        .collect();
-    format!(
-        "{{\"total_messages\":{},\"total_bytes\":{},\"parties\":{},\"per_label\":{{{}}}}}",
-        n.total_messages,
-        n.total_bytes,
-        n.sent_bytes.len(),
-        labels.join(",")
-    )
-}
-
-fn profile_json(p: &ProfileSummary) -> String {
-    let rows: Vec<String> = p
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"count\":{},\"wall_us\":{},\"virtual_us\":{}}}",
-                escape(r.name),
-                escape(r.cat),
-                r.count,
-                r.wall_us,
-                r.virtual_us
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-/// How many dominating edges a report's JSON carries (the full hop
-/// list lives in the in-memory report; JSON keeps the headline).
-const CAUSAL_TOP_EDGES: usize = 8;
-
-fn causal_json(r: &CriticalPathReport) -> String {
-    let phases: Vec<String> = r
-        .phase_us
-        .iter()
-        .map(|(name, us)| format!("\"{}\":{}", escape(name), us))
-        .collect();
-    let links: Vec<String> = r
-        .link_us
-        .iter()
-        .map(|(from, to, us)| format!("{{\"from\":{from},\"to\":{to},\"us\":{us}}}"))
-        .collect();
-    let edges: Vec<String> = r
-        .top_edges(CAUSAL_TOP_EDGES)
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"from\":{},\"to\":{},\"label\":\"{}\",\"bytes\":{},\"depart_us\":{},\
-                 \"arrival_us\":{},\"contrib_us\":{},\"queued\":{}}}",
-                h.from,
-                h.to,
-                escape(h.label),
-                h.bytes,
-                h.depart_us,
-                h.arrival_us,
-                h.contrib_us,
-                h.queued
-            )
-        })
-        .collect();
-    format!(
-        "{{\"total_us\":{},\"messages\":{},\"local_us\":{},\"path_len\":{},\
-         \"phase_us\":{{{}}},\"link_us\":[{}],\"top_edges\":[{}]}}",
-        r.total_us,
-        r.messages,
-        r.local_us,
-        r.hops.len(),
-        phases.join(","),
-        links.join(","),
-        edges.join(",")
-    )
 }
 
 impl GridReport {
-    /// Renders the report as one JSON object (single line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"window\":{},\"agents\":{},\"shards\":{},\"cleared_kwh\":{},\"payments_cents\":{},",
-            self.window,
-            self.agents,
-            self.shard_outcomes.len(),
-            json_f64(self.cleared_kwh),
-            json_f64(self.payments_cents)
-        ));
-        out.push_str(&format!(
-            "\"regimes\":{{\"general\":{},\"extreme\":{},\"no_market\":{}}},",
-            self.regime_counts[0], self.regime_counts[1], self.regime_counts[2]
-        ));
-        out.push_str(&format!("\"prices\":{},", price_stats_json(&self.prices)));
-        out.push_str(&format!("\"net\":{},", net_json(&self.net)));
-        out.push_str(&format!(
-            "\"latency\":{{\"evaluation\":{},\"pricing\":{},\"distribution\":{},\"total\":{}}},",
-            self.latency.evaluation.to_json(),
-            self.latency.pricing.to_json(),
-            self.latency.distribution.to_json(),
-            self.latency.total.to_json()
-        ));
-        out.push_str(&format!(
-            "\"settlement\":{{\"blocks_appended\":{},\"chain_blocks\":{},\"tip_hash\":\"{}\"}},",
-            self.settlement.blocks_appended,
-            self.settlement.chain_blocks,
-            hex(&self.settlement.tip_hash)
-        ));
-        match &self.pool {
-            Some(p) => out.push_str(&format!(
-                "\"pool\":{{\"hits\":{},\"misses\":{},\"generated\":{}}},",
-                p.hits, p.misses, p.generated
-            )),
-            None => out.push_str("\"pool\":null,"),
+    /// The report as one JSON object.
+    pub fn to_json(&self) -> Json {
+        let [general, extreme, no_market] = self.regime_counts;
+        let (latency, settlement) = (&self.latency, &self.settlement);
+        let shard_fingerprints = self.shard_outcomes.iter().map(|so| {
+            json_object! { "shard": so.shard, "fingerprint": hex(&so.fingerprint()) }
+        });
+        json_object! {
+            "window": self.window, "agents": self.agents, "shards": self.shard_outcomes.len(),
+            "cleared_kwh": self.cleared_kwh, "payments_cents": self.payments_cents,
+            "regimes": json_object! {
+                "general": general, "extreme": extreme, "no_market": no_market,
+            },
+            "prices": price_stats_json(&self.prices),
+            "net": net_json(&self.net),
+            "latency": json_object! {
+                "evaluation": latency.evaluation.to_json(), "pricing": latency.pricing.to_json(),
+                "distribution": latency.distribution.to_json(), "total": latency.total.to_json(),
+            },
+            "settlement": json_object! {
+                "blocks_appended": settlement.blocks_appended,
+                "chain_blocks": settlement.chain_blocks, "tip_hash": hex(&settlement.tip_hash),
+            },
+            "pool": self.pool.as_ref().map(pool_json),
+            "coupling": self.coupling.as_ref().map(coupling_json),
+            "profile": self.profile.as_ref().map(ProfileSummary::to_json),
+            "causal": self.causal.as_ref().map(CriticalPathReport::to_json),
+            "statuses": self.statuses.iter().map(status_json).collect::<Json>(),
+            "shard_fingerprints": shard_fingerprints.collect::<Json>(),
+            "fingerprint": hex(&self.fingerprint()),
         }
-        match &self.coupling {
-            Some(c) => {
-                let causal = match &c.critical_path {
-                    Some(r) => causal_json(r),
-                    None => "null".into(),
-                };
-                out.push_str(&format!(
-                    "\"coupling\":{{\"engaged\":{},\"corridor_price\":{},\"transfer_count\":{},\
-                     \"transferred_kwh\":{},\"welfare_gain_cents\":{},\
-                     \"critical_path_us\":{},\"causal\":{}}},",
-                    c.engaged,
-                    json_f64(c.corridor_price),
-                    c.transfer_count,
-                    json_f64(c.transferred_kwh),
-                    json_f64(c.welfare_gain_cents),
-                    c.critical_path_us,
-                    causal
-                ));
-            }
-            None => out.push_str("\"coupling\":null,"),
-        }
-        match &self.profile {
-            Some(p) => out.push_str(&format!("\"profile\":{},", profile_json(p))),
-            None => out.push_str("\"profile\":null,"),
-        }
-        match &self.causal {
-            Some(c) => out.push_str(&format!("\"causal\":{},", causal_json(c))),
-            None => out.push_str("\"causal\":null,"),
-        }
-        let statuses: Vec<String> = self
-            .statuses
-            .iter()
-            .map(|s| match s {
-                CoalitionStatus::Cleared => "{\"status\":\"cleared\"}".into(),
-                CoalitionStatus::Recovered { attempts } => {
-                    format!("{{\"status\":\"recovered\",\"attempts\":{attempts}}}")
-                }
-                CoalitionStatus::Quarantined { error } => {
-                    format!(
-                        "{{\"status\":\"quarantined\",\"error\":\"{}\"}}",
-                        escape(error)
-                    )
-                }
-            })
-            .collect();
-        out.push_str(&format!("\"statuses\":[{}],", statuses.join(",")));
-        let shard_fps: Vec<String> = self
-            .shard_outcomes
-            .iter()
-            .map(|so| {
-                format!(
-                    "{{\"shard\":{},\"fingerprint\":\"{}\"}}",
-                    so.shard,
-                    hex(&so.fingerprint())
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "\"shard_fingerprints\":[{}],",
-            shard_fps.join(",")
-        ));
-        out.push_str(&format!("\"fingerprint\":\"{}\"", hex(&self.fingerprint())));
-        out.push('}');
-        out
     }
 }
 
 impl GridDayReport {
-    /// Renders the day report (with every window inline) as one JSON
-    /// object.
-    pub fn to_json(&self) -> String {
-        let windows: Vec<String> = self.windows.iter().map(GridReport::to_json).collect();
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"cleared_kwh\":{},\"payments_cents\":{},\"total_bytes\":{},\"total_messages\":{},\
-             \"ledger_valid\":{},\"transferred_kwh\":{},\"coupling_welfare_cents\":{},",
-            json_f64(self.cleared_kwh),
-            json_f64(self.payments_cents),
-            self.total_bytes,
-            self.total_messages,
-            self.ledger_valid,
-            json_f64(self.transferred_kwh),
-            json_f64(self.coupling_welfare_cents)
-        ));
-        match &self.pool {
-            Some(p) => out.push_str(&format!(
-                "\"pool\":{{\"hits\":{},\"misses\":{},\"generated\":{}}},",
-                p.hits, p.misses, p.generated
-            )),
-            None => out.push_str("\"pool\":null,"),
+    /// The day report, every window inline, as one JSON object.
+    pub fn to_json(&self) -> Json {
+        json_object! {
+            "cleared_kwh": self.cleared_kwh, "payments_cents": self.payments_cents,
+            "total_bytes": self.total_bytes, "total_messages": self.total_messages,
+            "ledger_valid": self.ledger_valid, "transferred_kwh": self.transferred_kwh,
+            "coupling_welfare_cents": self.coupling_welfare_cents,
+            "pool": self.pool.as_ref().map(pool_json),
+            "net": self.net.as_ref().map(net_json),
+            "profile": self.profile.as_ref().map(ProfileSummary::to_json),
+            "windows": self.windows.iter().map(GridReport::to_json).collect::<Json>(),
         }
-        match &self.net {
-            Some(n) => out.push_str(&format!("\"net\":{},", net_json(n))),
-            None => out.push_str("\"net\":null,"),
-        }
-        match &self.profile {
-            Some(p) => out.push_str(&format!("\"profile\":{},", profile_json(p))),
-            None => out.push_str("\"profile\":null,"),
-        }
-        out.push_str(&format!("\"windows\":[{}]", windows.join(",")));
-        out.push('}');
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use pem_core::PemConfig;
+    use pem_market::AgentWindow;
+    use pem_net::FaultKind;
+
     use super::*;
     use crate::report::LatencyPercentiles;
+    use crate::{ChaosSpec, Engine, GridConfig, GridOrchestrator, PartitionStrategy, RetryPolicy};
 
     #[test]
-    fn escapes_and_formats() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(hex(&[0x0a, 0xff]), "0aff");
+    fn degraded_day_roundtrips_through_the_parser() {
+        let population: Vec<AgentWindow> = (0..12)
+            .map(|i| {
+                if i % 2 == 0 {
+                    AgentWindow::new(i, 3.0, 0.5, 0.0, 0.9, 22.0 + i as f64)
+                } else {
+                    AgentWindow::new(i, 0.0, 2.0, 0.0, 0.9, 25.0)
+                }
+            })
+            .collect();
+        let cfg = GridConfig {
+            pem: PemConfig::fast_test(),
+            coalition_size: 6,
+            workers: 1,
+            engine: Engine::Threads,
+            strategy: PartitionStrategy::SurplusBalanced,
+            coupling: None,
+            retry: RetryPolicy::default(),
+        };
+        // Coalition 0 stalls on every attempt: quarantined both windows.
+        let mut grid = GridOrchestrator::new(cfg)
+            .expect("grid")
+            .with_chaos(vec![ChaosSpec {
+                shard: 0,
+                label: "eval/demand-agg",
+                nth: 0,
+                kind: FaultKind::Stall,
+                persistent: true,
+                window: None,
+            }]);
+        let mut windows: Vec<GridReport> = (0..2)
+            .map(|_| grid.run_window(&population).expect("window"))
+            .collect();
+        assert!(matches!(
+            windows[0].statuses[0],
+            CoalitionStatus::Quarantined { .. }
+        ));
+        // An error string no escaper may pass through raw, and a price
+        // figure JSON has no literal for.
+        let hostile = "stalled on \"eval/demand-agg\"\n\tafter 0 µs \\ 𝄞";
+        windows[0].statuses[0] = CoalitionStatus::Quarantined {
+            error: hostile.into(),
+        };
+        windows[1].prices.mean = f64::NAN;
+        let day = GridDayReport::fold(windows, grid.ledger().validate().is_ok());
+
+        let text = day.to_json().to_string();
+        assert!(!text.contains("NaN"));
+        let doc = Json::parse(&text).expect("a degraded day renders valid JSON");
+        assert_eq!(doc.get("ledger_valid"), Some(&Json::Bool(true)));
+        let rendered = doc
+            .get("windows")
+            .and_then(Json::as_array)
+            .expect("windows");
+        assert_eq!(rendered.len(), day.windows.len());
+        for (w, report) in rendered.iter().zip(&day.windows) {
+            let fingerprint = w.get("fingerprint").expect("fingerprint");
+            assert_eq!(*fingerprint, hex(&report.fingerprint()));
+            assert_eq!(fingerprint.as_str().map(str::len), Some(64));
+            let shards: Vec<f64> = w
+                .get("shard_fingerprints")
+                .and_then(Json::as_array)
+                .expect("shard fingerprints")
+                .iter()
+                .filter_map(|s| s.get("shard").and_then(Json::as_f64))
+                .collect();
+            assert_eq!(shards, [1.0], "the quarantined coalition has no outcome");
+            let statuses = w.get("statuses").and_then(Json::as_array).expect("roster");
+            let statuses: Vec<&str> = statuses
+                .iter()
+                .filter_map(|s| s.get("status").and_then(Json::as_str))
+                .collect();
+            assert_eq!(statuses, ["quarantined", "cleared"]);
+        }
+        let error = rendered[0]
+            .get("statuses")
+            .and_then(Json::as_array)
+            .expect("roster")[0]
+            .get("error")
+            .and_then(Json::as_str);
+        assert_eq!(error, Some(hostile));
+        let mean = |w: &Json| w.get("prices").and_then(|p| p.get("mean")).cloned();
+        assert_eq!(mean(&rendered[1]), Some(Json::Null));
+        assert!(mean(&rendered[0]).and_then(|m| m.as_f64()).is_some());
     }
 
     #[test]
@@ -302,8 +219,8 @@ mod tests {
             max_us: 4,
         };
         assert_eq!(
-            p.to_json(),
-            "{\"p50_us\":1,\"p90_us\":2,\"p99_us\":3,\"max_us\":4}"
+            p.to_json().to_string(),
+            "{\"max_us\":4,\"p50_us\":1,\"p90_us\":2,\"p99_us\":3}"
         );
     }
 
@@ -312,8 +229,14 @@ mod tests {
         let mut n = NetStats::new(2);
         n.record(0, 1, "eval/result", 10);
         let json = net_json(&n);
-        assert!(json.contains("\"total_messages\":1"));
-        assert!(json.contains("\"parties\":2"));
-        assert!(json.contains("\"eval/result\":{\"messages\":1,\"bytes\":10}"));
+        assert_eq!(json.get("total_messages"), Some(&Json::Num(1.0)));
+        assert_eq!(json.get("parties"), Some(&Json::Num(2.0)));
+        assert_eq!(
+            json.get("per_label")
+                .and_then(|l| l.get("eval/result"))
+                .map(Json::to_string)
+                .as_deref(),
+            Some("{\"bytes\":10,\"messages\":1}")
+        );
     }
 }

@@ -5,7 +5,8 @@ use pem_coupling::CouplingSummary;
 use pem_crypto::sha256;
 use pem_market::MarketKind;
 use pem_net::NetStats;
-use pem_telemetry::{CriticalPathReport, ProfileSummary};
+use pem_telemetry::json::Json;
+use pem_telemetry::{json_object, CriticalPathReport, ProfileSummary};
 
 /// One coalition's contribution to a grid window.
 #[derive(Debug, Clone)]
@@ -169,14 +170,14 @@ impl LatencyPercentiles {
         }
     }
 
-    /// Canonical JSON rendering — the one latency-percentile shape every
+    /// Canonical JSON shape — the one latency-percentile object every
     /// report emitter shares (key names are schema-pinned by
     /// `json::tests::latency_json_uses_canonical_keys`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-            self.p50_us, self.p90_us, self.p99_us, self.max_us
-        )
+    pub fn to_json(&self) -> Json {
+        json_object! {
+            "p50_us": self.p50_us, "p90_us": self.p90_us, "p99_us": self.p99_us,
+            "max_us": self.max_us,
+        }
     }
 }
 
@@ -241,7 +242,9 @@ pub struct GridReport {
     pub settlement: SettlementSummary,
     /// Randomizer-pool activity of *this window alone* (deltas, not
     /// lifetime totals), summed across the coalitions' pools; `None`
-    /// when pools are disabled.
+    /// when pools are disabled. A coalition's first window — after a
+    /// re-partition rebuilt it, too — also counts its initial batch in
+    /// `generated`, so the windows sum to what the pools ever did.
     pub pool: Option<PoolStats>,
     /// The cross-shard coupling round's summary; `None` when coupling is
     /// disabled (in which case the report — and its fingerprint — is
@@ -383,10 +386,7 @@ impl GridDayReport {
                 day.net = Some(w.net.clone());
             }
             if let Some(p) = w.pool {
-                let d = day.pool.get_or_insert_with(PoolStats::default);
-                d.hits += p.hits;
-                d.misses += p.misses;
-                d.generated += p.generated;
+                *day.pool.get_or_insert_with(PoolStats::default) += p;
             }
             if let Some(p) = &w.profile {
                 day.profile

@@ -24,7 +24,13 @@
 
 use std::collections::BTreeMap;
 
-use crate::MsgEvent;
+use crate::json::Json;
+use crate::{json_object, MsgEvent};
+
+/// How many dominating edges [`CriticalPathReport::to_json`] carries
+/// (the full hop list lives in the in-memory report; JSON keeps the
+/// headline).
+const JSON_TOP_EDGES: usize = 8;
 
 /// One hop on the extracted critical path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,6 +240,31 @@ impl CriticalPathReport {
         edges.truncate(k);
         edges
     }
+
+    /// The report as a JSON object: totals, the phase and link shares,
+    /// the path length and its [`top_edges`](Self::top_edges) (at most
+    /// eight).
+    pub fn to_json(&self) -> Json {
+        let links = self.link_us.iter().map(|&(from, to, us)| {
+            json_object! { "from": from, "to": to, "us": us }
+        });
+        let edges = self.top_edges(JSON_TOP_EDGES).into_iter().map(|h| {
+            json_object! {
+                "from": h.from, "to": h.to, "label": h.label, "bytes": h.bytes,
+                "depart_us": h.depart_us, "arrival_us": h.arrival_us,
+                "contrib_us": h.contrib_us, "queued": h.queued,
+            }
+        });
+        let phases = self
+            .phase_us
+            .iter()
+            .map(|(name, us)| (name.as_str(), Json::from(*us)));
+        json_object! {
+            "total_us": self.total_us, "messages": self.messages, "local_us": self.local_us,
+            "path_len": self.hops.len(), "phase_us": Json::obj(phases),
+            "link_us": links.collect::<Json>(), "top_edges": edges.collect::<Json>(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -376,6 +407,44 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert!(top[0].contrib_us >= top[1].contrib_us);
         assert!(r.top_edges(10).len() == 3);
+    }
+
+    #[test]
+    fn json_keeps_the_headline() {
+        // A ten-hop ring: JSON carries every total but only eight edges.
+        let msgs: Vec<MsgEvent> = (0..10)
+            .map(|i| {
+                msg(
+                    i,
+                    i + 1,
+                    "price/agg",
+                    108 * i as u64,
+                    108 * (i as u64 + 1),
+                    i as u64,
+                )
+            })
+            .collect();
+        let r = CriticalPathReport::from_msgs(&msgs);
+        let json = Json::parse(&r.to_json().to_string()).expect("valid JSON");
+        let num = |key: &str| json.get(key).and_then(Json::as_f64);
+        assert_eq!(num("total_us"), Some(1080.0));
+        assert_eq!(num("path_len"), Some(10.0));
+        assert_eq!(
+            json.get("phase_us").and_then(|p| p.get("price")),
+            Some(&Json::Num(1080.0))
+        );
+        let edges = json
+            .get("top_edges")
+            .and_then(Json::as_array)
+            .expect("edges");
+        assert_eq!(edges.len(), JSON_TOP_EDGES);
+        assert_eq!(
+            edges[0].get("label").and_then(Json::as_str),
+            Some("price/agg")
+        );
+        assert_eq!(edges[0].get("queued"), Some(&Json::Bool(false)));
+        let links = json.get("link_us").and_then(Json::as_array).expect("links");
+        assert_eq!(links.len(), 10);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   ([`write_chrome_trace`], loadable in `chrome://tracing` or
 //!   Perfetto) and a flat per-phase [`ProfileSummary`] table folded
 //!   into grid reports.
+//! * **[`json`]** — the one JSON value type every artifact in the
+//!   workspace is rendered and parsed through: grid reports, the Chrome
+//!   trace, bench runs and `grid_doctor`'s verdict.
 //!
 //! ## Observation only
 //!
@@ -54,6 +57,7 @@ use std::time::Instant;
 pub mod causal;
 mod chrome;
 mod hist;
+pub mod json;
 mod profile;
 mod registry;
 mod span;

@@ -2,7 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::Event;
+use crate::json::Json;
+use crate::{json_object, Event};
 
 /// Aggregate of every span sharing one name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +82,17 @@ impl ProfileSummary {
     pub fn total_wall_us(&self) -> u64 {
         self.rows.iter().map(|r| r.wall_us).sum()
     }
+
+    /// The table as a JSON array, one object per row.
+    pub fn to_json(&self) -> Json {
+        let row = |r: &ProfileRow| {
+            json_object! {
+                "name": r.name, "cat": r.cat, "count": r.count,
+                "wall_us": r.wall_us, "virtual_us": r.virtual_us,
+            }
+        };
+        self.rows.iter().map(row).collect()
+    }
 }
 
 #[cfg(test)]
@@ -116,6 +128,11 @@ mod tests {
         assert_eq!(price.virtual_us, 5);
         assert_eq!(p.total_wall_us(), 22);
         assert_eq!(ProfileSummary::from_events(&[]), ProfileSummary::default());
+        assert_eq!(
+            p.to_json().to_string(),
+            "[{\"cat\":\"test\",\"count\":1,\"name\":\"eval\",\"virtual_us\":0,\"wall_us\":7},\
+             {\"cat\":\"test\",\"count\":2,\"name\":\"price\",\"virtual_us\":5,\"wall_us\":15}]"
+        );
     }
 
     #[test]

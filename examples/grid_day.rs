@@ -330,7 +330,7 @@ fn main() {
     println!("wall clock         {elapsed:>12.1} s");
 
     if !json_path.is_empty() {
-        std::fs::write(&json_path, report.to_json()).expect("write --json report");
+        std::fs::write(&json_path, report.to_json().to_string()).expect("write --json report");
         println!("json report        {json_path}");
     }
     if !trace_path.is_empty() {
