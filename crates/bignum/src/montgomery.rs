@@ -12,6 +12,9 @@
 //!   window recoding as a reusable value, so a batch of exponentiations
 //!   under one exponent (every CRT decryption leg of a fan-in) recodes
 //!   once instead of per call;
+//! * [`Montgomery::horner_fold`] — `Π b_j^(2^(shift·(len−1−j)))` as one
+//!   Horner pass (square `shift` times, multiply, repeat): how a
+//!   Paillier decryptor packs a batch of bounded plaintexts into one;
 //! * [`Montgomery::pow_mul`] — `base^exp · factor` fused in the Montgomery
 //!   domain (one conversion round-trip instead of two);
 //! * [`Montgomery::multi_modpow`] — simultaneous (Shamir/interleaved
@@ -662,6 +665,33 @@ impl Montgomery {
         out
     }
 
+    /// Horner fold of `bases` at a fixed shift: `acc ← acc^(2^shift) · b`
+    /// per base, so the result is `Π b_j^(2^(shift·(len−1−j)))` — the
+    /// first base carries the highest power. One pass through the
+    /// Montgomery domain: `shift` squarings and one multiplication per
+    /// base after the first. An empty fold is one. Not a ladder, so
+    /// nothing is counted in `crypto/modpow`.
+    ///
+    /// Under Paillier this packs plaintexts: folding `Enc(m_j)` yields
+    /// `Enc(Σ m_j · 2^(shift·(len−1−j)))`.
+    pub fn horner_fold<'a>(
+        &self,
+        bases: impl IntoIterator<Item = &'a BigUint>,
+        shift: usize,
+    ) -> BigUint {
+        let mut bases = bases.into_iter();
+        let Some(first) = bases.next() else {
+            return self.one_result();
+        };
+        let (mut acc, mut tmp) = (self.to_mont(first), vec![0u64; self.k]);
+        for base in bases {
+            self.sqr_chain(&mut acc, &mut tmp, shift);
+            self.mont_mul_into(&acc, &self.to_mont(base), &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        self.from_mont(&acc)
+    }
+
     /// Fused `base^exp · factor mod n`: the multiplication happens in the
     /// Montgomery domain, saving a conversion round-trip (and a separate
     /// reduction of `factor`) over `mul(&modpow(base, exp), factor)`.
@@ -1069,6 +1099,31 @@ mod tests {
                 ctx.mul(&ctx.modpow(&base, &e), &factor),
                 "exp={e:?}"
             );
+        }
+    }
+
+    #[test]
+    fn horner_fold_matches_powers_of_two() {
+        let n = (BigUint::one() << 190) + BigUint::from(12345u64);
+        let ctx = Montgomery::new(n.clone()).expect("odd");
+        let bases: Vec<BigUint> = [3u64, 0xDEAD_BEEF, 1, 0xFFFF_FFFF_FFFF_FFFF]
+            .iter()
+            .map(|&b| BigUint::from(b))
+            .chain([&n + &BigUint::from(7u64)]) // wider than the modulus
+            .collect();
+        for shift in [0usize, 1, 13, 98] {
+            for len in 0..=bases.len() {
+                let mut expected = BigUint::one();
+                for (j, b) in bases[..len].iter().enumerate() {
+                    let e = BigUint::one() << (shift * (len - 1 - j));
+                    expected = ctx.mul(&expected, &ctx.modpow(b, &e));
+                }
+                assert_eq!(
+                    ctx.horner_fold(&bases[..len], shift),
+                    expected,
+                    "shift={shift} len={len}"
+                );
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 
 use pem_market::{AgentWindow, Role};
 
+use crate::config::VALUE_BITS;
 use crate::error::PemError;
 use crate::quantize::Quantizer;
 
@@ -30,7 +31,10 @@ impl AgentCtx {
     ///
     /// # Errors
     ///
-    /// Propagates data validation and quantization failures.
+    /// Propagates data validation and quantization failures, and returns
+    /// [`PemError::Quantization`] for a quantized net energy of `2^32` or
+    /// more in magnitude: the bound `PemConfig::validate` sizes the
+    /// comparison and Protocol 4's ratio slots by.
     pub fn prepare(
         index: usize,
         data: AgentWindow,
@@ -38,12 +42,20 @@ impl AgentCtx {
         nonce: u64,
     ) -> Result<AgentCtx, PemError> {
         data.validate()?;
-        let sn_q = quantizer.quantize(data.net_energy(), "net energy")?;
+        let what = "net energy";
+        let sn_q = quantizer.quantize(data.net_energy(), what)?;
+        let sn_abs_q = sn_q.unsigned_abs();
+        if sn_abs_q >> VALUE_BITS != 0 {
+            return Err(PemError::Quantization {
+                what,
+                value: data.net_energy(),
+            });
+        }
         Ok(AgentCtx {
             index,
             data,
             sn_q,
-            sn_abs_q: sn_q.unsigned_abs(),
+            sn_abs_q,
             nonce,
             role: if sn_q > 0 {
                 Role::Seller
@@ -90,5 +102,26 @@ mod tests {
         let q = Quantizer::default();
         let bad = AgentWindow::new(0, -1.0, 1.0, 0.0, 0.9, 20.0);
         assert!(AgentCtx::prepare(0, bad, &q, 0).is_err());
+    }
+
+    #[test]
+    fn prepare_enforces_the_per_value_bound() {
+        // |sn_q| < 2^32 µkWh, on both sides of zero; the quantizer alone
+        // would admit up to 2^62.
+        let q = Quantizer::default();
+        let limit = (1u64 << 32) as f64 / 1e6; // ≈ 4294.97 kWh
+        for (generation, load) in [(limit, 0.0), (0.0, limit), (1e5, 0.0)] {
+            let data = AgentWindow::new(0, generation, load, 0.0, 0.9, 20.0);
+            assert!(
+                matches!(
+                    AgentCtx::prepare(0, data, &q, 0),
+                    Err(PemError::Quantization { .. })
+                ),
+                "generation {generation}, load {load}"
+            );
+        }
+        let data = AgentWindow::new(0, limit - 0.001, 0.0, 0.0, 0.9, 20.0);
+        let ctx = AgentCtx::prepare(0, data, &q, 0).expect("just below the bound");
+        assert!(ctx.sn_abs_q < 1 << 32);
     }
 }

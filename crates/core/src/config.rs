@@ -10,6 +10,16 @@ use crate::error::PemError;
 use crate::fold::Topology;
 use crate::quantize::Quantizer;
 
+/// Every quantized net energy satisfies `|sn_q| < 2^VALUE_BITS`
+/// ([`AgentCtx::prepare`](crate::AgentCtx::prepare) enforces it). Minute
+/// windows stay below 2^6 kWh, i.e. 2^26 at the default scale, so 32
+/// bits is generous.
+pub(crate) const VALUE_BITS: u32 = 32;
+
+/// A population holds at most `2^POPULATION_BITS` agents
+/// ([`PemConfig::validate`] enforces it).
+const POPULATION_BITS: u32 = 16;
+
 /// Which Diffie–Hellman group backs the oblivious transfers of the secure
 /// comparison. Independent of the Paillier key size — the paper varies
 /// only the latter (512/1024/2048) in its Fig. 5 sweeps.
@@ -166,14 +176,16 @@ impl PemConfig {
                 "ratio precision must be in 16..=60 bits".into(),
             ));
         }
+        if agents > 1 << POPULATION_BITS {
+            return Err(PemError::Config(format!(
+                "population of {agents} exceeds 2^{POPULATION_BITS} agents"
+            )));
+        }
         self.band.validate()?;
-        // Energies on minute windows are < 2^6 kWh → quantized < 2^26 at
-        // the default scale; use 32 bits as a generous per-value bound.
         self.quantizer()
-            .check_headroom(agents, 32, self.nonce_bits, self.compare_bits)?;
-        // The Paillier space must also hold Protocol 4's scaled ratios:
-        // E_b·K < 2^(32 + log2 n + K bits).
-        let needed = 34 + self.ratio_precision_bits as usize + 16;
+            .check_headroom(agents, VALUE_BITS, self.nonce_bits, self.compare_bits)?;
+        // The Paillier space must also hold Protocol 4's scaled ratios.
+        let needed = self.ratio_slot_bits();
         if self.key_bits < needed {
             return Err(PemError::Config(format!(
                 "key_bits {} too small for ratio precision (need ≥ {needed})",
@@ -181,6 +193,15 @@ impl PemConfig {
             )));
         }
         Ok(())
+    }
+
+    /// The bit width every Protocol 4 ratio plaintext
+    /// `v_j = E · round(K / |sn_j|)` stays below, and the slot width its
+    /// decryptor packs them at: `E < 2^(VALUE_BITS + POPULATION_BITS)`
+    /// and `round(K / |sn_j|) ≤ K`, plus two bits of slack — 98 bits at
+    /// the paper's 48-bit precision.
+    pub fn ratio_slot_bits(&self) -> usize {
+        (VALUE_BITS + 2 + self.ratio_precision_bits + POPULATION_BITS) as usize
     }
 }
 
@@ -217,6 +238,22 @@ mod tests {
         let mut c = PemConfig::fast_test();
         c.nonce_bits = 0;
         assert!(c.validate(10).is_err());
+    }
+
+    #[test]
+    fn population_cap_backs_the_ratio_slot() {
+        // The slot width assumes at most 2^16 agents: the cap is
+        // enforced, not just assumed.
+        let c = PemConfig::paper(1024);
+        assert_eq!(c.ratio_slot_bits(), 98);
+        c.validate(1 << 16).expect("2^16 agents fit");
+        assert!(matches!(
+            c.validate((1 << 16) + 1),
+            Err(PemError::Config(_))
+        ));
+        let mut c = PemConfig::fast_test();
+        c.ratio_precision_bits = 60;
+        assert_eq!(c.ratio_slot_bits(), 110);
     }
 
     #[test]

@@ -14,6 +14,15 @@
 //!    with a public precision constant `K = 2^ratio_precision_bits`.
 //!    `H_s` decrypts `v_j ≈ K·E_b/|sn_j|` and recovers the demand ratio
 //!    `|sn_j|/E_b = K/v_j` — learning the ratio but neither operand.
+//!    Every `v_j` is below `2^w` for `w =`
+//!    [`PemConfig::ratio_slot_bits`] (98 bits), so `H_s` decrypts the
+//!    fan-in packed
+//!    ([`PrivateKey::decrypt_packed`](pem_crypto::paillier::PrivateKey::decrypt_packed)):
+//!    it Horner-folds
+//!    `⌊(|n| − 64)/w⌋` ciphertexts (20 at 2048-bit keys) into one,
+//!    decrypts that once and splits it into slots. It learns exactly the
+//!    `v_j` and nothing more; a plaintext that overflows its pack (a
+//!    corrupted ciphertext) is a typed error.
 //! 4. `H_s` broadcasts the ratio vector inside the seller coalition; each
 //!    seller routes `e_ij = sn_i · ratio_j` to each buyer, who pays
 //!    `m_ji = p·e_ij` — the O(n²) pairwise settlement of §III-D.
@@ -160,9 +169,11 @@ pub fn run<T: Transport>(
         )?;
     }
 
-    // The decryptor drains the whole fan-in first, then decrypts it as
-    // one batch over its (CRT) context — the settlement-side analogue of
-    // the coupling coordinator's batched total/claim decryptions.
+    // The decryptor drains the whole fan-in first. Every v_j is below
+    // 2^ratio_slot_bits, so it decrypts them packed: one CRT decryption
+    // per slots_per_pack ratios. A plaintext above its slot (a corrupted
+    // ciphertext) is a typed error.
+    let decrypt_span = Span::enter_at("dist/decrypt", "protocol", net.now_us());
     let sk = keys.keypair(decryptor).private();
     let mut ratio_cts = Vec::with_capacity(ratio_side.len());
     for _ in 0..ratio_side.len() {
@@ -173,16 +184,18 @@ pub fn run<T: Transport>(
         ratio_cts.push(ct);
     }
     let mut ratios = Vec::with_capacity(ratio_side.len());
-    for m in sk.decrypt_batch(&ratio_cts) {
+    for m in sk.decrypt_packed(&ratio_cts, cfg.ratio_slot_bits())? {
+        // Zero is degenerate. Above 2^128 is unreachable: the packed
+        // decryption bounds v by its slot, which `validate` keeps below
+        // 2^110.
         let v = m
             .to_u128()
-            .ok_or(PemError::Protocol("scaled ratio exceeded 128 bits"))?;
-        if v == 0 {
-            return Err(PemError::Protocol("degenerate zero ratio"));
-        }
+            .filter(|&v| v != 0)
+            .ok_or(PemError::Protocol("degenerate ratio"))?;
         // v ≈ K·total/sn_member ⇒ member share = K/v.
         ratios.push(k_const as f64 / v as f64);
     }
+    decrypt_span.finish_at(net.now_us());
     ratio_span.finish_at(net.now_us());
 
     // --- Step 4: broadcast ratios to the other coalition and settle. ---

@@ -18,6 +18,7 @@ use pem_circuit::CircuitError;
 use pem_core::protocol2;
 use pem_core::{AgentCtx, KeyDirectory, PemConfig, PemError, Quantizer};
 use pem_crypto::drbg::HashDrbg;
+use pem_crypto::CryptoError;
 use pem_market::{AgentWindow, Role};
 use pem_net::wire::WireWriter;
 use pem_net::{
@@ -303,6 +304,39 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
             (clean.masked_demand, clean.masked_supply),
             "{case}: the masked totals are untouched"
         );
+    }
+}
+
+#[test]
+fn tampered_ratio_requests_abort_without_trades() {
+    // Protocol 4's decryptor fan-in, at one slot per pack (`fast_test`,
+    // 128-bit keys) and at two slots of one pack (`paper(512)`). A
+    // flipped bit in a ratio ciphertext decrypts to a plaintext uniform
+    // mod n, far above the 98-bit slot, so the packed decryption refuses
+    // it. Before packing, a 128-bit key's garbage fitted `u128` and
+    // settled as a wrong ratio. A truncated request fails to decode.
+    let data = population();
+    for cfg in [PemConfig::fast_test(), PemConfig::paper(512)] {
+        let bits = cfg.key_bits;
+        let clean = pem_core::Pem::new(cfg.clone(), data.len())
+            .expect("setup")
+            .run_window(&data)
+            .expect("clean window");
+        assert!(!clean.trades.is_empty(), "{bits}: the clean window trades");
+        for kind in [FaultKind::Corrupt, FaultKind::Truncate] {
+            let plan = FaultPlan::new().inject("dist/ratio-req", 0, kind);
+            let result = pem_core::Pem::new(cfg.clone(), data.len())
+                .expect("setup")
+                .run_window_with_faults(&data, plan);
+            match (kind, &result) {
+                (
+                    FaultKind::Corrupt,
+                    Err(PemError::Crypto(CryptoError::MessageTooLarge { .. })),
+                )
+                | (FaultKind::Truncate, Err(PemError::Net(NetError::Decode { .. }))) => {}
+                _ => panic!("{bits}-bit keys, {kind:?}: got {result:?}"),
+            }
+        }
     }
 }
 

@@ -187,13 +187,17 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
             "{profile:?}: a trading window rebuilt a generator's or a key's comb table"
         );
         // This window makes 12 encryptions, each one `h_s^x` off its
-        // key's table and none of them a ladder: beside the comparison
-        // that leaves the ten ladders of the CRT decryption legs and the
-        // `mul_plain` scalars (the classic `r^n` lane ran 12 more).
+        // key's table and none of them a ladder (the classic `r^n` lane
+        // ran 12 more). Beside the comparison that leaves 14 ladders:
+        // two CRT legs for each of the four decryptions of Protocols 2
+        // and 3, the two ratio `mul_plain` scalars, and Protocol 4's
+        // packed decryption — two legs per pack, and at 128-bit keys a
+        // pack holds one of the two ratios.
         let encryptions = 12;
+        let ratio_packs = 2;
         assert_eq!(
             (after.0 - before.0, after.1 - before.1),
-            (chunks + 10, 2 * chunks + 2 + encryptions),
+            (chunks + 10 + 2 * ratio_packs, 2 * chunks + 2 + encryptions),
             "{profile:?}: (ladders, table pows) per trading window"
         );
 

@@ -23,7 +23,11 @@
 //! (when available) and decrypts via two half-width exponentiations mod
 //! `p²`/`q²` with Garner recombination — ~2.3–3.1× the classic
 //! full-width `c^λ mod n²` path at the paper's key sizes (measured in
-//! `BENCH_crypto.json`), bit-identical output. Fused chains
+//! `BENCH_crypto.json`), bit-identical output. A fan-in of plaintexts
+//! bounded by `2^w` (Protocol 4's ratios) decrypts packed:
+//! [`PrivateKey::decrypt_packed`] Horner-folds `⌊(|n| − 64)/w⌋`
+//! ciphertexts into one on the half-width legs and decrypts that once.
+//! Fused chains
 //! (`mul_plain` + `add_plain`) run through [`PublicKey::affine`], one
 //! pass through the Montgomery domain.
 //!
@@ -56,6 +60,10 @@ use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery, PowScratch};
 
 use crate::error::CryptoError;
 use crate::{short_exponent, short_exponent_bits};
+
+/// Bits of `n` that [`PrivateKey::decrypt_packed`] leaves above its top
+/// slot, so that a plaintext uniform mod `n` lands there.
+const PACK_GUARD_BITS: usize = 64;
 
 /// A Paillier public key: `n`, the published randomizer base
 /// `h_s = h^n mod n²`, cached `n²`, and the shared, lazily (re)built
@@ -660,65 +668,107 @@ impl PrivateKey {
 
     /// Decrypts a batch to canonical representatives in `[0, n)`.
     ///
-    /// A convenience for the aggregation fan-ins (Protocol 4 ratios,
-    /// coupling totals and claims) that decrypt many ciphertexts under
-    /// one key back to back. The CRT exponent recodings are shared
-    /// across the whole batch (cached in the key's CRT context), and
-    /// batches of at least four full-size ciphertexts are split over
-    /// the machine's cores with scoped threads — decryption is
-    /// deterministic and chunking preserves order, so the output is
-    /// bit-identical at any core count, and a batch is never slower
-    /// than the per-item path beyond spawn noise.
+    /// For fan-ins of unbounded plaintexts (the coupling coordinator's
+    /// signed totals and claims): one ladder per ciphertext and leg,
+    /// sequentially, on window tables and ladder buffers allocated once
+    /// per batch, with the CRT exponent recodings cached in the key's CRT
+    /// context. Plaintexts known to be narrow take
+    /// [`PrivateKey::decrypt_packed`] instead.
     pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Vec<BigUint> {
-        // One chunk's worth of work, on chunk-local scratches (window
-        // tables + ladder buffers allocated once per chunk, not once
-        // per exponentiation).
-        let run_chunk = |part: &[Ciphertext]| -> Vec<BigUint> {
-            match self.crt() {
+        match self.crt() {
+            Some(crt) => {
+                let (mut sp, mut sq) = (crt.p_leg.scratch(), crt.q_leg.scratch());
+                cts.iter()
+                    .map(|c| crt.decrypt_scratch(&c.0, &mut sp, &mut sq))
+                    .collect()
+            }
+            None => {
+                let pk = &self.public;
+                let digits = ExpDigits::recode(&self.lambda);
+                let mut scratch = pk.mont().pow_scratch(&digits);
+                cts.iter()
+                    .map(|c| {
+                        let x = pk.mont().modpow_scratch(&c.0, &digits, &mut scratch);
+                        (&l_function(&x, &pk.n) * &self.mu) % &pk.n
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// How many `slot_bits`-wide plaintexts [`PrivateKey::decrypt_packed`]
+    /// recovers per decryption: `⌊(|n| − 64) / slot_bits⌋`, at least one.
+    /// For 98-bit slots that is 20 at 2048-bit keys, 9 at 1024, 4 at 512
+    /// and 1 at 128.
+    pub fn slots_per_pack(&self, slot_bits: usize) -> usize {
+        self.public
+            .bits()
+            .saturating_sub(PACK_GUARD_BITS)
+            .checked_div(slot_bits)
+            .unwrap_or(0)
+            .max(1)
+    }
+
+    /// Decrypts a batch whose plaintexts each lie below `2^slot_bits`,
+    /// with one decryption per [`PrivateKey::slots_per_pack`] ciphertexts.
+    ///
+    /// Each pack is folded Horner-style, `acc ← acc^(2^slot_bits) · c_j`
+    /// ([`Montgomery::horner_fold`]), which encrypts
+    /// `Σ m_j · 2^(slot_bits·(len−1−j))`. One decryption then yields every
+    /// slot. With the factors the fold runs on each half-width leg mod
+    /// `p²`/`q²`, followed by one ladder per leg (counted in
+    /// `crypto/modpow`) and one Garner step. A factorless key folds mod
+    /// `n²` and decrypts classically. On in-bound input the output is
+    /// [`PrivateKey::decrypt_batch`]'s, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::MessageTooLarge`] if a pack's plaintext reaches
+    /// `2^(slot_bits·len)`. That catches any top slot at or above
+    /// `2^slot_bits`, and a corrupted ciphertext, whose plaintext is
+    /// uniform mod `n`, except with probability `2^−64` (the guard bits
+    /// above the top slot; a one-slot pack on a toy key has
+    /// `|n| − slot_bits` of them). An out-of-bound value in a lower slot
+    /// can instead carry into the slot above it unseen, so the bound is
+    /// the caller's to enforce.
+    pub fn decrypt_packed(
+        &self,
+        cts: &[Ciphertext],
+        slot_bits: usize,
+    ) -> Result<Vec<BigUint>, CryptoError> {
+        // A slot as wide as n holds any plaintext: one slot per pack and
+        // no bound to check, exactly as for any wider slot.
+        let slot_bits = slot_bits.min(self.public.bits());
+        let per_pack = self.slots_per_pack(slot_bits);
+        let mask = &(BigUint::one() << slot_bits) - &BigUint::one();
+        let mut out = Vec::with_capacity(cts.len());
+        for pack in cts.chunks(per_pack) {
+            let bases = pack.iter().map(|c| &c.0);
+            let packed = match self.crt() {
                 Some(crt) => {
-                    let (mut sp, mut sq) = (crt.p_leg.scratch(), crt.q_leg.scratch());
-                    part.iter()
-                        .map(|c| crt.decrypt_scratch(&c.0, &mut sp, &mut sq))
-                        .collect()
+                    let leg = |leg: &CrtLeg| {
+                        leg.decrypt(&leg.mont_r2.horner_fold(bases.clone(), slot_bits))
+                    };
+                    crt.garner(leg(&crt.p_leg), leg(&crt.q_leg))
                 }
                 None => {
-                    let pk = &self.public;
-                    let digits = ExpDigits::recode(&self.lambda);
-                    let mut scratch = pk.mont().pow_scratch(&digits);
-                    part.iter()
-                        .map(|c| {
-                            let x = pk.mont().modpow_scratch(&c.0, &digits, &mut scratch);
-                            (&l_function(&x, &pk.n) * &self.mu) % &pk.n
-                        })
-                        .collect()
+                    let folded = self.public.mont().horner_fold(bases, slot_bits);
+                    self.decrypt_classic(&Ciphertext(folded))
                 }
+            };
+            if packed.bit_length() > slot_bits * pack.len() {
+                return Err(CryptoError::MessageTooLarge {
+                    message_bits: packed.bit_length(),
+                    modulus_bits: self.public.bits(),
+                });
             }
-        };
-        let workers = if cts.len() >= 4 && self.public.bits() >= 512 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(cts.len())
-        } else {
-            1
-        };
-        if workers <= 1 {
-            return run_chunk(cts);
+            out.extend(
+                (0..pack.len())
+                    .rev()
+                    .map(|j| &(&packed >> (slot_bits * j)) & &mask),
+            );
         }
-        // Touch the lazily built CRT context before fanning out so the
-        // workers share one build instead of racing to create it.
-        let _ = self.crt();
-        let chunk = cts.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = cts
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || run_chunk(part)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("decrypt batch worker panicked"))
-                .collect()
-        })
+        Ok(out)
     }
 
     /// Decrypts and decodes the balanced signed encoding.
@@ -1153,21 +1203,27 @@ mod tests {
 
     #[test]
     fn decrypt_batch_matches_singles() {
-        let kp = keypair(128);
-        let mut rng = HashDrbg::new(b"batch");
-        let ms: Vec<BigUint> = (0u64..7).map(|i| BigUint::from(i * 1000 + 3)).collect();
-        let cts: Vec<Ciphertext> = ms
-            .iter()
-            .map(|m| kp.public().encrypt(m, &mut rng))
-            .collect();
-        assert_eq!(kp.private().decrypt_batch(&cts), ms);
-        let signed: Vec<Ciphertext> = [5i128, -5, 0]
-            .iter()
-            .map(|&v| kp.public().encrypt(&kp.public().encode_i128(v), &mut rng))
-            .collect();
-        assert_eq!(kp.private().decrypt_i128_batch(&signed), Ok(vec![5, -5, 0]));
-        // The factorless path batches too.
-        assert_eq!(kp.private().without_crt().decrypt_batch(&cts), ms);
+        // Batches in order, at the toy width and at one whose batches
+        // of four or more once fanned out over threads.
+        for bits in [128usize, 512] {
+            let kp = keypair(bits);
+            let mut rng = HashDrbg::new(b"batch");
+            let ms: Vec<BigUint> = (0u64..9).map(|i| BigUint::from(i * 1000 + 3)).collect();
+            let cts: Vec<Ciphertext> = ms
+                .iter()
+                .map(|m| kp.public().encrypt(m, &mut rng))
+                .collect();
+            assert_eq!(kp.private().decrypt_batch(&cts), ms);
+            let singles: Vec<BigUint> = cts.iter().map(|c| kp.private().decrypt(c)).collect();
+            assert_eq!(singles, ms);
+            let signed: Vec<Ciphertext> = [5i128, -5, 0]
+                .iter()
+                .map(|&v| kp.public().encrypt(&kp.public().encode_i128(v), &mut rng))
+                .collect();
+            assert_eq!(kp.private().decrypt_i128_batch(&signed), Ok(vec![5, -5, 0]));
+            // The factorless path batches too.
+            assert_eq!(kp.private().without_crt().decrypt_batch(&cts), ms);
+        }
     }
 
     #[test]
@@ -1308,19 +1364,68 @@ mod tests {
     }
 
     #[test]
-    fn decrypt_batch_parallel_threshold_is_bit_identical() {
-        // A batch big enough (and a key wide enough) to take the
-        // threaded path must return exactly what singles return, in
-        // order.
+    fn slots_per_pack_follows_the_key_size() {
+        for (bits, slots) in [
+            (128usize, 1usize),
+            (256, 1),
+            (512, 4),
+            (1024, 9),
+            (2048, 20),
+        ] {
+            let n = (BigUint::one() << (bits - 1)) + BigUint::one();
+            let sk = PrivateKey {
+                lambda: BigUint::one(),
+                mu: BigUint::one(),
+                public: PublicKey::from_parts(n, BigUint::from(4u64)).expect("odd n"),
+                p: None,
+                q: None,
+                crt: Arc::new(OnceLock::new()),
+            };
+            assert_eq!(sk.slots_per_pack(98), slots, "{bits}-bit key");
+            assert_eq!(sk.slots_per_pack(0), 1, "a zero-width slot packs alone");
+            assert_eq!(sk.slots_per_pack(bits), 1);
+        }
+    }
+
+    #[test]
+    fn decrypt_packed_errors_on_what_it_can_see() {
+        // 512-bit key, 98-bit slots: four per pack, 120 guard bits.
         let kp = keypair(512);
-        let mut rng = HashDrbg::new(b"par-batch");
-        let ms: Vec<BigUint> = (0u64..9).map(|i| BigUint::from(i * 77 + 5)).collect();
-        let cts: Vec<Ciphertext> = ms
-            .iter()
-            .map(|m| kp.public().encrypt(m, &mut rng))
-            .collect();
-        assert_eq!(kp.private().decrypt_batch(&cts), ms);
-        assert_eq!(kp.private().without_crt().decrypt_batch(&cts), ms);
+        let (pk, w) = (kp.public(), 98usize);
+        let mut rng = HashDrbg::new(b"packed-bounds");
+        let enc = |v: &BigUint, rng: &mut HashDrbg| pk.encrypt(v, rng);
+        let top = BigUint::one() << w;
+        let small = BigUint::from(5u64);
+        for sk in [kp.private().clone(), kp.private().without_crt()] {
+            // A top slot at 2^w overflows its pack: typed, never a panic.
+            let cts: Vec<Ciphertext> = [&top, &small, &small, &small, &small]
+                .iter()
+                .map(|v| enc(v, &mut rng))
+                .collect();
+            assert!(matches!(
+                sk.decrypt_packed(&cts, w),
+                Err(CryptoError::MessageTooLarge {
+                    modulus_bits: 512,
+                    ..
+                })
+            ));
+            // So does the top slot of the second pack, alone in it.
+            let cts: Vec<Ciphertext> = [&small, &small, &small, &small, &top]
+                .iter()
+                .map(|v| enc(v, &mut rng))
+                .collect();
+            assert!(sk.decrypt_packed(&cts, w).is_err());
+            // A lower slot at 2^w carries into the slot above it unseen:
+            // (0, 2^w) packs to 2^w, which is (1, 0). The bound is the
+            // caller's to enforce.
+            let cts = [enc(&BigUint::zero(), &mut rng), enc(&top, &mut rng)];
+            assert_eq!(
+                sk.decrypt_packed(&cts, w),
+                Ok(vec![BigUint::one(), BigUint::zero()])
+            );
+            // An empty batch decrypts to nothing.
+            assert_eq!(sk.decrypt_packed(&[], w), Ok(vec![]));
+        }
     }
 
     #[test]

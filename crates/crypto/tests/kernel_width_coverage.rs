@@ -22,7 +22,8 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
     // Key generation (Miller–Rabin mod p, q; `h_s` on the owner's CRT
     // legs mod p², q²), the randomizer lane (the `h_s` table build and
     // its pows mod n²), the classic reference ladder (mod n²) and CRT
-    // decryption (mod p², q² and the half-width recombination).
+    // decryption (mod p², q² and the half-width recombination), batched
+    // and packed.
     let kp = Keypair::generate(2048, &mut rng);
     let (pk, sk) = (kp.public(), kp.private());
     let m = BigUint::from(123_456_789u64);
@@ -30,7 +31,13 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
     let pooled = pk.precompute_randomizers(1, &mut rng);
     let c2 = pk.try_encrypt_with(&m, &pooled[0]).expect("in range");
     let c3 = pk.try_encrypt_classic(&m, &mut rng).expect("in range");
-    assert_eq!(sk.decrypt_batch(&[c, c2, c3]), [m.clone(), m.clone(), m]);
+    let cts = [c, c2, c3];
+    assert_eq!(sk.decrypt_batch(&cts), [m.clone(), m.clone(), m.clone()]);
+    // The packed fan-in folds on the same half-width legs.
+    assert_eq!(
+        sk.decrypt_packed(&cts, 98),
+        Ok(vec![m.clone(), m.clone(), m])
+    );
 
     // The OT group: a ladder and a comb-table exponentiation.
     let group = DhGroup::modp_2048();

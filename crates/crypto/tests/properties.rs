@@ -4,7 +4,7 @@ use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{run_local_ot, DhGroup};
 use pem_crypto::paillier::{Ciphertext, Keypair, PublicKey};
-use pem_crypto::short_exponent_bits;
+use pem_crypto::{short_exponent_bits, CryptoError};
 use proptest::prelude::*;
 use rand::Rng as _;
 use std::sync::OnceLock;
@@ -30,6 +30,97 @@ fn lane_keypair(which: usize) -> &'static Keypair {
         let mut rng = HashDrbg::from_seed_label(b"proptest-lane-keypair", bits as u64);
         Keypair::generate(bits, &mut rng)
     })
+}
+
+/// Slot width of Protocol 4's ratios at the paper's precision.
+const SLOT_BITS: usize = 98;
+
+/// The widths the packed-decryption properties run at: one, four and
+/// nine 98-bit slots per pack.
+const PACK_KEY_BITS: [usize; 3] = [256, 512, 1024];
+
+/// One shared keypair per entry of [`PACK_KEY_BITS`].
+fn pack_keypair(which: usize) -> &'static Keypair {
+    static KPS: [OnceLock<Keypair>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    KPS[which].get_or_init(|| {
+        let bits = PACK_KEY_BITS[which];
+        let mut rng = HashDrbg::from_seed_label(b"proptest-pack-keypair", bits as u64);
+        Keypair::generate(bits, &mut rng)
+    })
+}
+
+/// `len` in-bound slot values, with the edges `0` and `2^SLOT_BITS − 1`
+/// drawn half the time.
+fn slot_values(len: usize, rng: &mut HashDrbg) -> Vec<BigUint> {
+    let top = &(BigUint::one() << SLOT_BITS) - &BigUint::one();
+    (0..len)
+        .map(|_| match rng.gen_range(0..4u8) {
+            0 => BigUint::zero(),
+            1 => top.clone(),
+            _ => BigUint::random_bits(SLOT_BITS, rng),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn decrypt_packed_equals_decrypt_batch(
+        which in 0usize..3,
+        len in any::<prop::sample::Index>(),
+        seed in any::<u64>(),
+    ) {
+        // Lengths 0..=2s+1: empty, partial, full and spilling packs.
+        let kp = pack_keypair(which);
+        let (pk, sk) = (kp.public(), kp.private());
+        let len = len.index(2 * sk.slots_per_pack(SLOT_BITS) + 2);
+        let mut rng = HashDrbg::from_seed_label(b"packed-eq", seed);
+        let ms = slot_values(len, &mut rng);
+        let cts: Vec<Ciphertext> = ms.iter().map(|m| pk.encrypt(m, &mut rng)).collect();
+        let batch = sk.decrypt_batch(&cts);
+        prop_assert_eq!(&batch, &ms);
+        for key in [sk.clone(), sk.without_crt()] {
+            prop_assert_eq!(key.decrypt_packed(&cts, SLOT_BITS), Ok(batch.clone()));
+        }
+    }
+
+    #[test]
+    fn decrypt_packed_rejects_out_of_bound_slots(
+        which in 0usize..3,
+        len in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        seed in any::<u64>(),
+    ) {
+        // A slot uniform in [2^w, n), or a random unit in place of a
+        // ciphertext, at any position: the pack's plaintext is then
+        // uniform mod n and lands in the guard bits (all but 2^−64).
+        let kp = pack_keypair(which);
+        let (pk, sk) = (kp.public(), kp.private());
+        let len = 1 + len.index(2 * sk.slots_per_pack(SLOT_BITS) + 1);
+        let at = at.index(len);
+        let mut rng = HashDrbg::from_seed_label(b"packed-oob", seed);
+        let mut ms = slot_values(len, &mut rng);
+        let floor = BigUint::one() << SLOT_BITS;
+        ms[at] = &floor + &BigUint::random_below(&(pk.n() - &floor), &mut rng);
+        let mut cts: Vec<Ciphertext> = ms.iter().map(|m| pk.encrypt(m, &mut rng)).collect();
+        for key in [sk.clone(), sk.without_crt()] {
+            prop_assert!(matches!(
+                key.decrypt_packed(&cts, SLOT_BITS),
+                Err(CryptoError::MessageTooLarge { .. })
+            ));
+        }
+        cts[at] = pk.encrypt(&BigUint::zero(), &mut rng);
+        prop_assert!(sk.decrypt_packed(&cts, SLOT_BITS).is_ok());
+        cts[at] = Ciphertext::from_biguint(BigUint::random_coprime(pk.n_squared(), &mut rng));
+        prop_assert!(pk.validate_ciphertext(&cts[at]).is_ok());
+        for key in [sk.clone(), sk.without_crt()] {
+            prop_assert!(matches!(
+                key.decrypt_packed(&cts, SLOT_BITS),
+                Err(CryptoError::MessageTooLarge { .. })
+            ));
+        }
+    }
 }
 
 proptest! {

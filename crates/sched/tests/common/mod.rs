@@ -14,6 +14,10 @@
 //!   format or the key/draw stream may re-record it**, here and nowhere
 //!   else, and only while `MARKET_GOLDEN` passes unchanged.
 //!
+//! [`TREE_COUPLED_GOLDEN`] and [`PAPER512_GOLDEN`] pin the same
+//! scenario on paths `GOLDEN` does not reach (tree + coupling; a key
+//! wide enough to pack Protocol 4's ratios), under `GOLDEN`'s rule.
+//!
 //! To inspect current values:
 //! `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
 
@@ -58,7 +62,17 @@ pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
     "fed26c4604de6fab0645c3b04bc8f89d9b2ccc8334934cb677256c70835de507:544:432",
 ];
 
-fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
+/// Full fingerprints per window of [`run_paper512`], recorded before
+/// Protocol 4's decryptor packed its fan-in, while it still ran one CRT
+/// decryption per ratio. Same re-record rule as [`GOLDEN`].
+#[allow(dead_code)] // asserted by fingerprint_golden.rs only
+pub const PAPER512_GOLDEN: [&str; 2] = [
+    "229bc51d39a3dba0d623674a8b6b4b88edce531c02b30683e051aaa54de06506",
+    "c9f8b6c705eb74a2bdff4f6a436639a7774e91e843b7d48caa6007f585ceaa9d",
+];
+
+/// The 40-home trace's agents at `windows`.
+fn day(windows: &[usize], homes: usize) -> Vec<Vec<AgentWindow>> {
     let trace = TraceGenerator::new(TraceConfig {
         homes,
         windows: 96,
@@ -66,11 +80,16 @@ fn day(windows: usize, homes: usize) -> Vec<Vec<AgentWindow>> {
         ..TraceConfig::default()
     })
     .generate();
-    (0..windows).map(|w| trace.window_agents(44 + w)).collect()
+    windows.iter().map(|&w| trace.window_agents(w)).collect()
 }
 
-/// Two windows of the 40-home scenario under `pem` / `coupling`.
+/// The two windows `GOLDEN`, `MARKET_GOLDEN` and `TREE_COUPLED_GOLDEN`
+/// pin.
+const WINDOWS: [usize; 2] = [44, 45];
+
+/// The 40-home scenario at `windows` under `pem` / `coupling`.
 fn run_grid(
+    windows: &[usize],
     pem: PemConfig,
     coupling: Option<CouplingConfig>,
     workers: usize,
@@ -86,15 +105,27 @@ fn run_grid(
         retry: RetryPolicy::default(),
     })
     .expect("grid");
-    day(2, 40)
+    day(windows, 40)
         .iter()
         .map(|pop| grid.run_window(pop).expect("window"))
         .collect()
 }
 
+/// The only goldened run at a key wide enough to pack Protocol 4's
+/// ratios: `PemConfig::paper(512)`, four 98-bit slots per decryption.
+/// Window 44 is four general markets with 8–9 buyers each; window 90
+/// after it is one general market with 6 buyers and three extreme ones
+/// with 7–8 sellers. So every ratio batch spans two packs, in both
+/// market cases (the fast-test goldens hold one slot per pack).
+#[allow(dead_code)] // asserted by fingerprint_golden.rs only
+pub fn run_paper512() -> Vec<GridReport> {
+    run_grid(&[44, 90], PemConfig::paper(512), None, 2, Engine::Threads)
+}
+
 /// Two coupling-off windows of the 40-home scenario at `workers` workers.
 pub fn run(workers: usize) -> Vec<GridReport> {
     run_grid(
+        &WINDOWS,
         PemConfig::fast_test().with_randomizer_pool(6),
         None,
         workers,
@@ -110,6 +141,7 @@ pub fn run(workers: usize) -> Vec<GridReport> {
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub fn run_tree_coupled(workers: usize, engine: Engine) -> Vec<String> {
     run_grid(
+        &WINDOWS,
         PemConfig::fast_test().with_topology(Topology::tree()),
         Some(CouplingConfig::fast_test().with_latency(LatencyModel::lan())),
         workers,

@@ -35,6 +35,32 @@ fn coupling_off_fingerprints_match_pre_overhaul_goldens() {
 }
 
 #[test]
+fn paper512_fingerprints_match_their_pins() {
+    use pem_market::MarketKind;
+    let reports = common::run_paper512();
+    // Both market cases reach the packed decryption with two packs per
+    // batch: more than four ratio-side members in every coalition.
+    let mut kinds = Vec::new();
+    for so in reports.iter().flat_map(|r| &r.shard_outcomes) {
+        assert!(
+            so.outcome.revealed.allocation_ratios.len() > 4,
+            "shard {}: {:?} market in one pack",
+            so.shard,
+            so.outcome.kind
+        );
+        kinds.push(so.outcome.kind);
+    }
+    assert!(kinds.contains(&MarketKind::General) && kinds.contains(&MarketKind::Extreme));
+    let full = common::fingerprints(&reports);
+    println!("paper(512) fingerprints={full:?}");
+    assert_eq!(
+        full,
+        common::PAPER512_GOLDEN.to_vec(),
+        "paper(512) fingerprint drifted"
+    );
+}
+
+#[test]
 fn tree_and_coupled_paths_match_their_pins() {
     use pem_sched::Engine;
     for (workers, engine) in [
