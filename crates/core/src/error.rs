@@ -40,13 +40,14 @@ impl PemError {
     ///
     /// Only a message that was lost, duplicated or withheld is an
     /// artifact of *this execution*: an empty mailbox
-    /// ([`NetError::Empty`]), a stray message at its head
-    /// ([`NetError::UnexpectedLabel`]) or an exhausted poll budget
-    /// ([`NetError::Timeout`]) can clear on a retry over a healthy
-    /// fabric. Everything else is fatal. A frame that fails to decode, a
-    /// ciphertext or garbling that fails validation and a violated
-    /// protocol invariant mean a peer sent something malformed — a
-    /// retry would burn the budget on the same hostile input —
+    /// ([`NetError::Empty`] — also what the executor's stall breaker
+    /// ends a window waiting on a withheld message in) or a stray
+    /// message at its head ([`NetError::UnexpectedLabel`]) can clear on
+    /// a retry over a healthy fabric. Everything else is fatal. A frame
+    /// that fails to decode, a ciphertext or garbling that fails
+    /// validation and a violated protocol invariant mean a peer sent
+    /// something malformed — a retry would burn the budget on the same
+    /// hostile input —
     /// and addressing, configuration, quantization and market-model
     /// errors are properties of the inputs that re-running reproduces
     /// exactly.
@@ -56,9 +57,7 @@ impl PemError {
     pub fn is_retryable(&self) -> bool {
         match self {
             PemError::Net(e) => match e {
-                NetError::Empty { .. }
-                | NetError::UnexpectedLabel { .. }
-                | NetError::Timeout { .. } => true,
+                NetError::Empty { .. } | NetError::UnexpectedLabel { .. } => true,
                 NetError::Decode { .. }
                 | NetError::UnknownParty { .. }
                 | NetError::SelfSend { .. }
@@ -158,14 +157,6 @@ mod tests {
                 net(NetError::UnexpectedLabel {
                     expected: "x",
                     got: "y".into(),
-                }),
-                true,
-            ),
-            (
-                net(NetError::Timeout {
-                    party: 1,
-                    expected: "x",
-                    deadline_us: 0,
                 }),
                 true,
             ),

@@ -21,7 +21,7 @@ use std::time::Instant;
 use pem_crypto::drbg::HashDrbg;
 use pem_fabric::{kickoff, step, FabricTask, Poll, ProtocolStateMachine};
 use pem_market::{AgentWindow, MarketKind, Role};
-use pem_net::{NetError, PartyId, SimNetwork, Transport};
+use pem_net::{PartyId, SimNetwork, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
@@ -51,13 +51,10 @@ enum Stage<'a> {
     NoMarket,
     /// The first poll opens Protocol 2.
     EvalStart,
-    /// Demand ring in flight.
-    EvalDemand {
-        machine: MaskedAggMachine<'a>,
-        agg_span: Span,
-    },
-    /// Supply ring in flight.
-    EvalSupply {
+    /// One of Protocol 2's masked rings in flight: demand toward `H_r1`,
+    /// then (`supply`) supply toward `H_r2`.
+    Eval {
+        supply: bool,
         machine: MaskedAggMachine<'a>,
         agg_span: Span,
     },
@@ -225,13 +222,46 @@ impl<'a> Window<'a> {
         }
     }
 
+    /// Opens one of Protocol 2's masked rings on `net`: demand —
+    /// `Σ(|sn_j| + r_j) + Σ r_i` under `H_r1`'s key — or, with `supply`,
+    /// supply — `Σ(sn_i + r_i) + Σ r_j` under `H_r2`'s key.
+    fn open_ring<T: Transport>(
+        &mut self,
+        net: &mut T,
+        supply: bool,
+    ) -> Result<Stage<'a>, PemError> {
+        let (collector, holders, maskers, role, label) = if supply {
+            let label = "eval/supply-agg";
+            (self.hr2, &self.sellers, &self.buyers, Role::Seller, label)
+        } else {
+            let label = "eval/demand-agg";
+            (self.hr1, &self.buyers, &self.sellers, Role::Buyer, label)
+        };
+        let agg_span = Span::enter_at(label, "protocol", net.now_us());
+        let mut machine = MaskedAggMachine::new(
+            self.keys,
+            &self.agents,
+            collector,
+            holders,
+            maskers,
+            role,
+            label,
+            self.pool,
+            self.rng,
+        )?;
+        kickoff(net, &mut machine)?;
+        Ok(Stage::Eval {
+            supply,
+            machine,
+            agg_span,
+        })
+    }
+
     /// The `(recipient, label)` the next poll will receive, or `None`
     /// when it computes locally (or the window is done).
     fn expecting(&self) -> Option<(PartyId, &'static str)> {
         match &self.stage {
-            Stage::EvalDemand { machine, .. } | Stage::EvalSupply { machine, .. } => {
-                machine.expecting()
-            }
+            Stage::Eval { machine, .. } => machine.expecting(),
             Stage::Price { machine } => machine.expecting(),
             _ => None,
         }
@@ -259,61 +289,32 @@ impl<'a> Window<'a> {
                 self.phase_open(net, "window/eval");
                 self.hr1 = self.sellers[self.rng.gen_range(0..self.sellers.len())];
                 self.hr2 = self.buyers[self.rng.gen_range(0..self.buyers.len())];
-                let agg_span = Span::enter_at("eval/demand-agg", "protocol", net.now_us());
-                let mut machine = MaskedAggMachine::new(
-                    self.keys,
-                    &self.agents,
-                    self.hr1,
-                    &self.buyers,
-                    &self.sellers,
-                    Role::Buyer,
-                    "eval/demand-agg",
-                    self.pool,
-                    self.rng,
-                )?;
-                kickoff(net, &mut machine)?;
-                self.stage = Stage::EvalDemand { machine, agg_span };
+                self.stage = self.open_ring(net, false)?;
                 Ok(Poll::Pending)
             }
 
-            Stage::EvalDemand {
+            Stage::Eval {
+                supply,
                 mut machine,
                 agg_span,
             } => {
                 match step(net, &mut machine)? {
-                    None => self.stage = Stage::EvalDemand { machine, agg_span },
-                    Some(total) => {
-                        agg_span.finish_at(net.now_us());
-                        self.masked.0 = total;
-                        let agg_span = Span::enter_at("eval/supply-agg", "protocol", net.now_us());
-                        let mut machine = MaskedAggMachine::new(
-                            self.keys,
-                            &self.agents,
-                            self.hr2,
-                            &self.sellers,
-                            &self.buyers,
-                            Role::Seller,
-                            "eval/supply-agg",
-                            self.pool,
-                            self.rng,
-                        )?;
-                        kickoff(net, &mut machine)?;
-                        self.stage = Stage::EvalSupply { machine, agg_span };
+                    None => {
+                        self.stage = Stage::Eval {
+                            supply,
+                            machine,
+                            agg_span,
+                        }
                     }
-                }
-                Ok(Poll::Pending)
-            }
-
-            Stage::EvalSupply {
-                mut machine,
-                agg_span,
-            } => {
-                match step(net, &mut machine)? {
-                    None => self.stage = Stage::EvalSupply { machine, agg_span },
                     Some(total) => {
                         agg_span.finish_at(net.now_us());
-                        self.masked.1 = total;
-                        self.stage = Stage::EvalFinish;
+                        if supply {
+                            self.masked.1 = total;
+                            self.stage = Stage::EvalFinish;
+                        } else {
+                            self.masked.0 = total;
+                            self.stage = self.open_ring(net, true)?;
+                        }
                     }
                 }
                 Ok(Poll::Pending)
@@ -417,37 +418,20 @@ impl<'a> Window<'a> {
 }
 
 /// One trading window with its own queue fabric: the unit an
-/// [`Executor`] multiplexes.
+/// [`Executor`] multiplexes. A window waiting on a message that never
+/// arrives reports itself unready; the executor's stall breaker then
+/// force-polls it into its typed receive error, so a wedged window
+/// frees its slot without any deadline of its own.
 ///
 /// [`Executor`]: pem_fabric::Executor
 pub struct WindowTask<'a> {
     window: Window<'a>,
     net: SimNetwork,
-    /// Remaining polls before the task gives up with a timeout
-    /// (`None` = unbounded). A wedged machine — e.g. one whose expected
-    /// message was stalled in flight — must not hold an executor slot
-    /// forever.
-    poll_budget: Option<u64>,
 }
 
 impl<'a> WindowTask<'a> {
     pub(crate) fn new(window: Window<'a>, net: SimNetwork) -> WindowTask<'a> {
-        WindowTask {
-            window,
-            net,
-            poll_budget: None,
-        }
-    }
-
-    /// Caps the task at `polls` polls (builder style): exhausting the
-    /// budget surfaces [`NetError::Timeout`] instead of letting a wedged
-    /// machine occupy its executor slot indefinitely. Healthy windows
-    /// complete in a few polls per protocol message, so any generous cap
-    /// leaves normal runs untouched.
-    #[must_use]
-    pub fn with_poll_budget(mut self, polls: u64) -> WindowTask<'a> {
-        self.poll_budget = Some(polls);
-        self
+        WindowTask { window, net }
     }
 }
 
@@ -456,20 +440,6 @@ impl FabricTask for WindowTask<'_> {
     type Error = PemError;
 
     fn poll(&mut self) -> Result<Poll<PemWindowOutcome>, PemError> {
-        if let Some(budget) = self.poll_budget.as_mut() {
-            if *budget == 0 {
-                let (party, expected) = self
-                    .window
-                    .expecting()
-                    .map_or((0, "window"), |(to, label)| (to.0, label));
-                return Err(PemError::Net(NetError::Timeout {
-                    party,
-                    expected,
-                    deadline_us: self.net.now_us(),
-                }));
-            }
-            *budget -= 1;
-        }
         self.window.poll(&mut self.net)
     }
 
@@ -591,38 +561,8 @@ mod tests {
     }
 
     #[test]
-    fn poll_budget_bounds_window_execution() {
-        let pop = population(&[2.0, 1.0, -3.0, -2.0]);
-        // A budget far below what a window needs surfaces as a timeout,
-        // not a hang — the wedged task frees its executor slot.
-        let mut pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let task = pem.fabric_window(&pop).expect("task").with_poll_budget(3);
-        let (results, _) = Executor::new(0).run_collect(vec![task]);
-        match &results[0] {
-            Err(PemError::Net(NetError::Timeout { .. })) => {}
-            other => panic!("expected a timeout, got {other:?}"),
-        }
-        // A generous budget changes nothing: same bits as unbudgeted.
-        let mut a = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let mut b = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let (mut plain, _) = Executor::new(0)
-            .run(vec![a.fabric_window(&pop).expect("task")])
-            .expect("run");
-        let (mut budgeted, _) = Executor::new(0)
-            .run(vec![b
-                .fabric_window(&pop)
-                .expect("task")
-                .with_poll_budget(1_000_000)])
-            .expect("run");
-        assert_outcomes_identical(
-            &plain.pop().expect("one output"),
-            &budgeted.pop().expect("one output"),
-        );
-    }
-
-    #[test]
     fn stalled_window_is_evicted_not_hung() {
-        use pem_net::{FaultKind, FaultPlan};
+        use pem_net::{FaultKind, FaultPlan, NetError};
         let stalled_pop = population(&[2.0, 1.0, -3.0, -2.0]);
         let healthy_pop = population(&[3.0, -1.0, -4.0, 0.5]);
         let solo = Pem::new(PemConfig::fast_test(), 4)
@@ -634,13 +574,12 @@ mod tests {
         let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Stall);
         let stalled = stalled_pem
             .fabric_window_with_faults(&stalled_pop, plan)
-            .expect("task")
-            .with_poll_budget(50_000);
+            .expect("task");
         let healthy = healthy_pem.fabric_window(&healthy_pop).expect("task");
         let (results, _) = Executor::new(0).run_collect(vec![stalled, healthy]);
         assert!(
-            matches!(&results[0], Err(PemError::Net(_))),
-            "the stalled window surfaces a typed net error: {:?}",
+            matches!(&results[0], Err(PemError::Net(NetError::Empty { .. }))),
+            "the stall breaker ends the stalled window in its receive error: {:?}",
             results[0]
         );
         let out = results[1].as_ref().expect("healthy window completes");

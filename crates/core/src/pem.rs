@@ -227,8 +227,9 @@ impl Pem {
     }
 
     /// [`run_window`](Pem::run_window) over a fault-injecting fabric:
-    /// the fresh `SimNetwork` carries the given plan. This is the chaos
-    /// entry point the grid orchestrator drives.
+    /// the fresh `SimNetwork` carries the given plan. The grid
+    /// orchestrator's retries run through it
+    /// ([`retry_window`](Pem::retry_window)).
     ///
     /// # Errors
     ///
@@ -295,8 +296,8 @@ impl Pem {
     }
 
     /// [`fabric_window`](Pem::fabric_window) with a fault plan attached
-    /// to the task's queue fabric — the chaos entry point for
-    /// executor-driven windows.
+    /// to the task's queue fabric — how every grid lane opens its
+    /// coalitions' first attempts.
     ///
     /// # Errors
     ///

@@ -32,7 +32,6 @@ use pem_market::Role;
 use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{Envelope, PartyId, Transport};
 use pem_telemetry::Span;
-use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
@@ -41,83 +40,16 @@ use crate::fold::{FoldMachine, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
-/// Result of Private Market Evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalOutcome {
-    /// `true` ⇔ `E_s < E_b` (general market).
-    pub general_market: bool,
-    /// The randomly selected seller (learned `R_b`).
-    pub hr1: usize,
-    /// The randomly selected buyer (learned `R_s`).
-    pub hr2: usize,
-    /// The masked demand total revealed to `H_r1` (audit surface).
-    pub masked_demand: u128,
-    /// The masked supply total revealed to `H_r2` (audit surface).
-    pub masked_supply: u128,
-}
-
-/// Runs Protocol 2.
-///
-/// # Errors
-///
-/// Propagates crypto/network failures; [`PemError::Protocol`] if either
-/// coalition is empty (the caller must handle no-market windows).
-#[allow(clippy::too_many_arguments)]
-pub fn run<T: Transport>(
-    net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    sellers: &[usize],
-    buyers: &[usize],
-    cfg: &PemConfig,
-    pool: &mut Option<RandomizerPool>,
-    rng: &mut HashDrbg,
-) -> Result<EvalOutcome, PemError> {
-    if sellers.is_empty() || buyers.is_empty() {
-        return Err(PemError::Protocol(
-            "market evaluation requires both coalitions to be non-empty",
-        ));
-    }
-    let hr1 = sellers[rng.gen_range(0..sellers.len())];
-    let hr2 = buyers[rng.gen_range(0..buyers.len())];
-
-    // One nonce-masked ring ending at `collector`, driven to completion.
-    let mut ring = |collector, holders: &[usize], maskers: &[usize], role, label| {
-        let agg_span = Span::enter_at(label, "protocol", net.now_us());
-        let mut machine = MaskedAggMachine::new(
-            keys, agents, collector, holders, maskers, role, label, pool, rng,
-        )?;
-        let total = pem_fabric::drive(net, &mut machine)?;
-        agg_span.finish_at(net.now_us());
-        Ok::<u128, PemError>(total)
-    };
-    // Demand round: Σ(|sn_j| + r_j) + Σ r_i under H_r1's key; supply
-    // round: Σ(sn_i + r_i) + Σ r_j under H_r2's key.
-    let masked_demand = ring(hr1, buyers, sellers, Role::Buyer, "eval/demand-agg")?;
-    let masked_supply = ring(hr2, sellers, buyers, Role::Seller, "eval/supply-agg")?;
-
-    let general_market = run_compare(net, cfg, hr1, hr2, masked_demand, masked_supply, rng)?;
-    broadcast_result(net, hr1, agents.len(), general_market)?;
-
-    Ok(EvalOutcome {
-        general_market,
-        hr1,
-        hr2,
-        masked_demand,
-        masked_supply,
-    })
-}
-
 /// The nonce-masked ring aggregation of Protocol 2 as a poll-able state
 /// machine: the [`FoldMachine`] at `K = 1` over the ring, then the
-/// collector adds its own nonce and decrypts.
+/// collector adds its own nonce and decrypts. The trading window
+/// (`crate::fabric_window`) is the only code that sequences the two
+/// rings, the comparison and the result broadcast.
 ///
-/// Every encryption is performed at construction, in exactly the order
-/// the blocking driver would interleave them with the wire traffic — the
-/// RNG and randomizer-pool streams (and therefore every ciphertext bit)
-/// are identical whether the machine is driven to completion on a
-/// blocking transport or interleaved with thousands of peers on an
-/// executor.
+/// Every encryption is performed at construction, in chain order, so
+/// the RNG and randomizer-pool streams (and therefore every ciphertext
+/// bit) are identical whether the window is polled in a loop or
+/// interleaved with thousands of peers on an executor.
 pub struct MaskedAggMachine<'a> {
     keys: &'a KeyDirectory,
     collector: usize,
@@ -129,9 +61,8 @@ pub struct MaskedAggMachine<'a> {
 impl<'a> MaskedAggMachine<'a> {
     /// Builds the machine: forms the chain (value holders first, then
     /// the masking coalition minus the collector) and encrypts every
-    /// contribution up front (in chain order — the blocking driver's RNG
-    /// order). `value_holders` contribute `|sn| + nonce`, `maskers` only
-    /// their nonces.
+    /// contribution up front, in chain order. `value_holders` contribute
+    /// `|sn| + nonce`, `maskers` only their nonces.
     ///
     /// # Errors
     ///
@@ -216,8 +147,8 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
 }
 
 /// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`
-/// evaluates. Two-party and strictly request/response, so it runs
-/// inline (blocking) even under the fabric engine. The OT group is a
+/// evaluates. Two-party and strictly request/response, so the window
+/// runs it inline at its phase boundary. The OT group is a
 /// handle to the profile's shared context, so the comparison's one OT
 /// batch (and every later window) rides one generator table.
 pub(crate) fn run_compare<T: Transport>(
@@ -387,149 +318,129 @@ fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertex
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::quantize::Quantizer;
-    use pem_market::AgentWindow;
-    use pem_net::SimNetwork;
+    //! The trading window is the only code that sequences Protocol 2, so
+    //! its behaviours are checked on whole `fast_test` windows.
 
-    fn setup(
-        surpluses: &[f64],
-    ) -> (
-        SimNetwork,
-        KeyDirectory,
-        Vec<AgentCtx>,
-        Vec<usize>,
-        Vec<usize>,
-        PemConfig,
-        HashDrbg,
-    ) {
-        let cfg = PemConfig::fast_test();
-        let q = Quantizer::new(cfg.scale);
-        let n = surpluses.len();
-        let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-        let mut rng = HashDrbg::from_seed_label(b"p2-test", 1);
-        let mut agents = Vec::new();
-        let mut sellers = Vec::new();
-        let mut buyers = Vec::new();
-        for (i, &s) in surpluses.iter().enumerate() {
-            let data = if s >= 0.0 {
-                AgentWindow::new(i, s, 0.0, 0.0, 0.9, 25.0)
-            } else {
-                AgentWindow::new(i, 0.0, -s, 0.0, 0.9, 25.0)
-            };
-            let nonce = rng.gen::<u64>() >> (64 - cfg.nonce_bits);
-            let ctx = AgentCtx::prepare(i, data, &q, nonce).expect("prepare");
-            match ctx.role {
-                Role::Seller => sellers.push(i),
-                Role::Buyer => buyers.push(i),
-                Role::OffMarket => {}
-            }
-            agents.push(ctx);
-        }
-        let net = SimNetwork::new(n);
-        (net, keys, agents, sellers, buyers, cfg, rng)
+    use crate::{Pem, PemConfig, PemWindowOutcome};
+    use pem_market::{AgentWindow, MarketKind};
+    use pem_net::{SimNetwork, Transport};
+
+    /// One window on `net` over agents with the given net surpluses
+    /// (sellers generate it, buyers load it).
+    fn window_on(surpluses: &[f64], net: &mut SimNetwork) -> PemWindowOutcome {
+        let data: Vec<AgentWindow> = surpluses
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                if s >= 0.0 {
+                    AgentWindow::new(i, s, 0.0, 0.0, 0.9, 25.0)
+                } else {
+                    AgentWindow::new(i, 0.0, -s, 0.0, 0.9, 25.0)
+                }
+            })
+            .collect();
+        Pem::new(PemConfig::fast_test(), data.len())
+            .expect("setup")
+            .run_window_on(net, &data)
+            .expect("window")
+    }
+
+    fn window(surpluses: &[f64]) -> PemWindowOutcome {
+        window_on(surpluses, &mut SimNetwork::new(surpluses.len()))
+    }
+
+    /// The masked totals `(R_b, R_s)` the window revealed to `H_r1` and
+    /// `H_r2`.
+    fn masked(out: &PemWindowOutcome) -> (u128, u128) {
+        (
+            out.revealed.masked_demand.expect("R_b"),
+            out.revealed.masked_supply.expect("R_s"),
+        )
     }
 
     #[test]
     fn detects_general_market() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[2.0, 1.0, -4.0, -3.0]); // E_s = 3 < E_b = 7
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
-        assert!(out.general_market);
+        let mut net = SimNetwork::new(4);
+        let out = window_on(&[2.0, 1.0, -4.0, -3.0], &mut net); // E_s = 3 < E_b = 7
+        assert_eq!(out.kind, MarketKind::General);
         assert_eq!(net.pending(), 0, "all messages consumed");
     }
 
     #[test]
     fn detects_extreme_market() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[5.0, 4.0, -1.0, -2.0]); // E_s = 9 ≥ E_b = 3
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
-        assert!(!out.general_market);
+        let out = window(&[5.0, 4.0, -1.0, -2.0]); // E_s = 9 ≥ E_b = 3
+        assert_eq!(out.kind, MarketKind::Extreme);
     }
 
     #[test]
     fn masked_totals_differ_by_true_difference() {
-        // Rb − Rs must equal E_b − E_s exactly (same nonce sum in both).
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[2.5, -1.25, -3.25]);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
+        // R_b − R_s must equal E_b − E_s exactly (same nonce sum in both).
+        let (rb, rs) = masked(&window(&[2.5, -1.25, -3.25]));
         let e_s = 2_500_000i128;
         let e_b = 4_500_000i128;
-        assert_eq!(
-            out.masked_demand as i128 - out.masked_supply as i128,
-            e_b - e_s
-        );
+        assert_eq!(rb as i128 - rs as i128, e_b - e_s);
     }
 
     #[test]
     fn masked_totals_hide_raw_values() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[2.0, -4.0]);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
+        let (rb, rs) = masked(&window(&[2.0, -4.0]));
         // The masked totals must include the nonce mass, i.e. exceed the
         // raw quantized totals (nonces are 40-bit, values ~21-bit).
-        assert!(out.masked_demand > 4_000_000);
-        assert!(out.masked_supply > 2_000_000);
+        assert!(rb > 4_000_000);
+        assert!(rs > 2_000_000);
     }
 
     #[test]
     fn knife_edge_equal_supply_demand_is_extreme() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[3.0, -3.0]);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
-        assert!(!out.general_market, "E_s = E_b must be extreme (III-C)");
+        let out = window(&[3.0, -3.0]);
+        assert_eq!(
+            out.kind,
+            MarketKind::Extreme,
+            "E_s = E_b must be extreme (III-C)"
+        );
     }
 
     #[test]
     fn empty_coalition_rejected() {
-        let (mut net, keys, agents, sellers, _buyers, cfg, mut rng) = setup(&[1.0, 2.0]);
-        let err = run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &[],
-            &cfg,
-            &mut None,
-            &mut rng,
-        );
-        assert!(matches!(err, Err(PemError::Protocol(_))));
+        // A one-sided window never opens Protocol 2: no ring, no
+        // comparison, nothing revealed.
+        let out = window(&[1.0, 2.0]);
+        assert_eq!(out.kind, MarketKind::NoMarket);
+        assert_eq!(out.metrics.market_evaluation.messages, 0);
+        assert_eq!(out.revealed.masked_demand, None);
     }
 
     #[test]
     fn two_agent_minimum_market() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[0.5, -0.75]);
-        let out = run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
-        assert!(out.general_market);
-        assert_eq!(out.hr1, 0);
-        assert_eq!(out.hr2, 1);
+        let out = window(&[0.5, -0.75]);
+        assert_eq!(out.kind, MarketKind::General);
+        // One seller (H_r1) and one buyer (H_r2): each ring is a single
+        // hop from the other party to its collector.
+        assert_eq!(out.net.per_label["eval/demand-agg"].messages, 1);
+        assert_eq!(out.net.per_label["eval/supply-agg"].messages, 1);
+        assert_eq!(out.trades.len(), 1);
     }
 
     #[test]
     fn bandwidth_is_recorded_per_phase() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&[2.0, 1.0, -4.0, -3.0]);
-        run(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-        )
-        .expect("protocol 2");
-        let stats = net.stats();
-        assert!(stats.per_label.contains_key("eval/demand-agg"));
-        assert!(stats.per_label.contains_key("eval/supply-agg"));
-        assert!(stats.per_label.contains_key("eval/gc-offer"));
+        let out = window(&[2.0, 1.0, -4.0, -3.0]);
+        let labels = &out.net.per_label;
+        for label in [
+            "eval/demand-agg",
+            "eval/supply-agg",
+            "eval/gc-offer",
+            "eval/result",
+        ] {
+            assert!(labels.contains_key(label), "missing {label}");
+        }
         // The garbled offer dominates: tables + labels + OT setups.
-        assert!(stats.per_label["eval/gc-offer"].bytes > stats.per_label["eval/demand-agg"].bytes);
+        assert!(labels["eval/gc-offer"].bytes > labels["eval/demand-agg"].bytes);
+        // The evaluation phase meters exactly Protocol 2's labels.
+        let eval_bytes: u64 = labels
+            .iter()
+            .filter(|(label, _)| label.starts_with("eval/"))
+            .map(|(_, stats)| stats.bytes)
+            .sum();
+        assert_eq!(out.metrics.market_evaluation.bytes, eval_bytes);
     }
 }

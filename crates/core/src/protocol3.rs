@@ -13,7 +13,7 @@ use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
 use pem_fabric::{Outbound, ProtocolStateMachine, Transition};
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{Envelope, PartyId, Transport};
+use pem_net::{Envelope, PartyId};
 use pem_telemetry::Span;
 use rand::Rng;
 
@@ -40,32 +40,6 @@ pub struct PricingOutcome {
     pub denominator_sum: f64,
 }
 
-/// Runs Protocol 3 with an explicit aggregation topology — the thin
-/// blocking adapter over [`PricingMachine`].
-///
-/// # Errors
-///
-/// [`PemError::Protocol`] if either coalition is empty; otherwise
-/// crypto/network failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_topology<T: Transport>(
-    net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    sellers: &[usize],
-    buyers: &[usize],
-    cfg: &PemConfig,
-    topology: Topology,
-    pool: &mut Option<RandomizerPool>,
-    rng: &mut HashDrbg,
-) -> Result<PricingOutcome, PemError> {
-    let start_vts = net.now_us();
-    let mut machine = PricingMachine::new(
-        keys, agents, sellers, buyers, cfg, topology, pool, rng, start_vts,
-    )?;
-    pem_fabric::drive(net, &mut machine)
-}
-
 /// Where the pricing protocol currently stands.
 enum PricingState<'a> {
     /// The sellers' `(k, d)` pairs are folding toward `H_b`.
@@ -83,11 +57,12 @@ enum PricingState<'a> {
 /// [`FoldMachine`] at `K = 2` in the configured topology, then `H_b`'s
 /// decryption and the price broadcast.
 ///
-/// All seller-term encryptions are performed at construction, in exactly
-/// the order the blocking driver drew them (ring/star: seller order;
-/// tree: descending position), so RNG and randomizer-pool streams are
-/// bit-identical between [`run_with_topology`] and an executor-driven
-/// run.
+/// All seller-term encryptions are performed at construction, in the
+/// order the topology visits the sellers (ring/star: seller order; tree:
+/// descending position), so RNG and randomizer-pool streams do not
+/// depend on who polls the machine. A trading window runs it as one of
+/// its stages; on its own, Protocol 3 is
+/// `pem_fabric::drive(net, &mut PricingMachine::new(..)?)`.
 pub struct PricingMachine<'a> {
     keys: &'a KeyDirectory,
     cfg: &'a PemConfig,
@@ -103,7 +78,7 @@ pub struct PricingMachine<'a> {
 
 impl<'a> PricingMachine<'a> {
     /// Builds the machine: selects `H_b`, encrypts every seller's terms
-    /// under `H_b`'s key (in the blocking driver's order) and opens the
+    /// under `H_b`'s key (in the topology's visit order) and opens the
     /// `price/agg` span at `start_vts` (the fabric's current virtual
     /// time).
     ///
@@ -266,8 +241,13 @@ impl ProtocolStateMachine for PricingMachine<'_> {
         match std::mem::replace(&mut self.state, PricingState::Done) {
             PricingState::Consume { next, outcome } => {
                 let mut r = WireReader::new(&env.payload);
-                let p = r.get_f64()?;
-                debug_assert_eq!(p.to_bits(), outcome.price.to_bits());
+                // Each party checks the broadcast against H_b's price bit
+                // for bit: any other price is not this market's.
+                if r.get_f64()?.to_bits() != outcome.price.to_bits() {
+                    return Err(PemError::Protocol(
+                        "price broadcast differs from H_b's price",
+                    ));
+                }
                 let mut next = next + 1;
                 if next == self.hb {
                     next += 1;
@@ -292,7 +272,33 @@ mod tests {
     use super::*;
     use crate::quantize::Quantizer;
     use pem_market::{optimal_price, optimal_price_unclamped, AgentWindow, Role};
-    use pem_net::SimNetwork;
+    use pem_net::{SimNetwork, Transport};
+
+    /// Protocol 3 on its own: the machine driven to completion on `net`.
+    #[allow(clippy::too_many_arguments)]
+    fn price(
+        net: &mut SimNetwork,
+        keys: &KeyDirectory,
+        agents: &[AgentCtx],
+        sellers: &[usize],
+        buyers: &[usize],
+        cfg: &PemConfig,
+        topology: Topology,
+        rng: &mut HashDrbg,
+    ) -> Result<PricingOutcome, PemError> {
+        let mut machine = PricingMachine::new(
+            keys,
+            agents,
+            sellers,
+            buyers,
+            cfg,
+            topology,
+            &mut None,
+            rng,
+            net.now_us(),
+        )?;
+        pem_fabric::drive(net, &mut machine)
+    }
 
     fn setup(
         agents_data: Vec<AgentWindow>,
@@ -343,7 +349,7 @@ mod tests {
             .copied()
             .collect();
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = run_with_topology(
+        let out = price(
             &mut net,
             &keys,
             &agents,
@@ -351,7 +357,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut None,
             &mut rng,
         )
         .expect("protocol 3");
@@ -369,7 +374,7 @@ mod tests {
     fn reveals_only_the_aggregates() {
         let data = paper_agents();
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
-        let out = run_with_topology(
+        let out = price(
             &mut net,
             &keys,
             &agents,
@@ -377,7 +382,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut None,
             &mut rng,
         )
         .expect("protocol 3");
@@ -400,7 +404,7 @@ mod tests {
             AgentWindow::new(1, 0.0, 2.0, 0.0, 0.9, 20.0),
         ];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = run_with_topology(
+        let out = price(
             &mut net,
             &keys,
             &agents,
@@ -408,7 +412,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut None,
             &mut rng,
         )
         .expect("protocol 3");
@@ -423,7 +426,7 @@ mod tests {
             AgentWindow::new(1, 0.0, 5.0, 0.0, 0.9, 25.0),
         ];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = run_with_topology(
+        let out = price(
             &mut net,
             &keys,
             &agents,
@@ -431,7 +434,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut None,
             &mut rng,
         )
         .expect("protocol 3");
@@ -444,7 +446,7 @@ mod tests {
         let data = vec![AgentWindow::new(0, 0.0, 5.0, 0.0, 0.9, 25.0)];
         let (mut net, keys, agents, _sellers, buyers, cfg, mut rng) = setup(data);
         assert!(matches!(
-            run_with_topology(
+            price(
                 &mut net,
                 &keys,
                 &agents,
@@ -452,7 +454,6 @@ mod tests {
                 &buyers,
                 &cfg,
                 Topology::Ring,
-                &mut None,
                 &mut rng
             ),
             Err(PemError::Protocol(_))
@@ -498,7 +499,7 @@ mod tests {
     fn star_topology_matches_ring() {
         let data = paper_agents();
         let (mut net_r, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
-        let ring = run_with_topology(
+        let ring = price(
             &mut net_r,
             &keys,
             &agents,
@@ -506,12 +507,11 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut None,
             &mut rng,
         )
         .expect("ring");
         let mut net_s = SimNetwork::new(agents.len());
-        let star = run_with_topology(
+        let star = price(
             &mut net_s,
             &keys,
             &agents,
@@ -519,7 +519,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Star,
-            &mut None,
             &mut rng,
         )
         .expect("star");
@@ -538,7 +537,7 @@ mod tests {
     #[test]
     fn traffic_labelled_for_table1() {
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(paper_agents());
-        run_with_topology(
+        price(
             &mut net,
             &keys,
             &agents,
@@ -546,7 +545,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut None,
             &mut rng,
         )
         .expect("protocol 3");

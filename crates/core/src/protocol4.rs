@@ -259,13 +259,19 @@ pub fn run<T: Transport>(
             net.send(PartyId(b), PartyId(s), "dist/payment", w.finish())?;
             let env = net.recv_expect(PartyId(s), "dist/payment")?;
             let mut r = WireReader::new(&env.payload);
-            let paid = r.get_f64()?;
-            debug_assert!((paid - payment).abs() < 1e-9);
+            // The seller checks the echo against its own `price · energy`
+            // bit for bit: a payment for any other amount is not this
+            // trade's.
+            if r.get_f64()?.to_bits() != payment.to_bits() {
+                return Err(PemError::Protocol(
+                    "payment differs from price × routed energy",
+                ));
+            }
             trades.push(Trade {
                 seller: AgentId(agents[s].data.id.0),
                 buyer: AgentId(agents[b].data.id.0),
                 energy,
-                payment: paid,
+                payment,
             });
         }
     }

@@ -10,22 +10,23 @@
 //! protocols abort with a descriptive error instead of producing trades.
 //! The `Corrupt` sweep pins what tampering does today, case by case.
 //!
-//! Every case runs on `SimNetwork` with a `FaultPlan`, or under the
-//! `Tamper` double below for edits `FaultKind` cannot express; the
-//! protocols only see the `Transport` trait either way.
+//! Every case drives a whole trading window — the one `Window` the grid
+//! runs — through `Pem::run_window_on`, on `SimNetwork` with a
+//! `FaultPlan` or under the `Tamper` double below for edits `FaultKind`
+//! cannot express; the protocols only see the `Transport` trait either
+//! way. Stalled windows also run on the `Executor`, whose stall breaker
+//! is the only deadline.
 
 use pem_circuit::CircuitError;
-use pem_core::protocol2;
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, PemError, Quantizer};
-use pem_crypto::drbg::HashDrbg;
+use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome};
 use pem_crypto::CryptoError;
-use pem_market::{AgentWindow, Role};
+use pem_fabric::Executor;
+use pem_market::{AgentWindow, MarketKind};
 use pem_net::wire::WireWriter;
 use pem_net::{
     Envelope, FaultKind, FaultPlan, LatencyModel, NetError, NetStats, PartyId, SimNetwork,
     Transport,
 };
-use rand::Rng;
 
 /// Two sellers, two buyers: `E_s = 4.0 < E_b = 9.0`, a general market.
 fn population() -> Vec<AgentWindow> {
@@ -37,47 +38,32 @@ fn population() -> Vec<AgentWindow> {
     ]
 }
 
-fn setup() -> (
-    KeyDirectory,
-    Vec<AgentCtx>,
-    Vec<usize>,
-    Vec<usize>,
-    PemConfig,
-    HashDrbg,
-) {
-    let cfg = PemConfig::fast_test();
-    let q = Quantizer::new(cfg.scale);
-    let data = population();
-    let keys = KeyDirectory::generate(data.len(), cfg.key_bits, cfg.seed).expect("keys");
-    let mut rng = HashDrbg::from_seed_label(b"fault-test", 1);
-    let mut agents = Vec::new();
-    let mut sellers = Vec::new();
-    let mut buyers = Vec::new();
-    for (i, d) in data.into_iter().enumerate() {
-        let ctx = AgentCtx::prepare(i, d, &q, rng.gen::<u64>() >> 24).expect("prepare");
-        match ctx.role {
-            Role::Seller => sellers.push(i),
-            Role::Buyer => buyers.push(i),
-            Role::OffMarket => {}
-        }
-        agents.push(ctx);
-    }
-    (keys, agents, sellers, buyers, cfg, rng)
+/// A fresh `fast_test` market over [`population`] (same seed, so the
+/// clean outcome is identical on every run).
+fn market() -> Pem {
+    Pem::new(PemConfig::fast_test(), population().len()).expect("setup")
 }
 
-/// Runs Protocol 2 on a caller-built transport (same seeds, so the clean
-/// outcome is identical on every run).
-fn run_protocol2_on<T: Transport>(net: &mut T) -> Result<protocol2::EvalOutcome, PemError> {
-    let (keys, agents, sellers, buyers, cfg, mut rng) = setup();
-    protocol2::run(
-        net, &keys, &agents, &sellers, &buyers, &cfg, &mut None, &mut rng,
-    )
+/// Runs one window of a fresh market on a caller-built transport.
+fn run_window_on<T: Transport>(net: &mut T) -> Result<PemWindowOutcome, PemError> {
+    market().run_window_on(net, &population())
 }
 
-/// Runs Protocol 2 under a fault plan.
-fn run_protocol2_faulted(plan: FaultPlan) -> Result<protocol2::EvalOutcome, PemError> {
-    let parties = setup().1.len();
-    run_protocol2_on(&mut SimNetwork::new(parties).with_faults(plan))
+/// Runs one window under a fault plan.
+fn run_faulted(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
+    run_window_on(&mut SimNetwork::new(population().len()).with_faults(plan))
+}
+
+/// Runs one window under a fault plan as a task on the executor: a
+/// window waiting on a message that never arrives stays unready until
+/// the stall breaker force-polls it.
+fn run_on_executor(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
+    let mut pem = market();
+    let task = pem
+        .fabric_window_with_faults(&population(), plan)
+        .expect("task");
+    let (mut results, _) = Executor::new(0).run_collect(vec![task]);
+    results.pop().expect("one task, one result")
 }
 
 /// A fabric that rewrites every payload sent under one label — the
@@ -122,31 +108,64 @@ impl<T: Transport, F: Fn(&mut Vec<u8>)> Transport for Tamper<T, F> {
     }
 }
 
-/// Runs Protocol 2 with `edit` applied to the `label` message.
-fn run_protocol2_tampered(
+/// Runs one window with `edit` applied to every `label` message.
+fn run_tampered(
     label: &'static str,
     edit: impl Fn(&mut Vec<u8>),
-) -> Result<protocol2::EvalOutcome, PemError> {
-    let inner = SimNetwork::new(setup().1.len());
-    run_protocol2_on(&mut Tamper { inner, label, edit })
+) -> Result<PemWindowOutcome, PemError> {
+    let inner = SimNetwork::new(population().len());
+    run_window_on(&mut Tamper { inner, label, edit })
 }
+
+/// A faulted window that completed must be the clean one: same market
+/// kind, price, trades and revealed surface (masked totals, pricing
+/// aggregates, allocation ratios).
+fn assert_clean(out: &PemWindowOutcome, clean: &PemWindowOutcome, case: &str) {
+    assert_eq!(out.kind, clean.kind, "{case}: market kind");
+    assert_eq!(out.price.to_bits(), clean.price.to_bits(), "{case}: price");
+    assert_eq!(out.trades, clean.trades, "{case}: trades");
+    assert_eq!(out.revealed, clean.revealed, "{case}: revealed surface");
+}
+
+/// Protocol 2's labels.
+const EVAL_LABELS: [&str; 6] = [
+    "eval/demand-agg",
+    "eval/supply-agg",
+    "eval/gc-offer",
+    "eval/gc-ot-request",
+    "eval/gc-ot-transfer",
+    "eval/result",
+];
+
+/// Every label of Protocols 3 and 4.
+const PRICE_AND_DIST_LABELS: [&str; 8] = [
+    "price/agg",
+    "price/broadcast",
+    "dist/total-agg",
+    "dist/total-bcast",
+    "dist/ratio-req",
+    "dist/ratios",
+    "dist/energy",
+    "dist/payment",
+];
 
 #[test]
 fn baseline_without_faults_succeeds() {
-    let out = run_protocol2_faulted(FaultPlan::new()).expect("clean run");
-    assert!(out.general_market); // E_s = 4.0 < E_b = 9.0
+    let out = run_faulted(FaultPlan::new()).expect("clean run");
+    assert_eq!(out.kind, MarketKind::General); // E_s = 4.0 < E_b = 9.0
+    assert!(!out.trades.is_empty());
 }
 
 #[test]
 fn dropped_aggregation_message_aborts() {
-    let err = run_protocol2_faulted(FaultPlan::new().inject("eval/demand-agg", 1, FaultKind::Drop))
+    let err = run_faulted(FaultPlan::new().inject("eval/demand-agg", 1, FaultKind::Drop))
         .expect_err("must abort");
     assert!(matches!(err, PemError::Net(_)), "got {err:?}");
 }
 
 #[test]
 fn dropped_gc_offer_aborts() {
-    let err = run_protocol2_faulted(FaultPlan::new().inject("eval/gc-offer", 0, FaultKind::Drop))
+    let err = run_faulted(FaultPlan::new().inject("eval/gc-offer", 0, FaultKind::Drop))
         .expect_err("must abort");
     assert!(matches!(err, PemError::Net(_)), "got {err:?}");
 }
@@ -155,17 +174,15 @@ fn dropped_gc_offer_aborts() {
 fn duplicated_message_aborts_on_label_mismatch() {
     // The duplicate lingers in the recipient's mailbox; the next
     // recv_expect for a different label trips over it.
-    let err =
-        run_protocol2_faulted(FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Duplicate))
-            .expect_err("must abort");
+    let err = run_faulted(FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Duplicate))
+        .expect_err("must abort");
     assert!(matches!(err, PemError::Net(_)), "got {err:?}");
 }
 
 #[test]
 fn truncated_ciphertext_fails_to_decode() {
-    let err =
-        run_protocol2_faulted(FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Truncate))
-            .expect_err("must abort");
+    let err = run_faulted(FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Truncate))
+        .expect_err("must abort");
     assert!(
         matches!(err, PemError::Net(_)),
         "decode error expected, got {err:?}"
@@ -174,12 +191,8 @@ fn truncated_ciphertext_fails_to_decode() {
 
 #[test]
 fn truncated_gc_transfer_fails_cleanly() {
-    let err = run_protocol2_faulted(FaultPlan::new().inject(
-        "eval/gc-ot-transfer",
-        0,
-        FaultKind::Truncate,
-    ))
-    .expect_err("must abort");
+    let err = run_faulted(FaultPlan::new().inject("eval/gc-ot-transfer", 0, FaultKind::Truncate))
+        .expect_err("must abort");
     // Truncation surfaces as a decode failure or a malformed-garbling
     // complaint, depending on where the cut lands — both are typed.
     assert!(
@@ -193,32 +206,40 @@ fn truncated_gc_transfer_fails_cleanly() {
 
 #[test]
 fn faults_never_produce_trades() {
-    // Sweep a fault across every protocol-2 label: any completed run must
-    // equal the clean outcome, and any failed run must be a typed error.
-    let clean = run_protocol2_faulted(FaultPlan::new()).expect("clean run");
-    for label in [
-        "eval/demand-agg",
-        "eval/supply-agg",
-        "eval/gc-offer",
-        "eval/gc-ot-request",
-        "eval/gc-ot-transfer",
-        "eval/result",
-    ] {
-        for kind in [FaultKind::Drop, FaultKind::Truncate, FaultKind::Duplicate] {
-            let result = run_protocol2_faulted(FaultPlan::new().inject(label, 0, kind));
-            match result {
-                Ok(out) => assert_eq!(
-                    out.general_market, clean.general_market,
-                    "{label}/{kind:?} silently changed the outcome"
-                ),
-                Err(
-                    PemError::Net(_)
-                    | PemError::Circuit(_)
-                    | PemError::Crypto(_)
-                    | PemError::Protocol(_),
-                ) => {}
-                Err(other) => panic!("{label}/{kind:?}: unexpected error class {other:?}"),
-            }
+    // Sweep faults across every label of Protocols 2–4: a window that
+    // completes must be the clean one, a window that fails must return a
+    // typed error — never a panic, never different trades. Protocol 2's
+    // labels take the faults that cannot reach the comparison's
+    // malleability (its `Corrupt` cases are pinned one by one below);
+    // Protocols 3 and 4 take every kind but `Stall`, which
+    // `stalled_message_aborts_with_one_error_class` sweeps. A seller
+    // checks each echoed payment against its own `price · energy`, and
+    // every party checks the price broadcast against H_b's, so a
+    // corrupted or replayed amount aborts instead of settling.
+    let clean = run_faulted(FaultPlan::new()).expect("clean run");
+    let eval = EVAL_LABELS.into_iter().flat_map(|label| {
+        [FaultKind::Drop, FaultKind::Truncate, FaultKind::Duplicate].map(|kind| (label, kind))
+    });
+    let price_and_dist = PRICE_AND_DIST_LABELS.into_iter().flat_map(|label| {
+        [
+            FaultKind::Drop,
+            FaultKind::Duplicate,
+            FaultKind::Corrupt,
+            FaultKind::Truncate,
+        ]
+        .map(|kind| (label, kind))
+    });
+    for (label, kind) in eval.chain(price_and_dist) {
+        let case = format!("{label}/{kind:?}");
+        match run_faulted(FaultPlan::new().inject(label, 0, kind)) {
+            Ok(out) => assert_clean(&out, &clean, &case),
+            Err(
+                PemError::Net(_)
+                | PemError::Circuit(_)
+                | PemError::Crypto(_)
+                | PemError::Protocol(_),
+            ) => {}
+            Err(other) => panic!("{case}: unexpected error class {other:?}"),
         }
     }
 }
@@ -227,14 +248,11 @@ fn faults_never_produce_trades() {
 fn corrupted_messages_never_panic_and_fabrics_agree() {
     // One flipped bit per label. Every run must *return* (no panic, no
     // hang); what it returns is pinned case by case.
-    let clean = run_protocol2_faulted(FaultPlan::new()).expect("clean run");
-    let corrupt =
-        |label| run_protocol2_faulted(FaultPlan::new().inject(label, 0, FaultKind::Corrupt));
+    let clean = run_faulted(FaultPlan::new()).expect("clean run");
+    let corrupt = |label| run_faulted(FaultPlan::new().inject(label, 0, FaultKind::Corrupt));
     // A flipped ciphertext bit in a ring hop decrypts to garbage far
-    // outside the masked-total range: too wide for the comparator
-    // (today's seeds — re-derived on the fixed-base `h_s^x` ciphertexts:
-    // both labels still end in `ValueTooWide`), for 128 bits, or invalid
-    // outright — a typed abort either way.
+    // outside the masked-total range: too wide for the comparator, for
+    // 128 bits, or invalid outright — a typed abort either way.
     for label in ["eval/demand-agg", "eval/supply-agg"] {
         let err = corrupt(label).expect_err("mangled aggregate must abort");
         assert!(
@@ -252,14 +270,16 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     //   row 2 of AND table 71 — a row the evaluator's labels do not
     //   select (today's seeds), so it is never decrypted.
     // * `eval/gc-ot-transfer`, 4097 bytes: the middle byte 2048 is the
-    //   last byte of branch 3 of chunk 15; the evaluator chose branch 1
-    //   there (bits 30–31 of its masked total).
+    //   last byte of branch 3 of chunk 15; the evaluator chose branch 0
+    //   there (bits 30–31 of its masked total; branch 1 before the suite
+    //   moved to whole windows, whose nonces come from the market's own
+    //   stream).
     // * `eval/result`: the one byte is never re-read by the recipients.
     //
     // All three complete with the clean outcome.
     for label in ["eval/gc-offer", "eval/gc-ot-transfer", "eval/result"] {
         let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes today, got {e:?}"));
-        assert_eq!(out, clean, "{label}: outcome unchanged");
+        assert_clean(&out, &clean, label);
     }
     // The out-of-threat-model malleability case from the header, three
     // times:
@@ -275,33 +295,35 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     //
     // Either way the evaluator still decodes *a* label per wire, the
     // garbage propagates to the output wire, and the comparison completes
-    // on a coin flip per tampered byte. With today's seeds (re-derived
-    // on the short OT exponents and the fixed-width key derivation: the
-    // message sizes and the offsets above did not move, the pads did)
-    // chunk 15 and `A` happen to land on the clean bit and chunk 0 flips
-    // the market; over all 32 chunks' low bytes 14 flip it.
-    // Authenticated channels (§II-B) are what rules this out in
-    // deployment; pinned here so a change in either direction is noticed.
-    let flipped_chunk_0 = run_protocol2_tampered("eval/gc-ot-request", |payload| {
+    // on a coin flip per tampered byte; a flipped market bit then runs
+    // the window on in the wrong regime. Re-derived once when the suite
+    // moved from a bare Protocol 2 run (its own nonce stream) to whole
+    // windows, old → new: chunk 15 clean → clean, chunk 0 flips → clean,
+    // `A` clean → flips; over all 32 chunks' low bytes 14 flip it, before
+    // and after (now chunks 1, 2, 4, 5, 7, 11, 13, 14, 17, 18, 20, 23,
+    // 24 and 30). Authenticated channels (§II-B) are what rules this out
+    // in deployment; pinned here so a change in either direction is
+    // noticed.
+    let flipped_chunk_0 = run_tampered("eval/gc-ot-request", |payload| {
         payload[1 + 24] ^= 1;
     });
-    let flipped_a = run_protocol2_tampered("eval/gc-offer", |payload| {
+    let flipped_a = run_tampered("eval/gc-offer", |payload| {
         *payload.last_mut().expect("A closes the offer") ^= 1;
     });
     for (case, result, flips) in [
         ("eval/gc-ot-request", corrupt("eval/gc-ot-request"), false),
-        ("flipped chunk 0", flipped_chunk_0, true),
-        ("flipped A", flipped_a, false),
+        ("flipped chunk 0", flipped_chunk_0, false),
+        ("flipped A", flipped_a, true),
     ] {
         let out = result.unwrap_or_else(|e| panic!("{case}: completes today, got {e:?}"));
         assert_eq!(
-            out.general_market,
-            clean.general_market ^ flips,
+            out.kind == MarketKind::General,
+            (clean.kind == MarketKind::General) ^ flips,
             "{case}: GC malleability decides the market bit"
         );
         assert_eq!(
-            (out.masked_demand, out.masked_supply),
-            (clean.masked_demand, clean.masked_supply),
+            (out.revealed.masked_demand, out.revealed.masked_supply),
+            (clean.revealed.masked_demand, clean.revealed.masked_supply),
             "{case}: the masked totals are untouched"
         );
     }
@@ -318,14 +340,14 @@ fn tampered_ratio_requests_abort_without_trades() {
     let data = population();
     for cfg in [PemConfig::fast_test(), PemConfig::paper(512)] {
         let bits = cfg.key_bits;
-        let clean = pem_core::Pem::new(cfg.clone(), data.len())
+        let clean = Pem::new(cfg.clone(), data.len())
             .expect("setup")
             .run_window(&data)
             .expect("clean window");
         assert!(!clean.trades.is_empty(), "{bits}: the clean window trades");
         for kind in [FaultKind::Corrupt, FaultKind::Truncate] {
             let plan = FaultPlan::new().inject("dist/ratio-req", 0, kind);
-            let result = pem_core::Pem::new(cfg.clone(), data.len())
+            let result = Pem::new(cfg.clone(), data.len())
                 .expect("setup")
                 .run_window_with_faults(&data, plan);
             match (kind, &result) {
@@ -357,7 +379,7 @@ fn hostile_counts_are_rejected_before_allocating() {
         ("eval/gc-ot-transfer", 0),
     ];
     for (label, offset) in cases {
-        let err = run_protocol2_tampered(label, move |payload| {
+        let err = run_tampered(label, move |payload| {
             assert!(
                 payload[offset] < 0x80,
                 "{label}@{offset}: a one-byte varint"
@@ -380,14 +402,16 @@ type MsgLog = Vec<(usize, usize, &'static str, u64, u64, u64)>;
 /// global journal, which would empty a concurrent test's log mid-run.
 static COLLECTOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Runs Protocol 2 under `plan` on a fresh LAN fabric and returns whether it
-/// succeeded, with the fabric's message journal in record order. Concurrent
-/// tests in this binary may record onto other fabrics, so the journal is
-/// scoped by fabric id. The collector must be installed by the caller.
+/// Runs one window under `plan` on a fresh LAN fabric and returns whether
+/// it succeeded, with the fabric's message journal in record order.
+/// Concurrent tests in this binary may record onto other fabrics, so the
+/// journal is scoped by fabric id. The collector must be installed by the
+/// caller.
 fn journal(plan: FaultPlan) -> (bool, MsgLog) {
     let mark = pem_telemetry::msg_count();
-    let mut net = SimNetwork::with_latency(setup().1.len(), LatencyModel::lan()).with_faults(plan);
-    let result = run_protocol2_on(&mut net);
+    let mut net =
+        SimNetwork::with_latency(population().len(), LatencyModel::lan()).with_faults(plan);
+    let result = run_window_on(&mut net);
     let log = pem_telemetry::msgs_since(mark)
         .iter()
         .filter(|m| m.fabric == net.fabric_id())
@@ -465,32 +489,38 @@ fn delay_and_stall_leave_identical_message_logs() {
 
 #[test]
 fn stalled_message_aborts_with_one_error_class() {
-    // A Stall swallows the envelope after it was journalled: the
-    // recipient's receive finds an empty mailbox, whichever ring or
-    // comparison message was withheld.
-    for label in ["eval/demand-agg", "eval/supply-agg", "eval/gc-offer"] {
-        let err = run_protocol2_faulted(FaultPlan::new().inject(label, 0, FaultKind::Stall))
-            .expect_err("a stalled message never arrives");
-        assert!(
-            matches!(err, PemError::Net(NetError::Empty { .. })),
-            "{label}: got {err:?}"
-        );
+    // A Stall swallows the envelope after it was journalled, whichever
+    // message of Protocols 2–4 was withheld: polled in a loop, the
+    // recipient's receive finds an empty mailbox. On the executor a
+    // window waiting in a machine stage (the rings, pricing) stays
+    // unready until the stall breaker force-polls it into the same
+    // error; an inline stage (the comparison, Protocol 4) meets it on
+    // its own poll. No poll budget exists anywhere.
+    let labels = ["eval/demand-agg", "eval/supply-agg", "eval/gc-offer"]
+        .into_iter()
+        .chain(PRICE_AND_DIST_LABELS);
+    for label in labels {
+        let plan = FaultPlan::new().inject(label, 0, FaultKind::Stall);
+        for (runner, result) in [
+            ("polled", run_faulted(plan.clone())),
+            ("executor", run_on_executor(plan)),
+        ] {
+            assert!(
+                matches!(result, Err(PemError::Net(NetError::Empty { .. }))),
+                "{label} ({runner}): got {result:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn full_window_runs_on_a_caller_built_fabric() {
-    // Beyond Protocol 2: a whole PEM window (Protocols 2+3+4) polled on a
-    // caller-built fabric must reproduce `run_window` exactly — no public
-    // protocol entry point owns its transport.
-    let data = population();
-    let mut own = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-    let a = own.run_window(&data).expect("default window");
-    let mut caller = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
+    // A whole PEM window (Protocols 2+3+4) polled on a caller-built
+    // fabric must reproduce `run_window` exactly — no public protocol
+    // entry point owns its transport.
+    let a = market().run_window(&population()).expect("default window");
     let mut net = SimNetwork::new(4);
-    let b = caller
-        .run_window_on(&mut net, &data)
-        .expect("caller-built window");
+    let b = run_window_on(&mut net).expect("caller-built window");
     assert_eq!(a.kind, b.kind);
     assert_eq!(a.price.to_bits(), b.price.to_bits());
     assert_eq!(a.trades, b.trades);
@@ -499,9 +529,8 @@ fn full_window_runs_on_a_caller_built_fabric() {
 
     // A mismatched fabric is rejected with a typed error.
     let mut small = SimNetwork::new(3);
-    let mut pem = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
     assert!(matches!(
-        pem.run_window_on(&mut small, &data),
+        run_window_on(&mut small),
         Err(PemError::Protocol(_))
     ));
 }
@@ -511,14 +540,10 @@ fn whole_window_faults_end_the_same_on_both_fabrics() {
     // One dropped message per phase: a caller-built faulted fabric and
     // the one `run_window_with_faults` builds poll the same window body,
     // so they must end in the same error class.
-    let data = population();
     for label in ["eval/demand-agg", "price/agg", "dist/total-agg"] {
         let plan = FaultPlan::new().inject(label, 0, FaultKind::Drop);
-        let mut caller = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let mut net = SimNetwork::new(4).with_faults(plan.clone());
-        let caller_result = caller.run_window_on(&mut net, &data);
-        let mut own = pem_core::Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let own_result = own.run_window_with_faults(&data, plan);
+        let caller_result = run_faulted(plan.clone());
+        let own_result = market().run_window_with_faults(&population(), plan);
         match (&own_result, &caller_result) {
             (Err(a), Err(b)) => assert_eq!(
                 std::mem::discriminant(a),

@@ -9,8 +9,10 @@
 //!   messages-out shape: a protocol holds explicit state instead of a
 //!   blocked stack, so thousands of instances cost thousands of structs,
 //!   not thousands of threads. [`drive`] polls any machine to completion
-//!   on any [`Transport`](pem_net::Transport), which is how the classic
-//!   drivers in `pem-core` stay bit-identical thin adapters.
+//!   on any [`Transport`](pem_net::Transport) — how a protocol runs
+//!   outside a trading window (Protocol 3 in the topology ablation, a
+//!   fold inside Protocol 4 or the coupling round); `pem-core`'s window
+//!   steps its machines itself, one message per poll.
 //! * [`EventTransport`] — the name this crate gives `pem-net`'s one
 //!   fabric, [`SimNetwork`](pem_net::SimNetwork), where it is used as an
 //!   inspectable event queue: `recv` never blocks,
@@ -21,7 +23,9 @@
 //!   stall breaker force-polls it into its typed error.
 //! * [`Executor`] — a deterministic single-thread scheduler over
 //!   [`FabricTask`]s: seeded, poll-order-stable, bit-identical output at
-//!   any admission batch size. Ready-queue depth, poll and stall
+//!   any admission batch size. It is the only dispatcher of a grid's
+//!   coalition windows (one per lane), and its stall breaker is the only
+//!   deadline a window has. Ready-queue depth, poll and stall
 //!   counters flow through the `pem-telemetry` registry
 //!   (`fabric/polls`, `fabric/stalls`, `fabric/ready-depth`).
 //!

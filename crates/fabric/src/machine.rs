@@ -124,10 +124,9 @@ where
     }
 }
 
-/// Polls a machine to completion on a blocking transport — the adapter
-/// that keeps the classic `run<T: Transport>` drivers' call sites and
-/// goldens intact: sends and receives hit the fabric in exactly the
-/// order the blocking driver performed them.
+/// Polls a machine to completion on a transport: [`kickoff`], then
+/// [`step`] until the machine is done, so sends and receives hit the
+/// fabric in exactly the order a poll-driven run performs them.
 ///
 /// # Errors
 ///

@@ -43,18 +43,6 @@ pub enum NetError {
         /// What was being decoded.
         what: &'static str,
     },
-    /// A poll-driven window gave up waiting: its poll budget ran out
-    /// while the expected message had still not arrived (e.g. stalled in
-    /// flight). Transports never produce it themselves — an absent
-    /// message is [`NetError::Empty`].
-    Timeout {
-        /// The receiving party.
-        party: usize,
-        /// Label the caller expected.
-        expected: &'static str,
-        /// The fabric's virtual clock (µs) when the budget ran out.
-        deadline_us: u64,
-    },
     /// [`crate::NetStats::merge`] over two fabrics of different sizes.
     PartyCountMismatch {
         /// Parties in the stats block being merged into.
@@ -82,16 +70,6 @@ impl fmt::Display for NetError {
             }
             NetError::Decode { offset, what } => {
                 write!(f, "failed to decode {what} at byte {offset}")
-            }
-            NetError::Timeout {
-                party,
-                expected,
-                deadline_us,
-            } => {
-                write!(
-                    f,
-                    "party {party} timed out waiting for {expected:?} (deadline {deadline_us}us)"
-                )
             }
             NetError::PartyCountMismatch { have, got } => {
                 write!(f, "cannot merge stats of {got} parties into {have}")

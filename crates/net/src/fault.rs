@@ -54,9 +54,9 @@ pub enum FaultKind {
     /// link. At the transport level this withholds delivery like
     /// [`FaultKind::Drop`], but it is counted separately
     /// (`fault/stalls`). The recipient's receive finds an empty mailbox
-    /// ([`crate::NetError::Empty`]); a poll-driven window that keeps
-    /// waiting on it runs out of poll budget
-    /// ([`crate::NetError::Timeout`]).
+    /// ([`crate::NetError::Empty`]); a poll-driven window waiting on it
+    /// stays unready until the executor's stall breaker force-polls it
+    /// into that error.
     Stall,
 }
 

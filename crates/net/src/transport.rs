@@ -17,8 +17,9 @@
 //!
 //! There is one receive path: a receive never blocks and never waits
 //! on a deadline. A message that has not arrived is
-//! [`NetError::Empty`]; poll-driven callers turn a receive that stays
-//! unready into [`NetError::Timeout`] with a poll budget.
+//! [`NetError::Empty`]. The only deadline sits above the transport: an
+//! executor that finds no task ready force-polls a waiting one (its
+//! stall breaker), which then meets that same error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -33,19 +33,21 @@ fn register_fault_metrics() {
     });
 }
 
-/// Which execution engine runs a window's coalition jobs.
+/// The lane shape a window's coalition jobs run in. Every lane is the
+/// same code: each coalition's window is a poll-able [`WindowTask`] on
+/// one deterministic [`Executor`], settled through one retry path; the
+/// engine only decides how coalitions are grouped into lanes.
+///
+/// [`WindowTask`]: pem_core::WindowTask
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// One blocking protocol run per worker thread (the classic pool).
+    /// One single-coalition lane per shard, spread over the worker pool.
     #[default]
     Threads,
-    /// Every coalition as a poll-able [`WindowTask`] multiplexed on one
-    /// deterministic single-thread executor. `batch` bounds how many
-    /// coalitions are resident at once (`0` = all) — a memory ceiling,
-    /// never an output change: fingerprints are bit-identical to the
-    /// thread engine at every batch size.
-    ///
-    /// [`WindowTask`]: pem_core::WindowTask
+    /// One lane holding every coalition, on the calling thread. `batch`
+    /// bounds how many coalitions are resident at once (`0` = all) — a
+    /// memory ceiling, never an output change: fingerprints are
+    /// bit-identical to the thread engine at every batch size.
     Fabric {
         /// Maximum resident tasks (`0` = admit everything).
         batch: usize,
@@ -312,20 +314,65 @@ fn settle_attempt(
     }
 }
 
-/// Runs one coalition window to completion under the recovery policy
-/// (the thread engine's job).
-fn run_shard_window(
-    pem: &mut Pem,
-    data: &[AgentWindow],
+/// `(shard index, probe?, shard, window data)`: one coalition's job.
+type Job = (usize, bool, Shard, Vec<AgentWindow>);
+
+/// Runs one lane of coalition windows under the recovery policy — the
+/// one dispatcher both engines use. Each coalition is checkpointed and
+/// opened as a poll-able task; one executor interleaves the lane's tasks
+/// message by message, isolating failures per task (a wedged coalition
+/// is force-polled into its typed error and evicted); each attempt 0 is
+/// then settled, in lane order, through [`settle_attempt`].
+fn run_lane(
+    mut jobs: Vec<Job>,
+    batch: usize,
     specs: &[ChaosSpec],
-    shard: usize,
     window: u64,
     retry: RetryPolicy,
-    probe: bool,
-) -> ShardRun {
-    let cp = pem.checkpoint();
-    let first = pem.run_window_with_faults(data, chaos_plan(specs, shard, window, 0));
-    settle_attempt(pem, data, cp, first, specs, shard, window, retry, probe)
+) -> Result<Vec<(Shard, ShardRun)>, SchedError> {
+    let checkpoints: Vec<PemCheckpoint> = jobs
+        .iter()
+        .map(|(_, _, shard, _)| shard.pem.checkpoint())
+        .collect();
+    let mut attempt0: Vec<Option<Result<PemWindowOutcome, PemError>>> =
+        jobs.iter().map(|_| None).collect();
+    let mut tasks = Vec::with_capacity(jobs.len());
+    let mut task_pos = Vec::with_capacity(jobs.len());
+    for (pos, (idx, _, shard, data)) in jobs.iter_mut().enumerate() {
+        match shard
+            .pem
+            .fabric_window_with_faults(data, chaos_plan(specs, *idx, window, 0))
+        {
+            Ok(task) => {
+                tasks.push(task);
+                task_pos.push(pos);
+            }
+            Err(e) => attempt0[pos] = Some(Err(e)),
+        }
+    }
+    let (outs, _report) = Executor::new(batch).run_collect(tasks);
+    for (pos, out) in task_pos.into_iter().zip(outs) {
+        attempt0[pos] = Some(out);
+    }
+    jobs.into_iter()
+        .zip(checkpoints)
+        .zip(attempt0)
+        .map(|(((idx, probe, mut shard, data), cp), first)| {
+            let first = first.ok_or(SchedError::State("every shard's attempt 0 resolved"))?;
+            let run = settle_attempt(
+                &mut shard.pem,
+                &data,
+                cp,
+                first,
+                specs,
+                idx,
+                window,
+                retry,
+                probe,
+            );
+            Ok((shard, run))
+        })
+        .collect()
 }
 
 /// The sharded grid orchestrator.
@@ -604,9 +651,8 @@ impl GridOrchestrator {
         }
         let window = self.window;
         let retry = self.cfg.retry;
-        let chaos = self.chaos.clone();
-        // `(shard index, probe?, shard, window data)` per coalition.
-        let jobs: Vec<(usize, bool, Shard, Vec<AgentWindow>)> = shards
+        let chaos = &self.chaos;
+        let jobs: Vec<Job> = shards
             .into_iter()
             .enumerate()
             .map(|(idx, shard)| {
@@ -614,83 +660,21 @@ impl GridOrchestrator {
                 (idx, self.quarantine[idx], shard, data)
             })
             .collect();
-        let (shards, runs): (Vec<Shard>, Vec<ShardRun>) = match self.cfg.engine {
-            Engine::Threads => {
-                let finished = pool::run_indexed(
-                    self.cfg.workers,
-                    jobs,
-                    move |_, (idx, probe, mut shard, data)| {
-                        let run = run_shard_window(
-                            &mut shard.pem,
-                            &data,
-                            &chaos,
-                            idx,
-                            window,
-                            retry,
-                            probe,
-                        );
-                        (shard, run)
-                    },
-                );
-                finished.into_iter().unzip()
-            }
-            Engine::Fabric { batch } => {
-                // Every coalition becomes a poll-able task; one executor
-                // thread interleaves them message by message, isolating
-                // failures per task (a wedged coalition is force-polled
-                // into its typed error and evicted). Results come back
-                // in shard order, so the fold below is identical to the
-                // thread engine's; retries replay the same window body
-                // through `settle_attempt`.
-                let mut jobs = jobs;
-                let checkpoints: Vec<PemCheckpoint> = jobs
-                    .iter()
-                    .map(|(_, _, shard, _)| shard.pem.checkpoint())
-                    .collect();
-                let mut attempt0: Vec<Option<Result<PemWindowOutcome, PemError>>> =
-                    jobs.iter().map(|_| None).collect();
-                let mut tasks = Vec::with_capacity(jobs.len());
-                let mut task_pos = Vec::with_capacity(jobs.len());
-                for (pos, (idx, _, shard, data)) in jobs.iter_mut().enumerate() {
-                    match shard
-                        .pem
-                        .fabric_window_with_faults(data, chaos_plan(&chaos, *idx, window, 0))
-                    {
-                        Ok(task) => {
-                            tasks.push(task);
-                            task_pos.push(pos);
-                        }
-                        Err(e) => attempt0[pos] = Some(Err(e)),
-                    }
-                }
-                let (outs, _report) = Executor::new(batch).run_collect(tasks);
-                for (pos, out) in task_pos.into_iter().zip(outs) {
-                    attempt0[pos] = Some(out);
-                }
-                let settled = jobs
-                    .into_iter()
-                    .zip(checkpoints)
-                    .zip(attempt0)
-                    .map(|(((idx, probe, mut shard, data), cp), first)| {
-                        let first =
-                            first.ok_or(SchedError::State("every shard's attempt 0 resolved"))?;
-                        let run = settle_attempt(
-                            &mut shard.pem,
-                            &data,
-                            cp,
-                            first,
-                            &chaos,
-                            idx,
-                            window,
-                            retry,
-                            probe,
-                        );
-                        Ok((shard, run))
-                    })
-                    .collect::<Result<Vec<_>, SchedError>>()?;
-                settled.into_iter().unzip()
-            }
+        // The engine picks the lane shape, never the code path: lanes
+        // return their coalitions in shard order, so the fold below is
+        // the same under both.
+        let settled: Vec<(Shard, ShardRun)> = match self.cfg.engine {
+            Engine::Threads => pool::run_indexed(self.cfg.workers, jobs, |_, job| {
+                run_lane(vec![job], 1, chaos, window, retry)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, SchedError>>()?
+            .into_iter()
+            .flatten()
+            .collect(),
+            Engine::Fabric { batch } => run_lane(jobs, batch, chaos, window, retry)?,
         };
+        let (shards, runs): (Vec<Shard>, Vec<ShardRun>) = settled.into_iter().unzip();
 
         self.shards = Some(shards);
         for (idx, (_, status)) in runs.iter().enumerate() {
