@@ -5,8 +5,10 @@
 //! generation, encryption (the one `h_s^x` randomizer lane, fresh and
 //! pooled, against the classic `r^n` ladder kept as its reference —
 //! `grid_doctor` holds `encrypt` under 0.25 × `encrypt_classic` within
-//! each run at 1024- and 2048-bit keys), randomizer precompute, the
-//! homomorphic operators (including the fused `affine`
+//! each run at 1024- and 2048-bit keys), ciphertext validation (the
+//! unit check every received ciphertext takes — `grid_doctor` holds
+//! `validate` under `encrypt` at every key size), randomizer precompute,
+//! the homomorphic operators (including the fused `affine`
 //! against its unfused `mul_plain` + `add_plain` chain and the
 //! power-of-two squaring path), raw vs comb fixed-base exponentiation,
 //! and decryption on both the CRT fast path and the classic full-width
@@ -199,6 +201,11 @@ fn bench_size(bits: usize, min_time_ms: u64) -> SizeReport {
         kernels.push(lane);
         kernels.push(classic);
     }
+    kernels.push(measure("validate", min_time_ms, |i| {
+        fx.pk
+            .validate_ciphertext(&fx.cts[pick(i)])
+            .expect("a fresh ciphertext is valid");
+    }));
     kernels.push(measure("encrypt_pooled", min_time_ms, |i| {
         let _ = fx
             .pk

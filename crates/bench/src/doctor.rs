@@ -265,6 +265,7 @@ pub fn crypto_checks(
         .chain(batched_ot_checks(cur))
         .chain(short_exponent_checks(cur))
         .chain(randomizer_lane_checks(cur))
+        .chain(validation_checks(cur))
         .collect();
     Ok((base_label, cur_label, checks))
 }
@@ -357,6 +358,26 @@ fn randomizer_lane_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
                 lane < limit,
             )
         })
+    })
+}
+
+/// Within-run structural gate at every key size that carries both
+/// rows: checking a received ciphertext (one gcd at half the width)
+/// must cost less than making one (one `h_s^x` table exponentiation).
+/// The Lehmer gcd measures 0.06–0.4 of an encryption (2048- down to
+/// 128-bit keys); textbook Euclid, one heap-allocating division per
+/// quotient, measured 0.5–2.3 and crossed it at 1024 bits and below.
+fn validation_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
+    run_entries(run).iter().filter_map(|entry| {
+        let bits = entry.get("key_bits").and_then(Json::as_f64)? as u64;
+        let validate = entry.get("validate_mean_us").and_then(Json::as_f64)?;
+        let encrypt = entry.get("encrypt_mean_us").and_then(Json::as_f64)?;
+        Some(Check::invariant(
+            format!("crypto/{bits}/validate_below_encrypt"),
+            encrypt,
+            validate,
+            validate < encrypt,
+        ))
     })
 }
 
@@ -779,6 +800,32 @@ mod tests {
             [
                 ("crypto/1024/encrypt_off_the_ladder", false),
                 ("crypto/2048/encrypt_off_the_ladder", true)
+            ]
+        );
+        assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
+    }
+
+    #[test]
+    fn a_validation_dearer_than_an_encryption_fails_the_within_run_gate() {
+        // 1024: Euclid's gcd again, dearer than the encryption it guards.
+        // 2048: the Lehmer gcd. An entry without the row is skipped.
+        let entries = "{\"key_bits\":128,\"encrypt_mean_us\":1.9,\"validate_mean_us\":0.8},\
+                       {\"key_bits\":1024,\"encrypt_mean_us\":64,\"validate_mean_us\":79},\
+                       {\"key_bits\":2048,\"encrypt_mean_us\":420,\"validate_mean_us\":22},\
+                       {\"key_bits\":3072,\"encrypt_mean_us\":900}";
+        let t = twin_runs(entries);
+        let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
+        let gates: Vec<_> = checks
+            .iter()
+            .filter(|c| c.name.ends_with("/validate_below_encrypt"))
+            .map(|c| (c.name.as_str(), c.regressed))
+            .collect();
+        assert_eq!(
+            gates,
+            [
+                ("crypto/128/validate_below_encrypt", false),
+                ("crypto/1024/validate_below_encrypt", true),
+                ("crypto/2048/validate_below_encrypt", false)
             ]
         );
         assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);

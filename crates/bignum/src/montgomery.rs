@@ -76,11 +76,21 @@ static FIXED_BASE_BUILDS: Counter = Counter::new();
 /// Kernel calls at a limb count without a monomorphised arm (see the
 /// module doc): tests pin this at zero for trading windows.
 static DYN_WIDTH_OPS: Counter = Counter::new();
+/// Unit checks ([`BigUint::is_unit_mod`]): one per ciphertext a party
+/// validates on receipt, which tests pin per trading window.
+static UNIT_CHECKS: Counter = Counter::new();
+
+/// Counts one [`BigUint::is_unit_mod`] call on `crypto/validations`.
+pub(crate) fn count_unit_check() {
+    register_kernel_counters();
+    UNIT_CHECKS.incr();
+}
 
 fn register_kernel_counters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         pem_telemetry::register_counter("crypto/modpow", &MODPOW_OPS);
+        pem_telemetry::register_counter("crypto/validations", &UNIT_CHECKS);
         pem_telemetry::register_counter("crypto/modpow_bits", &MODPOW_BITS);
         pem_telemetry::register_counter("crypto/pow_mul", &POW_MUL_OPS);
         pem_telemetry::register_counter("crypto/multi_modpow", &MULTI_MODPOW_OPS);

@@ -89,6 +89,8 @@ proptest! {
         let g = a.gcd(&b);
         prop_assert!((&a % &g).is_zero());
         prop_assert!((&b % &g).is_zero());
+        // … and is the greatest such divisor.
+        prop_assert!((&a / &g).gcd(&(&b / &g)).is_one());
     }
 
     #[test]

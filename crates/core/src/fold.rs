@@ -136,6 +136,8 @@ pub struct FoldMachine<'a, const K: usize> {
     at: usize,
     /// Messages that node has heard so far.
     heard: usize,
+    /// Which member positions have been folded into their parent.
+    heard_from: Vec<bool>,
     /// That node's accumulator: its own tuple times everything heard
     /// (`None` at the sink, which has no tuple, until its first message).
     acc: Option<[Ciphertext; K]>,
@@ -186,6 +188,7 @@ impl<'a, const K: usize> FoldMachine<'a, K> {
             kickoff: Vec::new(),
             at: 0,
             heard: 0,
+            heard_from: vec![false; m],
             acc: None,
         };
         let mut order: Vec<usize> = (0..m).collect();
@@ -263,6 +266,16 @@ impl<const K: usize> ProtocolStateMachine for FoldMachine<'_, K> {
         let Some(&node) = self.visit.get(self.at) else {
             return Err(PemError::Protocol("fed a finished fold"));
         };
+        // Each child is folded in once: a replayed or misrouted frame
+        // would otherwise count its sender twice, or count a stranger.
+        let m = self.parent.len();
+        let child = self.parties[..m].iter().position(|&p| p == env.from.0);
+        match child {
+            Some(pos) if self.parent[pos] == node && !self.heard_from[pos] => {
+                self.heard_from[pos] = true;
+            }
+            _ => return Err(PemError::Protocol("fold frame from no unheard child")),
+        }
         let incoming = self.decode(&env.payload)?;
         let acc = match self.acc.take() {
             None => incoming,
@@ -415,5 +428,36 @@ mod tests {
         let done = fold.on_message(env.clone());
         assert!(matches!(done, Ok(Transition::Done(_))));
         assert!(matches!(fold.on_message(env), Err(PemError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_replayed_or_misrouted_frame_is_not_folded_in() {
+        // Star over three members: the sink hears all three. A second
+        // copy of member 0's frame would otherwise stand in for member
+        // 2's and close the fold on the wrong sum.
+        let keys = KeyDirectory::generate(1, 128, 5).expect("keys");
+        let mut net = SimNetwork::new(4);
+        let mut fold = machine::<1>(&keys, 3, Topology::Star);
+        kickoff(&mut net, &mut fold).expect("kickoff");
+        let first = net.recv_expect(PartyId(3), "fold").expect("member 0");
+        assert_eq!(first.from, PartyId(0));
+        assert!(matches!(
+            fold.on_message(first.clone()),
+            Ok(Transition::Continue)
+        ));
+        assert!(matches!(
+            fold.on_message(first.clone()),
+            Err(PemError::Protocol(_))
+        ));
+        // Tree of seven, fan-in 3: node 1 hears 4..=6, never member 2.
+        let mut fold = machine::<1>(&keys, 7, Topology::Tree { fanin: 3 });
+        let stranger = Envelope {
+            from: PartyId(2),
+            ..first
+        };
+        assert!(matches!(
+            fold.on_message(stranger),
+            Err(PemError::Protocol(_))
+        ));
     }
 }

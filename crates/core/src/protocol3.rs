@@ -42,8 +42,9 @@ pub struct PricingOutcome {
 
 /// Where the pricing protocol currently stands.
 enum PricingState<'a> {
-    /// The sellers' `(k, d)` pairs are folding toward `H_b`.
-    Aggregate(FoldMachine<'a, 2>),
+    /// The sellers' `(k, d)` pairs are folding toward `H_b` (boxed: the
+    /// fold is several times the size of the other states).
+    Aggregate(Box<FoldMachine<'a, 2>>),
     /// Price broadcast out; parties from `next` on (skipping `H_b`)
     /// still to confirm consumption of `outcome.price`.
     Consume {
@@ -140,7 +141,7 @@ impl<'a> PricingMachine<'a> {
             cfg,
             n: agents.len(),
             hb,
-            state: PricingState::Aggregate(fold),
+            state: PricingState::Aggregate(Box::new(fold)),
             agg_span: Some(Span::enter_at("price/agg", "protocol", start_vts)),
             bc_span: None,
         })
@@ -483,7 +484,7 @@ mod tests {
             cfg: &cfg,
             n: net.party_count(),
             hb,
-            state: PricingState::Aggregate(fold),
+            state: PricingState::Aggregate(Box::new(fold)),
             agg_span: None,
             bc_span: None,
         };

@@ -15,7 +15,9 @@ pub enum CouplingError {
     Crypto(CryptoError),
     /// The coupling fabric rejected or failed to decode a message.
     Net(NetError),
-    /// Grid-key setup failed.
+    /// Grid-key setup failed, or a peer broke a protocol invariant (a
+    /// replayed frame or claim, an aggregate or claim outside the
+    /// quantized range).
     Pem(PemError),
 }
 
@@ -25,7 +27,7 @@ impl fmt::Display for CouplingError {
             CouplingError::Config(msg) => write!(f, "coupling configuration: {msg}"),
             CouplingError::Crypto(e) => write!(f, "coupling crypto: {e}"),
             CouplingError::Net(e) => write!(f, "coupling fabric: {e}"),
-            CouplingError::Pem(e) => write!(f, "grid key setup: {e}"),
+            CouplingError::Pem(e) => write!(f, "coupling round: {e}"),
         }
     }
 }

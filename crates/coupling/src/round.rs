@@ -24,7 +24,7 @@
 use pem_bignum::BigUint;
 use pem_core::fold::{FoldMachine, Topology};
 use pem_core::randpool::{encrypt_under, RandomizerPool};
-use pem_core::{KeyDirectory, PoolStats};
+use pem_core::{KeyDirectory, PemError, PoolStats};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
 use pem_market::PriceBand;
@@ -40,6 +40,12 @@ use crate::error::CouplingError;
 const ENERGY_SCALE: f64 = 1e6;
 /// Fixed-point price scale: 1 unit = 1 milli-cent/kWh.
 const PRICE_SCALE: f64 = 1e3;
+/// Largest quantized residual or cleared volume one shard can publish:
+/// the 1e9 kWh `quantize` admits, at [`ENERGY_SCALE`].
+const MAX_QUANTITY_Q: u128 = 1_000_000_000_000_000;
+/// Largest quantized price·volume one shard can publish: the 1e6 ¢/kWh
+/// `quantize` admits, at [`PRICE_SCALE`], times [`MAX_QUANTITY_Q`].
+const MAX_PV_Q: u128 = 1_000_000_000 * MAX_QUANTITY_Q;
 
 const LABEL_UP: &str = "couple/up";
 const LABEL_CORRIDOR: &str = "couple/corridor";
@@ -295,12 +301,24 @@ impl CouplingCoordinator {
         let (total_cts, _) = fold.drive(net)?;
 
         // --- Coordinator: decrypt the grid totals (and nothing else yet).
+        // Each total is bounded by what `quantize` admits per shard; a
+        // mangled ciphertext decrypts far outside that (≈2^-78 odds of
+        // landing inside it at a 128-bit key).
         let sk = self.keys.keypair(0).private();
+        let shards = s as u128;
+        let limits = [MAX_QUANTITY_Q, MAX_QUANTITY_Q, MAX_QUANTITY_Q, MAX_PV_Q].map(|l| shards * l);
         let mut totals = [0u128; 4];
-        for (t, m) in totals.iter_mut().zip(sk.decrypt_batch(&total_cts)) {
-            *t = m.to_u128().ok_or_else(|| {
-                CouplingError::Config("aggregate overflows the coupling range".into())
-            })?;
+        for ((t, m), limit) in totals
+            .iter_mut()
+            .zip(sk.decrypt_batch(&total_cts))
+            .zip(limits)
+        {
+            *t = m
+                .to_u128()
+                .filter(|&v| v <= limit)
+                .ok_or(PemError::Protocol(
+                    "coupling aggregate outside the quantized range",
+                ))?;
         }
         up_span.finish_at(net.now_us());
         let [surplus_q, deficit_q, vol_q, pv] = totals;
@@ -345,26 +363,46 @@ impl CouplingCoordinator {
                 w.put_biguint(c.as_biguint());
                 net.send(PartyId(i), coordinator, LABEL_CLAIM, w.finish())?;
             }
-            // Collect every claim first, then decrypt them as one batch
-            // over the shared CRT context (recodings cached per leg,
-            // large batches fan out over cores — order-preserving, so
-            // the schedule below is unchanged).
+            // Collect and validate every claim first, then decrypt them
+            // as one batch over the shared CRT context (order-preserving,
+            // so the schedule below is unchanged).
             let mut claim_from = Vec::with_capacity(s);
             let mut claim_cts = Vec::with_capacity(s);
             for _ in 0..s {
                 let env = net.recv_expect(coordinator, LABEL_CLAIM)?;
+                // One claim per shard: a replayed one would be scheduled
+                // twice while another shard's went unread.
+                if claim_from.contains(&env.from.0) {
+                    return Err(PemError::Protocol("a second claim from one shard").into());
+                }
                 let mut r = WireReader::new(&env.payload);
+                let claim = Ciphertext::from_biguint(r.get_biguint()?);
+                pk.validate_ciphertext(&claim)?;
                 claim_from.push(env.from.0);
-                claim_cts.push(Ciphertext::from_biguint(r.get_biguint()?));
+                claim_cts.push(claim);
             }
             let mut exporters: Vec<(usize, u64)> = Vec::new();
             let mut importers: Vec<(usize, u64)> = Vec::new();
+            let (mut claimed_surplus, mut claimed_deficit) = (0u128, 0u128);
             for (&from, res) in claim_from.iter().zip(sk.decrypt_i128_batch(&claim_cts)?) {
-                match res.signum() {
-                    1 => exporters.push((from, res as u64)),
-                    -1 => importers.push((from, (-res) as u64)),
-                    _ => {}
+                let (side, sum) = match res.signum() {
+                    1 => (&mut exporters, &mut claimed_surplus),
+                    -1 => (&mut importers, &mut claimed_deficit),
+                    _ => continue,
+                };
+                let q = res.unsigned_abs();
+                if q > MAX_QUANTITY_Q {
+                    return Err(
+                        PemError::Protocol("coupling claim outside the quantized range").into(),
+                    );
                 }
+                *sum += q;
+                side.push((from, q as u64));
+            }
+            // The claims split exactly the totals the tree aggregated: a
+            // mangled claim decrypts to something else.
+            if (claimed_surplus, claimed_deficit) != (surplus_q, deficit_q) {
+                return Err(PemError::Protocol("coupling claims disagree with the totals").into());
             }
             transfers = schedule(exporters, importers, min_transfer_q.max(1));
             claim_span.finish_at(net.now_us());
@@ -705,13 +743,8 @@ mod tests {
             frame.iter().for_each(|c| w.put_biguint(c));
             net.send(PartyId(1), PartyId(0), LABEL_UP, w.finish())
                 .expect("send");
-            let positions = [
-                position(0, 92.0, 3.0, 2.0),
-                position(1, 108.0, 2.0, -1.5),
-                position(2, 100.0, 1.0, -0.25),
-            ];
             coordinator()
-                .run_round_on(&mut net, &positions)
+                .run_round_on(&mut net, &engaged_positions())
                 .expect_err("a hostile frame must abort the round")
         }
         let zeroed = vec![BigUint::zero(); 4];
@@ -726,6 +759,21 @@ mod tests {
             };
             assert!(typed, "{e}");
         }
+        // Four valid ciphertexts of 2^100: the totals leave the range
+        // `quantize` admits instead of pricing the corridor.
+        let pk = coordinator().keys.public(0).clone();
+        let mut rng = HashDrbg::new(b"forged-up");
+        let huge: Vec<BigUint> = (0..4)
+            .map(|_| {
+                let c = pk.encrypt(&(BigUint::one() << 100), &mut rng);
+                c.as_biguint().clone()
+            })
+            .collect();
+        let e = forged(SimNetwork::new(4), &huge);
+        assert!(
+            matches!(e, CouplingError::Pem(PemError::Protocol(_))),
+            "{e}"
+        );
     }
 
     /// A fabric that swaps the payload of the first message sent under
@@ -790,11 +838,7 @@ mod tests {
         let mut rng = HashDrbg::new(b"forged-claim");
         let mut w = WireWriter::new();
         w.put_biguint(pk.encrypt(&(pk.n() >> 2), &mut rng).as_biguint());
-        let positions = [
-            position(0, 92.0, 3.0, 2.0),
-            position(1, 108.0, 2.0, -1.5),
-            position(2, 100.0, 1.0, -0.25),
-        ];
+        let positions = engaged_positions();
         let mut net = Forged {
             inner: SimNetwork::new(positions.len() + 1),
             label: LABEL_CLAIM,
@@ -810,6 +854,96 @@ mod tests {
             ),
             "{e}"
         );
+    }
+
+    #[test]
+    fn forged_claims_are_typed_errors() {
+        use pem_crypto::CryptoError;
+        // Shard 0's claim (+2 kWh) replaced on the wire.
+        let forged = |claim: &BigUint| {
+            let mut w = WireWriter::new();
+            w.put_biguint(claim);
+            let mut net = Forged {
+                inner: SimNetwork::new(4),
+                label: LABEL_CLAIM,
+                payload: Some(w.finish()),
+            };
+            coordinator()
+                .run_round_on(&mut net, &engaged_positions())
+                .expect_err("a forged claim must abort the round")
+        };
+        // Zero and n share a factor with n²: decrypting either reached
+        // the L function's subtraction and panicked on its underflow.
+        let pk = coordinator().keys.public(0).clone();
+        for claim in [BigUint::zero(), pk.n().clone()] {
+            let e = forged(&claim);
+            assert!(
+                matches!(e, CouplingError::Crypto(CryptoError::InvalidCiphertext)),
+                "claim {claim:?}: {e}"
+            );
+        }
+        // A valid claim of +1 kWh: in range, but the claims no longer
+        // split the aggregated 2 kWh surplus.
+        let mut rng = HashDrbg::new(b"forged-claim");
+        let one_kwh = pk.encrypt(&pk.encode_i128(1_000_000), &mut rng);
+        let e = forged(one_kwh.as_biguint());
+        assert!(
+            matches!(e, CouplingError::Pem(PemError::Protocol(_))),
+            "{e}"
+        );
+    }
+
+    /// Three shards whose residuals engage the round (2.0 kWh surplus,
+    /// 1.75 kWh deficit), so every phase and label runs.
+    fn engaged_positions() -> [ShardPosition; 3] {
+        [
+            position(0, 92.0, 3.0, 2.0),
+            position(1, 108.0, 2.0, -1.5),
+            position(2, 100.0, 1.0, -0.25),
+        ]
+    }
+
+    #[test]
+    fn faults_on_every_coupling_label_complete_clean_or_fail_typed() {
+        use pem_net::{FaultKind, FaultPlan};
+        let positions = engaged_positions();
+        let round = |plan: FaultPlan| {
+            coordinator().run_round_on(&mut SimNetwork::new(4).with_faults(plan), &positions)
+        };
+        let clean = round(FaultPlan::new()).expect("clean round");
+        assert!(clean.summary.engaged);
+        let kinds = [
+            FaultKind::Drop,
+            FaultKind::Duplicate,
+            FaultKind::Corrupt,
+            FaultKind::Truncate,
+            FaultKind::Stall,
+        ];
+        for label in [LABEL_UP, LABEL_CORRIDOR, LABEL_CLAIM, LABEL_SCHEDULE] {
+            for kind in kinds {
+                for nth in [0, 2] {
+                    let case = format!("{label}#{nth}/{kind:?}");
+                    // Nothing in the round reads the corridor broadcast or
+                    // the schedule, and a duplicate of the last claim
+                    // lingers unread; every other fault aborts.
+                    let unread = label == LABEL_CORRIDOR
+                        || label == LABEL_SCHEDULE
+                        || (label == LABEL_CLAIM, nth, kind) == (true, 2, FaultKind::Duplicate);
+                    match round(FaultPlan::new().inject(label, nth, kind)) {
+                        Ok(out) => {
+                            assert!(unread, "{case}: completed");
+                            assert_eq!(out, clean, "{case}: completed differently");
+                        }
+                        Err(
+                            e @ (CouplingError::Net(_)
+                            | CouplingError::Crypto(_)
+                            | CouplingError::Pem(PemError::Protocol(_))),
+                        ) => assert!(!unread, "{case}: {e}"),
+                        Err(e) => panic!("{case}: unexpected error class {e}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
