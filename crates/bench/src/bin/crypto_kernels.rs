@@ -23,7 +23,12 @@
 //! before its exponents were cut to the group's security level.
 //! `grid_doctor` holds `compare_64` under 0.75 × 64 × `ot_single`
 //! (0.9 at `test192`) and, at `modp1024`, under 0.5 × 32 ×
-//! `ot_ladder_full` within each run. Last come the Montgomery kernel rows every figure
+//! `ot_ladder_full` within each run. Next, one entry for the garbled
+//! comparator itself (`gc_width: 64`): `garble_64` and `eval_64` time
+//! garbling and evaluating Protocol 2's 64-bit comparator, and the
+//! deterministic `gc_table_bytes_64` counts the AND-table bytes the
+//! offer ships — `grid_doctor` holds it at two 16-byte half-gates rows
+//! per AND of a 64-AND comparator. Last come the Montgomery kernel rows every figure
 //! above is a multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per
 //! limb count (3, 4, 16, 32, 64 — the toy-key and test-group widths,
 //! the Modp1024 group and `p²` at 1024-bit keys, `n²` at 1024- and
@@ -47,6 +52,8 @@ use pem_bench::json::Json;
 use pem_bench::{rounded, trajectory_run, Args};
 use pem_bignum::{BigUint, Montgomery};
 use pem_circuit::compare::secure_less_than_local;
+use pem_circuit::garble::{eval_garbled, garble, select_input_labels};
+use pem_circuit::{comparator_circuit, u128_to_bits};
 use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::run_local_ot;
@@ -390,6 +397,39 @@ fn bench_group(group: &'static str, profile: OtProfile, min_time_ms: u64) -> Gro
     GroupReport { group, kernels }
 }
 
+/// The garbled-comparator rows at Protocol 2's width, 64 bits.
+struct CircuitReport {
+    kernels: Vec<Kernel>,
+    /// Bytes of AND tables one garbling ships.
+    table_bytes: usize,
+}
+
+/// Times garbling and evaluating the 64-bit comparator, interleaved,
+/// and counts the table bytes a garbling carries.
+fn bench_circuit(min_time_ms: u64) -> CircuitReport {
+    const WIDTH: usize = 64;
+    let circuit = comparator_circuit(WIDTH);
+    let mut rng = HashDrbg::new(b"crypto-kernels-gc");
+    let (garbled, secrets) = garble(&circuit, &mut rng);
+    let (a, b) = (u128_to_bits(1_000, WIDTH), u128_to_bits(2_000, WIDTH));
+    let labels = select_input_labels(&secrets, &a, &b);
+    let (garble_k, eval_k) = measure_pair(
+        ("garble_64", "eval_64"),
+        min_time_ms,
+        (1.0, 1.0),
+        |_| {
+            let _ = garble(&circuit, &mut rng);
+        },
+        |_| {
+            let _ = eval_garbled(&garbled, &labels).expect("evaluate");
+        },
+    );
+    CircuitReport {
+        kernels: vec![garble_k, eval_k],
+        table_bytes: std::mem::size_of_val(garbled.and_tables()),
+    }
+}
+
 /// The Montgomery kernel at one limb count.
 struct WidthReport {
     limbs: usize,
@@ -439,12 +479,13 @@ fn kernel_fields(kernels: &[Kernel]) -> Vec<(String, Json)> {
     fields
 }
 
-/// The trajectory run: an entry per key size, per OT group and per
-/// kernel width.
+/// The trajectory run: an entry per key size, per OT group, for the
+/// garbled comparator and per kernel width.
 fn json(
     label: &str,
     reports: &[SizeReport],
     groups: &[GroupReport],
+    circuit: &CircuitReport,
     widths: &[WidthReport],
 ) -> Json {
     let mut entries = Vec::new();
@@ -462,6 +503,10 @@ fn json(
         fields.push(("ot_group".into(), g.group.into()));
         entries.push(Json::obj(fields));
     }
+    let mut fields = kernel_fields(&circuit.kernels);
+    fields.push(("gc_width".into(), 64usize.into()));
+    fields.push(("gc_table_bytes_64".into(), circuit.table_bytes.into()));
+    entries.push(Json::obj(fields));
     for w in widths {
         entries.push(json_object! {
             "mont_limbs": w.limbs,
@@ -482,6 +527,7 @@ fn main() {
         bench_group("test192", OtProfile::Test192, min_time_ms),
         bench_group("modp1024", OtProfile::Modp1024, min_time_ms),
     ];
+    let circuit = bench_circuit(min_time_ms);
 
     let widths: Vec<WidthReport> = [3, 4, 16, 32, 64]
         .iter()
@@ -490,7 +536,7 @@ fn main() {
 
     // The JSON run alone on stdout, so a redirect is a valid artifact;
     // the human table goes to stderr.
-    println!("{}", json(&label, &reports, &groups, &widths));
+    println!("{}", json(&label, &reports, &groups, &circuit, &widths));
     eprintln!("key_bits  kernel                  ops/s        mean");
     for r in &reports {
         eprintln!(
@@ -518,6 +564,16 @@ fn main() {
             );
         }
     }
+    for k in &circuit.kernels {
+        eprintln!(
+            "{:>8}  {:<22} {:>10.1}  {:>8.1}µs",
+            "gc", k.name, k.ops_per_s, k.mean_us
+        );
+    }
+    eprintln!(
+        "{:>8}  {:<22} {:>10}  {:>8}B",
+        "gc", "table_bytes_64", "", circuit.table_bytes
+    );
     for w in &widths {
         for (name, ns) in [("mont_mul", w.mul_ns), ("mont_sqr", w.sqr_ns)] {
             eprintln!(

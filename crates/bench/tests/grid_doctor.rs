@@ -72,15 +72,19 @@ fn committed_crypto_trajectory_is_clean() {
         crypto_checks(&doc, None, None, DEFAULT_THRESHOLD).expect("committed runs comparable");
     // The picker must land on the latest *kernel* run pair and skip the
     // overhead run (which shares no metric keys).
-    assert_eq!(base, "pr30-parent-remeasured");
-    assert_eq!(cur, "pr30-lehmer-gcd");
-    // The pair gates the comparison rows per OT group and the
-    // Montgomery kernel rows per limb count beside the Paillier rows
-    // per key size; the current run also carries the within-run gates:
-    // batching per OT group, the comparison off full-width ladders at
-    // Modp1024, encryption off the ladder per paper key size, and
-    // validation below encryption per key size.
+    assert_eq!(base, "pr31-parent-remeasured");
+    assert_eq!(cur, "pr31-half-gates");
+    // The pair gates the comparison rows per OT group, the garbled
+    // comparator's row and the Montgomery kernel rows per limb count
+    // beside the Paillier rows per key size; the current run also
+    // carries the within-run gates: batching per OT group, the
+    // comparison off full-width ladders at Modp1024, encryption off the
+    // ladder per paper key size, validation below encryption per key
+    // size, and two half-gates rows per AND of the 64-AND comparator.
     for name in [
+        "crypto/gc64/half_gate_tables",
+        "crypto/gc64/garble_64_mean_us",
+        "crypto/gc64/eval_64_mean_us",
         "crypto/1024/validate_below_encrypt",
         "crypto/2048/validate_mean_us",
         "crypto/modp1024/compare_64_batched",

@@ -1,4 +1,4 @@
-//! Gate-list circuit representation and standard constructions.
+//! Gate-list circuit representation and the comparator construction.
 
 use serde::{Deserialize, Serialize};
 
@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct WireId(pub u32);
 
-/// A gate over boolean wires. Only XOR/AND/NOT are needed: XOR and NOT are
-/// "free" under the garbling scheme, AND costs one garbled table.
+/// A gate over boolean wires. Only XOR/AND are needed: XOR is "free"
+/// under the garbling scheme, AND costs one garbled table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Gate {
     /// `out = a ^ b`
@@ -27,13 +27,6 @@ pub enum Gate {
         a: WireId,
         /// Right input wire.
         b: WireId,
-        /// Output wire.
-        out: WireId,
-    },
-    /// `out = !a`
-    Not {
-        /// Input wire.
-        a: WireId,
         /// Output wire.
         out: WireId,
     },
@@ -175,31 +168,14 @@ impl CircuitBuilder {
         out
     }
 
-    /// `!a` (free under garbling).
-    pub fn not(&mut self, a: WireId) -> WireId {
-        let out = self.alloc_one();
-        self.gates.push(Gate::Not { a, out });
-        out
-    }
-
-    /// `a | b`, synthesized as `(a & b) ^ a ^ b`.
-    pub fn or(&mut self, a: WireId, b: WireId) -> WireId {
-        let ab = self.and(a, b);
-        let x = self.xor(a, b);
-        self.xor(ab, x)
-    }
-
-    /// `if sel { t } else { f }`, synthesized as `f ^ (sel & (t ^ f))`.
-    pub fn mux(&mut self, sel: WireId, t: WireId, f: WireId) -> WireId {
-        let d = self.xor(t, f);
-        let sd = self.and(sel, d);
-        self.xor(f, sd)
-    }
-
     /// Unsigned `a < b` over little-endian bit vectors of equal width.
     ///
-    /// Per bit: `lt ← (¬a_i ∧ b_i) ⊕ (¬(a_i ⊕ b_i) ∧ lt)` — the two terms
-    /// are mutually exclusive, so XOR implements OR. Costs `2w − 1` ANDs.
+    /// The carry chain of Kolesnikov, Sadeghi & Schneider (CANS 2009),
+    /// with `x = b`, `y = a` and `c₀ = 0`:
+    /// `cᵢ₊₁ = xᵢ ⊕ ((xᵢ ⊕ cᵢ) ∧ (yᵢ ⊕ cᵢ))`. Where the bits differ the
+    /// AND is 0 and the carry becomes `xᵢ`; where they agree it passes
+    /// `cᵢ` on. So `c_w` is `b`'s bit at the highest differing position,
+    /// or 0 when `a = b`. Costs exactly `w` ANDs; everything else is XOR.
     ///
     /// # Panics
     ///
@@ -207,60 +183,16 @@ impl CircuitBuilder {
     pub fn less_than(&mut self, a: &[WireId], b: &[WireId]) -> WireId {
         assert_eq!(a.len(), b.len(), "operand widths must match");
         assert!(!a.is_empty(), "comparator needs at least one bit");
-        let na0 = self.not(a[0]);
-        let mut lt = self.and(na0, b[0]);
-        for i in 1..a.len() {
-            let na = self.not(a[i]);
-            let win = self.and(na, b[i]);
-            let x = self.xor(a[i], b[i]);
-            let eq = self.not(x);
-            let keep = self.and(eq, lt);
-            lt = self.xor(win, keep);
+        // Bit 0, with c₀ = 0: x₀ ⊕ (x₀ ∧ y₀).
+        let t = self.and(b[0], a[0]);
+        let mut carry = self.xor(b[0], t);
+        for (&y, &x) in a.iter().zip(b).skip(1) {
+            let xc = self.xor(x, carry);
+            let yc = self.xor(y, carry);
+            let t = self.and(xc, yc);
+            carry = self.xor(x, t);
         }
-        lt
-    }
-
-    /// Bitwise equality of two equal-width vectors (AND-tree of XNORs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or are empty.
-    pub fn equals(&mut self, a: &[WireId], b: &[WireId]) -> WireId {
-        assert_eq!(a.len(), b.len(), "operand widths must match");
-        assert!(!a.is_empty(), "equality needs at least one bit");
-        let mut acc: Option<WireId> = None;
-        for i in 0..a.len() {
-            let x = self.xor(a[i], b[i]);
-            let eq = self.not(x);
-            acc = Some(match acc {
-                None => eq,
-                Some(prev) => self.and(prev, eq),
-            });
-        }
-        acc.expect("non-empty")
-    }
-
-    /// Ripple-carry addition of two equal-width vectors; returns `w` sum
-    /// bits plus the final carry. Costs `2w` ANDs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or are empty.
-    pub fn add(&mut self, a: &[WireId], b: &[WireId]) -> (Vec<WireId>, WireId) {
-        assert_eq!(a.len(), b.len(), "operand widths must match");
-        assert!(!a.is_empty(), "adder needs at least one bit");
-        let mut sums = Vec::with_capacity(a.len());
-        // Half adder for bit 0.
-        sums.push(self.xor(a[0], b[0]));
-        let mut carry = self.and(a[0], b[0]);
-        for i in 1..a.len() {
-            let axb = self.xor(a[i], b[i]);
-            sums.push(self.xor(axb, carry));
-            let t1 = self.and(a[i], b[i]);
-            let t2 = self.and(axb, carry);
-            carry = self.xor(t1, t2);
-        }
-        (sums, carry)
+        carry
     }
 
     /// Declares the circuit outputs.
@@ -283,10 +215,6 @@ impl CircuitBuilder {
                 Gate::Xor { a, b, out } | Gate::And { a, b, out } => {
                     check(a);
                     check(b);
-                    check(out);
-                }
-                Gate::Not { a, out } => {
-                    check(a);
                     check(out);
                 }
             }
@@ -315,28 +243,6 @@ pub fn comparator_circuit(width: usize) -> Circuit {
     b.build()
 }
 
-/// Builds a `w`-bit equality circuit (used in tests and as an ablation).
-pub fn equality_circuit(width: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let xs = b.add_garbler_inputs(width);
-    let ys = b.add_evaluator_inputs(width);
-    let eq = b.equals(&xs, &ys);
-    b.set_outputs(&[eq]);
-    b.build()
-}
-
-/// Builds a `w`-bit ripple-carry adder (outputs `w` sum bits + carry).
-pub fn adder_circuit(width: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let xs = b.add_garbler_inputs(width);
-    let ys = b.add_evaluator_inputs(width);
-    let (sums, carry) = b.add(&xs, &ys);
-    let mut outs = sums;
-    outs.push(carry);
-    b.set_outputs(&outs);
-    b.build()
-}
-
 /// Evaluates a circuit in the clear.
 ///
 /// `a_bits`/`b_bits` are the garbler/evaluator inputs, LSB-first.
@@ -358,7 +264,6 @@ pub fn eval_plaintext(circuit: &Circuit, a_bits: &[bool], b_bits: &[bool]) -> Ve
             Gate::And { a, b, out } => {
                 wires[out.0 as usize] = wires[a.0 as usize] & wires[b.0 as usize]
             }
-            Gate::Not { a, out } => wires[out.0 as usize] = !wires[a.0 as usize],
         }
     }
     circuit
@@ -399,51 +304,12 @@ mod tests {
 
     #[test]
     fn comparator_truth_table_small() {
-        let c = comparator_circuit(4);
-        for a in 0u128..16 {
-            for b in 0u128..16 {
-                let out = eval_plaintext(&c, &u128_to_bits(a, 4), &u128_to_bits(b, 4));
-                assert_eq!(out, vec![a < b], "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn equality_truth_table_small() {
-        let c = equality_circuit(3);
-        for a in 0u128..8 {
-            for b in 0u128..8 {
-                let out = eval_plaintext(&c, &u128_to_bits(a, 3), &u128_to_bits(b, 3));
-                assert_eq!(out, vec![a == b], "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn adder_exhaustive_small() {
-        let c = adder_circuit(3);
-        for a in 0u128..8 {
-            for b in 0u128..8 {
-                let out = eval_plaintext(&c, &u128_to_bits(a, 3), &u128_to_bits(b, 3));
-                assert_eq!(bits_to_u128(&out), a + b, "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn or_and_mux_gates() {
-        let mut b = CircuitBuilder::new();
-        let xs = b.add_garbler_inputs(3); // sel, t, f
-        let o = b.mux(xs[0], xs[1], xs[2]);
-        let or = b.or(xs[1], xs[2]);
-        b.set_outputs(&[o, or]);
-        let c = b.build();
-        for sel in [false, true] {
-            for t in [false, true] {
-                for f in [false, true] {
-                    let out = eval_plaintext(&c, &[sel, t, f], &[]);
-                    assert_eq!(out[0], if sel { t } else { f });
-                    assert_eq!(out[1], t | f);
+        for w in 1..=5 {
+            let c = comparator_circuit(w);
+            for a in 0..1u128 << w {
+                for b in 0..1u128 << w {
+                    let out = eval_plaintext(&c, &u128_to_bits(a, w), &u128_to_bits(b, w));
+                    assert_eq!(out, vec![a < b], "w={w} a={a} b={b}");
                 }
             }
         }
@@ -451,9 +317,11 @@ mod tests {
 
     #[test]
     fn comparator_and_count_is_linear() {
-        assert_eq!(comparator_circuit(1).and_count(), 1);
-        assert_eq!(comparator_circuit(64).and_count(), 2 * 64 - 1);
-        assert_eq!(comparator_circuit(128).and_count(), 2 * 128 - 1);
+        for w in [1, 2, 63, 64, 128] {
+            let c = comparator_circuit(w);
+            assert_eq!(c.and_count(), w, "one AND per bit at w = {w}");
+            assert_eq!(c.gates().len(), 4 * w - 2, "and three XORs per bit past 0");
+        }
     }
 
     #[test]

@@ -205,7 +205,9 @@ impl CompareEvaluator {
     ///
     /// # Errors
     ///
-    /// OT or garbling inconsistencies.
+    /// OT or garbling inconsistencies, and
+    /// [`CircuitError::OutputNotAuthentic`] when a tampered offer or OT
+    /// message left the output label unrecognisable.
     pub fn finish(self, transfer: &CompareLabelCiphertexts) -> Result<bool, CircuitError> {
         let mut labels = self.garbler_labels;
         for chunk in self.receiver.decrypt(&transfer.cts)? {

@@ -20,6 +20,12 @@ pub enum CircuitError {
     MalformedGarbling(&'static str),
     /// The underlying oblivious transfer failed.
     Ot(CryptoError),
+    /// An output label matched neither of the garbler's output hashes:
+    /// some input label or table row was not the one garbled.
+    OutputNotAuthentic {
+        /// Position of the output wire.
+        output: usize,
+    },
     /// A value exceeded the comparison circuit's bit width.
     ValueTooWide {
         /// Bits available in the circuit.
@@ -35,6 +41,9 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::MalformedGarbling(what) => write!(f, "malformed garbling: {what}"),
             CircuitError::Ot(e) => write!(f, "oblivious transfer failed: {e}"),
+            CircuitError::OutputNotAuthentic { output } => {
+                write!(f, "output {output} label is not one the garbler produced")
+            }
             CircuitError::ValueTooWide { width } => {
                 write!(f, "value does not fit in {width}-bit comparison circuit")
             }

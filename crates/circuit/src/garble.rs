@@ -1,21 +1,35 @@
-//! The garbling scheme: point-and-permute with free XOR.
+//! The garbling scheme: half-gates over free XOR, with authenticated
+//! outputs.
 //!
 //! * Every wire `w` carries two 128-bit labels `W⁰` (false) and
 //!   `W¹ = W⁰ ⊕ Δ` (true) for a circuit-global secret `Δ` whose least
 //!   significant bit is 1 — so a label's LSB is its *permute bit* and the
 //!   two labels of a wire always disagree on it.
 //! * XOR gates are free: `O⁰ = A⁰ ⊕ B⁰`; evaluation XORs the held labels.
-//! * NOT gates are free: `O⁰ = A¹`; evaluation passes the label through.
-//! * AND gates carry a four-row table, row `2·lsb(Aⁱ) + lsb(Bʲ)` holding
-//!   `H(Aⁱ, Bʲ, gate) ⊕ O^{i∧j}`; the evaluator decrypts exactly one row.
+//! * AND gate `j` is a half-gates pair (Zahur, Rosulek & Evans,
+//!   EUROCRYPT 2015): two 16-byte rows under the tweaks `2j` and
+//!   `2j + 1`. With `p_a = lsb(A⁰)` and `p_b = lsb(B⁰)` the garbler
+//!   ships `T_G = H(A⁰, 2j) ⊕ H(A¹, 2j) ⊕ p_b·Δ` and
+//!   `T_E = H(B⁰, 2j+1) ⊕ H(B¹, 2j+1) ⊕ A⁰`, and the output's false
+//!   label is `O⁰ = H(A⁰, 2j) ⊕ p_a·T_G ⊕ H(B^{p_b}, 2j+1)` — four
+//!   hashes and no random draw per AND. The evaluator holding `A` and
+//!   `B` hashes twice:
+//!   `O = H(A, 2j) ⊕ lsb(A)·T_G ⊕ H(B, 2j+1) ⊕ lsb(B)·(T_E ⊕ A)`.
+//! * Outputs are authenticated: each output wire ships
+//!   `(H'(O⁰), H'(O¹))` instead of a decode bit. The evaluator returns
+//!   the bit whose hash its label matches, and
+//!   [`CircuitError::OutputNotAuthentic`] when it matches neither — a
+//!   corrupted table row, garbler label or OT transfer that derails the
+//!   evaluation ends in a typed error, never in a coin-flip output bit.
 //!
-//! The hash `H` is SHA-256 truncated to 16 bytes with domain separation on
-//! the gate index.
+//! `H` is SHA-256 over a domain string, the label and the tweak,
+//! truncated to 16 bytes; `H'` is the same hash under its own domain,
+//! tweaked by the output's position.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use pem_crypto::Sha256;
+use pem_crypto::sha256;
 
 use crate::circuit::{Circuit, Gate};
 use crate::error::CircuitError;
@@ -41,34 +55,54 @@ impl Label {
         Label(out)
     }
 
+    /// `self ⊕ other` when `bit` is set, `self` otherwise.
+    fn xor_if(&self, bit: bool, other: &Label) -> Label {
+        if bit {
+            self.xor(other)
+        } else {
+            *self
+        }
+    }
+
     /// The permute (point-and-permute) bit: the label's LSB.
     pub fn permute_bit(&self) -> bool {
         self.0[15] & 1 == 1
     }
 }
 
-/// Hashes two labels and a gate index into a one-time pad for a table row.
-fn gate_hash(a: &Label, b: &Label, gate_index: u64) -> Label {
-    let mut h = Sha256::new();
-    h.update(b"pem-garble-v1");
-    h.update(&a.0);
-    h.update(&b.0);
-    h.update(&gate_index.to_be_bytes());
-    let d = h.finalize();
+/// `H(label ‖ tweak)` under `domain`, truncated to a label: one
+/// SHA-256 block, hashed from one stack buffer.
+fn tweak_hash(domain: &[u8], label: &Label, tweak: u64) -> Label {
+    let mut input = [0u8; 64];
+    let n = domain.len();
+    input[..n].copy_from_slice(domain);
+    input[n..n + 16].copy_from_slice(&label.0);
+    input[n + 16..n + 24].copy_from_slice(&tweak.to_be_bytes());
+    let digest = sha256(&input[..n + 24]);
     let mut out = [0u8; 16];
-    out.copy_from_slice(&d[..16]);
+    out.copy_from_slice(&digest[..16]);
     Label(out)
 }
 
+/// The gate hash `H`: AND gate `j` uses the tweaks `2j` and `2j + 1`.
+fn gate_hash(label: &Label, tweak: u64) -> Label {
+    tweak_hash(b"pem-garble-v2", label, tweak)
+}
+
+/// The output-authentication hash `H'` of output `k`'s label.
+fn output_hash(label: &Label, k: usize) -> Label {
+    tweak_hash(b"pem-garble-v2/out", label, k as u64)
+}
+
 /// The transferable part of a garbling: topology, AND tables and the
-/// output decode bits. Safe to hand to the evaluator.
+/// output hashes. Safe to hand to the evaluator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GarbledCircuit {
     circuit: Circuit,
-    /// One 4-row table per AND gate, in gate order.
-    and_tables: Vec<[Label; 4]>,
-    /// Permute bit of each output wire's false label.
-    output_decode: Vec<bool>,
+    /// One half-gates pair `[T_G, T_E]` per AND gate, in gate order.
+    and_tables: Vec<[Label; 2]>,
+    /// `[H'(O⁰), H'(O¹)]` per output wire.
+    output_hashes: Vec<[Label; 2]>,
 }
 
 impl GarbledCircuit {
@@ -82,18 +116,19 @@ impl GarbledCircuit {
         self.and_tables.len()
     }
 
-    /// The AND-gate tables in gate order (for wire encoding).
-    pub fn and_tables(&self) -> &[[Label; 4]] {
+    /// The AND-gate tables `[T_G, T_E]` in gate order (for wire
+    /// encoding).
+    pub fn and_tables(&self) -> &[[Label; 2]] {
         &self.and_tables
     }
 
-    /// The output decode bits (for wire encoding).
-    pub fn output_decode(&self) -> &[bool] {
-        &self.output_decode
+    /// The output hashes `[H'(O⁰), H'(O¹)]` (for wire encoding).
+    pub fn output_hashes(&self) -> &[[Label; 2]] {
+        &self.output_hashes
     }
 
     /// Reassembles a garbling from a locally rebuilt topology plus
-    /// received tables and decode bits (the transport sends only the
+    /// received tables and output hashes (the transport sends only the
     /// latter two — the comparator topology is public and deterministic).
     ///
     /// # Errors
@@ -102,21 +137,21 @@ impl GarbledCircuit {
     /// topology.
     pub fn from_parts(
         circuit: Circuit,
-        and_tables: Vec<[Label; 4]>,
-        output_decode: Vec<bool>,
+        and_tables: Vec<[Label; 2]>,
+        output_hashes: Vec<[Label; 2]>,
     ) -> Result<GarbledCircuit, CircuitError> {
         if and_tables.len() != circuit.and_count() {
             return Err(CircuitError::MalformedGarbling("AND table count mismatch"));
         }
-        if output_decode.len() != circuit.outputs().len() {
+        if output_hashes.len() != circuit.outputs().len() {
             return Err(CircuitError::MalformedGarbling(
-                "output decode count mismatch",
+                "output hash count mismatch",
             ));
         }
         Ok(GarbledCircuit {
             circuit,
             and_tables,
-            output_decode,
+            output_hashes,
         })
     }
 }
@@ -174,7 +209,8 @@ impl GarblerSecrets {
 }
 
 /// Garbles a circuit. Returns the transferable garbling and the garbler's
-/// secrets.
+/// secrets. Draws `Δ` and the input labels only: every other label is
+/// derived.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircuit, GarblerSecrets) {
     // Δ with LSB forced to 1 so permute bits differ across a wire's labels.
     let mut delta = Label::random(rng);
@@ -187,51 +223,45 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
     // Gate outputs are appended in order; wire ids are dense by builder
     // construction.
     let mut and_tables = Vec::with_capacity(circuit.and_count());
-    for (gate_index, gate) in circuit.gates().iter().enumerate() {
-        match *gate {
+    for (j, gate) in circuit.gates().iter().enumerate() {
+        let o0 = match *gate {
             Gate::Xor { a, b, out } => {
                 debug_assert_eq!(out.0 as usize, zero_labels.len());
-                let o = zero_labels[a.0 as usize].xor(&zero_labels[b.0 as usize]);
-                zero_labels.push(o);
-            }
-            Gate::Not { a, out } => {
-                debug_assert_eq!(out.0 as usize, zero_labels.len());
-                // O⁰ = A¹: evaluation is the identity on labels.
-                let o = zero_labels[a.0 as usize].xor(&delta);
-                zero_labels.push(o);
+                zero_labels[a.0 as usize].xor(&zero_labels[b.0 as usize])
             }
             Gate::And { a, b, out } => {
                 debug_assert_eq!(out.0 as usize, zero_labels.len());
-                let a0 = zero_labels[a.0 as usize];
-                let b0 = zero_labels[b.0 as usize];
-                let o0 = Label::random(rng);
-                zero_labels.push(o0);
-                let mut table = [Label([0u8; 16]); 4];
-                for i in 0..2u8 {
-                    for j in 0..2u8 {
-                        let ai = if i == 1 { a0.xor(&delta) } else { a0 };
-                        let bj = if j == 1 { b0.xor(&delta) } else { b0 };
-                        let out_bit = i == 1 && j == 1;
-                        let o = if out_bit { o0.xor(&delta) } else { o0 };
-                        let row = 2 * ai.permute_bit() as usize + bj.permute_bit() as usize;
-                        table[row] = gate_hash(&ai, &bj, gate_index as u64).xor(&o);
-                    }
-                }
-                and_tables.push(table);
+                let (a0, b0) = (zero_labels[a.0 as usize], zero_labels[b.0 as usize]);
+                let (pa, pb) = (a0.permute_bit(), b0.permute_bit());
+                let tweak = 2 * j as u64;
+                let (ha0, ha1) = (gate_hash(&a0, tweak), gate_hash(&a0.xor(&delta), tweak));
+                let (hb0, hb1) = (
+                    gate_hash(&b0, tweak + 1),
+                    gate_hash(&b0.xor(&delta), tweak + 1),
+                );
+                // Generator half: a ∧ p_b. Evaluator half: a ∧ (b ⊕ p_b).
+                let t_g = ha0.xor(&ha1).xor_if(pb, &delta);
+                let t_e = hb0.xor(&hb1).xor(&a0);
+                let w_g = ha0.xor_if(pa, &t_g);
+                let w_e = if pb { hb1 } else { hb0 };
+                and_tables.push([t_g, t_e]);
+                w_g.xor(&w_e)
             }
-        }
+        };
+        zero_labels.push(o0);
     }
 
-    let output_decode = circuit
-        .outputs()
-        .iter()
-        .map(|&w| zero_labels[w.0 as usize].permute_bit())
+    let output_hashes = (circuit.outputs().iter().enumerate())
+        .map(|(k, &w)| {
+            let o0 = zero_labels[w.0 as usize];
+            [output_hash(&o0, k), output_hash(&o0.xor(&delta), k)]
+        })
         .collect();
 
     let garbled = GarbledCircuit {
         circuit: circuit.clone(),
         and_tables,
-        output_decode,
+        output_hashes,
     };
     let secrets = GarblerSecrets {
         delta,
@@ -261,8 +291,11 @@ pub fn select_input_labels(
 ///
 /// # Errors
 ///
-/// [`CircuitError`] if the label count or table count is inconsistent with
-/// the topology.
+/// * [`CircuitError::InputWidthMismatch`] / [`CircuitError::MalformedGarbling`]
+///   if the label or table count is inconsistent with the topology;
+/// * [`CircuitError::OutputNotAuthentic`] if an output label is neither
+///   of the garbler's — some input label or table row was not the one
+///   garbled.
 pub fn eval_garbled(
     gc: &GarbledCircuit,
     input_labels: &[Label],
@@ -277,113 +310,86 @@ pub fn eval_garbled(
     if gc.and_tables.len() != circuit.and_count() {
         return Err(CircuitError::MalformedGarbling("AND table count mismatch"));
     }
+    if gc.output_hashes.len() != circuit.outputs().len() {
+        return Err(CircuitError::MalformedGarbling(
+            "output hash count mismatch",
+        ));
+    }
 
     let mut labels: Vec<Label> = Vec::with_capacity(circuit.num_wires());
     labels.extend_from_slice(input_labels);
-    let mut and_index = 0usize;
-    for (gate_index, gate) in circuit.gates().iter().enumerate() {
-        match *gate {
-            Gate::Xor { a, b, .. } => {
-                let o = labels[a.0 as usize].xor(&labels[b.0 as usize]);
-                labels.push(o);
-            }
-            Gate::Not { a, .. } => {
-                // Free: output label equals input label (semantics flip).
-                let o = labels[a.0 as usize];
-                labels.push(o);
-            }
+    let mut tables = gc.and_tables.iter();
+    for (j, gate) in circuit.gates().iter().enumerate() {
+        let o = match *gate {
+            Gate::Xor { a, b, .. } => labels[a.0 as usize].xor(&labels[b.0 as usize]),
             Gate::And { a, b, .. } => {
-                let la = labels[a.0 as usize];
-                let lb = labels[b.0 as usize];
-                let row = 2 * la.permute_bit() as usize + lb.permute_bit() as usize;
-                let table = &gc.and_tables[and_index];
-                and_index += 1;
-                let o = gate_hash(&la, &lb, gate_index as u64).xor(&table[row]);
-                labels.push(o);
+                let (la, lb) = (labels[a.0 as usize], labels[b.0 as usize]);
+                let [t_g, t_e] = tables.next().expect("one table per AND, checked above");
+                let tweak = 2 * j as u64;
+                let w_g = gate_hash(&la, tweak).xor_if(la.permute_bit(), t_g);
+                let w_e = gate_hash(&lb, tweak + 1).xor_if(lb.permute_bit(), &t_e.xor(&la));
+                w_g.xor(&w_e)
             }
-        }
+        };
+        labels.push(o);
     }
 
-    Ok(circuit
-        .outputs()
-        .iter()
-        .zip(gc.output_decode.iter())
-        .map(|(&w, &decode)| labels[w.0 as usize].permute_bit() ^ decode)
-        .collect())
+    (circuit.outputs().iter().zip(&gc.output_hashes).enumerate())
+        .map(|(k, (&w, [h0, h1]))| {
+            let h = output_hash(&labels[w.0 as usize], k);
+            match (h == *h0, h == *h1) {
+                (true, false) => Ok(false),
+                (false, true) => Ok(true),
+                _ => Err(CircuitError::OutputNotAuthentic { output: k }),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{
-        adder_circuit, bits_to_u128, comparator_circuit, equality_circuit, eval_plaintext,
-        u128_to_bits, CircuitBuilder,
-    };
+    use crate::circuit::{comparator_circuit, u128_to_bits};
     use pem_crypto::drbg::HashDrbg;
 
-    fn check_garbled_matches_plaintext(circuit: &Circuit, a: &[bool], b: &[bool], seed: u64) {
-        let mut rng = HashDrbg::from_seed_label(b"garble-test", seed);
-        let (gc, secrets) = garble(circuit, &mut rng);
-        let labels = select_input_labels(&secrets, a, b);
-        let garbled_out = eval_garbled(&gc, &labels).expect("evaluate");
-        let clear_out = eval_plaintext(circuit, a, b);
-        assert_eq!(garbled_out, clear_out);
+    /// Runs the garbled `w`-bit comparator on `a < b`.
+    fn garbled_less_than(w: usize, a: u128, b: u128, seed: u64) -> bool {
+        let c = comparator_circuit(w);
+        let mut rng = HashDrbg::from_seed_label(b"garble-cmp", seed);
+        let (gc, secrets) = garble(&c, &mut rng);
+        let labels = select_input_labels(&secrets, &u128_to_bits(a, w), &u128_to_bits(b, w));
+        eval_garbled(&gc, &labels).expect("evaluate")[0]
     }
 
     #[test]
     fn comparator_garbled_exhaustive_4bit() {
-        let c = comparator_circuit(4);
-        for a in 0u128..16 {
-            for b in 0u128..16 {
-                check_garbled_matches_plaintext(
-                    &c,
-                    &u128_to_bits(a, 4),
-                    &u128_to_bits(b, 4),
-                    a as u64 * 16 + b as u64,
-                );
+        // Every pair at widths 1 through 5 (the name predates widths
+        // other than 4).
+        for w in 1..=5 {
+            for a in 0..1u128 << w {
+                for b in 0..1u128 << w {
+                    let seed = (w as u64) << 16 | (a as u64) << 8 | b as u64;
+                    assert_eq!(garbled_less_than(w, a, b, seed), a < b, "w={w} a={a} b={b}");
+                }
             }
         }
     }
 
     #[test]
-    fn equality_garbled_exhaustive_3bit() {
-        let c = equality_circuit(3);
-        for a in 0u128..8 {
-            for b in 0u128..8 {
-                check_garbled_matches_plaintext(
-                    &c,
-                    &u128_to_bits(a, 3),
-                    &u128_to_bits(b, 3),
-                    a as u64 * 8 + b as u64,
+    fn comparator_garbled_edge_cases_at_full_widths() {
+        for w in [64usize, 128] {
+            let max = if w == 128 { u128::MAX } else { (1 << w) - 1 };
+            let mid = 0x5a5a_5a5a_5a5a_5a5a_u128;
+            let mut pairs = vec![(0, 0), (0, max), (max, 0), (max, max), (max - 1, max)];
+            pairs.extend([(mid, mid), (mid, mid + 1), (mid + 1, mid), (mid - 1, mid)]);
+            pairs.extend([(mid, mid - 1), (0, 1), (1, 0)]);
+            for (i, (a, b)) in pairs.into_iter().enumerate() {
+                assert_eq!(
+                    garbled_less_than(w, a, b, i as u64),
+                    a < b,
+                    "w={w} a={a} b={b}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn adder_garbled_samples() {
-        let c = adder_circuit(8);
-        let mut rng = HashDrbg::new(b"adder-garble");
-        let (gc, secrets) = garble(&c, &mut rng);
-        for (a, b) in [(0u128, 0u128), (255, 255), (100, 27), (1, 254)] {
-            let la = u128_to_bits(a, 8);
-            let lb = u128_to_bits(b, 8);
-            let labels = select_input_labels(&secrets, &la, &lb);
-            let out = eval_garbled(&gc, &labels).expect("evaluate");
-            assert_eq!(bits_to_u128(&out), a + b, "a={a} b={b}");
-        }
-    }
-
-    #[test]
-    fn not_gates_garble_correctly() {
-        let mut b = CircuitBuilder::new();
-        let xs = b.add_garbler_inputs(1);
-        let n1 = b.not(xs[0]);
-        let n2 = b.not(n1);
-        b.set_outputs(&[n1, n2]);
-        let c = b.build();
-        for bit in [false, true] {
-            check_garbled_matches_plaintext(&c, &[bit], &[], bit as u64);
         }
     }
 
@@ -397,6 +403,45 @@ mod tests {
             eval_garbled(&gc, &labels[..5]),
             Err(CircuitError::InputWidthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_wrong_label_or_table_row_fails_authentication() {
+        let c = comparator_circuit(8);
+        let mut rng = HashDrbg::new(b"tamper");
+        let (gc, secrets) = garble(&c, &mut rng);
+        let labels = select_input_labels(&secrets, &u128_to_bits(90, 8), &u128_to_bits(91, 8));
+        assert_eq!(eval_garbled(&gc, &labels), Ok(vec![true]));
+        // A garbage evaluator label (a broken OT) on every wire.
+        for wire in 8..16 {
+            let mut bad = labels.clone();
+            bad[wire].0[3] ^= 0x40;
+            assert_eq!(
+                eval_garbled(&gc, &bad),
+                Err(CircuitError::OutputNotAuthentic { output: 0 }),
+                "wire {wire}"
+            );
+        }
+        // A flipped byte in each row of each table: a row the evaluator
+        // decrypts derails it, one it skips leaves the output intact.
+        let (mut failed, mut intact) = (0, 0);
+        for gate in 0..gc.table_count() {
+            for row in 0..2 {
+                let mut bad = gc.clone();
+                bad.and_tables[gate][row].0[7] ^= 1;
+                match eval_garbled(&bad, &labels) {
+                    Ok(out) => {
+                        assert_eq!(out, vec![true], "gate {gate} row {row}");
+                        intact += 1;
+                    }
+                    Err(e) => {
+                        assert_eq!(e, CircuitError::OutputNotAuthentic { output: 0 });
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(failed > 0 && intact > 0, "{failed} failed, {intact} intact");
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! `R_s < R_b`. The paper delegates this to the Fairplay system (ref. 27); this
 //! crate is our from-scratch equivalent:
 //!
-//! * [`Circuit`]/[`CircuitBuilder`] — gate-list IR over XOR/AND/NOT with
-//!   ready-made comparator, equality and adder constructions,
-//! * [`garble`] — the garbling scheme: point-and-permute, free XOR, and a
-//!   SHA-256-based gate cipher,
+//! * [`Circuit`]/[`CircuitBuilder`] — gate-list IR over XOR/AND and the
+//!   one construction the protocol builds, the `w`-AND carry-chain
+//!   comparator ([`comparator_circuit`]),
+//! * [`garble`] — the garbling scheme: half-gates (two 16-byte rows per
+//!   AND), free XOR, a SHA-256 gate hash, and authenticated outputs, so
+//!   an evaluation derailed by a tampered row or label is a typed error,
 //! * [`compare`] — the three-message two-party comparison protocol
 //!   (garbler → evaluator: garbled circuit + OT setups; evaluator →
 //!   garbler: OT replies; garbler → evaluator: wire-label ciphertexts),
@@ -43,7 +45,7 @@ pub mod error;
 pub mod garble;
 
 pub use circuit::{
-    adder_circuit, bits_to_u128, comparator_circuit, equality_circuit, eval_plaintext,
-    u128_to_bits, Circuit, CircuitBuilder, Gate, WireId,
+    bits_to_u128, comparator_circuit, eval_plaintext, u128_to_bits, Circuit, CircuitBuilder, Gate,
+    WireId,
 };
 pub use error::CircuitError;

@@ -224,6 +224,9 @@ fn get_label(r: &mut WireReader<'_>) -> Result<Label, PemError> {
     Ok(Label(r.get_raw(16)?.try_into().expect("16 bytes read")))
 }
 
+/// The offer: `width | w | w × [T_G, T_E] | 1 | [H'(O⁰), H'(O¹)] | w |
+/// w garbler labels | A` — `2 + 32w + 1 + 32 + 1 + 16w` bytes and `A`
+/// at widths below 128.
 fn encode_offer(offer: &CompareOffer) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(offer.width as u64);
@@ -231,9 +234,9 @@ fn encode_offer(offer: &CompareOffer) -> Vec<u8> {
     for row in offer.garbled.and_tables().iter().flatten() {
         w.put_raw(&row.0);
     }
-    w.put_varint(offer.garbled.output_decode().len() as u64);
-    for &bit in offer.garbled.output_decode() {
-        w.put_bool(bit);
+    w.put_varint(offer.garbled.output_hashes().len() as u64);
+    for hash in offer.garbled.output_hashes().iter().flatten() {
+        w.put_raw(&hash.0);
     }
     w.put_varint(offer.garbler_labels.len() as u64);
     for l in &offer.garbler_labels {
@@ -243,21 +246,23 @@ fn encode_offer(offer: &CompareOffer) -> Vec<u8> {
     w.finish()
 }
 
+/// Reads `count` pairs of labels, the count checked by the caller.
+fn get_label_pairs(r: &mut WireReader<'_>, count: usize) -> Result<Vec<[Label; 2]>, PemError> {
+    (0..count)
+        .map(|_| Ok([get_label(r)?, get_label(r)?]))
+        .collect()
+}
+
 fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> {
     let mut r = WireReader::new(payload);
     expect_varint(&mut r, width, "offer width is not the agreed width")?;
     // The comparator topology is public: rebuild it locally.
     let circuit = comparator_circuit(width);
     expect_varint(&mut r, circuit.and_count(), "AND table count mismatch")?;
-    let mut and_tables = vec![[Label([0u8; 16]); 4]; circuit.and_count()];
-    for row in and_tables.iter_mut().flatten() {
-        *row = get_label(&mut r)?;
-    }
+    let and_tables = get_label_pairs(&mut r, circuit.and_count())?;
     let outputs = circuit.outputs().len();
-    expect_varint(&mut r, outputs, "output decode count mismatch")?;
-    let output_decode = (0..outputs)
-        .map(|_| r.get_bool())
-        .collect::<Result<_, _>>()?;
+    expect_varint(&mut r, outputs, "output hash count mismatch")?;
+    let output_hashes = get_label_pairs(&mut r, outputs)?;
     expect_varint(&mut r, width, "garbler label count mismatch")?;
     let garbler_labels = (0..width)
         .map(|_| get_label(&mut r))
@@ -265,7 +270,7 @@ fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> 
     let big_a = r.get_biguint()?;
     Ok(CompareOffer {
         width,
-        garbled: GarbledCircuit::from_parts(circuit, and_tables, output_decode)?,
+        garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
         garbler_labels,
         ot_setup: OtSenderSetup { big_a },
     })
@@ -419,6 +424,33 @@ mod tests {
         assert_eq!(out.net.per_label["eval/demand-agg"].messages, 1);
         assert_eq!(out.net.per_label["eval/supply-agg"].messages, 1);
         assert_eq!(out.trades.len(), 1);
+    }
+
+    #[test]
+    fn offer_length_follows_the_width_formula() {
+        use super::{decode_offer, encode_offer};
+        use pem_circuit::compare::CompareGarbler;
+        use pem_crypto::drbg::HashDrbg;
+        use pem_crypto::ot::DhGroup;
+        use pem_net::wire::WireWriter;
+
+        let group = DhGroup::test_192();
+        let mut rng = HashDrbg::new(b"offer-length");
+        for width in [1usize, 2, 5, 63, 64, 100] {
+            let (_, offer) = CompareGarbler::start(width, 1, &group, &mut rng).expect("start");
+            let mut a = WireWriter::new();
+            a.put_biguint(&offer.ot_setup.big_a);
+            // Three one-byte counts and the width; one two-row table per
+            // AND, one 32-byte hash pair for the one output, one label
+            // per garbler bit.
+            let expected = 4 + 32 * width + 32 + 16 * width + a.finish().len();
+            let bytes = encode_offer(&offer);
+            assert_eq!(bytes.len(), expected, "width {width}");
+            let back = decode_offer(&bytes, width).expect("decodes at its own width");
+            assert_eq!(back.garbled.and_tables(), offer.garbled.and_tables());
+            assert_eq!(back.garbled.output_hashes(), offer.garbled.output_hashes());
+            assert!(decode_offer(&bytes, width + 1).is_err(), "width {width}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! What the implementation does guarantee, and what these tests pin, is
 //! that transport-level faults (loss, duplication, truncation) make the
 //! protocols abort with a descriptive error instead of producing trades.
-//! The `Corrupt` sweep pins what tampering does today, case by case.
+//! The `Corrupt` sweep pins what tampering does today, case by case; the
+//! garbled comparison authenticates its output, so tampering with it
+//! ends in a typed error or the clean outcome, never a flipped market.
 //!
 //! Every case drives a whole trading window — the one `Window` the grid
 //! runs — through `Pem::run_window_on`, on `SimNetwork` with a
@@ -208,28 +210,29 @@ fn truncated_gc_transfer_fails_cleanly() {
 fn faults_never_produce_trades() {
     // Sweep faults across every label of Protocols 2–4: a window that
     // completes must be the clean one, a window that fails must return a
-    // typed error — never a panic, never different trades. Protocol 2's
-    // labels take the faults that cannot reach the comparison's
-    // malleability (its `Corrupt` cases are pinned one by one below);
-    // Protocols 3 and 4 take every kind but `Stall`, which
-    // `stalled_message_aborts_with_one_error_class` sweeps. A seller
-    // checks each echoed payment against its own `price · energy`, and
-    // every party checks the price broadcast against H_b's, so a
-    // corrupted or replayed amount aborts instead of settling.
+    // typed error — never a panic, never different trades. Every label
+    // takes every kind but `Stall`, which
+    // `stalled_message_aborts_with_one_error_class` sweeps; Protocol 2's
+    // `Corrupt` outcomes are also pinned one by one below, now that an
+    // authenticated comparison output leaves no market bit to a coin
+    // flip. A seller checks each echoed payment against its own
+    // `price · energy`, and every party checks the price broadcast
+    // against H_b's, so a corrupted or replayed amount aborts instead of
+    // settling.
     let clean = run_faulted(FaultPlan::new()).expect("clean run");
-    let eval = EVAL_LABELS.into_iter().flat_map(|label| {
-        [FaultKind::Drop, FaultKind::Truncate, FaultKind::Duplicate].map(|kind| (label, kind))
-    });
-    let price_and_dist = PRICE_AND_DIST_LABELS.into_iter().flat_map(|label| {
-        [
-            FaultKind::Drop,
-            FaultKind::Duplicate,
-            FaultKind::Corrupt,
-            FaultKind::Truncate,
-        ]
-        .map(|kind| (label, kind))
-    });
-    for (label, kind) in eval.chain(price_and_dist) {
+    let cases = EVAL_LABELS
+        .into_iter()
+        .chain(PRICE_AND_DIST_LABELS)
+        .flat_map(|label| {
+            [
+                FaultKind::Drop,
+                FaultKind::Duplicate,
+                FaultKind::Corrupt,
+                FaultKind::Truncate,
+            ]
+            .map(|kind| (label, kind))
+        });
+    for (label, kind) in cases {
         let case = format!("{label}/{kind:?}");
         match run_faulted(FaultPlan::new().inject(label, 0, kind)) {
             Ok(out) => assert_clean(&out, &clean, &case),
@@ -263,26 +266,34 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
             "{label}: got {err:?}"
         );
     }
-    // Byte layouts at `fast_test()` (width 64, 127 AND tables, 24-byte
-    // group elements, 32 two-bit OT chunks):
+    // Byte layouts at `fast_test()` (width 64, 64 two-row AND tables,
+    // 24-byte group elements, 32 two-bit OT chunks):
     //
-    // * `eval/gc-offer`, 9182 bytes: the middle byte 4591 is byte 13 of
-    //   row 2 of AND table 71 — a row the evaluator's labels do not
-    //   select (today's seeds), so it is never decrypted.
+    // * `eval/gc-offer`, 3133 bytes (`OFFER_TABLES` below, then a count,
+    //   the 32-byte output hash pair, a count, 64 labels and `A`): the
+    //   middle byte 1566 is byte 12 of `T_E` of AND 48. The evaluator's
+    //   label on that gate's second input has its permute bit set (today's
+    //   seeds), so it decrypts `T_E`, every later carry is garbage, and
+    //   the output label matches neither output hash: a typed error.
     // * `eval/gc-ot-transfer`, 4097 bytes: the middle byte 2048 is the
     //   last byte of branch 3 of chunk 15; the evaluator chose branch 0
-    //   there (bits 30–31 of its masked total; branch 1 before the suite
-    //   moved to whole windows, whose nonces come from the market's own
-    //   stream).
-    // * `eval/result`: the one byte is never re-read by the recipients.
-    //
-    // All three complete with the clean outcome.
-    for label in ["eval/gc-offer", "eval/gc-ot-transfer", "eval/result"] {
-        let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes today, got {e:?}"));
+    //   there (bits 30–31 of its masked total), so it never decrypts the
+    //   flipped branch and the window completes with the clean outcome.
+    // * `eval/result`: the one byte is never re-read by the recipients,
+    //   so the window completes with the clean outcome.
+    let err = corrupt("eval/gc-offer").expect_err("a decrypted table row is authenticated");
+    assert!(
+        matches!(
+            err,
+            PemError::Circuit(CircuitError::OutputNotAuthentic { output: 0 })
+        ),
+        "eval/gc-offer: got {err:?}"
+    );
+    for label in ["eval/gc-ot-transfer", "eval/result"] {
+        let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
         assert_clean(&out, &clean, label);
     }
-    // The out-of-threat-model malleability case from the header, three
-    // times:
+    // Tampering with the OT, three ways:
     //
     // * `eval/gc-ot-request`, 801 bytes (a count byte, then 32 × a
     //   length byte and 24 bytes of `B`): the middle byte 400 is the low
@@ -293,38 +304,47 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     // * a flipped bit inside the single `A` (the offer's last byte):
     //   the two sides then disagree on *every* chunk's key.
     //
-    // Either way the evaluator still decodes *a* label per wire, the
-    // garbage propagates to the output wire, and the comparison completes
-    // on a coin flip per tampered byte; a flipped market bit then runs
-    // the window on in the wrong regime. Re-derived once when the suite
-    // moved from a bare Protocol 2 run (its own nonce stream) to whole
-    // windows, old → new: chunk 15 clean → clean, chunk 0 flips → clean,
-    // `A` clean → flips; over all 32 chunks' low bytes 14 flip it, before
-    // and after (now chunks 1, 2, 4, 5, 7, 11, 13, 14, 17, 18, 20, 23,
-    // 24 and 30). Authenticated channels (§II-B) are what rules this out
-    // in deployment; pinned here so a change in either direction is
-    // noticed.
+    // Each time the evaluator decodes a garbage label for some input
+    // wire, the garbage propagates along the carry chain to the output
+    // wire, and the output label matches neither of the garbler's output
+    // hashes. Before outputs were authenticated these windows completed
+    // on a coin flip per tampered byte (14 of the 32 chunks flipped the
+    // market bit); now every one is a typed error.
     let flipped_chunk_0 = run_tampered("eval/gc-ot-request", |payload| {
         payload[1 + 24] ^= 1;
     });
     let flipped_a = run_tampered("eval/gc-offer", |payload| {
         *payload.last_mut().expect("A closes the offer") ^= 1;
     });
-    for (case, result, flips) in [
-        ("eval/gc-ot-request", corrupt("eval/gc-ot-request"), false),
-        ("flipped chunk 0", flipped_chunk_0, false),
-        ("flipped A", flipped_a, true),
+    for (case, result) in [
+        ("eval/gc-ot-request", corrupt("eval/gc-ot-request")),
+        ("flipped chunk 0", flipped_chunk_0),
+        ("flipped A", flipped_a),
     ] {
-        let out = result.unwrap_or_else(|e| panic!("{case}: completes today, got {e:?}"));
-        assert_eq!(
-            out.kind == MarketKind::General,
-            (clean.kind == MarketKind::General) ^ flips,
-            "{case}: GC malleability decides the market bit"
+        assert!(
+            matches!(
+                result,
+                Err(PemError::Circuit(CircuitError::OutputNotAuthentic { .. }))
+            ),
+            "{case}: got {result:?}"
         );
-        assert_eq!(
-            (out.revealed.masked_demand, out.revealed.masked_supply),
-            (clean.revealed.masked_demand, clean.revealed.masked_supply),
-            "{case}: the masked totals are untouched"
+    }
+}
+
+#[test]
+fn a_tampered_ot_request_never_decides_the_market_bit() {
+    // The low byte of every chunk's `B` (chunk `i`'s starts at byte
+    // 1 + 25·i: a count byte, then a length byte and 24 bytes per `B`).
+    // Whatever the flip does — an invalid group element or keys the
+    // evaluator cannot derive — the window must end in a typed circuit
+    // error, never complete with a flipped (or unflipped) market bit.
+    for chunk in 0..32 {
+        let result = run_tampered("eval/gc-ot-request", move |payload| {
+            payload[1 + 25 * chunk + 24] ^= 1;
+        });
+        assert!(
+            matches!(result, Err(PemError::Circuit(_))),
+            "chunk {chunk}: got {result:?}"
         );
     }
 }
@@ -362,19 +382,26 @@ fn tampered_ratio_requests_abort_without_trades() {
     }
 }
 
+/// Bytes of garbled tables in a `fast_test()` offer: one AND per bit of
+/// the 64-bit comparator, two 16-byte half-gates rows per AND.
+const OFFER_TABLES: usize = 64 * 2 * 16;
+
+/// Bytes of output hashes in an offer: one output, two 16-byte hashes.
+const OFFER_OUTPUT_HASHES: usize = 2 * 16;
+
 #[test]
 fn hostile_counts_are_rejected_before_allocating() {
     // Every count in the three comparison messages is implied by the
     // agreed width. A frame announcing 2^60 of anything must come back
     // as `MalformedGarbling` — not as a capacity-overflow panic or an
     // allocation. Offsets: the offer is
-    // `width | tables | 127·64 B | outputs | 1 B | labels | …`, the
-    // other two messages open with their count.
+    // `width | tables | OFFER_TABLES B | outputs | 32 B | labels | …`,
+    // the other two messages open with their count.
     let cases: [(&'static str, usize); 6] = [
         ("eval/gc-offer", 0),
         ("eval/gc-offer", 1),
-        ("eval/gc-offer", 2 + 127 * 64),
-        ("eval/gc-offer", 2 + 127 * 64 + 2),
+        ("eval/gc-offer", 2 + OFFER_TABLES),
+        ("eval/gc-offer", 2 + OFFER_TABLES + 1 + OFFER_OUTPUT_HASHES),
         ("eval/gc-ot-request", 0),
         ("eval/gc-ot-transfer", 0),
     ];

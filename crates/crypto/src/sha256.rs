@@ -90,11 +90,17 @@ impl Sha256 {
     /// Finishes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
-        }
+        // Padding: 0x80, zeros up to 56 mod 64 (one `update`), then the
+        // 8-byte big-endian bit length.
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let pad_len = if self.buf_len < 56 {
+            56 - self.buf_len
+        } else {
+            120 - self.buf_len
+        };
+        self.update(&pad[..pad_len]);
+        debug_assert_eq!(self.buf_len, 56);
         // Manual write of length to avoid recounting it in `len`.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
@@ -250,14 +256,46 @@ mod tests {
 
     #[test]
     fn length_boundary_padding() {
-        // 55, 56 and 64 bytes straddle the padding block boundary.
-        for len in [55usize, 56, 63, 64, 119, 120] {
+        // 55, 56 and 64 bytes straddle the padding block boundary; 37 is
+        // the garbled-circuit gate hash's input. Digests of `0xAB × len`
+        // from an independent SHA-256.
+        for (len, digest) in [
+            (
+                37usize,
+                "2a58fefb42cb6e2de208d19d193c6cfc97d9211149e182e0ad24c343c1dec8b2",
+            ),
+            (
+                55,
+                "48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d",
+            ),
+            (
+                56,
+                "a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55",
+            ),
+            (
+                63,
+                "d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b",
+            ),
+            (
+                64,
+                "ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61",
+            ),
+            (
+                119,
+                "a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7",
+            ),
+            (
+                120,
+                "3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922",
+            ),
+        ] {
             let data = vec![0xABu8; len];
             let mut h = Sha256::new();
             for b in &data {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha256(&data), "len={len}");
+            assert_eq!(hex(&sha256(&data)), digest, "len={len}");
         }
     }
 

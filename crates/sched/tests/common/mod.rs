@@ -41,10 +41,15 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// 33 short values where it drew 33 uniform ones below `q`, so the
 /// DRBG stream behind it moves — window 1's `masked_*` terms, and
 /// `net.total_bytes` by +1 / +2 bytes of minimal-length integers;
-/// window, agents, message counts, ratios and the ledger tip did not).
+/// window, agents, message counts, ratios and the ledger tip did not)
+/// and once by the half-gates comparator (`eval/gc-offer` now ships
+/// 64 two-row tables and an output hash pair instead of 127 four-row
+/// tables and a decode bit, so `net.total_bytes` moved; the garbler no
+/// longer draws a label per AND, so every later draw of the window
+/// stream, and with it the `masked_*` terms, moved too).
 pub const GOLDEN: [&str; 2] = [
-    "fff4a20c7594f3ba010c8c6ae2d8abbdc96423b8cd0941ffe664ab7dffb628cc",
-    "35984831f1a1b230a8291ab83e53916a8992ada8626cd67e2fe06ac6166acce2",
+    "7492e6ce940a1d4997dad7071f0e12ddb4d9bac4f34c874e8256d58bf674a1f5",
+    "110f1fcb8bbbc6c6e57cfc7a6459691f39b08fe5cadb47b0b9d13fd46b9a1485",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
@@ -55,20 +60,24 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 
 /// Tree + coupled pins per window (see [`run_tree_coupled`]), recorded on
 /// the PR 23 tree, before the aggregation walks were merged into
-/// `pem_core::fold`. Same re-record rule as [`GOLDEN`].
+/// `pem_core::fold`; re-recorded once for the half-gates comparator
+/// (the same wire and draw change as [`GOLDEN`]). Same re-record
+/// rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
-    "1dfd6b74700f576e96bb08de199c2233ab1f40f13961078d739910782c57e6be:544:432",
-    "fed26c4604de6fab0645c3b04bc8f89d9b2ccc8334934cb677256c70835de507:544:432",
+    "e229237fb1a3b03d39987752bb6130b3de8a6733b88a55427e3dffeedbcf6555:544:432",
+    "a7960df1e64690c987dde371724f9e920e2c675bd27c79f82e06ba3dd9522381:544:432",
 ];
 
 /// Full fingerprints per window of [`run_paper512`], recorded before
 /// Protocol 4's decryptor packed its fan-in, while it still ran one CRT
-/// decryption per ratio. Same re-record rule as [`GOLDEN`].
+/// decryption per ratio; re-recorded once for the half-gates comparator
+/// (the same wire and draw change as [`GOLDEN`]). Same re-record
+/// rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "229bc51d39a3dba0d623674a8b6b4b88edce531c02b30683e051aaa54de06506",
-    "c9f8b6c705eb74a2bdff4f6a436639a7774e91e843b7d48caa6007f585ceaa9d",
+    "9d50bdec39e800f90a55ee6fc032462bd5a4a0174d175eea093a1ab938d8e157",
+    "25a3abd6bc9de875474f7b5198d77ae77eff7a52202a91aca9f975b8c4d12237",
 ];
 
 /// The 40-home trace's agents at `windows`.
