@@ -146,7 +146,6 @@ struct SizeReport {
 struct Fixture {
     pk: PublicKey,
     sk: PrivateKey,
-    sk_classic: PrivateKey,
     cts: Vec<Ciphertext>,
     randomizers: Vec<Randomizer>,
     small_scalar: BigUint,
@@ -163,7 +162,6 @@ fn fixture(kp: &Keypair, variants: usize) -> Fixture {
     let randomizers = pk.precompute_randomizers(variants, &mut rng);
     Fixture {
         sk: kp.private().clone(),
-        sk_classic: kp.private().without_crt(),
         pk,
         cts,
         randomizers,
@@ -317,7 +315,7 @@ fn bench_size(bits: usize, min_time_ms: u64) -> SizeReport {
         kernels.push(batched);
     }
     kernels.push(measure("decrypt_classic", min_time_ms, |i| {
-        let _ = fx.sk_classic.decrypt(&fx.cts[pick(i)]);
+        let _ = fx.sk.decrypt_classic(&fx.cts[pick(i)]);
     }));
 
     let ops = |name: &str| {

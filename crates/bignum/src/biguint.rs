@@ -133,11 +133,6 @@ impl BigUint {
             .is_some_and(|t| t + 1 == self.bit_length())
     }
 
-    /// `self * self`.
-    pub fn square(&self) -> BigUint {
-        self * self
-    }
-
     /// `(self / other, self % other)` in one division.
     ///
     /// # Panics
@@ -182,19 +177,6 @@ impl BigUint {
             2 => Some(self.limbs[0] as u128 | (self.limbs[1] as u128) << 64),
             _ => None,
         }
-    }
-
-    /// Approximates as `f64` (may lose precision; returns `f64::INFINITY`
-    /// above the representable range).
-    pub fn to_f64(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for &l in self.limbs.iter().rev() {
-            acc = acc * 1.8446744073709552e19 + l as f64;
-            if acc.is_infinite() {
-                return f64::INFINITY;
-            }
-        }
-        acc
     }
 }
 
@@ -265,8 +247,7 @@ mod tests {
         assert_eq!(BigUint::from(42u64).to_u64(), Some(42));
         assert_eq!(BigUint::from_limbs(vec![1, 1]).to_u64(), None);
         assert_eq!(BigUint::from_limbs(vec![0, 1]).to_u128(), Some(1u128 << 64));
-        let f = BigUint::from_limbs(vec![0, 1]).to_f64();
-        assert!((f - (u64::MAX as f64 + 1.0)).abs() < 1e4);
+        assert_eq!(BigUint::from_limbs(vec![0, 0, 1]).to_u128(), None);
     }
 
     #[test]

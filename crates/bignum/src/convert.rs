@@ -1,4 +1,5 @@
-//! Conversions between [`BigUint`] and primitive integers / byte strings.
+//! Conversions between [`BigUint`] and unsigned primitives / big-endian
+//! byte strings.
 
 use crate::biguint::BigUint;
 
@@ -22,48 +23,6 @@ impl From<u128> for BigUint {
     }
 }
 
-/// Error for conversions from signed or oversized values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TryFromIntError;
-
-impl std::fmt::Display for TryFromIntError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "value out of range for BigUint conversion")
-    }
-}
-
-impl std::error::Error for TryFromIntError {}
-
-macro_rules! impl_try_from_signed {
-    ($($t:ty),*) => {
-        $(
-            impl TryFrom<$t> for BigUint {
-                type Error = TryFromIntError;
-                fn try_from(v: $t) -> Result<BigUint, TryFromIntError> {
-                    if v < 0 {
-                        Err(TryFromIntError)
-                    } else {
-                        Ok(BigUint::from(v as u64))
-                    }
-                }
-            }
-        )*
-    };
-}
-
-impl_try_from_signed!(i8, i16, i32, i64, isize);
-
-impl TryFrom<i128> for BigUint {
-    type Error = TryFromIntError;
-    fn try_from(v: i128) -> Result<BigUint, TryFromIntError> {
-        if v < 0 {
-            Err(TryFromIntError)
-        } else {
-            Ok(BigUint::from(v as u128))
-        }
-    }
-}
-
 impl BigUint {
     /// Builds from big-endian bytes.
     ///
@@ -83,19 +42,6 @@ impl BigUint {
         BigUint::from_limbs(limbs)
     }
 
-    /// Builds from little-endian bytes.
-    pub fn from_bytes_le(bytes: &[u8]) -> BigUint {
-        let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
-        for chunk in bytes.chunks(8) {
-            let mut limb = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                limb |= (b as u64) << (8 * i);
-            }
-            limbs.push(limb);
-        }
-        BigUint::from_limbs(limbs)
-    }
-
     /// Minimal big-endian byte encoding (zero encodes as an empty vector).
     pub fn to_bytes_be(&self) -> Vec<u8> {
         if self.is_zero() {
@@ -107,13 +53,6 @@ impl BigUint {
         }
         let first_nonzero = out.iter().position(|&b| b != 0).unwrap_or(out.len() - 1);
         out.drain(..first_nonzero);
-        out
-    }
-
-    /// Minimal little-endian byte encoding (zero encodes as an empty vector).
-    pub fn to_bytes_le(&self) -> Vec<u8> {
-        let mut out = self.to_bytes_be();
-        out.reverse();
         out
     }
 
@@ -150,24 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn try_from_signed() {
-        assert_eq!(BigUint::try_from(42i32), Ok(BigUint::from(42u64)));
-        assert!(BigUint::try_from(-1i64).is_err());
-        assert_eq!(BigUint::try_from(0i128), Ok(BigUint::zero()));
-    }
-
-    #[test]
     fn bytes_roundtrip_be() {
         let v = BigUint::from(0x0102030405060708090Au128);
         let bytes = v.to_bytes_be();
         assert_eq!(bytes[0], 0x01);
         assert_eq!(BigUint::from_bytes_be(&bytes), v);
-    }
-
-    #[test]
-    fn bytes_roundtrip_le() {
-        let v = BigUint::from(0xDEADBEEFu64);
-        assert_eq!(BigUint::from_bytes_le(&v.to_bytes_le()), v);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error returned when parsing a [`crate::BigUint`] or [`crate::BigInt`]
-/// from a string fails.
+/// Error returned when parsing a [`crate::BigUint`] from a string fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBigIntError {
     kind: ParseErrorKind,

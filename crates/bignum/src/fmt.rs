@@ -1,4 +1,4 @@
-//! Formatting and parsing for [`BigUint`].
+//! Decimal formatting and radix parsing for [`BigUint`].
 
 use std::fmt;
 use std::str::FromStr;
@@ -103,30 +103,6 @@ impl fmt::Debug for BigUint {
     }
 }
 
-impl fmt::LowerHex for BigUint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad_integral(true, "0x", &self.to_str_radix(16))
-    }
-}
-
-impl fmt::UpperHex for BigUint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad_integral(true, "0x", &self.to_str_radix(16).to_uppercase())
-    }
-}
-
-impl fmt::Binary for BigUint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad_integral(true, "0b", &self.to_str_radix(2))
-    }
-}
-
-impl fmt::Octal for BigUint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad_integral(true, "0o", &self.to_str_radix(8))
-    }
-}
-
 impl FromStr for BigUint {
     type Err = ParseBigIntError;
 
@@ -162,16 +138,16 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let v = BigUint::from(0xDEADBEEFCAFEu64);
-        assert_eq!(format!("{v:x}"), "deadbeefcafe");
-        assert_eq!(format!("{v:X}"), "DEADBEEFCAFE");
+        assert_eq!(v.to_str_radix(16), "deadbeefcafe");
         assert_eq!(BigUint::from_str_radix("deadbeefcafe", 16).expect("hex"), v);
+        assert_eq!(BigUint::from_str_radix("DEADBEEFCAFE", 16).expect("hex"), v);
     }
 
     #[test]
     fn binary_octal() {
         let v = BigUint::from(10u64);
-        assert_eq!(format!("{v:b}"), "1010");
-        assert_eq!(format!("{v:o}"), "12");
+        assert_eq!(v.to_str_radix(2), "1010");
+        assert_eq!(v.to_str_radix(8), "12");
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Arbitrary-precision integer arithmetic for the PEM framework.
+//! Arbitrary-precision unsigned integers for the PEM framework.
 //!
-//! This crate provides [`BigUint`] (unsigned) and [`BigInt`] (signed)
-//! integers of unbounded size, together with the number-theoretic
-//! operations the Paillier cryptosystem and the oblivious-transfer group
-//! arithmetic need:
+//! This crate provides [`BigUint`] and exactly the number theory that
+//! Paillier encryption, homomorphic folding and decryption, and the
+//! oblivious-transfer group arithmetic run on:
 //!
 //! * ring arithmetic (`+ - * / %`, shifts, bit operations) with Karatsuba
 //!   multiplication and Knuth Algorithm D division,
 //! * modular exponentiation through a Montgomery context ([`Montgomery`])
 //!   for odd moduli with a generic fallback,
-//! * GCD / extended GCD / modular inverse,
-//! * Miller–Rabin primality testing and random prime generation,
+//! * GCD (Lehmer) and the modular inverse (unsigned Euclid),
+//! * Miller–Rabin primality testing ([`is_prime`]) and the key
+//!   generator's prime draw,
 //! * uniform random sampling below a bound,
-//! * decimal and hexadecimal parsing/formatting, and serde support.
+//! * decimal formatting, parsing in radix 2–36, and serde support.
 //!
 //! The representation is a little-endian vector of `u64` limbs with the
 //! invariant that the most significant limb is non-zero (the empty vector
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod arith;
-mod bigint;
 mod biguint;
 mod convert;
 mod error;
@@ -47,10 +46,7 @@ mod prime;
 mod random;
 mod serde_impl;
 
-pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
 pub use error::ParseBigIntError;
-pub use modular::ExtendedGcd;
-pub use montgomery::{ExpDigits, FixedBasePow, Montgomery, PowScratch};
-pub use prime::{is_prime, next_prime, MillerRabin};
-pub use random::RandomBits;
+pub use montgomery::{ExpDigits, FixedBasePow, Montgomery};
+pub use prime::is_prime;

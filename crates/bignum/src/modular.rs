@@ -1,20 +1,8 @@
 //! Modular arithmetic on [`BigUint`]: exponentiation, GCD, inverse.
 
 use crate::arith;
-use crate::bigint::{BigInt, Sign};
 use crate::biguint::BigUint;
 use crate::montgomery::Montgomery;
-
-/// Result of the extended Euclidean algorithm: `a*x + b*y = gcd`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtendedGcd {
-    /// Greatest common divisor of the inputs.
-    pub gcd: BigUint,
-    /// Bézout coefficient of the first input.
-    pub x: BigInt,
-    /// Bézout coefficient of the second input.
-    pub y: BigInt,
-}
 
 impl BigUint {
     /// `self^exp mod modulus`, choosing Montgomery for odd moduli and a
@@ -23,7 +11,7 @@ impl BigUint {
     /// One-shot convenience: the context (whose setup costs a
     /// full-width division) is rebuilt per call. Hot paths hold a
     /// [`Montgomery`] and use its engine directly — recoded exponents,
-    /// batch scratch, fixed-base tables (see `pem_bignum::montgomery`).
+    /// fixed-base tables (see `pem_bignum::montgomery`).
     ///
     /// # Panics
     ///
@@ -166,32 +154,14 @@ impl BigUint {
         (self / &g) * other
     }
 
-    /// Extended GCD over the integers.
-    pub fn extended_gcd(&self, other: &BigUint) -> ExtendedGcd {
-        let mut old_r = BigInt::from_biguint(Sign::Plus, self.clone());
-        let mut r = BigInt::from_biguint(Sign::Plus, other.clone());
-        let mut old_s = BigInt::one();
-        let mut s = BigInt::zero();
-        let mut old_t = BigInt::zero();
-        let mut t = BigInt::one();
-        while !r.is_zero() {
-            let (q, rem) = old_r.div_rem(&r);
-            old_r = std::mem::replace(&mut r, rem);
-            let new_s = &old_s - &(&q * &s);
-            old_s = std::mem::replace(&mut s, new_s);
-            let new_t = &old_t - &(&q * &t);
-            old_t = std::mem::replace(&mut t, new_t);
-        }
-        ExtendedGcd {
-            gcd: old_r.into_magnitude(),
-            x: old_s,
-            y: old_t,
-        }
-    }
-
     /// Modular inverse: `self^{-1} mod modulus` if it exists.
     ///
-    /// Returns `None` when `gcd(self, modulus) != 1`.
+    /// Returns `None` when `gcd(self, modulus) != 1`. Euclid on
+    /// `(modulus, self mod modulus)` carries the Bézout coefficient of
+    /// `self` as a magnitude, `t ← t_prev + q·t`: the signed coefficient
+    /// alternates in sign, so the step count's parity says whether the
+    /// inverse is `t` or `modulus − t` (the last coefficient is at most
+    /// `modulus / 2`, so neither needs a reduction).
     ///
     /// ```
     /// use pem_bignum::BigUint;
@@ -202,37 +172,23 @@ impl BigUint {
         if modulus.is_zero() || modulus.is_one() {
             return None;
         }
-        let reduced = self % modulus;
-        if reduced.is_zero() {
+        // Invariant: r ≡ t·self (mod modulus) while `positive`, and
+        // r ≡ −t·self otherwise; each step flips the sign.
+        let (mut r_prev, mut r) = (modulus.clone(), self % modulus);
+        let (mut t_prev, mut t) = (BigUint::zero(), BigUint::one());
+        let mut positive = true;
+        while !r.is_zero() && !r.is_one() {
+            let (q, rem) = r_prev.div_rem(&r);
+            r_prev = std::mem::replace(&mut r, rem);
+            let next = &t_prev + &(&q * &t);
+            t_prev = std::mem::replace(&mut t, next);
+            positive = !positive;
+        }
+        if r.is_zero() {
             return None;
         }
-        let ext = reduced.extended_gcd(modulus);
-        if !ext.gcd.is_one() {
-            return None;
-        }
-        Some(ext.x.mod_floor(modulus))
-    }
-
-    /// Integer square root (largest `r` with `r*r <= self`), via Newton.
-    ///
-    /// ```
-    /// use pem_bignum::BigUint;
-    /// assert_eq!(BigUint::from(17u64).isqrt(), BigUint::from(4u64));
-    /// ```
-    pub fn isqrt(&self) -> BigUint {
-        if self.is_zero() || self.is_one() {
-            return self.clone();
-        }
-        // Initial guess: 2^(ceil(bits/2)) >= sqrt(self).
-        let mut x = BigUint::one() << self.bit_length().div_ceil(2);
-        loop {
-            // y = (x + self/x) / 2
-            let y = (&x + &(self / &x)) >> 1;
-            if y >= x {
-                return x;
-            }
-            x = y;
-        }
+        debug_assert!(&t < modulus);
+        Some(if positive { t } else { modulus - &t })
     }
 }
 
@@ -505,26 +461,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn extended_gcd_bezout() {
-        let a = BigUint::from(240u64);
-        let b = BigUint::from(46u64);
-        let e = a.extended_gcd(&b);
-        assert_eq!(e.gcd, BigUint::from(2u64));
-        let a_i = BigInt::from(240i64);
-        let b_i = BigInt::from(46i64);
-        let lhs = &(&a_i * &e.x) + &(&b_i * &e.y);
-        assert_eq!(lhs, BigInt::from(2i64));
+    /// Division steps [`BigUint::mod_inverse`]'s Euclid takes on `(m, a
+    /// mod m)` before the remainder reaches 0 or 1.
+    fn euclid_steps(a: &BigUint, m: &BigUint) -> usize {
+        let (mut r_prev, mut r, mut steps) = (m.clone(), a % m, 0);
+        while !r.is_zero() && !r.is_one() {
+            let rem = &r_prev % &r;
+            r_prev = std::mem::replace(&mut r, rem);
+            steps += 1;
+        }
+        steps
     }
 
     #[test]
     fn mod_inverse_exists() {
-        let m = BigUint::from(1_000_003u64); // prime
-        for a in [2u64, 3, 65537, 999_999] {
-            let a = BigUint::from(a);
-            let inv = a.mod_inverse(&m).expect("inverse exists");
-            assert_eq!((&a * &inv) % &m, BigUint::one());
+        let p = BigUint::from(1_000_003u64); // prime
+        let above_u64 = (BigUint::one() << 64) + BigUint::from(13u64); // odd
+        let mut cases: Vec<(BigUint, BigUint)> = [2u64, 3, 65537, 999_999]
+            .iter()
+            .map(|&a| (BigUint::from(a), p.clone()))
+            .collect();
+        cases.extend([
+            // a ≥ m, a ≡ 1 (no step), a = m − 1, the smallest modulus.
+            (&p + &BigUint::from(5u64), p.clone()),
+            (&(&p * &BigUint::from(3u64)) + &BigUint::one(), p.clone()),
+            (&p - &BigUint::one(), p.clone()),
+            (BigUint::one(), BigUint::from(2u64)),
+            (BigUint::from(7u64), BigUint::from(2u64)),
+            // A modulus just above 2^64, with single- and two-limb a.
+            (BigUint::from(3u64), above_u64.clone()),
+            (&above_u64 - &BigUint::from(2u64), above_u64.clone()),
+            (BigUint::from(u64::MAX), above_u64.clone()),
+            (&above_u64 + &BigUint::from(5u64), above_u64.clone()),
+        ]);
+        let parities: Vec<usize> = cases.iter().map(|(a, m)| euclid_steps(a, m) % 2).collect();
+        assert!(
+            parities.contains(&0) && parities.contains(&1),
+            "{parities:?}"
+        );
+        for (a, m) in &cases {
+            let inv = a.mod_inverse(m).expect("inverse exists");
+            assert!(&inv < m, "a={a:?} m={m:?}");
+            assert_eq!((a * &inv) % m, BigUint::one(), "a={a:?} m={m:?}");
         }
+        // m − 1 is its own inverse.
+        assert_eq!(
+            (&p - &BigUint::one()).mod_inverse(&p),
+            Some(&p - &BigUint::one())
+        );
     }
 
     #[test]
@@ -533,26 +517,32 @@ mod tests {
         assert!(BigUint::from(4u64).mod_inverse(&m).is_none());
         assert!(BigUint::from(12u64).mod_inverse(&m).is_none()); // ≡ 0
         assert!(BigUint::from(5u64).mod_inverse(&BigUint::one()).is_none());
-    }
-
-    #[test]
-    fn isqrt_values() {
-        for (v, r) in [
-            (0u64, 0u64),
-            (1, 1),
-            (3, 1),
-            (4, 2),
-            (15, 3),
-            (16, 4),
-            (17, 4),
-        ] {
-            assert_eq!(BigUint::from(v).isqrt(), BigUint::from(r), "v={v}");
+        assert!(BigUint::from(5u64).mod_inverse(&BigUint::zero()).is_none());
+        // a ≥ m sharing a factor, after an odd and an even step count.
+        let cases = [
+            (BigUint::from(12u64 * 5 + 8), m.clone()),
+            (BigUint::from(16u64), m.clone()),
+            (BigUint::from(9u64), m.clone()),
+            // m = 2 with an even a, and a = 0.
+            (BigUint::from(4u64), BigUint::from(2u64)),
+            (BigUint::zero(), BigUint::from(2u64)),
+        ];
+        for (a, m) in &cases {
+            assert!(a.mod_inverse(m).is_none(), "a={a:?} m={m:?}");
         }
-        // Large perfect square.
-        let x = BigUint::from(u64::MAX);
-        let sq = &x * &x;
-        assert_eq!(sq.isqrt(), x);
-        let plus = &sq + &BigUint::one();
-        assert_eq!(plus.isqrt(), x);
+        let parities: Vec<usize> = cases[..3]
+            .iter()
+            .map(|(a, m)| euclid_steps(a, m) % 2)
+            .collect();
+        assert!(
+            parities.contains(&0) && parities.contains(&1),
+            "{parities:?}"
+        );
+        // Above 2^64: 2^64 + 14 = 2·(2^63 + 7) shares 2 with 2^65 + 28.
+        let even = (BigUint::one() << 65) + BigUint::from(28u64);
+        assert!(((BigUint::one() << 64) + BigUint::from(14u64))
+            .mod_inverse(&even)
+            .is_none());
+        assert!(BigUint::from(6u64).mod_inverse(&even).is_none());
     }
 }

@@ -9,9 +9,9 @@
 //!   square chain, and a pure-squaring fast path for power-of-two
 //!   exponents (quantized market scalars hit `2^k` constantly);
 //! * [`ExpDigits`] / [`Montgomery::modpow_recoded`] — the exponent's
-//!   window recoding as a reusable value, so a batch of exponentiations
-//!   under one exponent (every CRT decryption leg of a fan-in) recodes
-//!   once instead of per call;
+//!   window recoding as a reusable value, so exponentiations under one
+//!   fixed exponent (a CRT decryption leg, the OT sender's replies,
+//!   Miller–Rabin's witnesses) recode once instead of per call;
 //! * [`Montgomery::horner_fold`] — `Π b_j^(2^(shift·(len−1−j)))` as one
 //!   Horner pass (square `shift` times, multiply, repeat): how a
 //!   Paillier decryptor packs a batch of bounded plaintexts into one;
@@ -327,8 +327,8 @@ pub struct Montgomery {
 ///
 /// Recoding walks every bit of the exponent once; for a single
 /// exponentiation that cost disappears into the noise, but the protocols
-/// exponentiate *batches* under one exponent (`c^{p-1}` and `c^{q-1}`
-/// per ciphertext of a decryption fan-in). Recode once, reuse
+/// exponentiate many bases under one exponent (`c^{p-1}` and `c^{q-1}`
+/// per decrypted ciphertext, `B^a` per OT reply). Recode once, reuse
 /// everywhere: [`Montgomery::modpow_recoded`] accepts the recoding in
 /// place of the raw exponent and produces bit-identical results.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -517,17 +517,6 @@ impl Montgomery {
         self.from_mont(&acc)
     }
 
-    /// The `1`-result of an empty exponentiation (`BigUint::one()` except
-    /// for the degenerate modulus `n = 1`, where everything is zero —
-    /// unreachable through `Montgomery::new`, kept for defense in depth).
-    fn one_result(&self) -> BigUint {
-        if self.n.is_one() {
-            BigUint::zero()
-        } else {
-            BigUint::one()
-        }
-    }
-
     /// Squares `acc` in place `count` times, ping-ponging through `tmp`.
     fn sqr_chain(&self, acc: &mut Vec<u64>, tmp: &mut Vec<u64>, count: usize) {
         for _ in 0..count {
@@ -548,47 +537,39 @@ impl Montgomery {
         }
     }
 
-    /// The windowed ladder — the only one: leaves `base^exp` (Montgomery
-    /// form, `digits` not zero) in `scratch.acc`. Power-of-two exponents
+    /// The windowed ladder — the only one: `base^exp` in Montgomery
+    /// form (`digits` not zero), on a `2^w`-entry window table (entry `d`
+    /// at `[d·k, (d+1)·k)`) built for this base. Power-of-two exponents
     /// (`2^{bits-1}`: quantized tick sizes, `mul_plain` by `2^k`) need no
     /// table and no window bookkeeping, just the squaring chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was built for a different context shape
-    /// (window width or limb count).
-    fn ladder(&self, base_m: &[u64], digits: &ExpDigits, scratch: &mut PowScratch) {
+    fn ladder(&self, base_m: &[u64], digits: &ExpDigits) -> Vec<u64> {
         debug_assert!(!digits.is_zero());
         MODPOW_BITS.add(digits.bits as u64);
         let k = self.k;
-        let PowScratch { table, acc, tmp } = scratch;
-        assert_eq!(acc.len(), k, "scratch from another context");
+        let mut tmp = vec![0u64; k];
         if digits.power_of_two {
-            acc.copy_from_slice(base_m);
-            self.sqr_chain(acc, tmp, digits.bits - 1);
-            return;
+            let mut acc = base_m.to_vec();
+            self.sqr_chain(&mut acc, &mut tmp, digits.bits - 1);
+            return acc;
         }
-        assert_eq!(
-            table.len(),
-            k << digits.w,
-            "scratch sized for another window width"
-        );
-        self.fill_pow_table(base_m, table);
-        acc.copy_from_slice(&self.r1);
+        let mut table = vec![0u64; k << digits.w];
+        self.fill_pow_table(base_m, &mut table);
+        let mut acc = self.r1.clone();
         let mut started = false;
         for &d in &digits.digits {
             if started {
-                self.sqr_chain(acc, tmp, digits.w);
+                self.sqr_chain(&mut acc, &mut tmp, digits.w);
             }
             if d != 0 {
                 let d = d as usize;
-                self.mont_mul_into(acc, &table[d * k..(d + 1) * k], tmp);
-                std::mem::swap(acc, tmp);
+                self.mont_mul_into(&acc, &table[d * k..(d + 1) * k], &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
                 started = true;
             }
             // A zero window needs nothing beyond the squarings above
             // (or, before the first set bit, nothing at all).
         }
+        acc
     }
 
     /// `base^exp mod n` using sliding fixed-window exponentiation with
@@ -604,75 +585,21 @@ impl Montgomery {
     /// ```
     pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
-            return self.one_result();
+            return BigUint::one();
         }
         self.modpow_recoded(base, &ExpDigits::recode(exp))
     }
 
     /// [`Montgomery::modpow`] over a prebuilt exponent recoding —
     /// bit-identical results; the recode walk is paid once per exponent
-    /// instead of once per call.
+    /// instead of once per call (Miller–Rabin's witnesses, the OT
+    /// sender's replies, each CRT decryption leg).
     pub fn modpow_recoded(&self, base: &BigUint, digits: &ExpDigits) -> BigUint {
         MODPOW_OPS.incr();
-        self.modpow_scratch(base, digits, &mut self.pow_scratch(digits))
-    }
-
-    /// Allocates the scratch a batch of [`Montgomery::modpow_scratch`]
-    /// calls shares: the flat `2^w`-entry window table (entry `d` at
-    /// `[d·k, (d+1)·k)`; none for a power-of-two exponent's squaring
-    /// chain) plus the ladder's two ping-pong buffers.
-    pub fn pow_scratch(&self, digits: &ExpDigits) -> PowScratch {
-        let entries = if digits.power_of_two {
-            0
-        } else {
-            1 << digits.w
-        };
-        PowScratch {
-            table: vec![0u64; entries * self.k],
-            acc: vec![0u64; self.k],
-            tmp: vec![0u64; self.k],
-        }
-    }
-
-    /// [`Montgomery::modpow_recoded`] with every working buffer — the
-    /// window table included — reused from `scratch` instead of
-    /// reallocated: a fixed-exponent batch (decryption fan-ins,
-    /// randomizer precompute) rebuilds the table's *values* per base
-    /// but allocates it exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was built for a different context shape
-    /// (window width or limb count).
-    pub fn modpow_scratch(
-        &self,
-        base: &BigUint,
-        digits: &ExpDigits,
-        scratch: &mut PowScratch,
-    ) -> BigUint {
         if digits.is_zero() {
-            return self.one_result();
+            return BigUint::one();
         }
-        self.ladder(&self.to_mont(base), digits, scratch);
-        self.from_mont(&scratch.acc)
-    }
-
-    /// One ladder per base under a shared exponent recoding, on one
-    /// scratch — `bases.map(|b| modpow_recoded(b, digits))` bit for bit
-    /// (and ladder for ladder in `crypto/modpow`), without recoding or
-    /// allocating the window table per base.
-    pub fn modpow_batch<'a>(
-        &self,
-        bases: impl IntoIterator<Item = &'a BigUint>,
-        digits: &ExpDigits,
-    ) -> Vec<BigUint> {
-        let mut scratch = self.pow_scratch(digits);
-        let out: Vec<BigUint> = bases
-            .into_iter()
-            .map(|base| self.modpow_scratch(base, digits, &mut scratch))
-            .collect();
-        MODPOW_OPS.add(out.len() as u64);
-        out
+        self.from_mont(&self.ladder(&self.to_mont(base), digits))
     }
 
     /// Horner fold of `bases` at a fixed shift: `acc ← acc^(2^shift) · b`
@@ -691,7 +618,7 @@ impl Montgomery {
     ) -> BigUint {
         let mut bases = bases.into_iter();
         let Some(first) = bases.next() else {
-            return self.one_result();
+            return BigUint::one();
         };
         let (mut acc, mut tmp) = (self.to_mont(first), vec![0u64; self.k]);
         for base in bases {
@@ -715,9 +642,8 @@ impl Montgomery {
         if digits.is_zero() {
             return self.from_mont(&factor_m);
         }
-        let mut scratch = self.pow_scratch(&digits);
-        self.ladder(&self.to_mont(base), &digits, &mut scratch);
-        self.from_mont(&self.mont_mul(&scratch.acc, &factor_m))
+        let acc = self.ladder(&self.to_mont(base), &digits);
+        self.from_mont(&self.mont_mul(&acc, &factor_m))
     }
 
     /// Simultaneous multi-exponentiation: `Π base_i^exp_i mod n` with a
@@ -730,7 +656,7 @@ impl Montgomery {
         let live: Vec<&(&BigUint, &BigUint)> = pairs.iter().filter(|(_, e)| !e.is_zero()).collect();
         let max_bits = live.iter().map(|(_, e)| e.bit_length()).max().unwrap_or(0);
         if max_bits == 0 {
-            return self.one_result();
+            return BigUint::one();
         }
         if live.len() == 1 {
             return self.modpow(live[0].0, live[0].1);
@@ -773,7 +699,7 @@ impl Montgomery {
             }
         }
         if !started {
-            return self.one_result();
+            return BigUint::one();
         }
         self.from_mont(&acc)
     }
@@ -815,18 +741,6 @@ impl Montgomery {
             max_bits,
         }
     }
-}
-
-/// Reusable working storage for a batch of same-exponent
-/// exponentiations: the window table plus the ladder buffers of
-/// [`Montgomery::modpow_scratch`]. Build once per (context, exponent
-/// recoding) with [`Montgomery::pow_scratch`], reuse for every base.
-#[derive(Debug, Clone)]
-pub struct PowScratch {
-    /// Flat window table: entry `d` occupies limbs `[d·k, (d+1)·k)`.
-    table: Vec<u64>,
-    acc: Vec<u64>,
-    tmp: Vec<u64>,
 }
 
 /// A comb-precomputed fixed base: `tables[i][d-1] = base^(d·2^{w·i})` in
@@ -1061,31 +975,6 @@ mod tests {
                 assert_eq!(
                     ctx.modpow_recoded(&base, &digits),
                     ctx.modpow(&base, e),
-                    "base={b} exp={e:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn modpow_scratch_matches_plain_across_batch() {
-        // One scratch, many bases and repeated use — the fixed-exponent
-        // batch shape (decrypt fan-ins, randomizer precompute).
-        let n = (BigUint::one() << 190) + BigUint::from(12345u64);
-        let ctx = Montgomery::new(n.clone()).expect("odd");
-        for e in [
-            BigUint::zero(),
-            BigUint::from(5u64),
-            BigUint::one() << 100,
-            (BigUint::one() << 150) + BigUint::from(987_654_321u64),
-        ] {
-            let digits = ExpDigits::recode(&e);
-            let mut scratch = ctx.pow_scratch(&digits);
-            for b in [2u64, 3, 7, 0xDEAD_BEEF, 0xFFFF_FFFF_FFFF_FFFF] {
-                let base = BigUint::from(b);
-                assert_eq!(
-                    ctx.modpow_scratch(&base, &digits, &mut scratch),
-                    ctx.modpow(&base, &e),
                     "base={b} exp={e:?}"
                 );
             }

@@ -1,10 +1,10 @@
-//! Primality testing and prime generation.
+//! Primality testing and the key generator's prime draw.
 
 use rand::Rng;
 
 use crate::arith::rem_limb;
 use crate::biguint::BigUint;
-use crate::montgomery::Montgomery;
+use crate::montgomery::{ExpDigits, Montgomery};
 
 /// Trial-division bound: primes below this are precomputed once.
 const SMALL_PRIME_BOUND: u64 = 2048;
@@ -34,168 +34,110 @@ fn small_primes() -> &'static [u64] {
     })
 }
 
-/// A configured Miller–Rabin primality tester.
+/// Random-base Miller–Rabin rounds run above 2^81, after the base-2
+/// round: error below 4^-24 per composite.
+const RANDOM_ROUNDS: usize = 24;
+
+/// Miller–Rabin probable-prime test. Values below 2^81 are settled
+/// deterministically by the fixed bases 2…41; above that a base-2 round
+/// and 24 uniform bases drawn from `rng` decide (error below 4^-24 per
+/// composite).
 ///
 /// # Example
 ///
 /// ```
-/// use pem_bignum::{BigUint, MillerRabin};
+/// use pem_bignum::{is_prime, BigUint};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mr = MillerRabin::new(16);
-/// assert!(mr.is_probably_prime(&BigUint::from(65537u64), &mut rng));
-/// assert!(!mr.is_probably_prime(&BigUint::from(65539u64 * 3), &mut rng));
+/// assert!(is_prime(&BigUint::from(65537u64), &mut rng));
+/// assert!(!is_prime(&BigUint::from(65539u64 * 3), &mut rng));
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct MillerRabin {
-    random_rounds: usize,
-}
-
-impl MillerRabin {
-    /// Creates a tester running `random_rounds` random-base rounds after
-    /// a base-2 round (error < 4^-rounds). Values below 2^81 are settled
-    /// deterministically by the fixed bases 2…41 instead.
-    pub fn new(random_rounds: usize) -> Self {
-        MillerRabin { random_rounds }
+pub fn is_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
+    // Small and even cases.
+    if let Some(small) = n.to_u64() {
+        if small < SMALL_PRIME_BOUND {
+            return small_primes().binary_search(&small).is_ok();
+        }
+    }
+    if n.is_even() {
+        return false;
+    }
+    // Trial division on the limbs: one single-limb remainder per small
+    // prime, no allocation. A multi-limb `n` exceeds every `p²` here, so
+    // only single-limb values can stop early.
+    let small = n.to_u64();
+    for &p in small_primes() {
+        if small.is_some_and(|v| p * p > v) {
+            break;
+        }
+        if rem_limb(n.limbs(), p) == 0 {
+            return false;
+        }
     }
 
-    /// Probabilistic primality test.
-    pub fn is_probably_prime<R: Rng + ?Sized>(&self, n: &BigUint, rng: &mut R) -> bool {
-        // Small and even cases.
-        if let Some(small) = n.to_u64() {
-            if small < SMALL_PRIME_BOUND {
-                return small_primes().binary_search(&small).is_ok();
-            }
-        }
-        if n.is_even() {
-            return false;
-        }
-        // Trial division on the limbs: one single-limb remainder per
-        // small prime, no allocation. A multi-limb `n` exceeds every
-        // `p²` here, so only single-limb values can stop early.
-        let small = n.to_u64();
-        for &p in small_primes() {
-            if small.is_some_and(|v| p * p > v) {
-                break;
-            }
-            if rem_limb(n.limbs(), p) == 0 {
-                return false;
-            }
-        }
+    // Write n-1 = d * 2^s with d odd.
+    let one = BigUint::one();
+    let n_minus_1 = n - &one;
+    let s = n_minus_1.trailing_zeros().expect("n > 2 so n-1 > 0");
+    let d = &n_minus_1 >> s;
+    let ctx = Montgomery::new(n.clone()).expect("odd n");
+    // Every witness exponentiates to the same odd `d`: recode it once.
+    let d_digits = ExpDigits::recode(&d);
 
-        // Write n-1 = d * 2^s with d odd.
-        let one = BigUint::one();
-        let n_minus_1 = n - &one;
-        let s = n_minus_1.trailing_zeros().expect("n > 2 so n-1 > 0");
-        let d = &n_minus_1 >> s;
-        let ctx = Montgomery::new(n.clone()).expect("odd n");
-        // Every witness exponentiates to the same odd `d`: recode it
-        // once and share the window-table storage across rounds.
-        let d_digits = crate::montgomery::ExpDigits::recode(&d);
-        let scratch = std::cell::RefCell::new(ctx.pow_scratch(&d_digits));
-
-        let witness_passes = |a: &BigUint| -> bool {
-            let a = a % n;
-            if a.is_zero() || a.is_one() || a == n_minus_1 {
-                return true;
-            }
-            let mut x = ctx.modpow_scratch(&a, &d_digits, &mut scratch.borrow_mut());
-            if x.is_one() || x == n_minus_1 {
-                return true;
-            }
-            for _ in 0..s - 1 {
-                x = ctx.mul(&x, &x);
-                if x == n_minus_1 {
-                    return true;
-                }
-                if x.is_one() {
-                    return false; // non-trivial square root of 1
-                }
-            }
-            false
-        };
-
-        // Base 2 is the cheap first filter at every width; the full
-        // fixed set runs only where it is the proof (values below 2^81).
-        // Above that the random rounds alone carry the 4^-rounds bound.
-        let deterministic = n.bit_length() <= 81;
-        let fixed = if deterministic {
-            &DETERMINISTIC_WITNESSES[..]
-        } else {
-            &DETERMINISTIC_WITNESSES[..1]
-        };
-        if !fixed.iter().all(|&w| witness_passes(&BigUint::from(w))) {
-            return false;
-        }
-        if deterministic {
+    let witness_passes = |a: &BigUint| -> bool {
+        let a = a % n;
+        if a.is_zero() || a.is_one() || a == n_minus_1 {
             return true;
         }
-        for _ in 0..self.random_rounds {
-            // Uniform witness in [2, n-2].
-            let span = n - &BigUint::from(4u64);
-            let w = BigUint::random_below(&span, rng) + BigUint::from(2u64);
-            if !witness_passes(&w) {
-                return false;
+        let mut x = ctx.modpow_recoded(&a, &d_digits);
+        if x.is_one() || x == n_minus_1 {
+            return true;
+        }
+        for _ in 0..s - 1 {
+            x = ctx.mul(&x, &x);
+            if x == n_minus_1 {
+                return true;
+            }
+            if x.is_one() {
+                return false; // non-trivial square root of 1
             }
         }
-        true
-    }
-}
+        false
+    };
 
-impl Default for MillerRabin {
-    /// 24 random rounds: error probability below 4^-24 per composite.
-    fn default() -> Self {
-        MillerRabin::new(24)
+    // Base 2 is the cheap first filter at every width; the full fixed
+    // set runs only where it is the proof (values below 2^81). Above
+    // that the random rounds alone carry the 4^-rounds bound.
+    let deterministic = n.bit_length() <= 81;
+    let fixed = if deterministic {
+        &DETERMINISTIC_WITNESSES[..]
+    } else {
+        &DETERMINISTIC_WITNESSES[..1]
+    };
+    if !fixed.iter().all(|&w| witness_passes(&BigUint::from(w))) {
+        return false;
     }
-}
-
-/// Convenience wrapper: default-strength Miller–Rabin with a thread-local
-/// seeded generator supplied by the caller.
-pub fn is_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
-    MillerRabin::default().is_probably_prime(n, rng)
-}
-
-/// Smallest (probable) prime strictly greater than `n`.
-pub fn next_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> BigUint {
-    let mut candidate = n + &BigUint::one();
-    if candidate <= BigUint::from(2u64) {
-        return BigUint::from(2u64);
+    if deterministic {
+        return true;
     }
-    if candidate.is_even() {
-        candidate += BigUint::one();
-    }
-    let two = BigUint::from(2u64);
-    loop {
-        if is_prime(&candidate, rng) {
-            return candidate;
-        }
-        candidate += &two;
-    }
-}
-
-/// A random (probable) prime of exactly `bits` bits whose `top` leading
-/// bits are all set.
-fn gen_prime_forcing<R: Rng + ?Sized>(bits: usize, top: usize, rng: &mut R) -> BigUint {
-    assert!(bits >= 2, "a prime needs at least 2 bits");
-    let mr = MillerRabin::default();
-    loop {
-        let mut candidate = BigUint::random_bits(bits, rng);
-        for i in 1..=top {
-            candidate.set_bit(bits - i, true);
-        }
-        if bits > 2 {
-            candidate.set_bit(0, true); // odd
-        }
-        if mr.is_probably_prime(&candidate, rng) {
-            return candidate;
+    for _ in 0..RANDOM_ROUNDS {
+        // Uniform witness in [2, n-2].
+        let span = n - &BigUint::from(4u64);
+        let w = BigUint::random_below(&span, rng) + BigUint::from(2u64);
+        if !witness_passes(&w) {
+            return false;
         }
     }
+    true
 }
 
 impl BigUint {
-    /// Generates a random (probable) prime with exactly `bits` bits
-    /// (the top bit is set).
+    /// A random (probable) prime of exactly `bits` bits with the top
+    /// **two** bits set (the RSA convention): the product of a `k`-bit
+    /// and an `l`-bit such prime is at least `9/16 · 2^(k+l)`, so it
+    /// always has exactly `k + l` bits and no finished prime is thrown
+    /// away for width.
     ///
     /// # Panics
     ///
@@ -205,39 +147,21 @@ impl BigUint {
     /// use pem_bignum::BigUint;
     /// use rand::SeedableRng;
     /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    /// let p = BigUint::gen_prime(64, &mut rng);
-    /// assert_eq!(p.bit_length(), 64);
+    /// let p = BigUint::gen_rsa_prime(64, &mut rng);
+    /// assert!(p.bit(63) && p.bit(62));
     /// ```
-    pub fn gen_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
-        gen_prime_forcing(bits, 1, rng)
-    }
-
-    /// [`BigUint::gen_prime`] with the top **two** bits set (the RSA
-    /// convention): the product of a `k`-bit and an `l`-bit such prime
-    /// is at least `9/16 · 2^(k+l)`, so it always has exactly `k + l`
-    /// bits and no finished prime is thrown away for width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits < 2`.
     pub fn gen_rsa_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
-        gen_prime_forcing(bits, 2, rng)
-    }
-
-    /// Generates a safe prime `p = 2q + 1` (both probable primes) with
-    /// exactly `bits` bits. Used for the OT group in small test profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits < 3`.
-    pub fn gen_safe_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
-        assert!(bits >= 3, "a safe prime needs at least 3 bits");
-        let mr = MillerRabin::default();
+        assert!(bits >= 2, "a prime needs at least 2 bits");
         loop {
-            let q = BigUint::gen_prime(bits - 1, rng);
-            let p = (&q << 1) + BigUint::one();
-            if p.bit_length() == bits && mr.is_probably_prime(&p, rng) {
-                return p;
+            let mut candidate = BigUint::random_bits(bits, rng);
+            for i in 1..=2 {
+                candidate.set_bit(bits - i, true);
+            }
+            if bits > 2 {
+                candidate.set_bit(0, true); // odd
+            }
+            if is_prime(&candidate, rng) {
+                return candidate;
             }
         }
     }
@@ -375,7 +299,7 @@ mod tests {
             v.set_bit(0, true);
             v
         }));
-        values.extend((0..4).map(|_| BigUint::gen_prime(256, &mut draw)));
+        values.extend((0..4).map(|_| BigUint::gen_rsa_prime(256, &mut draw)));
         for n in &values {
             assert_eq!(
                 is_prime(n, &mut r),
@@ -398,47 +322,21 @@ mod tests {
     }
 
     #[test]
-    fn next_prime_steps() {
-        let mut r = rng();
-        assert_eq!(next_prime(&BigUint::zero(), &mut r), BigUint::from(2u64));
-        assert_eq!(
-            next_prime(&BigUint::from(2u64), &mut r),
-            BigUint::from(3u64)
-        );
-        assert_eq!(
-            next_prime(&BigUint::from(13u64), &mut r),
-            BigUint::from(17u64)
-        );
-        assert_eq!(
-            next_prime(&BigUint::from(2047u64), &mut r),
-            BigUint::from(2053u64)
-        );
-    }
-
-    #[test]
     fn gen_prime_has_exact_bits() {
         let mut r = rng();
         for bits in [16usize, 48, 128] {
-            let p = BigUint::gen_prime(bits, &mut r);
+            let p = BigUint::gen_rsa_prime(bits, &mut r);
             assert_eq!(p.bit_length(), bits);
             assert!(p.is_odd());
+            assert!(is_prime(&p, &mut r));
         }
-    }
-
-    #[test]
-    fn gen_safe_prime_structure() {
-        let mut r = rng();
-        let p = BigUint::gen_safe_prime(32, &mut r);
-        assert_eq!(p.bit_length(), 32);
-        let q = (&p - &BigUint::one()) >> 1;
-        assert!(is_prime(&q, &mut r), "q must be prime for a safe prime");
     }
 
     #[test]
     fn product_of_two_primes_is_composite() {
         let mut r = rng();
-        let p = BigUint::gen_prime(48, &mut r);
-        let q = BigUint::gen_prime(48, &mut r);
+        let p = BigUint::gen_rsa_prime(48, &mut r);
+        let q = BigUint::gen_rsa_prime(48, &mut r);
         assert!(!is_prime(&(&p * &q), &mut r));
     }
 }

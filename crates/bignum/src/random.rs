@@ -4,21 +4,9 @@ use rand::Rng;
 
 use crate::biguint::BigUint;
 
-/// Extension trait for sampling random big integers from any [`rand::Rng`].
-pub trait RandomBits: Sized {
+impl BigUint {
     /// Uniformly random value with at most `bits` bits.
-    fn random_bits<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Self;
-
-    /// Uniformly random value in `[0, bound)` by rejection sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    fn random_below<R: Rng + ?Sized>(bound: &Self, rng: &mut R) -> Self;
-}
-
-impl RandomBits for BigUint {
-    fn random_bits<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
+    pub fn random_bits<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
         if bits == 0 {
             return BigUint::zero();
         }
@@ -32,7 +20,12 @@ impl RandomBits for BigUint {
         BigUint::from_limbs(v)
     }
 
-    fn random_below<R: Rng + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
+    /// Uniformly random value in `[0, bound)` by rejection sampling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is zero.
+    pub fn random_below<R: Rng + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
         assert!(!bound.is_zero(), "random_below with zero bound");
         let bits = bound.bit_length();
         loop {
@@ -41,24 +34,6 @@ impl RandomBits for BigUint {
                 return candidate;
             }
         }
-    }
-}
-
-impl BigUint {
-    /// Uniformly random value with at most `bits` bits (inherent form of
-    /// [`RandomBits::random_bits`]).
-    pub fn random_bits<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
-        <BigUint as RandomBits>::random_bits(bits, rng)
-    }
-
-    /// Uniformly random value in `[0, bound)` (inherent form of
-    /// [`RandomBits::random_below`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn random_below<R: Rng + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
-        <BigUint as RandomBits>::random_below(bound, rng)
     }
 
     /// Uniformly random invertible element of `Z_n*` (coprime with `n`).

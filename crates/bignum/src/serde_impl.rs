@@ -1,10 +1,9 @@
-//! Serde support: big integers serialize as decimal strings, which is
+//! Serde support: a [`BigUint`] serializes as a decimal string, which is
 //! human-readable, radix-safe and avoids endianness pitfalls.
 
 use serde::de::Error as DeError;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::bigint::BigInt;
 use crate::biguint::BigUint;
 
 impl Serialize for BigUint {
@@ -14,19 +13,6 @@ impl Serialize for BigUint {
 }
 
 impl<'de> Deserialize<'de> for BigUint {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        s.parse().map_err(DeError::custom)
-    }
-}
-
-impl Serialize for BigInt {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
-    }
-}
-
-impl<'de> Deserialize<'de> for BigInt {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let s = String::deserialize(deserializer)?;
         s.parse().map_err(DeError::custom)
@@ -48,13 +34,6 @@ mod tests {
             "340282366920938463463374607431768211456".into_deserializer();
         let back = BigUint::deserialize(de).expect("deserialize");
         assert_eq!(back, v);
-    }
-
-    #[test]
-    fn bigint_negative_roundtrip() {
-        let de: StrDeserializer<ValueError> = "-987654321".into_deserializer();
-        let back = BigInt::deserialize(de).expect("deserialize");
-        assert_eq!(back, BigInt::from(-987654321i64));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests for the big-integer substrate.
 
-use pem_bignum::{BigInt, BigUint};
+use std::sync::OnceLock;
+
+use pem_bignum::BigUint;
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 /// Strategy: a BigUint built from 0..=4 random limbs.
 fn arb_biguint() -> impl Strategy<Value = BigUint> {
@@ -13,16 +16,10 @@ fn arb_biguint_nonzero() -> impl Strategy<Value = BigUint> {
     arb_biguint().prop_filter("non-zero", |v| !v.is_zero())
 }
 
-fn arb_bigint() -> impl Strategy<Value = BigInt> {
-    (any::<bool>(), arb_biguint()).prop_map(|(neg, mag)| {
-        if mag.is_zero() {
-            BigInt::zero()
-        } else if neg {
-            -BigInt::from(mag)
-        } else {
-            BigInt::from(mag)
-        }
-    })
+/// A random 512-bit prime, drawn once.
+fn prime_512() -> &'static BigUint {
+    static P: OnceLock<BigUint> = OnceLock::new();
+    P.get_or_init(|| BigUint::gen_rsa_prime(512, &mut rand::rngs::StdRng::seed_from_u64(512)))
 }
 
 proptest! {
@@ -81,7 +78,8 @@ proptest! {
     #[test]
     fn bytes_roundtrip(a in arb_biguint()) {
         prop_assert_eq!(BigUint::from_bytes_be(&a.to_bytes_be()), a.clone());
-        prop_assert_eq!(BigUint::from_bytes_le(&a.to_bytes_le()), a);
+        let len = a.to_bytes_be().len() + 3;
+        prop_assert_eq!(BigUint::from_bytes_be(&a.to_bytes_be_padded(len)), a);
     }
 
     #[test]
@@ -91,13 +89,6 @@ proptest! {
         prop_assert!((&b % &g).is_zero());
         // … and is the greatest such divisor.
         prop_assert!((&a / &g).gcd(&(&b / &g)).is_one());
-    }
-
-    #[test]
-    fn extended_gcd_bezout_identity(a in arb_biguint_nonzero(), b in arb_biguint_nonzero()) {
-        let e = a.extended_gcd(&b);
-        let lhs = &(&BigInt::from(a) * &e.x) + &(&BigInt::from(b) * &e.y);
-        prop_assert_eq!(lhs, BigInt::from(e.gcd));
     }
 
     #[test]
@@ -214,45 +205,13 @@ proptest! {
         } else {
             prop_assert!(!(&a % &m).gcd(&m).is_one() || (&a % &m).is_zero());
         }
-    }
-
-    #[test]
-    fn isqrt_bounds(a in arb_biguint()) {
-        let r = a.isqrt();
-        prop_assert!(&r * &r <= a);
-        let r1 = &r + &BigUint::one();
-        prop_assert!(&r1 * &r1 > a);
-    }
-
-    #[test]
-    fn bigint_add_neg_cancels(a in arb_bigint()) {
-        prop_assert_eq!(&a + &(-&a), BigInt::zero());
-    }
-
-    #[test]
-    fn bigint_sub_antisymmetric(a in arb_bigint(), b in arb_bigint()) {
-        prop_assert_eq!(&a - &b, -&(&b - &a));
-    }
-
-    #[test]
-    fn bigint_mul_sign_rules(a in arb_bigint(), b in arb_bigint()) {
-        let prod = &a * &b;
-        if a.is_zero() || b.is_zero() {
-            prop_assert!(prod.is_zero());
-        } else {
-            prop_assert_eq!(prod.is_negative(), a.is_negative() != b.is_negative());
+        // Fermat: modulo a prime p the inverse is a^(p−2).
+        let p = prime_512();
+        let a = &a % p;
+        if !a.is_zero() {
+            let fermat = a.modpow(&(p - &BigUint::from(2u64)), p);
+            prop_assert_eq!(a.mod_inverse(p), Some(fermat));
         }
-    }
-
-    #[test]
-    fn bigint_mod_floor_in_range(a in arb_bigint(), m in arb_biguint_nonzero()) {
-        let r = a.mod_floor(&m);
-        prop_assert!(r < m);
-        // (a - r) must be divisible by m: check via magnitude arithmetic.
-        let diff = &a - &BigInt::from(r);
-        let m_int = BigInt::from(m);
-        let (_, rem) = diff.div_rem(&m_int);
-        prop_assert!(rem.is_zero());
     }
 
     #[test]

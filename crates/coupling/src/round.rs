@@ -384,7 +384,10 @@ impl CouplingCoordinator {
             let mut exporters: Vec<(usize, u64)> = Vec::new();
             let mut importers: Vec<(usize, u64)> = Vec::new();
             let (mut claimed_surplus, mut claimed_deficit) = (0u128, 0u128);
-            for (&from, res) in claim_from.iter().zip(sk.decrypt_i128_batch(&claim_cts)?) {
+            let claims: Vec<i128> = (claim_cts.iter())
+                .map(|c| sk.decrypt_i128(c))
+                .collect::<Result<_, _>>()?;
+            for (&from, res) in claim_from.iter().zip(claims) {
                 let (side, sum) = match res.signum() {
                     1 => (&mut exporters, &mut claimed_surplus),
                     -1 => (&mut importers, &mut claimed_deficit),

@@ -32,7 +32,7 @@
 //!
 //! The sender derives `(Bᵢ/Aʲ)^a` as `Bᵢ^a · Tʲ`: one ladder per OT
 //! whatever `n` is, and the `m` ladders of a batch share `a`, so it is
-//! recoded once and they run on one scratch. The receiver's `A^bᵢ` share
+//! recoded once for all of them. The receiver's `A^bᵢ` share
 //! the base `A`, so a batch of [`A_TABLE_MIN_BATCH`] or more takes them
 //! off one comb table built for `A` at `w` bits (the choice is by batch
 //! length alone); every `g^x` comes off the group's shared table, which
@@ -423,9 +423,12 @@ impl OtBatchSender {
     }
 
     /// `Bᵢ^a` for every `Bᵢ`: one ladder each under the one recoding of
-    /// `a`, on one scratch.
+    /// `a`.
     fn powers<'a>(&self, big_bs: impl IntoIterator<Item = &'a BigUint>) -> Vec<BigUint> {
-        self.group.mont().modpow_batch(big_bs, &self.a_digits)
+        let mont = self.group.mont();
+        (big_bs.into_iter())
+            .map(|b| mont.modpow_recoded(b, &self.a_digits))
+            .collect()
     }
 
     /// The branch secrets `(B/Aʲ)^a` for `j ∈ 0..branches` from
@@ -837,8 +840,8 @@ mod tests {
             for group in [DhGroup::test_192(), DhGroup::modp_1024(), DhGroup::modp_2048()] {
                 let a = short_exponent(group.short_exponent_bits(), &mut rng);
                 let (sender, _) = OtBatchSender::with_exponent(group.clone(), &a);
-                // Bases of every shape one scratch must not carry over:
-                // subgroup elements, a tiny one, the largest valid one.
+                // Bases of every shape under the one recoding: subgroup
+                // elements, a tiny one, the largest valid one.
                 let mut bases: Vec<BigUint> = (0..3)
                     .map(|_| BigUint::random_below(group.p(), &mut rng))
                     .collect();

@@ -19,17 +19,20 @@
 //! one shared [`Montgomery`] context behind `Arc<OnceLock<…>>`: clones
 //! share it, operations *borrow* it (no per-op allocation), and a key
 //! rebuilt from its serialized fields lazily reconstructs it exactly
-//! once on first use. [`PrivateKey`] retains the prime factors `p`/`q`
-//! (when available) and decrypts via two half-width exponentiations mod
-//! `p²`/`q²` with Garner recombination — ~2.3–3.1× the classic
-//! full-width `c^λ mod n²` path at the paper's key sizes (measured in
-//! `BENCH_crypto.json`), bit-identical output. A fan-in of plaintexts
-//! bounded by `2^w` (Protocol 4's ratios) decrypts packed:
-//! [`PrivateKey::decrypt_packed`] Horner-folds `⌊(|n| − 64)/w⌋`
-//! ciphertexts into one on the half-width legs and decrypts that once.
-//! Fused chains
-//! (`mul_plain` + `add_plain`) run through [`PublicKey::affine`], one
-//! pass through the Montgomery domain.
+//! once on first use. A [`PrivateKey`] exists only as the output of
+//! [`Keypair::generate`] and holds the CRT context built there: every
+//! decryption is two half-width exponentiations mod `p²`/`q²` with
+//! Garner recombination — ~2.3–3.1× the classic full-width `c^λ mod n²`
+//! path at the paper's key sizes (measured in `BENCH_crypto.json`),
+//! bit-identical output. The classic path survives as the reference
+//! [`PrivateKey::decrypt_classic`]. A fan-in of unbounded plaintexts
+//! ([`PrivateKey::decrypt_batch`]) decrypts one ciphertext after
+//! another; a fan-in of plaintexts bounded by `2^w` (Protocol 4's
+//! ratios) decrypts packed: [`PrivateKey::decrypt_packed`] Horner-folds
+//! `⌊(|n| − 64)/w⌋` ciphertexts into one on the half-width legs and
+//! decrypts that once. Fused chains (`mul_plain` + `add_plain`) run
+//! through [`PublicKey::affine`], one pass through the Montgomery
+//! domain.
 //!
 //! **Encryption has one randomizer lane, `h_s^x`.** At key generation
 //! the owner draws `y ∈ Z_n*`, sets `h = −y² mod n` and publishes
@@ -56,7 +59,7 @@ use std::sync::{Arc, OnceLock};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery, PowScratch};
+use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery};
 
 use crate::error::CryptoError;
 use crate::{short_exponent, short_exponent_bits};
@@ -94,9 +97,9 @@ impl Eq for PublicKey {}
 
 /// Precomputed constants for CRT decryption under one prime `r`: the
 /// half-width Montgomery context for `r²`, the exponent `r−1` (with its
-/// window recoding, shared across a whole decryption batch), and
+/// window recoding, shared by every decryption under the key), and
 /// `h_r = L_r(g^{r−1} mod r²)^{-1} mod r`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CrtLeg {
     prime: BigUint,
     mont_r2: Montgomery,
@@ -128,22 +131,11 @@ impl CrtLeg {
         let x = self.mont_r2.modpow_recoded(c, &self.r1_digits);
         (&l_function(&x, &self.prime) * &self.h) % &self.prime
     }
-
-    /// [`CrtLeg::decrypt`] on batch-shared working storage.
-    fn decrypt_scratch(&self, c: &BigUint, scratch: &mut PowScratch) -> BigUint {
-        let x = self.mont_r2.modpow_scratch(c, &self.r1_digits, scratch);
-        (&l_function(&x, &self.prime) * &self.h) % &self.prime
-    }
-
-    /// Scratch sized for this leg's decryption exponent.
-    fn scratch(&self) -> PowScratch {
-        self.mont_r2.pow_scratch(&self.r1_digits)
-    }
 }
 
 /// The full CRT context: both decryption legs plus the Garner constant
 /// `p^{-1} mod q` for recombining plaintexts mod `n`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CrtContext {
     p_leg: CrtLeg,
     q_leg: CrtLeg,
@@ -164,13 +156,6 @@ impl CrtContext {
     fn decrypt(&self, c: &BigUint) -> BigUint {
         let mp = self.p_leg.decrypt(c);
         let mq = self.q_leg.decrypt(c);
-        self.garner(mp, mq)
-    }
-
-    /// [`CrtContext::decrypt`] on batch-shared leg scratches.
-    fn decrypt_scratch(&self, c: &BigUint, sp: &mut PowScratch, sq: &mut PowScratch) -> BigUint {
-        let mp = self.p_leg.decrypt_scratch(c, sp);
-        let mq = self.q_leg.decrypt_scratch(c, sq);
         self.garner(mp, mq)
     }
 
@@ -201,25 +186,16 @@ fn l_function(x: &BigUint, m: &BigUint) -> BigUint {
     (x - &BigUint::one()) / m
 }
 
-/// A Paillier private key (`λ = lcm(p-1, q-1)`, `μ = λ^{-1} mod n`),
-/// optionally retaining the prime factors for CRT decryption.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A Paillier private key: the CRT context every decryption runs on,
+/// plus `λ = lcm(p-1, q-1)` and `μ = λ^{-1} mod n` for the classic
+/// reference path. Built only by [`Keypair::generate`]; never
+/// serialized.
+#[derive(Debug, Clone)]
 pub struct PrivateKey {
     lambda: BigUint,
     mu: BigUint,
     public: PublicKey,
-    /// Prime factors of `n`. Keys serialized by the pre-CRT format (or
-    /// deliberately stripped) carry `None` and decrypt via the classic
-    /// full-width path — same plaintexts, just slower.
-    #[serde(default)]
-    p: Option<BigUint>,
-    #[serde(default)]
-    q: Option<BigUint>,
-    /// Lazily built CRT context, shared across clones. The outer
-    /// `Option` is the build result: `None` means "factors unavailable
-    /// or degenerate — use the classic path forever".
-    #[serde(skip)]
-    crt: Arc<OnceLock<Option<CrtContext>>>,
+    crt: CrtContext,
 }
 
 /// A key pair produced by [`Keypair::generate`].
@@ -320,9 +296,7 @@ impl Keypair {
                 lambda,
                 mu,
                 public: public.clone(),
-                p: Some(p),
-                q: Some(q),
-                crt: Arc::new(OnceLock::from(Some(crt))),
+                crt,
             };
             return Keypair { public, private };
         }
@@ -605,53 +579,16 @@ impl PrivateKey {
         &self.public
     }
 
-    /// The lazily built CRT context: `Some` when the prime factors are
-    /// retained and valid, `None` on legacy (factorless) keys.
-    fn crt(&self) -> Option<&CrtContext> {
-        self.crt
-            .get_or_init(|| match (&self.p, &self.q) {
-                (Some(p), Some(q)) => CrtContext::build(p, q, &self.public.n),
-                _ => None,
-            })
-            .as_ref()
-    }
-
-    /// `true` when decryption runs on the CRT fast path.
-    pub fn has_crt(&self) -> bool {
-        self.crt().is_some()
-    }
-
-    /// Drops the retained prime factors — exactly the state of a key
-    /// deserialized from the pre-CRT format. Every decryption then takes
-    /// the classic full-width path (same plaintexts).
-    #[must_use]
-    pub fn without_crt(&self) -> PrivateKey {
-        PrivateKey {
-            lambda: self.lambda.clone(),
-            mu: self.mu.clone(),
-            public: self.public.clone(),
-            p: None,
-            q: None,
-            crt: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Decrypts to the canonical representative in `[0, n)`.
-    ///
-    /// Runs two half-width exponentiations mod `p²`/`q²` with Garner
-    /// recombination when the prime factors are available, and falls
-    /// back to [`PrivateKey::decrypt_classic`] otherwise. Both paths
-    /// return bit-identical plaintexts.
+    /// Decrypts to the canonical representative in `[0, n)`: two
+    /// half-width exponentiations mod `p²`/`q²` with Garner
+    /// recombination, bit-identical to [`PrivateKey::decrypt_classic`].
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
-        match self.crt() {
-            Some(crt) => crt.decrypt(&c.0),
-            None => self.decrypt_classic(c),
-        }
+        self.crt.decrypt(&c.0)
     }
 
     /// The classic full-width decryption `L(c^λ mod n²) · μ mod n` —
-    /// the pre-CRT kernel, kept for factorless keys and as the
-    /// reference the benches and equivalence proptests compare against.
+    /// the pre-CRT kernel, kept as the reference the benches and
+    /// equivalence proptests compare against; no protocol path calls it.
     pub fn decrypt_classic(&self, c: &Ciphertext) -> BigUint {
         let pk = &self.public;
         let x = pk.mont().modpow(&c.0, &self.lambda);
@@ -669,34 +606,13 @@ impl PrivateKey {
         self.public.precompute_randomizers(count, rng)
     }
 
-    /// Decrypts a batch to canonical representatives in `[0, n)`.
-    ///
-    /// For fan-ins of unbounded plaintexts (the coupling coordinator's
-    /// signed totals and claims): one ladder per ciphertext and leg,
-    /// sequentially, on window tables and ladder buffers allocated once
-    /// per batch, with the CRT exponent recodings cached in the key's CRT
-    /// context. Plaintexts known to be narrow take
-    /// [`PrivateKey::decrypt_packed`] instead.
+    /// Decrypts a batch to canonical representatives in `[0, n)`:
+    /// [`PrivateKey::decrypt`] per ciphertext, in order. For fan-ins of
+    /// unbounded plaintexts (the coupling coordinator's signed totals);
+    /// plaintexts known to be narrow take [`PrivateKey::decrypt_packed`]
+    /// instead.
     pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Vec<BigUint> {
-        match self.crt() {
-            Some(crt) => {
-                let (mut sp, mut sq) = (crt.p_leg.scratch(), crt.q_leg.scratch());
-                cts.iter()
-                    .map(|c| crt.decrypt_scratch(&c.0, &mut sp, &mut sq))
-                    .collect()
-            }
-            None => {
-                let pk = &self.public;
-                let digits = ExpDigits::recode(&self.lambda);
-                let mut scratch = pk.mont().pow_scratch(&digits);
-                cts.iter()
-                    .map(|c| {
-                        let x = pk.mont().modpow_scratch(&c.0, &digits, &mut scratch);
-                        (&l_function(&x, &pk.n) * &self.mu) % &pk.n
-                    })
-                    .collect()
-            }
-        }
+        cts.iter().map(|c| self.decrypt(c)).collect()
     }
 
     /// How many `slot_bits`-wide plaintexts [`PrivateKey::decrypt_packed`]
@@ -704,12 +620,7 @@ impl PrivateKey {
     /// For 98-bit slots that is 20 at 2048-bit keys, 9 at 1024, 4 at 512
     /// and 1 at 128.
     pub fn slots_per_pack(&self, slot_bits: usize) -> usize {
-        self.public
-            .bits()
-            .saturating_sub(PACK_GUARD_BITS)
-            .checked_div(slot_bits)
-            .unwrap_or(0)
-            .max(1)
+        slots_per_pack(self.public.bits(), slot_bits)
     }
 
     /// Decrypts a batch whose plaintexts each lie below `2^slot_bits`,
@@ -718,10 +629,9 @@ impl PrivateKey {
     /// Each pack is folded Horner-style, `acc ← acc^(2^slot_bits) · c_j`
     /// ([`Montgomery::horner_fold`]), which encrypts
     /// `Σ m_j · 2^(slot_bits·(len−1−j))`. One decryption then yields every
-    /// slot. With the factors the fold runs on each half-width leg mod
-    /// `p²`/`q²`, followed by one ladder per leg (counted in
-    /// `crypto/modpow`) and one Garner step. A factorless key folds mod
-    /// `n²` and decrypts classically. On in-bound input the output is
+    /// slot. The fold runs on each half-width leg mod `p²`/`q²`,
+    /// followed by one ladder per leg (counted in `crypto/modpow`) and
+    /// one Garner step. On in-bound input the output is
     /// [`PrivateKey::decrypt_batch`]'s, bit for bit.
     ///
     /// # Errors
@@ -746,19 +656,13 @@ impl PrivateKey {
         let mask = &(BigUint::one() << slot_bits) - &BigUint::one();
         let mut out = Vec::with_capacity(cts.len());
         for pack in cts.chunks(per_pack) {
-            let bases = pack.iter().map(|c| &c.0);
-            let packed = match self.crt() {
-                Some(crt) => {
-                    let leg = |leg: &CrtLeg| {
-                        leg.decrypt(&leg.mont_r2.horner_fold(bases.clone(), slot_bits))
-                    };
-                    crt.garner(leg(&crt.p_leg), leg(&crt.q_leg))
-                }
-                None => {
-                    let folded = self.public.mont().horner_fold(bases, slot_bits);
-                    self.decrypt_classic(&Ciphertext(folded))
-                }
+            let leg = |leg: &CrtLeg| {
+                let folded = leg
+                    .mont_r2
+                    .horner_fold(pack.iter().map(|c| &c.0), slot_bits);
+                leg.decrypt(&folded)
             };
+            let packed = self.crt.garner(leg(&self.crt.p_leg), leg(&self.crt.q_leg));
             if packed.bit_length() > slot_bits * pack.len() {
                 return Err(CryptoError::MessageTooLarge {
                     message_bits: packed.bit_length(),
@@ -785,24 +689,7 @@ impl PrivateKey {
     /// fit `i128`. Under any key wider than 128 bits a peer can encrypt
     /// such a plaintext, so a ciphertext off the wire may carry one.
     pub fn decrypt_i128(&self, c: &Ciphertext) -> Result<i128, CryptoError> {
-        self.decode_i128(self.decrypt(c))
-    }
-
-    /// Batch variant of [`PrivateKey::decrypt_i128`].
-    ///
-    /// # Errors
-    ///
-    /// As [`PrivateKey::decrypt_i128`], for the first ciphertext whose
-    /// plaintext does not fit.
-    pub fn decrypt_i128_batch(&self, cts: &[Ciphertext]) -> Result<Vec<i128>, CryptoError> {
-        self.decrypt_batch(cts)
-            .into_iter()
-            .map(|m| self.decode_i128(m))
-            .collect()
-    }
-
-    /// Decodes the balanced signed encoding of an already-decrypted `m`.
-    fn decode_i128(&self, m: BigUint) -> Result<i128, CryptoError> {
+        let m = self.decrypt(c);
         let n = &self.public.n;
         let (negative, mag) = if m <= (n >> 1) {
             (false, m)
@@ -818,6 +705,15 @@ impl PrivateKey {
             })?;
         Ok(if negative { -v } else { v })
     }
+}
+
+/// [`PrivateKey::slots_per_pack`] for a `key_bits`-bit key.
+fn slots_per_pack(key_bits: usize, slot_bits: usize) -> usize {
+    key_bits
+        .saturating_sub(PACK_GUARD_BITS)
+        .checked_div(slot_bits)
+        .unwrap_or(0)
+        .max(1)
 }
 
 #[cfg(test)]
@@ -859,8 +755,7 @@ mod tests {
             for _ in 0..64 {
                 let kp = Keypair::generate(bits, &mut rng);
                 assert_eq!(kp.public().bits(), bits);
-                let (p, q) = (kp.private().p.as_ref(), kp.private().q.as_ref());
-                let (p, q) = (p.expect("p"), q.expect("q"));
+                let (p, q) = factors(&kp);
                 assert!(p.bit(bits / 2 - 2) && q.bit(bits / 2 - 2));
             }
         }
@@ -899,9 +794,8 @@ mod tests {
         }
         // The published base is itself an n-th residue: h_s = h^n.
         assert!(sk.decrypt(&Ciphertext(pk.h_s().clone())).is_zero());
-        let crt = sk.crt().expect("generated keys keep their factors");
         let h = BigUint::from(0xBEEFu64);
-        assert_eq!(crt.pow_n(&h, pk.n()), Some(pk.mont().modpow(&h, pk.n())));
+        assert_eq!(sk.crt.pow_n(&h, pk.n()), Some(pk.mont().modpow(&h, pk.n())));
     }
 
     #[test]
@@ -1013,23 +907,19 @@ mod tests {
             pk.encrypt(&quarter, &mut rng),
             pk.encrypt(&(pk.n() - &quarter), &mut rng),
         ];
+        let sk = kp.private();
         for c in &cts {
-            for sk in [kp.private().clone(), kp.private().without_crt()] {
-                assert!(matches!(
-                    sk.decrypt_i128(c),
-                    Err(CryptoError::MessageTooLarge {
-                        modulus_bits: 256,
-                        ..
-                    })
-                ));
-            }
+            assert!(matches!(
+                sk.decrypt_i128(c),
+                Err(CryptoError::MessageTooLarge {
+                    modulus_bits: 256,
+                    ..
+                })
+            ));
+            assert_eq!(sk.decrypt(c), sk.decrypt_classic(c));
         }
         let ok = pk.encrypt(&pk.encode_i128(-7), &mut rng);
-        assert!(kp
-            .private()
-            .decrypt_i128_batch(&[ok.clone(), cts[0].clone()])
-            .is_err());
-        assert_eq!(kp.private().decrypt_i128_batch(&[ok]), Ok(vec![-7]));
+        assert_eq!(sk.decrypt_i128(&ok), Ok(-7));
     }
 
     #[test]
@@ -1115,9 +1005,8 @@ mod tests {
 
     /// The key's prime factors.
     fn factors(kp: &Keypair) -> (&BigUint, &BigUint) {
-        let sk = kp.private();
-        let keep = "generated keys keep their factors";
-        (sk.p.as_ref().expect(keep), sk.q.as_ref().expect(keep))
+        let crt = &kp.private().crt;
+        (&crt.p_leg.prime, &crt.q_leg.prime)
     }
 
     /// Old and new validation predicates agree on `c`, and both with the
@@ -1184,9 +1073,6 @@ mod tests {
     fn crt_matches_classic_decrypt() {
         let kp = keypair(128);
         let sk = kp.private();
-        assert!(sk.has_crt(), "generated keys retain their factors");
-        let legacy = sk.without_crt();
-        assert!(!legacy.has_crt());
         let mut rng = HashDrbg::new(b"crt-vs-classic");
         let n = kp.public().n().clone();
         let half = &n >> 1;
@@ -1205,7 +1091,6 @@ mod tests {
             let c = kp.public().encrypt(&m, &mut rng);
             let crt = sk.decrypt(&c);
             assert_eq!(crt, sk.decrypt_classic(&c), "m={m:?}");
-            assert_eq!(crt, legacy.decrypt(&c), "legacy path m={m:?}");
             assert_eq!(crt, m);
         }
     }
@@ -1215,9 +1100,10 @@ mod tests {
         let kp = keypair(128);
         let mut rng = HashDrbg::new(b"crt-signed");
         for v in [i128::from(i64::MAX), -i128::from(i64::MAX), 1, -1, 0] {
-            let c = kp.public().encrypt(&kp.public().encode_i128(v), &mut rng);
+            let m = kp.public().encode_i128(v);
+            let c = kp.public().encrypt(&m, &mut rng);
             assert_eq!(kp.private().decrypt_i128(&c), Ok(v));
-            assert_eq!(kp.private().without_crt().decrypt_i128(&c), Ok(v));
+            assert_eq!(kp.private().decrypt_classic(&c), m);
         }
     }
 
@@ -1236,13 +1122,11 @@ mod tests {
             assert_eq!(kp.private().decrypt_batch(&cts), ms);
             let singles: Vec<BigUint> = cts.iter().map(|c| kp.private().decrypt(c)).collect();
             assert_eq!(singles, ms);
-            let signed: Vec<Ciphertext> = [5i128, -5, 0]
+            let classic: Vec<BigUint> = cts
                 .iter()
-                .map(|&v| kp.public().encrypt(&kp.public().encode_i128(v), &mut rng))
+                .map(|c| kp.private().decrypt_classic(c))
                 .collect();
-            assert_eq!(kp.private().decrypt_i128_batch(&signed), Ok(vec![5, -5, 0]));
-            // The factorless path batches too.
-            assert_eq!(kp.private().without_crt().decrypt_batch(&cts), ms);
+            assert_eq!(classic, ms);
         }
     }
 
@@ -1275,7 +1159,7 @@ mod tests {
         let kp = keypair(128);
         let (pk, sk) = (kp.public(), kp.private());
         let (n, h_s) = (pk.n().clone(), pk.h_s().clone());
-        let p = sk.p.clone().expect("p");
+        let p = sk.crt.p_leg.prime.clone();
         for (n, h_s) in [
             (BigUint::from(10u64), h_s.clone()),
             (BigUint::one(), h_s.clone()),
@@ -1385,6 +1269,7 @@ mod tests {
 
     #[test]
     fn slots_per_pack_follows_the_key_size() {
+        assert_eq!(keypair(512).private().slots_per_pack(98), 4);
         for (bits, slots) in [
             (128usize, 1usize),
             (256, 1),
@@ -1392,18 +1277,9 @@ mod tests {
             (1024, 9),
             (2048, 20),
         ] {
-            let n = (BigUint::one() << (bits - 1)) + BigUint::one();
-            let sk = PrivateKey {
-                lambda: BigUint::one(),
-                mu: BigUint::one(),
-                public: PublicKey::from_parts(n, BigUint::from(4u64)).expect("odd n"),
-                p: None,
-                q: None,
-                crt: Arc::new(OnceLock::new()),
-            };
-            assert_eq!(sk.slots_per_pack(98), slots, "{bits}-bit key");
-            assert_eq!(sk.slots_per_pack(0), 1, "a zero-width slot packs alone");
-            assert_eq!(sk.slots_per_pack(bits), 1);
+            assert_eq!(slots_per_pack(bits, 98), slots, "{bits}-bit key");
+            assert_eq!(slots_per_pack(bits, 0), 1, "a zero-width slot packs alone");
+            assert_eq!(slots_per_pack(bits, bits), 1);
         }
     }
 
@@ -1416,36 +1292,35 @@ mod tests {
         let enc = |v: &BigUint, rng: &mut HashDrbg| pk.encrypt(v, rng);
         let top = BigUint::one() << w;
         let small = BigUint::from(5u64);
-        for sk in [kp.private().clone(), kp.private().without_crt()] {
-            // A top slot at 2^w overflows its pack: typed, never a panic.
-            let cts: Vec<Ciphertext> = [&top, &small, &small, &small, &small]
-                .iter()
-                .map(|v| enc(v, &mut rng))
-                .collect();
-            assert!(matches!(
-                sk.decrypt_packed(&cts, w),
-                Err(CryptoError::MessageTooLarge {
-                    modulus_bits: 512,
-                    ..
-                })
-            ));
-            // So does the top slot of the second pack, alone in it.
-            let cts: Vec<Ciphertext> = [&small, &small, &small, &small, &top]
-                .iter()
-                .map(|v| enc(v, &mut rng))
-                .collect();
-            assert!(sk.decrypt_packed(&cts, w).is_err());
-            // A lower slot at 2^w carries into the slot above it unseen:
-            // (0, 2^w) packs to 2^w, which is (1, 0). The bound is the
-            // caller's to enforce.
-            let cts = [enc(&BigUint::zero(), &mut rng), enc(&top, &mut rng)];
-            assert_eq!(
-                sk.decrypt_packed(&cts, w),
-                Ok(vec![BigUint::one(), BigUint::zero()])
-            );
-            // An empty batch decrypts to nothing.
-            assert_eq!(sk.decrypt_packed(&[], w), Ok(vec![]));
-        }
+        let sk = kp.private();
+        // A top slot at 2^w overflows its pack: typed, never a panic.
+        let cts: Vec<Ciphertext> = [&top, &small, &small, &small, &small]
+            .iter()
+            .map(|v| enc(v, &mut rng))
+            .collect();
+        assert!(matches!(
+            sk.decrypt_packed(&cts, w),
+            Err(CryptoError::MessageTooLarge {
+                modulus_bits: 512,
+                ..
+            })
+        ));
+        // So does the top slot of the second pack, alone in it.
+        let cts: Vec<Ciphertext> = [&small, &small, &small, &small, &top]
+            .iter()
+            .map(|v| enc(v, &mut rng))
+            .collect();
+        assert!(sk.decrypt_packed(&cts, w).is_err());
+        // A lower slot at 2^w carries into the slot above it unseen:
+        // (0, 2^w) packs to 2^w, which is (1, 0). The bound is the
+        // caller's to enforce.
+        let cts = [enc(&BigUint::zero(), &mut rng), enc(&top, &mut rng)];
+        assert_eq!(
+            sk.decrypt_packed(&cts, w),
+            Ok(vec![BigUint::one(), BigUint::zero()])
+        );
+        // An empty batch decrypts to nothing.
+        assert_eq!(sk.decrypt_packed(&[], w), Ok(vec![]));
     }
 
     #[test]

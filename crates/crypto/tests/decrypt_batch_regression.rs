@@ -3,12 +3,11 @@
 //!
 //! `BENCH_crypto.json`'s first trajectory entry caught `decrypt_batch`
 //! at 2048-bit keys running ~45% *slower* per ciphertext than single
-//! `decrypt` calls. The batch now runs one ciphertext after another on
-//! one thread, and what it saves over singles is work, not cores: the
-//! leg exponent recodings are shared across the batch and the window
-//! tables and ladder buffers are allocated once per batch. This test
-//! pins the property at a CI scale: best-of-trials batch time must not
-//! exceed the per-item path by more than a generous noise margin.
+//! `decrypt` calls. The batch is now exactly per-ciphertext `decrypt`,
+//! one after another on one thread, so it must cost what the singles
+//! cost. This test pins the property at a CI scale: best-of-trials
+//! batch time must not exceed the per-item path by more than a generous
+//! noise margin.
 
 use std::time::{Duration, Instant};
 

@@ -3,7 +3,8 @@
 //! monomorphised kernel — `bignum/dyn_width_ops` counts calls at any
 //! other limb count and stays at zero. The 128- and 1024-bit shapes are
 //! pinned by a whole trading window in
-//! `crates/core/tests/kernel_width_coverage.rs`.
+//! `crates/core/tests/kernel_width_coverage.rs`. Along the way, a batch
+//! decryption counts one `crypto/modpow` ladder per ciphertext and leg.
 //!
 //! ONE `#[test]`: the telemetry collector and its counters are process
 //! global.
@@ -13,6 +14,18 @@ use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::DhGroup;
 use pem_crypto::paillier::Keypair;
 use pem_telemetry as telemetry;
+
+/// The ladder counter (every `Montgomery::modpow_recoded`).
+const MODPOW: &str = "crypto/modpow";
+
+/// A registered counter's current value.
+fn counter(name: &str) -> u64 {
+    telemetry::counter_snapshot()
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("{name} is registered"))
+}
 
 #[test]
 fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
@@ -32,7 +45,13 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
     let c2 = pk.try_encrypt_with(&m, &pooled[0]).expect("in range");
     let c3 = pk.try_encrypt_classic(&m, &mut rng).expect("in range");
     let cts = [c, c2, c3];
+    let ladders_before = counter(MODPOW);
     assert_eq!(sk.decrypt_batch(&cts), [m.clone(), m.clone(), m.clone()]);
+    assert_eq!(
+        counter(MODPOW) - ladders_before,
+        2 * cts.len() as u64,
+        "one ladder per ciphertext and CRT leg"
+    );
     // The packed fan-in folds on the same half-width legs.
     assert_eq!(
         sk.decrypt_packed(&cts, 98),
@@ -44,13 +63,9 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
     let x = BigUint::random_below(group.q(), &mut rng);
     assert_eq!(group.pow(group.g(), &x), group.pow_g(&x));
 
-    let dyn_width_ops = telemetry::counter_snapshot()
-        .iter()
-        .find(|(n, _)| *n == "bignum/dyn_width_ops")
-        .map(|(_, v)| *v)
-        .expect("bignum/dyn_width_ops is registered");
     assert_eq!(
-        dyn_width_ops, 0,
+        counter("bignum/dyn_width_ops"),
+        0,
         "a modulus fell off the kernel's specialised widths"
     );
     telemetry::uninstall();

@@ -80,9 +80,7 @@ proptest! {
         let cts: Vec<Ciphertext> = ms.iter().map(|m| pk.encrypt(m, &mut rng)).collect();
         let batch = sk.decrypt_batch(&cts);
         prop_assert_eq!(&batch, &ms);
-        for key in [sk.clone(), sk.without_crt()] {
-            prop_assert_eq!(key.decrypt_packed(&cts, SLOT_BITS), Ok(batch.clone()));
-        }
+        prop_assert_eq!(sk.decrypt_packed(&cts, SLOT_BITS), Ok(batch));
     }
 
     #[test]
@@ -104,22 +102,18 @@ proptest! {
         let floor = BigUint::one() << SLOT_BITS;
         ms[at] = &floor + &BigUint::random_below(&(pk.n() - &floor), &mut rng);
         let mut cts: Vec<Ciphertext> = ms.iter().map(|m| pk.encrypt(m, &mut rng)).collect();
-        for key in [sk.clone(), sk.without_crt()] {
-            prop_assert!(matches!(
-                key.decrypt_packed(&cts, SLOT_BITS),
-                Err(CryptoError::MessageTooLarge { .. })
-            ));
-        }
+        prop_assert!(matches!(
+            sk.decrypt_packed(&cts, SLOT_BITS),
+            Err(CryptoError::MessageTooLarge { .. })
+        ));
         cts[at] = pk.encrypt(&BigUint::zero(), &mut rng);
         prop_assert!(sk.decrypt_packed(&cts, SLOT_BITS).is_ok());
         cts[at] = Ciphertext::from_biguint(BigUint::random_coprime(pk.n_squared(), &mut rng));
         prop_assert!(pk.validate_ciphertext(&cts[at]).is_ok());
-        for key in [sk.clone(), sk.without_crt()] {
-            prop_assert!(matches!(
-                key.decrypt_packed(&cts, SLOT_BITS),
-                Err(CryptoError::MessageTooLarge { .. })
-            ));
-        }
+        prop_assert!(matches!(
+            sk.decrypt_packed(&cts, SLOT_BITS),
+            Err(CryptoError::MessageTooLarge { .. })
+        ));
     }
 }
 
@@ -174,13 +168,11 @@ proptest! {
     fn crt_decrypt_equals_classic_everywhere(v in any::<u64>(), seed in any::<u64>()) {
         let kp = shared_keypair();
         let sk = kp.private();
-        let legacy = sk.without_crt();
         let mut rng = HashDrbg::from_seed_label(b"crt-eq", seed);
         let m = BigUint::from(v);
         let c = kp.public().encrypt(&m, &mut rng);
         let fast = sk.decrypt(&c);
         prop_assert_eq!(&fast, &sk.decrypt_classic(&c));
-        prop_assert_eq!(&fast, &legacy.decrypt(&c));
         prop_assert_eq!(fast, m);
     }
 
@@ -201,7 +193,6 @@ proptest! {
         let mut rng = HashDrbg::from_seed_label(b"crt-half", seed ^ offset as u64);
         let c = pk.encrypt(&m, &mut rng);
         prop_assert_eq!(sk.decrypt(&c), sk.decrypt_classic(&c));
-        prop_assert_eq!(sk.decrypt_i128(&c), sk.without_crt().decrypt_i128(&c));
     }
 
     #[test]
@@ -210,9 +201,10 @@ proptest! {
         let sk = kp.private();
         let pk = kp.public();
         let mut rng = HashDrbg::from_seed_label(b"crt-signed", seed);
-        let c = pk.encrypt(&pk.encode_i128(v as i128), &mut rng);
+        let m = pk.encode_i128(v as i128);
+        let c = pk.encrypt(&m, &mut rng);
         prop_assert_eq!(sk.decrypt_i128(&c), Ok(v as i128));
-        prop_assert_eq!(sk.without_crt().decrypt_i128(&c), Ok(v as i128));
+        prop_assert_eq!(sk.decrypt_classic(&c), m);
     }
 
     #[test]
