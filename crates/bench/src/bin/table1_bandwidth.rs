@@ -60,7 +60,7 @@ fn main() {
         let mut total_bytes = 0u64;
         for &w in &windows {
             let out = pem.run_window(&trace.window_agents(w)).expect("window");
-            total_bytes += out.metrics.total_bytes();
+            total_bytes += out.net.total_bytes;
         }
         per_window_mb.push(total_bytes as f64 / windows.len() as f64 / 1e6);
     }

@@ -31,13 +31,16 @@ fn events() -> Vec<Event> {
         .collect()
 }
 
+/// One message per hostile label, plus a second on the first label so
+/// the per-label traffic counters have something to sum.
 fn msgs() -> Vec<MsgEvent> {
     HOSTILE
         .iter()
+        .chain(&HOSTILE[..1])
         .enumerate()
         .map(|(i, label)| MsgEvent {
             fabric: 3,
-            from: i,
+            from: i % HOSTILE.len(),
             to: (i + 1) % HOSTILE.len(),
             label,
             bytes: 100 + i as u64,
@@ -135,5 +138,36 @@ fn flow_pairs_share_an_id_and_bracket_the_flight() {
         );
         assert_eq!(f.get("tid").and_then(Json::as_f64), Some(m.to as f64));
         assert_eq!(f.get("bp").and_then(Json::as_str), Some("e"));
+    }
+    // One `net/<label>` counter sample per distinct label, summing that
+    // label's messages and bytes over the records handed in.
+    let traffic: Vec<&Json> = evs
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("C")
+                && e.get("name")
+                    .and_then(Json::as_str)
+                    .is_some_and(|n| n.starts_with("net/"))
+        })
+        .collect();
+    assert_eq!(traffic.len(), HOSTILE.len());
+    for label in HOSTILE {
+        let name = format!("net/{label}");
+        let sample = traffic
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(name.as_str()))
+            .unwrap_or_else(|| panic!("no traffic counter for {label:?}"));
+        let of_label = msgs.iter().filter(|m| m.label == label);
+        let arg = |key: &str| {
+            sample
+                .get("args")
+                .and_then(|a| a.get(key))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(arg("messages"), Some(of_label.clone().count() as f64));
+        assert_eq!(
+            arg("bytes"),
+            Some(of_label.map(|m| m.bytes).sum::<u64>() as f64)
+        );
     }
 }

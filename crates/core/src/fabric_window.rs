@@ -36,11 +36,9 @@ use crate::protocol3::PricingMachine;
 use crate::protocol4;
 use crate::randpool::RandomizerPool;
 
-/// Wall-clock and traffic sample opening a driver phase.
+/// Wall-clock sample opening a driver phase.
 struct PhaseStart {
     wall: Instant,
-    messages: u64,
-    bytes: u64,
     /// The open `window/<phase>` driver span.
     span: Span,
 }
@@ -176,14 +174,11 @@ impl<'a> Window<'a> {
         })
     }
 
-    /// Opens a driver phase: samples the wall clock and traffic counters
-    /// and enters the `window/<phase>` span on the virtual clock.
+    /// Opens a driver phase: samples the wall clock and enters the
+    /// `window/<phase>` span on the virtual clock.
     fn phase_open<T: Transport>(&mut self, net: &T, name: &'static str) {
-        let (messages, bytes) = net.traffic_totals();
         self.phase = Some(PhaseStart {
             wall: Instant::now(),
-            messages,
-            bytes,
             span: Span::enter_at(name, "driver", net.now_us()),
         });
     }
@@ -192,11 +187,8 @@ impl<'a> Window<'a> {
     fn phase_close<T: Transport>(&mut self, net: &T) -> PhaseMetrics {
         let start = self.phase.take().expect("a phase is open");
         start.span.finish_at(net.now_us());
-        let (messages, bytes) = net.traffic_totals();
         PhaseMetrics {
             elapsed: start.wall.elapsed(),
-            bytes: bytes - start.bytes,
-            messages: messages - start.messages,
         }
     }
 
@@ -484,14 +476,6 @@ mod tests {
         assert_eq!(a.buyer_count, b.buyer_count);
         assert_eq!(a.revealed, b.revealed);
         assert_eq!(a.net, b.net);
-        for (x, y) in [
-            (&a.metrics.market_evaluation, &b.metrics.market_evaluation),
-            (&a.metrics.pricing, &b.metrics.pricing),
-            (&a.metrics.distribution, &b.metrics.distribution),
-        ] {
-            assert_eq!(x.bytes, y.bytes);
-            assert_eq!(x.messages, y.messages);
-        }
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub use fabric_window::WindowTask;
 pub use fold::Topology;
 pub use keys::KeyDirectory;
 pub use metrics::{PhaseMetrics, WindowMetrics};
-pub use pem::{DaySummary, Pem, PemCheckpoint, PemWindowOutcome, RevealedInfo};
+pub use pem::{Pem, PemCheckpoint, PemWindowOutcome, RevealedInfo};
 pub use quantize::Quantizer;
 pub use randpool::{PoolStats, RandomizerPool};

@@ -1,19 +1,19 @@
-//! Measurement surface for the paper's Fig. 5 and Table I.
+//! Per-phase compute time: the measurement surface of the paper's Fig. 5.
+//!
+//! Traffic (Table I) is not metered here: a window's `NetStats` carries
+//! it per label, and the label prefix is the phase
+//! (`out.net.label_totals("eval/")`, `"price/"`, `"dist/"`).
 
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-/// Compute time and traffic of one protocol phase.
+/// Compute time of one protocol phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseMetrics {
     /// Wall-clock compute time of the phase.
     #[serde(with = "duration_micros")]
     pub elapsed: Duration,
-    /// Bytes put on the wire during the phase.
-    pub bytes: u64,
-    /// Messages sent during the phase.
-    pub messages: u64,
 }
 
 /// Per-window metrics, split by protocol phase.
@@ -31,16 +31,6 @@ impl WindowMetrics {
     /// Total compute time across phases.
     pub fn total_elapsed(&self) -> Duration {
         self.market_evaluation.elapsed + self.pricing.elapsed + self.distribution.elapsed
-    }
-
-    /// Total bytes across phases.
-    pub fn total_bytes(&self) -> u64 {
-        self.market_evaluation.bytes + self.pricing.bytes + self.distribution.bytes
-    }
-
-    /// Total messages across phases.
-    pub fn total_messages(&self) -> u64 {
-        self.market_evaluation.messages + self.pricing.messages + self.distribution.messages
     }
 }
 
@@ -70,22 +60,14 @@ mod tests {
         let m = WindowMetrics {
             market_evaluation: PhaseMetrics {
                 elapsed: Duration::from_millis(5),
-                bytes: 100,
-                messages: 3,
             },
             pricing: PhaseMetrics {
                 elapsed: Duration::from_millis(2),
-                bytes: 50,
-                messages: 2,
             },
             distribution: PhaseMetrics {
                 elapsed: Duration::from_millis(3),
-                bytes: 25,
-                messages: 1,
             },
         };
         assert_eq!(m.total_elapsed(), Duration::from_millis(10));
-        assert_eq!(m.total_bytes(), 175);
-        assert_eq!(m.total_messages(), 6);
     }
 }

@@ -4,9 +4,10 @@
 //! DRBG, the randomizer pool, the window counter — and runs trading
 //! windows over it. The window body itself (coalition formation, Private
 //! Market Evaluation, Private Pricing or the floor price, Private
-//! Distribution, with per-phase timing and byte metering for the Fig. 5 /
-//! Table I reproductions) lives in [`crate::fabric_window`]; every entry
-//! point here builds that one body and polls it to completion.
+//! Distribution, with the per-phase timing of the Fig. 5 reproduction)
+//! lives in [`crate::fabric_window`]; every entry point here builds that
+//! one body and polls it to completion. The window's traffic — Table I —
+//! is its [`NetStats`], split by phase on the label prefix.
 
 use pem_crypto::drbg::HashDrbg;
 use pem_fabric::Poll;
@@ -50,52 +51,15 @@ pub struct PemWindowOutcome {
     pub seller_count: usize,
     /// Buyer coalition size.
     pub buyer_count: usize,
-    /// Per-phase timing and traffic.
+    /// Per-phase compute time.
     pub metrics: WindowMetrics,
     /// The sanctioned information leakage of this window.
     pub revealed: RevealedInfo,
     /// Full per-party traffic counters for this window (what the grid
-    /// orchestrator merges across coalitions).
+    /// orchestrator merges across coalitions); per-phase traffic is
+    /// [`NetStats::label_totals`] over the phase prefix (`"eval/"`,
+    /// `"price/"`, `"dist/"`).
     pub net: NetStats,
-}
-
-/// Aggregates over a sequence of windows (a trading day).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DaySummary {
-    /// One outcome per window, in order.
-    pub outcomes: Vec<PemWindowOutcome>,
-    /// Total energy traded peer-to-peer (kWh).
-    pub total_traded: f64,
-    /// Total money settled (cents).
-    pub total_payments: f64,
-    /// Total protocol bytes on the wire.
-    pub total_bytes: u64,
-    /// Window counts per regime: `[general, extreme, no-market]`.
-    pub regime_counts: [usize; 3],
-}
-
-impl DaySummary {
-    fn fold(outcomes: Vec<PemWindowOutcome>) -> DaySummary {
-        let mut s = DaySummary {
-            total_traded: 0.0,
-            total_payments: 0.0,
-            total_bytes: 0,
-            regime_counts: [0; 3],
-            outcomes: Vec::new(),
-        };
-        for o in &outcomes {
-            s.total_traded += o.trades.iter().map(|t| t.energy).sum::<f64>();
-            s.total_payments += o.trades.iter().map(|t| t.payment).sum::<f64>();
-            s.total_bytes += o.metrics.total_bytes();
-            s.regime_counts[match o.kind {
-                MarketKind::General => 0,
-                MarketKind::Extreme => 1,
-                MarketKind::NoMarket => 2,
-            }] += 1;
-        }
-        s.outcomes = outcomes;
-        s
-    }
 }
 
 /// A snapshot of a market's mutable per-window state — the driver DRBG,
@@ -188,24 +152,6 @@ impl Pem {
         self.rng = cp.rng;
         self.pool = cp.pool;
         self.window_index = cp.window_index;
-    }
-
-    /// Runs a whole day: one call per window, aggregated.
-    ///
-    /// `day[w][i]` is agent `i`'s data in window `w`.
-    ///
-    /// # Errors
-    ///
-    /// The first window failure aborts the day.
-    pub fn run_day(
-        &mut self,
-        day: &[Vec<pem_market::AgentWindow>],
-    ) -> Result<DaySummary, PemError> {
-        let mut outcomes = Vec::with_capacity(day.len());
-        for window in day {
-            outcomes.push(self.run_window(window)?);
-        }
-        Ok(DaySummary::fold(outcomes))
     }
 
     /// Runs one trading window (Protocol 1, lines 3–10) on a fresh
@@ -409,7 +355,7 @@ mod tests {
         assert_eq!(out.kind, MarketKind::Extreme);
         assert_eq!(out.price, 90.0);
         // Pricing phase skipped → zero traffic there.
-        assert_eq!(out.metrics.pricing.bytes, 0);
+        assert_eq!(out.net.label_totals("price/").bytes, 0);
         assert!(out.revealed.seller_preference_sum.is_none());
     }
 
@@ -421,7 +367,7 @@ mod tests {
         assert_eq!(out.kind, MarketKind::NoMarket);
         assert_eq!(out.price, 120.0);
         assert!(out.trades.is_empty());
-        assert_eq!(out.metrics.total_bytes(), 0);
+        assert_eq!(out.net.total_bytes, 0);
     }
 
     #[test]
@@ -429,10 +375,10 @@ mod tests {
         let pop = population(&[2.0, -3.0, -1.0]);
         let mut pem = Pem::new(PemConfig::fast_test(), 3).expect("setup");
         let out = pem.run_window(&pop).expect("window");
-        assert!(out.metrics.market_evaluation.bytes > 0);
-        assert!(out.metrics.pricing.bytes > 0);
-        assert!(out.metrics.distribution.bytes > 0);
-        assert!(out.metrics.total_messages() > 0);
+        for phase in ["eval/", "price/", "dist/"] {
+            assert!(out.net.label_totals(phase).bytes > 0, "{phase}");
+        }
+        assert!(out.net.total_messages > 0);
         assert!(out.metrics.total_elapsed().as_nanos() > 0);
     }
 
@@ -463,29 +409,6 @@ mod tests {
         assert_eq!(o2.seller_count, 2);
         // Roles flipped: different agents trade.
         assert_ne!(o1.trades[0].seller, o2.trades[0].seller);
-    }
-
-    #[test]
-    fn run_day_aggregates() {
-        let mut pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let day = vec![
-            population(&[2.0, 1.0, -3.0, -2.0]),   // general
-            population(&[5.0, 4.0, -1.0, -0.5]),   // extreme
-            population(&[-1.0, -2.0, -0.5, -0.1]), // no market
-        ];
-        let s = pem.run_day(&day).expect("day");
-        assert_eq!(s.outcomes.len(), 3);
-        assert_eq!(s.regime_counts, [1, 1, 1]);
-        assert!(s.total_traded > 0.0);
-        assert!(s.total_payments > 0.0);
-        assert!(s.total_bytes > 0);
-        // Payments consistent with per-window prices.
-        let recomputed: f64 = s
-            .outcomes
-            .iter()
-            .flat_map(|o| o.trades.iter().map(move |t| t.energy * o.price))
-            .sum();
-        assert!((recomputed - s.total_payments).abs() < 1e-6);
     }
 
     #[test]
@@ -585,7 +508,10 @@ mod tests {
         assert_eq!(a.kind, b.kind);
         assert!((a.price - b.price).abs() < 1e-9);
         assert_eq!(a.trades, b.trades);
-        assert_eq!(a.metrics.pricing.messages, b.metrics.pricing.messages);
+        assert_eq!(
+            a.net.label_totals("price/").messages,
+            b.net.label_totals("price/").messages
+        );
     }
 
     #[test]

@@ -411,7 +411,7 @@ mod tests {
         // comparison, nothing revealed.
         let out = window(&[1.0, 2.0]);
         assert_eq!(out.kind, MarketKind::NoMarket);
-        assert_eq!(out.metrics.market_evaluation.messages, 0);
+        assert_eq!(out.net.label_totals("eval/").messages, 0);
         assert_eq!(out.revealed.masked_demand, None);
     }
 
@@ -467,12 +467,12 @@ mod tests {
         }
         // The garbled offer dominates: tables + labels + OT setups.
         assert!(labels["eval/gc-offer"].bytes > labels["eval/demand-agg"].bytes);
-        // The evaluation phase meters exactly Protocol 2's labels.
-        let eval_bytes: u64 = labels
+        // Every label sits under its phase's prefix, so the prefixes
+        // split the window's traffic exactly.
+        let phases: u64 = ["eval/", "price/", "dist/"]
             .iter()
-            .filter(|(label, _)| label.starts_with("eval/"))
-            .map(|(_, stats)| stats.bytes)
+            .map(|p| out.net.label_totals(p).bytes)
             .sum();
-        assert_eq!(out.metrics.market_evaluation.bytes, eval_bytes);
+        assert_eq!(phases, out.net.total_bytes);
     }
 }

@@ -124,7 +124,7 @@ fn bandwidth_scales_with_key_size() {
         // small fixed-size settlement floats); market evaluation is
         // dominated by the key-size-independent garbled circuit, so it is
         // excluded here.
-        out.metrics.pricing.bytes + out.metrics.distribution.bytes
+        out.net.label_totals("price/").bytes + out.net.label_totals("dist/").bytes
     };
     let small = bytes_at(128);
     let big = bytes_at(256);
@@ -151,7 +151,7 @@ fn runtime_metrics_are_monotone_in_population() {
     let msgs_at = |n: usize| -> u64 {
         let mut pem = Pem::new(PemConfig::fast_test(), n).expect("setup");
         let out = pem.run_window(&make_pop(n)).expect("window");
-        out.metrics.total_messages()
+        out.net.total_messages
     };
     let m6 = msgs_at(6);
     let m12 = msgs_at(12);

@@ -8,22 +8,19 @@
 //! bit-identical at any batch size; the batch bound only caps how many
 //! protocol instances are resident (memory) at once.
 
-use pem_telemetry::{Counter, LogHistogram};
+use pem_telemetry::Counter;
 
 /// Polls executed across all executor runs (telemetry; empty until a
 /// collector is installed).
 static POLLS: Counter = Counter::new();
 /// Scheduling visits to tasks that were not ready (skipped this round).
 static STALLS: Counter = Counter::new();
-/// Ready-queue depth sampled at the start of every scheduling round.
-static READY_DEPTH: LogHistogram = LogHistogram::new();
 
 fn register_fabric_metrics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         pem_telemetry::register_counter("fabric/polls", &POLLS);
         pem_telemetry::register_counter("fabric/stalls", &STALLS);
-        pem_telemetry::register_histogram("fabric/ready-depth", &READY_DEPTH);
     });
 }
 
@@ -157,7 +154,6 @@ impl Executor {
             }
 
             let ready = active.iter().filter(|(_, t)| t.is_ready()).count();
-            READY_DEPTH.record(ready as u64);
             report.peak_ready = report.peak_ready.max(ready);
 
             let mut progressed = false;

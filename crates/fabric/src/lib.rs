@@ -25,9 +25,8 @@
 //!   [`FabricTask`]s: seeded, poll-order-stable, bit-identical output at
 //!   any admission batch size. It is the only dispatcher of a grid's
 //!   coalition windows (one per lane), and its stall breaker is the only
-//!   deadline a window has. Ready-queue depth, poll and stall
-//!   counters flow through the `pem-telemetry` registry
-//!   (`fabric/polls`, `fabric/stalls`, `fabric/ready-depth`).
+//!   deadline a window has. Its poll and stall counters flow through
+//!   the `pem-telemetry` registry (`fabric/polls`, `fabric/stalls`).
 //!
 //! # Example
 //!

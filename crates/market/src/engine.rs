@@ -9,15 +9,19 @@ use crate::baseline::GridOnlyBaseline;
 use crate::price::{optimal_price, PriceBand};
 
 /// Market regime for a window (Protocol 2's output).
+///
+/// The discriminant is the regime's index everywhere one is needed:
+/// `[general, extreme, no-market]` counts (`kind as usize`) and the
+/// byte a fingerprint folds (`kind as u8`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MarketKind {
     /// `E_s < E_b`: buyers lead, price from the Stackelberg equilibrium.
-    General,
+    General = 0,
     /// `E_s ≥ E_b`: price pinned at the floor `p_l` (§III-C).
-    Extreme,
+    Extreme = 1,
     /// One side is empty — no peer-to-peer market this window; everyone
     /// falls back to the grid.
-    NoMarket,
+    NoMarket = 2,
 }
 
 /// The two coalitions of one trading window.

@@ -225,10 +225,6 @@ impl Transport for SimNetwork {
         self.pipe.stats.clone()
     }
 
-    fn traffic_totals(&self) -> (u64, u64) {
-        (self.pipe.stats.total_messages, self.pipe.stats.total_bytes)
-    }
-
     fn now_us(&self) -> u64 {
         self.pipe.critical_us
     }

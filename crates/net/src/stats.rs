@@ -46,12 +46,14 @@ impl NetStats {
         self.total_bytes += len as u64;
         self.sent_bytes[from] += len as u64;
         self.received_bytes[to] += len as u64;
-        let e = self.per_label.entry(label.to_string()).or_default();
+        // Labels are a small fixed protocol vocabulary: allocate the key
+        // on a label's first message only.
+        let e = match self.per_label.get_mut(label) {
+            Some(e) => e,
+            None => self.per_label.entry(label.to_string()).or_default(),
+        };
         e.messages += 1;
         e.bytes += len as u64;
-        // Mirror into the global telemetry registry (no-op when no
-        // collector is installed) so traces carry per-label traffic.
-        pem_telemetry::record_traffic(label, len as u64);
     }
 
     /// Merges another stats block into this one (used when a phase runs on
@@ -125,9 +127,9 @@ impl NetStats {
     }
 
     /// Sums the counters of every label starting with `prefix` — the
-    /// per-phase accounting surface (protocol phases namespace their
-    /// labels, e.g. `eval/`, `price/`, `couple/`). Used to audit that a
-    /// phase's traffic stays within its declared envelope.
+    /// per-phase traffic surface: protocol phases namespace their labels
+    /// (`eval/`, `price/`, `dist/`, `couple/`), so a window's Protocol 2
+    /// bytes and messages are `label_totals("eval/")`.
     pub fn label_totals(&self, prefix: &str) -> LabelStats {
         let mut out = LabelStats::default();
         for (label, s) in &self.per_label {

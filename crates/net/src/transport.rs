@@ -106,14 +106,6 @@ pub trait Transport {
     /// Snapshot of the accumulated traffic statistics.
     fn stats(&self) -> NetStats;
 
-    /// Cheap `(messages, bytes)` totals — what per-phase metering reads
-    /// between every protocol phase. Implementations should override
-    /// the default, which clones the full stats.
-    fn traffic_totals(&self) -> (u64, u64) {
-        let s = self.stats();
-        (s.total_messages, s.total_bytes)
-    }
-
     /// The virtual clock: critical-path latency (µs) of the traffic so
     /// far. Always zero under a zero-latency model.
     fn now_us(&self) -> u64;

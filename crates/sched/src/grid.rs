@@ -468,25 +468,6 @@ impl GridOrchestrator {
             .collect()
     }
 
-    /// Replaces the partitioner with a custom strategy (before the first
-    /// window; afterwards membership is fixed with the key material).
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Config`] if shards already exist.
-    pub fn with_partitioner(
-        mut self,
-        partitioner: Box<dyn Partitioner + Send + Sync>,
-    ) -> Result<GridOrchestrator, SchedError> {
-        if self.shards.is_some() {
-            return Err(SchedError::Config(
-                "cannot change partitioner after shards were formed".into(),
-            ));
-        }
-        self.partitioner = partitioner;
-        Ok(self)
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &GridConfig {
         &self.cfg
@@ -755,12 +736,7 @@ impl GridOrchestrator {
             net.merge_mapped(&outcome.net, &shard.members);
             cleared += outcome.trades.iter().map(|t| t.energy).sum::<f64>();
             payments += outcome.trades.iter().map(|t| t.payment).sum::<f64>();
-            let regime = match outcome.kind {
-                MarketKind::General => 0,
-                MarketKind::Extreme => 1,
-                MarketKind::NoMarket => 2,
-            };
-            regimes[regime] += 1;
+            regimes[outcome.kind as usize] += 1;
             if outcome.kind != MarketKind::NoMarket {
                 prices.push(outcome.price);
             }

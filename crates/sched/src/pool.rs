@@ -10,11 +10,8 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use pem_telemetry::{Counter, LogHistogram};
+use pem_telemetry::Counter;
 
-/// Shared-queue depth sampled at every job pop (telemetry; empty until a
-/// collector is installed).
-static QUEUE_DEPTH: LogHistogram = LogHistogram::new();
 /// Jobs run by a worker other than their round-robin home (`i % workers`)
 /// — how much the shared queue actually rebalances.
 static STEALS: Counter = Counter::new();
@@ -22,7 +19,6 @@ static STEALS: Counter = Counter::new();
 fn register_pool_metrics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        pem_telemetry::register_histogram("sched/queue-depth", &QUEUE_DEPTH);
         pem_telemetry::register_counter("sched/steals", &STEALS);
     });
 }
@@ -66,14 +62,9 @@ where
             let handles: Vec<_> = (0..spawned)
                 .map(|w| {
                     scope.spawn(move || loop {
-                        let (next, depth) = {
-                            let mut q = queue.lock().expect("queue lock");
-                            let next = q.pop_front();
-                            (next, q.len())
-                        };
+                        let next = queue.lock().expect("queue lock").pop_front();
                         match next {
                             Some((i, input)) => {
-                                QUEUE_DEPTH.record(depth as u64);
                                 if i % spawned != w {
                                     STEALS.incr();
                                 }

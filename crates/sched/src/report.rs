@@ -3,7 +3,6 @@
 use pem_core::{PemWindowOutcome, PoolStats};
 use pem_coupling::CouplingSummary;
 use pem_crypto::sha256;
-use pem_market::MarketKind;
 use pem_net::NetStats;
 use pem_telemetry::json::Json;
 use pem_telemetry::{json_object, CriticalPathReport, ProfileSummary};
@@ -42,11 +41,7 @@ impl ShardOutcome {
         for &m in &self.members {
             buf.extend_from_slice(&(m as u64).to_be_bytes());
         }
-        buf.push(match self.outcome.kind {
-            MarketKind::General => 0,
-            MarketKind::Extreme => 1,
-            MarketKind::NoMarket => 2,
-        });
+        buf.push(self.outcome.kind as u8);
         buf.extend_from_slice(&self.outcome.price.to_bits().to_be_bytes());
         buf.extend_from_slice(&(self.outcome.trades.len() as u64).to_be_bytes());
         for t in &self.outcome.trades {

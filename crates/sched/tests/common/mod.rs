@@ -25,7 +25,7 @@ use pem_core::{PemConfig, Topology};
 use pem_coupling::CouplingConfig;
 use pem_crypto::sha256;
 use pem_data::{TraceConfig, TraceGenerator};
-use pem_market::{AgentWindow, MarketKind};
+use pem_market::AgentWindow;
 use pem_net::LatencyModel;
 use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrategy, RetryPolicy};
 
@@ -189,11 +189,7 @@ pub fn market_fingerprints(reports: &[GridReport]) -> Vec<String> {
                 put(so.shard as u64);
                 put(so.members.len() as u64);
                 so.members.iter().for_each(|&m| put(m as u64));
-                put(match so.outcome.kind {
-                    MarketKind::General => 0,
-                    MarketKind::Extreme => 1,
-                    MarketKind::NoMarket => 2,
-                });
+                put(so.outcome.kind as u64);
                 put(so.outcome.price.to_bits());
                 put(so.outcome.trades.len() as u64);
                 for t in &so.outcome.trades {

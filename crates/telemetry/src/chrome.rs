@@ -1,9 +1,10 @@
 //! Chrome trace-event JSON export (`chrome://tracing` / Perfetto).
 //!
 //! Spans become `"ph": "X"` (complete) events on their recording
-//! thread's track; registered counters and the per-label traffic table
-//! are appended as `"ph": "C"` (counter) samples so the trace carries
-//! the whole observability surface in one file. Virtual-clock readings
+//! thread's track; registered counters and per-label traffic (folded
+//! from the message records, one `net/<label>` sample per label) are
+//! appended as `"ph": "C"` (counter) samples so the trace carries the
+//! whole observability surface in one file. Virtual-clock readings
 //! ride along in `args` (`vts_us` / `vdur_us`): wall time lays the
 //! track out, simulated protocol time is one click away.
 //!
@@ -19,16 +20,18 @@
 //! is still a [`Json`] value, so escaping and numbers follow
 //! [`crate::json`].
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::json::Json;
 use crate::json_object;
-use crate::registry::{counter_snapshot, traffic_snapshot};
+use crate::registry::counter_snapshot;
 use crate::{Event, MsgEvent};
 
-/// Renders `events` and `msgs` (plus the current counter and traffic
-/// snapshots) as a Chrome trace-event JSON document.
+/// Renders `events` and `msgs` (plus the current counter snapshot and
+/// the per-label traffic of `msgs`) as a Chrome trace-event JSON
+/// document.
 pub fn chrome_trace_json(events: &[Event], msgs: &[MsgEvent]) -> String {
     // The envelope renders through `Json` too; `traceEvents` sorts last,
     // so the rendering ends in `[]}` and the events go between those
@@ -55,10 +58,15 @@ pub fn chrome_trace_json(events: &[Event], msgs: &[MsgEvent]) -> String {
             "pid": 1u64, "tid": e.tid, "args": Json::obj(args),
         });
     }
+    // label → (messages, bytes), label-sorted like `NetStats::per_label`.
+    let mut traffic: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for m in msgs {
         // Virtual-time process per fabric, one track per party: the
         // message occupies the sender's track for its flight...
         let pid = 100 + m.fabric;
+        let t = traffic.entry(m.label).or_default();
+        t.0 += 1;
+        t.1 += m.bytes;
         push(json_object! {
             "name": m.label, "cat": "msg", "ph": "X", "ts": m.depart_us,
             "dur": m.arrival_us - m.depart_us, "pid": pid, "tid": m.from,
@@ -81,9 +89,9 @@ pub fn chrome_trace_json(events: &[Event], msgs: &[MsgEvent]) -> String {
     for (name, value) in counter_snapshot() {
         push(counter(name.to_string(), json_object! { "value": value }));
     }
-    for (label, t) in traffic_snapshot() {
-        let traffic = json_object! { "messages": t.messages, "bytes": t.bytes };
-        push(counter(format!("net/{label}"), traffic));
+    for (label, (messages, bytes)) in traffic {
+        let args = json_object! { "messages": messages, "bytes": bytes };
+        push(counter(format!("net/{label}"), args));
     }
     out.push('\n');
     out.push_str(tail);

@@ -9,18 +9,25 @@
 //!   (`Transport::now_us`, passed in as a plain `u64` so this crate
 //!   stays at the bottom of the dependency stack): a trace shows
 //!   *simulated* protocol time next to *real* compute time.
-//! * **Metrics registry** ([`Counter`], [`LogHistogram`]) — named
-//!   counters and fixed-bucket streaming log histograms. Instrumented
-//!   crates hold `static` instances (`const`-constructed, so no
-//!   allocation ever happens on the increment path) and register them
-//!   once by name; snapshots are pulled by exporters.
+//! * **Message journal** ([`MsgEvent`], [`record_msg`]) — one record
+//!   per send on the transport's virtual clock: sender, recipient,
+//!   label, bytes, departure and arrival.
+//! * **Metrics registry** ([`Counter`]) — named operation counters.
+//!   Instrumented crates hold `static` instances (`const`-constructed,
+//!   so no allocation ever happens on the increment path) and register
+//!   them once by name; snapshots are pulled by exporters.
 //! * **Exporters** — a Chrome trace-event JSON writer
 //!   ([`write_chrome_trace`], loadable in `chrome://tracing` or
-//!   Perfetto) and a flat per-phase [`ProfileSummary`] table folded
-//!   into grid reports.
+//!   Perfetto; its per-label `net/<label>` traffic counters are folded
+//!   from the message journal) and a flat per-phase [`ProfileSummary`]
+//!   table folded into grid reports.
 //! * **[`json`]** — the one JSON value type every artifact in the
 //!   workspace is rendered and parsed through: grid reports, the Chrome
 //!   trace, bench runs and `grid_doctor`'s verdict.
+//!
+//! Each observation has one recorder: spans record time, message
+//! records record flights, counters record operation counts. Traffic
+//! totals per label are `pem-net`'s `NetStats`, not a table here.
 //!
 //! ## Observation only
 //!
@@ -56,7 +63,6 @@ use std::time::Instant;
 
 pub mod causal;
 mod chrome;
-mod hist;
 pub mod json;
 mod profile;
 mod registry;
@@ -64,12 +70,8 @@ mod span;
 
 pub use causal::{CriticalPathReport, PathHop};
 pub use chrome::{chrome_trace_json, write_chrome_trace};
-pub use hist::{HistogramSnapshot, LogHistogram, BUCKET_COUNT};
 pub use profile::{ProfileRow, ProfileSummary};
-pub use registry::{
-    counter_snapshot, histogram_snapshot, record_traffic, register_counter, register_histogram,
-    reset_metrics, traffic_snapshot, Counter, LabelTraffic,
-};
+pub use registry::{counter_snapshot, register_counter, reset_metrics, Counter};
 pub use span::Span;
 
 /// One completed span, as pushed by a [`Span`] guard on drop.
@@ -144,16 +146,16 @@ thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Installs the global collector: spans start recording, counters and
-/// histograms start counting. Idempotent; returns `true` if the
-/// collector was newly installed.
+/// Installs the global collector: spans and message records start
+/// recording, counters start counting. Idempotent; returns `true` if
+/// the collector was newly installed.
 pub fn install() -> bool {
     let _ = EPOCH.get_or_init(Instant::now);
     !ENABLED.swap(true, Ordering::SeqCst)
 }
 
 /// Disables the collector and discards all buffered events and message
-/// records. Counters and histograms keep their accumulated values (use
+/// records. Counters keep their accumulated values (use
 /// [`reset_metrics`] to zero them).
 ///
 /// Watermarks taken before `uninstall` (via [`event_count`] /

@@ -5,10 +5,9 @@
 //! filtering, or in the unit suite instead.
 
 use pem_telemetry as telemetry;
-use telemetry::{Counter, LogHistogram, Span};
+use telemetry::{Counter, Span};
 
 static COUNTER: Counter = Counter::new();
-static HIST: LogHistogram = LogHistogram::new();
 
 #[test]
 fn everything_is_inert_before_install() {
@@ -20,18 +19,15 @@ fn everything_is_inert_before_install() {
     assert_eq!(telemetry::event_count(), 0);
     assert!(telemetry::drain().is_empty());
 
-    // Counters and histograms stay at zero.
+    // Counters stay at zero.
     telemetry::register_counter("disabled/counter", &COUNTER);
-    telemetry::register_histogram("disabled/hist", &HIST);
     COUNTER.add(10);
     COUNTER.incr();
-    HIST.record(1234);
     assert_eq!(COUNTER.get(), 0);
-    assert_eq!(HIST.count(), 0);
 
-    // Traffic mirroring is off.
-    telemetry::record_traffic("disabled/label", 99);
-    assert!(telemetry::traffic_snapshot().is_empty());
+    // Message records (the traffic journal) stay empty.
+    telemetry::record_msg(1, 0, 1, "disabled/label", 99, 0, 5);
+    assert_eq!(telemetry::msg_count(), 0);
 
     // The registry itself works (registration is not gated).
     assert!(telemetry::counter_snapshot()
@@ -42,11 +38,8 @@ fn everything_is_inert_before_install() {
     assert!(telemetry::install(), "first install returns true");
     assert!(!telemetry::install(), "second install is idempotent");
     COUNTER.add(2);
-    HIST.record(40);
-    telemetry::record_traffic("disabled/label", 99);
     Span::enter("disabled/now-live", "test").finish();
     assert_eq!(COUNTER.get(), 2);
-    assert_eq!(HIST.count(), 1);
     assert_eq!(telemetry::event_count(), 1);
 
     // Uninstall drops buffered events and re-gates the hot paths.

@@ -85,7 +85,8 @@ fn main() {
     let trace_path = arg("--trace", String::new());
     let json_path = arg("--json", String::new());
     if !trace_path.is_empty() || !json_path.is_empty() {
-        // Spans, counters and per-label traffic start recording; market
+        // Spans, counters and message records start recording (the
+        // trace folds its per-label traffic from the records); market
         // outputs are bit-identical either way.
         pem::telemetry::install();
     }

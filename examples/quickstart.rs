@@ -77,18 +77,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nper-phase cost:");
     let m = &outcome.metrics;
-    println!(
-        "  market evaluation : {:>8.2?}  {:>6} B  {:>3} msgs",
-        m.market_evaluation.elapsed, m.market_evaluation.bytes, m.market_evaluation.messages
-    );
-    println!(
-        "  pricing           : {:>8.2?}  {:>6} B  {:>3} msgs",
-        m.pricing.elapsed, m.pricing.bytes, m.pricing.messages
-    );
-    println!(
-        "  distribution      : {:>8.2?}  {:>6} B  {:>3} msgs",
-        m.distribution.elapsed, m.distribution.bytes, m.distribution.messages
-    );
+    for (name, phase, prefix) in [
+        ("market evaluation", m.market_evaluation, "eval/"),
+        ("pricing", m.pricing, "price/"),
+        ("distribution", m.distribution, "dist/"),
+    ] {
+        // A phase's traffic is every label under its prefix.
+        let traffic = outcome.net.label_totals(prefix);
+        println!(
+            "  {name:<17} : {:>8.2?}  {:>6} B  {:>3} msgs",
+            phase.elapsed, traffic.bytes, traffic.messages
+        );
+    }
 
     // Cross-check against the plaintext reference engine.
     let reference = MarketEngine::new(pem.config().band).run_window(&agents);

@@ -11,7 +11,7 @@
 
 use pem::core::{Pem, PemConfig};
 use pem::data::{coalition_series, TraceConfig, TraceGenerator};
-use pem::market::{MarketEngine, MarketKind, PriceBand};
+use pem::market::{MarketEngine, PriceBand};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceGenerator::new(TraceConfig {
@@ -44,11 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         grid_with += o.grid_interaction;
         grid_without += o.baseline.grid_interaction;
         traded += o.trades.iter().map(|t| t.energy).sum::<f64>();
-        regimes[match o.kind {
-            MarketKind::General => 0,
-            MarketKind::Extreme => 1,
-            MarketKind::NoMarket => 2,
-        }] += 1;
+        regimes[o.kind as usize] += 1;
     }
     let series = coalition_series(&trace);
     println!(
@@ -89,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             secure.kind,
             secure.price,
             secure.trades.len(),
-            secure.metrics.total_messages(),
+            secure.net.total_messages,
         );
     }
     Ok(())

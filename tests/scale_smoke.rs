@@ -35,9 +35,9 @@ fn fifty_agents_full_window() {
             let n = 50u64;
             let max_messages = 8 * n + 4 * n * n;
             assert!(
-                secure.metrics.total_messages() <= max_messages,
+                secure.net.total_messages <= max_messages,
                 "window {w}: {} messages",
-                secure.metrics.total_messages()
+                secure.net.total_messages
             );
         }
     }
