@@ -27,8 +27,9 @@
 
 use pem_bench::json::Json;
 use pem_bench::Args;
+use pem_core::block_on;
 use pem_core::fold::Topology;
-use pem_core::protocol3::PricingMachine;
+use pem_core::protocol3::price;
 use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;
@@ -80,19 +81,10 @@ fn main() {
         let mut measure = |topology: Topology| -> (f64, u64, u64, u64) {
             let mut net = SimNetwork::with_latency(n, LatencyModel::lan());
             let start = std::time::Instant::now();
-            let mut machine = PricingMachine::new(
-                &keys,
-                &agents,
-                &sellers,
-                &buyers,
-                &cfg,
-                topology,
-                &mut None,
-                &mut rng,
-                net.now_us(),
-            )
-            .expect("seller terms");
-            let out = pem_fabric::drive(&mut net, &mut machine).expect("pricing");
+            let out = block_on(price(
+                &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, &mut None, &mut rng,
+            ))
+            .expect("pricing");
             let elapsed_us = start.elapsed().as_micros() as u64;
             let bytes = net.stats().per_label["price/agg"].bytes;
             // Measured critical path of the aggregation + broadcast on

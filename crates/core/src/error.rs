@@ -40,10 +40,10 @@ impl PemError {
     ///
     /// Only a message that was lost, duplicated or withheld is an
     /// artifact of *this execution*: an empty mailbox
-    /// ([`NetError::Empty`] — also what the executor's stall breaker
-    /// ends a window waiting on a withheld message in) or a stray
-    /// message at its head ([`NetError::UnexpectedLabel`]) can clear on
-    /// a retry over a healthy fabric. Everything else is fatal. A frame
+    /// ([`NetError::Empty`] — also what a window waiting on a withheld
+    /// message ends in) or a stray message at its head
+    /// ([`NetError::UnexpectedLabel`]) can clear on a retry over a
+    /// healthy fabric. Everything else is fatal. A frame
     /// that fails to decode, a ciphertext or garbling that fails
     /// validation and a violated protocol invariant mean a peer sent
     /// something malformed — a retry would burn the budget on the same

@@ -1,27 +1,30 @@
-//! One PEM trading window as a poll-able stage machine — the only
-//! implementation of Protocol 1's window body.
+//! One PEM trading window as an `async fn` — the only implementation of
+//! Protocol 1's window body.
 //!
-//! `Window` sequences market evaluation, pricing and distribution over
-//! any [`Transport`], advancing by **one protocol message per poll**
-//! where the phase is a state machine ([`MaskedAggMachine`],
-//! [`PricingMachine`]) and inline at phase transitions where the
-//! sub-protocol is a strict two-party request/response (the
-//! garbled-circuit comparison) or pure local compute (Protocol 4's
-//! per-pair arithmetic, the randomizer-pool refill). Both ways of
-//! running a window are adapters over it: [`Pem::run_window_on`] polls
-//! it to completion on the caller's transport, and [`WindowTask`] pairs
-//! it with its own queue fabric so thousands of windows can share one
-//! executor thread, each owning its RNG stream, fabric and virtual
-//! clock — the outcome is bit-identical at any interleaving.
+//! `Window::run` is Protocol 1 in the order of the paper: market
+//! evaluation, pricing or the floor price, distribution. It awaits the
+//! poll-able protocols (Protocol 2's masked rings, Protocol 3) and runs
+//! the comparison, Protocol 4 and the randomizer-pool refill without a
+//! yield. Each receive of a poll-able protocol is one poll, and so is
+//! each of the three phase boundaries (after the supply ring, after the
+//! comparison and its broadcast, after pricing). Both ways of running a
+//! window drive the same future: [`Pem::run_window_on`] blocks on it on
+//! the caller's transport, and [`WindowTask`] boxes it with its own
+//! queue fabric so thousands of windows can share one executor thread,
+//! each owning its RNG stream, fabric and virtual clock — the outcome is
+//! bit-identical at any interleaving.
 //!
 //! [`Pem::run_window_on`]: crate::Pem::run_window_on
 
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Waker};
 use std::time::Instant;
 
 use pem_crypto::drbg::HashDrbg;
-use pem_fabric::{kickoff, step, FabricTask, Poll, ProtocolStateMachine};
+use pem_fabric::{yield_now, FabricTask, Poll};
 use pem_market::{AgentWindow, MarketKind, Role};
-use pem_net::{PartyId, SimNetwork, Transport};
+use pem_net::{SimNetwork, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
@@ -31,50 +34,41 @@ use crate::error::PemError;
 use crate::keys::KeyDirectory;
 use crate::metrics::{PhaseMetrics, WindowMetrics};
 use crate::pem::{PemWindowOutcome, RevealedInfo};
-use crate::protocol2::{self, MaskedAggMachine};
-use crate::protocol3::PricingMachine;
+use crate::protocol2;
+use crate::protocol3;
 use crate::protocol4;
 use crate::randpool::RandomizerPool;
 
-/// Wall-clock sample opening a driver phase.
-struct PhaseStart {
+/// A driver phase in progress: its wall-clock start and its open
+/// `window/<phase>` span on the virtual clock.
+struct Phase {
     wall: Instant,
-    /// The open `window/<phase>` driver span.
     span: Span,
 }
 
-/// Where the window currently stands.
-enum Stage<'a> {
-    /// One-sided window: the first poll reports immediately.
-    NoMarket,
-    /// The first poll opens Protocol 2.
-    EvalStart,
-    /// One of Protocol 2's masked rings in flight: demand toward `H_r1`,
-    /// then (`supply`) supply toward `H_r2`.
-    Eval {
-        supply: bool,
-        machine: MaskedAggMachine<'a>,
-        agg_span: Span,
-    },
-    /// Garbled-circuit comparison plus the result broadcast (inline).
-    EvalFinish,
-    /// The next poll opens Protocol 3 — or takes the floor price.
-    PriceStart,
-    /// Pricing aggregation/broadcast in flight.
-    Price { machine: PricingMachine<'a> },
-    /// Protocol 4 and the pool refill (inline), assembling the outcome.
-    Dist,
-    /// The outcome has been reported; the window must not be polled again.
-    Done,
+impl Phase {
+    fn open<T: Transport>(net: &T, name: &'static str) -> Phase {
+        Phase {
+            wall: Instant::now(),
+            span: Span::enter_at(name, "driver", net.now_us()),
+        }
+    }
+
+    fn close<T: Transport>(self, net: &T) -> PhaseMetrics {
+        self.span.finish_at(net.now_us());
+        PhaseMetrics {
+            elapsed: self.wall.elapsed(),
+        }
+    }
 }
 
-/// One trading window's body, transport-free: every poll is handed the
-/// fabric the window runs on.
+/// One trading window's body, transport-free: [`run`](Window::run) is
+/// handed the fabric the window runs on.
 ///
 /// Borrows its market's long-lived state (keys, RNG, randomizer pool)
 /// mutably for the window's whole life, which is exactly what makes the
-/// RNG stream sequential per market — construction and every poll draw
-/// in one fixed order, so outputs are bit-identical regardless of who
+/// RNG stream sequential per market — construction and the run draw in
+/// one fixed order, so outputs are bit-identical regardless of who
 /// polls or how windows interleave.
 pub(crate) struct Window<'a> {
     cfg: &'a PemConfig,
@@ -84,18 +78,7 @@ pub(crate) struct Window<'a> {
     agents: Vec<AgentCtx>,
     sellers: Vec<usize>,
     buyers: Vec<usize>,
-    window_span: Option<Span>,
-    phase: Option<PhaseStart>,
-    metrics: WindowMetrics,
-    revealed: RevealedInfo,
-    /// Protocol 2's designated parties (valid from `EvalStart` on).
-    hr1: usize,
-    hr2: usize,
-    /// Masked `(demand, supply)` totals out of the aggregation rings.
-    masked: (u128, u128),
-    general_market: bool,
-    price: f64,
-    stage: Stage<'a>,
+    window_span: Span,
 }
 
 impl<'a> Window<'a> {
@@ -128,7 +111,7 @@ impl<'a> Window<'a> {
             ));
         }
         let quantizer = cfg.quantizer();
-        let window_span = Some(Span::enter_at("window", "driver", net.now_us()));
+        let window_span = Span::enter_at("window", "driver", net.now_us());
 
         // Local step: every agent quantizes its data, draws this window's
         // nonce and claims a role (coalition formation).
@@ -145,14 +128,6 @@ impl<'a> Window<'a> {
             }
             agents.push(ctx);
         }
-
-        // One-sided windows: everyone falls back to the grid (Protocol 1
-        // handles `E_s = 0` this way; symmetric for no buyers).
-        let stage = if sellers.is_empty() || buyers.is_empty() {
-            Stage::NoMarket
-        } else {
-            Stage::EvalStart
-        };
         Ok(Window {
             cfg,
             keys,
@@ -162,268 +137,153 @@ impl<'a> Window<'a> {
             sellers,
             buyers,
             window_span,
-            phase: None,
-            metrics: WindowMetrics::default(),
-            revealed: RevealedInfo::default(),
-            hr1: 0,
-            hr2: 0,
-            masked: (0, 0),
-            general_market: false,
-            price: cfg.band.grid_retail,
-            stage,
         })
     }
 
-    /// Opens a driver phase: samples the wall clock and enters the
-    /// `window/<phase>` span on the virtual clock.
-    fn phase_open<T: Transport>(&mut self, net: &T, name: &'static str) {
-        self.phase = Some(PhaseStart {
-            wall: Instant::now(),
-            span: Span::enter_at(name, "driver", net.now_us()),
-        });
-    }
-
-    /// Closes the open phase, returning its metrics.
-    fn phase_close<T: Transport>(&mut self, net: &T) -> PhaseMetrics {
-        let start = self.phase.take().expect("a phase is open");
-        start.span.finish_at(net.now_us());
-        PhaseMetrics {
-            elapsed: start.wall.elapsed(),
-        }
-    }
-
-    /// Assembles the window outcome (the terminal step).
-    fn finish<T: Transport>(
-        &mut self,
-        net: &T,
-        kind: MarketKind,
-        trades: Vec<pem_market::Trade>,
-    ) -> PemWindowOutcome {
-        if let Some(span) = self.window_span.take() {
-            span.finish_at(net.now_us());
-        }
-        PemWindowOutcome {
-            kind,
-            price: self.price,
-            trades,
-            seller_count: self.sellers.len(),
-            buyer_count: self.buyers.len(),
-            metrics: std::mem::take(&mut self.metrics),
-            revealed: std::mem::take(&mut self.revealed),
-            net: net.stats(),
-        }
-    }
-
-    /// Opens one of Protocol 2's masked rings on `net`: demand —
-    /// `Σ(|sn_j| + r_j) + Σ r_i` under `H_r1`'s key — or, with `supply`,
-    /// supply — `Σ(sn_i + r_i) + Σ r_j` under `H_r2`'s key.
-    fn open_ring<T: Transport>(
-        &mut self,
-        net: &mut T,
-        supply: bool,
-    ) -> Result<Stage<'a>, PemError> {
-        let (collector, holders, maskers, role, label) = if supply {
-            let label = "eval/supply-agg";
-            (self.hr2, &self.sellers, &self.buyers, Role::Seller, label)
-        } else {
-            let label = "eval/demand-agg";
-            (self.hr1, &self.buyers, &self.sellers, Role::Buyer, label)
-        };
-        let agg_span = Span::enter_at(label, "protocol", net.now_us());
-        let mut machine = MaskedAggMachine::new(
-            self.keys,
-            &self.agents,
-            collector,
-            holders,
-            maskers,
-            role,
-            label,
-            self.pool,
-            self.rng,
-        )?;
-        kickoff(net, &mut machine)?;
-        Ok(Stage::Eval {
-            supply,
-            machine,
-            agg_span,
-        })
-    }
-
-    /// The `(recipient, label)` the next poll will receive, or `None`
-    /// when it computes locally (or the window is done).
-    fn expecting(&self) -> Option<(PartyId, &'static str)> {
-        match &self.stage {
-            Stage::Eval { machine, .. } => machine.expecting(),
-            Stage::Price { machine } => machine.expecting(),
-            _ => None,
-        }
-    }
-
-    /// Advances the window by one step on `net`.
+    /// Runs the window on `net` to its outcome.
     ///
     /// # Errors
     ///
-    /// Crypto, codec and network failures; a receive whose message has
-    /// not arrived surfaces the transport's typed error, never a block.
-    /// [`PemError::Protocol`] once the outcome has been reported.
-    pub(crate) fn poll<T: Transport>(
-        &mut self,
-        net: &mut T,
-    ) -> Result<Poll<PemWindowOutcome>, PemError> {
-        match std::mem::replace(&mut self.stage, Stage::Done) {
-            Stage::NoMarket => Ok(Poll::Ready(self.finish(
+    /// Crypto, codec and network failures. A receive whose message has
+    /// not arrived is the transport's typed error, never a wait.
+    pub(crate) async fn run<T: Transport>(self, net: &mut T) -> Result<PemWindowOutcome, PemError> {
+        let Window {
+            cfg,
+            keys,
+            rng,
+            pool,
+            agents,
+            sellers,
+            buyers,
+            window_span,
+        } = self;
+        let mut metrics = WindowMetrics::default();
+        let mut revealed = RevealedInfo::default();
+        // One-sided windows: everyone falls back to the grid (Protocol 1
+        // handles `E_s = 0` this way; symmetric for no buyers).
+        let (kind, price, trades) = if sellers.is_empty() || buyers.is_empty() {
+            (MarketKind::NoMarket, cfg.band.grid_retail, Vec::new())
+        } else {
+            // Protocol 2: demand toward H_r1 — `Σ(|sn_j| + r_j) + Σ r_i`
+            // under its key — then supply toward H_r2 — `Σ(sn_i + r_i) +
+            // Σ r_j` — then the comparison and its one-bit broadcast.
+            let eval = Phase::open(net, "window/eval");
+            let hr1 = sellers[rng.gen_range(0..sellers.len())];
+            let hr2 = buyers[rng.gen_range(0..buyers.len())];
+            let demand = protocol2::masked_total(
                 net,
-                MarketKind::NoMarket,
-                Vec::new(),
-            ))),
+                keys,
+                &agents,
+                hr1,
+                &buyers,
+                &sellers,
+                "eval/demand-agg",
+                pool,
+                rng,
+            )
+            .await?;
+            let supply = protocol2::masked_total(
+                net,
+                keys,
+                &agents,
+                hr2,
+                &sellers,
+                &buyers,
+                "eval/supply-agg",
+                pool,
+                rng,
+            )
+            .await?;
+            yield_now().await;
+            let general = protocol2::run_compare(net, cfg, hr1, hr2, demand, supply, rng)?;
+            protocol2::broadcast_result(net, hr1, agents.len(), general)?;
+            metrics.market_evaluation = eval.close(net);
+            revealed.masked_demand = Some(demand);
+            revealed.masked_supply = Some(supply);
+            yield_now().await;
 
-            Stage::EvalStart => {
-                self.phase_open(net, "window/eval");
-                self.hr1 = self.sellers[self.rng.gen_range(0..self.sellers.len())];
-                self.hr2 = self.buyers[self.rng.gen_range(0..self.buyers.len())];
-                self.stage = self.open_ring(net, false)?;
-                Ok(Poll::Pending)
-            }
-
-            Stage::Eval {
-                supply,
-                mut machine,
-                agg_span,
-            } => {
-                match step(net, &mut machine)? {
-                    None => {
-                        self.stage = Stage::Eval {
-                            supply,
-                            machine,
-                            agg_span,
-                        }
-                    }
-                    Some(total) => {
-                        agg_span.finish_at(net.now_us());
-                        if supply {
-                            self.masked.1 = total;
-                            self.stage = Stage::EvalFinish;
-                        } else {
-                            self.masked.0 = total;
-                            self.stage = self.open_ring(net, true)?;
-                        }
-                    }
-                }
-                Ok(Poll::Pending)
-            }
-
-            Stage::EvalFinish => {
-                // Two-party lock-step request/response: running it inline
-                // costs the executor at most one GC comparison per poll.
-                self.general_market = protocol2::run_compare(
+            // Protocol 3 in a general market, the floor price otherwise.
+            let price = if general {
+                let phase = Phase::open(net, "window/price");
+                let pricing = protocol3::price(
                     net,
-                    self.cfg,
-                    self.hr1,
-                    self.hr2,
-                    self.masked.0,
-                    self.masked.1,
-                    self.rng,
-                )?;
-                protocol2::broadcast_result(net, self.hr1, self.agents.len(), self.general_market)?;
-                self.metrics.market_evaluation = self.phase_close(net);
-                self.revealed.masked_demand = Some(self.masked.0);
-                self.revealed.masked_supply = Some(self.masked.1);
-                self.stage = Stage::PriceStart;
-                Ok(Poll::Pending)
+                    keys,
+                    &agents,
+                    &sellers,
+                    &buyers,
+                    cfg,
+                    cfg.topology,
+                    pool,
+                    rng,
+                )
+                .await?;
+                metrics.pricing = phase.close(net);
+                revealed.seller_preference_sum = Some(pricing.k_sum);
+                revealed.seller_denominator_sum = Some(pricing.denominator_sum);
+                pricing.price
+            } else {
+                cfg.band.floor
+            };
+            yield_now().await;
+
+            // Protocol 4.
+            let phase = Phase::open(net, "window/dist");
+            let dist = protocol4::run(
+                net, keys, &agents, &sellers, &buyers, price, general, cfg, pool, rng,
+            )?;
+            metrics.distribution = phase.close(net);
+            revealed.allocation_ratios = dist.ratios;
+
+            // Off-critical-path step: top the randomizer pool back up so
+            // the next window's encryptions are all pre-amortized. Runs
+            // after the phase timers, so it never pollutes the hot-path
+            // metrics.
+            if let Some(pool) = pool.as_mut() {
+                let refill_span = Span::enter("window/pool-refill", "driver");
+                pool.refill(keys);
+                refill_span.finish();
             }
-
-            Stage::PriceStart => {
-                if self.general_market {
-                    self.phase_open(net, "window/price");
-                    let mut machine = PricingMachine::new(
-                        self.keys,
-                        &self.agents,
-                        &self.sellers,
-                        &self.buyers,
-                        self.cfg,
-                        self.cfg.topology,
-                        self.pool,
-                        self.rng,
-                        net.now_us(),
-                    )?;
-                    kickoff(net, &mut machine)?;
-                    self.stage = Stage::Price { machine };
-                } else {
-                    self.price = self.cfg.band.floor;
-                    self.stage = Stage::Dist;
-                }
-                Ok(Poll::Pending)
-            }
-
-            Stage::Price { mut machine } => {
-                match step(net, &mut machine)? {
-                    None => self.stage = Stage::Price { machine },
-                    Some(pricing) => {
-                        self.metrics.pricing = self.phase_close(net);
-                        self.revealed.seller_preference_sum = Some(pricing.k_sum);
-                        self.revealed.seller_denominator_sum = Some(pricing.denominator_sum);
-                        self.price = pricing.price;
-                        self.stage = Stage::Dist;
-                    }
-                }
-                Ok(Poll::Pending)
-            }
-
-            Stage::Dist => {
-                self.phase_open(net, "window/dist");
-                let dist = protocol4::run(
-                    net,
-                    self.keys,
-                    &self.agents,
-                    &self.sellers,
-                    &self.buyers,
-                    self.price,
-                    self.general_market,
-                    self.cfg,
-                    self.pool,
-                    self.rng,
-                )?;
-                self.metrics.distribution = self.phase_close(net);
-                self.revealed.allocation_ratios = dist.ratios.clone();
-
-                // Off-critical-path step: top the randomizer pool back up
-                // so the next window's encryptions are all pre-amortized.
-                // Runs after the phase timers, so it never pollutes the
-                // hot-path metrics.
-                if let Some(pool) = self.pool.as_mut() {
-                    let refill_span = Span::enter("window/pool-refill", "driver");
-                    pool.refill(self.keys);
-                    refill_span.finish();
-                }
-
-                let kind = if self.general_market {
-                    MarketKind::General
-                } else {
-                    MarketKind::Extreme
-                };
-                Ok(Poll::Ready(self.finish(net, kind, dist.trades)))
-            }
-
-            Stage::Done => Err(PemError::Protocol("polled a completed window")),
-        }
+            let kind = if general {
+                MarketKind::General
+            } else {
+                MarketKind::Extreme
+            };
+            (kind, price, dist.trades)
+        };
+        window_span.finish_at(net.now_us());
+        Ok(PemWindowOutcome {
+            kind,
+            price,
+            trades,
+            seller_count: sellers.len(),
+            buyer_count: buyers.len(),
+            metrics,
+            revealed,
+            net: net.stats(),
+        })
     }
 }
 
+/// The boxed future of a window that owns its fabric.
+type WindowFuture<'a> = Pin<Box<dyn Future<Output = Result<PemWindowOutcome, PemError>> + 'a>>;
+
 /// One trading window with its own queue fabric: the unit an
-/// [`Executor`] multiplexes. A window waiting on a message that never
-/// arrives reports itself unready; the executor's stall breaker then
-/// force-polls it into its typed receive error, so a wedged window
-/// frees its slot without any deadline of its own.
+/// [`Executor`] multiplexes. It is ready until it finishes. A poll
+/// advances the window to its next yield; a message that never arrives
+/// ends the window in its receive error (`NetError::Empty`) at the poll
+/// that wanted it.
 ///
 /// [`Executor`]: pem_fabric::Executor
 pub struct WindowTask<'a> {
-    window: Window<'a>,
-    net: SimNetwork,
+    /// `None` once the window has finished.
+    run: Option<WindowFuture<'a>>,
 }
 
 impl<'a> WindowTask<'a> {
-    pub(crate) fn new(window: Window<'a>, net: SimNetwork) -> WindowTask<'a> {
-        WindowTask { window, net }
+    pub(crate) fn new(window: Window<'a>, mut net: SimNetwork) -> WindowTask<'a> {
+        WindowTask {
+            run: Some(Box::pin(async move { window.run(&mut net).await })),
+        }
     }
 }
 
@@ -432,25 +292,30 @@ impl FabricTask for WindowTask<'_> {
     type Error = PemError;
 
     fn poll(&mut self) -> Result<Poll<PemWindowOutcome>, PemError> {
-        self.window.poll(&mut self.net)
+        let run = self
+            .run
+            .as_mut()
+            .ok_or(PemError::Protocol("polled a completed window"))?;
+        match run.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            std::task::Poll::Pending => Ok(Poll::Pending),
+            std::task::Poll::Ready(outcome) => {
+                self.run = None;
+                outcome.map(Poll::Ready)
+            }
+        }
     }
 
     fn is_ready(&self) -> bool {
-        // A poll makes progress unless it would receive a message that
-        // has not arrived. Phases that compute locally are always ready.
-        !matches!(self.window.stage, Stage::Done)
-            && self
-                .window
-                .expecting()
-                .is_none_or(|(to, _)| self.net.has_message(to))
+        self.run.is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::Topology;
     use crate::pem::Pem;
-    use pem_fabric::Executor;
+    use pem_fabric::{Executor, ExecutorReport};
 
     fn population(surpluses: &[f64]) -> Vec<AgentWindow> {
         surpluses
@@ -563,7 +428,7 @@ mod tests {
         let (results, _) = Executor::new(0).run_collect(vec![stalled, healthy]);
         assert!(
             matches!(&results[0], Err(PemError::Net(NetError::Empty { .. }))),
-            "the stall breaker ends the stalled window in its receive error: {:?}",
+            "the stalled window ends in its receive error at its next poll: {:?}",
             results[0]
         );
         let out = results[1].as_ref().expect("healthy window completes");
@@ -575,12 +440,9 @@ mod tests {
         let pop = population(&[2.0, -1.0]);
         let mut pem = Pem::new(PemConfig::fast_test(), 2).expect("setup");
         let mut task = pem.fabric_window(&pop).expect("task");
-        // Local phases are always ready; machine phases only once the
-        // expected message is queued (kickoff precedes the first step,
-        // so single-window polling never stalls).
         let mut polls = 0usize;
         loop {
-            assert!(task.is_ready(), "single window never waits");
+            assert!(task.is_ready(), "a running window is ready");
             match task.poll().expect("poll") {
                 Poll::Pending => polls += 1,
                 Poll::Ready(out) => {
@@ -590,7 +452,53 @@ mod tests {
             }
             assert!(polls < 10_000, "window must terminate");
         }
-        assert!(!task.is_ready(), "completed tasks report not-ready");
+        assert!(!task.is_ready(), "a finished window is not");
+    }
+
+    #[test]
+    fn executor_schedule_is_pinned() {
+        // The general, extreme and no-market populations, and the
+        // general one again with tree pricing: one poll per receive of
+        // a ring or of pricing, plus the phase boundaries. A lost or
+        // added yield moves these counts.
+        let general = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
+        let tree = PemConfig::fast_test().with_topology(Topology::tree());
+        let cases = [
+            (PemConfig::fast_test(), general.clone()),
+            (PemConfig::fast_test(), population(&[5.0, 4.0, -1.0])),
+            (PemConfig::fast_test(), population(&[-1.0, -2.0, -0.5])),
+            (tree, general),
+        ];
+        let market = |(cfg, pop): &(PemConfig, Vec<AgentWindow>)| {
+            Pem::new(cfg.clone(), pop.len()).expect("setup")
+        };
+        let solo: Vec<u64> = cases
+            .iter()
+            .map(|case| {
+                let mut pem = market(case);
+                let task = pem.fabric_window(&case.1).expect("task");
+                Executor::new(0).run(vec![task]).expect("window").1.polls
+            })
+            .collect();
+        assert_eq!(solo, [18, 8, 1, 18], "polls per window alone");
+        let mut pems: Vec<Pem> = cases.iter().map(market).collect();
+        let tasks: Vec<WindowTask<'_>> = pems
+            .iter_mut()
+            .zip(&cases)
+            .map(|(pem, (_, pop))| pem.fabric_window(pop).expect("task"))
+            .collect();
+        let (results, report) = Executor::new(2).run_collect(tasks);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(
+            report,
+            ExecutorReport {
+                polls: 45,
+                stalls: 0,
+                peak_resident: 2,
+                peak_ready: 2,
+                completed: 4,
+            }
+        );
     }
 
     #[test]

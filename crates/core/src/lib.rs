@@ -18,6 +18,11 @@
 //!   allocation ratios; pairwise amounts `e_ij` and payments `m_ji` are
 //!   then routed peer-to-peer.
 //!
+//! The message-driven steps — the fold, Protocol 2's rings, Protocol 3
+//! and the trading window itself ([`fabric_window`]) — are `async fn`s
+//! that yield before each receive. [`block_on`] runs one to completion;
+//! a [`WindowTask`] hands a window's polls to a `pem_fabric::Executor`.
+//!
 //! Every quantity PEM computes equals the plaintext reference in
 //! `pem-market` up to the fixed-point grid ([`Quantizer`]); integration
 //! tests assert this across whole generated days.
@@ -64,5 +69,6 @@ pub use fold::Topology;
 pub use keys::KeyDirectory;
 pub use metrics::{PhaseMetrics, WindowMetrics};
 pub use pem::{Pem, PemCheckpoint, PemWindowOutcome, RevealedInfo};
+pub use pem_fabric::block_on;
 pub use quantize::Quantizer;
 pub use randpool::{PoolStats, RandomizerPool};

@@ -6,11 +6,12 @@
 //! Market Evaluation, Private Pricing or the floor price, Private
 //! Distribution, with the per-phase timing of the Fig. 5 reproduction)
 //! lives in [`crate::fabric_window`]; every entry point here builds that
-//! one body and polls it to completion. The window's traffic — Table I —
+//! one body and either blocks on it or hands it to an executor as a
+//! [`WindowTask`](crate::WindowTask). The window's traffic — Table I —
 //! is its [`NetStats`], split by phase on the label prefix.
 
 use pem_crypto::drbg::HashDrbg;
-use pem_fabric::Poll;
+use pem_fabric::block_on;
 use pem_market::{MarketKind, Trade};
 use pem_net::{FaultPlan, NetStats, SimNetwork, Transport};
 use serde::{Deserialize, Serialize};
@@ -228,8 +229,8 @@ impl Pem {
     /// [`WindowTask`](crate::fabric_window::WindowTask) for a fabric
     /// executor, instead of running it to completion here. The task
     /// borrows this market mutably until it completes; its outcome is
-    /// bit-identical to [`run_window`](Pem::run_window), which polls the
-    /// same window body.
+    /// bit-identical to [`run_window`](Pem::run_window), which blocks on
+    /// the same window future.
     ///
     /// # Errors
     ///
@@ -276,12 +277,8 @@ impl Pem {
         net: &mut T,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<PemWindowOutcome, PemError> {
-        let mut window = self.window(net, window_data)?;
-        loop {
-            if let Poll::Ready(outcome) = window.poll(net)? {
-                return Ok(outcome);
-            }
-        }
+        let window = self.window(net, window_data)?;
+        block_on(window.run(net))
     }
 
     /// The default per-window fabric: a fresh [`SimNetwork`] carrying

@@ -17,6 +17,11 @@
 //! Per Lemma 2 nobody learns anything beyond that bit: the ring parties
 //! see only ciphertexts, and the masked totals are uniformly random in
 //! the nonce range.
+//!
+//! The two rings are one `async fn` (`masked_total`) over [`crate::fold`],
+//! yielding before each receive. The comparison and the broadcast are
+//! strict request/response and run without a yield. The trading window
+//! (`crate::fabric_window`) is the only code that sequences the four.
 
 use pem_bignum::BigUint;
 use pem_circuit::compare::{
@@ -27,123 +32,66 @@ use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{OtCiphertexts, OtReceiverReply, OtSenderSetup};
-use pem_fabric::{Outbound, ProtocolStateMachine, Transition};
-use pem_market::Role;
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{Envelope, PartyId, Transport};
+use pem_net::{PartyId, Transport};
 use pem_telemetry::Span;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
-use crate::fold::{FoldMachine, Topology};
+use crate::fold::{fold, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
-/// The nonce-masked ring aggregation of Protocol 2 as a poll-able state
-/// machine: the [`FoldMachine`] at `K = 1` over the ring, then the
-/// collector adds its own nonce and decrypts. The trading window
-/// (`crate::fabric_window`) is the only code that sequences the two
-/// rings, the comparison and the result broadcast.
+/// One of Protocol 2's nonce-masked rings: demand toward `H_r1` or
+/// supply toward `H_r2`. The chain is the value holders first, then the
+/// masking coalition minus the collector. `value_holders` contribute
+/// `|sn| + nonce`, `maskers` only their nonces. Every contribution is
+/// encrypted in chain order before the first send, then folded along
+/// the ring (one receive per poll); the collector adds its own nonce
+/// and decrypts the masked total.
 ///
-/// Every encryption is performed at construction, in chain order, so
-/// the RNG and randomizer-pool streams (and therefore every ciphertext
-/// bit) are identical whether the window is polled in a loop or
-/// interleaved with thousands of peers on an executor.
-pub struct MaskedAggMachine<'a> {
-    keys: &'a KeyDirectory,
+/// # Errors
+///
+/// Encryption, transport and decode failures; [`PemError::Protocol`] on
+/// an empty chain or a total above 128 bits.
+#[allow(clippy::too_many_arguments)]
+pub(crate) async fn masked_total<T: Transport>(
+    net: &mut T,
+    keys: &KeyDirectory,
+    agents: &[AgentCtx],
     collector: usize,
-    /// The collector's locally-added nonce.
-    collector_nonce: u64,
-    fold: FoldMachine<'a, 1>,
-}
-
-impl<'a> MaskedAggMachine<'a> {
-    /// Builds the machine: forms the chain (value holders first, then
-    /// the masking coalition minus the collector) and encrypts every
-    /// contribution up front, in chain order. `value_holders` contribute
-    /// `|sn| + nonce`, `maskers` only their nonces.
-    ///
-    /// # Errors
-    ///
-    /// Encryption failures; [`PemError::Protocol`] on an empty chain.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        keys: &'a KeyDirectory,
-        agents: &[AgentCtx],
-        collector: usize,
-        value_holders: &[usize],
-        maskers: &[usize],
-        value_role: Role,
-        label: &'static str,
-        pool: &mut Option<RandomizerPool>,
-        rng: &mut HashDrbg,
-    ) -> Result<MaskedAggMachine<'a>, PemError> {
-        let pk = keys.public(collector);
-        let contribution = |idx: usize| -> BigUint {
-            let a = &agents[idx];
-            if a.role == value_role {
-                BigUint::from(a.sn_abs_q) + BigUint::from(a.nonce)
-            } else {
-                BigUint::from(a.nonce)
-            }
+    value_holders: &[usize],
+    maskers: &[usize],
+    label: &'static str,
+    pool: &mut Option<RandomizerPool>,
+    rng: &mut HashDrbg,
+) -> Result<u128, PemError> {
+    let span = Span::enter_at(label, "protocol", net.now_us());
+    let pk = keys.public(collector);
+    let mut chain: Vec<usize> = value_holders.to_vec();
+    chain.extend(maskers.iter().copied().filter(|&m| m != collector));
+    let mut own = Vec::with_capacity(chain.len());
+    for (pos, &member) in chain.iter().enumerate() {
+        let a = &agents[member];
+        let value = if pos < value_holders.len() {
+            BigUint::from(a.sn_abs_q) + BigUint::from(a.nonce)
+        } else {
+            BigUint::from(a.nonce)
         };
-        let mut chain: Vec<usize> = value_holders.to_vec();
-        chain.extend(maskers.iter().copied().filter(|&m| m != collector));
-        let mut own = Vec::with_capacity(chain.len());
-        for &member in &chain {
-            own.push([randpool::encrypt_under(
-                pk,
-                collector,
-                &contribution(member),
-                pool,
-                rng,
-            )?]);
-        }
-        Ok(MaskedAggMachine {
-            keys,
-            collector,
-            collector_nonce: agents[collector].nonce,
-            fold: FoldMachine::new(pk, &chain, collector, label, Topology::Ring, own)?,
-        })
+        own.push([randpool::encrypt_under(pk, collector, &value, pool, rng)?]);
     }
-}
-
-impl ProtocolStateMachine for MaskedAggMachine<'_> {
-    type Output = u128;
-    type Error = PemError;
-
-    fn initial_messages(&mut self) -> Result<Vec<Outbound>, PemError> {
-        self.fold.initial_messages()
-    }
-
-    fn expecting(&self) -> Option<(PartyId, &'static str)> {
-        self.fold.expecting()
-    }
-
-    fn on_message(&mut self, env: Envelope) -> Result<Transition<u128>, PemError> {
-        match self.fold.on_message(env)? {
-            Transition::Continue => Ok(Transition::Continue),
-            Transition::Send(outs) => Ok(Transition::Send(outs)),
-            Transition::Done(([received], _)) => {
-                // The collector contributes its own nonce locally and
-                // decrypts — the k = 1 shape of the fused affine update
-                // (Enc(a) ↦ Enc(a + b)).
-                let own = BigUint::from(self.collector_nonce);
-                let pk = self.keys.public(self.collector);
-                let total_ct = pk.affine(&received, &BigUint::one(), &own);
-                let total = self
-                    .keys
-                    .keypair(self.collector)
-                    .private()
-                    .decrypt(&total_ct);
-                let total = total
-                    .to_u128()
-                    .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
-                Ok(Transition::Done(total))
-            }
-        }
-    }
+    let ([received], _) = fold(net, pk, &chain, collector, label, Topology::Ring, own).await?;
+    // The collector contributes its own nonce locally and decrypts — the
+    // k = 1 shape of the fused affine update (Enc(a) ↦ Enc(a + b)).
+    let own_nonce = BigUint::from(agents[collector].nonce);
+    let total_ct = pk.affine(&received, &BigUint::one(), &own_nonce);
+    let total = keys.keypair(collector).private().decrypt(&total_ct);
+    let total = total
+        .to_u128()
+        .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
+    span.finish_at(net.now_us());
+    Ok(total)
 }
 
 /// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`

@@ -7,20 +7,24 @@
 //! or tree), carrying two Paillier ciphertexts under `H_b`'s key. `H_b`
 //! then computes
 //! `p̂ = sqrt( ps_g · Σk / Σ(…) )`, clamps it into `[p_l, p_h]` (Eq. 14)
-//! and broadcasts `p*`.
+//! and broadcasts `p*`, which every party checks bit for bit.
+//!
+//! [`price`] is the whole protocol as one `async fn` that yields before
+//! each receive: a trading window awaits it, and
+//! [`block_on`](pem_fabric::block_on) runs it on its own.
 
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
-use pem_fabric::{Outbound, ProtocolStateMachine, Transition};
+use pem_fabric::yield_now;
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{Envelope, PartyId};
+use pem_net::{PartyId, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
-use crate::fold::FoldMachine;
+use crate::fold::fold;
 pub use crate::fold::Topology;
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
@@ -40,244 +44,158 @@ pub struct PricingOutcome {
     pub denominator_sum: f64,
 }
 
-/// Where the pricing protocol currently stands.
-enum PricingState<'a> {
-    /// The sellers' `(k, d)` pairs are folding toward `H_b` (boxed: the
-    /// fold is several times the size of the other states).
-    Aggregate(Box<FoldMachine<'a, 2>>),
-    /// Price broadcast out; parties from `next` on (skipping `H_b`)
-    /// still to confirm consumption of `outcome.price`.
-    Consume {
-        next: usize,
-        outcome: PricingOutcome,
-    },
-    Done,
-}
-
-/// Protocol 3 — Private Pricing — as a poll-able state machine: the
-/// [`FoldMachine`] at `K = 2` in the configured topology, then `H_b`'s
-/// decryption and the price broadcast.
+/// Protocol 3 — Private Pricing — on `net`: the [`fold`] at `K = 2` in
+/// `topology`, then `H_b`'s decryption and the price broadcast.
 ///
-/// All seller-term encryptions are performed at construction, in the
-/// order the topology visits the sellers (ring/star: seller order; tree:
-/// descending position), so RNG and randomizer-pool streams do not
-/// depend on who polls the machine. A trading window runs it as one of
-/// its stages; on its own, Protocol 3 is
-/// `pem_fabric::drive(net, &mut PricingMachine::new(..)?)`.
-pub struct PricingMachine<'a> {
-    keys: &'a KeyDirectory,
-    cfg: &'a PemConfig,
-    /// Population size (for the broadcast consume loop).
-    n: usize,
-    hb: usize,
-    state: PricingState<'a>,
-    /// Open `price/agg` span (finished when the pair reaches `H_b`).
-    agg_span: Option<Span>,
-    /// Open `price/broadcast` span (finished on the last consumption).
-    bc_span: Option<Span>,
+/// `H_b` is drawn first, then every seller's terms are encrypted under
+/// its key in the order the topology visits the sellers (ring and star:
+/// seller order; tree: descending position), all before the first send.
+/// The RNG and randomizer-pool streams therefore do not depend on who
+/// polls the future. It yields before each receive. A trading window
+/// awaits it as one of its stages; on its own, Protocol 3 is
+/// `block_on(price(..))`.
+///
+/// # Errors
+///
+/// [`PemError::Protocol`] if either coalition is empty or a party hears
+/// a different price; quantization, encryption, transport and decode
+/// failures.
+#[allow(clippy::too_many_arguments)]
+pub async fn price<T: Transport>(
+    net: &mut T,
+    keys: &KeyDirectory,
+    agents: &[AgentCtx],
+    sellers: &[usize],
+    buyers: &[usize],
+    cfg: &PemConfig,
+    topology: Topology,
+    pool: &mut Option<RandomizerPool>,
+    rng: &mut HashDrbg,
+) -> Result<PricingOutcome, PemError> {
+    if sellers.is_empty() || buyers.is_empty() {
+        return Err(PemError::Protocol(
+            "pricing requires both coalitions to be non-empty",
+        ));
+    }
+    let hb = buyers[rng.gen_range(0..buyers.len())];
+    let pk = keys.public(hb);
+    let quantizer = cfg.quantizer();
+
+    // Each seller's two pricing terms, encrypted under H_b's key. The
+    // denominator term is signed in principle (deep battery charging),
+    // so it uses the balanced encoding.
+    let mut seller_terms = |idx: usize| -> Result<[Ciphertext; 2], PemError> {
+        let a = &agents[idx];
+        let k_q = quantizer.quantize_unsigned(a.data.preference, "preference")?;
+        let d_q = quantizer.quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
+        let k_ct = randpool::encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), pool, rng)?;
+        let d_ct = randpool::encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), pool, rng)?;
+        Ok([k_ct, d_ct])
+    };
+    // The tree draws its sellers' randomizers in descending position
+    // (the order its nodes are visited), ring and star ascending.
+    let descending = matches!(topology, Topology::Tree { .. });
+    let mut order: Vec<usize> = sellers.to_vec();
+    if descending {
+        order.reverse();
+    }
+    let mut terms = order
+        .into_iter()
+        .map(&mut seller_terms)
+        .collect::<Result<Vec<_>, _>>()?;
+    if descending {
+        terms.reverse();
+    }
+    price_terms(net, keys, cfg, agents.len(), sellers, hb, topology, terms).await
 }
 
-impl<'a> PricingMachine<'a> {
-    /// Builds the machine: selects `H_b`, encrypts every seller's terms
-    /// under `H_b`'s key (in the topology's visit order) and opens the
-    /// `price/agg` span at `start_vts` (the fabric's current virtual
-    /// time).
-    ///
-    /// # Errors
-    ///
-    /// [`PemError::Protocol`] if either coalition is empty; otherwise
-    /// quantization/encryption failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        keys: &'a KeyDirectory,
-        agents: &[AgentCtx],
-        sellers: &[usize],
-        buyers: &[usize],
-        cfg: &'a PemConfig,
-        topology: Topology,
-        pool: &mut Option<RandomizerPool>,
-        rng: &mut HashDrbg,
-        start_vts: u64,
-    ) -> Result<PricingMachine<'a>, PemError> {
-        if sellers.is_empty() || buyers.is_empty() {
+/// The rest of [`price`] once the sellers' `(k, d)` terms are encrypted
+/// under `H_b`'s key: fold them to `H_b`, who decrypts the two sums,
+/// prices and broadcasts to the other `n − 1` parties; each checks the
+/// price bit for bit.
+#[allow(clippy::too_many_arguments)]
+async fn price_terms<T: Transport>(
+    net: &mut T,
+    keys: &KeyDirectory,
+    cfg: &PemConfig,
+    n: usize,
+    sellers: &[usize],
+    hb: usize,
+    topology: Topology,
+    terms: Vec<[Ciphertext; 2]>,
+) -> Result<PricingOutcome, PemError> {
+    let agg_span = Span::enter_at("price/agg", "protocol", net.now_us());
+    let pk = keys.public(hb);
+    let ([k_ct, d_ct], vts) = fold(net, pk, sellers, hb, "price/agg", topology, terms).await?;
+    agg_span.finish_at(vts);
+
+    // … who decrypts the two aggregates (and nothing else — Lemma 3).
+    let quantizer = cfg.quantizer();
+    let sk = keys.keypair(hb).private();
+    let k_sum_q = sk
+        .decrypt(&k_ct)
+        .to_u128()
+        .ok_or(PemError::Protocol("k aggregate exceeded 128 bits"))?;
+    let d_sum_q = sk.decrypt_i128(&d_ct)?;
+    let k_sum = quantizer.dequantize_u128(k_sum_q);
+    let denominator_sum = quantizer.dequantize(
+        i64::try_from(d_sum_q)
+            .map_err(|_| PemError::Protocol("pricing denominator aggregate exceeded 64 bits"))?,
+    );
+
+    // Eq. 13 with the Eq. 14 clamp; a non-positive denominator means
+    // supply is so battery-starved the equilibrium diverges → ceiling.
+    let p_hat = if denominator_sum <= 0.0 {
+        f64::INFINITY
+    } else {
+        (cfg.band.grid_retail * k_sum / denominator_sum).sqrt()
+    };
+    let price = cfg.band.clamp(p_hat);
+
+    // H_b broadcasts p* to the whole market, starting at the arrival of
+    // the message that closed the fold.
+    let bc_span = Span::enter_at("price/broadcast", "protocol", vts);
+    let mut w = WireWriter::new();
+    w.put_f64(price);
+    let bytes = w.finish();
+    let others = || (0..n).filter(|&i| i != hb);
+    for i in others() {
+        net.send(PartyId(hb), PartyId(i), "price/broadcast", bytes.clone())?;
+    }
+    let mut last_arrival = vts;
+    for i in others() {
+        yield_now().await;
+        let env = net.recv_expect(PartyId(i), "price/broadcast")?;
+        // Each party checks the broadcast against H_b's price bit for
+        // bit: any other price is not this market's.
+        if WireReader::new(&env.payload).get_f64()?.to_bits() != price.to_bits() {
             return Err(PemError::Protocol(
-                "pricing requires both coalitions to be non-empty",
+                "price broadcast differs from H_b's price",
             ));
         }
-        let hb = buyers[rng.gen_range(0..buyers.len())];
-        let pk = keys.public(hb);
-        let quantizer = cfg.quantizer();
-
-        // Each seller's two pricing terms, encrypted under H_b's key. The
-        // denominator term is signed in principle (deep battery
-        // charging), so it uses the balanced encoding.
-        let mut seller_terms = |idx: usize| -> Result<[Ciphertext; 2], PemError> {
-            let a = &agents[idx];
-            let k_q = quantizer.quantize_unsigned(a.data.preference, "preference")?;
-            let d_q =
-                quantizer.quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
-            let k_ct = randpool::encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), pool, rng)?;
-            let d_ct = randpool::encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), pool, rng)?;
-            Ok([k_ct, d_ct])
-        };
-        // The tree draws its sellers' randomizers in descending position
-        // (the order its nodes are visited), ring and star ascending.
-        let descending = matches!(topology, Topology::Tree { .. });
-        let mut order: Vec<usize> = sellers.to_vec();
-        if descending {
-            order.reverse();
-        }
-        let mut terms = order
-            .into_iter()
-            .map(&mut seller_terms)
-            .collect::<Result<Vec<_>, _>>()?;
-        if descending {
-            terms.reverse();
-        }
-        let fold = FoldMachine::new(pk, sellers, hb, "price/agg", topology, terms)?;
-
-        Ok(PricingMachine {
-            keys,
-            cfg,
-            n: agents.len(),
-            hb,
-            state: PricingState::Aggregate(Box::new(fold)),
-            agg_span: Some(Span::enter_at("price/agg", "protocol", start_vts)),
-            bc_span: None,
-        })
+        last_arrival = env.arrival_us;
     }
-
-    /// `H_b` holds the final aggregate: decrypt, price, and fan the
-    /// broadcast out. `vts` is the arrival time of the closing message
-    /// (the end of the aggregation phase on the virtual clock).
-    fn finish_aggregation(
-        &mut self,
-        k_ct: &Ciphertext,
-        d_ct: &Ciphertext,
-        vts: u64,
-    ) -> Result<Transition<PricingOutcome>, PemError> {
-        if let Some(span) = self.agg_span.take() {
-            span.finish_at(vts);
-        }
-
-        // … who decrypts the two aggregates (and nothing else — Lemma 3).
-        let quantizer = self.cfg.quantizer();
-        let sk = self.keys.keypair(self.hb).private();
-        let k_sum_q = sk
-            .decrypt(k_ct)
-            .to_u128()
-            .ok_or(PemError::Protocol("k aggregate exceeded 128 bits"))?;
-        let d_sum_q = sk.decrypt_i128(d_ct)?;
-        let k_sum = quantizer.dequantize_u128(k_sum_q);
-        let denominator_sum =
-            quantizer.dequantize(i64::try_from(d_sum_q).map_err(|_| {
-                PemError::Protocol("pricing denominator aggregate exceeded 64 bits")
-            })?);
-
-        // Eq. 13 with the Eq. 14 clamp; a non-positive denominator means
-        // supply is so battery-starved the equilibrium diverges →
-        // ceiling.
-        let p_hat = if denominator_sum <= 0.0 {
-            f64::INFINITY
-        } else {
-            (self.cfg.band.grid_retail * k_sum / denominator_sum).sqrt()
-        };
-        let price = self.cfg.band.clamp(p_hat);
-
-        // H_b broadcasts p* to the whole market.
-        self.bc_span = Some(Span::enter_at("price/broadcast", "protocol", vts));
-        let mut w = WireWriter::new();
-        w.put_f64(price);
-        let bytes = w.finish();
-        let outs: Vec<Outbound> = (0..self.n)
-            .filter(|&i| i != self.hb)
-            .map(|i| Outbound {
-                from: PartyId(self.hb),
-                to: PartyId(i),
-                label: "price/broadcast",
-                payload: bytes.clone(),
-            })
-            .collect();
-        self.state = PricingState::Consume {
-            next: usize::from(self.hb == 0),
-            outcome: PricingOutcome {
-                price,
-                p_hat,
-                hb: self.hb,
-                k_sum,
-                denominator_sum,
-            },
-        };
-        Ok(Transition::Send(outs))
-    }
-}
-
-impl ProtocolStateMachine for PricingMachine<'_> {
-    type Output = PricingOutcome;
-    type Error = PemError;
-
-    fn initial_messages(&mut self) -> Result<Vec<Outbound>, PemError> {
-        match &mut self.state {
-            PricingState::Aggregate(fold) => fold.initial_messages(),
-            _ => Ok(Vec::new()),
-        }
-    }
-
-    fn expecting(&self) -> Option<(PartyId, &'static str)> {
-        match &self.state {
-            PricingState::Aggregate(fold) => fold.expecting(),
-            PricingState::Consume { next, .. } => Some((PartyId(*next), "price/broadcast")),
-            PricingState::Done => None,
-        }
-    }
-
-    fn on_message(&mut self, env: Envelope) -> Result<Transition<PricingOutcome>, PemError> {
-        if let PricingState::Aggregate(fold) = &mut self.state {
-            return match fold.on_message(env)? {
-                Transition::Continue => Ok(Transition::Continue),
-                Transition::Send(outs) => Ok(Transition::Send(outs)),
-                Transition::Done(([k_ct, d_ct], vts)) => self.finish_aggregation(&k_ct, &d_ct, vts),
-            };
-        }
-        match std::mem::replace(&mut self.state, PricingState::Done) {
-            PricingState::Consume { next, outcome } => {
-                let mut r = WireReader::new(&env.payload);
-                // Each party checks the broadcast against H_b's price bit
-                // for bit: any other price is not this market's.
-                if r.get_f64()?.to_bits() != outcome.price.to_bits() {
-                    return Err(PemError::Protocol(
-                        "price broadcast differs from H_b's price",
-                    ));
-                }
-                let mut next = next + 1;
-                if next == self.hb {
-                    next += 1;
-                }
-                if next < self.n {
-                    self.state = PricingState::Consume { next, outcome };
-                    Ok(Transition::Continue)
-                } else {
-                    if let Some(span) = self.bc_span.take() {
-                        span.finish_at(env.arrival_us);
-                    }
-                    Ok(Transition::Done(outcome))
-                }
-            }
-            _ => Err(PemError::Protocol("fed a completed pricing machine")),
-        }
-    }
+    bc_span.finish_at(last_arrival);
+    Ok(PricingOutcome {
+        price,
+        p_hat,
+        hb,
+        k_sum,
+        denominator_sum,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quantize::Quantizer;
+    use pem_fabric::block_on;
     use pem_market::{optimal_price, optimal_price_unclamped, AgentWindow, Role};
-    use pem_net::{SimNetwork, Transport};
+    use pem_net::SimNetwork;
 
-    /// Protocol 3 on its own: the machine driven to completion on `net`.
+    /// Protocol 3 on its own, run to completion on `net`.
     #[allow(clippy::too_many_arguments)]
-    fn price(
+    fn run(
         net: &mut SimNetwork,
         keys: &KeyDirectory,
         agents: &[AgentCtx],
@@ -287,18 +205,10 @@ mod tests {
         topology: Topology,
         rng: &mut HashDrbg,
     ) -> Result<PricingOutcome, PemError> {
-        let mut machine = PricingMachine::new(
-            keys,
-            agents,
-            sellers,
-            buyers,
-            cfg,
-            topology,
-            &mut None,
-            rng,
-            net.now_us(),
-        )?;
-        pem_fabric::drive(net, &mut machine)
+        let pool = &mut None;
+        block_on(price(
+            net, keys, agents, sellers, buyers, cfg, topology, pool, rng,
+        ))
     }
 
     fn setup(
@@ -350,7 +260,7 @@ mod tests {
             .copied()
             .collect();
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = price(
+        let out = run(
             &mut net,
             &keys,
             &agents,
@@ -375,7 +285,7 @@ mod tests {
     fn reveals_only_the_aggregates() {
         let data = paper_agents();
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
-        let out = price(
+        let out = run(
             &mut net,
             &keys,
             &agents,
@@ -405,7 +315,7 @@ mod tests {
             AgentWindow::new(1, 0.0, 2.0, 0.0, 0.9, 20.0),
         ];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = price(
+        let out = run(
             &mut net,
             &keys,
             &agents,
@@ -427,7 +337,7 @@ mod tests {
             AgentWindow::new(1, 0.0, 5.0, 0.0, 0.9, 25.0),
         ];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
-        let out = price(
+        let out = run(
             &mut net,
             &keys,
             &agents,
@@ -447,7 +357,7 @@ mod tests {
         let data = vec![AgentWindow::new(0, 0.0, 5.0, 0.0, 0.9, 25.0)];
         let (mut net, keys, agents, _sellers, buyers, cfg, mut rng) = setup(data);
         assert!(matches!(
-            price(
+            run(
                 &mut net,
                 &keys,
                 &agents,
@@ -477,19 +387,18 @@ mod tests {
             [enc(&BigUint::from(5u64)), enc(&pk.encode_i128(-3))],
             [enc(&BigUint::from(7u64)), enc(&(pk.n() >> 2))],
         ];
-        let fold =
-            FoldMachine::new(pk, &sellers, hb, "price/agg", Topology::Ring, terms).expect("fold");
-        let mut machine = PricingMachine {
-            keys: &keys,
-            cfg: &cfg,
-            n: net.party_count(),
+        let n = net.party_count();
+        let pricing = price_terms(
+            &mut net,
+            &keys,
+            &cfg,
+            n,
+            &sellers,
             hb,
-            state: PricingState::Aggregate(Box::new(fold)),
-            agg_span: None,
-            bc_span: None,
-        };
-        let err = pem_fabric::drive(&mut net, &mut machine)
-            .expect_err("an out-of-range aggregate must abort pricing");
+            Topology::Ring,
+            terms,
+        );
+        let err = block_on(pricing).expect_err("an out-of-range aggregate must abort pricing");
         assert!(
             matches!(err, PemError::Crypto(CryptoError::MessageTooLarge { .. })),
             "{err}"
@@ -500,7 +409,7 @@ mod tests {
     fn star_topology_matches_ring() {
         let data = paper_agents();
         let (mut net_r, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
-        let ring = price(
+        let ring = run(
             &mut net_r,
             &keys,
             &agents,
@@ -512,7 +421,7 @@ mod tests {
         )
         .expect("ring");
         let mut net_s = SimNetwork::new(agents.len());
-        let star = price(
+        let star = run(
             &mut net_s,
             &keys,
             &agents,
@@ -538,7 +447,7 @@ mod tests {
     #[test]
     fn traffic_labelled_for_table1() {
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(paper_agents());
-        price(
+        run(
             &mut net,
             &keys,
             &agents,

@@ -29,6 +29,7 @@
 
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
+use pem_fabric::block_on;
 use pem_market::{AgentId, Trade};
 use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{PartyId, Transport};
@@ -38,7 +39,7 @@ use rand::Rng;
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
-use crate::fold::{FoldMachine, Topology};
+use crate::fold::{fold, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -110,8 +111,8 @@ pub fn run<T: Transport>(
     }
     let mut acc = encrypt(last)?;
     if !ring.is_empty() {
-        let fold = FoldMachine::new(pk, ring, last, "dist/total-agg", Topology::Ring, own)?;
-        let ([received], _) = fold.drive(net)?;
+        let fold = fold(net, pk, ring, last, "dist/total-agg", Topology::Ring, own);
+        let ([received], _) = block_on(fold)?;
         acc = pk.add_ciphertexts(&received, &acc);
     }
 
@@ -151,9 +152,10 @@ pub fn run<T: Transport>(
         let sn = agents[member].sn_abs_q;
         debug_assert!(sn > 0, "market members have non-zero net energy");
         let exponent = (k_const + sn as u128 / 2) / sn as u128; // round(K / sn)
-                                                                // Enc(total) ↦ Enc(total · round(K/sn)): the b = 0 shape of the
-                                                                // fused affine update (exact `mul_plain`, one exponentiation —
-                                                                // power-of-two exponents collapse to a squaring chain).
+
+        // Enc(total) ↦ Enc(total · round(K/sn)): the b = 0 shape of the
+        // fused affine update (exact `mul_plain`, one exponentiation —
+        // power-of-two exponents collapse to a squaring chain).
         let ct = pk.affine(
             &enc_total_per_member[pos],
             &pem_bignum::BigUint::from(exponent),
@@ -230,7 +232,7 @@ pub fn run<T: Transport>(
     // *other* side's absolute net energy by the ratio-side share.
     let quantizer = cfg.quantizer();
     let mut trades = Vec::with_capacity(sellers.len() * buyers.len());
-    for &s in sellers {
+    for (s_pos, &s) in sellers.iter().enumerate() {
         let sn_s = quantizer.dequantize(agents[s].sn_q);
         for (b_pos, &b) in buyers.iter().enumerate() {
             let energy = if general_market {
@@ -238,7 +240,6 @@ pub fn run<T: Transport>(
                 sn_s * ratios[b_pos]
             } else {
                 // Seller share of the buyer's demand: |sn_b| · (sn_s / E_s).
-                let s_pos = sellers.iter().position(|&x| x == s).expect("seller");
                 let sn_b = quantizer.dequantize(-agents[b].sn_q);
                 sn_b * ratios[s_pos]
             };

@@ -16,8 +16,8 @@
 //! runs — through `Pem::run_window_on`, on `SimNetwork` with a
 //! `FaultPlan` or under the `Tamper` double below for edits `FaultKind`
 //! cannot express; the protocols only see the `Transport` trait either
-//! way. Stalled windows also run on the `Executor`, whose stall breaker
-//! is the only deadline.
+//! way. Stalled windows also run on the `Executor`, where the poll that
+//! wanted the stalled message ends the window.
 
 use pem_circuit::CircuitError;
 use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome};
@@ -57,8 +57,8 @@ fn run_faulted(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
 }
 
 /// Runs one window under a fault plan as a task on the executor: a
-/// window waiting on a message that never arrives stays unready until
-/// the stall breaker force-polls it.
+/// window waiting on a message that never arrives ends in its receive
+/// error at its next poll.
 fn run_on_executor(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
     let mut pem = market();
     let task = pem
@@ -518,11 +518,10 @@ fn delay_and_stall_leave_identical_message_logs() {
 fn stalled_message_aborts_with_one_error_class() {
     // A Stall swallows the envelope after it was journalled, whichever
     // message of Protocols 2–4 was withheld: polled in a loop, the
-    // recipient's receive finds an empty mailbox. On the executor a
-    // window waiting in a machine stage (the rings, pricing) stays
-    // unready until the stall breaker force-polls it into the same
-    // error; an inline stage (the comparison, Protocol 4) meets it on
-    // its own poll. No poll budget exists anywhere.
+    // recipient's receive finds an empty mailbox. On the executor the
+    // window meets the same error at the poll that wanted the message,
+    // in a yielding stage (the rings, pricing) or not (the comparison,
+    // Protocol 4). No poll budget exists anywhere.
     let labels = ["eval/demand-agg", "eval/supply-agg", "eval/gc-offer"]
         .into_iter()
         .chain(PRICE_AND_DIST_LABELS);

@@ -4,7 +4,8 @@
 //! the wire — asserted through a counting wrapper over any `Transport`
 //! (itself a demonstration that the trait composes).
 
-use pem_core::protocol3::{PricingMachine, PricingOutcome, Topology};
+use pem_core::block_on;
+use pem_core::protocol3::{price, PricingOutcome, Topology};
 use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
@@ -135,19 +136,10 @@ fn price_with(
     // from it in every topology, and the aggregates do not depend on the
     // randomizers, so the same seed must yield bit-identical outcomes.
     let mut rng = HashDrbg::from_seed_label(b"tree-run", 7);
-    let mut machine = PricingMachine::new(
-        keys,
-        agents,
-        sellers,
-        buyers,
-        cfg,
-        topology,
-        &mut None,
-        &mut rng,
-        net.now_us(),
-    )
-    .expect("seller terms");
-    let out = pem_fabric::drive(&mut net, &mut machine).expect("pricing");
+    let out = block_on(price(
+        &mut net, keys, agents, sellers, buyers, cfg, topology, &mut None, &mut rng,
+    ))
+    .expect("pricing");
     assert_eq!(net.pending(), 0, "all messages consumed");
     (out, net.stats().clone())
 }
@@ -197,7 +189,8 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
             let (keys, agents, sellers, buyers, cfg) = market(n_sellers, 99);
             let mut net = RecvCounting::new(SimNetwork::new(agents.len()), "price/agg");
             let mut rng = HashDrbg::from_seed_label(b"tree-fanin", 3);
-            let mut machine = PricingMachine::new(
+            let out = block_on(price(
+                &mut net,
                 &keys,
                 &agents,
                 &sellers,
@@ -206,10 +199,8 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
                 Topology::Tree { fanin },
                 &mut None,
                 &mut rng,
-                net.now_us(),
-            )
-            .expect("seller terms");
-            let out = pem_fabric::drive(&mut net, &mut machine).expect("pricing");
+            ))
+            .expect("pricing");
             for &s in &sellers {
                 assert!(
                     net.received[s] <= fanin as u64,
@@ -239,19 +230,10 @@ fn tree_critical_path_is_logarithmic() {
     let run = |topology: Topology| -> u64 {
         let mut net = SimNetwork::with_latency(agents.len(), LatencyModel::lan());
         let mut rng = HashDrbg::from_seed_label(b"tree-path", 1);
-        let mut machine = PricingMachine::new(
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            topology,
-            &mut None,
-            &mut rng,
-            net.now_us(),
-        )
-        .expect("seller terms");
-        pem_fabric::drive(&mut net, &mut machine).expect("pricing");
+        block_on(price(
+            &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, &mut None, &mut rng,
+        ))
+        .expect("pricing");
         net.now_us()
     };
     let ring = run(Topology::Ring);

@@ -22,9 +22,9 @@
 //!    its transfer legs.
 
 use pem_bignum::BigUint;
-use pem_core::fold::{FoldMachine, Topology};
+use pem_core::fold::{fold, Topology};
 use pem_core::randpool::{encrypt_under, RandomizerPool};
-use pem_core::{KeyDirectory, PemError, PoolStats};
+use pem_core::{block_on, KeyDirectory, PemError, PoolStats};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
 use pem_market::PriceBand;
@@ -297,8 +297,8 @@ impl CouplingCoordinator {
         }
         own.reverse();
         let shards: Vec<usize> = (0..s).collect();
-        let fold = FoldMachine::new(&pk, &shards, s, LABEL_UP, Topology::tree(), own)?;
-        let (total_cts, _) = fold.drive(net)?;
+        let up = fold(net, &pk, &shards, s, LABEL_UP, Topology::tree(), own);
+        let (total_cts, _) = block_on(up)?;
 
         // --- Coordinator: decrypt the grid totals (and nothing else yet).
         // Each total is bounded by what `quantize` admits per shard; a

@@ -5,28 +5,28 @@
 //! windows. This crate provides the pieces that let a *single* thread
 //! multiplex arbitrarily many protocol instances:
 //!
-//! * [`ProtocolStateMachine`] — the message-in → transition →
-//!   messages-out shape: a protocol holds explicit state instead of a
-//!   blocked stack, so thousands of instances cost thousands of structs,
-//!   not thousands of threads. [`drive`] polls any machine to completion
-//!   on any [`Transport`](pem_net::Transport) — how a protocol runs
-//!   outside a trading window (Protocol 3 in the topology ablation, a
-//!   fold inside Protocol 4 or the coupling round); `pem-core`'s window
-//!   steps its machines itself, one message per poll.
+//! * [`block_on`] and [`yield_now`] — the protocols are `async fn`s
+//!   that yield before each receive. The compiler turns each one into a
+//!   state machine, so thousands of instances cost thousands of futures,
+//!   not thousands of threads. A trading window wrapped in a
+//!   [`FabricTask`] advances one receive per poll. [`block_on`] runs a
+//!   protocol to completion where nothing else shares the thread:
+//!   `Pem::run_window`, a fold inside Protocol 4 or the coupling round,
+//!   Protocol 3 in the topology ablation.
 //! * [`EventTransport`] — the name this crate gives `pem-net`'s one
 //!   fabric, [`SimNetwork`](pem_net::SimNetwork), where it is used as an
 //!   inspectable event queue: `recv` never blocks,
 //!   [`has_message`](pem_net::SimNetwork::has_message) probes readiness
 //!   and [`pop_earliest`](pem_net::SimNetwork::pop_earliest) delivers in
 //!   global arrival order. A task whose message never arrives is not
-//!   waited on with a deadline: it stays unready, and the executor's
-//!   stall breaker force-polls it into its typed error.
+//!   waited on: the receive that wanted it returns its typed error.
 //! * [`Executor`] — a deterministic single-thread scheduler over
 //!   [`FabricTask`]s: seeded, poll-order-stable, bit-identical output at
 //!   any admission batch size. It is the only dispatcher of a grid's
-//!   coalition windows (one per lane), and its stall breaker is the only
-//!   deadline a window has. Its poll and stall counters flow through
-//!   the `pem-telemetry` registry (`fabric/polls`, `fabric/stalls`).
+//!   coalition windows (one per lane). A task that is never ready is
+//!   force-polled by its stall breaker. Its poll and stall counters flow
+//!   through the `pem-telemetry` registry (`fabric/polls`,
+//!   `fabric/stalls`).
 //!
 //! # Example
 //!
@@ -62,7 +62,7 @@ mod executor;
 mod machine;
 
 pub use executor::{Collected, Executor, ExecutorReport, FabricTask, Poll};
-pub use machine::{drive, kickoff, step, Outbound, ProtocolStateMachine, Transition};
+pub use machine::{block_on, yield_now};
 /// The queue fabric as poll-driven tasks see it: `pem-net`'s
 /// deterministic [`SimNetwork`](pem_net::SimNetwork) under the name the
 /// executor-side code has always used.

@@ -54,9 +54,8 @@ pub enum FaultKind {
     /// link. At the transport level this withholds delivery like
     /// [`FaultKind::Drop`], but it is counted separately
     /// (`fault/stalls`). The recipient's receive finds an empty mailbox
-    /// ([`crate::NetError::Empty`]); a poll-driven window waiting on it
-    /// stays unready until the executor's stall breaker force-polls it
-    /// into that error.
+    /// ([`crate::NetError::Empty`]); a poll-driven window meets that
+    /// error at the poll that wanted the message.
     Stall,
 }
 

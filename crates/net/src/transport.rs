@@ -17,9 +17,7 @@
 //!
 //! There is one receive path: a receive never blocks and never waits
 //! on a deadline. A message that has not arrived is
-//! [`NetError::Empty`]. The only deadline sits above the transport: an
-//! executor that finds no task ready force-polls a waiting one (its
-//! stall breaker), which then meets that same error.
+//! [`NetError::Empty`], which ends the protocol that wanted it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

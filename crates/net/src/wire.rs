@@ -62,11 +62,6 @@ impl WireWriter {
         }
     }
 
-    /// Appends a signed value (zigzag varint).
-    pub fn put_varint_signed(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
     /// Appends an IEEE-754 double (8 bytes, big-endian bits).
     pub fn put_f64(&mut self, v: f64) {
         self.buf.put_u64(v.to_bits());
@@ -82,11 +77,6 @@ impl WireWriter {
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
         self.put_raw(v);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
     }
 
     /// Appends a big integer (length-prefixed big-endian magnitude).
@@ -178,16 +168,6 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Reads a zigzag varint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates varint decode failures.
-    pub fn get_varint_signed(&mut self) -> Result<i64, NetError> {
-        let v = self.get_varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-
     /// Reads an IEEE-754 double.
     ///
     /// # Errors
@@ -225,20 +205,6 @@ impl<'a> WireReader<'a> {
     pub fn get_bytes(&mut self) -> Result<&'a [u8], NetError> {
         let len = self.get_varint()? as usize;
         self.get_raw(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Decode`] on truncation or invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<&'a str, NetError> {
-        let start = self.pos;
-        let bytes = self.get_bytes()?;
-        std::str::from_utf8(bytes).map_err(|_| NetError::Decode {
-            offset: start,
-            what: "utf-8 string",
-        })
     }
 
     /// Reads a big integer.
@@ -301,19 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_zigzag() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            let mut w = WireWriter::new();
-            w.put_varint_signed(v);
-            let bytes = w.finish();
-            assert_eq!(
-                WireReader::new(&bytes).get_varint_signed().expect("decode"),
-                v
-            );
-        }
-    }
-
-    #[test]
     fn mixed_record_roundtrip() {
         let big = BigUint::from(0xDEADBEEFCAFEBABEu64) * BigUint::from(u64::MAX);
         let mut w = WireWriter::new();
@@ -321,7 +274,6 @@ mod tests {
         w.put_bool(true);
         w.put_varint(42);
         w.put_f64(3.25);
-        w.put_str("label");
         w.put_biguint(&big);
         w.put_bytes(&[1, 2, 3]);
         let bytes = w.finish();
@@ -331,7 +283,6 @@ mod tests {
         assert!(r.get_bool().expect("bool"));
         assert_eq!(r.get_varint().expect("varint"), 42);
         assert_eq!(r.get_f64().expect("f64"), 3.25);
-        assert_eq!(r.get_str().expect("str"), "label");
         assert_eq!(r.get_biguint().expect("biguint"), big);
         assert_eq!(r.get_bytes().expect("bytes"), &[1, 2, 3]);
         assert!(r.is_empty());
@@ -373,15 +324,6 @@ mod tests {
         let bytes = [9u8];
         let mut r = WireReader::new(&bytes);
         assert!(r.get_bool().is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_detected() {
-        let mut w = WireWriter::new();
-        w.put_bytes(&[0xFF, 0xFE]);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert!(r.get_str().is_err());
     }
 
     #[test]

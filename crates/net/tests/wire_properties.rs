@@ -11,10 +11,8 @@ enum Value {
     U8(u8),
     Bool(bool),
     Varint(u64),
-    Signed(i64),
     F64(f64),
     Bytes(Vec<u8>),
-    Str(String),
     Big(BigUint),
 }
 
@@ -23,13 +21,11 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<u8>().prop_map(Value::U8),
         any::<bool>().prop_map(Value::Bool),
         any::<u64>().prop_map(Value::Varint),
-        any::<i64>().prop_map(Value::Signed),
         // Totally-ordered doubles only (NaN != NaN breaks equality).
         any::<f64>()
             .prop_filter("non-NaN", |v| !v.is_nan())
             .prop_map(Value::F64),
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(Value::Bytes),
-        "[a-zA-Z0-9 /:_-]{0,32}".prop_map(Value::Str),
         proptest::collection::vec(any::<u64>(), 0..4)
             .prop_map(|limbs| Value::Big(BigUint::from_limbs(limbs))),
     ]
@@ -42,10 +38,8 @@ fn encode(values: &[Value]) -> Vec<u8> {
             Value::U8(x) => w.put_u8(*x),
             Value::Bool(x) => w.put_bool(*x),
             Value::Varint(x) => w.put_varint(*x),
-            Value::Signed(x) => w.put_varint_signed(*x),
             Value::F64(x) => w.put_f64(*x),
             Value::Bytes(x) => w.put_bytes(x),
-            Value::Str(x) => w.put_str(x),
             Value::Big(x) => w.put_biguint(x),
         }
     }
@@ -60,10 +54,8 @@ fn decode(bytes: &[u8], shape: &[Value]) -> Result<Vec<Value>, pem_net::NetError
             Value::U8(_) => Value::U8(r.get_u8()?),
             Value::Bool(_) => Value::Bool(r.get_bool()?),
             Value::Varint(_) => Value::Varint(r.get_varint()?),
-            Value::Signed(_) => Value::Signed(r.get_varint_signed()?),
             Value::F64(_) => Value::F64(r.get_f64()?),
             Value::Bytes(_) => Value::Bytes(r.get_bytes()?.to_vec()),
-            Value::Str(_) => Value::Str(r.get_str()?.to_string()),
             Value::Big(_) => Value::Big(r.get_biguint()?),
         });
     }

@@ -320,9 +320,9 @@ type Job = (usize, bool, Shard, Vec<AgentWindow>);
 /// Runs one lane of coalition windows under the recovery policy — the
 /// one dispatcher both engines use. Each coalition is checkpointed and
 /// opened as a poll-able task; one executor interleaves the lane's tasks
-/// message by message, isolating failures per task (a wedged coalition
-/// is force-polled into its typed error and evicted); each attempt 0 is
-/// then settled, in lane order, through [`settle_attempt`].
+/// message by message, isolating failures per task (a coalition whose
+/// message never arrives ends in its typed error and is evicted); each
+/// attempt 0 is then settled, in lane order, through [`settle_attempt`].
 fn run_lane(
     mut jobs: Vec<Job>,
     batch: usize,
