@@ -984,8 +984,8 @@ mod tests {
             &[(0, 'a'), (1, 'b'), (2, 'c')],
         );
         // Chaos: shard 0 quarantined (absent from the fingerprints),
-        // shard 1 recovered (fingerprint may differ — the retry salts
-        // the DRBG), shard 2 healthy and bit-identical.
+        // shard 1 recovered (fingerprint may differ — the retry draws
+        // past the failed attempt), shard 2 healthy and bit-identical.
         let chaos = one_window_day(12.5, degraded(), &[(1, 'd'), (2, 'c')]);
         let checks = chaos_checks(&clean, &chaos).expect("valid reports");
         assert!(

@@ -171,6 +171,9 @@ impl PemConfig {
         if self.nonce_bits == 0 || self.nonce_bits > 60 {
             return Err(PemError::Config("nonce bits must be in 1..=60".into()));
         }
+        if self.scale == 0 {
+            return Err(PemError::Config("scale must be positive".into()));
+        }
         if self.ratio_precision_bits < 16 || self.ratio_precision_bits > 60 {
             return Err(PemError::Config(
                 "ratio precision must be in 16..=60 bits".into(),
@@ -238,6 +241,9 @@ mod tests {
         let mut c = PemConfig::fast_test();
         c.nonce_bits = 0;
         assert!(c.validate(10).is_err());
+        let mut c = PemConfig::fast_test();
+        c.scale = 0; // a rejection, not a panic in the quantizer
+        assert!(matches!(c.validate(10), Err(PemError::Config(_))));
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use fabric_window::WindowTask;
 pub use fold::Topology;
 pub use keys::KeyDirectory;
 pub use metrics::{PhaseMetrics, WindowMetrics};
-pub use pem::{Pem, PemCheckpoint, PemWindowOutcome, RevealedInfo};
+pub use pem::{Pem, PemWindowOutcome, RevealedInfo};
 pub use pem_fabric::block_on;
 pub use quantize::Quantizer;
 pub use randpool::{PoolStats, RandomizerPool};

@@ -1,14 +1,19 @@
 //! **Protocol 1 — the PEM driver.**
 //!
 //! Owns a market's long-lived state — keys (set up once), the driver
-//! DRBG, the randomizer pool, the window counter — and runs trading
-//! windows over it. The window body itself (coalition formation, Private
-//! Market Evaluation, Private Pricing or the floor price, Private
-//! Distribution, with the per-phase timing of the Fig. 5 reproduction)
-//! lives in [`crate::fabric_window`]; every entry point here builds that
-//! one body and either blocks on it or hands it to an executor as a
+//! DRBG and the randomizer pool — and runs trading windows over it. The
+//! window body itself (coalition formation, Private Market Evaluation,
+//! Private Pricing or the floor price, Private Distribution, with the
+//! per-phase timing of the Fig. 5 reproduction) lives in
+//! [`crate::fabric_window`]; every entry point here builds that one body
+//! and either blocks on it or hands it to an executor as a
 //! [`WindowTask`](crate::WindowTask). The window's traffic — Table I —
 //! is its [`NetStats`], split by phase on the label prefix.
+//!
+//! The DRBG and the pool only move forward: a window that fails burns
+//! the nonces and randomizers it drew, and whatever runs next — a retry
+//! or the next window — continues from there, so no draw that reached
+//! the wire is ever drawn again.
 
 use pem_crypto::drbg::HashDrbg;
 use pem_fabric::block_on;
@@ -63,21 +68,6 @@ pub struct PemWindowOutcome {
     pub net: NetStats,
 }
 
-/// A snapshot of a market's mutable per-window state — the driver DRBG,
-/// the randomizer pool and the window counter.
-///
-/// A failed window leaves those streams wherever the failure happened to
-/// interrupt them, which is engine- and schedule-dependent; restoring a
-/// checkpoint taken *before* the window rewinds the market to a
-/// well-defined state, so retries and post-quarantine windows stay
-/// bit-reproducible.
-#[derive(Debug, Clone)]
-pub struct PemCheckpoint {
-    rng: HashDrbg,
-    pool: Option<crate::randpool::RandomizerPool>,
-    window_index: u64,
-}
-
 /// The Private Energy Market: a population of agents with keys, ready to
 /// run trading windows.
 #[derive(Debug)]
@@ -86,7 +76,6 @@ pub struct Pem {
     keys: KeyDirectory,
     n_agents: usize,
     rng: HashDrbg,
-    window_index: u64,
     pool: Option<crate::randpool::RandomizerPool>,
 }
 
@@ -109,7 +98,6 @@ impl Pem {
             keys,
             n_agents,
             rng,
-            window_index: 0,
             pool,
         })
     }
@@ -134,27 +122,6 @@ impl Pem {
         self.pool.as_ref().map(|p| p.stats())
     }
 
-    /// Snapshots the market's mutable per-window state (DRBG, pool,
-    /// window counter) so a failed window can be rewound with
-    /// [`restore`](Pem::restore).
-    pub fn checkpoint(&self) -> PemCheckpoint {
-        PemCheckpoint {
-            rng: self.rng.clone(),
-            pool: self.pool.clone(),
-            window_index: self.window_index,
-        }
-    }
-
-    /// Rewinds the market to a [`checkpoint`](Pem::checkpoint) taken
-    /// earlier — the recovery primitive: after a failed attempt the
-    /// DRBG and pool are mid-window in an engine-dependent position,
-    /// and this puts them back.
-    pub fn restore(&mut self, cp: PemCheckpoint) {
-        self.rng = cp.rng;
-        self.pool = cp.pool;
-        self.window_index = cp.window_index;
-    }
-
     /// Runs one trading window (Protocol 1, lines 3–10) on a fresh
     /// default transport: a [`SimNetwork`] carrying the configured
     /// latency model.
@@ -174,9 +141,7 @@ impl Pem {
     }
 
     /// [`run_window`](Pem::run_window) over a fault-injecting fabric:
-    /// the fresh `SimNetwork` carries the given plan. The grid
-    /// orchestrator's retries run through it
-    /// ([`retry_window`](Pem::retry_window)).
+    /// the fresh `SimNetwork` carries the given plan.
     ///
     /// # Errors
     ///
@@ -189,40 +154,6 @@ impl Pem {
     ) -> Result<PemWindowOutcome, PemError> {
         let mut net = self.fresh_net(faults);
         self.run_window_on(&mut net, window_data)
-    }
-
-    /// Re-runs the *current* window as retry attempt `attempt` (≥ 1).
-    ///
-    /// The retry draws from a side DRBG stream derived from the market
-    /// seed, the window index and the attempt number — attempt `k` of
-    /// window `w` is bit-reproducible — while the primary stream stays
-    /// exactly where the caller's [`restore`](Pem::restore) put it, so
-    /// windows that never fail keep their golden fingerprints. The
-    /// caller is expected to have restored a pre-window checkpoint
-    /// before each attempt (the failed attempt left the streams
-    /// mid-window).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_window`](Pem::run_window).
-    pub fn retry_window(
-        &mut self,
-        window_data: &[pem_market::AgentWindow],
-        attempt: u32,
-        faults: FaultPlan,
-    ) -> Result<PemWindowOutcome, PemError> {
-        let window = self.window_index + 1;
-        let mut label = Vec::with_capacity(25);
-        label.extend_from_slice(b"pem-retry");
-        label.extend_from_slice(&window.to_be_bytes());
-        label.extend_from_slice(&u64::from(attempt).to_be_bytes());
-        let salted = HashDrbg::from_seed_label(&label, self.cfg.seed);
-        let primary = std::mem::replace(&mut self.rng, salted);
-        let result = self.run_window_with_faults(window_data, faults);
-        // The side stream dies with the attempt; the primary stream is
-        // untouched either way.
-        self.rng = primary;
-        result
     }
 
     /// Prepares one trading window as a poll-able
@@ -294,16 +225,14 @@ impl Pem {
         net: &T,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<Window<'_>, PemError> {
-        let window = Window::new(
+        Window::new(
             &self.cfg,
             &self.keys,
             &mut self.rng,
             &mut self.pool,
             window_data,
             net,
-        )?;
-        self.window_index += 1;
-        Ok(window)
+        )
     }
 }
 
@@ -512,78 +441,27 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_replays_windows_bit_identically() {
-        let pop = population(&[2.0, 1.0, -3.0, -2.0]);
-        let mut pem = Pem::new(PemConfig::fast_test().with_randomizer_pool(4), 4).expect("setup");
-        let cp = pem.checkpoint();
-        let a = pem.run_window(&pop).expect("first");
-        pem.restore(cp);
-        let b = pem.run_window(&pop).expect("replay");
-        assert_eq!(a.price.to_bits(), b.price.to_bits());
-        assert_eq!(a.trades, b.trades);
-        assert_eq!(a.net, b.net);
-        assert_eq!(a.revealed, b.revealed);
-    }
-
-    #[test]
-    fn retry_attempts_are_bit_reproducible_and_leave_primary_stream_intact() {
-        let pop = population(&[2.0, 1.0, -3.0, -2.0]);
-        let mut pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let cp = pem.checkpoint();
-        let r1 = pem
-            .retry_window(&pop, 1, FaultPlan::new())
-            .expect("attempt 1");
-        pem.restore(cp.clone());
-        let r1b = pem
-            .retry_window(&pop, 1, FaultPlan::new())
-            .expect("attempt 1 replay");
-        // Same (window, attempt) salt → the same bits, every time.
-        assert_eq!(r1.price.to_bits(), r1b.price.to_bits());
-        assert_eq!(r1.trades, r1b.trades);
-        assert_eq!(r1.net, r1b.net);
-        assert_eq!(r1.revealed, r1b.revealed);
-        // A different attempt salts a different stream; the market
-        // outcome (a function of the inputs) is unchanged regardless.
-        pem.restore(cp.clone());
-        let r2 = pem
-            .retry_window(&pop, 2, FaultPlan::new())
-            .expect("attempt 2");
-        assert_eq!(r1.kind, r2.kind);
-        assert_eq!(r1.price.to_bits(), r2.price.to_bits());
-        assert_eq!(r1.trades, r2.trades);
-        // The retry borrows a side stream: after restoring the pre-retry
-        // checkpoint, the primary stream replays exactly as if the retry
-        // never happened.
-        pem.restore(cp);
-        let after = pem.run_window(&pop).expect("primary window");
-        let mut fresh = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let clean = fresh.run_window(&pop).expect("clean");
-        assert_eq!(after.price.to_bits(), clean.price.to_bits());
-        assert_eq!(after.trades, clean.trades);
-        assert_eq!(after.net, clean.net);
-    }
-
-    #[test]
-    fn faulted_window_recovers_via_checkpointed_retry() {
+    fn failed_window_reruns_with_fresh_draws() {
         use pem_net::{FaultKind, FaultPlan};
         let pop = population(&[2.0, 1.0, -3.0, -2.0]);
         let mut clean_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let clean = clean_pem.run_window(&pop).expect("clean");
 
         let mut pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let cp = pem.checkpoint();
         let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Drop);
         let err = pem
             .run_window_with_faults(&pop, plan)
             .expect_err("dropped aggregation message aborts the window");
         assert!(err.is_retryable(), "transport fault must be retryable");
-        pem.restore(cp);
-        let out = pem
-            .retry_window(&pop, 1, FaultPlan::new())
-            .expect("retry clears");
+        let out = pem.run_window(&pop).expect("re-run clears");
+        // The market outcome is a function of the inputs alone ...
         assert_eq!(out.kind, clean.kind);
         assert_eq!(out.price.to_bits(), clean.price.to_bits());
         assert_eq!(out.trades, clean.trades);
+        // ... while the re-run continues the streams past the failed
+        // attempt's draws instead of putting the same masks on the wire.
+        assert_ne!(out.revealed.masked_demand, clean.revealed.masked_demand);
+        assert_ne!(out.revealed.masked_supply, clean.revealed.masked_supply);
     }
 
     #[test]

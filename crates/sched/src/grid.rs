@@ -1,7 +1,7 @@
 //! The grid orchestrator: sharded multi-coalition PEM windows on a
 //! fixed worker pool, settled onto one ledger.
 
-use pem_core::{Pem, PemCheckpoint, PemConfig, PemError, PemWindowOutcome, PoolStats};
+use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome, PoolStats};
 use pem_coupling::{CouplingConfig, CouplingCoordinator, Repartitioner, ShardPosition};
 use pem_fabric::Executor;
 use pem_ledger::{Ledger, SettlementContract, SettlementTx, TransferTx};
@@ -34,8 +34,8 @@ fn register_fault_metrics() {
 }
 
 /// The lane shape a window's coalition jobs run in. Every lane is the
-/// same code: each coalition's window is a poll-able [`WindowTask`] on
-/// one deterministic [`Executor`], settled through one retry path; the
+/// same code: every attempt of each coalition's window is a poll-able
+/// [`WindowTask`] on the lane's one deterministic [`Executor`]; the
 /// engine only decides how coalitions are grouped into lanes.
 ///
 /// [`WindowTask`]: pem_core::WindowTask
@@ -87,14 +87,15 @@ impl std::str::FromStr for Engine {
 
 /// How the orchestrator treats a failed coalition window.
 ///
-/// `max_attempts` counts *re-executions* after the initial run. Each
-/// retry restores the coalition's pre-window checkpoint (DRBG position,
-/// randomizer pool) and replays the window on a side DRBG stream salted
-/// by `(window, attempt)` — attempt `k` of window `w` is therefore
-/// bit-reproducible, and a successful retry leaves the primary stream
-/// exactly where an untroubled window would have. A coalition that
-/// exhausts its attempts is quarantined: excluded from settlement and
-/// coupling for the window and probed for re-admission next window.
+/// `max_attempts` counts *re-executions* after the initial run. A retry
+/// is the same window run again on the lane's executor, continuing the
+/// coalition's DRBG and randomizer pool past what the failed attempt
+/// drew — no nonce or randomizer is ever put on the wire twice. Where an
+/// attempt fails depends on the fault plan alone, so every attempt is
+/// bit-reproducible at any worker count and on either engine. A
+/// coalition that exhausts its attempts is quarantined: excluded from
+/// settlement and coupling for the window and probed for re-admission
+/// next window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-executions after the initial attempt (`0` = quarantine on the
@@ -213,8 +214,7 @@ struct Shard {
 impl Shard {
     /// Pool activity since the last report (since the coalition was
     /// built, on its first): the pool counts over its lifetime, a report
-    /// carries one window. A retry restores the pool to the window's
-    /// start, never below the mark.
+    /// carries one window, failed attempts' draws included.
     fn pool_window(&mut self) -> Option<PoolStats> {
         let now = self.pem.pool_stats()?;
         let window = now.since(&self.pool_mark);
@@ -235,142 +235,88 @@ fn shard_seed(master: u64, shard: usize, epoch: u64) -> u64 {
 /// outcome (absent when quarantined) and the status verdict.
 type ShardRun = (Option<PemWindowOutcome>, CoalitionStatus);
 
-/// Retries a failed attempt 0 under the policy. Every attempt restores
-/// the pre-window checkpoint and replays the window
-/// ([`Pem::retry_window`]) on a `(window, attempt)`-salted stream — one
-/// retry path over the one window body, bit-reproducible whichever
-/// engine ran the first attempt. Fatal (non-retryable) errors quarantine
-/// immediately.
-#[allow(clippy::too_many_arguments)] // the recovery context, spelled out
-fn retry_shard(
-    pem: &mut Pem,
-    data: &[AgentWindow],
-    cp: &PemCheckpoint,
-    first_err: PemError,
-    specs: &[ChaosSpec],
-    shard: usize,
-    window: u64,
-    retry: RetryPolicy,
-) -> ShardRun {
-    let mut err = first_err;
-    for attempt in 1..=retry.max_attempts {
-        if !err.is_retryable() {
-            break;
-        }
-        pem.restore(cp.clone());
-        RETRIES.incr();
-        let span = Span::enter("grid/retry", "fault");
-        let result = pem.retry_window(data, attempt, chaos_plan(specs, shard, window, attempt));
-        span.finish();
-        match result {
-            Ok(out) => return (Some(out), CoalitionStatus::Recovered { attempts: attempt }),
-            Err(e) => err = e,
-        }
-    }
-    pem.restore(cp.clone());
-    QUARANTINES.incr();
-    (
-        None,
-        CoalitionStatus::Quarantined {
-            error: err.to_string(),
-        },
-    )
-}
-
-/// Maps a finished first attempt to its verdict, consuming retries on
-/// failure. A quarantined coalition's probe (`probe = true`) gets no
-/// retry budget: one clean window re-admits it, one failure keeps it
-/// out, and either way the checkpoint discipline keeps its primary
-/// stream deterministic.
-#[allow(clippy::too_many_arguments)] // the recovery context, spelled out
-fn settle_attempt(
-    pem: &mut Pem,
-    data: &[AgentWindow],
-    cp: PemCheckpoint,
-    first: Result<PemWindowOutcome, PemError>,
-    specs: &[ChaosSpec],
-    shard: usize,
-    window: u64,
-    retry: RetryPolicy,
-    probe: bool,
-) -> ShardRun {
-    match first {
-        Ok(out) if probe => {
-            READMISSIONS.incr();
-            (Some(out), CoalitionStatus::Recovered { attempts: 1 })
-        }
-        Ok(out) => (Some(out), CoalitionStatus::Cleared),
-        Err(e) if probe => {
-            pem.restore(cp);
-            QUARANTINES.incr();
-            (
-                None,
-                CoalitionStatus::Quarantined {
-                    error: e.to_string(),
-                },
-            )
-        }
-        Err(e) => retry_shard(pem, data, &cp, e, specs, shard, window, retry),
-    }
-}
-
 /// `(shard index, probe?, shard, window data)`: one coalition's job.
 type Job = (usize, bool, Shard, Vec<AgentWindow>);
 
 /// Runs one lane of coalition windows under the recovery policy — the
-/// one dispatcher both engines use. Each coalition is checkpointed and
-/// opened as a poll-able task; one executor interleaves the lane's tasks
-/// message by message, isolating failures per task (a coalition whose
-/// message never arrives ends in its typed error and is evicted); each
-/// attempt 0 is then settled, in lane order, through [`settle_attempt`].
+/// one dispatcher both engines use. Round `k` opens attempt `k` of every
+/// coalition still open as a poll-able task, and one executor
+/// interleaves them message by message, isolating failures per task (a
+/// coalition whose message never arrives ends in its typed error and is
+/// evicted). Every coalition is open in round 0; after that, one whose
+/// last attempt failed retryably stays open until the policy's budget
+/// runs out, except a quarantined coalition's probe, which gets no
+/// retries: one clean window re-admits it, one failure keeps it out.
+/// Fatal errors quarantine at once.
 fn run_lane(
     mut jobs: Vec<Job>,
     batch: usize,
     specs: &[ChaosSpec],
     window: u64,
     retry: RetryPolicy,
-) -> Result<Vec<(Shard, ShardRun)>, SchedError> {
-    let checkpoints: Vec<PemCheckpoint> = jobs
+) -> Vec<(Shard, ShardRun)> {
+    let executor = Executor::new(batch);
+    // `(attempt, result)` of each coalition's latest attempt; every
+    // coalition is opened in round 0, so the placeholder never survives.
+    let mut last: Vec<(u32, Result<PemWindowOutcome, PemError>)> = jobs
         .iter()
-        .map(|(_, _, shard, _)| shard.pem.checkpoint())
+        .map(|_| (0, Err(PemError::Protocol("window not attempted"))))
         .collect();
-    let mut attempt0: Vec<Option<Result<PemWindowOutcome, PemError>>> =
-        jobs.iter().map(|_| None).collect();
-    let mut tasks = Vec::with_capacity(jobs.len());
-    let mut task_pos = Vec::with_capacity(jobs.len());
-    for (pos, (idx, _, shard, data)) in jobs.iter_mut().enumerate() {
-        match shard
-            .pem
-            .fabric_window_with_faults(data, chaos_plan(specs, *idx, window, 0))
+    for attempt in 0..=retry.max_attempts {
+        let open: Vec<bool> = jobs
+            .iter()
+            .zip(&last)
+            .map(|((_, probe, _, _), (_, result))| {
+                attempt == 0 || (!probe && matches!(result, Err(e) if e.is_retryable()))
+            })
+            .collect();
+        if !open.contains(&true) {
+            break;
+        }
+        let _span = (attempt > 0).then(|| Span::enter("grid/retry", "fault"));
+        let mut tasks = Vec::new();
+        let mut task_pos = Vec::new();
+        for (pos, ((idx, _, shard, data), _)) in jobs
+            .iter_mut()
+            .zip(open)
+            .enumerate()
+            .filter(|(_, (_, open))| *open)
         {
-            Ok(task) => {
-                tasks.push(task);
-                task_pos.push(pos);
+            if attempt > 0 {
+                RETRIES.incr();
             }
-            Err(e) => attempt0[pos] = Some(Err(e)),
+            let plan = chaos_plan(specs, *idx, window, attempt);
+            match shard.pem.fabric_window_with_faults(data, plan) {
+                Ok(task) => {
+                    tasks.push(task);
+                    task_pos.push(pos);
+                }
+                Err(e) => last[pos] = (attempt, Err(e)),
+            }
+        }
+        let (outs, _report) = executor.run_collect(tasks);
+        for (pos, out) in task_pos.into_iter().zip(outs) {
+            last[pos] = (attempt, out);
         }
     }
-    let (outs, _report) = Executor::new(batch).run_collect(tasks);
-    for (pos, out) in task_pos.into_iter().zip(outs) {
-        attempt0[pos] = Some(out);
-    }
     jobs.into_iter()
-        .zip(checkpoints)
-        .zip(attempt0)
-        .map(|(((idx, probe, mut shard, data), cp), first)| {
-            let first = first.ok_or(SchedError::State("every shard's attempt 0 resolved"))?;
-            let run = settle_attempt(
-                &mut shard.pem,
-                &data,
-                cp,
-                first,
-                specs,
-                idx,
-                window,
-                retry,
-                probe,
-            );
-            Ok((shard, run))
+        .zip(last)
+        .map(|((_, probe, shard, _), (attempt, result))| {
+            let status = match &result {
+                Ok(_) if probe => {
+                    READMISSIONS.incr();
+                    CoalitionStatus::Recovered { attempts: 1 }
+                }
+                Ok(_) if attempt == 0 => CoalitionStatus::Cleared,
+                Ok(_) => CoalitionStatus::Recovered { attempts: attempt },
+                Err(e) => {
+                    QUARANTINES.incr();
+                    CoalitionStatus::Quarantined {
+                        error: e.to_string(),
+                    }
+                }
+            };
+            (shard, (result.ok(), status))
         })
         .collect()
 }
@@ -586,9 +532,9 @@ impl GridOrchestrator {
     /// Runs one grid-wide trading window over the whole population.
     ///
     /// Coalition failures no longer abort the window: each failed shard
-    /// is retried under [`GridConfig::retry`] (bit-reproducibly, on a
-    /// salted DRBG stream) and quarantined when its attempts are
-    /// exhausted — the window settles degraded, with only the cleared
+    /// is retried under [`GridConfig::retry`] (on the lane's executor,
+    /// its streams continuing past the failed attempt's draws) and
+    /// quarantined when its attempts are exhausted — the window settles degraded, with only the cleared
     /// coalitions on the ledger and in the coupling round. Quarantined
     /// shards carry over and are probed for re-admission next window.
     ///
@@ -649,11 +595,9 @@ impl GridOrchestrator {
                 run_lane(vec![job], 1, chaos, window, retry)
             })
             .into_iter()
-            .collect::<Result<Vec<_>, SchedError>>()?
-            .into_iter()
             .flatten()
             .collect(),
-            Engine::Fabric { batch } => run_lane(jobs, batch, chaos, window, retry)?,
+            Engine::Fabric { batch } => run_lane(jobs, batch, chaos, window, retry),
         };
         let (shards, runs): (Vec<Shard>, Vec<ShardRun>) = settled.into_iter().unzip();
 

@@ -4,8 +4,9 @@
 //! settlement tip at any worker count and on either engine; transient
 //! faults recover within the retry budget with bit-reproducible
 //! retries; healthy coalitions stay bit-identical to the fault-free
-//! run; and quarantine carries over across windows until a clean
-//! re-admission probe lifts it.
+//! run; quarantine carries over across windows until a clean
+//! re-admission probe lifts it; and a failed attempt's draws are never
+//! drawn again.
 
 use pem_core::PemConfig;
 use pem_data::{TraceConfig, TraceGenerator};
@@ -128,10 +129,10 @@ fn degraded_runs_are_bit_reproducible_at_any_worker_count() {
 
 #[test]
 fn engines_agree_on_degraded_outcomes() {
-    // Retries always replay on the blocking driver and the degraded
-    // fingerprint folds status tags (never error strings), so the
-    // fabric engine must reproduce the thread engine's degraded grid
-    // bit for bit — including which coalitions it quarantined.
+    // Every attempt runs on the lane's executor and fails where the
+    // fault plan alone says, so the fabric engine must reproduce the
+    // thread engine's degraded grid bit for bit — including which
+    // coalitions it quarantined and why.
     let data = day(2);
     let (threads, tq) = run_chaos_day(Engine::Threads, 4, chaos(), &data);
     for batch in [1usize, 8] {
@@ -149,19 +150,11 @@ fn engines_agree_on_degraded_outcomes() {
                 "fabric batch {batch}, window {}: settlement tip",
                 a.window
             );
-            // Status *verdicts* agree shard by shard (the quarantine
-            // error text may differ in wording between drivers; the
-            // fingerprint above already proves it never leaks into the
-            // folded bits).
-            assert_eq!(a.statuses.len(), b.statuses.len());
-            for (shard, (sa, sb)) in a.statuses.iter().zip(b.statuses.iter()).enumerate() {
-                assert_eq!(
-                    std::mem::discriminant(sa),
-                    std::mem::discriminant(sb),
-                    "fabric batch {batch}, window {}, shard {shard}: {sa:?} vs {sb:?}",
-                    a.window
-                );
-            }
+            assert_eq!(
+                a.statuses, b.statuses,
+                "fabric batch {batch}, window {}: statuses",
+                a.window
+            );
         }
     }
 }
@@ -223,8 +216,8 @@ fn healthy_coalitions_match_the_fault_free_run() {
             .find(|(s, _)| *s == so.shard)
             .expect("same shard plan");
         if so.shard == 1 {
-            // The recovered coalition replayed on a retry-salted
-            // stream: same market outcome, fresh crypto bits.
+            // The recovered coalition's retry continued its streams past
+            // the failed attempt: same market outcome, fresh crypto bits.
             assert_eq!(
                 so.outcome.trades, clean.shard_outcomes[1].outcome.trades,
                 "recovery preserves the market outcome"
@@ -275,4 +268,83 @@ fn quarantine_carries_over_until_a_probe_readmits() {
         "back to normal service after re-admission"
     );
     assert!(q.is_empty(), "nothing quarantined at close");
+}
+
+#[test]
+fn a_failed_window_never_replays_its_draws() {
+    // Window 0 only: coalition 1 drops a supply message once and
+    // recovers; coalition 2 stalls there on every attempt, is
+    // quarantined, then probed in window 1. Both failed attempts put
+    // masked totals on the wire, so window 1 must continue past those
+    // draws — its masks must differ from a fresh grid's first window
+    // over the same data.
+    let specs = vec![
+        ChaosSpec {
+            shard: 1,
+            label: "eval/supply-agg",
+            nth: 0,
+            kind: FaultKind::Drop,
+            persistent: false,
+            window: Some(0),
+        },
+        ChaosSpec {
+            shard: 2,
+            label: "eval/supply-agg",
+            nth: 0,
+            kind: FaultKind::Stall,
+            persistent: true,
+            window: Some(0),
+        },
+    ];
+    let data = day(2);
+    for pool in [0usize, 6] {
+        for engine in [Engine::Threads, Engine::Fabric { batch: 8 }] {
+            let cfg = GridConfig {
+                pem: PemConfig::fast_test().with_randomizer_pool(pool),
+                strategy: PartitionStrategy::RoundRobin,
+                ..grid_config(engine, 2)
+            };
+            let mut grid = GridOrchestrator::new(cfg.clone())
+                .expect("grid")
+                .with_chaos(specs.clone());
+            let reports: Vec<GridReport> = data
+                .iter()
+                .map(|pop| grid.run_window(pop).expect("degraded window completes"))
+                .collect();
+            assert_eq!(
+                reports[0].statuses[1],
+                CoalitionStatus::Recovered { attempts: 1 }
+            );
+            assert!(matches!(
+                reports[0].statuses[2],
+                CoalitionStatus::Quarantined { .. }
+            ));
+            assert_eq!(
+                reports[1].statuses[2],
+                CoalitionStatus::Recovered { attempts: 1 },
+                "the probe re-admits coalition 2"
+            );
+            let fresh = GridOrchestrator::new(cfg)
+                .expect("grid")
+                .run_window(&data[1])
+                .expect("fresh window");
+            for shard in [1usize, 2] {
+                let masked = |report: &GridReport| {
+                    report
+                        .shard_outcomes
+                        .iter()
+                        .find(|so| so.shard == shard)
+                        .expect("coalition settled")
+                        .outcome
+                        .revealed
+                        .masked_demand
+                };
+                assert_ne!(
+                    masked(&reports[1]),
+                    masked(&fresh),
+                    "pool {pool}, {engine}: coalition {shard} redrew its failed attempt's nonces"
+                );
+            }
+        }
+    }
 }
