@@ -268,10 +268,9 @@ impl<'a> Window<'a> {
 type WindowFuture<'a> = Pin<Box<dyn Future<Output = Result<PemWindowOutcome, PemError>> + 'a>>;
 
 /// One trading window with its own queue fabric: the unit an
-/// [`Executor`] multiplexes. It is ready until it finishes. A poll
-/// advances the window to its next yield; a message that never arrives
-/// ends the window in its receive error (`NetError::Empty`) at the poll
-/// that wanted it.
+/// [`Executor`] multiplexes. A poll advances the window to its next
+/// yield; a message that never arrives ends the window in its receive
+/// error (`NetError::Empty`) at the poll that wanted it.
 ///
 /// [`Executor`]: pem_fabric::Executor
 pub struct WindowTask<'a> {
@@ -303,10 +302,6 @@ impl FabricTask for WindowTask<'_> {
                 outcome.map(Poll::Ready)
             }
         }
-    }
-
-    fn is_ready(&self) -> bool {
-        self.run.is_some()
     }
 }
 
@@ -410,49 +405,29 @@ mod tests {
     }
 
     #[test]
-    fn stalled_window_is_evicted_not_hung() {
+    fn lost_message_evicts_its_window_not_the_lane() {
         use pem_net::{FaultKind, FaultPlan, NetError};
-        let stalled_pop = population(&[2.0, 1.0, -3.0, -2.0]);
+        let lossy_pop = population(&[2.0, 1.0, -3.0, -2.0]);
         let healthy_pop = population(&[3.0, -1.0, -4.0, 0.5]);
         let solo = Pem::new(PemConfig::fast_test(), 4)
             .expect("setup")
             .run_window(&healthy_pop)
             .expect("window");
-        let mut stalled_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
+        let mut lossy_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let mut healthy_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
-        let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Stall);
-        let stalled = stalled_pem
-            .fabric_window_with_faults(&stalled_pop, plan)
+        let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Drop);
+        let lossy = lossy_pem
+            .fabric_window_with_faults(&lossy_pop, plan)
             .expect("task");
         let healthy = healthy_pem.fabric_window(&healthy_pop).expect("task");
-        let (results, _) = Executor::new(0).run_collect(vec![stalled, healthy]);
+        let (results, _) = Executor::new(0).run_collect(vec![lossy, healthy]);
         assert!(
             matches!(&results[0], Err(PemError::Net(NetError::Empty { .. }))),
-            "the stalled window ends in its receive error at its next poll: {:?}",
+            "the lossy window ends in its receive error at its next poll: {:?}",
             results[0]
         );
         let out = results[1].as_ref().expect("healthy window completes");
         assert_outcomes_identical(&solo, out);
-    }
-
-    #[test]
-    fn window_task_reports_readiness() {
-        let pop = population(&[2.0, -1.0]);
-        let mut pem = Pem::new(PemConfig::fast_test(), 2).expect("setup");
-        let mut task = pem.fabric_window(&pop).expect("task");
-        let mut polls = 0usize;
-        loop {
-            assert!(task.is_ready(), "a running window is ready");
-            match task.poll().expect("poll") {
-                Poll::Pending => polls += 1,
-                Poll::Ready(out) => {
-                    assert_eq!(out.kind, MarketKind::Extreme);
-                    break;
-                }
-            }
-            assert!(polls < 10_000, "window must terminate");
-        }
-        assert!(!task.is_ready(), "a finished window is not");
     }
 
     #[test]
@@ -493,9 +468,7 @@ mod tests {
             report,
             ExecutorReport {
                 polls: 45,
-                stalls: 0,
                 peak_resident: 2,
-                peak_ready: 2,
                 completed: 4,
             }
         );

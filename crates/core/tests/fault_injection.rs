@@ -16,8 +16,8 @@
 //! runs — through `Pem::run_window_on`, on `SimNetwork` with a
 //! `FaultPlan` or under the `Tamper` double below for edits `FaultKind`
 //! cannot express; the protocols only see the `Transport` trait either
-//! way. Stalled windows also run on the `Executor`, where the poll that
-//! wanted the stalled message ends the window.
+//! way. Windows that lose a message also run on the `Executor`, where
+//! the poll that wanted the lost message ends the window.
 
 use pem_circuit::CircuitError;
 use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome};
@@ -57,8 +57,8 @@ fn run_faulted(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
 }
 
 /// Runs one window under a fault plan as a task on the executor: a
-/// window waiting on a message that never arrives ends in its receive
-/// error at its next poll.
+/// window whose message never arrives ends in its receive error at the
+/// poll that wanted it.
 fn run_on_executor(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
     let mut pem = market();
     let task = pem
@@ -211,9 +211,8 @@ fn faults_never_produce_trades() {
     // Sweep faults across every label of Protocols 2–4: a window that
     // completes must be the clean one, a window that fails must return a
     // typed error — never a panic, never different trades. Every label
-    // takes every kind but `Stall`, which
-    // `stalled_message_aborts_with_one_error_class` sweeps; Protocol 2's
-    // `Corrupt` outcomes are also pinned one by one below, now that an
+    // takes every kind, and `lost_message_aborts_with_one_error_class`
+    // pins which error a `Drop` ends in; Protocol 2's `Corrupt` outcomes are also pinned one by one below, now that an
     // authenticated comparison output leaves no market bit to a coin
     // flip. A seller checks each echoed payment against its own
     // `price · energy`, and every party checks the price broadcast
@@ -493,31 +492,29 @@ fn fault_plans_leave_identical_message_logs() {
 
 #[test]
 fn delay_and_stall_leave_identical_message_logs() {
-    // A Stall is a delay that never ends: the envelope is journalled at
-    // its modelled departure and arrival, then withheld. Its journal up
-    // to the stalled send is the clean run's, and two runs under the same
-    // stall plan leave byte-identical journals.
+    // A stalled sender and a lossy link look the same to the recipient,
+    // so both are a `Drop`: the envelope is journalled at its modelled
+    // (delayed) departure and arrival, then withheld. Its journal up to
+    // the withheld send is the clean run's, and two runs under the same
+    // plan leave byte-identical journals.
     let _collector = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     pem_telemetry::install();
     let (clean_ok, clean) = journal(FaultPlan::new());
     assert!(clean_ok, "clean run");
-    let plan = FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Stall);
-    let (ok, stalled) = journal(plan.clone());
-    assert!(!ok, "the stalled message aborts the run");
-    assert_journal_matches_clean_up_to(FaultKind::Stall, "eval/supply-agg", &stalled, &clean);
+    let plan = FaultPlan::new().inject("eval/supply-agg", 0, FaultKind::Drop);
+    let (ok, withheld) = journal(plan.clone());
+    assert!(!ok, "the withheld message aborts the run");
+    assert_journal_matches_clean_up_to(FaultKind::Drop, "eval/supply-agg", &withheld, &clean);
     let (again_ok, again) = journal(plan);
-    assert!(!again_ok, "the stalled message aborts the rerun");
-    assert_eq!(
-        stalled, again,
-        "the same stall plan leaves the same journal"
-    );
+    assert!(!again_ok, "the withheld message aborts the rerun");
+    assert_eq!(withheld, again, "the same plan leaves the same journal");
     pem_telemetry::uninstall();
 }
 
 #[test]
-fn stalled_message_aborts_with_one_error_class() {
-    // A Stall swallows the envelope after it was journalled, whichever
-    // message of Protocols 2–4 was withheld: polled in a loop, the
+fn lost_message_aborts_with_one_error_class() {
+    // A Drop swallows the envelope after it was journalled, whichever
+    // message of Protocols 2–4 was lost: polled in a loop, the
     // recipient's receive finds an empty mailbox. On the executor the
     // window meets the same error at the poll that wanted the message,
     // in a yielding stage (the rings, pricing) or not (the comparison,
@@ -526,7 +523,7 @@ fn stalled_message_aborts_with_one_error_class() {
         .into_iter()
         .chain(PRICE_AND_DIST_LABELS);
     for label in labels {
-        let plan = FaultPlan::new().inject(label, 0, FaultKind::Stall);
+        let plan = FaultPlan::new().inject(label, 0, FaultKind::Drop);
         for (runner, result) in [
             ("polled", run_faulted(plan.clone())),
             ("executor", run_on_executor(plan)),

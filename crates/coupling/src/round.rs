@@ -920,7 +920,6 @@ mod tests {
             FaultKind::Duplicate,
             FaultKind::Corrupt,
             FaultKind::Truncate,
-            FaultKind::Stall,
         ];
         for label in [LABEL_UP, LABEL_CORRIDOR, LABEL_CLAIM, LABEL_SCHEDULE] {
             for kind in kinds {

@@ -311,11 +311,6 @@ impl Keypair {
     pub fn private(&self) -> &PrivateKey {
         &self.private
     }
-
-    /// Splits into `(public, private)`.
-    pub fn into_parts(self) -> (PublicKey, PrivateKey) {
-        (self.public, self.private)
-    }
 }
 
 impl PublicKey {

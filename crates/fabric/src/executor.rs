@@ -1,27 +1,22 @@
 //! The deterministic single-thread executor.
 //!
 //! One thread, N poll-able tasks: the executor admits tasks in index
-//! order (optionally in bounded batches), round-robins over the resident
-//! ones, and polls exactly those that report themselves ready. Because
-//! every task owns its state — fabric, RNG streams, keys — *what* a task
-//! computes is independent of *when* it is polled, so outputs are
-//! bit-identical at any batch size; the batch bound only caps how many
-//! protocol instances are resident (memory) at once.
+//! order (optionally in bounded batches) and round-robins over the
+//! resident ones, polling each once per round. Because every task owns
+//! its state — fabric, RNG streams, keys — *what* a task computes is
+//! independent of *when* it is polled, so outputs are bit-identical at
+//! any batch size; the batch bound only caps how many protocol instances
+//! are resident (memory) at once.
 
 use pem_telemetry::Counter;
 
 /// Polls executed across all executor runs (telemetry; empty until a
 /// collector is installed).
 static POLLS: Counter = Counter::new();
-/// Scheduling visits to tasks that were not ready (skipped this round).
-static STALLS: Counter = Counter::new();
 
 fn register_fabric_metrics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        pem_telemetry::register_counter("fabric/polls", &POLLS);
-        pem_telemetry::register_counter("fabric/stalls", &STALLS);
-    });
+    ONCE.call_once(|| pem_telemetry::register_counter("fabric/polls", &POLLS));
 }
 
 /// Result of polling a task once.
@@ -39,13 +34,10 @@ pub enum Poll<T> {
 ///
 /// # Contract
 ///
-/// * [`poll`](Self::poll) advances the task by one step. It must never
-///   block: a task whose next message has not arrived returns an error
-///   (e.g. `NetError::Empty`) rather than waiting.
-/// * [`is_ready`](Self::is_ready) reports whether a poll can make
-///   progress right now. The executor only force-polls a non-ready task
-///   when *nothing* is ready — at which point the task's error names
-///   what it was waiting for (how dropped messages surface).
+/// [`poll`](Self::poll) advances the task by one step and never blocks:
+/// a task whose next message has not arrived returns an error (e.g.
+/// `NetError::Empty`) rather than waiting. A task is polled once per
+/// scheduling round until it returns [`Poll::Ready`] or an error.
 pub trait FabricTask {
     /// What the task produces when it completes.
     type Output;
@@ -59,8 +51,12 @@ pub trait FabricTask {
     /// Task-specific failures; the executor evicts the task.
     fn poll(&mut self) -> Result<Poll<Self::Output>, Self::Error>;
 
-    /// Whether a poll can make progress right now.
-    fn is_ready(&self) -> bool;
+    /// Unused: the executor polls every resident task each round. Kept
+    /// (always `true`) only so existing implementations that still
+    /// override it, such as the benchmark's no-op probe task, compile.
+    fn is_ready(&self) -> bool {
+        true
+    }
 }
 
 /// What [`Executor::run_collect`] returns: one `Result` per input task,
@@ -72,12 +68,8 @@ pub type Collected<O, E> = (Vec<Result<O, E>>, ExecutorReport);
 pub struct ExecutorReport {
     /// Task polls executed.
     pub polls: u64,
-    /// Scheduling visits to tasks that were not ready.
-    pub stalls: u64,
     /// Maximum number of tasks resident at once.
     pub peak_resident: usize,
-    /// Maximum ready-queue depth observed at a round start.
-    pub peak_ready: usize,
     /// Tasks completed.
     pub completed: usize,
 }
@@ -120,14 +112,10 @@ impl Executor {
     /// only*, recorded as `Err` at its input index, while every other
     /// task runs to completion.
     ///
-    /// Tasks are admitted in index order; each scheduling round visits
-    /// resident tasks in admission order and polls the ready ones. When
-    /// a whole round finds nothing ready, the oldest resident task is
-    /// force-polled so its error surfaces (per the [`FabricTask`]
-    /// contract a non-ready poll must not block) instead of the
-    /// executor spinning forever — a wedged task (e.g. waiting on a
-    /// stalled message) thus frees its slot, and one faulty coalition
-    /// cannot stall the rest of the fleet.
+    /// Each round first admits tasks in index order up to the batch
+    /// bound, then polls every resident task once in admission order,
+    /// evicting it on [`Poll::Ready`] or an error. A freed slot admits
+    /// the next waiting task at the top of the next round.
     pub fn run_collect<T: FabricTask>(&self, tasks: Vec<T>) -> Collected<T::Output, T::Error> {
         register_fabric_metrics();
         let n = tasks.len();
@@ -142,65 +130,28 @@ impl Executor {
         let mut report = ExecutorReport::default();
 
         loop {
-            while active.len() < batch {
-                match waiting.next() {
-                    Some(slot) => active.push(slot),
-                    None => break,
-                }
-            }
+            active.extend(waiting.by_ref().take(batch - active.len()));
             report.peak_resident = report.peak_resident.max(active.len());
             if active.is_empty() {
                 break;
             }
-
-            let ready = active.iter().filter(|(_, t)| t.is_ready()).count();
-            report.peak_ready = report.peak_ready.max(ready);
-
-            let mut progressed = false;
             let mut i = 0;
             while i < active.len() {
-                if !active[i].1.is_ready() {
-                    STALLS.incr();
-                    report.stalls += 1;
-                    i += 1;
-                    continue;
-                }
-                progressed = true;
                 POLLS.incr();
                 report.polls += 1;
-                match active[i].1.poll() {
-                    Ok(Poll::Pending) => i += 1,
+                let result = match active[i].1.poll() {
+                    Ok(Poll::Pending) => {
+                        i += 1;
+                        continue;
+                    }
                     Ok(Poll::Ready(out)) => {
-                        let (idx, _) = active.remove(i);
-                        results[idx] = Some(Ok(out));
                         report.completed += 1;
-                        // The freed slot admits the next waiting task at
-                        // the top of the next round.
+                        Ok(out)
                     }
-                    Err(e) => {
-                        let (idx, _) = active.remove(i);
-                        results[idx] = Some(Err(e));
-                    }
-                }
-            }
-
-            if !progressed {
-                // Nothing ready: force-poll the oldest resident task so
-                // a lost message surfaces as its typed receive error.
-                POLLS.incr();
-                report.polls += 1;
-                match active[0].1.poll() {
-                    Ok(Poll::Pending) => {}
-                    Ok(Poll::Ready(out)) => {
-                        let (idx, _) = active.remove(0);
-                        results[idx] = Some(Ok(out));
-                        report.completed += 1;
-                    }
-                    Err(e) => {
-                        let (idx, _) = active.remove(0);
-                        results[idx] = Some(Err(e));
-                    }
-                }
+                    Err(e) => Err(e),
+                };
+                let (idx, _) = active.remove(i);
+                results[idx] = Some(result);
             }
         }
 
@@ -218,7 +169,7 @@ impl Executor {
 mod tests {
     use super::*;
 
-    /// A task that completes after a fixed number of polls, always ready.
+    /// A task that completes after a fixed number of polls.
     struct Countdown {
         id: usize,
         remaining: u32,
@@ -235,10 +186,6 @@ mod tests {
             } else {
                 Ok(Poll::Pending)
             }
-        }
-
-        fn is_ready(&self) -> bool {
-            true
         }
     }
 
@@ -280,8 +227,6 @@ mod tests {
         assert_eq!(run(0), run(0), "same schedule, same counters");
         // Unbounded admission: 3 tasks × 4 polls each.
         assert_eq!(run(0).polls, 12);
-        assert_eq!(run(0).stalls, 0);
-        assert_eq!(run(0).peak_ready, 3);
     }
 
     #[test]
@@ -293,30 +238,8 @@ mod tests {
             fn poll(&mut self) -> Result<Poll<()>, &'static str> {
                 Err("boom")
             }
-            fn is_ready(&self) -> bool {
-                true
-            }
         }
         assert_eq!(Executor::new(0).run(vec![Fails]).unwrap_err(), "boom");
-    }
-
-    /// A task that is never ready: the executor must force-poll it
-    /// (surfacing its error) instead of spinning.
-    #[test]
-    fn force_poll_surfaces_starved_tasks() {
-        struct Starved;
-        impl FabricTask for Starved {
-            type Output = ();
-            type Error = &'static str;
-            fn poll(&mut self) -> Result<Poll<()>, &'static str> {
-                Err("message never arrived")
-            }
-            fn is_ready(&self) -> bool {
-                false
-            }
-        }
-        let err = Executor::new(0).run(vec![Starved]).unwrap_err();
-        assert_eq!(err, "message never arrived");
     }
 
     #[test]
@@ -340,9 +263,6 @@ mod tests {
                 } else {
                     Ok(Poll::Pending)
                 }
-            }
-            fn is_ready(&self) -> bool {
-                true
             }
         }
         let tasks = |fail: bool| {
@@ -374,96 +294,47 @@ mod tests {
     }
 
     #[test]
-    fn run_collect_force_polls_wedged_tasks() {
-        /// Never ready: only a force-poll can surface its error.
-        struct Wedged;
-        impl FabricTask for Wedged {
-            type Output = usize;
-            type Error = &'static str;
-            fn poll(&mut self) -> Result<Poll<usize>, &'static str> {
-                Err("stalled message never arrived")
-            }
-            fn is_ready(&self) -> bool {
-                false
-            }
-        }
-        struct Fine(u32);
-        impl FabricTask for Fine {
-            type Output = usize;
-            type Error = &'static str;
-            fn poll(&mut self) -> Result<Poll<usize>, &'static str> {
-                self.0 -= 1;
-                if self.0 == 0 {
-                    Ok(Poll::Ready(7))
-                } else {
-                    Ok(Poll::Pending)
-                }
-            }
-            fn is_ready(&self) -> bool {
-                true
-            }
-        }
-        enum Either {
-            Wedged(Wedged),
-            Fine(Fine),
-        }
-        impl FabricTask for Either {
-            type Output = usize;
-            type Error = &'static str;
-            fn poll(&mut self) -> Result<Poll<usize>, &'static str> {
-                match self {
-                    Either::Wedged(t) => t.poll(),
-                    Either::Fine(t) => t.poll(),
-                }
-            }
-            fn is_ready(&self) -> bool {
-                match self {
-                    Either::Wedged(t) => t.is_ready(),
-                    Either::Fine(t) => t.is_ready(),
-                }
-            }
-        }
-        let (results, report) =
-            Executor::new(0).run_collect(vec![Either::Wedged(Wedged), Either::Fine(Fine(3))]);
-        assert_eq!(results[0], Err("stalled message never arrived"));
-        assert_eq!(results[1], Ok(7));
-        assert_eq!(report.completed, 1);
-    }
+    fn readiness_is_never_consulted() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
 
-    #[test]
-    fn stalls_are_counted() {
-        /// Ready only every other scheduling visit.
-        struct Flaky {
+        /// Logs its id on every poll; claims readiness per `ready`.
+        struct Logged {
+            id: usize,
             remaining: u32,
-            visits: std::cell::Cell<u32>,
+            ready: bool,
+            log: Rc<RefCell<Vec<usize>>>,
         }
-        impl FabricTask for Flaky {
-            type Output = u32;
+        impl FabricTask for Logged {
+            type Output = usize;
             type Error = &'static str;
-            fn poll(&mut self) -> Result<Poll<u32>, &'static str> {
+            fn poll(&mut self) -> Result<Poll<usize>, &'static str> {
+                self.log.borrow_mut().push(self.id);
                 self.remaining -= 1;
-                if self.remaining == 0 {
-                    Ok(Poll::Ready(0))
+                Ok(if self.remaining == 0 {
+                    Poll::Ready(self.id)
                 } else {
-                    Ok(Poll::Pending)
-                }
+                    Poll::Pending
+                })
             }
             fn is_ready(&self) -> bool {
-                // The executor probes twice per round (depth sample +
-                // scan), so a period-4 pattern yields alternating
-                // all-ready / all-stalled rounds.
-                let v = self.visits.get();
-                self.visits.set(v + 1);
-                v % 4 >= 2
+                self.ready
             }
         }
-        let (_, report) = Executor::new(0)
-            .run(vec![Flaky {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let tasks = [false, true]
+            .into_iter()
+            .enumerate()
+            .map(|(id, ready)| Logged {
+                id,
                 remaining: 3,
-                visits: std::cell::Cell::new(0),
-            }])
-            .expect("run");
-        assert!(report.stalls > 0, "odd visits were skipped");
-        assert_eq!(report.polls, 3);
+                ready,
+                log: Rc::clone(&log),
+            })
+            .collect();
+        let (out, report) = Executor::new(0).run(tasks).expect("run");
+        assert_eq!(out, vec![0, 1]);
+        assert_eq!(*log.borrow(), vec![0, 1, 0, 1, 0, 1]);
+        assert_eq!(report.polls, 6);
     }
 }

@@ -14,19 +14,16 @@
 //!   `Pem::run_window`, a fold inside Protocol 4 or the coupling round,
 //!   Protocol 3 in the topology ablation.
 //! * [`EventTransport`] — the name this crate gives `pem-net`'s one
-//!   fabric, [`SimNetwork`](pem_net::SimNetwork), where it is used as an
-//!   inspectable event queue: `recv` never blocks,
-//!   [`has_message`](pem_net::SimNetwork::has_message) probes readiness
-//!   and [`pop_earliest`](pem_net::SimNetwork::pop_earliest) delivers in
-//!   global arrival order. A task whose message never arrives is not
-//!   waited on: the receive that wanted it returns its typed error.
+//!   fabric, [`SimNetwork`](pem_net::SimNetwork): per-recipient FIFO
+//!   mailboxes whose `recv` never blocks. A task whose message never
+//!   arrives is not waited on: the receive that wanted it returns its
+//!   typed error.
 //! * [`Executor`] — a deterministic single-thread scheduler over
 //!   [`FabricTask`]s: seeded, poll-order-stable, bit-identical output at
 //!   any admission batch size. It is the only dispatcher of a grid's
-//!   coalition windows (one per lane). A task that is never ready is
-//!   force-polled by its stall breaker. Its poll and stall counters flow
-//!   through the `pem-telemetry` registry (`fabric/polls`,
-//!   `fabric/stalls`).
+//!   coalition windows (one per lane), polls every resident task once
+//!   per round and evicts it when it finishes or fails. Its poll counter
+//!   flows through the `pem-telemetry` registry (`fabric/polls`).
 //!
 //! # Example
 //!
@@ -42,9 +39,6 @@
 //!     fn poll(&mut self) -> Result<Poll<Vec<u8>>, Self::Error> {
 //!         let env = self.0.recv_expect(PartyId(1), "hop")?;
 //!         Ok(Poll::Ready(env.payload))
-//!     }
-//!     fn is_ready(&self) -> bool {
-//!         self.0.has_message(PartyId(1))
 //!     }
 //! }
 //!

@@ -1,7 +1,7 @@
 //! Fault injection for protocol robustness testing.
 //!
 //! A [`FaultPlan`] attached to a [`SimNetwork`](crate::SimNetwork)
-//! drops, duplicates, corrupts, truncates or stalls selected messages as
+//! drops, duplicates, corrupts or truncates selected messages as
 //! they are sent ([`FaultPlan::process`] is the hook the send pipeline
 //! calls, after the message has been accounted and journalled). The PEM
 //! protocols must turn every such fault into a *typed error* — never
@@ -10,8 +10,7 @@
 //!
 //! Every applied fault is counted on the `fault/*` telemetry counters
 //! (`fault/drops`, `fault/duplicates`, `fault/corruptions`,
-//! `fault/truncations`, `fault/stalls`) so chaos runs leave an auditable
-//! trail.
+//! `fault/truncations`) so chaos runs leave an auditable trail.
 
 use std::collections::BTreeMap;
 
@@ -25,8 +24,6 @@ static DUPLICATES: Counter = Counter::new();
 static CORRUPTIONS: Counter = Counter::new();
 /// Messages truncated to half length.
 static TRUNCATIONS: Counter = Counter::new();
-/// Messages withheld forever (a hung sender, not a lossy link).
-static STALLS: Counter = Counter::new();
 
 fn register_fault_metrics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -35,14 +32,16 @@ fn register_fault_metrics() {
         pem_telemetry::register_counter("fault/duplicates", &DUPLICATES);
         pem_telemetry::register_counter("fault/corruptions", &CORRUPTIONS);
         pem_telemetry::register_counter("fault/truncations", &TRUNCATIONS);
-        pem_telemetry::register_counter("fault/stalls", &STALLS);
     });
 }
 
 /// What to do to a matched message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Silently discard the message.
+    /// The message never arrives. To the recipient a lossy link and a
+    /// hung sender are the same: its receive finds an empty mailbox
+    /// ([`crate::NetError::Empty`]), and a poll-driven window meets that
+    /// error at the poll that wanted the message.
     Drop,
     /// Deliver the message twice.
     Duplicate,
@@ -50,13 +49,6 @@ pub enum FaultKind {
     Corrupt,
     /// Truncate the payload to half its length.
     Truncate,
-    /// The message never arrives — a hung sender rather than a lossy
-    /// link. At the transport level this withholds delivery like
-    /// [`FaultKind::Drop`], but it is counted separately
-    /// (`fault/stalls`). The recipient's receive finds an empty mailbox
-    /// ([`crate::NetError::Empty`]); a poll-driven window meets that
-    /// error at the poll that wanted the message.
-    Stall,
 }
 
 /// Outcome of consulting a [`FaultPlan`] for one outgoing message.
@@ -70,17 +62,17 @@ pub enum Delivery {
         /// Whether an identical duplicate copy must also be delivered.
         duplicate: bool,
     },
-    /// The message is withheld: lost in flight ([`FaultKind::Drop`]) or
-    /// stalled forever ([`FaultKind::Stall`]).
+    /// The message is withheld ([`FaultKind::Drop`]).
     Lost,
 }
 
-/// A schedule of faults keyed by message label: the `n`-th send (0-based)
-/// carrying that label is hit.
+/// A schedule of faults keyed by message label and occurrence: the
+/// `n`-th send (0-based) carrying that label is hit. One label may carry
+/// faults at several occurrences.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// label → (target occurrence, fault).
-    rules: BTreeMap<&'static str, (u64, FaultKind)>,
+    /// (label, target occurrence) → fault.
+    rules: BTreeMap<(&'static str, u64), FaultKind>,
     /// label → sends seen so far.
     seen: BTreeMap<&'static str, u64>,
 }
@@ -91,9 +83,10 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedules `kind` against the `nth` message with `label`.
+    /// Schedules `kind` against the `nth` message with `label`,
+    /// replacing any fault already scheduled on that same message.
     pub fn inject(mut self, label: &'static str, nth: u64, kind: FaultKind) -> FaultPlan {
-        self.rules.insert(label, (nth, kind));
+        self.rules.insert((label, nth), kind);
         self
     }
 
@@ -101,8 +94,8 @@ impl FaultPlan {
     /// fault pipeline as a single call, usable by *any*
     /// [`Transport`](crate::Transport) implementation
     /// ([`SimNetwork`](crate::SimNetwork) reaches it through its send
-    /// pipeline). Returns [`Delivery::Lost`] when the message is withheld
-    /// (dropped or stalled); otherwise the (possibly mangled) payload
+    /// pipeline). Returns [`Delivery::Lost`] when the message is dropped;
+    /// otherwise the (possibly mangled) payload
     /// plus the duplicate flag.
     pub fn process(&mut self, label: &'static str, payload: Vec<u8>) -> Delivery {
         match self.action(label) {
@@ -120,10 +113,7 @@ impl FaultPlan {
         let seen = self.seen.entry(label).or_insert(0);
         let current = *seen;
         *seen += 1;
-        match self.rules.get(label) {
-            Some(&(nth, kind)) if nth == current => Some(kind),
-            _ => None,
-        }
+        self.rules.get(&(label, current)).copied()
     }
 
     /// Applies a fault to a payload and counts it on the `fault/*`
@@ -160,10 +150,6 @@ impl FaultPlan {
                     payload,
                     duplicate: false,
                 }
-            }
-            FaultKind::Stall => {
-                STALLS.incr();
-                Delivery::Lost
             }
         }
     }
@@ -227,17 +213,14 @@ mod tests {
     }
 
     #[test]
-    fn stall_withholds_like_drop() {
-        let mut net =
-            SimNetwork::new(2).with_faults(FaultPlan::new().inject("m", 0, FaultKind::Stall));
-        net.send(PartyId(0), PartyId(1), "m", vec![9])
-            .expect("send");
-        assert!(
-            net.recv(PartyId(1)).is_none(),
-            "stalled message never arrives"
-        );
-        net.send(PartyId(0), PartyId(1), "m", vec![4])
-            .expect("send");
-        assert_eq!(net.recv(PartyId(1)).expect("delivered").payload, vec![4]);
+    fn two_faults_on_one_label_both_fire() {
+        let mut plan =
+            FaultPlan::new()
+                .inject("x", 0, FaultKind::Drop)
+                .inject("x", 2, FaultKind::Corrupt);
+        assert_eq!(plan.action("x"), Some(FaultKind::Drop));
+        assert_eq!(plan.action("x"), None);
+        assert_eq!(plan.action("x"), Some(FaultKind::Corrupt));
+        assert_eq!(plan.action("x"), None);
     }
 }

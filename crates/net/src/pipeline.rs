@@ -64,8 +64,8 @@ impl Pipeline {
 
     /// Runs one outgoing message through the pipeline. Returns the
     /// envelope to queue and whether the fault plan asks for a second,
-    /// identical copy — or `None` when the message was dropped or
-    /// stalled in flight.
+    /// identical copy — or `None` when the message was dropped in
+    /// flight.
     ///
     /// # Errors
     ///
@@ -111,7 +111,7 @@ impl Pipeline {
             arrival_us,
         );
         let Delivery::Deliver { payload, duplicate } = self.faults.process(label, payload) else {
-            return Ok(None); // dropped or stalled in flight
+            return Ok(None); // dropped in flight
         };
         Ok(Some((
             Envelope {

@@ -102,17 +102,16 @@ impl LatencyModel {
 /// arrival-ordered event view, over the send pipeline (byte accounting,
 /// virtual clock, per-link latency, fault injection).
 ///
-/// Nothing ever blocks: queued messages can be probed
-/// ([`has_message`](SimNetwork::has_message)), popped per recipient with
-/// the FIFO [`Transport::recv`]/[`Transport::recv_expect`], or delivered
-/// in global arrival order with [`pop_earliest`](SimNetwork::pop_earliest)
-/// — the event-loop shape a poll-driven executor needs. Everything else
-/// is the [`Transport`] surface; the inherent methods are only what the
-/// trait lacks.
+/// Nothing ever blocks: the protocols pop each recipient's mailbox in
+/// FIFO order with [`Transport::recv`]/[`Transport::recv_expect`], and a
+/// message that has not arrived is an empty mailbox, never a wait.
+/// Everything else is the [`Transport`] surface; the inherent methods
+/// are only what the trait lacks.
 #[derive(Debug)]
 pub struct SimNetwork {
     /// Per-party mailboxes; each entry carries a global send sequence
-    /// number so arrival-order delivery breaks ties deterministically.
+    /// number, read only by [`pop_earliest`](SimNetwork::pop_earliest)
+    /// to break arrival-time ties.
     mailboxes: Vec<VecDeque<(u64, Envelope)>>,
     /// Next global send sequence number.
     seq: u64,
@@ -148,16 +147,10 @@ impl SimNetwork {
         self.pipe.link_latency.insert((from.0, to.0), model);
     }
 
-    /// Whether any message is queued for `to` — the readiness probe a
-    /// poll-driven task uses before committing to a receive.
-    pub fn has_message(&self, to: PartyId) -> bool {
-        self.mailboxes.get(to.0).is_some_and(|m| !m.is_empty())
-    }
-
     /// Pops the queued message with the earliest arrival time across
-    /// *all* parties (ties broken by send order) — global event-loop
-    /// delivery, for drivers that react to whatever lands next rather
-    /// than waiting on one party.
+    /// *all* parties (ties broken by send order). No protocol delivers
+    /// through it — they receive per recipient — and it stays for the
+    /// event-queue micro-benchmark.
     pub fn pop_earliest(&mut self) -> Option<Envelope> {
         let party = self
             .mailboxes
@@ -360,17 +353,5 @@ mod tests {
         let wan_arrival = net.recv(PartyId(2)).expect("delivered").arrival_us;
         assert_eq!(wan_arrival, LatencyModel::wan().charge_us(100));
         assert_eq!(net.now_us(), wan_arrival);
-    }
-
-    #[test]
-    fn has_message_probes_without_consuming() {
-        let mut net = SimNetwork::new(2);
-        assert!(!net.has_message(PartyId(1)));
-        net.send(PartyId(0), PartyId(1), "x", vec![1]).unwrap();
-        assert!(net.has_message(PartyId(1)));
-        assert!(!net.has_message(PartyId(0)));
-        assert_eq!(net.pending(), 1, "probe must not consume");
-        net.recv(PartyId(1)).unwrap();
-        assert!(!net.has_message(PartyId(1)));
     }
 }

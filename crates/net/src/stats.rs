@@ -140,20 +140,6 @@ impl NetStats {
         }
         out
     }
-
-    /// Mean bytes sent+received per party (what Table I averages).
-    pub fn mean_bytes_per_party(&self) -> f64 {
-        if self.sent_bytes.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self
-            .sent_bytes
-            .iter()
-            .zip(self.received_bytes.iter())
-            .map(|(s, r)| s + r)
-            .sum();
-        total as f64 / self.sent_bytes.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -239,14 +225,5 @@ mod tests {
         assert_eq!(s.label_totals("price/"), LabelStats::default());
         // Whole-fabric prefix matches everything.
         assert_eq!(s.label_totals("").bytes, s.total_bytes);
-    }
-
-    #[test]
-    fn mean_bytes_per_party() {
-        let mut s = NetStats::new(2);
-        s.record(0, 1, "x", 100);
-        // Party 0 sent 100, party 1 received 100 → (100 + 100) / 2.
-        assert_eq!(s.mean_bytes_per_party(), 100.0);
-        assert_eq!(NetStats::default().mean_bytes_per_party(), 0.0);
     }
 }

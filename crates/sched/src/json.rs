@@ -143,14 +143,14 @@ mod tests {
             coupling: None,
             retry: RetryPolicy::default(),
         };
-        // Coalition 0 stalls on every attempt: quarantined both windows.
+        // Coalition 0 drops on every attempt: quarantined both windows.
         let mut grid = GridOrchestrator::new(cfg)
             .expect("grid")
             .with_chaos(vec![ChaosSpec {
                 shard: 0,
                 label: "eval/demand-agg",
                 nth: 0,
-                kind: FaultKind::Stall,
+                kind: FaultKind::Drop,
                 persistent: true,
                 window: None,
             }]);

@@ -88,8 +88,8 @@ pub enum CoalitionStatus {
     /// re-admission probe next window.
     Quarantined {
         /// Display form of the last error. Deliberately excluded from
-        /// fingerprints — error *strings* may differ across engines
-        /// even when the error class is identical.
+        /// fingerprints: it is diagnostic text, and rewording an error
+        /// message must not move a fingerprint.
         error: String,
     },
 }
@@ -294,8 +294,8 @@ impl GridReport {
         // The degraded section is folded in only when the recovery layer
         // actually intervened, so healthy-run fingerprints stay
         // bit-identical to pre-recovery goldens. Status tags and attempt
-        // counts are deterministic; error strings are not folded (they
-        // may differ across engines for the same error class).
+        // counts are folded; error strings are diagnostic text and are
+        // not, so rewording an error message moves no fingerprint.
         if self.statuses.iter().any(|s| *s != CoalitionStatus::Cleared) {
             buf.extend_from_slice(b"pem-degraded-v1");
             buf.extend_from_slice(&(self.statuses.len() as u64).to_be_bytes());

@@ -41,7 +41,7 @@ fn day(windows: usize) -> Vec<Vec<AgentWindow>> {
 }
 
 /// The committed two-fault plan: coalition 0's demand aggregation
-/// stalls on every attempt (quarantined), coalition 1's supply
+/// drops on every attempt (quarantined), coalition 1's supply
 /// aggregation drops once per window on the first attempt only
 /// (recovers via one deterministic retry).
 fn chaos() -> Vec<ChaosSpec> {
@@ -50,7 +50,7 @@ fn chaos() -> Vec<ChaosSpec> {
             shard: 0,
             label: "eval/demand-agg",
             nth: 0,
-            kind: FaultKind::Stall,
+            kind: FaultKind::Drop,
             persistent: true,
             window: None,
         },
@@ -99,7 +99,7 @@ fn degraded_runs_are_bit_reproducible_at_any_worker_count() {
     for (w, report) in base.iter().enumerate() {
         assert!(
             matches!(report.statuses[0], CoalitionStatus::Quarantined { .. }),
-            "window {w}: persistent stall quarantines coalition 0"
+            "window {w}: persistent drop quarantines coalition 0"
         );
         assert_eq!(
             report.statuses[1],
@@ -238,14 +238,14 @@ fn healthy_coalitions_match_the_fault_free_run() {
 
 #[test]
 fn quarantine_carries_over_until_a_probe_readmits() {
-    // The stall is scoped to window 0 only: the coalition is
+    // The drop is scoped to window 0 only: the coalition is
     // quarantined there, sits out until its single-attempt re-admission
     // probe runs clean in window 1, and is fully cleared by window 2.
     let specs = vec![ChaosSpec {
         shard: 0,
         label: "eval/demand-agg",
         nth: 0,
-        kind: FaultKind::Stall,
+        kind: FaultKind::Drop,
         persistent: true,
         window: Some(0),
     }];
@@ -273,7 +273,7 @@ fn quarantine_carries_over_until_a_probe_readmits() {
 #[test]
 fn a_failed_window_never_replays_its_draws() {
     // Window 0 only: coalition 1 drops a supply message once and
-    // recovers; coalition 2 stalls there on every attempt, is
+    // recovers; coalition 2 drops there on every attempt, is
     // quarantined, then probed in window 1. Both failed attempts put
     // masked totals on the wire, so window 1 must continue past those
     // draws — its masks must differ from a fresh grid's first window
@@ -291,7 +291,7 @@ fn a_failed_window_never_replays_its_draws() {
             shard: 2,
             label: "eval/supply-agg",
             nth: 0,
-            kind: FaultKind::Stall,
+            kind: FaultKind::Drop,
             persistent: true,
             window: Some(0),
         },

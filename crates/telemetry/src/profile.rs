@@ -78,11 +78,6 @@ impl ProfileSummary {
         self.rows.iter().find(|r| r.name == name)
     }
 
-    /// Total wall-clock µs across all rows.
-    pub fn total_wall_us(&self) -> u64 {
-        self.rows.iter().map(|r| r.wall_us).sum()
-    }
-
     /// The table as a JSON array, one object per row.
     pub fn to_json(&self) -> Json {
         let row = |r: &ProfileRow| {
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(price.count, 2);
         assert_eq!(price.wall_us, 15);
         assert_eq!(price.virtual_us, 5);
-        assert_eq!(p.total_wall_us(), 22);
         assert_eq!(ProfileSummary::from_events(&[]), ProfileSummary::default());
         assert_eq!(
             p.to_json().to_string(),

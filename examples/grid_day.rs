@@ -18,7 +18,7 @@
 //! # Observability: Chrome trace (chrome://tracing / Perfetto) and a
 //! # machine-readable full-day report.
 //! cargo run --release --example grid_day -- --trace day.trace.json --json day.json
-//! # Chaos smoke: a committed per-coalition fault plan (persistent stall
+//! # Chaos smoke: a committed per-coalition fault plan (persistent drop
 //! # on shard 0, transient drop on shard 1) with one retry per window —
 //! # the day completes degraded, shard 0 quarantined, shard 1 recovered,
 //! # every healthy coalition bit-identical to the fault-free run.
@@ -155,7 +155,7 @@ fn main() {
     .expect("grid configuration");
     if chaos {
         // The committed chaos-smoke fault plan: shard 0's demand
-        // aggregation stalls on every attempt (quarantined all day),
+        // aggregation drops on every attempt (quarantined all day),
         // shard 1's supply aggregation drops once per window on the
         // first attempt only (recovers via one deterministic retry).
         grid = grid.with_chaos(vec![
@@ -163,7 +163,7 @@ fn main() {
                 shard: 0,
                 label: "eval/demand-agg",
                 nth: 0,
-                kind: FaultKind::Stall,
+                kind: FaultKind::Drop,
                 persistent: true,
                 window: None,
             },
