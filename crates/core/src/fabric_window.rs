@@ -3,11 +3,16 @@
 //!
 //! `Window::run` is Protocol 1 in the order of the paper: market
 //! evaluation, pricing or the floor price, distribution. It awaits the
-//! poll-able protocols (Protocol 2's masked rings, Protocol 3) and runs
-//! the comparison, Protocol 4 and the randomizer-pool refill without a
-//! yield. Each receive of a poll-able protocol is one poll, and so is
-//! each of the three phase boundaries (after the supply ring, after the
-//! comparison and its broadcast, after pricing). Both ways of running a
+//! poll-able protocols — Protocol 2's two masked rings, run concurrently
+//! in lockstep (`protocol2::masked_totals`), Protocol 3 and Protocol 4,
+//! whose total fold yields — and runs the comparison, the rest of
+//! Protocol 4 and the randomizer-pool refill without a yield. Each
+//! lockstep receive of the two rings is one poll, as is each receive of
+//! Protocol 3 and of Protocol 4's fold, and each of the three phase
+//! boundaries (after the rings, after the comparison and its broadcast,
+//! after pricing). The rounds the paper leaves independent overlap on
+//! the virtual clock: the two rings, and the settlement's pairwise
+//! round-trips (three sweeps in `protocol4::run`). Both ways of running a
 //! window drive the same future: [`Pem::run_window_on`] blocks on it on
 //! the caller's transport, and [`WindowTask`] boxes it with its own
 //! queue fabric so thousands of windows can share one executor thread,
@@ -165,31 +170,19 @@ impl<'a> Window<'a> {
             (MarketKind::NoMarket, cfg.band.grid_retail, Vec::new())
         } else {
             // Protocol 2: demand toward H_r1 — `Σ(|sn_j| + r_j) + Σ r_i`
-            // under its key — then supply toward H_r2 — `Σ(sn_i + r_i) +
-            // Σ r_j` — then the comparison and its one-bit broadcast.
+            // under its key — and supply toward H_r2 — `Σ(sn_i + r_i) +
+            // Σ r_j` — in lockstep, then the comparison and its one-bit
+            // broadcast.
             let eval = Phase::open(net, "window/eval");
             let hr1 = sellers[rng.gen_range(0..sellers.len())];
             let hr2 = buyers[rng.gen_range(0..buyers.len())];
-            let demand = protocol2::masked_total(
+            let (demand, supply) = protocol2::masked_totals(
                 net,
                 keys,
                 &agents,
-                hr1,
-                &buyers,
-                &sellers,
-                "eval/demand-agg",
-                pool,
-                rng,
-            )
-            .await?;
-            let supply = protocol2::masked_total(
-                net,
-                keys,
-                &agents,
-                hr2,
+                (hr1, hr2),
                 &sellers,
                 &buyers,
-                "eval/supply-agg",
                 pool,
                 rng,
             )
@@ -230,7 +223,8 @@ impl<'a> Window<'a> {
             let phase = Phase::open(net, "window/dist");
             let dist = protocol4::run(
                 net, keys, &agents, &sellers, &buyers, price, general, cfg, pool, rng,
-            )?;
+            )
+            .await?;
             metrics.distribution = phase.close(net);
             revealed.allocation_ratios = dist.ratios;
 
@@ -433,9 +427,11 @@ mod tests {
     #[test]
     fn executor_schedule_is_pinned() {
         // The general, extreme and no-market populations, and the
-        // general one again with tree pricing: one poll per receive of
-        // a ring or of pricing, plus the phase boundaries. A lost or
-        // added yield moves these counts.
+        // general one again with tree pricing: one poll per lockstep
+        // receive of the two rings (one ring's depth), per receive of
+        // pricing and of Protocol 4's total fold, plus the phase
+        // boundaries. A lost or added yield, or rings run one after the
+        // other, moves these counts.
         let general = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         let cases = [
@@ -455,7 +451,7 @@ mod tests {
                 Executor::new(0).run(vec![task]).expect("window").1.polls
             })
             .collect();
-        assert_eq!(solo, [18, 8, 1, 18], "polls per window alone");
+        assert_eq!(solo, [16, 7, 1, 16], "polls per window alone");
         let mut pems: Vec<Pem> = cases.iter().map(market).collect();
         let tasks: Vec<WindowTask<'_>> = pems
             .iter_mut()
@@ -467,11 +463,33 @@ mod tests {
         assert_eq!(
             report,
             ExecutorReport {
-                polls: 45,
+                polls: 40,
                 peak_resident: 2,
                 completed: 4,
             }
         );
+    }
+
+    #[test]
+    fn window_virtual_clock_is_pinned() {
+        // The general and the extreme population on a LAN: the two
+        // rings run in lockstep and the settlement in three sweeps, so
+        // the window's critical path is 1,932 and 1,160 µs. With both
+        // stages run one step at a time the same windows take 2,780 and
+        // 1,276 µs; serialising either stage again moves these.
+        use pem_net::LatencyModel;
+        for (surpluses, expected_us) in [
+            (&[2.0, 1.0, -3.0, -2.0, -1.0][..], 1_932),
+            (&[5.0, 4.0, -1.0][..], 1_160),
+        ] {
+            let pop = population(surpluses);
+            let mut net = SimNetwork::with_latency(pop.len(), LatencyModel::lan());
+            Pem::new(PemConfig::fast_test(), pop.len())
+                .expect("setup")
+                .run_window_on(&mut net, &pop)
+                .expect("window");
+            assert_eq!(net.now_us(), expected_us, "{surpluses:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!    aggregates `Enc_{pk_r1}(Σ_j (|sn_j| + r_j) + Σ_{i≠r1} r_i)`;
 //!    `H_r1` folds in its own nonce and decrypts the masked total `R_b`.
 //! 3. **Supply round** (roles swapped, same nonces): `H_r2` obtains
-//!    `R_s = Σ_i (sn_i + r_i) + Σ_j r_j`.
+//!    `R_s = Σ_i (sn_i + r_i) + Σ_j r_j`. The two rounds run
+//!    concurrently.
 //! 4. Because both totals carry the *same* nonce sum,
 //!    `R_s < R_b ⇔ E_s < E_b`; `H_r2` (garbler) and `H_r1` (evaluator)
 //!    run the garbled-circuit comparison of `pem-circuit`, and `H_r1`
@@ -18,10 +19,17 @@
 //! see only ciphertexts, and the masked totals are uniformly random in
 //! the nonce range.
 //!
-//! The two rings are one `async fn` (`masked_total`) over [`crate::fold`],
-//! yielding before each receive. The comparison and the broadcast are
-//! strict request/response and run without a yield. The trading window
-//! (`crate::fabric_window`) is the only code that sequences the four.
+//! Each ring is a synchronous step that encrypts its terms and an
+//! `async` fold over [`crate::fold`] that yields before each receive.
+//! The two rings are independent (different collectors, different keys,
+//! every term encrypted before the first send), so `masked_totals`
+//! encrypts both — demand first, then supply — and runs the two folds
+//! concurrently in lockstep: the window pays one ring's depth on the
+//! virtual clock, not two. The comparison and the broadcast are strict
+//! request/response and run without a yield. The trading window
+//! (`crate::fabric_window`) is the only caller.
+
+use std::cell::RefCell;
 
 use pem_bignum::BigUint;
 use pem_circuit::compare::{
@@ -32,8 +40,10 @@ use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{OtCiphertexts, OtReceiverReply, OtSenderSetup};
+use pem_crypto::paillier::Ciphertext;
+use pem_fabric::try_join;
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{PartyId, Transport};
+use pem_net::{Envelope, NetError, NetStats, PartyId, Transport};
 use pem_telemetry::Span;
 
 use crate::agents::AgentCtx;
@@ -43,55 +53,184 @@ use crate::fold::{fold, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
-/// One of Protocol 2's nonce-masked rings: demand toward `H_r1` or
-/// supply toward `H_r2`. The chain is the value holders first, then the
-/// masking coalition minus the collector. `value_holders` contribute
-/// `|sn| + nonce`, `maskers` only their nonces. Every contribution is
-/// encrypted in chain order before the first send, then folded along
-/// the ring (one receive per poll); the collector adds its own nonce
-/// and decrypts the masked total.
+/// One of Protocol 2's nonce-masked rings with every term encrypted:
+/// demand toward `H_r1` or supply toward `H_r2`. The chain is the value
+/// holders first, then the masking coalition minus the collector.
+/// `value_holders` contribute `|sn| + nonce`, `maskers` only their
+/// nonces.
+struct MaskedRing<'a> {
+    keys: &'a KeyDirectory,
+    collector: usize,
+    chain: Vec<usize>,
+    terms: Vec<[Ciphertext; 1]>,
+    /// The collector's nonce, which it adds locally after the fold.
+    own_nonce: u64,
+    label: &'static str,
+    span: Span,
+}
+
+impl<'a> MaskedRing<'a> {
+    /// The synchronous half of a ring: encrypts every contribution in
+    /// chain order, drawing from `pool` and `rng`, before anything is
+    /// sent.
+    #[allow(clippy::too_many_arguments)]
+    fn encrypt<T: Transport>(
+        net: &T,
+        keys: &'a KeyDirectory,
+        agents: &[AgentCtx],
+        collector: usize,
+        value_holders: &[usize],
+        maskers: &[usize],
+        label: &'static str,
+        pool: &mut Option<RandomizerPool>,
+        rng: &mut HashDrbg,
+    ) -> Result<MaskedRing<'a>, PemError> {
+        let span = Span::enter_at(label, "protocol", net.now_us());
+        let pk = keys.public(collector);
+        let mut chain: Vec<usize> = value_holders.to_vec();
+        chain.extend(maskers.iter().copied().filter(|&m| m != collector));
+        let mut terms = Vec::with_capacity(chain.len());
+        for (pos, &member) in chain.iter().enumerate() {
+            let a = &agents[member];
+            let value = if pos < value_holders.len() {
+                BigUint::from(a.sn_abs_q) + BigUint::from(a.nonce)
+            } else {
+                BigUint::from(a.nonce)
+            };
+            terms.push([randpool::encrypt_under(pk, collector, &value, pool, rng)?]);
+        }
+        Ok(MaskedRing {
+            keys,
+            collector,
+            chain,
+            terms,
+            own_nonce: agents[collector].nonce,
+            label,
+            span,
+        })
+    }
+
+    /// The asynchronous half: folds the terms along the ring (one
+    /// receive per poll); the collector adds its own nonce and decrypts
+    /// the masked total.
+    async fn total<T: Transport>(self, net: &mut T) -> Result<u128, PemError> {
+        let MaskedRing {
+            keys,
+            collector,
+            chain,
+            terms,
+            own_nonce,
+            label,
+            span,
+        } = self;
+        let pk = keys.public(collector);
+        let ([received], _) =
+            fold(net, pk, &chain, collector, label, Topology::Ring, terms).await?;
+        // The k = 1 shape of the fused affine update (Enc(a) ↦ Enc(a + b)).
+        let total_ct = pk.affine(&received, &BigUint::one(), &BigUint::from(own_nonce));
+        let total = keys.keypair(collector).private().decrypt(&total_ct);
+        let total = total
+            .to_u128()
+            .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
+        span.finish_at(net.now_us());
+        Ok(total)
+    }
+}
+
+/// Protocol 2's two rings, `(R_b, R_s)`: demand over the buyers then the
+/// sellers toward `hr1`, supply over the sellers then the buyers toward
+/// `hr2`.
+///
+/// The demand terms are encrypted first, then the supply terms — the
+/// draw order of the pool and `rng` — and then the two folds run in
+/// lockstep ([`try_join`]), one receive of each per poll. The rings are
+/// independent (different collectors, different keys, every term
+/// encrypted before the first send), so each party's virtual clock
+/// advances through both at once: the window pays one ring's depth, not
+/// two.
 ///
 /// # Errors
 ///
 /// Encryption, transport and decode failures; [`PemError::Protocol`] on
 /// an empty chain or a total above 128 bits.
 #[allow(clippy::too_many_arguments)]
-pub(crate) async fn masked_total<T: Transport>(
+pub(crate) async fn masked_totals<T: Transport>(
     net: &mut T,
     keys: &KeyDirectory,
     agents: &[AgentCtx],
-    collector: usize,
-    value_holders: &[usize],
-    maskers: &[usize],
-    label: &'static str,
+    (hr1, hr2): (usize, usize),
+    sellers: &[usize],
+    buyers: &[usize],
     pool: &mut Option<RandomizerPool>,
     rng: &mut HashDrbg,
-) -> Result<u128, PemError> {
-    let span = Span::enter_at(label, "protocol", net.now_us());
-    let pk = keys.public(collector);
-    let mut chain: Vec<usize> = value_holders.to_vec();
-    chain.extend(maskers.iter().copied().filter(|&m| m != collector));
-    let mut own = Vec::with_capacity(chain.len());
-    for (pos, &member) in chain.iter().enumerate() {
-        let a = &agents[member];
-        let value = if pos < value_holders.len() {
-            BigUint::from(a.sn_abs_q) + BigUint::from(a.nonce)
-        } else {
-            BigUint::from(a.nonce)
-        };
-        own.push([randpool::encrypt_under(pk, collector, &value, pool, rng)?]);
+) -> Result<(u128, u128), PemError> {
+    let mut ring = |collector, holders, maskers, label| {
+        MaskedRing::encrypt(
+            net, keys, agents, collector, holders, maskers, label, pool, rng,
+        )
+    };
+    let demand = ring(hr1, buyers, sellers, "eval/demand-agg")?;
+    let supply = ring(hr2, sellers, buyers, "eval/supply-agg")?;
+    // Why one FIFO mailbox per party serves both rings: a ring has
+    // exactly one frame in flight, and each poll of the join lets the
+    // demand fold receive its frame and send the next, then the supply
+    // fold do the same. A frame is thus received in the poll after the
+    // one that sent it, so two frames waiting at one party were sent in
+    // one poll, demand first — the order in which they are received.
+    // Every mailbox head is the frame its next receive expects. (Two
+    // *trees* would break this: a tree has many frames in flight toward
+    // one party.)
+    let shared = RefCell::new(net);
+    try_join(
+        demand.total(&mut Shared(&shared)),
+        supply.total(&mut Shared(&shared)),
+    )
+    .await
+}
+
+/// One transport shared by the two rings of [`masked_totals`]. Each call
+/// borrows the fabric for its own duration, so neither ring holds it
+/// across a yield.
+struct Shared<'r, 'n, T>(&'r RefCell<&'n mut T>);
+
+impl<T: Transport> Transport for Shared<'_, '_, T> {
+    fn party_count(&self) -> usize {
+        self.0.borrow().party_count()
     }
-    let ([received], _) = fold(net, pk, &chain, collector, label, Topology::Ring, own).await?;
-    // The collector contributes its own nonce locally and decrypts — the
-    // k = 1 shape of the fused affine update (Enc(a) ↦ Enc(a + b)).
-    let own_nonce = BigUint::from(agents[collector].nonce);
-    let total_ct = pk.affine(&received, &BigUint::one(), &own_nonce);
-    let total = keys.keypair(collector).private().decrypt(&total_ct);
-    let total = total
-        .to_u128()
-        .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
-    span.finish_at(net.now_us());
-    Ok(total)
+
+    fn send(
+        &mut self,
+        from: PartyId,
+        to: PartyId,
+        label: &'static str,
+        payload: Vec<u8>,
+    ) -> Result<(), NetError> {
+        self.0.borrow_mut().send(from, to, label, payload)
+    }
+
+    fn recv(&mut self, to: PartyId) -> Option<Envelope> {
+        self.0.borrow_mut().recv(to)
+    }
+
+    fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
+        self.0.borrow_mut().recv_expect(to, label)
+    }
+
+    fn stats(&self) -> NetStats {
+        self.0.borrow().stats()
+    }
+
+    fn now_us(&self) -> u64 {
+        self.0.borrow().now_us()
+    }
+
+    fn fabric_id(&self) -> u64 {
+        self.0.borrow().fabric_id()
+    }
+
+    fn pending(&self) -> usize {
+        self.0.borrow().pending()
+    }
 }
 
 /// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`
@@ -272,7 +411,9 @@ fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertex
 #[cfg(test)]
 mod tests {
     //! The trading window is the only code that sequences Protocol 2, so
-    //! its behaviours are checked on whole `fast_test` windows.
+    //! its behaviours are checked on whole `fast_test` windows; the
+    //! lockstep rings are also checked against the same rings run one
+    //! after the other.
 
     use crate::{Pem, PemConfig, PemWindowOutcome};
     use pem_market::{AgentWindow, MarketKind};
@@ -422,5 +563,90 @@ mod tests {
             .map(|p| out.net.label_totals(p).bytes)
             .sum();
         assert_eq!(phases, out.net.total_bytes);
+    }
+
+    #[test]
+    fn joined_rings_match_sequential_rings_on_a_shorter_clock() {
+        use super::{masked_totals, MaskedRing};
+        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerPool};
+        use pem_crypto::drbg::HashDrbg;
+        use pem_fabric::block_on;
+        use pem_net::LatencyModel;
+        use rand::Rng;
+
+        // Sellers are parties 0..s, buyers s..s + b, on one directory of
+        // twelve; the pool is small enough that some encryptions fall
+        // back to the DRBG.
+        let cfg = PemConfig::fast_test();
+        let keys = KeyDirectory::generate(12, cfg.key_bits, cfg.seed).expect("keys");
+        let q = Quantizer::new(cfg.scale);
+        let mut nonces = HashDrbg::from_seed_label(b"p2-join-nonces", 1);
+        let agents: Vec<AgentCtx> = (0..12)
+            .map(|i| {
+                let e = 0.25 + i as f64;
+                let data = if i < 6 {
+                    AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
+                } else {
+                    AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
+                };
+                let nonce = nonces.gen::<u64>() >> (64 - cfg.nonce_bits);
+                AgentCtx::prepare(i, data, &q, nonce).expect("prepare")
+            })
+            .collect();
+        let fresh = || {
+            (
+                SimNetwork::with_latency(12, LatencyModel::lan()),
+                Some(RandomizerPool::generate(&keys, 3, 5)),
+                HashDrbg::from_seed_label(b"p2-join", 2),
+            )
+        };
+        for s in 1..=6 {
+            for b in 1..=6 {
+                let sellers: Vec<usize> = (0..s).collect();
+                let buyers: Vec<usize> = (6..6 + b).collect();
+                let (hr1, hr2) = (sellers[s - 1], buyers[0]);
+
+                let (mut seq_net, mut seq_pool, mut seq_rng) = fresh();
+                let mut ring = |collector, holders, maskers, label| {
+                    let (pool, rng) = (&mut seq_pool, &mut seq_rng);
+                    MaskedRing::encrypt(
+                        &seq_net, &keys, &agents, collector, holders, maskers, label, pool, rng,
+                    )
+                    .expect("encrypt")
+                };
+                let demand = ring(hr1, &buyers, &sellers, "eval/demand-agg");
+                let supply = ring(hr2, &sellers, &buyers, "eval/supply-agg");
+                let sequential = (
+                    block_on(demand.total(&mut seq_net)).expect("demand ring"),
+                    block_on(supply.total(&mut seq_net)).expect("supply ring"),
+                );
+
+                let (mut net, mut pool, mut rng) = fresh();
+                let joined = block_on(masked_totals(
+                    &mut net,
+                    &keys,
+                    &agents,
+                    (hr1, hr2),
+                    &sellers,
+                    &buyers,
+                    &mut pool,
+                    &mut rng,
+                ))
+                .expect("joined rings");
+
+                let case = format!("|S| = {s}, |B| = {b}");
+                assert_eq!(joined, sequential, "{case}: masked totals");
+                assert_eq!(net.stats(), seq_net.stats(), "{case}: traffic");
+                assert_eq!(net.pending(), 0, "{case}: every frame consumed");
+                assert_eq!(format!("{rng:?}"), format!("{seq_rng:?}"), "{case}: DRBG");
+                assert_eq!(format!("{pool:?}"), format!("{seq_pool:?}"), "{case}: pool");
+                assert!(
+                    net.now_us() < seq_net.now_us(),
+                    "{case}: joined {} µs, sequential {} µs",
+                    net.now_us(),
+                    seq_net.now_us()
+                );
+            }
+        }
     }
 }

@@ -25,14 +25,23 @@
 //!    corrupted ciphertext) is a typed error.
 //! 4. `H_s` broadcasts the ratio vector inside the seller coalition; each
 //!    seller routes `e_ij = sn_i · ratio_j` to each buyer, who pays
-//!    `m_ji = p·e_ij` — the O(n²) pairwise settlement of §III-D.
+//!    `m_ji = p·e_ij` — the O(n²) pairwise settlement of §III-D. The
+//!    round-trips are independent, so they run as three sweeps: every
+//!    seller sends all its energy frames, every buyer drains its frames
+//!    and answers each with a payment, every seller drains its payments
+//!    and checks each. Each frame must come from a counterparty not yet
+//!    heard, and none may follow the last: a replayed or stray frame is a
+//!    typed protocol error. On the virtual clock the settlement costs
+//!    about two hops, not one round-trip per pair.
+//!
+//! [`run`] is an `async fn`: the step-2 fold yields before each receive,
+//! and the rest runs without a yield.
 
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
-use pem_fabric::block_on;
 use pem_market::{AgentId, Trade};
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{PartyId, Transport};
+use pem_net::{Envelope, PartyId, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
@@ -66,7 +75,7 @@ pub struct DistributionOutcome {
 /// [`PemError::Protocol`] if either coalition is empty; otherwise
 /// crypto/network failures.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn run<T: Transport>(
+pub async fn run<T: Transport>(
     net: &mut T,
     keys: &KeyDirectory,
     agents: &[AgentCtx],
@@ -112,7 +121,7 @@ pub fn run<T: Transport>(
     let mut acc = encrypt(last)?;
     if !ring.is_empty() {
         let fold = fold(net, pk, ring, last, "dist/total-agg", Topology::Ring, own);
-        let ([received], _) = block_on(fold)?;
+        let ([received], _) = fold.await?;
         acc = pk.add_ciphertexts(&received, &acc);
     }
 
@@ -229,9 +238,10 @@ pub fn run<T: Transport>(
     }
 
     // Pairwise settlement. In both market cases e_ij multiplies the
-    // *other* side's absolute net energy by the ratio-side share.
+    // *other* side's absolute net energy by the ratio-side share. Every
+    // pair that trades, seller-major: (seller, buyer, energy).
     let quantizer = cfg.quantizer();
-    let mut trades = Vec::with_capacity(sellers.len() * buyers.len());
+    let mut pairs = Vec::with_capacity(sellers.len() * buyers.len());
     for (s_pos, &s) in sellers.iter().enumerate() {
         let sn_s = quantizer.dequantize(agents[s].sn_q);
         for (b_pos, &b) in buyers.iter().enumerate() {
@@ -243,39 +253,61 @@ pub fn run<T: Transport>(
                 let sn_b = quantizer.dequantize(-agents[b].sn_q);
                 sn_b * ratios[s_pos]
             };
-            if energy <= 0.0 {
-                continue;
+            if energy > 0.0 {
+                pairs.push((s, b, energy));
             }
-            let payment = price * energy;
-            // Energy routing message (seller → buyer) …
-            let mut w = WireWriter::new();
-            w.put_f64(energy);
-            net.send(PartyId(s), PartyId(b), "dist/energy", w.finish())?;
-            let env = net.recv_expect(PartyId(b), "dist/energy")?;
-            let mut r = WireReader::new(&env.payload);
-            let routed = r.get_f64()?;
-            // … answered by the payment (buyer → seller).
-            let mut w = WireWriter::new();
-            w.put_f64(price * routed);
-            net.send(PartyId(b), PartyId(s), "dist/payment", w.finish())?;
-            let env = net.recv_expect(PartyId(s), "dist/payment")?;
-            let mut r = WireReader::new(&env.payload);
-            // The seller checks the echo against its own `price · energy`
-            // bit for bit: a payment for any other amount is not this
-            // trade's.
-            if r.get_f64()?.to_bits() != payment.to_bits() {
-                return Err(PemError::Protocol(
-                    "payment differs from price × routed energy",
-                ));
-            }
-            trades.push(Trade {
-                seller: AgentId(agents[s].data.id.0),
-                buyer: AgentId(agents[b].data.id.0),
-                energy,
-                payment,
-            });
         }
     }
+    // The round-trips are independent, so they run as three sweeps
+    // rather than one pair at a time: every seller routes its energy …
+    for &(s, b, energy) in &pairs {
+        let mut w = WireWriter::new();
+        w.put_f64(energy);
+        net.send(PartyId(s), PartyId(b), "dist/energy", w.finish())?;
+    }
+    // … every buyer drains its frames and answers each with the
+    // payment …
+    for &b in buyers {
+        let senders = pairs.iter().filter(|p| p.1 == b).map(|p| (p.0, ()));
+        drain(net, b, "dist/energy", senders.collect(), |net, env, ()| {
+            let routed = WireReader::new(&env.payload).get_f64()?;
+            let mut w = WireWriter::new();
+            w.put_f64(price * routed);
+            Ok(net.send(PartyId(b), env.from, "dist/payment", w.finish())?)
+        })?;
+    }
+    // … and every seller drains its payments, checking each echo against
+    // its own `price · energy` bit for bit: a payment for any other
+    // amount is not this trade's.
+    for &s in sellers {
+        let senders = pairs
+            .iter()
+            .filter(|p| p.0 == s)
+            .map(|p| (p.1, price * p.2));
+        drain(
+            net,
+            s,
+            "dist/payment",
+            senders.collect(),
+            |_, env, payment| {
+                if WireReader::new(&env.payload).get_f64()?.to_bits() != payment.to_bits() {
+                    return Err(PemError::Protocol(
+                        "payment differs from price × routed energy",
+                    ));
+                }
+                Ok(())
+            },
+        )?;
+    }
+    let trades = pairs
+        .into_iter()
+        .map(|(s, b, energy)| Trade {
+            seller: AgentId(agents[s].data.id.0),
+            buyer: AgentId(agents[b].data.id.0),
+            energy,
+            payment: price * energy,
+        })
+        .collect();
     settle_span.finish_at(net.now_us());
 
     Ok(DistributionOutcome {
@@ -285,10 +317,40 @@ pub fn run<T: Transport>(
     })
 }
 
+/// Drains party `at`'s `label` frames of one settlement sweep: one from
+/// each party of `senders`, in any order, each handed to `each` with
+/// what `at` expects of it — and then none. Every frame of the sweep
+/// was sent before it began, so a frame from a party not (or no longer)
+/// expected, or one still queued after the last, is a replay or a
+/// stray: a typed protocol error. A missing frame is the transport's
+/// `Empty`.
+fn drain<T: Transport, V>(
+    net: &mut T,
+    at: usize,
+    label: &'static str,
+    mut senders: Vec<(usize, V)>,
+    mut each: impl FnMut(&mut T, Envelope, V) -> Result<(), PemError>,
+) -> Result<(), PemError> {
+    let stray = PemError::Protocol("settlement frame from no unheard counterparty");
+    while !senders.is_empty() {
+        let env = net.recv_expect(PartyId(at), label)?;
+        let Some(pos) = senders.iter().position(|&(p, _)| p == env.from.0) else {
+            return Err(stray);
+        };
+        let (_, expected) = senders.swap_remove(pos);
+        each(net, env, expected)?;
+    }
+    match net.recv_expect(PartyId(at), label) {
+        Ok(_) => Err(stray),
+        Err(_) => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quantize::Quantizer;
+    use pem_fabric::block_on;
     use pem_market::{allocate, AgentWindow, Role};
     use pem_net::SimNetwork;
 
@@ -377,9 +439,9 @@ mod tests {
     fn general_market_matches_plaintext_allocation() {
         let surpluses = [2.0, 3.0, -4.0, -2.0, -2.0]; // E_s = 5 < E_b = 8
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-        let out = run(
+        let out = block_on(run(
             &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
-        )
+        ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-6);
         assert_eq!(net.pending(), 0);
@@ -389,9 +451,9 @@ mod tests {
     fn extreme_market_matches_plaintext_allocation() {
         let surpluses = [6.0, 4.0, -1.5, -2.5]; // E_s = 10 ≥ E_b = 4
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-        let out = run(
+        let out = block_on(run(
             &mut net, &keys, &agents, &sellers, &buyers, 90.0, false, &cfg, &mut None, &mut rng,
-        )
+        ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 90.0), 1e-6);
     }
@@ -400,9 +462,9 @@ mod tests {
     fn ratios_sum_to_one() {
         let surpluses = [2.0, -1.0, -3.0, -4.0];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-        let out = run(
+        let out = block_on(run(
             &mut net, &keys, &agents, &sellers, &buyers, 95.0, true, &cfg, &mut None, &mut rng,
-        )
+        ))
         .expect("protocol 4");
         // Per-ratio relative error is bounded by sn_max/(2K) ≈ 2^-23.
         let total: f64 = out.ratios.iter().sum();
@@ -415,9 +477,9 @@ mod tests {
     fn conservation_of_energy_and_money() {
         let surpluses = [1.5, 2.5, -3.0, -5.0];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-        let out = run(
+        let out = block_on(run(
             &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
-        )
+        ))
         .expect("protocol 4");
         let energy: f64 = out.trades.iter().map(|t| t.energy).sum();
         assert!((energy - 4.0).abs() < 1e-6, "all supply traded: {energy}");
@@ -434,9 +496,9 @@ mod tests {
         // exponent inversion. (E_s = 0.5 < E_b ≈ 0.75: general market.)
         let surpluses = [0.5, -1e-6, -0.75];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-        let out = run(
+        let out = block_on(run(
             &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
-        )
+        ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-5);
     }
@@ -445,7 +507,7 @@ mod tests {
     fn empty_coalitions_rejected() {
         let (mut net, keys, agents, sellers, _buyers, cfg, mut rng) = setup(&[1.0, 2.0]);
         assert!(matches!(
-            run(
+            block_on(run(
                 &mut net,
                 &keys,
                 &agents,
@@ -456,7 +518,7 @@ mod tests {
                 &cfg,
                 &mut None,
                 &mut rng
-            ),
+            )),
             Err(PemError::Protocol(_))
         ));
     }
@@ -465,9 +527,9 @@ mod tests {
     fn traffic_labelled_for_table1() {
         let surpluses = [2.0, -1.0, -3.0];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-        run(
+        block_on(run(
             &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
-        )
+        ))
         .expect("protocol 4");
         let s = net.stats();
         for label in [
@@ -480,5 +542,111 @@ mod tests {
         }
         // Pairwise settlement: |sellers| × |buyers| energy messages.
         assert_eq!(s.per_label["dist/energy"].messages, 2);
+    }
+
+    /// A fabric that queues `stray` frames just before the first
+    /// `dist/energy` send, i.e. ahead of every settlement frame.
+    struct StrayBeforeSettlement {
+        inner: SimNetwork,
+        stray: Vec<(usize, usize, &'static str, Vec<u8>)>,
+    }
+
+    impl Transport for StrayBeforeSettlement {
+        fn party_count(&self) -> usize {
+            self.inner.party_count()
+        }
+        fn send(
+            &mut self,
+            from: PartyId,
+            to: PartyId,
+            label: &'static str,
+            payload: Vec<u8>,
+        ) -> Result<(), pem_net::NetError> {
+            if label == "dist/energy" {
+                for (from, to, label, payload) in std::mem::take(&mut self.stray) {
+                    self.inner
+                        .send(PartyId(from), PartyId(to), label, payload)?;
+                }
+            }
+            self.inner.send(from, to, label, payload)
+        }
+        fn recv(&mut self, to: PartyId) -> Option<pem_net::Envelope> {
+            self.inner.recv(to)
+        }
+        fn recv_expect(
+            &mut self,
+            to: PartyId,
+            label: &'static str,
+        ) -> Result<pem_net::Envelope, pem_net::NetError> {
+            self.inner.recv_expect(to, label)
+        }
+        fn stats(&self) -> pem_net::NetStats {
+            self.inner.stats()
+        }
+        fn now_us(&self) -> u64 {
+            self.inner.now_us()
+        }
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+    }
+
+    #[test]
+    fn stray_settlement_frames_abort_with_a_protocol_error() {
+        // Sellers 0, 1; buyers 2, 3; party 4 is off the market.
+        let surpluses = [2.0, 3.0, -4.0, -2.0, 0.0];
+        let f64_frame = |v: f64| {
+            let mut w = WireWriter::new();
+            w.put_f64(v);
+            w.finish()
+        };
+        let clean = {
+            let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+            block_on(run(
+                &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+            ))
+            .expect("clean settlement")
+        };
+        // Seller 1's trade with buyer 3, replayed with its exact amounts:
+        // only the "each counterparty once" rule can refuse it.
+        let trade = clean.trades[3];
+        assert_eq!((trade.seller, trade.buyer), (AgentId(1), AgentId(3)));
+        let cases = [
+            ("energy from a buyer", (2, 3, "dist/energy", f64_frame(1.0))),
+            (
+                "energy from off the market",
+                (4, 3, "dist/energy", f64_frame(1.0)),
+            ),
+            (
+                "replayed energy",
+                (1, 3, "dist/energy", f64_frame(trade.energy)),
+            ),
+            (
+                "payment from a seller",
+                (0, 1, "dist/payment", f64_frame(1.0)),
+            ),
+            (
+                "payment of another amount",
+                (3, 1, "dist/payment", f64_frame(1.0)),
+            ),
+            (
+                "replayed payment",
+                (3, 1, "dist/payment", f64_frame(trade.payment)),
+            ),
+        ];
+        for (case, stray) in cases {
+            let (inner, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+            let mut net = StrayBeforeSettlement {
+                inner,
+                stray: vec![stray],
+            };
+            let result = block_on(run(
+                &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+            ));
+            assert!(
+                matches!(result, Err(PemError::Protocol(_))),
+                "{case}: got {result:?}"
+            );
+        }
     }
 }

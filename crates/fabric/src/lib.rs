@@ -5,14 +5,15 @@
 //! windows. This crate provides the pieces that let a *single* thread
 //! multiplex arbitrarily many protocol instances:
 //!
-//! * [`block_on`] and [`yield_now`] — the protocols are `async fn`s
-//!   that yield before each receive. The compiler turns each one into a
-//!   state machine, so thousands of instances cost thousands of futures,
-//!   not thousands of threads. A trading window wrapped in a
+//! * [`block_on`], [`yield_now`] and [`try_join`] — the protocols are
+//!   `async fn`s that yield before each receive. The compiler turns each
+//!   one into a state machine, so thousands of instances cost thousands
+//!   of futures, not thousands of threads. A trading window wrapped in a
 //!   [`FabricTask`] advances one receive per poll. [`block_on`] runs a
 //!   protocol to completion where nothing else shares the thread:
-//!   `Pem::run_window`, a fold inside Protocol 4 or the coupling round,
-//!   Protocol 3 in the topology ablation.
+//!   `Pem::run_window`, a fold inside the coupling round, Protocol 3 in
+//!   the topology ablation. [`try_join`] runs two independent protocols
+//!   in lockstep inside one future (Protocol 2's two rings).
 //! * [`EventTransport`] — the name this crate gives `pem-net`'s one
 //!   fabric, [`SimNetwork`](pem_net::SimNetwork): per-recipient FIFO
 //!   mailboxes whose `recv` never blocks. A task whose message never
@@ -56,7 +57,7 @@ mod executor;
 mod machine;
 
 pub use executor::{Collected, Executor, ExecutorReport, FabricTask, Poll};
-pub use machine::{block_on, yield_now};
+pub use machine::{block_on, try_join, yield_now};
 /// The queue fabric as poll-driven tasks see it: `pem-net`'s
 /// deterministic [`SimNetwork`](pem_net::SimNetwork) under the name the
 /// executor-side code has always used.

@@ -1,4 +1,4 @@
-//! The two helpers that run the protocols, which are `async fn`s.
+//! The helpers that run the protocols, which are `async fn`s.
 //!
 //! A protocol is straight-line code that awaits [`yield_now`] before
 //! each receive. The compiler turns it into a state machine, and each
@@ -25,6 +25,40 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
             return out;
         }
     }
+}
+
+/// Runs two fallible protocols in lockstep: each poll polls `a` once,
+/// then `b` once (skipping one that has finished), so two yielding
+/// protocols advance one receive each per poll. Completes with both
+/// outputs, or with the first error either returns; the other is then
+/// dropped where it stands.
+pub async fn try_join<A, B, TA, TB, E>(a: A, b: B) -> Result<(TA, TB), E>
+where
+    A: Future<Output = Result<TA, E>>,
+    B: Future<Output = Result<TB, E>>,
+{
+    let (mut a, mut b) = (pin!(a), pin!(b));
+    let (mut out_a, mut out_b) = (None, None);
+    poll_fn(|cx| {
+        if out_a.is_none() {
+            if let Poll::Ready(out) = a.as_mut().poll(cx) {
+                out_a = Some(out?);
+            }
+        }
+        if out_b.is_none() {
+            if let Poll::Ready(out) = b.as_mut().poll(cx) {
+                out_b = Some(out?);
+            }
+        }
+        match (out_a.take(), out_b.take()) {
+            (Some(a), Some(b)) => Poll::Ready(Ok((a, b))),
+            (a, b) => {
+                (out_a, out_b) = (a, b);
+                Poll::Pending
+            }
+        }
+    })
+    .await
 }
 
 /// Returns `Pending` exactly once, then completes: one poll boundary.
@@ -79,6 +113,43 @@ mod tests {
             assert!(ring.as_mut().poll(&mut cx).is_pending());
         }
         assert_eq!(ring.as_mut().poll(&mut cx), Poll::Ready(Ok(3)));
+    }
+
+    #[test]
+    fn try_join_polls_both_once_per_poll() {
+        // Rings of 3 and 5 receives: the join is pending as long as the
+        // longer one, and each poll advances each unfinished ring by one
+        // receive.
+        let (mut a, mut b) = (SimNetwork::new(3), SimNetwork::new(5));
+        let mut joined = pin!(try_join(token_ring(&mut a, 3), token_ring(&mut b, 5)));
+        let mut cx = Context::from_waker(Waker::noop());
+        for _ in 0..5 {
+            assert!(joined.as_mut().poll(&mut cx).is_pending());
+        }
+        assert_eq!(joined.as_mut().poll(&mut cx), Poll::Ready(Ok((3, 5))));
+    }
+
+    #[test]
+    fn try_join_ends_in_the_first_error() {
+        // The second ring's second receive finds nothing: the join ends
+        // there, with the first ring still mid-way.
+        let mut a = SimNetwork::new(5);
+        let mut b = SimNetwork::new(3);
+        let lossy = async {
+            b.send(PartyId(0), PartyId(1), "token", vec![1])?;
+            yield_now().await;
+            b.recv_expect(PartyId(1), "token")?;
+            yield_now().await;
+            b.recv_expect(PartyId(2), "token").map(|env| env.payload[0])
+        };
+        let mut joined = pin!(try_join(token_ring(&mut a, 5), lossy));
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(joined.as_mut().poll(&mut cx).is_pending());
+        assert!(joined.as_mut().poll(&mut cx).is_pending());
+        assert!(matches!(
+            joined.as_mut().poll(&mut cx),
+            Poll::Ready(Err(NetError::Empty { .. }))
+        ));
     }
 
     #[test]
