@@ -72,10 +72,10 @@ pub struct PemConfig {
     /// encryption instead of a short table exponentiation; see
     /// [`crate::randpool`].
     pub randomizer_pool: usize,
-    /// Protocol 3 aggregation topology: the paper's sequential ring,
-    /// the depth-1 star fan-in, or an f-ary aggregation tree (same byte
-    /// volume in all three; the critical path is what moves — the
-    /// ROADMAP "protocol hot path" lever).
+    /// The shape every fold of Protocols 2–4 takes: the paper's
+    /// sequential ring, the depth-1 star fan-in, or an f-ary aggregation
+    /// tree (the same ciphertexts and messages in all three; the
+    /// critical path is what moves).
     pub topology: Topology,
     /// Latency model of the default transport the window driver builds
     /// ([`SimNetwork`](pem_net::SimNetwork) with this model). Zero by
@@ -128,7 +128,7 @@ impl PemConfig {
         self
     }
 
-    /// Selects the Protocol 3 aggregation topology.
+    /// Selects the aggregation topology of Protocols 2–4.
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> PemConfig {
         self.topology = topology;

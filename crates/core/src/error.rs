@@ -41,9 +41,9 @@ impl PemError {
     /// Only a message that was lost, duplicated or withheld is an
     /// artifact of *this execution*: an empty mailbox
     /// ([`NetError::Empty`] — also what a window waiting on a withheld
-    /// message ends in) or a stray message at its head
-    /// ([`NetError::UnexpectedLabel`]) can clear on a retry over a
-    /// healthy fabric. Everything else is fatal. A frame
+    /// message ends in) or a frame nobody read by the end of the round
+    /// ([`NetError::Unread`]) can clear on a retry over a healthy
+    /// fabric. Everything else is fatal. A frame
     /// that fails to decode, a ciphertext or garbling that fails
     /// validation and a violated protocol invariant mean a peer sent
     /// something malformed — a retry would burn the budget on the same
@@ -57,7 +57,7 @@ impl PemError {
     pub fn is_retryable(&self) -> bool {
         match self {
             PemError::Net(e) => match e {
-                NetError::Empty { .. } | NetError::UnexpectedLabel { .. } => true,
+                NetError::Empty { .. } | NetError::Unread { .. } => true,
                 NetError::Decode { .. }
                 | NetError::UnknownParty { .. }
                 | NetError::SelfSend { .. }
@@ -154,9 +154,9 @@ mod tests {
                 true,
             ),
             (
-                net(NetError::UnexpectedLabel {
-                    expected: "x",
-                    got: "y".into(),
+                net(NetError::Unread {
+                    party: 1,
+                    label: "x",
                 }),
                 true,
             ),

@@ -3,21 +3,24 @@
 //!
 //! `Window::run` is Protocol 1 in the order of the paper: market
 //! evaluation, pricing or the floor price, distribution. It awaits the
-//! poll-able protocols — Protocol 2's two masked rings, run concurrently
+//! poll-able protocols — Protocol 2's two masked folds, run concurrently
 //! in lockstep (`protocol2::masked_totals`), Protocol 3 and Protocol 4,
-//! whose total fold yields — and runs the comparison, the rest of
-//! Protocol 4 and the randomizer-pool refill without a yield. Each
-//! lockstep receive of the two rings is one poll, as is each receive of
-//! Protocol 3 and of Protocol 4's fold, and each of the three phase
-//! boundaries (after the rings, after the comparison and its broadcast,
-//! after pricing). The rounds the paper leaves independent overlap on
-//! the virtual clock: the two rings, and the settlement's pairwise
-//! round-trips (three sweeps in `protocol4::run`). Both ways of running a
-//! window drive the same future: [`Pem::run_window_on`] blocks on it on
-//! the caller's transport, and [`WindowTask`] boxes it with its own
-//! queue fabric so thousands of windows can share one executor thread,
-//! each owning its RNG stream, fabric and virtual clock — the outcome is
-//! bit-identical at any interleaving.
+//! whose total fold yields; every fold takes `cfg.topology` — and runs
+//! the comparison, the rest of Protocol 4 and the randomizer-pool refill
+//! without a yield. Each lockstep receive of the two folds is one poll,
+//! as is each receive of Protocol 3 and of Protocol 4's fold, and each
+//! of the three phase boundaries (after the folds, after the comparison
+//! and its broadcast, after pricing). The rounds the paper leaves
+//! independent overlap on the virtual clock: the two folds, and the
+//! settlement's pairwise round-trips (three sweeps in `protocol4::run`).
+//! Every receive is addressed to its `(party, label)`, so a frame nobody
+//! reads is caught once, at the end: the window must leave its fabric
+//! empty. Both ways of running a window drive the same future:
+//! [`Pem::run_window_on`] blocks on it on the caller's transport, and
+//! [`WindowTask`] boxes it with its own queue fabric so thousands of
+//! windows can share one executor thread, each owning its RNG stream,
+//! fabric and virtual clock — the outcome is bit-identical at any
+//! interleaving.
 //!
 //! [`Pem::run_window_on`]: crate::Pem::run_window_on
 
@@ -29,7 +32,7 @@ use std::time::Instant;
 use pem_crypto::drbg::HashDrbg;
 use pem_fabric::{yield_now, FabricTask, Poll};
 use pem_market::{AgentWindow, MarketKind, Role};
-use pem_net::{SimNetwork, Transport};
+use pem_net::{NetError, PartyId, SimNetwork, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
@@ -150,7 +153,8 @@ impl<'a> Window<'a> {
     /// # Errors
     ///
     /// Crypto, codec and network failures. A receive whose message has
-    /// not arrived is the transport's typed error, never a wait.
+    /// not arrived is the transport's typed error, never a wait; a frame
+    /// still queued when the window ends is [`NetError::Unread`].
     pub(crate) async fn run<T: Transport>(self, net: &mut T) -> Result<PemWindowOutcome, PemError> {
         let Window {
             cfg,
@@ -183,6 +187,7 @@ impl<'a> Window<'a> {
                 (hr1, hr2),
                 &sellers,
                 &buyers,
+                cfg.topology,
                 pool,
                 rng,
             )
@@ -244,6 +249,13 @@ impl<'a> Window<'a> {
             };
             (kind, price, dist.trades)
         };
+        // Every receive is addressed, so a frame nobody asked for — a
+        // duplicate, a stray — would otherwise go unnoticed: the window
+        // must leave its fabric empty.
+        if let Some(env) = (0..net.party_count()).find_map(|p| net.recv(PartyId(p))) {
+            let (party, label) = (env.to.0, env.label);
+            return Err(NetError::Unread { party, label }.into());
+        }
         window_span.finish_at(net.now_us());
         Ok(PemWindowOutcome {
             kind,
@@ -427,11 +439,12 @@ mod tests {
     #[test]
     fn executor_schedule_is_pinned() {
         // The general, extreme and no-market populations, and the
-        // general one again with tree pricing: one poll per lockstep
-        // receive of the two rings (one ring's depth), per receive of
-        // pricing and of Protocol 4's total fold, plus the phase
-        // boundaries. A lost or added yield, or rings run one after the
-        // other, moves these counts.
+        // general one again on the tree: one poll per lockstep receive
+        // of the two Protocol 2 folds (the longer fold's receives), per
+        // receive of pricing and of Protocol 4's total fold, plus the
+        // phase boundaries. A fold receives once per member in every
+        // shape, so the tree polls as often as the ring. A lost or added
+        // yield, or folds run one after the other, moves these counts.
         let general = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         let cases = [
@@ -473,22 +486,28 @@ mod tests {
     #[test]
     fn window_virtual_clock_is_pinned() {
         // The general and the extreme population on a LAN: the two
-        // rings run in lockstep and the settlement in three sweeps, so
-        // the window's critical path is 1,932 and 1,160 µs. With both
-        // stages run one step at a time the same windows take 2,780 and
-        // 1,276 µs; serialising either stage again moves these.
+        // Protocol 2 folds run in lockstep and the settlement in three
+        // sweeps, so on rings the window's critical path is 1,932 and
+        // 1,160 µs. With both stages run one step at a time the same
+        // windows take 2,780 and 1,276 µs; serialising either stage
+        // again moves these. On the binary tree all three protocols fold
+        // shallower: 1,824 µs for the general window, where the same
+        // window took 2,032 µs with only Protocol 3 on the tree.
         use pem_net::LatencyModel;
-        for (surpluses, expected_us) in [
-            (&[2.0, 1.0, -3.0, -2.0, -1.0][..], 1_932),
-            (&[5.0, 4.0, -1.0][..], 1_160),
+        let general = [2.0, 1.0, -3.0, -2.0, -1.0];
+        let tree = PemConfig::fast_test().with_topology(Topology::tree());
+        for (cfg, surpluses, expected_us) in [
+            (PemConfig::fast_test(), &general[..], 1_932),
+            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_160),
+            (tree, &general[..], 1_824),
         ] {
             let pop = population(surpluses);
             let mut net = SimNetwork::with_latency(pop.len(), LatencyModel::lan());
-            Pem::new(PemConfig::fast_test(), pop.len())
+            Pem::new(cfg.clone(), pop.len())
                 .expect("setup")
                 .run_window_on(&mut net, &pop)
                 .expect("window");
-            assert_eq!(net.now_us(), expected_us, "{surpluses:?}");
+            assert_eq!(net.now_us(), expected_us, "{} {surpluses:?}", cfg.topology);
         }
     }
 

@@ -30,9 +30,10 @@
 //! else.
 //!
 //! What callers own: the members' tuples arrive **already encrypted**,
-//! so the order of the randomizer draws is the caller's (ring and star
-//! callers encrypt ascending, tree callers descending), and so is what
-//! happens at the sink — the fold ends by handing over the validated
+//! so the order of the randomizer draws is the caller's (Protocols 2
+//! and 4 encrypt ascending in every shape; Protocol 3 encrypts a tree
+//! descending and the coupling round always does, as the tree visits
+//! them), and so is what happens at the sink — the fold ends by handing over the validated
 //! product and the arrival time of the closing message.
 
 use pem_crypto::paillier::{Ciphertext, PublicKey};
@@ -50,8 +51,9 @@ use crate::error::PemError;
 /// differs is the sequential depth (`m` hops for the paper's ring, 1 for
 /// the star, `O(log_f m)` for the tree) and the fan-in one party absorbs
 /// (1, `m`, `f`) — the trade-off the `ablation_topology` bench
-/// quantifies. Protocol 3 takes its shape from
-/// [`PemConfig::topology`](crate::PemConfig).
+/// quantifies. Protocols 2–4 take their shape from
+/// [`PemConfig::topology`](crate::PemConfig); the coupling round always
+/// folds a binary tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Topology {
     /// Sequential ring through the members (the paper's flow).

@@ -7,9 +7,9 @@
 //! * **Protocol 1** ([`Pem`]) — the per-window driver: coalition
 //!   formation, market evaluation, pricing, distribution.
 //! * **Protocol 2** ([`protocol2`]) — *Private Market Evaluation*: two
-//!   concurrent rounds of nonce-masked Paillier ring aggregation plus one
-//!   garbled-circuit comparison decide `E_s < E_b` without revealing
-//!   either total.
+//!   concurrent rounds of nonce-masked Paillier aggregation (the paper's
+//!   ring, or any [`Topology`]) plus one garbled-circuit comparison
+//!   decide `E_s < E_b` without revealing either total.
 //! * **Protocol 3** ([`protocol3`]) — *Private Pricing*: sellers'
 //!   `Σ k_i` and `Σ (g_i + 1 + ε_i b_i − b_i)` are homomorphically
 //!   aggregated (by [`fold`], the walk every protocol shares) to a random
@@ -19,7 +19,7 @@
 //!   allocation ratios; pairwise amounts `e_ij` and payments `m_ji` are
 //!   then routed peer-to-peer.
 //!
-//! The message-driven steps — the fold, Protocol 2's rings, Protocols 3
+//! The message-driven steps — the fold, Protocol 2's two folds, Protocols 3
 //! and 4 and the trading window itself ([`fabric_window`]) — are `async
 //! fn`s that yield before each receive. [`block_on`] runs one to completion;
 //! a [`WindowTask`] hands a window's polls to a `pem_fabric::Executor`.

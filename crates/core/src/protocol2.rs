@@ -4,9 +4,10 @@
 //! (`E_s ≥ E_b`) market without revealing either total:
 //!
 //! 1. A random seller `H_r1` and a random buyer `H_r2` are chosen.
-//! 2. **Demand round**: a ring through all buyers then all other sellers
-//!    aggregates `Enc_{pk_r1}(Σ_j (|sn_j| + r_j) + Σ_{i≠r1} r_i)`;
-//!    `H_r1` folds in its own nonce and decrypts the masked total `R_b`.
+//! 2. **Demand round**: a fold on `cfg.topology` (the paper's ring by
+//!    default) over all buyers then all other sellers aggregates
+//!    `Enc_{pk_r1}(Σ_j (|sn_j| + r_j) + Σ_{i≠r1} r_i)` at `H_r1`, which
+//!    folds in its own nonce and decrypts the masked total `R_b`.
 //! 3. **Supply round** (roles swapped, same nonces): `H_r2` obtains
 //!    `R_s = Σ_i (sn_i + r_i) + Σ_j r_j`. The two rounds run
 //!    concurrently.
@@ -15,19 +16,20 @@
 //!    run the garbled-circuit comparison of `pem-circuit`, and `H_r1`
 //!    broadcasts the one-bit outcome.
 //!
-//! Per Lemma 2 nobody learns anything beyond that bit: the ring parties
-//! see only ciphertexts, and the masked totals are uniformly random in
-//! the nonce range.
+//! Per Lemma 2 nobody learns anything beyond that bit: the folding
+//! parties see only ciphertexts, and the masked totals are uniformly
+//! random in the nonce range.
 //!
-//! Each ring is a synchronous step that encrypts its terms and an
+//! Each round is a synchronous step that encrypts its terms and an
 //! `async` fold over [`crate::fold`] that yields before each receive.
-//! The two rings are independent (different collectors, different keys,
-//! every term encrypted before the first send), so `masked_totals`
-//! encrypts both — demand first, then supply — and runs the two folds
-//! concurrently in lockstep: the window pays one ring's depth on the
-//! virtual clock, not two. The comparison and the broadcast are strict
-//! request/response and run without a yield. The trading window
-//! (`crate::fabric_window`) is the only caller.
+//! The two rounds are independent (different collectors, different
+//! keys, every term encrypted before the first send), so `masked_totals`
+//! encrypts both — demand first, then supply, each in chain order,
+//! whatever the shape — and runs the two folds concurrently in lockstep:
+//! the window pays one fold's depth on the virtual clock, not two. The
+//! comparison and the broadcast are strict request/response and run
+//! without a yield. The trading window (`crate::fabric_window`) is the
+//! only caller.
 
 use std::cell::RefCell;
 
@@ -53,12 +55,12 @@ use crate::fold::{fold, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
-/// One of Protocol 2's nonce-masked rings with every term encrypted:
+/// One of Protocol 2's nonce-masked folds with every term encrypted:
 /// demand toward `H_r1` or supply toward `H_r2`. The chain is the value
 /// holders first, then the masking coalition minus the collector.
 /// `value_holders` contribute `|sn| + nonce`, `maskers` only their
 /// nonces.
-struct MaskedRing<'a> {
+struct MaskedFold<'a> {
     keys: &'a KeyDirectory,
     collector: usize,
     chain: Vec<usize>,
@@ -69,8 +71,8 @@ struct MaskedRing<'a> {
     span: Span,
 }
 
-impl<'a> MaskedRing<'a> {
-    /// The synchronous half of a ring: encrypts every contribution in
+impl<'a> MaskedFold<'a> {
+    /// The synchronous half of a round: encrypts every contribution in
     /// chain order, drawing from `pool` and `rng`, before anything is
     /// sent.
     #[allow(clippy::too_many_arguments)]
@@ -84,7 +86,7 @@ impl<'a> MaskedRing<'a> {
         label: &'static str,
         pool: &mut Option<RandomizerPool>,
         rng: &mut HashDrbg,
-    ) -> Result<MaskedRing<'a>, PemError> {
+    ) -> Result<MaskedFold<'a>, PemError> {
         let span = Span::enter_at(label, "protocol", net.now_us());
         let pk = keys.public(collector);
         let mut chain: Vec<usize> = value_holders.to_vec();
@@ -99,7 +101,7 @@ impl<'a> MaskedRing<'a> {
             };
             terms.push([randpool::encrypt_under(pk, collector, &value, pool, rng)?]);
         }
-        Ok(MaskedRing {
+        Ok(MaskedFold {
             keys,
             collector,
             chain,
@@ -110,11 +112,11 @@ impl<'a> MaskedRing<'a> {
         })
     }
 
-    /// The asynchronous half: folds the terms along the ring (one
-    /// receive per poll); the collector adds its own nonce and decrypts
-    /// the masked total.
-    async fn total<T: Transport>(self, net: &mut T) -> Result<u128, PemError> {
-        let MaskedRing {
+    /// The asynchronous half: folds the terms toward the collector in
+    /// `topology` (one receive per poll); the collector adds its own
+    /// nonce and decrypts the masked total.
+    async fn total<T: Transport>(self, net: &mut T, topology: Topology) -> Result<u128, PemError> {
+        let MaskedFold {
             keys,
             collector,
             chain,
@@ -124,8 +126,7 @@ impl<'a> MaskedRing<'a> {
             span,
         } = self;
         let pk = keys.public(collector);
-        let ([received], _) =
-            fold(net, pk, &chain, collector, label, Topology::Ring, terms).await?;
+        let ([received], _) = fold(net, pk, &chain, collector, label, topology, terms).await?;
         // The k = 1 shape of the fused affine update (Enc(a) ↦ Enc(a + b)).
         let total_ct = pk.affine(&received, &BigUint::one(), &BigUint::from(own_nonce));
         let total = keys.keypair(collector).private().decrypt(&total_ct);
@@ -137,17 +138,17 @@ impl<'a> MaskedRing<'a> {
     }
 }
 
-/// Protocol 2's two rings, `(R_b, R_s)`: demand over the buyers then the
-/// sellers toward `hr1`, supply over the sellers then the buyers toward
-/// `hr2`.
+/// Protocol 2's two folds in `topology`, `(R_b, R_s)`: demand over the
+/// buyers then the sellers toward `hr1`, supply over the sellers then
+/// the buyers toward `hr2`.
 ///
 /// The demand terms are encrypted first, then the supply terms — the
-/// draw order of the pool and `rng` — and then the two folds run in
-/// lockstep ([`try_join`]), one receive of each per poll. The rings are
-/// independent (different collectors, different keys, every term
-/// encrypted before the first send), so each party's virtual clock
-/// advances through both at once: the window pays one ring's depth, not
-/// two.
+/// draw order of the pool and `rng`, the same in every shape — and then
+/// the two folds run in lockstep ([`try_join`]), one receive of each per
+/// poll. The folds are independent (different collectors, different
+/// keys, every term encrypted before the first send), so each party's
+/// virtual clock advances through both at once: the window pays one
+/// fold's depth, not two.
 ///
 /// # Errors
 ///
@@ -161,35 +162,27 @@ pub(crate) async fn masked_totals<T: Transport>(
     (hr1, hr2): (usize, usize),
     sellers: &[usize],
     buyers: &[usize],
+    topology: Topology,
     pool: &mut Option<RandomizerPool>,
     rng: &mut HashDrbg,
 ) -> Result<(u128, u128), PemError> {
-    let mut ring = |collector, holders, maskers, label| {
-        MaskedRing::encrypt(
+    let mut masked = |collector, holders, maskers, label| {
+        MaskedFold::encrypt(
             net, keys, agents, collector, holders, maskers, label, pool, rng,
         )
     };
-    let demand = ring(hr1, buyers, sellers, "eval/demand-agg")?;
-    let supply = ring(hr2, sellers, buyers, "eval/supply-agg")?;
-    // Why one FIFO mailbox per party serves both rings: a ring has
-    // exactly one frame in flight, and each poll of the join lets the
-    // demand fold receive its frame and send the next, then the supply
-    // fold do the same. A frame is thus received in the poll after the
-    // one that sent it, so two frames waiting at one party were sent in
-    // one poll, demand first — the order in which they are received.
-    // Every mailbox head is the frame its next receive expects. (Two
-    // *trees* would break this: a tree has many frames in flight toward
-    // one party.)
+    let demand = masked(hr1, buyers, sellers, "eval/demand-agg")?;
+    let supply = masked(hr2, sellers, buyers, "eval/supply-agg")?;
     let shared = RefCell::new(net);
     try_join(
-        demand.total(&mut Shared(&shared)),
-        supply.total(&mut Shared(&shared)),
+        demand.total(&mut Shared(&shared), topology),
+        supply.total(&mut Shared(&shared), topology),
     )
     .await
 }
 
-/// One transport shared by the two rings of [`masked_totals`]. Each call
-/// borrows the fabric for its own duration, so neither ring holds it
+/// One transport shared by the two folds of [`masked_totals`]. Each call
+/// borrows the fabric for its own duration, so neither fold holds it
 /// across a yield.
 struct Shared<'r, 'n, T>(&'r RefCell<&'n mut T>);
 
@@ -412,7 +405,7 @@ fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertex
 mod tests {
     //! The trading window is the only code that sequences Protocol 2, so
     //! its behaviours are checked on whole `fast_test` windows; the
-    //! lockstep rings are also checked against the same rings run one
+    //! lockstep folds are also checked against the same folds run one
     //! after the other.
 
     use crate::{Pem, PemConfig, PemWindowOutcome};
@@ -567,7 +560,8 @@ mod tests {
 
     #[test]
     fn joined_rings_match_sequential_rings_on_a_shorter_clock() {
-        use super::{masked_totals, MaskedRing};
+        use super::{masked_totals, MaskedFold};
+        use crate::fold::Topology;
         use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerPool};
         use pem_crypto::drbg::HashDrbg;
         use pem_fabric::block_on;
@@ -600,52 +594,63 @@ mod tests {
                 HashDrbg::from_seed_label(b"p2-join", 2),
             )
         };
-        for s in 1..=6 {
-            for b in 1..=6 {
-                let sellers: Vec<usize> = (0..s).collect();
-                let buyers: Vec<usize> = (6..6 + b).collect();
-                let (hr1, hr2) = (sellers[s - 1], buyers[0]);
+        // Every shape, every coalition split: the join must not care how
+        // many frames are in flight toward one party.
+        let shapes = [
+            Topology::Ring,
+            Topology::Star,
+            Topology::Tree { fanin: 2 },
+            Topology::Tree { fanin: 3 },
+        ];
+        for topology in shapes {
+            for s in 1..=6 {
+                for b in 1..=6 {
+                    let sellers: Vec<usize> = (0..s).collect();
+                    let buyers: Vec<usize> = (6..6 + b).collect();
+                    let (hr1, hr2) = (sellers[s - 1], buyers[0]);
 
-                let (mut seq_net, mut seq_pool, mut seq_rng) = fresh();
-                let mut ring = |collector, holders, maskers, label| {
-                    let (pool, rng) = (&mut seq_pool, &mut seq_rng);
-                    MaskedRing::encrypt(
-                        &seq_net, &keys, &agents, collector, holders, maskers, label, pool, rng,
-                    )
-                    .expect("encrypt")
-                };
-                let demand = ring(hr1, &buyers, &sellers, "eval/demand-agg");
-                let supply = ring(hr2, &sellers, &buyers, "eval/supply-agg");
-                let sequential = (
-                    block_on(demand.total(&mut seq_net)).expect("demand ring"),
-                    block_on(supply.total(&mut seq_net)).expect("supply ring"),
-                );
+                    let (mut seq_net, mut seq_pool, mut seq_rng) = fresh();
+                    let mut masked = |collector, holders, maskers, label| {
+                        let (pool, rng) = (&mut seq_pool, &mut seq_rng);
+                        MaskedFold::encrypt(
+                            &seq_net, &keys, &agents, collector, holders, maskers, label, pool, rng,
+                        )
+                        .expect("encrypt")
+                    };
+                    let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
+                    let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
+                    let sequential = (
+                        block_on(demand.total(&mut seq_net, topology)).expect("demand fold"),
+                        block_on(supply.total(&mut seq_net, topology)).expect("supply fold"),
+                    );
 
-                let (mut net, mut pool, mut rng) = fresh();
-                let joined = block_on(masked_totals(
-                    &mut net,
-                    &keys,
-                    &agents,
-                    (hr1, hr2),
-                    &sellers,
-                    &buyers,
-                    &mut pool,
-                    &mut rng,
-                ))
-                .expect("joined rings");
+                    let (mut net, mut pool, mut rng) = fresh();
+                    let joined = block_on(masked_totals(
+                        &mut net,
+                        &keys,
+                        &agents,
+                        (hr1, hr2),
+                        &sellers,
+                        &buyers,
+                        topology,
+                        &mut pool,
+                        &mut rng,
+                    ))
+                    .expect("joined folds");
 
-                let case = format!("|S| = {s}, |B| = {b}");
-                assert_eq!(joined, sequential, "{case}: masked totals");
-                assert_eq!(net.stats(), seq_net.stats(), "{case}: traffic");
-                assert_eq!(net.pending(), 0, "{case}: every frame consumed");
-                assert_eq!(format!("{rng:?}"), format!("{seq_rng:?}"), "{case}: DRBG");
-                assert_eq!(format!("{pool:?}"), format!("{seq_pool:?}"), "{case}: pool");
-                assert!(
-                    net.now_us() < seq_net.now_us(),
-                    "{case}: joined {} µs, sequential {} µs",
-                    net.now_us(),
-                    seq_net.now_us()
-                );
+                    let case = format!("{topology}, |S| = {s}, |B| = {b}");
+                    assert_eq!(joined, sequential, "{case}: masked totals");
+                    assert_eq!(net.stats(), seq_net.stats(), "{case}: traffic");
+                    assert_eq!(net.pending(), 0, "{case}: every frame consumed");
+                    assert_eq!(format!("{rng:?}"), format!("{seq_rng:?}"), "{case}: DRBG");
+                    assert_eq!(format!("{pool:?}"), format!("{seq_pool:?}"), "{case}: pool");
+                    assert!(
+                        net.now_us() < seq_net.now_us(),
+                        "{case}: joined {} µs, sequential {} µs",
+                        net.now_us(),
+                        seq_net.now_us()
+                    );
+                }
             }
         }
     }

@@ -6,8 +6,9 @@
 //!
 //! 1. A random member of the *opposite* coalition is chosen as the ratio
 //!    decryptor (`H_s` = a seller in the general case).
-//! 2. A ring pass over the buyers aggregates `Enc_{pk_s}(E_b)`; the last
-//!    buyer broadcasts the ciphertext inside the buyer coalition.
+//! 2. A fold on `cfg.topology` (the paper's ring by default) over the
+//!    buyers aggregates `Enc_{pk_s}(E_b)` at the last buyer, who
+//!    broadcasts the ciphertext inside the buyer coalition.
 //! 3. Paillier has no homomorphic division, so each buyer inverts its
 //!    ratio *in the exponent*: it sends
 //!    `Enc(E_b)^{round(K / |sn_j|)} = Enc(E_b · round(K / |sn_j|))`
@@ -48,7 +49,7 @@ use rand::Rng;
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
-use crate::fold::{fold, Topology};
+use crate::fold::fold;
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -103,24 +104,25 @@ pub async fn run<T: Transport>(
     let pk = keys.public(decryptor);
     let k_const = 1u128 << cfg.ratio_precision_bits;
 
-    // --- Step 2: ring-aggregate the ratio side's total under pk. -------
-    // The ring ends at its last member, who multiplies in its own
-    // contribution and broadcasts Enc(total) inside the ratio coalition.
+    // --- Step 2: fold the ratio side's total under pk. -----------------
+    // The fold ends at the coalition's last member, who multiplies in its
+    // own contribution and broadcasts Enc(total) inside the ratio
+    // coalition. Terms are encrypted in coalition order in every shape.
     let agg_span = Span::enter_at("dist/total-agg", "protocol", net.now_us());
-    let (&last, ring) = ratio_side
+    let (&last, members) = ratio_side
         .split_last()
         .ok_or(PemError::Protocol("empty ratio coalition"))?;
     let mut encrypt = |member: usize| {
         let value = pem_bignum::BigUint::from(agents[member].sn_abs_q);
         randpool::encrypt_under(pk, decryptor, &value, pool, rng)
     };
-    let mut own = Vec::with_capacity(ring.len());
-    for &member in ring {
+    let mut own = Vec::with_capacity(members.len());
+    for &member in members {
         own.push([encrypt(member)?]);
     }
     let mut acc = encrypt(last)?;
-    if !ring.is_empty() {
-        let fold = fold(net, pk, ring, last, "dist/total-agg", Topology::Ring, own);
+    if !members.is_empty() {
+        let fold = fold(net, pk, members, last, "dist/total-agg", cfg.topology, own);
         let ([received], _) = fold.await?;
         acc = pk.add_ciphertexts(&received, &acc);
     }
@@ -544,53 +546,6 @@ mod tests {
         assert_eq!(s.per_label["dist/energy"].messages, 2);
     }
 
-    /// A fabric that queues `stray` frames just before the first
-    /// `dist/energy` send, i.e. ahead of every settlement frame.
-    struct StrayBeforeSettlement {
-        inner: SimNetwork,
-        stray: Vec<(usize, usize, &'static str, Vec<u8>)>,
-    }
-
-    impl Transport for StrayBeforeSettlement {
-        fn party_count(&self) -> usize {
-            self.inner.party_count()
-        }
-        fn send(
-            &mut self,
-            from: PartyId,
-            to: PartyId,
-            label: &'static str,
-            payload: Vec<u8>,
-        ) -> Result<(), pem_net::NetError> {
-            if label == "dist/energy" {
-                for (from, to, label, payload) in std::mem::take(&mut self.stray) {
-                    self.inner
-                        .send(PartyId(from), PartyId(to), label, payload)?;
-                }
-            }
-            self.inner.send(from, to, label, payload)
-        }
-        fn recv(&mut self, to: PartyId) -> Option<pem_net::Envelope> {
-            self.inner.recv(to)
-        }
-        fn recv_expect(
-            &mut self,
-            to: PartyId,
-            label: &'static str,
-        ) -> Result<pem_net::Envelope, pem_net::NetError> {
-            self.inner.recv_expect(to, label)
-        }
-        fn stats(&self) -> pem_net::NetStats {
-            self.inner.stats()
-        }
-        fn now_us(&self) -> u64 {
-            self.inner.now_us()
-        }
-        fn pending(&self) -> usize {
-            self.inner.pending()
-        }
-    }
-
     #[test]
     fn stray_settlement_frames_abort_with_a_protocol_error() {
         // Sellers 0, 1; buyers 2, 3; party 4 is off the market.
@@ -634,12 +589,12 @@ mod tests {
                 (3, 1, "dist/payment", f64_frame(trade.payment)),
             ),
         ];
-        for (case, stray) in cases {
-            let (inner, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
-            let mut net = StrayBeforeSettlement {
-                inner,
-                stray: vec![stray],
-            };
+        // Receives are addressed by label, so a stray queued before the
+        // protocol starts waits for the sweep that reads its label.
+        for (case, (from, to, label, payload)) in cases {
+            let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+            net.send(PartyId(from), PartyId(to), label, payload)
+                .expect("stray");
             let result = block_on(run(
                 &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
             ));

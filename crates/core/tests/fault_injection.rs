@@ -173,12 +173,26 @@ fn dropped_gc_offer_aborts() {
 }
 
 #[test]
-fn duplicated_message_aborts_on_label_mismatch() {
-    // The duplicate lingers in the recipient's mailbox; the next
-    // recv_expect for a different label trips over it.
+fn duplicated_message_aborts_as_an_unread_frame() {
+    // Every receive is addressed to its (party, label), so the duplicate
+    // lingers in the recipient's mailbox without blocking anything; the
+    // window's end-of-run check finds it there.
     let err = run_faulted(FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Duplicate))
         .expect_err("must abort");
-    assert!(matches!(err, PemError::Net(_)), "got {err:?}");
+    assert!(
+        matches!(
+            err,
+            PemError::Net(NetError::Unread {
+                label: "eval/demand-agg",
+                ..
+            })
+        ),
+        "got {err:?}"
+    );
+    assert!(
+        err.is_retryable(),
+        "a duplicated delivery can clear on a retry"
+    );
 }
 
 #[test]

@@ -268,3 +268,61 @@ proptest! {
         );
     }
 }
+
+#[test]
+fn every_shape_runs_the_ring_window_bit_for_bit() {
+    // Protocols 2, 3 and 4 all fold on `cfg.topology`. A shape moves only
+    // which party multiplies which ciphertexts, never a plaintext, a
+    // decryptor or a draw: every window must be the ring's, bit for bit,
+    // with the same messages under every label.
+    use pem_core::{Pem, PemWindowOutcome};
+    use pem_market::MarketKind;
+    let window = |surpluses: &[f64]| -> Vec<AgentWindow> {
+        (surpluses.iter().enumerate())
+            .map(|(i, &s)| {
+                let pref = 18.0 + (i % 5) as f64;
+                if s >= 0.0 {
+                    AgentWindow::new(i, s + 0.5, 0.5, 0.0, 0.9, pref)
+                } else {
+                    AgentWindow::new(i, 0.0, -s, 0.0, 0.9, pref)
+                }
+            })
+            .collect()
+    };
+    let general = window(&[1.0, 0.5, 2.0, 1.5, -3.0, -2.5, -4.0, -1.0, -2.0, -3.5, -0.5]);
+    let extreme = window(&[4.0, 3.0, 5.0, 2.5, 3.5, 6.0, 1.5, -1.0, -2.0, -0.5]);
+    for (pop, kind) in [
+        (general, MarketKind::General),
+        (extreme, MarketKind::Extreme),
+    ] {
+        let run = |topology: Topology| -> PemWindowOutcome {
+            let cfg = PemConfig::fast_test()
+                .with_topology(topology)
+                .with_randomizer_pool(4);
+            Pem::new(cfg, pop.len())
+                .expect("setup")
+                .run_window(&pop)
+                .expect("window")
+        };
+        let ring = run(Topology::Ring);
+        assert_eq!(ring.kind, kind);
+        for topology in [
+            Topology::Star,
+            Topology::Tree { fanin: 2 },
+            Topology::Tree { fanin: 3 },
+        ] {
+            let out = run(topology);
+            let case = format!("{kind:?} market, {topology}");
+            assert_eq!(out.kind, ring.kind, "{case}: kind");
+            assert_eq!(out.price.to_bits(), ring.price.to_bits(), "{case}: price");
+            assert_eq!(out.trades, ring.trades, "{case}: trades");
+            assert_eq!(out.revealed, ring.revealed, "{case}: revealed");
+            let messages = |o: &PemWindowOutcome| {
+                (o.net.per_label.iter())
+                    .map(|(label, t)| (label.clone(), t.messages))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(messages(&out), messages(&ring), "{case}: messages");
+        }
+    }
+}

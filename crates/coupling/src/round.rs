@@ -29,7 +29,7 @@ use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
 use pem_market::PriceBand;
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{NetStats, PartyId, SimNetwork, Transport};
+use pem_net::{NetError, NetStats, PartyId, SimNetwork, Transport};
 use pem_telemetry::{CriticalPathReport, Span};
 use serde::{Deserialize, Serialize};
 
@@ -431,6 +431,14 @@ impl CouplingCoordinator {
                 net.send(coordinator, PartyId(i), LABEL_SCHEDULE, w.finish())?;
             }
             schedule_span.finish_at(net.now_us());
+        }
+        // Of its labels the round reads only the tree and the claims
+        // (the corridor and the schedule go to shards that do not
+        // answer): a duplicate or stray left under either is an error.
+        for label in [LABEL_UP, LABEL_CLAIM] {
+            if let Some(party) = (0..=s).find(|&p| net.recv_expect(PartyId(p), label).is_ok()) {
+                return Err(NetError::Unread { party, label }.into());
+            }
         }
         round_span.finish_at(net.now_us());
 
@@ -926,11 +934,9 @@ mod tests {
                 for nth in [0, 2] {
                     let case = format!("{label}#{nth}/{kind:?}");
                     // Nothing in the round reads the corridor broadcast or
-                    // the schedule, and a duplicate of the last claim
-                    // lingers unread; every other fault aborts.
-                    let unread = label == LABEL_CORRIDOR
-                        || label == LABEL_SCHEDULE
-                        || (label == LABEL_CLAIM, nth, kind) == (true, 2, FaultKind::Duplicate);
+                    // the schedule; every other fault aborts, a duplicate
+                    // that would linger unread included.
+                    let unread = label == LABEL_CORRIDOR || label == LABEL_SCHEDULE;
                     match round(FaultPlan::new().inject(label, nth, kind)) {
                         Ok(out) => {
                             assert!(unread, "{case}: completed");

@@ -13,10 +13,10 @@
 //!   protocol to completion where nothing else shares the thread:
 //!   `Pem::run_window`, a fold inside the coupling round, Protocol 3 in
 //!   the topology ablation. [`try_join`] runs two independent protocols
-//!   in lockstep inside one future (Protocol 2's two rings).
+//!   in lockstep inside one future (Protocol 2's two folds).
 //! * [`EventTransport`] — the name this crate gives `pem-net`'s one
-//!   fabric, [`SimNetwork`](pem_net::SimNetwork): per-recipient FIFO
-//!   mailboxes whose `recv` never blocks. A task whose message never
+//!   fabric, [`SimNetwork`](pem_net::SimNetwork): per-recipient
+//!   mailboxes read by `(recipient, label)`, whose receives never block. A task whose message never
 //!   arrives is not waited on: the receive that wanted it returns its
 //!   typed error.
 //! * [`Executor`] — a deterministic single-thread scheduler over

@@ -22,12 +22,13 @@ pub enum NetError {
         /// The party.
         party: usize,
     },
-    /// `recv_expect` found a message with a different label.
-    UnexpectedLabel {
-        /// Label the caller expected.
-        expected: &'static str,
-        /// Label actually at the head of the mailbox.
-        got: String,
+    /// A round ended with a frame nobody read still queued for `party`
+    /// — a duplicate or a stray.
+    Unread {
+        /// The party the frame was addressed to.
+        party: usize,
+        /// The frame's label.
+        label: &'static str,
     },
     /// `recv_expect` found an empty mailbox.
     Empty {
@@ -59,8 +60,8 @@ impl fmt::Display for NetError {
                 write!(f, "party {party} out of range (have {parties})")
             }
             NetError::SelfSend { party } => write!(f, "party {party} cannot message itself"),
-            NetError::UnexpectedLabel { expected, got } => {
-                write!(f, "expected message {expected:?}, mailbox head is {got:?}")
+            NetError::Unread { party, label } => {
+                write!(f, "party {party} left a {label:?} frame unread")
             }
             NetError::Empty { party, expected } => {
                 write!(

@@ -12,9 +12,10 @@
 //! * [`Transport`] — the fabric surface the protocol drivers are generic
 //!   over: send/recv/broadcast, stats, and a critical-path virtual clock,
 //! * [`SimNetwork`] — its one implementation: deterministic,
-//!   single-threaded per-party mailboxes that also drain as one
-//!   arrival-ordered event queue, per-label byte/message counters,
-//!   (per-link) latency models and fault injection ([`fault`]).
+//!   single-threaded per-party mailboxes, read by `(recipient, label)`,
+//!   that also drain as one arrival-ordered event queue, per-label
+//!   byte/message counters, (per-link) latency models and fault
+//!   injection ([`fault`]).
 //!
 //! Per-agent processes, the paper's deployment shape, would be a second
 //! [`Transport`] implementation over sockets — ROADMAP's parked

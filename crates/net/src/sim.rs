@@ -1,6 +1,7 @@
 //! The deterministic single-threaded network fabric — the one
 //! [`Transport`] implementation: mailboxes that can be drained per
-//! recipient or as one arrival-ordered event queue.
+//! recipient and label, per recipient, or as one arrival-ordered event
+//! queue.
 
 use std::collections::VecDeque;
 
@@ -28,7 +29,8 @@ pub struct Envelope {
     pub from: PartyId,
     /// Recipient.
     pub to: PartyId,
-    /// Protocol-phase label (used for accounting and `recv_expect`).
+    /// Protocol-phase label (used for accounting and to address
+    /// `recv_expect`).
     pub label: &'static str,
     /// Serialized payload.
     pub payload: Vec<u8>,
@@ -98,15 +100,17 @@ impl LatencyModel {
     }
 }
 
-/// Deterministic in-memory network: per-party FIFO mailboxes behind an
-/// arrival-ordered event view, over the send pipeline (byte accounting,
-/// virtual clock, per-link latency, fault injection).
+/// Deterministic in-memory network: per-party mailboxes in send order
+/// behind an arrival-ordered event view, over the send pipeline (byte
+/// accounting, virtual clock, per-link latency, fault injection).
 ///
-/// Nothing ever blocks: the protocols pop each recipient's mailbox in
-/// FIFO order with [`Transport::recv`]/[`Transport::recv_expect`], and a
-/// message that has not arrived is an empty mailbox, never a wait.
-/// Everything else is the [`Transport`] surface; the inherent methods
-/// are only what the trait lacks.
+/// Nothing ever blocks. The protocols receive by address:
+/// [`Transport::recv_expect`] pops the oldest frame sent to `(to,
+/// label)`, wherever it sits in `to`'s mailbox, so several folds can
+/// share one party's mailbox. [`Transport::recv`] pops the mailbox's
+/// oldest frame of any label. A message that has not arrived is an empty
+/// mailbox, never a wait. Everything else is the [`Transport`] surface;
+/// the inherent methods are only what the trait lacks.
 #[derive(Debug)]
 pub struct SimNetwork {
     /// Per-party mailboxes; each entry carries a global send sequence
@@ -189,7 +193,7 @@ impl Transport for SimNetwork {
         Ok(())
     }
 
-    /// Pops the next message for `to`, if any. Receiving fast-forwards
+    /// Pops the oldest message for `to`, if any. Receiving fast-forwards
     /// `to`'s local clock to the message's arrival time.
     fn recv(&mut self, to: PartyId) -> Option<Envelope> {
         let (_, env) = self.mailboxes.get_mut(to.0)?.pop_front()?;
@@ -197,21 +201,22 @@ impl Transport for SimNetwork {
         Some(env)
     }
 
-    /// The message is *not* consumed (and the clock not advanced) on a
-    /// label mismatch.
+    /// Scans `to`'s mailbox for its oldest `label` frame: a mailbox holds
+    /// a handful of frames, so a scan beats a queue per label. Frames
+    /// under other labels stay where they are.
     fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
         self.pipe.check(to)?;
-        let (_, head) = self.mailboxes[to.0].front().ok_or(NetError::Empty {
-            party: to.0,
-            expected: label,
-        })?;
-        if head.label != label {
-            return Err(NetError::UnexpectedLabel {
+        let mailbox = &mut self.mailboxes[to.0];
+        let (_, env) = mailbox
+            .iter()
+            .position(|(_, env)| env.label == label)
+            .and_then(|pos| mailbox.remove(pos))
+            .ok_or(NetError::Empty {
+                party: to.0,
                 expected: label,
-                got: head.label.to_string(),
-            });
-        }
-        Ok(self.recv(to).expect("head exists"))
+            })?;
+        self.pipe.observe(&env);
+        Ok(env)
     }
 
     fn stats(&self) -> NetStats {
@@ -263,22 +268,68 @@ mod tests {
     }
 
     #[test]
-    fn recv_expect_enforces_label() {
-        let mut net = SimNetwork::new(2);
-        net.send(PartyId(0), PartyId(1), "right", vec![7])
+    fn recv_expect_is_addressed_by_label() {
+        let mut net = SimNetwork::new(3);
+        net.send(PartyId(0), PartyId(1), "a", vec![1])
             .expect("send");
+        net.send(PartyId(2), PartyId(1), "b", vec![2])
+            .expect("send");
+        net.send(PartyId(2), PartyId(1), "a", vec![3])
+            .expect("send");
+        net.send(PartyId(0), PartyId(1), "c", vec![4])
+            .expect("send");
+        // Another label's frame is received out of send order ...
+        let b = net.recv_expect(PartyId(1), "b").expect("b");
+        assert_eq!((b.from, b.payload), (PartyId(2), vec![2]));
+        // ... while one label's frames come in send order.
+        let first = net.recv_expect(PartyId(1), "a").expect("first a");
+        let second = net.recv_expect(PartyId(1), "a").expect("second a");
+        assert_eq!((first.payload, second.payload), (vec![1], vec![3]));
+        // A label with nothing queued is empty, and the frame of the
+        // label nobody asked for stays pending.
         assert!(matches!(
-            net.recv_expect(PartyId(1), "wrong"),
-            Err(NetError::UnexpectedLabel { .. })
+            net.recv_expect(PartyId(1), "a"),
+            Err(NetError::Empty {
+                party: 1,
+                expected: "a"
+            })
         ));
-        // The mismatching message is still there.
-        assert_eq!(net.pending(), 1);
-        let env = net.recv_expect(PartyId(1), "right").expect("now matches");
-        assert_eq!(env.payload, vec![7]);
         assert!(matches!(
-            net.recv_expect(PartyId(1), "right"),
+            net.recv_expect(PartyId(0), "c"),
             Err(NetError::Empty { .. })
         ));
+        assert_eq!(net.pending(), 1);
+        assert_eq!(net.recv(PartyId(1)).expect("c").payload, vec![4]);
+    }
+
+    #[test]
+    fn pop_earliest_stays_arrival_ordered_across_labels() {
+        // An addressed receive takes a frame from the middle of party
+        // 1's mailbox; the event view still drains the rest by arrival
+        // (LAN: 108 µs, ties in send order, then 124; WAN last).
+        let mut net = SimNetwork::with_latency(3, LatencyModel::lan());
+        net.set_link_latency(PartyId(0), PartyId(2), LatencyModel::wan());
+        net.send(PartyId(0), PartyId(1), "a", vec![0; 8]).unwrap();
+        net.send(PartyId(0), PartyId(2), "slow", vec![0; 8])
+            .unwrap();
+        net.send(PartyId(2), PartyId(1), "b", vec![0; 8]).unwrap();
+        net.send(PartyId(2), PartyId(1), "a", vec![0; 8]).unwrap();
+        net.send(PartyId(1), PartyId(0), "fast", vec![0; 8])
+            .unwrap();
+        net.recv_expect(PartyId(1), "b").expect("b");
+        let order: Vec<(usize, &str, u64)> = std::iter::from_fn(|| net.pop_earliest())
+            .map(|env| (env.to.0, env.label, env.arrival_us))
+            .collect();
+        let wan = LatencyModel::wan().charge_us(8);
+        assert_eq!(
+            order,
+            vec![
+                (1, "a", 108),
+                (0, "fast", 108),
+                (1, "a", 124),
+                (2, "slow", wan)
+            ]
+        );
     }
 
     #[test]

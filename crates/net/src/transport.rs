@@ -2,13 +2,15 @@
 //!
 //! The paper defines Protocols 2–4 over an abstract reliable
 //! point-to-point model; everything they need from a fabric is captured
-//! by [`Transport`]: addressed sends, label-checked receives, broadcast,
+//! by [`Transport`]: addressed sends, receives addressed by recipient
+//! and label, broadcast,
 //! byte/message accounting and a *virtual clock* that tracks the
 //! critical-path latency of the message pattern actually executed.
 //!
 //! The crate ships one implementation,
 //! [`SimNetwork`](crate::SimNetwork): deterministic in-memory per-party
-//! FIFO mailboxes over the send pipeline (accounting, per-link latency,
+//! mailboxes, read by `(recipient, label)` in send order, over the send
+//! pipeline (accounting, per-link latency,
 //! virtual clocks, fault hooks) that a poll-driven executor can also
 //! probe and drain in global arrival order (`pem-fabric` re-exports it
 //! as `EventTransport`). Drivers are written against `T: Transport`, so
@@ -68,15 +70,18 @@ pub trait Transport {
         payload: Vec<u8>,
     ) -> Result<(), NetError>;
 
-    /// Pops the next message for `to`, if any is deliverable now.
+    /// Pops the oldest message for `to`, of any label, if any is
+    /// deliverable now.
     fn recv(&mut self, to: PartyId) -> Option<Envelope>;
 
-    /// Pops the next message for `to`, requiring the given label; the
-    /// message is *not* consumed on a label mismatch.
+    /// Pops the oldest message addressed to `(to, label)`, wherever it
+    /// sits among `to`'s messages; messages under other labels stay
+    /// queued in their order.
     ///
     /// # Errors
     ///
-    /// [`NetError::Empty`] or [`NetError::UnexpectedLabel`].
+    /// [`NetError::Empty`] if no `label` message is queued for `to`;
+    /// [`NetError::UnknownParty`].
     fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError>;
 
     /// Broadcasts to every other party. Bytes are charged per recipient

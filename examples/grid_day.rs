@@ -12,6 +12,9 @@
 //! # Latency-aware fabrics (coalition windows *and* the coupling round
 //! # run on the model; the coupling line reports its critical path):
 //! cargo run --release --example grid_day -- --couple --latency lan
+//! # Every fold of Protocols 2–4 on a binary tree instead of the ring
+//! # (same markets and messages, a shorter critical path):
+//! cargo run --release --example grid_day -- --latency lan --topology tree
 //! # All coalitions as poll-able tasks on one deterministic executor
 //! # thread (bit-identical reports; fabric:<batch> bounds residency):
 //! cargo run --release --example grid_day -- --engine fabric
@@ -27,7 +30,7 @@
 
 use std::time::Instant;
 
-use pem::core::PemConfig;
+use pem::core::{PemConfig, Topology};
 use pem::coupling::{CouplingConfig, RepartitionConfig};
 use pem::data::{TraceConfig, TraceGenerator};
 use pem::net::{FaultKind, LatencyModel};
@@ -82,6 +85,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let topology: Topology = match arg("--topology", "ring".to_string()).parse() {
+        Ok(topology) => topology,
+        Err(e) => {
+            eprintln!("bad --topology: {e}");
+            std::process::exit(2);
+        }
+    };
     let trace_path = arg("--trace", String::new());
     let json_path = arg("--json", String::new());
     if !trace_path.is_empty() || !json_path.is_empty() {
@@ -104,7 +114,7 @@ fn main() {
 
     println!("== PEM grid day ==");
     println!(
-        "homes {homes} | windows {windows} | coalition ≤{coalition} | workers {workers} | engine {engine} | randomizer pool {pool}/key | coupling {} | latency {latency_name} | chaos {} | retries {retries}",
+        "homes {homes} | windows {windows} | coalition ≤{coalition} | workers {workers} | engine {engine} | randomizer pool {pool}/key | coupling {} | latency {latency_name} | topology {topology} | chaos {} | retries {retries}",
         if couple { "on" } else { "off" },
         if chaos { "on" } else { "off" },
     );
@@ -134,7 +144,8 @@ fn main() {
     // dispersion appears (what the coupling round arbitrages).
     let mut pem = PemConfig::fast_test()
         .with_randomizer_pool(pool)
-        .with_latency(latency);
+        .with_latency(latency)
+        .with_topology(topology);
     pem.band = pem::market::PriceBand {
         grid_retail: 120.0,
         grid_feed_in: 20.0,
