@@ -30,7 +30,7 @@ use pem_bench::Args;
 use pem_core::block_on;
 use pem_core::fold::Topology;
 use pem_core::protocol3::price;
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer};
+use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerPool};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;
 use pem_net::{LatencyModel, SimNetwork, Transport};
@@ -82,7 +82,15 @@ fn main() {
             let mut net = SimNetwork::with_latency(n, LatencyModel::lan());
             let start = std::time::Instant::now();
             let out = block_on(price(
-                &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, &mut None, &mut rng,
+                &mut net,
+                &keys,
+                &agents,
+                &sellers,
+                &buyers,
+                &cfg,
+                topology,
+                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut rng,
             ))
             .expect("pricing");
             let elapsed_us = start.elapsed().as_micros() as u64;

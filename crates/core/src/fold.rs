@@ -235,8 +235,8 @@ pub async fn fold<T: Transport, const K: usize>(
     Err(PemError::Protocol("fold layout has no sink"))
 }
 
-/// Decodes `K` minimal-length integers and validates each as a
-/// ciphertext under the sink's key.
+/// Decodes `K` minimal-length integers, validates each as a ciphertext
+/// under the sink's key, and rejects a frame that carries more.
 fn decode<const K: usize>(pk: &PublicKey, payload: &[u8]) -> Result<[Ciphertext; K], PemError> {
     let mut r = WireReader::new(payload);
     let mut tuple = Vec::with_capacity(K);
@@ -245,6 +245,7 @@ fn decode<const K: usize>(pk: &PublicKey, payload: &[u8]) -> Result<[Ciphertext;
         pk.validate_ciphertext(&c)?;
         tuple.push(c);
     }
+    r.finish()?;
     // Arrays have no fallible constructor; the length always matches.
     tuple
         .try_into()

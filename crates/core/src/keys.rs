@@ -1,34 +1,91 @@
 //! Per-agent key material (Protocol 1, lines 1–2).
 
+use std::sync::Arc;
+
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::{Keypair, PublicKey};
 
 use crate::error::PemError;
 
+/// Paillier key pairs generated, process-wide (telemetry): one per home
+/// over a whole grid day, however often its coalitions re-form.
+static KEYGENS: pem_telemetry::Counter = pem_telemetry::Counter::new();
+
 /// Every agent's Paillier key pair plus the shared public-key registry —
 /// the result of the key-sharing round in Protocol 1.
+///
+/// A key belongs to its agent, not to a coalition slot: agent `i`'s pair
+/// is a function of `(seed, i)` alone ([`KeyDirectory::agent_keypair`]).
+/// The directory holds shared handles, so a coalition's directory
+/// borrows its members' keys from a grid-wide one
+/// ([`KeyDirectory::select`]) and every copy shares each key's lazily
+/// built `h_s` table and its CRT context.
 #[derive(Debug, Clone)]
 pub struct KeyDirectory {
-    keypairs: Vec<Keypair>,
+    keypairs: Vec<Arc<Keypair>>,
 }
 
 impl KeyDirectory {
     /// Generates `agents` key pairs of `key_bits` bits, deterministically
-    /// from `seed` (each agent derives an independent stream).
+    /// from `seed`: position `i` holds [`KeyDirectory::agent_keypair`]`(key_bits, seed, i)`.
     ///
     /// # Errors
     ///
     /// [`PemError::Config`] for an empty population.
     pub fn generate(agents: usize, key_bits: usize, seed: u64) -> Result<KeyDirectory, PemError> {
-        if agents == 0 {
+        KeyDirectory::from_keypairs(
+            (0..agents)
+                .map(|i| KeyDirectory::agent_keypair(key_bits, seed, i))
+                .collect(),
+        )
+    }
+
+    /// Agent `agent`'s key pair under `seed` — the one key derivation:
+    /// each agent draws from its own DRBG stream, so the pair depends on
+    /// nothing but `(key_bits, seed, agent)`. Counted on `crypto/keygens`.
+    pub fn agent_keypair(key_bits: usize, seed: u64, agent: usize) -> Keypair {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| pem_telemetry::register_counter("crypto/keygens", &KEYGENS));
+        KEYGENS.incr();
+        let mut rng = HashDrbg::from_seed_label(b"pem-agent-key", seed ^ (agent as u64) << 20);
+        Keypair::generate(key_bits, &mut rng)
+    }
+
+    /// A directory over key pairs already generated, agent `i` at
+    /// position `i`.
+    ///
+    /// # Errors
+    ///
+    /// [`PemError::Config`] for an empty population.
+    pub fn from_keypairs(keypairs: Vec<Keypair>) -> Result<KeyDirectory, PemError> {
+        if keypairs.is_empty() {
             return Err(PemError::Config("population must be non-empty".into()));
         }
-        let keypairs = (0..agents)
-            .map(|i| {
-                let mut rng = HashDrbg::from_seed_label(b"pem-agent-key", seed ^ (i as u64) << 20);
-                Keypair::generate(key_bits, &mut rng)
+        Ok(KeyDirectory {
+            keypairs: keypairs.into_iter().map(Arc::new).collect(),
+        })
+    }
+
+    /// The directory of a coalition: position `i` holds agent
+    /// `members[i]`'s key, shared with `self` (no key is generated or
+    /// copied).
+    ///
+    /// # Errors
+    ///
+    /// [`PemError::Config`] for an empty member list or a member outside
+    /// the directory.
+    pub fn select(&self, members: &[usize]) -> Result<KeyDirectory, PemError> {
+        if members.is_empty() {
+            return Err(PemError::Config("population must be non-empty".into()));
+        }
+        let keypairs = members
+            .iter()
+            .map(|&m| {
+                self.keypairs.get(m).cloned().ok_or_else(|| {
+                    PemError::Config(format!("agent {m} has no key in the directory"))
+                })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(KeyDirectory { keypairs })
     }
 
@@ -60,22 +117,6 @@ impl KeyDirectory {
     /// Panics if `i` is out of range.
     pub fn keypair(&self, i: usize) -> &Keypair {
         &self.keypairs[i]
-    }
-
-    /// Precomputes `count` randomizers (`h_s^x`) under key `i` — the one
-    /// lane every encryption under that key takes, batched. The first
-    /// call under a key builds its `h_s` table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn precompute_randomizers_for(
-        &self,
-        i: usize,
-        count: usize,
-        rng: &mut HashDrbg,
-    ) -> Vec<pem_crypto::paillier::Randomizer> {
-        self.keypairs[i].public().precompute_randomizers(count, rng)
     }
 }
 
@@ -115,5 +156,20 @@ mod tests {
     #[test]
     fn empty_population_rejected() {
         assert!(KeyDirectory::generate(0, 128, 1).is_err());
+    }
+
+    #[test]
+    fn a_selection_shares_its_members_keys() {
+        let dir = KeyDirectory::generate(4, 96, 3).expect("generate");
+        let coalition = dir.select(&[3, 1]).expect("select");
+        assert_eq!(coalition.len(), 2);
+        for (pos, agent) in [(0, 3), (1, 1)] {
+            assert!(Arc::ptr_eq(&coalition.keypairs[pos], &dir.keypairs[agent]));
+        }
+        // Agent 3's key is the same pair however the directory was made.
+        let alone = KeyDirectory::agent_keypair(96, 3, 3);
+        assert_eq!(coalition.public(0).n(), alone.public().n());
+        assert!(dir.select(&[4]).is_err(), "no such agent");
+        assert!(dir.select(&[]).is_err());
     }
 }

@@ -23,8 +23,8 @@
 //! Each round is a synchronous step that encrypts its terms and an
 //! `async` fold over [`crate::fold`] that yields before each receive.
 //! The two rounds are independent (different collectors, different
-//! keys, every term encrypted before the first send), so `masked_totals`
-//! encrypts both — demand first, then supply, each in chain order,
+//! keys and randomizer streams, every term encrypted before the first
+//! send), so `masked_totals` encrypts both — each in chain order,
 //! whatever the shape — and runs the two folds concurrently in lockstep:
 //! the window pays one fold's depth on the virtual clock, not two. The
 //! comparison and the broadcast are strict request/response and run
@@ -73,8 +73,8 @@ struct MaskedFold<'a> {
 
 impl<'a> MaskedFold<'a> {
     /// The synchronous half of a round: encrypts every contribution in
-    /// chain order, drawing from `pool` and `rng`, before anything is
-    /// sent.
+    /// chain order, drawing from the collector key's stream in `pool`,
+    /// before anything is sent.
     #[allow(clippy::too_many_arguments)]
     fn encrypt<T: Transport>(
         net: &T,
@@ -84,8 +84,7 @@ impl<'a> MaskedFold<'a> {
         value_holders: &[usize],
         maskers: &[usize],
         label: &'static str,
-        pool: &mut Option<RandomizerPool>,
-        rng: &mut HashDrbg,
+        pool: &mut RandomizerPool,
     ) -> Result<MaskedFold<'a>, PemError> {
         let span = Span::enter_at(label, "protocol", net.now_us());
         let pk = keys.public(collector);
@@ -99,7 +98,7 @@ impl<'a> MaskedFold<'a> {
             } else {
                 BigUint::from(a.nonce)
             };
-            terms.push([randpool::encrypt_under(pk, collector, &value, pool, rng)?]);
+            terms.push([randpool::encrypt_under(pk, collector, &value, pool)?]);
         }
         Ok(MaskedFold {
             keys,
@@ -142,10 +141,10 @@ impl<'a> MaskedFold<'a> {
 /// buyers then the sellers toward `hr1`, supply over the sellers then
 /// the buyers toward `hr2`.
 ///
-/// The demand terms are encrypted first, then the supply terms — the
-/// draw order of the pool and `rng`, the same in every shape — and then
-/// the two folds run in lockstep ([`try_join`]), one receive of each per
-/// poll. The folds are independent (different collectors, different
+/// The demand terms are encrypted first, then the supply terms — each
+/// set from its own collector's randomizer stream, so the order between
+/// them moves no bit — and then the two folds run in lockstep
+/// ([`try_join`]), one receive of each per poll. The folds are independent (different collectors, different
 /// keys, every term encrypted before the first send), so each party's
 /// virtual clock advances through both at once: the window pays one
 /// fold's depth, not two.
@@ -163,13 +162,10 @@ pub(crate) async fn masked_totals<T: Transport>(
     sellers: &[usize],
     buyers: &[usize],
     topology: Topology,
-    pool: &mut Option<RandomizerPool>,
-    rng: &mut HashDrbg,
+    pool: &mut RandomizerPool,
 ) -> Result<(u128, u128), PemError> {
     let mut masked = |collector, holders, maskers, label| {
-        MaskedFold::encrypt(
-            net, keys, agents, collector, holders, maskers, label, pool, rng,
-        )
+        MaskedFold::encrypt(net, keys, agents, collector, holders, maskers, label, pool)
     };
     let demand = masked(hr1, buyers, sellers, "eval/demand-agg")?;
     let supply = masked(hr2, sellers, buyers, "eval/supply-agg")?;
@@ -286,7 +282,8 @@ pub(crate) fn broadcast_result<T: Transport>(
 //
 // Every count on the wire is implied by the agreed comparison width, so
 // a decoder checks each against the width *before* allocating for it,
-// and fixed-size fields (labels, branch ciphertexts) carry no length.
+// fixed-size fields (labels, branch ciphertexts) carry no length, and a
+// frame must end where its last field does.
 
 /// Reads a width or count and rejects anything but the agreed one.
 fn expect_varint(
@@ -348,6 +345,7 @@ fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> 
         .map(|_| get_label(&mut r))
         .collect::<Result<_, _>>()?;
     let big_a = r.get_biguint()?;
+    r.finish()?;
     Ok(CompareOffer {
         width,
         garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
@@ -372,6 +370,7 @@ fn decode_requests(payload: &[u8], width: usize) -> Result<CompareOtRequests, Pe
     let replies = (0..chunks)
         .map(|_| r.get_biguint().map(|big_b| OtReceiverReply { big_b }))
         .collect::<Result<_, _>>()?;
+    r.finish()?;
     Ok(CompareOtRequests { replies })
 }
 
@@ -398,6 +397,7 @@ fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertex
             .collect::<Result<_, _>>()?;
         cts.push(OtCiphertexts { branches });
     }
+    r.finish()?;
     Ok(CompareLabelCiphertexts { cts })
 }
 
@@ -569,8 +569,8 @@ mod tests {
         use rand::Rng;
 
         // Sellers are parties 0..s, buyers s..s + b, on one directory of
-        // twelve; the pool is small enough that some encryptions fall
-        // back to the DRBG.
+        // twelve; the pool is small enough that some randomizers are
+        // drawn on line.
         let cfg = PemConfig::fast_test();
         let keys = KeyDirectory::generate(12, cfg.key_bits, cfg.seed).expect("keys");
         let q = Quantizer::new(cfg.scale);
@@ -590,8 +590,7 @@ mod tests {
         let fresh = || {
             (
                 SimNetwork::with_latency(12, LatencyModel::lan()),
-                Some(RandomizerPool::generate(&keys, 3, 5)),
-                HashDrbg::from_seed_label(b"p2-join", 2),
+                RandomizerPool::generate(&keys, 3, 5),
             )
         };
         // Every shape, every coalition split: the join must not care how
@@ -609,11 +608,11 @@ mod tests {
                     let buyers: Vec<usize> = (6..6 + b).collect();
                     let (hr1, hr2) = (sellers[s - 1], buyers[0]);
 
-                    let (mut seq_net, mut seq_pool, mut seq_rng) = fresh();
+                    let (mut seq_net, mut seq_pool) = fresh();
                     let mut masked = |collector, holders, maskers, label| {
-                        let (pool, rng) = (&mut seq_pool, &mut seq_rng);
+                        let pool = &mut seq_pool;
                         MaskedFold::encrypt(
-                            &seq_net, &keys, &agents, collector, holders, maskers, label, pool, rng,
+                            &seq_net, &keys, &agents, collector, holders, maskers, label, pool,
                         )
                         .expect("encrypt")
                     };
@@ -624,7 +623,7 @@ mod tests {
                         block_on(supply.total(&mut seq_net, topology)).expect("supply fold"),
                     );
 
-                    let (mut net, mut pool, mut rng) = fresh();
+                    let (mut net, mut pool) = fresh();
                     let joined = block_on(masked_totals(
                         &mut net,
                         &keys,
@@ -634,7 +633,6 @@ mod tests {
                         &buyers,
                         topology,
                         &mut pool,
-                        &mut rng,
                     ))
                     .expect("joined folds");
 
@@ -642,7 +640,6 @@ mod tests {
                     assert_eq!(joined, sequential, "{case}: masked totals");
                     assert_eq!(net.stats(), seq_net.stats(), "{case}: traffic");
                     assert_eq!(net.pending(), 0, "{case}: every frame consumed");
-                    assert_eq!(format!("{rng:?}"), format!("{seq_rng:?}"), "{case}: DRBG");
                     assert_eq!(format!("{pool:?}"), format!("{seq_pool:?}"), "{case}: pool");
                     assert!(
                         net.now_us() < seq_net.now_us(),
@@ -651,6 +648,106 @@ mod tests {
                         seq_net.now_us()
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn supply_encrypted_before_demand_moves_no_bit() {
+        use super::{masked_totals, MaskedFold, Shared};
+        use crate::fold::Topology;
+        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerPool};
+        use pem_crypto::drbg::HashDrbg;
+        use pem_fabric::{block_on, try_join};
+        use pem_net::LatencyModel;
+        use rand::Rng;
+        use std::cell::RefCell;
+
+        // Each fold's terms come from its own collector's randomizer
+        // stream, so `masked_totals`' demand-first order is a choice, not
+        // a constraint: encrypting the supply terms first gives the same
+        // ciphertexts, totals, traffic and pool state, pooled or not.
+        let cfg = PemConfig::fast_test();
+        let keys = KeyDirectory::generate(8, cfg.key_bits, cfg.seed).expect("keys");
+        let q = Quantizer::new(cfg.scale);
+        let mut nonces = HashDrbg::from_seed_label(b"p2-order-nonces", 1);
+        let agents: Vec<AgentCtx> = (0..8)
+            .map(|i| {
+                let e = 0.5 + i as f64;
+                let data = if i < 4 {
+                    AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
+                } else {
+                    AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
+                };
+                let nonce = nonces.gen::<u64>() >> (64 - cfg.nonce_bits);
+                AgentCtx::prepare(i, data, &q, nonce).expect("prepare")
+            })
+            .collect();
+        let (sellers, buyers): (Vec<usize>, Vec<usize>) = ((0..4).collect(), (4..8).collect());
+        let (hr1, hr2) = (sellers[1], buyers[2]);
+        for batch in [0, 2, 8] {
+            for topology in [Topology::Ring, Topology::tree()] {
+                let case = format!("batch {batch}, {topology}");
+                let fresh = || {
+                    (
+                        SimNetwork::with_latency(8, LatencyModel::lan()),
+                        RandomizerPool::generate(&keys, batch, 3),
+                    )
+                };
+                // The two folds with their terms encrypted in either
+                // order, then joined as `masked_totals` joins them.
+                let in_order = |supply_first: bool| {
+                    let (mut net, mut pool) = fresh();
+                    let mut masked = |collector, holders, maskers, label| {
+                        let pool = &mut pool;
+                        MaskedFold::encrypt(
+                            &net, &keys, &agents, collector, holders, maskers, label, pool,
+                        )
+                        .expect("encrypt")
+                    };
+                    let (demand, supply) = if supply_first {
+                        let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
+                        (masked(hr1, &buyers, &sellers, "eval/demand-agg"), supply)
+                    } else {
+                        let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
+                        (demand, masked(hr2, &sellers, &buyers, "eval/supply-agg"))
+                    };
+                    let terms = [&demand, &supply].map(|f| f.terms.clone());
+                    let shared = RefCell::new(&mut net);
+                    let totals = block_on(try_join(
+                        demand.total(&mut Shared(&shared), topology),
+                        supply.total(&mut Shared(&shared), topology),
+                    ))
+                    .expect("joined folds");
+                    let stats = net.stats();
+                    (terms, totals, stats, format!("{pool:?}"))
+                };
+                let demand_first = in_order(false);
+                let supply_first = in_order(true);
+                assert_eq!(supply_first.0, demand_first.0, "{case}: ciphertexts");
+                assert_eq!(supply_first.1, demand_first.1, "{case}: masked totals");
+                assert_eq!(supply_first.2, demand_first.2, "{case}: traffic");
+                assert_eq!(supply_first.3, demand_first.3, "{case}: pool");
+
+                let (mut net, mut pool) = fresh();
+                let totals = block_on(masked_totals(
+                    &mut net,
+                    &keys,
+                    &agents,
+                    (hr1, hr2),
+                    &sellers,
+                    &buyers,
+                    topology,
+                    &mut pool,
+                ))
+                .expect("masked totals");
+                assert_eq!(totals, supply_first.1, "{case}: masked_totals");
+                assert_eq!(net.stats(), supply_first.2, "{case}: masked_totals traffic");
+                assert_eq!(
+                    format!("{pool:?}"),
+                    supply_first.3,
+                    "{case}: masked_totals pool"
+                );
             }
         }
     }

@@ -69,7 +69,7 @@ pub async fn price<T: Transport>(
     buyers: &[usize],
     cfg: &PemConfig,
     topology: Topology,
-    pool: &mut Option<RandomizerPool>,
+    pool: &mut RandomizerPool,
     rng: &mut HashDrbg,
 ) -> Result<PricingOutcome, PemError> {
     if sellers.is_empty() || buyers.is_empty() {
@@ -88,8 +88,8 @@ pub async fn price<T: Transport>(
         let a = &agents[idx];
         let k_q = quantizer.quantize_unsigned(a.data.preference, "preference")?;
         let d_q = quantizer.quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
-        let k_ct = randpool::encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), pool, rng)?;
-        let d_ct = randpool::encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), pool, rng)?;
+        let k_ct = randpool::encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), pool)?;
+        let d_ct = randpool::encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), pool)?;
         Ok([k_ct, d_ct])
     };
     // The tree draws its sellers' randomizers in descending position
@@ -168,7 +168,10 @@ async fn price_terms<T: Transport>(
         let env = net.recv_expect(PartyId(i), "price/broadcast")?;
         // Each party checks the broadcast against H_b's price bit for
         // bit: any other price is not this market's.
-        if WireReader::new(&env.payload).get_f64()?.to_bits() != price.to_bits() {
+        let mut r = WireReader::new(&env.payload);
+        let echoed = r.get_f64()?;
+        r.finish()?;
+        if echoed.to_bits() != price.to_bits() {
             return Err(PemError::Protocol(
                 "price broadcast differs from H_b's price",
             ));
@@ -205,7 +208,7 @@ mod tests {
         topology: Topology,
         rng: &mut HashDrbg,
     ) -> Result<PricingOutcome, PemError> {
-        let pool = &mut None;
+        let pool = &mut RandomizerPool::generate(keys, 0, cfg.seed);
         block_on(price(
             net, keys, agents, sellers, buyers, cfg, topology, pool, rng,
         ))

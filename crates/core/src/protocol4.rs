@@ -85,7 +85,7 @@ pub async fn run<T: Transport>(
     price: f64,
     general_market: bool,
     cfg: &PemConfig,
-    pool: &mut Option<RandomizerPool>,
+    pool: &mut RandomizerPool,
     rng: &mut HashDrbg,
 ) -> Result<DistributionOutcome, PemError> {
     if sellers.is_empty() || buyers.is_empty() {
@@ -114,7 +114,7 @@ pub async fn run<T: Transport>(
         .ok_or(PemError::Protocol("empty ratio coalition"))?;
     let mut encrypt = |member: usize| {
         let value = pem_bignum::BigUint::from(agents[member].sn_abs_q);
-        randpool::encrypt_under(pk, decryptor, &value, pool, rng)
+        randpool::encrypt_under(pk, decryptor, &value, pool)
     };
     let mut own = Vec::with_capacity(members.len());
     for &member in members {
@@ -151,6 +151,7 @@ pub async fn run<T: Transport>(
             let env = net.recv_expect(PartyId(member), "dist/total-bcast")?;
             let mut r = WireReader::new(&env.payload);
             let ct = Ciphertext::from_biguint(r.get_biguint()?);
+            r.finish()?;
             pk.validate_ciphertext(&ct)?;
             enc_total_per_member.push(ct);
         }
@@ -193,6 +194,7 @@ pub async fn run<T: Transport>(
         let env = net.recv_expect(PartyId(decryptor), "dist/ratio-req")?;
         let mut r = WireReader::new(&env.payload);
         let ct = Ciphertext::from_biguint(r.get_biguint()?);
+        r.finish()?;
         pk.validate_ciphertext(&ct)?;
         ratio_cts.push(ct);
     }
@@ -236,6 +238,7 @@ pub async fn run<T: Transport>(
             for _ in 0..n {
                 let _ = r.get_f64()?;
             }
+            r.finish()?;
         }
     }
 
@@ -272,7 +275,9 @@ pub async fn run<T: Transport>(
     for &b in buyers {
         let senders = pairs.iter().filter(|p| p.1 == b).map(|p| (p.0, ()));
         drain(net, b, "dist/energy", senders.collect(), |net, env, ()| {
-            let routed = WireReader::new(&env.payload).get_f64()?;
+            let mut r = WireReader::new(&env.payload);
+            let routed = r.get_f64()?;
+            r.finish()?;
             let mut w = WireWriter::new();
             w.put_f64(price * routed);
             Ok(net.send(PartyId(b), env.from, "dist/payment", w.finish())?)
@@ -292,7 +297,10 @@ pub async fn run<T: Transport>(
             "dist/payment",
             senders.collect(),
             |_, env, payment| {
-                if WireReader::new(&env.payload).get_f64()?.to_bits() != payment.to_bits() {
+                let mut r = WireReader::new(&env.payload);
+                let echoed = r.get_f64()?;
+                r.finish()?;
+                if echoed.to_bits() != payment.to_bits() {
                     return Err(PemError::Protocol(
                         "payment differs from price × routed energy",
                     ));
@@ -442,7 +450,16 @@ mod tests {
         let surpluses = [2.0, 3.0, -4.0, -2.0, -2.0]; // E_s = 5 < E_b = 8
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
         let out = block_on(run(
-            &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            100.0,
+            true,
+            &cfg,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-6);
@@ -454,7 +471,16 @@ mod tests {
         let surpluses = [6.0, 4.0, -1.5, -2.5]; // E_s = 10 ≥ E_b = 4
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
         let out = block_on(run(
-            &mut net, &keys, &agents, &sellers, &buyers, 90.0, false, &cfg, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            90.0,
+            false,
+            &cfg,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 90.0), 1e-6);
@@ -465,7 +491,16 @@ mod tests {
         let surpluses = [2.0, -1.0, -3.0, -4.0];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
         let out = block_on(run(
-            &mut net, &keys, &agents, &sellers, &buyers, 95.0, true, &cfg, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            95.0,
+            true,
+            &cfg,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("protocol 4");
         // Per-ratio relative error is bounded by sn_max/(2K) ≈ 2^-23.
@@ -480,7 +515,16 @@ mod tests {
         let surpluses = [1.5, 2.5, -3.0, -5.0];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
         let out = block_on(run(
-            &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            100.0,
+            true,
+            &cfg,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("protocol 4");
         let energy: f64 = out.trades.iter().map(|t| t.energy).sum();
@@ -499,7 +543,16 @@ mod tests {
         let surpluses = [0.5, -1e-6, -0.75];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
         let out = block_on(run(
-            &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            100.0,
+            true,
+            &cfg,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-5);
@@ -518,7 +571,7 @@ mod tests {
                 100.0,
                 true,
                 &cfg,
-                &mut None,
+                &mut RandomizerPool::generate(&keys, 0, 1),
                 &mut rng
             )),
             Err(PemError::Protocol(_))
@@ -530,7 +583,16 @@ mod tests {
         let surpluses = [2.0, -1.0, -3.0];
         let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
         block_on(run(
-            &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            100.0,
+            true,
+            &cfg,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("protocol 4");
         let s = net.stats();
@@ -558,7 +620,16 @@ mod tests {
         let clean = {
             let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
             block_on(run(
-                &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+                &mut net,
+                &keys,
+                &agents,
+                &sellers,
+                &buyers,
+                100.0,
+                true,
+                &cfg,
+                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut rng,
             ))
             .expect("clean settlement")
         };
@@ -596,7 +667,16 @@ mod tests {
             net.send(PartyId(from), PartyId(to), label, payload)
                 .expect("stray");
             let result = block_on(run(
-                &mut net, &keys, &agents, &sellers, &buyers, 100.0, true, &cfg, &mut None, &mut rng,
+                &mut net,
+                &keys,
+                &agents,
+                &sellers,
+                &buyers,
+                100.0,
+                true,
+                &cfg,
+                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut rng,
             ));
             assert!(
                 matches!(result, Err(PemError::Protocol(_))),

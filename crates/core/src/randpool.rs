@@ -7,25 +7,23 @@
 //! randomizer is message-independent, batches can be generated **off the
 //! critical path** (idle time between trading windows) and consumed one
 //! per encryption during the protocols: what a pooled randomizer still
-//! saves is one multiplication instead of ≈40. That is a far smaller
-//! prize than the full-width ladder the pool was built to hide; whether
-//! it still earns the refill machinery is for the `benchmark` PR to
-//! decide from a pooled-vs-pool-less A/B (ROADMAP, "One pool
-//! discipline"), not this module.
+//! saves is one multiplication instead of ≈40. Whether that earns the
+//! refill is for a pooled-vs-pool-less A/B to decide (ROADMAP item
+//! 13 (b)); the two runs differ in nothing else.
 //!
-//! The pool keeps one queue *per key in the directory* (a randomizer is
-//! bound to the modulus it was computed under), each fed by its own
-//! sequential DRBG stream (label `pem-randpool`, seed `seed ^ (i << 24)`
-//! for key `i`): randomizer `j` under a key is draw `j` of that key's
-//! stream, whatever happens under the other keys. Draw order under a
-//! given key is fixed by protocol order, so runs with the same seed *and
-//! the same configuration* (batch size included) are bit-identical — the
-//! worker-count determinism the grid builds on. The batch size itself is
-//! part of that equivalence class: when the pool runs dry mid-window,
-//! [`encrypt_under`] falls back to on-line randomizer generation from
-//! the caller's protocol stream, which consumes draws that a
-//! larger-batch run would not, shifting every later ciphertext. Market
-//! outcomes (prices, trades, regimes) are unaffected either way.
+//! **One randomizer stream per key.** The pool holds one sequential DRBG
+//! per key of its directory (label `pem-randpool`, seed `seed ^ (i << 24)`
+//! for key `i`), and every encryption under key `i` — pooled or not —
+//! takes the *next draw of key `i`'s stream*: [`encrypt_under`] pops the
+//! oldest precomputed randomizer, and only when the queue is empty
+//! draws the next one on line from the same stream. A queue is thus a
+//! precomputed prefix of its key's stream, never a different stream, so
+//! the batch size (0 included: nothing precomputed) moves no bit —
+//! pooled and pool-less runs are bit-identical; only where the
+//! exponentiations run, and the hit/miss counters, differ. Nothing
+//! outside the key's stream is drawn, so the order of encryptions under
+//! *different* keys is free too (Protocol 2 may encrypt supply before
+//! demand).
 //!
 //! Deployment note: in a real deployment each agent would pre-generate
 //! private randomizer batches for the public keys it expects to encrypt
@@ -33,21 +31,12 @@
 //! per target key, mirroring how `KeyDirectory` centralizes key material
 //! to keep information flow explicit.
 //!
-//! Precompute has one lane,
-//! [`KeyDirectory::precompute_randomizers_for`], which is
-//! [`PublicKey::precompute_randomizers`] under the key — the same
-//! `h_s^x` draw an on-line [`PublicKey::try_encrypt`] makes, so pooled
-//! and fallback ciphertexts come from one distribution. Generating the
-//! initial batch is also what first touches each key's `h_s` table.
-//!
-//! Two refill policies, one caller each: [`RandomizerPool::refill`] tops
-//! every queue back up to the static batch and is what a
-//! [`Pem`](crate::Pem) window runs after Protocol 4;
-//! [`RandomizerPool::refill_adaptive`] scales each key's target to the
-//! demand observed since the last refill and is what the cross-shard
-//! coupling coordinator runs after each round (the draw rate under its
-//! single grid key grows with the shard count, which its configured
-//! batch does not know).
+//! Both lanes are [`PublicKey::randomizer`] under the key — the same
+//! `h_s^x` draw [`PublicKey::try_encrypt`] makes. Generating the initial
+//! batch is also what first touches each key's `h_s` table.
+//! [`RandomizerPool::refill`] tops every queue back up to the batch; a
+//! [`Pem`](crate::Pem) window runs it after Protocol 4, the cross-shard
+//! coupling coordinator after each round.
 
 use std::collections::VecDeque;
 
@@ -79,9 +68,10 @@ fn register_pool_counters() {
 pub struct PoolStats {
     /// Encryptions served from a precomputed randomizer.
     pub hits: u64,
-    /// Encryptions that fell back to on-line exponentiation.
+    /// Encryptions whose randomizer was drawn on line (the queue was
+    /// empty).
     pub misses: u64,
-    /// Randomizers generated (initial batch + refills).
+    /// Randomizers precomputed (initial batch + refills).
     pub generated: u64,
 }
 
@@ -114,27 +104,21 @@ impl std::ops::AddAssign for PoolStats {
     }
 }
 
-/// A per-key pool of precomputed Paillier randomizers.
+/// Per-key randomizer streams, each with a queue of precomputed draws.
 #[derive(Debug, Clone)]
 pub struct RandomizerPool {
     queues: Vec<VecDeque<Randomizer>>,
     /// One sequential DRBG per key: randomizer `j` under a key is draw
-    /// `j` of that key's stream.
+    /// `j` of that key's stream, precomputed or not.
     streams: Vec<HashDrbg>,
     batch: usize,
     stats: PoolStats,
-    /// Draws attempted per key since the last refill (hits + misses) —
-    /// the observed per-key demand the adaptive refill scales to.
-    draws: Vec<u64>,
-    /// Misses per key since the last refill (a miss means the queue ran
-    /// dry mid-window: the previous target underestimated demand).
-    dry: Vec<u64>,
 }
 
 impl RandomizerPool {
-    /// Builds a pool holding `batch` randomizers per directory key,
-    /// deterministically derived from `seed` (independent of the
-    /// protocol RNG streams).
+    /// Builds the streams of every directory key, deterministically
+    /// derived from `seed` (independent of the protocol RNG streams), and
+    /// precomputes the first `batch` draws of each (none at batch 0).
     pub fn generate(keys: &KeyDirectory, batch: usize, seed: u64) -> RandomizerPool {
         register_pool_counters();
         let n = keys.len();
@@ -146,8 +130,6 @@ impl RandomizerPool {
             streams,
             batch,
             stats: PoolStats::default(),
-            draws: vec![0; n],
-            dry: vec![0; n],
         };
         pool.refill(keys);
         pool
@@ -168,11 +150,9 @@ impl RandomizerPool {
         self.queues.get(key_owner).map_or(0, VecDeque::len)
     }
 
-    /// Draws one randomizer bound to `key_owner`'s modulus, if available.
+    /// The oldest precomputed randomizer under `key_owner`, if any (a
+    /// miss otherwise).
     pub fn take(&mut self, key_owner: usize) -> Option<Randomizer> {
-        if let Some(d) = self.draws.get_mut(key_owner) {
-            *d += 1;
-        }
         match self.queues.get_mut(key_owner).and_then(VecDeque::pop_front) {
             Some(r) => {
                 self.stats.hits += 1;
@@ -182,85 +162,47 @@ impl RandomizerPool {
             None => {
                 self.stats.misses += 1;
                 POOL_MISSES.incr();
-                if let Some(d) = self.dry.get_mut(key_owner) {
-                    *d += 1;
-                }
                 None
             }
         }
     }
 
-    /// Tops every queue back up to the batch size — the off-critical-path
-    /// step, meant to run between windows. Returns how many randomizers
-    /// were generated.
-    pub fn refill(&mut self, keys: &KeyDirectory) -> usize {
-        let targets = vec![self.batch; self.queues.len()];
-        self.refill_to_targets(keys, &targets)
+    /// The next draw of `key_owner`'s stream: precomputed if the queue
+    /// holds one, drawn on line under `pk` (the key's public half)
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key_owner` is outside the pool's directory.
+    pub(crate) fn draw(&mut self, pk: &PublicKey, key_owner: usize) -> Randomizer {
+        match self.take(key_owner) {
+            Some(r) => r,
+            None => pk.randomizer(&mut self.streams[key_owner]),
+        }
     }
 
-    /// Tops queue `i` up to `targets[i]`, resetting the per-key demand
-    /// counters — the shared mechanics of both refill policies.
-    fn refill_to_targets(&mut self, keys: &KeyDirectory, targets: &[usize]) -> usize {
-        assert_eq!(keys.len(), self.queues.len(), "key directory size changed");
+    /// Tops every queue back up to the batch size from its key's stream
+    /// — the off-critical-path step, meant to run between windows.
+    /// Returns how many randomizers were generated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` is smaller than the directory the pool was
+    /// generated for.
+    pub fn refill(&mut self, keys: &KeyDirectory) -> usize {
         let refill_span = pem_telemetry::Span::enter("pool/refill", "pool");
         let mut generated = 0;
-        for (i, queue) in self.queues.iter_mut().enumerate() {
-            let missing = targets[i].saturating_sub(queue.len());
+        for (i, (queue, stream)) in self.queues.iter_mut().zip(&mut self.streams).enumerate() {
+            let missing = self.batch.saturating_sub(queue.len());
             if missing > 0 {
-                let fresh = keys.precompute_randomizers_for(i, missing, &mut self.streams[i]);
-                generated += fresh.len();
-                queue.extend(fresh);
+                queue.extend(keys.public(i).precompute_randomizers(missing, stream));
+                generated += missing;
             }
-        }
-        for i in 0..self.queues.len() {
-            self.draws[i] = 0;
-            self.dry[i] = 0;
         }
         self.stats.generated += generated as u64;
         POOL_GENERATED.add(generated as u64);
         refill_span.finish();
         generated
-    }
-
-    /// The adaptive per-key refill target for an observed window demand.
-    ///
-    /// The curve, in terms of `demand` (draws under the key since the
-    /// last refill) and `misses` (draws that found the queue dry):
-    ///
-    /// * **idle key** (`demand = 0`) → target 1: keep a single
-    ///   randomizer as insurance, stop generating for keys nobody
-    ///   encrypts under;
-    /// * **steady key** (`misses = 0`) → `demand + demand/4 + 1`: last
-    ///   window's demand plus 25% headroom for jitter;
-    /// * **starved key** (`misses > 0`) → `2·demand`: the target was an
-    ///   underestimate, so grow aggressively;
-    /// * everything is capped at `4·base` so one anomalous window cannot
-    ///   commit unbounded precompute.
-    pub fn adaptive_target(demand: u64, misses: u64, base: usize) -> usize {
-        let cap = (4 * base.max(1)) as u64;
-        let raw = if demand == 0 {
-            1
-        } else if misses > 0 {
-            2 * demand
-        } else {
-            demand + demand / 4 + 1
-        };
-        raw.clamp(1, cap) as usize
-    }
-
-    /// Tops every queue up to its *adaptive* target — scaled per key to
-    /// the draw rate observed since the last refill (see
-    /// [`RandomizerPool::adaptive_target`]) instead of the static batch
-    /// size. Returns how many randomizers were generated.
-    ///
-    /// Like [`RandomizerPool::refill`] this is deterministic: the targets
-    /// are a pure function of the (deterministic) draw history, so two
-    /// runs of the same configuration refill identically.
-    pub fn refill_adaptive(&mut self, keys: &KeyDirectory) -> usize {
-        let targets: Vec<usize> = (0..self.queues.len())
-            .map(|i| RandomizerPool::adaptive_target(self.draws[i], self.dry[i], self.batch))
-            .collect();
-        self.refill_to_targets(keys, &targets)
     }
 
     /// Lifetime counters.
@@ -269,25 +211,21 @@ impl RandomizerPool {
     }
 }
 
-/// Encrypts `m` under `pk` (owned by directory entry `key_owner`),
-/// preferring a pooled randomizer and falling back to `rng`.
+/// Encrypts `m` under `pk` (owned by directory entry `key_owner`) with
+/// the next randomizer of that key's stream: the oldest precomputed one,
+/// or one drawn on line when the key's queue is empty.
 ///
 /// # Errors
 ///
-/// [`CryptoError::MessageTooLarge`] if `m` exceeds the message space.
+/// [`CryptoError::MessageTooLarge`] if `m` exceeds the message space
+/// (the randomizer is consumed either way).
 pub fn encrypt_under(
     pk: &PublicKey,
     key_owner: usize,
     m: &BigUint,
-    pool: &mut Option<RandomizerPool>,
-    rng: &mut HashDrbg,
+    pool: &mut RandomizerPool,
 ) -> Result<Ciphertext, CryptoError> {
-    if let Some(pool) = pool.as_mut() {
-        if let Some(r) = pool.take(key_owner) {
-            return pk.try_encrypt_with(m, &r);
-        }
-    }
-    pk.try_encrypt(m, rng)
+    pk.try_encrypt_with(m, &pool.draw(pk, key_owner))
 }
 
 #[cfg(test)]
@@ -328,66 +266,41 @@ mod tests {
     #[test]
     fn pooled_ciphertexts_decrypt() {
         let keys = directory();
-        let mut pool = Some(RandomizerPool::generate(&keys, 1, 9));
-        let mut rng = HashDrbg::new(b"fallback");
+        let mut pool = RandomizerPool::generate(&keys, 1, 9);
         let m = BigUint::from(123u64);
-        // First draw: pooled. Second: fallback. Both decrypt correctly.
-        let c1 = encrypt_under(keys.public(1), 1, &m, &mut pool, &mut rng).expect("pooled");
-        let c2 = encrypt_under(keys.public(1), 1, &m, &mut pool, &mut rng).expect("fallback");
+        // First draw: pooled. Second: on line. Both decrypt correctly.
+        let c1 = encrypt_under(keys.public(1), 1, &m, &mut pool).expect("pooled");
+        let c2 = encrypt_under(keys.public(1), 1, &m, &mut pool).expect("on line");
         assert_ne!(c1, c2);
         assert_eq!(keys.keypair(1).private().decrypt(&c1), m);
         assert_eq!(keys.keypair(1).private().decrypt(&c2), m);
-        let stats = pool.expect("pool").stats();
+        let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
-    fn adaptation_curve_shape() {
-        // Idle keys park at one randomizer.
-        assert_eq!(RandomizerPool::adaptive_target(0, 0, 8), 1);
-        // Steady demand gets 25% headroom, monotone in demand.
-        assert_eq!(RandomizerPool::adaptive_target(4, 0, 8), 6);
-        assert_eq!(RandomizerPool::adaptive_target(8, 0, 8), 11);
-        for d in 1..30u64 {
-            assert!(
-                RandomizerPool::adaptive_target(d + 1, 0, 16)
-                    >= RandomizerPool::adaptive_target(d, 0, 16),
-                "target must be monotone in demand (d={d})"
-            );
-        }
-        // A starved key doubles, and always beats the steady target.
-        assert_eq!(RandomizerPool::adaptive_target(5, 2, 8), 10);
-        assert!(
-            RandomizerPool::adaptive_target(5, 1, 8) > RandomizerPool::adaptive_target(5, 0, 8)
-        );
-        // Everything caps at 4x the configured base batch.
-        assert_eq!(RandomizerPool::adaptive_target(1000, 0, 8), 32);
-        assert_eq!(RandomizerPool::adaptive_target(1000, 99, 8), 32);
-        assert_eq!(RandomizerPool::adaptive_target(1000, 0, 0), 4);
-    }
-
-    #[test]
-    fn adaptive_refill_scales_per_key() {
+    fn the_batch_size_moves_no_ciphertext() {
+        // Key `i`'s ciphertexts are its stream's draws in order, whether
+        // precomputed or drawn on line, across refills, at any batch.
         let keys = directory();
-        let mut pool = RandomizerPool::generate(&keys, 2, 3);
-        // Key 0: heavy demand (4 draws, 2 dry). Key 1: light (1 draw).
-        // Key 2: idle.
-        for _ in 0..4 {
-            let _ = pool.take(0);
+        let m = BigUint::from(5u64);
+        let run = |batch: usize| {
+            let mut pool = RandomizerPool::generate(&keys, batch, 4);
+            let mut cts = Vec::new();
+            for round in 0..3 {
+                for key in [0, 2, 0, 0, 1, 2, 0] {
+                    cts.push(encrypt_under(keys.public(key), key, &m, &mut pool).expect("enc"));
+                }
+                if round != 1 {
+                    pool.refill(&keys);
+                }
+            }
+            cts
+        };
+        let reference = run(0);
+        for batch in [1, 2, 8] {
+            assert_eq!(run(batch), reference, "batch {batch}");
         }
-        let _ = pool.take(1);
-        let generated = pool.refill_adaptive(&keys);
-        // Key 0 grows to 2*4 = 8, key 1 tops up to 1 + 1/4 + 1 = 2,
-        // key 2 keeps its untouched batch of 2 (target 1 < on-hand 2).
-        assert_eq!(pool.available(0), 8);
-        assert_eq!(pool.available(1), 2);
-        assert_eq!(pool.available(2), 2);
-        assert_eq!(generated, 8 + 1);
-
-        // Next window is quiet on key 0: no regeneration for anyone.
-        let _ = pool.take(0);
-        assert_eq!(pool.refill_adaptive(&keys), 0, "7 on hand covers demand");
-        assert_eq!(pool.available(0), 7);
     }
 
     #[test]
@@ -423,17 +336,19 @@ mod tests {
     #[test]
     fn pool_streams_are_independent_of_draw_interleaving() {
         // Draw order across *different* keys must not change what each
-        // key's queue yields — the worker-pool determinism guarantee.
+        // key's stream yields — pooled or on line.
         let keys = directory();
-        let mut a = RandomizerPool::generate(&keys, 3, 5);
-        let mut b = RandomizerPool::generate(&keys, 3, 5);
-        let a0 = a.take(0).expect("a0");
-        let _ = a.take(1).expect("a1");
-        let a0b = a.take(0).expect("a0 second");
-        let b0 = b.take(0).expect("b0");
-        let b0b = b.take(0).expect("b0 second");
-        let _ = b.take(1).expect("b1");
-        assert_eq!(a0, b0);
-        assert_eq!(a0b, b0b);
+        for batch in [0, 3] {
+            let mut a = RandomizerPool::generate(&keys, batch, 5);
+            let mut b = RandomizerPool::generate(&keys, batch, 5);
+            let a0 = a.draw(keys.public(0), 0);
+            let _ = a.draw(keys.public(1), 1);
+            let a0b = a.draw(keys.public(0), 0);
+            let b0 = b.draw(keys.public(0), 0);
+            let b0b = b.draw(keys.public(0), 0);
+            let _ = b.draw(keys.public(1), 1);
+            assert_eq!(a0, b0, "batch {batch}");
+            assert_eq!(a0b, b0b, "batch {batch}");
+        }
     }
 }

@@ -285,27 +285,38 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     // * `eval/gc-offer`, 3133 bytes (`OFFER_TABLES` below, then a count,
     //   the 32-byte output hash pair, a count, 64 labels and `A`): the
     //   middle byte 1566 is byte 12 of `T_E` of AND 48. The evaluator's
-    //   label on that gate's second input has its permute bit set (today's
-    //   seeds), so it decrypts `T_E`, every later carry is garbage, and
-    //   the output label matches neither output hash: a typed error.
+    //   label on that gate's second input has its permute bit clear
+    //   (today's seeds), so it never decrypts `T_E` and the window
+    //   completes with the clean outcome. The flip of a row it does
+    //   decrypt is the `T_G` case below.
     // * `eval/gc-ot-transfer`, 4097 bytes: the middle byte 2048 is the
     //   last byte of branch 3 of chunk 15; the evaluator chose branch 0
     //   there (bits 30–31 of its masked total), so it never decrypts the
     //   flipped branch and the window completes with the clean outcome.
     // * `eval/result`: the one byte is never re-read by the recipients,
     //   so the window completes with the clean outcome.
-    let err = corrupt("eval/gc-offer").expect_err("a decrypted table row is authenticated");
+    for label in ["eval/gc-offer", "eval/gc-ot-transfer", "eval/result"] {
+        let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
+        assert_clean(&out, &clean, label);
+    }
+    // A decrypted table row is authenticated: flip byte 0 of `T_G` in
+    // every AND (at byte 2 + 32·k). The evaluator decrypts `T_G` wherever
+    // its first input's permute bit is set — some gate, whatever the
+    // seeds — so a carry turns to garbage and the output label matches
+    // neither output hash: a typed error.
+    let err = run_tampered("eval/gc-offer", |payload| {
+        for and in 0..OFFER_TABLES / 32 {
+            payload[2 + 32 * and] ^= 1;
+        }
+    })
+    .expect_err("a decrypted table row is authenticated");
     assert!(
         matches!(
             err,
             PemError::Circuit(CircuitError::OutputNotAuthentic { output: 0 })
         ),
-        "eval/gc-offer: got {err:?}"
+        "eval/gc-offer T_G: got {err:?}"
     );
-    for label in ["eval/gc-ot-transfer", "eval/result"] {
-        let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
-        assert_clean(&out, &clean, label);
-    }
     // Tampering with the OT, three ways:
     //
     // * `eval/gc-ot-request`, 801 bytes (a count byte, then 32 × a
@@ -392,6 +403,35 @@ fn tampered_ratio_requests_abort_without_trades() {
                 _ => panic!("{bits}-bit keys, {kind:?}: got {result:?}"),
             }
         }
+    }
+}
+
+#[test]
+fn a_trailing_byte_on_any_read_label_is_a_decode_error() {
+    // One byte past a frame's last field — an extra ciphertext's worth of
+    // garbage — is not the frame its sender encoded: every decoder of
+    // Protocols 2–4 ends its frame and refuses it, before any ciphertext
+    // or value of it is used. The recipients of `eval/result` only
+    // consume the announcement (see the `Corrupt` pins above), so
+    // nothing decodes a byte added there.
+    let clean = run_faulted(FaultPlan::new()).expect("clean run");
+    for label in EVAL_LABELS.into_iter().chain(PRICE_AND_DIST_LABELS) {
+        let result = run_tampered(label, |payload| payload.push(0));
+        if label == "eval/result" {
+            let out = result.unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
+            assert_clean(&out, &clean, label);
+            continue;
+        }
+        assert!(
+            matches!(
+                result,
+                Err(PemError::Net(NetError::Decode {
+                    what: "trailing bytes",
+                    ..
+                }))
+            ),
+            "{label}: got {result:?}"
+        );
     }
 }
 

@@ -6,7 +6,7 @@
 
 use pem_core::block_on;
 use pem_core::protocol3::{price, PricingOutcome, Topology};
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer};
+use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerPool};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
 use pem_net::{Envelope, NetError, NetStats, PartyId, SimNetwork, Transport};
@@ -137,7 +137,15 @@ fn price_with(
     // randomizers, so the same seed must yield bit-identical outcomes.
     let mut rng = HashDrbg::from_seed_label(b"tree-run", 7);
     let out = block_on(price(
-        &mut net, keys, agents, sellers, buyers, cfg, topology, &mut None, &mut rng,
+        &mut net,
+        keys,
+        agents,
+        sellers,
+        buyers,
+        cfg,
+        topology,
+        &mut RandomizerPool::generate(keys, 0, 1),
+        &mut rng,
     ))
     .expect("pricing");
     assert_eq!(net.pending(), 0, "all messages consumed");
@@ -197,7 +205,7 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
                 &buyers,
                 &cfg,
                 Topology::Tree { fanin },
-                &mut None,
+                &mut RandomizerPool::generate(&keys, 0, 1),
                 &mut rng,
             ))
             .expect("pricing");
@@ -231,7 +239,15 @@ fn tree_critical_path_is_logarithmic() {
         let mut net = SimNetwork::with_latency(agents.len(), LatencyModel::lan());
         let mut rng = HashDrbg::from_seed_label(b"tree-path", 1);
         block_on(price(
-            &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, &mut None, &mut rng,
+            &mut net,
+            &keys,
+            &agents,
+            &sellers,
+            &buyers,
+            &cfg,
+            topology,
+            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut rng,
         ))
         .expect("pricing");
         net.now_us()

@@ -12,8 +12,10 @@ pub struct CouplingConfig {
     /// encrypted under. Independent of the per-agent key size; 96-bit
     /// minimum so the aggregates fit the message space with headroom.
     pub key_bits: usize,
-    /// Precomputed randomizers held for the grid key (0 disables the
-    /// pool; refills are demand-adaptive between rounds).
+    /// Precomputed randomizers held for the grid key, topped back up to
+    /// this batch between rounds (0 precomputes none). Every randomizer
+    /// is the next draw of the grid key's one stream either way, so the
+    /// batch moves where the exponentiations run, never a bit.
     pub randomizer_pool: usize,
     /// Transfers below this many kWh are dust and never scheduled.
     pub min_transfer_kwh: f64,
@@ -101,7 +103,9 @@ pub struct RepartitionConfig {
     pub threshold_kwh: f64,
     /// Windows of history required before the first proposal.
     pub min_windows: u64,
-    /// Maximum member swaps per proposal (bounds churn and keygen cost).
+    /// Maximum member swaps per proposal: bounds churn, and so how many
+    /// coalitions rebuild their DRBG and randomizer pool (no key is
+    /// re-made; every home keeps its pair).
     pub max_swaps: usize,
 }
 

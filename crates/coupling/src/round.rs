@@ -25,7 +25,6 @@ use pem_bignum::BigUint;
 use pem_core::fold::{fold, Topology};
 use pem_core::randpool::{encrypt_under, RandomizerPool};
 use pem_core::{block_on, KeyDirectory, PemError, PoolStats};
-use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
 use pem_market::PriceBand;
 use pem_net::wire::{WireReader, WireWriter};
@@ -172,16 +171,15 @@ struct Quantized {
 }
 
 /// The grid coupling coordinator: owns the grid Paillier key, its
-/// randomizer pool and the round logic. One instance persists across a
-/// day's windows (key setup runs once; the pool refills adaptively
-/// between rounds).
+/// randomizer stream (pooled per [`CouplingConfig::randomizer_pool`]) and
+/// the round logic. One instance persists across a day's windows (key
+/// setup runs once; the pool refills to its batch between rounds).
 #[derive(Debug)]
 pub struct CouplingCoordinator {
     cfg: CouplingConfig,
     band: PriceBand,
     keys: KeyDirectory,
-    pool: Option<RandomizerPool>,
-    rng: HashDrbg,
+    pool: RandomizerPool,
 }
 
 impl CouplingCoordinator {
@@ -200,15 +198,12 @@ impl CouplingCoordinator {
         cfg.validate()?;
         let grid_seed = seed ^ 0xC0_0B_11_46_0C_0A_57_A1;
         let keys = KeyDirectory::generate(1, cfg.key_bits, grid_seed)?;
-        let pool = (cfg.randomizer_pool > 0)
-            .then(|| RandomizerPool::generate(&keys, cfg.randomizer_pool, grid_seed));
-        let rng = HashDrbg::from_seed_label(b"pem-coupling", seed);
+        let pool = RandomizerPool::generate(&keys, cfg.randomizer_pool, grid_seed);
         Ok(CouplingCoordinator {
             cfg,
             band,
             keys,
             pool,
-            rng,
         })
     }
 
@@ -217,9 +212,10 @@ impl CouplingCoordinator {
         &self.cfg
     }
 
-    /// Grid-key randomizer-pool counters, if the pool is enabled.
+    /// Grid-key randomizer-pool counters, if the pool precomputes
+    /// (`None` at batch 0).
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
+        (self.pool.batch() > 0).then(|| self.pool.stats())
     }
 
     /// Runs one coupling round over the coalitions' published positions
@@ -287,7 +283,7 @@ impl CouplingCoordinator {
         let up_span = Span::enter_at("couple/up", "coupling", net.now_us());
         let mut own = Vec::with_capacity(s);
         for q in quantized.iter().rev() {
-            let mut enc = |m: BigUint| encrypt_under(&pk, 0, &m, &mut self.pool, &mut self.rng);
+            let mut enc = |m: BigUint| encrypt_under(&pk, 0, &m, &mut self.pool);
             own.push([
                 enc(BigUint::from(q.pos))?,
                 enc(BigUint::from(q.neg))?,
@@ -358,7 +354,7 @@ impl CouplingCoordinator {
             let claim_span = Span::enter_at("couple/claim", "coupling", net.now_us());
             for (i, q) in quantized.iter().enumerate() {
                 let m = pk.encode_i128(q.res);
-                let c = encrypt_under(&pk, 0, &m, &mut self.pool, &mut self.rng)?;
+                let c = encrypt_under(&pk, 0, &m, &mut self.pool)?;
                 let mut w = WireWriter::new();
                 w.put_biguint(c.as_biguint());
                 net.send(PartyId(i), coordinator, LABEL_CLAIM, w.finish())?;
@@ -377,6 +373,7 @@ impl CouplingCoordinator {
                 }
                 let mut r = WireReader::new(&env.payload);
                 let claim = Ciphertext::from_biguint(r.get_biguint()?);
+                r.finish()?;
                 pk.validate_ciphertext(&claim)?;
                 claim_from.push(env.from.0);
                 claim_cts.push(claim);
@@ -442,11 +439,8 @@ impl CouplingCoordinator {
         }
         round_span.finish_at(net.now_us());
 
-        // Off-critical-path: top the grid-key randomizer pool back up,
-        // scaled to this round's observed demand.
-        if let Some(pool) = self.pool.as_mut() {
-            pool.refill_adaptive(&self.keys);
-        }
+        // Off-critical-path: top the grid-key randomizer pool back up.
+        self.pool.refill(&self.keys);
 
         let transferred_kwh: f64 = transfers.iter().map(ShardTransfer::energy_kwh).sum();
         let post_dispersion = post_coupling_dispersion(positions, &transfers, corridor);
@@ -599,6 +593,7 @@ fn post_coupling_dispersion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pem_crypto::drbg::HashDrbg;
 
     fn coordinator() -> CouplingCoordinator {
         CouplingCoordinator::new(CouplingConfig::fast_test(), PriceBand::paper_defaults(), 11)
@@ -787,12 +782,26 @@ mod tests {
         );
     }
 
-    /// A fabric that swaps the payload of the first message sent under
-    /// `label` for a forged one: a peer lying on the wire.
+    /// A one-shot rewrite of a payload.
+    type Edit = Box<dyn FnOnce(Vec<u8>) -> Vec<u8>>;
+
+    /// A fabric that rewrites the payload of the first message sent under
+    /// `label`: a peer lying on the wire.
     struct Forged {
         inner: SimNetwork,
         label: &'static str,
-        payload: Option<Vec<u8>>,
+        edit: Option<Edit>,
+    }
+
+    impl Forged {
+        /// The first `label` frame replaced by `payload`.
+        fn replacing(inner: SimNetwork, label: &'static str, payload: Vec<u8>) -> Forged {
+            Forged {
+                inner,
+                label,
+                edit: Some(Box::new(move |_| payload)),
+            }
+        }
     }
 
     impl Transport for Forged {
@@ -806,10 +815,12 @@ mod tests {
             label: &'static str,
             payload: Vec<u8>,
         ) -> Result<(), pem_net::NetError> {
-            let payload = if label == self.label {
-                self.payload.take().unwrap_or(payload)
-            } else {
-                payload
+            let payload = match self.edit.take() {
+                Some(edit) if label == self.label => edit(payload),
+                edit => {
+                    self.edit = edit;
+                    payload
+                }
             };
             self.inner.send(from, to, label, payload)
         }
@@ -850,11 +861,11 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_biguint(pk.encrypt(&(pk.n() >> 2), &mut rng).as_biguint());
         let positions = engaged_positions();
-        let mut net = Forged {
-            inner: SimNetwork::new(positions.len() + 1),
-            label: LABEL_CLAIM,
-            payload: Some(w.finish()),
-        };
+        let mut net = Forged::replacing(
+            SimNetwork::new(positions.len() + 1),
+            LABEL_CLAIM,
+            w.finish(),
+        );
         let e = c
             .run_round_on(&mut net, &positions)
             .expect_err("an out-of-range claim must abort the round");
@@ -874,11 +885,7 @@ mod tests {
         let forged = |claim: &BigUint| {
             let mut w = WireWriter::new();
             w.put_biguint(claim);
-            let mut net = Forged {
-                inner: SimNetwork::new(4),
-                label: LABEL_CLAIM,
-                payload: Some(w.finish()),
-            };
+            let mut net = Forged::replacing(SimNetwork::new(4), LABEL_CLAIM, w.finish());
             coordinator()
                 .run_round_on(&mut net, &engaged_positions())
                 .expect_err("a forged claim must abort the round")
@@ -912,6 +919,40 @@ mod tests {
             position(1, 108.0, 2.0, -1.5),
             position(2, 100.0, 1.0, -0.25),
         ]
+    }
+
+    #[test]
+    fn a_trailing_byte_on_a_read_label_is_a_decode_error() {
+        // The round reads the tree's frames and the claims; one byte past
+        // a frame's last ciphertext is not the frame its sender encoded.
+        // The corridor and the schedule go to shards that never read
+        // them, so nothing decodes a byte added there.
+        let positions = engaged_positions();
+        for label in [LABEL_UP, LABEL_CLAIM, LABEL_CORRIDOR, LABEL_SCHEDULE] {
+            let mut net = Forged {
+                inner: SimNetwork::new(positions.len() + 1),
+                label,
+                edit: Some(Box::new(|mut payload| {
+                    payload.push(0);
+                    payload
+                })),
+            };
+            let result = coordinator().run_round_on(&mut net, &positions);
+            if label == LABEL_CORRIDOR || label == LABEL_SCHEDULE {
+                assert!(result.is_ok(), "{label}: {result:?}");
+            } else {
+                assert!(
+                    matches!(
+                        result,
+                        Err(CouplingError::Net(pem_net::NetError::Decode {
+                            what: "trailing bytes",
+                            ..
+                        }))
+                    ),
+                    "{label}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -955,22 +996,41 @@ mod tests {
     }
 
     #[test]
-    fn pool_serves_the_round_and_refills_adaptively() {
-        let mut c = coordinator();
+    fn pool_serves_the_round_and_refills() {
+        // The grid key's pool is a precomputed prefix of its one
+        // randomizer stream: a round draws 15 randomizers (four per shard
+        // up the tree, one claim each), the batch of 8 serves the first 8,
+        // the refill tops it back up — and a pool-less coordinator puts
+        // the same bytes on the wire and schedules the same transfers.
+        let mut pooled = coordinator();
+        let mut plain = CouplingCoordinator::new(
+            CouplingConfig {
+                randomizer_pool: 0,
+                ..CouplingConfig::fast_test()
+            },
+            PriceBand::paper_defaults(),
+            11,
+        )
+        .expect("coordinator");
         let positions = vec![
             position(0, 92.0, 3.0, 2.0),
             position(1, 108.0, 2.0, -1.5),
             position(2, 100.0, 1.0, -0.25),
         ];
-        c.run_round(&positions).expect("round 1");
-        let s1 = c.pool_stats().expect("pool enabled");
-        assert!(s1.hits > 0);
-        c.run_round(&positions).expect("round 2");
-        let s2 = c.pool_stats().expect("pool enabled");
-        assert!(s2.hits > s1.hits);
-        // Round 1 overran the static batch; the adaptive refill sized
-        // the pool to the observed demand, so round 2 never misses.
-        assert_eq!(s2.misses, s1.misses, "round 2 fully served");
+        for round in 1..=2u64 {
+            let a = pooled.run_round(&positions).expect("pooled round");
+            let b = plain.run_round(&positions).expect("plain round");
+            assert!(a.summary.engaged, "round {round} claims");
+            assert_eq!(a.transfers, b.transfers, "round {round}");
+            assert_eq!(a.summary.net, b.summary.net, "round {round}");
+            let stats = pooled.pool_stats().expect("pool enabled");
+            assert_eq!(
+                (stats.hits, stats.misses, stats.generated),
+                (8 * round, 7 * round, 8 * (round + 1)),
+                "round {round}"
+            );
+        }
+        assert!(plain.pool_stats().is_none());
     }
 
     #[test]

@@ -457,11 +457,15 @@ impl PublicKey {
         count: usize,
         rng: &mut R,
     ) -> Vec<Randomizer> {
-        (0..count)
-            .map(|_| Randomizer {
-                rn: self.draw_randomizer(rng),
-            })
-            .collect()
+        (0..count).map(|_| self.randomizer(rng)).collect()
+    }
+
+    /// One encryption randomizer (`h_s^x mod n²`), drawing exactly as
+    /// [`PublicKey::try_encrypt`] does: a batch of one.
+    pub fn randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Randomizer {
+        Randomizer {
+            rn: self.draw_randomizer(rng),
+        }
     }
 
     /// Encrypts `m ∈ [0, n)` consuming a precomputed randomizer.

@@ -41,14 +41,12 @@
 #![warn(missing_docs)]
 
 mod battery;
-mod csv;
 mod load;
 mod solar;
 mod stats;
 mod trace;
 
 pub use battery::{Battery, BatteryPolicy};
-pub use csv::{read_trace_csv, write_trace_csv, CsvError};
 pub use load::LoadModel;
 pub use solar::SolarModel;
 pub use stats::{coalition_series, TraceStats};

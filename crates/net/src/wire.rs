@@ -225,6 +225,22 @@ impl<'a> WireReader<'a> {
     pub fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
     }
+
+    /// Ends a frame: every byte must have been read. A frame longer than
+    /// its fields (an extra ciphertext, trailing garbage) is not the one
+    /// its sender encoded.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Decode`] (`"trailing bytes"`, at the first unread
+    /// offset) if input remains.
+    pub fn finish(self) -> Result<(), NetError> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(self.fail("trailing bytes"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +333,26 @@ mod tests {
         let mut r = WireReader::new(&bytes);
         r.get_u8().expect("u8");
         assert!(matches!(r.get_bytes(), Err(NetError::Decode { .. })));
+    }
+
+    #[test]
+    fn finish_rejects_trailing_bytes() {
+        let mut w = WireWriter::new();
+        w.put_f64(1.5);
+        let mut bytes = w.finish();
+        let mut r = WireReader::new(&bytes);
+        r.get_f64().expect("f64");
+        assert!(r.finish().is_ok());
+        bytes.push(0);
+        let mut r = WireReader::new(&bytes);
+        r.get_f64().expect("f64");
+        assert!(matches!(
+            r.finish(),
+            Err(NetError::Decode {
+                offset: 8,
+                what: "trailing bytes"
+            })
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The grid orchestrator: sharded multi-coalition PEM windows on a
 //! fixed worker pool, settled onto one ledger.
 
-use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome, PoolStats};
+use pem_core::{KeyDirectory, Pem, PemConfig, PemError, PemWindowOutcome, PoolStats};
 use pem_coupling::{CouplingConfig, CouplingCoordinator, Repartitioner, ShardPosition};
 use pem_fabric::Executor;
 use pem_ledger::{Ledger, SettlementContract, SettlementTx, TransferTx};
@@ -149,17 +149,18 @@ fn chaos_plan(specs: &[ChaosSpec], shard: usize, window: u64, attempt: u32) -> F
 #[derive(Debug, Clone)]
 pub struct GridConfig {
     /// Per-coalition protocol configuration. `pem.seed` is the grid
-    /// master seed; every coalition derives an independent stream from
+    /// master seed: every home's key pair derives from it and the home's
+    /// id, and every coalition derives independent protocol streams from
     /// it, so outcomes are deterministic at any worker count.
     pub pem: PemConfig,
     /// Maximum agents per coalition (the paper's evaluated regime is
     /// tens to low hundreds; protocol cost grows superlinearly).
     pub coalition_size: usize,
-    /// Worker threads running coalition windows (and key generation).
-    /// Under [`Engine::Fabric`] the protocol phase — between-window
-    /// pool refills included — runs on one thread; `workers` still
-    /// parallelizes shard setup (key generation and each coalition's
-    /// initial randomizer batch, one coalition per job).
+    /// Worker threads running coalition windows and setup. Under
+    /// [`Engine::Fabric`] the protocol phase — between-window pool
+    /// refills included — runs on one thread; `workers` still
+    /// parallelizes setup: key generation, one home per job, then each
+    /// coalition's initial randomizer batch, one coalition per job.
     pub workers: usize,
     /// Execution engine for the window's coalition jobs.
     pub engine: Engine,
@@ -201,8 +202,9 @@ impl GridConfig {
     }
 }
 
-/// One coalition's persistent state: membership plus its PEM instance
-/// (keys are generated once and reused across the day's windows).
+/// One coalition's persistent state: membership plus its PEM instance,
+/// which borrows its members' keys from the grid's directory and owns
+/// the coalition's DRBG and randomizer pool.
 struct Shard {
     members: Vec<usize>,
     pem: Pem,
@@ -225,7 +227,8 @@ impl Shard {
 
 /// Derives coalition `shard`'s seed from the grid master seed. `epoch`
 /// counts re-partitions: coalitions rebuilt after a membership change
-/// draw fresh, independent key and protocol streams.
+/// draw fresh, independent protocol and randomizer streams (their
+/// members' keys are not re-made).
 fn shard_seed(master: u64, shard: usize, epoch: u64) -> u64 {
     (master ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1))
         .wrapping_add(epoch.wrapping_mul(0xD1B5_4A32_D192_ED03))
@@ -333,12 +336,17 @@ fn run_lane(
 ///
 /// Given the same population stream and configuration (including
 /// `pem.seed`), every run produces bit-identical [`GridReport`]
-/// fingerprints regardless of `workers`: coalitions own disjoint RNG
-/// streams, randomizer pools are per-shard, and results are folded in
-/// shard order, never completion order.
+/// fingerprints regardless of `workers`, the engine or the pool batch:
+/// a home's key is a function of the master seed and its id,
+/// coalitions own disjoint RNG streams, each key's randomizers are one
+/// stream of its coalition's pool, and results are folded in shard
+/// order, never completion order.
 pub struct GridOrchestrator {
     cfg: GridConfig,
     partitioner: Box<dyn Partitioner + Send + Sync>,
+    /// Every home's key pair, made once by `form_shards`; coalitions
+    /// borrow from it.
+    keys: Option<KeyDirectory>,
     shards: Option<Vec<Shard>>,
     plan: Option<ShardPlan>,
     ledger: Ledger,
@@ -383,6 +391,7 @@ impl GridOrchestrator {
             partitioner,
             ledger: Ledger::new(contract),
             cfg,
+            keys: None,
             shards: None,
             plan: None,
             population: None,
@@ -434,14 +443,21 @@ impl GridOrchestrator {
         self.window
     }
 
+    /// The key directory of every home (agent `i`'s pair at position
+    /// `i`), once the first window has made it.
+    pub fn keys(&self) -> Option<&KeyDirectory> {
+        self.keys.as_ref()
+    }
+
     /// Forms coalitions and generates key material for `population`
-    /// agents (runs keygen for all coalitions on the worker pool). Called
-    /// implicitly by the first window; explicit calls let callers front-
-    /// load setup.
+    /// agents: one key pair per home, from the master seed and the
+    /// home's id (one home per job on the worker pool), then one
+    /// coalition per job borrowing its members' keys. Called implicitly
+    /// by the first window; explicit calls let callers front-load setup.
     ///
     /// # Errors
     ///
-    /// Per-coalition configuration/key failures.
+    /// Per-coalition configuration failures.
     pub fn form_shards(&mut self, agents: &[AgentWindow]) -> Result<(), SchedError> {
         if self.shards.is_some() {
             return Ok(());
@@ -450,27 +466,44 @@ impl GridOrchestrator {
             return Err(SchedError::Config("population must be non-empty".into()));
         }
         let plan = self.partitioner.partition(agents, self.cfg.coalition_size);
+        // Refuse a configuration no coalition could run before paying
+        // for a single key.
+        for members in plan.shards() {
+            self.cfg.pem.validate(members.len())?;
+        }
+        let (bits, master) = (self.cfg.pem.key_bits, self.cfg.pem.seed);
+        let homes: Vec<usize> = (0..agents.len()).collect();
+        let keypairs = pool::run_indexed(self.cfg.workers, homes, move |_, home| {
+            KeyDirectory::agent_keypair(bits, master, home)
+        });
+        let keys = KeyDirectory::from_keypairs(keypairs)?;
         let jobs: Vec<(usize, Vec<usize>)> =
             plan.shards().to_vec().into_iter().enumerate().collect();
-        let shards = self.build_shards(jobs)?;
+        let shards = self.build_shards(&keys, jobs)?;
         self.population = Some(agents.len());
+        self.keys = Some(keys);
         self.plan = Some(plan);
         self.shards = Some(shards);
         Ok(())
     }
 
-    /// Builds `(shard index, members)` coalitions on the worker pool,
-    /// seeding each from the master seed, its index and the current
-    /// re-partition epoch.
-    fn build_shards(&self, jobs: Vec<(usize, Vec<usize>)>) -> Result<Vec<Shard>, SchedError> {
+    /// Builds `(shard index, members)` coalitions on the worker pool over
+    /// the members' keys in `keys`, seeding each coalition's DRBG and
+    /// randomizer pool from the master seed, its index and the current
+    /// re-partition epoch. No key is generated here.
+    fn build_shards(
+        &self,
+        keys: &KeyDirectory,
+        jobs: Vec<(usize, Vec<usize>)>,
+    ) -> Result<Vec<Shard>, SchedError> {
         let master = self.cfg.pem.seed;
         let epoch = self.epoch;
-        let base_cfg = self.cfg.pem.clone();
+        let base_cfg = &self.cfg.pem;
         let built: Vec<Result<Shard, PemError>> =
             pool::run_indexed(self.cfg.workers, jobs, move |_, (idx, members)| {
                 let mut cfg = base_cfg.clone();
                 cfg.seed = shard_seed(master, idx, epoch);
-                let pem = Pem::new(cfg, members.len())?;
+                let pem = Pem::with_keys(cfg, keys.select(&members)?)?;
                 Ok(Shard {
                     members,
                     pem,
@@ -486,9 +519,10 @@ impl GridOrchestrator {
 
     /// Applies a pending dispersion-driven re-partition, if the
     /// imbalance history warrants one. Coalitions whose membership
-    /// changed are rebuilt (fresh keys under the new epoch); untouched
-    /// coalitions keep their key material and stream positions. Returns
-    /// whether membership changed.
+    /// changed are rebuilt over their new members' keys, with a fresh
+    /// DRBG and randomizer pool under the new epoch; untouched coalitions
+    /// keep their stream positions. No key is made: every home keeps its
+    /// pair. Returns whether membership changed.
     fn maybe_repartition(&mut self, population: &[AgentWindow]) -> Result<bool, SchedError> {
         let Some(rep) = self.repartitioner.as_ref() else {
             return Ok(false);
@@ -509,7 +543,11 @@ impl GridOrchestrator {
             .map(|(i, members)| (i, members.clone()))
             .collect();
         let changed_idx: Vec<usize> = changed.iter().map(|(i, _)| *i).collect();
-        let rebuilt = self.build_shards(changed)?;
+        let keys = self
+            .keys
+            .as_ref()
+            .ok_or(SchedError::State("keys made by form_shards"))?;
+        let rebuilt = self.build_shards(keys, changed)?;
         let shards = self
             .shards
             .as_mut()
@@ -1104,14 +1142,36 @@ mod tests {
         assert_eq!(GridDayReport::fold(windows, true).pool, Some(reported));
     }
 
+    /// Each agent's modulus as its coalition's market holds it, checked
+    /// against the grid's directory: a coalition borrows its members'
+    /// keys, it never makes its own.
+    fn coalition_moduli(grid: &GridOrchestrator) -> Vec<Vec<u8>> {
+        let keys = grid.keys().expect("keys made");
+        let mut moduli = vec![None; keys.len()];
+        for shard in grid.shards.as_ref().expect("formed") {
+            for (pos, &agent) in shard.members.iter().enumerate() {
+                let n = shard.pem.keys().public(pos).n();
+                assert_eq!(n, keys.public(agent).n(), "agent {agent}'s key");
+                moduli[agent] = Some(n.to_bytes_be());
+            }
+        }
+        moduli
+            .into_iter()
+            .map(|n| n.expect("every agent placed"))
+            .collect()
+    }
+
     #[test]
     fn repartition_rebuilds_lopsided_coalitions() {
         let (mut grid, surpluses) = lopsided_grid();
 
         let r1 = grid.run_window(&surpluses).expect("w1");
         let r2 = grid.run_window(&surpluses).expect("w2");
+        let before = coalition_moduli(&grid);
         // Two windows of persistent imbalance → the third re-partitions.
         let r3 = grid.run_window(&surpluses).expect("w3");
+        // Every agent carries its key pair into its new coalition.
+        assert_eq!(coalition_moduli(&grid), before);
         assert!(!r1.coupling.as_ref().expect("cs").repartitioned);
         assert!(!r2.coupling.as_ref().expect("cs").repartitioned);
         assert!(r3.coupling.as_ref().expect("cs").repartitioned);

@@ -9,9 +9,10 @@
 //!   locality, surplus-balanced serpentine dealing),
 //! * [`pool`] — a fixed worker pool with deterministic result ordering:
 //!   the same seed yields bit-identical grids at 1, 4 or 64 workers,
-//! * per-coalition [`pem_core::Pem`] instances with batched Paillier
-//!   randomizer pools ([`pem_core::randpool`]) amortizing the encryption
-//!   hot path between windows,
+//! * per-coalition [`pem_core::Pem`] instances over one grid-wide
+//!   directory of per-home keys, with batched Paillier randomizer pools
+//!   ([`pem_core::randpool`]) amortizing the encryption hot path between
+//!   windows without moving a bit,
 //! * [`GridOrchestrator`] — dispatches coalition windows, merges traffic
 //!   onto grid-global party ids ([`pem_net::NetStats::merge_mapped`]),
 //!   folds prices into cross-shard dispersion and latencies into

@@ -237,9 +237,10 @@ pub struct GridReport {
     pub settlement: SettlementSummary,
     /// Randomizer-pool activity of *this window alone* (deltas, not
     /// lifetime totals), summed across the coalitions' pools; `None`
-    /// when pools are disabled. A coalition's first window — after a
-    /// re-partition rebuilt it, too — also counts its initial batch in
-    /// `generated`, so the windows sum to what the pools ever did.
+    /// when pools precompute nothing (batch 0). A coalition's first
+    /// window — after a re-partition rebuilt it, too — also counts its
+    /// initial batch in `generated`, so the windows sum to what the
+    /// pools ever did.
     pub pool: Option<PoolStats>,
     /// The cross-shard coupling round's summary; `None` when coupling is
     /// disabled (in which case the report — and its fingerprint — is

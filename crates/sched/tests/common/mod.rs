@@ -46,10 +46,18 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// 64 two-row tables and an output hash pair instead of 127 four-row
 /// tables and a decode bit, so `net.total_bytes` moved; the garbler no
 /// longer draws a label per AND, so every later draw of the window
-/// stream, and with it the `masked_*` terms, moved too).
+/// stream, and with it the `masked_*` terms, moved too) and once when
+/// keys moved to their homes and randomizers to their keys' streams (a
+/// home's key pair now derives from the master seed and its id, not
+/// from its coalition slot, so every modulus moved; and an encryption
+/// the pool cannot serve draws on line from its key's stream instead
+/// of the window DRBG, so window 1's nonces — drawn after window 0's
+/// fallbacks — and its `masked_*` terms moved. Window 0 draws its
+/// nonces before any encryption and its bytes happen to match, so its
+/// fingerprint held).
 pub const GOLDEN: [&str; 2] = [
     "7492e6ce940a1d4997dad7071f0e12ddb4d9bac4f34c874e8256d58bf674a1f5",
-    "110f1fcb8bbbc6c6e57cfc7a6459691f39b08fe5cadb47b0b9d13fd46b9a1485",
+    "4a1bb4f3d21d91fcb575d64d32c2497eaa6f3ac7974cd04b869b9bd7b0443938",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
@@ -65,23 +73,29 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 /// Protocols 2 and 4 began to fold on the configured tree too: the same
 /// ciphertexts multiply in another order, so one intermediate product of
 /// window 44 encodes a byte shorter (`net.total_bytes` 39,395 → 39,394);
-/// every shard fingerprint, message count and the ledger tip held. Same
-/// re-record rule as [`GOLDEN`].
+/// every shard fingerprint, message count and the ledger tip held; and
+/// once for per-home keys and per-key randomizer streams (the same
+/// change as [`GOLDEN`]; the coupling fabric's bytes and critical path
+/// held). Same re-record rule as [`GOLDEN`]. The pins hold at every
+/// shard and coupling pool batch (see [`run_tree_coupled`]).
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
-    "ad92c591c6866932297957d4af108200a54208cb47176552f88078c13ef77fdc:544:432",
-    "a7960df1e64690c987dde371724f9e920e2c675bd27c79f82e06ba3dd9522381:544:432",
+    "74c96dff555375e9867b18b044e009e3e894d568f07b57102a7848d6c65bea61:544:432",
+    "0dafc7ba9218494d2a7c41bf4d972367505324e062a36892bf873ea57a83f1d0:544:432",
 ];
 
 /// Full fingerprints per window of [`run_paper512`], recorded before
 /// Protocol 4's decryptor packed its fan-in, while it still ran one CRT
 /// decryption per ratio; re-recorded once for the half-gates comparator
-/// (the same wire and draw change as [`GOLDEN`]). Same re-record
+/// (the same wire and draw change as [`GOLDEN`]) and once for per-home
+/// keys and per-key randomizer streams (the same change as [`GOLDEN`];
+/// pool-less, so every encryption now draws from its key's stream
+/// instead of the window DRBG, and both windows moved). Same re-record
 /// rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "9d50bdec39e800f90a55ee6fc032462bd5a4a0174d175eea093a1ab938d8e157",
-    "25a3abd6bc9de875474f7b5198d77ae77eff7a52202a91aca9f975b8c4d12237",
+    "7d51bc8c0a041e63b9f770ff588b469adf801fa0239748d3ebb0863ec59ecc25",
+    "ce4228910f8ab4810f24d45ade36c35370f0cc1729231e6c6346402416549635",
 ];
 
 /// The 40-home trace's agents at `windows`.
@@ -146,31 +160,33 @@ pub fn run(workers: usize) -> Vec<GridReport> {
     )
 }
 
-/// The same two windows on the paths `GOLDEN` does not reach: Protocol 3
-/// over `Topology::tree()` and the coupling round on. One string per
-/// window: the full fingerprint, then the coupling fabric's bytes and
-/// critical path (LAN links, so the tree's virtual clock is pinned, not
-/// a zero).
+/// The same two windows on the paths `GOLDEN` does not reach: every fold
+/// of Protocols 2–4 over `Topology::tree()` and the coupling round on,
+/// with `pool` randomizers precomputed per shard key and per grid key
+/// (the pinned run: `None`, the profiles' own batches — 0 per shard, 8
+/// for the grid key). One string per window: the full fingerprint, then
+/// the coupling fabric's bytes and critical path (LAN links, so the
+/// tree's virtual clock is pinned, not a zero).
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
-pub fn run_tree_coupled(workers: usize, engine: Engine) -> Vec<String> {
-    run_grid(
-        &WINDOWS,
-        PemConfig::fast_test().with_topology(Topology::tree()),
-        Some(CouplingConfig::fast_test().with_latency(LatencyModel::lan())),
-        workers,
-        engine,
-    )
-    .iter()
-    .map(|r| {
-        let cs = r.coupling.as_ref().expect("coupling on");
-        format!(
-            "{}:{}:{}",
-            hex(&r.fingerprint()),
-            cs.net.total_bytes,
-            cs.critical_path_us
-        )
-    })
-    .collect()
+pub fn run_tree_coupled(workers: usize, engine: Engine, pool: Option<usize>) -> Vec<String> {
+    let mut pem = PemConfig::fast_test().with_topology(Topology::tree());
+    let mut coupling = CouplingConfig::fast_test().with_latency(LatencyModel::lan());
+    if let Some(batch) = pool {
+        pem.randomizer_pool = batch;
+        coupling.randomizer_pool = batch;
+    }
+    run_grid(&WINDOWS, pem, Some(coupling), workers, engine)
+        .iter()
+        .map(|r| {
+            let cs = r.coupling.as_ref().expect("coupling on");
+            format!(
+                "{}:{}:{}",
+                hex(&r.fingerprint()),
+                cs.net.total_bytes,
+                cs.critical_path_us
+            )
+        })
+        .collect()
 }
 
 pub fn hex(bytes: &[u8]) -> String {

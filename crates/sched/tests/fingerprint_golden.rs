@@ -68,12 +68,33 @@ fn tree_and_coupled_paths_match_their_pins() {
         (4, Engine::Threads),
         (4, Engine::Fabric { batch: 8 }),
     ] {
-        let pins = common::run_tree_coupled(workers, engine);
+        let pins = common::run_tree_coupled(workers, engine, None);
         println!("workers={workers} engine={engine:?} pins={pins:?}");
         assert_eq!(
             pins,
             common::TREE_COUPLED_GOLDEN.to_vec(),
             "tree + coupled run drifted at {workers} workers on {engine:?}"
         );
+    }
+}
+
+#[test]
+fn tree_and_coupled_pins_hold_at_every_pool_batch() {
+    // The pool precomputes a prefix of each key's randomizer stream, so
+    // how many randomizers it holds — none, one, eight, per shard key
+    // and for the grid key — moves no bit on either engine.
+    use pem_sched::Engine;
+    for batch in [0, 1, 8] {
+        for (workers, engine) in [
+            (2usize, Engine::Threads),
+            (1, Engine::Fabric { batch: 1 }),
+            (1, Engine::Fabric { batch: 8 }),
+        ] {
+            assert_eq!(
+                common::run_tree_coupled(workers, engine, Some(batch)),
+                common::TREE_COUPLED_GOLDEN.to_vec(),
+                "pool batch {batch} on {engine:?}"
+            );
+        }
     }
 }
