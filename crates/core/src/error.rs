@@ -41,13 +41,15 @@ impl PemError {
     /// Only a message that was lost, duplicated or withheld is an
     /// artifact of *this execution*: an empty mailbox
     /// ([`NetError::Empty`] — also what a window waiting on a withheld
-    /// message ends in) or a frame nobody read by the end of the round
-    /// ([`NetError::Unread`]) can clear on a retry over a healthy
+    /// message ends in) or a replayed frame — a second one from an
+    /// expected sender, or one left unread at the end of the round
+    /// ([`NetError::Unread`]) — can clear on a retry over a healthy
     /// fabric. Everything else is fatal. A frame
     /// that fails to decode, a ciphertext or garbling that fails
-    /// validation and a violated protocol invariant mean a peer sent
-    /// something malformed — a retry would burn the budget on the same
-    /// hostile input —
+    /// validation, a frame from a party its receiver does not expect and
+    /// a violated protocol invariant mean a peer sent something
+    /// malformed — a retry would burn the budget on the same hostile
+    /// input —
     /// and addressing, configuration, quantization and market-model
     /// errors are properties of the inputs that re-running reproduces
     /// exactly.

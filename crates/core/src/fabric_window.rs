@@ -3,19 +3,19 @@
 //!
 //! `Window::run` is Protocol 1 in the order of the paper: market
 //! evaluation, pricing or the floor price, distribution. It awaits the
-//! poll-able protocols — Protocol 2's two masked folds, run concurrently
-//! in lockstep (`protocol2::masked_totals`), Protocol 3 and Protocol 4,
-//! whose total fold yields; every fold takes `cfg.topology` — and runs
-//! the comparison, the rest of Protocol 4 and the randomizer-pool refill
-//! without a yield. Each lockstep receive of the two folds is one poll,
-//! as is each receive of Protocol 3 and of Protocol 4's fold, and each
-//! of the three phase boundaries (after the folds, after the comparison
-//! and its broadcast, after pricing). The rounds the paper leaves
-//! independent overlap on the virtual clock: the two folds, and the
-//! settlement's pairwise round-trips (three sweeps in `protocol4::run`).
-//! Every receive is addressed to its `(party, label)`, so a frame nobody
-//! reads is caught once, at the end: the window must leave its fabric
-//! empty. Both ways of running a window drive the same future:
+//! protocols — Protocol 2's two masked folds, run concurrently in
+//! lockstep (`protocol2::masked_totals`), the comparison and its
+//! announcement, Protocol 3 and Protocol 4; every fold takes
+//! `cfg.topology` — and runs the randomizer-pool refill without a
+//! yield. Every receive is a [`gather`](crate::fold::gather) that
+//! yields once before it, so each poll is one receive (one of each of
+//! the two lockstep folds). The rounds the paper leaves independent
+//! overlap on the virtual clock: the two folds, and the settlement's
+//! pairwise round-trips (three sweeps in `protocol4::run`). A gather
+//! refuses a replayed or stray frame under its own label; one under a
+//! label its receiver never gathers is caught once, at the end: the
+//! window must leave its fabric empty. Both ways of running a window
+//! drive the same future:
 //! [`Pem::run_window_on`] blocks on it on the caller's transport, and
 //! [`WindowTask`] boxes it with its own queue fabric so thousands of
 //! windows can share one executor thread, each owning its RNG stream,
@@ -30,15 +30,16 @@ use std::task::{Context, Waker};
 use std::time::Instant;
 
 use pem_crypto::drbg::HashDrbg;
-use pem_fabric::{yield_now, FabricTask, Poll};
+use pem_fabric::{FabricTask, Poll};
 use pem_market::{AgentWindow, MarketKind, Role};
-use pem_net::{NetError, PartyId, SimNetwork, Transport};
+use pem_net::{SimNetwork, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
+use crate::fold::expect_drained;
 use crate::keys::KeyDirectory;
 use crate::metrics::{PhaseMetrics, WindowMetrics};
 use crate::pem::{PemWindowOutcome, RevealedInfo};
@@ -191,13 +192,11 @@ impl<'a> Window<'a> {
                 pool,
             )
             .await?;
-            yield_now().await;
-            let general = protocol2::run_compare(net, cfg, hr1, hr2, demand, supply, rng)?;
-            protocol2::broadcast_result(net, hr1, agents.len(), general)?;
+            let roles = (hr1, hr2);
+            let general = protocol2::run_compare(net, cfg, roles, demand, supply, rng).await?;
             metrics.market_evaluation = eval.close(net);
             revealed.masked_demand = Some(demand);
             revealed.masked_supply = Some(supply);
-            yield_now().await;
 
             // Protocol 3 in a general market, the floor price otherwise.
             let price = if general {
@@ -221,7 +220,6 @@ impl<'a> Window<'a> {
             } else {
                 cfg.band.floor
             };
-            yield_now().await;
 
             // Protocol 4.
             let phase = Phase::open(net, "window/dist");
@@ -246,13 +244,9 @@ impl<'a> Window<'a> {
             };
             (kind, price, dist.trades)
         };
-        // Every receive is addressed, so a frame nobody asked for — a
-        // duplicate, a stray — would otherwise go unnoticed: the window
-        // must leave its fabric empty.
-        if let Some(env) = (0..net.party_count()).find_map(|p| net.recv(PartyId(p))) {
-            let (party, label) = (env.to.0, env.label);
-            return Err(NetError::Unread { party, label }.into());
-        }
+        // A frame under a label its receiver never gathers would
+        // otherwise go unnoticed: the window must leave its fabric empty.
+        expect_drained(net)?;
         window_span.finish_at(net.now_us());
         Ok(PemWindowOutcome {
             kind,
@@ -437,11 +431,15 @@ mod tests {
     fn executor_schedule_is_pinned() {
         // The general, extreme and no-market populations, and the
         // general one again on the tree: one poll per lockstep receive
-        // of the two Protocol 2 folds (the longer fold's receives), per
-        // receive of pricing and of Protocol 4's total fold, plus the
-        // phase boundaries. A fold receives once per member in every
-        // shape, so the tree polls as often as the ring. A lost or added
-        // yield, or folds run one after the other, moves these counts.
+        // of the two Protocol 2 folds (the longer fold's receives) and
+        // per receive of everything after them — the comparison, every
+        // announcement, the folds of Protocols 3 and 4, the ratio
+        // requests and both settlement sweeps — plus the poll that
+        // completes. The general window: 4 + 3 + 4 + (2 + 4) + (2 + 2 +
+        // 3 + 1 + 6 + 6) + 1 = 38. A fold receives once per member in
+        // every shape, so the tree polls as often as the ring. A lost or
+        // added yield, or folds run one after the other, moves these
+        // counts.
         let general = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         let cases = [
@@ -461,7 +459,7 @@ mod tests {
                 Executor::new(0).run(vec![task]).expect("window").1.polls
             })
             .collect();
-        assert_eq!(solo, [16, 7, 1, 16], "polls per window alone");
+        assert_eq!(solo, [38, 16, 1, 38], "polls per window alone");
         let mut pems: Vec<Pem> = cases.iter().map(market).collect();
         let tasks: Vec<WindowTask<'_>> = pems
             .iter_mut()
@@ -473,7 +471,7 @@ mod tests {
         assert_eq!(
             report,
             ExecutorReport {
-                polls: 40,
+                polls: 93,
                 peak_resident: 2,
                 completed: 4,
             }
@@ -504,6 +502,94 @@ mod tests {
                 .run_window_on(&mut net, &pop)
                 .expect("window");
             assert_eq!(net.now_us(), expected_us, "{} {surpluses:?}", cfg.topology);
+        }
+    }
+
+    /// The `(from, to, label)` of every send of a clean window of `pem`
+    /// on a fresh fabric, in send order: the message journal.
+    fn clean_journal(pem: &mut Pem, pop: &[AgentWindow]) -> Vec<(usize, usize, &'static str)> {
+        pem_telemetry::install();
+        let mark = pem_telemetry::msg_count();
+        let mut net = SimNetwork::new(pop.len());
+        pem.run_window_on(&mut net, pop).expect("clean window");
+        let msgs = pem_telemetry::msgs_since(mark);
+        let ours = msgs.iter().filter(|m| m.fabric == net.fabric_id());
+        ours.map(|m| (m.from, m.to, m.label)).collect()
+    }
+
+    #[test]
+    fn every_label_refuses_a_stranger_and_retries_a_replay() {
+        use pem_net::{FaultKind, FaultPlan, NetError, PartyId};
+        // For each label of a clean window — ring and tree, a general and
+        // an extreme market — the first frame `from → to` of that label.
+        // A frame queued to `to` under the label before the window, from
+        // a party that never sends it there, is a protocol error; a
+        // duplicate of the frame is the retryable `Unread`. Both on the
+        // blocking driver and on the executor.
+        let tree = PemConfig::fast_test().with_topology(Topology::tree());
+        let general = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
+        let extreme = population(&[5.0, 4.0, -1.0, -2.0]);
+        for cfg in [PemConfig::fast_test(), tree] {
+            for pop in [&general, &extreme] {
+                let n = pop.len();
+                let market = || Pem::new(cfg.clone(), n).expect("setup");
+                let journal = clean_journal(&mut market(), pop);
+                let mut labels: Vec<&'static str> = Vec::new();
+                for &(_, _, label) in &journal {
+                    if !labels.contains(&label) {
+                        labels.push(label);
+                    }
+                }
+                // Six Protocol 2 labels, six of Protocol 4 and, in the
+                // general market, two of Protocol 3.
+                assert!(labels.len() >= 12, "{labels:?}");
+                for label in labels {
+                    let &(from, to, _) = journal.iter().find(|m| m.2 == label).expect("sent");
+                    let sends_there = |p: usize| journal.contains(&(p, to, label));
+                    let stranger = (0..n)
+                        .find(|&p| p != to && !sends_there(p))
+                        .unwrap_or_else(|| panic!("{label}: every party sends to P{to}"));
+                    let case = format!("{} {label} P{from}→P{to}", cfg.topology);
+                    let strayed = || {
+                        let mut net = SimNetwork::new(n);
+                        net.send(PartyId(stranger), PartyId(to), label, vec![0])
+                            .expect("stray");
+                        net
+                    };
+                    let replay = || FaultPlan::new().inject(label, 0, FaultKind::Duplicate);
+                    let on_executor = |task: WindowTask<'_>| {
+                        let (mut results, _) = Executor::new(0).run_collect(vec![task]);
+                        results.pop().expect("one result")
+                    };
+                    let mut pems = [market(), market(), market(), market()];
+                    let [a, b, c, d] = &mut pems;
+                    let stray_results = [
+                        a.run_window_on(&mut strayed(), pop),
+                        on_executor({
+                            let net = strayed();
+                            WindowTask::new(b.window(&net, pop).expect("window"), net)
+                        }),
+                    ];
+                    let replay_results = [
+                        c.run_window_with_faults(pop, replay()),
+                        on_executor(d.fabric_window_with_faults(pop, replay()).expect("task")),
+                    ];
+                    for result in stray_results {
+                        assert!(
+                            matches!(result, Err(PemError::Protocol(_))),
+                            "{case}, stranger P{stranger}: {result:?}"
+                        );
+                    }
+                    for result in replay_results {
+                        let err = result.expect_err("a replay aborts");
+                        assert!(
+                            matches!(err, PemError::Net(NetError::Unread { label: l, .. }) if l == label),
+                            "{case}, replayed: {err:?}"
+                        );
+                        assert!(err.is_retryable(), "{case}: {err:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! The one aggregation walk: a set of parties folds `K` Paillier
-//! ciphertexts each toward a sink that holds the private key.
+//! The one aggregation walk, and the one receive rule every protocol
+//! message obeys.
 //!
 //! Every protocol of the paper repeats one step — "each agent multiplies
 //! its ciphertext into a travelling aggregate until the key owner
@@ -23,11 +23,7 @@
 //!
 //! A visited node multiplies what it hears into its own tuple and, once
 //! it has heard from all its children, forwards the product to its
-//! parent: one message per member in every shape. [`fold`] is an
-//! `async fn` that yields before each receive, so a trading window on
-//! the executor advances one fold message per poll, and
-//! [`block_on`](pem_fabric::block_on) runs it to completion anywhere
-//! else.
+//! parent: one message per member in every shape.
 //!
 //! What callers own: the members' tuples arrive **already encrypted**,
 //! so the order of the randomizer draws is the caller's (Protocols 2
@@ -35,11 +31,30 @@
 //! descending and the coupling round always does, as the tree visits
 //! them), and so is what happens at the sink — the fold ends by handing over the validated
 //! product and the arrival time of the closing message.
+//!
+//! # Receiving
+//!
+//! The paper's channels are authenticated (§II-B): every frame comes
+//! from a party its receiver knows. Every receive of Protocols 2–4 and
+//! of the coupling round is one [`gather`] — a fold node's children, the
+//! comparison's peer, the decryptor's ratio requests, a settlement
+//! counterparty, the coordinator's claims — so one rule holds on every
+//! shape: a frame from a party the receiver does not expect is a fatal
+//! [`PemError::Protocol`], a second frame from an expected sender is the
+//! retryable [`NetError::Unread`], and a missing one is the transport's
+//! [`NetError::Empty`]. [`gather`] yields before each receive, so a
+//! trading window on the executor advances one receive per poll, and
+//! [`block_on`](pem_fabric::block_on) runs it to completion anywhere
+//! else. Every one-to-many message (the market bit, `p*`, `Enc(E_b)`,
+//! the ratio vector, the corridor, the transfer legs) is an
+//! [`Announcement`]: each recipient gathers its frame, decodes it in
+//! full and checks it against the announcer's. A window or a coupling
+//! round then ends on [`expect_drained`]: nothing may be left queued.
 
 use pem_crypto::paillier::{Ciphertext, PublicKey};
 use pem_fabric::yield_now;
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{PartyId, Transport};
+use pem_net::{Envelope, NetError, PartyId, Transport};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PemError;
@@ -121,8 +136,8 @@ impl std::str::FromStr for Topology {
 struct Layout {
     /// Each member position's parent: a position, or `m` for the sink.
     parent: Vec<usize>,
-    /// How many messages each position (and, at `m`, the sink) hears.
-    children: Vec<usize>,
+    /// The positions each position (and, at `m`, the sink) hears from.
+    children: Vec<Vec<usize>>,
     /// The leaves, in the order they send (before any receive).
     leaves: Vec<usize>,
     /// The positions that hear anything, in visit order; the sink last.
@@ -140,16 +155,17 @@ fn layout(m: usize, topology: Topology) -> Layout {
             ((0..m).map(heap).collect(), true)
         }
     };
-    let mut children = vec![0usize; m + 1];
-    for &p in &parent {
-        children[p] += 1;
+    let mut children = vec![Vec::new(); m + 1];
+    for (pos, &p) in parent.iter().enumerate() {
+        children[p].push(pos);
     }
     let mut order: Vec<usize> = (0..m).collect();
     if descending {
         order.reverse();
     }
-    let (mut visit, leaves): (Vec<usize>, Vec<usize>) =
-        order.into_iter().partition(|&pos| children[pos] > 0);
+    let (mut visit, leaves): (Vec<usize>, Vec<usize>) = order
+        .into_iter()
+        .partition(|&pos| !children[pos].is_empty());
     visit.push(m);
     Layout {
         parent,
@@ -163,8 +179,8 @@ fn layout(m: usize, topology: Topology) -> Layout {
 /// `sink`. `tuples[i]` is member `i`'s contribution, encrypted under
 /// `pk` by the caller.
 ///
-/// The leaves send first. Then each visited node hears its children,
-/// one receive per poll, and forwards the product to its parent. Every
+/// The leaves send first. Then each visited node [`gather`]s its
+/// children's frames and forwards the product to its parent. Every
 /// frame is decoded and each of its ciphertexts validated under `pk`.
 /// Returns the sink's `K`-tuple (each ciphertext the product of that
 /// column over all members) and the arrival time (µs) of the message
@@ -172,9 +188,9 @@ fn layout(m: usize, topology: Topology) -> Layout {
 ///
 /// # Errors
 ///
-/// [`PemError::Protocol`] if there are no members, `tuples` does not
-/// hold one tuple per member, or a frame comes from anyone but a child
-/// not yet heard; transport, decode and validation failures.
+/// [`PemError::Protocol`] if there are no members or `tuples` does not
+/// hold one tuple per member; [`gather`]'s errors; decode and
+/// validation failures.
 pub async fn fold<T: Transport, const K: usize>(
     net: &mut T,
     pk: &PublicKey,
@@ -189,13 +205,11 @@ pub async fn fold<T: Transport, const K: usize>(
         return Err(PemError::Protocol("a fold needs members, one tuple each"));
     }
     let layout = layout(m, topology);
-    let party = |pos: usize| PartyId(members.get(pos).copied().unwrap_or(sink));
+    let party = |pos: usize| members.get(pos).copied().unwrap_or(sink);
     let send = |net: &mut T, pos: usize, tuple: &[Ciphertext; K]| {
-        let mut w = WireWriter::new();
-        for c in tuple {
-            w.put_biguint(c.as_biguint());
-        }
-        net.send(party(pos), party(layout.parent[pos]), label, w.finish())
+        let frame = WireWriter::frame(|w| tuple.iter().for_each(|c| w.put_biguint(c.as_biguint())));
+        let (from, to) = (party(pos), party(layout.parent[pos]));
+        net.send(PartyId(from), PartyId(to), label, frame)
     };
     let mut own: Vec<Option<[Ciphertext; K]>> = tuples.into_iter().map(Some).collect();
     for &leaf in &layout.leaves {
@@ -203,29 +217,23 @@ pub async fn fold<T: Transport, const K: usize>(
             send(net, leaf, &tuple)?;
         }
     }
-    let mut heard_from = vec![false; m];
     let mut arrival = 0;
     for &node in &layout.visit {
         // The sink has no tuple of its own until its first message.
         let mut acc = own.get_mut(node).and_then(Option::take);
-        for _ in 0..layout.children[node] {
-            yield_now().await;
-            let env = net.recv_expect(party(node), label)?;
-            // Each child is folded in once: a replayed or misrouted frame
-            // would otherwise count its sender twice, or count a stranger.
-            match members.iter().position(|&p| p == env.from.0) {
-                Some(pos) if layout.parent[pos] == node && !heard_from[pos] => {
-                    heard_from[pos] = true;
-                }
-                _ => return Err(PemError::Protocol("fold frame from no unheard child")),
-            }
+        let children = layout.children[node]
+            .iter()
+            .map(|&child| (party(child), ()));
+        gather(net, party(node), label, children, |_, env, ()| {
             let incoming = decode::<K>(pk, &env.payload)?;
-            acc = Some(match acc {
+            acc = Some(match acc.take() {
                 None => incoming,
                 Some(acc) => std::array::from_fn(|i| pk.add_ciphertexts(&acc[i], &incoming[i])),
             });
             arrival = env.arrival_us;
-        }
+            Ok(())
+        })
+        .await?;
         let acc = acc.ok_or(PemError::Protocol("fold node heard nothing"))?;
         if node == m {
             return Ok((acc, arrival));
@@ -235,21 +243,171 @@ pub async fn fold<T: Transport, const K: usize>(
     Err(PemError::Protocol("fold layout has no sink"))
 }
 
+/// Receives party `at`'s `label` frames: exactly one from each party of
+/// `senders`, in any order. Each frame is handed to `each`, with the
+/// value its sender was paired with, as it arrives — so whatever `at`
+/// sends in answer departs at that frame's arrival. Yields before each
+/// receive; after the last frame nothing more may be queued under
+/// `(at, label)`.
+///
+/// # Errors
+///
+/// A frame from a party outside `senders` is [`PemError::Protocol`]; a
+/// second frame from an expected sender, before or after the last
+/// expected one, is the retryable [`NetError::Unread`]; a missing frame
+/// is the transport's [`NetError::Empty`]. Errors of `each` pass
+/// through.
+pub async fn gather<T: Transport, V>(
+    net: &mut T,
+    at: usize,
+    label: &'static str,
+    senders: impl IntoIterator<Item = (usize, V)>,
+    mut each: impl FnMut(&mut T, Envelope, V) -> Result<(), PemError>,
+) -> Result<(), PemError> {
+    let mut expected: Vec<(usize, Option<V>)> =
+        senders.into_iter().map(|(p, v)| (p, Some(v))).collect();
+    let mut left = expected.len();
+    loop {
+        if left > 0 {
+            yield_now().await;
+        }
+        // Once every expected frame is in, only an empty queue ends it.
+        let env = match net.recv_expect(PartyId(at), label) {
+            Err(NetError::Empty { .. }) if left == 0 => return Ok(()),
+            received => received?,
+        };
+        let Some((_, slot)) = expected.iter_mut().find(|(p, _)| *p == env.from.0) else {
+            return Err(PemError::Protocol("a frame from an unexpected sender"));
+        };
+        // An expected sender heard before: a replay.
+        let value = slot.take().ok_or(NetError::Unread { party: at, label })?;
+        left -= 1;
+        each(net, env, value)?;
+    }
+}
+
+/// [`gather`]s `at`'s one `label` frame, from `from`.
+///
+/// # Errors
+///
+/// As [`gather`].
+pub async fn recv_from<T: Transport>(
+    net: &mut T,
+    at: usize,
+    from: usize,
+    label: &'static str,
+) -> Result<Envelope, PemError> {
+    let mut heard = None;
+    gather(net, at, label, [(from, ())], |_, env, ()| {
+        heard = Some(env);
+        Ok(())
+    })
+    .await?;
+    heard.ok_or(PemError::Protocol("gather returned without the frame"))
+}
+
+/// One party's announcement: a frame to each of its recipients, sent by
+/// [`send`](Announcement::send) and read by [`hear`](Announcement::hear).
+/// The two halves are apart only where a recipient must not read before
+/// the announcer's later sends (the coupling round's corridor).
+#[derive(Debug)]
+#[must_use = "an announcement must be heard"]
+pub struct Announcement {
+    from: usize,
+    label: &'static str,
+    /// Each recipient and the frame sent to it, in send order.
+    frames: Vec<(usize, Vec<u8>)>,
+}
+
+impl Announcement {
+    /// `from` sends each recipient its frame, in the order given.
+    ///
+    /// # Errors
+    ///
+    /// Transport send failures.
+    pub fn send<T: Transport>(
+        net: &mut T,
+        from: usize,
+        label: &'static str,
+        frames: impl IntoIterator<Item = (usize, Vec<u8>)>,
+    ) -> Result<Announcement, PemError> {
+        let frames: Vec<(usize, Vec<u8>)> = frames.into_iter().collect();
+        for (to, frame) in &frames {
+            net.send(PartyId(from), PartyId(*to), label, frame.clone())?;
+        }
+        Ok(Announcement {
+            from,
+            label,
+            frames,
+        })
+    }
+
+    /// Each recipient, in send order, [`gather`]s its one frame, decodes
+    /// it in full with `decode` (the frame must end where the value
+    /// does) and checks that it is, byte for byte, the frame the
+    /// announcer sent it: the announcer writes each value one way only,
+    /// so the value is the announcer's bit for bit. Returns each
+    /// recipient's decoded copy, in send order, and the arrival (µs) of
+    /// the last frame.
+    ///
+    /// # Errors
+    ///
+    /// [`gather`]'s errors; `decode`'s and trailing-byte failures;
+    /// [`PemError::Protocol`] if a frame is not the one sent.
+    pub async fn hear<T: Transport, V>(
+        self,
+        net: &mut T,
+        mut decode: impl FnMut(&mut WireReader<'_>) -> Result<V, PemError>,
+    ) -> Result<(Vec<V>, u64), PemError> {
+        let mut copies = Vec::with_capacity(self.frames.len());
+        let mut last_arrival = 0;
+        for (to, sent) in &self.frames {
+            let env = recv_from(net, *to, self.from, self.label).await?;
+            copies.push(WireReader::frame(&env.payload, &mut decode)?);
+            if env.payload != *sent {
+                return Err(PemError::Protocol("a frame not as announced"));
+            }
+            last_arrival = env.arrival_us;
+        }
+        Ok((copies, last_arrival))
+    }
+}
+
+/// The end of every window and coupling round: each frame was gathered,
+/// so one still queued anywhere — a replay or a stray under a label its
+/// receiver never reads — is [`NetError::Unread`].
+///
+/// # Errors
+///
+/// [`NetError::Unread`] naming the first such frame's party and label.
+pub fn expect_drained<T: Transport>(net: &mut T) -> Result<(), NetError> {
+    match (0..net.party_count()).find_map(|p| net.recv(PartyId(p))) {
+        Some(Envelope { to, label, .. }) => Err(NetError::Unread { party: to.0, label }),
+        None => Ok(()),
+    }
+}
+
 /// Decodes `K` minimal-length integers, validates each as a ciphertext
 /// under the sink's key, and rejects a frame that carries more.
 fn decode<const K: usize>(pk: &PublicKey, payload: &[u8]) -> Result<[Ciphertext; K], PemError> {
-    let mut r = WireReader::new(payload);
-    let mut tuple = Vec::with_capacity(K);
-    for _ in 0..K {
-        let c = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&c)?;
-        tuple.push(c);
-    }
-    r.finish()?;
+    let tuple: Vec<Ciphertext> = WireReader::frame(payload, |r| {
+        (0..K).map(|_| read_ciphertext(pk, r)).collect()
+    })?;
     // Arrays have no fallible constructor; the length always matches.
     tuple
         .try_into()
         .map_err(|_| PemError::Protocol("fold tuple width"))
+}
+
+/// Reads one ciphertext and validates it under `pk`.
+///
+/// # Errors
+///
+/// Decode and validation failures.
+pub fn read_ciphertext(pk: &PublicKey, r: &mut WireReader<'_>) -> Result<Ciphertext, PemError> {
+    let ct = Ciphertext::from_biguint(r.get_biguint()?);
+    pk.validate_ciphertext(&ct)?;
+    Ok(ct)
 }
 
 #[cfg(test)]
@@ -326,8 +484,11 @@ mod tests {
             self.inner.recv(to)
         }
         fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
+            // Only frames count: the empty probe after a gather's last
+            // frame is no receive.
+            let env = self.inner.recv_expect(to, label)?;
             self.heard[to.0] += 1;
-            self.inner.recv_expect(to, label)
+            Ok(env)
         }
         fn stats(&self) -> NetStats {
             self.inner.stats()
@@ -385,14 +546,16 @@ mod tests {
     fn tree_is_the_heap_layout_with_leaves_kicking_off_descending() {
         // Seven positions, fan-in 3: 0 has children 1..=3, 1 has 4..=6.
         let tree = layout(7, Topology::Tree { fanin: 3 });
-        assert_eq!(tree.children, [3, 3, 0, 0, 0, 0, 0, 1]);
+        let fanin = |l: &Layout| l.children.iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!(fanin(&tree), [3, 3, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(tree.children[1], [4, 5, 6]);
         assert_eq!(tree.visit, [1, 0, 7]);
         assert_eq!(tree.leaves, [6, 5, 4, 3, 2]);
         assert_eq!(tree.parent, [7, 0, 0, 0, 1, 1, 1]);
         // A fan-in below 2 is the binary tree, and a ragged last level
         // leaves its parent with fewer children.
         let tree = layout(4, Topology::Tree { fanin: 1 });
-        assert_eq!(tree.children, [2, 1, 0, 0, 1]);
+        assert_eq!(fanin(&tree), [2, 1, 0, 0, 1]);
         // The ring opens at position 0; the star sends everything at once.
         let ring = layout(3, Topology::Ring);
         assert_eq!((ring.leaves, ring.visit), (vec![0], vec![1, 2, 3]));
@@ -414,13 +577,21 @@ mod tests {
     #[test]
     fn a_replayed_or_misrouted_frame_is_not_folded_in() {
         let keys = KeyDirectory::generate(1, 128, 5).expect("keys");
-        // Star over three members: the sink hears all three. A second
-        // copy of member 0's frame would otherwise stand in for member
-        // 2's and close the fold on the wrong sum.
-        let replay = FaultPlan::new().inject("fold", 0, FaultKind::Duplicate);
-        let mut net = SimNetwork::new(4).with_faults(replay);
-        let err = run::<1>(&mut net, &keys, 3, Topology::Star).expect_err("replayed");
-        assert!(matches!(err, PemError::Protocol(_)), "{err}");
+        // A second copy of member 0's frame would otherwise stand in for
+        // a sibling's and close the fold on the wrong sum. A replay is
+        // the retryable `Unread` in every shape: on the ring it is still
+        // queued when position 1 has heard its one child; on the star
+        // the sink meets it before member 2's frame.
+        for topology in SHAPES {
+            let replay = FaultPlan::new().inject("fold", 0, FaultKind::Duplicate);
+            let mut net = SimNetwork::new(4).with_faults(replay);
+            let err = run::<1>(&mut net, &keys, 3, topology).expect_err("replayed");
+            assert!(
+                matches!(err, PemError::Net(NetError::Unread { label: "fold", .. })),
+                "{topology}: {err}"
+            );
+            assert!(err.is_retryable(), "{topology}: {err}");
+        }
         // Tree of seven, fan-in 3: node 1 hears 4..=6, never member 2. A
         // stray frame from 2, queued before the fold runs, is its first.
         let mut net = SimNetwork::new(8);

@@ -251,7 +251,7 @@ impl Pem {
 
     /// Opens the next trading window on `net` — the one place a window
     /// body is built, whoever ends up polling it.
-    fn window<T: Transport>(
+    pub(crate) fn window<T: Transport>(
         &mut self,
         net: &T,
         window_data: &[pem_market::AgentWindow],

@@ -14,7 +14,8 @@
 //! 4. Because both totals carry the *same* nonce sum,
 //!    `R_s < R_b ⇔ E_s < E_b`; `H_r2` (garbler) and `H_r1` (evaluator)
 //!    run the garbled-circuit comparison of `pem-circuit`, and `H_r1`
-//!    broadcasts the one-bit outcome.
+//!    announces the one-bit outcome, which every party decodes and
+//!    checks.
 //!
 //! Per Lemma 2 nobody learns anything beyond that bit: the folding
 //! parties see only ciphertexts, and the masked totals are uniformly
@@ -27,8 +28,9 @@
 //! send), so `masked_totals` encrypts both — each in chain order,
 //! whatever the shape — and runs the two folds concurrently in lockstep:
 //! the window pays one fold's depth on the virtual clock, not two. The
-//! comparison and the broadcast are strict request/response and run
-//! without a yield. The trading window (`crate::fabric_window`) is the
+//! comparison and the announcement are strict request/response; like
+//! every receive, each of theirs is a [`crate::fold::gather`] that
+//! yields first. The trading window (`crate::fabric_window`) is the
 //! only caller.
 
 use std::cell::RefCell;
@@ -51,7 +53,7 @@ use pem_telemetry::Span;
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
-use crate::fold::{fold, Topology};
+use crate::fold::{fold, recv_from, Announcement, Topology};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -223,59 +225,56 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 }
 
 /// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`
-/// evaluates. Two-party and strictly request/response, so the window
-/// runs it inline at its phase boundary. The OT group is a
-/// handle to the profile's shared context, so the comparison's one OT
-/// batch (and every later window) rides one generator table.
-pub(crate) fn run_compare<T: Transport>(
+/// evaluates, and `H_r1` announces the one-bit outcome to every other
+/// party, each of whom decodes and checks it. Two-party and strictly
+/// request/response; each receive is a [`recv_from`] that yields first.
+/// The OT group is a handle to the profile's shared context, so the
+/// comparison's one OT batch (and every later window) rides one
+/// generator table.
+pub(crate) async fn run_compare<T: Transport>(
     net: &mut T,
     cfg: &PemConfig,
-    hr1: usize,
-    hr2: usize,
+    (hr1, hr2): (usize, usize),
     masked_demand: u128,
     masked_supply: u128,
     rng: &mut HashDrbg,
 ) -> Result<bool, PemError> {
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
     let (group, width) = (cfg.ot_profile.group(), cfg.compare_bits);
-    let (garbler_at, evaluator_at) = (PartyId(hr2), PartyId(hr1));
     let (garbler, offer) = CompareGarbler::start(width, masked_supply, &group, rng)?;
     let label = "eval/gc-offer";
-    net.send(garbler_at, evaluator_at, label, encode_offer(&offer))?;
-    let offer = decode_offer(&net.recv_expect(evaluator_at, label)?.payload, width)?;
+    net.send(PartyId(hr2), PartyId(hr1), label, encode_offer(&offer))?;
+    let offer = decode_offer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
 
     let (evaluator, requests) = CompareEvaluator::respond(offer, masked_demand, &group, rng)?;
     let label = "eval/gc-ot-request";
-    net.send(evaluator_at, garbler_at, label, encode_requests(&requests))?;
-    let requests = decode_requests(&net.recv_expect(garbler_at, label)?.payload, width)?;
+    net.send(
+        PartyId(hr1),
+        PartyId(hr2),
+        label,
+        encode_requests(&requests),
+    )?;
+    let requests = decode_requests(&recv_from(net, hr2, hr1, label).await?.payload, width)?;
 
     let transfer = garbler.provide_labels(&requests)?;
     let label = "eval/gc-ot-transfer";
-    net.send(garbler_at, evaluator_at, label, encode_transfer(&transfer))?;
-    let transfer = decode_transfer(&net.recv_expect(evaluator_at, label)?.payload, width)?;
+    net.send(
+        PartyId(hr2),
+        PartyId(hr1),
+        label,
+        encode_transfer(&transfer),
+    )?;
+    let transfer = decode_transfer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
 
     let general_market = evaluator.finish(&transfer)?;
     compare_span.finish_at(net.now_us());
-    Ok(general_market)
-}
 
-/// `H_r1` announces the market case (one public bit, per the paper) and
-/// every other party consumes the announcement.
-pub(crate) fn broadcast_result<T: Transport>(
-    net: &mut T,
-    hr1: usize,
-    n: usize,
-    general_market: bool,
-) -> Result<(), PemError> {
-    let mut w = WireWriter::new();
-    w.put_bool(general_market);
-    net.broadcast(PartyId(hr1), "eval/result", &w.finish())?;
-    for i in 0..n {
-        if i != hr1 {
-            net.recv_expect(PartyId(i), "eval/result")?;
-        }
-    }
-    Ok(())
+    // The market case is one public bit, per the paper.
+    let bit = WireWriter::frame(|w| w.put_bool(general_market));
+    let others = (0..net.party_count()).filter(|&i| i != hr1);
+    let result = Announcement::send(net, hr1, "eval/result", others.map(|i| (i, bit.clone())))?;
+    result.hear(net, |r| Ok(r.get_bool()?)).await?;
+    Ok(general_market)
 }
 
 // --- Wire encodings for the comparison messages ------------------------
@@ -298,7 +297,8 @@ fn expect_varint(
 }
 
 fn get_label(r: &mut WireReader<'_>) -> Result<Label, PemError> {
-    Ok(Label(r.get_raw(16)?.try_into().expect("16 bytes read")))
+    let width = CircuitError::MalformedGarbling("label width");
+    Ok(Label(r.get_raw(16)?.try_into().map_err(|_| width)?))
 }
 
 /// The offer: `width | w | w × [T_G, T_E] | 1 | [H'(O⁰), H'(O¹)] | w |
@@ -331,26 +331,24 @@ fn get_label_pairs(r: &mut WireReader<'_>, count: usize) -> Result<Vec<[Label; 2
 }
 
 fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> {
-    let mut r = WireReader::new(payload);
-    expect_varint(&mut r, width, "offer width is not the agreed width")?;
-    // The comparator topology is public: rebuild it locally.
-    let circuit = comparator_circuit(width);
-    expect_varint(&mut r, circuit.and_count(), "AND table count mismatch")?;
-    let and_tables = get_label_pairs(&mut r, circuit.and_count())?;
-    let outputs = circuit.outputs().len();
-    expect_varint(&mut r, outputs, "output hash count mismatch")?;
-    let output_hashes = get_label_pairs(&mut r, outputs)?;
-    expect_varint(&mut r, width, "garbler label count mismatch")?;
-    let garbler_labels = (0..width)
-        .map(|_| get_label(&mut r))
-        .collect::<Result<_, _>>()?;
-    let big_a = r.get_biguint()?;
-    r.finish()?;
-    Ok(CompareOffer {
-        width,
-        garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
-        garbler_labels,
-        ot_setup: OtSenderSetup { big_a },
+    WireReader::frame(payload, |r| {
+        expect_varint(r, width, "offer width is not the agreed width")?;
+        // The comparator topology is public: rebuild it locally.
+        let circuit = comparator_circuit(width);
+        expect_varint(r, circuit.and_count(), "AND table count mismatch")?;
+        let and_tables = get_label_pairs(r, circuit.and_count())?;
+        let outputs = circuit.outputs().len();
+        expect_varint(r, outputs, "output hash count mismatch")?;
+        let output_hashes = get_label_pairs(r, outputs)?;
+        expect_varint(r, width, "garbler label count mismatch")?;
+        let garbler_labels = (0..width).map(|_| get_label(r)).collect::<Result<_, _>>()?;
+        let big_a = r.get_biguint()?;
+        Ok(CompareOffer {
+            width,
+            garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
+            garbler_labels,
+            ot_setup: OtSenderSetup { big_a },
+        })
     })
 }
 
@@ -364,14 +362,14 @@ fn encode_requests(requests: &CompareOtRequests) -> Vec<u8> {
 }
 
 fn decode_requests(payload: &[u8], width: usize) -> Result<CompareOtRequests, PemError> {
-    let mut r = WireReader::new(payload);
-    let chunks = width.div_ceil(OT_CHUNK_BITS);
-    expect_varint(&mut r, chunks, "OT reply count mismatch")?;
-    let replies = (0..chunks)
-        .map(|_| r.get_biguint().map(|big_b| OtReceiverReply { big_b }))
-        .collect::<Result<_, _>>()?;
-    r.finish()?;
-    Ok(CompareOtRequests { replies })
+    WireReader::frame(payload, |r| {
+        let chunks = width.div_ceil(OT_CHUNK_BITS);
+        expect_varint(r, chunks, "OT reply count mismatch")?;
+        let replies = (0..chunks)
+            .map(|_| r.get_biguint().map(|big_b| OtReceiverReply { big_b }))
+            .collect::<Result<_, _>>()?;
+        Ok(CompareOtRequests { replies })
+    })
 }
 
 fn encode_transfer(transfer: &CompareLabelCiphertexts) -> Vec<u8> {
@@ -384,21 +382,21 @@ fn encode_transfer(transfer: &CompareLabelCiphertexts) -> Vec<u8> {
 }
 
 fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertexts, PemError> {
-    let mut r = WireReader::new(payload);
-    let chunks = width.div_ceil(OT_CHUNK_BITS);
-    expect_varint(&mut r, chunks, "OT ciphertext count mismatch")?;
-    let mut cts = Vec::with_capacity(chunks);
-    for chunk in 0..chunks {
-        // One branch per value of the chunk's bits, each carrying one
-        // 16-byte label per bit; an odd width ends in a 1-bit chunk.
-        let bits = OT_CHUNK_BITS.min(width - chunk * OT_CHUNK_BITS);
-        let branches = (0..1 << bits)
-            .map(|_| r.get_raw(16 * bits).map(<[u8]>::to_vec))
-            .collect::<Result<_, _>>()?;
-        cts.push(OtCiphertexts { branches });
-    }
-    r.finish()?;
-    Ok(CompareLabelCiphertexts { cts })
+    WireReader::frame(payload, |r| {
+        let chunks = width.div_ceil(OT_CHUNK_BITS);
+        expect_varint(r, chunks, "OT ciphertext count mismatch")?;
+        let mut cts = Vec::with_capacity(chunks);
+        for chunk in 0..chunks {
+            // One branch per value of the chunk's bits, each carrying one
+            // 16-byte label per bit; an odd width ends in a 1-bit chunk.
+            let bits = OT_CHUNK_BITS.min(width - chunk * OT_CHUNK_BITS);
+            let branches = (0..1 << bits)
+                .map(|_| r.get_raw(16 * bits).map(<[u8]>::to_vec))
+                .collect::<Result<_, _>>()?;
+            cts.push(OtCiphertexts { branches });
+        }
+        Ok(CompareLabelCiphertexts { cts })
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! or tree), carrying two Paillier ciphertexts under `H_b`'s key. `H_b`
 //! then computes
 //! `p̂ = sqrt( ps_g · Σk / Σ(…) )`, clamps it into `[p_l, p_h]` (Eq. 14)
-//! and broadcasts `p*`, which every party checks bit for bit.
+//! and announces `p*`, which every party checks bit for bit.
 //!
 //! [`price`] is the whole protocol as one `async fn` that yields before
 //! each receive: a trading window awaits it, and
@@ -15,17 +15,16 @@
 
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
-use pem_fabric::yield_now;
-use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{PartyId, Transport};
+use pem_net::wire::WireWriter;
+use pem_net::Transport;
 use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
-use crate::fold::fold;
 pub use crate::fold::Topology;
+use crate::fold::{fold, Announcement};
 use crate::keys::KeyDirectory;
 use crate::randpool::{self, RandomizerPool};
 
@@ -111,8 +110,8 @@ pub async fn price<T: Transport>(
 
 /// The rest of [`price`] once the sellers' `(k, d)` terms are encrypted
 /// under `H_b`'s key: fold them to `H_b`, who decrypts the two sums,
-/// prices and broadcasts to the other `n − 1` parties; each checks the
-/// price bit for bit.
+/// prices and announces `p*` to the other `n − 1` parties; each checks
+/// the price bit for bit.
 #[allow(clippy::too_many_arguments)]
 async fn price_terms<T: Transport>(
     net: &mut T,
@@ -152,33 +151,16 @@ async fn price_terms<T: Transport>(
     };
     let price = cfg.band.clamp(p_hat);
 
-    // H_b broadcasts p* to the whole market, starting at the arrival of
-    // the message that closed the fold.
+    // H_b announces p* to the whole market, starting at the arrival of
+    // the message that closed the fold. Each party checks the
+    // announcement against H_b's price bit for bit: any other price is
+    // not this market's.
     let bc_span = Span::enter_at("price/broadcast", "protocol", vts);
-    let mut w = WireWriter::new();
-    w.put_f64(price);
-    let bytes = w.finish();
-    let others = || (0..n).filter(|&i| i != hb);
-    for i in others() {
-        net.send(PartyId(hb), PartyId(i), "price/broadcast", bytes.clone())?;
-    }
-    let mut last_arrival = vts;
-    for i in others() {
-        yield_now().await;
-        let env = net.recv_expect(PartyId(i), "price/broadcast")?;
-        // Each party checks the broadcast against H_b's price bit for
-        // bit: any other price is not this market's.
-        let mut r = WireReader::new(&env.payload);
-        let echoed = r.get_f64()?;
-        r.finish()?;
-        if echoed.to_bits() != price.to_bits() {
-            return Err(PemError::Protocol(
-                "price broadcast differs from H_b's price",
-            ));
-        }
-        last_arrival = env.arrival_us;
-    }
-    bc_span.finish_at(last_arrival);
+    let bytes = WireWriter::frame(|w| w.put_f64(price));
+    let others = (0..n).filter(|&i| i != hb).map(|i| (i, bytes.clone()));
+    let announced = Announcement::send(net, hb, "price/broadcast", others)?;
+    let (_, last_arrival) = announced.hear(net, |r| Ok(r.get_f64()?)).await?;
+    bc_span.finish_at(last_arrival.max(vts));
     Ok(PricingOutcome {
         price,
         p_hat,

@@ -293,12 +293,15 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     //   last byte of branch 3 of chunk 15; the evaluator chose branch 0
     //   there (bits 30–31 of its masked total), so it never decrypts the
     //   flipped branch and the window completes with the clean outcome.
-    // * `eval/result`: the one byte is never re-read by the recipients,
-    //   so the window completes with the clean outcome.
-    for label in ["eval/gc-offer", "eval/gc-ot-transfer", "eval/result"] {
+    for label in ["eval/gc-offer", "eval/gc-ot-transfer"] {
         let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
         assert_clean(&out, &clean, label);
     }
+    // `eval/result`: the one byte flips the general-market bit to a
+    // well-formed `false`, which its first recipient decodes and checks
+    // against `H_r1`'s bit.
+    let err = corrupt("eval/result").expect_err("a flipped market bit must abort");
+    assert!(matches!(err, PemError::Protocol(_)), "eval/result: {err:?}");
     // A decrypted table row is authenticated: flip byte 0 of `T_G` in
     // every AND (at byte 2 + 32·k). The evaluator decrypts `T_G` wherever
     // its first input's permute bit is set — some gate, whatever the
@@ -411,17 +414,9 @@ fn a_trailing_byte_on_any_read_label_is_a_decode_error() {
     // One byte past a frame's last field — an extra ciphertext's worth of
     // garbage — is not the frame its sender encoded: every decoder of
     // Protocols 2–4 ends its frame and refuses it, before any ciphertext
-    // or value of it is used. The recipients of `eval/result` only
-    // consume the announcement (see the `Corrupt` pins above), so
-    // nothing decodes a byte added there.
-    let clean = run_faulted(FaultPlan::new()).expect("clean run");
+    // or value of it is used.
     for label in EVAL_LABELS.into_iter().chain(PRICE_AND_DIST_LABELS) {
         let result = run_tampered(label, |payload| payload.push(0));
-        if label == "eval/result" {
-            let out = result.unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
-            assert_clean(&out, &clean, label);
-            continue;
-        }
         assert!(
             matches!(
                 result,
@@ -431,6 +426,28 @@ fn a_trailing_byte_on_any_read_label_is_a_decode_error() {
                 }))
             ),
             "{label}: got {result:?}"
+        );
+    }
+}
+
+#[test]
+fn a_tampered_ratio_announcement_aborts_without_trades() {
+    // `dist/ratios` carries a count, then one 8-byte ratio per buyer (two
+    // here); the other seller decodes the whole vector and settles from
+    // it. A flipped ratio bit is a well-formed vector that is not the
+    // decryptor's, and a frame that announces and carries one ratio for
+    // two buyers does not cover the ratio side: both are typed errors,
+    // never a settlement.
+    let flipped = run_tampered("dist/ratios", |payload| payload[1 + 3] ^= 1);
+    let short = run_tampered("dist/ratios", |payload| {
+        assert_eq!((payload.len(), payload[0]), (17, 2), "two ratios");
+        payload.truncate(9);
+        payload[0] = 1;
+    });
+    for (case, result) in [("flipped ratio bit", flipped), ("one ratio", short)] {
+        assert!(
+            matches!(result, Err(PemError::Protocol(_))),
+            "{case}: got {result:?}"
         );
     }
 }

@@ -13,22 +13,28 @@
 //! 2. `couple/corridor` — the coordinator decrypts *only the grid
 //!    totals*, derives the corridor price (volume-weighted average of
 //!    coalition clearing prices, clamped into the PEM band) and
-//!    broadcasts it with the engage/skip decision.
+//!    announces it with the engage/skip decision.
 //! 3. `couple/claim` — when engaged, **every** shard (constant traffic;
 //!    message presence reveals nothing) sends its own residual, again
 //!    encrypted under the grid key, directly to the coordinator.
 //! 4. `couple/schedule` — the coordinator matches surplus against
 //!    deficit coalitions greedily and notifies each involved shard of
 //!    its transfer legs.
+//!
+//! Every receive is a [`gather`] under `pem-core`'s one rule (a stray
+//! frame is a protocol error, a replay the retryable `Unread`). Each
+//! shard reads and checks its corridor and schedule frames at the end
+//! of the round, after the coordinator's last send, so no claim departs
+//! later on the virtual clock; then the fabric must be empty.
 
 use pem_bignum::BigUint;
-use pem_core::fold::{fold, Topology};
+use pem_core::fold::{expect_drained, fold, gather, read_ciphertext, Announcement, Topology};
 use pem_core::randpool::{encrypt_under, RandomizerPool};
 use pem_core::{block_on, KeyDirectory, PemError, PoolStats};
 use pem_crypto::paillier::Ciphertext;
 use pem_market::PriceBand;
 use pem_net::wire::{WireReader, WireWriter};
-use pem_net::{NetError, NetStats, PartyId, SimNetwork, Transport};
+use pem_net::{NetStats, PartyId, SimNetwork, Transport};
 use pem_telemetry::{CriticalPathReport, Span};
 use serde::{Deserialize, Serialize};
 
@@ -340,51 +346,45 @@ impl CouplingCoordinator {
         let transferable_q = surplus_q.min(deficit_q);
         let engaged = s >= 2 && transferable_q >= u128::from(min_transfer_q.max(1));
 
-        // --- Phase 2: corridor broadcast. ------------------------------
+        // --- Phase 2: corridor announcement. ---------------------------
+        // Sent now, read at the end of the round: a shard's claim departs
+        // at its own clock, not at the corridor's arrival.
         let corridor_span = Span::enter_at("couple/corridor", "coupling", net.now_us());
-        let mut w = WireWriter::new();
-        w.put_varint(corridor_mc);
-        w.put_bool(engaged);
-        net.broadcast(coordinator, LABEL_CORRIDOR, &w.finish())?;
+        let bytes = WireWriter::frame(|w| {
+            w.put_varint(corridor_mc);
+            w.put_bool(engaged);
+        });
+        let to = (0..s).map(|shard| (shard, bytes.clone()));
+        let corridor_frames = Announcement::send(net, s, LABEL_CORRIDOR, to)?;
         corridor_span.finish_at(net.now_us());
 
         // --- Phase 3: claims (constant traffic: every shard sends). ----
         let mut transfers = Vec::new();
+        let mut schedule_frames = None;
         if engaged {
             let claim_span = Span::enter_at("couple/claim", "coupling", net.now_us());
             for (i, q) in quantized.iter().enumerate() {
                 let m = pk.encode_i128(q.res);
                 let c = encrypt_under(&pk, 0, &m, &mut self.pool)?;
-                let mut w = WireWriter::new();
-                w.put_biguint(c.as_biguint());
-                net.send(PartyId(i), coordinator, LABEL_CLAIM, w.finish())?;
+                let frame = WireWriter::frame(|w| w.put_biguint(c.as_biguint()));
+                net.send(PartyId(i), coordinator, LABEL_CLAIM, frame)?;
             }
-            // Collect and validate every claim first, then decrypt them
-            // as one batch over the shared CRT context (order-preserving,
-            // so the schedule below is unchanged).
-            let mut claim_from = Vec::with_capacity(s);
-            let mut claim_cts = Vec::with_capacity(s);
-            for _ in 0..s {
-                let env = net.recv_expect(coordinator, LABEL_CLAIM)?;
-                // One claim per shard: a replayed one would be scheduled
-                // twice while another shard's went unread.
-                if claim_from.contains(&env.from.0) {
-                    return Err(PemError::Protocol("a second claim from one shard").into());
-                }
-                let mut r = WireReader::new(&env.payload);
-                let claim = Ciphertext::from_biguint(r.get_biguint()?);
-                r.finish()?;
-                pk.validate_ciphertext(&claim)?;
-                claim_from.push(env.from.0);
-                claim_cts.push(claim);
-            }
+            // Gather and validate one claim per shard first, each at its
+            // shard's index, then decrypt them as one batch over the
+            // shared CRT context.
+            let mut claim_cts = vec![Ciphertext::from_biguint(BigUint::zero()); s];
+            let claims = gather(net, s, LABEL_CLAIM, (0..s).map(|i| (i, i)), |_, env, i| {
+                claim_cts[i] = WireReader::frame(&env.payload, |r| read_ciphertext(&pk, r))?;
+                Ok(())
+            });
+            block_on(claims)?;
             let mut exporters: Vec<(usize, u64)> = Vec::new();
             let mut importers: Vec<(usize, u64)> = Vec::new();
             let (mut claimed_surplus, mut claimed_deficit) = (0u128, 0u128);
             let claims: Vec<i128> = (claim_cts.iter())
                 .map(|c| sk.decrypt_i128(c))
                 .collect::<Result<_, _>>()?;
-            for (&from, res) in claim_from.iter().zip(claims) {
+            for (from, res) in claims.into_iter().enumerate() {
                 let (side, sum) = match res.signum() {
                     1 => (&mut exporters, &mut claimed_surplus),
                     -1 => (&mut importers, &mut claimed_deficit),
@@ -414,29 +414,36 @@ impl CouplingCoordinator {
                 legs[t.from_shard].push((true, t.to_shard, t.energy_ukwh));
                 legs[t.to_shard].push((false, t.from_shard, t.energy_ukwh));
             }
-            for (i, shard_legs) in legs.iter().enumerate() {
-                if shard_legs.is_empty() {
-                    continue;
-                }
-                let mut w = WireWriter::new();
-                w.put_varint(shard_legs.len() as u64);
-                for &(export, peer, q) in shard_legs {
-                    w.put_bool(export);
-                    w.put_varint(peer as u64);
-                    w.put_varint(q);
-                }
-                net.send(coordinator, PartyId(i), LABEL_SCHEDULE, w.finish())?;
-            }
+            let to = legs.iter().enumerate().filter(|(_, l)| !l.is_empty());
+            let to = to.map(|(shard, shard_legs)| {
+                let frame = WireWriter::frame(|w| {
+                    w.put_varint(shard_legs.len() as u64);
+                    for &(export, peer, q) in shard_legs {
+                        w.put_bool(export);
+                        w.put_varint(peer as u64);
+                        w.put_varint(q);
+                    }
+                });
+                (shard, frame)
+            });
+            schedule_frames = Some(Announcement::send(net, s, LABEL_SCHEDULE, to)?);
             schedule_span.finish_at(net.now_us());
         }
-        // Of its labels the round reads only the tree and the claims
-        // (the corridor and the schedule go to shards that do not
-        // answer): a duplicate or stray left under either is an error.
-        for label in [LABEL_UP, LABEL_CLAIM] {
-            if let Some(party) = (0..=s).find(|&p| net.recv_expect(PartyId(p), label).is_ok()) {
-                return Err(NetError::Unread { party, label }.into());
-            }
+        // Each shard reads and checks its corridor frame, and a shard
+        // with legs its schedule; then nothing may be left queued.
+        let corridor_read = corridor_frames.hear(net, |r| Ok((r.get_varint()?, r.get_bool()?)));
+        block_on(corridor_read)?;
+        if let Some(frames) = schedule_frames {
+            // A count, then `(export, peer, energy)` per leg.
+            let legs = |r: &mut WireReader<'_>| -> Result<Vec<_>, PemError> {
+                let count = r.get_varint()?;
+                (0..count)
+                    .map(|_| Ok((r.get_bool()?, r.get_varint()?, r.get_varint()?)))
+                    .collect()
+            };
+            block_on(frames.hear(net, legs))?;
         }
+        expect_drained(net)?;
         round_span.finish_at(net.now_us());
 
         // Off-critical-path: top the grid-key randomizer pool back up.
@@ -765,17 +772,20 @@ mod tests {
             };
             assert!(typed, "{e}");
         }
-        // Four valid ciphertexts of 2^100: the totals leave the range
-        // `quantize` admits instead of pricing the corridor.
+        // Four valid ciphertexts of 2^100 in place of shard 2's frame
+        // (queued ahead of the honest one, they would make shard 1's
+        // honest frame a replay): the totals leave the range `quantize`
+        // admits instead of pricing the corridor.
         let pk = coordinator().keys.public(0).clone();
         let mut rng = HashDrbg::new(b"forged-up");
-        let huge: Vec<BigUint> = (0..4)
-            .map(|_| {
-                let c = pk.encrypt(&(BigUint::one() << 100), &mut rng);
-                c.as_biguint().clone()
-            })
-            .collect();
-        let e = forged(SimNetwork::new(4), &huge);
+        let mut huge = WireWriter::new();
+        for _ in 0..4 {
+            huge.put_biguint(pk.encrypt(&(BigUint::one() << 100), &mut rng).as_biguint());
+        }
+        let mut net = Forged::replacing(SimNetwork::new(4), LABEL_UP, huge.finish());
+        let e = coordinator()
+            .run_round_on(&mut net, &engaged_positions())
+            .expect_err("out-of-range totals must abort the round");
         assert!(
             matches!(e, CouplingError::Pem(PemError::Protocol(_))),
             "{e}"
@@ -923,10 +933,10 @@ mod tests {
 
     #[test]
     fn a_trailing_byte_on_a_read_label_is_a_decode_error() {
-        // The round reads the tree's frames and the claims; one byte past
-        // a frame's last ciphertext is not the frame its sender encoded.
-        // The corridor and the schedule go to shards that never read
-        // them, so nothing decodes a byte added there.
+        // Every frame of the round is read and decoded in full — the
+        // tree's, the claims, and each shard's corridor and schedule —
+        // so one byte past a frame's last field is not the frame its
+        // sender encoded.
         let positions = engaged_positions();
         for label in [LABEL_UP, LABEL_CLAIM, LABEL_CORRIDOR, LABEL_SCHEDULE] {
             let mut net = Forged {
@@ -938,20 +948,16 @@ mod tests {
                 })),
             };
             let result = coordinator().run_round_on(&mut net, &positions);
-            if label == LABEL_CORRIDOR || label == LABEL_SCHEDULE {
-                assert!(result.is_ok(), "{label}: {result:?}");
-            } else {
-                assert!(
-                    matches!(
-                        result,
-                        Err(CouplingError::Net(pem_net::NetError::Decode {
-                            what: "trailing bytes",
-                            ..
-                        }))
-                    ),
-                    "{label}: {result:?}"
-                );
-            }
+            assert!(
+                matches!(
+                    result,
+                    Err(CouplingError::Net(pem_net::NetError::Decode {
+                        what: "trailing bytes",
+                        ..
+                    }))
+                ),
+                "{label}: {result:?}"
+            );
         }
     }
 
@@ -962,8 +968,12 @@ mod tests {
         let round = |plan: FaultPlan| {
             coordinator().run_round_on(&mut SimNetwork::new(4).with_faults(plan), &positions)
         };
-        let clean = round(FaultPlan::new()).expect("clean round");
-        assert!(clean.summary.engaged);
+        assert!(
+            round(FaultPlan::new())
+                .expect("clean round")
+                .summary
+                .engaged
+        );
         let kinds = [
             FaultKind::Drop,
             FaultKind::Duplicate,
@@ -974,24 +984,70 @@ mod tests {
             for kind in kinds {
                 for nth in [0, 2] {
                     let case = format!("{label}#{nth}/{kind:?}");
-                    // Nothing in the round reads the corridor broadcast or
-                    // the schedule; every other fault aborts, a duplicate
-                    // that would linger unread included.
-                    let unread = label == LABEL_CORRIDOR || label == LABEL_SCHEDULE;
+                    // Every frame of the round is gathered and checked,
+                    // the corridor and the schedule included, so every
+                    // fault aborts — a duplicate as the retryable
+                    // `Unread` — and none completes.
                     match round(FaultPlan::new().inject(label, nth, kind)) {
-                        Ok(out) => {
-                            assert!(unread, "{case}: completed");
-                            assert_eq!(out, clean, "{case}: completed differently");
-                        }
+                        Ok(_) => panic!("{case}: completed"),
                         Err(
-                            e @ (CouplingError::Net(_)
+                            CouplingError::Net(_)
                             | CouplingError::Crypto(_)
-                            | CouplingError::Pem(PemError::Protocol(_))),
-                        ) => assert!(!unread, "{case}: {e}"),
+                            | CouplingError::Pem(PemError::Protocol(_)),
+                        ) => {}
                         Err(e) => panic!("{case}: unexpected error class {e}"),
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_label_refuses_a_stranger_and_retries_a_replay() {
+        use pem_net::{FaultKind, FaultPlan};
+        // For each label of an engaged round, the first frame `from → to`
+        // of that label in the clean round's message journal. A frame
+        // queued to `to` under the label before the round, from a party
+        // that never sends it there, is a protocol error; a duplicate of
+        // the frame is the retryable `Unread`. Every shard claims to the
+        // coordinator, so `couple/claim` has no stranger to try.
+        let positions = engaged_positions();
+        pem_telemetry::install();
+        let mark = pem_telemetry::msg_count();
+        let mut net = SimNetwork::new(4);
+        coordinator()
+            .run_round_on(&mut net, &positions)
+            .expect("clean round");
+        let journal: Vec<(usize, usize, &str)> = pem_telemetry::msgs_since(mark)
+            .iter()
+            .filter(|m| m.fabric == net.fabric_id())
+            .map(|m| (m.from, m.to, m.label))
+            .collect();
+        for label in [LABEL_UP, LABEL_CORRIDOR, LABEL_CLAIM, LABEL_SCHEDULE] {
+            let &(from, to, _) = journal.iter().find(|m| m.2 == label).expect("sent");
+            let case = format!("{label} P{from}→P{to}");
+            let stranger = (0..4).find(|&p| p != to && !journal.contains(&(p, to, label)));
+            assert_eq!(stranger.is_none(), label == LABEL_CLAIM, "{case}");
+            if let Some(stranger) = stranger {
+                let mut net = SimNetwork::new(4);
+                net.send(PartyId(stranger), PartyId(to), label, vec![0])
+                    .expect("stray");
+                let result = coordinator().run_round_on(&mut net, &positions);
+                assert!(
+                    matches!(result, Err(CouplingError::Pem(PemError::Protocol(_)))),
+                    "{case}, stranger P{stranger}: {result:?}"
+                );
+            }
+            let plan = FaultPlan::new().inject(label, 0, FaultKind::Duplicate);
+            let mut net = SimNetwork::new(4).with_faults(plan);
+            let result = coordinator().run_round_on(&mut net, &positions);
+            assert!(
+                matches!(
+                    result,
+                    Err(CouplingError::Net(pem_net::NetError::Unread { label: l, .. })) if l == label
+                ),
+                "{case}, replayed: {result:?}"
+            );
         }
     }
 

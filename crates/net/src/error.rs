@@ -22,8 +22,9 @@ pub enum NetError {
         /// The party.
         party: usize,
     },
-    /// A round ended with a frame nobody read still queued for `party`
-    /// — a duplicate or a stray.
+    /// A frame `party` did not read: a second frame from a sender it had
+    /// already heard under `label`, or one still queued when its window
+    /// or round ended.
     Unread {
         /// The party the frame was addressed to.
         party: usize,

@@ -10,7 +10,7 @@
 //!   serialized size (Table I is computed from these, not from struct
 //!   guesses),
 //! * [`Transport`] — the fabric surface the protocol drivers are generic
-//!   over: send/recv/broadcast, stats, and a critical-path virtual clock,
+//!   over: send/recv, stats, and a critical-path virtual clock,
 //! * [`SimNetwork`] — its one implementation: deterministic,
 //!   single-threaded per-party mailboxes, read by `(recipient, label)`,
 //!   that also drain as one arrival-ordered event queue, per-label

@@ -333,20 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_charges_per_recipient() {
-        let mut net = SimNetwork::new(4);
-        net.broadcast(PartyId(1), "bc", &[0u8; 10])
-            .expect("broadcast");
-        assert_eq!(net.stats().total_messages, 3);
-        assert_eq!(net.stats().total_bytes, 30);
-        assert_eq!(net.stats().sent_bytes[1], 30);
-        for p in [0usize, 2, 3] {
-            assert_eq!(net.stats().received_bytes[p], 10);
-        }
-        assert!(net.recv(PartyId(1)).is_none(), "no self-delivery");
-    }
-
-    #[test]
     fn label_accounting() {
         let mut net = SimNetwork::new(3);
         net.send(PartyId(0), PartyId(1), "pricing", vec![0; 64])

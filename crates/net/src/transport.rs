@@ -3,9 +3,10 @@
 //! The paper defines Protocols 2–4 over an abstract reliable
 //! point-to-point model; everything they need from a fabric is captured
 //! by [`Transport`]: addressed sends, receives addressed by recipient
-//! and label, broadcast,
-//! byte/message accounting and a *virtual clock* that tracks the
-//! critical-path latency of the message pattern actually executed.
+//! and label, byte/message accounting and a *virtual clock* that tracks
+//! the critical-path latency of the message pattern actually executed.
+//! A one-to-many message is one send per recipient, each charged on its
+//! own link.
 //!
 //! The crate ships one implementation,
 //! [`SimNetwork`](crate::SimNetwork): deterministic in-memory per-party
@@ -19,7 +20,9 @@
 //!
 //! There is one receive path: a receive never blocks and never waits
 //! on a deadline. A message that has not arrived is
-//! [`NetError::Empty`], which ends the protocol that wanted it.
+//! [`NetError::Empty`], which ends the protocol that wanted it. The
+//! transport does not know who may send what: `pem-core`'s `gather`
+//! checks every frame against the senders its receiver expects.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,28 +87,6 @@ pub trait Transport {
     /// [`NetError::UnknownParty`].
     fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError>;
 
-    /// Broadcasts to every other party. Bytes are charged per recipient
-    /// (the fabric models point-to-point links), but the virtual clock
-    /// charges the links in parallel: all copies depart at the sender's
-    /// local time.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownParty`] if `from` is invalid.
-    fn broadcast(
-        &mut self,
-        from: PartyId,
-        label: &'static str,
-        payload: &[u8],
-    ) -> Result<(), NetError> {
-        for to in 0..self.party_count() {
-            if to != from.0 {
-                self.send(from, PartyId(to), label, payload.to_vec())?;
-            }
-        }
-        Ok(())
-    }
-
     /// Snapshot of the accumulated traffic statistics.
     fn stats(&self) -> NetStats;
 
@@ -135,10 +116,11 @@ mod tests {
     fn generic_roundtrip<T: Transport>(net: &mut T) {
         assert_eq!(net.party_count(), 3);
         net.send(PartyId(0), PartyId(1), "a", vec![1, 2]).unwrap();
-        net.broadcast(PartyId(1), "b", &[9]).unwrap();
+        net.send(PartyId(1), PartyId(0), "b", vec![9]).unwrap();
+        net.send(PartyId(1), PartyId(2), "b", vec![9]).unwrap();
         let env = net.recv_expect(PartyId(1), "a").unwrap();
         assert_eq!(env.payload, vec![1, 2]);
-        assert_eq!(net.pending(), 2, "both broadcast copies still queued");
+        assert_eq!(net.pending(), 2, "both `b` copies still queued");
         assert!(net.recv(PartyId(0)).is_some());
         assert!(net.recv(PartyId(2)).is_some());
         assert_eq!(net.pending(), 0);

@@ -98,6 +98,13 @@ impl WireWriter {
     pub fn finish(self) -> Vec<u8> {
         self.buf.to_vec()
     }
+
+    /// One frame: what `write` puts on a fresh writer.
+    pub fn frame(write: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        write(&mut w);
+        w.finish()
+    }
 }
 
 /// Deserializes values written by [`WireWriter`].
@@ -240,6 +247,23 @@ impl<'a> WireReader<'a> {
         } else {
             Err(self.fail("trailing bytes"))
         }
+    }
+
+    /// Decodes the whole of `frame` with `read`, then
+    /// [`finish`](Self::finish)es it: the frame must end where the value
+    /// does.
+    ///
+    /// # Errors
+    ///
+    /// `read`'s errors, then [`NetError::Decode`] (`"trailing bytes"`).
+    pub fn frame<T, E: From<NetError>>(
+        frame: &'a [u8],
+        read: impl FnOnce(&mut WireReader<'a>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut r = WireReader::new(frame);
+        let value = read(&mut r)?;
+        r.finish()?;
+        Ok(value)
     }
 }
 
