@@ -30,7 +30,7 @@ use pem_bench::Args;
 use pem_core::block_on;
 use pem_core::fold::Topology;
 use pem_core::protocol3::price;
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerPool};
+use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerStreams};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;
 use pem_net::{LatencyModel, SimNetwork, Transport};
@@ -56,7 +56,7 @@ fn main() {
         let n = n_sellers + 2; // plus two buyers
         let mut cfg = PemConfig::fast_test();
         cfg.key_bits = key_bits;
-        let q = Quantizer::new(cfg.scale);
+        let q = Quantizer::new();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
         let mut rng = HashDrbg::from_seed_label(b"ablation", n as u64);
 
@@ -89,7 +89,7 @@ fn main() {
                 &buyers,
                 &cfg,
                 topology,
-                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut RandomizerStreams::new(keys.len(), 1),
                 &mut rng,
             ))
             .expect("pricing");

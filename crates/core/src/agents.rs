@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn prepare_classifies_on_quantized_value() {
-        let q = Quantizer::default();
+        let q = Quantizer::new();
         let seller = AgentCtx::prepare(0, AgentWindow::new(0, 2.0, 1.0, 0.0, 0.9, 20.0), &q, 7)
             .expect("prepare");
         assert_eq!(seller.role, Role::Seller);
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn prepare_rejects_invalid_data() {
-        let q = Quantizer::default();
+        let q = Quantizer::new();
         let bad = AgentWindow::new(0, -1.0, 1.0, 0.0, 0.9, 20.0);
         assert!(AgentCtx::prepare(0, bad, &q, 0).is_err());
     }
@@ -108,7 +108,7 @@ mod tests {
     fn prepare_enforces_the_per_value_bound() {
         // |sn_q| < 2^32 µkWh, on both sides of zero; the quantizer alone
         // would admit up to 2^62.
-        let q = Quantizer::default();
+        let q = Quantizer::new();
         let limit = (1u64 << 32) as f64 / 1e6; // ≈ 4294.97 kWh
         for (generation, load) in [(limit, 0.0), (0.0, limit), (1e5, 0.0)] {
             let data = AgentWindow::new(0, generation, load, 0.0, 0.9, 20.0);

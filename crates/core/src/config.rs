@@ -10,15 +10,32 @@ use crate::error::PemError;
 use crate::fold::Topology;
 use crate::quantize::Quantizer;
 
+/// Fixed-point scale of energies and pricing terms: µkWh resolution on
+/// one-minute windows.
+pub(crate) const SCALE: u64 = 1_000_000;
+
+/// Bits of each per-agent masking nonce (Protocol 2).
+pub(crate) const NONCE_BITS: u32 = 40;
+
+/// Bits of Protocol 4's ratio precision constant `K = 2^48`.
+pub(crate) const RATIO_PRECISION_BITS: u32 = 48;
+
 /// Every quantized net energy satisfies `|sn_q| < 2^VALUE_BITS`
 /// ([`AgentCtx::prepare`](crate::AgentCtx::prepare) enforces it). Minute
-/// windows stay below 2^6 kWh, i.e. 2^26 at the default scale, so 32
-/// bits is generous.
+/// windows stay below 2^6 kWh, i.e. 2^26 at [`SCALE`], so 32 bits is
+/// generous.
 pub(crate) const VALUE_BITS: u32 = 32;
 
 /// A population holds at most `2^POPULATION_BITS` agents
 /// ([`PemConfig::validate`] enforces it).
 const POPULATION_BITS: u32 = 16;
+
+/// The bit width every Protocol 4 ratio plaintext
+/// `v_j = E · round(K / |sn_j|)` stays below, and the slot width its
+/// decryptor packs them at: `E < 2^(VALUE_BITS + POPULATION_BITS)` and
+/// `round(K / |sn_j|) ≤ K`, plus two bits of slack — 98 bits.
+pub(crate) const RATIO_SLOT_BITS: usize =
+    (VALUE_BITS + 2 + RATIO_PRECISION_BITS + POPULATION_BITS) as usize;
 
 /// Which Diffie–Hellman group backs the oblivious transfers of the secure
 /// comparison. Independent of the Paillier key size — the paper varies
@@ -58,20 +75,8 @@ pub struct PemConfig {
     pub ot_profile: OtProfile,
     /// Market price structure.
     pub band: PriceBand,
-    /// Fixed-point scale for energies and pricing terms.
-    pub scale: u64,
-    /// Bits of each per-agent masking nonce (Protocol 2).
-    pub nonce_bits: u32,
-    /// Bits of the ratio precision constant `K` (Protocol 4).
-    pub ratio_precision_bits: u32,
     /// Master seed for all protocol randomness.
     pub seed: u64,
-    /// Precomputed Paillier randomizers held per key (0 disables the
-    /// pool). Batches of `h_s^x mod n²` are generated off the critical
-    /// path and consumed by the protocols, one multiplication per
-    /// encryption instead of a short table exponentiation; see
-    /// [`crate::randpool`].
-    pub randomizer_pool: usize,
     /// The shape every fold of Protocols 2–4 takes: the paper's
     /// sequential ring, the depth-1 star fan-in, or an f-ary aggregation
     /// tree (the same ciphertexts and messages in all three; the
@@ -93,11 +98,7 @@ impl PemConfig {
             compare_bits: 64,
             ot_profile: OtProfile::Modp1024,
             band: PriceBand::paper_defaults(),
-            scale: 1_000_000,
-            nonce_bits: 40,
-            ratio_precision_bits: 48,
             seed: 2020,
-            randomizer_pool: 0,
             topology: Topology::Ring,
             latency: LatencyModel::zero(),
         }
@@ -111,20 +112,16 @@ impl PemConfig {
             compare_bits: 64,
             ot_profile: OtProfile::Test192,
             band: PriceBand::paper_defaults(),
-            scale: 1_000_000,
-            nonce_bits: 40,
-            ratio_precision_bits: 48,
             seed: 7,
-            randomizer_pool: 0,
             topology: Topology::Ring,
             latency: LatencyModel::zero(),
         }
     }
 
-    /// Enables a precomputed-randomizer pool of `batch` entries per key.
+    /// A no-op, kept for callers written against the retired randomizer
+    /// pool (every randomizer is drawn on line; see [`crate::randpool`]).
     #[must_use]
-    pub fn with_randomizer_pool(mut self, batch: usize) -> PemConfig {
-        self.randomizer_pool = batch;
+    pub fn with_randomizer_pool(self, _batch: usize) -> PemConfig {
         self
     }
 
@@ -140,11 +137,6 @@ impl PemConfig {
     pub fn with_latency(mut self, latency: LatencyModel) -> PemConfig {
         self.latency = latency;
         self
-    }
-
-    /// The quantizer induced by this configuration.
-    pub fn quantizer(&self) -> Quantizer {
-        Quantizer::new(self.scale)
     }
 
     /// Validates internal consistency for a population of `agents`.
@@ -168,43 +160,21 @@ impl PemConfig {
                 "comparison width must be in 1..=128".into(),
             ));
         }
-        if self.nonce_bits == 0 || self.nonce_bits > 60 {
-            return Err(PemError::Config("nonce bits must be in 1..=60".into()));
-        }
-        if self.scale == 0 {
-            return Err(PemError::Config("scale must be positive".into()));
-        }
-        if self.ratio_precision_bits < 16 || self.ratio_precision_bits > 60 {
-            return Err(PemError::Config(
-                "ratio precision must be in 16..=60 bits".into(),
-            ));
-        }
         if agents > 1 << POPULATION_BITS {
             return Err(PemError::Config(format!(
                 "population of {agents} exceeds 2^{POPULATION_BITS} agents"
             )));
         }
         self.band.validate()?;
-        self.quantizer()
-            .check_headroom(agents, VALUE_BITS, self.nonce_bits, self.compare_bits)?;
+        Quantizer::check_headroom(agents, VALUE_BITS, NONCE_BITS, self.compare_bits)?;
         // The Paillier space must also hold Protocol 4's scaled ratios.
-        let needed = self.ratio_slot_bits();
-        if self.key_bits < needed {
+        if self.key_bits < RATIO_SLOT_BITS {
             return Err(PemError::Config(format!(
-                "key_bits {} too small for ratio precision (need ≥ {needed})",
+                "key_bits {} too small for ratio precision (need ≥ {RATIO_SLOT_BITS})",
                 self.key_bits
             )));
         }
         Ok(())
-    }
-
-    /// The bit width every Protocol 4 ratio plaintext
-    /// `v_j = E · round(K / |sn_j|)` stays below, and the slot width its
-    /// decryptor packs them at: `E < 2^(VALUE_BITS + POPULATION_BITS)`
-    /// and `round(K / |sn_j|) ≤ K`, plus two bits of slack — 98 bits at
-    /// the paper's 48-bit precision.
-    pub fn ratio_slot_bits(&self) -> usize {
-        (VALUE_BITS + 2 + self.ratio_precision_bits + POPULATION_BITS) as usize
     }
 }
 
@@ -238,12 +208,6 @@ mod tests {
         let mut c = PemConfig::fast_test();
         c.band.floor = 10.0; // violates Eq. 3
         assert!(c.validate(10).is_err());
-        let mut c = PemConfig::fast_test();
-        c.nonce_bits = 0;
-        assert!(c.validate(10).is_err());
-        let mut c = PemConfig::fast_test();
-        c.scale = 0; // a rejection, not a panic in the quantizer
-        assert!(matches!(c.validate(10), Err(PemError::Config(_))));
     }
 
     #[test]
@@ -251,15 +215,12 @@ mod tests {
         // The slot width assumes at most 2^16 agents: the cap is
         // enforced, not just assumed.
         let c = PemConfig::paper(1024);
-        assert_eq!(c.ratio_slot_bits(), 98);
+        assert_eq!(RATIO_SLOT_BITS, 98);
         c.validate(1 << 16).expect("2^16 agents fit");
         assert!(matches!(
             c.validate((1 << 16) + 1),
             Err(PemError::Config(_))
         ));
-        let mut c = PemConfig::fast_test();
-        c.ratio_precision_bits = 60;
-        assert_eq!(c.ratio_slot_bits(), 110);
     }
 
     #[test]

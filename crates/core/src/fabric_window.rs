@@ -6,10 +6,9 @@
 //! protocols — Protocol 2's two masked folds, run concurrently in
 //! lockstep (`protocol2::masked_totals`), the comparison and its
 //! announcement, Protocol 3 and Protocol 4; every fold takes
-//! `cfg.topology` — and runs the randomizer-pool refill without a
-//! yield. Every receive is a [`gather`](crate::fold::gather) that
-//! yields once before it, so each poll is one receive (one of each of
-//! the two lockstep folds). The rounds the paper leaves independent
+//! `cfg.topology`. Every receive is a [`gather`](crate::fold::gather)
+//! that yields once before it, so each poll is one receive (one of each
+//! of the two lockstep folds). The rounds the paper leaves independent
 //! overlap on the virtual clock: the two folds, and the settlement's
 //! pairwise round-trips (three sweeps in `protocol4::run`). A gather
 //! refuses a replayed or stray frame under its own label; one under a
@@ -37,16 +36,16 @@ use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
-use crate::config::PemConfig;
+use crate::config::{PemConfig, NONCE_BITS};
 use crate::error::PemError;
 use crate::fold::expect_drained;
-use crate::keys::KeyDirectory;
+use crate::keys::{KeyDirectory, RandomizerStreams};
 use crate::metrics::{PhaseMetrics, WindowMetrics};
 use crate::pem::{PemWindowOutcome, RevealedInfo};
 use crate::protocol2;
 use crate::protocol3;
 use crate::protocol4;
-use crate::randpool::RandomizerPool;
+use crate::quantize::Quantizer;
 
 /// A driver phase in progress: its wall-clock start and its open
 /// `window/<phase>` span on the virtual clock.
@@ -74,16 +73,16 @@ impl Phase {
 /// One trading window's body, transport-free: [`run`](Window::run) is
 /// handed the fabric the window runs on.
 ///
-/// Borrows its market's long-lived state (keys, RNG, randomizer pool)
-/// mutably for the window's whole life, which is exactly what makes the
-/// RNG stream sequential per market — construction and the run draw in
-/// one fixed order, so outputs are bit-identical regardless of who
-/// polls or how windows interleave.
+/// Borrows its market's long-lived state (keys, RNG, randomizer
+/// streams) mutably for the window's whole life, which is exactly what
+/// makes the RNG stream sequential per market — construction and the
+/// run draw in one fixed order, so outputs are bit-identical regardless
+/// of who polls or how windows interleave.
 pub(crate) struct Window<'a> {
     cfg: &'a PemConfig,
     keys: &'a KeyDirectory,
     rng: &'a mut HashDrbg,
-    pool: &'a mut RandomizerPool,
+    streams: &'a mut RandomizerStreams,
     agents: Vec<AgentCtx>,
     sellers: Vec<usize>,
     buyers: Vec<usize>,
@@ -103,7 +102,7 @@ impl<'a> Window<'a> {
         cfg: &'a PemConfig,
         keys: &'a KeyDirectory,
         rng: &'a mut HashDrbg,
-        pool: &'a mut RandomizerPool,
+        streams: &'a mut RandomizerStreams,
         window_data: &[AgentWindow],
         net: &T,
     ) -> Result<Window<'a>, PemError> {
@@ -119,7 +118,7 @@ impl<'a> Window<'a> {
                 "transport party count must match the population",
             ));
         }
-        let quantizer = cfg.quantizer();
+        let quantizer = Quantizer::new();
         let window_span = Span::enter_at("window", "driver", net.now_us());
 
         // Local step: every agent quantizes its data, draws this window's
@@ -128,7 +127,7 @@ impl<'a> Window<'a> {
         let mut sellers = Vec::new();
         let mut buyers = Vec::new();
         for (i, data) in window_data.iter().enumerate() {
-            let nonce = rng.gen::<u64>() >> (64 - cfg.nonce_bits);
+            let nonce = rng.gen::<u64>() >> (64 - NONCE_BITS);
             let ctx = AgentCtx::prepare(i, *data, &quantizer, nonce)?;
             match ctx.role {
                 Role::Seller => sellers.push(i),
@@ -141,7 +140,7 @@ impl<'a> Window<'a> {
             cfg,
             keys,
             rng,
-            pool,
+            streams,
             agents,
             sellers,
             buyers,
@@ -161,7 +160,7 @@ impl<'a> Window<'a> {
             cfg,
             keys,
             rng,
-            pool,
+            streams,
             agents,
             sellers,
             buyers,
@@ -189,7 +188,7 @@ impl<'a> Window<'a> {
                 &sellers,
                 &buyers,
                 cfg.topology,
-                pool,
+                streams,
             )
             .await?;
             let roles = (hr1, hr2);
@@ -209,7 +208,7 @@ impl<'a> Window<'a> {
                     &buyers,
                     cfg,
                     cfg.topology,
-                    pool,
+                    streams,
                     rng,
                 )
                 .await?;
@@ -224,19 +223,11 @@ impl<'a> Window<'a> {
             // Protocol 4.
             let phase = Phase::open(net, "window/dist");
             let dist = protocol4::run(
-                net, keys, &agents, &sellers, &buyers, price, general, cfg, pool, rng,
+                net, keys, &agents, &sellers, &buyers, price, general, cfg, streams, rng,
             )
             .await?;
             metrics.distribution = phase.close(net);
             revealed.allocation_ratios = dist.ratios;
-
-            // Off-critical-path step: top the randomizer pool back up so
-            // the next window's encryptions are all pre-amortized (a no-op
-            // at batch 0). Runs after the phase timers, so it never
-            // pollutes the hot-path metrics.
-            let refill_span = Span::enter("window/pool-refill", "driver");
-            pool.refill(keys);
-            refill_span.finish();
             let kind = if general {
                 MarketKind::General
             } else {
@@ -388,20 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fabric_window_matches_blocking_driver() {
-        let pop = population(&[2.0, 1.0, -3.0, -2.0]);
-        let cfg = || PemConfig::fast_test().with_randomizer_pool(4);
-        let mut blocking = Pem::new(cfg(), 4).expect("setup");
-        let mut fabric = Pem::new(cfg(), 4).expect("setup");
-        let a = blocking.run_window(&pop).expect("blocking window");
-        let task = fabric.fabric_window(&pop).expect("task");
-        let (mut outs, _) = Executor::new(0).run(vec![task]).expect("executor");
-        assert_outcomes_identical(&a, &outs.pop().expect("one output"));
-        // The pool streams are in lock-step too.
-        assert_eq!(blocking.pool_stats(), fabric.pool_stats());
-    }
-
-    #[test]
     fn lost_message_evicts_its_window_not_the_lane() {
         use pem_net::{FaultKind, FaultPlan, NetError};
         let lossy_pop = population(&[2.0, 1.0, -3.0, -2.0]);
@@ -483,8 +460,10 @@ mod tests {
         // The general and the extreme population on a LAN: the two
         // Protocol 2 folds run in lockstep and the settlement in three
         // sweeps, so on rings the window's critical path is 1,940 and
-        // 1,160 µs, and 1,932 µs on the binary tree. Serialising either
-        // stage again moves these. The roles (`H_r1`, `H_r2`, `H_b`, the
+        // 1,260 µs, and 1,932 µs on the binary tree. Serialising either
+        // stage again moves these. In the extreme market the buyers
+        // route the energy from the ratios announced to them, so the
+        // first settlement sweep departs after that announcement's hop. The roles (`H_r1`, `H_r2`, `H_b`, the
         // decryptor) are draws of the window stream, so a change to the
         // draws before them moves the paths too.
         use pem_net::LatencyModel;
@@ -492,7 +471,7 @@ mod tests {
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         for (cfg, surpluses, expected_us) in [
             (PemConfig::fast_test(), &general[..], 1_940),
-            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_160),
+            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_260),
             (tree, &general[..], 1_932),
         ] {
             let pop = population(surpluses);

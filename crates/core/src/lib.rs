@@ -67,7 +67,7 @@ pub use config::{OtProfile, PemConfig};
 pub use error::PemError;
 pub use fabric_window::WindowTask;
 pub use fold::Topology;
-pub use keys::KeyDirectory;
+pub use keys::{encrypt_under, KeyDirectory, RandomizerStreams};
 pub use metrics::{PhaseMetrics, WindowMetrics};
 pub use pem::{Pem, PemWindowOutcome, RevealedInfo};
 pub use pem_fabric::block_on;

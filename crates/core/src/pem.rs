@@ -1,7 +1,8 @@
 //! **Protocol 1 — the PEM driver.**
 //!
 //! Owns a market's long-lived state — keys (set up once), the driver
-//! DRBG and the randomizer pool — and runs trading windows over it. The
+//! DRBG and the per-key randomizer streams — and runs trading windows
+//! over it. The
 //! window body itself (coalition formation, Private Market Evaluation,
 //! Private Pricing or the floor price, Private Distribution, with the
 //! per-phase timing of the Fig. 5 reproduction) lives in
@@ -13,10 +14,11 @@
 //! The keys are its agents': [`Pem::new`] generates them, and
 //! [`Pem::with_keys`] borrows keys the agents already hold (a grid's
 //! coalitions borrow from one grid-wide directory). Every encryption
-//! randomizer comes from the pool's stream of its key, whatever the
-//! batch; nonces, roles and garbling come from the driver DRBG.
+//! randomizer is the next draw of its key's stream
+//! ([`RandomizerStreams`]); nonces, roles and garbling come from the
+//! driver DRBG.
 //!
-//! The DRBG and the pool only move forward: a window that fails burns
+//! The DRBG and the streams only move forward: a window that fails burns
 //! the nonces and randomizers it drew, and whatever runs next — a retry
 //! or the next window — continues from there, so no draw that reached
 //! the wire is ever drawn again.
@@ -30,9 +32,8 @@ use serde::{Deserialize, Serialize};
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::fabric_window::Window;
-use crate::keys::KeyDirectory;
+use crate::keys::{KeyDirectory, RandomizerStreams};
 use crate::metrics::WindowMetrics;
-use crate::randpool::{PoolStats, RandomizerPool};
 
 /// What the designated parties learned during a window — the complete
 /// Lemma 2–4 disclosure surface, exposed for auditing and the examples.
@@ -82,7 +83,7 @@ pub struct Pem {
     cfg: PemConfig,
     keys: KeyDirectory,
     rng: HashDrbg,
-    pool: RandomizerPool,
+    streams: RandomizerStreams,
 }
 
 impl Pem {
@@ -123,12 +124,12 @@ impl Pem {
     /// The market over a validated configuration and its keys.
     fn open(cfg: PemConfig, keys: KeyDirectory) -> Pem {
         let rng = HashDrbg::from_seed_label(b"pem-driver", cfg.seed);
-        let pool = RandomizerPool::generate(&keys, cfg.randomizer_pool, cfg.seed);
+        let streams = RandomizerStreams::new(keys.len(), cfg.seed);
         Pem {
             cfg,
             keys,
             rng,
-            pool,
+            streams,
         }
     }
 
@@ -145,12 +146,6 @@ impl Pem {
     /// The public key directory (what every agent can see).
     pub fn keys(&self) -> &KeyDirectory {
         &self.keys
-    }
-
-    /// Randomizer-pool counters, if the pool precomputes (`None` at
-    /// batch 0, where every randomizer is drawn on line).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        (self.pool.batch() > 0).then(|| self.pool.stats())
     }
 
     /// Runs one trading window (Protocol 1, lines 3–10) on a fresh
@@ -260,7 +255,7 @@ impl Pem {
             &self.cfg,
             &self.keys,
             &mut self.rng,
-            &mut self.pool,
+            &mut self.streams,
             window_data,
             net,
         )
@@ -366,58 +361,6 @@ mod tests {
         assert_eq!(o2.seller_count, 2);
         // Roles flipped: different agents trade.
         assert_ne!(o1.trades[0].seller, o2.trades[0].seller);
-    }
-
-    #[test]
-    fn randomizer_pool_preserves_outcomes() {
-        // The pool precomputes a prefix of each key's randomizer stream,
-        // so a pooled window is the pool-less one bit for bit: outcome,
-        // revealed surface and every byte on the wire.
-        let pop = population(&[2.0, 1.0, -3.0, -2.0, -1.0]);
-        let mut plain = Pem::new(PemConfig::fast_test(), 5).expect("setup");
-        let mut pooled =
-            Pem::new(PemConfig::fast_test().with_randomizer_pool(8), 5).expect("setup");
-        for window in 0..2 {
-            let a = plain.run_window(&pop).expect("plain window");
-            let b = pooled.run_window(&pop).expect("pooled window");
-            assert_eq!(a.kind, b.kind, "window {window}");
-            assert_eq!(a.price.to_bits(), b.price.to_bits(), "window {window}");
-            assert_eq!(a.trades, b.trades, "window {window}");
-            assert_eq!(a.revealed, b.revealed, "window {window}");
-            assert_eq!(a.net, b.net, "window {window}");
-        }
-        let stats = pooled.pool_stats().expect("pool enabled");
-        assert!(stats.hits > 0, "pool must serve the encryptions");
-        assert_eq!(stats.misses, 0, "batch of 8 per key must suffice");
-        assert!(plain.pool_stats().is_none());
-    }
-
-    #[test]
-    fn pooled_windows_are_deterministic() {
-        let pop = population(&[2.0, 1.0, -3.0, -2.0]);
-        let cfg = PemConfig::fast_test().with_randomizer_pool(4);
-        let run = |_: ()| {
-            let mut pem = Pem::new(cfg.clone(), 4).expect("setup");
-            let o1 = pem.run_window(&pop).expect("w1");
-            let o2 = pem.run_window(&pop).expect("w2");
-            let stats = pem.pool_stats().expect("pool enabled");
-            (o1, o2, stats)
-        };
-        let (a1, a2, a_stats) = run(());
-        let (b1, b2, b_stats) = run(());
-        for (x, y) in [(&a1, &b1), (&a2, &b2)] {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.price.to_bits(), y.price.to_bits());
-            assert_eq!(x.trades, y.trades);
-            assert_eq!(x.net, y.net);
-        }
-        // The deliberately small batch runs dry mid-window whenever one
-        // agent serves several protocol roles (more draws under its key
-        // than the batch holds), so the on-line draws run too — and the
-        // hit/miss/refill counters must themselves be deterministic
-        // across runs.
-        assert!(a_stats.hits > 0, "pool must serve encryptions");
-        assert_eq!(a_stats, b_stats, "pool counters are deterministic too");
     }
 
     #[test]

@@ -54,8 +54,7 @@ use crate::agents::AgentCtx;
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::fold::{fold, recv_from, Announcement, Topology};
-use crate::keys::KeyDirectory;
-use crate::randpool::{self, RandomizerPool};
+use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
 
 /// One of Protocol 2's nonce-masked folds with every term encrypted:
 /// demand toward `H_r1` or supply toward `H_r2`. The chain is the value
@@ -75,7 +74,7 @@ struct MaskedFold<'a> {
 
 impl<'a> MaskedFold<'a> {
     /// The synchronous half of a round: encrypts every contribution in
-    /// chain order, drawing from the collector key's stream in `pool`,
+    /// chain order, drawing from the collector key's stream in `streams`,
     /// before anything is sent.
     #[allow(clippy::too_many_arguments)]
     fn encrypt<T: Transport>(
@@ -86,7 +85,7 @@ impl<'a> MaskedFold<'a> {
         value_holders: &[usize],
         maskers: &[usize],
         label: &'static str,
-        pool: &mut RandomizerPool,
+        streams: &mut RandomizerStreams,
     ) -> Result<MaskedFold<'a>, PemError> {
         let span = Span::enter_at(label, "protocol", net.now_us());
         let pk = keys.public(collector);
@@ -100,7 +99,7 @@ impl<'a> MaskedFold<'a> {
             } else {
                 BigUint::from(a.nonce)
             };
-            terms.push([randpool::encrypt_under(pk, collector, &value, pool)?]);
+            terms.push([encrypt_under(pk, collector, &value, streams)?]);
         }
         Ok(MaskedFold {
             keys,
@@ -164,10 +163,12 @@ pub(crate) async fn masked_totals<T: Transport>(
     sellers: &[usize],
     buyers: &[usize],
     topology: Topology,
-    pool: &mut RandomizerPool,
+    streams: &mut RandomizerStreams,
 ) -> Result<(u128, u128), PemError> {
     let mut masked = |collector, holders, maskers, label| {
-        MaskedFold::encrypt(net, keys, agents, collector, holders, maskers, label, pool)
+        MaskedFold::encrypt(
+            net, keys, agents, collector, holders, maskers, label, streams,
+        )
     };
     let demand = masked(hr1, buyers, sellers, "eval/demand-agg")?;
     let supply = masked(hr2, sellers, buyers, "eval/supply-agg")?;
@@ -559,19 +560,19 @@ mod tests {
     #[test]
     fn joined_rings_match_sequential_rings_on_a_shorter_clock() {
         use super::{masked_totals, MaskedFold};
+        use crate::config::NONCE_BITS;
         use crate::fold::Topology;
-        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerPool};
+        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerStreams};
         use pem_crypto::drbg::HashDrbg;
         use pem_fabric::block_on;
         use pem_net::LatencyModel;
         use rand::Rng;
 
         // Sellers are parties 0..s, buyers s..s + b, on one directory of
-        // twelve; the pool is small enough that some randomizers are
-        // drawn on line.
+        // twelve.
         let cfg = PemConfig::fast_test();
         let keys = KeyDirectory::generate(12, cfg.key_bits, cfg.seed).expect("keys");
-        let q = Quantizer::new(cfg.scale);
+        let q = Quantizer::new();
         let mut nonces = HashDrbg::from_seed_label(b"p2-join-nonces", 1);
         let agents: Vec<AgentCtx> = (0..12)
             .map(|i| {
@@ -581,14 +582,14 @@ mod tests {
                 } else {
                     AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
                 };
-                let nonce = nonces.gen::<u64>() >> (64 - cfg.nonce_bits);
+                let nonce = nonces.gen::<u64>() >> (64 - NONCE_BITS);
                 AgentCtx::prepare(i, data, &q, nonce).expect("prepare")
             })
             .collect();
         let fresh = || {
             (
                 SimNetwork::with_latency(12, LatencyModel::lan()),
-                RandomizerPool::generate(&keys, 3, 5),
+                RandomizerStreams::new(keys.len(), 5),
             )
         };
         // Every shape, every coalition split: the join must not care how
@@ -606,11 +607,11 @@ mod tests {
                     let buyers: Vec<usize> = (6..6 + b).collect();
                     let (hr1, hr2) = (sellers[s - 1], buyers[0]);
 
-                    let (mut seq_net, mut seq_pool) = fresh();
+                    let (mut seq_net, mut seq_streams) = fresh();
                     let mut masked = |collector, holders, maskers, label| {
-                        let pool = &mut seq_pool;
+                        let streams = &mut seq_streams;
                         MaskedFold::encrypt(
-                            &seq_net, &keys, &agents, collector, holders, maskers, label, pool,
+                            &seq_net, &keys, &agents, collector, holders, maskers, label, streams,
                         )
                         .expect("encrypt")
                     };
@@ -621,7 +622,7 @@ mod tests {
                         block_on(supply.total(&mut seq_net, topology)).expect("supply fold"),
                     );
 
-                    let (mut net, mut pool) = fresh();
+                    let (mut net, mut streams) = fresh();
                     let joined = block_on(masked_totals(
                         &mut net,
                         &keys,
@@ -630,7 +631,7 @@ mod tests {
                         &sellers,
                         &buyers,
                         topology,
-                        &mut pool,
+                        &mut streams,
                     ))
                     .expect("joined folds");
 
@@ -638,7 +639,11 @@ mod tests {
                     assert_eq!(joined, sequential, "{case}: masked totals");
                     assert_eq!(net.stats(), seq_net.stats(), "{case}: traffic");
                     assert_eq!(net.pending(), 0, "{case}: every frame consumed");
-                    assert_eq!(format!("{pool:?}"), format!("{seq_pool:?}"), "{case}: pool");
+                    assert_eq!(
+                        format!("{streams:?}"),
+                        format!("{seq_streams:?}"),
+                        "{case}: streams"
+                    );
                     assert!(
                         net.now_us() < seq_net.now_us(),
                         "{case}: joined {} µs, sequential {} µs",
@@ -653,8 +658,9 @@ mod tests {
     #[test]
     fn supply_encrypted_before_demand_moves_no_bit() {
         use super::{masked_totals, MaskedFold, Shared};
+        use crate::config::NONCE_BITS;
         use crate::fold::Topology;
-        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerPool};
+        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerStreams};
         use pem_crypto::drbg::HashDrbg;
         use pem_fabric::{block_on, try_join};
         use pem_net::LatencyModel;
@@ -664,10 +670,10 @@ mod tests {
         // Each fold's terms come from its own collector's randomizer
         // stream, so `masked_totals`' demand-first order is a choice, not
         // a constraint: encrypting the supply terms first gives the same
-        // ciphertexts, totals, traffic and pool state, pooled or not.
+        // ciphertexts, totals, traffic and stream positions.
         let cfg = PemConfig::fast_test();
         let keys = KeyDirectory::generate(8, cfg.key_bits, cfg.seed).expect("keys");
-        let q = Quantizer::new(cfg.scale);
+        let q = Quantizer::new();
         let mut nonces = HashDrbg::from_seed_label(b"p2-order-nonces", 1);
         let agents: Vec<AgentCtx> = (0..8)
             .map(|i| {
@@ -677,76 +683,74 @@ mod tests {
                 } else {
                     AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
                 };
-                let nonce = nonces.gen::<u64>() >> (64 - cfg.nonce_bits);
+                let nonce = nonces.gen::<u64>() >> (64 - NONCE_BITS);
                 AgentCtx::prepare(i, data, &q, nonce).expect("prepare")
             })
             .collect();
         let (sellers, buyers): (Vec<usize>, Vec<usize>) = ((0..4).collect(), (4..8).collect());
         let (hr1, hr2) = (sellers[1], buyers[2]);
-        for batch in [0, 2, 8] {
-            for topology in [Topology::Ring, Topology::tree()] {
-                let case = format!("batch {batch}, {topology}");
-                let fresh = || {
-                    (
-                        SimNetwork::with_latency(8, LatencyModel::lan()),
-                        RandomizerPool::generate(&keys, batch, 3),
+        for topology in [Topology::Ring, Topology::tree()] {
+            let case = format!("{topology}");
+            let fresh = || {
+                (
+                    SimNetwork::with_latency(8, LatencyModel::lan()),
+                    RandomizerStreams::new(keys.len(), 3),
+                )
+            };
+            // The two folds with their terms encrypted in either
+            // order, then joined as `masked_totals` joins them.
+            let in_order = |supply_first: bool| {
+                let (mut net, mut streams) = fresh();
+                let mut masked = |collector, holders, maskers, label| {
+                    let streams = &mut streams;
+                    MaskedFold::encrypt(
+                        &net, &keys, &agents, collector, holders, maskers, label, streams,
                     )
+                    .expect("encrypt")
                 };
-                // The two folds with their terms encrypted in either
-                // order, then joined as `masked_totals` joins them.
-                let in_order = |supply_first: bool| {
-                    let (mut net, mut pool) = fresh();
-                    let mut masked = |collector, holders, maskers, label| {
-                        let pool = &mut pool;
-                        MaskedFold::encrypt(
-                            &net, &keys, &agents, collector, holders, maskers, label, pool,
-                        )
-                        .expect("encrypt")
-                    };
-                    let (demand, supply) = if supply_first {
-                        let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
-                        (masked(hr1, &buyers, &sellers, "eval/demand-agg"), supply)
-                    } else {
-                        let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
-                        (demand, masked(hr2, &sellers, &buyers, "eval/supply-agg"))
-                    };
-                    let terms = [&demand, &supply].map(|f| f.terms.clone());
-                    let shared = RefCell::new(&mut net);
-                    let totals = block_on(try_join(
-                        demand.total(&mut Shared(&shared), topology),
-                        supply.total(&mut Shared(&shared), topology),
-                    ))
-                    .expect("joined folds");
-                    let stats = net.stats();
-                    (terms, totals, stats, format!("{pool:?}"))
+                let (demand, supply) = if supply_first {
+                    let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
+                    (masked(hr1, &buyers, &sellers, "eval/demand-agg"), supply)
+                } else {
+                    let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
+                    (demand, masked(hr2, &sellers, &buyers, "eval/supply-agg"))
                 };
-                let demand_first = in_order(false);
-                let supply_first = in_order(true);
-                assert_eq!(supply_first.0, demand_first.0, "{case}: ciphertexts");
-                assert_eq!(supply_first.1, demand_first.1, "{case}: masked totals");
-                assert_eq!(supply_first.2, demand_first.2, "{case}: traffic");
-                assert_eq!(supply_first.3, demand_first.3, "{case}: pool");
-
-                let (mut net, mut pool) = fresh();
-                let totals = block_on(masked_totals(
-                    &mut net,
-                    &keys,
-                    &agents,
-                    (hr1, hr2),
-                    &sellers,
-                    &buyers,
-                    topology,
-                    &mut pool,
+                let terms = [&demand, &supply].map(|f| f.terms.clone());
+                let shared = RefCell::new(&mut net);
+                let totals = block_on(try_join(
+                    demand.total(&mut Shared(&shared), topology),
+                    supply.total(&mut Shared(&shared), topology),
                 ))
-                .expect("masked totals");
-                assert_eq!(totals, supply_first.1, "{case}: masked_totals");
-                assert_eq!(net.stats(), supply_first.2, "{case}: masked_totals traffic");
-                assert_eq!(
-                    format!("{pool:?}"),
-                    supply_first.3,
-                    "{case}: masked_totals pool"
-                );
-            }
+                .expect("joined folds");
+                let stats = net.stats();
+                (terms, totals, stats, format!("{streams:?}"))
+            };
+            let demand_first = in_order(false);
+            let supply_first = in_order(true);
+            assert_eq!(supply_first.0, demand_first.0, "{case}: ciphertexts");
+            assert_eq!(supply_first.1, demand_first.1, "{case}: masked totals");
+            assert_eq!(supply_first.2, demand_first.2, "{case}: traffic");
+            assert_eq!(supply_first.3, demand_first.3, "{case}: streams");
+
+            let (mut net, mut streams) = fresh();
+            let totals = block_on(masked_totals(
+                &mut net,
+                &keys,
+                &agents,
+                (hr1, hr2),
+                &sellers,
+                &buyers,
+                topology,
+                &mut streams,
+            ))
+            .expect("masked totals");
+            assert_eq!(totals, supply_first.1, "{case}: masked_totals");
+            assert_eq!(net.stats(), supply_first.2, "{case}: masked_totals traffic");
+            assert_eq!(
+                format!("{streams:?}"),
+                supply_first.3,
+                "{case}: masked_totals streams"
+            );
         }
     }
 }

@@ -25,8 +25,8 @@ use crate::config::PemConfig;
 use crate::error::PemError;
 pub use crate::fold::Topology;
 use crate::fold::{fold, Announcement};
-use crate::keys::KeyDirectory;
-use crate::randpool::{self, RandomizerPool};
+use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
+use crate::quantize::Quantizer;
 
 /// Result of Private Pricing.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +49,7 @@ pub struct PricingOutcome {
 /// `H_b` is drawn first, then every seller's terms are encrypted under
 /// its key in the order the topology visits the sellers (ring and star:
 /// seller order; tree: descending position), all before the first send.
-/// The RNG and randomizer-pool streams therefore do not depend on who
+/// The RNG and randomizer streams therefore do not depend on who
 /// polls the future. It yields before each receive. A trading window
 /// awaits it as one of its stages; on its own, Protocol 3 is
 /// `block_on(price(..))`.
@@ -68,7 +68,7 @@ pub async fn price<T: Transport>(
     buyers: &[usize],
     cfg: &PemConfig,
     topology: Topology,
-    pool: &mut RandomizerPool,
+    streams: &mut RandomizerStreams,
     rng: &mut HashDrbg,
 ) -> Result<PricingOutcome, PemError> {
     if sellers.is_empty() || buyers.is_empty() {
@@ -78,7 +78,7 @@ pub async fn price<T: Transport>(
     }
     let hb = buyers[rng.gen_range(0..buyers.len())];
     let pk = keys.public(hb);
-    let quantizer = cfg.quantizer();
+    let quantizer = Quantizer::new();
 
     // Each seller's two pricing terms, encrypted under H_b's key. The
     // denominator term is signed in principle (deep battery charging),
@@ -87,8 +87,8 @@ pub async fn price<T: Transport>(
         let a = &agents[idx];
         let k_q = quantizer.quantize_unsigned(a.data.preference, "preference")?;
         let d_q = quantizer.quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
-        let k_ct = randpool::encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), pool)?;
-        let d_ct = randpool::encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), pool)?;
+        let k_ct = encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), streams)?;
+        let d_ct = encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), streams)?;
         Ok([k_ct, d_ct])
     };
     // The tree draws its sellers' randomizers in descending position
@@ -129,7 +129,7 @@ async fn price_terms<T: Transport>(
     agg_span.finish_at(vts);
 
     // … who decrypts the two aggregates (and nothing else — Lemma 3).
-    let quantizer = cfg.quantizer();
+    let quantizer = Quantizer::new();
     let sk = keys.keypair(hb).private();
     let k_sum_q = sk
         .decrypt(&k_ct)
@@ -173,7 +173,6 @@ async fn price_terms<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantize::Quantizer;
     use pem_fabric::block_on;
     use pem_market::{optimal_price, optimal_price_unclamped, AgentWindow, Role};
     use pem_net::SimNetwork;
@@ -190,9 +189,9 @@ mod tests {
         topology: Topology,
         rng: &mut HashDrbg,
     ) -> Result<PricingOutcome, PemError> {
-        let pool = &mut RandomizerPool::generate(keys, 0, cfg.seed);
+        let streams = &mut RandomizerStreams::new(keys.len(), cfg.seed);
         block_on(price(
-            net, keys, agents, sellers, buyers, cfg, topology, pool, rng,
+            net, keys, agents, sellers, buyers, cfg, topology, streams, rng,
         ))
     }
 
@@ -208,7 +207,7 @@ mod tests {
         HashDrbg,
     ) {
         let cfg = PemConfig::fast_test();
-        let q = Quantizer::new(cfg.scale);
+        let q = Quantizer::new();
         let n = agents_data.len();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
         let mut rng = HashDrbg::from_seed_label(b"p3-test", 1);

@@ -12,27 +12,29 @@
 //! 3. Paillier has no homomorphic division, so each buyer inverts its
 //!    ratio *in the exponent*: it sends
 //!    `Enc(E_b)^{round(K / |sn_j|)} = Enc(E_b · round(K / |sn_j|))`
-//!    with a public precision constant `K = 2^ratio_precision_bits`.
+//!    with a public precision constant `K = 2^48`.
 //!    `H_s` decrypts `v_j ≈ K·E_b/|sn_j|` and recovers the demand ratio
 //!    `|sn_j|/E_b = K/v_j` — learning the ratio but neither operand.
-//!    Every `v_j` is below `2^w` for `w =`
-//!    [`PemConfig::ratio_slot_bits`] (98 bits), so `H_s` decrypts the
-//!    fan-in packed
+//!    Every `v_j` is below `2^w` for a slot width `w` of 98 bits, so
+//!    `H_s` decrypts the fan-in packed
 //!    ([`PrivateKey::decrypt_packed`](pem_crypto::paillier::PrivateKey::decrypt_packed)):
 //!    it Horner-folds
 //!    `⌊(|n| − 64)/w⌋` ciphertexts (20 at 2048-bit keys) into one,
 //!    decrypts that once and splits it into slots. It learns exactly the
 //!    `v_j` and nothing more; a plaintext that overflows its pack (a
 //!    corrupted ciphertext) is a typed error.
-//! 4. `H_s` announces the ratio vector inside the seller coalition; each
-//!    seller checks its copy (one ratio per buyer, bit for bit) and
-//!    routes `e_ij = sn_i · ratio_j` from it to each buyer, who pays
-//!    `m_ji = p·e_ij` — the O(n²) pairwise settlement of §III-D. The
-//!    round-trips are independent, so they run as three sweeps: every
-//!    seller sends all its energy frames, every buyer gathers its frames
-//!    and answers each with a payment, every seller gathers its payments
-//!    and checks each. On the virtual clock the settlement costs about
-//!    two hops, not one round-trip per pair.
+//! 4. The decryptor announces the ratio vector inside its own coalition;
+//!    each member checks its copy (one ratio per member of the ratio
+//!    side, bit for bit) and routes `e = |sn| · ratio` from its own net
+//!    energy and its own copy to each counterparty, who answers with the
+//!    payment `p·e` — the O(n²) pairwise settlement of §III-D. In a
+//!    general market the sellers route `sn_i · ratio_j` to the buyers; in
+//!    an extreme one the buyers route `|sn_j| · ratio_i` to the sellers.
+//!    The round-trips are independent, so they run as three sweeps: every
+//!    router sends all its energy frames, every counterparty gathers its
+//!    frames and answers each with a payment, every router gathers its
+//!    payments and checks each bit for bit. On the virtual clock the
+//!    settlement costs about two hops, not one round-trip per pair.
 //!
 //! [`run`] is an `async fn`, and every receive in it is a
 //! [`gather`] that yields first: a replayed frame
@@ -48,11 +50,11 @@ use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
-use crate::config::PemConfig;
+use crate::config::{PemConfig, RATIO_PRECISION_BITS, RATIO_SLOT_BITS};
 use crate::error::PemError;
 use crate::fold::{fold, gather, read_ciphertext, Announcement};
-use crate::keys::KeyDirectory;
-use crate::randpool::{self, RandomizerPool};
+use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
+use crate::quantize::Quantizer;
 
 /// Result of Private Distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +88,7 @@ pub async fn run<T: Transport>(
     price: f64,
     general_market: bool,
     cfg: &PemConfig,
-    pool: &mut RandomizerPool,
+    streams: &mut RandomizerStreams,
     rng: &mut HashDrbg,
 ) -> Result<DistributionOutcome, PemError> {
     if sellers.is_empty() || buyers.is_empty() {
@@ -103,7 +105,7 @@ pub async fn run<T: Transport>(
     };
     let decryptor = other_side[rng.gen_range(0..other_side.len())];
     let pk = keys.public(decryptor);
-    let k_const = 1u128 << cfg.ratio_precision_bits;
+    let k_const = 1u128 << RATIO_PRECISION_BITS;
 
     // --- Step 2: fold the ratio side's total under pk. -----------------
     // The fold ends at the coalition's last member, who multiplies in its
@@ -115,7 +117,7 @@ pub async fn run<T: Transport>(
         .ok_or(PemError::Protocol("empty ratio coalition"))?;
     let mut encrypt = |member: usize| {
         let value = BigUint::from(agents[member].sn_abs_q);
-        randpool::encrypt_under(pk, decryptor, &value, pool)
+        encrypt_under(pk, decryptor, &value, streams)
     };
     let mut own = Vec::with_capacity(members.len());
     for &member in members {
@@ -153,7 +155,7 @@ pub async fn run<T: Transport>(
     }
 
     // The decryptor gathers the whole fan-in first, each ciphertext at
-    // its sender's position. Every v_j is below 2^ratio_slot_bits, so it
+    // its sender's position. Every v_j is below 2^RATIO_SLOT_BITS, so it
     // decrypts them packed: one CRT decryption per slots_per_pack
     // ratios. A plaintext above its slot (a corrupted ciphertext) is a
     // typed error.
@@ -170,10 +172,9 @@ pub async fn run<T: Transport>(
     })
     .await?;
     let mut ratios = Vec::with_capacity(ratio_side.len());
-    for m in sk.decrypt_packed(&ratio_cts, cfg.ratio_slot_bits())? {
+    for m in sk.decrypt_packed(&ratio_cts, RATIO_SLOT_BITS)? {
         // Zero is degenerate. Above 2^128 is unreachable: the packed
-        // decryption bounds v by its slot, which `validate` keeps below
-        // 2^110.
+        // decryption bounds v by its 98-bit slot.
         let v = m
             .to_u128()
             .filter(|&v| v != 0)
@@ -218,54 +219,53 @@ pub async fn run<T: Transport>(
         copy_of[member] = copy;
     }
 
-    // Pairwise settlement. In both market cases e_ij multiplies the
-    // *other* side's absolute net energy by the ratio-side share, read
-    // from the other side's party's copy. Every pair that trades,
-    // seller-major: (seller, buyer, energy).
-    let quantizer = cfg.quantizer();
+    // Pairwise settlement. The side that heard the ratios routes each
+    // e = |sn| · ratio from its own net energy and its own copy; the
+    // ratio side answers with the payment. Every pair that trades,
+    // seller-major: (seller, buyer, energy), and its (router,
+    // counterparty).
+    let quantizer = Quantizer::new();
     let mut pairs = Vec::with_capacity(sellers.len() * buyers.len());
     for (s_pos, &s) in sellers.iter().enumerate() {
-        let sn_s = quantizer.dequantize(agents[s].sn_q);
         for (b_pos, &b) in buyers.iter().enumerate() {
-            let energy = if general_market {
-                // Seller s sends sn_s · (|sn_b| / E_b).
-                sn_s * copy_of[s][b_pos]
+            let (router, counterparty, pos) = if general_market {
+                (s, b, b_pos)
             } else {
-                // Seller share of the buyer's demand: |sn_b| · (sn_s / E_s).
-                let sn_b = quantizer.dequantize(-agents[b].sn_q);
-                sn_b * copy_of[b][s_pos]
+                (b, s, s_pos)
             };
+            let sn = quantizer.dequantize(agents[router].sn_q.abs());
+            let energy = sn * copy_of[router][pos];
             if energy > 0.0 {
-                pairs.push((s, b, energy));
+                pairs.push((s, b, energy, router, counterparty));
             }
         }
     }
     // The round-trips are independent, so they run as three sweeps
-    // rather than one pair at a time: every seller routes its energy …
-    for &(s, b, energy) in &pairs {
+    // rather than one pair at a time: every router sends its energy …
+    for &(_, _, energy, router, counterparty) in &pairs {
         let frame = WireWriter::frame(|w| w.put_f64(energy));
-        net.send(PartyId(s), PartyId(b), "dist/energy", frame)?;
+        net.send(PartyId(router), PartyId(counterparty), "dist/energy", frame)?;
     }
-    // … every buyer gathers its frames and answers each with the
-    // payment …
-    for &b in buyers {
-        let senders = pairs.iter().filter(|p| p.1 == b).map(|p| (p.0, ()));
-        gather(net, b, "dist/energy", senders, |net, env, ()| {
+    // … every member of the ratio side gathers its frames and answers
+    // each with the payment …
+    for &member in ratio_side {
+        let senders = pairs.iter().filter(|p| p.4 == member).map(|p| (p.3, ()));
+        gather(net, member, "dist/energy", senders, |net, env, ()| {
             let routed = WireReader::frame(&env.payload, |r| r.get_f64())?;
             let payment = WireWriter::frame(|w| w.put_f64(price * routed));
-            Ok(net.send(PartyId(b), env.from, "dist/payment", payment)?)
+            Ok(net.send(PartyId(member), env.from, "dist/payment", payment)?)
         })
         .await?;
     }
-    // … and every seller gathers its payments, checking each echo against
-    // its own `price · energy` bit for bit: a payment for any other
-    // amount is not this trade's.
-    for &s in sellers {
+    // … and every router gathers its payments, checking each echo
+    // against its own `price · energy` bit for bit: a payment for any
+    // other amount is not this trade's.
+    for &router in other_side {
         let senders = pairs
             .iter()
-            .filter(|p| p.0 == s)
-            .map(|p| (p.1, price * p.2));
-        gather(net, s, "dist/payment", senders, |_, env, payment| {
+            .filter(|p| p.3 == router)
+            .map(|p| (p.4, price * p.2));
+        gather(net, router, "dist/payment", senders, |_, env, payment| {
             let echoed = WireReader::frame(&env.payload, |r| r.get_f64())?;
             if echoed.to_bits() != payment.to_bits() {
                 return Err(PemError::Protocol(
@@ -278,7 +278,7 @@ pub async fn run<T: Transport>(
     }
     let trades = pairs
         .into_iter()
-        .map(|(s, b, energy)| Trade {
+        .map(|(s, b, energy, ..)| Trade {
             seller: AgentId(agents[s].data.id.0),
             buyer: AgentId(agents[b].data.id.0),
             energy,
@@ -297,10 +297,10 @@ pub async fn run<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantize::Quantizer;
+    use crate::fold::Topology;
     use pem_fabric::block_on;
-    use pem_market::{allocate, AgentWindow, Role};
-    use pem_net::SimNetwork;
+    use pem_market::{allocate, AgentWindow, MarketKind, Role};
+    use pem_net::{Envelope, NetError, NetStats, SimNetwork};
 
     fn setup(
         surpluses: &[f64],
@@ -314,7 +314,7 @@ mod tests {
         HashDrbg,
     ) {
         let cfg = PemConfig::fast_test();
-        let q = Quantizer::new(cfg.scale);
+        let q = Quantizer::new();
         let n = surpluses.len();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
         let rng = HashDrbg::from_seed_label(b"p4-test", 1);
@@ -396,7 +396,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("protocol 4");
@@ -417,7 +417,7 @@ mod tests {
             90.0,
             false,
             &cfg,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("protocol 4");
@@ -437,7 +437,7 @@ mod tests {
             95.0,
             true,
             &cfg,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("protocol 4");
@@ -461,7 +461,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("protocol 4");
@@ -489,7 +489,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("protocol 4");
@@ -509,7 +509,7 @@ mod tests {
                 100.0,
                 true,
                 &cfg,
-                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut RandomizerStreams::new(keys.len(), 1),
                 &mut rng
             )),
             Err(PemError::Protocol(_))
@@ -529,7 +529,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("protocol 4");
@@ -588,13 +588,119 @@ mod tests {
                 100.0,
                 true,
                 &cfg,
-                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut RandomizerStreams::new(keys.len(), 1),
                 &mut rng,
             ));
             assert!(
                 matches!(result, Err(PemError::Protocol(_))),
                 "{case}: got {result:?}"
             );
+        }
+    }
+
+    /// A [`SimNetwork`] that keeps a copy of every frame it is handed.
+    struct Recording {
+        net: SimNetwork,
+        frames: Vec<(usize, usize, &'static str, Vec<u8>)>,
+    }
+
+    impl Transport for Recording {
+        fn party_count(&self) -> usize {
+            self.net.party_count()
+        }
+
+        fn send(
+            &mut self,
+            from: PartyId,
+            to: PartyId,
+            label: &'static str,
+            payload: Vec<u8>,
+        ) -> Result<(), NetError> {
+            self.frames.push((from.0, to.0, label, payload.clone()));
+            self.net.send(from, to, label, payload)
+        }
+
+        fn recv(&mut self, to: PartyId) -> Option<Envelope> {
+            self.net.recv(to)
+        }
+
+        fn recv_expect(&mut self, to: PartyId, label: &'static str) -> Result<Envelope, NetError> {
+            self.net.recv_expect(to, label)
+        }
+
+        fn stats(&self) -> NetStats {
+            self.net.stats()
+        }
+
+        fn now_us(&self) -> u64 {
+            self.net.now_us()
+        }
+
+        fn pending(&self) -> usize {
+            self.net.pending()
+        }
+    }
+
+    #[test]
+    fn energy_is_routed_by_the_side_that_heard_the_ratios() {
+        // Whole windows, ring and tree. In a general market the sellers
+        // hear the ratios and every `dist/energy` frame goes seller →
+        // buyer with sn_s · ratio_b; in an extreme market the buyers hear
+        // them and every frame goes buyer → seller with |sn_b| · ratio_s.
+        // Each value is the router's own net energy times the ratio in
+        // the router's own copy: the `dist/ratios` frame it was sent, or
+        // the vector it decrypted.
+        let q = Quantizer::new();
+        for (surpluses, kind) in [
+            (&[2.0, 3.0, -4.0, -2.0, -2.5][..], MarketKind::General),
+            (&[5.0, 4.0, 3.5, -1.0, -2.5, -0.75][..], MarketKind::Extreme),
+        ] {
+            for topology in [Topology::Ring, Topology::tree()] {
+                let case = format!("{kind:?} on the {topology}");
+                let n = surpluses.len();
+                let (_, _, agents, sellers, buyers, cfg, _) = setup(surpluses);
+                let pop: Vec<AgentWindow> = agents.iter().map(|a| a.data).collect();
+                let mut net = Recording {
+                    net: SimNetwork::new(n),
+                    frames: Vec::new(),
+                };
+                let out = crate::Pem::new(cfg.with_topology(topology), n)
+                    .expect("setup")
+                    .run_window_on(&mut net, &pop)
+                    .expect("window");
+                assert_eq!(out.kind, kind, "{case}");
+                let (routers, ratio_side) = match kind {
+                    MarketKind::General => (&sellers, &buyers),
+                    _ => (&buyers, &sellers),
+                };
+                let copy_of = |router: usize| -> Vec<f64> {
+                    let frame = net
+                        .frames
+                        .iter()
+                        .find(|f| f.2 == "dist/ratios" && f.1 == router);
+                    frame.map_or(out.revealed.allocation_ratios.clone(), |f| {
+                        WireReader::frame(&f.3, |r| {
+                            let count = r.get_varint()?;
+                            (0..count)
+                                .map(|_| r.get_f64())
+                                .collect::<Result<_, NetError>>()
+                        })
+                        .expect("ratio announcement")
+                    })
+                };
+                let mut routed = 0;
+                for (from, to, _, payload) in net.frames.iter().filter(|f| f.2 == "dist/energy") {
+                    let route = format!("{case}: P{from} → P{to}");
+                    assert!(routers.contains(from), "{route}: not a router");
+                    let pos = ratio_side.iter().position(|m| m == to).expect(&route);
+                    let own_sn = q.dequantize(agents[*from].sn_q.abs());
+                    let energy = WireReader::frame(payload, |r| r.get_f64()).expect("energy");
+                    let expected = own_sn * copy_of(*from)[pos];
+                    assert_eq!(energy.to_bits(), expected.to_bits(), "{route}");
+                    routed += 1;
+                }
+                assert_eq!(routed, sellers.len() * buyers.len(), "{case}");
+            }
         }
     }
 }

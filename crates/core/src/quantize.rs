@@ -1,35 +1,21 @@
 //! Fixed-point quantization between market floats and field elements.
 //!
 //! All energies (kWh) and the pricing terms enter the ciphertexts as
-//! integers scaled by [`Quantizer::scale`] (default `10^6`, i.e. µkWh
-//! resolution on one-minute windows). Headroom checks guarantee that
-//! nonce-masked aggregates fit both the Paillier message space and the
-//! comparison-circuit width.
+//! integers scaled by `10^6` (µkWh resolution on one-minute windows).
+//! Headroom checks guarantee that nonce-masked aggregates fit both the
+//! Paillier message space and the comparison-circuit width.
 
-use serde::{Deserialize, Serialize};
-
+use crate::config::SCALE;
 use crate::error::PemError;
 
-/// Converts between `f64` quantities and scaled integers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Quantizer {
-    scale: u64,
-}
+/// Converts between `f64` quantities and integers at the fixed scale.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Quantizer;
 
 impl Quantizer {
-    /// Creates a quantizer with the given scale factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is zero.
-    pub fn new(scale: u64) -> Quantizer {
-        assert!(scale > 0, "scale must be positive");
-        Quantizer { scale }
-    }
-
-    /// The scale factor.
-    pub fn scale(&self) -> u64 {
-        self.scale
+    /// The quantizer (µkWh resolution).
+    pub fn new() -> Quantizer {
+        Quantizer
     }
 
     /// Quantizes a signed value (round-to-nearest).
@@ -37,12 +23,12 @@ impl Quantizer {
     /// # Errors
     ///
     /// [`PemError::Quantization`] if the value is non-finite or its
-    /// magnitude exceeds `2^62 / scale` (headroom guard).
+    /// magnitude exceeds `2^62 / 10^6` (headroom guard).
     pub fn quantize(&self, v: f64, what: &'static str) -> Result<i64, PemError> {
         if !v.is_finite() {
             return Err(PemError::Quantization { what, value: v });
         }
-        let scaled = v * self.scale as f64;
+        let scaled = v * SCALE as f64;
         if scaled.abs() >= (1u64 << 62) as f64 {
             return Err(PemError::Quantization { what, value: v });
         }
@@ -61,12 +47,12 @@ impl Quantizer {
 
     /// Recovers the float.
     pub fn dequantize(&self, q: i64) -> f64 {
-        q as f64 / self.scale as f64
+        q as f64 / SCALE as f64
     }
 
     /// Recovers the float from an unsigned/aggregated value.
     pub fn dequantize_u128(&self, q: u128) -> f64 {
-        q as f64 / self.scale as f64
+        q as f64 / SCALE as f64
     }
 
     /// Verifies that `agents` nonce-masked contributions of at most
@@ -77,7 +63,6 @@ impl Quantizer {
     ///
     /// [`PemError::Config`] describing the violated bound.
     pub fn check_headroom(
-        &self,
         agents: usize,
         value_bits: u32,
         nonce_bits: u32,
@@ -99,20 +84,13 @@ impl Quantizer {
     }
 }
 
-impl Default for Quantizer {
-    /// µkWh resolution (`scale = 10^6`).
-    fn default() -> Self {
-        Quantizer::new(1_000_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip_typical_energies() {
-        let q = Quantizer::default();
+        let q = Quantizer::new();
         for v in [0.0, 0.001, 0.05, 1.5, -0.75, 123.456789] {
             let enc = q.quantize(v, "test").expect("quantize");
             assert!((q.dequantize(enc) - v).abs() < 1e-6, "v={v}");
@@ -121,15 +99,15 @@ mod tests {
 
     #[test]
     fn rounds_to_nearest() {
-        let q = Quantizer::new(10);
-        assert_eq!(q.quantize(0.04, "t").expect("ok"), 0);
-        assert_eq!(q.quantize(0.06, "t").expect("ok"), 1);
-        assert_eq!(q.quantize(-0.06, "t").expect("ok"), -1);
+        let q = Quantizer::new();
+        assert_eq!(q.quantize(4e-7, "t").expect("ok"), 0);
+        assert_eq!(q.quantize(6e-7, "t").expect("ok"), 1);
+        assert_eq!(q.quantize(-6e-7, "t").expect("ok"), -1);
     }
 
     #[test]
     fn rejects_pathological_values() {
-        let q = Quantizer::default();
+        let q = Quantizer::new();
         assert!(q.quantize(f64::NAN, "t").is_err());
         assert!(q.quantize(f64::INFINITY, "t").is_err());
         assert!(q.quantize(1e60, "t").is_err());
@@ -138,27 +116,19 @@ mod tests {
 
     #[test]
     fn unsigned_accepts_zero() {
-        let q = Quantizer::default();
+        let q = Quantizer::new();
         assert_eq!(q.quantize_unsigned(0.0, "t").expect("ok"), 0);
     }
 
     #[test]
     fn headroom_accepts_paper_scale() {
-        let q = Quantizer::default();
         // 1000 agents, 30-bit values, 40-bit nonces, 64-bit comparison.
-        q.check_headroom(1000, 30, 40, 64).expect("fits");
+        Quantizer::check_headroom(1000, 30, 40, 64).expect("fits");
     }
 
     #[test]
     fn headroom_rejects_tight_width() {
-        let q = Quantizer::default();
-        assert!(q.check_headroom(1000, 30, 40, 52).is_err());
-        assert!(q.check_headroom(4, 8, 8, 8).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_scale_panics() {
-        Quantizer::new(0);
+        assert!(Quantizer::check_headroom(1000, 30, 40, 52).is_err());
+        assert!(Quantizer::check_headroom(4, 8, 8, 8).is_err());
     }
 }

@@ -6,7 +6,7 @@
 
 use pem_core::block_on;
 use pem_core::protocol3::{price, PricingOutcome, Topology};
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerPool};
+use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerStreams};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
 use pem_net::{Envelope, NetError, NetStats, PartyId, SimNetwork, Transport};
@@ -91,7 +91,7 @@ fn market(
 ) {
     let mut cfg = PemConfig::fast_test();
     cfg.seed = seed;
-    let q = Quantizer::new(cfg.scale);
+    let q = Quantizer::new();
     let n = n_sellers + 2; // plus two buyers
     let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
     let mut rng = HashDrbg::from_seed_label(b"tree-test", seed);
@@ -144,7 +144,7 @@ fn price_with(
         buyers,
         cfg,
         topology,
-        &mut RandomizerPool::generate(keys, 0, 1),
+        &mut RandomizerStreams::new(keys.len(), 1),
         &mut rng,
     ))
     .expect("pricing");
@@ -205,7 +205,7 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
                 &buyers,
                 &cfg,
                 Topology::Tree { fanin },
-                &mut RandomizerPool::generate(&keys, 0, 1),
+                &mut RandomizerStreams::new(keys.len(), 1),
                 &mut rng,
             ))
             .expect("pricing");
@@ -246,7 +246,7 @@ fn tree_critical_path_is_logarithmic() {
             &buyers,
             &cfg,
             topology,
-            &mut RandomizerPool::generate(&keys, 0, 1),
+            &mut RandomizerStreams::new(keys.len(), 1),
             &mut rng,
         ))
         .expect("pricing");
@@ -312,9 +312,7 @@ fn every_shape_runs_the_ring_window_bit_for_bit() {
         (extreme, MarketKind::Extreme),
     ] {
         let run = |topology: Topology| -> PemWindowOutcome {
-            let cfg = PemConfig::fast_test()
-                .with_topology(topology)
-                .with_randomizer_pool(4);
+            let cfg = PemConfig::fast_test().with_topology(topology);
             Pem::new(cfg, pop.len())
                 .expect("setup")
                 .run_window(&pop)

@@ -12,11 +12,6 @@ pub struct CouplingConfig {
     /// encrypted under. Independent of the per-agent key size; 96-bit
     /// minimum so the aggregates fit the message space with headroom.
     pub key_bits: usize,
-    /// Precomputed randomizers held for the grid key, topped back up to
-    /// this batch between rounds (0 precomputes none). Every randomizer
-    /// is the next draw of the grid key's one stream either way, so the
-    /// batch moves where the exponentiations run, never a bit.
-    pub randomizer_pool: usize,
     /// Transfers below this many kWh are dust and never scheduled.
     pub min_transfer_kwh: f64,
     /// Latency model of the coupling fabric's links (shard
@@ -31,12 +26,11 @@ pub struct CouplingConfig {
 }
 
 impl CouplingConfig {
-    /// A simulation-sized profile (toy 128-bit grid key, pooled
-    /// randomizers) running the full code path.
+    /// A simulation-sized profile (toy 128-bit grid key) running the
+    /// full code path.
     pub fn fast_test() -> CouplingConfig {
         CouplingConfig {
             key_bits: 128,
-            randomizer_pool: 8,
             min_transfer_kwh: 1e-3,
             latency: LatencyModel::zero(),
             repartition: None,
@@ -85,7 +79,6 @@ impl Default for CouplingConfig {
     fn default() -> CouplingConfig {
         CouplingConfig {
             key_bits: 512,
-            randomizer_pool: 16,
             min_transfer_kwh: 1e-3,
             latency: LatencyModel::zero(),
             repartition: None,
@@ -104,7 +97,7 @@ pub struct RepartitionConfig {
     /// Windows of history required before the first proposal.
     pub min_windows: u64,
     /// Maximum member swaps per proposal: bounds churn, and so how many
-    /// coalitions rebuild their DRBG and randomizer pool (no key is
+    /// coalitions rebuild their DRBG and randomizer streams (no key is
     /// re-made; every home keeps its pair).
     pub max_swaps: usize,
 }

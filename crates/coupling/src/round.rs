@@ -29,8 +29,7 @@
 
 use pem_bignum::BigUint;
 use pem_core::fold::{expect_drained, fold, gather, read_ciphertext, Announcement, Topology};
-use pem_core::randpool::{encrypt_under, RandomizerPool};
-use pem_core::{block_on, KeyDirectory, PemError, PoolStats};
+use pem_core::{block_on, encrypt_under, KeyDirectory, PemError, RandomizerStreams};
 use pem_crypto::paillier::Ciphertext;
 use pem_market::PriceBand;
 use pem_net::wire::{WireReader, WireWriter};
@@ -177,15 +176,15 @@ struct Quantized {
 }
 
 /// The grid coupling coordinator: owns the grid Paillier key, its
-/// randomizer stream (pooled per [`CouplingConfig::randomizer_pool`]) and
-/// the round logic. One instance persists across a day's windows (key
-/// setup runs once; the pool refills to its batch between rounds).
+/// randomizer stream and the round logic. One instance persists across
+/// a day's windows (key setup runs once; the stream only moves
+/// forward).
 #[derive(Debug)]
 pub struct CouplingCoordinator {
     cfg: CouplingConfig,
     band: PriceBand,
     keys: KeyDirectory,
-    pool: RandomizerPool,
+    streams: RandomizerStreams,
 }
 
 impl CouplingCoordinator {
@@ -204,24 +203,18 @@ impl CouplingCoordinator {
         cfg.validate()?;
         let grid_seed = seed ^ 0xC0_0B_11_46_0C_0A_57_A1;
         let keys = KeyDirectory::generate(1, cfg.key_bits, grid_seed)?;
-        let pool = RandomizerPool::generate(&keys, cfg.randomizer_pool, grid_seed);
+        let streams = RandomizerStreams::new(keys.len(), grid_seed);
         Ok(CouplingCoordinator {
             cfg,
             band,
             keys,
-            pool,
+            streams,
         })
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &CouplingConfig {
         &self.cfg
-    }
-
-    /// Grid-key randomizer-pool counters, if the pool precomputes
-    /// (`None` at batch 0).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        (self.pool.batch() > 0).then(|| self.pool.stats())
     }
 
     /// Runs one coupling round over the coalitions' published positions
@@ -289,7 +282,7 @@ impl CouplingCoordinator {
         let up_span = Span::enter_at("couple/up", "coupling", net.now_us());
         let mut own = Vec::with_capacity(s);
         for q in quantized.iter().rev() {
-            let mut enc = |m: BigUint| encrypt_under(&pk, 0, &m, &mut self.pool);
+            let mut enc = |m: BigUint| encrypt_under(&pk, 0, &m, &mut self.streams);
             own.push([
                 enc(BigUint::from(q.pos))?,
                 enc(BigUint::from(q.neg))?,
@@ -365,7 +358,7 @@ impl CouplingCoordinator {
             let claim_span = Span::enter_at("couple/claim", "coupling", net.now_us());
             for (i, q) in quantized.iter().enumerate() {
                 let m = pk.encode_i128(q.res);
-                let c = encrypt_under(&pk, 0, &m, &mut self.pool)?;
+                let c = encrypt_under(&pk, 0, &m, &mut self.streams)?;
                 let frame = WireWriter::frame(|w| w.put_biguint(c.as_biguint()));
                 net.send(PartyId(i), coordinator, LABEL_CLAIM, frame)?;
             }
@@ -445,9 +438,6 @@ impl CouplingCoordinator {
         }
         expect_drained(net)?;
         round_span.finish_at(net.now_us());
-
-        // Off-critical-path: top the grid-key randomizer pool back up.
-        self.pool.refill(&self.keys);
 
         let transferred_kwh: f64 = transfers.iter().map(ShardTransfer::energy_kwh).sum();
         let post_dispersion = post_coupling_dispersion(positions, &transfers, corridor);
@@ -1049,44 +1039,6 @@ mod tests {
                 "{case}, replayed: {result:?}"
             );
         }
-    }
-
-    #[test]
-    fn pool_serves_the_round_and_refills() {
-        // The grid key's pool is a precomputed prefix of its one
-        // randomizer stream: a round draws 15 randomizers (four per shard
-        // up the tree, one claim each), the batch of 8 serves the first 8,
-        // the refill tops it back up — and a pool-less coordinator puts
-        // the same bytes on the wire and schedules the same transfers.
-        let mut pooled = coordinator();
-        let mut plain = CouplingCoordinator::new(
-            CouplingConfig {
-                randomizer_pool: 0,
-                ..CouplingConfig::fast_test()
-            },
-            PriceBand::paper_defaults(),
-            11,
-        )
-        .expect("coordinator");
-        let positions = vec![
-            position(0, 92.0, 3.0, 2.0),
-            position(1, 108.0, 2.0, -1.5),
-            position(2, 100.0, 1.0, -0.25),
-        ];
-        for round in 1..=2u64 {
-            let a = pooled.run_round(&positions).expect("pooled round");
-            let b = plain.run_round(&positions).expect("plain round");
-            assert!(a.summary.engaged, "round {round} claims");
-            assert_eq!(a.transfers, b.transfers, "round {round}");
-            assert_eq!(a.summary.net, b.summary.net, "round {round}");
-            let stats = pooled.pool_stats().expect("pool enabled");
-            assert_eq!(
-                (stats.hits, stats.misses, stats.generated),
-                (8 * round, 7 * round, 8 * (round + 1)),
-                "round {round}"
-            );
-        }
-        assert!(plain.pool_stats().is_none());
     }
 
     #[test]

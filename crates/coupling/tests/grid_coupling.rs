@@ -46,7 +46,7 @@ fn thousand_home_day_reduces_dispersion_without_leaking_bids() {
     // sides of the market.
     let day: Vec<Vec<AgentWindow>> = vec![trace.window_agents(8), trace.window_agents(10)];
 
-    let mut pem = PemConfig::fast_test().with_randomizer_pool(8);
+    let mut pem = PemConfig::fast_test();
     pem.band = wide_band();
     let coupling = CouplingConfig::fast_test();
     let key_bits = coupling.key_bits;
@@ -152,7 +152,7 @@ fn synthetic(n: usize) -> Vec<AgentWindow> {
 
 fn coupled_grid(coalition_size: usize) -> GridConfig {
     GridConfig {
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
+        pem: PemConfig::fast_test(),
         coalition_size,
         workers: 2,
         engine: Engine::Threads,

@@ -1,7 +1,7 @@
 //! The grid orchestrator: sharded multi-coalition PEM windows on a
 //! fixed worker pool, settled onto one ledger.
 
-use pem_core::{KeyDirectory, Pem, PemConfig, PemError, PemWindowOutcome, PoolStats};
+use pem_core::{KeyDirectory, Pem, PemConfig, PemError, PemWindowOutcome};
 use pem_coupling::{CouplingConfig, CouplingCoordinator, Repartitioner, ShardPosition};
 use pem_fabric::Executor;
 use pem_ledger::{Ledger, SettlementContract, SettlementTx, TransferTx};
@@ -89,7 +89,7 @@ impl std::str::FromStr for Engine {
 ///
 /// `max_attempts` counts *re-executions* after the initial run. A retry
 /// is the same window run again on the lane's executor, continuing the
-/// coalition's DRBG and randomizer pool past what the failed attempt
+/// coalition's DRBG and randomizer streams past what the failed attempt
 /// drew — no nonce or randomizer is ever put on the wire twice. Where an
 /// attempt fails depends on the fault plan alone, so every attempt is
 /// bit-reproducible at any worker count and on either engine. A
@@ -156,11 +156,9 @@ pub struct GridConfig {
     /// Maximum agents per coalition (the paper's evaluated regime is
     /// tens to low hundreds; protocol cost grows superlinearly).
     pub coalition_size: usize,
-    /// Worker threads running coalition windows and setup. Under
-    /// [`Engine::Fabric`] the protocol phase — between-window pool
-    /// refills included — runs on one thread; `workers` still
-    /// parallelizes setup: key generation, one home per job, then each
-    /// coalition's initial randomizer batch, one coalition per job.
+    /// Worker threads running coalition windows and key generation.
+    /// Under [`Engine::Fabric`] the protocol phase runs on one thread;
+    /// `workers` still parallelizes key generation, one home per job.
     pub workers: usize,
     /// Execution engine for the window's coalition jobs.
     pub engine: Engine,
@@ -204,25 +202,10 @@ impl GridConfig {
 
 /// One coalition's persistent state: membership plus its PEM instance,
 /// which borrows its members' keys from the grid's directory and owns
-/// the coalition's DRBG and randomizer pool.
+/// the coalition's DRBG and randomizer streams.
 struct Shard {
     members: Vec<usize>,
     pem: Pem,
-    /// The pool's lifetime counters when the last report read them;
-    /// zero for a coalition built since.
-    pool_mark: PoolStats,
-}
-
-impl Shard {
-    /// Pool activity since the last report (since the coalition was
-    /// built, on its first): the pool counts over its lifetime, a report
-    /// carries one window, failed attempts' draws included.
-    fn pool_window(&mut self) -> Option<PoolStats> {
-        let now = self.pem.pool_stats()?;
-        let window = now.since(&self.pool_mark);
-        self.pool_mark = now;
-        Some(window)
-    }
 }
 
 /// Derives coalition `shard`'s seed from the grid master seed. `epoch`
@@ -336,11 +319,11 @@ fn run_lane(
 ///
 /// Given the same population stream and configuration (including
 /// `pem.seed`), every run produces bit-identical [`GridReport`]
-/// fingerprints regardless of `workers`, the engine or the pool batch:
-/// a home's key is a function of the master seed and its id,
-/// coalitions own disjoint RNG streams, each key's randomizers are one
-/// stream of its coalition's pool, and results are folded in shard
-/// order, never completion order.
+/// fingerprints regardless of `workers` or the engine: a home's key is
+/// a function of the master seed and its id, coalitions own disjoint
+/// RNG streams, each key's randomizers are one stream of its
+/// coalition's, and results are folded in shard order, never completion
+/// order.
 pub struct GridOrchestrator {
     cfg: GridConfig,
     partitioner: Box<dyn Partitioner + Send + Sync>,
@@ -452,7 +435,7 @@ impl GridOrchestrator {
     /// Forms coalitions and generates key material for `population`
     /// agents: one key pair per home, from the master seed and the
     /// home's id (one home per job on the worker pool), then one
-    /// coalition per job borrowing its members' keys. Called implicitly
+    /// coalition per shard borrowing its members' keys. Called implicitly
     /// by the first window; explicit calls let callers front-load setup.
     ///
     /// # Errors
@@ -487,40 +470,29 @@ impl GridOrchestrator {
         Ok(())
     }
 
-    /// Builds `(shard index, members)` coalitions on the worker pool over
-    /// the members' keys in `keys`, seeding each coalition's DRBG and
-    /// randomizer pool from the master seed, its index and the current
-    /// re-partition epoch. No key is generated here.
+    /// Builds `(shard index, members)` coalitions over the members' keys
+    /// in `keys`, seeding each coalition's DRBG and randomizer streams
+    /// from the master seed, its index and the current re-partition
+    /// epoch. No key is generated here.
     fn build_shards(
         &self,
         keys: &KeyDirectory,
         jobs: Vec<(usize, Vec<usize>)>,
     ) -> Result<Vec<Shard>, SchedError> {
-        let master = self.cfg.pem.seed;
-        let epoch = self.epoch;
-        let base_cfg = &self.cfg.pem;
-        let built: Vec<Result<Shard, PemError>> =
-            pool::run_indexed(self.cfg.workers, jobs, move |_, (idx, members)| {
-                let mut cfg = base_cfg.clone();
-                cfg.seed = shard_seed(master, idx, epoch);
+        jobs.into_iter()
+            .map(|(idx, members)| {
+                let mut cfg = self.cfg.pem.clone();
+                cfg.seed = shard_seed(self.cfg.pem.seed, idx, self.epoch);
                 let pem = Pem::with_keys(cfg, keys.select(&members)?)?;
-                Ok(Shard {
-                    members,
-                    pem,
-                    pool_mark: PoolStats::default(),
-                })
-            });
-        let mut shards = Vec::with_capacity(built.len());
-        for shard in built {
-            shards.push(shard?);
-        }
-        Ok(shards)
+                Ok(Shard { members, pem })
+            })
+            .collect()
     }
 
     /// Applies a pending dispersion-driven re-partition, if the
     /// imbalance history warrants one. Coalitions whose membership
     /// changed are rebuilt over their new members' keys, with a fresh
-    /// DRBG and randomizer pool under the new epoch; untouched coalitions
+    /// DRBG and randomizer streams under the new epoch; untouched coalitions
     /// keep their stream positions. No key is made: every home keeps its
     /// pair. Returns whether membership changed.
     fn maybe_repartition(&mut self, population: &[AgentWindow]) -> Result<bool, SchedError> {
@@ -819,14 +791,6 @@ impl GridOrchestrator {
 
         let outcome_refs: Vec<&PemWindowOutcome> = outcomes.iter().flatten().collect();
         let latency = phase_latencies(&outcome_refs);
-        let pool_stats =
-            shards
-                .iter_mut()
-                .filter_map(Shard::pool_window)
-                .reduce(|mut total, window| {
-                    total += window;
-                    total
-                });
 
         let tip_hash = self
             .ledger
@@ -884,7 +848,7 @@ impl GridOrchestrator {
                 chain_blocks: self.ledger.blocks().len(),
                 tip_hash,
             },
-            pool: pool_stats,
+            pool: None,
             coupling: coupling_summary,
             profile,
             causal,
@@ -917,7 +881,7 @@ mod tests {
 
     fn config(workers: usize) -> GridConfig {
         GridConfig {
-            pem: PemConfig::fast_test().with_randomizer_pool(4),
+            pem: PemConfig::fast_test(),
             coalition_size: 6,
             workers,
             engine: Engine::Threads,
@@ -940,8 +904,6 @@ mod tests {
         assert_eq!(report.net.sent_bytes.len(), 20);
         assert!(report.settlement.blocks_appended > 0);
         assert!(grid.ledger().validate().is_ok());
-        let pool = report.pool.expect("pools enabled");
-        assert!(pool.hits > 0);
         // Prices live inside the band for every trading shard.
         assert!(report.prices.min >= grid.config().pem.band.floor);
         assert!(report.prices.max <= grid.config().pem.band.ceiling);
@@ -1071,75 +1033,6 @@ mod tests {
                 .with_repartition(pem_coupling::RepartitionConfig::fast_test()),
         );
         (GridOrchestrator::new(cfg).expect("grid"), surpluses)
-    }
-
-    /// Lifetime pool counters summed over the coalitions formed now.
-    fn lifetime_pool(grid: &GridOrchestrator) -> PoolStats {
-        let mut total = PoolStats::default();
-        for shard in grid.shards.as_ref().expect("formed") {
-            total += shard.pem.pool_stats().expect("pools enabled");
-        }
-        total
-    }
-
-    #[test]
-    fn pool_counters_are_per_window() {
-        let pop = population(12);
-        let mut grid = GridOrchestrator::new(config(2)).expect("grid");
-        let windows: Vec<GridReport> = (0..3)
-            .map(|_| grid.run_window(&pop).expect("window"))
-            .collect();
-        let mut summed = PoolStats::default();
-        for w in &windows {
-            summed += w.pool.expect("pools enabled");
-        }
-        assert_eq!(summed, lifetime_pool(&grid));
-        assert!(
-            windows
-                .iter()
-                .all(|w| w.pool.expect("pool").hits < summed.hits),
-            "each window reports its own draws, not the running total"
-        );
-        let day = GridDayReport::fold(windows, true);
-        assert_eq!(day.pool, Some(summed));
-    }
-
-    #[test]
-    fn pool_counters_stay_per_window_across_a_repartition() {
-        let (mut grid, surpluses) = lopsided_grid();
-        let mut reported = PoolStats::default();
-        // What the coalitions a re-partition rebuilt had done.
-        let mut retired = PoolStats::default();
-        let mut windows = Vec::new();
-        for w in 0..3 {
-            let before: Vec<(Vec<usize>, PoolStats)> =
-                grid.shards.as_ref().map_or_else(Vec::new, |shards| {
-                    shards
-                        .iter()
-                        .map(|s| (s.members.clone(), s.pem.pool_stats().expect("pool")))
-                        .collect()
-                });
-            let report = grid.run_window(&surpluses).expect("window");
-            assert_eq!(report.coupling.as_ref().expect("cs").repartitioned, w == 2);
-            reported += report.pool.expect("pools enabled");
-            for (shard, (members, stats)) in
-                grid.shards.as_ref().expect("formed").iter().zip(&before)
-            {
-                if shard.members != *members {
-                    retired += *stats;
-                }
-            }
-            let mut lifetime = lifetime_pool(&grid);
-            lifetime += retired;
-            assert_eq!(reported, lifetime, "window {w}");
-            windows.push(report);
-        }
-        assert_ne!(
-            retired,
-            PoolStats::default(),
-            "the re-partition rebuilt a coalition"
-        );
-        assert_eq!(GridDayReport::fold(windows, true).pool, Some(reported));
     }
 
     /// Each agent's modulus as its coalition's market holds it, checked

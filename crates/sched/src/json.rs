@@ -7,7 +7,6 @@
 //!
 //! [`LatencyPercentiles::to_json`]: crate::LatencyPercentiles::to_json
 
-use pem_core::PoolStats;
 use pem_coupling::CouplingSummary;
 use pem_net::NetStats;
 use pem_telemetry::json::Json;
@@ -35,10 +34,6 @@ fn net_json(n: &NetStats) -> Json {
         "total_messages": n.total_messages, "total_bytes": n.total_bytes,
         "parties": n.sent_bytes.len(), "per_label": Json::obj(per_label),
     }
-}
-
-fn pool_json(p: &PoolStats) -> Json {
-    json_object! { "hits": p.hits, "misses": p.misses, "generated": p.generated }
 }
 
 fn coupling_json(c: &CouplingSummary) -> Json {
@@ -86,7 +81,6 @@ impl GridReport {
                 "blocks_appended": settlement.blocks_appended,
                 "chain_blocks": settlement.chain_blocks, "tip_hash": hex(&settlement.tip_hash),
             },
-            "pool": self.pool.as_ref().map(pool_json),
             "coupling": self.coupling.as_ref().map(coupling_json),
             "profile": self.profile.as_ref().map(ProfileSummary::to_json),
             "causal": self.causal.as_ref().map(CriticalPathReport::to_json),
@@ -105,7 +99,6 @@ impl GridDayReport {
             "total_bytes": self.total_bytes, "total_messages": self.total_messages,
             "ledger_valid": self.ledger_valid, "transferred_kwh": self.transferred_kwh,
             "coupling_welfare_cents": self.coupling_welfare_cents,
-            "pool": self.pool.as_ref().map(pool_json),
             "net": self.net.as_ref().map(net_json),
             "profile": self.profile.as_ref().map(ProfileSummary::to_json),
             "windows": self.windows.iter().map(GridReport::to_json).collect::<Json>(),

@@ -10,9 +10,8 @@
 //! * [`pool`] — a fixed worker pool with deterministic result ordering:
 //!   the same seed yields bit-identical grids at 1, 4 or 64 workers,
 //! * per-coalition [`pem_core::Pem`] instances over one grid-wide
-//!   directory of per-home keys, with batched Paillier randomizer pools
-//!   ([`pem_core::randpool`]) amortizing the encryption hot path between
-//!   windows without moving a bit,
+//!   directory of per-home keys, each with its own DRBG and per-key
+//!   randomizer streams ([`pem_core::RandomizerStreams`]),
 //! * [`GridOrchestrator`] — dispatches coalition windows, merges traffic
 //!   onto grid-global party ids ([`pem_net::NetStats::merge_mapped`]),
 //!   folds prices into cross-shard dispersion and latencies into
@@ -44,7 +43,7 @@
 //!     })
 //!     .collect();
 //! let mut grid = GridOrchestrator::new(GridConfig {
-//!     pem: PemConfig::fast_test().with_randomizer_pool(4),
+//!     pem: PemConfig::fast_test(),
 //!     coalition_size: 4,
 //!     workers: 2,
 //!     engine: Engine::Threads,

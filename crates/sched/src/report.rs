@@ -235,12 +235,9 @@ pub struct GridReport {
     pub latency: PhaseLatencies,
     /// Settlement-chain effects of this window.
     pub settlement: SettlementSummary,
-    /// Randomizer-pool activity of *this window alone* (deltas, not
-    /// lifetime totals), summed across the coalitions' pools; `None`
-    /// when pools precompute nothing (batch 0). A coalition's first
-    /// window — after a re-partition rebuilt it, too — also counts its
-    /// initial batch in `generated`, so the windows sum to what the
-    /// pools ever did.
+    /// Always `None`: no coalition holds a randomizer pool. Kept for
+    /// callers written against the retired pool (see
+    /// [`pem_core::randpool`]).
     pub pool: Option<PoolStats>,
     /// The cross-shard coupling round's summary; `None` when coupling is
     /// disabled (in which case the report — and its fingerprint — is
@@ -267,7 +264,7 @@ impl GridReport {
     /// shard membership, regimes, prices, trades, traffic totals and the
     /// settlement tip. Two runs of the same population + seed must
     /// produce identical fingerprints regardless of worker count;
-    /// latencies and pool hit counters are deliberately excluded.
+    /// latencies are deliberately excluded.
     pub fn fingerprint(&self) -> [u8; 32] {
         let mut buf = Vec::with_capacity(64 + self.shard_outcomes.len() * 64);
         buf.extend_from_slice(b"pem-grid-report-v1");
@@ -330,8 +327,6 @@ pub struct GridDayReport {
     pub total_messages: u64,
     /// `true` if the settlement chain validated end-to-end afterwards.
     pub ledger_valid: bool,
-    /// Day-total randomizer-pool counters (sum of per-window deltas).
-    pub pool: Option<PoolStats>,
     /// Total energy moved between coalitions by coupling rounds (kWh).
     pub transferred_kwh: f64,
     /// Total welfare recovered by coupling rounds (cents).
@@ -358,7 +353,6 @@ impl GridDayReport {
             total_bytes: 0,
             total_messages: 0,
             ledger_valid,
-            pool: None,
             transferred_kwh: 0.0,
             coupling_welfare_cents: 0.0,
             net: None,
@@ -380,9 +374,6 @@ impl GridDayReport {
                 }
             } else if net_ok {
                 day.net = Some(w.net.clone());
-            }
-            if let Some(p) = w.pool {
-                *day.pool.get_or_insert_with(PoolStats::default) += p;
             }
             if let Some(p) = &w.profile {
                 day.profile

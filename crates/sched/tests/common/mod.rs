@@ -76,8 +76,7 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 /// every shard fingerprint, message count and the ledger tip held; and
 /// once for per-home keys and per-key randomizer streams (the same
 /// change as [`GOLDEN`]; the coupling fabric's bytes and critical path
-/// held). Same re-record rule as [`GOLDEN`]. The pins hold at every
-/// shard and coupling pool batch (see [`run_tree_coupled`]).
+/// held). Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
     "74c96dff555375e9867b18b044e009e3e894d568f07b57102a7848d6c65bea61:544:432",
@@ -153,7 +152,7 @@ pub fn run_paper512() -> Vec<GridReport> {
 pub fn run(workers: usize) -> Vec<GridReport> {
     run_grid(
         &WINDOWS,
-        PemConfig::fast_test().with_randomizer_pool(6),
+        PemConfig::fast_test(),
         None,
         workers,
         Engine::Threads,
@@ -161,20 +160,14 @@ pub fn run(workers: usize) -> Vec<GridReport> {
 }
 
 /// The same two windows on the paths `GOLDEN` does not reach: every fold
-/// of Protocols 2–4 over `Topology::tree()` and the coupling round on,
-/// with `pool` randomizers precomputed per shard key and per grid key
-/// (the pinned run: `None`, the profiles' own batches — 0 per shard, 8
-/// for the grid key). One string per window: the full fingerprint, then
+/// of Protocols 2–4 over `Topology::tree()` and the coupling round on.
+/// One string per window: the full fingerprint, then
 /// the coupling fabric's bytes and critical path (LAN links, so the
 /// tree's virtual clock is pinned, not a zero).
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
-pub fn run_tree_coupled(workers: usize, engine: Engine, pool: Option<usize>) -> Vec<String> {
-    let mut pem = PemConfig::fast_test().with_topology(Topology::tree());
-    let mut coupling = CouplingConfig::fast_test().with_latency(LatencyModel::lan());
-    if let Some(batch) = pool {
-        pem.randomizer_pool = batch;
-        coupling.randomizer_pool = batch;
-    }
+pub fn run_tree_coupled(workers: usize, engine: Engine) -> Vec<String> {
+    let pem = PemConfig::fast_test().with_topology(Topology::tree());
+    let coupling = CouplingConfig::fast_test().with_latency(LatencyModel::lan());
     run_grid(&WINDOWS, pem, Some(coupling), workers, engine)
         .iter()
         .map(|r| {

@@ -19,7 +19,7 @@ use pem_sched::{
 
 fn grid_config(engine: Engine, workers: usize) -> GridConfig {
     GridConfig {
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
+        pem: PemConfig::fast_test(),
         coalition_size: 10,
         workers,
         engine,
@@ -297,54 +297,52 @@ fn a_failed_window_never_replays_its_draws() {
         },
     ];
     let data = day(2);
-    for pool in [0usize, 6] {
-        for engine in [Engine::Threads, Engine::Fabric { batch: 8 }] {
-            let cfg = GridConfig {
-                pem: PemConfig::fast_test().with_randomizer_pool(pool),
-                strategy: PartitionStrategy::RoundRobin,
-                ..grid_config(engine, 2)
+    for engine in [Engine::Threads, Engine::Fabric { batch: 8 }] {
+        let cfg = GridConfig {
+            pem: PemConfig::fast_test(),
+            strategy: PartitionStrategy::RoundRobin,
+            ..grid_config(engine, 2)
+        };
+        let mut grid = GridOrchestrator::new(cfg.clone())
+            .expect("grid")
+            .with_chaos(specs.clone());
+        let reports: Vec<GridReport> = data
+            .iter()
+            .map(|pop| grid.run_window(pop).expect("degraded window completes"))
+            .collect();
+        assert_eq!(
+            reports[0].statuses[1],
+            CoalitionStatus::Recovered { attempts: 1 }
+        );
+        assert!(matches!(
+            reports[0].statuses[2],
+            CoalitionStatus::Quarantined { .. }
+        ));
+        assert_eq!(
+            reports[1].statuses[2],
+            CoalitionStatus::Recovered { attempts: 1 },
+            "the probe re-admits coalition 2"
+        );
+        let fresh = GridOrchestrator::new(cfg)
+            .expect("grid")
+            .run_window(&data[1])
+            .expect("fresh window");
+        for shard in [1usize, 2] {
+            let masked = |report: &GridReport| {
+                report
+                    .shard_outcomes
+                    .iter()
+                    .find(|so| so.shard == shard)
+                    .expect("coalition settled")
+                    .outcome
+                    .revealed
+                    .masked_demand
             };
-            let mut grid = GridOrchestrator::new(cfg.clone())
-                .expect("grid")
-                .with_chaos(specs.clone());
-            let reports: Vec<GridReport> = data
-                .iter()
-                .map(|pop| grid.run_window(pop).expect("degraded window completes"))
-                .collect();
-            assert_eq!(
-                reports[0].statuses[1],
-                CoalitionStatus::Recovered { attempts: 1 }
+            assert_ne!(
+                masked(&reports[1]),
+                masked(&fresh),
+                "{engine}: coalition {shard} redrew its failed attempt's nonces"
             );
-            assert!(matches!(
-                reports[0].statuses[2],
-                CoalitionStatus::Quarantined { .. }
-            ));
-            assert_eq!(
-                reports[1].statuses[2],
-                CoalitionStatus::Recovered { attempts: 1 },
-                "the probe re-admits coalition 2"
-            );
-            let fresh = GridOrchestrator::new(cfg)
-                .expect("grid")
-                .run_window(&data[1])
-                .expect("fresh window");
-            for shard in [1usize, 2] {
-                let masked = |report: &GridReport| {
-                    report
-                        .shard_outcomes
-                        .iter()
-                        .find(|so| so.shard == shard)
-                        .expect("coalition settled")
-                        .outcome
-                        .revealed
-                        .masked_demand
-                };
-                assert_ne!(
-                    masked(&reports[1]),
-                    masked(&fresh),
-                    "pool {pool}, {engine}: coalition {shard} redrew its failed attempt's nonces"
-                );
-            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Scheduler determinism: the same population and seed must yield an
 //! identical `GridReport` — prices, trades, traffic, settlement hashes —
-//! at 1, 4 and 8 workers, with the randomizer pool enabled.
+//! at 1, 4 and 8 workers.
 //!
 //! This is the contract every later scaling layer (async fabrics,
 //! distributed workers) must preserve: *where* a coalition runs can
@@ -13,8 +13,7 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 
 fn grid_config(workers: usize, strategy: PartitionStrategy) -> GridConfig {
     GridConfig {
-        // Randomizer pool on: determinism must hold with batched crypto.
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
+        pem: PemConfig::fast_test(),
         coalition_size: 10,
         workers,
         engine: Engine::Threads,
@@ -113,22 +112,4 @@ fn different_seeds_change_the_fingerprint() {
         b.fingerprint(),
         "different seeds must not collide"
     );
-}
-
-#[test]
-fn pool_disabled_changes_no_bit() {
-    // The randomizer pool precomputes a prefix of each key's randomizer
-    // stream: it moves where encryptions pay their exponentiation, never
-    // a ciphertext, so the pooled and pool-less windows share every
-    // fingerprint bit and only the pool counters differ.
-    let data = day(1, 30);
-    let pooled = run(2, PartitionStrategy::SurplusBalanced, &data);
-    let mut cfg = grid_config(2, PartitionStrategy::SurplusBalanced);
-    cfg.pem.randomizer_pool = 0;
-    let mut grid = GridOrchestrator::new(cfg).expect("grid");
-    let plain = grid.run_window(&data[0]).expect("window");
-    assert_eq!(pooled[0].fingerprint(), plain.fingerprint());
-    assert_eq!(pooled[0].net, plain.net);
-    assert!(pooled[0].pool.is_some());
-    assert!(plain.pool.is_none());
 }

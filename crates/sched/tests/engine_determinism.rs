@@ -10,9 +10,7 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 
 fn grid_config(engine: Engine) -> GridConfig {
     GridConfig {
-        // Randomizer pool on: the engines must keep even the batched
-        // crypto streams in lock-step.
-        pem: PemConfig::fast_test().with_randomizer_pool(6),
+        pem: PemConfig::fast_test(),
         coalition_size: 10,
         workers: 4,
         engine,

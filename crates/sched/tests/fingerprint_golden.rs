@@ -68,7 +68,7 @@ fn tree_and_coupled_paths_match_their_pins() {
         (4, Engine::Threads),
         (4, Engine::Fabric { batch: 8 }),
     ] {
-        let pins = common::run_tree_coupled(workers, engine, None);
+        let pins = common::run_tree_coupled(workers, engine);
         println!("workers={workers} engine={engine:?} pins={pins:?}");
         assert_eq!(
             pins,
@@ -80,21 +80,13 @@ fn tree_and_coupled_paths_match_their_pins() {
 
 #[test]
 fn tree_and_coupled_pins_hold_at_every_pool_batch() {
-    // The pool precomputes a prefix of each key's randomizer stream, so
-    // how many randomizers it holds — none, one, eight, per shard key
-    // and for the grid key — moves no bit on either engine.
+    // The randomizer pool is retired, so every batch is the one batch:
+    // none, each randomizer drawn on line from its key's stream. One
+    // run, on the engine shape the test above does not take (one
+    // window resident at a time).
     use pem_sched::Engine;
-    for batch in [0, 1, 8] {
-        for (workers, engine) in [
-            (2usize, Engine::Threads),
-            (1, Engine::Fabric { batch: 1 }),
-            (1, Engine::Fabric { batch: 8 }),
-        ] {
-            assert_eq!(
-                common::run_tree_coupled(workers, engine, Some(batch)),
-                common::TREE_COUPLED_GOLDEN.to_vec(),
-                "pool batch {batch} on {engine:?}"
-            );
-        }
-    }
+    assert_eq!(
+        common::run_tree_coupled(1, Engine::Fabric { batch: 1 }),
+        common::TREE_COUPLED_GOLDEN.to_vec(),
+    );
 }

@@ -79,7 +79,7 @@ pub use span::Span;
 pub struct Event {
     /// Span name (a phase or sub-phase, e.g. `"eval/demand-agg"`).
     pub name: &'static str,
-    /// Category (e.g. `"protocol"`, `"driver"`, `"pool"`).
+    /// Category (e.g. `"protocol"`, `"driver"`, `"coupling"`).
     pub cat: &'static str,
     /// Collector-assigned thread id (stable per OS thread).
     pub tid: u64,

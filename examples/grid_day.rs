@@ -1,12 +1,12 @@
 //! A grid-scale trading day: 1,000 smart homes partitioned into 30-odd
 //! coalitions, each running the full PEM protocol stack in parallel on a
-//! fixed worker pool, with batched Paillier randomizers and every trade
-//! settled onto one hash-chained ledger.
+//! fixed worker pool, with every trade settled onto one hash-chained
+//! ledger.
 //!
 //! ```text
 //! cargo run --release --example grid_day
 //! cargo run --release --example grid_day -- --homes 1000 --windows 4 \
-//!     --coalition 31 --workers 8 --strategy surplus --pool 8
+//!     --coalition 31 --workers 8 --strategy surplus
 //! # Cross-shard market coupling + dispersion-driven re-partitioning:
 //! cargo run --release --example grid_day -- --couple --repartition
 //! # Latency-aware fabrics (coalition windows *and* the coupling round
@@ -62,7 +62,6 @@ fn main() {
         "--workers",
         std::thread::available_parallelism().map_or(4, |n| n.get()),
     );
-    let pool: usize = arg("--pool", 64);
     let strategy = match arg("--strategy", "surplus".to_string()).as_str() {
         "round-robin" => PartitionStrategy::RoundRobin,
         "feeder" => PartitionStrategy::Feeder { feeders: 8 },
@@ -114,7 +113,7 @@ fn main() {
 
     println!("== PEM grid day ==");
     println!(
-        "homes {homes} | windows {windows} | coalition ≤{coalition} | workers {workers} | engine {engine} | randomizer pool {pool}/key | coupling {} | latency {latency_name} | topology {topology} | chaos {} | retries {retries}",
+        "homes {homes} | windows {windows} | coalition ≤{coalition} | workers {workers} | engine {engine} | coupling {} | latency {latency_name} | topology {topology} | chaos {} | retries {retries}",
         if couple { "on" } else { "off" },
         if chaos { "on" } else { "off" },
     );
@@ -143,7 +142,6 @@ fn main() {
     // prices land *inside* the band and genuine cross-coalition price
     // dispersion appears (what the coupling round arbitrages).
     let mut pem = PemConfig::fast_test()
-        .with_randomizer_pool(pool)
         .with_latency(latency)
         .with_topology(topology);
     pem.band = pem::market::PriceBand {
@@ -189,7 +187,7 @@ fn main() {
         ]);
     }
 
-    // Front-load coalition formation + keygen (parallel on the pool).
+    // Front-load coalition formation + keygen (parallel on the workers).
     let setup = Instant::now();
     grid.form_shards(&day[0]).expect("shard formation");
     let plan = grid.plan().expect("plan fixed");
@@ -302,14 +300,6 @@ fn main() {
         "throughput         {:>12.1} agent-windows/s",
         agents_windows / elapsed
     );
-    if let Some(pool) = report.pool {
-        println!(
-            "randomizer pool    {:>12.1}% hit rate ({} hits, {} misses)",
-            pool.hit_rate() * 100.0,
-            pool.hits,
-            pool.misses
-        );
-    }
     if couple {
         println!(
             "coupling           {:>12.2} kWh transferred, +{:.1} ¢ welfare, {} transfer blocks",

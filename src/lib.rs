@@ -17,10 +17,10 @@
 //! | [`market`] | `pem-market` | the Stackelberg trading model (Eqs. 1–15), allocation, baseline |
 //! | [`data`] | `pem-data` | synthetic smart-home traces (UMass Smart* substitute) |
 //! | [`net`] | `pem-net` | `Transport` trait and its one byte-metered fabric (`SimNetwork`: latency models, virtual clock, fault injection), wire codec — per-agent processes would be a socket-backed `Transport` (parked on the ROADMAP) |
-//! | [`core`] | `pem-core` | Protocols 1–4: the Private Energy Market itself, plus the precomputed-randomizer pool (one configuration: per-key DRBG streams over the key's one `h_s^x` lane) |
+//! | [`core`] | `pem-core` | Protocols 1–4: the Private Energy Market itself; every encryption takes the next draw of its key's randomizer stream (one `h_s^x` lane) |
 //! | [`fabric`] | `pem-fabric` | `block_on` / `yield_now` / `try_join` for the `async fn` protocols, deterministic single-thread executor (`EventTransport` = `SimNetwork`) |
 //! | [`ledger`] | `pem-ledger` | hash-chained settlement ledger (§VI blockchain extension) |
-//! | [`sched`] | `pem-sched` | sharded multi-coalition grid orchestrator (bounded coalitions, worker pool, batched crypto) |
+//! | [`sched`] | `pem-sched` | sharded multi-coalition grid orchestrator (bounded coalitions, worker pool, one ledger) |
 //! | [`coupling`] | `pem-coupling` | privacy-preserving cross-shard market coupling + dispersion-driven re-partitioning |
 //! | [`telemetry`] | `pem-telemetry` | spans (wall + virtual clock), metrics registry, Chrome trace export |
 //!

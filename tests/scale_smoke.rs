@@ -3,7 +3,7 @@
 //! Not a benchmark — this guards against accidental O(n³) regressions and
 //! overflow at population sizes above what the unit tests use.
 
-use pem::core::{Pem, PemConfig};
+use pem::core::{Pem, PemConfig, Quantizer};
 use pem::data::{TraceConfig, TraceGenerator};
 use pem::market::{MarketEngine, MarketKind};
 
@@ -49,7 +49,7 @@ fn four_hour_windows_keep_headroom() {
     // the 64-bit comparison must still have slack at 50 agents.
     let cfg = PemConfig::fast_test();
     cfg.validate(50).expect("headroom holds");
-    let q = cfg.quantizer();
+    let q = Quantizer::new();
     // 20 kWh quantizes to 2·10^7 ≈ 2^25, well under the 32-bit per-value
     // bound the validation assumes.
     let v = q.quantize(20.0, "test").expect("fits");
