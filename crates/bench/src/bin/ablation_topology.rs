@@ -30,7 +30,7 @@ use pem_bench::Args;
 use pem_core::block_on;
 use pem_core::fold::Topology;
 use pem_core::protocol3::price;
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerStreams};
+use pem_core::{AgentCtx, KeyDirectory, PemConfig, RandomizerStreams};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;
 use pem_net::{LatencyModel, SimNetwork, Transport};
@@ -56,7 +56,6 @@ fn main() {
         let n = n_sellers + 2; // plus two buyers
         let mut cfg = PemConfig::fast_test();
         cfg.key_bits = key_bits;
-        let q = Quantizer::new();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
         let mut rng = HashDrbg::from_seed_label(b"ablation", n as u64);
 
@@ -69,7 +68,7 @@ fn main() {
             } else {
                 AgentWindow::new(i, 0.0, 50.0, 0.0, 0.9, 25.0)
             };
-            let ctx = AgentCtx::prepare(i, data, &q, rng.gen::<u64>() >> 24).expect("prepare");
+            let ctx = AgentCtx::prepare(i, data, rng.gen::<u64>() >> 24).expect("prepare");
             if i < n_sellers {
                 sellers.push(i);
             } else {

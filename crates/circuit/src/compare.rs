@@ -25,6 +25,13 @@
 //! comparison) is `DhGroup::short_exponent_bits` wide — 160 bits at
 //! Modp1024 — see [`pem_crypto::ot`].
 //!
+//! The table is stated at the 64-bit width the kernels are benchmarked
+//! at; every count in it scales with `width` (`width / 2` ladders, one
+//! group element per 2-bit chunk plus `A`). PEM's Protocol 2 compares
+//! at `pem_core::quantize::compare_width(m)` for a coalition of `m`
+//! members, the narrowest width its nonce-masked totals fit — 47 bits,
+//! so 24 ladders and 25 group elements, at `m = 12`.
+//!
 //! All messages are `serde`-serializable so `pem-net` can meter them.
 
 use rand::Rng;

@@ -4,7 +4,7 @@ use pem_market::{AgentWindow, Role};
 
 use crate::config::VALUE_BITS;
 use crate::error::PemError;
-use crate::quantize::Quantizer;
+use crate::quantize::quantize;
 
 /// What one agent knows and contributes during a window. Fields are laid
 /// out to mirror the paper's information model: everything here is local
@@ -35,15 +35,10 @@ impl AgentCtx {
     /// [`PemError::Quantization`] for a quantized net energy of `2^32` or
     /// more in magnitude: the bound `PemConfig::validate` sizes the
     /// comparison and Protocol 4's ratio slots by.
-    pub fn prepare(
-        index: usize,
-        data: AgentWindow,
-        quantizer: &Quantizer,
-        nonce: u64,
-    ) -> Result<AgentCtx, PemError> {
+    pub fn prepare(index: usize, data: AgentWindow, nonce: u64) -> Result<AgentCtx, PemError> {
         data.validate()?;
         let what = "net energy";
-        let sn_q = quantizer.quantize(data.net_energy(), what)?;
+        let sn_q = quantize(data.net_energy(), what)?;
         let sn_abs_q = sn_q.unsigned_abs();
         if sn_abs_q >> VALUE_BITS != 0 {
             return Err(PemError::Quantization {
@@ -74,54 +69,46 @@ mod tests {
 
     #[test]
     fn prepare_classifies_on_quantized_value() {
-        let q = Quantizer::new();
-        let seller = AgentCtx::prepare(0, AgentWindow::new(0, 2.0, 1.0, 0.0, 0.9, 20.0), &q, 7)
+        let seller = AgentCtx::prepare(0, AgentWindow::new(0, 2.0, 1.0, 0.0, 0.9, 20.0), 7)
             .expect("prepare");
         assert_eq!(seller.role, Role::Seller);
         assert_eq!(seller.sn_q, 1_000_000);
         assert_eq!(seller.sn_abs_q, 1_000_000);
 
-        let buyer = AgentCtx::prepare(1, AgentWindow::new(1, 0.0, 0.5, 0.0, 0.9, 20.0), &q, 7)
+        let buyer = AgentCtx::prepare(1, AgentWindow::new(1, 0.0, 0.5, 0.0, 0.9, 20.0), 7)
             .expect("prepare");
         assert_eq!(buyer.role, Role::Buyer);
         assert_eq!(buyer.sn_abs_q, 500_000);
 
         // Sub-resolution dust rounds to zero → off market.
-        let dust = AgentCtx::prepare(
-            2,
-            AgentWindow::new(2, 1.0, 1.0 - 1e-9, 0.0, 0.9, 20.0),
-            &q,
-            7,
-        )
-        .expect("prepare");
+        let dust = AgentCtx::prepare(2, AgentWindow::new(2, 1.0, 1.0 - 1e-9, 0.0, 0.9, 20.0), 7)
+            .expect("prepare");
         assert_eq!(dust.role, Role::OffMarket);
     }
 
     #[test]
     fn prepare_rejects_invalid_data() {
-        let q = Quantizer::new();
         let bad = AgentWindow::new(0, -1.0, 1.0, 0.0, 0.9, 20.0);
-        assert!(AgentCtx::prepare(0, bad, &q, 0).is_err());
+        assert!(AgentCtx::prepare(0, bad, 0).is_err());
     }
 
     #[test]
     fn prepare_enforces_the_per_value_bound() {
         // |sn_q| < 2^32 µkWh, on both sides of zero; the quantizer alone
         // would admit up to 2^62.
-        let q = Quantizer::new();
         let limit = (1u64 << 32) as f64 / 1e6; // ≈ 4294.97 kWh
         for (generation, load) in [(limit, 0.0), (0.0, limit), (1e5, 0.0)] {
             let data = AgentWindow::new(0, generation, load, 0.0, 0.9, 20.0);
             assert!(
                 matches!(
-                    AgentCtx::prepare(0, data, &q, 0),
+                    AgentCtx::prepare(0, data, 0),
                     Err(PemError::Quantization { .. })
                 ),
                 "generation {generation}, load {load}"
             );
         }
         let data = AgentWindow::new(0, limit - 0.001, 0.0, 0.0, 0.9, 20.0);
-        let ctx = AgentCtx::prepare(0, data, &q, 0).expect("just below the bound");
+        let ctx = AgentCtx::prepare(0, data, 0).expect("just below the bound");
         assert!(ctx.sn_abs_q < 1 << 32);
     }
 }

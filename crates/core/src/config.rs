@@ -8,7 +8,7 @@ use pem_net::LatencyModel;
 
 use crate::error::PemError;
 use crate::fold::Topology;
-use crate::quantize::Quantizer;
+use crate::quantize::compare_width;
 
 /// Fixed-point scale of energies and pricing terms: µkWh resolution on
 /// one-minute windows.
@@ -69,7 +69,9 @@ impl OtProfile {
 pub struct PemConfig {
     /// Paillier key size in bits (the paper's 512/1024/2048 sweep).
     pub key_bits: usize,
-    /// Bit width of the garbled comparison circuit.
+    /// The widest garbled comparison a window may run: each window
+    /// compares at [`compare_width`] of its member count, and a
+    /// population whose width exceeds this ceiling is rejected.
     pub compare_bits: usize,
     /// OT group profile for the comparison.
     pub ot_profile: OtProfile,
@@ -166,7 +168,7 @@ impl PemConfig {
             )));
         }
         self.band.validate()?;
-        Quantizer::check_headroom(agents, VALUE_BITS, NONCE_BITS, self.compare_bits)?;
+        self.window_compare_bits(agents)?;
         // The Paillier space must also hold Protocol 4's scaled ratios.
         if self.key_bits < RATIO_SLOT_BITS {
             return Err(PemError::Config(format!(
@@ -175,6 +177,24 @@ impl PemConfig {
             )));
         }
         Ok(())
+    }
+
+    /// The comparison width of an `agents`-member window:
+    /// [`compare_width`], checked against the `compare_bits` ceiling.
+    ///
+    /// # Errors
+    ///
+    /// [`PemError::Config`] if the width exceeds the ceiling.
+    pub(crate) fn window_compare_bits(&self, agents: usize) -> Result<usize, PemError> {
+        let width = compare_width(agents);
+        if width > self.compare_bits {
+            return Err(PemError::Config(format!(
+                "aggregate of {agents} agents needs a {width}-bit comparison, \
+                 the ceiling is {}",
+                self.compare_bits
+            )));
+        }
+        Ok(width)
     }
 }
 
@@ -202,9 +222,13 @@ mod tests {
         let mut c = PemConfig::fast_test();
         c.key_bits = 64;
         assert!(c.validate(10).is_err());
+        // 300 agents compare at 52 bits: the ceiling admits exactly that.
         let mut c = PemConfig::fast_test();
-        c.compare_bits = 48; // too tight for 40-bit nonces over 300 agents
-        assert!(c.validate(300).is_err());
+        c.compare_bits = 51;
+        assert!(matches!(c.validate(300), Err(PemError::Config(_))));
+        c.compare_bits = 52;
+        c.validate(300)
+            .expect("the derived width meets the ceiling");
         let mut c = PemConfig::fast_test();
         c.band.floor = 10.0; // violates Eq. 3
         assert!(c.validate(10).is_err());

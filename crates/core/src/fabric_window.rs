@@ -45,7 +45,6 @@ use crate::pem::{PemWindowOutcome, RevealedInfo};
 use crate::protocol2;
 use crate::protocol3;
 use crate::protocol4;
-use crate::quantize::Quantizer;
 
 /// A driver phase in progress: its wall-clock start and its open
 /// `window/<phase>` span on the virtual clock.
@@ -118,7 +117,6 @@ impl<'a> Window<'a> {
                 "transport party count must match the population",
             ));
         }
-        let quantizer = Quantizer::new();
         let window_span = Span::enter_at("window", "driver", net.now_us());
 
         // Local step: every agent quantizes its data, draws this window's
@@ -128,7 +126,7 @@ impl<'a> Window<'a> {
         let mut buyers = Vec::new();
         for (i, data) in window_data.iter().enumerate() {
             let nonce = rng.gen::<u64>() >> (64 - NONCE_BITS);
-            let ctx = AgentCtx::prepare(i, *data, &quantizer, nonce)?;
+            let ctx = AgentCtx::prepare(i, *data, nonce)?;
             match ctx.role {
                 Role::Seller => sellers.push(i),
                 Role::Buyer => buyers.push(i),
@@ -191,8 +189,9 @@ impl<'a> Window<'a> {
                 streams,
             )
             .await?;
-            let roles = (hr1, hr2);
-            let general = protocol2::run_compare(net, cfg, roles, demand, supply, rng).await?;
+            let (members, roles) = (agents.len(), (hr1, hr2));
+            let general =
+                protocol2::run_compare(net, cfg, members, roles, demand, supply, rng).await?;
             metrics.market_evaluation = eval.close(net);
             revealed.masked_demand = Some(demand);
             revealed.masked_supply = Some(supply);
@@ -459,20 +458,23 @@ mod tests {
     fn window_virtual_clock_is_pinned() {
         // The general and the extreme population on a LAN: the two
         // Protocol 2 folds run in lockstep and the settlement in three
-        // sweeps, so on rings the window's critical path is 1,940 and
-        // 1,260 µs, and 1,932 µs on the binary tree. Serialising either
-        // stage again moves these. In the extreme market the buyers
-        // route the energy from the ratios announced to them, so the
-        // first settlement sweep departs after that announcement's hop. The roles (`H_r1`, `H_r2`, `H_b`, the
-        // decryptor) are draws of the window stream, so a change to the
-        // draws before them moves the paths too.
+        // sweeps, so on rings the window's critical path is 1,808 and
+        // 1,236 µs, and 1,900 µs on the binary tree. Serialising either
+        // stage again moves these, and so does a comparison at another
+        // width than its member count's (46 and 45 bits here): its
+        // messages are the stage's largest. In the extreme market the
+        // buyers route the energy from the ratios announced to them, so
+        // the first settlement sweep departs after that announcement's
+        // hop. The roles (`H_r1`, `H_r2`, `H_b`, the decryptor) are draws
+        // of the window stream, so a change to the draws before them —
+        // the comparison's labels among them — moves the paths too.
         use pem_net::LatencyModel;
         let general = [2.0, 1.0, -3.0, -2.0, -1.0];
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         for (cfg, surpluses, expected_us) in [
-            (PemConfig::fast_test(), &general[..], 1_940),
-            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_260),
-            (tree, &general[..], 1_932),
+            (PemConfig::fast_test(), &general[..], 1_808),
+            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_236),
+            (tree, &general[..], 1_900),
         ] {
             let pop = population(surpluses);
             let mut net = SimNetwork::with_latency(pop.len(), LatencyModel::lan());

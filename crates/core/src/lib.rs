@@ -25,7 +25,7 @@
 //! a [`WindowTask`] hands a window's polls to a `pem_fabric::Executor`.
 //!
 //! Every quantity PEM computes equals the plaintext reference in
-//! `pem-market` up to the fixed-point grid ([`Quantizer`]); integration
+//! `pem-market` up to the fixed-point grid ([`quantize`]); integration
 //! tests assert this across whole generated days.
 //!
 //! # Example
@@ -59,7 +59,7 @@ mod pem;
 pub mod protocol2;
 pub mod protocol3;
 pub mod protocol4;
-mod quantize;
+pub mod quantize;
 pub mod randpool;
 
 pub use agents::AgentCtx;
@@ -71,5 +71,4 @@ pub use keys::{encrypt_under, KeyDirectory, RandomizerStreams};
 pub use metrics::{PhaseMetrics, WindowMetrics};
 pub use pem::{Pem, PemWindowOutcome, RevealedInfo};
 pub use pem_fabric::block_on;
-pub use quantize::Quantizer;
 pub use randpool::{PoolStats, RandomizerPool};

@@ -229,19 +229,27 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 /// evaluates, and `H_r1` announces the one-bit outcome to every other
 /// party, each of whom decodes and checks it. Two-party and strictly
 /// request/response; each receive is a [`recv_from`] that yields first.
-/// The OT group is a handle to the profile's shared context, so the
-/// comparison's one OT batch (and every later window) rides one
-/// generator table.
+/// Both sides compare at the width of the window's public member count
+/// ([`compare_width`](crate::quantize::compare_width)), which holds
+/// either masked total. The OT group is a handle to the profile's shared
+/// context, so the comparison's one OT batch (and every later window)
+/// rides one generator table.
+///
+/// # Errors
+///
+/// [`PemError::Config`] if the member count's width exceeds
+/// `cfg.compare_bits`; circuit, OT, transport and decode failures.
 pub(crate) async fn run_compare<T: Transport>(
     net: &mut T,
     cfg: &PemConfig,
+    members: usize,
     (hr1, hr2): (usize, usize),
     masked_demand: u128,
     masked_supply: u128,
     rng: &mut HashDrbg,
 ) -> Result<bool, PemError> {
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
-    let (group, width) = (cfg.ot_profile.group(), cfg.compare_bits);
+    let (group, width) = (cfg.ot_profile.group(), cfg.window_compare_bits(members)?);
     let (garbler, offer) = CompareGarbler::start(width, masked_supply, &group, rng)?;
     let label = "eval/gc-offer";
     net.send(PartyId(hr2), PartyId(hr1), label, encode_offer(&offer))?;
@@ -562,7 +570,7 @@ mod tests {
         use super::{masked_totals, MaskedFold};
         use crate::config::NONCE_BITS;
         use crate::fold::Topology;
-        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerStreams};
+        use crate::{AgentCtx, KeyDirectory, RandomizerStreams};
         use pem_crypto::drbg::HashDrbg;
         use pem_fabric::block_on;
         use pem_net::LatencyModel;
@@ -572,7 +580,6 @@ mod tests {
         // twelve.
         let cfg = PemConfig::fast_test();
         let keys = KeyDirectory::generate(12, cfg.key_bits, cfg.seed).expect("keys");
-        let q = Quantizer::new();
         let mut nonces = HashDrbg::from_seed_label(b"p2-join-nonces", 1);
         let agents: Vec<AgentCtx> = (0..12)
             .map(|i| {
@@ -583,7 +590,7 @@ mod tests {
                     AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
                 };
                 let nonce = nonces.gen::<u64>() >> (64 - NONCE_BITS);
-                AgentCtx::prepare(i, data, &q, nonce).expect("prepare")
+                AgentCtx::prepare(i, data, nonce).expect("prepare")
             })
             .collect();
         let fresh = || {
@@ -660,7 +667,7 @@ mod tests {
         use super::{masked_totals, MaskedFold, Shared};
         use crate::config::NONCE_BITS;
         use crate::fold::Topology;
-        use crate::{AgentCtx, KeyDirectory, Quantizer, RandomizerStreams};
+        use crate::{AgentCtx, KeyDirectory, RandomizerStreams};
         use pem_crypto::drbg::HashDrbg;
         use pem_fabric::{block_on, try_join};
         use pem_net::LatencyModel;
@@ -673,7 +680,6 @@ mod tests {
         // ciphertexts, totals, traffic and stream positions.
         let cfg = PemConfig::fast_test();
         let keys = KeyDirectory::generate(8, cfg.key_bits, cfg.seed).expect("keys");
-        let q = Quantizer::new();
         let mut nonces = HashDrbg::from_seed_label(b"p2-order-nonces", 1);
         let agents: Vec<AgentCtx> = (0..8)
             .map(|i| {
@@ -684,7 +690,7 @@ mod tests {
                     AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
                 };
                 let nonce = nonces.gen::<u64>() >> (64 - NONCE_BITS);
-                AgentCtx::prepare(i, data, &q, nonce).expect("prepare")
+                AgentCtx::prepare(i, data, nonce).expect("prepare")
             })
             .collect();
         let (sellers, buyers): (Vec<usize>, Vec<usize>) = ((0..4).collect(), (4..8).collect());

@@ -26,7 +26,7 @@ use crate::error::PemError;
 pub use crate::fold::Topology;
 use crate::fold::{fold, Announcement};
 use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
-use crate::quantize::Quantizer;
+use crate::quantize::{dequantize, dequantize_u128, quantize, quantize_unsigned};
 
 /// Result of Private Pricing.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,15 +78,14 @@ pub async fn price<T: Transport>(
     }
     let hb = buyers[rng.gen_range(0..buyers.len())];
     let pk = keys.public(hb);
-    let quantizer = Quantizer::new();
 
     // Each seller's two pricing terms, encrypted under H_b's key. The
     // denominator term is signed in principle (deep battery charging),
     // so it uses the balanced encoding.
     let mut seller_terms = |idx: usize| -> Result<[Ciphertext; 2], PemError> {
         let a = &agents[idx];
-        let k_q = quantizer.quantize_unsigned(a.data.preference, "preference")?;
-        let d_q = quantizer.quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
+        let k_q = quantize_unsigned(a.data.preference, "preference")?;
+        let d_q = quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
         let k_ct = encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), streams)?;
         let d_ct = encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), streams)?;
         Ok([k_ct, d_ct])
@@ -129,15 +128,14 @@ async fn price_terms<T: Transport>(
     agg_span.finish_at(vts);
 
     // … who decrypts the two aggregates (and nothing else — Lemma 3).
-    let quantizer = Quantizer::new();
     let sk = keys.keypair(hb).private();
     let k_sum_q = sk
         .decrypt(&k_ct)
         .to_u128()
         .ok_or(PemError::Protocol("k aggregate exceeded 128 bits"))?;
     let d_sum_q = sk.decrypt_i128(&d_ct)?;
-    let k_sum = quantizer.dequantize_u128(k_sum_q);
-    let denominator_sum = quantizer.dequantize(
+    let k_sum = dequantize_u128(k_sum_q);
+    let denominator_sum = dequantize(
         i64::try_from(d_sum_q)
             .map_err(|_| PemError::Protocol("pricing denominator aggregate exceeded 64 bits"))?,
     );
@@ -207,7 +205,6 @@ mod tests {
         HashDrbg,
     ) {
         let cfg = PemConfig::fast_test();
-        let q = Quantizer::new();
         let n = agents_data.len();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
         let mut rng = HashDrbg::from_seed_label(b"p3-test", 1);
@@ -215,7 +212,7 @@ mod tests {
         let mut sellers = Vec::new();
         let mut buyers = Vec::new();
         for (i, data) in agents_data.into_iter().enumerate() {
-            let ctx = AgentCtx::prepare(i, data, &q, rng.gen::<u64>() >> 24).expect("prepare");
+            let ctx = AgentCtx::prepare(i, data, rng.gen::<u64>() >> 24).expect("prepare");
             match ctx.role {
                 Role::Seller => sellers.push(i),
                 Role::Buyer => buyers.push(i),

@@ -54,7 +54,7 @@ use crate::config::{PemConfig, RATIO_PRECISION_BITS, RATIO_SLOT_BITS};
 use crate::error::PemError;
 use crate::fold::{fold, gather, read_ciphertext, Announcement};
 use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
-use crate::quantize::Quantizer;
+use crate::quantize::dequantize;
 
 /// Result of Private Distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,7 +224,6 @@ pub async fn run<T: Transport>(
     // ratio side answers with the payment. Every pair that trades,
     // seller-major: (seller, buyer, energy), and its (router,
     // counterparty).
-    let quantizer = Quantizer::new();
     let mut pairs = Vec::with_capacity(sellers.len() * buyers.len());
     for (s_pos, &s) in sellers.iter().enumerate() {
         for (b_pos, &b) in buyers.iter().enumerate() {
@@ -233,7 +232,7 @@ pub async fn run<T: Transport>(
             } else {
                 (b, s, s_pos)
             };
-            let sn = quantizer.dequantize(agents[router].sn_q.abs());
+            let sn = dequantize(agents[router].sn_q.abs());
             let energy = sn * copy_of[router][pos];
             if energy > 0.0 {
                 pairs.push((s, b, energy, router, counterparty));
@@ -314,7 +313,6 @@ mod tests {
         HashDrbg,
     ) {
         let cfg = PemConfig::fast_test();
-        let q = Quantizer::new();
         let n = surpluses.len();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
         let rng = HashDrbg::from_seed_label(b"p4-test", 1);
@@ -327,7 +325,7 @@ mod tests {
             } else {
                 AgentWindow::new(i, 0.0, -s, 0.0, 0.9, 25.0)
             };
-            let ctx = AgentCtx::prepare(i, data, &q, 0).expect("prepare");
+            let ctx = AgentCtx::prepare(i, data, 0).expect("prepare");
             match ctx.role {
                 Role::Seller => sellers.push(i),
                 Role::Buyer => buyers.push(i),
@@ -650,7 +648,6 @@ mod tests {
         // Each value is the router's own net energy times the ratio in
         // the router's own copy: the `dist/ratios` frame it was sent, or
         // the vector it decrypted.
-        let q = Quantizer::new();
         for (surpluses, kind) in [
             (&[2.0, 3.0, -4.0, -2.0, -2.5][..], MarketKind::General),
             (&[5.0, 4.0, 3.5, -1.0, -2.5, -0.75][..], MarketKind::Extreme),
@@ -693,7 +690,7 @@ mod tests {
                     let route = format!("{case}: P{from} → P{to}");
                     assert!(routers.contains(from), "{route}: not a router");
                     let pos = ratio_side.iter().position(|m| m == to).expect(&route);
-                    let own_sn = q.dequantize(agents[*from].sn_q.abs());
+                    let own_sn = super::dequantize(agents[*from].sn_q.abs());
                     let energy = WireReader::frame(payload, |r| r.get_f64()).expect("energy");
                     let expected = own_sn * copy_of(*from)[pos];
                     assert_eq!(energy.to_bits(), expected.to_bits(), "{route}");

@@ -19,8 +19,11 @@
 //! way. Windows that lose a message also run on the `Executor`, where
 //! the poll that wanted the lost message ends the window.
 
+use pem_circuit::compare::CompareGarbler;
 use pem_circuit::CircuitError;
+use pem_core::quantize::compare_width;
 use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome};
+use pem_crypto::drbg::HashDrbg;
 use pem_crypto::CryptoError;
 use pem_fabric::Executor;
 use pem_market::{AgentWindow, MarketKind};
@@ -279,53 +282,62 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
             "{label}: got {err:?}"
         );
     }
-    // Byte layouts at `fast_test()` (width 64, 64 two-row AND tables,
-    // 24-byte group elements, 32 two-bit OT chunks):
+    // Byte layouts at `fast_test()` over the four-member population
+    // (width `compare_width(4)` = 46, 46 two-row AND tables, 24-byte
+    // group elements, 23 two-bit OT chunks):
     //
-    // * `eval/gc-offer`, 3133 bytes (`OFFER_TABLES` below, then a count,
-    //   the 32-byte output hash pair, a count, 64 labels and `A`): the
-    //   middle byte 1566 is byte 12 of `T_E` of AND 48. The evaluator's
-    //   label on that gate's second input has its permute bit clear
-    //   (today's seeds), so it never decrypts `T_E` and the window
-    //   completes with the clean outcome. The flip of a row it does
-    //   decrypt is the `T_G` case below.
-    // * `eval/gc-ot-transfer`, 4097 bytes: the middle byte 2048 is the
-    //   last byte of branch 3 of chunk 15; the evaluator chose branch 0
-    //   there (bits 30–31 of its masked total), so it never decrypts the
-    //   flipped branch and the window completes with the clean outcome.
-    for label in ["eval/gc-offer", "eval/gc-ot-transfer"] {
-        let out = corrupt(label).unwrap_or_else(|e| panic!("{label}: completes, got {e:?}"));
-        assert_clean(&out, &clean, label);
-    }
+    // * `eval/gc-ot-transfer`, 2945 bytes (a count byte, then 23 × four
+    //   32-byte branches): the middle byte 1472 is the last byte of
+    //   branch 1 of chunk 11; the evaluator chose branch 0 there (bits
+    //   22–23 of its masked total), so it never decrypts the flipped
+    //   branch and the window completes with the clean outcome.
+    let out = corrupt("eval/gc-ot-transfer")
+        .unwrap_or_else(|e| panic!("eval/gc-ot-transfer: completes, got {e:?}"));
+    assert_clean(&out, &clean, "eval/gc-ot-transfer");
     // `eval/result`: the one byte flips the general-market bit to a
     // well-formed `false`, which its first recipient decodes and checks
     // against `H_r1`'s bit.
     let err = corrupt("eval/result").expect_err("a flipped market bit must abort");
     assert!(matches!(err, PemError::Protocol(_)), "eval/result: {err:?}");
-    // A decrypted table row is authenticated: flip byte 0 of `T_G` in
-    // every AND (at byte 2 + 32·k). The evaluator decrypts `T_G` wherever
-    // its first input's permute bit is set — some gate, whatever the
-    // seeds — so a carry turns to garbage and the output label matches
+    // A decrypted table row is authenticated, two ways:
+    //
+    // * `eval/gc-offer`, 2269 bytes (a count byte, a count byte,
+    //   `offer_tables()` below, then a count, the 32-byte output hash pair,
+    //   a count, 46 labels and `A`): the middle byte 1134 is byte 12 of
+    //   `T_G` of AND 35. The evaluator's label on that gate's first
+    //   input has its permute bit set (today's seeds), so it decrypts
+    //   the flipped row;
+    // * byte 0 of `T_G` flipped in every AND (at byte 2 + 32·k). The
+    //   evaluator decrypts `T_G` wherever its first input's permute bit
+    //   is set — some gate, whatever the seeds.
+    //
+    // Either way a carry turns to garbage and the output label matches
     // neither output hash: a typed error.
-    let err = run_tampered("eval/gc-offer", |payload| {
-        for and in 0..OFFER_TABLES / 32 {
+    let every_t_g = run_tampered("eval/gc-offer", |payload| {
+        for and in 0..offer_tables() / 32 {
             payload[2 + 32 * and] ^= 1;
         }
-    })
-    .expect_err("a decrypted table row is authenticated");
-    assert!(
-        matches!(
-            err,
-            PemError::Circuit(CircuitError::OutputNotAuthentic { output: 0 })
-        ),
-        "eval/gc-offer T_G: got {err:?}"
-    );
+    });
+    for (case, result) in [
+        ("eval/gc-offer", corrupt("eval/gc-offer")),
+        ("eval/gc-offer T_G", every_t_g),
+    ] {
+        assert!(
+            matches!(
+                result,
+                Err(PemError::Circuit(CircuitError::OutputNotAuthentic {
+                    output: 0
+                }))
+            ),
+            "{case}: got {result:?}"
+        );
+    }
     // Tampering with the OT, three ways:
     //
-    // * `eval/gc-ot-request`, 801 bytes (a count byte, then 32 × a
-    //   length byte and 24 bytes of `B`): the middle byte 400 is the low
-    //   byte of chunk 15's `B`, so the garbler seals that chunk's four
-    //   label pairs under keys the evaluator cannot derive;
+    // * `eval/gc-ot-request`, 576 bytes (a count byte, then 23 × a
+    //   length byte and 24 bytes of `B`): the middle byte 288 is byte 11
+    //   of chunk 11's `B`, so the garbler seals that chunk's four label
+    //   pairs under keys the evaluator cannot derive;
     // * the same flip in chunk 0's `B` (byte 25), which
     //   `FaultKind::Corrupt` cannot reach;
     // * a flipped bit inside the single `A` (the offer's last byte):
@@ -335,8 +347,9 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     // wire, the garbage propagates along the carry chain to the output
     // wire, and the output label matches neither of the garbler's output
     // hashes. Before outputs were authenticated these windows completed
-    // on a coin flip per tampered byte (14 of the 32 chunks flipped the
-    // market bit); now every one is a typed error.
+    // on a coin flip per tampered byte (14 of the 32 chunks of a 64-bit
+    // comparison flipped the market bit); now every one is a typed
+    // error.
     let flipped_chunk_0 = run_tampered("eval/gc-ot-request", |payload| {
         payload[1 + 24] ^= 1;
     });
@@ -365,7 +378,9 @@ fn a_tampered_ot_request_never_decides_the_market_bit() {
     // Whatever the flip does — an invalid group element or keys the
     // evaluator cannot derive — the window must end in a typed circuit
     // error, never complete with a flipped (or unflipped) market bit.
-    for chunk in 0..32 {
+    let chunks = compare_width(population().len()).div_ceil(2);
+    assert_eq!(chunks, 23);
+    for chunk in 0..chunks {
         let result = run_tampered("eval/gc-ot-request", move |payload| {
             payload[1 + 25 * chunk + 24] ^= 1;
         });
@@ -452,9 +467,12 @@ fn a_tampered_ratio_announcement_aborts_without_trades() {
     }
 }
 
-/// Bytes of garbled tables in a `fast_test()` offer: one AND per bit of
-/// the 64-bit comparator, two 16-byte half-gates rows per AND.
-const OFFER_TABLES: usize = 64 * 2 * 16;
+/// Bytes of garbled tables in a [`population`] window's offer: one AND
+/// per bit of its `compare_width(4)` = 46-bit comparator, two 16-byte
+/// half-gates rows per AND.
+fn offer_tables() -> usize {
+    compare_width(population().len()) * 2 * 16
+}
 
 /// Bytes of output hashes in an offer: one output, two 16-byte hashes.
 const OFFER_OUTPUT_HASHES: usize = 2 * 16;
@@ -465,13 +483,16 @@ fn hostile_counts_are_rejected_before_allocating() {
     // agreed width. A frame announcing 2^60 of anything must come back
     // as `MalformedGarbling` — not as a capacity-overflow panic or an
     // allocation. Offsets: the offer is
-    // `width | tables | OFFER_TABLES B | outputs | 32 B | labels | …`,
+    // `width | tables | offer_tables() B | outputs | 32 B | labels | …`,
     // the other two messages open with their count.
     let cases: [(&'static str, usize); 6] = [
         ("eval/gc-offer", 0),
         ("eval/gc-offer", 1),
-        ("eval/gc-offer", 2 + OFFER_TABLES),
-        ("eval/gc-offer", 2 + OFFER_TABLES + 1 + OFFER_OUTPUT_HASHES),
+        ("eval/gc-offer", 2 + offer_tables()),
+        (
+            "eval/gc-offer",
+            2 + offer_tables() + 1 + OFFER_OUTPUT_HASHES,
+        ),
         ("eval/gc-ot-request", 0),
         ("eval/gc-ot-transfer", 0),
     ];
@@ -491,6 +512,65 @@ fn hostile_counts_are_rejected_before_allocating() {
             "{label}@{offset}: got {err:?}"
         );
     }
+}
+
+#[test]
+fn an_offer_at_the_ceiling_is_refused_at_the_agreed_width() {
+    // Twelve members compare at `compare_width(12)` = 47 bits, below the
+    // 64-bit ceiling of `fast_test()`. Both sides derive the width from
+    // the public member count, so a well-formed offer at the ceiling —
+    // a comparator wide enough for the masked totals — is not the agreed
+    // one: the evaluator refuses it at its width field, before reading
+    // any table, and the window never completes.
+    let data: Vec<AgentWindow> = (0..12)
+        .map(|i| {
+            let e = 0.5 + i as f64 / 4.0;
+            if i < 6 {
+                AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
+            } else {
+                AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
+            }
+        })
+        .collect();
+    assert_eq!(compare_width(data.len()), 47);
+    let cfg = PemConfig::fast_test();
+    let mut rng = HashDrbg::new(b"ceiling-offer");
+    let (_, offer) = CompareGarbler::start(cfg.compare_bits, 1, &cfg.ot_profile.group(), &mut rng)
+        .expect("an offer at the ceiling");
+    // The offer's wire layout: width, then each count before its items.
+    let mut w = WireWriter::new();
+    w.put_varint(offer.width as u64);
+    w.put_varint(offer.garbled.and_tables().len() as u64);
+    for row in offer.garbled.and_tables().iter().flatten() {
+        w.put_raw(&row.0);
+    }
+    w.put_varint(offer.garbled.output_hashes().len() as u64);
+    for hash in offer.garbled.output_hashes().iter().flatten() {
+        w.put_raw(&hash.0);
+    }
+    w.put_varint(offer.garbler_labels.len() as u64);
+    for label in &offer.garbler_labels {
+        w.put_raw(&label.0);
+    }
+    w.put_biguint(&offer.ot_setup.big_a);
+    let ceiling = w.finish();
+    let mut net = Tamper {
+        inner: SimNetwork::new(data.len()),
+        label: "eval/gc-offer",
+        edit: move |payload: &mut Vec<u8>| payload.clone_from(&ceiling),
+    };
+    let result = Pem::new(cfg, data.len())
+        .expect("setup")
+        .run_window_on(&mut net, &data);
+    assert!(
+        matches!(
+            result,
+            Err(PemError::Circuit(CircuitError::MalformedGarbling(
+                "offer width is not the agreed width"
+            )))
+        ),
+        "got {result:?}"
+    );
 }
 
 type MsgLog = Vec<(usize, usize, &'static str, u64, u64, u64)>;

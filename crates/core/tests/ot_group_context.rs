@@ -22,6 +22,7 @@
 
 use pem_bignum::BigUint;
 use pem_circuit::compare::secure_less_than_local;
+use pem_core::quantize::compare_width;
 use pem_core::{OtProfile, Pem, PemConfig};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{OtBatchReceiver, OtBatchSender};
@@ -186,6 +187,10 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
             1,
             "{profile:?}: a trading window rebuilt a generator's or a key's comb table"
         );
+        // The window compares at its four members' width, 46 bits in 23
+        // chunks, not at the 64-bit ceiling the comparisons above ran.
+        let chunks = compare_width(data.len()).div_ceil(2) as u64;
+        assert_eq!(chunks, 23);
         // This window makes 12 encryptions, each one `h_s^x` off its
         // key's table and none of them a ladder (the classic `r^n` lane
         // ran 12 more). Beside the comparison that leaves 14 ladders:

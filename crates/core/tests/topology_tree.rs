@@ -6,7 +6,7 @@
 
 use pem_core::block_on;
 use pem_core::protocol3::{price, PricingOutcome, Topology};
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, Quantizer, RandomizerStreams};
+use pem_core::{AgentCtx, KeyDirectory, PemConfig, RandomizerStreams};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
 use pem_net::{Envelope, NetError, NetStats, PartyId, SimNetwork, Transport};
@@ -91,7 +91,6 @@ fn market(
 ) {
     let mut cfg = PemConfig::fast_test();
     cfg.seed = seed;
-    let q = Quantizer::new();
     let n = n_sellers + 2; // plus two buyers
     let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
     let mut rng = HashDrbg::from_seed_label(b"tree-test", seed);
@@ -111,7 +110,7 @@ fn market(
         } else {
             AgentWindow::new(i, 0.0, 40.0 + n_sellers as f64 * 4.0, 0.0, 0.9, 25.0)
         };
-        let ctx = AgentCtx::prepare(i, data, &q, rng.gen::<u64>() >> 24).expect("prepare");
+        let ctx = AgentCtx::prepare(i, data, rng.gen::<u64>() >> 24).expect("prepare");
         match ctx.role {
             Role::Seller => sellers.push(i),
             Role::Buyer => buyers.push(i),

@@ -7,6 +7,7 @@
 
 use pem_core::PemConfig;
 use pem_coupling::{CouplingConfig, RepartitionConfig};
+use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, MarketKind};
 use pem_sched::{Engine, GridConfig, GridOrchestrator, PartitionStrategy, RetryPolicy};
 use pem_telemetry as telemetry;
@@ -44,8 +45,9 @@ fn a_repartitioning_day_makes_one_key_per_home() {
         retry: RetryPolicy::default(),
     })
     .expect("grid");
-    // The coordinator's grid key (and its table) is the orchestrator's
-    // setup; from here on every key and table is the day's.
+    // The coordinator's grid key is the orchestrator's setup; from here
+    // on every key and table is the day's (the grid key's `h_s` table
+    // among them: the first coupling round encrypts under it).
     telemetry::reset_metrics();
 
     let mut comparisons = 0;
@@ -78,14 +80,30 @@ fn a_repartitioning_day_makes_one_key_per_home() {
     assert!(comparisons > 0, "the re-partitioned coalitions trade");
     // A key's `h_s` table is built by the first encryption under it, at
     // most once per home: the re-partition rebuilt two coalitions over
-    // the same keys and built none again. The OT groups' generator
-    // tables are process-wide and may be built once, by the first
-    // comparison in the process.
+    // the same keys and built none again. Besides each comparison's `A`
+    // table (every coalition of eight compares at `compare_width(8)` =
+    // 47 bits, 24 OTs, a batch above `A_TABLE_MIN_BATCH`), the day built
+    // exactly 10 tables: the grid key's, built by window 0's coupling
+    // round; the Modp1024 generator's, built by the first comparison in
+    // the process; and the `h_s` tables of the 8 homes whose keys a role
+    // put to use (`H_r1` and `H_r2` collect Protocol 2's folds, `H_b`
+    // Protocol 3's, the decryptor Protocol 4's). The roles are draws of
+    // each window's stream, so the count is this day's; one table
+    // rebuilt by the re-partition would make it 11.
     let tables = counter("bignum/fixed_base_builds") - comparisons;
-    assert!(
-        tables <= homes.len() as u64 + 1,
-        "{tables} key and group tables for {} homes",
-        homes.len()
+    assert_eq!(tables, 10, "key and group tables for {} homes", homes.len());
+    // The other homes' tables were never built: one randomizer under
+    // every home's key builds exactly those.
+    let keys = grid.keys().expect("keys made");
+    let before = counter("bignum/fixed_base_builds");
+    let mut rng = HashDrbg::new(b"agent-keys");
+    for home in 0..homes.len() {
+        let _ = keys.public(home).randomizer(&mut rng);
+    }
+    assert_eq!(
+        counter("bignum/fixed_base_builds") - before,
+        homes.len() as u64 - (tables - 2),
+        "tables built for the homes no role used"
     );
     telemetry::uninstall();
 }

@@ -54,10 +54,15 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// of the window DRBG, so window 1's nonces — drawn after window 0's
 /// fallbacks — and its `masked_*` terms moved. Window 0 draws its
 /// nonces before any encryption and its bytes happen to match, so its
-/// fingerprint held).
+/// fingerprint held) and once when each comparison narrowed to its
+/// coalition's width (`compare_width(m)`, 47 bits for these coalitions
+/// of ten instead of the 64-bit ceiling: fewer tables, labels and OT
+/// chunks on the wire, so `net.total_bytes` moved; fewer label and OT
+/// draws, so every later draw of the window stream, and with it the
+/// `masked_*` terms, moved too).
 pub const GOLDEN: [&str; 2] = [
-    "7492e6ce940a1d4997dad7071f0e12ddb4d9bac4f34c874e8256d58bf674a1f5",
-    "4a1bb4f3d21d91fcb575d64d32c2497eaa6f3ac7974cd04b869b9bd7b0443938",
+    "692694bba18284e4b615aeafe3793e5afbd03e985744e9f9c9a6e2a2ef6ac439",
+    "afc03406e9aecd912d2fdac01559245e7d2f6ad66b4680cf8fa424142eb4774c",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
@@ -76,11 +81,13 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 /// every shard fingerprint, message count and the ledger tip held; and
 /// once for per-home keys and per-key randomizer streams (the same
 /// change as [`GOLDEN`]; the coupling fabric's bytes and critical path
-/// held). Same re-record rule as [`GOLDEN`].
+/// held) and once for per-coalition comparison widths (the same change
+/// as [`GOLDEN`]; the coupling fabric's bytes and critical path held).
+/// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
-    "74c96dff555375e9867b18b044e009e3e894d568f07b57102a7848d6c65bea61:544:432",
-    "0dafc7ba9218494d2a7c41bf4d972367505324e062a36892bf873ea57a83f1d0:544:432",
+    "7d3f681168fb56d4193e018aac89fc69eeddae2a4cab6e3debc9af3c572316f1:544:432",
+    "da4ffe1478f7ba5c3464334e72d49b883140471b2dac69f04fca9134cfd21fde:544:432",
 ];
 
 /// Full fingerprints per window of [`run_paper512`], recorded before
@@ -89,12 +96,13 @@ pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
 /// (the same wire and draw change as [`GOLDEN`]) and once for per-home
 /// keys and per-key randomizer streams (the same change as [`GOLDEN`];
 /// pool-less, so every encryption now draws from its key's stream
-/// instead of the window DRBG, and both windows moved). Same re-record
-/// rule as [`GOLDEN`].
+/// instead of the window DRBG, and both windows moved) and once for
+/// per-coalition comparison widths (the same change as [`GOLDEN`]).
+/// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "7d51bc8c0a041e63b9f770ff588b469adf801fa0239748d3ebb0863ec59ecc25",
-    "ce4228910f8ab4810f24d45ade36c35370f0cc1729231e6c6346402416549635",
+    "5d52b295282466199daa3242a77967b022f7061535ea9b3d4a9312c11e61e206",
+    "28b8662c624773707f3cfcffa5a1a5be3feb68b042e54bfa0070881ffa61f0e2",
 ];
 
 /// The 40-home trace's agents at `windows`.

@@ -3,7 +3,8 @@
 //! Not a benchmark — this guards against accidental O(n³) regressions and
 //! overflow at population sizes above what the unit tests use.
 
-use pem::core::{Pem, PemConfig, Quantizer};
+use pem::core::quantize::{compare_width, quantize};
+use pem::core::{Pem, PemConfig};
 use pem::data::{TraceConfig, TraceGenerator};
 use pem::market::{MarketEngine, MarketKind};
 
@@ -46,12 +47,13 @@ fn fifty_agents_full_window() {
 #[test]
 fn four_hour_windows_keep_headroom() {
     // 240-minute windows produce ~20 kWh magnitudes; the quantizer and
-    // the 64-bit comparison must still have slack at 50 agents.
+    // the 50-agent comparison width must still have slack under the
+    // 64-bit ceiling.
     let cfg = PemConfig::fast_test();
     cfg.validate(50).expect("headroom holds");
-    let q = Quantizer::new();
+    assert_eq!(compare_width(50), 49);
     // 20 kWh quantizes to 2·10^7 ≈ 2^25, well under the 32-bit per-value
     // bound the validation assumes.
-    let v = q.quantize(20.0, "test").expect("fits");
+    let v = quantize(20.0, "test").expect("fits");
     assert!(v < (1 << 32));
 }
