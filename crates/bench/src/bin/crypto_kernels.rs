@@ -13,17 +13,20 @@
 //! power-of-two squaring path), raw vs comb fixed-base exponentiation,
 //! and decryption on both the CRT fast path and the classic full-width
 //! path (the pre-overhaul kernel, kept as the speedup baseline). After
-//! the key-size entries come the comparison rows, one entry per OT group
-//! (`test192`, `modp1024`): `ot_single` (one 1-of-2 OT — a batch of
-//! one) and `compare_64` (Protocol 2's whole 64-bit garbled comparison:
-//! one batch of 32 1-of-4 OTs under one sender key), each on a group
-//! obtained the way `run_compare` obtains it — `OtProfile::group()` per
-//! call — and `ot_ladder_full`, one full-width `B^x` in the group,
-//! interleaved with `compare_64`: the ladder a comparison ran 32 of
-//! before its exponents were cut to the group's security level.
-//! `grid_doctor` holds `compare_64` under 0.75 × 64 × `ot_single`
-//! (0.9 at `test192`) and, at `modp1024`, under 0.5 × 32 ×
-//! `ot_ladder_full` within each run. Next, one entry for the garbled
+//! the key-size entries come the comparison rows, one entry per OT group,
+//! each comparison on a group obtained the way `run_compare` obtains it
+//! — `OtProfile::group()` per call. At `test192`: `ot_single` (one
+//! 1-of-2 OT — a batch of one), `compare_64` (Protocol 2's whole 64-bit
+//! garbled comparison: one batch of 32 1-of-4 OTs under one sender key)
+//! and `ot_ladder_full`, one full-width `B^x` in the group, interleaved
+//! with `compare_64`. At `ed25519`, the curve the paper profiles run
+//! their OT on: its kernels `scalar_mul` (one variable-base
+//! multiplication, interleaved with `compare_64`), `fixed_base` (one off
+//! the basepoint's comb table) and `decode` (one RFC 8032 decode), then
+//! `ot_single`, `compare_64` and `compare_47` (the width a coalition of
+//! 12 compares at). `grid_doctor` holds `compare_64` under 0.75 × 64 ×
+//! `ot_single` (0.9 at `test192`) and, at `ed25519`, under 2.5 × 32 ×
+//! `scalar_mul` within each run. Next, one entry for the garbled
 //! comparator itself (`gc_width: 64`): `garble_64` and `eval_64` time
 //! garbling and evaluating Protocol 2's 64-bit comparator, and the
 //! deterministic `gc_table_bytes_64` counts the AND-table bytes the
@@ -31,8 +34,7 @@
 //! per AND of a 64-AND comparator. Last come the Montgomery kernel rows every figure
 //! above is a multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per
 //! limb count (3, 4, 16, 32, 64 — the toy-key and test-group widths,
-//! the Modp1024 group and `p²` at 1024-bit keys, `n²` at 1024- and
-//! 2048-bit keys).
+//! `p²` at 1024-bit keys, `n²` at 1024- and 2048-bit keys).
 //!
 //! ```text
 //! cargo run --release -p pem-bench --bin crypto_kernels -- \
@@ -54,9 +56,11 @@ use pem_bignum::{BigUint, Montgomery};
 use pem_circuit::compare::secure_less_than_local;
 use pem_circuit::garble::{eval_garbled, garble, select_input_labels};
 use pem_circuit::{comparator_circuit, u128_to_bits};
+use pem_core::quantize::compare_width;
 use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::run_local_ot;
+use pem_crypto::ed25519::{basepoint_table, EdwardsPoint, Scalar};
+use pem_crypto::ot::{run_local_ot, DhGroup};
 use pem_crypto::paillier::{Ciphertext, Keypair, PrivateKey, PublicKey, Randomizer};
 use pem_telemetry::json_object;
 
@@ -361,20 +365,27 @@ struct GroupReport {
     kernels: Vec<Kernel>,
 }
 
-fn bench_group(group: &'static str, profile: OtProfile, min_time_ms: u64) -> GroupReport {
+/// One 1-of-2 OT and a 64-bit comparison, each on a group obtained the
+/// way `run_compare` obtains it (`OtProfile::group()` per call).
+fn ot_single_row(profile: OtProfile, min_time_ms: u64, rng: &mut HashDrbg) -> Kernel {
+    measure("ot_single", min_time_ms, |i| {
+        let _ =
+            run_local_ot(&profile.group(), &[0u8; 16], &[1u8; 16], i % 2 == 0, rng).expect("ot");
+    })
+}
+
+fn compare_at(profile: OtProfile, width: usize, i: u64, rng: &mut HashDrbg) {
+    let (a, b) = (1_000 + i as u128, 2_000);
+    let _ = secure_less_than_local(a, b, width, &profile.group(), rng).expect("compare");
+}
+
+/// `test192`: `ot_single`, and `compare_64` interleaved with one
+/// full-width ladder in the group.
+fn bench_test192(min_time_ms: u64) -> GroupReport {
+    let profile = OtProfile::Test192;
     let mut rng = HashDrbg::from_seed_label(b"crypto-kernels-ot", profile as u64);
-    let mut kernels = Vec::new();
-    kernels.push(measure("ot_single", min_time_ms, |i| {
-        let _ = run_local_ot(
-            &profile.group(),
-            &[0u8; 16],
-            &[1u8; 16],
-            i % 2 == 0,
-            &mut rng,
-        )
-        .expect("ot");
-    }));
-    let dh = profile.group();
+    let mut kernels = vec![ot_single_row(profile, min_time_ms, &mut rng)];
+    let dh = DhGroup::test_192();
     let base = dh.pow_g(&BigUint::from(0xB5u64));
     let q_bits = dh.q().bit_length();
     let mut exponent = BigUint::random_bits(q_bits, &mut rng);
@@ -383,16 +394,57 @@ fn bench_group(group: &'static str, profile: OtProfile, min_time_ms: u64) -> Gro
         ("compare_64", "ot_ladder_full"),
         min_time_ms,
         (1.0, 1.0),
-        |i| {
-            let (a, b) = (1_000 + i as u128, 2_000);
-            let _ = secure_less_than_local(a, b, 64, &profile.group(), &mut rng).expect("compare");
-        },
+        |i| compare_at(profile, 64, i, &mut rng),
         |_| {
             let _ = dh.pow(&base, &exponent);
         },
     );
     kernels.extend([compare, ladder]);
-    GroupReport { group, kernels }
+    GroupReport {
+        group: "test192",
+        kernels,
+    }
+}
+
+/// edwards25519: the curve's three kernels (a variable-base scalar
+/// multiplication, one off the basepoint table, an RFC 8032 decode),
+/// `ot_single`, and the comparison at 64 bits — interleaved with
+/// `scalar_mul`, the within-run reference — and at the 47 bits a
+/// coalition of 12 compares at.
+fn bench_ed25519(min_time_ms: u64) -> GroupReport {
+    let profile = OtProfile::Ed25519;
+    let mut rng = HashDrbg::from_seed_label(b"crypto-kernels-ot", profile as u64);
+    let point = basepoint_table().mul(&Scalar::random(&mut rng));
+    let scalar = Scalar::random(&mut rng);
+    let encoded = point.compress();
+    let mut kernels = vec![
+        measure("fixed_base", min_time_ms, |_| {
+            let _ = basepoint_table().mul(&scalar);
+        }),
+        measure("decode", min_time_ms, |_| {
+            let _ = EdwardsPoint::decompress(&encoded).expect("valid point");
+        }),
+        ot_single_row(profile, min_time_ms, &mut rng),
+    ];
+    let mut seed = HashDrbg::from_seed_label(b"crypto-kernels-ot-compare", 0);
+    let (compare, mul) = measure_pair(
+        ("compare_64", "scalar_mul"),
+        min_time_ms,
+        (1.0, 1.0),
+        |i| compare_at(profile, 64, i, &mut seed),
+        |_| {
+            let _ = point.mul(&scalar);
+        },
+    );
+    let width = compare_width(12);
+    let narrow = measure("compare_47", min_time_ms, |i| {
+        compare_at(profile, width, i, &mut rng)
+    });
+    kernels.extend([mul, compare, narrow]);
+    GroupReport {
+        group: "ed25519",
+        kernels,
+    }
 }
 
 /// The garbled-comparator rows at Protocol 2's width, 64 bits.
@@ -521,10 +573,7 @@ fn main() {
     let label = args.get_str("run-label", "dev");
 
     let reports: Vec<SizeReport> = bits.iter().map(|&b| bench_size(b, min_time_ms)).collect();
-    let groups = [
-        bench_group("test192", OtProfile::Test192, min_time_ms),
-        bench_group("modp1024", OtProfile::Modp1024, min_time_ms),
-    ];
+    let groups = [bench_test192(min_time_ms), bench_ed25519(min_time_ms)];
     let circuit = bench_circuit(min_time_ms);
 
     let widths: Vec<WidthReport> = [3, 4, 16, 32, 64]

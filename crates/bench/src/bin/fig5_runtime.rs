@@ -15,7 +15,7 @@
 //! populations, and `--sample` windows measured out of the full day (the
 //! per-window cost is what the figure reports, so sampling preserves the
 //! shape). Run with `--paper` for the paper's exact grid — 512/1024/2048-
-//! bit keys, the 1024-bit OT group, 100–300 homes, all 720 windows; this
+//! bit keys, the edwards25519 OT group, 100–300 homes, all 720 windows; this
 //! takes many hours of CPU.
 //!
 //! ```text
@@ -43,7 +43,7 @@ fn profile(args: &Args) -> Profile {
             key_sizes: args.get_usize_list("keys", &[512, 1024, 2048]),
             agent_sizes: args.get_usize_list("agents", &[100, 200, 300]),
             sample: args.get_usize("sample", 720),
-            ot: OtProfile::Modp1024,
+            ot: OtProfile::Ed25519,
         }
     } else {
         Profile {

@@ -50,7 +50,7 @@ fn main() {
     for &key in &keys {
         let mut cfg = PemConfig::paper(key);
         cfg.ot_profile = if paper {
-            OtProfile::Modp1024
+            OtProfile::Ed25519
         } else {
             OtProfile::Test192
         };

@@ -269,7 +269,7 @@ pub fn crypto_checks(
             Check::compare(format!("crypto/{id}/{key}"), b, c, threshold)
         })
         .chain(batched_ot_checks(cur))
-        .chain(short_exponent_checks(cur))
+        .chain(off_the_ladder_checks(cur))
         .chain(randomizer_lane_checks(cur))
         .chain(validation_checks(cur))
         .chain(gc_table_checks(cur))
@@ -279,8 +279,8 @@ pub fn crypto_checks(
 
 /// A 64-bit comparison may cost at most this share of 64 single OTs.
 /// One sender key per comparison and two bits per transfer measure
-/// 0.26–0.30 (Modp1024) / 0.64–0.69 (Test192); a key per bit is above 1
-/// by operation count (measured 1.05 / 1.17).
+/// 0.23–0.35 (edwards25519) / 0.64–0.69 (Test192); a key per bit is
+/// above 1 by operation count (measured 1.05 / 1.17 in `Z_p*`).
 const BATCHED_COMPARE_SHARE: f64 = 0.75;
 
 /// Test192's limit: its `ot_single` is a ≈20 µs operation that swings
@@ -312,31 +312,30 @@ fn batched_ot_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
     })
 }
 
-/// A 64-bit comparison may cost at most this share of 32 full-width
-/// ladders in its OT group. With every exponent at the group's security
-/// level (160 bits at Modp1024) the whole comparison — garbling and
-/// tables included — measures 0.33 of them; the 32 full-width `Bᵢ^a`
-/// it ran before were 1 by themselves (the whole comparison 1.6).
-const SHORT_EXPONENT_COMPARE_SHARE: f64 = 0.5;
+/// A 64-bit comparison may cost at most this multiple of the 32
+/// variable-base scalar multiplications (`[a]Bᵢ`) it must run on the
+/// curve. With every other multiplication off a comb table it measures
+/// 1.9–2.1 of them (66 fixed-base multiplications, the `A` table, 33
+/// decodes, garbling); the receiver's 32 `[bᵢ]A` back on the window
+/// are ≈2.8, and every fixed-base multiplication back on it ≈3.6.
+const CURVE_COMPARE_SHARE: f64 = 2.5;
 
 /// Within-run structural gate, one check per OT-group entry that
-/// carries the `ot_ladder_full` row: a comparison that drifts back
-/// onto full-width ladders fails on any box. Not at `test192`, whose
-/// comparison is mostly garbling (≈4.6 × its 32 three-limb ladders).
-fn short_exponent_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
+/// carries the `scalar_mul` row (the curve's): a comparison whose
+/// fixed-base multiplications drift back onto variable-base windows
+/// fails on any box.
+fn off_the_ladder_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
     run_entries(run).iter().filter_map(|entry| {
         let group = entry.get("ot_group").and_then(Json::as_str)?;
-        let ladder = entry.get("ot_ladder_full_mean_us").and_then(Json::as_f64)?;
+        let mul = entry.get("scalar_mul_mean_us").and_then(Json::as_f64)?;
         let compare = entry.get("compare_64_mean_us").and_then(Json::as_f64)?;
-        let limit = SHORT_EXPONENT_COMPARE_SHARE * 32.0 * ladder;
-        (group != "test192").then(|| {
-            Check::invariant(
-                format!("crypto/{group}/compare_off_the_ladder"),
-                limit,
-                compare,
-                compare < limit,
-            )
-        })
+        let limit = CURVE_COMPARE_SHARE * 32.0 * mul;
+        Some(Check::invariant(
+            format!("crypto/{group}/compare_off_the_ladder"),
+            limit,
+            compare,
+            compare < limit,
+        ))
     })
 }
 
@@ -716,12 +715,12 @@ mod tests {
             "[{\"run\":\"a\",\"entries\":[\
                 {\"key_bits\":512,\"x_mean_us\":10,\"keygen_ms\":5,\"x_ops_per_s\":99},\
                 {\"key_bits\":1024,\"x_mean_us\":40},\
-                {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":600},\
+                {\"ot_group\":\"ed25519\",\"compare_64_mean_us\":600},\
                 {\"mont_limbs\":16,\"mont_mul_ns\":500,\"mont_sqr_ns\":480}]},\
               {\"run\":\"b\",\"entries\":[\
                 {\"key_bits\":512,\"x_mean_us\":30,\"keygen_ms\":5.1},\
                 {\"key_bits\":1024,\"x_mean_us\":39},\
-                {\"ot_group\":\"modp1024\",\"compare_64_mean_us\":130},\
+                {\"ot_group\":\"ed25519\",\"compare_64_mean_us\":130},\
                 {\"ot_group\":\"test192\",\"compare_64_mean_us\":7},\
                 {\"mont_limbs\":16,\"mont_mul_ns\":300,\"mont_sqr_ns\":290},\
                 {\"mont_limbs\":64,\"mont_mul_ns\":5000}]}]",
@@ -738,7 +737,7 @@ mod tests {
             .any(|c| c.name == "crypto/mont16/mont_sqr_ns" && !c.regressed));
         assert!(checks
             .iter()
-            .any(|c| c.name == "crypto/modp1024/compare_64_mean_us" && !c.regressed));
+            .any(|c| c.name == "crypto/ed25519/compare_64_mean_us" && !c.regressed));
         let x512 = checks
             .iter()
             .find(|c| c.name == "crypto/512/x_mean_us")
@@ -758,8 +757,8 @@ mod tests {
     fn per_instance_ot_keys_fail_the_within_run_gate() {
         // Both runs are equally fast pairwise; the current run's
         // `slowgroup` pays a full OT per compared bit again.
-        let entries = "{\"ot_group\":\"modp1024\",\"ot_single_mean_us\":800,\
-                        \"compare_64_mean_us\":19000},\
+        let entries = "{\"ot_group\":\"ed25519\",\"ot_single_mean_us\":184,\
+                        \"compare_64_mean_us\":3610},\
                        {\"ot_group\":\"test192\",\"ot_single_mean_us\":18,\
                         \"compare_64_mean_us\":950},\
                        {\"ot_group\":\"slowgroup\",\"ot_single_mean_us\":18,\
@@ -770,7 +769,7 @@ mod tests {
             let name = format!("crypto/{group}/compare_64_batched");
             checks.iter().find(|c| c.name == name).expect("gated")
         };
-        assert!(!gate("modp1024").regressed, "0.37 of 64 OTs");
+        assert!(!gate("ed25519").regressed, "0.31 of 64 OTs");
         assert!(!gate("test192").regressed, "0.82 of 64 OTs, limit 0.9");
         assert!(gate("slowgroup").regressed, "1.04 of 64 OTs");
         assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
@@ -778,17 +777,15 @@ mod tests {
 
     #[test]
     fn a_comparison_back_on_full_width_ladders_fails_the_within_run_gate() {
-        // modp1024: short exponents. `widegroup`: the comparison costs
-        // its 32 full-width ladders and more again. test192 is not
-        // gated (garbling dominates), nor is an entry without the row.
-        let entries = "{\"ot_group\":\"modp1024\",\"ot_single_mean_us\":204,\
-                        \"compare_64_mean_us\":3380,\"ot_ladder_full_mean_us\":405},\
-                       {\"ot_group\":\"widegroup\",\"ot_single_mean_us\":874,\
-                        \"compare_64_mean_us\":17100,\"ot_ladder_full_mean_us\":405},\
+        // ed25519: only the 32 `[a]Bᵢ` on the window. `widegroup`: its
+        // fixed-base multiplications are back on the window too. An
+        // entry without the `scalar_mul` row (test192's) is not gated.
+        let entries = "{\"ot_group\":\"ed25519\",\"ot_single_mean_us\":184,\
+                        \"compare_64_mean_us\":3610,\"scalar_mul_mean_us\":55.5},\
+                       {\"ot_group\":\"widegroup\",\"ot_single_mean_us\":390,\
+                        \"compare_64_mean_us\":6400,\"scalar_mul_mean_us\":55.5},\
                        {\"ot_group\":\"test192\",\"ot_single_mean_us\":17,\
-                        \"compare_64_mean_us\":641,\"ot_ladder_full_mean_us\":4.3},\
-                       {\"ot_group\":\"norow\",\"ot_single_mean_us\":874,\
-                        \"compare_64_mean_us\":17100}";
+                        \"compare_64_mean_us\":641,\"ot_ladder_full_mean_us\":4.3}";
         let t = twin_runs(entries);
         let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
         let gates: Vec<_> = checks
@@ -799,11 +796,11 @@ mod tests {
         assert_eq!(
             gates,
             [
-                ("crypto/modp1024/compare_off_the_ladder", false),
+                ("crypto/ed25519/compare_off_the_ladder", false),
                 ("crypto/widegroup/compare_off_the_ladder", true)
             ]
         );
-        // The batching gate cannot see it: 17.1 ms is 0.31 of 64 OTs.
+        // The batching gate cannot see it: 6.4 ms is 0.26 of 64 OTs.
         assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
     }
 

@@ -215,7 +215,7 @@ mod tests {
     fn trajectory_runs_render_hostile_labels_and_non_finite_figures() {
         let label = "ci \"smoke\"\n\\ µ";
         let entry = Json::obj([
-            ("ot_group", "modp1024".into()),
+            ("ot_group", "ed25519".into()),
             ("x_mean_us", rounded(f64::NAN, 1).into()),
             ("y_mean_us", rounded(2.25, 1).into()),
         ]);
@@ -228,6 +228,6 @@ mod tests {
             .expect("entries")[0];
         assert_eq!(entry.get("x_mean_us"), Some(&Json::Null));
         assert_eq!(entry.get("y_mean_us").and_then(Json::as_f64), Some(2.3));
-        assert!(text.contains("\"ot_group\":\"modp1024\",\"x_mean_us\":null"));
+        assert!(text.contains("\"ot_group\":\"ed25519\",\"x_mean_us\":null"));
     }
 }

@@ -72,30 +72,31 @@ fn committed_crypto_trajectory_is_clean() {
         crypto_checks(&doc, None, None, DEFAULT_THRESHOLD).expect("committed runs comparable");
     // The picker must land on the latest *kernel* run pair and skip the
     // overhead run (which shares no metric keys).
-    assert_eq!(base, "pr31-parent-remeasured");
-    assert_eq!(cur, "pr31-half-gates");
+    assert_eq!(base, "ed25519-parent-remeasured");
+    assert_eq!(cur, "ed25519-ot");
     // The pair gates the comparison rows per OT group, the garbled
     // comparator's row and the Montgomery kernel rows per limb count
     // beside the Paillier rows per key size; the current run also
-    // carries the within-run gates: batching per OT group, the
-    // comparison off full-width ladders at Modp1024, encryption off the
-    // ladder per paper key size, validation below encryption per key
-    // size, and two half-gates rows per AND of the 64-AND comparator.
+    // carries the within-run gates: batching per OT group, the curve
+    // comparison's fixed-base multiplications off the variable-base
+    // window, encryption off the ladder per paper key size, validation
+    // below encryption per key size, and two half-gates rows per AND of
+    // the 64-AND comparator. The curve's rows are new in the current
+    // run, so only its within-run gates apply to them.
     for name in [
         "crypto/gc64/half_gate_tables",
         "crypto/gc64/garble_64_mean_us",
         "crypto/gc64/eval_64_mean_us",
         "crypto/1024/validate_below_encrypt",
         "crypto/2048/validate_mean_us",
-        "crypto/modp1024/compare_64_batched",
+        "crypto/ed25519/compare_64_batched",
         "crypto/test192/compare_64_batched",
-        "crypto/modp1024/compare_off_the_ladder",
-        "crypto/modp1024/ot_ladder_full_mean_us",
+        "crypto/ed25519/compare_off_the_ladder",
+        "crypto/test192/ot_ladder_full_mean_us",
         "crypto/1024/encrypt_off_the_ladder",
         "crypto/2048/encrypt_off_the_ladder",
         "crypto/2048/keygen_ms",
-        "crypto/modp1024/ot_single_mean_us",
-        "crypto/modp1024/compare_64_mean_us",
+        "crypto/test192/ot_single_mean_us",
         "crypto/test192/compare_64_mean_us",
         "crypto/1024/encrypt_mean_us",
         "crypto/mont16/mont_mul_ns",

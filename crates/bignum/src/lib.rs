@@ -49,4 +49,9 @@ mod serde_impl;
 pub use biguint::BigUint;
 pub use error::ParseBigIntError;
 pub use montgomery::{ExpDigits, FixedBasePow, Montgomery};
+/// The telemetry counter registry the kernel counters here
+/// (`crypto/modpow`, …) live in, for kernels built on this crate's
+/// integers elsewhere (the edwards25519 arithmetic of `pem-crypto`) to
+/// count beside them.
+pub use pem_telemetry::{register_counter, Counter};
 pub use prime::is_prime;

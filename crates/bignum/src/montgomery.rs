@@ -48,8 +48,7 @@
 //! `mont_mul_into` / `mont_sqr_into` instantiate the body at a
 //! compile-time width for the limb counts the protocols produce — `p`,
 //! `p²`, `n²` at 128/512/1024/2048-bit Paillier keys and the `test_192`
-//! / `modp_1024` / `modp_2048` OT groups are {1, 2, 3, 4, 8, 16, 32, 64}
-//! limbs — so rows unroll and bounds checks vanish. Any other width
+//! OT group are {1, 2, 3, 4, 8, 16, 32, 64} limbs — so rows unroll and bounds checks vanish. Any other width
 //! runs the same body at dynamic width and bumps `bignum/dyn_width_ops`,
 //! which tests pin at zero for trading windows: a key size that falls
 //! off the list fails a test instead of silently losing 1.2–1.7×. The

@@ -16,29 +16,33 @@
 //!    decrypts its chosen branch, evaluates the garbled circuit and learns
 //!    the output bit.
 //!
-//! | `width = 64` | ladders | table pows | table builds | group elements sent |
+//! | `width = 64` | variable-base | fixed-base | table builds | group elements sent |
 //! |---|---|---|---|---|
 //! | one key per bit (before) | 128 | 192 | 0 | 128 |
 //! | one key, 2-bit chunks | 32 | 66 | 1 (`A`) | 33 |
 //!
-//! Every exponent in the second row but one (`T`'s, once per
-//! comparison) is `DhGroup::short_exponent_bits` wide — 160 bits at
-//! Modp1024 — see [`pem_crypto::ot`].
+//! The OT runs in whichever [`Group`] the caller hands in: edwards25519
+//! at the paper profiles (32-byte elements, full-width scalars, the
+//! 128-bit level) and the toy `test192` group of `Z_p*` for fast tests
+//! (24-byte elements, 160-bit exponents) — see [`pem_crypto::ot`]. The
+//! state machines and messages are generic over the group;
+//! [`secure_less_than_local`] takes an [`OtGroup`] and dispatches once.
 //!
 //! The table is stated at the 64-bit width the kernels are benchmarked
-//! at; every count in it scales with `width` (`width / 2` ladders, one
-//! group element per 2-bit chunk plus `A`). PEM's Protocol 2 compares
-//! at `pem_core::quantize::compare_width(m)` for a coalition of `m`
-//! members, the narrowest width its nonce-masked totals fit — 47 bits,
-//! so 24 ladders and 25 group elements, at `m = 12`.
+//! at; every count in it scales with `width` (`width / 2` variable-base
+//! multiplications, one group element per 2-bit chunk plus `A`). PEM's
+//! Protocol 2 compares at `pem_core::quantize::compare_width(m)` for a
+//! coalition of `m` members, the narrowest width its nonce-masked totals
+//! fit — 47 bits, so 24 multiplications and 25 group elements (800
+//! bytes on the curve), at `m = 12`.
 //!
-//! All messages are `serde`-serializable so `pem-net` can meter them.
+//! `pem-core` meters the messages through its own wire encoding.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use pem_crypto::ot::{
-    DhGroup, OtBatchReceiver, OtBatchSender, OtCiphertexts, OtReceiverReply, OtSenderSetup,
+    Group, OtBatchReceiver, OtBatchSender, OtCiphertexts, OtGroup, OtReceiverReply, OtSenderSetup,
     MAX_BRANCHES,
 };
 
@@ -52,8 +56,8 @@ pub const OT_CHUNK_BITS: usize = 2;
 const _: () = assert!(1 << OT_CHUNK_BITS <= MAX_BRANCHES);
 
 /// Message 1: everything the evaluator needs except its own wire labels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompareOffer {
+#[derive(Debug, Clone)]
+pub struct CompareOffer<G: Group> {
     /// Comparator bit width.
     pub width: usize,
     /// The garbled comparator circuit.
@@ -61,14 +65,14 @@ pub struct CompareOffer {
     /// Active labels for the garbler's input bits.
     pub garbler_labels: Vec<Label>,
     /// The one OT setup every chunk's transfer runs under.
-    pub ot_setup: OtSenderSetup,
+    pub ot_setup: OtSenderSetup<G>,
 }
 
 /// Message 2: the evaluator's OT replies (one per chunk).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompareOtRequests {
+#[derive(Debug, Clone)]
+pub struct CompareOtRequests<G: Group> {
     /// OT replies in chunk order.
-    pub replies: Vec<OtReceiverReply>,
+    pub replies: Vec<OtReceiverReply<G>>,
 }
 
 /// Message 3: the OT ciphertexts carrying the evaluator's labels.
@@ -81,12 +85,12 @@ pub struct CompareLabelCiphertexts {
 
 /// Garbler-side state machine for one comparison.
 #[derive(Debug)]
-pub struct CompareGarbler {
-    sender: OtBatchSender,
+pub struct CompareGarbler<G: Group> {
+    sender: OtBatchSender<G>,
     evaluator_wire_labels: Vec<(Label, Label)>,
 }
 
-impl CompareGarbler {
+impl<G: Group> CompareGarbler<G> {
     /// Starts a comparison of `width`-bit values; the garbler contributes
     /// `value` as the left operand of `a < b`. The OT sender holds a
     /// handle to `group`'s shared context, not a copy.
@@ -98,9 +102,9 @@ impl CompareGarbler {
     pub fn start<R: Rng + ?Sized>(
         width: usize,
         value: u128,
-        group: &DhGroup,
+        group: &G,
         rng: &mut R,
-    ) -> Result<(CompareGarbler, CompareOffer), CircuitError> {
+    ) -> Result<(CompareGarbler<G>, CompareOffer<G>), CircuitError> {
         if width < 128 && value >> width != 0 {
             return Err(CircuitError::ValueTooWide { width });
         }
@@ -133,7 +137,7 @@ impl CompareGarbler {
     /// not match the offer.
     pub fn provide_labels(
         self,
-        requests: &CompareOtRequests,
+        requests: &CompareOtRequests<G>,
     ) -> Result<CompareLabelCiphertexts, CircuitError> {
         let chunks = self.evaluator_wire_labels.chunks(OT_CHUNK_BITS);
         if requests.replies.len() != chunks.len() {
@@ -158,13 +162,13 @@ impl CompareGarbler {
 
 /// Evaluator-side state machine for one comparison.
 #[derive(Debug)]
-pub struct CompareEvaluator {
-    receiver: OtBatchReceiver,
+pub struct CompareEvaluator<G: Group> {
+    receiver: OtBatchReceiver<G>,
     garbled: GarbledCircuit,
     garbler_labels: Vec<Label>,
 }
 
-impl CompareEvaluator {
+impl<G: Group> CompareEvaluator<G> {
     /// Processes the offer; the evaluator contributes `value` as the right
     /// operand of `a < b`.
     ///
@@ -174,11 +178,11 @@ impl CompareEvaluator {
     /// * [`CircuitError::MalformedGarbling`] if the offer is inconsistent.
     /// * OT errors for invalid group elements.
     pub fn respond<R: Rng + ?Sized>(
-        offer: CompareOffer,
+        offer: CompareOffer<G>,
         value: u128,
-        group: &DhGroup,
+        group: &G,
         rng: &mut R,
-    ) -> Result<(CompareEvaluator, CompareOtRequests), CircuitError> {
+    ) -> Result<(CompareEvaluator<G>, CompareOtRequests<G>), CircuitError> {
         let width = offer.width;
         if width < 128 && value >> width != 0 {
             return Err(CircuitError::ValueTooWide { width });
@@ -237,7 +241,20 @@ pub fn secure_less_than_local<R: Rng + ?Sized>(
     a: u128,
     b: u128,
     width: usize,
-    group: &DhGroup,
+    group: &OtGroup,
+    rng: &mut R,
+) -> Result<bool, CircuitError> {
+    match group {
+        OtGroup::Dh(g) => less_than_in(a, b, width, g, rng),
+        OtGroup::Ed25519(g) => less_than_in(a, b, width, g, rng),
+    }
+}
+
+fn less_than_in<G: Group, R: Rng + ?Sized>(
+    a: u128,
+    b: u128,
+    width: usize,
+    group: &G,
     rng: &mut R,
 ) -> Result<bool, CircuitError> {
     let (garbler, offer) = CompareGarbler::start(width, a, group, rng)?;
@@ -250,18 +267,24 @@ pub fn secure_less_than_local<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use pem_crypto::drbg::HashDrbg;
+    use pem_crypto::ot::{DhGroup, Ed25519};
 
-    fn group() -> DhGroup {
+    fn group() -> OtGroup {
+        DhGroup::test_192().into()
+    }
+
+    fn test192() -> DhGroup {
         DhGroup::test_192()
     }
 
     #[test]
     fn compares_correctly_small_values() {
-        let g = group();
         let mut rng = HashDrbg::new(b"cmp");
-        for (a, b) in [(0u128, 0u128), (0, 1), (1, 0), (5, 5), (7, 200), (200, 7)] {
-            let got = secure_less_than_local(a, b, 16, &g, &mut rng).expect("compare");
-            assert_eq!(got, a < b, "a={a} b={b}");
+        for g in [group(), Ed25519.into()] {
+            for (a, b) in [(0u128, 0u128), (0, 1), (1, 0), (5, 5), (7, 200), (200, 7)] {
+                let got = secure_less_than_local(a, b, 16, &g, &mut rng).expect("compare");
+                assert_eq!(got, a < b, "{g:?}: a={a} b={b}");
+            }
         }
     }
 
@@ -283,7 +306,7 @@ mod tests {
 
     #[test]
     fn transfer_carries_one_ciphertext_per_chunk_value() {
-        let g = group();
+        let g = test192();
         let mut rng = HashDrbg::new(b"cmp-shape");
         let (garbler, offer) = CompareGarbler::start(5, 19, &g, &mut rng).expect("start");
         let (_eval, requests) = CompareEvaluator::respond(offer, 7, &g, &mut rng).expect("respond");
@@ -293,6 +316,21 @@ mod tests {
             .map(|ct| (ct.branches.len(), ct.branches[0].len()))
             .collect();
         assert_eq!(shape, [(4, 32), (4, 32), (2, 16)]);
+    }
+
+    #[test]
+    fn compares_at_window_widths_on_the_curve() {
+        // 47 and 49 bits: 24 and 25 chunks, past the `A`-table threshold,
+        // the last a 1-of-2.
+        let g = Ed25519.into();
+        let mut rng = HashDrbg::new(b"cmp-curve");
+        for width in [47usize, 49] {
+            let top = (1u128 << width) - 1;
+            for (a, b) in [(top - 1, top), (top, top - 1), (0, top), (12_345, 12_345)] {
+                let got = secure_less_than_local(a, b, width, &g, &mut rng).expect("compare");
+                assert_eq!(got, a < b, "width={width} a={a} b={b}");
+            }
+        }
     }
 
     #[test]
@@ -307,7 +345,7 @@ mod tests {
 
     #[test]
     fn rejects_too_wide_values() {
-        let g = group();
+        let g = test192();
         let mut rng = HashDrbg::new(b"cmp-too-wide");
         assert!(matches!(
             CompareGarbler::start(8, 256, &g, &mut rng),
@@ -317,7 +355,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_offer() {
-        let g = group();
+        let g = test192();
         let mut rng = HashDrbg::new(b"cmp-malformed");
         let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
         offer.garbler_labels.pop();
@@ -329,7 +367,7 @@ mod tests {
 
     #[test]
     fn rejects_reply_count_mismatch() {
-        let g = group();
+        let g = test192();
         let mut rng = HashDrbg::new(b"cmp-replies");
         let (garbler, offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
         let (_eval, mut requests) =

@@ -67,7 +67,7 @@ proptest! {
 
     #[test]
     fn two_party_comparison_matches_operator(a in any::<u32>(), b in any::<u32>(), seed in any::<u64>()) {
-        let group = DhGroup::test_192();
+        let group = DhGroup::test_192().into();
         let mut rng = HashDrbg::from_seed_label(b"prop-2pc", seed);
         let got = secure_less_than_local(a as u128, b as u128, 32, &group, &mut rng)
             .expect("protocol");

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pem_crypto::ot::DhGroup;
+use pem_crypto::ot::{DhGroup, Ed25519, OtGroup};
 use pem_market::PriceBand;
 use pem_net::LatencyModel;
 
@@ -37,29 +37,27 @@ const POPULATION_BITS: u32 = 16;
 pub(crate) const RATIO_SLOT_BITS: usize =
     (VALUE_BITS + 2 + RATIO_PRECISION_BITS + POPULATION_BITS) as usize;
 
-/// Which Diffie–Hellman group backs the oblivious transfers of the secure
-/// comparison. Independent of the Paillier key size — the paper varies
-/// only the latter (512/1024/2048) in its Fig. 5 sweeps.
+/// Which group backs the oblivious transfers of the secure comparison.
+/// Independent of the Paillier key size — the paper varies only the
+/// latter (512/1024/2048) in its Fig. 5 sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OtProfile {
-    /// 192-bit toy group: fast simulation profile (NOT cryptographically
-    /// sized; used for unit tests and large sweeps).
+    /// 192-bit toy group of `Z_p*`: fast simulation profile (NOT
+    /// cryptographically sized; used for unit tests and large sweeps).
     Test192,
-    /// RFC 2409 Oakley Group 2, 1024-bit.
-    Modp1024,
-    /// RFC 3526 Group 14, 2048-bit.
-    Modp2048,
+    /// edwards25519: 32-byte elements, the 128-bit level.
+    Ed25519,
 }
 
 impl OtProfile {
-    /// A handle to the profile's process-wide group context: the prime
-    /// is parsed once and the generator's comb table built once per
-    /// process (on the first `g^x`), however often this is called.
-    pub fn group(self) -> DhGroup {
+    /// A handle to the profile's process-wide group: `test192`'s prime
+    /// is parsed and its generator's comb table built once per process,
+    /// and so is the curve's basepoint table, however often this is
+    /// called.
+    pub fn group(self) -> OtGroup {
         match self {
-            OtProfile::Test192 => DhGroup::test_192(),
-            OtProfile::Modp1024 => DhGroup::modp_1024(),
-            OtProfile::Modp2048 => DhGroup::modp_2048(),
+            OtProfile::Test192 => DhGroup::test_192().into(),
+            OtProfile::Ed25519 => Ed25519.into(),
         }
     }
 }
@@ -98,7 +96,7 @@ impl PemConfig {
         PemConfig {
             key_bits,
             compare_bits: 64,
-            ot_profile: OtProfile::Modp1024,
+            ot_profile: OtProfile::Ed25519,
             band: PriceBand::paper_defaults(),
             seed: 2020,
             topology: Topology::Ring,
@@ -249,8 +247,13 @@ mod tests {
 
     #[test]
     fn ot_profiles_materialize() {
-        assert_eq!(OtProfile::Test192.group().p().bit_length(), 192);
-        assert_eq!(OtProfile::Modp1024.group().p().bit_length(), 1024);
-        assert_eq!(OtProfile::Modp2048.group().p().bit_length(), 2048);
+        match OtProfile::Test192.group() {
+            OtGroup::Dh(g) => assert_eq!(g.p().bit_length(), 192),
+            other => panic!("Test192 gave {other:?}"),
+        }
+        assert_eq!(OtProfile::Ed25519.group(), OtGroup::Ed25519(Ed25519));
+        assert_eq!(PemConfig::paper(1024).ot_profile, OtProfile::Ed25519);
+        assert_eq!(PemConfig::paper(2048).ot_profile, OtProfile::Ed25519);
+        assert_eq!(PemConfig::fast_test().ot_profile, OtProfile::Test192);
     }
 }

@@ -43,7 +43,7 @@ use pem_circuit::compare::{
 use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::{OtCiphertexts, OtReceiverReply, OtSenderSetup};
+use pem_crypto::ot::{Group, OtCiphertexts, OtGroup, OtReceiverReply, OtSenderSetup};
 use pem_crypto::paillier::Ciphertext;
 use pem_fabric::try_join;
 use pem_net::wire::{WireReader, WireWriter};
@@ -233,7 +233,8 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 /// ([`compare_width`](crate::quantize::compare_width)), which holds
 /// either masked total. The OT group is a handle to the profile's shared
 /// context, so the comparison's one OT batch (and every later window)
-/// rides one generator table.
+/// rides one generator table; the three messages are generic over it
+/// and the profile is dispatched on once, here.
 ///
 /// # Errors
 ///
@@ -249,13 +250,42 @@ pub(crate) async fn run_compare<T: Transport>(
     rng: &mut HashDrbg,
 ) -> Result<bool, PemError> {
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
-    let (group, width) = (cfg.ot_profile.group(), cfg.window_compare_bits(members)?);
-    let (garbler, offer) = CompareGarbler::start(width, masked_supply, &group, rng)?;
+    let width = cfg.window_compare_bits(members)?;
+    let roles = (hr1, hr2);
+    let masked = (masked_demand, masked_supply);
+    let general_market = match cfg.ot_profile.group() {
+        OtGroup::Dh(group) => exchange(net, &group, width, roles, masked, rng).await?,
+        OtGroup::Ed25519(group) => exchange(net, &group, width, roles, masked, rng).await?,
+    };
+    compare_span.finish_at(net.now_us());
+
+    // The market case is one public bit, per the paper.
+    let bit = WireWriter::frame(|w| w.put_bool(general_market));
+    let others = (0..net.party_count()).filter(|&i| i != hr1);
+    let result = Announcement::send(net, hr1, "eval/result", others.map(|i| (i, bit.clone())))?;
+    result.hear(net, |r| Ok(r.get_bool()?)).await?;
+    Ok(general_market)
+}
+
+/// The comparison's three messages in `group`: `H_r2` garbles over
+/// `R_s`, `H_r1` evaluates over `R_b` and learns `R_s < R_b`.
+async fn exchange<T: Transport, G: Group>(
+    net: &mut T,
+    group: &G,
+    width: usize,
+    (hr1, hr2): (usize, usize),
+    (masked_demand, masked_supply): (u128, u128),
+    rng: &mut HashDrbg,
+) -> Result<bool, PemError>
+where
+    G::Element: WireElement,
+{
+    let (garbler, offer) = CompareGarbler::start(width, masked_supply, group, rng)?;
     let label = "eval/gc-offer";
     net.send(PartyId(hr2), PartyId(hr1), label, encode_offer(&offer))?;
     let offer = decode_offer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
 
-    let (evaluator, requests) = CompareEvaluator::respond(offer, masked_demand, &group, rng)?;
+    let (evaluator, requests) = CompareEvaluator::respond(offer, masked_demand, group, rng)?;
     let label = "eval/gc-ot-request";
     net.send(
         PartyId(hr1),
@@ -275,15 +305,7 @@ pub(crate) async fn run_compare<T: Transport>(
     )?;
     let transfer = decode_transfer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
 
-    let general_market = evaluator.finish(&transfer)?;
-    compare_span.finish_at(net.now_us());
-
-    // The market case is one public bit, per the paper.
-    let bit = WireWriter::frame(|w| w.put_bool(general_market));
-    let others = (0..net.party_count()).filter(|&i| i != hr1);
-    let result = Announcement::send(net, hr1, "eval/result", others.map(|i| (i, bit.clone())))?;
-    result.hear(net, |r| Ok(r.get_bool()?)).await?;
-    Ok(general_market)
+    Ok(evaluator.finish(&transfer)?)
 }
 
 // --- Wire encodings for the comparison messages ------------------------
@@ -305,6 +327,34 @@ fn expect_varint(
     Ok(())
 }
 
+/// How an OT group's elements cross the wire: a `Z_p*` element as a
+/// length-prefixed integer, an edwards25519 point as its 32 raw bytes.
+trait WireElement: Sized {
+    fn put(&self, w: &mut WireWriter);
+    fn get(r: &mut WireReader<'_>) -> Result<Self, PemError>;
+}
+
+impl WireElement for BigUint {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_biguint(self);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<BigUint, PemError> {
+        Ok(r.get_biguint()?)
+    }
+}
+
+impl WireElement for [u8; 32] {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_raw(self);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<[u8; 32], PemError> {
+        let width = CircuitError::MalformedGarbling("point width");
+        Ok(r.get_raw(32)?.try_into().map_err(|_| width)?)
+    }
+}
+
 fn get_label(r: &mut WireReader<'_>) -> Result<Label, PemError> {
     let width = CircuitError::MalformedGarbling("label width");
     Ok(Label(r.get_raw(16)?.try_into().map_err(|_| width)?))
@@ -313,7 +363,10 @@ fn get_label(r: &mut WireReader<'_>) -> Result<Label, PemError> {
 /// The offer: `width | w | w × [T_G, T_E] | 1 | [H'(O⁰), H'(O¹)] | w |
 /// w garbler labels | A` — `2 + 32w + 1 + 32 + 1 + 16w` bytes and `A`
 /// at widths below 128.
-fn encode_offer(offer: &CompareOffer) -> Vec<u8> {
+fn encode_offer<G: Group>(offer: &CompareOffer<G>) -> Vec<u8>
+where
+    G::Element: WireElement,
+{
     let mut w = WireWriter::new();
     w.put_varint(offer.width as u64);
     w.put_varint(offer.garbled.and_tables().len() as u64);
@@ -328,7 +381,7 @@ fn encode_offer(offer: &CompareOffer) -> Vec<u8> {
     for l in &offer.garbler_labels {
         w.put_raw(&l.0);
     }
-    w.put_biguint(&offer.ot_setup.big_a);
+    offer.ot_setup.big_a.put(&mut w);
     w.finish()
 }
 
@@ -339,7 +392,10 @@ fn get_label_pairs(r: &mut WireReader<'_>, count: usize) -> Result<Vec<[Label; 2
         .collect()
 }
 
-fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> {
+fn decode_offer<G: Group>(payload: &[u8], width: usize) -> Result<CompareOffer<G>, PemError>
+where
+    G::Element: WireElement,
+{
     WireReader::frame(payload, |r| {
         expect_varint(r, width, "offer width is not the agreed width")?;
         // The comparator topology is public: rebuild it locally.
@@ -351,7 +407,7 @@ fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> 
         let output_hashes = get_label_pairs(r, outputs)?;
         expect_varint(r, width, "garbler label count mismatch")?;
         let garbler_labels = (0..width).map(|_| get_label(r)).collect::<Result<_, _>>()?;
-        let big_a = r.get_biguint()?;
+        let big_a = G::Element::get(r)?;
         Ok(CompareOffer {
             width,
             garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
@@ -361,21 +417,28 @@ fn decode_offer(payload: &[u8], width: usize) -> Result<CompareOffer, PemError> 
     })
 }
 
-fn encode_requests(requests: &CompareOtRequests) -> Vec<u8> {
+/// The requests: `chunks | chunks × B`.
+fn encode_requests<G: Group>(requests: &CompareOtRequests<G>) -> Vec<u8>
+where
+    G::Element: WireElement,
+{
     let mut w = WireWriter::new();
     w.put_varint(requests.replies.len() as u64);
     for reply in &requests.replies {
-        w.put_biguint(&reply.big_b);
+        reply.big_b.put(&mut w);
     }
     w.finish()
 }
 
-fn decode_requests(payload: &[u8], width: usize) -> Result<CompareOtRequests, PemError> {
+fn decode_requests<G: Group>(payload: &[u8], width: usize) -> Result<CompareOtRequests<G>, PemError>
+where
+    G::Element: WireElement,
+{
     WireReader::frame(payload, |r| {
         let chunks = width.div_ceil(OT_CHUNK_BITS);
         expect_varint(r, chunks, "OT reply count mismatch")?;
         let replies = (0..chunks)
-            .map(|_| r.get_biguint().map(|big_b| OtReceiverReply { big_b }))
+            .map(|_| G::Element::get(r).map(|big_b| OtReceiverReply { big_b }))
             .collect::<Result<_, _>>()?;
         Ok(CompareOtRequests { replies })
     })
@@ -518,7 +581,7 @@ mod tests {
     #[test]
     fn offer_length_follows_the_width_formula() {
         use super::{decode_offer, encode_offer};
-        use pem_circuit::compare::CompareGarbler;
+        use pem_circuit::compare::{CompareGarbler, CompareOffer};
         use pem_crypto::drbg::HashDrbg;
         use pem_crypto::ot::DhGroup;
         use pem_net::wire::WireWriter;
@@ -535,11 +598,40 @@ mod tests {
             let expected = 4 + 32 * width + 32 + 16 * width + a.finish().len();
             let bytes = encode_offer(&offer);
             assert_eq!(bytes.len(), expected, "width {width}");
-            let back = decode_offer(&bytes, width).expect("decodes at its own width");
+            let back: CompareOffer<DhGroup> =
+                decode_offer(&bytes, width).expect("decodes at its own width");
             assert_eq!(back.garbled.and_tables(), offer.garbled.and_tables());
             assert_eq!(back.garbled.output_hashes(), offer.garbled.output_hashes());
-            assert!(decode_offer(&bytes, width + 1).is_err(), "width {width}");
+            assert!(
+                decode_offer::<DhGroup>(&bytes, width + 1).is_err(),
+                "width {width}"
+            );
         }
+    }
+
+    #[test]
+    fn curve_points_cross_the_wire_as_32_raw_bytes() {
+        // At `paper(512)` the comparison runs on edwards25519: `A` and
+        // every chunk's `B` are 32 bytes with no length prefix.
+        use crate::quantize::compare_width;
+        let data: Vec<AgentWindow> = [2.0, 1.0, -4.0, -3.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &s): (usize, &f64)| {
+                AgentWindow::new(i, s.max(0.0), (-s).max(0.0), 0.0, 0.9, 25.0)
+            })
+            .collect();
+        let out = Pem::new(PemConfig::paper(512), data.len())
+            .expect("setup")
+            .run_window(&data)
+            .expect("window");
+        assert_eq!(out.kind, MarketKind::General);
+        let width = compare_width(data.len());
+        let chunks = width.div_ceil(2);
+        let labels = &out.net.per_label;
+        assert_eq!(labels["eval/gc-ot-request"].bytes, (1 + 32 * chunks) as u64);
+        let offer = 4 + 32 * width + 32 + 16 * width + 32;
+        assert_eq!(labels["eval/gc-offer"].bytes, offer as u64);
     }
 
     #[test]

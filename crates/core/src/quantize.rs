@@ -133,7 +133,7 @@ mod tests {
 
         // The two largest totals the bound admits, in both orders and
         // equal: the derived width holds them with two bits to spare.
-        let group = DhGroup::test_192();
+        let group = DhGroup::test_192().into();
         let mut rng = HashDrbg::new(b"compare-width-bound");
         for m in [2usize, 12, 40, 1 << 16] {
             let width = compare_width(m);

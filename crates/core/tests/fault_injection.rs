@@ -24,6 +24,7 @@ use pem_circuit::CircuitError;
 use pem_core::quantize::compare_width;
 use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome};
 use pem_crypto::drbg::HashDrbg;
+use pem_crypto::ot::DhGroup;
 use pem_crypto::CryptoError;
 use pem_fabric::Executor;
 use pem_market::{AgentWindow, MarketKind};
@@ -535,7 +536,7 @@ fn an_offer_at_the_ceiling_is_refused_at_the_agreed_width() {
     assert_eq!(compare_width(data.len()), 47);
     let cfg = PemConfig::fast_test();
     let mut rng = HashDrbg::new(b"ceiling-offer");
-    let (_, offer) = CompareGarbler::start(cfg.compare_bits, 1, &cfg.ot_profile.group(), &mut rng)
+    let (_, offer) = CompareGarbler::start(cfg.compare_bits, 1, &DhGroup::test_192(), &mut rng)
         .expect("an offer at the ceiling");
     // The offer's wire layout: width, then each count before its items.
     let mut w = WireWriter::new();

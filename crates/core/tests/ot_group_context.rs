@@ -3,15 +3,18 @@
 //!
 //! `OtProfile::group()` hands out handles to one shared context per
 //! built-in group, so after the first comparison has paid for the
-//! generator's comb table no later trading window or comparison builds
-//! another one. A comparison is one OT batch under one sender key `A`,
-//! two bits per transfer: one ladder per chunk, two table
-//! exponentiations per chunk plus two per batch, and exactly one table
-//! build — the comb table for that comparison's `A`. Every secret
-//! exponent in it is `DhGroup::short_exponent_bits` wide, so the ladders
-//! total at most that many bits each, the `A` table is exactly that
-//! wide, and the comparison draws the same number of DRBG bytes whatever
-//! it compares.
+//! generator's (or the curve basepoint's) comb table no later trading
+//! window or comparison builds another one. A comparison is one OT batch
+//! under one sender key `A`, two bits per transfer: one variable-base
+//! multiplication per chunk, two fixed-base ones per chunk plus two per
+//! batch, and exactly one table build — the comb table for that
+//! comparison's `A`. At `test192` those are ladders and table pows of
+//! `pem-bignum`, and every secret exponent is
+//! `DhGroup::short_exponent_bits` wide, so the ladders total at most
+//! that many bits each and the `A` table is exactly that wide; on
+//! edwards25519 they are the curve's own counters and no `pem-bignum`
+//! kernel runs at all. Either way the comparison draws the same number
+//! of DRBG bytes whatever it compares.
 //!
 //! The same discipline holds for Paillier: a key's `h_s` comb table is
 //! built by the first encryption under it and never again, every
@@ -25,7 +28,7 @@ use pem_circuit::compare::secure_less_than_local;
 use pem_core::quantize::compare_width;
 use pem_core::{OtProfile, Pem, PemConfig};
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::{OtBatchReceiver, OtBatchSender};
+use pem_crypto::ot::{DhGroup, OtBatchReceiver, OtBatchSender};
 use pem_market::AgentWindow;
 use pem_telemetry as telemetry;
 use rand::RngCore;
@@ -44,6 +47,15 @@ fn kernel_counts() -> (u64, u64, u64) {
         counter("crypto/modpow"),
         counter("crypto/fixed_base_pow"),
         counter("bignum/fixed_base_builds"),
+    )
+}
+
+/// `(ec_scalar_mul, ec_fixed_base, ec_table_builds)`.
+fn curve_counts() -> (u64, u64, u64) {
+    (
+        counter("crypto/ec_scalar_mul"),
+        counter("crypto/ec_fixed_base"),
+        counter("crypto/ec_table_builds"),
     )
 }
 
@@ -81,16 +93,35 @@ fn window_data() -> Vec<AgentWindow> {
     ]
 }
 
+/// DRBG bytes one comparison of `a` with `b` at `width` bits draws.
+fn drawn(cfg: &PemConfig, width: usize, a: u128, b: u128) -> u64 {
+    let mut rng = CountingRng {
+        inner: HashDrbg::from_seed_label(b"ot-draw-count", a as u64),
+        bytes: 0,
+    };
+    let less = secure_less_than_local(a, b, width, &cfg.ot_profile.group(), &mut rng);
+    assert_eq!(less.expect("compare"), a < b);
+    rng.bytes
+}
+
 #[test]
 fn steady_state_windows_and_comparisons_build_no_tables() {
     assert!(telemetry::install());
-    for profile in [OtProfile::Test192, OtProfile::Modp1024] {
+    test192_comparisons_and_windows();
+    curve_comparisons_and_windows();
+    telemetry::uninstall();
+}
+
+fn test192_comparisons_and_windows() {
+    {
+        let profile = OtProfile::Test192;
         let cfg = PemConfig {
             ot_profile: profile,
             ..PemConfig::fast_test()
         };
         let chunks = cfg.compare_bits.div_ceil(2) as u64;
         let group = profile.group();
+        let dh = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-group-context");
 
         // The first comparison may build the context; the second must
@@ -127,8 +158,8 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
 
         // Same ladders, each no longer than the short width: a full-width
         // draw would total ≈ chunks · |q| bits here.
-        let w = group.short_exponent_bits();
-        assert!(w < group.q().bit_length());
+        let w = dh.short_exponent_bits();
+        assert!(w < dh.q().bit_length());
         assert!(
             ladder_bits > 0 && ladder_bits <= chunks * w as u64,
             "{profile:?}: {ladder_bits} ladder bits per comparison, w = {w}"
@@ -136,34 +167,29 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
         // The comparison's batch builds its `A` table at exactly that
         // width.
         let choices = vec![1usize; chunks as usize];
-        let (_, setup) = OtBatchSender::new(group.clone(), &mut rng);
+        let (_, setup) = OtBatchSender::new(dh.clone(), &mut rng);
         let (receiver, _) =
-            OtBatchReceiver::new(group.clone(), &setup, &choices, &mut rng).expect("replies");
+            OtBatchReceiver::new(dh.clone(), &setup, &choices, &mut rng).expect("replies");
         assert_eq!(receiver.a_table().expect("a batch of 32").max_bits(), w);
         // Fixed draw counts, no rejection loop: neither what is compared
         // nor the stream it draws from changes how many DRBG bytes the
         // comparison consumes (a uniform draw below Test192's `q`
         // rejected 29% of its candidates).
-        let drawn = |a: u128, b: u128| {
-            let mut rng = CountingRng {
-                inner: HashDrbg::from_seed_label(b"ot-draw-count", a as u64),
-                bytes: 0,
-            };
-            let less = secure_less_than_local(a, b, cfg.compare_bits, &group, &mut rng);
-            assert_eq!(less.expect("compare"), a < b);
-            rng.bytes
-        };
-        let bytes = drawn(5, 9);
+        let bytes = drawn(&cfg, cfg.compare_bits, 5, 9);
         for (a, b) in [(u64::MAX as u128, 0), (9, 5), (1 << 40, 1 << 41)] {
-            assert_eq!(drawn(a, b), bytes, "{profile:?}: comparing {a} with {b}");
+            assert_eq!(
+                drawn(&cfg, cfg.compare_bits, a, b),
+                bytes,
+                "{profile:?}: comparing {a} with {b}"
+            );
         }
 
         // A full-width exponent (anything reduced mod p − 1) is served
         // from the table, not the ladder fallback.
-        let full_width = group.p() - &BigUint::one();
-        assert_eq!(full_width.bit_length(), group.p().bit_length());
+        let full_width = dh.p() - &BigUint::one();
+        assert_eq!(full_width.bit_length(), dh.p().bit_length());
         let before = kernel_counts();
-        assert_eq!(group.pow_g(&full_width), BigUint::one());
+        assert_eq!(dh.pow_g(&full_width), BigUint::one());
         let after = kernel_counts();
         assert_eq!(
             (after.0 - before.0, after.1 - before.1, after.2 - before.2),
@@ -220,5 +246,77 @@ fn steady_state_windows_and_comparisons_build_no_tables() {
             "{profile:?}: {builds} table builds over {windows} windows"
         );
     }
-    telemetry::uninstall();
+}
+
+/// Twelve homes, six selling and six buying: a window compares at
+/// `compare_width(12)` = 47 bits.
+fn twelve_homes() -> Vec<AgentWindow> {
+    (0..12)
+        .map(|i| {
+            let e = 0.5 + i as f64 / 4.0;
+            if i < 6 {
+                AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
+            } else {
+                AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
+            }
+        })
+        .collect()
+}
+
+fn curve_comparisons_and_windows() {
+    let cfg = PemConfig {
+        ot_profile: OtProfile::Ed25519,
+        ..PemConfig::fast_test()
+    };
+    let width = compare_width(12);
+    let chunks = width.div_ceil(2) as u64;
+    assert_eq!((width, chunks), (47, 24));
+    let mut rng = HashDrbg::new(b"ot-group-context-curve");
+
+    // The first comparison may build the basepoint table; the second,
+    // through a fresh handle, builds only its `A` table.
+    let group = cfg.ot_profile.group();
+    assert!(secure_less_than_local(5, 9, width, &group, &mut rng).expect("compare"));
+    let (before, bignum_before) = (curve_counts(), kernel_counts());
+    let fresh = cfg.ot_profile.group();
+    assert!(!secure_less_than_local(9, 5, width, &fresh, &mut rng).expect("compare"));
+    let (after, bignum_after) = (curve_counts(), kernel_counts());
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (chunks, 2 * chunks + 2, 1),
+        "(variable-base, fixed-base, table builds) per comparison"
+    );
+    assert_eq!(
+        bignum_after, bignum_before,
+        "a curve comparison ran a bignum kernel"
+    );
+
+    // The batch of 24 takes every `[b]A` off its `A` table.
+    let choices = vec![1usize; chunks as usize];
+    let ed = pem_crypto::ot::Ed25519;
+    let (_, setup) = OtBatchSender::new(ed, &mut rng);
+    let (receiver, _) = OtBatchReceiver::new(ed, &setup, &choices, &mut rng).expect("replies");
+    assert!(receiver.a_table().is_some());
+
+    // 64 bytes per scalar, whatever is compared: 2 + 24 scalars plus the
+    // garbling's draws, the same for every pair.
+    let bytes = drawn(&cfg, width, 5, 9);
+    let top = (1u128 << width) - 1;
+    for (a, b) in [(top, 0), (9, 5), (1 << 40, 1 << 41), (top, top)] {
+        assert_eq!(drawn(&cfg, width, a, b), bytes, "comparing {a} with {b}");
+    }
+
+    // Trading windows of twelve homes: each makes exactly the one
+    // comparison's curve work and no table but its `A`'s.
+    let data = twelve_homes();
+    let mut pem = Pem::new(cfg, data.len()).expect("setup");
+    pem.run_window(&data).expect("first window");
+    let before = curve_counts();
+    pem.run_window(&data).expect("second window");
+    let after = curve_counts();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (chunks, 2 * chunks + 2, 1),
+        "(variable-base, fixed-base, table builds) per trading window"
+    );
 }

@@ -12,8 +12,10 @@
 //!   implementing [`rand::RngCore`] for reproducible experiments,
 //! * [`paillier`] — key generation, encryption, decryption and the
 //!   homomorphic operations (`Enc(a)·Enc(b) = Enc(a+b)`, `Enc(a)^k = Enc(ka)`),
-//! * [`ot`] — 1-out-of-2 oblivious transfer over `Z_p*` (RFC 3526 MODP
-//!   groups; Chou–Orlandi message flow, semi-honest model).
+//! * [`ot`] — batched 1-out-of-n oblivious transfer (Chou–Orlandi,
+//!   semi-honest model), on edwards25519 at the paper profiles and on a
+//!   toy `Z_p*` group for fast tests,
+//! * [`ed25519`] — the edwards25519 group those transfers run on.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod drbg;
+pub mod ed25519;
 pub mod error;
 pub mod ot;
 pub mod paillier;

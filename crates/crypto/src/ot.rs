@@ -1,81 +1,84 @@
-//! Batched 1-out-of-n oblivious transfer over `Z_p*`.
+//! Batched 1-out-of-n oblivious transfer.
 //!
 //! PEM's Private Market Evaluation (Protocol 2) ends with a garbled-circuit
 //! comparison between two randomly chosen agents; the circuit evaluator
 //! obtains the wire labels for its own input bits via OT. We implement
 //! Chou–Orlandi ("simplest OT") as published — **one sender key for the
-//! whole batch, natively 1-of-n** — in the prime-order subgroup of `Z_p*`,
-//! `p` a safe prime, with **short exponents**: every secret exponent is
-//! `w =` [`DhGroup::short_exponent_bits`] bits wide, twice the security
-//! level `p`'s size stands for, not `q`'s ≈`|p|` bits:
+//! whole batch, natively 1-of-n** — once, over a small sealed [`Group`]
+//! trait with two implementations: edwards25519 ([`Ed25519`], the
+//! paper profiles; the curve Chou & Orlandi instantiate it on) and a
+//! safe-prime subgroup of `Z_p*` ([`DhGroup`], the toy `test192` group
+//! of the fast test profile). Written additively (`[x]G` is `g^x` in
+//! `Z_p*`):
 //!
 //! ```text
-//! Sender:        a ←$ [1, 2^w),  A = g^a,  T = g^(−a²) = A^(−a)     once per batch
-//! Receiver(cᵢ):  bᵢ ←$ [1, 2^w), Bᵢ = A^cᵢ · g^bᵢ                   per OT i, cᵢ ∈ 0..n
-//! Sender:        kᵢⱼ = H(i, j, (Bᵢ/Aʲ)^a),  eᵢⱼ = mᵢⱼ ⊕ KDF(kᵢⱼ)     for j ∈ 0..n
-//! Receiver:      kᵢ,cᵢ = H(i, cᵢ, A^bᵢ) → mᵢ,cᵢ
+//! Sender:        a ←$ scalars,  A = [a]G,  T = [−a²]G = [−a]A          once per batch
+//! Receiver(cᵢ):  bᵢ ←$ scalars, Bᵢ = [cᵢ]A + [bᵢ]G                     per OT i, cᵢ ∈ 0..n
+//! Sender:        kᵢⱼ = H(i, j, [a](Bᵢ − [j]A), A, Bᵢ),  eᵢⱼ = mᵢⱼ ⊕ KDF(kᵢⱼ)   for j ∈ 0..n
+//! Receiver:      kᵢ,cᵢ = H(i, cᵢ, [bᵢ]A, A, Bᵢ) → mᵢ,cᵢ
 //! ```
 //!
-//! | group | `|p|` | level `λ` | `w = 2λ` |
+//! | group | element | level `λ` | scalars |
 //! |---|---|---|---|
-//! | `test_192` (not cryptographically sized) | 192 | 80 | 160 |
-//! | `modp_1024` | 1024 | 80 | 160 |
-//! | `modp_2048` | 2048 | 112 | 224 |
+//! | edwards25519 | 32 bytes | 128 | full width mod `ℓ` (64 drawn bytes) |
+//! | `test_192` (not cryptographically sized) | 24 bytes | 80 | `w = 2λ = 160` bits (DLSE) |
 //!
-//! The width comes from the one table the Paillier randomizers use
-//! ([`crate::short_exponent_bits`]), capped below `q`'s width on toy
-//! groups. Each side draws a fixed number of `w`-bit values (zero maps
-//! to 1, no rejection loop), so a batch consumes a constant number of
-//! DRBG bytes whatever it transfers.
+//! On the curve a scalar is 64 DRBG bytes reduced mod `ℓ`
+//! ([`ed25519::Scalar::random`]). In `Z_p*` every secret exponent is
+//! `w =` [`DhGroup::short_exponent_bits`] bits wide, twice the security
+//! level `p`'s size stands for, from the one table the Paillier
+//! randomizers use ([`crate::short_exponent_bits`]), capped below `q`'s
+//! width. Either way each side draws a fixed number of bytes per scalar
+//! (zero maps to 1, no rejection loop), so a batch consumes a constant
+//! number of DRBG bytes whatever it transfers.
 //!
 //! # What a batch costs
 //!
-//! The sender derives `(Bᵢ/Aʲ)^a` as `Bᵢ^a · Tʲ`: one ladder per OT
-//! whatever `n` is, and the `m` ladders of a batch share `a`, so it is
-//! recoded once for all of them. The receiver's `A^bᵢ` share
-//! the base `A`, so a batch of [`A_TABLE_MIN_BATCH`] or more takes them
-//! off one comb table built for `A` at `w` bits (the choice is by batch
-//! length alone); every `g^x` comes off the group's shared table, which
-//! keeps `p`'s width because `−a² mod p − 1` is full width. For a batch
-//! of `m` OTs (a multiplication is one Montgomery product or squaring
-//! mod `p`):
+//! The sender derives `[a](Bᵢ − [j]A)` as `[a]Bᵢ + [j]T`: one
+//! variable-base multiplication per OT whatever `n` is, under one
+//! recoding of `a` for the whole batch. The receiver's `[bᵢ]A` share the
+//! base `A`, so a batch of [`A_TABLE_MIN_BATCH`] or more takes them off
+//! one comb table built for `A` (the choice is by batch length alone);
+//! every `[x]G` comes off the group's shared table. For a batch of `m`
+//! OTs:
 //!
-//! | | ladders | table pows | table builds |
+//! | | variable-base | fixed-base | table builds |
 //! |---|---|---|---|
-//! | sender | `m` × `w`-bit (`Bᵢ^a`: ≈`1.3·w` mults each) | `g^a` (≤ `w/4` mults), `T` (≤ `|p|/4`) | 0 |
-//! | receiver, `m ≥ 8` | 0 | `2m` (`g^bᵢ`, `A^bᵢ`: ≤ `w/4` mults each) | 1 (`A`: ≈`w + 3.5·w` mults) |
-//! | receiver, `m < 8` | `m` × `w`-bit (`A^bᵢ`) | `m` (`g^bᵢ`) | 0 |
+//! | sender | `m` (`[a]Bᵢ`) | 2 (`A`, `T`) | 0 |
+//! | receiver, `m ≥ 8` | 0 | `2m` (`[bᵢ]G`, `[bᵢ]A`) | 1 (`A`) |
+//! | receiver, `m < 8` | `m` (`[bᵢ]A`) | `m` (`[bᵢ]G`) | 0 |
 //!
-//! At Modp1024 that is ≈210 multiplications per ladder where a
-//! full-width exponent took ≈1,230, and ≈720 for the `A` table where it
-//! took ≈4,600.
+//! On the curve a variable-base multiplication is ≈2,400 field
+//! multiplications, a fixed-base one ≈550 and the `A` table ≈4,000
+//! (counted on `crypto/ec_scalar_mul`, `crypto/ec_fixed_base`,
+//! `crypto/ec_table_builds`); the shared secrets are encoded under one
+//! batched inversion per side. In `Z_p*` they are ladders, table pows
+//! and comb builds of [`pem_bignum`] (`crypto/modpow`,
+//! `crypto/fixed_base_pow`, `bignum/fixed_base_builds`).
+//!
+//! # Validation
+//!
+//! Every received element is checked before it is used, and a failure is
+//! a typed [`CryptoError::InvalidOtMessage`]. On the curve a point is
+//! decoded by RFC 8032 §5.1.3 (rejecting `y ≥ p`, points off the curve
+//! and `x = 0` with the sign bit set) and cleared of its cofactor: the
+//! point is multiplied by 8 and the scalar by `8⁻¹ mod ℓ`, so a point of
+//! the subgroup gives the textbook secret, a small-order component
+//! vanishes, and a point that becomes the identity (the 8 small-order
+//! points) is refused. In `Z_p*` an element must lie in `(1, p − 1)`
+//! ([`DhGroup::validate_element`]).
 //!
 //! # Security
 //!
 //! Semi-honest adversaries (the paper's threat model, Section II-B), in
-//! the random-oracle model. The *level* is the group's — ≈80 bits at
-//! Modp1024: index calculus on `p` costs what it did, and the interval
-//! discrete logarithm of a `2λ`-bit exponent costs `2^λ` (Pollard's
-//! kangaroo). What short exponents change is the *assumption*:
-//!
-//! * sender privacy rests on CDH for a short `a` — the discrete
-//!   logarithm with short exponents (DLSE) assumption;
-//! * receiver privacy was perfect (`g^b` uniform in the subgroup hides
-//!   `c` in `B = A^c · g^b` unconditionally) and is now computational:
-//!   `g^b` for a short `b` is indistinguishable from a uniform subgroup
-//!   element under DLSE in a safe-prime group (Koshiba–Kurosawa,
-//!   PKC 2004).
-//!
-//! This is the practice RFC 7919 §5.2 and NIST SP 800-56A r3 specify
-//! for these groups. A reply `B` outside the subgroup still passes
-//! [`DhGroup::validate_element`] (membership would cost a ladder) and
-//! leaks at most `a mod 2` through `B^a` — outside the semi-honest
-//! model, and one bit of a `w`-bit key.
-//!
-//! Groups: RFC 2409 Oakley Group 2 (1024-bit) and RFC 3526 Group 14
-//! (2048-bit), plus a 192-bit safe-prime group for fast unit tests. All
-//! primes are verified safe primes.
+//! the random-oracle model. On edwards25519 the level is 128 bits and
+//! the assumption is CDH in the prime-order subgroup. In `test192` the
+//! level is nominal (the group is a toy) and the assumption is CDH for
+//! short exponents — discrete log with short exponents (DLSE) — with
+//! receiver privacy resting on DLSE too (Koshiba–Kurosawa, PKC 2004),
+//! the practice RFC 7919 §5.2 specifies for `Z_p*` groups.
 
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
@@ -83,25 +86,10 @@ use serde::{Deserialize, Serialize};
 
 use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery};
 
+use crate::ed25519::{self, basepoint_table, EdwardsPoint, EdwardsTable, Scalar};
 use crate::error::CryptoError;
 use crate::sha256::{kdf, Sha256};
 use crate::{short_exponent, short_exponent_bits};
-
-/// RFC 2409 Oakley Group 2 prime (1024-bit safe prime), generator 2.
-const MODP_1024_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
-EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF";
-
-/// RFC 3526 Group 14 prime (2048-bit safe prime), generator 2.
-const MODP_2048_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
-EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
-98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
-9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
-E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
-3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF";
 
 /// 192-bit safe prime for fast test profiles (generated and verified for
 /// this project; NOT cryptographically sized). Generator 4 (a quadratic
@@ -112,9 +100,8 @@ const TEST_192_HEX: &str = "B664FE32B4E948E95FD8E69DD893AD839349C3CF7FC02893";
 ///
 /// A cheap handle: every clone shares one context, so the Montgomery
 /// constants and the generator's comb table are built once per context
-/// no matter how many OT instances hold the group. The built-in groups
-/// ([`DhGroup::test_192`], [`DhGroup::modp_1024`], [`DhGroup::modp_2048`])
-/// hand out handles to one process-wide context each.
+/// no matter how many OT instances hold the group. [`DhGroup::test_192`]
+/// hands out handles to one process-wide context.
 // With upstream serde, `Arc` fields need its `rc` feature.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DhGroup {
@@ -146,16 +133,6 @@ impl PartialEq for DhGroup {
 
 impl Eq for DhGroup {}
 
-/// A handle to the process-wide context of a built-in group, parsed and
-/// validated on first use.
-fn builtin(cell: &'static OnceLock<DhGroup>, p_hex: &str, g: u64) -> DhGroup {
-    cell.get_or_init(|| {
-        let p = BigUint::from_str_radix(p_hex, 16).expect("const");
-        DhGroup::from_parts(p, BigUint::from(g))
-    })
-    .clone()
-}
-
 impl DhGroup {
     /// Builds a group (a fresh context) from a safe prime and generator.
     ///
@@ -177,34 +154,16 @@ impl DhGroup {
         }
     }
 
-    /// RFC 2409 Oakley Group 2: 1024-bit MODP, generator 2.
-    pub fn modp_1024() -> DhGroup {
-        static GROUP: OnceLock<DhGroup> = OnceLock::new();
-        builtin(&GROUP, MODP_1024_HEX, 2)
-    }
-
-    /// RFC 3526 Group 14: 2048-bit MODP, generator 2.
-    pub fn modp_2048() -> DhGroup {
-        static GROUP: OnceLock<DhGroup> = OnceLock::new();
-        builtin(&GROUP, MODP_2048_HEX, 2)
-    }
-
-    /// Small 192-bit group for unit tests and fast simulation profiles.
+    /// Small 192-bit group for unit tests and fast simulation profiles,
+    /// parsed on first use; every handle shares one context.
     pub fn test_192() -> DhGroup {
         static GROUP: OnceLock<DhGroup> = OnceLock::new();
-        builtin(&GROUP, TEST_192_HEX, 4)
-    }
-
-    /// Selects a group whose prime is at least `bits` wide (192 → test
-    /// group, ≤1024 → Oakley 2, otherwise Group 14).
-    pub fn for_security(bits: usize) -> DhGroup {
-        if bits <= 192 {
-            DhGroup::test_192()
-        } else if bits <= 1024 {
-            DhGroup::modp_1024()
-        } else {
-            DhGroup::modp_2048()
-        }
+        GROUP
+            .get_or_init(|| {
+                let p = BigUint::from_str_radix(TEST_192_HEX, 16).expect("const");
+                DhGroup::from_parts(p, BigUint::from(4u64))
+            })
+            .clone()
     }
 
     /// The prime modulus.
@@ -265,9 +224,9 @@ impl DhGroup {
     }
 
     /// Bit length `w` of every secret exponent an OT batch draws:
-    /// [`short_exponent_bits`] of `p`'s width (160 at Modp1024 and
-    /// Test192, 224 at Modp2048), capped below `q`'s width so a toy or
-    /// custom group's exponents stay under its order.
+    /// [`short_exponent_bits`] of `p`'s width (160 at Test192), capped
+    /// below `q`'s width so a toy or custom group's exponents stay under
+    /// its order.
     pub fn short_exponent_bits(&self) -> usize {
         short_exponent_bits(self.p().bit_length()).min(self.q().bit_length() - 1)
     }
@@ -284,37 +243,241 @@ impl DhGroup {
     }
 }
 
+/// The edwards25519 group ([`crate::ed25519`]): a handle to the
+/// process-wide basepoint table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ed25519;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::DhGroup {}
+    impl Sealed for super::Ed25519 {}
+}
+
+/// What Chou–Orlandi needs of a group, written additively; implemented
+/// by [`DhGroup`] and [`Ed25519`] only.
+pub trait Group: sealed::Sealed + Clone + fmt::Debug {
+    /// An element as it travels and is hashed.
+    type Element: Clone + fmt::Debug + PartialEq + Eq;
+    /// An element in the form the arithmetic runs on.
+    type Point: Clone + fmt::Debug;
+    /// A secret scalar.
+    type Scalar: fmt::Debug;
+    /// A scalar readied for repeated [`Group::mul`]s of checked points.
+    type Multiplier: fmt::Debug;
+    /// A comb table for one checked received point.
+    type Table;
+
+    /// Draws a secret scalar: a fixed number of bytes from `rng`.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Scalar;
+    /// `[k]G`, off the group's shared table.
+    fn mul_base(&self, k: &Self::Scalar) -> Self::Point;
+    /// `−k²` modulo a multiple of the group order.
+    fn neg_square(&self, k: &Self::Scalar) -> Self::Scalar;
+    /// `x + y`.
+    fn add(&self, x: &Self::Point, y: &Self::Point) -> Self::Point;
+    /// The elements of `points`, in order.
+    fn encode_all(&self, points: Vec<Self::Point>) -> Vec<Self::Element>;
+    /// Checks a received element, returning it as a point and in the
+    /// form [`Group::mul`] and [`Group::table`] take (cleared of any
+    /// cofactor).
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidOtMessage`] for an element that is not one
+    /// of the group, or that clears to the identity.
+    fn receive(&self, e: &Self::Element) -> Result<(Self::Point, Self::Point), CryptoError>;
+    /// `k` readied for [`Group::mul`].
+    fn multiplier(&self, k: &Self::Scalar) -> Self::Multiplier;
+    /// `[k]P` for a checked `P`, so `[k]` of the point as received.
+    fn mul(&self, p: &Self::Point, k: &Self::Multiplier) -> Self::Point;
+    /// A comb table for a checked point.
+    fn table(&self, p: &Self::Point) -> Self::Table;
+    /// [`Group::mul`] off `p`'s table, for the scalar itself.
+    fn mul_table(&self, t: &Self::Table, k: &Self::Scalar) -> Self::Point;
+    /// Feeds `e`'s fixed-width bytes to `h`.
+    fn hash_element(&self, e: &Self::Element, h: &mut Sha256);
+}
+
+impl Group for DhGroup {
+    type Element = BigUint;
+    type Point = BigUint;
+    type Scalar = BigUint;
+    /// The exponent's recoding for the ladder.
+    type Multiplier = ExpDigits;
+    type Table = FixedBasePow;
+
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        short_exponent(self.short_exponent_bits(), rng)
+    }
+
+    fn mul_base(&self, k: &BigUint) -> BigUint {
+        self.pow_g(k)
+    }
+
+    /// Reduced mod `p − 1` (a multiple of `g`'s order) into `(0, p − 1]`,
+    /// so it fits the generator table's width.
+    fn neg_square(&self, k: &BigUint) -> BigUint {
+        let order = self.q() << 1;
+        &order - &((k * k) % &order)
+    }
+
+    fn add(&self, x: &BigUint, y: &BigUint) -> BigUint {
+        self.mul(x, y)
+    }
+
+    fn encode_all(&self, points: Vec<BigUint>) -> Vec<BigUint> {
+        points
+    }
+
+    fn receive(&self, e: &BigUint) -> Result<(BigUint, BigUint), CryptoError> {
+        self.validate_element(e)?;
+        Ok((e.clone(), e.clone()))
+    }
+
+    fn multiplier(&self, k: &BigUint) -> ExpDigits {
+        ExpDigits::recode(k)
+    }
+
+    fn mul(&self, p: &BigUint, k: &ExpDigits) -> BigUint {
+        self.mont().modpow_recoded(p, k)
+    }
+
+    /// At the short exponent width.
+    fn table(&self, p: &BigUint) -> FixedBasePow {
+        self.fixed_base_table(p, self.short_exponent_bits())
+    }
+
+    fn mul_table(&self, t: &FixedBasePow, k: &BigUint) -> BigUint {
+        t.pow(k)
+    }
+
+    /// At `p`'s byte length, so a leading zero byte cannot shift one
+    /// element's bytes into the next.
+    fn hash_element(&self, e: &BigUint, h: &mut Sha256) {
+        h.update(&e.to_bytes_be_padded(self.p().bit_length().div_ceil(8)));
+    }
+}
+
+impl Group for Ed25519 {
+    /// The RFC 8032 encoding.
+    type Element = [u8; 32];
+    type Point = EdwardsPoint;
+    type Scalar = Scalar;
+    /// `k·8⁻¹ mod ℓ`, for points multiplied by the cofactor on receipt.
+    type Multiplier = Scalar;
+    type Table = EdwardsTable;
+
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Scalar {
+        Scalar::random(rng)
+    }
+
+    fn mul_base(&self, k: &Scalar) -> EdwardsPoint {
+        basepoint_table().mul(k)
+    }
+
+    fn neg_square(&self, k: &Scalar) -> Scalar {
+        let (k, l) = (k.to_biguint(), ed25519::order());
+        Scalar::from_biguint(&(l - &((&k * &k) % l)))
+    }
+
+    fn add(&self, x: &EdwardsPoint, y: &EdwardsPoint) -> EdwardsPoint {
+        x.add(y)
+    }
+
+    fn encode_all(&self, points: Vec<EdwardsPoint>) -> Vec<[u8; 32]> {
+        EdwardsPoint::compress_batch(&points)
+    }
+
+    /// Decodes `e`, then clears its cofactor: three doublings.
+    fn receive(&self, e: &[u8; 32]) -> Result<(EdwardsPoint, EdwardsPoint), CryptoError> {
+        let p = EdwardsPoint::decompress(e)?;
+        let cleared = p.mul_by_cofactor();
+        if cleared.is_identity() {
+            return Err(CryptoError::InvalidOtMessage(
+                "point of small order (the identity after clearing the cofactor)",
+            ));
+        }
+        Ok((p, cleared))
+    }
+
+    fn multiplier(&self, k: &Scalar) -> Scalar {
+        // ℓ ≡ 5 (mod 8), so 8⁻¹ = (3ℓ + 1)/8.
+        let l = ed25519::order();
+        let inv8 = (&(l + &(l + l)) + &BigUint::one()) >> 3;
+        Scalar::from_biguint(&(&k.to_biguint() * &inv8))
+    }
+
+    fn mul(&self, p: &EdwardsPoint, k: &Scalar) -> EdwardsPoint {
+        p.mul(k)
+    }
+
+    fn table(&self, p: &EdwardsPoint) -> EdwardsTable {
+        EdwardsTable::new(p)
+    }
+
+    fn mul_table(&self, t: &EdwardsTable, k: &Scalar) -> EdwardsPoint {
+        t.mul(&self.multiplier(k))
+    }
+
+    fn hash_element(&self, e: &[u8; 32], h: &mut Sha256) {
+        h.update(e);
+    }
+}
+
+/// The group an OT profile runs in: one of the two [`Group`]s, chosen
+/// at run time. [`run_local_ot`] and the comparison dispatch on it once,
+/// into code generic over the group.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OtGroup {
+    /// A safe-prime subgroup of `Z_p*` (`test192`).
+    Dh(DhGroup),
+    /// edwards25519.
+    Ed25519(Ed25519),
+}
+
+impl From<DhGroup> for OtGroup {
+    fn from(g: DhGroup) -> OtGroup {
+        OtGroup::Dh(g)
+    }
+}
+
+impl From<Ed25519> for OtGroup {
+    fn from(g: Ed25519) -> OtGroup {
+        OtGroup::Ed25519(g)
+    }
+}
+
 /// Most branches one OT carries (1-of-4: two choice bits per transfer).
 pub const MAX_BRANCHES: usize = 4;
 
 /// Batch length from which the receiver builds a comb table for `A`
-/// instead of running a ladder per `A^b`. Measured break-even at the
-/// short exponent width: 5 OTs at Modp1024 (build 0.25 ms, table pow
-/// 12 µs, ladder 64 µs), 5–6 at Modp2048 (1.2 ms, 63 µs, 300 µs) and 13
-/// at Test192 (34 µs, 1.0 µs, 3.6 µs); 8 sits between. The batches that
-/// exist are 1 (`run_local_ot`) and 32 (a 64-bit comparison), far on
-/// either side, so the exact value decides nothing today.
+/// instead of running a variable-base multiplication per `[b]A`.
+/// Measured break-even: 13 OTs at Test192 (build 34 µs, table pow
+/// 1.0 µs, ladder 3.6 µs) and 2–3 on edwards25519 (build ≈100 µs,
+/// table multiplication ≈15 µs, window ≈55 µs); 8 sits between. The batches
+/// that exist are 1 (`run_local_ot`) and 23–25 (a comparison at
+/// `compare_width(m)`: 47 or 49 bits in 2-bit chunks), far on either
+/// side, so the exact value decides nothing today.
 pub const A_TABLE_MIN_BATCH: usize = 8;
 
 /// Hashes OT `i`'s branch-`j` secret into a symmetric key, bound to the
-/// transcript (`A`, `B`), the OT's position in its batch and the branch.
-/// The three group elements are hashed at `p`'s byte length each, so a
-/// leading zero byte cannot shift one element's bytes into the next.
-fn derive_key(
-    group: &DhGroup,
-    shared: &BigUint,
-    big_a: &BigUint,
-    big_b: &BigUint,
+/// transcript (`A`, `B`), the OT's position in its batch and the branch;
+/// every element is hashed at the group's fixed width.
+fn derive_key<G: Group>(
+    group: &G,
+    shared: &G::Element,
+    big_a: &G::Element,
+    big_b: &G::Element,
     i: usize,
     j: usize,
 ) -> [u8; 32] {
-    let len = group.p().bit_length().div_ceil(8);
     let mut h = Sha256::new();
     h.update(b"pem-ot-key");
     h.update(&(i as u64).to_be_bytes());
     h.update(&[j as u8]);
     for element in [shared, big_a, big_b] {
-        h.update(&element.to_bytes_be_padded(len));
+        group.hash_element(element, &mut h);
     }
     h.finalize()
 }
@@ -326,17 +489,17 @@ fn pad(key: &[u8; 32], msg: &[u8]) -> Vec<u8> {
 }
 
 /// First OT message (sender → receiver), one per batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OtSenderSetup {
-    /// `A = g^a`.
-    pub big_a: BigUint,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OtSenderSetup<G: Group> {
+    /// `A = [a]G`.
+    pub big_a: G::Element,
 }
 
 /// Second OT message (receiver → sender), one per OT.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OtReceiverReply {
-    /// `B = A^c · g^b` for choice `c`.
-    pub big_b: BigUint,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OtReceiverReply<G: Group> {
+    /// `B = [c]A + [b]G` for choice `c`.
+    pub big_b: G::Element,
 }
 
 /// Third OT message (sender → receiver), one per OT.
@@ -348,33 +511,29 @@ pub struct OtCiphertexts {
 
 /// Sender side of a batch of 1-of-n OTs under one key.
 #[derive(Debug)]
-pub struct OtBatchSender {
-    group: DhGroup,
-    /// The batch key `a`, recoded once for the batch's ladders `Bᵢ^a`.
-    a_digits: ExpDigits,
-    big_a: BigUint,
-    /// `T = g^(−a²) = A^(−a)`.
-    t: BigUint,
+pub struct OtBatchSender<G: Group> {
+    group: G,
+    /// The batch key `a`, readied once for the batch's `[a]Bᵢ`.
+    a: G::Multiplier,
+    big_a: G::Element,
+    /// `T = [−a²]G = [−a]A`.
+    t: G::Point,
 }
 
-impl OtBatchSender {
+impl<G: Group> OtBatchSender<G> {
     /// Draws the batch key, producing the setup message.
-    pub fn new<R: Rng + ?Sized>(group: DhGroup, rng: &mut R) -> (OtBatchSender, OtSenderSetup) {
-        let a = short_exponent(group.short_exponent_bits(), rng);
-        OtBatchSender::with_exponent(group, &a)
+    pub fn new<R: Rng + ?Sized>(group: G, rng: &mut R) -> (OtBatchSender<G>, OtSenderSetup<G>) {
+        let a = group.draw(rng);
+        OtBatchSender::with_scalar(group, &a)
     }
 
-    fn with_exponent(group: DhGroup, a: &BigUint) -> (OtBatchSender, OtSenderSetup) {
-        let big_a = group.pow_g(a);
-        // −a² reduced mod p − 1 (a multiple of g's order) into
-        // (0, p − 1], so it fits the table's width.
-        let order = group.q() << 1;
-        let t = group.pow_g(&(&order - &((a * a) % &order)));
+    fn with_scalar(group: G, a: &G::Scalar) -> (OtBatchSender<G>, OtSenderSetup<G>) {
+        let big_a = group.encode_all(vec![group.mul_base(a)]).remove(0);
         let sender = OtBatchSender {
-            group,
-            a_digits: ExpDigits::recode(a),
+            a: group.multiplier(a),
             big_a: big_a.clone(),
-            t,
+            t: group.mul_base(&group.neg_square(a)),
+            group,
         };
         (sender, OtSenderSetup { big_a })
     }
@@ -391,30 +550,33 @@ impl OtBatchSender {
     /// lengths differ.
     pub fn encrypt(
         &self,
-        replies: &[OtReceiverReply],
+        replies: &[OtReceiverReply<G>],
         messages: &[Vec<Vec<u8>>],
     ) -> Result<Vec<OtCiphertexts>, CryptoError> {
         if replies.len() != messages.len() {
             return Err(CryptoError::InvalidOtMessage("reply count"));
         }
+        let mut received = Vec::with_capacity(replies.len());
         for (reply, branches) in replies.iter().zip(messages) {
             if !matches!(branches.len(), 2 | MAX_BRANCHES)
                 || branches.iter().any(|m| m.len() != branches[0].len())
             {
                 return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
             }
-            self.group.validate_element(&reply.big_b)?;
+            received.push(self.group.receive(&reply.big_b)?.1);
         }
-        let powers = self.powers(replies.iter().map(|r| &r.big_b));
+        let secrets: Vec<G::Point> = (self.powers(&received).into_iter().zip(messages))
+            .flat_map(|(power, branches)| self.branch_secrets(power, branches.len()))
+            .collect();
+        let mut keys = self.group.encode_all(secrets).into_iter();
         let mut cts = Vec::with_capacity(replies.len());
-        for (index, ((power, reply), branches)) in
-            (powers.into_iter().zip(replies).zip(messages)).enumerate()
-        {
-            let secrets = self.branch_secrets(power, branches.len());
-            let branches = (secrets.iter().zip(branches).enumerate())
-                .map(|(j, (k, m))| {
-                    let key = derive_key(&self.group, k, &self.big_a, &reply.big_b, index, j);
-                    pad(&key, m)
+        for (index, (reply, branches)) in replies.iter().zip(messages).enumerate() {
+            let branches = (branches.iter().enumerate().zip(&mut keys))
+                .map(|((j, m), k)| {
+                    pad(
+                        &derive_key(&self.group, &k, &self.big_a, &reply.big_b, index, j),
+                        m,
+                    )
                 })
                 .collect();
             cts.push(OtCiphertexts { branches });
@@ -422,23 +584,21 @@ impl OtBatchSender {
         Ok(cts)
     }
 
-    /// `Bᵢ^a` for every `Bᵢ`: one ladder each under the one recoding of
-    /// `a`.
-    fn powers<'a>(&self, big_bs: impl IntoIterator<Item = &'a BigUint>) -> Vec<BigUint> {
-        let mont = self.group.mont();
-        (big_bs.into_iter())
-            .map(|b| mont.modpow_recoded(b, &self.a_digits))
+    /// `[a]Bᵢ` for every checked `Bᵢ`, under the one readied `a`.
+    fn powers(&self, big_bs: &[G::Point]) -> Vec<G::Point> {
+        (big_bs.iter())
+            .map(|b| self.group.mul(b, &self.a))
             .collect()
     }
 
-    /// The branch secrets `(B/Aʲ)^a` for `j ∈ 0..branches` from
-    /// `power = B^a`, derived as `B^a · Tʲ` — the same group elements
-    /// for one ladder and a multiplication per further branch, instead
-    /// of an inversion and a ladder each.
-    fn branch_secrets(&self, power: BigUint, branches: usize) -> Vec<BigUint> {
+    /// The branch secrets `[a](B − [j]A)` for `j ∈ 0..branches` from
+    /// `power = [a]B`, derived as `[a]B + [j]T` — the same group elements
+    /// for one multiplication and an addition per further branch,
+    /// instead of a negation and a multiplication each.
+    fn branch_secrets(&self, power: G::Point, branches: usize) -> Vec<G::Point> {
         let mut secrets = vec![power];
         for j in 1..branches {
-            secrets.push(self.group.mul(&secrets[j - 1], &self.t));
+            secrets.push(self.group.add(&secrets[j - 1], &self.t));
         }
         secrets
     }
@@ -446,14 +606,16 @@ impl OtBatchSender {
 
 /// Receiver side of a batch of 1-of-n OTs under one sender key.
 #[derive(Debug)]
-pub struct OtBatchReceiver {
-    group: DhGroup,
-    big_a: BigUint,
-    /// Per OT: the choice, the blinding exponent `b` and `B`.
-    ots: Vec<(usize, BigUint, BigUint)>,
+pub struct OtBatchReceiver<G: Group> {
+    group: G,
+    big_a: G::Element,
+    /// `A` checked, in the form [`Group::mul`] takes.
+    a_point: G::Point,
+    /// Per OT: the choice, the blinding scalar `b` and `B`.
+    ots: Vec<(usize, G::Scalar, G::Element)>,
 }
 
-impl OtBatchReceiver {
+impl<G: Group> OtBatchReceiver<G> {
     /// Responds to the sender's setup with one blinded key `B` per
     /// choice (each in `0..MAX_BRANCHES`).
     ///
@@ -462,48 +624,58 @@ impl OtBatchReceiver {
     /// [`CryptoError::InvalidOtMessage`] if `A` is invalid or a choice is
     /// out of range.
     pub fn new<R: Rng + ?Sized>(
-        group: DhGroup,
-        setup: &OtSenderSetup,
+        group: G,
+        setup: &OtSenderSetup<G>,
         choices: &[usize],
         rng: &mut R,
-    ) -> Result<(OtBatchReceiver, Vec<OtReceiverReply>), CryptoError> {
-        let big_a = setup.big_a.clone();
-        group.validate_element(&big_a)?;
+    ) -> Result<(OtBatchReceiver<G>, Vec<OtReceiverReply<G>>), CryptoError> {
+        let a_points = group.receive(&setup.big_a)?;
         if choices.iter().any(|&c| c >= MAX_BRANCHES) {
             return Err(CryptoError::InvalidOtMessage("choice out of range"));
         }
-        let bits = group.short_exponent_bits();
-        let exponents = choices.iter().map(|_| short_exponent(bits, rng)).collect();
-        Ok(OtBatchReceiver::with_exponents(
-            group, big_a, choices, exponents,
+        let scalars = choices.iter().map(|_| group.draw(rng)).collect();
+        Ok(OtBatchReceiver::with_scalars(
+            group,
+            setup.big_a.clone(),
+            a_points,
+            choices,
+            scalars,
         ))
     }
 
-    fn with_exponents(
-        group: DhGroup,
-        big_a: BigUint,
+    fn with_scalars(
+        group: G,
+        big_a: G::Element,
+        (a_raw, a_point): (G::Point, G::Point),
         choices: &[usize],
-        exponents: Vec<BigUint>,
-    ) -> (OtBatchReceiver, Vec<OtReceiverReply>) {
-        let mut ots = Vec::with_capacity(choices.len());
-        let mut replies = Vec::with_capacity(choices.len());
-        for (&c, b) in choices.iter().zip(exponents) {
-            let big_b = (0..c).fold(group.pow_g(&b), |x, _| group.mul(&x, &big_a));
-            replies.push(OtReceiverReply {
+        scalars: Vec<G::Scalar>,
+    ) -> (OtBatchReceiver<G>, Vec<OtReceiverReply<G>>) {
+        let points: Vec<G::Point> = (choices.iter().zip(&scalars))
+            .map(|(&c, b)| (0..c).fold(group.mul_base(b), |x, _| group.add(&x, &a_raw)))
+            .collect();
+        let big_bs = group.encode_all(points);
+        let replies = (big_bs.iter())
+            .map(|big_b| OtReceiverReply {
                 big_b: big_b.clone(),
-            });
-            ots.push((c, b, big_b));
-        }
-        (OtBatchReceiver { group, big_a, ots }, replies)
+            })
+            .collect();
+        let ots = (choices.iter().zip(scalars).zip(big_bs))
+            .map(|((&c, b), big_b)| (c, b, big_b))
+            .collect();
+        let receiver = OtBatchReceiver {
+            group,
+            big_a,
+            a_point,
+            ots,
+        };
+        (receiver, replies)
     }
 
-    /// The comb table [`OtBatchReceiver::decrypt`] takes every `A^bᵢ`
-    /// off, at the short exponent width — built per call; `None` for a
-    /// batch below [`A_TABLE_MIN_BATCH`], which runs a ladder per OT.
-    pub fn a_table(&self) -> Option<FixedBasePow> {
-        let bits = self.group.short_exponent_bits();
-        (self.ots.len() >= A_TABLE_MIN_BATCH)
-            .then(|| self.group.fixed_base_table(&self.big_a, bits))
+    /// The comb table [`OtBatchReceiver::decrypt`] takes every `[bᵢ]A`
+    /// off — built per call; `None` for a batch below
+    /// [`A_TABLE_MIN_BATCH`], which multiplies per OT.
+    pub fn a_table(&self) -> Option<G::Table> {
+        (self.ots.len() >= A_TABLE_MIN_BATCH).then(|| self.group.table(&self.a_point))
     }
 
     /// Decrypts the chosen branch of every OT, in batch order.
@@ -517,20 +689,26 @@ impl OtBatchReceiver {
         if cts.len() != self.ots.len() {
             return Err(CryptoError::InvalidOtMessage("ciphertext count"));
         }
-        let a_table = self.a_table();
-        let mut out = Vec::with_capacity(cts.len());
-        for (index, ((c, b, big_b), ct)) in self.ots.iter().zip(cts).enumerate() {
+        for ((c, _, _), ct) in self.ots.iter().zip(cts) {
             let e = &ct.branches;
             if *c >= e.len() || e.iter().any(|x| x.len() != e[0].len()) {
                 return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
             }
-            let shared = match &a_table {
-                Some(table) => table.pow(b),
-                None => self.group.pow(&self.big_a, b),
-            };
-            let key = derive_key(&self.group, &shared, &self.big_a, big_b, index, *c);
-            out.push(pad(&key, &e[*c]));
         }
+        let a_table = self.a_table();
+        let shared: Vec<G::Point> = (self.ots.iter())
+            .map(|(_, b, _)| match &a_table {
+                Some(table) => self.group.mul_table(table, b),
+                None => self.group.mul(&self.a_point, &self.group.multiplier(b)),
+            })
+            .collect();
+        let keys = self.group.encode_all(shared);
+        let out = (self.ots.iter().zip(cts).zip(keys).enumerate())
+            .map(|(index, (((c, _, big_b), ct), k))| {
+                let key = derive_key(&self.group, &k, &self.big_a, big_b, index, *c);
+                pad(&key, &ct.branches[*c])
+            })
+            .collect();
         Ok(out)
     }
 }
@@ -538,7 +716,20 @@ impl OtBatchReceiver {
 /// Runs both sides of a single 1-of-2 OT in memory — a batch of one
 /// (reference flow used by tests and the single-process simulator).
 pub fn run_local_ot<R: Rng + ?Sized>(
-    group: &DhGroup,
+    group: &OtGroup,
+    m0: &[u8],
+    m1: &[u8],
+    choice: bool,
+    rng: &mut R,
+) -> Result<Vec<u8>, CryptoError> {
+    match group {
+        OtGroup::Dh(g) => local_ot(g, m0, m1, choice, rng),
+        OtGroup::Ed25519(g) => local_ot(g, m0, m1, choice, rng),
+    }
+}
+
+fn local_ot<G: Group, R: Rng + ?Sized>(
+    group: &G,
     m0: &[u8],
     m1: &[u8],
     choice: bool,
@@ -568,25 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn modp_1024_is_safe_prime() {
-        let mut rng = HashDrbg::new(b"prime-check-1024");
-        let g = DhGroup::modp_1024();
-        assert_eq!(g.p().bit_length(), 1024);
-        assert!(is_prime(g.p(), &mut rng));
-        assert!(is_prime(g.q(), &mut rng));
-    }
-
-    #[test]
-    #[ignore = "2048-bit double primality check is slow; run with --ignored"]
-    fn modp_2048_is_safe_prime() {
-        let mut rng = HashDrbg::new(b"prime-check-2048");
-        let g = DhGroup::modp_2048();
-        assert_eq!(g.p().bit_length(), 2048);
-        assert!(is_prime(g.p(), &mut rng));
-        assert!(is_prime(g.q(), &mut rng));
-    }
-
-    #[test]
     fn fixed_base_generator_matches_generic_pow() {
         let g = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"g-table");
@@ -607,17 +779,16 @@ mod tests {
 
     #[test]
     fn generator_table_covers_full_width_exponents() {
-        for g in [DhGroup::test_192(), DhGroup::modp_1024()] {
-            assert!(g.g_table().max_bits() >= g.p().bit_length());
-            let e = g.p() - &BigUint::one();
-            assert_eq!(g.pow_g(&e), g.pow(g.g(), &e));
-        }
+        let g = DhGroup::test_192();
+        assert!(g.g_table().max_bits() >= g.p().bit_length());
+        let e = g.p() - &BigUint::one();
+        assert_eq!(g.pow_g(&e), g.pow(g.g(), &e));
     }
 
     #[test]
     fn clones_and_builtin_handles_share_one_context() {
-        let a = DhGroup::modp_1024();
-        let b = DhGroup::modp_1024();
+        let a = DhGroup::test_192();
+        let b = DhGroup::test_192();
         assert!(Arc::ptr_eq(&a.ctx, &b.ctx));
         assert!(Arc::ptr_eq(&a.ctx, &a.clone().ctx));
         // A table built through one handle is the one every other sees.
@@ -625,32 +796,28 @@ mod tests {
         let custom = DhGroup::from_parts(a.p().clone(), a.g().clone());
         assert_eq!(custom, a);
         assert!(!Arc::ptr_eq(&custom.ctx, &a.ctx));
+        // The curve's basepoint table is one per process as well.
+        assert!(std::ptr::eq(basepoint_table(), basepoint_table()));
     }
 
     #[test]
     fn validate_element_accepts_exactly_the_open_interval() {
-        for g in [DhGroup::test_192(), DhGroup::modp_1024()] {
-            let one = BigUint::one();
-            let p = g.p();
-            for bad in [BigUint::zero(), one.clone(), p - &one, p.clone(), p + &one] {
-                assert!(g.validate_element(&bad).is_err(), "{bad:?} accepted");
-            }
-            for good in [BigUint::from(2u64), p - &BigUint::from(2u64)] {
-                assert!(g.validate_element(&good).is_ok(), "{good:?} rejected");
-            }
+        let g = DhGroup::test_192();
+        let one = BigUint::one();
+        let p = g.p();
+        for bad in [BigUint::zero(), one.clone(), p - &one, p.clone(), p + &one] {
+            assert!(g.validate_element(&bad).is_err(), "{bad:?} accepted");
+        }
+        for good in [BigUint::from(2u64), p - &BigUint::from(2u64)] {
+            assert!(g.validate_element(&good).is_ok(), "{good:?} rejected");
         }
     }
 
     #[test]
     fn exponent_width_follows_the_group_and_stays_below_its_order() {
-        for (group, w) in [
-            (DhGroup::test_192(), 160),
-            (DhGroup::modp_1024(), 160),
-            (DhGroup::modp_2048(), 224),
-        ] {
-            assert_eq!(group.short_exponent_bits(), w);
-            assert!(w < group.q().bit_length());
-        }
+        let group = DhGroup::test_192();
+        assert_eq!(group.short_exponent_bits(), 160);
+        assert!(160 < group.q().bit_length());
         // Custom toy groups (safe primes 7, 23, 2879 and a 64-bit one):
         // the width function alone would hand back `p`'s full width.
         for (p, g) in [(7u64, 2u64), (23, 4), (2879, 4), (0xFFFF_FFFF_FFFF_FA43, 4)] {
@@ -702,11 +869,25 @@ mod tests {
         h.update(&[0]);
         h.update(&bytes);
         assert_eq!(key, h.finalize());
+        // On the curve: the three 32-byte encodings as they are.
+        let e = |x: u8| [x; 32];
+        let mut h = Sha256::new();
+        h.update(b"pem-ot-key");
+        h.update(&3u64.to_be_bytes());
+        h.update(&[1]);
+        for x in [1, 2, 3] {
+            h.update(&e(x));
+        }
+        assert_eq!(
+            derive_key(&Ed25519, &e(1), &e(2), &e(3), 3, 1),
+            h.finalize()
+        );
     }
 
-    /// Reference derivation of the branch secrets, as the formula reads:
-    /// invert `Aʲ`, then a full ladder `(B·A⁻ʲ)^a` per branch.
-    fn branch_secrets_reference(group: &DhGroup, a: &BigUint, big_b: &BigUint) -> Vec<BigUint> {
+    /// Reference derivation of the branch secrets in `Z_p*`, as the
+    /// formula reads: invert `Aʲ`, then a full ladder `(B·A⁻ʲ)^a` per
+    /// branch.
+    fn dh_reference(group: &DhGroup, a: &BigUint, big_b: &BigUint) -> Vec<BigUint> {
         let a_inv = group.pow_g(a).mod_inverse(group.p()).expect("A is a unit");
         let mut base = big_b.clone();
         (0..MAX_BRANCHES)
@@ -718,18 +899,39 @@ mod tests {
             .collect()
     }
 
-    /// Branch secrets and ciphertext bytes of the one-ladder derivation
-    /// against the reference, for one `(a, B)` — `B` sent at both
-    /// positions of a batch of two.
-    fn assert_matches_reference(group: &DhGroup, a: &BigUint, big_b: &BigUint) {
-        let (sender, _) = OtBatchSender::with_exponent(group.clone(), a);
+    /// The same on the curve: `[a](B − [j]A)` with `a` as drawn, on `B`
+    /// as decoded (no cofactor clearing), each point encoded alone.
+    fn ed_reference(a: &Scalar, big_b: &[u8; 32]) -> Vec<[u8; 32]> {
+        let neg_a =
+            basepoint_table().mul(&Scalar::from_biguint(&(ed25519::order() - &a.to_biguint())));
+        let mut base = EdwardsPoint::decompress(big_b).expect("B decodes");
+        (0..MAX_BRANCHES)
+            .map(|_| {
+                let k = base.mul(a).compress();
+                base = base.add(&neg_a);
+                k
+            })
+            .collect()
+    }
+
+    /// Branch secrets and ciphertext bytes of the one-multiplication
+    /// derivation against `reference`, for one `(a, B)` — `B` sent at
+    /// both positions of a batch of two.
+    fn assert_matches_reference<G: Group>(
+        group: &G,
+        a: &G::Scalar,
+        big_b: &G::Element,
+        reference: &[G::Element],
+    ) {
+        let (sender, _) = OtBatchSender::with_scalar(group.clone(), a);
         let messages: Vec<Vec<u8>> = (0..MAX_BRANCHES)
             .map(|j| vec![j as u8 ^ 0x5A; 32])
             .collect();
-        let reference = branch_secrets_reference(group, a, big_b);
-        let power = sender.powers([big_b]).remove(0);
-        assert_eq!(sender.branch_secrets(power, MAX_BRANCHES), reference);
-        let reply = OtReceiverReply {
+        let received = group.receive(big_b).expect("valid B").1;
+        let power = sender.powers(&[received]).remove(0);
+        let secrets = sender.branch_secrets(power, MAX_BRANCHES);
+        assert_eq!(group.encode_all(secrets), reference);
+        let reply = OtReceiverReply::<G> {
             big_b: big_b.clone(),
         };
         for n in [2, MAX_BRANCHES] {
@@ -758,22 +960,24 @@ mod tests {
         // a² ≡ 0 (mod p − 1) — unreachable from a short draw; the
         // reduced exponent −a² is then p − 1 itself, the widest the
         // table serves, and `g^(p−1) = 1`.
-        for group in [DhGroup::test_192(), DhGroup::modp_1024()] {
-            let mut rng = HashDrbg::new(b"ot-edge");
-            let big_b = group.pow_g(&short_exponent(group.short_exponent_bits(), &mut rng));
-            for a in [
-                BigUint::zero(),
-                group.p() - &BigUint::one(),
-                group.q().clone(),
-            ] {
-                assert_matches_reference(&group, &a, &big_b);
-            }
+        let group = DhGroup::test_192();
+        let mut rng = HashDrbg::new(b"ot-edge");
+        let big_b = group.pow_g(&short_exponent(group.short_exponent_bits(), &mut rng));
+        for a in [
+            BigUint::zero(),
+            group.p() - &BigUint::one(),
+            group.q().clone(),
+        ] {
+            assert_matches_reference(&group, &a, &big_b, &dh_reference(&group, &a, &big_b));
         }
     }
 
-    /// One 1-of-4 OT per choice with the given exponents on both sides;
+    /// One 1-of-4 OT per choice with the given scalars on both sides;
     /// every choice must come back as its own branch.
-    fn assert_round_trips(group: &DhGroup, a: &BigUint, b: &BigUint) {
+    fn assert_round_trips<G: Group>(group: &G, a: &G::Scalar, b: &G::Scalar)
+    where
+        G::Scalar: Clone,
+    {
         let choices: Vec<usize> = (0..MAX_BRANCHES).collect();
         let messages: Vec<Vec<Vec<u8>>> = (choices.iter())
             .map(|i| {
@@ -782,10 +986,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let (sender, setup) = OtBatchSender::with_exponent(group.clone(), a);
-        let (receiver, replies) = OtBatchReceiver::with_exponents(
+        let (sender, setup) = OtBatchSender::with_scalar(group.clone(), a);
+        let a_points = group.receive(&setup.big_a).expect("valid A");
+        let (receiver, replies) = OtBatchReceiver::with_scalars(
             group.clone(),
             setup.big_a,
+            a_points,
             &choices,
             vec![b.clone(); choices.len()],
         );
@@ -799,16 +1005,42 @@ mod tests {
     #[test]
     fn boundary_exponents_round_trip() {
         // The two ends of the short range, in every pairing.
-        for group in [DhGroup::test_192(), DhGroup::modp_1024()] {
-            let w = group.short_exponent_bits();
-            let top = (BigUint::one() << w) - BigUint::one();
-            assert_eq!(top.bit_length(), w);
-            for a in [BigUint::one(), top.clone()] {
-                for b in [BigUint::one(), top.clone()] {
-                    assert_round_trips(&group, &a, &b);
-                }
+        let group = DhGroup::test_192();
+        let w = group.short_exponent_bits();
+        let top = (BigUint::one() << w) - BigUint::one();
+        assert_eq!(top.bit_length(), w);
+        for a in [BigUint::one(), top.clone()] {
+            for b in [BigUint::one(), top.clone()] {
+                assert_round_trips(&group, &a, &b);
             }
         }
+        // The two ends of the curve's scalars for `a`; `b = ±4`, since
+        // `[c]A + [b]G` with `a = ±1` and `b = ∓c` is the identity, which
+        // the sender refuses.
+        let l = ed25519::order();
+        let scalar = |x: BigUint| Scalar::from_biguint(&x);
+        let four = BigUint::from(4u64);
+        for a in [Scalar::ONE, scalar(l - &BigUint::one())] {
+            for b in [scalar(four.clone()), scalar(l - &four)] {
+                assert_round_trips(&Ed25519, &a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn the_curve_multiplier_undoes_the_cofactor() {
+        let mut rng = HashDrbg::new(b"ot-cofactor");
+        let k = Scalar::random(&mut rng);
+        let eight = Scalar::from_biguint(&BigUint::from(8u64));
+        let m = Ed25519.multiplier(&k);
+        let back = Scalar::from_biguint(&(&m.to_biguint() * &eight.to_biguint()));
+        assert_eq!(back, k);
+        // [k/8]·(8P) = [k]P for a subgroup point P.
+        let p = basepoint_table().mul(&Scalar::random(&mut rng));
+        let (_, cleared) = Ed25519.receive(&p.compress()).expect("valid");
+        assert_eq!(Ed25519.mul(&cleared, &m), p.mul(&k));
+        let table = Ed25519.table(&cleared);
+        assert_eq!(Ed25519.mul_table(&table, &k), p.mul(&k));
     }
 
     proptest::proptest! {
@@ -817,71 +1049,91 @@ mod tests {
         #[test]
         fn one_ladder_keys_match_reference(seed in proptest::arbitrary::any::<u64>()) {
             let mut rng = HashDrbg::from_seed_label(b"ot-one-ladder", seed);
-            for group in [DhGroup::test_192(), DhGroup::modp_1024(), DhGroup::modp_2048()] {
-                // Any exponent below p — a superset of what the sender
-                // draws — and one drawn the way the sender draws it.
-                let full = BigUint::random_below(group.p(), &mut rng);
-                let short = short_exponent(group.short_exponent_bits(), &mut rng);
-                for a in [full, short] {
-                    let setup = OtSenderSetup { big_a: group.pow_g(&a) };
-                    // Every branch secret is checked whatever the reply's choice.
-                    let choice = [(seed % MAX_BRANCHES as u64) as usize];
-                    let (_, replies) =
-                        OtBatchReceiver::new(group.clone(), &setup, &choice, &mut rng)
-                            .expect("valid A");
-                    assert_matches_reference(&group, &a, &replies[0].big_b);
-                }
+            // Every branch secret is checked whatever the reply's choice.
+            let choice = [(seed % MAX_BRANCHES as u64) as usize];
+            let group = DhGroup::test_192();
+            // Any exponent below p — a superset of what the sender
+            // draws — and one drawn the way the sender draws it.
+            let full = BigUint::random_below(group.p(), &mut rng);
+            let short = group.draw(&mut rng);
+            for a in [full, short] {
+                let setup = OtSenderSetup { big_a: group.pow_g(&a) };
+                let (_, replies) =
+                    OtBatchReceiver::new(group.clone(), &setup, &choice, &mut rng)
+                        .expect("valid A");
+                let reference = dh_reference(&group, &a, &replies[0].big_b);
+                assert_matches_reference(&group, &a, &replies[0].big_b, &reference);
             }
+            let a = Ed25519.draw(&mut rng);
+            let setup = OtSenderSetup::<Ed25519> { big_a: basepoint_table().mul(&a).compress() };
+            let (_, replies) =
+                OtBatchReceiver::new(Ed25519, &setup, &choice, &mut rng).expect("valid A");
+            let reference = ed_reference(&a, &replies[0].big_b);
+            assert_matches_reference(&Ed25519, &a, &replies[0].big_b, &reference);
         }
 
         #[test]
         fn batched_ladders_match_group_pow(seed in proptest::arbitrary::any::<u64>()) {
             let mut rng = HashDrbg::from_seed_label(b"ot-batched-ladders", seed);
-            for group in [DhGroup::test_192(), DhGroup::modp_1024(), DhGroup::modp_2048()] {
-                let a = short_exponent(group.short_exponent_bits(), &mut rng);
-                let (sender, _) = OtBatchSender::with_exponent(group.clone(), &a);
-                // Bases of every shape under the one recoding: subgroup
-                // elements, a tiny one, the largest valid one.
-                let mut bases: Vec<BigUint> = (0..3)
-                    .map(|_| BigUint::random_below(group.p(), &mut rng))
-                    .collect();
-                bases.push(BigUint::from(2u64));
-                bases.push(group.p() - &BigUint::from(2u64));
-                let expected: Vec<BigUint> = bases.iter().map(|b| group.pow(b, &a)).collect();
-                proptest::prop_assert_eq!(sender.powers(&bases), expected);
-            }
+            let group = DhGroup::test_192();
+            let a = group.draw(&mut rng);
+            let (sender, _) = OtBatchSender::with_scalar(group.clone(), &a);
+            // Bases of every shape under the one recoding: subgroup
+            // elements, a tiny one, the largest valid one.
+            let mut bases: Vec<BigUint> = (0..3)
+                .map(|_| BigUint::random_below(group.p(), &mut rng))
+                .collect();
+            bases.push(BigUint::from(2u64));
+            bases.push(group.p() - &BigUint::from(2u64));
+            let expected: Vec<BigUint> = bases.iter().map(|b| group.pow(b, &a)).collect();
+            proptest::prop_assert_eq!(sender.powers(&bases), expected);
+            // On the curve the batch's multiplications run on cleared
+            // points; for subgroup points they are the textbook [a]B.
+            let a = Ed25519.draw(&mut rng);
+            let (sender, _) = OtBatchSender::with_scalar(Ed25519, &a);
+            let bases: Vec<EdwardsPoint> =
+                (0..4).map(|_| basepoint_table().mul(&Ed25519.draw(&mut rng))).collect();
+            let cleared: Vec<EdwardsPoint> = (bases.iter())
+                .map(|b| Ed25519.receive(&b.compress()).expect("valid").1)
+                .collect();
+            let expected: Vec<EdwardsPoint> = bases.iter().map(|b| b.mul(&a)).collect();
+            proptest::prop_assert_eq!(sender.powers(&cleared), expected);
         }
 
         #[test]
         fn short_exponents_round_trip(seed in proptest::arbitrary::any::<u64>()) {
             let mut rng = HashDrbg::from_seed_label(b"ot-short-round-trip", seed);
-            for group in [DhGroup::test_192(), DhGroup::modp_1024()] {
-                let w = group.short_exponent_bits();
-                let a = short_exponent(w, &mut rng);
-                let b = short_exponent(w, &mut rng);
-                proptest::prop_assert!(a.bit_length() <= w && b.bit_length() <= w);
-                assert_round_trips(&group, &a, &b);
-            }
+            let group = DhGroup::test_192();
+            let w = group.short_exponent_bits();
+            let a = group.draw(&mut rng);
+            let b = group.draw(&mut rng);
+            proptest::prop_assert!(a.bit_length() <= w && b.bit_length() <= w);
+            assert_round_trips(&group, &a, &b);
+            let (a, b) = (Ed25519.draw(&mut rng), Ed25519.draw(&mut rng));
+            assert_round_trips(&Ed25519, &a, &b);
         }
+    }
+
+    fn groups() -> [OtGroup; 2] {
+        [DhGroup::test_192().into(), Ed25519.into()]
     }
 
     #[test]
     fn ot_delivers_chosen_branch() {
-        let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-basic");
         let m0 = b"label-for-zero--";
         let m1 = b"label-for-one---";
-        let r0 = run_local_ot(&group, m0, m1, false, &mut rng).expect("ot");
-        assert_eq!(r0, m0);
-        let r1 = run_local_ot(&group, m0, m1, true, &mut rng).expect("ot");
-        assert_eq!(r1, m1);
+        for group in groups() {
+            let r0 = run_local_ot(&group, m0, m1, false, &mut rng).expect("ot");
+            assert_eq!(r0, m0);
+            let r1 = run_local_ot(&group, m0, m1, true, &mut rng).expect("ot");
+            assert_eq!(r1, m1);
+        }
     }
 
-    #[test]
-    fn receiver_cannot_decrypt_other_branch() {
-        // One batch with every choice, short enough for the ladder lane
-        // (4 OTs) and long enough for the `A` table (12).
-        let group = DhGroup::test_192();
+    /// One batch with every choice, short enough for the per-OT lane
+    /// (4 OTs) and long enough for the `A` table (12).
+    fn assert_receiver_cannot_decrypt_other_branch<G: Group>(group: G) {
         let mut rng = HashDrbg::new(b"ot-batch");
         let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(x, y)| x ^ y).collect() };
         for len in [4usize, 12] {
@@ -890,6 +1142,7 @@ mod tests {
             let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
             let (receiver, replies) =
                 OtBatchReceiver::new(group.clone(), &setup, &choices, &mut rng).expect("replies");
+            assert_eq!(receiver.a_table().is_some(), len >= A_TABLE_MIN_BATCH);
             let messages: Vec<Vec<Vec<u8>>> = (0..len)
                 .map(|i| (0..MAX_BRANCHES).map(|j| message(i, j)).collect())
                 .collect();
@@ -905,6 +1158,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn receiver_cannot_decrypt_other_branch() {
+        assert_receiver_cannot_decrypt_other_branch(DhGroup::test_192());
+        assert_receiver_cannot_decrypt_other_branch(Ed25519);
     }
 
     #[test]
@@ -944,6 +1203,42 @@ mod tests {
         assert!(OtBatchReceiver::new(group.clone(), &bad_setup, &[0], &mut rng).is_err());
         let (_, setup) = OtBatchSender::new(group.clone(), &mut rng);
         assert!(OtBatchReceiver::new(group, &setup, &[MAX_BRANCHES], &mut rng).is_err());
+
+        // On the curve: a non-canonical y, a y off the curve, x = 0 with
+        // the sign bit, the identity and the order-2 point (0, −1) —
+        // each refused as `B` and as `A`, with a typed error.
+        let (sender, _) = OtBatchSender::new(Ed25519, &mut rng);
+        let with = |y: u8, top: u8| {
+            let mut e = [0u8; 32];
+            e[0] = y;
+            e[31] = top;
+            e
+        };
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        let mut y_is_p = minus_one;
+        y_is_p[0] = 0xed;
+        for bad in [y_is_p, with(2, 0), with(1, 0x80), with(1, 0), minus_one] {
+            let reply = OtReceiverReply::<Ed25519> { big_b: bad };
+            assert!(
+                matches!(
+                    sender.encrypt(&[reply], &messages),
+                    Err(CryptoError::InvalidOtMessage(_))
+                ),
+                "B = {bad:02x?}"
+            );
+            let setup = OtSenderSetup::<Ed25519> { big_a: bad };
+            assert!(
+                matches!(
+                    OtBatchReceiver::new(Ed25519, &setup, &[0], &mut rng),
+                    Err(CryptoError::InvalidOtMessage(_))
+                ),
+                "A = {bad:02x?}"
+            );
+        }
+        let (_, setup) = OtBatchSender::new(Ed25519, &mut rng);
+        assert!(OtBatchReceiver::new(Ed25519, &setup, &[MAX_BRANCHES], &mut rng).is_err());
     }
 
     #[test]
@@ -984,21 +1279,15 @@ mod tests {
 
     #[test]
     fn many_transfers_random_choices() {
-        let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-many");
-        for i in 0..20u8 {
-            let m0 = vec![i; 16];
-            let m1 = vec![i ^ 0xFF; 16];
-            let choice = i % 3 == 0;
-            let got = run_local_ot(&group, &m0, &m1, choice, &mut rng).expect("ot");
-            assert_eq!(got, if choice { m1 } else { m0 });
+        for group in groups() {
+            for i in 0..20u8 {
+                let m0 = vec![i; 16];
+                let m1 = vec![i ^ 0xFF; 16];
+                let choice = i % 3 == 0;
+                let got = run_local_ot(&group, &m0, &m1, choice, &mut rng).expect("ot");
+                assert_eq!(got, if choice { m1 } else { m0 });
+            }
         }
-    }
-
-    #[test]
-    fn for_security_selects_group() {
-        assert_eq!(DhGroup::for_security(128).p().bit_length(), 192);
-        assert_eq!(DhGroup::for_security(1024).p().bit_length(), 1024);
-        assert_eq!(DhGroup::for_security(2048).p().bit_length(), 2048);
     }
 }

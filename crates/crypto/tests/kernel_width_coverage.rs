@@ -1,7 +1,8 @@
 //! Regression guard: the Montgomery contexts of a 2048-bit Paillier key
-//! (`n²`, `p²`/`q²`, `p`/`q`) and of the 2048-bit OT group all have a
-//! monomorphised kernel — `bignum/dyn_width_ops` counts calls at any
-//! other limb count and stays at zero. The 128- and 1024-bit shapes are
+//! (`n²`, `p²`/`q²`, `p`/`q`) all have a monomorphised kernel —
+//! `bignum/dyn_width_ops` counts calls at any other limb count and stays
+//! at zero — and the OT group of the paper profiles, edwards25519, runs
+//! no Montgomery kernel at all. The 128- and 1024-bit shapes are
 //! pinned by a whole trading window in
 //! `crates/core/tests/kernel_width_coverage.rs`. Along the way, a batch
 //! decryption counts one `crypto/modpow` ladder per ciphertext and leg.
@@ -11,7 +12,7 @@
 
 use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::DhGroup;
+use pem_crypto::ot::{run_local_ot, Ed25519};
 use pem_crypto::paillier::Keypair;
 use pem_telemetry as telemetry;
 
@@ -58,10 +59,17 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
         Ok(vec![m.clone(), m.clone(), m])
     );
 
-    // The OT group: a ladder and a comb-table exponentiation.
-    let group = DhGroup::modp_2048();
-    let x = BigUint::random_below(group.q(), &mut rng);
-    assert_eq!(group.pow(group.g(), &x), group.pow_g(&x));
+    // The OT group: a transfer on the curve is field arithmetic on
+    // fixed limbs, no ladder and no comb table of this crate's integers.
+    let before = (counter(MODPOW), counter("crypto/fixed_base_pow"));
+    let got = run_local_ot(&Ed25519.into(), b"zero", b"one!", true, &mut rng).expect("ot");
+    assert_eq!(got, b"one!");
+    assert_eq!(
+        (counter(MODPOW), counter("crypto/fixed_base_pow")),
+        before,
+        "an OT on the curve ran a Montgomery kernel"
+    );
+    assert!(counter("crypto/ec_scalar_mul") > 0);
 
     assert_eq!(
         counter("bignum/dyn_width_ops"),

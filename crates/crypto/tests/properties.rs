@@ -2,7 +2,7 @@
 
 use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::{run_local_ot, DhGroup};
+use pem_crypto::ot::{run_local_ot, DhGroup, Ed25519, OtGroup};
 use pem_crypto::paillier::{Ciphertext, Keypair, PublicKey};
 use pem_crypto::{short_exponent_bits, CryptoError};
 use proptest::prelude::*;
@@ -363,10 +363,11 @@ proptest! {
         choice in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let group = DhGroup::test_192();
         let mut rng = HashDrbg::from_seed_label(b"ot-prop", seed);
-        let got = run_local_ot(&group, &m0, &m1, choice, &mut rng).expect("ot runs");
-        prop_assert_eq!(got, if choice { m1 } else { m0 });
+        for group in [OtGroup::from(DhGroup::test_192()), Ed25519.into()] {
+            let got = run_local_ot(&group, &m0, &m1, choice, &mut rng).expect("ot runs");
+            prop_assert_eq!(&got, if choice { &m1 } else { &m0 });
+        }
     }
 
     #[test]

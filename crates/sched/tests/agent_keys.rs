@@ -80,18 +80,24 @@ fn a_repartitioning_day_makes_one_key_per_home() {
     assert!(comparisons > 0, "the re-partitioned coalitions trade");
     // A key's `h_s` table is built by the first encryption under it, at
     // most once per home: the re-partition rebuilt two coalitions over
-    // the same keys and built none again. Besides each comparison's `A`
-    // table (every coalition of eight compares at `compare_width(8)` =
-    // 47 bits, 24 OTs, a batch above `A_TABLE_MIN_BATCH`), the day built
-    // exactly 10 tables: the grid key's, built by window 0's coupling
-    // round; the Modp1024 generator's, built by the first comparison in
-    // the process; and the `h_s` tables of the 8 homes whose keys a role
-    // put to use (`H_r1` and `H_r2` collect Protocol 2's folds, `H_b`
-    // Protocol 3's, the decryptor Protocol 4's). The roles are draws of
-    // each window's stream, so the count is this day's; one table
-    // rebuilt by the re-partition would make it 11.
-    let tables = counter("bignum/fixed_base_builds") - comparisons;
-    assert_eq!(tables, 10, "key and group tables for {} homes", homes.len());
+    // the same keys and built none again. The comparisons run on the
+    // curve, whose tables are counted apart: each comparison's `A` table
+    // (every coalition of eight compares at `compare_width(8)` = 47
+    // bits, 24 OTs, a batch above `A_TABLE_MIN_BATCH`) and the
+    // basepoint's, built by the first comparison in the process. The day
+    // built exactly 9 integer tables: the grid key's, built by window
+    // 0's coupling round, and the `h_s` tables of the 8 homes whose keys
+    // a role put to use (`H_r1` and `H_r2` collect Protocol 2's folds,
+    // `H_b` Protocol 3's, the decryptor Protocol 4's). The roles are
+    // draws of each window's stream, so the count is this day's; one
+    // table rebuilt by the re-partition would make it 10.
+    assert_eq!(
+        counter("crypto/ec_table_builds"),
+        comparisons + 1,
+        "one `A` table per comparison and the basepoint's"
+    );
+    let tables = counter("bignum/fixed_base_builds");
+    assert_eq!(tables, 9, "key tables for {} homes", homes.len());
     // The other homes' tables were never built: one randomizer under
     // every home's key builds exactly those.
     let keys = grid.keys().expect("keys made");
@@ -102,7 +108,7 @@ fn a_repartitioning_day_makes_one_key_per_home() {
     }
     assert_eq!(
         counter("bignum/fixed_base_builds") - before,
-        homes.len() as u64 - (tables - 2),
+        homes.len() as u64 - (tables - 1),
         "tables built for the homes no role used"
     );
     telemetry::uninstall();

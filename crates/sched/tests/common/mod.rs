@@ -97,12 +97,18 @@ pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
 /// keys and per-key randomizer streams (the same change as [`GOLDEN`];
 /// pool-less, so every encryption now draws from its key's stream
 /// instead of the window DRBG, and both windows moved) and once for
-/// per-coalition comparison widths (the same change as [`GOLDEN`]).
+/// per-coalition comparison widths (the same change as [`GOLDEN`]),
+/// and once for the comparison's OT on edwards25519 — a wire and draw
+/// change `GOLDEN` does not see, since `fast_test` keeps `test192`: `A`
+/// and every chunk's `B` cross as 32 raw bytes instead of a
+/// length-prefixed 1024-bit integer, and each OT scalar draws 64 DRBG
+/// bytes instead of a 160-bit exponent, so every later draw of the
+/// window stream moves (both windows' market outcomes held).
 /// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "5d52b295282466199daa3242a77967b022f7061535ea9b3d4a9312c11e61e206",
-    "28b8662c624773707f3cfcffa5a1a5be3feb68b042e54bfa0070881ffa61f0e2",
+    "dff0f2aec8a69f44382cba966987a08cd0fa54f350b306bba98ee23ab2ba0f60",
+    "afc71fb616ddc2a312b8f0f3cae51f4d8dfa16d98fcde682e0a36516dd59841d",
 ];
 
 /// The 40-home trace's agents at `windows`.
