@@ -30,7 +30,7 @@ use pem_bench::Args;
 use pem_core::block_on;
 use pem_core::fold::Topology;
 use pem_core::protocol3::price;
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, RandomizerStreams};
+use pem_core::{AgentCtx, Draws, KeyDirectory, PemConfig};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::AgentWindow;
 use pem_net::{LatencyModel, SimNetwork, Transport};
@@ -77,19 +77,12 @@ fn main() {
             agents.push(ctx);
         }
 
-        let mut measure = |topology: Topology| -> (f64, u64, u64, u64) {
+        let draws = Draws::new(cfg.seed, 0, 0);
+        let measure = |topology: Topology| -> (f64, u64, u64, u64) {
             let mut net = SimNetwork::with_latency(n, LatencyModel::lan());
             let start = std::time::Instant::now();
             let out = block_on(price(
-                &mut net,
-                &keys,
-                &agents,
-                &sellers,
-                &buyers,
-                &cfg,
-                topology,
-                &mut RandomizerStreams::new(keys.len(), 1),
-                &mut rng,
+                &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, draws,
             ))
             .expect("pricing");
             let elapsed_us = start.elapsed().as_micros() as u64;

@@ -17,9 +17,9 @@
 //! drive the same future:
 //! [`Pem::run_window_on`] blocks on it on the caller's transport, and
 //! [`WindowTask`] boxes it with its own queue fabric so thousands of
-//! windows can share one executor thread, each owning its RNG stream,
-//! fabric and virtual clock — the outcome is bit-identical at any
-//! interleaving.
+//! windows can share one executor thread, each owning its fabric and
+//! virtual clock and drawing only from its own named streams — the
+//! outcome is bit-identical at any interleaving.
 //!
 //! [`Pem::run_window_on`]: crate::Pem::run_window_on
 
@@ -28,7 +28,6 @@ use std::pin::Pin;
 use std::task::{Context, Waker};
 use std::time::Instant;
 
-use pem_crypto::drbg::HashDrbg;
 use pem_fabric::{FabricTask, Poll};
 use pem_market::{AgentWindow, MarketKind, Role};
 use pem_net::{SimNetwork, Transport};
@@ -37,9 +36,10 @@ use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::{PemConfig, NONCE_BITS};
+use crate::draws::Draws;
 use crate::error::PemError;
 use crate::fold::expect_drained;
-use crate::keys::{KeyDirectory, RandomizerStreams};
+use crate::keys::KeyDirectory;
 use crate::metrics::{PhaseMetrics, WindowMetrics};
 use crate::pem::{PemWindowOutcome, RevealedInfo};
 use crate::protocol2;
@@ -72,16 +72,13 @@ impl Phase {
 /// One trading window's body, transport-free: [`run`](Window::run) is
 /// handed the fabric the window runs on.
 ///
-/// Borrows its market's long-lived state (keys, RNG, randomizer
-/// streams) mutably for the window's whole life, which is exactly what
-/// makes the RNG stream sequential per market — construction and the
-/// run draw in one fixed order, so outputs are bit-identical regardless
-/// of who polls or how windows interleave.
+/// Borrows its market's configuration and keys, and names its attempt:
+/// every draw in it opens a stream under `draws`, so outputs are
+/// bit-identical regardless of who polls or how windows interleave.
 pub(crate) struct Window<'a> {
     cfg: &'a PemConfig,
     keys: &'a KeyDirectory,
-    rng: &'a mut HashDrbg,
-    streams: &'a mut RandomizerStreams,
+    draws: Draws,
     agents: Vec<AgentCtx>,
     sellers: Vec<usize>,
     buyers: Vec<usize>,
@@ -100,8 +97,7 @@ impl<'a> Window<'a> {
     pub(crate) fn new<T: Transport>(
         cfg: &'a PemConfig,
         keys: &'a KeyDirectory,
-        rng: &'a mut HashDrbg,
-        streams: &'a mut RandomizerStreams,
+        draws: Draws,
         window_data: &[AgentWindow],
         net: &T,
     ) -> Result<Window<'a>, PemError> {
@@ -120,12 +116,13 @@ impl<'a> Window<'a> {
         let window_span = Span::enter_at("window", "driver", net.now_us());
 
         // Local step: every agent quantizes its data, draws this window's
-        // nonce and claims a role (coalition formation).
+        // nonce from its own stream and claims a role (coalition
+        // formation).
         let mut agents = Vec::with_capacity(n_agents);
         let mut sellers = Vec::new();
         let mut buyers = Vec::new();
         for (i, data) in window_data.iter().enumerate() {
-            let nonce = rng.gen::<u64>() >> (64 - NONCE_BITS);
+            let nonce = draws.nonce(i).gen::<u64>() >> (64 - NONCE_BITS);
             let ctx = AgentCtx::prepare(i, *data, nonce)?;
             match ctx.role {
                 Role::Seller => sellers.push(i),
@@ -137,8 +134,7 @@ impl<'a> Window<'a> {
         Ok(Window {
             cfg,
             keys,
-            rng,
-            streams,
+            draws,
             agents,
             sellers,
             buyers,
@@ -157,8 +153,7 @@ impl<'a> Window<'a> {
         let Window {
             cfg,
             keys,
-            rng,
-            streams,
+            draws,
             agents,
             sellers,
             buyers,
@@ -176,8 +171,8 @@ impl<'a> Window<'a> {
             // Σ r_j` — in lockstep, then the comparison and its one-bit
             // broadcast.
             let eval = Phase::open(net, "window/eval");
-            let hr1 = sellers[rng.gen_range(0..sellers.len())];
-            let hr2 = buyers[rng.gen_range(0..buyers.len())];
+            let hr1 = draws.pick("H_r1", &sellers);
+            let hr2 = draws.pick("H_r2", &buyers);
             let (demand, supply) = protocol2::masked_totals(
                 net,
                 keys,
@@ -186,12 +181,12 @@ impl<'a> Window<'a> {
                 &sellers,
                 &buyers,
                 cfg.topology,
-                streams,
+                draws,
             )
             .await?;
             let (members, roles) = (agents.len(), (hr1, hr2));
             let general =
-                protocol2::run_compare(net, cfg, members, roles, demand, supply, rng).await?;
+                protocol2::run_compare(net, cfg, members, roles, demand, supply, draws).await?;
             metrics.market_evaluation = eval.close(net);
             revealed.masked_demand = Some(demand);
             revealed.masked_supply = Some(supply);
@@ -207,8 +202,7 @@ impl<'a> Window<'a> {
                     &buyers,
                     cfg,
                     cfg.topology,
-                    streams,
-                    rng,
+                    draws,
                 )
                 .await?;
                 metrics.pricing = phase.close(net);
@@ -222,7 +216,7 @@ impl<'a> Window<'a> {
             // Protocol 4.
             let phase = Phase::open(net, "window/dist");
             let dist = protocol4::run(
-                net, keys, &agents, &sellers, &buyers, price, general, cfg, streams, rng,
+                net, keys, &agents, &sellers, &buyers, price, general, cfg, draws,
             )
             .await?;
             metrics.distribution = phase.close(net);
@@ -386,11 +380,11 @@ mod tests {
             .expect("setup")
             .run_window(&healthy_pop)
             .expect("window");
-        let mut lossy_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
+        let lossy_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let mut healthy_pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Drop);
         let lossy = lossy_pem
-            .fabric_window_with_faults(&lossy_pop, plan)
+            .fabric_attempt(&lossy_pop, plan, 0, 0)
             .expect("task");
         let healthy = healthy_pem.fabric_window(&healthy_pop).expect("task");
         let (results, _) = Executor::new(0).run_collect(vec![lossy, healthy]);
@@ -458,23 +452,23 @@ mod tests {
     fn window_virtual_clock_is_pinned() {
         // The general and the extreme population on a LAN: the two
         // Protocol 2 folds run in lockstep and the settlement in three
-        // sweeps, so on rings the window's critical path is 1,808 and
-        // 1,236 µs, and 1,900 µs on the binary tree. Serialising either
+        // sweeps, so on rings the window's critical path is 2,016 and
+        // 1,236 µs, and 1,708 µs on the binary tree. Serialising either
         // stage again moves these, and so does a comparison at another
         // width than its member count's (46 and 45 bits here): its
         // messages are the stage's largest. In the extreme market the
         // buyers route the energy from the ratios announced to them, so
         // the first settlement sweep departs after that announcement's
-        // hop. The roles (`H_r1`, `H_r2`, `H_b`, the decryptor) are draws
-        // of the window stream, so a change to the draws before them —
-        // the comparison's labels among them — moves the paths too.
+        // hop. The roles (`H_r1`, `H_r2`, `H_b`, the decryptor) are the
+        // picks of window 0's draws, and who holds them moves the paths
+        // too.
         use pem_net::LatencyModel;
         let general = [2.0, 1.0, -3.0, -2.0, -1.0];
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         for (cfg, surpluses, expected_us) in [
-            (PemConfig::fast_test(), &general[..], 1_808),
+            (PemConfig::fast_test(), &general[..], 2_016),
             (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_236),
-            (tree, &general[..], 1_900),
+            (tree, &general[..], 1_708),
         ] {
             let pop = population(surpluses);
             let mut net = SimNetwork::with_latency(pop.len(), LatencyModel::lan());
@@ -548,12 +542,12 @@ mod tests {
                         a.run_window_on(&mut strayed(), pop),
                         on_executor({
                             let net = strayed();
-                            WindowTask::new(b.window(&net, pop).expect("window"), net)
+                            WindowTask::new(b.window(&net, pop, 0, 0).expect("window"), net)
                         }),
                     ];
                     let replay_results = [
-                        c.run_window_with_faults(pop, replay()),
-                        on_executor(d.fabric_window_with_faults(pop, replay()).expect("task")),
+                        c.run_window_on(&mut SimNetwork::new(n).with_faults(replay()), pop),
+                        on_executor(d.fabric_attempt(pop, replay(), 0, 0).expect("task")),
                     ];
                     for result in stray_results {
                         assert!(

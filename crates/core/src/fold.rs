@@ -26,11 +26,9 @@
 //! parent: one message per member in every shape.
 //!
 //! What callers own: the members' tuples arrive **already encrypted**,
-//! so the order of the randomizer draws is the caller's (Protocols 2
-//! and 4 encrypt ascending in every shape; Protocol 3 encrypts a tree
-//! descending and the coupling round always does, as the tree visits
-//! them), and so is what happens at the sink — the fold ends by handing over the validated
-//! product and the arrival time of the closing message.
+//! each by its member from its own stream, and what happens at the sink
+//! — the fold ends by handing over the validated product and the
+//! arrival time of the closing message.
 //!
 //! # Receiving
 //!

@@ -2,10 +2,8 @@
 
 use std::sync::Arc;
 
-use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::paillier::{Ciphertext, Keypair, PublicKey};
-use pem_crypto::CryptoError;
+use pem_crypto::paillier::{Keypair, PublicKey};
 
 use crate::error::PemError;
 
@@ -122,50 +120,10 @@ impl KeyDirectory {
     }
 }
 
-/// One Paillier randomizer stream per key of a directory (label
-/// `pem-randpool`, seed `seed ^ (i << 24)` for key `i`), independent of
-/// every protocol RNG stream. Every encryption under key `i` takes the
-/// next draw of stream `i` ([`encrypt_under`]), so the order of
-/// encryptions under *different* keys moves no bit (Protocol 2 may
-/// encrypt supply before demand).
-#[derive(Debug, Clone)]
-pub struct RandomizerStreams(pub(crate) Vec<HashDrbg>);
-
-impl RandomizerStreams {
-    /// The streams of a directory of `keys` keys under `seed`.
-    pub fn new(keys: usize, seed: u64) -> RandomizerStreams {
-        RandomizerStreams(
-            (0..keys)
-                .map(|i| HashDrbg::from_seed_label(b"pem-randpool", seed ^ ((i as u64) << 24)))
-                .collect(),
-        )
-    }
-}
-
-/// Encrypts `m` under `pk` (owned by directory entry `key_owner`) with
-/// the next draw of that key's stream: one `h_s^x` table exponentiation
-/// ([`PublicKey::randomizer`]), the draw [`PublicKey::try_encrypt`] makes.
-///
-/// # Errors
-///
-/// [`CryptoError::MessageTooLarge`] if `m` exceeds the message space
-/// (the draw is consumed either way).
-///
-/// # Panics
-///
-/// Panics if `key_owner` is outside the streams' directory.
-pub fn encrypt_under(
-    pk: &PublicKey,
-    key_owner: usize,
-    m: &BigUint,
-    streams: &mut RandomizerStreams,
-) -> Result<Ciphertext, CryptoError> {
-    pk.try_encrypt_with(m, &pk.randomizer(&mut streams.0[key_owner]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pem_bignum::BigUint;
 
     #[test]
     fn generates_distinct_keys() {

@@ -50,6 +50,7 @@
 
 mod agents;
 mod config;
+mod draws;
 mod error;
 pub mod fabric_window;
 pub mod fold;
@@ -64,10 +65,11 @@ pub mod randpool;
 
 pub use agents::AgentCtx;
 pub use config::{OtProfile, PemConfig};
+pub use draws::Draws;
 pub use error::PemError;
 pub use fabric_window::WindowTask;
 pub use fold::Topology;
-pub use keys::{encrypt_under, KeyDirectory, RandomizerStreams};
+pub use keys::KeyDirectory;
 pub use metrics::{PhaseMetrics, WindowMetrics};
 pub use pem::{Pem, PemWindowOutcome, RevealedInfo};
 pub use pem_fabric::block_on;

@@ -1,38 +1,36 @@
 //! **Protocol 1 — the PEM driver.**
 //!
-//! Owns a market's long-lived state — keys (set up once), the driver
-//! DRBG and the per-key randomizer streams — and runs trading windows
-//! over it. The
-//! window body itself (coalition formation, Private Market Evaluation,
-//! Private Pricing or the floor price, Private Distribution, with the
-//! per-phase timing of the Fig. 5 reproduction) lives in
-//! [`crate::fabric_window`]; every entry point here builds that one body
-//! and either blocks on it or hands it to an executor as a
-//! [`WindowTask`](crate::WindowTask). The window's traffic — Table I —
-//! is its [`NetStats`], split by phase on the label prefix.
+//! Owns a market's long-lived state — its configuration and its agents'
+//! keys, set up once — and runs trading windows over it. The window body
+//! itself (coalition formation, Private Market Evaluation, Private
+//! Pricing or the floor price, Private Distribution, with the per-phase
+//! timing of the Fig. 5 reproduction) lives in [`crate::fabric_window`];
+//! every entry point here builds that one body and either blocks on it
+//! or hands it to an executor as a [`WindowTask`](crate::WindowTask).
+//! The window's traffic — Table I — is its [`NetStats`], split by phase
+//! on the label prefix.
 //!
 //! The keys are its agents': [`Pem::new`] generates them, and
 //! [`Pem::with_keys`] borrows keys the agents already hold (a grid's
-//! coalitions borrow from one grid-wide directory). Every encryption
-//! randomizer is the next draw of its key's stream
-//! ([`RandomizerStreams`]); nonces, roles and garbling come from the
-//! driver DRBG.
+//! coalitions borrow from one grid-wide directory).
 //!
-//! The DRBG and the streams only move forward: a window that fails burns
-//! the nonces and randomizers it drew, and whatever runs next — a retry
-//! or the next window — continues from there, so no draw that reached
-//! the wire is ever drawn again.
+//! Each party draws from its own streams, named by the market's seed,
+//! the party, the window, the attempt and the purpose ([`Draws`]). A
+//! market run on its own numbers its windows itself, one per window it
+//! opens, so a re-run after a failure is the next window and draws
+//! afresh; a grid lane names each attempt by the grid's window index
+//! and attempt number ([`Pem::fabric_attempt`]).
 
-use pem_crypto::drbg::HashDrbg;
 use pem_fabric::block_on;
 use pem_market::{MarketKind, Trade};
 use pem_net::{FaultPlan, NetStats, SimNetwork, Transport};
 use serde::{Deserialize, Serialize};
 
 use crate::config::PemConfig;
+use crate::draws::Draws;
 use crate::error::PemError;
-use crate::fabric_window::Window;
-use crate::keys::{KeyDirectory, RandomizerStreams};
+use crate::fabric_window::{Window, WindowTask};
+use crate::keys::KeyDirectory;
 use crate::metrics::WindowMetrics;
 
 /// What the designated parties learned during a window — the complete
@@ -82,8 +80,9 @@ pub struct PemWindowOutcome {
 pub struct Pem {
     cfg: PemConfig,
     keys: KeyDirectory,
-    rng: HashDrbg,
-    streams: RandomizerStreams,
+    /// Windows opened by the standalone entry points: the index the
+    /// next one draws under.
+    windows: u64,
 }
 
 impl Pem {
@@ -98,12 +97,12 @@ impl Pem {
     pub fn new(cfg: PemConfig, n_agents: usize) -> Result<Pem, PemError> {
         cfg.validate(n_agents)?;
         let keys = KeyDirectory::generate(n_agents, cfg.key_bits, cfg.seed)?;
-        Ok(Pem::open(cfg, keys))
+        Pem::with_keys(cfg, keys)
     }
 
     /// Sets up a market over keys its agents already hold (agent `i`'s at
-    /// position `i`): no key is generated. `cfg.seed` seeds the driver
-    /// DRBG and the randomizer streams only.
+    /// position `i`): no key is generated. `cfg.seed` names the parties'
+    /// streams only.
     ///
     /// # Errors
     ///
@@ -118,19 +117,11 @@ impl Pem {
                 cfg.key_bits
             )));
         }
-        Ok(Pem::open(cfg, keys))
-    }
-
-    /// The market over a validated configuration and its keys.
-    fn open(cfg: PemConfig, keys: KeyDirectory) -> Pem {
-        let rng = HashDrbg::from_seed_label(b"pem-driver", cfg.seed);
-        let streams = RandomizerStreams::new(keys.len(), cfg.seed);
-        Pem {
+        Ok(Pem {
             cfg,
             keys,
-            rng,
-            streams,
-        }
+            windows: 0,
+        })
     }
 
     /// The configuration in force.
@@ -138,19 +129,16 @@ impl Pem {
         &self.cfg
     }
 
-    /// Number of agents.
-    pub fn agents(&self) -> usize {
-        self.keys.len()
-    }
-
     /// The public key directory (what every agent can see).
     pub fn keys(&self) -> &KeyDirectory {
         &self.keys
     }
 
-    /// Runs one trading window (Protocol 1, lines 3–10) on a fresh
+    /// Runs the next trading window (Protocol 1, lines 3–10) on a fresh
     /// default transport: a [`SimNetwork`] carrying the configured
-    /// latency model.
+    /// latency model. A fault-injecting fabric is
+    /// [`run_window_on`](Pem::run_window_on) a `SimNetwork` carrying a
+    /// plan.
     ///
     /// `window_data[i]` is agent `i`'s private data for this window.
     ///
@@ -163,58 +151,46 @@ impl Pem {
         &mut self,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<PemWindowOutcome, PemError> {
-        self.run_window_with_faults(window_data, FaultPlan::new())
-    }
-
-    /// [`run_window`](Pem::run_window) over a fault-injecting fabric:
-    /// the fresh `SimNetwork` carries the given plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_window`](Pem::run_window) — faults surface as typed
-    /// errors.
-    pub fn run_window_with_faults(
-        &mut self,
-        window_data: &[pem_market::AgentWindow],
-        faults: FaultPlan,
-    ) -> Result<PemWindowOutcome, PemError> {
-        let mut net = self.fresh_net(faults);
+        let mut net = SimNetwork::with_latency(self.keys.len(), self.cfg.latency);
         self.run_window_on(&mut net, window_data)
     }
 
-    /// Prepares one trading window as a poll-able
-    /// [`WindowTask`](crate::fabric_window::WindowTask) for a fabric
-    /// executor, instead of running it to completion here. The task
-    /// borrows this market mutably until it completes; its outcome is
-    /// bit-identical to [`run_window`](Pem::run_window), which blocks on
-    /// the same window future.
+    /// Prepares the next trading window as a poll-able [`WindowTask`]
+    /// for a fabric executor, instead of running it to completion here.
+    /// Its outcome is bit-identical to [`run_window`](Pem::run_window),
+    /// which blocks on the same window future.
     ///
     /// # Errors
     ///
-    /// As [`fabric_window_with_faults`](Pem::fabric_window_with_faults).
+    /// As [`fabric_attempt`](Pem::fabric_attempt).
     pub fn fabric_window(
         &mut self,
         window_data: &[pem_market::AgentWindow],
-    ) -> Result<crate::fabric_window::WindowTask<'_>, PemError> {
-        self.fabric_window_with_faults(window_data, FaultPlan::new())
+    ) -> Result<WindowTask<'_>, PemError> {
+        let window = self.next_window();
+        self.fabric_attempt(window_data, FaultPlan::new(), window, 0)
     }
 
-    /// [`fabric_window`](Pem::fabric_window) with a fault plan attached
-    /// to the task's queue fabric — how every grid lane opens its
-    /// coalitions' first attempts.
+    /// Attempt `attempt` of window `window` as a poll-able task, with a
+    /// fault plan attached to its queue fabric — how a grid lane opens
+    /// every attempt of its coalitions' windows. The attempt's draws are
+    /// named by `(cfg.seed, window, attempt)` alone, so what one attempt
+    /// draws does not depend on what any other attempt or window drew.
     ///
     /// # Errors
     ///
     /// [`PemError::Config`] if `window_data.len()` differs from the
     /// population size; data validation and quantization failures.
-    pub fn fabric_window_with_faults(
-        &mut self,
+    pub fn fabric_attempt(
+        &self,
         window_data: &[pem_market::AgentWindow],
         faults: FaultPlan,
-    ) -> Result<crate::fabric_window::WindowTask<'_>, PemError> {
-        let net = self.fresh_net(faults);
-        let window = self.window(&net, window_data)?;
-        Ok(crate::fabric_window::WindowTask::new(window, net))
+        window: u64,
+        attempt: u32,
+    ) -> Result<WindowTask<'_>, PemError> {
+        let net = SimNetwork::with_latency(self.keys.len(), self.cfg.latency).with_faults(faults);
+        let window = self.window(&net, window_data, window, attempt)?;
+        Ok(WindowTask::new(window, net))
     }
 
     /// Runs one trading window on a caller-provided transport — any
@@ -234,31 +210,27 @@ impl Pem {
         net: &mut T,
         window_data: &[pem_market::AgentWindow],
     ) -> Result<PemWindowOutcome, PemError> {
-        let window = self.window(net, window_data)?;
-        block_on(window.run(net))
+        let window = self.next_window();
+        block_on(self.window(net, window_data, window, 0)?.run(net))
     }
 
-    /// The default per-window fabric: a fresh [`SimNetwork`] carrying
-    /// the configured latency model and the given fault plan.
-    fn fresh_net(&self, faults: FaultPlan) -> SimNetwork {
-        SimNetwork::with_latency(self.keys.len(), self.cfg.latency).with_faults(faults)
+    /// The index of the next window a standalone entry point opens.
+    fn next_window(&mut self) -> u64 {
+        self.windows += 1;
+        self.windows - 1
     }
 
-    /// Opens the next trading window on `net` — the one place a window
-    /// body is built, whoever ends up polling it.
+    /// Opens attempt `attempt` of window `window` on `net` — the one
+    /// place a window body is built, whoever ends up polling it.
     pub(crate) fn window<T: Transport>(
-        &mut self,
+        &self,
         net: &T,
         window_data: &[pem_market::AgentWindow],
+        window: u64,
+        attempt: u32,
     ) -> Result<Window<'_>, PemError> {
-        Window::new(
-            &self.cfg,
-            &self.keys,
-            &mut self.rng,
-            &mut self.streams,
-            window_data,
-            net,
-        )
+        let draws = Draws::new(self.cfg.seed, window, attempt);
+        Window::new(&self.cfg, &self.keys, draws, window_data, net)
     }
 }
 
@@ -393,7 +365,7 @@ mod tests {
         let mut pem = Pem::new(PemConfig::fast_test(), 4).expect("setup");
         let plan = FaultPlan::new().inject("eval/demand-agg", 0, FaultKind::Drop);
         let err = pem
-            .run_window_with_faults(&pop, plan)
+            .run_window_on(&mut SimNetwork::new(4).with_faults(plan), &pop)
             .expect_err("dropped aggregation message aborts the window");
         assert!(err.is_retryable(), "transport fault must be retryable");
         let out = pem.run_window(&pop).expect("re-run clears");
@@ -401,8 +373,8 @@ mod tests {
         assert_eq!(out.kind, clean.kind);
         assert_eq!(out.price.to_bits(), clean.price.to_bits());
         assert_eq!(out.trades, clean.trades);
-        // ... while the re-run continues the streams past the failed
-        // attempt's draws instead of putting the same masks on the wire.
+        // ... while the re-run is the market's next window, whose
+        // streams put fresh masks on the wire.
         assert_ne!(out.revealed.masked_demand, clean.revealed.masked_demand);
         assert_ne!(out.revealed.masked_supply, clean.revealed.masked_supply);
     }

@@ -21,13 +21,13 @@
 //! parties see only ciphertexts, and the masked totals are uniformly
 //! random in the nonce range.
 //!
-//! Each round is a synchronous step that encrypts its terms and an
-//! `async` fold over [`crate::fold`] that yields before each receive.
-//! The two rounds are independent (different collectors, different
-//! keys and randomizer streams, every term encrypted before the first
-//! send), so `masked_totals` encrypts both — each in chain order,
-//! whatever the shape — and runs the two folds concurrently in lockstep:
-//! the window pays one fold's depth on the virtual clock, not two. The
+//! Each round is a synchronous step that encrypts its terms — each party
+//! from its own stream for the round's label — and an `async` fold over
+//! [`crate::fold`] that yields before each receive. The two rounds are
+//! independent (different collectors, different keys, every term
+//! encrypted before the first send), so `masked_totals` encrypts both
+//! and runs the two folds concurrently in lockstep: the window pays one
+//! fold's depth on the virtual clock, not two. The
 //! comparison and the announcement are strict request/response; like
 //! every receive, each of theirs is a [`crate::fold::gather`] that
 //! yields first. The trading window (`crate::fabric_window`) is the
@@ -42,7 +42,6 @@ use pem_circuit::compare::{
 };
 use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
-use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{Group, OtCiphertexts, OtGroup, OtReceiverReply, OtSenderSetup};
 use pem_crypto::paillier::Ciphertext;
 use pem_fabric::try_join;
@@ -52,9 +51,10 @@ use pem_telemetry::Span;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
+use crate::draws::Draws;
 use crate::error::PemError;
 use crate::fold::{fold, recv_from, Announcement, Topology};
-use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
+use crate::keys::KeyDirectory;
 
 /// One of Protocol 2's nonce-masked folds with every term encrypted:
 /// demand toward `H_r1` or supply toward `H_r2`. The chain is the value
@@ -73,9 +73,9 @@ struct MaskedFold<'a> {
 }
 
 impl<'a> MaskedFold<'a> {
-    /// The synchronous half of a round: encrypts every contribution in
-    /// chain order, drawing from the collector key's stream in `streams`,
-    /// before anything is sent.
+    /// The synchronous half of a round: every chain member encrypts its
+    /// contribution under the collector's key from its own stream for
+    /// `label`, before anything is sent.
     #[allow(clippy::too_many_arguments)]
     fn encrypt<T: Transport>(
         net: &T,
@@ -85,7 +85,7 @@ impl<'a> MaskedFold<'a> {
         value_holders: &[usize],
         maskers: &[usize],
         label: &'static str,
-        streams: &mut RandomizerStreams,
+        draws: Draws,
     ) -> Result<MaskedFold<'a>, PemError> {
         let span = Span::enter_at(label, "protocol", net.now_us());
         let pk = keys.public(collector);
@@ -99,7 +99,7 @@ impl<'a> MaskedFold<'a> {
             } else {
                 BigUint::from(a.nonce)
             };
-            terms.push([encrypt_under(pk, collector, &value, streams)?]);
+            terms.push([pk.try_encrypt(&value, &mut draws.randomizer(member, label))?]);
         }
         Ok(MaskedFold {
             keys,
@@ -142,13 +142,12 @@ impl<'a> MaskedFold<'a> {
 /// buyers then the sellers toward `hr1`, supply over the sellers then
 /// the buyers toward `hr2`.
 ///
-/// The demand terms are encrypted first, then the supply terms — each
-/// set from its own collector's randomizer stream, so the order between
-/// them moves no bit — and then the two folds run in lockstep
-/// ([`try_join`]), one receive of each per poll. The folds are independent (different collectors, different
-/// keys, every term encrypted before the first send), so each party's
-/// virtual clock advances through both at once: the window pays one
-/// fold's depth, not two.
+/// Every term of both folds is encrypted first, and then the two folds
+/// run in lockstep ([`try_join`]), one receive of each per poll. The
+/// folds are independent (different collectors, different keys, every
+/// term encrypted before the first send), so each party's virtual clock
+/// advances through both at once: the window pays one fold's depth, not
+/// two.
 ///
 /// # Errors
 ///
@@ -163,12 +162,10 @@ pub(crate) async fn masked_totals<T: Transport>(
     sellers: &[usize],
     buyers: &[usize],
     topology: Topology,
-    streams: &mut RandomizerStreams,
+    draws: Draws,
 ) -> Result<(u128, u128), PemError> {
-    let mut masked = |collector, holders, maskers, label| {
-        MaskedFold::encrypt(
-            net, keys, agents, collector, holders, maskers, label, streams,
-        )
+    let masked = |collector, holders, maskers, label| {
+        MaskedFold::encrypt(net, keys, agents, collector, holders, maskers, label, draws)
     };
     let demand = masked(hr1, buyers, sellers, "eval/demand-agg")?;
     let supply = masked(hr2, sellers, buyers, "eval/supply-agg")?;
@@ -234,7 +231,8 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 /// either masked total. The OT group is a handle to the profile's shared
 /// context, so the comparison's one OT batch (and every later window)
 /// rides one generator table; the three messages are generic over it
-/// and the profile is dispatched on once, here.
+/// and the profile is dispatched on once, here. `H_r2` garbles from its
+/// own `garble` stream and `H_r1` answers from its own.
 ///
 /// # Errors
 ///
@@ -247,15 +245,15 @@ pub(crate) async fn run_compare<T: Transport>(
     (hr1, hr2): (usize, usize),
     masked_demand: u128,
     masked_supply: u128,
-    rng: &mut HashDrbg,
+    draws: Draws,
 ) -> Result<bool, PemError> {
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
     let width = cfg.window_compare_bits(members)?;
     let roles = (hr1, hr2);
     let masked = (masked_demand, masked_supply);
     let general_market = match cfg.ot_profile.group() {
-        OtGroup::Dh(group) => exchange(net, &group, width, roles, masked, rng).await?,
-        OtGroup::Ed25519(group) => exchange(net, &group, width, roles, masked, rng).await?,
+        OtGroup::Dh(group) => exchange(net, &group, width, roles, masked, draws).await?,
+        OtGroup::Ed25519(group) => exchange(net, &group, width, roles, masked, draws).await?,
     };
     compare_span.finish_at(net.now_us());
 
@@ -275,17 +273,19 @@ async fn exchange<T: Transport, G: Group>(
     width: usize,
     (hr1, hr2): (usize, usize),
     (masked_demand, masked_supply): (u128, u128),
-    rng: &mut HashDrbg,
+    draws: Draws,
 ) -> Result<bool, PemError>
 where
     G::Element: WireElement,
 {
-    let (garbler, offer) = CompareGarbler::start(width, masked_supply, group, rng)?;
+    let (garbler, offer) =
+        CompareGarbler::start(width, masked_supply, group, &mut draws.garble(hr2))?;
     let label = "eval/gc-offer";
     net.send(PartyId(hr2), PartyId(hr1), label, encode_offer(&offer))?;
     let offer = decode_offer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
 
-    let (evaluator, requests) = CompareEvaluator::respond(offer, masked_demand, group, rng)?;
+    let (evaluator, requests) =
+        CompareEvaluator::respond(offer, masked_demand, group, &mut draws.garble(hr1))?;
     let label = "eval/gc-ot-request";
     net.send(
         PartyId(hr1),
@@ -478,9 +478,17 @@ mod tests {
     //! lockstep folds are also checked against the same folds run one
     //! after the other.
 
-    use crate::{Pem, PemConfig, PemWindowOutcome};
+    use super::{masked_totals, MaskedFold, Shared};
+    use crate::config::NONCE_BITS;
+    use crate::fold::Topology;
+    use crate::protocol3::{price_terms, seller_terms};
+    use crate::{AgentCtx, Draws, KeyDirectory, Pem, PemConfig, PemWindowOutcome};
+    use pem_crypto::paillier::Ciphertext;
+    use pem_fabric::{block_on, try_join};
     use pem_market::{AgentWindow, MarketKind};
-    use pem_net::{SimNetwork, Transport};
+    use pem_net::{LatencyModel, NetStats, SimNetwork, Transport};
+    use rand::Rng;
+    use std::cell::RefCell;
 
     /// One window on `net` over agents with the given net surpluses
     /// (sellers generate it, buyers load it).
@@ -657,40 +665,34 @@ mod tests {
         assert_eq!(phases, out.net.total_bytes);
     }
 
-    #[test]
-    fn joined_rings_match_sequential_rings_on_a_shorter_clock() {
-        use super::{masked_totals, MaskedFold};
-        use crate::config::NONCE_BITS;
-        use crate::fold::Topology;
-        use crate::{AgentCtx, KeyDirectory, RandomizerStreams};
-        use pem_crypto::drbg::HashDrbg;
-        use pem_fabric::block_on;
-        use pem_net::LatencyModel;
-        use rand::Rng;
-
-        // Sellers are parties 0..s, buyers s..s + b, on one directory of
-        // twelve.
+    /// A directory of `n` keys and `n` agents with their nonces: sellers
+    /// are parties `0..n/2`, buyers the rest.
+    fn coalition(n: usize) -> (KeyDirectory, Vec<AgentCtx>) {
         let cfg = PemConfig::fast_test();
-        let keys = KeyDirectory::generate(12, cfg.key_bits, cfg.seed).expect("keys");
-        let mut nonces = HashDrbg::from_seed_label(b"p2-join-nonces", 1);
-        let agents: Vec<AgentCtx> = (0..12)
+        let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
+        let draws = Draws::new(cfg.seed, 0, 0);
+        let agents = (0..n)
             .map(|i| {
                 let e = 0.25 + i as f64;
-                let data = if i < 6 {
+                let data = if i < n / 2 {
                     AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
                 } else {
                     AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
                 };
-                let nonce = nonces.gen::<u64>() >> (64 - NONCE_BITS);
+                let nonce = draws.nonce(i).gen::<u64>() >> (64 - NONCE_BITS);
                 AgentCtx::prepare(i, data, nonce).expect("prepare")
             })
             .collect();
-        let fresh = || {
-            (
-                SimNetwork::with_latency(12, LatencyModel::lan()),
-                RandomizerStreams::new(keys.len(), 5),
-            )
-        };
+        (keys, agents)
+    }
+
+    #[test]
+    fn joined_rings_match_sequential_rings_on_a_shorter_clock() {
+        // Sellers are parties 0..s, buyers 6..6 + b, on one directory of
+        // twelve.
+        let (keys, agents) = coalition(12);
+        let draws = Draws::new(5, 0, 0);
+        let fresh = || SimNetwork::with_latency(12, LatencyModel::lan());
         // Every shape, every coalition split: the join must not care how
         // many frames are in flight toward one party.
         let shapes = [
@@ -706,11 +708,10 @@ mod tests {
                     let buyers: Vec<usize> = (6..6 + b).collect();
                     let (hr1, hr2) = (sellers[s - 1], buyers[0]);
 
-                    let (mut seq_net, mut seq_streams) = fresh();
-                    let mut masked = |collector, holders, maskers, label| {
-                        let streams = &mut seq_streams;
+                    let mut seq_net = fresh();
+                    let masked = |collector, holders, maskers, label| {
                         MaskedFold::encrypt(
-                            &seq_net, &keys, &agents, collector, holders, maskers, label, streams,
+                            &seq_net, &keys, &agents, collector, holders, maskers, label, draws,
                         )
                         .expect("encrypt")
                     };
@@ -721,28 +722,17 @@ mod tests {
                         block_on(supply.total(&mut seq_net, topology)).expect("supply fold"),
                     );
 
-                    let (mut net, mut streams) = fresh();
-                    let joined = block_on(masked_totals(
-                        &mut net,
-                        &keys,
-                        &agents,
-                        (hr1, hr2),
-                        &sellers,
-                        &buyers,
-                        topology,
-                        &mut streams,
-                    ))
-                    .expect("joined folds");
+                    let mut net = fresh();
+                    let roles = (hr1, hr2);
+                    let joined = masked_totals(
+                        &mut net, &keys, &agents, roles, &sellers, &buyers, topology, draws,
+                    );
+                    let joined = block_on(joined).expect("joined folds");
 
                     let case = format!("{topology}, |S| = {s}, |B| = {b}");
                     assert_eq!(joined, sequential, "{case}: masked totals");
                     assert_eq!(net.stats(), seq_net.stats(), "{case}: traffic");
                     assert_eq!(net.pending(), 0, "{case}: every frame consumed");
-                    assert_eq!(
-                        format!("{streams:?}"),
-                        format!("{seq_streams:?}"),
-                        "{case}: streams"
-                    );
                     assert!(
                         net.now_us() < seq_net.now_us(),
                         "{case}: joined {} µs, sequential {} µs",
@@ -754,101 +744,94 @@ mod tests {
         }
     }
 
+    /// The ciphertexts a case encrypted, its outcome and its traffic.
+    type Run = (Vec<Vec<Ciphertext>>, String, NetStats);
+
+    /// One case: its terms encrypted in the protocol's order (`false`)
+    /// or a permuted one (`true`), then folded on a topology.
+    type Case<'a> = (&'a str, &'a dyn Fn(Topology, bool) -> Run);
+
     #[test]
-    fn supply_encrypted_before_demand_moves_no_bit() {
-        use super::{masked_totals, MaskedFold, Shared};
-        use crate::config::NONCE_BITS;
-        use crate::fold::Topology;
-        use crate::{AgentCtx, KeyDirectory, RandomizerStreams};
-        use pem_crypto::drbg::HashDrbg;
-        use pem_fabric::{block_on, try_join};
-        use pem_net::LatencyModel;
-        use rand::Rng;
-        use std::cell::RefCell;
-
-        // Each fold's terms come from its own collector's randomizer
-        // stream, so `masked_totals`' demand-first order is a choice, not
-        // a constraint: encrypting the supply terms first gives the same
-        // ciphertexts, totals, traffic and stream positions.
+    fn a_permuted_encryption_order_moves_no_bit() {
+        // Each party encrypts from its own stream for the label it sends
+        // under, so no encryption order is a rule. Each case encrypts
+        // its terms in the protocol's order and in a permuted one; both
+        // must give the same ciphertexts, outcome and traffic, on the
+        // ring and on the tree. (The coupling round's shards, ascending
+        // against the tree's descending visit, are the same case in
+        // `pem_coupling`'s round tests.)
+        let (keys, agents) = coalition(8);
         let cfg = PemConfig::fast_test();
-        let keys = KeyDirectory::generate(8, cfg.key_bits, cfg.seed).expect("keys");
-        let mut nonces = HashDrbg::from_seed_label(b"p2-order-nonces", 1);
-        let agents: Vec<AgentCtx> = (0..8)
-            .map(|i| {
-                let e = 0.5 + i as f64;
-                let data = if i < 4 {
-                    AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
-                } else {
-                    AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
-                };
-                let nonce = nonces.gen::<u64>() >> (64 - NONCE_BITS);
-                AgentCtx::prepare(i, data, nonce).expect("prepare")
-            })
-            .collect();
         let (sellers, buyers): (Vec<usize>, Vec<usize>) = ((0..4).collect(), (4..8).collect());
-        let (hr1, hr2) = (sellers[1], buyers[2]);
-        for topology in [Topology::Ring, Topology::tree()] {
-            let case = format!("{topology}");
-            let fresh = || {
-                (
-                    SimNetwork::with_latency(8, LatencyModel::lan()),
-                    RandomizerStreams::new(keys.len(), 3),
+        let draws = Draws::new(cfg.seed, 3, 1);
+        let fresh = || SimNetwork::with_latency(8, LatencyModel::lan());
+        // Protocol 2: the demand fold's terms first, or the supply
+        // fold's; then the two folds joined as `masked_totals` joins
+        // them.
+        let supply_first = |topology: Topology, permuted: bool| -> Run {
+            let (hr1, hr2) = (sellers[1], buyers[2]);
+            let mut net = fresh();
+            let masked = |collector, holders, maskers, label| {
+                MaskedFold::encrypt(
+                    &net, &keys, &agents, collector, holders, maskers, label, draws,
                 )
+                .expect("encrypt")
             };
-            // The two folds with their terms encrypted in either
-            // order, then joined as `masked_totals` joins them.
-            let in_order = |supply_first: bool| {
-                let (mut net, mut streams) = fresh();
-                let mut masked = |collector, holders, maskers, label| {
-                    let streams = &mut streams;
-                    MaskedFold::encrypt(
-                        &net, &keys, &agents, collector, holders, maskers, label, streams,
-                    )
-                    .expect("encrypt")
-                };
-                let (demand, supply) = if supply_first {
-                    let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
-                    (masked(hr1, &buyers, &sellers, "eval/demand-agg"), supply)
-                } else {
-                    let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
-                    (demand, masked(hr2, &sellers, &buyers, "eval/supply-agg"))
-                };
-                let terms = [&demand, &supply].map(|f| f.terms.clone());
-                let shared = RefCell::new(&mut net);
-                let totals = block_on(try_join(
-                    demand.total(&mut Shared(&shared), topology),
-                    supply.total(&mut Shared(&shared), topology),
-                ))
-                .expect("joined folds");
-                let stats = net.stats();
-                (terms, totals, stats, format!("{streams:?}"))
+            let (demand, supply) = if permuted {
+                let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
+                (masked(hr1, &buyers, &sellers, "eval/demand-agg"), supply)
+            } else {
+                let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
+                (demand, masked(hr2, &sellers, &buyers, "eval/supply-agg"))
             };
-            let demand_first = in_order(false);
-            let supply_first = in_order(true);
-            assert_eq!(supply_first.0, demand_first.0, "{case}: ciphertexts");
-            assert_eq!(supply_first.1, demand_first.1, "{case}: masked totals");
-            assert_eq!(supply_first.2, demand_first.2, "{case}: traffic");
-            assert_eq!(supply_first.3, demand_first.3, "{case}: streams");
-
-            let (mut net, mut streams) = fresh();
-            let totals = block_on(masked_totals(
-                &mut net,
-                &keys,
-                &agents,
-                (hr1, hr2),
-                &sellers,
-                &buyers,
-                topology,
-                &mut streams,
+            let terms = [&demand, &supply]
+                .iter()
+                .flat_map(|f| f.terms.iter().map(|t| t.to_vec()))
+                .collect();
+            let shared = RefCell::new(&mut net);
+            let totals = block_on(try_join(
+                demand.total(&mut Shared(&shared), topology),
+                supply.total(&mut Shared(&shared), topology),
             ))
-            .expect("masked totals");
-            assert_eq!(totals, supply_first.1, "{case}: masked_totals");
-            assert_eq!(net.stats(), supply_first.2, "{case}: masked_totals traffic");
-            assert_eq!(
-                format!("{streams:?}"),
-                supply_first.3,
-                "{case}: masked_totals streams"
-            );
+            .expect("joined folds");
+            (terms, format!("{totals:?}"), net.stats())
+        };
+        // Protocol 3: the sellers ascending, or descending — the order
+        // the tree visits them in.
+        let sellers_descending = |topology: Topology, permuted: bool| -> Run {
+            let hb = buyers[0];
+            let pk = keys.public(hb);
+            let mut order = sellers.clone();
+            if permuted {
+                order.reverse();
+            }
+            let mut terms: Vec<[Ciphertext; 2]> = order
+                .iter()
+                .map(|&seller| seller_terms(pk, &agents[seller], draws).expect("encrypt"))
+                .collect();
+            if permuted {
+                terms.reverse();
+            }
+            let ciphertexts = terms.iter().map(|t| t.to_vec()).collect();
+            let mut net = fresh();
+            let pricing = price_terms(&mut net, &keys, &cfg, 8, &sellers, hb, topology, terms);
+            let out = block_on(pricing).expect("pricing");
+            (ciphertexts, format!("{out:?}"), net.stats())
+        };
+        let cases: [Case<'_>; 2] = [
+            ("Protocol 2, supply terms first", &supply_first),
+            ("Protocol 3, sellers descending", &sellers_descending),
+        ];
+        for (case, run) in cases {
+            for topology in [Topology::Ring, Topology::tree()] {
+                let (in_order, permuted) = (run(topology, false), run(topology, true));
+                assert_eq!(
+                    in_order.0, permuted.0,
+                    "{case} on the {topology}: ciphertexts"
+                );
+                assert_eq!(in_order.1, permuted.1, "{case} on the {topology}: outcome");
+                assert_eq!(in_order.2, permuted.2, "{case} on the {topology}: traffic");
+            }
         }
     }
 }

@@ -13,19 +13,19 @@
 //! each receive: a trading window awaits it, and
 //! [`block_on`](pem_fabric::block_on) runs it on its own.
 
-use pem_crypto::drbg::HashDrbg;
-use pem_crypto::paillier::Ciphertext;
+use pem_bignum::BigUint;
+use pem_crypto::paillier::{Ciphertext, PublicKey};
 use pem_net::wire::WireWriter;
 use pem_net::Transport;
 use pem_telemetry::Span;
-use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::PemConfig;
+use crate::draws::Draws;
 use crate::error::PemError;
 pub use crate::fold::Topology;
 use crate::fold::{fold, Announcement};
-use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
+use crate::keys::KeyDirectory;
 use crate::quantize::{dequantize, dequantize_u128, quantize, quantize_unsigned};
 
 /// Result of Private Pricing.
@@ -46,12 +46,10 @@ pub struct PricingOutcome {
 /// Protocol 3 — Private Pricing — on `net`: the [`fold`] at `K = 2` in
 /// `topology`, then `H_b`'s decryption and the price broadcast.
 ///
-/// `H_b` is drawn first, then every seller's terms are encrypted under
-/// its key in the order the topology visits the sellers (ring and star:
-/// seller order; tree: descending position), all before the first send.
-/// The RNG and randomizer streams therefore do not depend on who
-/// polls the future. It yields before each receive. A trading window
-/// awaits it as one of its stages; on its own, Protocol 3 is
+/// `H_b` is the attempt's pick among the buyers, and every seller
+/// encrypts its two terms under `H_b`'s key from its own stream, all
+/// before the first send. It yields before each receive. A trading
+/// window awaits it as one of its stages; on its own, Protocol 3 is
 /// `block_on(price(..))`.
 ///
 /// # Errors
@@ -68,43 +66,40 @@ pub async fn price<T: Transport>(
     buyers: &[usize],
     cfg: &PemConfig,
     topology: Topology,
-    streams: &mut RandomizerStreams,
-    rng: &mut HashDrbg,
+    draws: Draws,
 ) -> Result<PricingOutcome, PemError> {
     if sellers.is_empty() || buyers.is_empty() {
         return Err(PemError::Protocol(
             "pricing requires both coalitions to be non-empty",
         ));
     }
-    let hb = buyers[rng.gen_range(0..buyers.len())];
+    let hb = draws.pick("H_b", buyers);
     let pk = keys.public(hb);
 
-    // Each seller's two pricing terms, encrypted under H_b's key. The
-    // denominator term is signed in principle (deep battery charging),
-    // so it uses the balanced encoding.
-    let mut seller_terms = |idx: usize| -> Result<[Ciphertext; 2], PemError> {
-        let a = &agents[idx];
-        let k_q = quantize_unsigned(a.data.preference, "preference")?;
-        let d_q = quantize(a.data.pricing_denominator_term(), "pricing denominator")?;
-        let k_ct = encrypt_under(pk, hb, &pem_bignum::BigUint::from(k_q), streams)?;
-        let d_ct = encrypt_under(pk, hb, &pk.encode_i128(d_q as i128), streams)?;
-        Ok([k_ct, d_ct])
-    };
-    // The tree draws its sellers' randomizers in descending position
-    // (the order its nodes are visited), ring and star ascending.
-    let descending = matches!(topology, Topology::Tree { .. });
-    let mut order: Vec<usize> = sellers.to_vec();
-    if descending {
-        order.reverse();
-    }
-    let mut terms = order
-        .into_iter()
-        .map(&mut seller_terms)
+    let terms = sellers
+        .iter()
+        .map(|&seller| seller_terms(pk, &agents[seller], draws))
         .collect::<Result<Vec<_>, _>>()?;
-    if descending {
-        terms.reverse();
-    }
     price_terms(net, keys, cfg, agents.len(), sellers, hb, topology, terms).await
+}
+
+/// A seller's two pricing terms `(k, d)`, encrypted under `H_b`'s key
+/// `pk` from the seller's own stream. The denominator term is signed in
+/// principle (deep battery charging), so it uses the balanced encoding.
+pub(crate) fn seller_terms(
+    pk: &PublicKey,
+    seller: &AgentCtx,
+    draws: Draws,
+) -> Result<[Ciphertext; 2], PemError> {
+    let k_q = quantize_unsigned(seller.data.preference, "preference")?;
+    let d_q = quantize(
+        seller.data.pricing_denominator_term(),
+        "pricing denominator",
+    )?;
+    let mut stream = draws.randomizer(seller.index, "price/agg");
+    let k_ct = pk.try_encrypt(&BigUint::from(k_q), &mut stream)?;
+    let d_ct = pk.try_encrypt(&pk.encode_i128(d_q as i128), &mut stream)?;
+    Ok([k_ct, d_ct])
 }
 
 /// The rest of [`price`] once the sellers' `(k, d)` terms are encrypted
@@ -112,7 +107,7 @@ pub async fn price<T: Transport>(
 /// prices and announces `p*` to the other `n − 1` parties; each checks
 /// the price bit for bit.
 #[allow(clippy::too_many_arguments)]
-async fn price_terms<T: Transport>(
+pub(crate) async fn price_terms<T: Transport>(
     net: &mut T,
     keys: &KeyDirectory,
     cfg: &PemConfig,
@@ -171,9 +166,11 @@ async fn price_terms<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pem_crypto::drbg::HashDrbg;
     use pem_fabric::block_on;
     use pem_market::{optimal_price, optimal_price_unclamped, AgentWindow, Role};
     use pem_net::SimNetwork;
+    use rand::Rng;
 
     /// Protocol 3 on its own, run to completion on `net`.
     #[allow(clippy::too_many_arguments)]
@@ -185,11 +182,10 @@ mod tests {
         buyers: &[usize],
         cfg: &PemConfig,
         topology: Topology,
-        rng: &mut HashDrbg,
     ) -> Result<PricingOutcome, PemError> {
-        let streams = &mut RandomizerStreams::new(keys.len(), cfg.seed);
+        let draws = Draws::new(cfg.seed, 0, 0);
         block_on(price(
-            net, keys, agents, sellers, buyers, cfg, topology, streams, rng,
+            net, keys, agents, sellers, buyers, cfg, topology, draws,
         ))
     }
 
@@ -202,7 +198,6 @@ mod tests {
         Vec<usize>,
         Vec<usize>,
         PemConfig,
-        HashDrbg,
     ) {
         let cfg = PemConfig::fast_test();
         let n = agents_data.len();
@@ -220,7 +215,7 @@ mod tests {
             }
             agents.push(ctx);
         }
-        (SimNetwork::new(n), keys, agents, sellers, buyers, cfg, rng)
+        (SimNetwork::new(n), keys, agents, sellers, buyers, cfg)
     }
 
     fn paper_agents() -> Vec<AgentWindow> {
@@ -240,7 +235,7 @@ mod tests {
             .filter(|a| a.net_energy() > 0.0)
             .copied()
             .collect();
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data);
         let out = run(
             &mut net,
             &keys,
@@ -249,7 +244,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut rng,
         )
         .expect("protocol 3");
         let expected = optimal_price(&seller_rows, &cfg.band);
@@ -265,7 +259,7 @@ mod tests {
     #[test]
     fn reveals_only_the_aggregates() {
         let data = paper_agents();
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data.clone());
         let out = run(
             &mut net,
             &keys,
@@ -274,7 +268,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut rng,
         )
         .expect("protocol 3");
         // The revealed sums match the Lemma 3 surface …
@@ -295,7 +288,7 @@ mod tests {
             AgentWindow::new(0, 0.5, 0.2, 0.0, 0.9, 10_000.0),
             AgentWindow::new(1, 0.0, 2.0, 0.0, 0.9, 20.0),
         ];
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data);
         let out = run(
             &mut net,
             &keys,
@@ -304,7 +297,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut rng,
         )
         .expect("protocol 3");
         assert!(out.p_hat > cfg.band.ceiling);
@@ -317,7 +309,7 @@ mod tests {
             AgentWindow::new(0, 2.0, 0.5, 0.0, 0.9, 30.0),
             AgentWindow::new(1, 0.0, 5.0, 0.0, 0.9, 25.0),
         ];
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(data);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data);
         let out = run(
             &mut net,
             &keys,
@@ -326,7 +318,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut rng,
         )
         .expect("protocol 3");
         assert!(out.price >= cfg.band.floor && out.price <= cfg.band.ceiling);
@@ -336,30 +327,21 @@ mod tests {
     #[test]
     fn empty_sellers_rejected() {
         let data = vec![AgentWindow::new(0, 0.0, 5.0, 0.0, 0.9, 25.0)];
-        let (mut net, keys, agents, _sellers, buyers, cfg, mut rng) = setup(data);
+        let (mut net, keys, agents, _sellers, buyers, cfg) = setup(data);
         assert!(matches!(
-            run(
-                &mut net,
-                &keys,
-                &agents,
-                &[],
-                &buyers,
-                &cfg,
-                Topology::Ring,
-                &mut rng
-            ),
+            run(&mut net, &keys, &agents, &[], &buyers, &cfg, Topology::Ring),
             Err(PemError::Protocol(_))
         ));
     }
 
     #[test]
     fn out_of_range_denominator_aggregate_is_a_typed_error() {
-        use pem_bignum::BigUint;
         use pem_crypto::CryptoError;
         // Seller 1's `d` term is Enc(n/4) under H_b's 256-bit key: a
         // valid ciphertext whose signed decoding is ±2^254, far outside
         // i128. It folds into the aggregate H_b decrypts.
-        let (mut net, _, _, sellers, buyers, cfg, mut rng) = setup(paper_agents());
+        let (mut net, _, _, sellers, buyers, cfg) = setup(paper_agents());
+        let mut rng = HashDrbg::new(b"p3-out-of-range");
         let keys = KeyDirectory::generate(net.party_count(), 256, cfg.seed).expect("keys");
         let hb = buyers[0];
         let pk = keys.public(hb);
@@ -389,7 +371,7 @@ mod tests {
     #[test]
     fn star_topology_matches_ring() {
         let data = paper_agents();
-        let (mut net_r, keys, agents, sellers, buyers, cfg, mut rng) = setup(data.clone());
+        let (mut net_r, keys, agents, sellers, buyers, cfg) = setup(data.clone());
         let ring = run(
             &mut net_r,
             &keys,
@@ -398,7 +380,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut rng,
         )
         .expect("ring");
         let mut net_s = SimNetwork::new(agents.len());
@@ -410,7 +391,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Star,
-            &mut rng,
         )
         .expect("star");
         assert!((ring.price - star.price).abs() < 1e-9);
@@ -427,7 +407,7 @@ mod tests {
 
     #[test]
     fn traffic_labelled_for_table1() {
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(paper_agents());
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(paper_agents());
         run(
             &mut net,
             &keys,
@@ -436,7 +416,6 @@ mod tests {
             &buyers,
             &cfg,
             Topology::Ring,
-            &mut rng,
         )
         .expect("protocol 3");
         let s = net.stats();

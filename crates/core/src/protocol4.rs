@@ -41,19 +41,18 @@
 //! is the retryable `Unread`, a stray one a typed protocol error.
 
 use pem_bignum::BigUint;
-use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Ciphertext;
 use pem_market::{AgentId, Trade};
 use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{PartyId, Transport};
 use pem_telemetry::Span;
-use rand::Rng;
 
 use crate::agents::AgentCtx;
 use crate::config::{PemConfig, RATIO_PRECISION_BITS, RATIO_SLOT_BITS};
+use crate::draws::Draws;
 use crate::error::PemError;
 use crate::fold::{fold, gather, read_ciphertext, Announcement};
-use crate::keys::{encrypt_under, KeyDirectory, RandomizerStreams};
+use crate::keys::KeyDirectory;
 use crate::quantize::dequantize;
 
 /// Result of Private Distribution.
@@ -88,8 +87,7 @@ pub async fn run<T: Transport>(
     price: f64,
     general_market: bool,
     cfg: &PemConfig,
-    streams: &mut RandomizerStreams,
-    rng: &mut HashDrbg,
+    draws: Draws,
 ) -> Result<DistributionOutcome, PemError> {
     if sellers.is_empty() || buyers.is_empty() {
         return Err(PemError::Protocol(
@@ -103,21 +101,21 @@ pub async fn run<T: Transport>(
     } else {
         (sellers, buyers)
     };
-    let decryptor = other_side[rng.gen_range(0..other_side.len())];
+    let decryptor = draws.pick("decryptor", other_side);
     let pk = keys.public(decryptor);
     let k_const = 1u128 << RATIO_PRECISION_BITS;
 
     // --- Step 2: fold the ratio side's total under pk. -----------------
     // The fold ends at the coalition's last member, who multiplies in its
     // own contribution and announces Enc(total) inside the ratio
-    // coalition. Terms are encrypted in coalition order in every shape.
+    // coalition. Each member encrypts its term from its own stream.
     let agg_span = Span::enter_at("dist/total-agg", "protocol", net.now_us());
     let (&last, members) = ratio_side
         .split_last()
         .ok_or(PemError::Protocol("empty ratio coalition"))?;
-    let mut encrypt = |member: usize| {
-        let value = BigUint::from(agents[member].sn_abs_q);
-        encrypt_under(pk, decryptor, &value, streams)
+    let encrypt = |member: usize| {
+        let mut stream = draws.randomizer(member, "dist/total-agg");
+        pk.try_encrypt(&BigUint::from(agents[member].sn_abs_q), &mut stream)
     };
     let mut own = Vec::with_capacity(members.len());
     for &member in members {
@@ -310,12 +308,10 @@ mod tests {
         Vec<usize>,
         Vec<usize>,
         PemConfig,
-        HashDrbg,
     ) {
         let cfg = PemConfig::fast_test();
         let n = surpluses.len();
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-        let rng = HashDrbg::from_seed_label(b"p4-test", 1);
         let mut agents = Vec::new();
         let mut sellers = Vec::new();
         let mut buyers = Vec::new();
@@ -333,7 +329,7 @@ mod tests {
             }
             agents.push(ctx);
         }
-        (SimNetwork::new(n), keys, agents, sellers, buyers, cfg, rng)
+        (SimNetwork::new(n), keys, agents, sellers, buyers, cfg)
     }
 
     fn plaintext_trades(surpluses: &[f64], price: f64) -> Vec<Trade> {
@@ -384,7 +380,7 @@ mod tests {
     #[test]
     fn general_market_matches_plaintext_allocation() {
         let surpluses = [2.0, 3.0, -4.0, -2.0, -2.0]; // E_s = 5 < E_b = 8
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
         let out = block_on(run(
             &mut net,
             &keys,
@@ -394,8 +390,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(1, 0, 0),
         ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-6);
@@ -405,7 +400,7 @@ mod tests {
     #[test]
     fn extreme_market_matches_plaintext_allocation() {
         let surpluses = [6.0, 4.0, -1.5, -2.5]; // E_s = 10 ≥ E_b = 4
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
         let out = block_on(run(
             &mut net,
             &keys,
@@ -415,8 +410,7 @@ mod tests {
             90.0,
             false,
             &cfg,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(1, 0, 0),
         ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 90.0), 1e-6);
@@ -425,7 +419,7 @@ mod tests {
     #[test]
     fn ratios_sum_to_one() {
         let surpluses = [2.0, -1.0, -3.0, -4.0];
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
         let out = block_on(run(
             &mut net,
             &keys,
@@ -435,8 +429,7 @@ mod tests {
             95.0,
             true,
             &cfg,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(1, 0, 0),
         ))
         .expect("protocol 4");
         // Per-ratio relative error is bounded by sn_max/(2K) ≈ 2^-23.
@@ -449,7 +442,7 @@ mod tests {
     #[test]
     fn conservation_of_energy_and_money() {
         let surpluses = [1.5, 2.5, -3.0, -5.0];
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
         let out = block_on(run(
             &mut net,
             &keys,
@@ -459,8 +452,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(1, 0, 0),
         ))
         .expect("protocol 4");
         let energy: f64 = out.trades.iter().map(|t| t.energy).sum();
@@ -477,7 +469,7 @@ mod tests {
         // A buyer at the quantization floor (1 µkWh) must not break the
         // exponent inversion. (E_s = 0.5 < E_b ≈ 0.75: general market.)
         let surpluses = [0.5, -1e-6, -0.75];
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
         let out = block_on(run(
             &mut net,
             &keys,
@@ -487,8 +479,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(1, 0, 0),
         ))
         .expect("protocol 4");
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-5);
@@ -496,7 +487,7 @@ mod tests {
 
     #[test]
     fn empty_coalitions_rejected() {
-        let (mut net, keys, agents, sellers, _buyers, cfg, mut rng) = setup(&[1.0, 2.0]);
+        let (mut net, keys, agents, sellers, _buyers, cfg) = setup(&[1.0, 2.0]);
         assert!(matches!(
             block_on(run(
                 &mut net,
@@ -507,8 +498,7 @@ mod tests {
                 100.0,
                 true,
                 &cfg,
-                &mut RandomizerStreams::new(keys.len(), 1),
-                &mut rng
+                Draws::new(1, 0, 0),
             )),
             Err(PemError::Protocol(_))
         ));
@@ -517,7 +507,7 @@ mod tests {
     #[test]
     fn traffic_labelled_for_table1() {
         let surpluses = [2.0, -1.0, -3.0];
-        let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
         block_on(run(
             &mut net,
             &keys,
@@ -527,8 +517,7 @@ mod tests {
             100.0,
             true,
             &cfg,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(1, 0, 0),
         ))
         .expect("protocol 4");
         let s = net.stats();
@@ -574,7 +563,7 @@ mod tests {
         // Receives are addressed by label, so a stray queued before the
         // protocol starts waits for the sweep that reads its label.
         for (case, (from, to, label, payload)) in cases {
-            let (mut net, keys, agents, sellers, buyers, cfg, mut rng) = setup(&surpluses);
+            let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
             net.send(PartyId(from), PartyId(to), label, payload)
                 .expect("stray");
             let result = block_on(run(
@@ -586,8 +575,7 @@ mod tests {
                 100.0,
                 true,
                 &cfg,
-                &mut RandomizerStreams::new(keys.len(), 1),
-                &mut rng,
+                Draws::new(1, 0, 0),
             ));
             assert!(
                 matches!(result, Err(PemError::Protocol(_))),
@@ -655,7 +643,7 @@ mod tests {
             for topology in [Topology::Ring, Topology::tree()] {
                 let case = format!("{kind:?} on the {topology}");
                 let n = surpluses.len();
-                let (_, _, agents, sellers, buyers, cfg, _) = setup(surpluses);
+                let (_, _, agents, sellers, buyers, cfg) = setup(surpluses);
                 let pop: Vec<AgentWindow> = agents.iter().map(|a| a.data).collect();
                 let mut net = Recording {
                     net: SimNetwork::new(n),

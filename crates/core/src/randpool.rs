@@ -1,24 +1,26 @@
 //! A precomputed-randomizer cache, kept as a measurement shim.
 //!
-//! No protocol path holds a pool: every encryption takes the next draw
-//! of its key's [`RandomizerStreams`] on line
-//! ([`encrypt_under`](crate::encrypt_under)). A pooled-vs-pool-less
-//! A/B found the pool a pure cache that moved no work off line (its
-//! refill ran inside the timed window) and changed throughput and CPU
-//! by at most 1.1%, so it was retired (ROADMAP item 13 (b)).
+//! No protocol path holds a pool: every encrypting party draws its
+//! randomizers on line from its own named stream ([`Draws`](crate::Draws)).
+//! A pooled-vs-pool-less A/B found the pool a pure cache that moved no
+//! work off line (its refill ran inside the timed window) and changed
+//! throughput and CPU by at most 1.1%, so it was retired (ROADMAP item
+//! 13 (b)).
 //!
 //! What is left serves the benchmark's `core.pool_refill_ms` probe:
-//! [`RandomizerPool`] queues a batch of draws in front of the same
-//! per-key streams ([`generate`](RandomizerPool::generate),
-//! [`take`](RandomizerPool::take), [`refill`](RandomizerPool::refill)),
-//! and [`PoolStats`] is the type of `GridReport::pool`, which is always
-//! `None`. Both are on ROADMAP item 13 (d)'s delete list.
+//! [`RandomizerPool`] queues a batch of draws per key, each queue in
+//! front of a private DRBG of its key
+//! ([`generate`](RandomizerPool::generate), [`take`](RandomizerPool::take),
+//! [`refill`](RandomizerPool::refill)), and [`PoolStats`] is the type of
+//! `GridReport::pool`, which is always `None`. Both are on ROADMAP item
+//! 13 (d)'s delete list.
 
 use std::collections::VecDeque;
 
+use pem_crypto::drbg::HashDrbg;
 use pem_crypto::paillier::Randomizer;
 
-use crate::keys::{KeyDirectory, RandomizerStreams};
+use crate::keys::KeyDirectory;
 
 /// Pool counters: the type of `GridReport::pool`, which no pool fills.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,23 +45,26 @@ impl PoolStats {
     }
 }
 
-/// A queue of precomputed draws in front of each key's randomizer
-/// stream: queue `i` is a prefix of the rest of stream `i`.
+/// A queue of precomputed draws in front of each key's DRBG (label
+/// `pem-randpool`, seed `seed ^ (i << 24)` for key `i`): queue `i` is a
+/// prefix of the rest of stream `i`.
 #[derive(Debug, Clone)]
 pub struct RandomizerPool {
-    queues: Vec<VecDeque<Randomizer>>,
-    streams: RandomizerStreams,
+    /// Per key: its queue and the DRBG behind it.
+    queues: Vec<(VecDeque<Randomizer>, HashDrbg)>,
     batch: usize,
 }
 
 impl RandomizerPool {
-    /// Builds the streams of every directory key under `seed` (those of
-    /// [`RandomizerStreams::new`]) and precomputes the first `batch`
-    /// draws of each.
+    /// Opens a DRBG per directory key under `seed` and precomputes the
+    /// first `batch` draws of each.
     pub fn generate(keys: &KeyDirectory, batch: usize, seed: u64) -> RandomizerPool {
+        let stream =
+            |i: usize| HashDrbg::from_seed_label(b"pem-randpool", seed ^ ((i as u64) << 24));
         let mut pool = RandomizerPool {
-            queues: vec![VecDeque::new(); keys.len()],
-            streams: RandomizerStreams::new(keys.len(), seed),
+            queues: (0..keys.len())
+                .map(|i| (VecDeque::new(), stream(i)))
+                .collect(),
             batch,
         };
         pool.refill(keys);
@@ -68,7 +73,7 @@ impl RandomizerPool {
 
     /// The oldest precomputed randomizer under `key_owner`, if any.
     pub fn take(&mut self, key_owner: usize) -> Option<Randomizer> {
-        self.queues.get_mut(key_owner)?.pop_front()
+        self.queues.get_mut(key_owner)?.0.pop_front()
     }
 
     /// Tops every queue back up to the batch size from its key's stream.
@@ -80,7 +85,7 @@ impl RandomizerPool {
     /// generated for.
     pub fn refill(&mut self, keys: &KeyDirectory) -> usize {
         let mut generated = 0;
-        for (i, (queue, stream)) in self.queues.iter_mut().zip(&mut self.streams.0).enumerate() {
+        for (i, (queue, stream)) in self.queues.iter_mut().enumerate() {
             let missing = self.batch.saturating_sub(queue.len());
             queue.extend(keys.public(i).precompute_randomizers(missing, stream));
             generated += missing;
@@ -92,9 +97,7 @@ impl RandomizerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::encrypt_under;
     use pem_bignum::BigUint;
-    use pem_crypto::drbg::HashDrbg;
     use pem_crypto::paillier::Ciphertext;
 
     fn directory() -> KeyDirectory {
@@ -139,36 +142,32 @@ mod tests {
 
     #[test]
     fn the_batch_size_moves_no_ciphertext() {
-        // The queues sit in front of the streams every protocol draws
-        // from on line: at any batch, across refills, key `i`'s queued
-        // draws encrypt to exactly the ciphertexts `encrypt_under` makes
-        // from a fresh `RandomizerStreams` under the same seed.
+        // At any batch, across refills, key `i`'s queued draws encrypt
+        // to exactly the ciphertexts the batch-of-one pool yields.
         let keys = directory();
         let m = BigUint::from(5u64);
-        let mut streams = RandomizerStreams::new(keys.len(), 4);
-        let on_line: Vec<Vec<Ciphertext>> = (0..keys.len())
-            .map(|key| {
-                (0..8)
-                    .map(|_| encrypt_under(keys.public(key), key, &m, &mut streams).expect("enc"))
-                    .collect()
-            })
-            .collect();
-        for batch in [1, 2, 8] {
+        let drain = |batch: usize| -> Vec<Vec<Ciphertext>> {
             let mut pool = RandomizerPool::generate(&keys, batch, 4);
-            for (key, expected) in on_line.iter().enumerate() {
-                let mut pooled = Vec::new();
-                while pooled.len() < expected.len() {
-                    match pool.take(key) {
-                        Some(r) => {
-                            pooled.push(keys.public(key).try_encrypt_with(&m, &r).expect("enc"))
-                        }
-                        None => {
-                            pool.refill(&keys);
+            (0..keys.len())
+                .map(|key| {
+                    let mut cts = Vec::new();
+                    while cts.len() < 8 {
+                        match pool.take(key) {
+                            Some(r) => {
+                                cts.push(keys.public(key).try_encrypt_with(&m, &r).expect("enc"))
+                            }
+                            None => {
+                                pool.refill(&keys);
+                            }
                         }
                     }
-                }
-                assert_eq!(&pooled, expected, "batch {batch} key {key}");
-            }
+                    cts
+                })
+                .collect()
+        };
+        let one_at_a_time = drain(1);
+        for batch in [2, 8] {
+            assert_eq!(drain(batch), one_at_a_time, "batch {batch}");
         }
     }
 

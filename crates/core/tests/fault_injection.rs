@@ -64,10 +64,8 @@ fn run_faulted(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
 /// window whose message never arrives ends in its receive error at the
 /// poll that wanted it.
 fn run_on_executor(plan: FaultPlan) -> Result<PemWindowOutcome, PemError> {
-    let mut pem = market();
-    let task = pem
-        .fabric_window_with_faults(&population(), plan)
-        .expect("task");
+    let pem = market();
+    let task = pem.fabric_attempt(&population(), plan, 0, 0).expect("task");
     let (mut results, _) = Executor::new(0).run_collect(vec![task]);
     results.pop().expect("one task, one result")
 }
@@ -289,12 +287,24 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     //
     // * `eval/gc-ot-transfer`, 2945 bytes (a count byte, then 23 × four
     //   32-byte branches): the middle byte 1472 is the last byte of
-    //   branch 1 of chunk 11; the evaluator chose branch 0 there (bits
-    //   22–23 of its masked total), so it never decrypts the flipped
-    //   branch and the window completes with the clean outcome.
-    let out = corrupt("eval/gc-ot-transfer")
+    //   branch 1 of chunk 11, and byte 1440 the last of branch 0. The
+    //   evaluator chose branch 1 there (bits 22–23 of its masked total
+    //   are 01), so the flip in branch 1 gives it a garbage label and an
+    //   unauthentic output, while the flip in branch 0, which it never
+    //   decrypts, leaves the window with the clean outcome.
+    let chosen = corrupt("eval/gc-ot-transfer");
+    assert!(
+        matches!(
+            chosen,
+            Err(PemError::Circuit(CircuitError::OutputNotAuthentic {
+                output: 0
+            }))
+        ),
+        "eval/gc-ot-transfer, chosen branch: got {chosen:?}"
+    );
+    let unchosen = run_tampered("eval/gc-ot-transfer", |payload| payload[1440] ^= 1)
         .unwrap_or_else(|e| panic!("eval/gc-ot-transfer: completes, got {e:?}"));
-    assert_clean(&out, &clean, "eval/gc-ot-transfer");
+    assert_clean(&unchosen, &clean, "eval/gc-ot-transfer, unchosen branch");
     // `eval/result`: the one byte flips the general-market bit to a
     // well-formed `false`, which its first recipient decodes and checks
     // against `H_r1`'s bit.
@@ -412,7 +422,7 @@ fn tampered_ratio_requests_abort_without_trades() {
             let plan = FaultPlan::new().inject("dist/ratio-req", 0, kind);
             let result = Pem::new(cfg.clone(), data.len())
                 .expect("setup")
-                .run_window_with_faults(&data, plan);
+                .run_window_on(&mut SimNetwork::new(data.len()).with_faults(plan), &data);
             match (kind, &result) {
                 (
                     FaultKind::Corrupt,
@@ -713,12 +723,12 @@ fn full_window_runs_on_a_caller_built_fabric() {
 #[test]
 fn whole_window_faults_end_the_same_on_both_fabrics() {
     // One dropped message per phase: a caller-built faulted fabric and
-    // the one `run_window_with_faults` builds poll the same window body,
-    // so they must end in the same error class.
+    // the one `fabric_attempt` builds poll the same window body, so they
+    // must end in the same error class.
     for label in ["eval/demand-agg", "price/agg", "dist/total-agg"] {
         let plan = FaultPlan::new().inject(label, 0, FaultKind::Drop);
         let caller_result = run_faulted(plan.clone());
-        let own_result = market().run_window_with_faults(&population(), plan);
+        let own_result = run_on_executor(plan);
         match (&own_result, &caller_result) {
             (Err(a), Err(b)) => assert_eq!(
                 std::mem::discriminant(a),

@@ -6,7 +6,7 @@
 
 use pem_core::block_on;
 use pem_core::protocol3::{price, PricingOutcome, Topology};
-use pem_core::{AgentCtx, KeyDirectory, PemConfig, RandomizerStreams};
+use pem_core::{AgentCtx, Draws, KeyDirectory, PemConfig};
 use pem_crypto::drbg::HashDrbg;
 use pem_market::{AgentWindow, Role};
 use pem_net::{Envelope, NetError, NetStats, PartyId, SimNetwork, Transport};
@@ -131,10 +131,8 @@ fn price_with(
     cfg: &PemConfig,
 ) -> (PricingOutcome, NetStats) {
     let mut net = SimNetwork::new(agents.len());
-    // A per-topology rng: the protocol draws the same number of values
-    // from it in every topology, and the aggregates do not depend on the
-    // randomizers, so the same seed must yield bit-identical outcomes.
-    let mut rng = HashDrbg::from_seed_label(b"tree-run", 7);
+    // One attempt's draws in every topology: the aggregates do not
+    // depend on the randomizers, so the outcomes must be bit-identical.
     let out = block_on(price(
         &mut net,
         keys,
@@ -143,8 +141,7 @@ fn price_with(
         buyers,
         cfg,
         topology,
-        &mut RandomizerStreams::new(keys.len(), 1),
-        &mut rng,
+        Draws::new(7, 0, 0),
     ))
     .expect("pricing");
     assert_eq!(net.pending(), 0, "all messages consumed");
@@ -195,7 +192,6 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
         for fanin in [2usize, 3, 4] {
             let (keys, agents, sellers, buyers, cfg) = market(n_sellers, 99);
             let mut net = RecvCounting::new(SimNetwork::new(agents.len()), "price/agg");
-            let mut rng = HashDrbg::from_seed_label(b"tree-fanin", 3);
             let out = block_on(price(
                 &mut net,
                 &keys,
@@ -204,8 +200,7 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
                 &buyers,
                 &cfg,
                 Topology::Tree { fanin },
-                &mut RandomizerStreams::new(keys.len(), 1),
-                &mut rng,
+                Draws::new(7, 0, 0),
             ))
             .expect("pricing");
             for &s in &sellers {
@@ -236,7 +231,6 @@ fn tree_critical_path_is_logarithmic() {
     let (keys, agents, sellers, buyers, cfg) = market(64, 5);
     let run = |topology: Topology| -> u64 {
         let mut net = SimNetwork::with_latency(agents.len(), LatencyModel::lan());
-        let mut rng = HashDrbg::from_seed_label(b"tree-path", 1);
         block_on(price(
             &mut net,
             &keys,
@@ -245,8 +239,7 @@ fn tree_critical_path_is_logarithmic() {
             &buyers,
             &cfg,
             topology,
-            &mut RandomizerStreams::new(keys.len(), 1),
-            &mut rng,
+            Draws::new(7, 0, 0),
         ))
         .expect("pricing");
         net.now_us()

@@ -97,8 +97,8 @@ pub struct RepartitionConfig {
     /// Windows of history required before the first proposal.
     pub min_windows: u64,
     /// Maximum member swaps per proposal: bounds churn, and so how many
-    /// coalitions rebuild their DRBG and randomizer streams (no key is
-    /// re-made; every home keeps its pair).
+    /// coalitions are rebuilt (no key is re-made; every home keeps its
+    /// pair).
     pub max_swaps: usize,
 }
 

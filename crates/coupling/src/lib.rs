@@ -11,8 +11,8 @@
 //! * [`CouplingCoordinator`] runs the coupling round
 //!   ([`CouplingCoordinator::run_round`]): shard representatives publish
 //!   their coalition's residual position and price·volume — **encrypted
-//!   under a grid Paillier key** with randomizers drawn from the grid
-//!   key's one stream (`pem_core::RandomizerStreams`) — a binary
+//!   under a grid Paillier key**, each shard's randomizers drawn from
+//!   its own `(round, shard)` stream (`pem_core::Draws`) — a binary
 //!   aggregation tree folds them homomorphically, and only *grid-wide
 //!   totals* are ever decrypted to derive a corridor price; per-shard
 //!   residuals are then claimed (again under the grid key, by every

@@ -29,8 +29,9 @@
 
 use pem_bignum::BigUint;
 use pem_core::fold::{expect_drained, fold, gather, read_ciphertext, Announcement, Topology};
-use pem_core::{block_on, encrypt_under, KeyDirectory, PemError, RandomizerStreams};
-use pem_crypto::paillier::Ciphertext;
+use pem_core::{block_on, Draws, KeyDirectory, PemError};
+use pem_crypto::drbg::HashDrbg;
+use pem_crypto::paillier::{Ciphertext, PublicKey};
 use pem_market::PriceBand;
 use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{NetStats, PartyId, SimNetwork, Transport};
@@ -175,16 +176,17 @@ struct Quantized {
     res: i128,
 }
 
-/// The grid coupling coordinator: owns the grid Paillier key, its
-/// randomizer stream and the round logic. One instance persists across
-/// a day's windows (key setup runs once; the stream only moves
-/// forward).
+/// The grid coupling coordinator: owns the grid Paillier key and the
+/// round logic. One instance persists across a day's windows: key setup
+/// runs once, and the rounds are numbered, so shard `i` of round `k`
+/// encrypts from its own stream, named by the grid seed, `k` and `i`.
 #[derive(Debug)]
 pub struct CouplingCoordinator {
     cfg: CouplingConfig,
     band: PriceBand,
     keys: KeyDirectory,
-    streams: RandomizerStreams,
+    /// The next round's name: the grid seed and the round's index.
+    next: Draws,
 }
 
 impl CouplingCoordinator {
@@ -203,12 +205,11 @@ impl CouplingCoordinator {
         cfg.validate()?;
         let grid_seed = seed ^ 0xC0_0B_11_46_0C_0A_57_A1;
         let keys = KeyDirectory::generate(1, cfg.key_bits, grid_seed)?;
-        let streams = RandomizerStreams::new(keys.len(), grid_seed);
         Ok(CouplingCoordinator {
             cfg,
             band,
             keys,
-            streams,
+            next: Draws::new(grid_seed, 0, 0),
         })
     }
 
@@ -274,23 +275,17 @@ impl CouplingCoordinator {
 
         let coordinator = PartyId(s);
         let pk = self.keys.public(0).clone();
+        let draws = self.next;
+        self.next.window += 1;
 
         // --- Phase 1: tree aggregation of encrypted positions. ---------
-        // Binary tree over shard indices under the coordinator; positions
-        // are encrypted in descending index order, as the tree visits them.
+        // Binary tree over shard indices under the coordinator; each shard
+        // encrypts its position from its own stream.
         let round_span = Span::enter_at("couple/round", "coupling", net.now_us());
         let up_span = Span::enter_at("couple/up", "coupling", net.now_us());
-        let mut own = Vec::with_capacity(s);
-        for q in quantized.iter().rev() {
-            let mut enc = |m: BigUint| encrypt_under(&pk, 0, &m, &mut self.streams);
-            own.push([
-                enc(BigUint::from(q.pos))?,
-                enc(BigUint::from(q.neg))?,
-                enc(BigUint::from(q.vol))?,
-                enc(BigUint::from(q.pv))?,
-            ]);
-        }
-        own.reverse();
+        let own = (quantized.iter().enumerate())
+            .map(|(shard, q)| q.encrypt(&pk, draws.randomizer(shard, LABEL_UP)))
+            .collect::<Result<Vec<_>, _>>()?;
         let shards: Vec<usize> = (0..s).collect();
         let up = fold(net, &pk, &shards, s, LABEL_UP, Topology::tree(), own);
         let (total_cts, _) = block_on(up)?;
@@ -357,8 +352,8 @@ impl CouplingCoordinator {
         if engaged {
             let claim_span = Span::enter_at("couple/claim", "coupling", net.now_us());
             for (i, q) in quantized.iter().enumerate() {
-                let m = pk.encode_i128(q.res);
-                let c = encrypt_under(&pk, 0, &m, &mut self.streams)?;
+                let mut stream = draws.randomizer(i, LABEL_CLAIM);
+                let c = pk.try_encrypt(&pk.encode_i128(q.res), &mut stream)?;
                 let frame = WireWriter::frame(|w| w.put_biguint(c.as_biguint()));
                 net.send(PartyId(i), coordinator, LABEL_CLAIM, frame)?;
             }
@@ -524,6 +519,21 @@ impl CouplingCoordinator {
     }
 }
 
+impl Quantized {
+    /// The shard's `couple/up` tuple under the grid key, from its own
+    /// stream: residual surplus, residual deficit, cleared volume and
+    /// price·volume.
+    fn encrypt(&self, pk: &PublicKey, mut rng: HashDrbg) -> Result<[Ciphertext; 4], PemError> {
+        let mut enc = |v: u128| pk.try_encrypt(&BigUint::from(v), &mut rng);
+        Ok([
+            enc(self.pos.into())?,
+            enc(self.neg.into())?,
+            enc(self.vol.into())?,
+            enc(self.pv)?,
+        ])
+    }
+}
+
 /// Greedy largest-first matching of surplus against deficit coalitions.
 /// Deterministic: both sides sort by quantity descending with shard
 /// index as the tiebreak; legs below `min_q` are dropped as dust.
@@ -662,6 +672,54 @@ mod tests {
         let a = coordinator().run_round(&positions).expect("a");
         let b = coordinator().run_round(&positions).expect("b");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shards_encrypted_in_any_order_move_no_bit() {
+        // Each shard encrypts its position from its own stream, so the
+        // order the simulator encrypts them in is no rule: ascending, or
+        // descending as the tree visits them, the ciphertexts, the folded
+        // grid totals and the traffic are the same.
+        let c = coordinator();
+        let positions = [
+            position(0, 92.0, 3.0, 2.0),
+            position(1, 108.0, 2.0, -1.5),
+            position(2, 100.0, 1.0, -0.25),
+            position(3, 96.0, 2.0, 0.5),
+            position(4, 99.0, 0.5, -0.75),
+        ];
+        let quantized = c.quantize(&positions).expect("positions");
+        let pk = c.keys.public(0);
+        let draws = c.next;
+        let shards: Vec<usize> = (0..positions.len()).collect();
+        let in_order = |descending: bool| {
+            let mut order = shards.clone();
+            if descending {
+                order.reverse();
+            }
+            let mut terms: Vec<[Ciphertext; 4]> = (order.iter())
+                .map(|&shard| {
+                    let rng = draws.randomizer(shard, LABEL_UP);
+                    quantized[shard].encrypt(pk, rng).expect("encrypt")
+                })
+                .collect();
+            if descending {
+                terms.reverse();
+            }
+            let mut net = SimNetwork::new(shards.len() + 1);
+            let up = fold(
+                &mut net,
+                pk,
+                &shards,
+                shards.len(),
+                LABEL_UP,
+                Topology::tree(),
+                terms.clone(),
+            );
+            let (totals, _) = block_on(up).expect("fold");
+            (terms, totals, net.stats())
+        };
+        assert_eq!(in_order(false), in_order(true));
     }
 
     #[test]

@@ -38,8 +38,15 @@ impl HashDrbg {
         let mut h = Sha256::new();
         h.update(b"pem-drbg-v1");
         h.update(seed);
+        Self::from_key(h.finalize())
+    }
+
+    /// Creates a generator whose key is `key`, a SHA-256 digest the
+    /// caller has already derived (one compression fewer than
+    /// [`HashDrbg::new`] over the digest's preimage).
+    pub fn from_key(key: [u8; 32]) -> Self {
         HashDrbg {
-            key: h.finalize(),
+            key,
             counter: 0,
             buffer: [0u8; 32],
             buffer_pos: 32, // force refill on first use

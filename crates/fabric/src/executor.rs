@@ -3,7 +3,7 @@
 //! One thread, N poll-able tasks: the executor admits tasks in index
 //! order (optionally in bounded batches) and round-robins over the
 //! resident ones, polling each once per round. Because every task owns
-//! its state — fabric, RNG streams, keys — *what* a task computes is
+//! its state — fabric, named RNG streams, keys — *what* a task computes is
 //! independent of *when* it is polled, so outputs are bit-identical at
 //! any batch size; the batch bound only caps how many protocol instances
 //! are resident (memory) at once.

@@ -88,14 +88,16 @@ impl std::str::FromStr for Engine {
 /// How the orchestrator treats a failed coalition window.
 ///
 /// `max_attempts` counts *re-executions* after the initial run. A retry
-/// is the same window run again on the lane's executor, continuing the
-/// coalition's DRBG and randomizer streams past what the failed attempt
-/// drew — no nonce or randomizer is ever put on the wire twice. Where an
-/// attempt fails depends on the fault plan alone, so every attempt is
-/// bit-reproducible at any worker count and on either engine. A
-/// coalition that exhausts its attempts is quarantined: excluded from
-/// settlement and coupling for the window and probed for re-admission
-/// next window.
+/// is the same window run again on the lane's executor as the window's
+/// next attempt: every party draws from streams named by the grid
+/// window and the attempt number ([`pem_core::Draws`]), so a retry draws
+/// afresh and no nonce or randomizer is ever put on the wire twice,
+/// while the next window's draws do not depend on whether this one
+/// failed. Where an attempt fails depends on the fault plan alone, so
+/// every attempt is bit-reproducible at any worker count and on either
+/// engine. A coalition that exhausts its attempts is quarantined:
+/// excluded from settlement and coupling for the window and probed for
+/// re-admission next window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-executions after the initial attempt (`0` = quarantine on the
@@ -150,8 +152,9 @@ fn chaos_plan(specs: &[ChaosSpec], shard: usize, window: u64, attempt: u32) -> F
 pub struct GridConfig {
     /// Per-coalition protocol configuration. `pem.seed` is the grid
     /// master seed: every home's key pair derives from it and the home's
-    /// id, and every coalition derives independent protocol streams from
-    /// it, so outcomes are deterministic at any worker count.
+    /// id, and every coalition's seed — which names its parties' streams
+    /// — derives from it, so outcomes are deterministic at any worker
+    /// count.
     pub pem: PemConfig,
     /// Maximum agents per coalition (the paper's evaluated regime is
     /// tens to low hundreds; protocol cost grows superlinearly).
@@ -201,20 +204,11 @@ impl GridConfig {
 }
 
 /// One coalition's persistent state: membership plus its PEM instance,
-/// which borrows its members' keys from the grid's directory and owns
-/// the coalition's DRBG and randomizer streams.
+/// which borrows its members' keys from the grid's directory and holds
+/// the coalition's seed.
 struct Shard {
     members: Vec<usize>,
     pem: Pem,
-}
-
-/// Derives coalition `shard`'s seed from the grid master seed. `epoch`
-/// counts re-partitions: coalitions rebuilt after a membership change
-/// draw fresh, independent protocol and randomizer streams (their
-/// members' keys are not re-made).
-fn shard_seed(master: u64, shard: usize, epoch: u64) -> u64 {
-    (master ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1))
-        .wrapping_add(epoch.wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
 /// What one coalition's recovery-supervised window produced: the
@@ -226,7 +220,8 @@ type Job = (usize, bool, Shard, Vec<AgentWindow>);
 
 /// Runs one lane of coalition windows under the recovery policy — the
 /// one dispatcher both engines use. Round `k` opens attempt `k` of every
-/// coalition still open as a poll-able task, and one executor
+/// coalition still open as a poll-able task, named by the grid `window`
+/// and `k`, and one executor
 /// interleaves them message by message, isolating failures per task (a
 /// coalition whose message never arrives ends in its typed error and is
 /// evicted). Every coalition is open in round 0; after that, one whose
@@ -235,7 +230,7 @@ type Job = (usize, bool, Shard, Vec<AgentWindow>);
 /// retries: one clean window re-admits it, one failure keeps it out.
 /// Fatal errors quarantine at once.
 fn run_lane(
-    mut jobs: Vec<Job>,
+    jobs: Vec<Job>,
     batch: usize,
     specs: &[ChaosSpec],
     window: u64,
@@ -263,7 +258,7 @@ fn run_lane(
         let mut tasks = Vec::new();
         let mut task_pos = Vec::new();
         for (pos, ((idx, _, shard, data), _)) in jobs
-            .iter_mut()
+            .iter()
             .zip(open)
             .enumerate()
             .filter(|(_, (_, open))| *open)
@@ -272,7 +267,7 @@ fn run_lane(
                 RETRIES.incr();
             }
             let plan = chaos_plan(specs, *idx, window, attempt);
-            match shard.pem.fabric_window_with_faults(data, plan) {
+            match shard.pem.fabric_attempt(data, plan, window, attempt) {
                 Ok(task) => {
                     tasks.push(task);
                     task_pos.push(pos);
@@ -320,10 +315,10 @@ fn run_lane(
 /// Given the same population stream and configuration (including
 /// `pem.seed`), every run produces bit-identical [`GridReport`]
 /// fingerprints regardless of `workers` or the engine: a home's key is
-/// a function of the master seed and its id, coalitions own disjoint
-/// RNG streams, each key's randomizers are one stream of its
-/// coalition's, and results are folded in shard order, never completion
-/// order.
+/// a function of the master seed and its id, every draw comes from a
+/// stream named by its coalition's seed, its party, the grid window, the
+/// attempt and its purpose, and results are folded in shard order, never
+/// completion order.
 pub struct GridOrchestrator {
     cfg: GridConfig,
     partitioner: Box<dyn Partitioner + Send + Sync>,
@@ -337,8 +332,6 @@ pub struct GridOrchestrator {
     window: u64,
     coupling: Option<CouplingCoordinator>,
     repartitioner: Option<Repartitioner>,
-    /// Re-partitions applied so far (also salts rebuilt shard seeds).
-    epoch: u64,
     /// Deterministic fault injections (chaos testing).
     chaos: Vec<ChaosSpec>,
     /// Per-shard quarantine flags carried across windows; sized when
@@ -381,7 +374,6 @@ impl GridOrchestrator {
             window: 0,
             coupling,
             repartitioner,
-            epoch: 0,
             chaos: Vec::new(),
             quarantine: Vec::new(),
         })
@@ -471,9 +463,8 @@ impl GridOrchestrator {
     }
 
     /// Builds `(shard index, members)` coalitions over the members' keys
-    /// in `keys`, seeding each coalition's DRBG and randomizer streams
-    /// from the master seed, its index and the current re-partition
-    /// epoch. No key is generated here.
+    /// in `keys`, each with its seed from the master seed and its index.
+    /// No key is generated here.
     fn build_shards(
         &self,
         keys: &KeyDirectory,
@@ -482,7 +473,11 @@ impl GridOrchestrator {
         jobs.into_iter()
             .map(|(idx, members)| {
                 let mut cfg = self.cfg.pem.clone();
-                cfg.seed = shard_seed(self.cfg.pem.seed, idx, self.epoch);
+                // Coalition `idx`'s seed, from the grid master seed. A
+                // coalition rebuilt by a re-partition keeps its index's
+                // seed: its streams name the grid window too, so it never
+                // redraws what the coalition before it drew.
+                cfg.seed ^= 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1);
                 let pem = Pem::with_keys(cfg, keys.select(&members)?)?;
                 Ok(Shard { members, pem })
             })
@@ -491,10 +486,9 @@ impl GridOrchestrator {
 
     /// Applies a pending dispersion-driven re-partition, if the
     /// imbalance history warrants one. Coalitions whose membership
-    /// changed are rebuilt over their new members' keys, with a fresh
-    /// DRBG and randomizer streams under the new epoch; untouched coalitions
-    /// keep their stream positions. No key is made: every home keeps its
-    /// pair. Returns whether membership changed.
+    /// changed are rebuilt over their new members' keys; untouched
+    /// coalitions are kept as they are. No key is made: every home keeps
+    /// its pair. Returns whether membership changed.
     fn maybe_repartition(&mut self, population: &[AgentWindow]) -> Result<bool, SchedError> {
         let Some(rep) = self.repartitioner.as_ref() else {
             return Ok(false);
@@ -507,7 +501,6 @@ impl GridOrchestrator {
             return Ok(false);
         };
         let old = plan.shards().to_vec();
-        self.epoch += 1;
         let changed: Vec<(usize, Vec<usize>)> = new_shards
             .iter()
             .enumerate()
@@ -543,8 +536,8 @@ impl GridOrchestrator {
     ///
     /// Coalition failures no longer abort the window: each failed shard
     /// is retried under [`GridConfig::retry`] (on the lane's executor,
-    /// its streams continuing past the failed attempt's draws) and
-    /// quarantined when its attempts are exhausted — the window settles degraded, with only the cleared
+    /// as the window's next attempt, with fresh draws) and quarantined
+    /// when its attempts are exhausted — the window settles degraded, with only the cleared
     /// coalitions on the ledger and in the coupling round. Quarantined
     /// shards carry over and are probed for re-admission next window.
     ///

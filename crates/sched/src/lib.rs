@@ -10,8 +10,9 @@
 //! * [`pool`] — a fixed worker pool with deterministic result ordering:
 //!   the same seed yields bit-identical grids at 1, 4 or 64 workers,
 //! * per-coalition [`pem_core::Pem`] instances over one grid-wide
-//!   directory of per-home keys, each with its own DRBG and per-key
-//!   randomizer streams ([`pem_core::RandomizerStreams`]),
+//!   directory of per-home keys, each with its own seed, under which
+//!   every party draws from streams named by the grid window, the
+//!   attempt and the purpose ([`pem_core::Draws`]),
 //! * [`GridOrchestrator`] — dispatches coalition windows, merges traffic
 //!   onto grid-global party ids ([`pem_net::NetStats::merge_mapped`]),
 //!   folds prices into cross-shard dispersion and latencies into

@@ -1,7 +1,7 @@
 //! A fixed-size worker pool with deterministic result ordering.
 //!
 //! Coalition windows are embarrassingly parallel: each shard owns its
-//! keys, RNG streams and network fabric, so *what* is computed is
+//! keys, named RNG streams and network fabric, so *what* is computed is
 //! independent of *where/when* it runs. This pool exploits that: jobs are
 //! pulled from a shared queue by `workers` OS threads, results land in
 //! their input slot, and the output order is always the input order —

@@ -85,19 +85,19 @@ fn a_repartitioning_day_makes_one_key_per_home() {
     // (every coalition of eight compares at `compare_width(8)` = 47
     // bits, 24 OTs, a batch above `A_TABLE_MIN_BATCH`) and the
     // basepoint's, built by the first comparison in the process. The day
-    // built exactly 9 integer tables: the grid key's, built by window
-    // 0's coupling round, and the `h_s` tables of the 8 homes whose keys
+    // built exactly 10 integer tables: the grid key's, built by window
+    // 0's coupling round, and the `h_s` tables of the 9 homes whose keys
     // a role put to use (`H_r1` and `H_r2` collect Protocol 2's folds,
     // `H_b` Protocol 3's, the decryptor Protocol 4's). The roles are
-    // draws of each window's stream, so the count is this day's; one
-    // table rebuilt by the re-partition would make it 10.
+    // picks of each window's draws, so the count is this day's; one
+    // table rebuilt by the re-partition would make it 11.
     assert_eq!(
         counter("crypto/ec_table_builds"),
         comparisons + 1,
         "one `A` table per comparison and the basepoint's"
     );
     let tables = counter("bignum/fixed_base_builds");
-    assert_eq!(tables, 9, "key tables for {} homes", homes.len());
+    assert_eq!(tables, 10, "key tables for {} homes", homes.len());
     // The other homes' tables were never built: one randomizer under
     // every home's key builds exactly those.
     let keys = grid.keys().expect("keys made");

@@ -59,10 +59,17 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// of ten instead of the 64-bit ceiling: fewer tables, labels and OT
 /// chunks on the wire, so `net.total_bytes` moved; fewer label and OT
 /// draws, so every later draw of the window stream, and with it the
-/// `masked_*` terms, moved too).
+/// `masked_*` terms, moved too) and once when every party began to draw
+/// from its own named streams (`pem_core::Draws`: a nonce, randomizer,
+/// garbling or role draw is named by the coalition seed, party, window,
+/// attempt and purpose, not taken in protocol order from one window
+/// DRBG and per-key streams — so every nonce, role and randomizer
+/// moved, and with them the `masked_*` terms and, by minimal-length
+/// integers, `net.total_bytes`: 30,850 → 30,846 and 30,705 → 30,707;
+/// message counts, market outcomes and the ledger tip held).
 pub const GOLDEN: [&str; 2] = [
-    "692694bba18284e4b615aeafe3793e5afbd03e985744e9f9c9a6e2a2ef6ac439",
-    "afc03406e9aecd912d2fdac01559245e7d2f6ad66b4680cf8fa424142eb4774c",
+    "75f7b5febf3813c4a1f954a04e075336d8cc78b1d7874f8382770dba1826a391",
+    "702185a8f79fb1ed635e2408225eb445f4ff7523f754d41c16cf655445ef27a0",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
@@ -82,12 +89,15 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 /// once for per-home keys and per-key randomizer streams (the same
 /// change as [`GOLDEN`]; the coupling fabric's bytes and critical path
 /// held) and once for per-coalition comparison widths (the same change
-/// as [`GOLDEN`]; the coupling fabric's bytes and critical path held).
-/// Same re-record rule as [`GOLDEN`].
+/// as [`GOLDEN`]; the coupling fabric's bytes and critical path held),
+/// and once for named streams (the same change as [`GOLDEN`]; each
+/// shard representative now encrypts its coupling terms from its own
+/// `(round, shard)` stream; the coupling fabric's bytes and critical
+/// path held). Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
-    "7d3f681168fb56d4193e018aac89fc69eeddae2a4cab6e3debc9af3c572316f1:544:432",
-    "da4ffe1478f7ba5c3464334e72d49b883140471b2dac69f04fca9134cfd21fde:544:432",
+    "af8f87942715fdef1e1605e4c557d99105da723ee493e2badbd25c1585016916:544:432",
+    "d0855f928bcdb5861c557a65f822904a77232a3103f905e7c447d99bd2a32399:544:432",
 ];
 
 /// Full fingerprints per window of [`run_paper512`], recorded before
@@ -103,12 +113,14 @@ pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
 /// and every chunk's `B` cross as 32 raw bytes instead of a
 /// length-prefixed 1024-bit integer, and each OT scalar draws 64 DRBG
 /// bytes instead of a 160-bit exponent, so every later draw of the
-/// window stream moves (both windows' market outcomes held).
+/// window stream moves (both windows' market outcomes held), and once
+/// for named streams (the same change as [`GOLDEN`]; `net.total_bytes`
+/// 48,721 held and 46,416 → 46,418).
 /// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "dff0f2aec8a69f44382cba966987a08cd0fa54f350b306bba98ee23ab2ba0f60",
-    "afc71fb616ddc2a312b8f0f3cae51f4d8dfa16d98fcde682e0a36516dd59841d",
+    "31978c340c598f78706c2e53467bf78524f236e11b3d9bf18cdf0b6528c6bfd1",
+    "e7497d60e166eaa22e9cc6cdcb5867548b38d8d654dd6d5974e858dbe7c88ad5",
 ];
 
 /// The 40-home trace's agents at `windows`.

@@ -5,8 +5,8 @@
 //! faults recover within the retry budget with bit-reproducible
 //! retries; healthy coalitions stay bit-identical to the fault-free
 //! run; quarantine carries over across windows until a clean
-//! re-admission probe lifts it; and a failed attempt's draws are never
-//! drawn again.
+//! re-admission probe lifts it; a failed attempt's draws are never
+//! drawn again; and a failure does not carry over into the next window.
 
 use pem_core::PemConfig;
 use pem_data::{TraceConfig, TraceGenerator};
@@ -216,8 +216,8 @@ fn healthy_coalitions_match_the_fault_free_run() {
             .find(|(s, _)| *s == so.shard)
             .expect("same shard plan");
         if so.shard == 1 {
-            // The recovered coalition's retry continued its streams past
-            // the failed attempt: same market outcome, fresh crypto bits.
+            // The recovered coalition's retry is attempt 1, whose streams
+            // are its own: same market outcome, fresh crypto bits.
             assert_eq!(
                 so.outcome.trades, clean.shard_outcomes[1].outcome.trades,
                 "recovery preserves the market outcome"
@@ -342,6 +342,66 @@ fn a_failed_window_never_replays_its_draws() {
                 masked(&reports[1]),
                 masked(&fresh),
                 "{engine}: coalition {shard} redrew its failed attempt's nonces"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_failure_does_not_carry_over_into_the_next_window() {
+    // Coalition 1's window 0 runs clean, recovers after one retry, or is
+    // quarantined (and probed in window 1). Every draw is named by the
+    // coalition's seed, the grid window and the attempt, so its window 1
+    // — and every other coalition's — is bit-identical in all three
+    // histories: the shard fingerprint, masked totals included.
+    let drop = |persistent| ChaosSpec {
+        shard: 1,
+        label: "eval/supply-agg",
+        nth: 0,
+        kind: FaultKind::Drop,
+        persistent,
+        window: Some(0),
+    };
+    let histories = [
+        ("clean", vec![]),
+        ("recovered", vec![drop(false)]),
+        ("quarantined", vec![drop(true)]),
+    ];
+    let data = day(2);
+    for engine in [Engine::Threads, Engine::Fabric { batch: 8 }] {
+        let runs: Vec<(&str, Vec<GridReport>)> = histories
+            .iter()
+            .map(|(history, specs)| (*history, run_chaos_day(engine, 2, specs.clone(), &data).0))
+            .collect();
+        let status = |run: &[GridReport]| run[0].statuses[1].clone();
+        assert_eq!(status(&runs[0].1), CoalitionStatus::Cleared);
+        assert_eq!(
+            status(&runs[1].1),
+            CoalitionStatus::Recovered { attempts: 1 }
+        );
+        assert!(matches!(
+            status(&runs[2].1),
+            CoalitionStatus::Quarantined { .. }
+        ));
+        // Per settled coalition of window 1: its index, its shard
+        // fingerprint and its masked totals.
+        let window_1 = |run: &[GridReport]| {
+            let shards = run[1].shard_outcomes.iter();
+            let masked = |so: &pem_sched::ShardOutcome| {
+                let revealed = &so.outcome.revealed;
+                [revealed.masked_demand, revealed.masked_supply]
+            };
+            shards
+                .map(|so| (so.shard, so.fingerprint(), masked(so)))
+                .collect::<Vec<_>>()
+        };
+        let clean = window_1(&runs[0].1);
+        assert!(clean.iter().any(|so| so.0 == 1), "coalition 1 settles");
+        for (history, run) in &runs[1..] {
+            assert_eq!(
+                window_1(run),
+                clean,
+                "{engine}: window 1 after a {history} window 0"
             );
         }
     }

@@ -258,7 +258,7 @@ impl Parser<'_> {
         self.eat_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn require(&mut self, b: u8) -> Result<(), JsonError> {
         if self.eat(b) {
             Ok(())
         } else {
@@ -294,7 +294,7 @@ impl Parser<'_> {
                 self.items(b'}', |p| {
                     let key = p.string()?;
                     p.skip_ws();
-                    p.expect(b':')?;
+                    p.require(b':')?;
                     p.skip_ws();
                     members.insert(key, p.value()?);
                     Ok(())
@@ -323,7 +323,7 @@ impl Parser<'_> {
         let mut first = true;
         while !self.eat(close) {
             if !std::mem::take(&mut first) {
-                self.expect(b',')?;
+                self.require(b',')?;
                 self.skip_ws();
             }
             item(self)?;
@@ -334,7 +334,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.require(b'"')?;
         let mut out = String::new();
         loop {
             // A run of plain characters; it stops at an ASCII byte, so
@@ -365,8 +365,8 @@ impl Parser<'_> {
                 let mut units = vec![self.hex4()?];
                 // A high surrogate takes its low half from the next escape.
                 if (0xD800..0xDC00).contains(&units[0]) {
-                    self.expect(b'\\')?;
-                    self.expect(b'u')?;
+                    self.require(b'\\')?;
+                    self.require(b'u')?;
                     units.push(self.hex4()?);
                 }
                 return char::decode_utf16(units)
