@@ -30,8 +30,12 @@
 //! comparator itself (`gc_width: 64`): `garble_64` and `eval_64` time
 //! garbling and evaluating Protocol 2's 64-bit comparator, and the
 //! deterministic `gc_table_bytes_64` counts the AND-table bytes the
-//! offer ships — `grid_doctor` holds it at two 16-byte half-gates rows
-//! per AND of a 64-AND comparator. Last come the Montgomery kernel rows every figure
+//! transfer ships — `grid_doctor` holds it at two 16-byte half-gates rows
+//! per AND of a 64-AND comparator — and the deterministic
+//! `compare_47_wire_bytes` totals the three frames Protocol 2 sends for
+//! one 47-bit comparison on edwards25519 (`eval/gc-offer`,
+//! `eval/gc-ot-request`, `eval/gc-ot-transfer`: 33 + 769 + 3,764 =
+//! 4,566). Last come the Montgomery kernel rows every figure
 //! above is a multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per
 //! limb count (3, 4, 16, 32, 64 — the toy-key and test-group widths,
 //! `p²` at 1024-bit keys, `n²` at 1024- and 2048-bit keys).
@@ -56,11 +60,12 @@ use pem_bignum::{BigUint, Montgomery};
 use pem_circuit::compare::secure_less_than_local;
 use pem_circuit::garble::{eval_garbled, garble, select_input_labels};
 use pem_circuit::{comparator_circuit, u128_to_bits};
+use pem_core::protocol2::frame_bytes;
 use pem_core::quantize::compare_width;
 use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ed25519::{basepoint_table, EdwardsPoint, Scalar};
-use pem_crypto::ot::{run_local_ot, DhGroup};
+use pem_crypto::ot::{run_local_ot, DhGroup, Ed25519};
 use pem_crypto::paillier::{Ciphertext, Keypair, PrivateKey, PublicKey, Randomizer};
 use pem_telemetry::json_object;
 
@@ -452,6 +457,8 @@ struct CircuitReport {
     kernels: Vec<Kernel>,
     /// Bytes of AND tables one garbling ships.
     table_bytes: usize,
+    /// Bytes of the three frames of a 47-bit comparison on the curve.
+    wire_bytes_47: usize,
 }
 
 /// Times garbling and evaluating the 64-bit comparator, interleaved,
@@ -474,9 +481,11 @@ fn bench_circuit(min_time_ms: u64) -> CircuitReport {
             let _ = eval_garbled(&garbled, &labels).expect("evaluate");
         },
     );
+    let frames = frame_bytes(compare_width(12), &Ed25519.into()).expect("a 47-bit comparison");
     CircuitReport {
         kernels: vec![garble_k, eval_k],
         table_bytes: std::mem::size_of_val(garbled.and_tables()),
+        wire_bytes_47: frames.iter().sum(),
     }
 }
 
@@ -556,6 +565,7 @@ fn json(
     let mut fields = kernel_fields(&circuit.kernels);
     fields.push(("gc_width".into(), 64usize.into()));
     fields.push(("gc_table_bytes_64".into(), circuit.table_bytes.into()));
+    fields.push(("compare_47_wire_bytes".into(), circuit.wire_bytes_47.into()));
     entries.push(Json::obj(fields));
     for w in widths {
         entries.push(json_object! {
@@ -617,10 +627,12 @@ fn main() {
             "gc", k.name, k.ops_per_s, k.mean_us
         );
     }
-    eprintln!(
-        "{:>8}  {:<22} {:>10}  {:>8}B",
-        "gc", "table_bytes_64", "", circuit.table_bytes
-    );
+    for (name, bytes) in [
+        ("table_bytes_64", circuit.table_bytes),
+        ("compare_47_wire_bytes", circuit.wire_bytes_47),
+    ] {
+        eprintln!("{:>8}  {:<22} {:>10}  {:>8}B", "gc", name, "", bytes);
+    }
     for w in &widths {
         for (name, ns) in [("mont_mul", w.mul_ns), ("mont_sqr", w.sqr_ns)] {
             eprintln!(

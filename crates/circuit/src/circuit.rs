@@ -175,7 +175,10 @@ impl CircuitBuilder {
     /// `cᵢ₊₁ = xᵢ ⊕ ((xᵢ ⊕ cᵢ) ∧ (yᵢ ⊕ cᵢ))`. Where the bits differ the
     /// AND is 0 and the carry becomes `xᵢ`; where they agree it passes
     /// `cᵢ` on. So `c_w` is `b`'s bit at the highest differing position,
-    /// or 0 when `a = b`. Costs exactly `w` ANDs; everything else is XOR.
+    /// or 0 when `a = b`. Bit 0 is `c₁ = x₀ ∧ (x₀ ⊕ y₀)` (that is
+    /// `x₀ ∧ ¬y₀`), so every bit of `a` enters through an XOR and a
+    /// garbler holding `a` can hardwire it ([`crate::garble::garble_hardwired`]).
+    /// Costs exactly `w` ANDs; everything else is XOR.
     ///
     /// # Panics
     ///
@@ -183,9 +186,9 @@ impl CircuitBuilder {
     pub fn less_than(&mut self, a: &[WireId], b: &[WireId]) -> WireId {
         assert_eq!(a.len(), b.len(), "operand widths must match");
         assert!(!a.is_empty(), "comparator needs at least one bit");
-        // Bit 0, with c₀ = 0: x₀ ⊕ (x₀ ∧ y₀).
-        let t = self.and(b[0], a[0]);
-        let mut carry = self.xor(b[0], t);
+        // Bit 0, with c₀ = 0: x₀ ∧ (x₀ ⊕ y₀).
+        let differ = self.xor(b[0], a[0]);
+        let mut carry = self.and(b[0], differ);
         for (&y, &x) in a.iter().zip(b).skip(1) {
             let xc = self.xor(x, carry);
             let yc = self.xor(y, carry);

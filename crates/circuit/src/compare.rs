@@ -3,23 +3,37 @@
 //! Implements the secure-comparison step of PEM's Private Market
 //! Evaluation (Protocol 2, lines 14–18): a *garbler* holding value `a` and
 //! an *evaluator* holding value `b` jointly compute `a < b` and learn
-//! nothing else. The evaluator's labels travel in **one OT batch under one
-//! sender key**, [`OT_CHUNK_BITS`] input bits per 1-of-4 transfer (an odd
-//! width ends in a 1-of-2). Three messages:
+//! nothing else. The garbler's bits are hardwired
+//! ([`garble_hardwired`]): each takes the public active label 0¹²⁸, so no
+//! garbler label crosses the wire. The evaluator's labels come from **one
+//! random-OT batch under one sender key**, [`OT_CHUNK_BITS`] input bits
+//! per 1-of-4 transfer (an odd width ends in a 1-of-2): the 32-byte key
+//! of a chunk's branch 0 *is* its false labels, so the garbler garbles
+//! after the requests arrive and ships one correction per other branch.
+//! Three messages:
 //!
-//! 1. **Offer** (garbler → evaluator): garbled comparator, the labels
-//!    encoding the garbler's own bits, and the batch's single OT setup `A`.
+//! 1. **Setup** (garbler → evaluator): the width and the batch's single
+//!    OT setup `A`. It depends on nothing but the garbler's draws, so
+//!    Protocol 2 sends it as the window opens.
 //! 2. **Requests** (evaluator → garbler): one OT reply per chunk of input
 //!    bits, blinded by the chunk's value.
-//! 3. **Transfer** (garbler → evaluator): per chunk, one ciphertext per
-//!    chunk value carrying the labels of that value's bits; the evaluator
-//!    decrypts its chosen branch, evaluates the garbled circuit and learns
-//!    the output bit.
+//! 3. **Transfer** (garbler → evaluator): the comparator garbled over the
+//!    garbler's value and, per chunk, one correction
+//!    `r_j ⊕ r_0 ⊕ offset_j` per nonzero chunk value `j` (`r_j` the
+//!    branch-`j` key, `offset_j` holding `Δ` at `j`'s set bits). The
+//!    evaluator's labels are its key `r_c`, plus the correction of its
+//!    choice `c` when `c ≠ 0`; it evaluates the garbled circuit and
+//!    learns the output bit.
 //!
 //! | `width = 64` | variable-base | fixed-base | table builds | group elements sent |
 //! |---|---|---|---|---|
 //! | one key per bit (before) | 128 | 192 | 0 | 128 |
 //! | one key, 2-bit chunks | 32 | 66 | 1 (`A`) | 33 |
+//!
+//! Besides the tables and the group elements, the labels cost 3,072
+//! bytes at `width = 64`: three 32-byte corrections per chunk. A
+//! chosen-message OT with the garbler's labels on the wire cost 5,120:
+//! `16w` bytes of garbler labels and four 32-byte branches per chunk.
 //!
 //! The OT runs in whichever [`Group`] the caller hands in: edwards25519
 //! at the paper profiles (32-byte elements, full-width scalars, the
@@ -34,7 +48,9 @@
 //! Protocol 2 compares at `pem_core::quantize::compare_width(m)` for a
 //! coalition of `m` members, the narrowest width its nonce-masked totals
 //! fit — 47 bits, so 24 multiplications and 25 group elements (800
-//! bytes on the curve), at `m = 12`.
+//! bytes on the curve), at `m = 12`; its three frames are then 33, 769
+//! and 3,764 bytes on the curve, 4,566 in all (6,070 with garbler
+//! labels and four branches per chunk).
 //!
 //! `pem-core` meters the messages through its own wire encoding.
 
@@ -42,28 +58,49 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use pem_crypto::ot::{
-    Group, OtBatchReceiver, OtBatchSender, OtCiphertexts, OtGroup, OtReceiverReply, OtSenderSetup,
-    MAX_BRANCHES,
+    Group, OtBatchReceiver, OtBatchSender, OtGroup, OtReceiverReply, OtSenderSetup, MAX_BRANCHES,
 };
 
 use crate::circuit::{comparator_circuit, u128_to_bits};
 use crate::error::CircuitError;
-use crate::garble::{eval_garbled, garble, GarbledCircuit, Label};
+use crate::garble::{eval_garbled, garble_hardwired, GarbledCircuit, Label};
 
 /// Evaluator input bits handed over per OT; bit `pos` of a chunk's value
-/// (and of the OT branch index) is the chunk's `pos`-th wire.
+/// (and of the OT branch index) is the chunk's `pos`-th wire. A chunk's
+/// false labels are one 32-byte OT key, 16 bytes per bit.
 pub const OT_CHUNK_BITS: usize = 2;
 const _: () = assert!(1 << OT_CHUNK_BITS <= MAX_BRANCHES);
 
-/// Message 1: everything the evaluator needs except its own wire labels.
+/// Width of chunk `chunk` of a `width`-bit comparison: [`OT_CHUNK_BITS`],
+/// or the odd bit a width ends in.
+pub fn chunk_bits(width: usize, chunk: usize) -> usize {
+    OT_CHUNK_BITS.min(width - chunk * OT_CHUNK_BITS)
+}
+
+/// Labels carried per chunk of message 3: one per bit of each nonzero
+/// chunk value — 6 for a 2-bit chunk, 1 for the 1-bit tail.
+pub fn corrections_per_chunk(bits: usize) -> usize {
+    ((1 << bits) - 1) * bits
+}
+
+/// The first `bits` 16-byte labels of an OT key.
+fn key_labels(key: &[u8; 32], bits: usize) -> Vec<Label> {
+    (key.chunks_exact(16).take(bits))
+        .map(|half| {
+            let mut label = Label::ZERO;
+            label.0.copy_from_slice(half);
+            label
+        })
+        .collect()
+}
+
+/// Message 1: the batch's single OT setup, at the agreed width. It
+/// depends on nothing but the garbler's draws, so it can go out before
+/// either value is known.
 #[derive(Debug, Clone)]
-pub struct CompareOffer<G: Group> {
+pub struct CompareSetup<G: Group> {
     /// Comparator bit width.
     pub width: usize,
-    /// The garbled comparator circuit.
-    pub garbled: GarbledCircuit,
-    /// Active labels for the garbler's input bits.
-    pub garbler_labels: Vec<Label>,
     /// The one OT setup every chunk's transfer runs under.
     pub ot_setup: OtSenderSetup<G>,
 }
@@ -75,162 +112,193 @@ pub struct CompareOtRequests<G: Group> {
     pub replies: Vec<OtReceiverReply<G>>,
 }
 
-/// Message 3: the OT ciphertexts carrying the evaluator's labels.
+/// Message 3: the garbled comparator over the garbler's hardwired value,
+/// and per chunk the corrections that turn the evaluator's OT key into
+/// its labels.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompareLabelCiphertexts {
-    /// Per chunk, one ciphertext per chunk value: the concatenated
-    /// labels of that value's bits.
-    pub cts: Vec<OtCiphertexts>,
+pub struct CompareTransfer {
+    /// Comparator bit width.
+    pub width: usize,
+    /// The garbled comparator circuit.
+    pub garbled: GarbledCircuit,
+    /// Per chunk, for each nonzero chunk value `j` in order, one label
+    /// per bit: `r_j ⊕ r_0 ⊕ offset_j`, where `r_j` is the chunk's
+    /// branch-`j` OT key and `offset_j` holds `Δ` at the bits set in `j`.
+    pub corrections: Vec<Vec<Label>>,
 }
 
 /// Garbler-side state machine for one comparison.
 #[derive(Debug)]
 pub struct CompareGarbler<G: Group> {
+    width: usize,
     sender: OtBatchSender<G>,
-    evaluator_wire_labels: Vec<(Label, Label)>,
+    delta: Label,
 }
 
 impl<G: Group> CompareGarbler<G> {
-    /// Starts a comparison of `width`-bit values; the garbler contributes
-    /// `value` as the left operand of `a < b`. The OT sender holds a
-    /// handle to `group`'s shared context, not a copy.
+    /// Starts a `width`-bit comparison: draws the OT key and `Δ`. The OT
+    /// sender holds a handle to `group`'s shared context, not a copy.
+    pub fn start<R: Rng + ?Sized>(
+        width: usize,
+        group: &G,
+        rng: &mut R,
+    ) -> (CompareGarbler<G>, CompareSetup<G>) {
+        let (sender, ot_setup) = OtBatchSender::new(group.clone(), rng);
+        let delta = Label::random_delta(rng);
+        let garbler = CompareGarbler {
+            width,
+            sender,
+            delta,
+        };
+        (garbler, CompareSetup { width, ot_setup })
+    }
+
+    /// Answers the evaluator's OT requests with message 3: the comparator
+    /// garbled over `value` — the left operand of `a < b` — with the OT's
+    /// branch-0 keys as the evaluator's false labels, and the
+    /// corrections for every other branch.
     ///
     /// # Errors
     ///
     /// [`CircuitError::ValueTooWide`] if `value` needs more than `width`
-    /// bits.
-    pub fn start<R: Rng + ?Sized>(
-        width: usize,
+    /// bits; [`CircuitError::MalformedGarbling`] for a reply count that
+    /// does not match the width; OT validation failures.
+    pub fn transfer(
+        self,
         value: u128,
-        group: &G,
-        rng: &mut R,
-    ) -> Result<(CompareGarbler<G>, CompareOffer<G>), CircuitError> {
+        requests: &CompareOtRequests<G>,
+    ) -> Result<CompareTransfer, CircuitError> {
+        let width = self.width;
         if width < 128 && value >> width != 0 {
             return Err(CircuitError::ValueTooWide { width });
         }
-        let circuit = comparator_circuit(width);
-        let (garbled, secrets) = garble(&circuit, rng);
-        let garbler_labels = secrets.garbler_labels(&u128_to_bits(value, width));
-        let evaluator_wire_labels = (0..width)
-            .map(|i| secrets.evaluator_wire_labels(i))
-            .collect();
-        let (sender, ot_setup) = OtBatchSender::new(group.clone(), rng);
-        Ok((
-            CompareGarbler {
-                sender,
-                evaluator_wire_labels,
-            },
-            CompareOffer {
-                width,
-                garbled,
-                garbler_labels,
-                ot_setup,
-            },
-        ))
-    }
-
-    /// Answers the evaluator's OT requests with the label ciphertexts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OT validation failures; rejects a reply count that does
-    /// not match the offer.
-    pub fn provide_labels(
-        self,
-        requests: &CompareOtRequests<G>,
-    ) -> Result<CompareLabelCiphertexts, CircuitError> {
-        let chunks = self.evaluator_wire_labels.chunks(OT_CHUNK_BITS);
-        if requests.replies.len() != chunks.len() {
+        let chunks = width.div_ceil(OT_CHUNK_BITS);
+        if requests.replies.len() != chunks {
             return Err(CircuitError::MalformedGarbling("OT reply count mismatch"));
         }
-        let messages: Vec<Vec<Vec<u8>>> = chunks
-            .map(|wires| {
-                (0..1usize << wires.len())
-                    .map(|value| {
-                        let bit = |pos: usize| value >> pos & 1 == 1;
-                        (wires.iter().enumerate())
-                            .flat_map(|(pos, (l0, l1))| if bit(pos) { l1.0 } else { l0.0 })
-                            .collect()
-                    })
-                    .collect()
+        let bits: Vec<usize> = (0..chunks).map(|i| chunk_bits(width, i)).collect();
+        let branches: Vec<usize> = bits.iter().map(|&b| 1 << b).collect();
+        let keys = self.sender.keys(&requests.replies, &branches)?;
+        let zero: Vec<Vec<Label>> = (keys.iter().zip(&bits))
+            .map(|(keys, &b)| key_labels(&keys[0], b))
+            .collect();
+        let garbled = garble_hardwired(
+            &comparator_circuit(width),
+            &u128_to_bits(value, width),
+            &self.delta,
+            &zero.concat(),
+        )?;
+        let delta = self.delta;
+        let corrections = (keys.iter().zip(&zero))
+            .map(|(keys, zero)| {
+                let mut chunk = Vec::with_capacity(corrections_per_chunk(zero.len()));
+                for (j, key) in keys.iter().enumerate().skip(1) {
+                    for (pos, (r_j, r_0)) in
+                        key_labels(key, zero.len()).iter().zip(zero).enumerate()
+                    {
+                        let offset = if j >> pos & 1 == 1 {
+                            delta
+                        } else {
+                            Label::ZERO
+                        };
+                        chunk.push(r_j.xor(r_0).xor(&offset));
+                    }
+                }
+                chunk
             })
             .collect();
-        let cts = self.sender.encrypt(&requests.replies, &messages)?;
-        Ok(CompareLabelCiphertexts { cts })
+        Ok(CompareTransfer {
+            width,
+            garbled,
+            corrections,
+        })
     }
 }
 
 /// Evaluator-side state machine for one comparison.
 #[derive(Debug)]
 pub struct CompareEvaluator<G: Group> {
+    width: usize,
+    choices: Vec<usize>,
     receiver: OtBatchReceiver<G>,
-    garbled: GarbledCircuit,
-    garbler_labels: Vec<Label>,
 }
 
 impl<G: Group> CompareEvaluator<G> {
-    /// Processes the offer; the evaluator contributes `value` as the right
-    /// operand of `a < b`.
+    /// Answers the setup; the evaluator contributes `value` as the right
+    /// operand of `a < b`, one OT choice per chunk of its bits.
     ///
     /// # Errors
     ///
-    /// * [`CircuitError::ValueTooWide`] if `value` exceeds the offer width.
-    /// * [`CircuitError::MalformedGarbling`] if the offer is inconsistent.
-    /// * OT errors for invalid group elements.
+    /// * [`CircuitError::ValueTooWide`] if `value` exceeds the setup's
+    ///   width.
+    /// * OT errors for an invalid `A`.
     pub fn respond<R: Rng + ?Sized>(
-        offer: CompareOffer<G>,
+        setup: &CompareSetup<G>,
         value: u128,
         group: &G,
         rng: &mut R,
     ) -> Result<(CompareEvaluator<G>, CompareOtRequests<G>), CircuitError> {
-        let width = offer.width;
+        let width = setup.width;
         if width < 128 && value >> width != 0 {
             return Err(CircuitError::ValueTooWide { width });
-        }
-        if offer.garbled.circuit().garbler_inputs() != width
-            || offer.garbled.circuit().evaluator_inputs() != width
-            || offer.garbler_labels.len() != width
-        {
-            return Err(CircuitError::MalformedGarbling(
-                "offer shape does not match declared width",
-            ));
         }
         let choices: Vec<usize> = u128_to_bits(value, width)
             .chunks(OT_CHUNK_BITS)
             .map(|bits| (bits.iter().enumerate()).fold(0, |v, (pos, &b)| v | (b as usize) << pos))
             .collect();
         let (receiver, replies) =
-            OtBatchReceiver::new(group.clone(), &offer.ot_setup, &choices, rng)?;
-        Ok((
-            CompareEvaluator {
-                receiver,
-                garbled: offer.garbled,
-                garbler_labels: offer.garbler_labels,
-            },
-            CompareOtRequests { replies },
-        ))
+            OtBatchReceiver::new(group.clone(), &setup.ot_setup, &choices, rng)?;
+        let evaluator = CompareEvaluator {
+            width,
+            choices,
+            receiver,
+        };
+        Ok((evaluator, CompareOtRequests { replies }))
     }
 
-    /// Decrypts the chosen labels and evaluates the circuit, yielding
-    /// `a < b`.
+    /// Recovers its labels from its OT keys and the corrections of its
+    /// choices, evaluates the circuit with [`Label::ZERO`] for every
+    /// garbler input, and yields `a < b`.
     ///
     /// # Errors
     ///
-    /// OT or garbling inconsistencies, and
-    /// [`CircuitError::OutputNotAuthentic`] when a tampered offer or OT
-    /// message left the output label unrecognisable.
-    pub fn finish(self, transfer: &CompareLabelCiphertexts) -> Result<bool, CircuitError> {
-        let mut labels = self.garbler_labels;
-        for chunk in self.receiver.decrypt(&transfer.cts)? {
-            if chunk.len() % 16 != 0 {
-                return Err(CircuitError::MalformedGarbling("label must be 16 bytes"));
+    /// [`CircuitError::MalformedGarbling`] if the transfer's width or
+    /// shape is not the setup's, and
+    /// [`CircuitError::OutputNotAuthentic`] when a tampered message left
+    /// the output label unrecognisable.
+    pub fn finish(self, transfer: &CompareTransfer) -> Result<bool, CircuitError> {
+        let width = self.width;
+        let circuit = transfer.garbled.circuit();
+        if transfer.width != width
+            || circuit.garbler_inputs() != width
+            || circuit.evaluator_inputs() != width
+            || transfer.corrections.len() != self.choices.len()
+        {
+            return Err(CircuitError::MalformedGarbling(
+                "transfer shape does not match the agreed width",
+            ));
+        }
+        let mut labels = vec![Label::ZERO; width];
+        let keys = self.receiver.keys();
+        for (chunk, ((key, &c), corrections)) in
+            (keys.iter().zip(&self.choices).zip(&transfer.corrections)).enumerate()
+        {
+            let bits = chunk_bits(width, chunk);
+            if corrections.len() != corrections_per_chunk(bits) {
+                return Err(CircuitError::MalformedGarbling("correction count mismatch"));
             }
-            for label in chunk.chunks(16) {
-                labels.push(Label(label.try_into().expect("16 bytes")));
+            let own = key_labels(key, bits);
+            match c.checked_sub(1) {
+                None => labels.extend(own),
+                Some(j) => labels.extend(
+                    (own.iter().zip(&corrections[j * bits..(j + 1) * bits])).map(|(r, e)| r.xor(e)),
+                ),
             }
         }
-        let out = eval_garbled(&self.garbled, &labels)?;
-        Ok(out[0])
+        let out = eval_garbled(&transfer.garbled, &labels)?;
+        out.first().copied().ok_or(CircuitError::MalformedGarbling(
+            "comparator without an output",
+        ))
     }
 }
 
@@ -257,9 +325,9 @@ fn less_than_in<G: Group, R: Rng + ?Sized>(
     group: &G,
     rng: &mut R,
 ) -> Result<bool, CircuitError> {
-    let (garbler, offer) = CompareGarbler::start(width, a, group, rng)?;
-    let (evaluator, requests) = CompareEvaluator::respond(offer, b, group, rng)?;
-    let transfer = garbler.provide_labels(&requests)?;
+    let (garbler, setup) = CompareGarbler::start(width, group, rng);
+    let (evaluator, requests) = CompareEvaluator::respond(&setup, b, group, rng)?;
+    let transfer = garbler.transfer(a, &requests)?;
     evaluator.finish(&transfer)
 }
 
@@ -290,11 +358,12 @@ mod tests {
 
     #[test]
     fn exhaustive_over_even_odd_and_single_bit_widths() {
-        // Width 4 is two 1-of-4 chunks, width 5 ends in a 1-of-2 tail
-        // chunk, width 1 is the tail chunk alone.
+        // Every pair at widths 1 through 5: even widths are 1-of-4 chunks
+        // alone, odd ones end in a 1-of-2 tail chunk, width 1 is the
+        // tail chunk alone.
         let g = group();
         let mut rng = HashDrbg::new(b"cmp-exhaustive");
-        for width in [4usize, 5, 1] {
+        for width in 1..=5usize {
             for a in 0..1u128 << width {
                 for b in 0..1u128 << width {
                     let got = secure_less_than_local(a, b, width, &g, &mut rng).expect("compare");
@@ -305,27 +374,27 @@ mod tests {
     }
 
     #[test]
-    fn transfer_carries_one_ciphertext_per_chunk_value() {
+    fn transfer_carries_one_correction_per_bit_of_each_nonzero_chunk_value() {
         let g = test192();
         let mut rng = HashDrbg::new(b"cmp-shape");
-        let (garbler, offer) = CompareGarbler::start(5, 19, &g, &mut rng).expect("start");
-        let (_eval, requests) = CompareEvaluator::respond(offer, 7, &g, &mut rng).expect("respond");
+        let (garbler, setup) = CompareGarbler::start(5, &g, &mut rng);
+        let (_eval, requests) =
+            CompareEvaluator::respond(&setup, 7, &g, &mut rng).expect("respond");
         assert_eq!(requests.replies.len(), 3);
-        let transfer = garbler.provide_labels(&requests).expect("labels");
-        let shape: Vec<(usize, usize)> = (transfer.cts.iter())
-            .map(|ct| (ct.branches.len(), ct.branches[0].len()))
-            .collect();
-        assert_eq!(shape, [(4, 32), (4, 32), (2, 16)]);
+        let transfer = garbler.transfer(19, &requests).expect("transfer");
+        let shape: Vec<usize> = transfer.corrections.iter().map(Vec::len).collect();
+        assert_eq!(shape, [6, 6, 1]);
+        assert_eq!(transfer.garbled.table_count(), 5);
     }
 
     #[test]
     fn compares_at_window_widths_on_the_curve() {
-        // 47 and 49 bits: 24 and 25 chunks, past the `A`-table threshold,
-        // the last a 1-of-2.
+        // 47 and 49 bits (24 and 25 chunks, past the `A`-table threshold,
+        // the last a 1-of-2), and the spot widths 16 and 64.
         let g = Ed25519.into();
         let mut rng = HashDrbg::new(b"cmp-curve");
-        for width in [47usize, 49] {
-            let top = (1u128 << width) - 1;
+        for width in [16usize, 47, 49, 64] {
+            let top = u128::MAX >> (128 - width);
             for (a, b) in [(top - 1, top), (top, top - 1), (0, top), (12_345, 12_345)] {
                 let got = secure_less_than_local(a, b, width, &g, &mut rng).expect("compare");
                 assert_eq!(got, a < b, "width={width} a={a} b={b}");
@@ -347,33 +416,95 @@ mod tests {
     fn rejects_too_wide_values() {
         let g = test192();
         let mut rng = HashDrbg::new(b"cmp-too-wide");
+        let (garbler, setup) = CompareGarbler::start(8, &g, &mut rng);
         assert!(matches!(
-            CompareGarbler::start(8, 256, &g, &mut rng),
+            CompareEvaluator::respond(&setup, 256, &g, &mut rng),
+            Err(CircuitError::ValueTooWide { width: 8 })
+        ));
+        let (_, requests) = CompareEvaluator::respond(&setup, 9, &g, &mut rng).expect("respond");
+        assert!(matches!(
+            garbler.transfer(256, &requests),
             Err(CircuitError::ValueTooWide { width: 8 })
         ));
     }
 
+    /// One 8-bit comparison of `a` with `b` up to the evaluator's
+    /// `finish`.
+    fn eight_bits(a: u128, b: u128) -> (CompareEvaluator<DhGroup>, CompareTransfer) {
+        let g = test192();
+        let mut rng = HashDrbg::new(b"cmp-eight-bits");
+        let (garbler, setup) = CompareGarbler::start(8, &g, &mut rng);
+        let (evaluator, requests) =
+            CompareEvaluator::respond(&setup, b, &g, &mut rng).expect("respond");
+        (evaluator, garbler.transfer(a, &requests).expect("transfer"))
+    }
+
     #[test]
     fn rejects_malformed_offer() {
-        let g = test192();
-        let mut rng = HashDrbg::new(b"cmp-malformed");
-        let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
-        offer.garbler_labels.pop();
-        assert!(matches!(
-            CompareEvaluator::respond(offer, 9, &g, &mut rng),
-            Err(CircuitError::MalformedGarbling(_))
-        ));
+        // The garbler's offer is message 3 now: a transfer whose width,
+        // chunk count or correction count is not the setup's is refused
+        // before anything is evaluated.
+        type Edit = fn(&mut CompareTransfer);
+        let edits: [(&str, Edit); 3] = [
+            ("width", |t| t.width += 1),
+            ("chunks", |t| {
+                t.corrections.pop();
+            }),
+            ("corrections", |t| {
+                t.corrections[1].pop();
+            }),
+        ];
+        for (case, edit) in edits {
+            let (evaluator, mut transfer) = eight_bits(5, 9);
+            edit(&mut transfer);
+            assert!(
+                matches!(
+                    evaluator.finish(&transfer),
+                    Err(CircuitError::MalformedGarbling(_))
+                ),
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flipped_correction_fails_only_where_it_is_used() {
+        // b = 0b10_01_11_00: chunk 0 chose value 0 (its key is its
+        // labels, no correction used), chunk 1 value 3, chunk 2 value 1,
+        // chunk 3 value 2. A flip in a chosen correction derails the
+        // evaluation into an unauthentic output; one in any unchosen
+        // correction leaves the result intact.
+        let (a, b) = (0b1001_1101, 0b1001_1100);
+        let choices = [0usize, 3, 1, 2];
+        for (chunk, &chosen) in choices.iter().enumerate() {
+            for j in 1..4 {
+                for pos in 0..2 {
+                    let (evaluator, mut transfer) = eight_bits(a, b);
+                    transfer.corrections[chunk][(j - 1) * 2 + pos].0[9] ^= 0x10;
+                    let got = evaluator.finish(&transfer);
+                    if j == chosen {
+                        assert_eq!(
+                            got,
+                            Err(CircuitError::OutputNotAuthentic { output: 0 }),
+                            "chunk {chunk}, value {j}, bit {pos}"
+                        );
+                    } else {
+                        assert_eq!(got, Ok(false), "chunk {chunk}, value {j}, bit {pos}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn rejects_reply_count_mismatch() {
         let g = test192();
         let mut rng = HashDrbg::new(b"cmp-replies");
-        let (garbler, offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
+        let (garbler, setup) = CompareGarbler::start(8, &g, &mut rng);
         let (_eval, mut requests) =
-            CompareEvaluator::respond(offer, 9, &g, &mut rng).expect("respond");
+            CompareEvaluator::respond(&setup, 9, &g, &mut rng).expect("respond");
         requests.replies.pop();
-        assert!(garbler.provide_labels(&requests).is_err());
+        assert!(garbler.transfer(5, &requests).is_err());
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub enum CircuitError {
         /// Position of the output wire.
         output: usize,
     },
+    /// A hardwired garbler input is an operand of an AND gate: its public
+    /// label would be hashed in the clear.
+    GarblerInputFeedsAnd {
+        /// The garbler input wire.
+        wire: usize,
+    },
     /// A value exceeded the comparison circuit's bit width.
     ValueTooWide {
         /// Bits available in the circuit.
@@ -43,6 +49,12 @@ impl fmt::Display for CircuitError {
             CircuitError::Ot(e) => write!(f, "oblivious transfer failed: {e}"),
             CircuitError::OutputNotAuthentic { output } => {
                 write!(f, "output {output} label is not one the garbler produced")
+            }
+            CircuitError::GarblerInputFeedsAnd { wire } => {
+                write!(
+                    f,
+                    "garbler input {wire} feeds an AND gate, so it cannot be hardwired"
+                )
             }
             CircuitError::ValueTooWide { width } => {
                 write!(f, "value does not fit in {width}-bit comparison circuit")

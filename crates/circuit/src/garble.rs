@@ -21,6 +21,11 @@
 //!   [`CircuitError::OutputNotAuthentic`] when it matches neither — a
 //!   corrupted table row, garbler label or OT transfer that derails the
 //!   evaluation ends in a typed error, never in a coin-flip output bit.
+//! * [`garble_hardwired`] takes the garbler's input bits: each garbler
+//!   input gets the public active label `0¹²⁸` (false label `aᵢ·Δ`), so
+//!   no garbler label is sent — sound wherever free XOR masks it, so a
+//!   garbler input may feed XOR gates only — and the evaluator's false
+//!   labels come from the caller (the comparison's OT keys).
 //!
 //! `H` is SHA-256 over a domain string, the label and the tweak,
 //! truncated to 16 bytes; `H'` is the same hash under its own domain,
@@ -31,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use pem_crypto::sha256;
 
-use crate::circuit::{Circuit, Gate};
+use crate::circuit::{Circuit, Gate, WireId};
 use crate::error::CircuitError;
 
 /// A 128-bit wire label.
@@ -39,11 +44,23 @@ use crate::error::CircuitError;
 pub struct Label(pub [u8; 16]);
 
 impl Label {
+    /// The all-zero label: the public active label of every hardwired
+    /// garbler input ([`garble_hardwired`]).
+    pub const ZERO: Label = Label([0; 16]);
+
     /// Samples a uniformly random label.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Label {
         let mut b = [0u8; 16];
         rng.fill_bytes(&mut b);
         Label(b)
+    }
+
+    /// Samples a global offset `Δ`: random, with its permute bit forced
+    /// to 1, so the two labels of any wire disagree on theirs.
+    pub fn random_delta<R: Rng + ?Sized>(rng: &mut R) -> Label {
+        let mut delta = Label::random(rng);
+        delta.0[15] |= 1;
+        delta
     }
 
     /// XOR of two labels.
@@ -212,14 +229,72 @@ impl GarblerSecrets {
 /// secrets. Draws `Δ` and the input labels only: every other label is
 /// derived.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircuit, GarblerSecrets) {
-    // Δ with LSB forced to 1 so permute bits differ across a wire's labels.
-    let mut delta = Label::random(rng);
-    delta.0[15] |= 1;
+    let delta = Label::random_delta(rng);
+    let input_zero_labels: Vec<Label> = (0..circuit.total_inputs())
+        .map(|_| Label::random(rng))
+        .collect();
+    let garbled = garble_inputs(circuit, &delta, input_zero_labels.clone());
+    let secrets = GarblerSecrets {
+        delta,
+        input_zero_labels,
+        garbler_inputs: circuit.garbler_inputs(),
+    };
+    (garbled, secrets)
+}
 
-    let mut zero_labels: Vec<Label> = Vec::with_capacity(circuit.num_wires());
-    for _ in 0..circuit.total_inputs() {
-        zero_labels.push(Label::random(rng));
+/// Garbles a circuit with the garbler's input bits `a_bits` hardwired
+/// (Kolesnikov & Schneider, ICALP 2008): every garbler input takes the
+/// public active label [`Label::ZERO`], so its false label is `aᵢ·Δ` and
+/// nothing of it crosses the wire. The evaluator's inputs take the false
+/// labels it is handed (in a comparison, the OT's branch-0 keys). The
+/// evaluator evaluates with `Label::ZERO` for every garbler input.
+///
+/// A public label is safe only where free XOR masks it with a secret
+/// one, so every garbler input must feed XOR gates only.
+///
+/// # Errors
+///
+/// * [`CircuitError::InputWidthMismatch`] if `a_bits` or
+///   `evaluator_zero_labels` does not match the circuit's widths;
+/// * [`CircuitError::GarblerInputFeedsAnd`] if a garbler input is an
+///   operand of an AND gate, whose rows would then hash its label in the
+///   clear.
+pub fn garble_hardwired(
+    circuit: &Circuit,
+    a_bits: &[bool],
+    delta: &Label,
+    evaluator_zero_labels: &[Label],
+) -> Result<GarbledCircuit, CircuitError> {
+    for (expected, got) in [
+        (circuit.garbler_inputs(), a_bits.len()),
+        (circuit.evaluator_inputs(), evaluator_zero_labels.len()),
+    ] {
+        if expected != got {
+            return Err(CircuitError::InputWidthMismatch { expected, got });
+        }
     }
+    let garbler_input = |w: &WireId| (w.0 as usize) < circuit.garbler_inputs();
+    let feeds_and = circuit.gates().iter().find_map(|g| match g {
+        Gate::And { a, b, .. } => [a, b].into_iter().find(|w| garbler_input(w)),
+        Gate::Xor { .. } => None,
+    });
+    if let Some(wire) = feeds_and {
+        return Err(CircuitError::GarblerInputFeedsAnd {
+            wire: wire.0 as usize,
+        });
+    }
+    let inputs = (a_bits.iter())
+        .map(|&a| if a { *delta } else { Label::ZERO })
+        .chain(evaluator_zero_labels.iter().copied())
+        .collect();
+    Ok(garble_inputs(circuit, delta, inputs))
+}
+
+/// Garbles `circuit` under `delta` from the false labels of its input
+/// wires.
+fn garble_inputs(circuit: &Circuit, delta: &Label, mut zero_labels: Vec<Label>) -> GarbledCircuit {
+    let delta = *delta;
+    zero_labels.reserve(circuit.gates().len());
     // Gate outputs are appended in order; wire ids are dense by builder
     // construction.
     let mut and_tables = Vec::with_capacity(circuit.and_count());
@@ -258,17 +333,11 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
         })
         .collect();
 
-    let garbled = GarbledCircuit {
+    GarbledCircuit {
         circuit: circuit.clone(),
         and_tables,
         output_hashes,
-    };
-    let secrets = GarblerSecrets {
-        delta,
-        input_zero_labels: zero_labels[..circuit.total_inputs()].to_vec(),
-        garbler_inputs: circuit.garbler_inputs(),
-    };
-    (garbled, secrets)
+    }
 }
 
 /// Convenience for tests/local runs: picks the active labels for concrete
@@ -324,7 +393,9 @@ pub fn eval_garbled(
             Gate::Xor { a, b, .. } => labels[a.0 as usize].xor(&labels[b.0 as usize]),
             Gate::And { a, b, .. } => {
                 let (la, lb) = (labels[a.0 as usize], labels[b.0 as usize]);
-                let [t_g, t_e] = tables.next().expect("one table per AND, checked above");
+                let [t_g, t_e] = tables
+                    .next()
+                    .ok_or(CircuitError::MalformedGarbling("AND table count mismatch"))?;
                 let tweak = 2 * j as u64;
                 let w_g = gate_hash(&la, tweak).xor_if(la.permute_bit(), t_g);
                 let w_e = gate_hash(&lb, tweak + 1).xor_if(lb.permute_bit(), &t_e.xor(&la));
@@ -349,7 +420,7 @@ pub fn eval_garbled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{comparator_circuit, u128_to_bits};
+    use crate::circuit::{comparator_circuit, u128_to_bits, CircuitBuilder};
     use pem_crypto::drbg::HashDrbg;
 
     /// Runs the garbled `w`-bit comparator on `a < b`.
@@ -442,6 +513,43 @@ mod tests {
             }
         }
         assert!(failed > 0 && intact > 0, "{failed} failed, {intact} intact");
+    }
+
+    #[test]
+    fn a_garbler_input_feeding_an_and_is_refused() {
+        // x₁ reaches an AND directly: its public label would be hashed in
+        // the clear, so the circuit cannot be garbled hardwired.
+        let mut b = CircuitBuilder::new();
+        let xs = b.add_garbler_inputs(2);
+        let ys = b.add_evaluator_inputs(2);
+        let t = b.xor(xs[0], ys[0]);
+        let u = b.and(ys[1], xs[1]);
+        let out = b.and(t, u);
+        b.set_outputs(&[out]);
+        let c = b.build();
+        let mut rng = HashDrbg::new(b"feeds-and");
+        let delta = Label::random_delta(&mut rng);
+        let zero = [Label::random(&mut rng), Label::random(&mut rng)];
+        assert_eq!(
+            garble_hardwired(&c, &[true, false], &delta, &zero).map(|_| ()),
+            Err(CircuitError::GarblerInputFeedsAnd { wire: 1 })
+        );
+        // Mismatched widths are typed too.
+        assert_eq!(
+            garble_hardwired(&c, &[true], &delta, &zero).map(|_| ()),
+            Err(CircuitError::InputWidthMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        let comparator = comparator_circuit(2);
+        assert_eq!(
+            garble_hardwired(&comparator, &[true, true], &delta, &zero[..1]).map(|_| ()),
+            Err(CircuitError::InputWidthMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
     }
 
     #[test]

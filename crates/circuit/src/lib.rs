@@ -12,11 +12,13 @@
 //!   comparator ([`comparator_circuit`]),
 //! * [`garble`] — the garbling scheme: half-gates (two 16-byte rows per
 //!   AND), free XOR, a SHA-256 gate hash, and authenticated outputs, so
-//!   an evaluation derailed by a tampered row or label is a typed error,
+//!   an evaluation derailed by a tampered row or label is a typed error;
+//!   [`garble::garble_hardwired`] folds the garbler's own bits into the
+//!   garbling, so none of its labels is sent,
 //! * [`compare`] — the three-message two-party comparison protocol
-//!   (garbler → evaluator: garbled circuit + OT setups; evaluator →
-//!   garbler: OT replies; garbler → evaluator: wire-label ciphertexts),
-//!   built on `pem-crypto`'s oblivious transfer.
+//!   (garbler → evaluator: the OT setup; evaluator → garbler: OT
+//!   replies; garbler → evaluator: the garbled circuit and the label
+//!   corrections), built on `pem-crypto`'s random oblivious transfer.
 //!
 //! # Example: evaluating a comparator in the clear and garbled
 //!

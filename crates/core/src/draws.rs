@@ -15,7 +15,8 @@
 //! The purposes are a party's Protocol 2 [`nonce`](Draws::nonce), the
 //! [`randomizer`](Draws::randomizer)s of the ciphertexts it sends under
 //! one label, and the comparison's [`garble`](Draws::garble) draws (the
-//! garbler's labels and OT scalar, the evaluator's OT scalars). A role
+//! garbler's OT scalar and label offset `Δ`, the evaluator's OT
+//! scalars). A role
 //! (`H_r1`, `H_r2`, `H_b`, the decryptor) is a coalition-public
 //! [`pick`](Draws::pick): its stream names no party.
 
@@ -57,8 +58,8 @@ impl Draws {
         self.open(&(party as u64).to_be_bytes(), b'r', label)
     }
 
-    /// Party `party`'s comparison stream: the garbler's labels and OT
-    /// sender scalar, or the evaluator's OT receiver scalars.
+    /// Party `party`'s comparison stream: the garbler's OT sender scalar
+    /// and label offset `Δ`, or the evaluator's OT receiver scalars.
     pub fn garble(self, party: usize) -> HashDrbg {
         self.open(&(party as u64).to_be_bytes(), b'g', "")
     }

@@ -3,9 +3,10 @@
 //!
 //! `Window::run` is Protocol 1 in the order of the paper: market
 //! evaluation, pricing or the floor price, distribution. It awaits the
-//! protocols — Protocol 2's two masked folds, run concurrently in
-//! lockstep (`protocol2::masked_totals`), the comparison and its
-//! announcement, Protocol 3 and Protocol 4; every fold takes
+//! protocols — Protocol 2 (`protocol2::evaluate`: the comparison's OT
+//! setup sent as it opens, the two masked folds run concurrently in
+//! lockstep, the comparison and its announcement), Protocol 3 and
+//! Protocol 4; every fold takes
 //! `cfg.topology`. Every receive is a [`gather`](crate::fold::gather)
 //! that yields once before it, so each poll is one receive (one of each
 //! of the two lockstep folds). The rounds the paper leaves independent
@@ -168,25 +169,23 @@ impl<'a> Window<'a> {
         } else {
             // Protocol 2: demand toward H_r1 — `Σ(|sn_j| + r_j) + Σ r_i`
             // under its key — and supply toward H_r2 — `Σ(sn_i + r_i) +
-            // Σ r_j` — in lockstep, then the comparison and its one-bit
-            // broadcast.
+            // Σ r_j` — in lockstep, with the comparison's OT setup in
+            // flight since the window opened; then the comparison and its
+            // one-bit broadcast.
             let eval = Phase::open(net, "window/eval");
             let hr1 = draws.pick("H_r1", &sellers);
             let hr2 = draws.pick("H_r2", &buyers);
-            let (demand, supply) = protocol2::masked_totals(
+            let (demand, supply, general) = protocol2::evaluate(
                 net,
+                cfg,
                 keys,
                 &agents,
                 (hr1, hr2),
                 &sellers,
                 &buyers,
-                cfg.topology,
                 draws,
             )
             .await?;
-            let (members, roles) = (agents.len(), (hr1, hr2));
-            let general =
-                protocol2::run_compare(net, cfg, members, roles, demand, supply, draws).await?;
             metrics.market_evaluation = eval.close(net);
             revealed.masked_demand = Some(demand);
             revealed.masked_supply = Some(supply);
@@ -452,11 +451,14 @@ mod tests {
     fn window_virtual_clock_is_pinned() {
         // The general and the extreme population on a LAN: the two
         // Protocol 2 folds run in lockstep and the settlement in three
-        // sweeps, so on rings the window's critical path is 2,016 and
-        // 1,236 µs, and 1,708 µs on the binary tree. Serialising either
+        // sweeps, so on rings the window's critical path is 1,900 and
+        // 1,120 µs, and 1,592 µs on the binary tree. Serialising either
         // stage again moves these, and so does a comparison at another
         // width than its member count's (46 and 45 bits here): its
-        // messages are the stage's largest. In the extreme market the
+        // messages are the stage's largest. The comparison's OT setup
+        // travels while the folds run, so the comparison's own path is
+        // two hops; a setup sent after the folds adds one hop (116 µs)
+        // to every case. In the extreme market the
         // buyers route the energy from the ratios announced to them, so
         // the first settlement sweep departs after that announcement's
         // hop. The roles (`H_r1`, `H_r2`, `H_b`, the decryptor) are the
@@ -466,9 +468,9 @@ mod tests {
         let general = [2.0, 1.0, -3.0, -2.0, -1.0];
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         for (cfg, surpluses, expected_us) in [
-            (PemConfig::fast_test(), &general[..], 2_016),
-            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_236),
-            (tree, &general[..], 1_708),
+            (PemConfig::fast_test(), &general[..], 1_900),
+            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_120),
+            (tree, &general[..], 1_592),
         ] {
             let pop = population(surpluses);
             let mut net = SimNetwork::with_latency(pop.len(), LatencyModel::lan());

@@ -15,7 +15,11 @@
 //!    `R_s < R_b ⇔ E_s < E_b`; `H_r2` (garbler) and `H_r1` (evaluator)
 //!    run the garbled-circuit comparison of `pem-circuit`, and `H_r1`
 //!    announces the one-bit outcome, which every party decodes and
-//!    checks.
+//!    checks. The comparison's first message, the OT setup, depends on
+//!    nothing in the window: `H_r2` sends it when the window opens, so
+//!    it travels during the folds, and after them the comparison costs
+//!    two hops — `H_r1`'s OT requests and `H_r2`'s transfer of the
+//!    garbled comparator and the label corrections.
 //!
 //! Per Lemma 2 nobody learns anything beyond that bit: the folding
 //! parties see only ciphertexts, and the masked totals are uniformly
@@ -31,18 +35,19 @@
 //! comparison and the announcement are strict request/response; like
 //! every receive, each of theirs is a [`crate::fold::gather`] that
 //! yields first. The trading window (`crate::fabric_window`) is the
-//! only caller.
+//! only caller of `evaluate`, which runs all four steps.
 
 use std::cell::RefCell;
 
 use pem_bignum::BigUint;
 use pem_circuit::compare::{
-    CompareEvaluator, CompareGarbler, CompareLabelCiphertexts, CompareOffer, CompareOtRequests,
-    OT_CHUNK_BITS,
+    chunk_bits, corrections_per_chunk, CompareEvaluator, CompareGarbler, CompareOtRequests,
+    CompareSetup, CompareTransfer, OT_CHUNK_BITS,
 };
 use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
-use pem_crypto::ot::{Group, OtCiphertexts, OtGroup, OtReceiverReply, OtSenderSetup};
+use pem_crypto::drbg::HashDrbg;
+use pem_crypto::ot::{Group, OtGroup, OtReceiverReply, OtSenderSetup};
 use pem_crypto::paillier::Ciphertext;
 use pem_fabric::try_join;
 use pem_net::wire::{WireReader, WireWriter};
@@ -222,70 +227,89 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
     }
 }
 
-/// The garbled-circuit comparison `R_s < R_b`: `H_r2` garbles, `H_r1`
-/// evaluates, and `H_r1` announces the one-bit outcome to every other
-/// party, each of whom decodes and checks it. Two-party and strictly
-/// request/response; each receive is a [`recv_from`] that yields first.
-/// Both sides compare at the width of the window's public member count
+/// Protocol 2 in full, `(R_b, R_s, R_s < R_b)`: the two folds toward
+/// `hr1` and `hr2` ([`masked_totals`]), the garbled-circuit comparison —
+/// `H_r2` garbles over `R_s`, `H_r1` evaluates over `R_b` — and `H_r1`'s
+/// announcement of the one-bit outcome to every other party, each of
+/// whom decodes and checks it.
+///
+/// The comparison's first message, the OT setup, depends on nothing in
+/// the window, so `H_r2` sends it as the window opens and it travels
+/// while the folds run; the comparison's own critical path is the
+/// request and the transfer. Both sides compare at the width of the
+/// window's public member count
 /// ([`compare_width`](crate::quantize::compare_width)), which holds
 /// either masked total. The OT group is a handle to the profile's shared
 /// context, so the comparison's one OT batch (and every later window)
-/// rides one generator table; the three messages are generic over it
-/// and the profile is dispatched on once, here. `H_r2` garbles from its
-/// own `garble` stream and `H_r1` answers from its own.
+/// rides one generator table; the messages are generic over it and the
+/// profile is dispatched on once, here. `H_r2` garbles from its own
+/// `garble` stream and `H_r1` answers from its own.
 ///
 /// # Errors
 ///
 /// [`PemError::Config`] if the member count's width exceeds
-/// `cfg.compare_bits`; circuit, OT, transport and decode failures.
-pub(crate) async fn run_compare<T: Transport>(
+/// `cfg.compare_bits`; encryption, circuit, OT, transport and decode
+/// failures.
+#[allow(clippy::too_many_arguments)]
+pub(crate) async fn evaluate<T: Transport>(
     net: &mut T,
     cfg: &PemConfig,
-    members: usize,
-    (hr1, hr2): (usize, usize),
-    masked_demand: u128,
-    masked_supply: u128,
+    keys: &KeyDirectory,
+    agents: &[AgentCtx],
+    roles: (usize, usize),
+    sellers: &[usize],
+    buyers: &[usize],
     draws: Draws,
-) -> Result<bool, PemError> {
-    let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
-    let width = cfg.window_compare_bits(members)?;
-    let roles = (hr1, hr2);
-    let masked = (masked_demand, masked_supply);
-    let general_market = match cfg.ot_profile.group() {
-        OtGroup::Dh(group) => exchange(net, &group, width, roles, masked, draws).await?,
-        OtGroup::Ed25519(group) => exchange(net, &group, width, roles, masked, draws).await?,
-    };
-    compare_span.finish_at(net.now_us());
-
-    // The market case is one public bit, per the paper.
-    let bit = WireWriter::frame(|w| w.put_bool(general_market));
-    let others = (0..net.party_count()).filter(|&i| i != hr1);
-    let result = Announcement::send(net, hr1, "eval/result", others.map(|i| (i, bit.clone())))?;
-    result.hear(net, |r| Ok(r.get_bool()?)).await?;
-    Ok(general_market)
+) -> Result<(u128, u128, bool), PemError> {
+    match cfg.ot_profile.group() {
+        OtGroup::Dh(g) => {
+            evaluate_in(net, &g, cfg, keys, agents, roles, sellers, buyers, draws).await
+        }
+        OtGroup::Ed25519(g) => {
+            evaluate_in(net, &g, cfg, keys, agents, roles, sellers, buyers, draws).await
+        }
+    }
 }
 
-/// The comparison's three messages in `group`: `H_r2` garbles over
-/// `R_s`, `H_r1` evaluates over `R_b` and learns `R_s < R_b`.
-async fn exchange<T: Transport, G: Group>(
+/// [`evaluate`] with the OT in `group`.
+#[allow(clippy::too_many_arguments)]
+async fn evaluate_in<T: Transport, G: Group>(
     net: &mut T,
     group: &G,
-    width: usize,
+    cfg: &PemConfig,
+    keys: &KeyDirectory,
+    agents: &[AgentCtx],
     (hr1, hr2): (usize, usize),
-    (masked_demand, masked_supply): (u128, u128),
+    sellers: &[usize],
+    buyers: &[usize],
     draws: Draws,
-) -> Result<bool, PemError>
+) -> Result<(u128, u128, bool), PemError>
 where
     G::Element: WireElement,
 {
-    let (garbler, offer) =
-        CompareGarbler::start(width, masked_supply, group, &mut draws.garble(hr2))?;
-    let label = "eval/gc-offer";
-    net.send(PartyId(hr2), PartyId(hr1), label, encode_offer(&offer))?;
-    let offer = decode_offer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
+    let width = cfg.window_compare_bits(agents.len())?;
+    // The comparison's work is one span before the folds, one after.
+    let setup_span = Span::enter_at("eval/compare", "protocol", net.now_us());
+    let (garbler, setup) = CompareGarbler::start(width, group, &mut draws.garble(hr2));
+    net.send(PartyId(hr2), PartyId(hr1), SETUP, encode_setup(&setup))?;
+    setup_span.finish_at(net.now_us());
+    let roles = (hr1, hr2);
+    let (demand, supply) = masked_totals(
+        net,
+        keys,
+        agents,
+        roles,
+        sellers,
+        buyers,
+        cfg.topology,
+        draws,
+    )
+    .await?;
 
+    let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
+    let setup = decode_setup(&recv_from(net, hr1, hr2, SETUP).await?.payload, width)?;
     let (evaluator, requests) =
-        CompareEvaluator::respond(offer, masked_demand, group, &mut draws.garble(hr1))?;
+        CompareEvaluator::respond(&setup, demand, group, &mut draws.garble(hr1))?;
     let label = "eval/gc-ot-request";
     net.send(
         PartyId(hr1),
@@ -295,7 +319,7 @@ where
     )?;
     let requests = decode_requests(&recv_from(net, hr2, hr1, label).await?.payload, width)?;
 
-    let transfer = garbler.provide_labels(&requests)?;
+    let transfer = garbler.transfer(supply, &requests)?;
     let label = "eval/gc-ot-transfer";
     net.send(
         PartyId(hr2),
@@ -304,8 +328,48 @@ where
         encode_transfer(&transfer),
     )?;
     let transfer = decode_transfer(&recv_from(net, hr1, hr2, label).await?.payload, width)?;
+    let general_market = evaluator.finish(&transfer)?;
+    compare_span.finish_at(net.now_us());
 
-    Ok(evaluator.finish(&transfer)?)
+    // The market case is one public bit, per the paper.
+    let bit = WireWriter::frame(|w| w.put_bool(general_market));
+    let others = (0..net.party_count()).filter(|&i| i != hr1);
+    let result = Announcement::send(net, hr1, "eval/result", others.map(|i| (i, bit.clone())))?;
+    result.hear(net, |r| Ok(r.get_bool()?)).await?;
+    Ok((demand, supply, general_market))
+}
+
+/// The label of the comparison's first message, the OT setup.
+const SETUP: &str = "eval/gc-offer";
+
+/// The three frames of one `width`-bit comparison of 0 with 0 in
+/// `group`, as Protocol 2 encodes them: the bytes of `eval/gc-offer`,
+/// `eval/gc-ot-request` and `eval/gc-ot-transfer`. On edwards25519 each
+/// is a function of `width` alone; in `Z_p*` a group element with a
+/// leading zero byte is one byte shorter.
+///
+/// # Errors
+///
+/// Circuit and OT failures (none for a width in `1..=128`).
+pub fn frame_bytes(width: usize, group: &OtGroup) -> Result<[usize; 3], PemError> {
+    fn frames<G: Group>(width: usize, group: &G) -> Result<[usize; 3], PemError>
+    where
+        G::Element: WireElement,
+    {
+        let mut rng = HashDrbg::new(b"pem-frame-bytes");
+        let (garbler, setup) = CompareGarbler::start(width, group, &mut rng);
+        let (_, requests) = CompareEvaluator::respond(&setup, 0, group, &mut rng)?;
+        let transfer = garbler.transfer(0, &requests)?;
+        Ok([
+            encode_setup(&setup).len(),
+            encode_requests(&requests).len(),
+            encode_transfer(&transfer).len(),
+        ])
+    }
+    match group {
+        OtGroup::Dh(g) => frames(width, g),
+        OtGroup::Ed25519(g) => frames(width, g),
+    }
 }
 
 // --- Wire encodings for the comparison messages ------------------------
@@ -360,29 +424,29 @@ fn get_label(r: &mut WireReader<'_>) -> Result<Label, PemError> {
     Ok(Label(r.get_raw(16)?.try_into().map_err(|_| width)?))
 }
 
-/// The offer: `width | w | w × [T_G, T_E] | 1 | [H'(O⁰), H'(O¹)] | w |
-/// w garbler labels | A` — `2 + 32w + 1 + 32 + 1 + 16w` bytes and `A`
-/// at widths below 128.
-fn encode_offer<G: Group>(offer: &CompareOffer<G>) -> Vec<u8>
+/// The setup: `width | A` — one byte and `A` at widths below 128.
+fn encode_setup<G: Group>(setup: &CompareSetup<G>) -> Vec<u8>
 where
     G::Element: WireElement,
 {
     let mut w = WireWriter::new();
-    w.put_varint(offer.width as u64);
-    w.put_varint(offer.garbled.and_tables().len() as u64);
-    for row in offer.garbled.and_tables().iter().flatten() {
-        w.put_raw(&row.0);
-    }
-    w.put_varint(offer.garbled.output_hashes().len() as u64);
-    for hash in offer.garbled.output_hashes().iter().flatten() {
-        w.put_raw(&hash.0);
-    }
-    w.put_varint(offer.garbler_labels.len() as u64);
-    for l in &offer.garbler_labels {
-        w.put_raw(&l.0);
-    }
-    offer.ot_setup.big_a.put(&mut w);
+    w.put_varint(setup.width as u64);
+    setup.ot_setup.big_a.put(&mut w);
     w.finish()
+}
+
+fn decode_setup<G: Group>(payload: &[u8], width: usize) -> Result<CompareSetup<G>, PemError>
+where
+    G::Element: WireElement,
+{
+    WireReader::frame(payload, |r| {
+        expect_varint(r, width, "offer width is not the agreed width")?;
+        let big_a = G::Element::get(r)?;
+        Ok(CompareSetup {
+            width,
+            ot_setup: OtSenderSetup { big_a },
+        })
+    })
 }
 
 /// Reads `count` pairs of labels, the count checked by the caller.
@@ -390,31 +454,6 @@ fn get_label_pairs(r: &mut WireReader<'_>, count: usize) -> Result<Vec<[Label; 2
     (0..count)
         .map(|_| Ok([get_label(r)?, get_label(r)?]))
         .collect()
-}
-
-fn decode_offer<G: Group>(payload: &[u8], width: usize) -> Result<CompareOffer<G>, PemError>
-where
-    G::Element: WireElement,
-{
-    WireReader::frame(payload, |r| {
-        expect_varint(r, width, "offer width is not the agreed width")?;
-        // The comparator topology is public: rebuild it locally.
-        let circuit = comparator_circuit(width);
-        expect_varint(r, circuit.and_count(), "AND table count mismatch")?;
-        let and_tables = get_label_pairs(r, circuit.and_count())?;
-        let outputs = circuit.outputs().len();
-        expect_varint(r, outputs, "output hash count mismatch")?;
-        let output_hashes = get_label_pairs(r, outputs)?;
-        expect_varint(r, width, "garbler label count mismatch")?;
-        let garbler_labels = (0..width).map(|_| get_label(r)).collect::<Result<_, _>>()?;
-        let big_a = G::Element::get(r)?;
-        Ok(CompareOffer {
-            width,
-            garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
-            garbler_labels,
-            ot_setup: OtSenderSetup { big_a },
-        })
-    })
 }
 
 /// The requests: `chunks | chunks × B`.
@@ -444,30 +483,53 @@ where
     })
 }
 
-fn encode_transfer(transfer: &CompareLabelCiphertexts) -> Vec<u8> {
+/// The transfer: `width | w | w × [T_G, T_E] | 1 | [H'(O⁰), H'(O¹)] |
+/// chunks | corrections` — `4 + 32w + 32` bytes at widths below 128 and
+/// 16 per correction: 96 per 2-bit chunk, 16 for a 1-bit tail.
+fn encode_transfer(transfer: &CompareTransfer) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_varint(transfer.cts.len() as u64);
-    for branch in transfer.cts.iter().flat_map(|ct| &ct.branches) {
-        w.put_raw(branch);
+    w.put_varint(transfer.width as u64);
+    w.put_varint(transfer.garbled.and_tables().len() as u64);
+    for row in transfer.garbled.and_tables().iter().flatten() {
+        w.put_raw(&row.0);
+    }
+    w.put_varint(transfer.garbled.output_hashes().len() as u64);
+    for hash in transfer.garbled.output_hashes().iter().flatten() {
+        w.put_raw(&hash.0);
+    }
+    w.put_varint(transfer.corrections.len() as u64);
+    for label in transfer.corrections.iter().flatten() {
+        w.put_raw(&label.0);
     }
     w.finish()
 }
 
-fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareLabelCiphertexts, PemError> {
+fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareTransfer, PemError> {
     WireReader::frame(payload, |r| {
+        expect_varint(r, width, "transfer width is not the agreed width")?;
+        // The comparator topology is public: rebuild it locally.
+        let circuit = comparator_circuit(width);
+        expect_varint(r, circuit.and_count(), "AND table count mismatch")?;
+        let and_tables = get_label_pairs(r, circuit.and_count())?;
+        let outputs = circuit.outputs().len();
+        expect_varint(r, outputs, "output hash count mismatch")?;
+        let output_hashes = get_label_pairs(r, outputs)?;
         let chunks = width.div_ceil(OT_CHUNK_BITS);
-        expect_varint(r, chunks, "OT ciphertext count mismatch")?;
-        let mut cts = Vec::with_capacity(chunks);
-        for chunk in 0..chunks {
-            // One branch per value of the chunk's bits, each carrying one
-            // 16-byte label per bit; an odd width ends in a 1-bit chunk.
-            let bits = OT_CHUNK_BITS.min(width - chunk * OT_CHUNK_BITS);
-            let branches = (0..1 << bits)
-                .map(|_| r.get_raw(16 * bits).map(<[u8]>::to_vec))
-                .collect::<Result<_, _>>()?;
-            cts.push(OtCiphertexts { branches });
-        }
-        Ok(CompareLabelCiphertexts { cts })
+        expect_varint(r, chunks, "correction chunk count mismatch")?;
+        let corrections = (0..chunks)
+            .map(|chunk| {
+                // One label per bit of each nonzero chunk value; an odd
+                // width ends in a 1-bit chunk.
+                (0..corrections_per_chunk(chunk_bits(width, chunk)))
+                    .map(|_| get_label(r))
+                    .collect()
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(CompareTransfer {
+            width,
+            garbled: GarbledCircuit::from_parts(circuit, and_tables, output_hashes)?,
+            corrections,
+        })
     })
 }
 
@@ -586,34 +648,147 @@ mod tests {
         assert_eq!(out.trades.len(), 1);
     }
 
-    #[test]
-    fn offer_length_follows_the_width_formula() {
-        use super::{decode_offer, encode_offer};
-        use pem_circuit::compare::{CompareGarbler, CompareOffer};
+    /// The three frames of one comparison of `a` with `b` at `width` in
+    /// `group`, every party drawing from one stream seeded by `seed`.
+    fn frames<G: pem_crypto::ot::Group>(
+        group: &G,
+        width: usize,
+        (a, b): (u128, u128),
+        seed: &[u8],
+    ) -> [Vec<u8>; 3]
+    where
+        G::Element: super::WireElement,
+    {
+        use super::{encode_requests, encode_setup, encode_transfer};
+        use pem_circuit::compare::{CompareEvaluator, CompareGarbler};
         use pem_crypto::drbg::HashDrbg;
-        use pem_crypto::ot::DhGroup;
-        use pem_net::wire::WireWriter;
+        let mut rng = HashDrbg::new(seed);
+        let (garbler, setup) = CompareGarbler::start(width, group, &mut rng);
+        let (_, requests) = CompareEvaluator::respond(&setup, b, group, &mut rng).expect("respond");
+        let transfer = garbler.transfer(a, &requests).expect("transfer");
+        [
+            encode_setup(&setup),
+            encode_requests(&requests),
+            encode_transfer(&transfer),
+        ]
+    }
 
-        let group = DhGroup::test_192();
-        let mut rng = HashDrbg::new(b"offer-length");
-        for width in [1usize, 2, 5, 63, 64, 100] {
-            let (_, offer) = CompareGarbler::start(width, 1, &group, &mut rng).expect("start");
-            let mut a = WireWriter::new();
-            a.put_biguint(&offer.ot_setup.big_a);
-            // Three one-byte counts and the width; one two-row table per
-            // AND, one 32-byte hash pair for the one output, one label
-            // per garbler bit.
-            let expected = 4 + 32 * width + 32 + 16 * width + a.finish().len();
-            let bytes = encode_offer(&offer);
-            assert_eq!(bytes.len(), expected, "width {width}");
-            let back: CompareOffer<DhGroup> =
-                decode_offer(&bytes, width).expect("decodes at its own width");
-            assert_eq!(back.garbled.and_tables(), offer.garbled.and_tables());
-            assert_eq!(back.garbled.output_hashes(), offer.garbled.output_hashes());
+    /// Each frame of `frames` against its width formula, round-tripped
+    /// at its own width and refused at both neighbours. `element` is the
+    /// wire length of one group element.
+    fn check_frames<G: pem_crypto::ot::Group>(
+        group: &G,
+        width: usize,
+        element: impl Fn(&G::Element) -> usize,
+    ) -> usize
+    where
+        G::Element: super::WireElement,
+    {
+        use super::{
+            decode_requests, decode_setup, decode_transfer, encode_requests, encode_setup,
+            encode_transfer,
+        };
+        let [setup, requests, transfer] = frames(group, width, (1, 0), b"frame-formulas");
+        let decoded_setup = decode_setup::<G>(&setup, width).expect("setup decodes");
+        let decoded_requests = decode_requests::<G>(&requests, width).expect("requests decode");
+        let decoded_transfer = decode_transfer(&transfer, width).expect("transfer decodes");
+        let chunks = width.div_ceil(2);
+        // A one-byte width and `A`; a count and one `B` per chunk; four
+        // one-byte counts, two 16-byte rows per AND, the output's hash
+        // pair, three corrections of two labels per 2-bit chunk and one
+        // label for a 1-bit tail.
+        let expected = [
+            1 + element(&decoded_setup.ot_setup.big_a),
+            1 + (decoded_requests.replies.iter())
+                .map(|reply| element(&reply.big_b))
+                .sum::<usize>(),
+            4 + 32 * width + 32 + 96 * (width / 2) + 16 * (width % 2),
+        ];
+        let case = format!("{group:?} at width {width}");
+        let lengths = [setup.len(), requests.len(), transfer.len()];
+        assert_eq!(lengths, expected, "{case}: frame lengths");
+        assert_eq!(decoded_requests.replies.len(), chunks, "{case}");
+        assert_eq!(
+            encode_setup(&decoded_setup),
+            setup,
+            "{case}: setup round trip"
+        );
+        assert_eq!(
+            encode_requests(&decoded_requests),
+            requests,
+            "{case}: requests round trip"
+        );
+        assert_eq!(
+            encode_transfer(&decoded_transfer),
+            transfer,
+            "{case}: transfer round trip"
+        );
+        for neighbour in [width - 1, width + 1].into_iter().filter(|&w| w > 0) {
             assert!(
-                decode_offer::<DhGroup>(&bytes, width + 1).is_err(),
-                "width {width}"
+                decode_setup::<G>(&setup, neighbour).is_err(),
+                "{case}: setup at {neighbour}"
             );
+            assert!(
+                decode_requests::<G>(&requests, neighbour).is_err()
+                    || neighbour.div_ceil(2) == chunks,
+                "{case}: requests at {neighbour}"
+            );
+            assert!(
+                decode_transfer(&transfer, neighbour).is_err(),
+                "{case}: transfer at {neighbour}"
+            );
+        }
+        lengths.iter().sum()
+    }
+
+    #[test]
+    fn comparison_frames_follow_their_width_formulas() {
+        // The wire contract of `eval/gc-offer`, `eval/gc-ot-request` and
+        // `eval/gc-ot-transfer`: a `Z_p*` element is a length-prefixed
+        // minimal integer, a curve point its 32 raw bytes. The request
+        // frame carries only its chunk count, so it is refused at a
+        // neighbouring width exactly when that width has another count.
+        use pem_crypto::ot::{DhGroup, Ed25519};
+        use pem_net::wire::WireWriter;
+        let dh = DhGroup::test_192();
+        let dh_element = |e: &pem_bignum::BigUint| {
+            let mut w = WireWriter::new();
+            w.put_biguint(e);
+            w.finish().len()
+        };
+        for width in [1usize, 2, 5, 47, 49, 63, 64] {
+            check_frames(&dh, width, dh_element);
+            let total = check_frames(&Ed25519, width, |_| 32);
+            if width == 47 {
+                // Twelve members' comparison at the paper profiles: 33 +
+                // 769 + 3,764 bytes (6,070 with the garbler's labels and
+                // four branches per chunk).
+                assert_eq!(total, 4_566, "edwards25519 at 47 bits");
+            }
+        }
+    }
+
+    #[test]
+    fn setup_and_request_frames_do_not_depend_on_the_garbler_value() {
+        // The setup goes out before the garbler knows its value: under the
+        // same draws, two garbler values give byte-identical setup and
+        // request frames; only the transfer differs.
+        use pem_crypto::ot::{DhGroup, Ed25519};
+        for width in [5usize, 47] {
+            let seed = b"garbler-value";
+            let dh = (
+                frames(&DhGroup::test_192(), width, (3, 9), seed),
+                frames(&DhGroup::test_192(), width, (17, 9), seed),
+            );
+            let ed = (
+                frames(&Ed25519, width, (3, 9), seed),
+                frames(&Ed25519, width, (17, 9), seed),
+            );
+            for (group, (one, other)) in [("test192", dh), ("edwards25519", ed)] {
+                assert_eq!(one[0], other[0], "{group} at {width}: setup");
+                assert_eq!(one[1], other[1], "{group} at {width}: requests");
+                assert_ne!(one[2], other[2], "{group} at {width}: transfer");
+            }
         }
     }
 
@@ -637,9 +812,12 @@ mod tests {
         let width = compare_width(data.len());
         let chunks = width.div_ceil(2);
         let labels = &out.net.per_label;
+        assert_eq!(labels["eval/gc-offer"].bytes, 1 + 32);
         assert_eq!(labels["eval/gc-ot-request"].bytes, (1 + 32 * chunks) as u64);
-        let offer = 4 + 32 * width + 32 + 16 * width + 32;
-        assert_eq!(labels["eval/gc-offer"].bytes, offer as u64);
+        let transfer = 4 + 32 * width + 32 + 96 * (width / 2) + 16 * (width % 2);
+        assert_eq!(labels["eval/gc-ot-transfer"].bytes, transfer as u64);
+        let frames = super::frame_bytes(width, &pem_crypto::ot::Ed25519.into()).expect("frames");
+        assert_eq!(frames, [33, 1 + 32 * chunks, transfer]);
     }
 
     #[test]
@@ -654,8 +832,8 @@ mod tests {
         ] {
             assert!(labels.contains_key(label), "missing {label}");
         }
-        // The garbled offer dominates: tables + labels + OT setups.
-        assert!(labels["eval/gc-offer"].bytes > labels["eval/demand-agg"].bytes);
+        // The garbled transfer dominates: tables and corrections.
+        assert!(labels["eval/gc-ot-transfer"].bytes > labels["eval/demand-agg"].bytes);
         // Every label sits under its phase's prefix, so the prefixes
         // split the window's traffic exactly.
         let phases: u64 = ["eval/", "price/", "dist/"]

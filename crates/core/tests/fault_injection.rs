@@ -285,14 +285,20 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     // (width `compare_width(4)` = 46, 46 two-row AND tables, 24-byte
     // group elements, 23 two-bit OT chunks):
     //
-    // * `eval/gc-ot-transfer`, 2945 bytes (a count byte, then 23 × four
-    //   32-byte branches): the middle byte 1472 is the last byte of
-    //   branch 1 of chunk 11, and byte 1440 the last of branch 0. The
-    //   evaluator chose branch 1 there (bits 22–23 of its masked total
-    //   are 01), so the flip in branch 1 gives it a garbage label and an
-    //   unauthentic output, while the flip in branch 0, which it never
-    //   decrypts, leaves the window with the clean outcome.
-    let chosen = corrupt("eval/gc-ot-transfer");
+    // * `eval/gc-ot-transfer`, 3716 bytes (a width byte, a count byte,
+    //   `offer_tables()`, a count byte, the 32-byte output hash pair, a
+    //   count byte, then 23 × three two-label corrections, from byte
+    //   1508): the middle byte 1858 is in chunk 3's correction for value
+    //   2, and byte 2564 the first of chunk 11's for value 1. The
+    //   evaluator chose value 0 in chunk 3 (bits 6–7 of its masked total
+    //   are 00), whose labels are its OT key with no correction, and
+    //   value 1 in chunk 11 (bits 22–23 are 01). So the flip in chunk 11
+    //   gives it a garbage label and an unauthentic output, while the
+    //   middle-byte flip, in a correction it never uses, leaves the
+    //   window with the clean outcome.
+    let chosen = run_tampered("eval/gc-ot-transfer", |payload| {
+        payload[corrections_at(11)] ^= 1;
+    });
     assert!(
         matches!(
             chosen,
@@ -300,11 +306,15 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
                 output: 0
             }))
         ),
-        "eval/gc-ot-transfer, chosen branch: got {chosen:?}"
+        "eval/gc-ot-transfer, chosen correction: got {chosen:?}"
     );
-    let unchosen = run_tampered("eval/gc-ot-transfer", |payload| payload[1440] ^= 1)
+    let unchosen = corrupt("eval/gc-ot-transfer")
         .unwrap_or_else(|e| panic!("eval/gc-ot-transfer: completes, got {e:?}"));
-    assert_clean(&unchosen, &clean, "eval/gc-ot-transfer, unchosen branch");
+    assert_clean(
+        &unchosen,
+        &clean,
+        "eval/gc-ot-transfer, unchosen correction",
+    );
     // `eval/result`: the one byte flips the general-market bit to a
     // well-formed `false`, which its first recipient decodes and checks
     // against `H_r1`'s bit.
@@ -312,27 +322,22 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     assert!(matches!(err, PemError::Protocol(_)), "eval/result: {err:?}");
     // A decrypted table row is authenticated, two ways:
     //
-    // * `eval/gc-offer`, 2269 bytes (a count byte, a count byte,
-    //   `offer_tables()` below, then a count, the 32-byte output hash pair,
-    //   a count, 46 labels and `A`): the middle byte 1134 is byte 12 of
-    //   `T_G` of AND 35. The evaluator's label on that gate's first
-    //   input has its permute bit set (today's seeds), so it decrypts
-    //   the flipped row;
+    // * byte 1166 of `eval/gc-ot-transfer`, byte 12 of `T_G` of AND 36.
+    //   The evaluator's label on that gate's first input has its permute
+    //   bit set (today's seeds), so it decrypts the flipped row;
     // * byte 0 of `T_G` flipped in every AND (at byte 2 + 32·k). The
     //   evaluator decrypts `T_G` wherever its first input's permute bit
     //   is set — some gate, whatever the seeds.
     //
     // Either way a carry turns to garbage and the output label matches
     // neither output hash: a typed error.
-    let every_t_g = run_tampered("eval/gc-offer", |payload| {
+    let and_36 = run_tampered("eval/gc-ot-transfer", |payload| payload[1166] ^= 1);
+    let every_t_g = run_tampered("eval/gc-ot-transfer", |payload| {
         for and in 0..offer_tables() / 32 {
             payload[2 + 32 * and] ^= 1;
         }
     });
-    for (case, result) in [
-        ("eval/gc-offer", corrupt("eval/gc-offer")),
-        ("eval/gc-offer T_G", every_t_g),
-    ] {
+    for (case, result) in [("T_G of AND 36", and_36), ("every T_G", every_t_g)] {
         assert!(
             matches!(
                 result,
@@ -347,12 +352,14 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     //
     // * `eval/gc-ot-request`, 576 bytes (a count byte, then 23 × a
     //   length byte and 24 bytes of `B`): the middle byte 288 is byte 11
-    //   of chunk 11's `B`, so the garbler seals that chunk's four label
-    //   pairs under keys the evaluator cannot derive;
+    //   of chunk 11's `B`, so the garbler derives that chunk's labels
+    //   and corrections from keys the evaluator cannot derive;
     // * the same flip in chunk 0's `B` (byte 25), which
     //   `FaultKind::Corrupt` cannot reach;
-    // * a flipped bit inside the single `A` (the offer's last byte):
-    //   the two sides then disagree on *every* chunk's key.
+    // * a flipped bit inside the single `A`: the offer's middle byte 13
+    //   (the offer is a width byte, a length byte and `A`'s 24 bytes),
+    //   and its last byte. The two sides then disagree on *every*
+    //   chunk's key.
     //
     // Each time the evaluator decodes a garbage label for some input
     // wire, the garbage propagates along the carry chain to the output
@@ -370,6 +377,7 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     for (case, result) in [
         ("eval/gc-ot-request", corrupt("eval/gc-ot-request")),
         ("flipped chunk 0", flipped_chunk_0),
+        ("eval/gc-offer", corrupt("eval/gc-offer")),
         ("flipped A", flipped_a),
     ] {
         assert!(
@@ -478,34 +486,39 @@ fn a_tampered_ratio_announcement_aborts_without_trades() {
     }
 }
 
-/// Bytes of garbled tables in a [`population`] window's offer: one AND
-/// per bit of its `compare_width(4)` = 46-bit comparator, two 16-byte
+/// Bytes of garbled tables in a [`population`] window's transfer: one
+/// AND per bit of its `compare_width(4)` = 46-bit comparator, two 16-byte
 /// half-gates rows per AND.
 fn offer_tables() -> usize {
     compare_width(population().len()) * 2 * 16
 }
 
-/// Bytes of output hashes in an offer: one output, two 16-byte hashes.
+/// Bytes of output hashes in a transfer: one output, two 16-byte hashes.
 const OFFER_OUTPUT_HASHES: usize = 2 * 16;
+
+/// Offset of chunk `chunk`'s first correction in a [`population`]
+/// window's transfer: after the width, the table count, the tables, the
+/// output count, the output hashes and the chunk count, 96 bytes per
+/// 2-bit chunk.
+fn corrections_at(chunk: usize) -> usize {
+    2 + offer_tables() + 1 + OFFER_OUTPUT_HASHES + 1 + 96 * chunk
+}
 
 #[test]
 fn hostile_counts_are_rejected_before_allocating() {
     // Every count in the three comparison messages is implied by the
     // agreed width. A frame announcing 2^60 of anything must come back
     // as `MalformedGarbling` — not as a capacity-overflow panic or an
-    // allocation. Offsets: the offer is
-    // `width | tables | offer_tables() B | outputs | 32 B | labels | …`,
-    // the other two messages open with their count.
+    // allocation. Offsets: the transfer is
+    // `width | tables | offer_tables() B | outputs | 32 B | chunks | …`,
+    // the offer opens with its width and the requests with their count.
     let cases: [(&'static str, usize); 6] = [
         ("eval/gc-offer", 0),
-        ("eval/gc-offer", 1),
-        ("eval/gc-offer", 2 + offer_tables()),
-        (
-            "eval/gc-offer",
-            2 + offer_tables() + 1 + OFFER_OUTPUT_HASHES,
-        ),
-        ("eval/gc-ot-request", 0),
         ("eval/gc-ot-transfer", 0),
+        ("eval/gc-ot-transfer", 1),
+        ("eval/gc-ot-transfer", 2 + offer_tables()),
+        ("eval/gc-ot-transfer", corrections_at(0) - 1),
+        ("eval/gc-ot-request", 0),
     ];
     for (label, offset) in cases {
         let err = run_tampered(label, move |payload| {
@@ -546,24 +559,11 @@ fn an_offer_at_the_ceiling_is_refused_at_the_agreed_width() {
     assert_eq!(compare_width(data.len()), 47);
     let cfg = PemConfig::fast_test();
     let mut rng = HashDrbg::new(b"ceiling-offer");
-    let (_, offer) = CompareGarbler::start(cfg.compare_bits, 1, &DhGroup::test_192(), &mut rng)
-        .expect("an offer at the ceiling");
-    // The offer's wire layout: width, then each count before its items.
+    let (_, setup) = CompareGarbler::start(cfg.compare_bits, &DhGroup::test_192(), &mut rng);
+    // The offer's wire layout: the width, then `A`.
     let mut w = WireWriter::new();
-    w.put_varint(offer.width as u64);
-    w.put_varint(offer.garbled.and_tables().len() as u64);
-    for row in offer.garbled.and_tables().iter().flatten() {
-        w.put_raw(&row.0);
-    }
-    w.put_varint(offer.garbled.output_hashes().len() as u64);
-    for hash in offer.garbled.output_hashes().iter().flatten() {
-        w.put_raw(&hash.0);
-    }
-    w.put_varint(offer.garbler_labels.len() as u64);
-    for label in &offer.garbler_labels {
-        w.put_raw(&label.0);
-    }
-    w.put_biguint(&offer.ot_setup.big_a);
+    w.put_varint(setup.width as u64);
+    w.put_biguint(&setup.ot_setup.big_a);
     let ceiling = w.finish();
     let mut net = Tamper {
         inner: SimNetwork::new(data.len()),

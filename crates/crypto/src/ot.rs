@@ -14,9 +14,19 @@
 //! ```text
 //! Sender:        a ←$ scalars,  A = [a]G,  T = [−a²]G = [−a]A          once per batch
 //! Receiver(cᵢ):  bᵢ ←$ scalars, Bᵢ = [cᵢ]A + [bᵢ]G                     per OT i, cᵢ ∈ 0..n
-//! Sender:        kᵢⱼ = H(i, j, [a](Bᵢ − [j]A), A, Bᵢ),  eᵢⱼ = mᵢⱼ ⊕ KDF(kᵢⱼ)   for j ∈ 0..n
-//! Receiver:      kᵢ,cᵢ = H(i, cᵢ, [bᵢ]A, A, Bᵢ) → mᵢ,cᵢ
+//! Sender:        kᵢⱼ = H(i, A, Bᵢ, j, [a](Bᵢ − [j]A))                     for j ∈ 0..n
+//! Receiver:      kᵢ,cᵢ = H(i, A, Bᵢ, cᵢ, [bᵢ]A)
 //! ```
+//!
+//! That is a *random* OT: the receiver holds the key of its choice
+//! ([`OtBatchReceiver::keys`]), the sender every branch's
+//! ([`OtBatchSender::keys`]). The comparison in `pem-circuit` uses the
+//! keys themselves as labels. A chosen-message OT pads each message with
+//! its branch key, `eᵢⱼ = mᵢⱼ ⊕ kᵢⱼ` up to 32 bytes and `⊕ KDF(kᵢⱼ)`
+//! beyond ([`OtBatchSender::encrypt`], [`OtBatchReceiver::decrypt`]).
+//! `H` absorbs `(i, A, Bᵢ)` once per OT and is cloned per branch, so a
+//! sender pays one SHA-256 compression per OT and one per branch — five
+//! for a 1-of-4 OT on either group.
 //!
 //! | group | element | level `λ` | scalars |
 //! |---|---|---|---|
@@ -461,31 +471,40 @@ pub const MAX_BRANCHES: usize = 4;
 /// side, so the exact value decides nothing today.
 pub const A_TABLE_MIN_BATCH: usize = 8;
 
-/// Hashes OT `i`'s branch-`j` secret into a symmetric key, bound to the
-/// transcript (`A`, `B`), the OT's position in its batch and the branch;
-/// every element is hashed at the group's fixed width.
-fn derive_key<G: Group>(
-    group: &G,
-    shared: &G::Element,
-    big_a: &G::Element,
-    big_b: &G::Element,
-    i: usize,
-    j: usize,
-) -> [u8; 32] {
+/// The hash state of OT `i`'s transcript — the domain, the OT's position
+/// in its batch, `A` and `B`, every element at the group's fixed width —
+/// absorbed once per OT; [`derive_key`] finishes it per branch.
+fn transcript<G: Group>(group: &G, big_a: &G::Element, big_b: &G::Element, i: usize) -> Sha256 {
     let mut h = Sha256::new();
     h.update(b"pem-ot-key");
     h.update(&(i as u64).to_be_bytes());
+    group.hash_element(big_a, &mut h);
+    group.hash_element(big_b, &mut h);
+    h
+}
+
+/// Branch `j`'s key from its secret and a clone of its OT's
+/// [`transcript`]: one SHA-256 compression per branch on either group,
+/// plus one per OT for the transcript.
+fn derive_key<G: Group>(group: &G, transcript: &Sha256, j: usize, shared: &G::Element) -> [u8; 32] {
+    let mut h = transcript.clone();
     h.update(&[j as u8]);
-    for element in [shared, big_a, big_b] {
-        group.hash_element(element, &mut h);
-    }
+    group.hash_element(shared, &mut h);
     h.finalize()
 }
 
-/// `msg ⊕ KDF(key)`.
+/// `msg ⊕ key` for a message of up to 32 bytes — the key is a
+/// random-oracle output, so it is the pad — and `msg ⊕ KDF(key)` for a
+/// longer one.
 fn pad(key: &[u8; 32], msg: &[u8]) -> Vec<u8> {
-    let pad = kdf(key, b"pem-ot-pad", msg.len());
-    msg.iter().zip(pad.iter()).map(|(x, y)| x ^ y).collect()
+    let stretched;
+    let pad: &[u8] = if msg.len() <= key.len() {
+        key
+    } else {
+        stretched = kdf(key, b"pem-ot-pad", msg.len());
+        &stretched
+    };
+    msg.iter().zip(pad).map(|(x, y)| x ^ y).collect()
 }
 
 /// First OT message (sender → receiver), one per batch.
@@ -505,7 +524,7 @@ pub struct OtReceiverReply<G: Group> {
 /// Third OT message (sender → receiver), one per OT.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtCiphertexts {
-    /// `m_j ⊕ KDF(k_j)` per branch `j`, all of one length.
+    /// `m_j` padded by `k_j` per branch `j`, all of one length.
     pub branches: Vec<Vec<u8>>,
 }
 
@@ -538,50 +557,69 @@ impl<G: Group> OtBatchSender<G> {
         (sender, OtSenderSetup { big_a })
     }
 
-    /// Encrypts every OT's branch messages against the receiver's
-    /// replies, in batch order: `messages[i]` are the branches of the
-    /// OT `replies[i]` answers.
+    /// Random OT: the key of every branch of every OT, in batch order —
+    /// `branches[i]` keys for the OT `replies[i]` answers, whose receiver
+    /// holds exactly the one of its choice.
     ///
     /// # Errors
     ///
     /// [`CryptoError::InvalidOtMessage`] if the two counts differ, a `B`
-    /// is not a valid group element, an OT has neither two nor
-    /// [`MAX_BRANCHES`] messages (one choice bit or two), or their
-    /// lengths differ.
+    /// is not a valid group element, or an OT has neither two nor
+    /// [`MAX_BRANCHES`] branches (one choice bit or two).
+    pub fn keys(
+        &self,
+        replies: &[OtReceiverReply<G>],
+        branches: &[usize],
+    ) -> Result<Vec<Vec<[u8; 32]>>, CryptoError> {
+        if replies.len() != branches.len() {
+            return Err(CryptoError::InvalidOtMessage("reply count"));
+        }
+        let mut received = Vec::with_capacity(replies.len());
+        for (reply, &n) in replies.iter().zip(branches) {
+            if !matches!(n, 2 | MAX_BRANCHES) {
+                return Err(CryptoError::InvalidOtMessage("branch count"));
+            }
+            received.push(self.group.receive(&reply.big_b)?.1);
+        }
+        let secrets: Vec<G::Point> = (self.powers(&received).into_iter().zip(branches))
+            .flat_map(|(power, &n)| self.branch_secrets(power, n))
+            .collect();
+        let mut secrets = self.group.encode_all(secrets).into_iter();
+        let keys = (replies.iter().zip(branches).enumerate())
+            .map(|(index, (reply, &n))| {
+                let transcript = transcript(&self.group, &self.big_a, &reply.big_b, index);
+                (0..n)
+                    .zip(&mut secrets)
+                    .map(|(j, k)| derive_key(&self.group, &transcript, j, &k))
+                    .collect()
+            })
+            .collect();
+        Ok(keys)
+    }
+
+    /// Encrypts every OT's branch messages against the receiver's
+    /// replies, in batch order: `messages[i]` are the branches of the
+    /// OT `replies[i]` answers, each padded by its [`keys`](Self::keys)
+    /// entry.
+    ///
+    /// # Errors
+    ///
+    /// As [`OtBatchSender::keys`], and if an OT's branch lengths differ.
     pub fn encrypt(
         &self,
         replies: &[OtReceiverReply<G>],
         messages: &[Vec<Vec<u8>>],
     ) -> Result<Vec<OtCiphertexts>, CryptoError> {
-        if replies.len() != messages.len() {
-            return Err(CryptoError::InvalidOtMessage("reply count"));
+        if (messages.iter()).any(|branches| branches.iter().any(|m| m.len() != branches[0].len())) {
+            return Err(CryptoError::InvalidOtMessage("branch lengths"));
         }
-        let mut received = Vec::with_capacity(replies.len());
-        for (reply, branches) in replies.iter().zip(messages) {
-            if !matches!(branches.len(), 2 | MAX_BRANCHES)
-                || branches.iter().any(|m| m.len() != branches[0].len())
-            {
-                return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
-            }
-            received.push(self.group.receive(&reply.big_b)?.1);
-        }
-        let secrets: Vec<G::Point> = (self.powers(&received).into_iter().zip(messages))
-            .flat_map(|(power, branches)| self.branch_secrets(power, branches.len()))
-            .collect();
-        let mut keys = self.group.encode_all(secrets).into_iter();
-        let mut cts = Vec::with_capacity(replies.len());
-        for (index, (reply, branches)) in replies.iter().zip(messages).enumerate() {
-            let branches = (branches.iter().enumerate().zip(&mut keys))
-                .map(|((j, m), k)| {
-                    pad(
-                        &derive_key(&self.group, &k, &self.big_a, &reply.big_b, index, j),
-                        m,
-                    )
-                })
-                .collect();
-            cts.push(OtCiphertexts { branches });
-        }
-        Ok(cts)
+        let counts: Vec<usize> = messages.iter().map(Vec::len).collect();
+        let keys = self.keys(replies, &counts)?;
+        Ok((keys.iter().zip(messages))
+            .map(|(keys, branches)| OtCiphertexts {
+                branches: keys.iter().zip(branches).map(|(k, m)| pad(k, m)).collect(),
+            })
+            .collect())
     }
 
     /// `[a]Bᵢ` for every checked `Bᵢ`, under the one readied `a`.
@@ -671,11 +709,31 @@ impl<G: Group> OtBatchReceiver<G> {
         (receiver, replies)
     }
 
-    /// The comb table [`OtBatchReceiver::decrypt`] takes every `[bᵢ]A`
+    /// The comb table [`OtBatchReceiver::keys`] takes every `[bᵢ]A`
     /// off — built per call; `None` for a batch below
     /// [`A_TABLE_MIN_BATCH`], which multiplies per OT.
     pub fn a_table(&self) -> Option<G::Table> {
         (self.ots.len() >= A_TABLE_MIN_BATCH).then(|| self.group.table(&self.a_point))
+    }
+
+    /// Random OT: the key of every OT's chosen branch, in batch order —
+    /// the same key the sender's [`OtBatchSender::keys`] holds at that
+    /// branch.
+    pub fn keys(self) -> Vec<[u8; 32]> {
+        let a_table = self.a_table();
+        let shared: Vec<G::Point> = (self.ots.iter())
+            .map(|(_, b, _)| match &a_table {
+                Some(table) => self.group.mul_table(table, b),
+                None => self.group.mul(&self.a_point, &self.group.multiplier(b)),
+            })
+            .collect();
+        let shared = self.group.encode_all(shared);
+        (self.ots.iter().zip(shared).enumerate())
+            .map(|(index, ((c, _, big_b), k))| {
+                let transcript = transcript(&self.group, &self.big_a, big_b, index);
+                derive_key(&self.group, &transcript, *c, &k)
+            })
+            .collect()
     }
 
     /// Decrypts the chosen branch of every OT, in batch order.
@@ -695,21 +753,10 @@ impl<G: Group> OtBatchReceiver<G> {
                 return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
             }
         }
-        let a_table = self.a_table();
-        let shared: Vec<G::Point> = (self.ots.iter())
-            .map(|(_, b, _)| match &a_table {
-                Some(table) => self.group.mul_table(table, b),
-                None => self.group.mul(&self.a_point, &self.group.multiplier(b)),
-            })
-            .collect();
-        let keys = self.group.encode_all(shared);
-        let out = (self.ots.iter().zip(cts).zip(keys).enumerate())
-            .map(|(index, (((c, _, big_b), ct), k))| {
-                let key = derive_key(&self.group, &k, &self.big_a, big_b, index, *c);
-                pad(&key, &ct.branches[*c])
-            })
-            .collect();
-        Ok(out)
+        let choices: Vec<usize> = self.ots.iter().map(|(c, _, _)| *c).collect();
+        Ok((self.keys().iter().zip(cts).zip(choices))
+            .map(|((key, ct), c)| pad(key, &ct.branches[c]))
+            .collect())
     }
 }
 
@@ -856,32 +903,109 @@ mod tests {
             minimal([&shared, &big_a, &big_b]),
             minimal([&shifted.0, &shifted.1, &shifted.2])
         );
-        let key = derive_key(&group, &shared, &big_a, &big_b, 3, 1);
+        let key = |s: &BigUint, a: &BigUint, b: &BigUint| {
+            derive_key(&group, &transcript(&group, a, b, 3), 1, s)
+        };
         assert_ne!(
-            key,
-            derive_key(&group, &shifted.0, &shifted.1, &shifted.2, 3, 1)
+            key(&shared, &big_a, &big_b),
+            key(&shifted.0, &shifted.1, &shifted.2)
         );
-        // The framing itself: every element at p's 24 bytes.
+        // The framing itself, in the order (domain, index, A, B, branch,
+        // shared): every element at p's 24 bytes.
         let mut h = Sha256::new();
         h.update(b"pem-ot-key");
         h.update(&3u64.to_be_bytes());
+        h.update(&bytes[23..]);
         h.update(&[1]);
         h.update(&[0]);
-        h.update(&bytes);
-        assert_eq!(key, h.finalize());
+        h.update(&bytes[..23]);
+        assert_eq!(key(&shared, &big_a, &big_b), h.finalize());
         // On the curve: the three 32-byte encodings as they are.
         let e = |x: u8| [x; 32];
         let mut h = Sha256::new();
         h.update(b"pem-ot-key");
         h.update(&3u64.to_be_bytes());
-        h.update(&[1]);
-        for x in [1, 2, 3] {
+        for x in [2, 3] {
             h.update(&e(x));
         }
+        h.update(&[1]);
+        h.update(&e(1));
         assert_eq!(
-            derive_key(&Ed25519, &e(1), &e(2), &e(3), 3, 1),
+            derive_key(&Ed25519, &transcript(&Ed25519, &e(2), &e(3), 3), 1, &e(1)),
             h.finalize()
         );
+    }
+
+    #[test]
+    fn derive_key_known_answers() {
+        // The transcript (domain, index, A, B) fills the first SHA-256
+        // block on both groups — 10 + 8 + 2·24 = 66 bytes at Test192,
+        // 82 on the curve — and a branch's suffix (branch byte, secret,
+        // 9 bytes of padding) fits the second: one compression per OT
+        // and one per branch, 5 for a 1-of-4 OT on the sender's side.
+        for element in [24usize, 32] {
+            assert!(10 + 8 + 2 * element >= 64, "{element}-byte elements");
+            assert!((10 + 8 + 2 * element) % 64 + 1 + element + 9 <= 64);
+        }
+        let hex = |k: [u8; 32]| -> String { k.iter().map(|b| format!("{b:02x}")).collect() };
+        let group = DhGroup::test_192();
+        let dh = |x: u64| group.pow_g(&BigUint::from(x));
+        let transcript_dh = transcript(&group, &dh(2), &dh(3), 7);
+        let e = |x: u8| {
+            basepoint_table()
+                .mul(&Scalar::from_biguint(&BigUint::from(x)))
+                .compress()
+        };
+        let transcript_ed = transcript(&Ed25519, &e(2), &e(3), 7);
+        let keys: Vec<String> = (0..2)
+            .flat_map(|j| {
+                [
+                    hex(derive_key(&group, &transcript_dh, j, &dh(5))),
+                    hex(derive_key(&Ed25519, &transcript_ed, j, &e(5))),
+                ]
+            })
+            .collect();
+        assert_eq!(keys, KNOWN_KEYS);
+    }
+
+    /// `derive_key` at OT 7 of a batch with `A = [2]G`, `B = [3]G` and
+    /// the secret `[5]G`: branch 0 then 1, `test192` then the curve.
+    /// Computed outside this crate, with Python's `hashlib` over
+    /// `pow(4, x, p)` and a textbook edwards25519 encoding.
+    const KNOWN_KEYS: [&str; 4] = [
+        "f11a6650dfdf07ea55bee74dcb60dfb7a5eca7a6778d3e17b7b567cb93ba7bdb",
+        "6f50532c2f5086e3f4b69dde59f290f40014f4c53abca2940a127dd6fd70bdbc",
+        "da55044ce58b0fc761012b305a84f5294a879963ed86dcf51a96b442fbfdde08",
+        "c18893f18fd5a8e684773a61b2c7a1b62863e861f1970028ed22e5ce6ccb366c",
+    ];
+
+    #[test]
+    fn random_ot_receivers_hold_the_key_of_their_choice() {
+        // A batch of 1-of-4 and 1-of-2 OTs with every choice: the
+        // receiver's key is the sender's key at its choice, and the
+        // branches' keys are all distinct.
+        fn check<G: Group>(group: G) {
+            let mut rng = HashDrbg::new(b"ot-random");
+            let choices = [0usize, 1, 2, 3, 0, 1];
+            let branches = [4usize, 4, 4, 4, 2, 2];
+            let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
+            let (receiver, replies) =
+                OtBatchReceiver::new(group, &setup, &choices, &mut rng).expect("replies");
+            let all = sender.keys(&replies, &branches).expect("keys");
+            let held = receiver.keys();
+            for (i, (&c, keys)) in choices.iter().zip(&all).enumerate() {
+                assert_eq!(keys.len(), branches[i]);
+                assert_eq!(held[i], keys[c], "OT {i}, choice {c}");
+            }
+            let mut flat: Vec<[u8; 32]> = all.concat();
+            flat.sort();
+            flat.dedup();
+            assert_eq!(flat.len(), branches.iter().sum::<usize>());
+            assert!(sender.keys(&replies, &[4, 4, 4, 4, 2, 3]).is_err());
+            assert!(sender.keys(&replies[1..], &branches).is_err());
+        }
+        check(DhGroup::test_192());
+        check(Ed25519);
     }
 
     /// Reference derivation of the branch secrets in `Z_p*`, as the
@@ -938,7 +1062,8 @@ mod tests {
             let expected = |index: usize| -> Vec<Vec<u8>> {
                 (0..n)
                     .map(|j| {
-                        let key = derive_key(group, &reference[j], &sender.big_a, big_b, index, j);
+                        let transcript = transcript(group, &sender.big_a, big_b, index);
+                        let key = derive_key(group, &transcript, j, &reference[j]);
                         pad(&key, &messages[j])
                     })
                     .collect()

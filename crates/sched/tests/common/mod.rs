@@ -66,10 +66,16 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// DRBG and per-key streams — so every nonce, role and randomizer
 /// moved, and with them the `masked_*` terms and, by minimal-length
 /// integers, `net.total_bytes`: 30,850 → 30,846 and 30,705 → 30,707;
-/// message counts, market outcomes and the ledger tip held).
+/// message counts, market outcomes and the ledger tip held) and once
+/// when the comparison hardwired the garbler's bits and took the
+/// evaluator's labels from a random OT (`eval/gc-offer` carries only
+/// the width and `A`, the transfer three corrections per chunk instead
+/// of four ciphertexts, so `net.total_bytes` 30,846 → 24,833 and 30,707
+/// → 24,691; the `masked_*` terms, message counts, market outcomes and
+/// the ledger tip held).
 pub const GOLDEN: [&str; 2] = [
-    "75f7b5febf3813c4a1f954a04e075336d8cc78b1d7874f8382770dba1826a391",
-    "702185a8f79fb1ed635e2408225eb445f4ff7523f754d41c16cf655445ef27a0",
+    "334885c20b6e81afd7c22e90374dffa9ba959a944ce44854f6aebc819b5cb089",
+    "47d79f94daba452fa30679f2e7136889c9f970c044c2900dcf813033b27279cd",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
@@ -93,11 +99,13 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 /// and once for named streams (the same change as [`GOLDEN`]; each
 /// shard representative now encrypts its coupling terms from its own
 /// `(round, shard)` stream; the coupling fabric's bytes and critical
-/// path held). Same re-record rule as [`GOLDEN`].
+/// path held), and once for the hardwired comparison (the same change
+/// as [`GOLDEN`]; the coupling fabric's bytes and critical path held).
+/// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
-    "af8f87942715fdef1e1605e4c557d99105da723ee493e2badbd25c1585016916:544:432",
-    "d0855f928bcdb5861c557a65f822904a77232a3103f905e7c447d99bd2a32399:544:432",
+    "86e930ae241e4652c456be5c4fdad0009a9006bdea7e1e92eb99360578d1c003:544:432",
+    "fc62a2dabac846214f51c40c639ac6948129cccc158637beed79bc160846e094:544:432",
 ];
 
 /// Full fingerprints per window of [`run_paper512`], recorded before
@@ -115,12 +123,15 @@ pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
 /// bytes instead of a 160-bit exponent, so every later draw of the
 /// window stream moves (both windows' market outcomes held), and once
 /// for named streams (the same change as [`GOLDEN`]; `net.total_bytes`
-/// 48,721 held and 46,416 → 46,418).
+/// 48,721 held and 46,416 → 46,418), and once for the hardwired
+/// comparison (the same change as [`GOLDEN`]; 1,504 B less per
+/// coalition-window, `net.total_bytes` 48,721 → 42,705 and 46,418 →
+/// 40,402).
 /// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "31978c340c598f78706c2e53467bf78524f236e11b3d9bf18cdf0b6528c6bfd1",
-    "e7497d60e166eaa22e9cc6cdcb5867548b38d8d654dd6d5974e858dbe7c88ad5",
+    "e3816283e403ce2ba702b112c3239fafb9f387a81c3cea2b0286386496d6afbb",
+    "8a11d7411ce9989aaebea131b6c92ac4ef6ea6b23e64f308d6e51cac8f2d21b9",
 ];
 
 /// The 40-home trace's agents at `windows`.
