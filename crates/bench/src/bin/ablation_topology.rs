@@ -30,11 +30,9 @@ use pem_bench::Args;
 use pem_core::block_on;
 use pem_core::fold::Topology;
 use pem_core::protocol3::price;
-use pem_core::{AgentCtx, Draws, KeyDirectory, PemConfig};
-use pem_crypto::drbg::HashDrbg;
+use pem_core::{Coalition, Draws, KeyDirectory, PemConfig};
 use pem_market::AgentWindow;
 use pem_net::{LatencyModel, SimNetwork, Transport};
-use rand::Rng;
 
 struct Row {
     sellers: usize,
@@ -57,34 +55,23 @@ fn main() {
         let mut cfg = PemConfig::fast_test();
         cfg.key_bits = key_bits;
         let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-        let mut rng = HashDrbg::from_seed_label(b"ablation", n as u64);
+        let data: Vec<AgentWindow> = (0..n)
+            .map(|i| {
+                if i < n_sellers {
+                    AgentWindow::new(i, 3.0 + (i % 5) as f64, 0.5, 0.0, 0.9, 20.0 + i as f64)
+                } else {
+                    AgentWindow::new(i, 0.0, 50.0, 0.0, 0.9, 25.0)
+                }
+            })
+            .collect();
 
-        let mut agents = Vec::new();
-        let mut sellers = Vec::new();
-        let mut buyers = Vec::new();
-        for i in 0..n {
-            let data = if i < n_sellers {
-                AgentWindow::new(i, 3.0 + (i % 5) as f64, 0.5, 0.0, 0.9, 20.0 + i as f64)
-            } else {
-                AgentWindow::new(i, 0.0, 50.0, 0.0, 0.9, 25.0)
-            };
-            let ctx = AgentCtx::prepare(i, data, rng.gen::<u64>() >> 24).expect("prepare");
-            if i < n_sellers {
-                sellers.push(i);
-            } else {
-                buyers.push(i);
-            }
-            agents.push(ctx);
-        }
-
-        let draws = Draws::new(cfg.seed, 0, 0);
         let measure = |topology: Topology| -> (f64, u64, u64, u64) {
+            let cfg = cfg.clone().with_topology(topology);
+            let draws = Draws::new(cfg.seed, 0, 0);
+            let coalition = Coalition::new(&cfg, &keys, draws, &data).expect("coalition");
             let mut net = SimNetwork::with_latency(n, LatencyModel::lan());
             let start = std::time::Instant::now();
-            let out = block_on(price(
-                &mut net, &keys, &agents, &sellers, &buyers, &cfg, topology, draws,
-            ))
-            .expect("pricing");
+            let out = block_on(price(&mut net, &coalition)).expect("pricing");
             let elapsed_us = start.elapsed().as_micros() as u64;
             let bytes = net.stats().per_label["price/agg"].bytes;
             // Measured critical path of the aggregation + broadcast on

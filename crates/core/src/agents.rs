@@ -1,9 +1,13 @@
-//! Per-agent protocol state for one trading window.
+//! Per-agent protocol state for one trading window, and the
+//! [`Coalition`] Protocols 2–4 run over.
 
 use pem_market::{AgentWindow, Role};
+use rand::Rng;
 
-use crate::config::VALUE_BITS;
+use crate::config::{PemConfig, NONCE_BITS, VALUE_BITS};
+use crate::draws::Draws;
 use crate::error::PemError;
+use crate::keys::KeyDirectory;
 use crate::quantize::quantize;
 
 /// What one agent knows and contributes during a window. Fields are laid
@@ -60,6 +64,97 @@ impl AgentCtx {
                 Role::OffMarket
             },
         })
+    }
+}
+
+/// One window's market: the configuration and keys it runs under, the
+/// attempt's [`Draws`], every agent's prepared state and the two
+/// coalitions the agents formed — the one set of parties Protocols 2, 3
+/// and 4 each take.
+#[derive(Debug, Clone)]
+pub struct Coalition<'a> {
+    /// The configuration in force; every fold takes `cfg.topology`.
+    pub cfg: &'a PemConfig,
+    /// Agent `i`'s key pair at position `i`.
+    pub keys: &'a KeyDirectory,
+    /// The attempt every party opens its streams under.
+    pub draws: Draws,
+    /// Every agent's window state, agent `i` at position `i`.
+    pub agents: Vec<AgentCtx>,
+    /// The seller coalition, ascending.
+    pub sellers: Vec<usize>,
+    /// The buyer coalition, ascending.
+    pub buyers: Vec<usize>,
+}
+
+impl<'a> Coalition<'a> {
+    /// Forms the window's coalitions (Protocol 1's local step): every
+    /// agent quantizes its data, draws this window's nonce from its own
+    /// stream and claims a role.
+    ///
+    /// # Errors
+    ///
+    /// [`PemError::Config`] if `window_data` does not cover the
+    /// population of `keys`; data validation and quantization failures.
+    pub fn new(
+        cfg: &'a PemConfig,
+        keys: &'a KeyDirectory,
+        draws: Draws,
+        window_data: &[AgentWindow],
+    ) -> Result<Coalition<'a>, PemError> {
+        if window_data.len() != keys.len() {
+            return Err(PemError::Config(format!(
+                "window data covers {} agents, the population has {}",
+                window_data.len(),
+                keys.len()
+            )));
+        }
+        let mut agents = Vec::with_capacity(window_data.len());
+        let mut sellers = Vec::new();
+        let mut buyers = Vec::new();
+        for (i, data) in window_data.iter().enumerate() {
+            let nonce = draws.nonce(i).gen::<u64>() >> (64 - NONCE_BITS);
+            let ctx = AgentCtx::prepare(i, *data, nonce)?;
+            match ctx.role {
+                Role::Seller => sellers.push(i),
+                Role::Buyer => buyers.push(i),
+                Role::OffMarket => {}
+            }
+            agents.push(ctx);
+        }
+        Ok(Coalition {
+            cfg,
+            keys,
+            draws,
+            agents,
+            sellers,
+            buyers,
+        })
+    }
+}
+
+/// What a [`Coalition`] borrows — a `fast_test` market's configuration
+/// and keys — and one window's data: the fixture the protocols' unit
+/// tests run over.
+#[cfg(test)]
+pub(crate) struct Market {
+    pub(crate) cfg: PemConfig,
+    pub(crate) keys: KeyDirectory,
+    pub(crate) data: Vec<AgentWindow>,
+}
+
+#[cfg(test)]
+impl Market {
+    pub(crate) fn new(data: Vec<AgentWindow>) -> Market {
+        let cfg = PemConfig::fast_test();
+        let keys = KeyDirectory::generate(data.len(), cfg.key_bits, cfg.seed).expect("keys");
+        Market { cfg, keys, data }
+    }
+
+    /// The window's coalition under attempt 0 of window 0.
+    pub(crate) fn coalition(&self) -> Coalition<'_> {
+        let draws = Draws::new(self.cfg.seed, 0, 0);
+        Coalition::new(&self.cfg, &self.keys, draws, &self.data).expect("coalition")
     }
 }
 

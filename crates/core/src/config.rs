@@ -149,12 +149,6 @@ impl PemConfig {
         if agents == 0 {
             return Err(PemError::Config("population must be non-empty".into()));
         }
-        if self.key_bits < 96 {
-            return Err(PemError::Config(format!(
-                "paillier keys of {} bits cannot hold the protocol aggregates",
-                self.key_bits
-            )));
-        }
         if self.compare_bits == 0 || self.compare_bits > 128 {
             return Err(PemError::Config(
                 "comparison width must be in 1..=128".into(),
@@ -167,7 +161,7 @@ impl PemConfig {
         }
         self.band.validate()?;
         self.window_compare_bits(agents)?;
-        // The Paillier space must also hold Protocol 4's scaled ratios.
+        // The Paillier space must hold Protocol 4's scaled ratios.
         if self.key_bits < RATIO_SLOT_BITS {
             return Err(PemError::Config(format!(
                 "key_bits {} too small for ratio precision (need ≥ {RATIO_SLOT_BITS})",
@@ -219,7 +213,7 @@ mod tests {
         assert!(PemConfig::fast_test().validate(0).is_err());
         let mut c = PemConfig::fast_test();
         c.key_bits = 64;
-        assert!(c.validate(10).is_err());
+        assert!(matches!(c.validate(10), Err(PemError::Config(_))));
         // 300 agents compare at 52 bits: the ceiling admits exactly that.
         let mut c = PemConfig::fast_test();
         c.compare_bits = 51;

@@ -1,13 +1,15 @@
 //! One PEM trading window as an `async fn` — the only implementation of
 //! Protocol 1's window body.
 //!
-//! `Window::run` is Protocol 1 in the order of the paper: market
-//! evaluation, pricing or the floor price, distribution. It awaits the
-//! protocols — Protocol 2 (`protocol2::evaluate`: the comparison's OT
-//! setup sent as it opens, the two masked folds run concurrently in
-//! lockstep, the comparison and its announcement), Protocol 3 and
-//! Protocol 4; every fold takes
-//! `cfg.topology`. Every receive is a [`gather`](crate::fold::gather)
+//! `Window::new` forms the window's one [`Coalition`]; `Window::run` is
+//! Protocol 1 in the order of the paper over it: market evaluation,
+//! pricing or the floor price, distribution. It awaits the protocols,
+//! each handed the coalition — Protocol 2 (`protocol2::evaluate(net,
+//! &c)`: the comparison's OT setup sent as it opens, the two masked
+//! folds run concurrently in lockstep, the comparison and its
+//! announcement), Protocol 3 (`protocol3::price(net, &c)`) and Protocol
+//! 4 (`protocol4::run(net, &c, price, general)`); every fold takes
+//! `c.cfg.topology`. Every receive is a [`gather`](crate::fold::gather)
 //! that yields once before it, so each poll is one receive (one of each
 //! of the two lockstep folds). The rounds the paper leaves independent
 //! overlap on the virtual clock: the two folds, and the settlement's
@@ -30,13 +32,12 @@ use std::task::{Context, Waker};
 use std::time::Instant;
 
 use pem_fabric::{FabricTask, Poll};
-use pem_market::{AgentWindow, MarketKind, Role};
+use pem_market::{AgentWindow, MarketKind};
 use pem_net::{SimNetwork, Transport};
 use pem_telemetry::Span;
-use rand::Rng;
 
-use crate::agents::AgentCtx;
-use crate::config::{PemConfig, NONCE_BITS};
+use crate::agents::Coalition;
+use crate::config::PemConfig;
 use crate::draws::Draws;
 use crate::error::PemError;
 use crate::fold::expect_drained;
@@ -73,28 +74,23 @@ impl Phase {
 /// One trading window's body, transport-free: [`run`](Window::run) is
 /// handed the fabric the window runs on.
 ///
-/// Borrows its market's configuration and keys, and names its attempt:
-/// every draw in it opens a stream under `draws`, so outputs are
-/// bit-identical regardless of who polls or how windows interleave.
+/// Its [`Coalition`] borrows the market's configuration and keys and
+/// names the attempt: every draw in it opens a stream under the
+/// coalition's draws, so outputs are bit-identical regardless of who
+/// polls or how windows interleave.
 pub(crate) struct Window<'a> {
-    cfg: &'a PemConfig,
-    keys: &'a KeyDirectory,
-    draws: Draws,
-    agents: Vec<AgentCtx>,
-    sellers: Vec<usize>,
-    buyers: Vec<usize>,
+    coalition: Coalition<'a>,
     window_span: Span,
 }
 
 impl<'a> Window<'a> {
     /// Prepares the window on `net` (fresh, sized to the population):
-    /// quantizes every agent's data and forms the coalitions.
+    /// forms its [`Coalition`].
     ///
     /// # Errors
     ///
-    /// [`PemError::Config`] if `window_data` does not cover the
-    /// population, [`PemError::Protocol`] if the transport's party count
-    /// differs from it; data validation and quantization failures.
+    /// [`PemError::Protocol`] if the transport's party count differs
+    /// from the population; [`Coalition::new`]'s failures.
     pub(crate) fn new<T: Transport>(
         cfg: &'a PemConfig,
         keys: &'a KeyDirectory,
@@ -102,43 +98,14 @@ impl<'a> Window<'a> {
         window_data: &[AgentWindow],
         net: &T,
     ) -> Result<Window<'a>, PemError> {
-        let n_agents = keys.len();
-        if window_data.len() != n_agents {
-            return Err(PemError::Config(format!(
-                "window data covers {} agents, the population has {n_agents}",
-                window_data.len()
-            )));
-        }
-        if net.party_count() != n_agents {
+        if net.party_count() != keys.len() {
             return Err(PemError::Protocol(
                 "transport party count must match the population",
             ));
         }
         let window_span = Span::enter_at("window", "driver", net.now_us());
-
-        // Local step: every agent quantizes its data, draws this window's
-        // nonce from its own stream and claims a role (coalition
-        // formation).
-        let mut agents = Vec::with_capacity(n_agents);
-        let mut sellers = Vec::new();
-        let mut buyers = Vec::new();
-        for (i, data) in window_data.iter().enumerate() {
-            let nonce = draws.nonce(i).gen::<u64>() >> (64 - NONCE_BITS);
-            let ctx = AgentCtx::prepare(i, *data, nonce)?;
-            match ctx.role {
-                Role::Seller => sellers.push(i),
-                Role::Buyer => buyers.push(i),
-                Role::OffMarket => {}
-            }
-            agents.push(ctx);
-        }
         Ok(Window {
-            cfg,
-            keys,
-            draws,
-            agents,
-            sellers,
-            buyers,
+            coalition: Coalition::new(cfg, keys, draws, window_data)?,
             window_span,
         })
     }
@@ -152,20 +119,15 @@ impl<'a> Window<'a> {
     /// still queued when the window ends is [`NetError::Unread`].
     pub(crate) async fn run<T: Transport>(self, net: &mut T) -> Result<PemWindowOutcome, PemError> {
         let Window {
-            cfg,
-            keys,
-            draws,
-            agents,
-            sellers,
-            buyers,
+            coalition: c,
             window_span,
         } = self;
         let mut metrics = WindowMetrics::default();
         let mut revealed = RevealedInfo::default();
         // One-sided windows: everyone falls back to the grid (Protocol 1
         // handles `E_s = 0` this way; symmetric for no buyers).
-        let (kind, price, trades) = if sellers.is_empty() || buyers.is_empty() {
-            (MarketKind::NoMarket, cfg.band.grid_retail, Vec::new())
+        let (kind, price, trades) = if c.sellers.is_empty() || c.buyers.is_empty() {
+            (MarketKind::NoMarket, c.cfg.band.grid_retail, Vec::new())
         } else {
             // Protocol 2: demand toward H_r1 — `Σ(|sn_j| + r_j) + Σ r_i`
             // under its key — and supply toward H_r2 — `Σ(sn_i + r_i) +
@@ -173,19 +135,7 @@ impl<'a> Window<'a> {
             // flight since the window opened; then the comparison and its
             // one-bit broadcast.
             let eval = Phase::open(net, "window/eval");
-            let hr1 = draws.pick("H_r1", &sellers);
-            let hr2 = draws.pick("H_r2", &buyers);
-            let (demand, supply, general) = protocol2::evaluate(
-                net,
-                cfg,
-                keys,
-                &agents,
-                (hr1, hr2),
-                &sellers,
-                &buyers,
-                draws,
-            )
-            .await?;
+            let (demand, supply, general) = protocol2::evaluate(net, &c).await?;
             metrics.market_evaluation = eval.close(net);
             revealed.masked_demand = Some(demand);
             revealed.masked_supply = Some(supply);
@@ -193,31 +143,18 @@ impl<'a> Window<'a> {
             // Protocol 3 in a general market, the floor price otherwise.
             let price = if general {
                 let phase = Phase::open(net, "window/price");
-                let pricing = protocol3::price(
-                    net,
-                    keys,
-                    &agents,
-                    &sellers,
-                    &buyers,
-                    cfg,
-                    cfg.topology,
-                    draws,
-                )
-                .await?;
+                let pricing = protocol3::price(net, &c).await?;
                 metrics.pricing = phase.close(net);
                 revealed.seller_preference_sum = Some(pricing.k_sum);
                 revealed.seller_denominator_sum = Some(pricing.denominator_sum);
                 pricing.price
             } else {
-                cfg.band.floor
+                c.cfg.band.floor
             };
 
             // Protocol 4.
             let phase = Phase::open(net, "window/dist");
-            let dist = protocol4::run(
-                net, keys, &agents, &sellers, &buyers, price, general, cfg, draws,
-            )
-            .await?;
+            let dist = protocol4::run(net, &c, price, general).await?;
             metrics.distribution = phase.close(net);
             revealed.allocation_ratios = dist.ratios;
             let kind = if general {
@@ -235,8 +172,8 @@ impl<'a> Window<'a> {
             kind,
             price,
             trades,
-            seller_count: sellers.len(),
-            buyer_count: buyers.len(),
+            seller_count: c.sellers.len(),
+            buyer_count: c.buyers.len(),
             metrics,
             revealed,
             net: net.stats(),

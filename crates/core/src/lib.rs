@@ -5,7 +5,10 @@
 //! over the simulated network of `pem-net`:
 //!
 //! * **Protocol 1** ([`Pem`]) — the per-window driver: coalition
-//!   formation, market evaluation, pricing, distribution.
+//!   formation ([`Coalition::new`]), market evaluation, pricing,
+//!   distribution. Protocols 2–4 each take the window's one
+//!   [`Coalition`] — its configuration, keys, draws, agents and the
+//!   seller and buyer coalitions — and pick their own roles from it.
 //! * **Protocol 2** ([`protocol2`]) — *Private Market Evaluation*: two
 //!   concurrent rounds of nonce-masked Paillier aggregation (the paper's
 //!   ring, or any [`Topology`]) plus one garbled-circuit comparison
@@ -63,7 +66,7 @@ pub mod protocol4;
 pub mod quantize;
 pub mod randpool;
 
-pub use agents::AgentCtx;
+pub use agents::{AgentCtx, Coalition};
 pub use config::{OtProfile, PemConfig};
 pub use draws::Draws;
 pub use error::PemError;

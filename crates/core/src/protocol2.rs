@@ -54,9 +54,7 @@ use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{Envelope, NetError, NetStats, PartyId, Transport};
 use pem_telemetry::Span;
 
-use crate::agents::AgentCtx;
-use crate::config::PemConfig;
-use crate::draws::Draws;
+use crate::agents::Coalition;
 use crate::error::PemError;
 use crate::fold::{fold, recv_from, Announcement, Topology};
 use crate::keys::KeyDirectory;
@@ -68,6 +66,7 @@ use crate::keys::KeyDirectory;
 /// nonces.
 struct MaskedFold<'a> {
     keys: &'a KeyDirectory,
+    topology: Topology,
     collector: usize,
     chain: Vec<usize>,
     terms: Vec<[Ciphertext; 1]>,
@@ -81,48 +80,47 @@ impl<'a> MaskedFold<'a> {
     /// The synchronous half of a round: every chain member encrypts its
     /// contribution under the collector's key from its own stream for
     /// `label`, before anything is sent.
-    #[allow(clippy::too_many_arguments)]
     fn encrypt<T: Transport>(
         net: &T,
-        keys: &'a KeyDirectory,
-        agents: &[AgentCtx],
+        c: &Coalition<'a>,
         collector: usize,
         value_holders: &[usize],
         maskers: &[usize],
         label: &'static str,
-        draws: Draws,
     ) -> Result<MaskedFold<'a>, PemError> {
         let span = Span::enter_at(label, "protocol", net.now_us());
-        let pk = keys.public(collector);
+        let pk = c.keys.public(collector);
         let mut chain: Vec<usize> = value_holders.to_vec();
         chain.extend(maskers.iter().copied().filter(|&m| m != collector));
         let mut terms = Vec::with_capacity(chain.len());
         for (pos, &member) in chain.iter().enumerate() {
-            let a = &agents[member];
+            let a = &c.agents[member];
             let value = if pos < value_holders.len() {
                 BigUint::from(a.sn_abs_q) + BigUint::from(a.nonce)
             } else {
                 BigUint::from(a.nonce)
             };
-            terms.push([pk.try_encrypt(&value, &mut draws.randomizer(member, label))?]);
+            terms.push([pk.try_encrypt(&value, &mut c.draws.randomizer(member, label))?]);
         }
         Ok(MaskedFold {
-            keys,
+            keys: c.keys,
+            topology: c.cfg.topology,
             collector,
             chain,
             terms,
-            own_nonce: agents[collector].nonce,
+            own_nonce: c.agents[collector].nonce,
             label,
             span,
         })
     }
 
     /// The asynchronous half: folds the terms toward the collector in
-    /// `topology` (one receive per poll); the collector adds its own
-    /// nonce and decrypts the masked total.
-    async fn total<T: Transport>(self, net: &mut T, topology: Topology) -> Result<u128, PemError> {
+    /// the coalition's topology (one receive per poll); the collector
+    /// adds its own nonce and decrypts the masked total.
+    async fn total<T: Transport>(self, net: &mut T) -> Result<u128, PemError> {
         let MaskedFold {
             keys,
+            topology,
             collector,
             chain,
             terms,
@@ -143,7 +141,7 @@ impl<'a> MaskedFold<'a> {
     }
 }
 
-/// Protocol 2's two folds in `topology`, `(R_b, R_s)`: demand over the
+/// Protocol 2's two folds over `c`, `(R_b, R_s)`: demand over the
 /// buyers then the sellers toward `hr1`, supply over the sellers then
 /// the buyers toward `hr2`.
 ///
@@ -158,26 +156,17 @@ impl<'a> MaskedFold<'a> {
 ///
 /// Encryption, transport and decode failures; [`PemError::Protocol`] on
 /// an empty chain or a total above 128 bits.
-#[allow(clippy::too_many_arguments)]
 pub(crate) async fn masked_totals<T: Transport>(
     net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
+    c: &Coalition<'_>,
     (hr1, hr2): (usize, usize),
-    sellers: &[usize],
-    buyers: &[usize],
-    topology: Topology,
-    draws: Draws,
 ) -> Result<(u128, u128), PemError> {
-    let masked = |collector, holders, maskers, label| {
-        MaskedFold::encrypt(net, keys, agents, collector, holders, maskers, label, draws)
-    };
-    let demand = masked(hr1, buyers, sellers, "eval/demand-agg")?;
-    let supply = masked(hr2, sellers, buyers, "eval/supply-agg")?;
+    let demand = MaskedFold::encrypt(net, c, hr1, &c.buyers, &c.sellers, "eval/demand-agg")?;
+    let supply = MaskedFold::encrypt(net, c, hr2, &c.sellers, &c.buyers, "eval/supply-agg")?;
     let shared = RefCell::new(net);
     try_join(
-        demand.total(&mut Shared(&shared), topology),
-        supply.total(&mut Shared(&shared), topology),
+        demand.total(&mut Shared(&shared)),
+        supply.total(&mut Shared(&shared)),
     )
     .await
 }
@@ -227,11 +216,12 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
     }
 }
 
-/// Protocol 2 in full, `(R_b, R_s, R_s < R_b)`: the two folds toward
-/// `hr1` and `hr2` ([`masked_totals`]), the garbled-circuit comparison —
-/// `H_r2` garbles over `R_s`, `H_r1` evaluates over `R_b` — and `H_r1`'s
-/// announcement of the one-bit outcome to every other party, each of
-/// whom decodes and checks it.
+/// Protocol 2 in full over `c`, `(R_b, R_s, R_s < R_b)`: `H_r1` and
+/// `H_r2` are the attempt's picks among the sellers and the buyers; the
+/// two folds toward them ([`masked_totals`]), the garbled-circuit
+/// comparison — `H_r2` garbles over `R_s`, `H_r1` evaluates over `R_b`
+/// — and `H_r1`'s announcement of the one-bit outcome to every other
+/// party, each of whom decodes and checks it.
 ///
 /// The comparison's first message, the OT setup, depends on nothing in
 /// the window, so `H_r2` sends it as the window opens and it travels
@@ -250,66 +240,39 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 /// [`PemError::Config`] if the member count's width exceeds
 /// `cfg.compare_bits`; encryption, circuit, OT, transport and decode
 /// failures.
-#[allow(clippy::too_many_arguments)]
 pub(crate) async fn evaluate<T: Transport>(
     net: &mut T,
-    cfg: &PemConfig,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    roles: (usize, usize),
-    sellers: &[usize],
-    buyers: &[usize],
-    draws: Draws,
+    c: &Coalition<'_>,
 ) -> Result<(u128, u128, bool), PemError> {
-    match cfg.ot_profile.group() {
-        OtGroup::Dh(g) => {
-            evaluate_in(net, &g, cfg, keys, agents, roles, sellers, buyers, draws).await
-        }
-        OtGroup::Ed25519(g) => {
-            evaluate_in(net, &g, cfg, keys, agents, roles, sellers, buyers, draws).await
-        }
+    match c.cfg.ot_profile.group() {
+        OtGroup::Dh(g) => evaluate_in(net, &g, c).await,
+        OtGroup::Ed25519(g) => evaluate_in(net, &g, c).await,
     }
 }
 
 /// [`evaluate`] with the OT in `group`.
-#[allow(clippy::too_many_arguments)]
 async fn evaluate_in<T: Transport, G: Group>(
     net: &mut T,
     group: &G,
-    cfg: &PemConfig,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    (hr1, hr2): (usize, usize),
-    sellers: &[usize],
-    buyers: &[usize],
-    draws: Draws,
+    c: &Coalition<'_>,
 ) -> Result<(u128, u128, bool), PemError>
 where
     G::Element: WireElement,
 {
-    let width = cfg.window_compare_bits(agents.len())?;
+    let hr1 = c.draws.pick("H_r1", &c.sellers);
+    let hr2 = c.draws.pick("H_r2", &c.buyers);
+    let width = c.cfg.window_compare_bits(c.agents.len())?;
     // The comparison's work is one span before the folds, one after.
     let setup_span = Span::enter_at("eval/compare", "protocol", net.now_us());
-    let (garbler, setup) = CompareGarbler::start(width, group, &mut draws.garble(hr2));
+    let (garbler, setup) = CompareGarbler::start(width, group, &mut c.draws.garble(hr2));
     net.send(PartyId(hr2), PartyId(hr1), SETUP, encode_setup(&setup))?;
     setup_span.finish_at(net.now_us());
-    let roles = (hr1, hr2);
-    let (demand, supply) = masked_totals(
-        net,
-        keys,
-        agents,
-        roles,
-        sellers,
-        buyers,
-        cfg.topology,
-        draws,
-    )
-    .await?;
+    let (demand, supply) = masked_totals(net, c, (hr1, hr2)).await?;
 
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
     let setup = decode_setup(&recv_from(net, hr1, hr2, SETUP).await?.payload, width)?;
     let (evaluator, requests) =
-        CompareEvaluator::respond(&setup, demand, group, &mut draws.garble(hr1))?;
+        CompareEvaluator::respond(&setup, demand, group, &mut c.draws.garble(hr1))?;
     let label = "eval/gc-ot-request";
     net.send(
         PartyId(hr1),
@@ -541,16 +504,15 @@ mod tests {
     //! after the other.
 
     use super::{masked_totals, MaskedFold, Shared};
-    use crate::config::NONCE_BITS;
     use crate::fold::Topology;
     use crate::protocol3::{price_terms, seller_terms};
-    use crate::{AgentCtx, Draws, KeyDirectory, Pem, PemConfig, PemWindowOutcome};
+    use crate::{Coalition, Draws, KeyDirectory, Pem, PemConfig, PemWindowOutcome};
     use pem_crypto::paillier::Ciphertext;
     use pem_fabric::{block_on, try_join};
     use pem_market::{AgentWindow, MarketKind};
     use pem_net::{LatencyModel, NetStats, SimNetwork, Transport};
-    use rand::Rng;
     use std::cell::RefCell;
+    use std::ops::Range;
 
     /// One window on `net` over agents with the given net surpluses
     /// (sellers generate it, buyers load it).
@@ -843,33 +805,35 @@ mod tests {
         assert_eq!(phases, out.net.total_bytes);
     }
 
-    /// A directory of `n` keys and `n` agents with their nonces: sellers
-    /// are parties `0..n/2`, buyers the rest.
-    fn coalition(n: usize) -> (KeyDirectory, Vec<AgentCtx>) {
-        let cfg = PemConfig::fast_test();
-        let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-        let draws = Draws::new(cfg.seed, 0, 0);
-        let agents = (0..n)
+    /// The coalition over `keys` under `draws` in which `sellers` sell
+    /// and `buyers` buy `0.25 + i` kWh each; every other party is off
+    /// the market.
+    fn coalition<'a>(
+        cfg: &'a PemConfig,
+        keys: &'a KeyDirectory,
+        draws: Draws,
+        (sellers, buyers): (Range<usize>, Range<usize>),
+    ) -> Coalition<'a> {
+        let data: Vec<AgentWindow> = (0..keys.len())
             .map(|i| {
                 let e = 0.25 + i as f64;
-                let data = if i < n / 2 {
-                    AgentWindow::new(i, e, 0.0, 0.0, 0.9, 25.0)
-                } else {
-                    AgentWindow::new(i, 0.0, e, 0.0, 0.9, 25.0)
+                let (generation, load) = match (sellers.contains(&i), buyers.contains(&i)) {
+                    (true, _) => (e, 0.0),
+                    (_, true) => (0.0, e),
+                    _ => (0.0, 0.0),
                 };
-                let nonce = draws.nonce(i).gen::<u64>() >> (64 - NONCE_BITS);
-                AgentCtx::prepare(i, data, nonce).expect("prepare")
+                AgentWindow::new(i, generation, load, 0.0, 0.9, 25.0)
             })
             .collect();
-        (keys, agents)
+        Coalition::new(cfg, keys, draws, &data).expect("coalition")
     }
 
     #[test]
     fn joined_rings_match_sequential_rings_on_a_shorter_clock() {
         // Sellers are parties 0..s, buyers 6..6 + b, on one directory of
         // twelve.
-        let (keys, agents) = coalition(12);
-        let draws = Draws::new(5, 0, 0);
+        let cfg = PemConfig::fast_test();
+        let keys = KeyDirectory::generate(12, cfg.key_bits, cfg.seed).expect("keys");
         let fresh = || SimNetwork::with_latency(12, LatencyModel::lan());
         // Every shape, every coalition split: the join must not care how
         // many frames are in flight toward one party.
@@ -880,31 +844,26 @@ mod tests {
             Topology::Tree { fanin: 3 },
         ];
         for topology in shapes {
+            let cfg = cfg.clone().with_topology(topology);
             for s in 1..=6 {
                 for b in 1..=6 {
-                    let sellers: Vec<usize> = (0..s).collect();
-                    let buyers: Vec<usize> = (6..6 + b).collect();
-                    let (hr1, hr2) = (sellers[s - 1], buyers[0]);
+                    let c = coalition(&cfg, &keys, Draws::new(5, 0, 0), (0..s, 6..6 + b));
+                    let (hr1, hr2) = (c.sellers[s - 1], c.buyers[0]);
 
                     let mut seq_net = fresh();
                     let masked = |collector, holders, maskers, label| {
-                        MaskedFold::encrypt(
-                            &seq_net, &keys, &agents, collector, holders, maskers, label, draws,
-                        )
-                        .expect("encrypt")
+                        MaskedFold::encrypt(&seq_net, &c, collector, holders, maskers, label)
+                            .expect("encrypt")
                     };
-                    let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
-                    let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
+                    let demand = masked(hr1, &c.buyers, &c.sellers, "eval/demand-agg");
+                    let supply = masked(hr2, &c.sellers, &c.buyers, "eval/supply-agg");
                     let sequential = (
-                        block_on(demand.total(&mut seq_net, topology)).expect("demand fold"),
-                        block_on(supply.total(&mut seq_net, topology)).expect("supply fold"),
+                        block_on(demand.total(&mut seq_net)).expect("demand fold"),
+                        block_on(supply.total(&mut seq_net)).expect("supply fold"),
                     );
 
                     let mut net = fresh();
-                    let roles = (hr1, hr2);
-                    let joined = masked_totals(
-                        &mut net, &keys, &agents, roles, &sellers, &buyers, topology, draws,
-                    );
+                    let joined = masked_totals(&mut net, &c, (hr1, hr2));
                     let joined = block_on(joined).expect("joined folds");
 
                     let case = format!("{topology}, |S| = {s}, |B| = {b}");
@@ -938,29 +897,34 @@ mod tests {
         // ring and on the tree. (The coupling round's shards, ascending
         // against the tree's descending visit, are the same case in
         // `pem_coupling`'s round tests.)
-        let (keys, agents) = coalition(8);
         let cfg = PemConfig::fast_test();
-        let (sellers, buyers): (Vec<usize>, Vec<usize>) = ((0..4).collect(), (4..8).collect());
+        let keys = KeyDirectory::generate(8, cfg.key_bits, cfg.seed).expect("keys");
         let draws = Draws::new(cfg.seed, 3, 1);
         let fresh = || SimNetwork::with_latency(8, LatencyModel::lan());
+        let on = |topology| cfg.clone().with_topology(topology);
         // Protocol 2: the demand fold's terms first, or the supply
         // fold's; then the two folds joined as `masked_totals` joins
         // them.
         let supply_first = |topology: Topology, permuted: bool| -> Run {
-            let (hr1, hr2) = (sellers[1], buyers[2]);
+            let cfg = on(topology);
+            let c = coalition(&cfg, &keys, draws, (0..4, 4..8));
+            let (hr1, hr2) = (c.sellers[1], c.buyers[2]);
             let mut net = fresh();
             let masked = |collector, holders, maskers, label| {
-                MaskedFold::encrypt(
-                    &net, &keys, &agents, collector, holders, maskers, label, draws,
-                )
-                .expect("encrypt")
+                MaskedFold::encrypt(&net, &c, collector, holders, maskers, label).expect("encrypt")
             };
             let (demand, supply) = if permuted {
-                let supply = masked(hr2, &sellers, &buyers, "eval/supply-agg");
-                (masked(hr1, &buyers, &sellers, "eval/demand-agg"), supply)
+                let supply = masked(hr2, &c.sellers, &c.buyers, "eval/supply-agg");
+                (
+                    masked(hr1, &c.buyers, &c.sellers, "eval/demand-agg"),
+                    supply,
+                )
             } else {
-                let demand = masked(hr1, &buyers, &sellers, "eval/demand-agg");
-                (demand, masked(hr2, &sellers, &buyers, "eval/supply-agg"))
+                let demand = masked(hr1, &c.buyers, &c.sellers, "eval/demand-agg");
+                (
+                    demand,
+                    masked(hr2, &c.sellers, &c.buyers, "eval/supply-agg"),
+                )
             };
             let terms = [&demand, &supply]
                 .iter()
@@ -968,8 +932,8 @@ mod tests {
                 .collect();
             let shared = RefCell::new(&mut net);
             let totals = block_on(try_join(
-                demand.total(&mut Shared(&shared), topology),
-                supply.total(&mut Shared(&shared), topology),
+                demand.total(&mut Shared(&shared)),
+                supply.total(&mut Shared(&shared)),
             ))
             .expect("joined folds");
             (terms, format!("{totals:?}"), net.stats())
@@ -977,23 +941,24 @@ mod tests {
         // Protocol 3: the sellers ascending, or descending — the order
         // the tree visits them in.
         let sellers_descending = |topology: Topology, permuted: bool| -> Run {
-            let hb = buyers[0];
+            let cfg = on(topology);
+            let c = coalition(&cfg, &keys, draws, (0..4, 4..8));
+            let hb = c.buyers[0];
             let pk = keys.public(hb);
-            let mut order = sellers.clone();
+            let mut order = c.sellers.clone();
             if permuted {
                 order.reverse();
             }
             let mut terms: Vec<[Ciphertext; 2]> = order
                 .iter()
-                .map(|&seller| seller_terms(pk, &agents[seller], draws).expect("encrypt"))
+                .map(|&seller| seller_terms(pk, &c.agents[seller], draws).expect("encrypt"))
                 .collect();
             if permuted {
                 terms.reverse();
             }
             let ciphertexts = terms.iter().map(|t| t.to_vec()).collect();
             let mut net = fresh();
-            let pricing = price_terms(&mut net, &keys, &cfg, 8, &sellers, hb, topology, terms);
-            let out = block_on(pricing).expect("pricing");
+            let out = block_on(price_terms(&mut net, &c, hb, terms)).expect("pricing");
             (ciphertexts, format!("{out:?}"), net.stats())
         };
         let cases: [Case<'_>; 2] = [

@@ -19,13 +19,11 @@ use pem_net::wire::WireWriter;
 use pem_net::Transport;
 use pem_telemetry::Span;
 
-use crate::agents::AgentCtx;
-use crate::config::PemConfig;
+use crate::agents::{AgentCtx, Coalition};
 use crate::draws::Draws;
 use crate::error::PemError;
 pub use crate::fold::Topology;
 use crate::fold::{fold, Announcement};
-use crate::keys::KeyDirectory;
 use crate::quantize::{dequantize, dequantize_u128, quantize, quantize_unsigned};
 
 /// Result of Private Pricing.
@@ -43,44 +41,37 @@ pub struct PricingOutcome {
     pub denominator_sum: f64,
 }
 
-/// Protocol 3 — Private Pricing — on `net`: the [`fold`] at `K = 2` in
-/// `topology`, then `H_b`'s decryption and the price broadcast.
+/// Protocol 3 — Private Pricing — over `c` on `net`: the [`fold`] at
+/// `K = 2` in `c.cfg.topology`, then `H_b`'s decryption and the price
+/// broadcast.
 ///
 /// `H_b` is the attempt's pick among the buyers, and every seller
 /// encrypts its two terms under `H_b`'s key from its own stream, all
 /// before the first send. It yields before each receive. A trading
 /// window awaits it as one of its stages; on its own, Protocol 3 is
-/// `block_on(price(..))`.
+/// `block_on(price(&mut net, &coalition))`.
 ///
 /// # Errors
 ///
 /// [`PemError::Protocol`] if either coalition is empty or a party hears
 /// a different price; quantization, encryption, transport and decode
 /// failures.
-#[allow(clippy::too_many_arguments)]
 pub async fn price<T: Transport>(
     net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    sellers: &[usize],
-    buyers: &[usize],
-    cfg: &PemConfig,
-    topology: Topology,
-    draws: Draws,
+    c: &Coalition<'_>,
 ) -> Result<PricingOutcome, PemError> {
-    if sellers.is_empty() || buyers.is_empty() {
+    if c.sellers.is_empty() || c.buyers.is_empty() {
         return Err(PemError::Protocol(
             "pricing requires both coalitions to be non-empty",
         ));
     }
-    let hb = draws.pick("H_b", buyers);
-    let pk = keys.public(hb);
+    let hb = c.draws.pick("H_b", &c.buyers);
+    let pk = c.keys.public(hb);
 
-    let terms = sellers
-        .iter()
-        .map(|&seller| seller_terms(pk, &agents[seller], draws))
+    let terms = (c.sellers.iter())
+        .map(|&seller| seller_terms(pk, &c.agents[seller], c.draws))
         .collect::<Result<Vec<_>, _>>()?;
-    price_terms(net, keys, cfg, agents.len(), sellers, hb, topology, terms).await
+    price_terms(net, c, hb, terms).await
 }
 
 /// A seller's two pricing terms `(k, d)`, encrypted under `H_b`'s key
@@ -106,24 +97,20 @@ pub(crate) fn seller_terms(
 /// under `H_b`'s key: fold them to `H_b`, who decrypts the two sums,
 /// prices and announces `p*` to the other `n − 1` parties; each checks
 /// the price bit for bit.
-#[allow(clippy::too_many_arguments)]
 pub(crate) async fn price_terms<T: Transport>(
     net: &mut T,
-    keys: &KeyDirectory,
-    cfg: &PemConfig,
-    n: usize,
-    sellers: &[usize],
+    c: &Coalition<'_>,
     hb: usize,
-    topology: Topology,
     terms: Vec<[Ciphertext; 2]>,
 ) -> Result<PricingOutcome, PemError> {
     let agg_span = Span::enter_at("price/agg", "protocol", net.now_us());
-    let pk = keys.public(hb);
-    let ([k_ct, d_ct], vts) = fold(net, pk, sellers, hb, "price/agg", topology, terms).await?;
+    let pk = c.keys.public(hb);
+    let topology = c.cfg.topology;
+    let ([k_ct, d_ct], vts) = fold(net, pk, &c.sellers, hb, "price/agg", topology, terms).await?;
     agg_span.finish_at(vts);
 
     // … who decrypts the two aggregates (and nothing else — Lemma 3).
-    let sk = keys.keypair(hb).private();
+    let sk = c.keys.keypair(hb).private();
     let k_sum_q = sk
         .decrypt(&k_ct)
         .to_u128()
@@ -140,9 +127,9 @@ pub(crate) async fn price_terms<T: Transport>(
     let p_hat = if denominator_sum <= 0.0 {
         f64::INFINITY
     } else {
-        (cfg.band.grid_retail * k_sum / denominator_sum).sqrt()
+        (c.cfg.band.grid_retail * k_sum / denominator_sum).sqrt()
     };
-    let price = cfg.band.clamp(p_hat);
+    let price = c.cfg.band.clamp(p_hat);
 
     // H_b announces p* to the whole market, starting at the arrival of
     // the message that closed the fold. Each party checks the
@@ -150,7 +137,8 @@ pub(crate) async fn price_terms<T: Transport>(
     // not this market's.
     let bc_span = Span::enter_at("price/broadcast", "protocol", vts);
     let bytes = WireWriter::frame(|w| w.put_f64(price));
-    let others = (0..n).filter(|&i| i != hb).map(|i| (i, bytes.clone()));
+    let others = (0..c.agents.len()).filter(|&i| i != hb);
+    let others = others.map(|i| (i, bytes.clone()));
     let announced = Announcement::send(net, hb, "price/broadcast", others)?;
     let (_, last_arrival) = announced.hear(net, |r| Ok(r.get_f64()?)).await?;
     bc_span.finish_at(last_arrival.max(vts));
@@ -166,56 +154,18 @@ pub(crate) async fn price_terms<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agents::Market;
+    use crate::keys::KeyDirectory;
     use pem_crypto::drbg::HashDrbg;
     use pem_fabric::block_on;
-    use pem_market::{optimal_price, optimal_price_unclamped, AgentWindow, Role};
+    use pem_market::{optimal_price, optimal_price_unclamped, AgentWindow};
     use pem_net::SimNetwork;
-    use rand::Rng;
 
-    /// Protocol 3 on its own, run to completion on `net`.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        net: &mut SimNetwork,
-        keys: &KeyDirectory,
-        agents: &[AgentCtx],
-        sellers: &[usize],
-        buyers: &[usize],
-        cfg: &PemConfig,
-        topology: Topology,
-    ) -> Result<PricingOutcome, PemError> {
-        let draws = Draws::new(cfg.seed, 0, 0);
-        block_on(price(
-            net, keys, agents, sellers, buyers, cfg, topology, draws,
-        ))
-    }
-
-    fn setup(
-        agents_data: Vec<AgentWindow>,
-    ) -> (
-        SimNetwork,
-        KeyDirectory,
-        Vec<AgentCtx>,
-        Vec<usize>,
-        Vec<usize>,
-        PemConfig,
-    ) {
-        let cfg = PemConfig::fast_test();
-        let n = agents_data.len();
-        let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-        let mut rng = HashDrbg::from_seed_label(b"p3-test", 1);
-        let mut agents = Vec::new();
-        let mut sellers = Vec::new();
-        let mut buyers = Vec::new();
-        for (i, data) in agents_data.into_iter().enumerate() {
-            let ctx = AgentCtx::prepare(i, data, rng.gen::<u64>() >> 24).expect("prepare");
-            match ctx.role {
-                Role::Seller => sellers.push(i),
-                Role::Buyer => buyers.push(i),
-                Role::OffMarket => {}
-            }
-            agents.push(ctx);
-        }
-        (SimNetwork::new(n), keys, agents, sellers, buyers, cfg)
+    /// Protocol 3 on its own over `c`, run to completion on a fresh
+    /// fabric.
+    fn run(c: &Coalition<'_>) -> (Result<PricingOutcome, PemError>, SimNetwork) {
+        let mut net = SimNetwork::new(c.agents.len());
+        (block_on(price(&mut net, c)), net)
     }
 
     fn paper_agents() -> Vec<AgentWindow> {
@@ -229,109 +179,65 @@ mod tests {
 
     #[test]
     fn matches_plaintext_formula() {
-        let data = paper_agents();
-        let seller_rows: Vec<AgentWindow> = data
-            .iter()
+        let m = Market::new(paper_agents());
+        let seller_rows: Vec<AgentWindow> = (m.data.iter())
             .filter(|a| a.net_energy() > 0.0)
             .copied()
             .collect();
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data);
-        let out = run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Ring,
-        )
-        .expect("protocol 3");
-        let expected = optimal_price(&seller_rows, &cfg.band);
+        let out = run(&m.coalition()).0.expect("protocol 3");
+        let expected = optimal_price(&seller_rows, &m.cfg.band);
         assert!(
             (out.price - expected).abs() < 1e-6,
             "pem {} vs plaintext {expected}",
             out.price
         );
-        let expected_raw = optimal_price_unclamped(&seller_rows, &cfg.band);
+        let expected_raw = optimal_price_unclamped(&seller_rows, &m.cfg.band);
         assert!((out.p_hat - expected_raw).abs() < 1e-6);
     }
 
     #[test]
     fn reveals_only_the_aggregates() {
-        let data = paper_agents();
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data.clone());
-        let out = run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Ring,
-        )
-        .expect("protocol 3");
+        let m = Market::new(paper_agents());
+        let c = m.coalition();
+        let out = run(&c).0.expect("protocol 3");
         // The revealed sums match the Lemma 3 surface …
-        let k_sum: f64 = data
-            .iter()
+        let k_sum: f64 = (m.data.iter())
             .filter(|a| a.net_energy() > 0.0)
             .map(|a| a.preference)
             .sum();
         assert!((out.k_sum - k_sum).abs() < 1e-6);
         // … and the chosen party is a buyer.
-        assert!(buyers.contains(&out.hb));
+        assert!(c.buyers.contains(&out.hb));
     }
 
     #[test]
     fn price_is_clamped_into_band() {
         // Huge preferences: p̂ blows past the ceiling.
-        let data = vec![
+        let m = Market::new(vec![
             AgentWindow::new(0, 0.5, 0.2, 0.0, 0.9, 10_000.0),
             AgentWindow::new(1, 0.0, 2.0, 0.0, 0.9, 20.0),
-        ];
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data);
-        let out = run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Ring,
-        )
-        .expect("protocol 3");
-        assert!(out.p_hat > cfg.band.ceiling);
-        assert_eq!(out.price, cfg.band.ceiling);
+        ]);
+        let out = run(&m.coalition()).0.expect("protocol 3");
+        assert!(out.p_hat > m.cfg.band.ceiling);
+        assert_eq!(out.price, m.cfg.band.ceiling);
     }
 
     #[test]
     fn single_seller_single_buyer() {
-        let data = vec![
+        let m = Market::new(vec![
             AgentWindow::new(0, 2.0, 0.5, 0.0, 0.9, 30.0),
             AgentWindow::new(1, 0.0, 5.0, 0.0, 0.9, 25.0),
-        ];
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(data);
-        let out = run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Ring,
-        )
-        .expect("protocol 3");
-        assert!(out.price >= cfg.band.floor && out.price <= cfg.band.ceiling);
+        ]);
+        let (out, net) = run(&m.coalition());
+        let out = out.expect("protocol 3");
+        assert!(out.price >= m.cfg.band.floor && out.price <= m.cfg.band.ceiling);
         assert_eq!(net.pending(), 0);
     }
 
     #[test]
     fn empty_sellers_rejected() {
-        let data = vec![AgentWindow::new(0, 0.0, 5.0, 0.0, 0.9, 25.0)];
-        let (mut net, keys, agents, _sellers, buyers, cfg) = setup(data);
-        assert!(matches!(
-            run(&mut net, &keys, &agents, &[], &buyers, &cfg, Topology::Ring),
-            Err(PemError::Protocol(_))
-        ));
+        let m = Market::new(vec![AgentWindow::new(0, 0.0, 5.0, 0.0, 0.9, 25.0)]);
+        assert!(matches!(run(&m.coalition()).0, Err(PemError::Protocol(_))));
     }
 
     #[test]
@@ -340,27 +246,20 @@ mod tests {
         // Seller 1's `d` term is Enc(n/4) under H_b's 256-bit key: a
         // valid ciphertext whose signed decoding is ±2^254, far outside
         // i128. It folds into the aggregate H_b decrypts.
-        let (mut net, _, _, sellers, buyers, cfg) = setup(paper_agents());
+        let m = Market::new(paper_agents());
         let mut rng = HashDrbg::new(b"p3-out-of-range");
-        let keys = KeyDirectory::generate(net.party_count(), 256, cfg.seed).expect("keys");
-        let hb = buyers[0];
+        let keys = KeyDirectory::generate(m.data.len(), 256, m.cfg.seed).expect("keys");
+        let draws = Draws::new(m.cfg.seed, 0, 0);
+        let c = Coalition::new(&m.cfg, &keys, draws, &m.data).expect("coalition");
+        let hb = c.buyers[0];
         let pk = keys.public(hb);
         let mut enc = |m: &BigUint| pk.encrypt(m, &mut rng);
         let terms = vec![
             [enc(&BigUint::from(5u64)), enc(&pk.encode_i128(-3))],
             [enc(&BigUint::from(7u64)), enc(&(pk.n() >> 2))],
         ];
-        let n = net.party_count();
-        let pricing = price_terms(
-            &mut net,
-            &keys,
-            &cfg,
-            n,
-            &sellers,
-            hb,
-            Topology::Ring,
-            terms,
-        );
+        let mut net = SimNetwork::new(c.agents.len());
+        let pricing = price_terms(&mut net, &c, hb, terms);
         let err = block_on(pricing).expect_err("an out-of-range aggregate must abort pricing");
         assert!(
             matches!(err, PemError::Crypto(CryptoError::MessageTooLarge { .. })),
@@ -370,29 +269,12 @@ mod tests {
 
     #[test]
     fn star_topology_matches_ring() {
-        let data = paper_agents();
-        let (mut net_r, keys, agents, sellers, buyers, cfg) = setup(data.clone());
-        let ring = run(
-            &mut net_r,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Ring,
-        )
-        .expect("ring");
-        let mut net_s = SimNetwork::new(agents.len());
-        let star = run(
-            &mut net_s,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Star,
-        )
-        .expect("star");
+        let ring = Market::new(paper_agents());
+        let mut star = Market::new(paper_agents());
+        star.cfg.topology = Topology::Star;
+        let (ring, net_r) = run(&ring.coalition());
+        let (star, net_s) = run(&star.coalition());
+        let (ring, star) = (ring.expect("ring"), star.expect("star"));
         assert!((ring.price - star.price).abs() < 1e-9);
         assert!((ring.k_sum - star.k_sum).abs() < 1e-9);
         // Same number of aggregation messages, same byte volume class.
@@ -407,22 +289,15 @@ mod tests {
 
     #[test]
     fn traffic_labelled_for_table1() {
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(paper_agents());
-        run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            Topology::Ring,
-        )
-        .expect("protocol 3");
+        let m = Market::new(paper_agents());
+        let c = m.coalition();
+        let (out, net) = run(&c);
+        out.expect("protocol 3");
         let s = net.stats();
         assert!(s.per_label.contains_key("price/agg"));
         assert!(s.per_label.contains_key("price/broadcast"));
         // Two ciphertexts per hop: each ~2·key_bits.
-        let hops = sellers.len() as u64; // (ring) + final hand-off
+        let hops = c.sellers.len() as u64; // (ring) + final hand-off
         assert_eq!(s.per_label["price/agg"].messages, hops);
     }
 }

@@ -47,12 +47,10 @@ use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{PartyId, Transport};
 use pem_telemetry::Span;
 
-use crate::agents::AgentCtx;
-use crate::config::{PemConfig, RATIO_PRECISION_BITS, RATIO_SLOT_BITS};
-use crate::draws::Draws;
+use crate::agents::Coalition;
+use crate::config::{RATIO_PRECISION_BITS, RATIO_SLOT_BITS};
 use crate::error::PemError;
 use crate::fold::{fold, gather, read_ciphertext, Announcement};
-use crate::keys::KeyDirectory;
 use crate::quantize::dequantize;
 
 /// Result of Private Distribution.
@@ -68,7 +66,7 @@ pub struct DistributionOutcome {
     pub decryptor: usize,
 }
 
-/// Runs Protocol 4.
+/// Runs Protocol 4 over `c` at `price`.
 ///
 /// `general_market` selects the §III-D variant: demand-proportional with
 /// a seller decryptor, or supply-proportional with a buyer decryptor.
@@ -77,18 +75,20 @@ pub struct DistributionOutcome {
 ///
 /// [`PemError::Protocol`] if either coalition is empty; otherwise
 /// crypto/network failures.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub async fn run<T: Transport>(
     net: &mut T,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    sellers: &[usize],
-    buyers: &[usize],
+    c: &Coalition<'_>,
     price: f64,
     general_market: bool,
-    cfg: &PemConfig,
-    draws: Draws,
 ) -> Result<DistributionOutcome, PemError> {
+    let Coalition {
+        cfg,
+        keys,
+        draws,
+        agents,
+        sellers,
+        buyers,
+    } = c;
     if sellers.is_empty() || buyers.is_empty() {
         return Err(PemError::Protocol(
             "distribution requires both coalitions to be non-empty",
@@ -294,48 +294,15 @@ pub async fn run<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agents::Market;
     use crate::fold::Topology;
     use pem_fabric::block_on;
-    use pem_market::{allocate, AgentWindow, MarketKind, Role};
+    use pem_market::{allocate, AgentWindow, MarketKind};
     use pem_net::{Envelope, NetError, NetStats, SimNetwork};
 
-    fn setup(
-        surpluses: &[f64],
-    ) -> (
-        SimNetwork,
-        KeyDirectory,
-        Vec<AgentCtx>,
-        Vec<usize>,
-        Vec<usize>,
-        PemConfig,
-    ) {
-        let cfg = PemConfig::fast_test();
-        let n = surpluses.len();
-        let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-        let mut agents = Vec::new();
-        let mut sellers = Vec::new();
-        let mut buyers = Vec::new();
-        for (i, &s) in surpluses.iter().enumerate() {
-            let data = if s >= 0.0 {
-                AgentWindow::new(i, s, 0.0, 0.0, 0.9, 25.0)
-            } else {
-                AgentWindow::new(i, 0.0, -s, 0.0, 0.9, 25.0)
-            };
-            let ctx = AgentCtx::prepare(i, data, 0).expect("prepare");
-            match ctx.role {
-                Role::Seller => sellers.push(i),
-                Role::Buyer => buyers.push(i),
-                Role::OffMarket => {}
-            }
-            agents.push(ctx);
-        }
-        (SimNetwork::new(n), keys, agents, sellers, buyers, cfg)
-    }
-
-    fn plaintext_trades(surpluses: &[f64], price: f64) -> Vec<Trade> {
-        let rows: Vec<AgentWindow> = surpluses
-            .iter()
-            .enumerate()
+    /// One agent per net surplus: sellers generate it, buyers load it.
+    fn rows(surpluses: &[f64]) -> Vec<AgentWindow> {
+        (surpluses.iter().enumerate())
             .map(|(i, &s)| {
                 if s >= 0.0 {
                     AgentWindow::new(i, s, 0.0, 0.0, 0.9, 25.0)
@@ -343,14 +310,37 @@ mod tests {
                     AgentWindow::new(i, 0.0, -s, 0.0, 0.9, 25.0)
                 }
             })
-            .collect();
-        let sellers: Vec<_> = rows
-            .iter()
+            .collect()
+    }
+
+    impl Market {
+        /// Protocol 4 at `price` on `net`.
+        fn run_on(
+            &self,
+            net: &mut SimNetwork,
+            price: f64,
+            general_market: bool,
+        ) -> Result<DistributionOutcome, PemError> {
+            block_on(run(net, &self.coalition(), price, general_market))
+        }
+
+        /// Protocol 4 at `price` on a fresh fabric, which it must leave
+        /// empty.
+        fn settle(&self, price: f64, general_market: bool) -> DistributionOutcome {
+            let mut net = SimNetwork::new(self.data.len());
+            let out = self.run_on(&mut net, price, general_market);
+            assert_eq!(net.pending(), 0);
+            out.expect("protocol 4")
+        }
+    }
+
+    fn plaintext_trades(surpluses: &[f64], price: f64) -> Vec<Trade> {
+        let rows = rows(surpluses);
+        let sellers: Vec<_> = (rows.iter())
             .filter(|a| a.net_energy() > 0.0)
             .copied()
             .collect();
-        let buyers: Vec<_> = rows
-            .iter()
+        let buyers: Vec<_> = (rows.iter())
             .filter(|a| a.net_energy() < 0.0)
             .copied()
             .collect();
@@ -380,81 +370,31 @@ mod tests {
     #[test]
     fn general_market_matches_plaintext_allocation() {
         let surpluses = [2.0, 3.0, -4.0, -2.0, -2.0]; // E_s = 5 < E_b = 8
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
-        let out = block_on(run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            100.0,
-            true,
-            &cfg,
-            Draws::new(1, 0, 0),
-        ))
-        .expect("protocol 4");
+        let out = Market::new(rows(&surpluses)).settle(100.0, true);
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-6);
-        assert_eq!(net.pending(), 0);
     }
 
     #[test]
     fn extreme_market_matches_plaintext_allocation() {
         let surpluses = [6.0, 4.0, -1.5, -2.5]; // E_s = 10 ≥ E_b = 4
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
-        let out = block_on(run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            90.0,
-            false,
-            &cfg,
-            Draws::new(1, 0, 0),
-        ))
-        .expect("protocol 4");
+        let out = Market::new(rows(&surpluses)).settle(90.0, false);
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 90.0), 1e-6);
     }
 
     #[test]
     fn ratios_sum_to_one() {
-        let surpluses = [2.0, -1.0, -3.0, -4.0];
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
-        let out = block_on(run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            95.0,
-            true,
-            &cfg,
-            Draws::new(1, 0, 0),
-        ))
-        .expect("protocol 4");
+        let market = Market::new(rows(&[2.0, -1.0, -3.0, -4.0]));
+        let out = market.settle(95.0, true);
         // Per-ratio relative error is bounded by sn_max/(2K) ≈ 2^-23.
         let total: f64 = out.ratios.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "ratio sum {total}");
         // The decryptor is a seller in the general market.
-        assert!(sellers.contains(&out.decryptor));
+        assert!(market.coalition().sellers.contains(&out.decryptor));
     }
 
     #[test]
     fn conservation_of_energy_and_money() {
-        let surpluses = [1.5, 2.5, -3.0, -5.0];
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
-        let out = block_on(run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            100.0,
-            true,
-            &cfg,
-            Draws::new(1, 0, 0),
-        ))
-        .expect("protocol 4");
+        let out = Market::new(rows(&[1.5, 2.5, -3.0, -5.0])).settle(100.0, true);
         let energy: f64 = out.trades.iter().map(|t| t.energy).sum();
         assert!((energy - 4.0).abs() < 1e-6, "all supply traded: {energy}");
         let money: f64 = out.trades.iter().map(|t| t.payment).sum();
@@ -469,57 +409,24 @@ mod tests {
         // A buyer at the quantization floor (1 µkWh) must not break the
         // exponent inversion. (E_s = 0.5 < E_b ≈ 0.75: general market.)
         let surpluses = [0.5, -1e-6, -0.75];
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
-        let out = block_on(run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            100.0,
-            true,
-            &cfg,
-            Draws::new(1, 0, 0),
-        ))
-        .expect("protocol 4");
+        let out = Market::new(rows(&surpluses)).settle(100.0, true);
         assert_trades_close(&out.trades, &plaintext_trades(&surpluses, 100.0), 1e-5);
     }
 
     #[test]
     fn empty_coalitions_rejected() {
-        let (mut net, keys, agents, sellers, _buyers, cfg) = setup(&[1.0, 2.0]);
+        let market = Market::new(rows(&[1.0, 2.0]));
         assert!(matches!(
-            block_on(run(
-                &mut net,
-                &keys,
-                &agents,
-                &sellers,
-                &[],
-                100.0,
-                true,
-                &cfg,
-                Draws::new(1, 0, 0),
-            )),
+            market.run_on(&mut SimNetwork::new(2), 100.0, true),
             Err(PemError::Protocol(_))
         ));
     }
 
     #[test]
     fn traffic_labelled_for_table1() {
-        let surpluses = [2.0, -1.0, -3.0];
-        let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
-        block_on(run(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            100.0,
-            true,
-            &cfg,
-            Draws::new(1, 0, 0),
-        ))
-        .expect("protocol 4");
+        let market = Market::new(rows(&[2.0, -1.0, -3.0]));
+        let mut net = SimNetwork::new(3);
+        market.run_on(&mut net, 100.0, true).expect("protocol 4");
         let s = net.stats();
         for label in [
             "dist/total-agg",
@@ -536,7 +443,7 @@ mod tests {
     #[test]
     fn stray_settlement_frames_abort_with_a_protocol_error() {
         // Sellers 0, 1; buyers 2, 3; party 4 is off the market.
-        let surpluses = [2.0, 3.0, -4.0, -2.0, 0.0];
+        let market = Market::new(rows(&[2.0, 3.0, -4.0, -2.0, 0.0]));
         let f64_frame = |v: f64| {
             let mut w = WireWriter::new();
             w.put_f64(v);
@@ -563,20 +470,10 @@ mod tests {
         // Receives are addressed by label, so a stray queued before the
         // protocol starts waits for the sweep that reads its label.
         for (case, (from, to, label, payload)) in cases {
-            let (mut net, keys, agents, sellers, buyers, cfg) = setup(&surpluses);
+            let mut net = SimNetwork::new(5);
             net.send(PartyId(from), PartyId(to), label, payload)
                 .expect("stray");
-            let result = block_on(run(
-                &mut net,
-                &keys,
-                &agents,
-                &sellers,
-                &buyers,
-                100.0,
-                true,
-                &cfg,
-                Draws::new(1, 0, 0),
-            ));
+            let result = market.run_on(&mut net, 100.0, true);
             assert!(
                 matches!(result, Err(PemError::Protocol(_))),
                 "{case}: got {result:?}"
@@ -643,15 +540,21 @@ mod tests {
             for topology in [Topology::Ring, Topology::tree()] {
                 let case = format!("{kind:?} on the {topology}");
                 let n = surpluses.len();
-                let (_, _, agents, sellers, buyers, cfg) = setup(surpluses);
-                let pop: Vec<AgentWindow> = agents.iter().map(|a| a.data).collect();
+                let mut market = Market::new(rows(surpluses));
+                market.cfg.topology = topology;
+                let Coalition {
+                    agents,
+                    sellers,
+                    buyers,
+                    ..
+                } = market.coalition();
                 let mut net = Recording {
                     net: SimNetwork::new(n),
                     frames: Vec::new(),
                 };
-                let out = crate::Pem::new(cfg.with_topology(topology), n)
+                let out = crate::Pem::new(market.cfg.clone(), n)
                     .expect("setup")
-                    .run_window_on(&mut net, &pop)
+                    .run_window_on(&mut net, &market.data)
                     .expect("window");
                 assert_eq!(out.kind, kind, "{case}");
                 let (routers, ratio_side) = match kind {

@@ -6,12 +6,10 @@
 
 use pem_core::block_on;
 use pem_core::protocol3::{price, PricingOutcome, Topology};
-use pem_core::{AgentCtx, Draws, KeyDirectory, PemConfig};
-use pem_crypto::drbg::HashDrbg;
-use pem_market::{AgentWindow, Role};
+use pem_core::{Coalition, Draws, KeyDirectory, PemConfig};
+use pem_market::AgentWindow;
 use pem_net::{Envelope, NetError, NetStats, PartyId, SimNetwork, Transport};
 use proptest::prelude::*;
-use rand::Rng;
 
 /// A transport decorator counting messages *received* per (party, label)
 /// — the measurement the fan-in bound is stated over.
@@ -78,72 +76,50 @@ impl<T: Transport> Transport for RecvCounting<T> {
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn market(
-    n_sellers: usize,
-    seed: u64,
-) -> (
-    KeyDirectory,
-    Vec<AgentCtx>,
-    Vec<usize>,
-    Vec<usize>,
-    PemConfig,
-) {
+/// A `fast_test` market under `seed` of `n_sellers` sellers and two
+/// buyers: its configuration, keys and window data.
+fn market(n_sellers: usize, seed: u64) -> (PemConfig, KeyDirectory, Vec<AgentWindow>) {
     let mut cfg = PemConfig::fast_test();
     cfg.seed = seed;
     let n = n_sellers + 2; // plus two buyers
     let keys = KeyDirectory::generate(n, cfg.key_bits, cfg.seed).expect("keys");
-    let mut rng = HashDrbg::from_seed_label(b"tree-test", seed);
-    let mut agents = Vec::new();
-    let mut sellers = Vec::new();
-    let mut buyers = Vec::new();
-    for i in 0..n {
-        let data = if i < n_sellers {
-            AgentWindow::new(
-                i,
-                2.0 + (i % 7) as f64 * 0.75,
-                0.5,
-                0.0,
-                0.9,
-                18.0 + (i % 11) as f64,
-            )
-        } else {
-            AgentWindow::new(i, 0.0, 40.0 + n_sellers as f64 * 4.0, 0.0, 0.9, 25.0)
-        };
-        let ctx = AgentCtx::prepare(i, data, rng.gen::<u64>() >> 24).expect("prepare");
-        match ctx.role {
-            Role::Seller => sellers.push(i),
-            Role::Buyer => buyers.push(i),
-            Role::OffMarket => {}
-        }
-        agents.push(ctx);
-    }
-    assert_eq!(sellers.len(), n_sellers, "every seller must be on-market");
-    (keys, agents, sellers, buyers, cfg)
+    let data = (0..n)
+        .map(|i| {
+            if i < n_sellers {
+                let generation = 2.0 + (i % 7) as f64 * 0.75;
+                AgentWindow::new(i, generation, 0.5, 0.0, 0.9, 18.0 + (i % 11) as f64)
+            } else {
+                AgentWindow::new(i, 0.0, 40.0 + n_sellers as f64 * 4.0, 0.0, 0.9, 25.0)
+            }
+        })
+        .collect();
+    (cfg, keys, data)
+}
+
+/// The market's coalition with every fold in `topology`, under one
+/// attempt's draws in every topology: the aggregates do not depend on
+/// the randomizers, so the outcomes must be bit-identical.
+fn coalition<'a>(
+    cfg: &'a PemConfig,
+    keys: &'a KeyDirectory,
+    data: &[AgentWindow],
+) -> Coalition<'a> {
+    let c = Coalition::new(cfg, keys, Draws::new(7, 0, 0), data).expect("coalition");
+    assert_eq!(
+        c.sellers.len(),
+        data.len() - 2,
+        "every seller must be on-market"
+    );
+    c
 }
 
 fn price_with(
     topology: Topology,
-    keys: &KeyDirectory,
-    agents: &[AgentCtx],
-    sellers: &[usize],
-    buyers: &[usize],
-    cfg: &PemConfig,
+    (cfg, keys, data): &(PemConfig, KeyDirectory, Vec<AgentWindow>),
 ) -> (PricingOutcome, NetStats) {
-    let mut net = SimNetwork::new(agents.len());
-    // One attempt's draws in every topology: the aggregates do not
-    // depend on the randomizers, so the outcomes must be bit-identical.
-    let out = block_on(price(
-        &mut net,
-        keys,
-        agents,
-        sellers,
-        buyers,
-        cfg,
-        topology,
-        Draws::new(7, 0, 0),
-    ))
-    .expect("pricing");
+    let cfg = cfg.clone().with_topology(topology);
+    let mut net = SimNetwork::new(data.len());
+    let out = block_on(price(&mut net, &coalition(&cfg, keys, data))).expect("pricing");
     assert_eq!(net.pending(), 0, "all messages consumed");
     (out, net.stats().clone())
 }
@@ -152,18 +128,10 @@ fn price_with(
 fn tree_matches_ring_and_star_bit_for_bit() {
     // The ISSUE's sweep: n ∈ {2, 3, 17, 64}, plus the degenerate 1.
     for n_sellers in [1usize, 2, 3, 17, 64] {
-        let (keys, agents, sellers, buyers, cfg) = market(n_sellers, 2020);
-        let (ring, ring_stats) =
-            price_with(Topology::Ring, &keys, &agents, &sellers, &buyers, &cfg);
+        let market = market(n_sellers, 2020);
+        let (ring, ring_stats) = price_with(Topology::Ring, &market);
         for fanin in [2usize, 3, 8] {
-            let (tree, tree_stats) = price_with(
-                Topology::Tree { fanin },
-                &keys,
-                &agents,
-                &sellers,
-                &buyers,
-                &cfg,
-            );
+            let (tree, tree_stats) = price_with(Topology::Tree { fanin }, &market);
             assert_eq!(
                 ring.price.to_bits(),
                 tree.price.to_bits(),
@@ -181,7 +149,7 @@ fn tree_matches_ring_and_star_bit_for_bit() {
                 tree_stats.per_label["price/agg"].messages
             );
         }
-        let (star, _) = price_with(Topology::Star, &keys, &agents, &sellers, &buyers, &cfg);
+        let (star, _) = price_with(Topology::Star, &market);
         assert_eq!(ring.price.to_bits(), star.price.to_bits());
     }
 }
@@ -190,20 +158,12 @@ fn tree_matches_ring_and_star_bit_for_bit() {
 fn tree_respects_the_fanin_bound_at_every_hop() {
     for n_sellers in [2usize, 3, 17, 64] {
         for fanin in [2usize, 3, 4] {
-            let (keys, agents, sellers, buyers, cfg) = market(n_sellers, 99);
-            let mut net = RecvCounting::new(SimNetwork::new(agents.len()), "price/agg");
-            let out = block_on(price(
-                &mut net,
-                &keys,
-                &agents,
-                &sellers,
-                &buyers,
-                &cfg,
-                Topology::Tree { fanin },
-                Draws::new(7, 0, 0),
-            ))
-            .expect("pricing");
-            for &s in &sellers {
+            let (cfg, keys, data) = market(n_sellers, 99);
+            let cfg = cfg.with_topology(Topology::Tree { fanin });
+            let c = coalition(&cfg, &keys, &data);
+            let mut net = RecvCounting::new(SimNetwork::new(data.len()), "price/agg");
+            let out = block_on(price(&mut net, &c)).expect("pricing");
+            for &s in &c.sellers {
                 assert!(
                     net.received[s] <= fanin as u64,
                     "seller {s} received {} aggregation messages \
@@ -216,7 +176,7 @@ fn tree_respects_the_fanin_bound_at_every_hop() {
             // Every seller sent exactly once (no hidden extra traffic).
             assert_eq!(
                 Transport::stats(&net).per_label["price/agg"].messages,
-                sellers.len() as u64
+                c.sellers.len() as u64
             );
         }
     }
@@ -228,20 +188,11 @@ fn tree_critical_path_is_logarithmic() {
     // At 64 sellers a binary tree is ~6 levels deep vs 64 sequential
     // ring hops: on the LAN model the measured critical path of the
     // aggregation must be several times shorter.
-    let (keys, agents, sellers, buyers, cfg) = market(64, 5);
+    let (cfg, keys, data) = market(64, 5);
     let run = |topology: Topology| -> u64 {
-        let mut net = SimNetwork::with_latency(agents.len(), LatencyModel::lan());
-        block_on(price(
-            &mut net,
-            &keys,
-            &agents,
-            &sellers,
-            &buyers,
-            &cfg,
-            topology,
-            Draws::new(7, 0, 0),
-        ))
-        .expect("pricing");
+        let cfg = cfg.clone().with_topology(topology);
+        let mut net = SimNetwork::with_latency(data.len(), LatencyModel::lan());
+        block_on(price(&mut net, &coalition(&cfg, &keys, &data))).expect("pricing");
         net.now_us()
     };
     let ring = run(Topology::Ring);
@@ -263,11 +214,9 @@ proptest! {
         fanin in 2usize..6,
         seed in 0u64..1000,
     ) {
-        let (keys, agents, sellers, buyers, cfg) = market(n_sellers, seed);
-        let (ring, _) = price_with(Topology::Ring, &keys, &agents, &sellers, &buyers, &cfg);
-        let (tree, _) = price_with(
-            Topology::Tree { fanin }, &keys, &agents, &sellers, &buyers, &cfg,
-        );
+        let market = market(n_sellers, seed);
+        let (ring, _) = price_with(Topology::Ring, &market);
+        let (tree, _) = price_with(Topology::Tree { fanin }, &market);
         prop_assert_eq!(ring.price.to_bits(), tree.price.to_bits());
         prop_assert_eq!(ring.k_sum.to_bits(), tree.k_sum.to_bits());
         prop_assert_eq!(

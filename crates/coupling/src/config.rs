@@ -12,8 +12,6 @@ pub struct CouplingConfig {
     /// encrypted under. Independent of the per-agent key size; 96-bit
     /// minimum so the aggregates fit the message space with headroom.
     pub key_bits: usize,
-    /// Transfers below this many kWh are dust and never scheduled.
-    pub min_transfer_kwh: f64,
     /// Latency model of the coupling fabric's links (shard
     /// representatives ↔ coordinator). The aggregation tree's
     /// critical-path latency under this model is reported in
@@ -31,7 +29,6 @@ impl CouplingConfig {
     pub fn fast_test() -> CouplingConfig {
         CouplingConfig {
             key_bits: 128,
-            min_transfer_kwh: 1e-3,
             latency: LatencyModel::zero(),
             repartition: None,
         }
@@ -63,14 +60,6 @@ impl CouplingConfig {
                 self.key_bits
             )));
         }
-        if !self.min_transfer_kwh.is_finite() || self.min_transfer_kwh < 0.0 {
-            return Err(CouplingError::Config(
-                "minimum transfer must be finite and non-negative".into(),
-            ));
-        }
-        if let Some(r) = &self.repartition {
-            r.validate()?;
-        }
         Ok(())
     }
 }
@@ -79,62 +68,23 @@ impl Default for CouplingConfig {
     fn default() -> CouplingConfig {
         CouplingConfig {
             key_bits: 512,
-            min_transfer_kwh: 1e-3,
             latency: LatencyModel::zero(),
             repartition: None,
         }
     }
 }
 
-/// Configuration of the dispersion-driven [`crate::Repartitioner`].
+/// Dispersion-driven re-partitioning, switched on by
+/// [`CouplingConfig::with_repartition`]. Its tuning is fixed: see
+/// [`crate::Repartitioner`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RepartitionConfig {
-    /// EWMA weight of the newest residual observation, in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// Smallest persistent per-shard imbalance (kWh) that triggers a
-    /// re-partition; both a surplus and a deficit shard must exceed it.
-    pub threshold_kwh: f64,
-    /// Windows of history required before the first proposal.
-    pub min_windows: u64,
-    /// Maximum member swaps per proposal: bounds churn, and so how many
-    /// coalitions are rebuilt (no key is re-made; every home keeps its
-    /// pair).
-    pub max_swaps: usize,
-}
+pub struct RepartitionConfig;
 
 impl RepartitionConfig {
-    /// A conservative default: react after 2 windows, at most 4 swaps.
+    /// Re-partitioning as every profile runs it: react after 2 windows,
+    /// at most 4 swaps.
     pub fn fast_test() -> RepartitionConfig {
-        RepartitionConfig {
-            ewma_alpha: 0.5,
-            threshold_kwh: 0.5,
-            min_windows: 2,
-            max_swaps: 4,
-        }
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// [`CouplingError::Config`] describing the violated constraint.
-    pub fn validate(&self) -> Result<(), CouplingError> {
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(CouplingError::Config(
-                "EWMA weight must lie in (0, 1]".into(),
-            ));
-        }
-        if !self.threshold_kwh.is_finite() || self.threshold_kwh <= 0.0 {
-            return Err(CouplingError::Config(
-                "re-partition threshold must be finite and positive".into(),
-            ));
-        }
-        if self.max_swaps == 0 {
-            return Err(CouplingError::Config(
-                "a re-partition round needs at least one swap".into(),
-            ));
-        }
-        Ok(())
+        RepartitionConfig
     }
 }
 
@@ -157,20 +107,5 @@ mod tests {
         let mut c = CouplingConfig::fast_test();
         c.key_bits = 64;
         assert!(c.validate().is_err());
-        let mut c = CouplingConfig::fast_test();
-        c.min_transfer_kwh = -1.0;
-        assert!(c.validate().is_err());
-        let mut r = RepartitionConfig::fast_test();
-        r.ewma_alpha = 0.0;
-        assert!(r.validate().is_err());
-        let mut r = RepartitionConfig::fast_test();
-        r.threshold_kwh = 0.0;
-        assert!(r.validate().is_err());
-        let mut r = RepartitionConfig::fast_test();
-        r.max_swaps = 0;
-        assert!(CouplingConfig::fast_test()
-            .with_repartition(r)
-            .validate()
-            .is_err());
     }
 }

@@ -12,29 +12,32 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::RepartitionConfig;
+/// EWMA weight of the newest residual observation.
+const EWMA_ALPHA: f64 = 0.5;
+
+/// Smallest persistent per-shard imbalance (kWh) that triggers a
+/// re-partition; both a surplus and a deficit shard must exceed it.
+const THRESHOLD_KWH: f64 = 0.5;
+
+/// Windows of history required before the first proposal.
+const MIN_WINDOWS: u64 = 2;
+
+/// Maximum member swaps per proposal: bounds churn, and so how many
+/// coalitions are rebuilt (no key is re-made; every home keeps its
+/// pair).
+const MAX_SWAPS: usize = 4;
 
 /// Tracks per-shard imbalance history and proposes plan changes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Repartitioner {
-    cfg: RepartitionConfig,
     ewma: Vec<f64>,
     windows: u64,
 }
 
 impl Repartitioner {
     /// Creates a tracker with no history.
-    pub fn new(cfg: RepartitionConfig) -> Repartitioner {
-        Repartitioner {
-            cfg,
-            ewma: Vec::new(),
-            windows: 0,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RepartitionConfig {
-        &self.cfg
+    pub fn new() -> Repartitioner {
+        Repartitioner::default()
     }
 
     /// Windows observed since the last reset.
@@ -53,7 +56,7 @@ impl Repartitioner {
             self.ewma = vec![0.0; residuals.len()];
             self.windows = 0;
         }
-        let a = self.cfg.ewma_alpha;
+        let a = EWMA_ALPHA;
         for (e, &r) in self.ewma.iter_mut().zip(residuals.iter()) {
             let r = if r.is_finite() { r } else { 0.0 };
             *e = if self.windows == 0 {
@@ -77,23 +80,23 @@ impl Repartitioner {
     /// per global agent index; `shards` is the current membership.
     ///
     /// The proposal swaps members between the most persistently-surplus
-    /// and most persistently-deficit coalitions (up to `max_swaps`
+    /// and most persistently-deficit coalitions (up to `MAX_SWAPS`
     /// swaps), choosing each swap to minimize the pair's combined
     /// post-swap imbalance. Shard count and sizes are preserved; member
     /// lists come back sorted (canonical order).
     pub fn propose(&self, net_energy: &[f64], shards: &[Vec<usize>]) -> Option<Vec<Vec<usize>>> {
-        if self.windows < self.cfg.min_windows || self.ewma.len() != shards.len() {
+        if self.windows < MIN_WINDOWS || self.ewma.len() != shards.len() {
             return None;
         }
         let mut imbalance = self.ewma.clone();
         let mut plan: Vec<Vec<usize>> = shards.to_vec();
         let mut applied = 0;
-        while applied < self.cfg.max_swaps {
+        while applied < MAX_SWAPS {
             let (hi, lo) = match extremes(&imbalance) {
                 Some(pair) => pair,
                 None => break,
             };
-            if imbalance[hi] < self.cfg.threshold_kwh || imbalance[lo] > -self.cfg.threshold_kwh {
+            if imbalance[hi] < THRESHOLD_KWH || imbalance[lo] > -THRESHOLD_KWH {
                 break;
             }
             // The surplus we want to shift from `hi` to `lo`.
@@ -164,7 +167,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> Repartitioner {
-        Repartitioner::new(RepartitionConfig::fast_test())
+        Repartitioner::new()
     }
 
     /// Shard 0 all sellers (+1.5 each), shard 1 all buyers (−1.5 each).
@@ -225,9 +228,9 @@ mod tests {
         let a = t.propose(&net, &shards).expect("a");
         let b = t.propose(&net, &shards).expect("b");
         assert_eq!(a, b);
-        // max_swaps bounds the churn: at most 4 members changed side.
+        // MAX_SWAPS bounds the churn: at most 4 members changed side.
         let moved = a[0].iter().filter(|m| !shards[0].contains(m)).count();
-        assert!(moved <= t.config().max_swaps);
+        assert!(moved <= MAX_SWAPS);
     }
 
     #[test]

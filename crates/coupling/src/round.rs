@@ -45,6 +45,8 @@ use crate::error::CouplingError;
 const ENERGY_SCALE: f64 = 1e6;
 /// Fixed-point price scale: 1 unit = 1 milli-cent/kWh.
 const PRICE_SCALE: f64 = 1e3;
+/// Transfers below this many kWh are dust and never scheduled.
+const MIN_TRANSFER_KWH: f64 = 1e-3;
 /// Largest quantized residual or cleared volume one shard can publish:
 /// the 1e9 kWh `quantize` admits, at [`ENERGY_SCALE`].
 const MAX_QUANTITY_Q: u128 = 1_000_000_000_000_000;
@@ -330,7 +332,7 @@ impl CouplingCoordinator {
         let corridor_mc = (corridor * PRICE_SCALE).round() as u64;
         let corridor = corridor_mc as f64 / PRICE_SCALE;
 
-        let min_transfer_q = (self.cfg.min_transfer_kwh * ENERGY_SCALE).round() as u64;
+        let min_transfer_q = (MIN_TRANSFER_KWH * ENERGY_SCALE).round() as u64;
         let transferable_q = surplus_q.min(deficit_q);
         let engaged = s >= 2 && transferable_q >= u128::from(min_transfer_q.max(1));
 
@@ -775,7 +777,7 @@ mod tests {
     fn dust_residuals_are_ignored() {
         let mut c = coordinator();
         let positions = vec![
-            position(0, 95.0, 1.0, 1e-5), // below min_transfer_kwh
+            position(0, 95.0, 1.0, 1e-5), // below MIN_TRANSFER_KWH
             position(1, 99.0, 1.0, -1e-5),
         ];
         let out = c.run_round(&positions).expect("round");

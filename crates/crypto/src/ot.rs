@@ -21,10 +21,9 @@
 //! That is a *random* OT: the receiver holds the key of its choice
 //! ([`OtBatchReceiver::keys`]), the sender every branch's
 //! ([`OtBatchSender::keys`]). The comparison in `pem-circuit` uses the
-//! keys themselves as labels. A chosen-message OT pads each message with
-//! its branch key, `eᵢⱼ = mᵢⱼ ⊕ kᵢⱼ` up to 32 bytes and `⊕ KDF(kᵢⱼ)`
-//! beyond ([`OtBatchSender::encrypt`], [`OtBatchReceiver::decrypt`]).
-//! `H` absorbs `(i, A, Bᵢ)` once per OT and is cloned per branch, so a
+//! keys themselves as labels. [`run_local_ot`], the one chosen-message
+//! transfer, pads each message with its branch key, `eⱼ = mⱼ ⊕ kⱼ` up
+//! to 32 bytes and `⊕ KDF(kⱼ)` beyond. `H` absorbs `(i, A, Bᵢ)` once per OT and is cloned per branch, so a
 //! sender pays one SHA-256 compression per OT and one per branch — five
 //! for a 1-of-4 OT on either group.
 //!
@@ -521,13 +520,6 @@ pub struct OtReceiverReply<G: Group> {
     pub big_b: G::Element,
 }
 
-/// Third OT message (sender → receiver), one per OT.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OtCiphertexts {
-    /// `m_j` padded by `k_j` per branch `j`, all of one length.
-    pub branches: Vec<Vec<u8>>,
-}
-
 /// Sender side of a batch of 1-of-n OTs under one key.
 #[derive(Debug)]
 pub struct OtBatchSender<G: Group> {
@@ -595,31 +587,6 @@ impl<G: Group> OtBatchSender<G> {
             })
             .collect();
         Ok(keys)
-    }
-
-    /// Encrypts every OT's branch messages against the receiver's
-    /// replies, in batch order: `messages[i]` are the branches of the
-    /// OT `replies[i]` answers, each padded by its [`keys`](Self::keys)
-    /// entry.
-    ///
-    /// # Errors
-    ///
-    /// As [`OtBatchSender::keys`], and if an OT's branch lengths differ.
-    pub fn encrypt(
-        &self,
-        replies: &[OtReceiverReply<G>],
-        messages: &[Vec<Vec<u8>>],
-    ) -> Result<Vec<OtCiphertexts>, CryptoError> {
-        if (messages.iter()).any(|branches| branches.iter().any(|m| m.len() != branches[0].len())) {
-            return Err(CryptoError::InvalidOtMessage("branch lengths"));
-        }
-        let counts: Vec<usize> = messages.iter().map(Vec::len).collect();
-        let keys = self.keys(replies, &counts)?;
-        Ok((keys.iter().zip(messages))
-            .map(|(keys, branches)| OtCiphertexts {
-                branches: keys.iter().zip(branches).map(|(k, m)| pad(k, m)).collect(),
-            })
-            .collect())
     }
 
     /// `[a]Bᵢ` for every checked `Bᵢ`, under the one readied `a`.
@@ -735,33 +702,16 @@ impl<G: Group> OtBatchReceiver<G> {
             })
             .collect()
     }
-
-    /// Decrypts the chosen branch of every OT, in batch order.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::InvalidOtMessage`] if the ciphertext count is not
-    /// the batch's, a choice has no branch, or an OT's branch lengths
-    /// differ.
-    pub fn decrypt(self, cts: &[OtCiphertexts]) -> Result<Vec<Vec<u8>>, CryptoError> {
-        if cts.len() != self.ots.len() {
-            return Err(CryptoError::InvalidOtMessage("ciphertext count"));
-        }
-        for ((c, _, _), ct) in self.ots.iter().zip(cts) {
-            let e = &ct.branches;
-            if *c >= e.len() || e.iter().any(|x| x.len() != e[0].len()) {
-                return Err(CryptoError::InvalidOtMessage("branch count or lengths"));
-            }
-        }
-        let choices: Vec<usize> = self.ots.iter().map(|(c, _, _)| *c).collect();
-        Ok((self.keys().iter().zip(cts).zip(choices))
-            .map(|((key, ct), c)| pad(key, &ct.branches[c]))
-            .collect())
-    }
 }
 
-/// Runs both sides of a single 1-of-2 OT in memory — a batch of one
-/// (reference flow used by tests and the single-process simulator).
+/// Runs both sides of a single 1-of-2 chosen-message OT in memory — a
+/// random OT batch of one whose two keys pad `m0` and `m1` (reference
+/// flow used by tests and the single-process simulator).
+///
+/// # Errors
+///
+/// [`CryptoError::InvalidOtMessage`] if the two messages differ in
+/// length.
 pub fn run_local_ot<R: Rng + ?Sized>(
     group: &OtGroup,
     m0: &[u8],
@@ -782,10 +732,17 @@ fn local_ot<G: Group, R: Rng + ?Sized>(
     choice: bool,
     rng: &mut R,
 ) -> Result<Vec<u8>, CryptoError> {
+    if m0.len() != m1.len() {
+        return Err(CryptoError::InvalidOtMessage("branch lengths"));
+    }
+    let choice = usize::from(choice);
     let (sender, setup) = OtBatchSender::new(group.clone(), rng);
-    let (receiver, replies) = OtBatchReceiver::new(group.clone(), &setup, &[choice as usize], rng)?;
-    let cts = sender.encrypt(&replies, &[vec![m0.to_vec(), m1.to_vec()]])?;
-    Ok(receiver.decrypt(&cts)?.remove(0))
+    let (receiver, replies) = OtBatchReceiver::new(group.clone(), &setup, &[choice], rng)?;
+    let sent = sender.keys(&replies, &[2])?;
+    let padded: Vec<Vec<u8>> = (sent[0].iter().zip([m0, m1]))
+        .map(|(key, m)| pad(key, m))
+        .collect();
+    Ok(pad(&receiver.keys()[0], &padded[choice]))
 }
 
 #[cfg(test)]
@@ -1038,9 +995,9 @@ mod tests {
             .collect()
     }
 
-    /// Branch secrets and ciphertext bytes of the one-multiplication
-    /// derivation against `reference`, for one `(a, B)` — `B` sent at
-    /// both positions of a batch of two.
+    /// Branch secrets and keys of the one-multiplication derivation
+    /// against `reference`, for one `(a, B)` — `B` sent at both
+    /// positions of a batch of two.
     fn assert_matches_reference<G: Group>(
         group: &G,
         a: &G::Scalar,
@@ -1048,9 +1005,6 @@ mod tests {
         reference: &[G::Element],
     ) {
         let (sender, _) = OtBatchSender::with_scalar(group.clone(), a);
-        let messages: Vec<Vec<u8>> = (0..MAX_BRANCHES)
-            .map(|j| vec![j as u8 ^ 0x5A; 32])
-            .collect();
         let received = group.receive(big_b).expect("valid B").1;
         let power = sender.powers(&[received]).remove(0);
         let secrets = sender.branch_secrets(power, MAX_BRANCHES);
@@ -1059,23 +1013,17 @@ mod tests {
             big_b: big_b.clone(),
         };
         for n in [2, MAX_BRANCHES] {
-            let expected = |index: usize| -> Vec<Vec<u8>> {
+            let expected = |index: usize| -> Vec<[u8; 32]> {
+                let transcript = transcript(group, &sender.big_a, big_b, index);
                 (0..n)
-                    .map(|j| {
-                        let transcript = transcript(group, &sender.big_a, big_b, index);
-                        let key = derive_key(group, &transcript, j, &reference[j]);
-                        pad(&key, &messages[j])
-                    })
+                    .map(|j| derive_key(group, &transcript, j, &reference[j]))
                     .collect()
             };
             let got = sender
-                .encrypt(
-                    &[reply.clone(), reply.clone()],
-                    &[messages[..n].to_vec(), messages[..n].to_vec()],
-                )
-                .expect("encrypt");
-            for (index, ct) in got.iter().enumerate() {
-                assert_eq!(ct.branches, expected(index), "1-of-{n} at {index}");
+                .keys(&[reply.clone(), reply.clone()], &[n, n])
+                .expect("keys");
+            for (index, keys) in got.iter().enumerate() {
+                assert_eq!(*keys, expected(index), "1-of-{n} at {index}");
             }
         }
     }
@@ -1098,19 +1046,12 @@ mod tests {
     }
 
     /// One 1-of-4 OT per choice with the given scalars on both sides;
-    /// every choice must come back as its own branch.
+    /// every receiver must hold the sender's key of its own branch.
     fn assert_round_trips<G: Group>(group: &G, a: &G::Scalar, b: &G::Scalar)
     where
         G::Scalar: Clone,
     {
         let choices: Vec<usize> = (0..MAX_BRANCHES).collect();
-        let messages: Vec<Vec<Vec<u8>>> = (choices.iter())
-            .map(|i| {
-                (0..MAX_BRANCHES)
-                    .map(|j| vec![(i * 4 + j) as u8; 32])
-                    .collect()
-            })
-            .collect();
         let (sender, setup) = OtBatchSender::with_scalar(group.clone(), a);
         let a_points = group.receive(&setup.big_a).expect("valid A");
         let (receiver, replies) = OtBatchReceiver::with_scalars(
@@ -1120,10 +1061,12 @@ mod tests {
             &choices,
             vec![b.clone(); choices.len()],
         );
-        let cts = sender.encrypt(&replies, &messages).expect("encrypt");
-        let got = receiver.decrypt(&cts).expect("decrypt");
+        let sent = sender
+            .keys(&replies, &[MAX_BRANCHES; MAX_BRANCHES])
+            .expect("keys");
+        let held = receiver.keys();
         for (i, &c) in choices.iter().enumerate() {
-            assert_eq!(got[i], messages[i][c], "a={a:?} b={b:?} choice {c}");
+            assert_eq!(held[i], sent[i][c], "a={a:?} b={b:?} choice {c}");
         }
     }
 
@@ -1257,29 +1200,24 @@ mod tests {
     }
 
     /// One batch with every choice, short enough for the per-OT lane
-    /// (4 OTs) and long enough for the `A` table (12).
+    /// (4 OTs) and long enough for the `A` table (12): the receiver's key
+    /// is the sender's at its choice and no other branch's.
     fn assert_receiver_cannot_decrypt_other_branch<G: Group>(group: G) {
         let mut rng = HashDrbg::new(b"ot-batch");
-        let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(x, y)| x ^ y).collect() };
         for len in [4usize, 12] {
             let choices: Vec<usize> = (0..len).map(|i| i % MAX_BRANCHES).collect();
-            let message = |i: usize, j: usize| vec![(i * MAX_BRANCHES + j) as u8; 32];
             let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
             let (receiver, replies) =
                 OtBatchReceiver::new(group.clone(), &setup, &choices, &mut rng).expect("replies");
             assert_eq!(receiver.a_table().is_some(), len >= A_TABLE_MIN_BATCH);
-            let messages: Vec<Vec<Vec<u8>>> = (0..len)
-                .map(|i| (0..MAX_BRANCHES).map(|j| message(i, j)).collect())
-                .collect();
-            let cts = sender.encrypt(&replies, &messages).expect("encrypt");
-            let got = receiver.decrypt(&cts).expect("decrypt");
+            let sent = sender
+                .keys(&replies, &vec![MAX_BRANCHES; len])
+                .expect("keys");
+            let held = receiver.keys();
             for (i, &c) in choices.iter().enumerate() {
-                assert_eq!(got[i], message(i, c), "OT {i} delivers branch {c}");
-                // The receiver's one pad for this OT opens no other branch.
-                let pad = xor(&cts[i].branches[c], &got[i]);
+                assert_eq!(held[i], sent[i][c], "OT {i} holds branch {c}");
                 for j in (0..MAX_BRANCHES).filter(|&j| j != c) {
-                    let opened = xor(&cts[i].branches[j], &pad);
-                    assert_ne!(opened, message(i, j), "OT {i}: branch {j} opened");
+                    assert_ne!(held[i], sent[i][j], "OT {i}: branch {j} held");
                 }
             }
         }
@@ -1293,20 +1231,18 @@ mod tests {
 
     #[test]
     fn equal_replies_at_two_positions_get_different_pads() {
+        // A branch key is the pad of a message of up to 32 bytes.
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-index");
         let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
         let (_, replies) = OtBatchReceiver::new(group, &setup, &[2], &mut rng).expect("reply");
-        let zeros = vec![vec![0u8; 32]; MAX_BRANCHES];
         let twice = [replies[0].clone(), replies[0].clone()];
-        let cts = sender
-            .encrypt(&twice, &[zeros.clone(), zeros])
-            .expect("encrypt");
-        let (at_0, at_1) = (&cts[0], &cts[1]);
+        let keys = sender.keys(&twice, &[MAX_BRANCHES; 2]).expect("keys");
+        let (at_0, at_1) = (&keys[0], &keys[1]);
         for j in 0..MAX_BRANCHES {
-            assert_ne!(at_0.branches[j], at_1.branches[j], "branch {j}");
+            assert_ne!(at_0[j], at_1[j], "branch {j}");
             for k in 0..j {
-                assert_ne!(at_0.branches[j], at_0.branches[k], "branches {k}, {j}");
+                assert_ne!(at_0[j], at_0[k], "branches {k}, {j}");
             }
         }
     }
@@ -1316,10 +1252,9 @@ mod tests {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-invalid");
         let (sender, _setup) = OtBatchSender::new(group.clone(), &mut rng);
-        let messages = [vec![vec![0u8; 4], vec![1u8; 4]]];
         for big_b in [BigUint::one(), group.p() - &BigUint::one()] {
             let bad = OtReceiverReply { big_b };
-            assert!(sender.encrypt(&[bad], &messages).is_err());
+            assert!(sender.keys(&[bad], &[2]).is_err());
         }
 
         let bad_setup = OtSenderSetup {
@@ -1348,7 +1283,7 @@ mod tests {
             let reply = OtReceiverReply::<Ed25519> { big_b: bad };
             assert!(
                 matches!(
-                    sender.encrypt(&[reply], &messages),
+                    sender.keys(&[reply], &[2]),
                     Err(CryptoError::InvalidOtMessage(_))
                 ),
                 "B = {bad:02x?}"
@@ -1371,34 +1306,20 @@ mod tests {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-len");
         let (sender, setup) = OtBatchSender::new(group.clone(), &mut rng);
-        let mut receiver =
-            || OtBatchReceiver::new(group.clone(), &setup, &[1], &mut rng).expect("reply");
-        let reply = receiver().1;
-        assert!(sender
-            .encrypt(&reply, &[vec![vec![0u8; 4], vec![1u8; 5]]])
-            .is_err());
+        let (_, reply) =
+            OtBatchReceiver::new(group.clone(), &setup, &[1], &mut rng).expect("reply");
+        // Branch counts other than one choice bit or two.
         for branches in [1, 3, MAX_BRANCHES + 1] {
-            assert!(sender
-                .encrypt(&reply, &[vec![vec![0u8; 4]; branches]])
-                .is_err());
+            assert!(sender.keys(&reply, &[branches]).is_err());
         }
-        // One reply, two OTs' worth of messages (and the reverse).
-        let two = vec![vec![vec![0u8; 4]; 2]; 2];
-        assert!(sender.encrypt(&reply, &two).is_err());
+        // One reply, two OTs' worth of branch counts (and the reverse).
+        assert!(sender.keys(&reply, &[2, 2]).is_err());
         assert!(sender
-            .encrypt(&[reply[0].clone(), reply[0].clone()], &two[..1])
+            .keys(&[reply[0].clone(), reply[0].clone()], &[2])
             .is_err());
-        // Receiver side: wrong count, ragged branches, missing branch.
-        let ct = |lens: &[usize]| OtCiphertexts {
-            branches: lens.iter().map(|&n| vec![0u8; n]).collect(),
-        };
-        for cts in [
-            vec![],
-            vec![ct(&[4, 5])],
-            vec![ct(&[4])],
-            vec![ct(&[4, 4]); 2],
-        ] {
-            assert!(receiver().0.decrypt(&cts).is_err(), "{cts:?}");
+        // A chosen-message transfer of two messages of different lengths.
+        for group in groups() {
+            assert!(run_local_ot(&group, &[0u8; 4], &[1u8; 5], true, &mut rng).is_err());
         }
     }
 

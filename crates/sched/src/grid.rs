@@ -361,8 +361,8 @@ impl GridOrchestrator {
         let repartitioner = cfg
             .coupling
             .as_ref()
-            .and_then(|c| c.repartition.clone())
-            .map(Repartitioner::new);
+            .and_then(|c| c.repartition.as_ref())
+            .map(|_| Repartitioner::new());
         Ok(GridOrchestrator {
             partitioner,
             ledger: Ledger::new(contract),
