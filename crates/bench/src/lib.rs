@@ -1,9 +1,9 @@
-//! Shared harness utilities for the per-figure reproduction binaries.
+//! Shared harness utilities for the bench binaries.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation section (§VII) and prints it as CSV (machine-readable) with
-//! a trailing human-readable summary of the *shape* the paper reports.
-//! See `EXPERIMENTS.md` at the workspace root for the experiment index.
+//! The `repro` binary regenerates the paper's evaluation section (§VII)
+//! and prints each artifact as CSV (machine-readable) with a trailing
+//! human-readable summary of the *shape* the paper reports; [`repro`] is
+//! the experiment index.
 //!
 //! The JSON artifacts (`crypto_kernels` and `telemetry_overhead` runs,
 //! `ablation_topology` rows, `grid_doctor`'s verdict) are built and
@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 
 pub mod doctor;
+pub mod repro;
 pub use pem_telemetry::json;
 
 use json::Json;
@@ -133,14 +134,6 @@ pub fn sample_windows(total: usize, count: usize) -> Vec<usize> {
     (0..count)
         .map(|i| (i * (total - 1)) / (count - 1))
         .collect()
-}
-
-/// Prints a CSV header + rows to stdout.
-pub fn print_csv(header: &[&str], rows: &[Vec<String>]) {
-    println!("{}", header.join(","));
-    for row in rows {
-        println!("{}", row.join(","));
-    }
 }
 
 /// Formats a float compactly for CSV cells.

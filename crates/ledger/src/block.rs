@@ -122,6 +122,12 @@ impl Ledger {
         &self.blocks
     }
 
+    /// The newest block (genesis on a fresh ledger).
+    pub fn tip(&self) -> &Block {
+        // `new` pushes genesis and nothing removes a block.
+        &self.blocks[self.blocks.len() - 1]
+    }
+
     /// Number of settled windows (excludes genesis).
     pub fn settled_windows(&self) -> usize {
         self.blocks.len() - 1
@@ -138,30 +144,9 @@ impl Ledger {
         price: f64,
         txs: &[SettlementTx],
     ) -> Result<&Block, LedgerError> {
-        let last = self.blocks.last().expect("genesis always present");
-        if self.blocks.len() > 1 && window <= last.window {
-            return Err(LedgerError::NonMonotonicWindow {
-                last: last.window,
-                got: window,
-            });
-        }
-        // Same stored-price validation as `append_coupling`: accept a
-        // batch only if the chain will still accept it on re-validation.
-        let price_mc = (price * 1e3).round() as u64;
-        self.contract.validate_window(price_mc as f64 / 1e3, txs)?;
-        let index = last.index + 1;
-        let prev_hash = last.hash;
-        let hash = Block::compute_hash(index, window, price_mc, &prev_hash, txs, &[]);
-        self.blocks.push(Block {
-            index,
-            window,
-            price_mc,
-            prev_hash,
-            txs: txs.to_vec(),
-            transfers: Vec::new(),
-            hash,
-        });
-        Ok(self.blocks.last().expect("just pushed"))
+        self.append(window, price, txs, &[], |contract, price| {
+            contract.validate_window(price, txs)
+        })
     }
 
     /// Validates and appends a coupling round's inter-shard transfers as
@@ -176,35 +161,48 @@ impl Ledger {
         corridor: f64,
         transfers: &[TransferTx],
     ) -> Result<&Block, LedgerError> {
-        let last = self.blocks.last().expect("genesis always present");
+        self.append(window, corridor, &[], transfers, |contract, corridor| {
+            contract.validate_transfers(corridor, transfers)
+        })
+    }
+
+    /// Appends one block after the window-order check and `validate`,
+    /// the caller's contract check.
+    fn append(
+        &mut self,
+        window: u64,
+        price: f64,
+        txs: &[SettlementTx],
+        transfers: &[TransferTx],
+        validate: impl FnOnce(&SettlementContract, f64) -> Result<(), LedgerError>,
+    ) -> Result<&Block, LedgerError> {
+        let last = self.tip();
         if self.blocks.len() > 1 && window <= last.window {
             return Err(LedgerError::NonMonotonicWindow {
                 last: last.window,
                 got: window,
             });
         }
+        let (index, prev_hash) = (last.index + 1, last.hash);
         // Validate against the price as it will be *stored* (milli-cent
         // fixed point), so a later `validate()` — which only sees
         // `block.price()` — reaches the same verdict. A raw float
         // corridor off the milli-cent grid would otherwise pass here and
         // fail re-validation once its per-leg payment error exceeds the
         // tolerance (the error grows with energy, the tolerance doesn't).
-        let price_mc = (corridor * 1e3).round() as u64;
-        self.contract
-            .validate_transfers(price_mc as f64 / 1e3, transfers)?;
-        let index = last.index + 1;
-        let prev_hash = last.hash;
-        let hash = Block::compute_hash(index, window, price_mc, &prev_hash, &[], transfers);
+        let price_mc = (price * 1e3).round() as u64;
+        validate(&self.contract, price_mc as f64 / 1e3)?;
+        let hash = Block::compute_hash(index, window, price_mc, &prev_hash, txs, transfers);
         self.blocks.push(Block {
             index,
             window,
             price_mc,
             prev_hash,
-            txs: Vec::new(),
+            txs: txs.to_vec(),
             transfers: transfers.to_vec(),
             hash,
         });
-        Ok(self.blocks.last().expect("just pushed"))
+        Ok(self.tip())
     }
 
     /// Re-validates the whole chain (hashes, links, indices, contract).
@@ -344,6 +342,21 @@ mod tests {
             Err(LedgerError::NonMonotonicWindow { .. })
         ));
         assert_eq!(l.settled_windows(), 1, "failed append must not grow chain");
+    }
+
+    #[test]
+    fn rejects_out_of_order_coupling_rounds() {
+        let mut l = ledger();
+        l.append_window(7, 100.0, &[tx(0, 1, 1.0, 100.0)])
+            .expect("append");
+        let tip = l.tip().clone();
+        assert_eq!(
+            l.append_coupling(6, 98.0, &[TransferTx::new(0, 2, 1.5, 98.0)])
+                .map(|b| b.index),
+            Err(LedgerError::NonMonotonicWindow { last: 7, got: 6 })
+        );
+        assert_eq!(l.settled_windows(), 1, "failed append must not grow chain");
+        assert_eq!(l.tip(), &tip);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! auction-based markets (e.g. its reference 34, a double auction for
 //! divisible resources). This module implements a textbook uniform-price
 //! double auction over divisible energy so the Stackelberg mechanism can
-//! be compared against it on identical populations (see the
-//! `ablation_mechanism` bench binary).
+//! be compared against it on identical populations (see the `repro`
+//! bench binary's `mechanism` section).
 //!
 //! Bidding model used for the comparison: a buyer's outside option is the
 //! grid retail price, so it bids `ps_g`; a seller's outside option is the

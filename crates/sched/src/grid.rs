@@ -10,7 +10,7 @@ use pem_net::{FaultKind, FaultPlan, NetStats};
 use pem_telemetry::{Counter, Span};
 
 use crate::error::SchedError;
-use crate::partition::{PartitionStrategy, Partitioner, ShardPlan};
+use crate::partition::{PartitionStrategy, ShardPlan};
 use crate::pool;
 use crate::report::{
     phase_latencies, CoalitionStatus, GridDayReport, GridReport, PriceStats, SettlementSummary,
@@ -321,7 +321,6 @@ fn run_lane(
 /// completion order.
 pub struct GridOrchestrator {
     cfg: GridConfig,
-    partitioner: Box<dyn Partitioner + Send + Sync>,
     /// Every home's key pair, made once by `form_shards`; coalitions
     /// borrow from it.
     keys: Option<KeyDirectory>,
@@ -348,7 +347,6 @@ impl GridOrchestrator {
     /// [`SchedError::Config`] for invalid grid parameters.
     pub fn new(cfg: GridConfig) -> Result<GridOrchestrator, SchedError> {
         cfg.validate()?;
-        let partitioner = cfg.strategy.build();
         let contract = SettlementContract::new(cfg.pem.band);
         let coupling = match &cfg.coupling {
             Some(c) => Some(CouplingCoordinator::new(
@@ -364,7 +362,6 @@ impl GridOrchestrator {
             .and_then(|c| c.repartition.as_ref())
             .map(|_| Repartitioner::new());
         Ok(GridOrchestrator {
-            partitioner,
             ledger: Ledger::new(contract),
             cfg,
             keys: None,
@@ -440,7 +437,7 @@ impl GridOrchestrator {
         if agents.is_empty() {
             return Err(SchedError::Config("population must be non-empty".into()));
         }
-        let plan = self.partitioner.partition(agents, self.cfg.coalition_size);
+        let plan = self.cfg.strategy.partition(agents, self.cfg.coalition_size);
         // Refuse a configuration no coalition could run before paying
         // for a single key.
         for members in plan.shards() {
@@ -785,12 +782,7 @@ impl GridOrchestrator {
         let outcome_refs: Vec<&PemWindowOutcome> = outcomes.iter().flatten().collect();
         let latency = phase_latencies(&outcome_refs);
 
-        let tip_hash = self
-            .ledger
-            .blocks()
-            .last()
-            .ok_or(SchedError::State("genesis block always present"))?
-            .hash;
+        let tip_hash = self.ledger.tip().hash;
         let shard_outcomes: Vec<ShardOutcome> = shards
             .iter()
             .zip(outcomes)

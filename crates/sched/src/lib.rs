@@ -4,9 +4,9 @@
 //! window; this crate is the subsystem that scales the same protocols to
 //! grid-sized populations:
 //!
-//! * [`partition`] — pluggable [`Partitioner`] strategies carve the
-//!   population into bounded coalitions (round-robin, feeder-topology
-//!   locality, surplus-balanced serpentine dealing),
+//! * [`partition`] — a [`PartitionStrategy`] carves the population into
+//!   bounded coalitions (round-robin, feeder-topology locality,
+//!   surplus-balanced serpentine dealing),
 //! * [`pool`] — a fixed worker pool with deterministic result ordering:
 //!   the same seed yields bit-identical grids at 1, 4 or 64 workers,
 //! * per-coalition [`pem_core::Pem`] instances over one grid-wide
@@ -71,9 +71,7 @@ mod report;
 
 pub use error::SchedError;
 pub use grid::{ChaosSpec, Engine, GridConfig, GridOrchestrator, RetryPolicy};
-pub use partition::{
-    FeederTopology, PartitionStrategy, Partitioner, RoundRobin, ShardPlan, SurplusBalanced,
-};
+pub use partition::{PartitionStrategy, ShardPlan};
 pub use pem_coupling::{CouplingConfig, CouplingSummary, RepartitionConfig};
 pub use report::{
     CoalitionStatus, GridDayReport, GridReport, LatencyPercentiles, PhaseLatencies, PriceStats,

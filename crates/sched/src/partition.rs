@@ -6,16 +6,17 @@
 //! (ring aggregations, pairwise distribution). Scaling to a large grid
 //! therefore means *sharding*: fixed-size neighborhoods that each run
 //! their own market in parallel — the structure consensus-based and
-//! hybrid P2P market designs converge on as well. The [`Partitioner`]
-//! trait makes the carving strategy pluggable; three built-ins cover the
-//! interesting regimes:
+//! hybrid P2P market designs converge on as well. A
+//! [`PartitionStrategy`] names the carving; three cover the interesting
+//! regimes:
 //!
-//! * [`RoundRobin`] — uniform dealing, the baseline.
-//! * [`FeederTopology`] — distribution-feeder locality: coalitions never
-//!   cross feeder boundaries (losses and congestion stay local).
-//! * [`SurplusBalanced`] — serpentine deal over net energy, so every
-//!   coalition receives both strong sellers and deep buyers and can
-//!   actually clear trades.
+//! * [`PartitionStrategy::RoundRobin`] — uniform dealing, the baseline.
+//! * [`PartitionStrategy::Feeder`] — distribution-feeder locality:
+//!   coalitions never cross feeder boundaries (losses and congestion
+//!   stay local).
+//! * [`PartitionStrategy::SurplusBalanced`] — serpentine deal over net
+//!   energy, so every coalition receives both strong sellers and deep
+//!   buyers and can actually clear trades.
 
 use pem_market::AgentWindow;
 
@@ -69,161 +70,123 @@ impl ShardPlan {
     }
 }
 
-/// A strategy for carving a population into bounded coalitions.
-///
-/// Implementations must be **deterministic**: the same population must
-/// always produce the same plan (the grid's determinism guarantee builds
-/// on this).
-pub trait Partitioner {
-    /// Short human-readable strategy name (reports and benches).
-    fn name(&self) -> &'static str;
-
-    /// Carves `agents` into coalitions of at most `max_size` members.
-    fn partition(&self, agents: &[AgentWindow], max_size: usize) -> ShardPlan;
-}
-
 /// Number of shards needed for `n` agents at `max_size` per shard.
 fn shard_count(n: usize, max_size: usize) -> usize {
     n.div_ceil(max_size).max(1)
 }
 
-/// Deals agents across coalitions like cards: agent `i` joins shard
-/// `i mod S`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl Partitioner for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn partition(&self, agents: &[AgentWindow], max_size: usize) -> ShardPlan {
-        let s = shard_count(agents.len(), max_size);
-        let mut shards = vec![Vec::new(); s];
-        for i in 0..agents.len() {
-            shards[i % s].push(i);
-        }
-        shards.retain(|sh| !sh.is_empty());
-        ShardPlan::new(shards, agents.len(), max_size)
-    }
-}
-
-/// Feeder-aware partitioning: the population is laid out as `feeders`
-/// contiguous segments (agents on the same distribution feeder are
-/// adjacent, the usual layout of utility datasets), and coalitions are
-/// contiguous chunks that never span a feeder boundary. Chunk sizes are
-/// balanced within each feeder (a feeder of 5 at `max_size` 4 splits
-/// 3+2, not 4+1), since an undersized coalition trades poorly and a
-/// singleton cannot trade at all. A feeder with a *single* agent still
-/// yields a singleton coalition — locality makes that agent untradeable
-/// by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct FeederTopology {
-    /// Number of contiguous feeder segments in the population layout.
-    pub feeders: usize,
-}
-
-impl Partitioner for FeederTopology {
-    fn name(&self) -> &'static str {
-        "feeder-topology"
-    }
-
-    fn partition(&self, agents: &[AgentWindow], max_size: usize) -> ShardPlan {
-        let n = agents.len();
-        let feeders = self.feeders.clamp(1, n.max(1));
-        let mut shards = Vec::new();
-        let base = n / feeders;
-        let extra = n % feeders;
-        let mut start = 0;
-        for f in 0..feeders {
-            let len = base + usize::from(f < extra);
-            // Balanced chunking: a feeder of 5 at max_size 4 splits 3+2,
-            // never 4+1 — a singleton coalition could never trade and its
-            // agent would be locked out for the whole day (membership is
-            // frozen with the key material after the first window).
-            if len > 0 {
-                let pieces = len.div_ceil(max_size);
-                let chunk_base = len / pieces;
-                let chunk_extra = len % pieces;
-                let mut at = start;
-                for c in 0..pieces {
-                    let chunk_len = chunk_base + usize::from(c < chunk_extra);
-                    shards.push((at..at + chunk_len).collect());
-                    at += chunk_len;
-                }
-            }
-            start += len;
-        }
-        ShardPlan::new(shards, n, max_size)
-    }
-}
-
-/// Serpentine deal over descending net energy: rank agents from largest
-/// surplus to deepest deficit, then deal rank `r` to shard `r mod S` on
-/// even passes and `S-1 - (r mod S)` on odd passes. Every coalition gets
-/// top sellers *and* deep buyers, so no shard degenerates into a
-/// one-sided no-market window.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SurplusBalanced;
-
-impl Partitioner for SurplusBalanced {
-    fn name(&self) -> &'static str {
-        "surplus-balanced"
-    }
-
-    fn partition(&self, agents: &[AgentWindow], max_size: usize) -> ShardPlan {
-        let s = shard_count(agents.len(), max_size);
-        let mut ranked: Vec<usize> = (0..agents.len()).collect();
-        // Descending net energy; index tiebreak keeps this deterministic
-        // (net energies are finite — validated on window entry).
-        ranked.sort_by(|&a, &b| {
-            agents[b]
-                .net_energy()
-                .partial_cmp(&agents[a].net_energy())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut shards = vec![Vec::new(); s];
-        for (rank, &agent) in ranked.iter().enumerate() {
-            let pass = rank / s;
-            let pos = rank % s;
-            let shard = if pass.is_multiple_of(2) {
-                pos
-            } else {
-                s - 1 - pos
-            };
-            shards[shard].push(agent);
-        }
-        for shard in &mut shards {
-            shard.sort_unstable(); // canonical member order
-        }
-        shards.retain(|sh| !sh.is_empty());
-        ShardPlan::new(shards, agents.len(), max_size)
-    }
-}
-
-/// Serializable strategy selector for [`crate::GridConfig`].
+/// How [`crate::GridConfig`] carves a population into bounded
+/// coalitions. Every strategy is **deterministic**: the same population
+/// always produces the same plan (the grid's determinism guarantee
+/// builds on this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
-    /// [`RoundRobin`].
+    /// Deals agents across coalitions like cards: agent `i` joins shard
+    /// `i mod S`.
     RoundRobin,
-    /// [`FeederTopology`] with the given feeder count.
+    /// Feeder-aware partitioning: the population is laid out as
+    /// `feeders` contiguous segments (agents on the same distribution
+    /// feeder are adjacent, the usual layout of utility datasets), and
+    /// coalitions are contiguous chunks that never span a feeder
+    /// boundary. Chunk sizes are balanced within each feeder (a feeder
+    /// of 5 at `max_size` 4 splits 3+2, not 4+1), since an undersized
+    /// coalition trades poorly and a singleton cannot trade at all. A
+    /// feeder with a *single* agent still yields a singleton coalition —
+    /// locality makes that agent untradeable by construction.
     Feeder {
         /// Number of contiguous feeder segments.
         feeders: usize,
     },
-    /// [`SurplusBalanced`].
+    /// Serpentine deal over descending net energy: rank agents from
+    /// largest surplus to deepest deficit, then deal rank `r` to shard
+    /// `r mod S` on even passes and `S-1 - (r mod S)` on odd passes.
+    /// Every coalition gets top sellers *and* deep buyers, so no shard
+    /// degenerates into a one-sided no-market window.
     SurplusBalanced,
 }
 
 impl PartitionStrategy {
-    /// Materializes the partitioner.
-    pub fn build(self) -> Box<dyn Partitioner + Send + Sync> {
-        match self {
-            PartitionStrategy::RoundRobin => Box::new(RoundRobin),
-            PartitionStrategy::Feeder { feeders } => Box::new(FeederTopology { feeders }),
-            PartitionStrategy::SurplusBalanced => Box::new(SurplusBalanced),
-        }
+    /// The strategy itself; kept for callers written against the
+    /// partitioner objects this enum once built.
+    pub fn build(self) -> PartitionStrategy {
+        self
+    }
+
+    /// Carves `agents` into coalitions of at most `max_size` members.
+    pub fn partition(&self, agents: &[AgentWindow], max_size: usize) -> ShardPlan {
+        let n = agents.len();
+        let shards = match *self {
+            PartitionStrategy::RoundRobin => {
+                let s = shard_count(n, max_size);
+                let mut shards = vec![Vec::new(); s];
+                for i in 0..n {
+                    shards[i % s].push(i);
+                }
+                shards
+            }
+            PartitionStrategy::Feeder { feeders } => {
+                let feeders = feeders.clamp(1, n.max(1));
+                let mut shards = Vec::new();
+                let base = n / feeders;
+                let extra = n % feeders;
+                let mut start = 0;
+                for f in 0..feeders {
+                    let len = base + usize::from(f < extra);
+                    // Balanced chunking: a feeder of 5 at max_size 4 splits
+                    // 3+2, never 4+1 — a singleton coalition could never
+                    // trade and its agent would be locked out for the whole
+                    // day (membership is frozen with the key material after
+                    // the first window).
+                    if len > 0 {
+                        let pieces = len.div_ceil(max_size);
+                        let chunk_base = len / pieces;
+                        let chunk_extra = len % pieces;
+                        let mut at = start;
+                        for c in 0..pieces {
+                            let chunk_len = chunk_base + usize::from(c < chunk_extra);
+                            shards.push((at..at + chunk_len).collect());
+                            at += chunk_len;
+                        }
+                    }
+                    start += len;
+                }
+                shards
+            }
+            PartitionStrategy::SurplusBalanced => {
+                let s = shard_count(n, max_size);
+                let mut ranked: Vec<usize> = (0..n).collect();
+                // Descending net energy; index tiebreak keeps this
+                // deterministic (net energies are finite — validated on
+                // window entry).
+                ranked.sort_by(|&a, &b| {
+                    agents[b]
+                        .net_energy()
+                        .partial_cmp(&agents[a].net_energy())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                let mut shards = vec![Vec::new(); s];
+                for (rank, &agent) in ranked.iter().enumerate() {
+                    let pass = rank / s;
+                    let pos = rank % s;
+                    let shard = if pass.is_multiple_of(2) {
+                        pos
+                    } else {
+                        s - 1 - pos
+                    };
+                    shards[shard].push(agent);
+                }
+                for shard in &mut shards {
+                    shard.sort_unstable(); // canonical member order
+                }
+                shards
+            }
+        };
+        ShardPlan::new(
+            shards.into_iter().filter(|sh| !sh.is_empty()).collect(),
+            n,
+            max_size,
+        )
     }
 }
 
@@ -261,7 +224,7 @@ mod tests {
     #[test]
     fn round_robin_covers_and_bounds() {
         let pop = mixed(23);
-        let plan = RoundRobin.partition(&pop, 5);
+        let plan = PartitionStrategy::RoundRobin.partition(&pop, 5);
         assert_eq!(plan.shard_count(), 5);
         assert!(plan.largest() <= 5);
         let total: usize = plan.shards().iter().map(Vec::len).sum();
@@ -271,7 +234,7 @@ mod tests {
     #[test]
     fn feeder_shards_never_cross_boundaries() {
         let pop = mixed(40);
-        let plan = FeederTopology { feeders: 4 }.partition(&pop, 6);
+        let plan = PartitionStrategy::Feeder { feeders: 4 }.partition(&pop, 6);
         // 4 feeders of 10 agents: every shard inside one decade.
         for shard in plan.shards() {
             let feeder = shard[0] / 10;
@@ -288,7 +251,7 @@ mod tests {
         // 8 feeders of 5 agents at max_size 4: naive chunking would give
         // 4+1 per feeder; balanced chunking must give 3+2.
         let pop = mixed(40);
-        let plan = FeederTopology { feeders: 8 }.partition(&pop, 4);
+        let plan = PartitionStrategy::Feeder { feeders: 8 }.partition(&pop, 4);
         assert_eq!(plan.shard_count(), 16);
         for shard in plan.shards() {
             assert!(
@@ -305,7 +268,7 @@ mod tests {
         let mut surpluses = vec![4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5];
         surpluses.extend([-0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -3.5, -4.0]);
         let pop = population(&surpluses);
-        let plan = SurplusBalanced.partition(&pop, 4);
+        let plan = PartitionStrategy::SurplusBalanced.partition(&pop, 4);
         assert_eq!(plan.shard_count(), 4);
         for shard in plan.shards() {
             let sellers = shard.iter().filter(|&&a| pop[a].net_energy() > 0.0).count();
@@ -322,8 +285,8 @@ mod tests {
             PartitionStrategy::Feeder { feeders: 3 },
             PartitionStrategy::SurplusBalanced,
         ] {
-            let a = strategy.build().partition(&pop, 7);
-            let b = strategy.build().partition(&pop, 7);
+            let a = strategy.partition(&pop, 7);
+            let b = strategy.partition(&pop, 7);
             assert_eq!(a, b, "{strategy:?} not deterministic");
         }
     }
@@ -336,7 +299,7 @@ mod tests {
             PartitionStrategy::Feeder { feeders: 1 },
             PartitionStrategy::SurplusBalanced,
         ] {
-            let plan = strategy.build().partition(&pop, 20);
+            let plan = strategy.partition(&pop, 20);
             assert_eq!(plan.shard_count(), 1);
             assert_eq!(plan.shards()[0].len(), 5);
         }

@@ -40,7 +40,7 @@ proptest! {
     #[test]
     fn every_agent_assigned_exactly_once(pop in arb_population(), max_size in 2usize..20) {
         for strategy in STRATEGIES {
-            let plan = strategy.build().partition(&pop, max_size);
+            let plan = strategy.partition(&pop, max_size);
             let mut seen = vec![0usize; pop.len()];
             for shard in plan.shards() {
                 for &a in shard {
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn no_shard_exceeds_the_bound(pop in arb_population(), max_size in 2usize..20) {
         for strategy in STRATEGIES {
-            let plan = strategy.build().partition(&pop, max_size);
+            let plan = strategy.partition(&pop, max_size);
             prop_assert!(plan.shard_count() >= 1, "{strategy:?}: no shards");
             prop_assert!(plan.largest() <= max_size,
                 "{strategy:?}: shard of {} exceeds {max_size}", plan.largest());
@@ -70,8 +70,8 @@ proptest! {
     #[test]
     fn partition_is_deterministic(pop in arb_population(), max_size in 2usize..20) {
         for strategy in STRATEGIES {
-            let a = strategy.build().partition(&pop, max_size);
-            let b = strategy.build().partition(&pop, max_size);
+            let a = strategy.partition(&pop, max_size);
+            let b = strategy.partition(&pop, max_size);
             prop_assert_eq!(a, b, "{:?} must be a pure function of the population", strategy);
         }
     }

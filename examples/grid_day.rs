@@ -326,7 +326,7 @@ fn main() {
             degraded, q
         );
     }
-    let tip = grid.ledger().blocks().last().expect("tip").hash;
+    let tip = grid.ledger().tip().hash;
     let hex: String = tip.iter().map(|b| format!("{b:02x}")).collect();
     println!("chain tip          {hex}");
     println!("wall clock         {elapsed:>12.1} s");

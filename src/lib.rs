@@ -42,8 +42,9 @@
 //! # Ok::<(), pem::core::PemError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology.
+//! See `examples/` for runnable scenarios and `pem_bench::repro` (the
+//! `repro` binary) for the reproduction methodology: every section of
+//! the paper's evaluation, its defaults and its CI size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
