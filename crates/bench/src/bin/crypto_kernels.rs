@@ -11,8 +11,11 @@
 //! the homomorphic operators (including the fused `affine`
 //! against its unfused `mul_plain` + `add_plain` chain and the
 //! power-of-two squaring path), raw vs comb fixed-base exponentiation,
-//! and decryption on both the CRT fast path and the classic full-width
-//! path (the pre-overhaul kernel, kept as the speedup baseline). After
+//! and decryption on both CRT legs (`decrypt_crt`, `decrypt_batch`), on
+//! the one leg a plaintext below `2^128` needs (`decrypt_u128` —
+//! `grid_doctor` holds it under 0.6 × `decrypt_crt` within each run at
+//! 1024- and 2048-bit keys) and on the classic full-width path (the
+//! pre-overhaul kernel, kept as the speedup baseline). After
 //! the key-size entries come the comparison rows, one entry per OT group,
 //! each comparison on a group obtained the way `run_compare` obtains it
 //! — `OtProfile::group()` per call. At `test192`: `ot_single` (one
@@ -117,30 +120,40 @@ fn measure_pair<F: FnMut(u64), G: FnMut(u64)>(
     mut a: F,
     mut b: G,
 ) -> (Kernel, Kernel) {
-    a(0);
-    b(0); // warm-up
-    let mut ta = 0f64;
-    let mut tb = 0f64;
+    let [ka, kb] = measure_interleaved(
+        [names.0, names.1],
+        min_time_ms,
+        [ops_per_call.0, ops_per_call.1],
+        [&mut a, &mut b],
+    );
+    (ka, kb)
+}
+
+/// [`measure_pair`] over `K` kernels: one call of each per round, in
+/// order, for at least `2 × min_time_ms` and three rounds.
+fn measure_interleaved<const K: usize>(
+    names: [&'static str; K],
+    min_time_ms: u64,
+    ops_per_call: [f64; K],
+    mut ops: [&mut dyn FnMut(u64); K],
+) -> [Kernel; K] {
+    ops.iter_mut().for_each(|op| op(0)); // warm-up
+    let mut spent = [0f64; K];
     let mut iters = 0u64;
     let start = Instant::now();
     while start.elapsed().as_millis() < 2 * min_time_ms as u128 || iters < 3 {
-        let t0 = Instant::now();
-        a(iters);
-        ta += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        b(iters);
-        tb += t1.elapsed().as_secs_f64();
+        for (op, t) in ops.iter_mut().zip(&mut spent) {
+            let t0 = Instant::now();
+            op(iters);
+            *t += t0.elapsed().as_secs_f64();
+        }
         iters += 1;
     }
-    let kernel = |name, t: f64, per_call: f64| Kernel {
-        name,
-        ops_per_s: iters as f64 * per_call / t,
-        mean_us: t * 1e6 / (iters as f64 * per_call),
-    };
-    (
-        kernel(names.0, ta, ops_per_call.0),
-        kernel(names.1, tb, ops_per_call.1),
-    )
+    std::array::from_fn(|i| Kernel {
+        name: names[i],
+        ops_per_s: iters as f64 * ops_per_call[i] / spent[i],
+        mean_us: spent[i] * 1e6 / (iters as f64 * ops_per_call[i]),
+    })
 }
 
 struct SizeReport {
@@ -303,25 +316,35 @@ fn bench_size(bits: usize, min_time_ms: u64) -> SizeReport {
         // Per-item decryption vs the batch API over the same
         // ciphertexts, interleaved call by call: the first baseline
         // measured these in separate windows and booked a 45% "batch
-        // regression" at 2048 bits that was pure clock drift. Both
-        // report per-ciphertext figures.
+        // regression" at 2048 bits that was pure clock drift. Beside
+        // them, the same plaintexts (all below 2^128) through the
+        // bounded path every protocol decryption takes: one CRT leg at
+        // 384-bit keys and up — `grid_doctor` holds it under 0.6 ×
+        // `decrypt_crt` at 1024 and 2048 bits. All report
+        // per-ciphertext figures.
         let batch = fx.cts.clone();
         let per_call = batch.len() as f64;
-        let (singles, batched) = measure_pair(
-            ("decrypt_crt", "decrypt_batch"),
+        let [singles, batched, bounded] = measure_interleaved(
+            ["decrypt_crt", "decrypt_batch", "decrypt_u128"],
             min_time_ms,
-            (per_call, per_call),
-            |_| {
-                for c in &batch {
-                    let _ = fx.sk.decrypt(c);
-                }
-            },
-            |_| {
-                let _ = fx.sk.decrypt_batch(&batch);
-            },
+            [per_call; 3],
+            [
+                &mut |_| {
+                    for c in &batch {
+                        let _ = fx.sk.decrypt(c);
+                    }
+                },
+                &mut |_| {
+                    let _ = fx.sk.decrypt_batch(&batch);
+                },
+                &mut |_| {
+                    for c in &batch {
+                        let _ = fx.sk.decrypt_u128(c).expect("below 2^128");
+                    }
+                },
+            ],
         );
-        kernels.push(singles);
-        kernels.push(batched);
+        kernels.extend([singles, batched, bounded]);
     }
     kernels.push(measure("decrypt_classic", min_time_ms, |i| {
         let _ = fx.sk.decrypt_classic(&fx.cts[pick(i)]);

@@ -271,6 +271,7 @@ pub fn crypto_checks(
         .chain(batched_ot_checks(cur))
         .chain(off_the_ladder_checks(cur))
         .chain(randomizer_lane_checks(cur))
+        .chain(one_leg_decrypt_checks(cur))
         .chain(validation_checks(cur))
         .chain(gc_table_checks(cur))
         .collect();
@@ -362,6 +363,32 @@ fn randomizer_lane_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
                 limit,
                 lane,
                 lane < limit,
+            )
+        })
+    })
+}
+
+/// A decryption of a plaintext below `2^128` may cost at most this
+/// share of a two-leg CRT decryption under the same key. One leg is
+/// half the ladders and no Garner step (≈0.5 by operation count);
+/// both legs again are 1.
+const ONE_LEG_DECRYPT_SHARE: f64 = 0.6;
+
+/// Within-run structural gate at the paper's key sizes (1024 bits and
+/// up), one check per key-size entry that carries both rows: a bounded
+/// decryption back on both CRT legs fails on any box.
+fn one_leg_decrypt_checks(run: &Json) -> impl Iterator<Item = Check> + '_ {
+    run_entries(run).iter().filter_map(|entry| {
+        let bits = entry.get("key_bits").and_then(Json::as_f64)? as u64;
+        let bounded = entry.get("decrypt_u128_mean_us").and_then(Json::as_f64)?;
+        let crt = entry.get("decrypt_crt_mean_us").and_then(Json::as_f64)?;
+        let limit = ONE_LEG_DECRYPT_SHARE * crt;
+        (bits >= 1024).then(|| {
+            Check::invariant(
+                format!("crypto/{bits}/decrypt_on_one_leg"),
+                limit,
+                bounded,
+                bounded <= limit,
             )
         })
     })
@@ -824,6 +851,31 @@ mod tests {
             [
                 ("crypto/1024/encrypt_off_the_ladder", false),
                 ("crypto/2048/encrypt_off_the_ladder", true)
+            ]
+        );
+        assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);
+    }
+
+    #[test]
+    fn a_bounded_decryption_back_on_both_legs_fails_the_within_run_gate() {
+        // 1024: one leg. 2048: both legs again. 512 is not gated, and an
+        // entry without the reference row is skipped.
+        let entries = "{\"key_bits\":512,\"decrypt_crt_mean_us\":60,\"decrypt_u128_mean_us\":58},\
+                       {\"key_bits\":1024,\"decrypt_crt_mean_us\":420,\"decrypt_u128_mean_us\":215},\
+                       {\"key_bits\":2048,\"decrypt_crt_mean_us\":2600,\"decrypt_u128_mean_us\":2550},\
+                       {\"key_bits\":3072,\"decrypt_u128_mean_us\":5000}";
+        let t = twin_runs(entries);
+        let (_, _, checks) = crypto_checks(&t, None, None, 0.25).expect("comparable");
+        let gates: Vec<_> = checks
+            .iter()
+            .filter(|c| c.name.ends_with("/decrypt_on_one_leg"))
+            .map(|c| (c.name.as_str(), c.regressed))
+            .collect();
+        assert_eq!(
+            gates,
+            [
+                ("crypto/1024/decrypt_on_one_leg", false),
+                ("crypto/2048/decrypt_on_one_leg", true)
             ]
         );
         assert_eq!(checks.iter().filter(|c| c.regressed).count(), 1);

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 pub mod doctor;
 pub mod repro;
@@ -66,28 +67,21 @@ impl Args {
         out
     }
 
-    /// Value of `--name` as usize, or `default`.
+    /// Value of `--name` as usize, or `default`. An unparsable value is
+    /// a usage error, as for every numeric getter: it names the flag on
+    /// stderr and exits with status 2.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.values
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(name, default, "a non-negative integer")
     }
 
     /// Value of `--name` as u64, or `default`.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.values
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(name, default, "a non-negative integer")
     }
 
     /// Value of `--name` as f64, or `default`.
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.values
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(name, default, "a number")
     }
 
     /// Value of `--name` as string, or `default`.
@@ -100,16 +94,47 @@ impl Args {
 
     /// Comma-separated list of usizes, or `default`.
     pub fn get_usize_list(&self, name: &str, default: &[usize]) -> Vec<usize> {
+        let what = "a comma-separated list of non-negative integers";
         match self.values.get(name) {
             None => default.to_vec(),
-            Some(v) => v.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
+            Some(v) => (v.split(','))
+                .map(|x| x.trim().parse().map_err(|_| usage(name, v, what)))
+                .collect::<Result<_, _>>()
+                .unwrap_or_else(|e| exit_usage(&e)),
         }
+    }
+
+    /// [`Args::parsed`] without the exit: the usage message on an
+    /// unparsable value.
+    fn try_parsed<T: FromStr>(&self, name: &str, default: T, what: &str) -> Result<T, String> {
+        match self.values.get(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| usage(name, v, what)),
+        }
+    }
+
+    /// Value of `--name` parsed as `T`, or `default` when it is absent;
+    /// an unparsable value exits with status 2, naming the flag.
+    fn parsed<T: FromStr>(&self, name: &str, default: T, what: &str) -> T {
+        self.try_parsed(name, default, what)
+            .unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// `true` if `--name` was passed without a value.
     pub fn get_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+}
+
+/// The usage message for `--name value` when `value` is not `what`.
+fn usage(name: &str, value: &str, what: &str) -> String {
+    format!("--{name} takes {what}, not {value:?}")
+}
+
+/// Prints a usage error and exits with status 2.
+fn exit_usage(message: &str) -> ! {
+    eprintln!("usage: {message}");
+    std::process::exit(2)
 }
 
 /// Evenly samples `count` window indices out of `total` (always includes
@@ -176,6 +201,17 @@ mod tests {
         assert_eq!(a.get_usize_list("missing", &[9]), vec![9]);
         assert!(!a.get_flag("n"));
         assert_eq!(a.get_str("missing", "x"), "x");
+    }
+
+    #[test]
+    fn an_unparsable_number_is_a_usage_error_naming_its_flag() {
+        let a = Args::from_tokens(["--windows", "2O"].iter().map(|s| s.to_string()));
+        let err = a.try_parsed("windows", 720usize, "a non-negative integer");
+        assert_eq!(
+            err,
+            Err("--windows takes a non-negative integer, not \"2O\"".into())
+        );
+        assert_eq!(a.try_parsed("homes", 30usize, "n"), Ok(30));
     }
 
     #[test]

@@ -107,6 +107,18 @@ struct Day {
     windows: Vec<(WindowOutcome, f64)>,
 }
 
+impl Day {
+    /// The windows with both sellers and buyers, in order. A one-sided
+    /// window runs no protocol and sends nothing, so Fig. 5 and Table I
+    /// sample only these.
+    fn two_sided(&self) -> Vec<usize> {
+        (self.windows.iter().enumerate())
+            .filter(|(_, (o, _))| o.seller_count > 0 && o.buyer_count > 0)
+            .map(|(w, _)| w)
+            .collect()
+    }
+}
+
 /// One invocation: its flags and every [`Day`] it has built.
 struct Repro {
     args: Args,
@@ -223,8 +235,7 @@ impl Repro {
     fn timed(&mut self, homes: usize, key_bits: usize) -> Vec<f64> {
         let day = self.day(homes, DAY);
         let mut pem = Pem::new(self.config(key_bits), homes).expect("pem setup");
-        let two_sided = |o: &WindowOutcome| o.seller_count > 0 && o.buyer_count > 0;
-        let windows: Vec<usize> = (0..DAY).filter(|&w| two_sided(&day.windows[w].0)).collect();
+        let windows = day.two_sided();
         assert!(!windows.is_empty(), "no two-sided window: raise --agents");
         let sample = self.args.get_usize("sample", self.pick(DAY, 16));
         let mut total = 0.0;
@@ -394,11 +405,24 @@ impl Repro {
         let (keys, _) = self.sizes();
         let homes = self.args.get_usize("homes", self.pick(200, 24));
         let day = self.day(homes, DAY);
-        // An even sample of the day: the market's composition moves
-        // through the morning, noon and evening regimes.
-        let sample = sample_windows(DAY, self.args.get_usize("sample", self.pick(48, 10)));
+        // An even sample of the day's two-sided windows, as Fig. 5 takes:
+        // the market's composition moves through the morning, noon and
+        // evening regimes, and a one-sided window sends nothing.
+        let windows = day.two_sided();
+        let picked = sample_windows(
+            windows.len(),
+            self.args.get_usize("sample", self.pick(48, 10)),
+        );
+        let sample: Vec<usize> = picked.into_iter().map(|i| windows[i]).collect();
         let header = format!("table1 average per-window bandwidth (MB), {homes} homes");
         let mut out = Block::new(header, columns("key \\ m", "", &M));
+        if sample.is_empty() {
+            let (n, day) = (windows.len(), format!("the {homes}-home day"));
+            let line =
+                format!("no two-sided window sampled ({n} in {day}): nothing sent, no ratio");
+            out.shape.push(line);
+            return out;
+        }
         let mut mb = Vec::new();
         for key in &keys {
             let mut pem = Pem::new(self.config(*key), homes).expect("pem setup");
@@ -508,6 +532,19 @@ mod tests {
         assert_eq!(names("all").len(), SECTIONS.len());
         assert_eq!(names("fig5"), ["fig5a", "fig5b", "fig5c"]);
         assert_eq!(names("fig6b"), ["fig6b"]);
+    }
+
+    #[test]
+    fn table1_samples_two_sided_windows_and_says_when_there_are_none() {
+        let flags = "--figure table1 --homes 12 --sample 3 --keys 128,192";
+        let shape = repro(flags).expect("usage").0.table1().shape;
+        assert!(shape.iter().all(|l| !l.contains("NaN")), "{shape:?}");
+        assert!(!shape[0].contains(" 0.000000 MB"), "{shape:?}");
+        let none = repro("--figure table1 --homes 1 --keys 128")
+            .expect("usage")
+            .0
+            .table1();
+        assert!(none.csv.len() == 1 && none.shape[0].starts_with("no two-sided window"));
     }
 
     #[test]

@@ -72,17 +72,18 @@ fn committed_crypto_trajectory_is_clean() {
         crypto_checks(&doc, None, None, DEFAULT_THRESHOLD).expect("committed runs comparable");
     // The picker must land on the latest *kernel* run pair and skip the
     // overhead run (which shares no metric keys).
-    assert_eq!(base, "ed25519-parent-remeasured");
-    assert_eq!(cur, "ed25519-ot");
+    assert_eq!(base, "one-leg-parent-remeasured");
+    assert_eq!(cur, "one-leg-decrypt");
     // The pair gates the comparison rows per OT group, the garbled
     // comparator's row and the Montgomery kernel rows per limb count
     // beside the Paillier rows per key size; the current run also
     // carries the within-run gates: batching per OT group, the curve
     // comparison's fixed-base multiplications off the variable-base
-    // window, encryption off the ladder per paper key size, validation
-    // below encryption per key size, and two half-gates rows per AND of
-    // the 64-AND comparator. The curve's rows are new in the current
-    // run, so only its within-run gates apply to them.
+    // window, encryption off the ladder and bounded decryption on one
+    // CRT leg per paper key size, validation below encryption per key
+    // size, and two half-gates rows per AND of the 64-AND comparator.
+    // The `decrypt_u128` row is new in the current run, so only its
+    // within-run gate applies to it.
     for name in [
         "crypto/gc64/half_gate_tables",
         "crypto/gc64/garble_64_mean_us",
@@ -95,6 +96,8 @@ fn committed_crypto_trajectory_is_clean() {
         "crypto/test192/ot_ladder_full_mean_us",
         "crypto/1024/encrypt_off_the_ladder",
         "crypto/2048/encrypt_off_the_ladder",
+        "crypto/1024/decrypt_on_one_leg",
+        "crypto/2048/decrypt_on_one_leg",
         "crypto/2048/keygen_ms",
         "crypto/test192/ot_single_mean_us",
         "crypto/test192/compare_64_mean_us",

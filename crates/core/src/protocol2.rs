@@ -132,10 +132,9 @@ impl<'a> MaskedFold<'a> {
         let ([received], _) = fold(net, pk, &chain, collector, label, topology, terms).await?;
         // The k = 1 shape of the fused affine update (Enc(a) ↦ Enc(a + b)).
         let total_ct = pk.affine(&received, &BigUint::one(), &BigUint::from(own_nonce));
-        let total = keys.keypair(collector).private().decrypt(&total_ct);
-        let total = total
-            .to_u128()
-            .ok_or(PemError::Protocol("masked aggregate exceeded 128 bits"))?;
+        let total = (keys.keypair(collector).private())
+            .decrypt_u128(&total_ct)
+            .map_err(|_| PemError::Protocol("masked aggregate exceeded 128 bits"))?;
         span.finish_at(net.now_us());
         Ok(total)
     }

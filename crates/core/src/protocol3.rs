@@ -112,9 +112,8 @@ pub(crate) async fn price_terms<T: Transport>(
     // … who decrypts the two aggregates (and nothing else — Lemma 3).
     let sk = c.keys.keypair(hb).private();
     let k_sum_q = sk
-        .decrypt(&k_ct)
-        .to_u128()
-        .ok_or(PemError::Protocol("k aggregate exceeded 128 bits"))?;
+        .decrypt_u128(&k_ct)
+        .map_err(|_| PemError::Protocol("k aggregate exceeded 128 bits"))?;
     let d_sum_q = sk.decrypt_i128(&d_ct)?;
     let k_sum = dequantize_u128(k_sum_q);
     let denominator_sum = dequantize(

@@ -19,10 +19,11 @@
 //!    `H_s` decrypts the fan-in packed
 //!    ([`PrivateKey::decrypt_packed`](pem_crypto::paillier::PrivateKey::decrypt_packed)):
 //!    it Horner-folds
-//!    `⌊(|n| − 64)/w⌋` ciphertexts (20 at 2048-bit keys) into one,
-//!    decrypts that once and splits it into slots. It learns exactly the
-//!    `v_j` and nothing more; a plaintext that overflows its pack (a
-//!    corrupted ciphertext) is a typed error.
+//!    `⌊(|p| − 64)/w⌋` ciphertexts (9 at 2048-bit keys, 4 at 1024) into
+//!    one on the p-leg of its CRT key, decrypts that once and splits it
+//!    into slots. It learns exactly the `v_j` and nothing more; a
+//!    plaintext that overflows its pack (a corrupted ciphertext) is a
+//!    typed error.
 //! 4. The decryptor announces the ratio vector inside its own coalition;
 //!    each member checks its copy (one ratio per member of the ratio
 //!    side, bit for bit) and routes `e = |sn| · ratio` from its own net
@@ -154,9 +155,9 @@ pub async fn run<T: Transport>(
 
     // The decryptor gathers the whole fan-in first, each ciphertext at
     // its sender's position. Every v_j is below 2^RATIO_SLOT_BITS, so it
-    // decrypts them packed: one CRT decryption per slots_per_pack
-    // ratios. A plaintext above its slot (a corrupted ciphertext) is a
-    // typed error.
+    // decrypts them packed: one p-leg decryption per slots_per_pack
+    // ratios (both legs on toy keys). A plaintext above its slot (a
+    // corrupted ciphertext) is a typed error.
     let decrypt_span = Span::enter_at("dist/decrypt", "protocol", net.now_us());
     let sk = keys.keypair(decryptor).private();
     let mut ratio_cts = vec![Ciphertext::from_biguint(BigUint::zero()); ratio_side.len()];

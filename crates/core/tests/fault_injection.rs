@@ -412,14 +412,20 @@ fn a_tampered_ot_request_never_decides_the_market_bit() {
 
 #[test]
 fn tampered_ratio_requests_abort_without_trades() {
-    // Protocol 4's decryptor fan-in, at one slot per pack (`fast_test`,
-    // 128-bit keys) and at two slots of one pack (`paper(512)`). A
-    // flipped bit in a ratio ciphertext decrypts to a plaintext uniform
-    // mod n, far above the 98-bit slot, so the packed decryption refuses
-    // it. Before packing, a 128-bit key's garbage fitted `u128` and
-    // settled as a wrong ratio. A truncated request fails to decode.
+    // Protocol 4's decryptor fan-in, at one slot per pack on both legs
+    // (`fast_test`, 128-bit keys), at one slot per pack on the p-leg
+    // (`paper(512)`) and at two slots of one p-leg pack (`paper(1024)`).
+    // A flipped bit in a ratio ciphertext decrypts to a plaintext
+    // uniform mod n (mod p on one leg), far above the 98-bit slot, so
+    // the packed decryption refuses it. Before packing, a 128-bit key's
+    // garbage fitted `u128` and settled as a wrong ratio. A truncated
+    // request fails to decode.
     let data = population();
-    for cfg in [PemConfig::fast_test(), PemConfig::paper(512)] {
+    for cfg in [
+        PemConfig::fast_test(),
+        PemConfig::paper(512),
+        PemConfig::paper(1024),
+    ] {
         let bits = cfg.key_bits;
         let clean = Pem::new(cfg.clone(), data.len())
             .expect("setup")

@@ -293,20 +293,17 @@ impl CouplingCoordinator {
         let (total_cts, _) = block_on(up)?;
 
         // --- Coordinator: decrypt the grid totals (and nothing else yet).
-        // Each total is bounded by what `quantize` admits per shard; a
-        // mangled ciphertext decrypts far outside that (≈2^-78 odds of
-        // landing inside it at a 128-bit key).
+        // Each total is bounded by what `quantize` admits per shard, far
+        // below 2^128, so each decrypts as a u128 (on one CRT leg at
+        // keys of 384 bits and up); a mangled ciphertext decrypts far
+        // outside the bound (≈2^-78 odds of landing inside it at a
+        // 128-bit key).
         let sk = self.keys.keypair(0).private();
         let shards = s as u128;
         let limits = [MAX_QUANTITY_Q, MAX_QUANTITY_Q, MAX_QUANTITY_Q, MAX_PV_Q].map(|l| shards * l);
         let mut totals = [0u128; 4];
-        for ((t, m), limit) in totals
-            .iter_mut()
-            .zip(sk.decrypt_batch(&total_cts))
-            .zip(limits)
-        {
-            *t = m
-                .to_u128()
+        for ((t, c), limit) in totals.iter_mut().zip(&total_cts).zip(limits) {
+            *t = (sk.decrypt_u128(c).ok())
                 .filter(|&v| v <= limit)
                 .ok_or(PemError::Protocol(
                     "coupling aggregate outside the quantized range",
@@ -360,8 +357,8 @@ impl CouplingCoordinator {
                 net.send(PartyId(i), coordinator, LABEL_CLAIM, frame)?;
             }
             // Gather and validate one claim per shard first, each at its
-            // shard's index, then decrypt them as one batch over the
-            // shared CRT context.
+            // shard's index, then decrypt each as a signed 127-bit value
+            // (on one CRT leg at keys of 382 bits and up).
             let mut claim_cts = vec![Ciphertext::from_biguint(BigUint::zero()); s];
             let claims = gather(net, s, LABEL_CLAIM, (0..s).map(|i| (i, i)), |_, env, i| {
                 claim_cts[i] = WireReader::frame(&env.payload, |r| read_ciphertext(&pk, r))?;

@@ -20,19 +20,31 @@
 //! share it, operations *borrow* it (no per-op allocation), and a key
 //! rebuilt from its serialized fields lazily reconstructs it exactly
 //! once on first use. A [`PrivateKey`] exists only as the output of
-//! [`Keypair::generate`] and holds the CRT context built there: every
-//! decryption is two half-width exponentiations mod `p²`/`q²` with
-//! Garner recombination — ~2.3–3.1× the classic full-width `c^λ mod n²`
-//! path at the paper's key sizes (measured in `BENCH_crypto.json`),
-//! bit-identical output. The classic path survives as the reference
-//! [`PrivateKey::decrypt_classic`]. A fan-in of unbounded plaintexts
-//! ([`PrivateKey::decrypt_batch`]) decrypts one ciphertext after
-//! another; a fan-in of plaintexts bounded by `2^w` (Protocol 4's
-//! ratios) decrypts packed: [`PrivateKey::decrypt_packed`] Horner-folds
-//! `⌊(|n| − 64)/w⌋` ciphertexts into one on the half-width legs and
-//! decrypts that once. Fused chains (`mul_plain` + `add_plain`) run
-//! through [`PublicKey::affine`], one pass through the Montgomery
-//! domain.
+//! [`Keypair::generate`] and holds the CRT context built there: an
+//! unbounded decryption ([`PrivateKey::decrypt`]) is two half-width
+//! exponentiations mod `p²`/`q²` with Garner recombination — ~2.3–3.1×
+//! the classic full-width `c^λ mod n²` path at the paper's key sizes
+//! (measured in `BENCH_crypto.json`), bit-identical output. The classic
+//! path survives as the reference [`PrivateKey::decrypt_classic`].
+//!
+//! **Bounded plaintexts decrypt on one leg.** Every plaintext a protocol
+//! opens is small: a masked total or `Σk` below `2^128`
+//! ([`PrivateKey::decrypt_u128`]), a signed `Σd` or coupling claim of at
+//! most 127 bits ([`PrivateKey::decrypt_i128`]), Protocol 4's 98-bit
+//! ratios ([`PrivateKey::decrypt_packed`]). When a plaintext is known to
+//! lie below `2^b` and `|p| ≥ b + 64`, it equals `m mod p`, so the p-leg
+//! alone recovers it — one half-width ladder, no q-leg and no Garner
+//! step: half the ladders of [`PrivateKey::decrypt`], bit-identical
+//! output. The 64 bits between the bound and `|p|` are the guard: a
+//! corrupted ciphertext decrypts to a value uniform mod `p`, which lands
+//! below the bound with odds of about `2^−64`, so it is still a typed
+//! error. Toy keys (`|p| < b + 64`, e.g. 128-bit keys) keep both legs.
+//! Protocol 4's packs are sized to the leg: [`PrivateKey::decrypt_packed`]
+//! Horner-folds `⌊(|p| − 64)/w⌋` ciphertexts into one (9 at 2048-bit keys,
+//! 4 at 1024) and decrypts that once. [`PrivateKey::decrypt_batch`], a
+//! fan-in of unbounded plaintexts, decrypts one ciphertext after another
+//! on both legs. Fused chains (`mul_plain` + `add_plain`) run through
+//! [`PublicKey::affine`], one pass through the Montgomery domain.
 //!
 //! **Encryption has one randomizer lane, `h_s^x`.** At key generation
 //! the owner draws `y ∈ Z_n*`, sets `h = −y² mod n` and publishes
@@ -64,9 +76,10 @@ use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery};
 use crate::error::CryptoError;
 use crate::{short_exponent, short_exponent_bits};
 
-/// Bits of `n` that [`PrivateKey::decrypt_packed`] leaves above its top
-/// slot, so that a plaintext uniform mod `n` lands there.
-const PACK_GUARD_BITS: usize = 64;
+/// Bits of the decryption modulus (`p` on one leg, `n` on both) that a
+/// bounded decryption leaves above its bound, so that a plaintext
+/// uniform modulo it lands there.
+const GUARD_BITS: usize = 64;
 
 /// A Paillier public key: `n`, the published randomizer base
 /// `h_s = h^n mod n²`, cached `n²`, and the shared, lazily (re)built
@@ -398,10 +411,14 @@ impl PublicKey {
     }
 
     /// `(1 + m·n) · rn mod n²` for a checked message and an `n`-th
-    /// residue `rn`.
+    /// residue `rn < n²`, computed as `rn + n·(m·rn mod n)`: the two are
+    /// congruent mod `n²`, and the sum is below `2n²`, so one conditional
+    /// subtraction reduces it. Two products and two remainders at
+    /// `|n|` bits instead of a Montgomery round trip mod `n²`.
     fn seal(&self, m: &BigUint, rn: &BigUint) -> Ciphertext {
-        let gm = (BigUint::one() + m * &self.n) % &self.n2;
-        Ciphertext(self.mont().mul(&gm, rn))
+        let mr = &(m * &(rn % &self.n)) % &self.n;
+        let sum = rn + &(&self.n * &mr);
+        Ciphertext(if sum >= self.n2 { &sum - &self.n2 } else { sum })
     }
 
     /// Encrypts `m ∈ [0, n)` with fresh randomness from `rng`.
@@ -581,6 +598,9 @@ impl PrivateKey {
     /// Decrypts to the canonical representative in `[0, n)`: two
     /// half-width exponentiations mod `p²`/`q²` with Garner
     /// recombination, bit-identical to [`PrivateKey::decrypt_classic`].
+    /// For any plaintext; a plaintext known to be bounded takes
+    /// [`PrivateKey::decrypt_u128`], [`PrivateKey::decrypt_i128`] or
+    /// [`PrivateKey::decrypt_packed`], which at paper keys need one leg.
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         self.crt.decrypt(&c.0)
     }
@@ -606,20 +626,64 @@ impl PrivateKey {
     }
 
     /// Decrypts a batch to canonical representatives in `[0, n)`:
-    /// [`PrivateKey::decrypt`] per ciphertext, in order. For fan-ins of
-    /// unbounded plaintexts (the coupling coordinator's signed totals);
-    /// plaintexts known to be narrow take [`PrivateKey::decrypt_packed`]
-    /// instead.
+    /// [`PrivateKey::decrypt`] per ciphertext, in order, on both legs.
+    /// No protocol path calls it: every plaintext a protocol opens is
+    /// bounded and takes [`PrivateKey::decrypt_u128`],
+    /// [`PrivateKey::decrypt_i128`] or [`PrivateKey::decrypt_packed`].
     pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Vec<BigUint> {
         cts.iter().map(|c| self.decrypt(c)).collect()
     }
 
+    /// The p-leg, if it alone recovers a plaintext below `2^bound_bits`
+    /// with [`GUARD_BITS`] to spare (`|p| ≥ bound_bits + 64`); `None`
+    /// means both legs and Garner.
+    fn short_leg(&self, bound_bits: usize) -> Option<&CrtLeg> {
+        let leg = &self.crt.p_leg;
+        (leg.prime.bit_length() >= bound_bits + GUARD_BITS).then_some(leg)
+    }
+
+    /// Decrypts a plaintext known to lie below `2^bound_bits`, with the
+    /// modulus it comes out reduced by: `p` on the short leg, else `n`
+    /// on both legs.
+    fn decrypt_below(&self, c: &Ciphertext, bound_bits: usize) -> (BigUint, &BigUint) {
+        match self.short_leg(bound_bits) {
+            Some(leg) => (leg.decrypt(&c.0), &leg.prime),
+            None => (self.crt.decrypt(&c.0), &self.public.n),
+        }
+    }
+
+    /// A plaintext that failed its bound, as the typed error.
+    fn too_large(&self, m: &BigUint) -> CryptoError {
+        CryptoError::MessageTooLarge {
+            message_bits: m.bit_length(),
+            modulus_bits: self.public.bits(),
+        }
+    }
+
+    /// Decrypts a plaintext known to lie below `2^128` (a masked total,
+    /// `Σk`): on the p-leg alone at keys of 384 bits and up, on both legs
+    /// below. Every in-bound plaintext decrypts to what
+    /// [`PrivateKey::decrypt`] returns, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::MessageTooLarge`] if the decrypted value reaches
+    /// `2^128`: any plaintext at or above the bound on both legs, and on
+    /// one leg a corrupted ciphertext or an out-of-bound plaintext except
+    /// with odds of about `2^−64`.
+    pub fn decrypt_u128(&self, c: &Ciphertext) -> Result<u128, CryptoError> {
+        let (m, _) = self.decrypt_below(c, 128);
+        m.to_u128().ok_or_else(|| self.too_large(&m))
+    }
+
     /// How many `slot_bits`-wide plaintexts [`PrivateKey::decrypt_packed`]
-    /// recovers per decryption: `⌊(|n| − 64) / slot_bits⌋`, at least one.
-    /// For 98-bit slots that is 20 at 2048-bit keys, 9 at 1024, 4 at 512
-    /// and 1 at 128.
+    /// recovers per decryption: `⌊(|p| − 64) / slot_bits⌋` on the p-leg
+    /// when at least one slot fits it, else `⌊(|n| − 64) / slot_bits⌋`
+    /// on both legs, at least one. For 98-bit slots that is 9 at
+    /// 2048-bit keys, 4 at 1024, and 1 at 512, 256 and 128.
     pub fn slots_per_pack(&self, slot_bits: usize) -> usize {
-        slots_per_pack(self.public.bits(), slot_bits)
+        let leg_bits = self.crt.p_leg.prime.bit_length();
+        slots_per_pack(leg_bits, self.public.bits(), slot_bits)
     }
 
     /// Decrypts a batch whose plaintexts each lie below `2^slot_bits`,
@@ -628,21 +692,21 @@ impl PrivateKey {
     /// Each pack is folded Horner-style, `acc ← acc^(2^slot_bits) · c_j`
     /// ([`Montgomery::horner_fold`]), which encrypts
     /// `Σ m_j · 2^(slot_bits·(len−1−j))`. One decryption then yields every
-    /// slot. The fold runs on each half-width leg mod `p²`/`q²`,
-    /// followed by one ladder per leg (counted in `crypto/modpow`) and
-    /// one Garner step. On in-bound input the output is
-    /// [`PrivateKey::decrypt_batch`]'s, bit for bit.
+    /// slot. The fold and its one ladder (counted in `crypto/modpow`) run
+    /// on the p-leg mod `p²` when a slot fits it with 64 guard bits, and
+    /// on both legs followed by one Garner step otherwise. On in-bound
+    /// input the output is [`PrivateKey::decrypt_batch`]'s, bit for bit.
     ///
     /// # Errors
     ///
     /// [`CryptoError::MessageTooLarge`] if a pack's plaintext reaches
     /// `2^(slot_bits·len)`. That catches any top slot at or above
     /// `2^slot_bits`, and a corrupted ciphertext, whose plaintext is
-    /// uniform mod `n`, except with probability `2^−64` (the guard bits
-    /// above the top slot; a one-slot pack on a toy key has
-    /// `|n| − slot_bits` of them). An out-of-bound value in a lower slot
-    /// can instead carry into the slot above it unseen, so the bound is
-    /// the caller's to enforce.
+    /// uniform mod `p` (mod `n` on both legs), except with odds of about
+    /// `2^−64` (the guard bits above the top slot; a one-slot pack on a
+    /// toy key has `|n| − slot_bits` of them). An out-of-bound value in a
+    /// lower slot can instead carry into the slot above it unseen, so the
+    /// bound is the caller's to enforce.
     pub fn decrypt_packed(
         &self,
         cts: &[Ciphertext],
@@ -652,6 +716,7 @@ impl PrivateKey {
         // no bound to check, exactly as for any wider slot.
         let slot_bits = slot_bits.min(self.public.bits());
         let per_pack = self.slots_per_pack(slot_bits);
+        let short_leg = self.short_leg(slot_bits);
         let mask = &(BigUint::one() << slot_bits) - &BigUint::one();
         let mut out = Vec::with_capacity(cts.len());
         for pack in cts.chunks(per_pack) {
@@ -661,12 +726,12 @@ impl PrivateKey {
                     .horner_fold(pack.iter().map(|c| &c.0), slot_bits);
                 leg.decrypt(&folded)
             };
-            let packed = self.crt.garner(leg(&self.crt.p_leg), leg(&self.crt.q_leg));
+            let packed = match short_leg {
+                Some(p_leg) => leg(p_leg),
+                None => self.crt.garner(leg(&self.crt.p_leg), leg(&self.crt.q_leg)),
+            };
             if packed.bit_length() > slot_bits * pack.len() {
-                return Err(CryptoError::MessageTooLarge {
-                    message_bits: packed.bit_length(),
-                    modulus_bits: self.public.bits(),
-                });
+                return Err(self.too_large(&packed));
             }
             out.extend(
                 (0..pack.len())
@@ -677,10 +742,14 @@ impl PrivateKey {
         Ok(out)
     }
 
-    /// Decrypts and decodes the balanced signed encoding.
+    /// Decrypts and decodes the balanced signed encoding of a value of
+    /// at most 127 bits (`Σd`, a coupling claim).
     ///
-    /// Values in `[0, n/2)` are non-negative; values in `(n/2, n)` map to
-    /// negatives.
+    /// At keys of 382 bits and up it decrypts on the p-leg alone and
+    /// decodes around `p/2`: `encode_i128(v)` is `v` or `n − |v|`, which
+    /// is `v` or `p − |v|` mod `p`. Below that it decrypts on both legs
+    /// and decodes around `n/2`. Either way every value that fits `i128`
+    /// decrypts to what the two-leg decoding returns, bit for bit.
     ///
     /// # Errors
     ///
@@ -688,28 +757,30 @@ impl PrivateKey {
     /// fit `i128`. Under any key wider than 128 bits a peer can encrypt
     /// such a plaintext, so a ciphertext off the wire may carry one.
     pub fn decrypt_i128(&self, c: &Ciphertext) -> Result<i128, CryptoError> {
-        let m = self.decrypt(c);
-        let n = &self.public.n;
-        let (negative, mag) = if m <= (n >> 1) {
+        let (m, modulus) = self.decrypt_below(c, 127);
+        let (negative, mag) = if m <= (modulus >> 1) {
             (false, m)
         } else {
-            (true, n - &m)
+            (true, modulus - &m)
         };
         let v = mag
             .to_u128()
             .and_then(|u| i128::try_from(u).ok())
-            .ok_or_else(|| CryptoError::MessageTooLarge {
-                message_bits: mag.bit_length(),
-                modulus_bits: n.bit_length(),
-            })?;
+            .ok_or_else(|| self.too_large(&mag))?;
         Ok(if negative { -v } else { v })
     }
 }
 
-/// [`PrivateKey::slots_per_pack`] for a `key_bits`-bit key.
-fn slots_per_pack(key_bits: usize, slot_bits: usize) -> usize {
-    key_bits
-        .saturating_sub(PACK_GUARD_BITS)
+/// [`PrivateKey::slots_per_pack`] for a key of `key_bits` bits whose
+/// p-leg has `leg_bits`.
+fn slots_per_pack(leg_bits: usize, key_bits: usize, slot_bits: usize) -> usize {
+    let modulus_bits = if leg_bits >= slot_bits + GUARD_BITS {
+        leg_bits
+    } else {
+        key_bits
+    };
+    modulus_bits
+        .saturating_sub(GUARD_BITS)
         .checked_div(slot_bits)
         .unwrap_or(0)
         .max(1)
@@ -994,7 +1065,7 @@ mod tests {
 
     /// One cached key pair per validation size: 128 bits, where `c mod n`
     /// fits the gcd's two-limb tail, and 1024, where it runs the
-    /// multi-limb Lehmer passes.
+    /// multi-limb Lehmer passes (and bounded decryptions run on one leg).
     fn validation_keypair(bits: usize) -> &'static Keypair {
         static K128: std::sync::OnceLock<Keypair> = std::sync::OnceLock::new();
         static K1024: std::sync::OnceLock<Keypair> = std::sync::OnceLock::new();
@@ -1268,30 +1339,34 @@ mod tests {
 
     #[test]
     fn slots_per_pack_follows_the_key_size() {
-        assert_eq!(keypair(512).private().slots_per_pack(98), 4);
-        for (bits, slots) in [
-            (128usize, 1usize),
-            (256, 1),
-            (512, 4),
-            (1024, 9),
-            (2048, 20),
-        ] {
-            assert_eq!(slots_per_pack(bits, 98), slots, "{bits}-bit key");
-            assert_eq!(slots_per_pack(bits, 0), 1, "a zero-width slot packs alone");
-            assert_eq!(slots_per_pack(bits, bits), 1);
+        // A slot that fits the p-leg with 64 guard bits packs on it;
+        // one that does not packs on both legs, under n.
+        assert_eq!(keypair(512).private().slots_per_pack(98), 1);
+        assert_eq!(validation_keypair(1024).private().slots_per_pack(98), 4);
+        for (bits, slots) in [(128usize, 1usize), (256, 1), (512, 1), (1024, 4), (2048, 9)] {
+            assert_eq!(slots_per_pack(bits / 2, bits, 98), slots, "{bits}-bit key");
+            assert_eq!(
+                slots_per_pack(bits / 2, bits, 0),
+                1,
+                "a zero-width slot packs alone"
+            );
+            assert_eq!(slots_per_pack(bits / 2, bits, bits), 1);
         }
     }
 
     #[test]
     fn decrypt_packed_errors_on_what_it_can_see() {
-        // 512-bit key, 98-bit slots: four per pack, 120 guard bits.
-        let kp = keypair(512);
+        // 1024-bit key, 98-bit slots: four per pack on the 512-bit p-leg,
+        // 120 guard bits.
+        let kp = validation_keypair(1024);
         let (pk, w) = (kp.public(), 98usize);
         let mut rng = HashDrbg::new(b"packed-bounds");
         let enc = |v: &BigUint, rng: &mut HashDrbg| pk.encrypt(v, rng);
         let top = BigUint::one() << w;
         let small = BigUint::from(5u64);
         let sk = kp.private();
+        assert!(sk.short_leg(w).is_some());
+        assert_eq!(sk.crt.p_leg.prime.bit_length() - 4 * w, 120);
         // A top slot at 2^w overflows its pack: typed, never a panic.
         let cts: Vec<Ciphertext> = [&top, &small, &small, &small, &small]
             .iter()
@@ -1300,7 +1375,7 @@ mod tests {
         assert!(matches!(
             sk.decrypt_packed(&cts, w),
             Err(CryptoError::MessageTooLarge {
-                modulus_bits: 512,
+                modulus_bits: 1024,
                 ..
             })
         ));
@@ -1320,6 +1395,100 @@ mod tests {
         );
         // An empty batch decrypts to nothing.
         assert_eq!(sk.decrypt_packed(&[], w), Ok(vec![]));
+    }
+
+    #[test]
+    fn bounded_decryptions_take_one_leg_only_where_the_guard_fits() {
+        // 1024 bits: |p| = 512 ≥ 128 + 64. 256 bits: |p| = 128, both legs.
+        assert!(validation_keypair(1024).private().short_leg(128).is_some());
+        let toy = keypair(256);
+        assert!(toy.private().short_leg(127).is_none());
+        assert!(validation_keypair(128).private().short_leg(127).is_none());
+        // Either way, in-bound plaintexts decrypt as `decrypt` does.
+        for kp in [validation_keypair(1024), &toy, validation_keypair(128)] {
+            let (pk, sk) = (kp.public(), kp.private());
+            let mut rng = HashDrbg::new(b"bounded-paths");
+            // The largest plaintext of each bound that the key holds.
+            let wide = pk.bits() > 128;
+            let top = if wide {
+                u128::MAX
+            } else {
+                (pk.n() - &BigUint::one()).to_u128().expect("128-bit n")
+            };
+            for v in [0u128, 1, 1 << 64, top] {
+                let c = pk.encrypt(&BigUint::from(v), &mut rng);
+                assert_eq!(sk.decrypt_u128(&c), Ok(v));
+            }
+            let edge = if wide { i128::MAX } else { i128::MAX >> 1 };
+            for v in [0i128, 1, -1, edge, -edge] {
+                let c = pk.encrypt(&pk.encode_i128(v), &mut rng);
+                assert_eq!(sk.decrypt_i128(&c), Ok(v), "v={v}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_ciphertext_is_a_typed_error_on_one_leg() {
+        // A valid unit of Z_{n²}* that no one encrypted decrypts to a
+        // value uniform mod p: above 2^128, and above i128 either side
+        // of p/2, but for odds of about 2^−64 — never a panic.
+        let kp = validation_keypair(1024);
+        let (pk, sk) = (kp.public(), kp.private());
+        let mut rng = HashDrbg::new(b"one-leg-corrupt");
+        let good = pk.encrypt(&BigUint::from(77u64), &mut rng);
+        for trial in 0..8u64 {
+            let flipped = good.as_biguint() ^ &(BigUint::one() << (trial as usize * 97 % 2000));
+            let mangled = [
+                Ciphertext::from_biguint(BigUint::random_coprime(pk.n_squared(), &mut rng)),
+                Ciphertext::from_biguint(flipped),
+            ];
+            for c in &mangled {
+                let c = Ciphertext::from_biguint(c.as_biguint() % pk.n_squared());
+                assert!(matches!(
+                    sk.decrypt_u128(&c),
+                    Err(CryptoError::MessageTooLarge {
+                        modulus_bits: 1024,
+                        ..
+                    })
+                ));
+                assert!(matches!(
+                    sk.decrypt_i128(&c),
+                    Err(CryptoError::MessageTooLarge { .. })
+                ));
+            }
+        }
+        // So is a plaintext a peer encrypts above the bound on purpose.
+        let c = pk.encrypt(&(BigUint::one() << 128), &mut rng);
+        assert!(sk.decrypt_u128(&c).is_err());
+        assert!(sk.decrypt_i128(&c).is_err());
+        assert_eq!(sk.decrypt_u128(&good), Ok(77));
+    }
+
+    #[test]
+    fn seal_matches_the_montgomery_product() {
+        // rn + n·(m·rn mod n) ≡ (1 + m·n)·rn mod n², bit for bit, for
+        // messages across the space and randomizers off the lane.
+        for kp in [validation_keypair(128), validation_keypair(1024)] {
+            let pk = kp.public();
+            let mut rng = HashDrbg::new(b"seal");
+            let n = pk.n();
+            for m in [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from(u64::MAX),
+                n >> 1,
+                n - &BigUint::one(),
+                BigUint::random_below(n, &mut rng),
+            ] {
+                for rn in [
+                    pk.draw_randomizer(&mut rng),
+                    pk.n_squared() - &BigUint::one(),
+                ] {
+                    let gm = (BigUint::one() + &m * n) % pk.n_squared();
+                    assert_eq!(pk.seal(&m, &rn).0, pk.mont().mul(&gm, &rn), "m={m:?}");
+                }
+            }
+        }
     }
 
     #[test]

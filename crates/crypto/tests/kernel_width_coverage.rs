@@ -5,7 +5,8 @@
 //! no Montgomery kernel at all. The 128- and 1024-bit shapes are
 //! pinned by a whole trading window in
 //! `crates/core/tests/kernel_width_coverage.rs`. Along the way, a batch
-//! decryption counts one `crypto/modpow` ladder per ciphertext and leg.
+//! decryption counts one `crypto/modpow` ladder per ciphertext and leg,
+//! a bounded one (`decrypt_u128`) one per ciphertext, and a pack one.
 //!
 //! ONE `#[test]`: the telemetry collector and its counters are process
 //! global.
@@ -53,11 +54,24 @@ fn contexts_of_a_2048_bit_key_and_group_are_specialised() {
         2 * cts.len() as u64,
         "one ladder per ciphertext and CRT leg"
     );
-    // The packed fan-in folds on the same half-width legs.
+    // A plaintext below 2^128 decrypts on the p-leg alone: one ladder.
+    let ladders_before = counter(MODPOW);
+    for c in &cts {
+        assert_eq!(sk.decrypt_u128(c), Ok(123_456_789));
+    }
+    assert_eq!(
+        counter(MODPOW) - ladders_before,
+        cts.len() as u64,
+        "one ladder per bounded ciphertext"
+    );
+    // The packed fan-in folds on that half-width leg: one pack of three
+    // 98-bit slots, one ladder.
+    let ladders_before = counter(MODPOW);
     assert_eq!(
         sk.decrypt_packed(&cts, 98),
         Ok(vec![m.clone(), m.clone(), m])
     );
+    assert_eq!(counter(MODPOW) - ladders_before, 1, "one ladder per pack");
 
     // The OT group: a transfer on the curve is field arithmetic on
     // fixed limbs, no ladder and no comb table of this crate's integers.

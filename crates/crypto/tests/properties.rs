@@ -35,18 +35,84 @@ fn lane_keypair(which: usize) -> &'static Keypair {
 /// Slot width of Protocol 4's ratios at the paper's precision.
 const SLOT_BITS: usize = 98;
 
-/// The widths the packed-decryption properties run at: one, four and
-/// nine 98-bit slots per pack.
-const PACK_KEY_BITS: [usize; 3] = [256, 512, 1024];
+/// The widths the packed- and bounded-decryption properties run at:
+/// one 98-bit slot per pack on both legs (256), then one, four and nine
+/// on the p-leg alone (512, 1024, 2048). The bounded properties skip
+/// 256, whose 128-bit p-leg holds no 128-bit bound with its guard.
+const WIDE_KEY_BITS: [usize; 4] = [256, 512, 1024, 2048];
 
-/// One shared keypair per entry of [`PACK_KEY_BITS`].
-fn pack_keypair(which: usize) -> &'static Keypair {
-    static KPS: [OnceLock<Keypair>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+/// One shared keypair per entry of [`WIDE_KEY_BITS`].
+fn wide_keypair(which: usize) -> &'static Keypair {
+    static KPS: [OnceLock<Keypair>; 4] = [const { OnceLock::new() }; 4];
     KPS[which].get_or_init(|| {
-        let bits = PACK_KEY_BITS[which];
+        let bits = WIDE_KEY_BITS[which];
         let mut rng = HashDrbg::from_seed_label(b"proptest-pack-keypair", bits as u64);
         Keypair::generate(bits, &mut rng)
     })
+}
+
+/// Checks the bounded paths against the two-leg `decrypt` for one
+/// unsigned and one signed plaintext: `decrypt_u128` returns what
+/// `decrypt` returns, and `decrypt_i128` what the balanced decoding of
+/// `decrypt` around `n/2` returns (`i128::MIN` is out of range on both).
+fn assert_bounded_paths_agree(kp: &Keypair, u: u128, i: i128, rng: &mut HashDrbg) {
+    let (pk, sk) = (kp.public(), kp.private());
+    let c = pk.encrypt(&BigUint::from(u), rng);
+    assert_eq!(sk.decrypt(&c).to_u128(), Some(u));
+    assert_eq!(sk.decrypt_u128(&c), Ok(u), "u={u} at {} bits", pk.bits());
+    let c = pk.encrypt(&pk.encode_i128(i), rng);
+    let m = sk.decrypt(&c);
+    let (negative, mag) = if m <= (pk.n() >> 1) {
+        (false, m)
+    } else {
+        (true, pk.n() - &m)
+    };
+    let two_legs =
+        mag.to_u128()
+            .and_then(|v| i128::try_from(v).ok())
+            .map(|v| if negative { -v } else { v });
+    assert_eq!(two_legs, (i != i128::MIN).then_some(i));
+    assert_eq!(
+        sk.decrypt_i128(&c).ok(),
+        two_legs,
+        "i={i} at {} bits",
+        pk.bits()
+    );
+}
+
+#[test]
+fn bounded_decryptions_match_both_legs_at_the_edges() {
+    let edges_u = [0, 1, u128::from(u64::MAX), 1 << 127, u128::MAX];
+    let max = i128::MAX; // 2^127 − 1
+    let edges_i = [0, 1, -1, max, -max, i128::MIN, i128::from(i64::MIN)];
+    for which in 1..WIDE_KEY_BITS.len() {
+        let kp = wide_keypair(which);
+        let mut rng = HashDrbg::from_seed_label(b"bounded-edges", which as u64);
+        for (&u, &i) in edges_u.iter().cycle().zip(&edges_i) {
+            assert_bounded_paths_agree(kp, u, i, &mut rng);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn bounded_decryptions_match_both_legs(
+        which in 1usize..4,
+        hi in any::<u64>(),
+        lo in any::<u64>(),
+        shift in 0usize..128,
+        negative in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // Plaintexts of every width up to the bound, both signs.
+        let u = ((u128::from(hi) << 64) | u128::from(lo)) >> shift;
+        let mag = (u >> 1) as i128;
+        let i = if negative { -mag } else { mag };
+        let mut rng = HashDrbg::from_seed_label(b"bounded-eq", seed);
+        assert_bounded_paths_agree(wide_keypair(which), u, i, &mut rng);
+    }
 }
 
 /// `len` in-bound slot values, with the edges `0` and `2^SLOT_BITS − 1`
@@ -67,12 +133,12 @@ proptest! {
 
     #[test]
     fn decrypt_packed_equals_decrypt_batch(
-        which in 0usize..3,
+        which in 0usize..4,
         len in any::<prop::sample::Index>(),
         seed in any::<u64>(),
     ) {
         // Lengths 0..=2s+1: empty, partial, full and spilling packs.
-        let kp = pack_keypair(which);
+        let kp = wide_keypair(which);
         let (pk, sk) = (kp.public(), kp.private());
         let len = len.index(2 * sk.slots_per_pack(SLOT_BITS) + 2);
         let mut rng = HashDrbg::from_seed_label(b"packed-eq", seed);
@@ -85,7 +151,7 @@ proptest! {
 
     #[test]
     fn decrypt_packed_rejects_out_of_bound_slots(
-        which in 0usize..3,
+        which in 0usize..4,
         len in any::<prop::sample::Index>(),
         at in any::<prop::sample::Index>(),
         seed in any::<u64>(),
@@ -93,7 +159,7 @@ proptest! {
         // A slot uniform in [2^w, n), or a random unit in place of a
         // ciphertext, at any position: the pack's plaintext is then
         // uniform mod n and lands in the guard bits (all but 2^−64).
-        let kp = pack_keypair(which);
+        let kp = wide_keypair(which);
         let (pk, sk) = (kp.public(), kp.private());
         let len = 1 + len.index(2 * sk.slots_per_pack(SLOT_BITS) + 1);
         let at = at.index(len);

@@ -15,8 +15,9 @@
 //!   else, and only while `MARKET_GOLDEN` passes unchanged.
 //!
 //! [`TREE_COUPLED_GOLDEN`] and [`PAPER512_GOLDEN`] pin the same
-//! scenario on paths `GOLDEN` does not reach (tree + coupling; a key
-//! wide enough to pack Protocol 4's ratios), under `GOLDEN`'s rule.
+//! scenario on paths `GOLDEN` does not reach (tree + coupling; a paper
+//! key, whose bounded decryptions run on one CRT leg), under `GOLDEN`'s
+//! rule.
 //!
 //! To inspect current values:
 //! `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
@@ -174,12 +175,15 @@ fn run_grid(
         .collect()
 }
 
-/// The only goldened run at a key wide enough to pack Protocol 4's
-/// ratios: `PemConfig::paper(512)`, four 98-bit slots per decryption.
-/// Window 44 is four general markets with 8–9 buyers each; window 90
-/// after it is one general market with 6 buyers and three extreme ones
-/// with 7–8 sellers. So every ratio batch spans two packs, in both
-/// market cases (the fast-test goldens hold one slot per pack).
+/// The only goldened run at a paper key: `PemConfig::paper(512)`,
+/// where every bounded decryption runs on the 256-bit p-leg alone. Its
+/// packs hold one 98-bit slot each (four on both legs until the packs
+/// were sized to the leg; decryption is local and exact, so the
+/// fingerprints did not move). Window 44 is four general markets with
+/// 8–9 buyers each; window 90 after it is one general market with 6
+/// buyers and three extreme ones with 7–8 sellers, so both market cases
+/// decrypt more than four ratios. Multi-slot packs are pinned by
+/// `pem-crypto`'s `decrypt_packed` properties (4 slots at 1024 bits).
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub fn run_paper512() -> Vec<GridReport> {
     run_grid(&[44, 90], PemConfig::paper(512), None, 2, Engine::Threads)

@@ -38,8 +38,9 @@ fn coupling_off_fingerprints_match_pre_overhaul_goldens() {
 fn paper512_fingerprints_match_their_pins() {
     use pem_market::MarketKind;
     let reports = common::run_paper512();
-    // Both market cases reach the packed decryption with two packs per
-    // batch: more than four ratio-side members in every coalition.
+    // Both market cases reach the packed decryption with more than
+    // four ratio-side members in every coalition (one p-leg pack each
+    // at 512 bits).
     let mut kinds = Vec::new();
     for so in reports.iter().flat_map(|r| &r.shard_outcomes) {
         assert!(
