@@ -26,19 +26,22 @@
 //! their OT on: its kernels `scalar_mul` (one variable-base
 //! multiplication, interleaved with `compare_64`), `fixed_base` (one off
 //! the basepoint's comb table) and `decode` (one RFC 8032 decode), then
-//! `ot_single`, `compare_64` and `compare_47` (the width a coalition of
+//! `ot_single`, `compare_64` and `compare_37` (the width a coalition of
 //! 12 compares at). `grid_doctor` holds `compare_64` under 0.75 × 64 ×
 //! `ot_single` (0.9 at `test192`) and, at `ed25519`, under 2.5 × 32 ×
 //! `scalar_mul` within each run. Next, one entry for the garbled
 //! comparator itself (`gc_width: 64`): `garble_64` and `eval_64` time
-//! garbling and evaluating Protocol 2's 64-bit comparator, and the
-//! deterministic `gc_table_bytes_64` counts the AND-table bytes the
-//! transfer ships — `grid_doctor` holds it at two 16-byte half-gates rows
-//! per AND of a 64-AND comparator — and the deterministic
-//! `compare_47_wire_bytes` totals the three frames Protocol 2 sends for
-//! one 47-bit comparison on edwards25519 (`eval/gc-offer`,
-//! `eval/gc-ot-request`, `eval/gc-ot-transfer`: 33 + 769 + 3,764 =
-//! 4,566). Last come the Montgomery kernel rows every figure
+//! garbling and evaluating the 64-bit unsigned comparator
+//! (`comparator_circuit`, the borrow chain Protocol 2's wrapped
+//! comparator is built on), and the deterministic `gc_table_bytes_64`
+//! counts the AND-table bytes a garbling ships — `grid_doctor` holds it
+//! at two 16-byte half-gates rows per AND of a 64-AND comparator — and
+//! the deterministic
+//! `compare_37_wire_bytes` totals the three frames Protocol 2 sends for
+//! one 37-bit comparison on edwards25519 (`eval/gc-offer`,
+//! `eval/gc-ot-request`, `eval/gc-ot-transfer`: 33 + 609 + 2,932 =
+//! 3,574). Both `compare_37` rows are named for the width they run, so
+//! a later width is a new row, never a run-over-run step of this one. Last come the Montgomery kernel rows every figure
 //! above is a multiple of: `mont_mul_ns` / `mont_sqr_ns`, one entry per
 //! limb count (3, 4, 16, 32, 64 — the toy-key and test-group widths,
 //! `p²` at 1024-bit keys, `n²` at 1024- and 2048-bit keys).
@@ -437,7 +440,7 @@ fn bench_test192(min_time_ms: u64) -> GroupReport {
 /// edwards25519: the curve's three kernels (a variable-base scalar
 /// multiplication, one off the basepoint table, an RFC 8032 decode),
 /// `ot_single`, and the comparison at 64 bits — interleaved with
-/// `scalar_mul`, the within-run reference — and at the 47 bits a
+/// `scalar_mul`, the within-run reference — and at the 37 bits a
 /// coalition of 12 compares at.
 fn bench_ed25519(min_time_ms: u64) -> GroupReport {
     let profile = OtProfile::Ed25519;
@@ -464,8 +467,8 @@ fn bench_ed25519(min_time_ms: u64) -> GroupReport {
             let _ = point.mul(&scalar);
         },
     );
-    let width = compare_width(12);
-    let narrow = measure("compare_47", min_time_ms, |i| {
+    let width = coalition_width();
+    let narrow = measure("compare_37", min_time_ms, |i| {
         compare_at(profile, width, i, &mut rng)
     });
     kernels.extend([mul, compare, narrow]);
@@ -475,13 +478,25 @@ fn bench_ed25519(min_time_ms: u64) -> GroupReport {
     }
 }
 
-/// The garbled-comparator rows at Protocol 2's width, 64 bits.
+/// The width a coalition of 12 compares at, which the `compare_37` rows
+/// are named for.
+fn coalition_width() -> usize {
+    let width = compare_width(12);
+    assert_eq!(
+        width, 37,
+        "the compare_37 rows must be renamed to their width"
+    );
+    width
+}
+
+/// The garbled-comparator rows: the unsigned comparator at the 64-bit
+/// ceiling, and the wire bytes of a 12-member comparison.
 struct CircuitReport {
     kernels: Vec<Kernel>,
     /// Bytes of AND tables one garbling ships.
     table_bytes: usize,
-    /// Bytes of the three frames of a 47-bit comparison on the curve.
-    wire_bytes_47: usize,
+    /// Bytes of the three frames of a 37-bit comparison on the curve.
+    wire_bytes_37: usize,
 }
 
 /// Times garbling and evaluating the 64-bit comparator, interleaved,
@@ -504,11 +519,11 @@ fn bench_circuit(min_time_ms: u64) -> CircuitReport {
             let _ = eval_garbled(&garbled, &labels).expect("evaluate");
         },
     );
-    let frames = frame_bytes(compare_width(12), &Ed25519.into()).expect("a 47-bit comparison");
+    let frames = frame_bytes(coalition_width(), &Ed25519.into()).expect("a 37-bit comparison");
     CircuitReport {
         kernels: vec![garble_k, eval_k],
         table_bytes: std::mem::size_of_val(garbled.and_tables()),
-        wire_bytes_47: frames.iter().sum(),
+        wire_bytes_37: frames.iter().sum(),
     }
 }
 
@@ -588,7 +603,7 @@ fn json(
     let mut fields = kernel_fields(&circuit.kernels);
     fields.push(("gc_width".into(), 64usize.into()));
     fields.push(("gc_table_bytes_64".into(), circuit.table_bytes.into()));
-    fields.push(("compare_47_wire_bytes".into(), circuit.wire_bytes_47.into()));
+    fields.push(("compare_37_wire_bytes".into(), circuit.wire_bytes_37.into()));
     entries.push(Json::obj(fields));
     for w in widths {
         entries.push(json_object! {
@@ -652,7 +667,7 @@ fn main() {
     }
     for (name, bytes) in [
         ("table_bytes_64", circuit.table_bytes),
-        ("compare_47_wire_bytes", circuit.wire_bytes_47),
+        ("compare_37_wire_bytes", circuit.wire_bytes_37),
     ] {
         eprintln!("{:>8}  {:<22} {:>10}  {:>8}B", "gc", name, "", bytes);
     }

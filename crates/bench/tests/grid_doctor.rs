@@ -72,8 +72,8 @@ fn committed_crypto_trajectory_is_clean() {
         crypto_checks(&doc, None, None, DEFAULT_THRESHOLD).expect("committed runs comparable");
     // The picker must land on the latest *kernel* run pair and skip the
     // overhead run (which shares no metric keys).
-    assert_eq!(base, "one-leg-parent-remeasured");
-    assert_eq!(cur, "one-leg-decrypt");
+    assert_eq!(base, "wrapped-parent-remeasured");
+    assert_eq!(cur, "wrapped-compare");
     // The pair gates the comparison rows per OT group, the garbled
     // comparator's row and the Montgomery kernel rows per limb count
     // beside the Paillier rows per key size; the current run also
@@ -82,8 +82,16 @@ fn committed_crypto_trajectory_is_clean() {
     // window, encryption off the ladder and bounded decryption on one
     // CRT leg per paper key size, validation below encryption per key
     // size, and two half-gates rows per AND of the 64-AND comparator.
-    // The `decrypt_u128` row is new in the current run, so only its
-    // within-run gate applies to it.
+    // The 12-member comparison rows are named for their width: the
+    // current run's `compare_37` has no `compare_47` partner in the
+    // baseline, so no run-over-run check sets the two widths side by
+    // side.
+    assert!(
+        !checks
+            .iter()
+            .any(|c| c.name.contains("compare_37") || c.name.contains("compare_47")),
+        "a 37-bit row was compared run over run"
+    );
     for name in [
         "crypto/gc64/half_gate_tables",
         "crypto/gc64/garble_64_mean_us",

@@ -198,6 +198,34 @@ impl CircuitBuilder {
         carry
     }
 
+    /// `a < b` for two `w`-bit residues of integers `A ≡ a`, `B ≡ b
+    /// (mod 2^w)` that differ by less than `2^(w−1)`: the top bit of
+    /// `(a − b) mod 2^w`, which is 1 exactly when `A − B` is negative.
+    ///
+    /// That bit is `a_{w−1} ⊕ b_{w−1} ⊕ borrow`, where `borrow` is
+    /// whether the low `w − 1` bits of `a` are below those of `b`: the
+    /// [`less_than`](Self::less_than) chain over the low bits, then two
+    /// XORs. Costs `w − 1` ANDs (none at `w = 1`, where the only pair in
+    /// range is `a = b`), and every bit of `a` still enters through an
+    /// XOR, so a garbler holding `a` can hardwire it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths or are empty.
+    pub fn wrapped_less_than(&mut self, a: &[WireId], b: &[WireId]) -> WireId {
+        assert_eq!(a.len(), b.len(), "operand widths must match");
+        let ((&a_top, a_low), (&b_top, b_low)) = a
+            .split_last()
+            .zip(b.split_last())
+            .expect("comparator needs at least one bit");
+        if a_low.is_empty() {
+            return self.xor(b_top, a_top);
+        }
+        let borrow = self.less_than(a_low, b_low);
+        let tops = self.xor(borrow, b_top);
+        self.xor(tops, a_top)
+    }
+
     /// Declares the circuit outputs.
     pub fn set_outputs(&mut self, outputs: &[WireId]) {
         self.outputs = outputs.to_vec();
@@ -235,13 +263,27 @@ impl CircuitBuilder {
     }
 }
 
-/// Builds the `w`-bit unsigned comparator used by Protocol 2:
-/// output = `a < b` where `a` is the garbler's value, `b` the evaluator's.
+/// Builds the `w`-bit unsigned comparator ([`CircuitBuilder::less_than`]):
+/// output = `a < b` for any `a, b < 2^w`, where `a` is the garbler's
+/// value and `b` the evaluator's. `w` ANDs.
 pub fn comparator_circuit(width: usize) -> Circuit {
     let mut b = CircuitBuilder::new();
     let xs = b.add_garbler_inputs(width);
     let ys = b.add_evaluator_inputs(width);
     let lt = b.less_than(&xs, &ys);
+    b.set_outputs(&[lt]);
+    b.build()
+}
+
+/// Builds the `w`-bit wrapped comparator Protocol 2 runs
+/// ([`CircuitBuilder::wrapped_less_than`]): output = `a < b` for
+/// `|a − b| < 2^(w−1)`, or for the residues mod `2^w` of any two
+/// integers that close. `w − 1` ANDs.
+pub fn wrapped_comparator_circuit(width: usize) -> Circuit {
+    let mut b = CircuitBuilder::new();
+    let xs = b.add_garbler_inputs(width);
+    let ys = b.add_evaluator_inputs(width);
+    let lt = b.wrapped_less_than(&xs, &ys);
     b.set_outputs(&[lt]);
     b.build()
 }
@@ -324,6 +366,33 @@ mod tests {
             let c = comparator_circuit(w);
             assert_eq!(c.and_count(), w, "one AND per bit at w = {w}");
             assert_eq!(c.gates().len(), 4 * w - 2, "and three XORs per bit past 0");
+        }
+    }
+
+    #[test]
+    fn wrapped_comparator_truth_table_small() {
+        // Every pair of integers below 2^(w+2) less than 2^(w−1) apart,
+        // fed as residues mod 2^w.
+        for w in 1..=6 {
+            let c = wrapped_comparator_circuit(w);
+            let mask = (1u128 << w) - 1;
+            for x in 0..1u128 << (w + 2) {
+                for y in (0..1u128 << (w + 2)).filter(|y| x.abs_diff(*y) < 1 << (w - 1)) {
+                    let (a, b) = (u128_to_bits(x & mask, w), u128_to_bits(y & mask, w));
+                    assert_eq!(eval_plaintext(&c, &a, &b), vec![x < y], "w={w} x={x} y={y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_comparator_costs_one_and_fewer() {
+        for w in [1, 2, 37, 64, 128] {
+            let c = wrapped_comparator_circuit(w);
+            assert_eq!(c.and_count(), w - 1, "w = {w}");
+            // The low bits' chain, then two XORs for the top bits.
+            let gates = if w == 1 { 1 } else { 4 * w - 4 };
+            assert_eq!(c.gates().len(), gates, "w = {w}");
         }
     }
 

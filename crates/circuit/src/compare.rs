@@ -3,7 +3,12 @@
 //! Implements the secure-comparison step of PEM's Private Market
 //! Evaluation (Protocol 2, lines 14–18): a *garbler* holding value `a` and
 //! an *evaluator* holding value `b` jointly compute `a < b` and learn
-//! nothing else. The garbler's bits are hardwired
+//! nothing else. The circuit is the wrapped comparator
+//! ([`wrapped_comparator_circuit`]): it reads the sign of `a − b` from
+//! the top bit of `(a − b) mod 2^w`, so its answer is `a < b` under the
+//! precondition `|a − b| < 2^(w−1)` at width `w`. The inputs may be the
+//! low `w` bits of two wider integers that close, as Protocol 2's masked
+//! totals are. The garbler's bits are hardwired
 //! ([`garble_hardwired`]): each takes the public active label 0¹²⁸, so no
 //! garbler label crosses the wire. The evaluator's labels come from **one
 //! random-OT batch under one sender key**, [`OT_CHUNK_BITS`] input bits
@@ -17,7 +22,7 @@
 //!    Protocol 2 sends it as the window opens.
 //! 2. **Requests** (evaluator → garbler): one OT reply per chunk of input
 //!    bits, blinded by the chunk's value.
-//! 3. **Transfer** (garbler → evaluator): the comparator garbled over the
+//! 3. **Transfer** (garbler → evaluator): the circuit garbled over the
 //!    garbler's value and, per chunk, one correction
 //!    `r_j ⊕ r_0 ⊕ offset_j` per nonzero chunk value `j` (`r_j` the
 //!    branch-`j` key, `offset_j` holding `Δ` at `j`'s set bits). The
@@ -46,11 +51,12 @@
 //! at; every count in it scales with `width` (`width / 2` variable-base
 //! multiplications, one group element per 2-bit chunk plus `A`). PEM's
 //! Protocol 2 compares at `pem_core::quantize::compare_width(m)` for a
-//! coalition of `m` members, the narrowest width its nonce-masked totals
-//! fit — 47 bits, so 24 multiplications and 25 group elements (800
-//! bytes on the curve), at `m = 12`; its three frames are then 33, 769
-//! and 3,764 bytes on the curve, 4,566 in all (6,070 with garbler
-//! labels and four branches per chunk).
+//! coalition of `m` members: the low bits of its two nonce-masked
+//! totals, enough to hold the public bound on their difference whatever
+//! the mask — 37 bits, so 19 multiplications, 20 group elements (640
+//! bytes on the curve) and 36 AND tables, at `m = 12`; its three frames
+//! are then 33, 609 and 2,932 bytes on the curve, 3,574 in all (4,566
+//! when the comparison covered the whole 47-bit masked totals).
 //!
 //! `pem-core` meters the messages through its own wire encoding.
 
@@ -61,7 +67,7 @@ use pem_crypto::ot::{
     Group, OtBatchReceiver, OtBatchSender, OtGroup, OtReceiverReply, OtSenderSetup, MAX_BRANCHES,
 };
 
-use crate::circuit::{comparator_circuit, u128_to_bits};
+use crate::circuit::{u128_to_bits, wrapped_comparator_circuit};
 use crate::error::CircuitError;
 use crate::garble::{eval_garbled, garble_hardwired, GarbledCircuit, Label};
 
@@ -112,14 +118,14 @@ pub struct CompareOtRequests<G: Group> {
     pub replies: Vec<OtReceiverReply<G>>,
 }
 
-/// Message 3: the garbled comparator over the garbler's hardwired value,
-/// and per chunk the corrections that turn the evaluator's OT key into
+/// Message 3: the garbled wrapped comparator over the garbler's hardwired
+/// value, and per chunk the corrections that turn the evaluator's OT key into
 /// its labels.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompareTransfer {
     /// Comparator bit width.
     pub width: usize,
-    /// The garbled comparator circuit.
+    /// The garbled wrapped comparator.
     pub garbled: GarbledCircuit,
     /// Per chunk, for each nonzero chunk value `j` in order, one label
     /// per bit: `r_j ⊕ r_0 ⊕ offset_j`, where `r_j` is the chunk's
@@ -127,7 +133,8 @@ pub struct CompareTransfer {
     pub corrections: Vec<Vec<Label>>,
 }
 
-/// Garbler-side state machine for one comparison.
+/// Garbler-side state machine for one comparison: the left operand of
+/// `a < b`, whose answer holds when `|a − b| < 2^(w−1)`.
 #[derive(Debug)]
 pub struct CompareGarbler<G: Group> {
     width: usize,
@@ -153,10 +160,10 @@ impl<G: Group> CompareGarbler<G> {
         (garbler, CompareSetup { width, ot_setup })
     }
 
-    /// Answers the evaluator's OT requests with message 3: the comparator
-    /// garbled over `value` — the left operand of `a < b` — with the OT's
-    /// branch-0 keys as the evaluator's false labels, and the
-    /// corrections for every other branch.
+    /// Answers the evaluator's OT requests with message 3: the wrapped
+    /// comparator garbled over `value` — the left operand of `a < b` —
+    /// with the OT's branch-0 keys as the evaluator's false labels, and
+    /// the corrections for every other branch.
     ///
     /// # Errors
     ///
@@ -183,7 +190,7 @@ impl<G: Group> CompareGarbler<G> {
             .map(|(keys, &b)| key_labels(&keys[0], b))
             .collect();
         let garbled = garble_hardwired(
-            &comparator_circuit(width),
+            &wrapped_comparator_circuit(width),
             &u128_to_bits(value, width),
             &self.delta,
             &zero.concat(),
@@ -215,7 +222,8 @@ impl<G: Group> CompareGarbler<G> {
     }
 }
 
-/// Evaluator-side state machine for one comparison.
+/// Evaluator-side state machine for one comparison: the right operand
+/// of `a < b`, whose answer holds when `|a − b| < 2^(w−1)`.
 #[derive(Debug)]
 pub struct CompareEvaluator<G: Group> {
     width: usize,
@@ -258,7 +266,8 @@ impl<G: Group> CompareEvaluator<G> {
 
     /// Recovers its labels from its OT keys and the corrections of its
     /// choices, evaluates the circuit with [`Label::ZERO`] for every
-    /// garbler input, and yields `a < b`.
+    /// garbler input, and yields `a < b` under the precondition
+    /// `|a − b| < 2^(w−1)` (outside it, the top bit of `(a − b) mod 2^w`).
     ///
     /// # Errors
     ///
@@ -305,6 +314,11 @@ impl<G: Group> CompareEvaluator<G> {
 /// Runs the full three-message comparison in-process (reference flow; the
 /// distributed version in `pem-core` sends the same three structs over a
 /// transport).
+///
+/// The result is `a < b` for `a, b < 2^width` with `|a − b| <
+/// 2^(width−1)`: the wrapped comparator reads the sign of `a − b` from
+/// the top bit of `(a − b) mod 2^width`. Values a full `width` bits
+/// apart need a comparison one bit wider.
 pub fn secure_less_than_local<R: Rng + ?Sized>(
     a: u128,
     b: u128,
@@ -358,14 +372,15 @@ mod tests {
 
     #[test]
     fn exhaustive_over_even_odd_and_single_bit_widths() {
-        // Every pair at widths 1 through 5: even widths are 1-of-4 chunks
-        // alone, odd ones end in a 1-of-2 tail chunk, width 1 is the
-        // tail chunk alone.
+        // Every pair below 2^(width − 1), which are all in range, at
+        // widths 1 through 6: even widths are 1-of-4 chunks alone, odd
+        // ones end in a 1-of-2 tail chunk, width 1 is the tail chunk
+        // alone.
         let g = group();
         let mut rng = HashDrbg::new(b"cmp-exhaustive");
-        for width in 1..=5usize {
-            for a in 0..1u128 << width {
-                for b in 0..1u128 << width {
+        for width in 1..=6usize {
+            for a in 0..1u128 << (width - 1) {
+                for b in 0..1u128 << (width - 1) {
                     let got = secure_less_than_local(a, b, width, &g, &mut rng).expect("compare");
                     assert_eq!(got, a < b, "width={width} a={a} b={b}");
                 }
@@ -384,18 +399,22 @@ mod tests {
         let transfer = garbler.transfer(19, &requests).expect("transfer");
         let shape: Vec<usize> = transfer.corrections.iter().map(Vec::len).collect();
         assert_eq!(shape, [6, 6, 1]);
-        assert_eq!(transfer.garbled.table_count(), 5);
+        assert_eq!(transfer.garbled.table_count(), 4);
     }
 
     #[test]
     fn compares_at_window_widths_on_the_curve() {
-        // 47 and 49 bits (24 and 25 chunks, past the `A`-table threshold,
-        // the last a 1-of-2), and the spot widths 16 and 64.
+        // 37, 39 and 49 bits (19, 20 and 25 chunks, past the `A`-table
+        // threshold, each ending in a 1-of-2), and the spot widths
+        // 16 and 64; the pairs reach the top of the width and the widest
+        // gap the precondition admits.
         let g = Ed25519.into();
         let mut rng = HashDrbg::new(b"cmp-curve");
-        for width in [16usize, 47, 49, 64] {
+        for width in [16usize, 37, 39, 49, 64] {
             let top = u128::MAX >> (128 - width);
-            for (a, b) in [(top - 1, top), (top, top - 1), (0, top), (12_345, 12_345)] {
+            let gap = (1u128 << (width - 1)) - 1;
+            let pairs = [(top - 1, top), (top, top - 1), (top - gap, top), (gap, 0)];
+            for (a, b) in pairs.into_iter().chain([(12_345, 12_345)]) {
                 let got = secure_less_than_local(a, b, width, &g, &mut rng).expect("compare");
                 assert_eq!(got, a < b, "width={width} a={a} b={b}");
             }
@@ -516,8 +535,9 @@ mod tests {
         for _ in 0..10 {
             let a: u64 = value_rng.gen();
             let b: u64 = value_rng.gen();
+            // Two 64-bit values are less than 2^64 apart.
             let got =
-                secure_less_than_local(a as u128, b as u128, 64, &g, &mut rng).expect("compare");
+                secure_less_than_local(a as u128, b as u128, 65, &g, &mut rng).expect("compare");
             assert_eq!(got, a < b, "a={a} b={b}");
         }
     }

@@ -420,7 +420,9 @@ pub fn eval_garbled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{comparator_circuit, u128_to_bits, CircuitBuilder};
+    use crate::circuit::{
+        comparator_circuit, u128_to_bits, wrapped_comparator_circuit, CircuitBuilder,
+    };
     use pem_crypto::drbg::HashDrbg;
 
     /// Runs the garbled `w`-bit comparator on `a < b`.
@@ -441,6 +443,37 @@ mod tests {
                 for b in 0..1u128 << w {
                     let seed = (w as u64) << 16 | (a as u64) << 8 | b as u64;
                     assert_eq!(garbled_less_than(w, a, b, seed), a < b, "w={w} a={a} b={b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_comparator_garbled_exhaustive() {
+        // Every pair of integers less than 2^(w−1) apart, fed as residues
+        // mod 2^w, at widths 1 through 6: x runs over one period, so the
+        // residue pairs are all those the comparator is defined on. The
+        // garbler's bits are hardwired, as in the comparison protocol.
+        for w in 1..=6 {
+            let c = wrapped_comparator_circuit(w);
+            let (half, mask) = (1i128 << (w - 1), (1u128 << w) - 1);
+            for x in 1u128 << w..2 << w {
+                for d in 1 - half..half {
+                    let y = (x as i128 + d) as u128;
+                    let seed = (w as u64) << 16 | (x as u64) << 8 | y as u64;
+                    let mut rng = HashDrbg::from_seed_label(b"garble-wrapped", seed);
+                    let delta = Label::random_delta(&mut rng);
+                    let zero: Vec<Label> = (0..w).map(|_| Label::random(&mut rng)).collect();
+                    let a_bits = u128_to_bits(x & mask, w);
+                    let gc = garble_hardwired(&c, &a_bits, &delta, &zero).expect("hardwired");
+                    let mut labels = vec![Label::ZERO; w];
+                    let b_bits = u128_to_bits(y & mask, w);
+                    labels.extend((zero.iter().zip(&b_bits)).map(|(l, &b)| l.xor_if(b, &delta)));
+                    assert_eq!(
+                        eval_garbled(&gc, &labels),
+                        Ok(vec![x < y]),
+                        "w={w} x={x} y={y}"
+                    );
                 }
             }
         }

@@ -7,9 +7,10 @@
 //! `R_s < R_b`. The paper delegates this to the Fairplay system (ref. 27); this
 //! crate is our from-scratch equivalent:
 //!
-//! * [`Circuit`]/[`CircuitBuilder`] — gate-list IR over XOR/AND and the
-//!   one construction the protocol builds, the `w`-AND carry-chain
-//!   comparator ([`comparator_circuit`]),
+//! * [`Circuit`]/[`CircuitBuilder`] — gate-list IR over XOR/AND, the
+//!   `w`-AND carry-chain comparator ([`comparator_circuit`]) and the one
+//!   construction the protocol builds on it, the `(w − 1)`-AND wrapped
+//!   comparator of residues mod `2^w` ([`wrapped_comparator_circuit`]),
 //! * [`garble`] — the garbling scheme: half-gates (two 16-byte rows per
 //!   AND), free XOR, a SHA-256 gate hash, and authenticated outputs, so
 //!   an evaluation derailed by a tampered row or label is a typed error;
@@ -47,7 +48,7 @@ pub mod error;
 pub mod garble;
 
 pub use circuit::{
-    bits_to_u128, comparator_circuit, eval_plaintext, u128_to_bits, Circuit, CircuitBuilder, Gate,
-    WireId,
+    bits_to_u128, comparator_circuit, eval_plaintext, u128_to_bits, wrapped_comparator_circuit,
+    Circuit, CircuitBuilder, Gate, WireId,
 };
 pub use error::CircuitError;

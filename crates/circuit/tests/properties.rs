@@ -4,12 +4,44 @@
 use pem_circuit::garble::{eval_garbled, garble, select_input_labels};
 use pem_circuit::{
     comparator_circuit, compare::secure_less_than_local, eval_plaintext, u128_to_bits,
-    CircuitBuilder,
+    wrapped_comparator_circuit, CircuitBuilder,
 };
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::DhGroup;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::Rng;
+
+/// Protocol 2's comparison: the totals `S` and `D` carry the same mask
+/// `R`, and the wrapped comparator sees only the low `w` bits of `S + R`
+/// and `D + R`. For every pair `|S − D| < 2^(w−1)` at widths 1 through 8
+/// and masks up to 128 bits (added mod 2^128, which 2^w divides), the
+/// output is `S < D`; equality is `false`, the extreme market.
+#[test]
+fn masked_totals_compare_on_their_low_bits() {
+    let mut masks = vec![
+        0u128,
+        1,
+        (1 << 40) - 1,
+        u64::MAX as u128,
+        u128::MAX - 1,
+        u128::MAX,
+    ];
+    let mut rng = HashDrbg::new(b"prop-masks");
+    masks.extend((0..4).map(|_| rng.gen::<u128>()));
+    for w in 1..=8 {
+        let c = wrapped_comparator_circuit(w);
+        let low = |v: u128| u128_to_bits(v & ((1 << w) - 1), w);
+        for s in 0..1u128 << w {
+            for d in (0..1u128 << w).filter(|d| d.abs_diff(s) < 1 << (w - 1)) {
+                for &r in &masks {
+                    let out = eval_plaintext(&c, &low(s.wrapping_add(r)), &low(d.wrapping_add(r)));
+                    assert_eq!(out, vec![s < d], "w={w} S={s} D={d} R={r}");
+                }
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -69,7 +101,8 @@ proptest! {
     fn two_party_comparison_matches_operator(a in any::<u32>(), b in any::<u32>(), seed in any::<u64>()) {
         let group = DhGroup::test_192().into();
         let mut rng = HashDrbg::from_seed_label(b"prop-2pc", seed);
-        let got = secure_less_than_local(a as u128, b as u128, 32, &group, &mut rng)
+        // Any two 32-bit values are less than 2^32 apart.
+        let got = secure_less_than_local(a as u128, b as u128, 33, &group, &mut rng)
             .expect("protocol");
         prop_assert_eq!(got, a < b);
     }

@@ -214,11 +214,11 @@ mod tests {
         let mut c = PemConfig::fast_test();
         c.key_bits = 64;
         assert!(matches!(c.validate(10), Err(PemError::Config(_))));
-        // 300 agents compare at 52 bits: the ceiling admits exactly that.
+        // 300 agents compare at 42 bits: the ceiling admits exactly that.
         let mut c = PemConfig::fast_test();
-        c.compare_bits = 51;
+        c.compare_bits = 41;
         assert!(matches!(c.validate(300), Err(PemError::Config(_))));
-        c.compare_bits = 52;
+        c.compare_bits = 42;
         c.validate(300)
             .expect("the derived width meets the ceiling");
         let mut c = PemConfig::fast_test();

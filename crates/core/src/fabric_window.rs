@@ -388,10 +388,10 @@ mod tests {
     fn window_virtual_clock_is_pinned() {
         // The general and the extreme population on a LAN: the two
         // Protocol 2 folds run in lockstep and the settlement in three
-        // sweeps, so on rings the window's critical path is 1,900 and
-        // 1,120 µs, and 1,592 µs on the binary tree. Serialising either
+        // sweeps, so on rings the window's critical path is 1,892 and
+        // 1,112 µs, and 1,584 µs on the binary tree. Serialising either
         // stage again moves these, and so does a comparison at another
-        // width than its member count's (46 and 45 bits here): its
+        // width than its member count's (36 and 35 bits here): its
         // messages are the stage's largest. The comparison's OT setup
         // travels while the folds run, so the comparison's own path is
         // two hops; a setup sent after the folds adds one hop (116 µs)
@@ -405,9 +405,9 @@ mod tests {
         let general = [2.0, 1.0, -3.0, -2.0, -1.0];
         let tree = PemConfig::fast_test().with_topology(Topology::tree());
         for (cfg, surpluses, expected_us) in [
-            (PemConfig::fast_test(), &general[..], 1_900),
-            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_120),
-            (tree, &general[..], 1_592),
+            (PemConfig::fast_test(), &general[..], 1_892),
+            (PemConfig::fast_test(), &[5.0, 4.0, -1.0][..], 1_112),
+            (tree, &general[..], 1_584),
         ] {
             let pop = population(surpluses);
             let mut net = SimNetwork::with_latency(pop.len(), LatencyModel::lan());

@@ -12,8 +12,10 @@
 //!    `R_s = Σ_i (sn_i + r_i) + Σ_j r_j`. The two rounds run
 //!    concurrently.
 //! 4. Because both totals carry the *same* nonce sum,
-//!    `R_s < R_b ⇔ E_s < E_b`; `H_r2` (garbler) and `H_r1` (evaluator)
-//!    run the garbled-circuit comparison of `pem-circuit`, and `H_r1`
+//!    `R_s < R_b ⇔ E_s < E_b`, and `|R_s − R_b| = |E_s − E_b|` is below
+//!    a public bound; `H_r2` (garbler) and `H_r1` (evaluator) run the
+//!    garbled-circuit comparison of `pem-circuit` on their totals' low
+//!    bits alone (the wrapped comparator), and `H_r1`
 //!    announces the one-bit outcome, which every party decodes and
 //!    checks. The comparison's first message, the OT setup, depends on
 //!    nothing in the window: `H_r2` sends it when the window opens, so
@@ -45,7 +47,7 @@ use pem_circuit::compare::{
     CompareSetup, CompareTransfer, OT_CHUNK_BITS,
 };
 use pem_circuit::garble::{GarbledCircuit, Label};
-use pem_circuit::{comparator_circuit, CircuitError};
+use pem_circuit::{wrapped_comparator_circuit, CircuitError};
 use pem_crypto::drbg::HashDrbg;
 use pem_crypto::ot::{Group, OtGroup, OtReceiverReply, OtSenderSetup};
 use pem_crypto::paillier::Ciphertext;
@@ -58,6 +60,7 @@ use crate::agents::Coalition;
 use crate::error::PemError;
 use crate::fold::{fold, recv_from, Announcement, Topology};
 use crate::keys::KeyDirectory;
+use crate::quantize::compare_input;
 
 /// One of Protocol 2's nonce-masked folds with every term encrypted:
 /// demand toward `H_r1` or supply toward `H_r2`. The chain is the value
@@ -222,13 +225,19 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 /// — and `H_r1`'s announcement of the one-bit outcome to every other
 /// party, each of whom decodes and checks it.
 ///
+/// Each collector checks its whole total against the coalition's public
+/// bound and then feeds only its low bits
+/// ([`compare_input`]): the totals carry the same mask, so the wrapped
+/// comparator reads the sign of `R_s − R_b = E_s − E_b` from the top bit
+/// of their difference mod `2^w`.
+///
 /// The comparison's first message, the OT setup, depends on nothing in
 /// the window, so `H_r2` sends it as the window opens and it travels
 /// while the folds run; the comparison's own critical path is the
 /// request and the transfer. Both sides compare at the width of the
 /// window's public member count
 /// ([`compare_width`](crate::quantize::compare_width)), which holds
-/// either masked total. The OT group is a handle to the profile's shared
+/// the difference of the totals. The OT group is a handle to the profile's shared
 /// context, so the comparison's one OT batch (and every later window)
 /// rides one generator table; the messages are generic over it and the
 /// profile is dispatched on once, here. `H_r2` garbles from its own
@@ -237,8 +246,9 @@ impl<T: Transport> Transport for Shared<'_, '_, T> {
 /// # Errors
 ///
 /// [`PemError::Config`] if the member count's width exceeds
-/// `cfg.compare_bits`; encryption, circuit, OT, transport and decode
-/// failures.
+/// `cfg.compare_bits`; `PemError::Circuit(ValueTooWide)` for a masked
+/// total at or above its bound; encryption, circuit, OT, transport and
+/// decode failures.
 pub(crate) async fn evaluate<T: Transport>(
     net: &mut T,
     c: &Coalition<'_>,
@@ -270,8 +280,9 @@ where
 
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
     let setup = decode_setup(&recv_from(net, hr1, hr2, SETUP).await?.payload, width)?;
+    let low_demand = compare_input(demand, c.agents.len())?;
     let (evaluator, requests) =
-        CompareEvaluator::respond(&setup, demand, group, &mut c.draws.garble(hr1))?;
+        CompareEvaluator::respond(&setup, low_demand, group, &mut c.draws.garble(hr1))?;
     let label = "eval/gc-ot-request";
     net.send(
         PartyId(hr1),
@@ -281,7 +292,7 @@ where
     )?;
     let requests = decode_requests(&recv_from(net, hr2, hr1, label).await?.payload, width)?;
 
-    let transfer = garbler.transfer(supply, &requests)?;
+    let transfer = garbler.transfer(compare_input(supply, c.agents.len())?, &requests)?;
     let label = "eval/gc-ot-transfer";
     net.send(
         PartyId(hr2),
@@ -445,9 +456,10 @@ where
     })
 }
 
-/// The transfer: `width | w | w × [T_G, T_E] | 1 | [H'(O⁰), H'(O¹)] |
-/// chunks | corrections` — `4 + 32w + 32` bytes at widths below 128 and
-/// 16 per correction: 96 per 2-bit chunk, 16 for a 1-bit tail.
+/// The transfer: `width | w − 1 | (w − 1) × [T_G, T_E] | 1 | [H'(O⁰),
+/// H'(O¹)] | chunks | corrections` — `4 + 32(w − 1) + 32` bytes at
+/// widths below 128 and 16 per correction: 96 per 2-bit chunk, 16 for a
+/// 1-bit tail.
 fn encode_transfer(transfer: &CompareTransfer) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(transfer.width as u64);
@@ -470,7 +482,7 @@ fn decode_transfer(payload: &[u8], width: usize) -> Result<CompareTransfer, PemE
     WireReader::frame(payload, |r| {
         expect_varint(r, width, "transfer width is not the agreed width")?;
         // The comparator topology is public: rebuild it locally.
-        let circuit = comparator_circuit(width);
+        let circuit = wrapped_comparator_circuit(width);
         expect_varint(r, circuit.and_count(), "AND table count mismatch")?;
         let and_tables = get_label_pairs(r, circuit.and_count())?;
         let outputs = circuit.outputs().len();
@@ -655,15 +667,15 @@ mod tests {
         let decoded_transfer = decode_transfer(&transfer, width).expect("transfer decodes");
         let chunks = width.div_ceil(2);
         // A one-byte width and `A`; a count and one `B` per chunk; four
-        // one-byte counts, two 16-byte rows per AND, the output's hash
-        // pair, three corrections of two labels per 2-bit chunk and one
-        // label for a 1-bit tail.
+        // one-byte counts, two 16-byte rows per AND (`w − 1` of them),
+        // the output's 32-byte hash pair, three corrections of two labels
+        // per 2-bit chunk and one label for a 1-bit tail.
         let expected = [
             1 + element(&decoded_setup.ot_setup.big_a),
             1 + (decoded_requests.replies.iter())
                 .map(|reply| element(&reply.big_b))
                 .sum::<usize>(),
-            4 + 32 * width + 32 + 96 * (width / 2) + 16 * (width % 2),
+            4 + 32 * (width - 1) + 32 + 96 * (width / 2) + 16 * (width % 2),
         ];
         let case = format!("{group:?} at width {width}");
         let lengths = [setup.len(), requests.len(), transfer.len()];
@@ -717,14 +729,14 @@ mod tests {
             w.put_biguint(e);
             w.finish().len()
         };
-        for width in [1usize, 2, 5, 47, 49, 63, 64] {
+        for width in [1usize, 2, 5, 37, 39, 49, 63, 64] {
             check_frames(&dh, width, dh_element);
             let total = check_frames(&Ed25519, width, |_| 32);
-            if width == 47 {
+            if width == 37 {
                 // Twelve members' comparison at the paper profiles: 33 +
-                // 769 + 3,764 bytes (6,070 with the garbler's labels and
-                // four branches per chunk).
-                assert_eq!(total, 4_566, "edwards25519 at 47 bits");
+                // 609 + 2,932 bytes (4,566 when it covered the whole
+                // 47-bit masked totals).
+                assert_eq!(total, 3_574, "edwards25519 at 37 bits");
             }
         }
     }
@@ -735,7 +747,7 @@ mod tests {
         // same draws, two garbler values give byte-identical setup and
         // request frames; only the transfer differs.
         use pem_crypto::ot::{DhGroup, Ed25519};
-        for width in [5usize, 47] {
+        for width in [5usize, 37] {
             let seed = b"garbler-value";
             let dh = (
                 frames(&DhGroup::test_192(), width, (3, 9), seed),
@@ -775,7 +787,7 @@ mod tests {
         let labels = &out.net.per_label;
         assert_eq!(labels["eval/gc-offer"].bytes, 1 + 32);
         assert_eq!(labels["eval/gc-ot-request"].bytes, (1 + 32 * chunks) as u64);
-        let transfer = 4 + 32 * width + 32 + 96 * (width / 2) + 16 * (width % 2);
+        let transfer = 4 + 32 * (width - 1) + 32 + 96 * (width / 2) + 16 * (width % 2);
         assert_eq!(labels["eval/gc-ot-transfer"].bytes, transfer as u64);
         let frames = super::frame_bytes(width, &pem_crypto::ot::Ed25519.into()).expect("frames");
         assert_eq!(frames, [33, 1 + 32 * chunks, transfer]);

@@ -1,11 +1,14 @@
 //! Fixed-point quantization between market floats and field elements,
-//! and the comparison width a coalition's nonce-masked totals need.
+//! and the width Protocol 2 compares a coalition's nonce-masked totals at.
 //!
 //! All energies (kWh) and the pricing terms enter the ciphertexts as
 //! integers scaled by `10^6` (µkWh resolution on one-minute windows).
-//! [`compare_width`] sizes Protocol 2's comparison so that nonce-masked
-//! aggregates always fit it; the Paillier message space is checked by
-//! [`PemConfig::validate`](crate::PemConfig::validate).
+//! [`compare_width`] sizes Protocol 2's comparison of the nonce-masked
+//! aggregates' low bits, and [`compare_input`] checks each aggregate
+//! against its bound before taking them; the Paillier message space is
+//! checked by [`PemConfig::validate`](crate::PemConfig::validate).
+
+use pem_circuit::CircuitError;
 
 use crate::config::{NONCE_BITS, SCALE, VALUE_BITS};
 use crate::error::PemError;
@@ -47,17 +50,49 @@ pub fn dequantize_u128(q: u128) -> f64 {
     q as f64 / SCALE as f64
 }
 
-/// The comparison width of an `agents`-member coalition: the bits of
-/// its worst nonce-masked total, plus two bits of slack.
+/// The comparison width of an `agents`-member coalition,
+/// `VALUE_BITS + ⌈log₂ agents⌉ + 1`: 37 bits at 12 members, 39 at 40,
+/// 49 at 2^16.
 ///
-/// Each member adds at most `|sn| + r < 2^VALUE_BITS + 2^NONCE_BITS ≤
-/// 2 · 2^max(VALUE_BITS, NONCE_BITS)` to either total, so both stay below
-/// `2 · agents · 2^40` — 47 bits at 12 members, 60 at 2^16. The
-/// coalition size is public, so both comparing parties derive the same
-/// width; bits above it are zeros both know in advance.
+/// Protocol 2 compares the two masked totals `S + R` and `D + R`, which
+/// carry the same nonce mask `R`, on their low bits alone. Only the sign
+/// of `S − D` matters, and `|S − D| < agents · 2^VALUE_BITS ≤
+/// 2^(width − 1)` whatever the mask, so the wrapped comparator
+/// (`pem_circuit::wrapped_comparator_circuit`) reads it from the top bit
+/// of `(S − D) mod 2^width`. The coalition size is public, so both
+/// comparing parties derive the same width.
 pub fn compare_width(agents: usize) -> usize {
-    let worst = (agents as u128) << (VALUE_BITS.max(NONCE_BITS) + 1);
-    (128 - worst.leading_zeros()) as usize + 2
+    // ⌈log₂ agents⌉, total over `usize` (0 for 0 and 1).
+    let log2 = usize::BITS - agents.saturating_sub(1).leading_zeros();
+    (VALUE_BITS + log2 + 1) as usize
+}
+
+/// The bound every masked total of an `agents`-member coalition stays
+/// below, `agents · 2^(NONCE_BITS + 1)`: each member adds at most
+/// `|sn| + r < 2^VALUE_BITS + 2^NONCE_BITS ≤ 2^(NONCE_BITS + 1)`.
+///
+/// The comparison sees only a total's low [`compare_width`] bits, so a
+/// collector checks this bound on the whole total first
+/// ([`compare_input`]): a corrupted aggregate is refused, not truncated
+/// into a wrong market.
+fn masked_total_bound(agents: usize) -> u128 {
+    (agents as u128) << (NONCE_BITS.max(VALUE_BITS) + 1)
+}
+
+/// A collector's masked total as the comparison takes it: its low
+/// [`compare_width`] bits, once the whole total is checked against the
+/// bound every honest one stays below, `agents · 2^(NONCE_BITS + 1)`.
+///
+/// # Errors
+///
+/// [`CircuitError::ValueTooWide`] at the comparison width for a total at
+/// or above the bound.
+pub fn compare_input(total: u128, agents: usize) -> Result<u128, PemError> {
+    let width = compare_width(agents);
+    if total >= masked_total_bound(agents) {
+        return Err(CircuitError::ValueTooWide { width }.into());
+    }
+    Ok(total & ((1 << width) - 1))
 }
 
 #[cfg(test)]
@@ -94,33 +129,36 @@ mod tests {
 
     #[test]
     fn headroom_accepts_paper_scale() {
-        // 1000 agents, 32-bit values, 40-bit nonces: 53 bits, under the
-        // 64-bit ceiling.
-        assert_eq!(compare_width(1000), 53);
+        // 1000 agents, 32-bit values: ⌈log₂ 1000⌉ = 10, so 43 bits, under
+        // the 64-bit ceiling.
+        assert_eq!(compare_width(1000), 43);
     }
 
     #[test]
     fn headroom_rejects_tight_width() {
-        // A 52-bit comparison cannot hold 1000 agents' masked totals.
-        assert!(compare_width(1000) > 52);
-        assert!(compare_width(4) > 8);
+        // A 42-bit comparison cannot hold the difference of 1000 agents'
+        // totals, nor a 33-bit one that of 4.
+        assert!(compare_width(1000) > 42);
+        assert!(compare_width(4) > 33);
     }
 
     #[test]
     fn compare_width_is_the_narrowest_the_bound_admits() {
-        // For every population `validate` accepts: the worst total
-        // `2 · m · 2^40` needs exactly `width − 2` bits, so one bit less
-        // of slack would not hold it, and the width fits today's 64-bit
-        // ceiling.
+        // For every population `validate` accepts: the widest difference
+        // of the two totals, `(m − 1) · 2^32` (a seller and a buyer at
+        // least), is below 2^(width − 1), so its sign is the top bit of
+        // the difference mod 2^width, and one bit less would not hold it.
         for m in 1..=1usize << 16 {
             let width = compare_width(m);
-            let worst = 2 * m as u128 * (1 << NONCE_BITS.max(VALUE_BITS));
-            assert!(worst >> (width - 2) == 0, "m = {m}: {width} bits");
-            assert!(worst >> (width - 3) != 0, "m = {m}: {width} bits");
+            let widest = (m as u128 - 1) << VALUE_BITS;
+            assert!(widest < 1 << (width - 1), "m = {m}: {width} bits");
+            if m > 1 {
+                assert!(widest >= 1 << (width - 2), "m = {m}: {width} bits");
+            }
             assert!(width <= 64, "m = {m}: {width} bits");
         }
-        let pins = [(1, 44), (2, 45), (4, 46), (12, 47), (15, 47), (40, 49)];
-        for (m, width) in pins.into_iter().chain([(1 << 16, 60)]) {
+        let pins = [(1, 33), (2, 34), (4, 35), (12, 37), (15, 37), (40, 39)];
+        for (m, width) in pins.into_iter().chain([(1 << 16, 49)]) {
             assert_eq!(compare_width(m), width, "m = {m}");
         }
     }
@@ -131,18 +169,34 @@ mod tests {
         use pem_crypto::drbg::HashDrbg;
         use pem_crypto::ot::DhGroup;
 
-        // The two largest totals the bound admits, in both orders and
-        // equal: the derived width holds them with two bits to spare.
+        // The largest masked total the bound admits, `m · 2^41 − 1`, as
+        // the larger, the smaller and both sides, its partner the widest
+        // difference away, compared on their low bits; one at the bound
+        // is refused with a typed error.
         let group = DhGroup::test_192().into();
         let mut rng = HashDrbg::new(b"compare-width-bound");
         for m in [2usize, 12, 40, 1 << 16] {
             let width = compare_width(m);
-            let top = 2 * m as u128 * (1 << NONCE_BITS.max(VALUE_BITS)) - 1;
-            for (a, b) in [(top - 1, top), (top, top - 1), (top, top)] {
-                let less = secure_less_than_local(a, b, width, &group, &mut rng)
+            let top = masked_total_bound(m) - 1;
+            let gap = (m as u128 - 1) << VALUE_BITS;
+            for (a, b) in [
+                (top - gap, top),
+                (top, top - gap),
+                (top - 1, top),
+                (top, top),
+            ] {
+                let (x, y) = (
+                    compare_input(a, m).expect("a"),
+                    compare_input(b, m).expect("b"),
+                );
+                let less = secure_less_than_local(x, y, width, &group, &mut rng)
                     .unwrap_or_else(|e| panic!("m = {m}, {a} < {b}: {e:?}"));
                 assert_eq!(less, a < b, "m = {m}, width {width}: {a} < {b}");
             }
+            assert!(matches!(
+                compare_input(top + 1, m),
+                Err(PemError::Circuit(CircuitError::ValueTooWide { width: w })) if w == width
+            ));
         }
     }
 }

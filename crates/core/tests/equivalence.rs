@@ -158,3 +158,63 @@ fn runtime_metrics_are_monotone_in_population() {
     // O(n) rings + O(n²) settlement: message count must grow superlinearly.
     assert!(m12 > m6 * 2, "messages {m6} -> {m12}");
 }
+
+/// Ten members on one side and two on the other, each with its own net
+/// energy: `ten_sell` makes the ten the sellers of an extreme market
+/// (supply 25.5 kWh over demand 3.5), otherwise the buyers of a general
+/// one (demand 25.5 over supply 3.5). The ratio side is the ten either
+/// way: Protocol 4 allocates by the buyers' demand shares in a general
+/// market and by the sellers' supply shares in an extreme one.
+fn ten_against_two(ten_sell: bool) -> Vec<pem_market::AgentWindow> {
+    use pem_market::AgentWindow;
+    let side = |id: usize, energy: f64, sells: bool| {
+        if sells {
+            AgentWindow::new(id, energy, 0.0, 0.0, 0.9, 20.0 + id as f64)
+        } else {
+            AgentWindow::new(id, 0.0, energy, 0.0, 0.9, 20.0 + id as f64)
+        }
+    };
+    let mut agents: Vec<_> = (0..10)
+        .map(|i| side(i, 0.75 + 0.25 * i as f64, ten_sell))
+        .collect();
+    agents.extend([side(10, 1.5, !ten_sell), side(11, 2.0, !ten_sell)]);
+    agents
+}
+
+/// Protocol 4 at a paper key: the decryptor's ten ratios span several
+/// multi-slot p-leg packs (`slots` 98-bit slots each), and the window —
+/// market kind, price, every trade — is the plaintext market's, in both
+/// regimes on one key set. The windows also run Protocol 2's comparison
+/// on the curve at twelve members' width.
+fn multi_slot_packs_match_the_plaintext_market(key_bits: usize, slots: usize) {
+    use pem_market::MarketKind;
+    let cfg = PemConfig::paper(key_bits);
+    let engine = MarketEngine::new(cfg.band);
+    let mut pem = Pem::new(cfg, 12).expect("setup");
+    for i in 0..12 {
+        let sk = pem.keys().keypair(i).private();
+        assert_eq!(sk.slots_per_pack(98), slots, "{key_bits}-bit key {i}");
+    }
+    let regimes = [(false, MarketKind::General), (true, MarketKind::Extreme)];
+    for (w, (ten_sell, expected)) in regimes.into_iter().enumerate() {
+        let agents = ten_against_two(ten_sell);
+        let pem_out = pem.run_window(&agents).expect("pem window");
+        assert_eq!(pem_out.kind, expected, "{key_bits} bits");
+        let ratios = &pem_out.revealed.allocation_ratios;
+        assert!(
+            ratios.len() == 10 && ratios.len() > slots,
+            "{key_bits} bits: {ratios:?}"
+        );
+        assert_outcomes_match(&pem_out, &engine.run_window(&agents), w);
+    }
+}
+
+#[test]
+fn four_slot_packs_match_the_plaintext_market_at_paper_1024() {
+    multi_slot_packs_match_the_plaintext_market(1024, 4);
+}
+
+#[test]
+fn nine_slot_packs_match_the_plaintext_market_at_paper_2048() {
+    multi_slot_packs_match_the_plaintext_market(2048, 9);
+}

@@ -20,7 +20,7 @@
 //! the poll that wanted the lost message ends the window.
 
 use pem_circuit::compare::CompareGarbler;
-use pem_circuit::CircuitError;
+use pem_circuit::{wrapped_comparator_circuit, CircuitError};
 use pem_core::quantize::compare_width;
 use pem_core::{Pem, PemConfig, PemError, PemWindowOutcome};
 use pem_crypto::drbg::HashDrbg;
@@ -269,33 +269,35 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     let clean = run_faulted(FaultPlan::new()).expect("clean run");
     let corrupt = |label| run_faulted(FaultPlan::new().inject(label, 0, FaultKind::Corrupt));
     // A flipped ciphertext bit in a ring hop decrypts to garbage far
-    // outside the masked-total range: too wide for the comparator, for
-    // 128 bits, or invalid outright — a typed abort either way.
+    // outside the masked-total range. The comparison takes only a total's
+    // low bits, so its collector checks the whole total against the
+    // public bound first and refuses it as too wide for the comparator,
+    // instead of comparing its truncation.
     for label in ["eval/demand-agg", "eval/supply-agg"] {
         let err = corrupt(label).expect_err("mangled aggregate must abort");
         assert!(
             matches!(
                 err,
-                PemError::Circuit(_) | PemError::Protocol(_) | PemError::Crypto(_)
+                PemError::Circuit(CircuitError::ValueTooWide { width: 35 })
             ),
             "{label}: got {err:?}"
         );
     }
     // Byte layouts at `fast_test()` over the four-member population
-    // (width `compare_width(4)` = 46, 46 two-row AND tables, 24-byte
-    // group elements, 23 two-bit OT chunks):
+    // (width `compare_width(4)` = 35, 34 two-row AND tables, 24-byte
+    // group elements, 17 two-bit OT chunks and a one-bit tail):
     //
-    // * `eval/gc-ot-transfer`, 3716 bytes (a width byte, a count byte,
+    // * `eval/gc-ot-transfer`, 2772 bytes (a width byte, a count byte,
     //   `offer_tables()`, a count byte, the 32-byte output hash pair, a
-    //   count byte, then 23 × three two-label corrections, from byte
-    //   1508): the middle byte 1858 is in chunk 3's correction for value
-    //   2, and byte 2564 the first of chunk 11's for value 1. The
-    //   evaluator chose value 0 in chunk 3 (bits 6–7 of its masked total
-    //   are 00), whose labels are its OT key with no correction, and
-    //   value 1 in chunk 11 (bits 22–23 are 01). So the flip in chunk 11
-    //   gives it a garbage label and an unauthentic output, while the
-    //   middle-byte flip, in a correction it never uses, leaves the
-    //   window with the clean outcome.
+    //   count byte, then 17 × three two-label corrections and the tail's
+    //   one label, from byte 1124): the middle byte 1386 is in chunk 2's
+    //   correction for value 3, and byte 2180 the first of chunk 11's for
+    //   value 1. The evaluator chose value 1 in chunk 2 (bits 4–5 of its
+    //   masked total are 01), so it never reads the correction for 3,
+    //   and value 1 in chunk 11 (bits 22–23 are 01). So the flip in
+    //   chunk 11 gives it a garbage label and an unauthentic output,
+    //   while the middle-byte flip, in a correction it never uses, leaves
+    //   the window with the clean outcome.
     let chosen = run_tampered("eval/gc-ot-transfer", |payload| {
         payload[corrections_at(11)] ^= 1;
     });
@@ -322,22 +324,23 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     assert!(matches!(err, PemError::Protocol(_)), "eval/result: {err:?}");
     // A decrypted table row is authenticated, two ways:
     //
-    // * byte 1166 of `eval/gc-ot-transfer`, byte 12 of `T_G` of AND 36.
-    //   The evaluator's label on that gate's first input has its permute
-    //   bit set (today's seeds), so it decrypts the flipped row;
+    // * byte 1070 of `eval/gc-ot-transfer`, byte 12 of `T_G` of AND 33,
+    //   the last. The evaluator's label on that gate's first input has
+    //   its permute bit set (today's seeds), so it decrypts the flipped
+    //   row;
     // * byte 0 of `T_G` flipped in every AND (at byte 2 + 32·k). The
     //   evaluator decrypts `T_G` wherever its first input's permute bit
     //   is set — some gate, whatever the seeds.
     //
     // Either way a carry turns to garbage and the output label matches
     // neither output hash: a typed error.
-    let and_36 = run_tampered("eval/gc-ot-transfer", |payload| payload[1166] ^= 1);
+    let and_33 = run_tampered("eval/gc-ot-transfer", |payload| payload[1070] ^= 1);
     let every_t_g = run_tampered("eval/gc-ot-transfer", |payload| {
         for and in 0..offer_tables() / 32 {
             payload[2 + 32 * and] ^= 1;
         }
     });
-    for (case, result) in [("T_G of AND 36", and_36), ("every T_G", every_t_g)] {
+    for (case, result) in [("T_G of AND 33", and_33), ("every T_G", every_t_g)] {
         assert!(
             matches!(
                 result,
@@ -350,9 +353,9 @@ fn corrupted_messages_never_panic_and_fabrics_agree() {
     }
     // Tampering with the OT, three ways:
     //
-    // * `eval/gc-ot-request`, 576 bytes (a count byte, then 23 × a
-    //   length byte and 24 bytes of `B`): the middle byte 288 is byte 11
-    //   of chunk 11's `B`, so the garbler derives that chunk's labels
+    // * `eval/gc-ot-request`, 451 bytes (a count byte, then 18 × a
+    //   length byte and 24 bytes of `B`): the middle byte 225 is the last
+    //   byte of chunk 8's `B`, so the garbler derives that chunk's labels
     //   and corrections from keys the evaluator cannot derive;
     // * the same flip in chunk 0's `B` (byte 25), which
     //   `FaultKind::Corrupt` cannot reach;
@@ -398,7 +401,7 @@ fn a_tampered_ot_request_never_decides_the_market_bit() {
     // evaluator cannot derive — the window must end in a typed circuit
     // error, never complete with a flipped (or unflipped) market bit.
     let chunks = compare_width(population().len()).div_ceil(2);
-    assert_eq!(chunks, 23);
+    assert_eq!(chunks, 18);
     for chunk in 0..chunks {
         let result = run_tampered("eval/gc-ot-request", move |payload| {
             payload[1 + 25 * chunk + 24] ^= 1;
@@ -492,11 +495,11 @@ fn a_tampered_ratio_announcement_aborts_without_trades() {
     }
 }
 
-/// Bytes of garbled tables in a [`population`] window's transfer: one
-/// AND per bit of its `compare_width(4)` = 46-bit comparator, two 16-byte
-/// half-gates rows per AND.
+/// Bytes of garbled tables in a [`population`] window's transfer: the
+/// ANDs of its `compare_width(4)` = 35-bit wrapped comparator, 34 of
+/// them, two 16-byte half-gates rows per AND.
 fn offer_tables() -> usize {
-    compare_width(population().len()) * 2 * 16
+    wrapped_comparator_circuit(compare_width(population().len())).and_count() * 2 * 16
 }
 
 /// Bytes of output hashes in a transfer: one output, two 16-byte hashes.
@@ -546,12 +549,12 @@ fn hostile_counts_are_rejected_before_allocating() {
 
 #[test]
 fn an_offer_at_the_ceiling_is_refused_at_the_agreed_width() {
-    // Twelve members compare at `compare_width(12)` = 47 bits, below the
+    // Twelve members compare at `compare_width(12)` = 37 bits, below the
     // 64-bit ceiling of `fast_test()`. Both sides derive the width from
     // the public member count, so a well-formed offer at the ceiling —
-    // a comparator wide enough for the masked totals — is not the agreed
-    // one: the evaluator refuses it at its width field, before reading
-    // any table, and the window never completes.
+    // a wider comparator, which would still hold the totals' difference
+    // — is not the agreed one: the evaluator refuses it at its width
+    // field, before reading any table, and the window never completes.
     let data: Vec<AgentWindow> = (0..12)
         .map(|i| {
             let e = 0.5 + i as f64 / 4.0;
@@ -562,7 +565,7 @@ fn an_offer_at_the_ceiling_is_refused_at_the_agreed_width() {
             }
         })
         .collect();
-    assert_eq!(compare_width(data.len()), 47);
+    assert_eq!(compare_width(data.len()), 37);
     let cfg = PemConfig::fast_test();
     let mut rng = HashDrbg::new(b"ceiling-offer");
     let (_, setup) = CompareGarbler::start(cfg.compare_bits, &DhGroup::test_192(), &mut rng);

@@ -93,7 +93,9 @@ fn window_data() -> Vec<AgentWindow> {
     ]
 }
 
-/// DRBG bytes one comparison of `a` with `b` at `width` bits draws.
+/// DRBG bytes one comparison of `a` with `b` at `width` bits draws; the
+/// pair must be less than `2^(width − 1)` apart, the wrapped
+/// comparator's precondition.
 fn drawn(cfg: &PemConfig, width: usize, a: u128, b: u128) -> u64 {
     let mut rng = CountingRng {
         inner: HashDrbg::from_seed_label(b"ot-draw-count", a as u64),
@@ -176,7 +178,7 @@ fn test192_comparisons_and_windows() {
         // comparison consumes (a uniform draw below Test192's `q`
         // rejected 29% of its candidates).
         let bytes = drawn(&cfg, cfg.compare_bits, 5, 9);
-        for (a, b) in [(u64::MAX as u128, 0), (9, 5), (1 << 40, 1 << 41)] {
+        for (a, b) in [(i64::MAX as u128, 0), (9, 5), (1 << 40, 1 << 41)] {
             assert_eq!(
                 drawn(&cfg, cfg.compare_bits, a, b),
                 bytes,
@@ -213,10 +215,10 @@ fn test192_comparisons_and_windows() {
             1,
             "{profile:?}: a trading window rebuilt a generator's or a key's comb table"
         );
-        // The window compares at its four members' width, 46 bits in 23
+        // The window compares at its four members' width, 35 bits in 18
         // chunks, not at the 64-bit ceiling the comparisons above ran.
         let chunks = compare_width(data.len()).div_ceil(2) as u64;
-        assert_eq!(chunks, 23);
+        assert_eq!(chunks, 18);
         // This window makes 12 encryptions, each one `h_s^x` off its
         // key's table and none of them a ladder (the classic `r^n` lane
         // ran 12 more). Beside the comparison that leaves 14 ladders:
@@ -249,7 +251,7 @@ fn test192_comparisons_and_windows() {
 }
 
 /// Twelve homes, six selling and six buying: a window compares at
-/// `compare_width(12)` = 47 bits.
+/// `compare_width(12)` = 37 bits.
 fn twelve_homes() -> Vec<AgentWindow> {
     (0..12)
         .map(|i| {
@@ -270,7 +272,7 @@ fn curve_comparisons_and_windows() {
     };
     let width = compare_width(12);
     let chunks = width.div_ceil(2) as u64;
-    assert_eq!((width, chunks), (47, 24));
+    assert_eq!((width, chunks), (37, 19));
     let mut rng = HashDrbg::new(b"ot-group-context-curve");
 
     // The first comparison may build the basepoint table; the second,
@@ -291,18 +293,25 @@ fn curve_comparisons_and_windows() {
         "a curve comparison ran a bignum kernel"
     );
 
-    // The batch of 24 takes every `[b]A` off its `A` table.
+    // The batch of 19 takes every `[b]A` off its `A` table.
     let choices = vec![1usize; chunks as usize];
     let ed = pem_crypto::ot::Ed25519;
     let (_, setup) = OtBatchSender::new(ed, &mut rng);
     let (receiver, _) = OtBatchReceiver::new(ed, &setup, &choices, &mut rng).expect("replies");
     assert!(receiver.a_table().is_some());
 
-    // 64 bytes per scalar, whatever is compared: 2 + 24 scalars plus the
-    // garbling's draws, the same for every pair.
+    // 64 bytes per scalar, whatever is compared: 2 + 19 scalars plus the
+    // garbling's draws, the same for every pair — here the width's top,
+    // the widest gap the comparator admits at either end, and equality.
     let bytes = drawn(&cfg, width, 5, 9);
-    let top = (1u128 << width) - 1;
-    for (a, b) in [(top, 0), (9, 5), (1 << 40, 1 << 41), (top, top)] {
+    let (top, gap) = ((1u128 << width) - 1, (1u128 << (width - 1)) - 1);
+    for (a, b) in [
+        (top, top - gap),
+        (gap, 0),
+        (9, 5),
+        (1 << 30, 1 << 31),
+        (top, top),
+    ] {
         assert_eq!(drawn(&cfg, width, a, b), bytes, "comparing {a} with {b}");
     }
 

@@ -465,9 +465,10 @@ pub const MAX_BRANCHES: usize = 4;
 /// Measured break-even: 13 OTs at Test192 (build 34 µs, table pow
 /// 1.0 µs, ladder 3.6 µs) and 2–3 on edwards25519 (build ≈100 µs,
 /// table multiplication ≈15 µs, window ≈55 µs); 8 sits between. The batches
-/// that exist are 1 (`run_local_ot`) and 23–25 (a comparison at
-/// `compare_width(m)`: 47 or 49 bits in 2-bit chunks), far on either
-/// side, so the exact value decides nothing today.
+/// that exist are 1 (`run_local_ot`) and 18–20 (a comparison at
+/// `compare_width(m)`: 35–39 bits in 2-bit chunks for coalitions of 4
+/// to 40), far on either side, so the exact value decides nothing
+/// today.
 pub const A_TABLE_MIN_BATCH: usize = 8;
 
 /// The hash state of OT `i`'s transcript — the domain, the OT's position

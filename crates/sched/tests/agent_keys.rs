@@ -82,8 +82,8 @@ fn a_repartitioning_day_makes_one_key_per_home() {
     // most once per home: the re-partition rebuilt two coalitions over
     // the same keys and built none again. The comparisons run on the
     // curve, whose tables are counted apart: each comparison's `A` table
-    // (every coalition of eight compares at `compare_width(8)` = 47
-    // bits, 24 OTs, a batch above `A_TABLE_MIN_BATCH`) and the
+    // (every coalition of eight compares at `compare_width(8)` = 36
+    // bits, 18 OTs, a batch above `A_TABLE_MIN_BATCH`) and the
     // basepoint's, built by the first comparison in the process. The day
     // built exactly 10 integer tables: the grid key's, built by window
     // 0's coupling round, and the `h_s` tables of the 9 homes whose keys

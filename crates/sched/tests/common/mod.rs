@@ -56,8 +56,8 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// fallbacks — and its `masked_*` terms moved. Window 0 draws its
 /// nonces before any encryption and its bytes happen to match, so its
 /// fingerprint held) and once when each comparison narrowed to its
-/// coalition's width (`compare_width(m)`, 47 bits for these coalitions
-/// of ten instead of the 64-bit ceiling: fewer tables, labels and OT
+/// coalition's width (`compare_width(m)`, then 47 bits for these
+/// coalitions of ten instead of the 64-bit ceiling: fewer tables, labels and OT
 /// chunks on the wire, so `net.total_bytes` moved; fewer label and OT
 /// draws, so every later draw of the window stream, and with it the
 /// `masked_*` terms, moved too) and once when every party began to draw
@@ -73,10 +73,15 @@ use pem_sched::{Engine, GridConfig, GridOrchestrator, GridReport, PartitionStrat
 /// the width and `A`, the transfer three corrections per chunk instead
 /// of four ciphertexts, so `net.total_bytes` 30,846 → 24,833 and 30,707
 /// → 24,691; the `masked_*` terms, message counts, market outcomes and
-/// the ledger tip held).
+/// the ledger tip held) and once when the comparison wrapped (each
+/// collector feeds only the low `compare_width(m)` bits of its masked
+/// total — 37 for these coalitions of ten — to a `w − 1`-AND
+/// comparator, so fewer tables, OT chunks and corrections cross:
+/// `net.total_bytes` 24,833 → 21,005 and 24,691 → 20,863; the `masked_*`
+/// terms, message counts, market outcomes and the ledger tip held).
 pub const GOLDEN: [&str; 2] = [
-    "334885c20b6e81afd7c22e90374dffa9ba959a944ce44854f6aebc819b5cb089",
-    "47d79f94daba452fa30679f2e7136889c9f970c044c2900dcf813033b27279cd",
+    "f95410ddf3de7e4e1316389c6a3623f91f3d8dc96fe0c5652586fc60cd9eb936",
+    "541a2a515771f801da62111182a13b5c4bd7ab1cc5c8d01e99d39e68a05791b6",
 ];
 
 /// Market-outcome digests per window, recorded on the PR 18 tree.
@@ -101,12 +106,14 @@ pub const MARKET_GOLDEN: [&str; 2] = [
 /// shard representative now encrypts its coupling terms from its own
 /// `(round, shard)` stream; the coupling fabric's bytes and critical
 /// path held), and once for the hardwired comparison (the same change
-/// as [`GOLDEN`]; the coupling fabric's bytes and critical path held).
+/// as [`GOLDEN`]; the coupling fabric's bytes and critical path held),
+/// and once for the wrapped comparison (the same change as [`GOLDEN`];
+/// the coupling fabric's bytes and critical path held).
 /// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
-    "86e930ae241e4652c456be5c4fdad0009a9006bdea7e1e92eb99360578d1c003:544:432",
-    "fc62a2dabac846214f51c40c639ac6948129cccc158637beed79bc160846e094:544:432",
+    "7e3a02a085fab2c65f8fba61b220474b96158477bdaf248fd2991ec44e660adc:544:432",
+    "7e224413e4c29d7d04723ad90992142c633be31299d8c3b4ee338c8a0f56894a:544:432",
 ];
 
 /// Full fingerprints per window of [`run_paper512`], recorded before
@@ -127,12 +134,15 @@ pub const TREE_COUPLED_GOLDEN: [&str; 2] = [
 /// 48,721 held and 46,416 → 46,418), and once for the hardwired
 /// comparison (the same change as [`GOLDEN`]; 1,504 B less per
 /// coalition-window, `net.total_bytes` 48,721 → 42,705 and 46,418 →
-/// 40,402).
+/// 40,402), and once for the wrapped comparison (the same change as
+/// [`GOLDEN`]; 992 B less per coalition-window on the curve,
+/// `net.total_bytes` 42,705 → 38,737 and 40,402 → 36,434; the
+/// `masked_*` terms and message counts held).
 /// Same re-record rule as [`GOLDEN`].
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub const PAPER512_GOLDEN: [&str; 2] = [
-    "e3816283e403ce2ba702b112c3239fafb9f387a81c3cea2b0286386496d6afbb",
-    "8a11d7411ce9989aaebea131b6c92ac4ef6ea6b23e64f308d6e51cac8f2d21b9",
+    "658ed63f2ebef1e9c6136a3cafc2fc953ed8c593d690effe889932eee17685ac",
+    "a0fef2bb1ce9372ad4bc2f41d635f321b37b7b51a37a373074a46305951f300c",
 ];
 
 /// The 40-home trace's agents at `windows`.
@@ -183,7 +193,9 @@ fn run_grid(
 /// 8–9 buyers each; window 90 after it is one general market with 6
 /// buyers and three extreme ones with 7–8 sellers, so both market cases
 /// decrypt more than four ratios. Multi-slot packs are pinned by
-/// `pem-crypto`'s `decrypt_packed` properties (4 slots at 1024 bits).
+/// `pem-crypto`'s `decrypt_packed` properties (4 slots at 1024 bits)
+/// and checked against the plaintext market by `pem-core`'s
+/// `equivalence.rs` at `paper(1024)` and `paper(2048)`.
 #[allow(dead_code)] // asserted by fingerprint_golden.rs only
 pub fn run_paper512() -> Vec<GridReport> {
     run_grid(&[44, 90], PemConfig::paper(512), None, 2, Engine::Threads)

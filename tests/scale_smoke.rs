@@ -51,7 +51,7 @@ fn four_hour_windows_keep_headroom() {
     // 64-bit ceiling.
     let cfg = PemConfig::fast_test();
     cfg.validate(50).expect("headroom holds");
-    assert_eq!(compare_width(50), 49);
+    assert_eq!(compare_width(50), 39);
     // 20 kWh quantizes to 2·10^7 ≈ 2^25, well under the 32-bit per-value
     // bound the validation assumes.
     let v = quantize(20.0, "test").expect("fits");
